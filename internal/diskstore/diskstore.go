@@ -135,6 +135,11 @@ type Store struct {
 	// always fits in cache alongside the demand working set (0 = unpaced,
 	// unbounded budget).
 	pfLead int
+	// pfKey is the bucket whose record the prefetch worker is reading
+	// outside mu (noPrefetch when none). Writing that bucket — or reloading
+	// the arena — resets it, which cancels the read: what it fetched
+	// predates the write.
+	pfKey  int64
 	ioErr  error // sticky background flush/evict error
 	closed bool
 
@@ -243,6 +248,7 @@ func Open(cfg Config) (*Store, error) {
 		path:      cfg.Path,
 		cache:     make(map[int64]*entry),
 		lru:       list.New(),
+		pfKey:     noPrefetch,
 		flushWake: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 	}
@@ -475,6 +481,9 @@ func (st *Store) writeEntryLocked(e *entry) error {
 // once enough dirt has coalesced.
 func (st *Store) markEntryDirtyLocked(e *entry) {
 	e.dirty = true
+	if e.key == st.pfKey {
+		st.pfKey = noPrefetch
+	}
 	if e.prefetched {
 		e.prefetched = false
 		st.pfBytes -= int64(len(e.body))

@@ -411,6 +411,88 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 	}
 }
 
+// TestPrefetchDropsStaleRead replays, step by step, the interleaving that made
+// tiny-cache training runs fail with "block … missing after path reads": the
+// prefetcher preads a bucket outside the store's lock, and inside that window
+// the client faults the bucket in, rewrites it and has it LRU-evicted. The
+// prefetcher must not then cache what it read — the bucket before the write.
+func TestPrefetchDropsStaleRead(t *testing.T) {
+	g := testGeometry(t, 4, 4, 16)
+	st, _ := openStore(t, g, 1, false) // clamped to two paths' worth: 10 buckets
+	defer st.Close()
+	const lvl, node = 4, 5
+	bucket := func(tag byte) []oram.Slot {
+		b := make([]oram.Slot, g.BucketSize(lvl))
+		for k := range b {
+			b[k] = oram.Slot{ID: oram.BlockID(int(tag)*10 + k), Leaf: node, Payload: bytes.Repeat([]byte{tag}, g.BlockSize())}
+		}
+		return b
+	}
+	// evict pushes the 15 buckets above the leaf level through the cache,
+	// which evicts (and so flushes) everything else.
+	evict := func() {
+		for l := 0; l < lvl; l++ {
+			buf := make([]oram.Slot, g.BucketSize(l))
+			for n := uint64(0); n < 1<<uint(l); n++ {
+				if err := st.ReadBucket(l, n, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st.mu.Lock()
+		_, resident := st.cache[bucketKey(lvl, node)]
+		st.mu.Unlock()
+		if resident {
+			t.Fatal("test bucket still resident after cycling the cache")
+		}
+	}
+	old, fresh := bucket(1), bucket(2)
+	if err := st.WriteBucket(lvl, node, old); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+
+	rec := st.newScratch()[lvl]
+	if !st.prefetchRead(lvl, node, rec) {
+		t.Fatal("prefetch read of a non-resident bucket was skipped")
+	}
+	got := make([]oram.Slot, g.BucketSize(lvl))
+	if err := st.ReadBucket(lvl, node, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteBucket(lvl, node, fresh); err != nil {
+		t.Fatal(err)
+	}
+	evict()
+	st.prefetchInsert(lvl, node, rec)
+
+	if err := st.ReadBucket(lvl, node, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slotsEqual(got, fresh) {
+		t.Fatalf("bucket reads back as it was before the write: block ids %d.., want %d..", got[0].ID, fresh[0].ID)
+	}
+	if n := st.TierStats().PrefetchIssued; n != 0 {
+		t.Fatalf("a cancelled prefetch read was still counted as issued (%d)", n)
+	}
+
+	// With nothing written in the window the same two steps do cache it.
+	evict()
+	if !st.prefetchRead(lvl, node, rec) {
+		t.Fatal("prefetch read of a non-resident bucket was skipped")
+	}
+	st.prefetchInsert(lvl, node, rec)
+	if n := st.TierStats().PrefetchIssued; n != 1 {
+		t.Fatalf("an undisturbed prefetch read issued %d entries, want 1", n)
+	}
+	if err := st.ReadBucket(lvl, node, got); err != nil {
+		t.Fatal(err)
+	}
+	if !slotsEqual(got, fresh) {
+		t.Fatal("prefetched bucket diverged from the last write")
+	}
+}
+
 // TestSealedStore exercises the sealed-at-rest path: payloads round-trip
 // through seal/open and the arena never holds plaintext.
 func TestSealedStore(t *testing.T) {

@@ -117,24 +117,49 @@ func (st *Store) pfGate(i int) (stale, ok bool) {
 	}
 }
 
+// noPrefetch is pfKey's value while no prefetch read is in flight (bucket
+// keys are >= 0).
+const noPrefetch = -1
+
 // prefetchBucket faults one bucket in if it is not already resident.
 func (st *Store) prefetchBucket(level int, node uint64, rec []byte) {
+	if st.prefetchRead(level, node, rec) {
+		st.prefetchInsert(level, node, rec)
+	}
+}
+
+// prefetchRead preads a non-resident bucket's record into rec outside mu,
+// having registered the bucket as the in-flight prefetch. It reports whether
+// rec holds a verified record to hand to prefetchInsert.
+func (st *Store) prefetchRead(level int, node uint64, rec []byte) bool {
 	key := bucketKey(level, node)
 	st.mu.Lock()
 	_, resident := st.cache[key]
+	if !resident {
+		st.pfKey = key
+	}
 	st.mu.Unlock()
 	if resident {
-		return
+		return false
 	}
 	if _, err := st.f.ReadAt(rec, st.recOff(level, node)); err != nil {
-		return
+		return false
 	}
-	if verifyRecord(rec) != nil {
-		return // racing a concurrent flush of this bucket — skip
-	}
+	// A CRC mismatch is racing a concurrent flush of this bucket — skip.
+	return verifyRecord(rec) == nil
+}
+
+// prefetchInsert caches the record prefetchRead fetched, unless the bucket
+// became resident meanwhile or the read was cancelled: the client may have
+// faulted the bucket in, rewritten it and had it evicted again — all inside
+// the read window — and rec is then the bucket as it was before that write.
+func (st *Store) prefetchInsert(level int, node uint64, rec []byte) {
+	key := bucketKey(level, node)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, resident := st.cache[key]; resident || st.closed {
+	cancelled := st.pfKey != key
+	st.pfKey = noPrefetch
+	if _, resident := st.cache[key]; resident || cancelled || st.closed {
 		return
 	}
 	e := st.newEntry(level, node, rec)

@@ -37,6 +37,10 @@ var engineBaseline = []EngineBenchRow{
 	{Name: "WriteBackPath", NsPerOp: 2123, BytesPerOp: 813, AllocsPerOp: 7},
 	{Name: "AccessSealed", NsPerOp: 29808, BytesPerOp: 28887, AllocsPerOp: 221},
 	{Name: "SealOpen", NsPerOp: 1860, BytesPerOp: 2336, AllocsPerOp: 16},
+	// The joint write-back row's reference point is the commit preceding
+	// the linear-time placement sweep (ISSUE 14; 2-vCPU container, go1.24):
+	// already allocation-free, quadratic in stash × bucket union.
+	{Name: "WriteBackPathsBatch", NsPerOp: 27966000, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
 // PipelineBench is the streaming-pipeline point of the trajectory: the
@@ -284,6 +288,77 @@ func engineClient(leafBits int, sealer oram.Sealer, blockSize int) (*oram.Client
 	return c, nil
 }
 
+// batchShape drives the per-shard ORAM client of batched remote training
+// (mirrors internal/oram's BenchmarkWriteBackPathsBatch, which documents the
+// construction): 2^16 blocks on a fat tree, L=16, buckets 8→4; every round
+// fetches the paths of 64 blocks jointly, remaps each block and writes the
+// paths back jointly, placing from a stash of about 2 000 blocks — 1400 of
+// them waiting for paths no round fetches — into a union of about 650
+// buckets.
+type batchShape struct {
+	c      *oram.Client
+	rng    *rand.Rand
+	ids    []oram.BlockID
+	leaves []oram.Leaf
+}
+
+func newBatchShape() (*batchShape, error) {
+	const blocks, paths, waiting, warmRounds = 1 << 16, 64, 1400, 1000
+	g, err := oram.NewGeometry(oram.GeometryConfig{LeafBits: 16, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear})
+	if err != nil {
+		return nil, err
+	}
+	c, err := oram.NewClient(oram.ClientConfig{
+		Store:  oram.NewCountingStore(oram.NewMetaStore(g), nil),
+		Rand:   rand.New(rand.NewSource(6)),
+		Blocks: blocks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	half := int64(g.Leaves() / 2)
+	if err := c.Load(blocks, func(oram.BlockID) oram.Leaf { return oram.Leaf(c.Rand().Int63n(half)) }, nil); err != nil {
+		return nil, err
+	}
+	for i := 0; i < waiting; i++ {
+		if err := c.Stash().Put(oram.BlockID(blocks+i), oram.Leaf(half+c.Rand().Int63n(half)), nil); err != nil {
+			return nil, err
+		}
+	}
+	s := &batchShape{
+		c:      c,
+		rng:    rand.New(rand.NewSource(7)),
+		ids:    make([]oram.BlockID, paths),
+		leaves: make([]oram.Leaf, paths),
+	}
+	// Remapped blocks settle in the wide upper levels until those are full;
+	// the stash a joint fetch produces is steady from there on.
+	for i := 0; i < warmRounds; i++ {
+		if err := s.round(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+func (s *batchShape) round() error {
+	c := s.c
+	half := int64(c.Geometry().Leaves() / 2)
+	for i := range s.ids {
+		s.ids[i] = oram.BlockID(s.rng.Int63n(int64(c.PosMap().Len())))
+		s.leaves[i] = c.PosMap().Get(s.ids[i])
+	}
+	if err := c.ReadPaths(s.leaves); err != nil {
+		return err
+	}
+	for _, id := range s.ids {
+		l := oram.Leaf(s.rng.Int63n(half))
+		c.PosMap().Set(id, l)
+		c.Stash().SetLeaf(id, l)
+	}
+	return c.WriteBackPaths(s.leaves)
+}
+
 // EngineBench measures the engine hot path and the Fig. 7e simulated
 // speedups at the given scale, producing the BENCH_engine.json document.
 func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
@@ -326,6 +401,19 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 				b.Fatal(err)
 			}
 			if err := wbClient.WriteBackPath(leaf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	batch, err := newBatchShape()
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, benchRow("WriteBackPathsBatch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := batch.round(); err != nil {
 				b.Fatal(err)
 			}
 		}

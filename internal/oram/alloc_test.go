@@ -74,32 +74,55 @@ func TestWriteBackAllocs(t *testing.T) {
 }
 
 // TestWriteBackPathsAllocs: the multi-path joint write-back (the LAORAM
-// bin primitive) also runs allocation-free once its scratch has warmed up.
+// bin primitive) also runs allocation-free once its scratch has warmed up —
+// for a bin's pair of paths, and at the batch shape (64 paths, a union of
+// ~650 buckets, a stash of ~2 000) where it leans hardest on that scratch.
 func TestWriteBackPathsAllocs(t *testing.T) {
-	c := allocTestClient(t)
-	rng := rand.New(rand.NewSource(14))
-	leaves := int64(c.Geometry().Leaves())
-	pair := make([]Leaf, 2)
-	round := func() {
-		pair[0] = Leaf(rng.Int63n(leaves))
-		pair[1] = Leaf(rng.Int63n(leaves))
-		if pair[0] == pair[1] {
-			pair[1] = (pair[1] + 1) % Leaf(leaves)
+	t.Run("pair", func(t *testing.T) {
+		c := allocTestClient(t)
+		rng := rand.New(rand.NewSource(14))
+		leaves := int64(c.Geometry().Leaves())
+		pair := make([]Leaf, 2)
+		round := func() {
+			pair[0] = Leaf(rng.Int63n(leaves))
+			pair[1] = Leaf(rng.Int63n(leaves))
+			if pair[0] == pair[1] {
+				pair[1] = (pair[1] + 1) % Leaf(leaves)
+			}
+			if err := c.ReadPaths(pair); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.WriteBackPaths(pair); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := c.ReadPaths(pair); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 64; i++ {
+			round() // warm the multi-path scratch
 		}
-		if err := c.WriteBackPaths(pair); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(300, round)
+		if allocs > 0 {
+			t.Errorf("ReadPaths+WriteBackPaths allocates %.2f objects/op in steady state, want 0", allocs)
 		}
-	}
-	for i := 0; i < 64; i++ {
-		round() // warm the multi-path scratch
-	}
-	allocs := testing.AllocsPerRun(300, round)
-	if allocs > 0 {
-		t.Errorf("ReadPaths+WriteBackPaths allocates %.2f objects/op in steady state, want 0", allocs)
-	}
+	})
+	t.Run("batch", func(t *testing.T) {
+		s := newBatchShape(t)
+		peak := s.c.Stash().Peak()
+		if peak < 1800 || peak > 2600 {
+			t.Errorf("batch shape stashes %d blocks at its peak, want about 2000", peak)
+		}
+		allocs := testing.AllocsPerRun(100, func() { s.round(t) })
+		if allocs > 0 {
+			t.Errorf("batched ReadPaths+WriteBackPaths allocates %.2f objects/op in steady state, want 0", allocs)
+		}
+		// The scratch is sized by the stash and the bucket union, not by
+		// the table (2^16 blocks) or the tree (2^17 buckets).
+		m := &s.c.multi
+		union := batchShapePaths * s.c.Geometry().Levels()
+		if cap(m.refs) > 4*union || cap(m.bufs) > 4*union || cap(m.fill) > 4*union || cap(m.ids) > 4*peak {
+			t.Errorf("multipath scratch outgrew O(stash + union): refs %d bufs %d fill %d (union <= %d), ids %d (stash peak %d)",
+				cap(m.refs), cap(m.bufs), cap(m.fill), union, cap(m.ids), peak)
+		}
+	})
 }
 
 func sealedAllocClient(t *testing.T) (*Client, uint64) {

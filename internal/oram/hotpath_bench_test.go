@@ -93,6 +93,101 @@ func BenchmarkWriteBackPath(b *testing.B) {
 	}
 }
 
+// The batch shape: the per-shard ORAM client of batched remote training (the
+// end-to-end benchmark's train-remote) — 2^16 blocks on a fat tree, L=16,
+// buckets 8→4, 64 paths fetched and written back jointly per training batch
+// (BatchBins=16, S=4) with about two thousand blocks in the stash.
+const (
+	batchShapeBlocks = 1 << 16
+	batchShapePaths  = 64
+	// batchShapeWaiting blocks sit in the stash throughout, assigned to
+	// paths no batch fetches — a look-ahead client's stash is mostly blocks
+	// waiting for the path of a later bin. Their leaves are in the right
+	// half of the tree and batches stay in the left half, so the root is the
+	// only bucket that can take them and reads it straight back.
+	batchShapeWaiting = 1400
+	// batchShapeWarmRounds bring the tree to steady state: remapped blocks
+	// settle in the wide upper levels until those are full, from where on
+	// every joint fetch stashes about six hundred blocks.
+	batchShapeWarmRounds = 1000
+)
+
+// batchShape is a batch-shape client in steady state plus the scratch of
+// its rounds.
+type batchShape struct {
+	c      *Client
+	rng    *rand.Rand
+	ids    []BlockID
+	leaves []Leaf
+}
+
+func newBatchShape(tb testing.TB) *batchShape {
+	tb.Helper()
+	g := MustGeometry(GeometryConfig{LeafBits: 16, LeafZ: 4, RootZ: 8, Profile: ProfileLinear})
+	c, err := NewClient(ClientConfig{
+		Store:  NewCountingStore(NewMetaStore(g), nil),
+		Rand:   rand.New(rand.NewSource(6)),
+		Blocks: batchShapeBlocks,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	half := int64(g.Leaves() / 2)
+	if err := c.Load(batchShapeBlocks, func(BlockID) Leaf { return Leaf(c.Rand().Int63n(half)) }, nil); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < batchShapeWaiting; i++ {
+		if err := c.Stash().Put(BlockID(batchShapeBlocks+i), Leaf(half+c.Rand().Int63n(half)), nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s := &batchShape{
+		c:      c,
+		rng:    rand.New(rand.NewSource(7)),
+		ids:    make([]BlockID, batchShapePaths),
+		leaves: make([]Leaf, batchShapePaths),
+	}
+	for i := 0; i < batchShapeWarmRounds; i++ {
+		s.round(tb)
+	}
+	return s
+}
+
+// round is one training batch as the ORAM client sees it (core.StepBatch):
+// fetch the paths of 64 blocks jointly, remap each block uniformly (within
+// the left half), write the paths back jointly.
+func (s *batchShape) round(tb testing.TB) {
+	c := s.c
+	half := int64(c.Geometry().Leaves() / 2)
+	for i := range s.ids {
+		s.ids[i] = BlockID(s.rng.Int63n(batchShapeBlocks))
+		s.leaves[i] = c.PosMap().Get(s.ids[i])
+	}
+	if err := c.ReadPaths(s.leaves); err != nil {
+		tb.Fatal(err)
+	}
+	for _, id := range s.ids {
+		l := Leaf(s.rng.Int63n(half))
+		c.PosMap().Set(id, l)
+		c.Stash().SetLeaf(id, l)
+	}
+	if err := c.WriteBackPaths(s.leaves); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkWriteBackPathsBatch gates the joint write-back's placement cost
+// where it is largest: per call 64 leaves, a union of about 650 buckets and
+// a stash of about 2 000 blocks.
+func BenchmarkWriteBackPathsBatch(b *testing.B) {
+	s := newBatchShape(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.round(b)
+	}
+}
+
 // BenchmarkAccessSealed is the same access cycle over a payload-bearing
 // store with AES-CTR+HMAC sealing at the storage boundary — the §III threat
 // model's full data path (decrypt on read, encrypt on write-back).

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -9,23 +10,15 @@ import (
 // client executes one ReadPaths/WriteBackPaths at a time (single-goroutine
 // model), so one scratch set per client suffices and the superblock hot
 // path — one bin = one ReadPaths + one WriteBackPaths — allocates nothing
-// in steady state.
+// in steady state. Everything here is O(stash + bucket union).
 type multiScratch struct {
-	seen   map[BucketRef]bool
 	refs   []BucketRef // bucket union (read order or write order)
 	ids    []BlockID   // sorted stash snapshot for deterministic placement
-	placed map[BlockID]bool
-	bufs   [][]Slot   // batch-transport buffers, grown on demand
-	arena  [][][]byte // payload backing re-armed into bufs (blockSize > 0)
-}
-
-func (m *multiScratch) resetRefs() {
-	if m.seen == nil {
-		m.seen = make(map[BucketRef]bool, 64)
-		m.placed = make(map[BlockID]bool, 64)
-	}
-	clear(m.seen)
-	m.refs = m.refs[:0]
+	off    []int       // write order: where each level's buckets start in refs
+	fill   []int       // real blocks placed so far, per union bucket
+	leaves []Leaf      // the call's distinct leaves, ascending
+	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
+	arena  [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
 }
 
 // batchBufs returns n slot buffers with bufs[i] sized to size(i), reusing
@@ -72,19 +65,19 @@ func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot 
 // returned slice aliases the client's scratch.
 func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
 	g := c.geom
-	m := &c.multi
-	m.resetRefs()
+	refs := c.multi.refs[:0]
 	for lvl := 0; lvl < g.Levels(); lvl++ {
+		start := len(refs)
 		for _, l := range leaves {
 			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
-			if m.seen[b] {
-				continue
+			// At most len(leaves) refs at this level: a scan dedups them.
+			if !slices.Contains(refs[start:], b) {
+				refs = append(refs, b)
 			}
-			m.seen[b] = true
-			m.refs = append(m.refs, b)
 		}
 	}
-	return m.refs
+	c.multi.refs = refs
+	return refs
 }
 
 // ReadPaths fetches the union of buckets across several paths in one
@@ -159,9 +152,16 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
 // dynamic superblocks right after a merge.
 //
-// Placement is the same greedy rule as WriteBackPath, generalised: each
-// stash block goes into the deepest not-yet-full bucket of the union that
-// lies on the path of the block's assigned leaf.
+// Placement is the same greedy rule as WriteBackPath, generalised: levels
+// fill deepest first, and each bucket of the union takes, in ascending id,
+// the first Z stash blocks that are not placed deeper and whose assigned
+// path runs through it. A bucket never prefers a larger id to a smaller one,
+// so where a block lands depends on the smaller ids alone — and placing the
+// blocks one by one in ascending id, each into the deepest bucket on its
+// path that still has room, fills every bucket with the same blocks in the
+// same slots. Cost: one O(stash · log stash) snapshot sort, then per block
+// one O(log paths) search for the deepest level its path shares with the
+// union and one more per level it is turned away at.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	switch len(leaves) {
 	case 0:
@@ -176,92 +176,73 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		}
 	}
 
-	// The union of buckets, deepest level first; within a level, sorted
-	// by node for determinism. Duplicates (shared prefixes) collapse.
+	// The union of buckets, deepest level first; within a level, ascending
+	// by node. NodeAt is monotone in the leaf, so walking the distinct
+	// leaves in ascending order yields each level already sorted, with the
+	// duplicates (shared prefixes) adjacent. Level lvl's buckets are
+	// buckets[off[L-lvl]:off[L-lvl+1]].
 	m := &c.multi
-	m.resetRefs()
-	buckets := m.refs
-	for lvl := g.Levels() - 1; lvl >= 0; lvl-- {
-		start := len(buckets)
-		for _, l := range leaves {
+	m.leaves = append(m.leaves[:0], leaves...)
+	slices.Sort(m.leaves)
+	sorted := slices.Compact(m.leaves)
+	L := g.LeafBits()
+	buckets, off := m.refs[:0], append(m.off[:0], 0)
+	for lvl := L; lvl >= 0; lvl-- {
+		for _, l := range sorted {
 			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
-			if !m.seen[b] {
-				m.seen[b] = true
+			if n := len(buckets); n == 0 || buckets[n-1] != b {
 				buckets = append(buckets, b)
 			}
 		}
-		lvlBuckets := buckets[start:]
-		slices.SortFunc(lvlBuckets, func(a, b BucketRef) int {
-			switch {
-			case a.Node < b.Node:
-				return -1
-			case a.Node > b.Node:
-				return 1
-			default:
-				return 0
-			}
-		})
+		off = append(off, len(buckets))
 	}
-	m.refs = buckets
+	m.refs, m.off = buckets, off
 
-	// Stable stash snapshot for deterministic placement.
+	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
+	m.fill = slices.Grow(m.fill[:0], len(buckets))[:len(buckets)]
+	fill := m.fill
+	clear(fill)
+
+	// One sorted snapshot of the stash per call, one index lookup per block.
 	m.ids = c.stash.AppendIDs(m.ids[:0])
-	ids := m.ids
-	slices.Sort(ids)
-
-	// place fills buf with the deepest-eligible stash blocks for bucket b
-	// (padding with dummies) and returns how many real blocks it placed.
-	clear(m.placed)
-	placed := m.placed
-	place := func(b BucketRef, buf []Slot) int {
-		z := g.BucketSize(b.Level)
-		n := 0
-		for _, id := range ids {
-			if n == z {
+	slices.Sort(m.ids)
+	moved := 0
+	for _, id := range m.ids {
+		e := &c.stash.entries[c.stash.index[id]]
+		for lvl := deepestShared(g, sorted, e.leaf); lvl >= 0; lvl-- {
+			lo, hi := off[L-lvl], off[L-lvl+1]
+			k, _ := slices.BinarySearchFunc(buckets[lo:hi], g.NodeAt(e.leaf, lvl),
+				func(b BucketRef, node uint64) int { return cmp.Compare(b.Node, node) })
+			k += lo
+			if n := fill[k]; n < len(bufs[k]) {
+				bufs[k][n] = Slot{ID: id, Leaf: e.leaf, Payload: e.payload}
+				fill[k]++
+				moved++
 				break
 			}
-			if placed[id] {
-				continue
-			}
-			bl, ok := c.stash.Leaf(id)
-			if !ok {
-				continue
-			}
-			if g.NodeAt(bl, b.Level) != b.Node {
-				continue
-			}
-			p, _ := c.stash.Payload(id)
-			buf[n] = Slot{ID: id, Leaf: bl, Payload: p}
-			placed[id] = true
-			n++
 		}
-		real := n
-		for ; n < z; n++ {
-			buf[n] = DummySlot()
+	}
+	for i, buf := range bufs {
+		for j := fill[i]; j < len(buf); j++ {
+			buf[j] = DummySlot()
 		}
-		return real
 	}
 
-	moved := 0
 	if bs, ok := c.store.(BatchStore); ok && batchWorthwhile(c.store) {
-		bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
-		for i, b := range buckets {
-			moved += place(b, bufs[i])
-		}
 		if err := bs.WriteBuckets(buckets, bufs); err != nil {
 			return fmt.Errorf("oram: WriteBackPaths: %w", err)
 		}
 	} else {
-		for _, b := range buckets {
-			buf := c.writeBuf[:g.BucketSize(b.Level)]
-			moved += place(b, buf)
-			if err := c.store.WriteBucket(b.Level, b.Node, buf); err != nil {
+		for i, b := range buckets {
+			if err := c.store.WriteBucket(b.Level, b.Node, bufs[i]); err != nil {
 				return fmt.Errorf("oram: WriteBackPaths level %d node %d: %w", b.Level, b.Node, err)
 			}
 		}
 	}
-	for id := range placed {
-		c.stash.Remove(id)
+	for i, buf := range bufs {
+		for j := 0; j < fill[i]; j++ {
+			c.stash.Remove(buf[j].ID)
+		}
 	}
 	if c.timer != nil {
 		for range leaves {
@@ -272,4 +253,19 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		}
 	}
 	return nil
+}
+
+// deepestShared returns the deepest level at which the path to leaf still
+// shares a bucket with one of the paths to sorted (ascending, non-empty).
+// The longest common prefix with a sorted set is with a neighbour.
+func deepestShared(g *Geometry, sorted []Leaf, leaf Leaf) int {
+	k, _ := slices.BinarySearch(sorted, leaf)
+	d := 0
+	if k > 0 {
+		d = g.CommonLevel(leaf, sorted[k-1])
+	}
+	if k < len(sorted) {
+		d = max(d, g.CommonLevel(leaf, sorted[k]))
+	}
+	return d
 }

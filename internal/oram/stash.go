@@ -184,10 +184,13 @@ func (s *Stash) IDs() []BlockID {
 }
 
 // AppendIDs appends the stashed block IDs (unspecified order) to dst and
-// returns the extended slice — the allocation-free form of IDs.
+// returns the extended slice — the allocation-free form of IDs. It walks
+// the slab rather than ranging the index.
 func (s *Stash) AppendIDs(dst []BlockID) []BlockID {
-	for id := range s.index {
-		dst = append(dst, id)
+	for i := range s.entries {
+		if id := s.entries[i].id; id != DummyID {
+			dst = append(dst, id)
+		}
 	}
 	return dst
 }
@@ -241,12 +244,16 @@ func (s *Stash) evictPlan(g *Geometry, target Leaf) [][]BlockID {
 func (s *Stash) evictPlanInto(ep *evictPlanner, g *Geometry, target Leaf) [][]BlockID {
 	L := g.LeafBits()
 	ep.reset(L + 1)
-	for id, i := range s.index {
-		d := g.CommonLevel(target, s.entries[i].leaf)
-		ep.byDeepest[d] = append(ep.byDeepest[d], id)
+	for i := range s.entries {
+		e := &s.entries[i]
+		if e.id == DummyID {
+			continue // vacant slab slot
+		}
+		d := g.CommonLevel(target, e.leaf)
+		ep.byDeepest[d] = append(ep.byDeepest[d], e.id)
 	}
-	// Map iteration order is randomised; sort so experiments are
-	// bit-reproducible under a fixed seed.
+	// Slab order depends on slot-recycling history; sort so placement is a
+	// function of the stash contents alone.
 	for _, ids := range ep.byDeepest {
 		slices.Sort(ids)
 	}
