@@ -377,7 +377,7 @@ func BenchmarkPathORAMAccess(b *testing.B) {
 	b.ReportMetric(float64(db.Stats().BytesMoved)/float64(b.N), "server-B/op")
 }
 
-// BenchmarkPathORAMAccessEncrypted adds AES-CTR sealing to every slot.
+// BenchmarkPathORAMAccessEncrypted adds AES-GCM sealing to every slot.
 func BenchmarkPathORAMAccessEncrypted(b *testing.B) {
 	const entries = 1 << 14
 	db, err := laoram.New(laoram.Options{Entries: entries, BlockSize: 128, Encrypt: true, Seed: 3})

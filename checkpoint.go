@@ -71,7 +71,7 @@ func (o *ORAM) checkpointable() error {
 // A restored instance continues byte-identically: leaf choices resume
 // mid-RNG-stream, tree bytes and stats match a run that never stopped
 // (unsealed stores; sealed local stores restore content-identically, since
-// a fresh sealer draws a fresh random IV prefix for post-restore writes).
+// a fresh sealer draws a fresh random nonce field for post-restore writes).
 //
 // Not supported — and rejected with an error — under
 // Options.RecursivePosMap (the recursive map's state lives in its own

@@ -74,7 +74,7 @@ func main() {
 		fat     = flag.Bool("fat", false, "use the fat-tree (root 2x leaf, linear decay)")
 		shards  = flag.Int("shards", 1, "number of shard stores (match the client's Options.Shards)")
 		workers = flag.Int("workers", 0, "request worker pool size (0 = one per CPU)")
-		sealed  = flag.Bool("sealed", false, "seal payloads at rest (AES-CTR+HMAC, fresh random key per shard store)")
+		sealed  = flag.Bool("sealed", false, "seal payloads at rest (AES-128-GCM, fresh random key per shard store)")
 		cworker = flag.Int("cryptoworkers", 0, "crypto fan-out width for sealed stores: seal/open of path and batched requests is partitioned across this many workers (0 = one per CPU capped at 8, 1 = serial)")
 		dataDir = flag.String("data-dir", "", "directory for disk-backed shard trees (one bucket arena file per store, internal/diskstore): the tiered storage backend — served trees may exceed RAM; clean arenas are resumed at startup, crashed arenas are restored from -checkpoint or refused")
 		memBud  = flag.Int64("mem-budget", 0, "total in-memory bucket cache across all disk-backed stores, in bytes, split evenly per store (0 = unbounded); requires -data-dir")

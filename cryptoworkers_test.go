@@ -130,8 +130,8 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 // snapshotTree serialises the full plaintext state of every shard: the
 // trusted client state (position map + stash, via SaveState) and every
 // server slot's (ID, leaf, decrypted payload). Ciphertext arenas are not
-// directly comparable across instances — each Sealer draws a random IV
-// prefix — but the per-slot counter assignment is pinned byte-for-byte at
+// directly comparable across instances — each Sealer draws a random nonce
+// field — but the per-slot sequence assignment is pinned byte-for-byte at
 // the store layer by oram's TestParallelSealByteIdentical.
 func snapshotTree(t *testing.T, db *ORAM) []byte {
 	t.Helper()

@@ -22,7 +22,7 @@ func main() {
 	db, err := laoram.New(laoram.Options{
 		Entries:   entries,
 		BlockSize: blockSize,
-		Encrypt:   true, // AES-CTR sealing: the server stores ciphertext only
+		Encrypt:   true, // AES-GCM sealing: the server stores ciphertext only
 		Seed:      1,
 	})
 	if err != nil {

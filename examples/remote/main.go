@@ -5,7 +5,7 @@
 // client connects over the network — the socket is the paper's red line,
 // the insecure channel where the adversary sees every bucket address — and
 // performs oblivious accesses plus a look-ahead session against it. Rows
-// are sealed with AES-CTR before leaving the client, so the server holds
+// are sealed with AES-GCM before leaving the client, so the server holds
 // only ciphertext at addresses chosen uniformly at random.
 //
 // The client is built with NewContext: cancelling the context closes the

@@ -4,43 +4,51 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// TestCTRMatchesStdlib pins the hand-rolled allocation-free CTR against
-// crypto/cipher's reference implementation for a spread of lengths
-// (including non-block-multiples and >1 counter-block carries).
-func TestCTRMatchesStdlib(t *testing.T) {
-	s, err := NewSealer(testKey())
+// TestSealMatchesStdlibGCM is the known-answer test for the documented
+// layout: SealTo's output is the nonce — the Sealer's 6-byte fixed field
+// followed by the 48-bit big-endian sequence number — followed by exactly
+// what cipher.NewGCM(...).Seal produces under that nonce and the derived
+// key.
+func TestSealMatchesStdlibGCM(t *testing.T) {
+	fixed := [fixedSize]byte{0xA0, 0xA1, 0xA2, 0xA3, 0xA4, 0xA5}
+	s, err := NewSealerWithPrefix(testKey(), fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := aes.NewCipher(testKey()[:16])
+	key := gcmKey(testKey())
+	blk, err := aes.NewCipher(key[:])
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := cipher.NewGCM(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Start high enough that the counter's upper two bytes are in use.
+	const start = uint64(0x0102_0304_0506)
+	s.seals.Store(start)
 	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 128, 4096} {
-		src := make([]byte, n)
-		rng.Read(src)
-		iv := make([]byte, aes.BlockSize)
-		rng.Read(iv)
-		// Force counter carries: an IV ending in 0xFF.. exercises the
-		// multi-byte increment.
-		if n == 128 {
-			for i := 8; i < aes.BlockSize; i++ {
-				iv[i] = 0xFF
-			}
+	for i, n := range []int{0, 1, 128, 4096} {
+		plain := make([]byte, n)
+		rng.Read(plain)
+		got := make([]byte, s.SealedSize(n))
+		if err := s.SealTo(got, plain); err != nil {
+			t.Fatal(err)
 		}
-		got := make([]byte, n)
-		s.xorKeyStream(got, src, iv)
-		want := make([]byte, n)
-		cipher.NewCTR(blk, iv).XORKeyStream(want, src)
+		var seq [8]byte
+		binary.BigEndian.PutUint64(seq[:], start+uint64(i))
+		nonce := append(fixed[:], seq[2:]...)
+		want := ref.Seal(append([]byte(nil), nonce...), nonce, plain, nil)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("len %d: manual CTR diverges from cipher.NewCTR", n)
+			t.Fatalf("len %d: SealTo diverges from cipher.NewGCM under nonce %x", n, nonce)
 		}
 	}
 }
@@ -106,8 +114,8 @@ func TestSealToSizeValidation(t *testing.T) {
 	}
 }
 
-// TestSealerIVsUnique: counter-derived IVs never repeat within a Sealer.
-func TestSealerIVsUnique(t *testing.T) {
+// TestSealerNoncesUnique: counter-derived nonces never repeat within a Sealer.
+func TestSealerNoncesUnique(t *testing.T) {
 	s, err := NewSealer(testKey())
 	if err != nil {
 		t.Fatal(err)
@@ -119,138 +127,82 @@ func TestSealerIVsUnique(t *testing.T) {
 		if err := s.SealTo(buf, plain); err != nil {
 			t.Fatal(err)
 		}
-		iv := string(buf[:ivSize])
-		if seen[iv] {
-			t.Fatalf("IV repeated at seal %d", i)
+		nonce := string(buf[:nonceSize])
+		if seen[nonce] {
+			t.Fatalf("nonce repeated at seal %d", i)
 		}
-		seen[iv] = true
+		seen[nonce] = true
 	}
 }
 
-// TestNoKeystreamReuse: no two seals under one Sealer — or any of its
-// clones, sequential or concurrent — may share a CTR counter block: a
-// shared block would be a two-time pad (XOR of two ciphertexts reveals the
-// XOR of the plaintexts). Sealing all-zero payloads exposes the keystream
-// directly in the ciphertext, so any 16-byte keystream block appearing
-// twice across seals is reuse; the IV (prefix ‖ counter sequence) must be
-// unique per seal for the same reason.
-func TestNoKeystreamReuse(t *testing.T) {
-	s, err := NewSealer(testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[[16]byte]int)
-	ingest := func(t *testing.T, sealed []byte, tag int) {
-		t.Helper()
-		ct := sealed[ivSize : len(sealed)-tagSize]
-		for off := 0; off+16 <= len(ct); off += 16 {
-			var blk [16]byte
-			copy(blk[:], ct[off:])
-			if prev, dup := seen[blk]; dup {
-				t.Fatalf("keystream block reused (seal %d, offset %d, first seen at seal %d)", tag, off, prev)
-			}
-			seen[blk] = tag
-		}
-	}
-	for _, size := range []int{128, 130, 16, 20, 1, 4096, 128} {
-		sealed, err := s.Seal(make([]byte, size))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingest(t, sealed, size)
-	}
-
-	// Clones share the counter space: N clones sealing concurrently must
-	// reserve disjoint counter ranges, so pooling every ciphertext block
-	// (and IV) across all of them must still show zero duplicates.
-	const clones = 8
-	const sealsPer = 64
-	outs := make([][][]byte, clones)
-	var wg sync.WaitGroup
-	for c := 0; c < clones; c++ {
-		cl := s.Clone()
-		wg.Add(1)
-		go func(c int, cl *Sealer) {
-			defer wg.Done()
-			sizes := []int{128, 33, 4096, 16, 1}
-			for k := 0; k < sealsPer; k++ {
-				sealed, err := cl.Seal(make([]byte, sizes[k%len(sizes)]))
-				if err != nil {
-					return // surfaces as a short output below
-				}
-				outs[c] = append(outs[c], sealed)
-			}
-		}(c, cl)
-	}
-	wg.Wait()
-	ivs := make(map[[16]byte]bool)
-	for c := range outs {
-		if len(outs[c]) != sealsPer {
-			t.Fatalf("clone %d sealed %d of %d payloads", c, len(outs[c]), sealsPer)
-		}
-		for k, sealed := range outs[c] {
-			var iv [16]byte
-			copy(iv[:], sealed[:ivSize])
-			if ivs[iv] {
-				t.Fatalf("clone %d seal %d reused an IV+counter pair", c, k)
-			}
-			ivs[iv] = true
-			ingest(t, sealed, 1000+c*sealsPer+k)
-		}
-	}
-}
-
-// TestQuickCloneKeystreamDisjoint is the testing/quick property behind the
-// clone guarantee: for any clone count, per-clone seal count and payload
-// size (bounded), concurrent sealing from N clones never reuses an
-// IV+counter pair and never emits the same keystream block twice.
-func TestQuickCloneKeystreamDisjoint(t *testing.T) {
-	f := func(clones, seals uint8, size uint16) bool {
-		n := int(clones)%6 + 1
+// TestQuickNoncesDistinct is the property behind nonce uniqueness by
+// reservation: under one shared Sealer, plain SealTo calls, ReserveSeals
+// batches sealed out of order through SealSeqTo, and eight goroutines doing
+// both at once never produce the same nonce twice — a repeat under one key
+// would void GCM's confidentiality and authentication both.
+func TestQuickNoncesDistinct(t *testing.T) {
+	f := func(seals, batch uint8, size uint16) bool {
 		per := int(seals)%24 + 1
-		sz := int(size)%300 + 1
+		res := int(batch)%6 + 1
+		sz := int(size) % 300
 		s, err := NewSealer(testKey())
 		if err != nil {
 			return false
 		}
-		outs := make([][][]byte, n)
-		var wg sync.WaitGroup
-		for c := 0; c < n; c++ {
-			cl := s.Clone()
-			wg.Add(1)
-			go func(c int, cl *Sealer) {
-				defer wg.Done()
-				for k := 0; k < per; k++ {
-					sealed, err := cl.Seal(make([]byte, sz))
-					if err != nil {
-						return
-					}
-					outs[c] = append(outs[c], sealed)
-				}
-			}(c, cl)
-		}
-		wg.Wait()
-		ivs := make(map[[16]byte]bool)
-		blocks := make(map[[16]byte]bool)
-		for c := range outs {
-			if len(outs[c]) != per {
-				return false
-			}
-			for _, sealed := range outs[c] {
-				var iv [16]byte
-				copy(iv[:], sealed[:ivSize])
-				if ivs[iv] {
+		plain := make([]byte, sz)
+		// one interleaves SealTo with a reservation sealed last-first.
+		one := func(out *[][]byte) bool {
+			for k := 0; k < per; k++ {
+				buf := make([]byte, s.SealedSize(sz))
+				if err := s.SealTo(buf, plain); err != nil {
 					return false
 				}
-				ivs[iv] = true
-				ct := sealed[ivSize : len(sealed)-tagSize]
-				for off := 0; off+16 <= len(ct); off += 16 {
-					var blk [16]byte
-					copy(blk[:], ct[off:])
-					if blocks[blk] {
+				*out = append(*out, buf)
+				first, err := s.ReserveSeals(res)
+				if err != nil {
+					return false
+				}
+				for i := res - 1; i >= 0; i-- {
+					buf := make([]byte, s.SealedSize(sz))
+					if err := s.SealSeqTo(buf, plain, first+uint64(i)); err != nil {
 						return false
 					}
-					blocks[blk] = true
+					*out = append(*out, buf)
+				}
+			}
+			return true
+		}
+		const goroutines = 8
+		outs := make([][][]byte, goroutines+1)
+		if !one(&outs[goroutines]) { // serial, before the fan-out
+			return false
+		}
+		ok := make([]bool, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				ok[g] = one(&outs[g])
+			}(g)
+		}
+		wg.Wait()
+		seen := make(map[[nonceSize]byte]bool)
+		for g, out := range outs {
+			if g < goroutines && !ok[g] {
+				return false
+			}
+			if len(out) != per*(1+res) {
+				return false
+			}
+			for _, sealed := range out {
+				nonce := [nonceSize]byte(sealed[:nonceSize])
+				if seen[nonce] {
+					return false
+				}
+				seen[nonce] = true
+				if err := s.OpenTo(make([]byte, sz), sealed); err != nil {
+					return false
 				}
 			}
 		}
@@ -261,29 +213,81 @@ func TestQuickCloneKeystreamDisjoint(t *testing.T) {
 	}
 }
 
+// TestNonceExhaustion: the last of the 2⁴⁸ sequence numbers seals; the
+// next seal — inline, reserved or by explicit sequence — is a typed error
+// that leaves the destination untouched, and the count does not move.
+func TestNonceExhaustion(t *testing.T) {
+	s, err := NewSealer(testKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.seals.Store(maxSeals - 1)
+	plain := bytes.Repeat([]byte{0x11}, 64)
+	last := make([]byte, s.SealedSize(len(plain)))
+	if err := s.SealTo(last, plain); err != nil {
+		t.Fatalf("seal with the last sequence number: %v", err)
+	}
+	if !bytes.Equal(last[fixedSize:nonceSize], bytes.Repeat([]byte{0xFF}, 6)) {
+		t.Fatalf("last nonce counter = %x, want ffffffffffff", last[fixedSize:nonceSize])
+	}
+	if err := s.OpenTo(make([]byte, len(plain)), last); err != nil {
+		t.Fatal(err)
+	}
+	marker := bytes.Repeat([]byte{0xEE}, len(last))
+	for name, seal := range map[string]func(dst []byte) error{
+		"SealTo":    func(dst []byte) error { return s.SealTo(dst, plain) },
+		"SealSeqTo": func(dst []byte) error { return s.SealSeqTo(dst, plain, maxSeals) },
+		"ReserveSeals": func([]byte) error {
+			_, err := s.ReserveSeals(1)
+			return err
+		},
+		"Seal": func([]byte) error {
+			_, err := s.Seal(plain)
+			return err
+		},
+	} {
+		dst := append([]byte(nil), marker...)
+		if err := seal(dst); !errors.Is(err, ErrNonceExhausted) {
+			t.Errorf("%s past the last sequence number: err = %v, want ErrNonceExhausted", name, err)
+		}
+		if !bytes.Equal(dst, marker) {
+			t.Errorf("%s wrote to its destination before failing", name)
+		}
+	}
+	if got := s.seals.Load(); got != maxSeals {
+		t.Errorf("sequence count moved to %d after exhaustion, want %d", got, maxSeals)
+	}
+	// A reservation larger than what is left takes nothing.
+	s.seals.Store(maxSeals - 3)
+	if _, err := s.ReserveSeals(4); !errors.Is(err, ErrNonceExhausted) {
+		t.Errorf("oversized reservation: err = %v, want ErrNonceExhausted", err)
+	}
+	if first, err := s.ReserveSeals(3); err != nil || first != maxSeals-3 {
+		t.Errorf("exact reservation = (%d, %v), want (%d, nil)", first, err, maxSeals-3)
+	}
+}
+
 // TestSealOpenToAllocFree gates the in-place hot path at zero allocations
-// in steady state (the warm-up call inside AllocsPerRun absorbs the HMAC's
-// one-time state marshal).
+// for a DLRM row and an XLM-R row.
 func TestSealOpenToAllocFree(t *testing.T) {
 	s, err := NewSealer(testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := bytes.Repeat([]byte{0x42}, 128)
-	sealed := make([]byte, s.SealedSize(len(plain)))
-	opened := make([]byte, len(plain))
-	if err := s.SealTo(sealed, plain); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := s.SealTo(sealed, plain); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{128, 4096} {
+		plain := bytes.Repeat([]byte{0x42}, size)
+		sealed := make([]byte, s.SealedSize(len(plain)))
+		opened := make([]byte, len(plain))
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := s.SealTo(sealed, plain); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.OpenTo(opened, sealed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d B: SealTo+OpenTo allocates %.1f objects/op, want 0", size, allocs)
 		}
-		if err := s.OpenTo(opened, sealed); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("SealTo+OpenTo allocates %.1f objects/op, want 0", allocs)
 	}
 }

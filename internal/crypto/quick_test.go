@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -43,7 +44,8 @@ func TestQuickSealOpenRoundTrip(t *testing.T) {
 }
 
 // TestQuickTamperAnyByte: flipping any single bit anywhere in the sealed
-// blob must fail authentication.
+// blob — nonce, ciphertext or tag — must fail authentication with ErrAuth
+// and release no plaintext.
 func TestQuickTamperAnyByte(t *testing.T) {
 	s, err := NewSealer(testKey())
 	if err != nil {
@@ -59,8 +61,9 @@ func TestQuickTamperAnyByte(t *testing.T) {
 		bit := bitRaw % 8
 		tampered := append([]byte(nil), sealed...)
 		tampered[pos] ^= 1 << bit
-		_, err := s.Open(tampered)
-		return err != nil
+		got := bytes.Repeat([]byte{0xEE}, len(plain))
+		err := s.OpenTo(got, tampered)
+		return errors.Is(err, ErrAuth) && !bytes.Equal(got, plain)
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(32))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -4,152 +4,110 @@
 // insecure channel to server storage and opens it on return, so the
 // adversary observes only addresses — never plaintext.
 //
-// Construction: AES-128-CTR with a counter-derived IV, authenticated with
-// HMAC-SHA-256 truncated to 16 bytes (encrypt-then-MAC). Stdlib only.
+// Construction: AES-128-GCM from the standard library, one fused
+// encrypt-and-authenticate pass per slot. A sealed slot is laid out as
 //
-// IV/keystream uniqueness: each Sealer draws one 8-byte random prefix from
-// crypto/rand at construction; the per-seal IV is prefix ‖ counter where
-// counter is a strictly increasing 64-bit block sequence number. CTR mode
-// consumes one counter block per 16 bytes of plaintext, so each seal
-// *reserves* ⌈len/16⌉ counter values (at least one): the next seal's IV
-// starts past everything the previous seal's keystream touched. Within one
-// Sealer no counter block — hence no keystream block — is ever reused (the
-// 64-bit space cannot wrap in any realistic lifetime), and two Sealers
-// sharing a key collide only if their random prefixes collide (2⁻⁶⁴ per
-// pair) and their counter ranges overlap — the same birthday bound the
-// previous fresh-random-IV-per-seal scheme had, now at one entropy syscall
-// per Sealer instead of per slot.
+//	[nonce 12 | ciphertext len(plain) | tag 16]
+//
+// and opening checks the 128-bit tag before any plaintext is released.
+//
+// Nonce uniqueness is by reservation, not chance. The 96-bit nonce is the
+// deterministic construction of NIST SP 800-38D §8.2.1: a 48-bit fixed
+// field drawn once per Sealer from crypto/rand, followed by a 48-bit
+// big-endian invocation counter taken from one atomic sequence — one value
+// per seal, whatever the payload length (GCM's own 32-bit block counter
+// covers 64 GiB per nonce). Bounds: a Sealer seals at most 2⁴⁸ slots and
+// then returns ErrNonceExhausted — the counter never wraps. Within one
+// Sealer no nonce repeats, serially, under ReserveSeals or from concurrent
+// goroutines. Two Sealers under one caller-supplied key (one per shard, one
+// per restart over a sealed DataDir) can share a nonce only if their fixed
+// fields collide: about n²/2⁴⁹ for n Sealers under the key.
+//
+// cipher.AEAD is stateless, so a Sealer is safe for concurrent use: every
+// crypto worker seals and opens through the store's one Sealer.
 package crypto
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	cryptorand "crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
 	"sync/atomic"
 )
 
 const (
-	ivSize  = aes.BlockSize // 16
-	tagSize = 16            // truncated HMAC-SHA-256
+	fixedSize = 6  // random per-Sealer nonce field
+	nonceSize = 12 // fixed field ‖ 48-bit invocation counter
+	tagSize   = 16
 	// Overhead is the sealed-size expansion per block.
-	Overhead = ivSize + tagSize
+	Overhead = nonceSize + tagSize
+	// maxSeals is the number of invocation-counter values: sequence
+	// numbers are 0 … maxSeals-1.
+	maxSeals = uint64(1) << 48
 )
 
-// Sealer encrypts and authenticates fixed-size block payloads. It
-// implements the oram.Sealer interface (and its in-place extension,
-// oram.InplaceSealer). A single Sealer instance is safe for sequential use
-// by one goroutine at a time (matching the ORAM client's model); the HMAC
-// instance and keystream scratch are deliberately reused across calls so
-// that SealTo/OpenTo allocate nothing in steady state. For parallel
-// sealing, Clone per-worker instances: clones share the key, IV prefix and
-// the atomic counter (so concurrent seals reserve disjoint counter ranges
-// and never overlap keystream) while keeping the non-goroutine-safe HMAC
-// and scratch state private.
+var (
+	// ErrAuth reports a sealed slot whose tag does not verify: it was
+	// modified, truncated, or sealed under another key. No plaintext is
+	// released.
+	ErrAuth = errors.New("crypto: authentication failed")
+	// ErrNonceExhausted reports a Sealer that has used all 2⁴⁸ invocation
+	// counter values; sealing on would repeat a nonce under the key.
+	ErrNonceExhausted = errors.New("crypto: sealer nonce space exhausted")
+)
+
+// Sealer encrypts and authenticates block payloads. It implements the
+// oram.Sealer interface and its in-place extension, oram.InplaceSealer,
+// and is safe for concurrent use.
 type Sealer struct {
-	block    cipher.Block
-	macKey   [32]byte
-	ivPrefix [8]byte // single crypto/rand read, at construction
-	// counter is the strictly increasing 64-bit block sequence number
-	// (IV = ivPrefix ‖ counter), shared across clones: every seal reserves
-	// its counter blocks with one atomic add, so no two seals — serial or
-	// concurrent — ever consume the same counter value under the key.
-	counter *atomic.Uint64
-
-	mac hash.Hash           // reusable HMAC-SHA-256 (Reset between uses)
-	sum [sha256.Size]byte   // mac.Sum scratch
-	ctr [aes.BlockSize]byte // CTR counter-block scratch
-	ks  [aes.BlockSize]byte // keystream scratch
+	aead  cipher.AEAD
+	fixed [fixedSize]byte // single crypto/rand read, at construction
+	// seals counts the sequence numbers handed out: every seal takes its
+	// invocation counter from it atomically (ReserveSeals), so no two seals
+	// — serial, reserved or concurrent — use the same nonce under the key.
+	seals atomic.Uint64
 }
 
-// NewSealer derives a sealer from a 32-byte master key: the first 16 bytes
-// key AES, the full key is stretched into the MAC key. The IV prefix is
-// the only randomness drawn — one crypto/rand read per Sealer lifetime.
+// NewSealer derives a sealer from a 32-byte master key. The nonce's fixed
+// field is the only randomness drawn — one crypto/rand read per Sealer
+// lifetime.
 func NewSealer(master []byte) (*Sealer, error) {
-	var prefix [8]byte
-	if _, err := cryptorand.Read(prefix[:]); err != nil {
-		return nil, fmt.Errorf("crypto: generating IV prefix: %w", err)
+	var fixed [fixedSize]byte
+	if _, err := cryptorand.Read(fixed[:]); err != nil {
+		return nil, fmt.Errorf("crypto: generating nonce field: %w", err)
 	}
-	return NewSealerWithPrefix(master, prefix)
+	return NewSealerWithPrefix(master, fixed)
 }
 
-// NewSealerWithPrefix is NewSealer with a caller-chosen IV prefix instead
-// of a random one: two sealers with the same key and prefix produce
+// NewSealerWithPrefix is NewSealer with a caller-chosen fixed nonce field
+// instead of a random one: two sealers with the same key and field produce
 // identical ciphertext for identical seal sequences, which is what
 // byte-identity tests of the parallel seal path compare. Production code
-// must use NewSealer — reusing a prefix under one key collapses the
-// birthday-bound argument against cross-Sealer keystream collisions.
-func NewSealerWithPrefix(master []byte, prefix [8]byte) (*Sealer, error) {
+// must use NewSealer — reusing a field under one key repeats nonces.
+func NewSealerWithPrefix(master []byte, fixed [fixedSize]byte) (*Sealer, error) {
 	if len(master) != 32 {
 		return nil, fmt.Errorf("crypto: master key must be 32 bytes, got %d", len(master))
 	}
-	blk, err := aes.NewCipher(master[:16])
+	key := gcmKey(master)
+	blk, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("crypto: %w", err)
 	}
-	s := &Sealer{block: blk, counter: new(atomic.Uint64), ivPrefix: prefix}
-	s.macKey = sha256.Sum256(append([]byte("laoram-mac-v1:"), master...))
-	s.mac = hmac.New(sha256.New, s.macKey[:])
-	return s, nil
-}
-
-// Clone returns a worker instance of s for parallel sealing: it shares the
-// key, the IV prefix and the counter space (one atomic sequence across all
-// clones), with a private HMAC instance and CTR/keystream scratch. Each
-// individual instance — the original or a clone — remains single-goroutine,
-// but different instances may seal and open concurrently: counter
-// reservation guarantees their keystreams never overlap, and opening never
-// touches the counter at all.
-func (s *Sealer) Clone() *Sealer {
-	c := &Sealer{
-		block:    s.block, // aes.Block is stateless per call and goroutine-safe
-		macKey:   s.macKey,
-		ivPrefix: s.ivPrefix,
-		counter:  s.counter,
+	aead, err := cipher.NewGCM(blk)
+	if err != nil {
+		return nil, fmt.Errorf("crypto: %w", err)
 	}
-	c.mac = hmac.New(sha256.New, c.macKey[:])
-	return c
+	return &Sealer{aead: aead, fixed: fixed}, nil
 }
 
-// CounterBlocks returns how many CTR counter values a seal of a plainLen-
-// byte payload reserves: one per 16 plaintext bytes, and at least one (the
-// IV itself must be unique even for empty payloads).
-func CounterBlocks(plainLen int) int {
-	blocks := (plainLen + aes.BlockSize - 1) / aes.BlockSize
-	if blocks < 1 {
-		blocks = 1
-	}
-	return blocks
-}
-
-// ReserveSeals atomically reserves counter space for count seals of
-// plainLen bytes each and returns the sequence number of the first seal;
-// seal i of the reservation must use sequence first + i·CounterBlocks(plainLen),
-// passed to SealSeqTo. This is the deterministic-fan-out primitive: a batch
-// reserved up front and sealed by concurrent workers in any order produces
-// ciphertext byte-identical to sealing the same batch serially in index
-// order, because the counter assignment depends only on the index.
-func (s *Sealer) ReserveSeals(count, plainLen int) uint64 {
-	total := uint64(CounterBlocks(plainLen)) * uint64(count)
-	return s.counter.Add(total) - total + 1
-}
-
-// SealSeqTo is SealTo with an explicitly reserved counter sequence number
-// (from ReserveSeals) instead of an inline reservation. The caller is
-// responsible for never passing the same sequence twice and for reserving
-// enough counter blocks for the payload length — both hold by construction
-// when sequences come from ReserveSeals with the same plainLen.
-func (s *Sealer) SealSeqTo(dst, plain []byte, seq uint64) error {
-	if len(dst) != s.SealedSize(len(plain)) {
-		return fmt.Errorf("crypto: SealSeqTo dst len %d, want %d", len(dst), s.SealedSize(len(plain)))
-	}
-	s.sealAt(dst, plain, seq)
-	return nil
+// gcmKey is the AES-128 key for a master key: a labelled hash, so that
+// every bit of the 32-byte master matters to it.
+func gcmKey(master []byte) [16]byte {
+	sum := sha256.Sum256(append([]byte("laoram-gcm-v1:"), master...))
+	return [16]byte(sum[:16])
 }
 
 // NewRandomSealer generates a fresh master key from crypto/rand.
@@ -161,66 +119,89 @@ func NewRandomSealer() (*Sealer, error) {
 	return NewSealer(key)
 }
 
+// ReserveSeals atomically reserves count invocation counters and returns
+// the first; seal i of the reservation passes first + i to SealSeqTo. This
+// is the deterministic-fan-out primitive: a batch reserved up front and
+// sealed by concurrent workers in any order produces ciphertext
+// byte-identical to sealing the same batch serially in index order,
+// because the nonce depends only on the index. A reservation that would
+// pass 2⁴⁸ takes nothing and returns ErrNonceExhausted.
+func (s *Sealer) ReserveSeals(count int) (first uint64, err error) {
+	if count < 0 {
+		return 0, fmt.Errorf("crypto: ReserveSeals count %d", count)
+	}
+	for {
+		cur := s.seals.Load() // <= maxSeals: only the swap below moves it
+		if uint64(count) > maxSeals-cur {
+			return 0, ErrNonceExhausted
+		}
+		if s.seals.CompareAndSwap(cur, cur+uint64(count)) {
+			return cur, nil
+		}
+	}
+}
+
 // SealedSize implements oram.Sealer.
 func (s *Sealer) SealedSize(plain int) int { return plain + Overhead }
 
-// SealTo encrypts plain into dst, laid out as [IV | ciphertext | tag].
-// dst must have length SealedSize(len(plain)) and must not overlap plain.
-// Allocation-free in steady state.
+// SealTo encrypts plain into dst, laid out as [nonce | ciphertext | tag].
+// dst must have length SealedSize(len(plain)) and must not overlap plain;
+// on error it is left untouched. Allocation-free.
 func (s *Sealer) SealTo(dst, plain []byte) error {
 	if len(dst) != s.SealedSize(len(plain)) {
 		return fmt.Errorf("crypto: SealTo dst len %d, want %d", len(dst), s.SealedSize(len(plain)))
 	}
-	// Reserve every counter block this seal's keystream will consume —
-	// CTR increments the counter once per 16 plaintext bytes — so the
-	// next seal's IV (on this or any clone) starts past them and no
-	// keystream block is ever reused under the key. On a single goroutine
-	// the atomic add assigns exactly the sequence the old serial counter
-	// did, so serial sealing stays byte-identical.
-	blocks := uint64(CounterBlocks(len(plain)))
-	seq := s.counter.Add(blocks) - blocks + 1
+	seq, err := s.ReserveSeals(1)
+	if err != nil {
+		return err
+	}
 	s.sealAt(dst, plain, seq)
 	return nil
 }
 
-// sealAt writes [IV | ciphertext | tag] into dst (already length-checked)
-// using counter sequence seq for the IV.
+// SealSeqTo is SealTo with an explicitly reserved sequence number (from
+// ReserveSeals) instead of an inline reservation. The caller is
+// responsible for never passing the same sequence twice, which holds by
+// construction when each comes from its own slot of a reservation.
+func (s *Sealer) SealSeqTo(dst, plain []byte, seq uint64) error {
+	if len(dst) != s.SealedSize(len(plain)) {
+		return fmt.Errorf("crypto: SealSeqTo dst len %d, want %d", len(dst), s.SealedSize(len(plain)))
+	}
+	if seq >= maxSeals {
+		return ErrNonceExhausted
+	}
+	s.sealAt(dst, plain, seq)
+	return nil
+}
+
+// sealAt writes [nonce | ciphertext | tag] into dst (already
+// length-checked) under invocation counter seq < maxSeals.
 func (s *Sealer) sealAt(dst, plain []byte, seq uint64) {
-	iv := dst[:ivSize]
-	copy(iv[:8], s.ivPrefix[:])
-	binary.BigEndian.PutUint64(iv[8:], seq)
-
-	s.xorKeyStream(dst[ivSize:ivSize+len(plain)], plain, iv)
-
-	s.mac.Reset()
-	s.mac.Write(dst[:ivSize+len(plain)])
-	sum := s.mac.Sum(s.sum[:0])
-	copy(dst[ivSize+len(plain):], sum[:tagSize])
+	nonce := dst[:nonceSize]
+	copy(nonce, s.fixed[:])
+	nonce[fixedSize], nonce[fixedSize+1] = byte(seq>>40), byte(seq>>32)
+	binary.BigEndian.PutUint32(nonce[fixedSize+2:], uint32(seq))
+	s.aead.Seal(nonce, nonce, plain, nil)
 }
 
 // OpenTo authenticates sealed and decrypts it into dst, which must have
-// length len(sealed)-Overhead and must not overlap sealed. Allocation-free
-// in steady state.
+// length len(sealed)-Overhead and must not overlap sealed. A tag mismatch
+// returns ErrAuth with dst holding no plaintext. Allocation-free.
 func (s *Sealer) OpenTo(dst, sealed []byte) error {
 	if len(sealed) < Overhead {
-		return fmt.Errorf("crypto: sealed blob too short (%d bytes)", len(sealed))
+		return fmt.Errorf("crypto: sealed blob too short (%d bytes): %w", len(sealed), ErrAuth)
 	}
 	if len(dst) != len(sealed)-Overhead {
 		return fmt.Errorf("crypto: OpenTo dst len %d, want %d", len(dst), len(sealed)-Overhead)
 	}
-	body := sealed[:len(sealed)-tagSize]
-	tag := sealed[len(sealed)-tagSize:]
-	s.mac.Reset()
-	s.mac.Write(body)
-	sum := s.mac.Sum(s.sum[:0])
-	if subtle.ConstantTimeCompare(tag, sum[:tagSize]) != 1 {
-		return fmt.Errorf("crypto: authentication failed")
+	if _, err := s.aead.Open(dst[:0], sealed[:nonceSize], sealed[nonceSize:], nil); err != nil {
+		return ErrAuth
 	}
-	s.xorKeyStream(dst, body[ivSize:], sealed[:ivSize])
 	return nil
 }
 
-// Seal encrypts plain into a fresh slice laid out as [IV | ciphertext | tag].
+// Seal encrypts plain into a fresh slice laid out as
+// [nonce | ciphertext | tag].
 func (s *Sealer) Seal(plain []byte) ([]byte, error) {
 	out := make([]byte, s.SealedSize(len(plain)))
 	if err := s.SealTo(out, plain); err != nil {
@@ -233,33 +214,11 @@ func (s *Sealer) Seal(plain []byte) ([]byte, error) {
 // plaintext slice.
 func (s *Sealer) Open(sealed []byte) ([]byte, error) {
 	if len(sealed) < Overhead {
-		return nil, fmt.Errorf("crypto: sealed blob too short (%d bytes)", len(sealed))
+		return nil, fmt.Errorf("crypto: sealed blob too short (%d bytes): %w", len(sealed), ErrAuth)
 	}
 	plain := make([]byte, len(sealed)-Overhead)
 	if err := s.OpenTo(plain, sealed); err != nil {
 		return nil, err
 	}
 	return plain, nil
-}
-
-// xorKeyStream is AES-CTR over src into dst with the given initial counter
-// block, bit-identical to cipher.NewCTR (big-endian increment over the full
-// 16-byte block) but without the per-call stream-object allocation —
-// sealing sits inside every slot write of the ORAM hot path.
-func (s *Sealer) xorKeyStream(dst, src, iv []byte) {
-	copy(s.ctr[:], iv)
-	for off := 0; off < len(src); off += aes.BlockSize {
-		s.block.Encrypt(s.ks[:], s.ctr[:])
-		n := len(src) - off
-		if n > aes.BlockSize {
-			n = aes.BlockSize
-		}
-		subtle.XORBytes(dst[off:off+n], src[off:off+n], s.ks[:n])
-		for i := aes.BlockSize - 1; i >= 0; i-- {
-			s.ctr[i]++
-			if s.ctr[i] != 0 {
-				break
-			}
-		}
-	}
 }

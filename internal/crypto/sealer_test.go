@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -50,7 +51,7 @@ func TestSealerHidesPlaintext(t *testing.T) {
 	}
 }
 
-func TestSealerFreshIVs(t *testing.T) {
+func TestSealerFreshNonces(t *testing.T) {
 	s, err := NewSealer(testKey())
 	if err != nil {
 		t.Fatal(err)
@@ -78,26 +79,23 @@ func TestSealerTamperDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pos := range []int{0, ivSize + 1, len(sealed) - 1} {
+	// Nonce fixed field, nonce counter, ciphertext, tag.
+	for _, pos := range []int{0, nonceSize - 1, nonceSize + 1, len(sealed) - 1} {
 		tampered := append([]byte(nil), sealed...)
 		tampered[pos] ^= 0x80
-		if _, err := s.Open(tampered); err == nil {
-			t.Errorf("tampering at byte %d undetected", pos)
+		if _, err := s.Open(tampered); !errors.Is(err, ErrAuth) {
+			t.Errorf("tampering at byte %d: err = %v, want ErrAuth", pos, err)
 		}
 	}
-	if _, err := s.Open(sealed[:Overhead-1]); err == nil {
-		t.Error("truncated blob accepted")
+	if _, err := s.Open(sealed[:Overhead-1]); !errors.Is(err, ErrAuth) {
+		t.Errorf("truncated blob: err = %v, want ErrAuth", err)
 	}
 }
 
+// TestSealerWrongKeyFails: a key differing in any one byte of the 32 —
+// the half AES-128 would not see included — fails authentication.
 func TestSealerWrongKeyFails(t *testing.T) {
 	s1, err := NewSealer(testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2 := testKey()
-	k2[0] ^= 1
-	s2, err := NewSealer(k2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +103,16 @@ func TestSealerWrongKeyFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Open(sealed); err == nil {
-		t.Error("foreign key opened the blob")
+	for _, pos := range []int{0, 15, 16, 31} {
+		k2 := testKey()
+		k2[pos] ^= 1
+		s2, err := NewSealer(k2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s2.Open(sealed); !errors.Is(err, ErrAuth) {
+			t.Errorf("key differing at byte %d: err = %v, want ErrAuth", pos, err)
+		}
 	}
 }
 

@@ -215,3 +215,99 @@ func TestNotAnArena(t *testing.T) {
 		t.Fatal("garbage file opened as a bucket arena")
 	}
 }
+
+// TestTamperedRecordIsErrAuth: a sealed slot altered on disk by someone
+// who also fixes the record's CRC — which guards against torn writes, not
+// against the server — gets past the CRC and is stopped by the sealer:
+// the read fails with crypto.ErrAuth.
+func TestTamperedRecordIsErrAuth(t *testing.T) {
+	g := testGeometry(t, 3, 4, 32)
+	path := filepath.Join(t.TempDir(), "tree.laor")
+	st, err := Open(Config{Path: path, Geometry: g, Sealer: newTestSealer(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]oram.Slot, g.BucketSize(1))
+	for k := range src {
+		src[k] = oram.Slot{ID: oram.BlockID(k + 1), Leaf: 2, Payload: bytes.Repeat([]byte{byte(k)}, 32)}
+	}
+	if err := st.WriteBucket(1, 1, src); err != nil {
+		t.Fatal(err)
+	}
+	off, n := st.recOff(1, 1), recLen(g.BucketSize(1), st.stride)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := readFileRange(t, path, off, n)
+	rec[slotMeta+20] ^= 0x01 // slot 0's ciphertext
+	stampRecord(rec)
+	writeFileRange(t, path, off, rec)
+
+	st2, err := Open(Config{Path: path, Geometry: g, Sealer: newTestSealer(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Abandon()
+	err = st2.ReadBucket(1, 1, make([]oram.Slot, g.BucketSize(1)))
+	if !errors.Is(err, crypto.ErrAuth) {
+		t.Fatalf("reading a tampered sealed record: err = %v, want crypto.ErrAuth", err)
+	}
+}
+
+// strideSealer stands in for a sealer with another per-slot overhead — 32
+// bytes is what sealing cost before one-pass GCM — and counts the slots it
+// is asked to open.
+type strideSealer struct {
+	overhead int
+	opens    int
+}
+
+func (s *strideSealer) SealedSize(plain int) int { return plain + s.overhead }
+func (s *strideSealer) Seal(plain []byte) ([]byte, error) {
+	return append(make([]byte, s.overhead), plain...), nil
+}
+func (s *strideSealer) Open(sealed []byte) ([]byte, error) {
+	s.opens++
+	return append([]byte(nil), sealed[s.overhead:]...), nil
+}
+
+// TestOldSealedArenaRefused: an arena and a snapshot written at the old
+// sealed stride (BlockSize+32) are refused up front by a store sealed at
+// today's (BlockSize+28) — at Open from the header, at Load from the
+// snapshot preamble — without a single slot being opened.
+func TestOldSealedArenaRefused(t *testing.T) {
+	g := testGeometry(t, 3, 4, 16)
+	path := filepath.Join(t.TempDir(), "tree.laor")
+	old, err := Open(Config{Path: path, Geometry: g, Sealer: &strideSealer{overhead: 32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirtyBuckets(t, old, g, 4)
+	var snap bytes.Buffer
+	if err := old.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	now := &strideSealer{overhead: crypto.Overhead}
+	_, err = Open(Config{Path: path, Geometry: g, Sealer: now})
+	if err == nil || !strings.Contains(err.Error(), "arena stride 48 != 44 (sealing mismatch?)") {
+		t.Fatalf("opening a BlockSize+32 arena: err = %v, want the stride mismatch", err)
+	}
+
+	fresh, err := Open(Config{Path: filepath.Join(t.TempDir(), "fresh.laor"), Geometry: g, Sealer: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	err = fresh.Load(bytes.NewReader(snap.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "snapshot stride 48 != 44 (sealing mismatch?)") {
+		t.Fatalf("loading a BlockSize+32 snapshot: err = %v, want the stride mismatch", err)
+	}
+	if now.opens != 0 {
+		t.Errorf("%d slots opened from files that were refused", now.opens)
+	}
+}

@@ -41,17 +41,21 @@ var engineBaseline = []EngineBenchRow{
 	// the linear-time placement sweep (ISSUE 14; 2-vCPU container, go1.24):
 	// already allocation-free, quadratic in stash × bucket union.
 	{Name: "WriteBackPathsBatch", NsPerOp: 27966000, BytesPerOp: 0, AllocsPerOp: 0},
+	// The 4 KB row's reference point is the commit preceding one-pass
+	// AES-GCM sealing (ISSUE 15; same container): SealTo+OpenTo through the
+	// per-block CTR loop and HMAC-SHA-256, already allocation-free.
+	{Name: "SealOpen4K", NsPerOp: 18420, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
 // PipelineBench is the streaming-pipeline point of the trajectory: the
 // §VIII-A overlap speedup of the pipelined Trainer over the sequential
 // arrive-plan-run schedule (see PipelineExp).
 type PipelineBench struct {
-	SeqWallMs   float64 `json:"seq_wall_ms"`
-	PipeWallMs  float64 `json:"pipelined_wall_ms"`
-	PlanMs      float64 `json:"plan_ms"`
-	TrainMs     float64 `json:"train_ms"`
-	StalledMs   float64 `json:"stalled_ms"`
+	SeqWallMs  float64 `json:"seq_wall_ms"`
+	PipeWallMs float64 `json:"pipelined_wall_ms"`
+	PlanMs     float64 `json:"plan_ms"`
+	TrainMs    float64 `json:"train_ms"`
+	StalledMs  float64 `json:"stalled_ms"`
 	// The first-class TrainStats pipeline counters (previously stalled_ms
 	// was the only stall observability and was inferred externally).
 	TrainerStalls    int     `json:"trainer_stalls"`
@@ -63,18 +67,19 @@ type PipelineBench struct {
 	OverlapGain      float64 `json:"overlap_speedup"`
 }
 
-// SealedBenchRow is one point of the crypto fan-out sweep.
+// SealedBenchRow is one point of the crypto fan-out sweep. A width above
+// the recording host's cpus carries "skipped" and no numbers.
 type SealedBenchRow struct {
 	Workers     int     `json:"workers"`
-	NsPerAccess float64 `json:"ns_per_access"`
-	Speedup     float64 `json:"speedup_vs_serial"`
+	Skipped     bool    `json:"skipped,omitempty"`
+	NsPerAccess float64 `json:"ns_per_access,omitempty"`
+	Speedup     float64 `json:"speedup_vs_serial,omitempty"`
 }
 
-// SealedBench records the sealed worker sweep (ISSUE 5's acceptance
-// curve): batched sealed-session throughput vs Options.CryptoWorkers. The
-// curve saturates at the host's cores — cpus is recorded so a flat curve
-// from a single-core container reads as what it is; the CI gate
-// (TestSealedExperiment, ≥2x at 4 workers) runs on multi-core runners.
+// SealedBench records the sealed worker sweep: batched sealed-session
+// throughput on 4 KB rows vs Options.CryptoWorkers, for the widths the
+// recording host (cpus) can show. TestSealedExperiment gates the sweep's
+// cross-width identity, not its wall-clock.
 type SealedBench struct {
 	CPUs      int              `json:"cpus"`
 	Entries   uint64           `json:"entries"`
@@ -196,10 +201,14 @@ func (r *EngineBenchResult) Render() string {
 	}
 	if s := r.Sealed; s != nil {
 		for _, row := range s.Rows {
+			if row.Skipped {
+				sb.WriteString(fmt.Sprintf("sealed workers=%d            skipped\n", row.Workers))
+				continue
+			}
 			sb.WriteString(fmt.Sprintf("sealed workers=%d            %8.0f ns/access  %.2fx\n",
 				row.Workers, row.NsPerAccess, row.Speedup))
 		}
-		sb.WriteString(fmt.Sprintf("sealed sweep on %d cpu(s) — curve saturates at the host's cores\n", s.CPUs))
+		sb.WriteString(fmt.Sprintf("sealed sweep on %d cpu(s) — wider rows are not recorded\n", s.CPUs))
 	}
 	if e := r.Elastic; e != nil {
 		sb.WriteString(fmt.Sprintf("elastic migration           %d shard(s), %.2fms blackout, identical=%v\n",
@@ -446,23 +455,24 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		}
 	}))
 
-	soSealer, err := crypto.NewSealer(key)
-	if err != nil {
-		return nil, err
+	for _, so := range []struct {
+		name string
+		size int
+	}{{"SealOpen", 128}, {"SealOpen4K", 4096}} {
+		plain := make([]byte, so.size)
+		sealed := make([]byte, sealer.SealedSize(so.size))
+		out.Rows = append(out.Rows, benchRow(so.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := sealer.SealTo(sealed, plain); err != nil {
+					b.Fatal(err)
+				}
+				if err := sealer.OpenTo(plain, sealed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
 	}
-	plain := make([]byte, 128)
-	out.Rows = append(out.Rows, benchRow("SealOpen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sealed, err := soSealer.Seal(plain)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := soSealer.Open(sealed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
 
 	// Simulated end-to-end speedups: the trajectory ties the microbench
 	// deltas back to the paper's headline figure.
@@ -499,22 +509,18 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 	}
 
 	// Sealed crypto fan-out curve: batched sealed-session throughput vs
-	// Options.CryptoWorkers (ISSUE 5's acceptance metric).
+	// Options.CryptoWorkers.
 	sr, err := SealedExp(sc, seed)
 	if err != nil {
 		return nil, err
 	}
 	out.Sealed = &SealedBench{CPUs: sr.CPUs, Entries: sr.Entries, BlockSize: sr.BlockSize}
 	for _, row := range sr.Rows {
-		ns := 0.0
-		if row.Accesses > 0 {
-			ns = float64(row.Wall.Nanoseconds()) / float64(row.Accesses)
+		b := SealedBenchRow{Workers: row.Workers, Skipped: row.Skipped, Speedup: row.Speedup}
+		if !row.Skipped && row.Accesses > 0 {
+			b.NsPerAccess = float64(row.Wall.Nanoseconds()) / float64(row.Accesses)
 		}
-		out.Sealed.Rows = append(out.Sealed.Rows, SealedBenchRow{
-			Workers:     row.Workers,
-			NsPerAccess: ns,
-			Speedup:     row.Speedup,
-		})
+		out.Sealed.Rows = append(out.Sealed.Rows, b)
 	}
 
 	// Elastic serving: live-migration blackout and the re-placement vs

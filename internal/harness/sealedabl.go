@@ -10,17 +10,20 @@ import (
 	"repro/internal/trace"
 )
 
-// sealedabl.go measures the sealed hot path's crypto fan-out: with the
-// access cycle allocation-free (PR 3) and planning overlapped (PR 4),
-// ~80% of a sealed access is AES-CTR+HMAC, previously executed serially
-// bucket by bucket on one goroutine per shard. LAORAM's batched superblock
-// fetches (§IV-A) and multipath write-backs hand the store large
-// independent bucket unions, so the experiment sweeps
+// sealedabl.go measures the sealed hot path's crypto fan-out. LAORAM's
+// batched superblock fetches (§IV-A) and multipath write-backs hand the
+// store large independent bucket unions, so the experiment sweeps
 // Options.CryptoWorkers ∈ {1, 2, 4, 8} over identical batched training
-// sessions and reports the sealed-batch throughput curve. Workers=1 is
-// today's serial path; every configuration produces byte-identical results
-// (deterministic per-slot counter reservation — see DESIGN.md invariant
-// 10), so the only thing that varies is wall-clock.
+// sessions on 4 KB rows (XLM-R's, the benchmark's train-sealed shape) and
+// reports the sealed-batch throughput curve. With one-pass AES-GCM sealing
+// a 4 KB slot costs under a microsecond each way and crypto is about 40%
+// of a serial sealed session, so the curve's ceiling is near 1.4x however
+// many cores there are; at 128 B rows (≈ 80 ns per slot) the sweep would
+// time the pool's hand-off, not crypto. What the experiment asserts is
+// that every width behaves identically (nonces come from a per-slot
+// reservation, not from scheduling — see DESIGN.md invariant 10); the
+// wall-clock column is a record, and a width the host has no CPUs for is
+// not recorded at all.
 
 // sealedWorkerSweep is the measured fan-out widths.
 var sealedWorkerSweep = []int{1, 2, 4, 8}
@@ -31,6 +34,9 @@ type SealedRow struct {
 	Workers int
 	// Accesses is the logical accesses of the measured session.
 	Accesses int
+	// Skipped marks a width above runtime.NumCPU(): the session ran once
+	// for the identity check and its wall-clock is not recorded.
+	Skipped bool
 	// Wall is the host wall-clock of the batched session (best of two).
 	Wall time.Duration
 	// Throughput is Accesses per wall-clock second.
@@ -45,14 +51,13 @@ type SealedResult struct {
 	BlockSize int
 	S         int
 	BatchBins int
-	// CPUs is runtime.NumCPU() — the curve saturates there; on a
-	// single-core host every row measures ≈ 1x.
+	// CPUs is runtime.NumCPU(): wider rows are Skipped.
 	CPUs int
 	Rows []SealedRow
 }
 
 // sealedExpKey pins the sealing key so every configuration seals under the
-// same key (the IV prefix still differs per instance; determinism claims
+// same key (the nonce field still differs per instance; determinism claims
 // are about plaintext state and access behaviour, pinned by
 // TestCryptoWorkersEquivalence).
 func sealedExpKey() []byte {
@@ -63,14 +68,29 @@ func sealedExpKey() []byte {
 	return key
 }
 
+// sealedBlockSize is the row size of the sweep: an XLM-R embedding.
+const sealedBlockSize = 4096
+
+// sealedMaxEntries caps the table at the train-sealed shape: a sealed
+// 4 KB-row tree of 2^14 entries is about 600 MB, and the arena has to fit
+// in memory at every scale.
+const sealedMaxEntries = 1 << 14
+
+// sealedOutcome is what a width must reproduce exactly.
+type sealedOutcome struct {
+	sess  laoram.SessionStats
+	stats laoram.Stats
+}
+
 // runSealed measures one fan-out width: an encrypted single-shard
 // instance, the one-shot §IV-B plan over the stream, pre-placed load, then
 // the whole plan executed in batched server round trips (the §IV-A
 // per-training-batch fetch) under a read-modify-write visitor.
-func runSealed(sc Scale, seed int64, stream []uint64, workers, s, batchBins int) (time.Duration, laoram.SessionStats, error) {
+func runSealed(entries uint64, seed int64, stream []uint64, workers, s, batchBins int) (time.Duration, sealedOutcome, error) {
+	var out sealedOutcome
 	db, err := laoram.New(laoram.Options{
-		Entries:       sc.EntriesSmall,
-		BlockSize:     128,
+		Entries:       entries,
+		BlockSize:     sealedBlockSize,
 		Encrypt:       true,
 		Key:           sealedExpKey(),
 		FatTree:       true,
@@ -78,77 +98,86 @@ func runSealed(sc Scale, seed int64, stream []uint64, workers, s, batchBins int)
 		CryptoWorkers: workers,
 	})
 	if err != nil {
-		return 0, laoram.SessionStats{}, err
+		return 0, out, err
 	}
 	defer db.Close()
 	plan, err := db.Preprocess(stream, s)
 	if err != nil {
-		return 0, laoram.SessionStats{}, err
+		return 0, out, err
 	}
 	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		row := make([]byte, 128)
+		row := make([]byte, sealedBlockSize)
 		row[0] = byte(id)
 		return row
 	}); err != nil {
-		return 0, laoram.SessionStats{}, err
+		return 0, out, err
 	}
 	db.ResetStats()
 	sess, err := db.NewSession(plan)
 	if err != nil {
-		return 0, laoram.SessionStats{}, err
+		return 0, out, err
 	}
 	start := time.Now()
 	if err := sess.RunBatched(batchBins, func(id uint64, row []byte) []byte {
 		row[0]++ // minimal training update; the whole fetched path reseals on write-back
 		return row
 	}); err != nil {
-		return 0, laoram.SessionStats{}, err
+		return 0, out, err
 	}
-	return time.Since(start), sess.Stats(), nil
+	wall := time.Since(start)
+	out.sess, out.stats = sess.Stats(), db.Stats()
+	return wall, out, nil
 }
 
 // SealedExp sweeps the crypto fan-out width over identical sealed batched
 // sessions. Wall-clock on a shared host is noisy, so each width takes the
 // best of two runs (the same noise-floor estimator the pipeline and serve
-// experiments use); a cross-width session-counter mismatch is an error —
-// the configurations are byte-identical by construction.
+// experiments use); a width above the host's CPU count runs once, for the
+// identity check only. A cross-width mismatch of session or engine
+// counters is an error — the configurations are identical by construction.
 func SealedExp(sc Scale, seed int64) (*SealedResult, error) {
 	const s = 8
 	const batchBins = 16
-	stream, err := workloadStream(trace.KindGaussian, sc.EntriesSmall, 2*sc.Accesses, seed+57)
+	entries := min(sc.EntriesSmall, sealedMaxEntries)
+	stream, err := workloadStream(trace.KindGaussian, entries, 2*sc.Accesses, seed+57)
 	if err != nil {
 		return nil, err
 	}
 	res := &SealedResult{
-		Entries:   sc.EntriesSmall,
-		BlockSize: 128,
+		Entries:   entries,
+		BlockSize: sealedBlockSize,
 		S:         s,
 		BatchBins: batchBins,
 		CPUs:      runtime.NumCPU(),
 	}
-	var baseStats laoram.SessionStats
+	var baseOut sealedOutcome
 	var base float64
 	for _, w := range sealedWorkerSweep {
-		var wall time.Duration
-		var stats laoram.SessionStats
-		for i := 0; i < 2; i++ {
-			wl, st, err := runSealed(sc, seed, stream, w, s, batchBins)
+		row := SealedRow{Workers: w, Accesses: len(stream), Skipped: w > res.CPUs}
+		runs := 2
+		if row.Skipped {
+			runs = 1
+		}
+		var out sealedOutcome
+		for i := 0; i < runs; i++ {
+			wl, o, err := runSealed(entries, seed, stream, w, s, batchBins)
 			if err != nil {
 				return nil, fmt.Errorf("sealed workers=%d: %w", w, err)
 			}
-			if i == 0 || wl < wall {
-				wall = wl
+			if i == 0 || wl < row.Wall {
+				row.Wall = wl
 			}
-			stats = st
+			out = o
 		}
 		if w == sealedWorkerSweep[0] {
-			baseStats = stats
-		} else if stats != baseStats {
-			return nil, fmt.Errorf("sealed workers=%d diverged from serial run: %+v vs %+v", w, stats, baseStats)
+			baseOut = out
+		} else if out != baseOut {
+			return nil, fmt.Errorf("sealed workers=%d diverged from serial run: %+v vs %+v", w, out, baseOut)
 		}
-		row := SealedRow{Workers: w, Accesses: len(stream), Wall: wall}
-		if wall > 0 {
-			row.Throughput = float64(len(stream)) / wall.Seconds()
+		if row.Skipped {
+			row.Wall = 0
+		} else if row.Wall > 0 {
+			row.Throughput = float64(len(stream)) / row.Wall.Seconds()
 		}
 		if w == sealedWorkerSweep[0] {
 			base = row.Throughput
@@ -179,14 +208,18 @@ func (r *SealedResult) Render() string {
 		Headers: []string{"crypto workers", "accesses", "wall", "acc/s", "speedup"},
 	}
 	for _, row := range r.Rows {
+		if row.Skipped {
+			t.AddRow(fmt.Sprintf("%d", row.Workers), fmt.Sprintf("%d", row.Accesses), "skipped", "skipped", "skipped")
+			continue
+		}
 		t.AddRow(fmt.Sprintf("%d", row.Workers),
 			fmt.Sprintf("%d", row.Accesses),
 			row.Wall.Round(time.Millisecond).String(),
 			f2(row.Throughput),
 			f2(row.Speedup)+"x")
 	}
-	t.AddNote("workers=1 is the serial baseline; all widths are byte-identical (per-slot CTR counter reservation)")
-	t.AddNote("the curve saturates at the host's cores — on CI (≥4 cpus) the bar is ≥2x at 4 workers")
+	t.AddNote("workers=1 is the serial baseline; all widths behave identically (per-slot nonce reservation)")
+	t.AddNote("a width above the host's cpus is run for the identity check only; with crypto about two fifths of a serial session the curve's ceiling is ≈ 1.4x")
 	return t.Render()
 }
 
@@ -195,6 +228,10 @@ func (r *SealedResult) CSV() string {
 	var sb strings.Builder
 	sb.WriteString("workers,accesses,wall_ns,throughput,speedup\n")
 	for _, row := range r.Rows {
+		if row.Skipped {
+			sb.WriteString(fmt.Sprintf("%d,%d,skipped,skipped,skipped\n", row.Workers, row.Accesses))
+			continue
+		}
 		sb.WriteString(fmt.Sprintf("%d,%d,%d,%.2f,%.3f\n",
 			row.Workers, row.Accesses, row.Wall.Nanoseconds(), row.Throughput, row.Speedup))
 	}

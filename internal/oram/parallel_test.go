@@ -14,8 +14,8 @@ import (
 // must produce byte-identical server state — ciphertext arena included —
 // and byte-identical reads, compared with the strictly serial store, for
 // any mix of bucket, path and batch operations. The comparison uses
-// same-key same-IV-prefix sealers (NewSealerWithPrefix), so any divergence
-// in counter assignment or work partitioning shows up as differing bytes.
+// same-key same-nonce-field sealers (NewSealerWithPrefix), so any divergence
+// in sequence assignment or work partitioning shows up as differing bytes.
 
 func parallelTestStores(t *testing.T, workers int) (serial, parallel *PayloadStore, pool *crypto.Pool) {
 	t.Helper()
@@ -24,8 +24,8 @@ func parallelTestStores(t *testing.T, workers int) (serial, parallel *PayloadSto
 	for i := range key {
 		key[i] = byte(i*11 + 3)
 	}
-	var prefix [8]byte
-	copy(prefix[:], "laoramIV")
+	var prefix [6]byte
+	copy(prefix[:], "laoram")
 	mk := func() *PayloadStore {
 		s, err := crypto.NewSealerWithPrefix(key, prefix)
 		if err != nil {

@@ -199,11 +199,10 @@ func (st *MetaStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 }
 
 // Sealer transforms slot payloads at the storage boundary. The crypto
-// package provides an AES-CTR implementation; the interface keeps the
+// package provides the AES-GCM implementation; the interface keeps the
 // serial seal/open contract implementation-agnostic. (The parallel fast
-// path below is specific to crypto.Sealer's counter-reservation
-// discipline, so PayloadStore now imports crypto for it; any Sealer still
-// works serially.)
+// path below is specific to crypto.Sealer's nonce-reservation discipline,
+// so PayloadStore imports crypto for it; any Sealer still works serially.)
 type Sealer interface {
 	// SealedSize returns the on-server size of a sealed payload of the
 	// given plaintext size.
@@ -251,12 +250,12 @@ type PayloadStore struct {
 
 	// pool, when installed via SetCryptoPool with more than one worker,
 	// fans the seal/open work of path- and batch-granularity operations
-	// across forks — per-worker crypto.Sealer clones sharing one counter
-	// space. forks[0] is the store's own sealer (chunk 0 runs on the
-	// calling goroutine); nil pool keeps every path strictly serial.
-	pool  *crypto.Pool
-	forks []*crypto.Sealer
-	// sealOrd[i] is the scratch prefix count of real (counter-consuming)
+	// across its workers, all through the store's one sealer (seq is that
+	// sealer as the concrete type whose reservations make the fan-out
+	// deterministic); nil pool keeps every path strictly serial.
+	pool *crypto.Pool
+	seq  *crypto.Sealer
+	// sealOrd[i] is the scratch prefix count of real (nonce-consuming)
 	// slots in buckets [0, i) of the current SealRange; pathRefs is the
 	// reusable path→bucket-refs conversion of ReadPath/WritePath.
 	sealOrd  []int
@@ -389,52 +388,28 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot) error {
 // SetCryptoPool installs a bounded crypto worker pool: the seal/open work
 // of path- and batch-granularity operations (ReadPath/WritePath,
 // ReadBuckets/WriteBuckets and the OpenRange/SealRange primitives under
-// them) is partitioned across the pool's workers, each running through its
-// own Sealer clone. Requires the store to have been built with a
-// *crypto.Sealer — the fan-out leans on its counter-reservation discipline
-// for determinism — and must not be called concurrently with store
-// operations. A nil pool (or one with a single worker) keeps today's
-// strictly serial behaviour.
+// them) is partitioned across the pool's workers, all sealing through the
+// store's own Sealer. Requires the store to have been built with a
+// *crypto.Sealer — the fan-out leans on its nonce-reservation discipline
+// for determinism and on its being safe for concurrent use — and must not
+// be called concurrently with store operations. A nil pool (or one with a
+// single worker) keeps the strictly serial behaviour.
 func (st *PayloadStore) SetCryptoPool(p *crypto.Pool) error {
 	if p == nil || p.Workers() == 1 {
-		st.pool = nil
-		st.forks = nil
+		st.pool, st.seq = nil, nil
 		return nil
 	}
-	base, ok := st.sealer.(*crypto.Sealer)
+	seq, ok := st.sealer.(*crypto.Sealer)
 	if !ok {
 		return fmt.Errorf("oram: SetCryptoPool requires a *crypto.Sealer (store has %T)", st.sealer)
 	}
-	st.pool = p
-	st.forks = make([]*crypto.Sealer, p.Workers())
-	st.forks[0] = base
-	for i := 1; i < len(st.forks); i++ {
-		st.forks[i] = base.Clone()
-	}
+	st.pool, st.seq = p, seq
 	return nil
 }
 
-// openSlotAt is readSlotAt decrypting through the given worker sealer
-// instead of the store's own (the parallel fan-out path; forks are only
-// installed for in-place crypto sealers).
-func (st *PayloadStore) openSlotAt(is InplaceSealer, i int64, dst *Slot) error {
-	dst.ID = BlockID(st.ids[i])
-	dst.Leaf = Leaf(st.leaf[i])
-	if dst.ID == DummyID {
-		dst.Payload = nil
-		return nil
-	}
-	out := payloadDst(dst, st.geom.BlockSize())
-	if err := is.OpenTo(out, st.slotBytes(i)); err != nil {
-		return fmt.Errorf("oram: open slot %d: %w", i, err)
-	}
-	dst.Payload = out
-	return nil
-}
-
-// sealSlotSeq is writeSlotAt sealing through the given worker sealer with
-// an explicitly reserved counter sequence (the parallel fan-out path).
-func (st *PayloadStore) sealSlotSeq(f *crypto.Sealer, i int64, src Slot, seq uint64) error {
+// sealSlotSeq is writeSlotAt sealing with an explicitly reserved sequence
+// number (the parallel fan-out path).
+func (st *PayloadStore) sealSlotSeq(i int64, src Slot, seq uint64) error {
 	st.ids[i] = uint64(src.ID)
 	st.leaf[i] = uint64(src.Leaf)
 	raw := st.slotBytes(i)
@@ -450,7 +425,7 @@ func (st *PayloadStore) sealSlotSeq(f *crypto.Sealer, i int64, src Slot, seq uin
 	if len(src.Payload) != st.geom.BlockSize() {
 		return fmt.Errorf("oram: payload len %d != block size %d", len(src.Payload), st.geom.BlockSize())
 	}
-	if err := f.SealSeqTo(raw, src.Payload, seq); err != nil {
+	if err := st.seq.SealSeqTo(raw, src.Payload, seq); err != nil {
 		return fmt.Errorf("oram: seal slot %d: %w", i, err)
 	}
 	return nil
@@ -493,13 +468,12 @@ func (st *PayloadStore) OpenRange(refs []BucketRef, dst [][]Slot) error {
 		}
 		return nil
 	}
-	return st.pool.Run(len(refs), func(chunk, lo, hi int) error {
-		f := st.forks[chunk]
+	return st.pool.Run(len(refs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			base := st.geom.SlotIndex(refs[i].Level, refs[i].Node, 0)
 			buf := dst[i]
 			for k := range buf {
-				if err := st.openSlotAt(f, base+int64(k), &buf[k]); err != nil {
+				if err := st.readSlotAt(base+int64(k), &buf[k]); err != nil {
 					return err
 				}
 			}
@@ -510,8 +484,8 @@ func (st *PayloadStore) OpenRange(refs []BucketRef, dst [][]Slot) error {
 
 // SealRange overwrites the buckets refs[i] from src[i], partitioning the
 // seal work across the crypto pool's workers when one is installed.
-// Counter space for every real slot is reserved up front in (bucket, slot)
-// order, so each slot's IV — and hence the ciphertext arena — is
+// A sequence number for every real slot is reserved up front in (bucket,
+// slot) order, so each slot's nonce — and hence the ciphertext arena — is
 // byte-identical to sealing the same slots serially, no matter which
 // worker runs which bucket. Without a pool it is exactly the serial loop.
 func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
@@ -529,7 +503,7 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 		}
 		return nil
 	}
-	// Prefix counts of counter-consuming (real) slots give every bucket
+	// Prefix counts of nonce-consuming (real) slots give every bucket
 	// its deterministic ordinal into the reservation.
 	st.sealOrd = st.sealOrd[:0]
 	total := 0
@@ -541,22 +515,21 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 			}
 		}
 	}
-	bs := st.geom.BlockSize()
-	first := st.forks[0].ReserveSeals(total, bs)
-	blocks := uint64(crypto.CounterBlocks(bs))
-	return st.pool.Run(len(refs), func(chunk, lo, hi int) error {
-		f := st.forks[chunk]
+	first, err := st.seq.ReserveSeals(total)
+	if err != nil {
+		return fmt.Errorf("oram: SealRange: %w", err)
+	}
+	return st.pool.Run(len(refs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			base := st.geom.SlotIndex(refs[i].Level, refs[i].Node, 0)
-			ord := uint64(st.sealOrd[i])
+			seq := first + uint64(st.sealOrd[i])
 			for k := range src[i] {
 				s := src[i][k]
-				seq := first + ord*blocks
-				if s.ID != DummyID {
-					ord++
-				}
-				if err := st.sealSlotSeq(f, base+int64(k), s, seq); err != nil {
+				if err := st.sealSlotSeq(base+int64(k), s, seq); err != nil {
 					return err
+				}
+				if s.ID != DummyID {
+					seq++
 				}
 			}
 		}

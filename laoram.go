@@ -77,20 +77,22 @@ type Options struct {
 	// MetadataOnly simulates payloads (16 B/slot server state), allowing
 	// paper-scale trees; Read returns nil payloads.
 	MetadataOnly bool
-	// Encrypt seals payloads with AES-CTR+HMAC before they reach server
+	// Encrypt seals payloads with AES-128-GCM before they reach server
 	// storage (the §III threat model's "content of the memory itself is
 	// considered encrypted"). Ignored with MetadataOnly.
 	Encrypt bool
 	// CryptoWorkers bounds the intra-shard crypto fan-out of sealed
 	// stores: path reads/write-backs, batched bucket unions and
 	// superblock fetches open and seal their buckets across this many
-	// workers, each through its own Sealer clone (one bounded pool shared
-	// by all shards). 0 derives the width from GOMAXPROCS (capped at 8);
-	// 1 pins today's strictly serial path. Either way results — tree
-	// bytes included — are byte-identical: parallel seals draw their CTR
-	// counter sequence from a deterministic per-slot reservation, not
-	// from scheduling order. Applies to local encrypted stores (Encrypt
-	// without MetadataOnly/RemoteAddr); ignored otherwise.
+	// workers, all through the shard's one Sealer (one bounded pool
+	// shared by all shards; a lane hands a chunk to a pool worker only
+	// when one is idle and works through the rest itself). 0 derives the
+	// width from GOMAXPROCS (capped at 8); 1 pins the strictly serial
+	// path. Either way results — tree bytes included — are
+	// byte-identical: parallel seals draw their nonce sequence number
+	// from a deterministic per-slot reservation, not from scheduling
+	// order. Applies to local encrypted stores (Encrypt without
+	// MetadataOnly/RemoteAddr); ignored otherwise.
 	CryptoWorkers int
 	// Key is the optional 32-byte sealing key; nil generates a random
 	// one.
