@@ -25,8 +25,7 @@ func (l *LAORAM) StepBatch(k int, visit Visit) (int, error) {
 	st := l.base.StatsMut()
 
 	// Peek at the batch's bins and gather the distinct leaves to fetch.
-	l.readLeaves = l.readLeaves[:0]
-	clear(l.leafSeen)
+	l.fetch.Reset()
 	bins := 0
 	for i := 0; i < k; i++ {
 		bin := l.cursor.PeekBin(i)
@@ -36,35 +35,27 @@ func (l *LAORAM) StepBatch(k int, visit Visit) (int, error) {
 		bins++
 		st.Accesses += uint64(len(bin.Blocks))
 		for _, id := range bin.Blocks {
-			if uint64(id) >= l.base.PosMap().Len() {
-				return 0, fmt.Errorf("core: bin %d references block %d beyond table size %d",
-					bin.Index, id, l.base.PosMap().Len())
+			hit, err := l.base.GatherLeaf(&l.fetch, id)
+			if err != nil {
+				return 0, fmt.Errorf("core: bin %d: %w", bin.Index, err)
 			}
-			if l.base.Stash().Contains(id) {
+			if hit {
 				st.StashHits++
-				continue
-			}
-			leaf := l.base.PosMap().Get(id)
-			if leaf == oram.NoLeaf {
-				return 0, fmt.Errorf("core: block %d not loaded (bin %d)", id, bin.Index)
-			}
-			if !l.leafSeen[leaf] {
-				l.leafSeen[leaf] = true
-				l.readLeaves = append(l.readLeaves, leaf)
 			}
 		}
 	}
 	if bins == 0 {
 		return 0, fmt.Errorf("core: plan exhausted after %d bins", l.bins)
 	}
+	readLeaves := l.fetch.Leaves()
 
 	// One burst fetch of the union of paths.
-	if err := l.base.ReadPaths(l.readLeaves); err != nil {
+	if err := l.base.ReadPaths(readLeaves); err != nil {
 		return 0, err
 	}
-	st.PathReads += uint64(len(l.readLeaves))
-	if bins > 0 && len(l.readLeaves) > bins {
-		l.coldPathReads += uint64(len(l.readLeaves) - bins)
+	st.PathReads += uint64(len(readLeaves))
+	if len(readLeaves) > bins {
+		l.coldPathReads += uint64(len(readLeaves) - bins)
 	}
 
 	// Consume the bins in order: remap members per the plan and visit.
@@ -100,10 +91,10 @@ func (l *LAORAM) StepBatch(k int, visit Visit) (int, error) {
 	}
 
 	// Joint write-back of every fetched path.
-	if err := l.base.WriteBackPaths(l.readLeaves); err != nil {
+	if err := l.base.WriteBackPaths(readLeaves); err != nil {
 		return 0, err
 	}
-	st.PathWrites += uint64(len(l.readLeaves))
+	st.PathWrites += uint64(len(readLeaves))
 	if _, err := l.base.MaybeEvict(); err != nil {
 		return 0, err
 	}

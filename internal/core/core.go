@@ -54,9 +54,9 @@ type LAORAM struct {
 	lookaheadRemaps uint64
 	uniformRemaps   uint64
 
-	// scratch reused across bins
-	readLeaves []oram.Leaf
-	leafSeen   map[oram.Leaf]bool
+	// fetch is the distinct-leaf set of the bin (or batch of bins) in
+	// flight, reused across steps.
+	fetch oram.LeafSet
 }
 
 // Config assembles a LAORAM instance.
@@ -76,10 +76,9 @@ func New(cfg Config) (*LAORAM, error) {
 		return nil, fmt.Errorf("core: Config.Plan is required")
 	}
 	return &LAORAM{
-		base:     cfg.Base,
-		plan:     cfg.Plan,
-		cursor:   superblock.NewCursor(cfg.Plan),
-		leafSeen: make(map[oram.Leaf]bool, 8),
+		base:   cfg.Base,
+		plan:   cfg.Plan,
+		cursor: superblock.NewCursor(cfg.Plan),
 	}, nil
 }
 
@@ -152,26 +151,18 @@ func (l *LAORAM) StepBin(visit Visit) (*superblock.Bin, error) {
 	// Gather the distinct paths that must be fetched. In steady state
 	// every member already sits on bin.Leaf (or in the stash) and this
 	// is exactly one path.
-	l.readLeaves = l.readLeaves[:0]
-	clear(l.leafSeen)
+	l.fetch.Reset()
 	for _, id := range bin.Blocks {
-		if uint64(id) >= l.base.PosMap().Len() {
-			return nil, fmt.Errorf("core: bin %d references block %d beyond table size %d", bin.Index, id, l.base.PosMap().Len())
+		hit, err := l.base.GatherLeaf(&l.fetch, id)
+		if err != nil {
+			return nil, fmt.Errorf("core: bin %d: %w", bin.Index, err)
 		}
-		if l.base.Stash().Contains(id) {
+		if hit {
 			st.StashHits++
-			continue
-		}
-		leaf := l.base.PosMap().Get(id)
-		if leaf == oram.NoLeaf {
-			return nil, fmt.Errorf("core: block %d not loaded (bin %d)", id, bin.Index)
-		}
-		if !l.leafSeen[leaf] {
-			l.leafSeen[leaf] = true
-			l.readLeaves = append(l.readLeaves, leaf)
 		}
 	}
-	for i, leaf := range l.readLeaves {
+	readLeaves := l.fetch.Leaves()
+	for i, leaf := range readLeaves {
 		if err := l.base.ReadPath(leaf); err != nil {
 			return nil, err
 		}
@@ -215,10 +206,10 @@ func (l *LAORAM) StepBin(visit Visit) (*superblock.Bin, error) {
 	// Joint write-back: with cold members more than one path was read,
 	// and the paths overlap at least at the root (oram.WriteBackPaths
 	// writes the union exactly once).
-	if err := l.base.WriteBackPaths(l.readLeaves); err != nil {
+	if err := l.base.WriteBackPaths(readLeaves); err != nil {
 		return nil, err
 	}
-	st.PathWrites += uint64(len(l.readLeaves))
+	st.PathWrites += uint64(len(readLeaves))
 	if _, err := l.base.MaybeEvict(); err != nil {
 		return nil, err
 	}

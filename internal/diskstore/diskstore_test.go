@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -526,5 +527,61 @@ func TestSealedStore(t *testing.T) {
 	raw := readFileRange(t, path, st.recOff(1, 0), recLen(g.BucketSize(1), st.stride))
 	if bytes.Contains(raw, plain) {
 		t.Fatal("arena holds plaintext payload bytes despite a sealer")
+	}
+}
+
+// TestJointAccessOnDisk: the joint multi-key access (oram.Client.AccessBatch)
+// over a disk arena with a cache of a tenth of the tree — bucket unions
+// faulting in and flushing behind it — is checked against a plain map at
+// several chunk sizes (invariant #2; the tier stays invisible, invariant #14).
+func TestJointAccessOnDisk(t *testing.T) {
+	for _, chunk := range []int{3, 16, 64} {
+		g := testGeometry(t, 6, 4, 16)
+		st, _ := openStore(t, g, CacheBytes(g, nil)/10, true)
+		client, err := oram.NewClient(oram.ClientConfig{
+			Store: st, Rand: rand.New(rand.NewSource(3)),
+			Evict: oram.PaperEvict, StashHits: true, Blocks: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := make(map[oram.BlockID][]byte)
+		var known []oram.BlockID
+		rng := rand.New(rand.NewSource(int64(chunk)))
+		for round := 0; round < 120; round++ {
+			k := 1 + rng.Intn(chunk)
+			ids, rows := make([]oram.BlockID, k), make([][]byte, k)
+			if len(known) == 0 || rng.Intn(2) == 0 {
+				for i := range ids {
+					ids[i] = oram.BlockID(rng.Intn(64))
+					rows[i] = make([]byte, 16)
+					binary.LittleEndian.PutUint64(rows[i], rng.Uint64())
+				}
+				if err := client.AccessBatch(oram.OpWrite, ids, rows, nil); err != nil {
+					t.Fatalf("chunk %d round %d: %v", chunk, round, err)
+				}
+				for i, id := range ids {
+					if ref[id] == nil {
+						known = append(known, id)
+					}
+					ref[id] = rows[i]
+				}
+				continue
+			}
+			for i := range ids {
+				ids[i] = known[rng.Intn(len(known))]
+			}
+			if err := client.AccessBatch(oram.OpRead, ids, nil, rows); err != nil {
+				t.Fatalf("chunk %d round %d: %v", chunk, round, err)
+			}
+			for i, id := range ids {
+				if !bytes.Equal(rows[i], ref[id]) {
+					t.Fatalf("chunk %d round %d: block %d = %x, want %x", chunk, round, id, rows[i], ref[id])
+				}
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -125,6 +125,68 @@ func TestWriteBackPathsAllocs(t *testing.T) {
 	})
 }
 
+// TestAccessBatchAllocs: the joint multi-key access — gather, batched
+// fetch of the bucket union, remap and serve, joint write-back, background
+// eviction — allocates nothing in steady state beyond the caller-owned
+// copies a read returns: zero on the metadata-only path and for writes, one
+// object per key for payload-bearing reads.
+func TestAccessBatchAllocs(t *testing.T) {
+	const chunk = 32
+	ids := make([]BlockID, chunk)
+	out := make([][]byte, chunk)
+	draw := func(rng *rand.Rand, blocks uint64) {
+		for i := range ids {
+			ids[i] = BlockID(rng.Int63n(int64(blocks))) // repeats and stash hits included
+		}
+	}
+	t.Run("meta", func(t *testing.T) {
+		c := allocTestClient(t)
+		rng := rand.New(rand.NewSource(17))
+		round := func() {
+			draw(rng, 1<<11)
+			if err := c.AccessBatch(OpRead, ids, nil, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			round() // warm the joint-access scratch
+		}
+		if allocs := testing.AllocsPerRun(200, round); allocs > 0 {
+			t.Errorf("AccessBatch allocates %.2f objects per %d-key chunk in steady state, want 0", allocs, chunk)
+		}
+	})
+	t.Run("sealed", func(t *testing.T) {
+		c, blocks := sealedAllocClient(t)
+		rng := rand.New(rand.NewSource(18))
+		data := make([][]byte, chunk)
+		for i := range data {
+			data[i] = make([]byte, 64)
+		}
+		read := func() {
+			draw(rng, blocks)
+			if err := c.AccessBatch(OpRead, ids, nil, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write := func() {
+			draw(rng, blocks)
+			if err := c.AccessBatch(OpWrite, ids, data, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			read()
+			write()
+		}
+		if allocs := testing.AllocsPerRun(200, write); allocs > 0 {
+			t.Errorf("sealed AccessBatch write allocates %.2f objects per chunk in steady state, want 0", allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, read); allocs > chunk {
+			t.Errorf("sealed AccessBatch read allocates %.2f objects per %d-key chunk, want <= %d (the returned copies)", allocs, chunk, chunk)
+		}
+	})
+}
+
 func sealedAllocClient(t *testing.T) (*Client, uint64) {
 	t.Helper()
 	g := MustGeometry(GeometryConfig{LeafBits: 8, LeafZ: 4, BlockSize: 64})

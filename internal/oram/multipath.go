@@ -58,6 +58,58 @@ func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot 
 	return m.bufs
 }
 
+// LeafSet is the distinct leaves of one joint fetch in first-seen order: what
+// a multi-block access hands to ReadPaths and, after serving, to
+// WriteBackPaths. The zero value is ready to use; Reset keeps its capacity,
+// so a set owned by a client's scratch allocates nothing in steady state.
+type LeafSet struct {
+	list []Leaf
+	seen map[Leaf]struct{}
+}
+
+// Reset empties the set.
+func (s *LeafSet) Reset() {
+	s.list = s.list[:0]
+	clear(s.seen)
+}
+
+// Add inserts leaf unless it is already present.
+func (s *LeafSet) Add(leaf Leaf) {
+	if _, dup := s.seen[leaf]; dup {
+		return
+	}
+	if s.seen == nil {
+		s.seen = make(map[Leaf]struct{}, 8)
+	}
+	s.seen[leaf] = struct{}{}
+	s.list = append(s.list, leaf)
+}
+
+// Leaves returns the distinct leaves in the order they were first added. The
+// slice aliases the set and is valid until the next Reset.
+func (s *LeafSet) Leaves() []Leaf { return s.list }
+
+// GatherLeaf adds to set the path a joint fetch must read to bring block id
+// into the stash: none when the block is already stashed (reported as hit),
+// its position-map leaf otherwise. Every multi-block access — a LAORAM bin, a
+// batch of bins, a joint lookup — gathers its fetch set through here, so
+// "distinct leaves of the members not already in trusted memory" is defined
+// once. An id beyond the position map, or one never placed, is an error.
+func (c *Client) GatherLeaf(set *LeafSet, id BlockID) (hit bool, err error) {
+	if uint64(id) >= c.pos.Len() {
+		return false, fmt.Errorf("oram: block %d out of range (have %d blocks)", id, c.pos.Len())
+	}
+	if c.stash.Contains(id) {
+		return true, nil
+	}
+	leaf := c.pos.Get(id)
+	if leaf == NoLeaf {
+		return false, fmt.Errorf("oram: block %d not loaded", id)
+	}
+	set.Add(leaf)
+	return false, nil
+}
+
 // pathUnion collects the deduplicated buckets of a set of paths, level by
 // level from the root, preserving the leaves' order within a level. This is
 // the canonical bucket order both ReadPaths branches (batched and

@@ -123,6 +123,9 @@ type Client struct {
 	// multi holds the scratch of the multi-path operations (ReadPaths /
 	// WriteBackPaths); see multipath.go.
 	multi multiScratch
+	// batch holds the scratch of the joint multi-key access; see
+	// accessbatch.go.
+	batch batchScratch
 }
 
 // NewClient validates cfg and builds a client. The tree starts empty; call

@@ -32,7 +32,10 @@ type Store interface {
 	ReadBucket(level int, node uint64, dst []Slot) error
 
 	// WriteBucket overwrites all slots of the bucket (level, node) from
-	// src, which must have length BucketSize(level).
+	// src, which must have length BucketSize(level). The store copies (or
+	// seals) the payloads into its own storage before returning and keeps
+	// no reference to src's: callers hand it live stash slabs, and the
+	// remote server hands it views into a request frame it then recycles.
 	WriteBucket(level int, node uint64, src []Slot) error
 
 	// ReadSlot reads a single slot. RingORAM's per-bucket single-block

@@ -145,6 +145,10 @@ type pendingCall struct {
 	shard   uint32
 	op      byte
 	sentGen uint64
+	// replayed is set (under Client.mu) once a reconnect has taken req for
+	// replay: from then on a second goroutine may be writing the frame, so
+	// its buffer is left to the collector instead of returning to the pool.
+	replayed bool
 }
 
 type rpcResult struct {
@@ -421,8 +425,10 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 			res.busy = true
 			res.retryAfter = retryAfter
 			res.err = fmt.Errorf("remote: server busy: %s", reason)
+			putFrame(frame) // reason is a copy
 		default:
 			res.err = fmt.Errorf("remote: server: %s", string(body))
+			putFrame(frame)
 		}
 		c.mu.Lock()
 		pc := c.pending[id]
@@ -627,6 +633,7 @@ func (c *Client) adopt(conn net.Conn, bootID uint64) {
 	resend := make([]*pendingCall, 0, len(c.pending))
 	for _, pc := range c.pending {
 		pc.sentGen = gen
+		pc.replayed = true
 		resend = append(resend, pc)
 	}
 	c.mu.Unlock()
@@ -650,9 +657,20 @@ func (c *Client) adopt(conn net.Conn, bootID uint64) {
 // overloaded node is not a failed node: nothing executed, nothing was
 // lost, so no rollback or recovery is ever triggered by a shed.
 func (c *Client) call(op byte, shard uint32, body []byte) ([]byte, error) {
+	return c.callBuild(op, shard, len(body), func(buf []byte) []byte { return append(buf, body...) })
+}
+
+// callBuild is call with the request body built in place: build appends the
+// body to the frame buffer it is handed — already holding the request header
+// and sized for bodyCap more bytes — so a large body (a bucket union) is
+// written once, where it leaves from. build runs once per attempt (a shed
+// request is rebuilt for its retry) and must append the same bytes each
+// time. The returned body aliases a pooled frame: a caller that has parsed
+// everything it needs out of it may putFrame it.
+func (c *Client) callBuild(op byte, shard uint32, bodyCap int, build func(buf []byte) []byte) ([]byte, error) {
 	backoff := time.Millisecond
 	for sheds := 0; ; {
-		res := c.callOnce(op, shard, body)
+		res := c.callOnce(op, shard, bodyCap, build)
 		if !res.busy {
 			return res.body, res.err
 		}
@@ -710,40 +728,46 @@ func (c *Client) requestBudget() (budget time.Duration, ok bool) {
 // the connection is down in reconnect mode the call parks: the reconnect
 // loop will send its frame once a connection is adopted, or fail it when
 // the retry budget runs out.
-func (c *Client) callOnce(op byte, shard uint32, body []byte) rpcResult {
-	wireOp, wireBody := op, body
+func (c *Client) callOnce(op byte, shard uint32, bodyCap int, build func(buf []byte) []byte) rpcResult {
+	budget, deadline := time.Duration(0), false
 	if isDataOp(op) {
-		if budget, ok := c.requestBudget(); ok {
-			wireOp = opDeadline
-			wireBody = appendDeadline(make([]byte, 0, deadlineHdrLen+len(body)), budget, op, body)
-		}
+		budget, deadline = c.requestBudget()
 	}
-	pc := &pendingCall{ch: make(chan rpcResult, 1), shard: shard, op: op}
+	// The frame is built before the lock is taken (a bucket union is ~100 KB
+	// of copying that concurrent lanes need not wait for); only its request
+	// ID, assigned under the lock with the admission checks, is filled in
+	// there.
+	req := getFrame(reqHeaderLen + deadlineHdrLen + bodyCap)
+	if deadline {
+		req = appendDeadlineHeader(appendReqHeader(req, 0, opDeadline, shard), budget, op)
+	} else {
+		req = appendReqHeader(req, 0, op, shard)
+	}
+	req = build(req)
+	pc := &pendingCall{ch: make(chan rpcResult, 1), req: req, shard: shard, op: op}
+
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return rpcResult{err: fmt.Errorf("remote: client closed")}
-	}
-	if c.stateLost && op != opRestore {
+	var refuse error
+	switch {
+	case c.closed:
+		refuse = fmt.Errorf("remote: client closed")
+	case c.stateLost && op != opRestore:
 		// The node restarted since the last checkpoint was applied; only a
 		// Restore may pass until its trees are re-established. Snapshots
 		// are blocked too — checkpointing a rolled-back tree would commit
 		// garbage as a recovery point.
-		err := c.nodeDown(shard, true, fmt.Errorf("node restarted; state not re-established"))
-		c.mu.Unlock()
-		return rpcResult{err: err}
+		refuse = c.nodeDown(shard, true, fmt.Errorf("node restarted; state not re-established"))
+	case c.connErr != nil && !c.cfg.Reconnect:
+		refuse = c.downErrLocked(shard, c.connErr)
 	}
-	if c.connErr != nil && !c.cfg.Reconnect {
-		err := c.downErrLocked(shard, c.connErr)
+	if refuse != nil {
 		c.mu.Unlock()
-		return rpcResult{err: err}
+		putFrame(req)
+		return rpcResult{err: refuse}
 	}
 	c.nextID++
 	id := c.nextID
-	req := make([]byte, 0, reqHeaderLen+len(wireBody))
-	req = appendReqHeader(req, id, wireOp, shard)
-	req = append(req, wireBody...)
-	pc.req = req
+	binary.BigEndian.PutUint64(req, id)
 	c.pending[id] = pc
 	healthy := c.connErr == nil
 	gen := c.gen
@@ -770,7 +794,14 @@ func (c *Client) callOnce(op byte, shard uint32, body []byte) rpcResult {
 			c.mu.Unlock()
 		}
 	}
-	return <-pc.ch
+	res := <-pc.ch
+	// Every send on pc.ch happens under, or after a critical section of,
+	// c.mu that follows any adopt marking the call replayed, so this read
+	// is ordered after the mark.
+	if !pc.replayed {
+		putFrame(req)
+	}
+	return res
 }
 
 // Shard-0 convenience delegations, keeping Client itself usable as the
@@ -872,13 +903,15 @@ func (s *ShardStore) pcall(op byte, body []byte) ([]byte, error) {
 	return s.c.call(op, s.shard, body)
 }
 
-// pbatch is pcall for opBatch frames, whose sub-requests embed the shard
-// index: build runs under the placement lock so the frame and its routing
-// agree even across a concurrent migration.
-func (s *ShardStore) pbatch(build func(shard uint32) []byte) ([]byte, error) {
+// pbuild is pcall with the body built in place (see Client.callBuild).
+// build also receives the wire shard, which opBatch sub-requests embed: it
+// runs under the placement lock, so the frame and its routing agree even
+// across a concurrent migration.
+func (s *ShardStore) pbuild(op byte, bodyCap int, build func(buf []byte, shard uint32) []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.c.call(opBatch, s.shard, build(s.shard))
+	shard := s.shard
+	return s.c.callBuild(op, shard, bodyCap, func(buf []byte) []byte { return build(buf, shard) })
 }
 
 // Repoint swaps this view's placement to the target view's (node, shard)
@@ -940,7 +973,8 @@ func (s *ShardStore) MigrateTo(target *ShardStore) (blackout time.Duration, err 
 	return time.Since(start), nil
 }
 
-// parseSlots fills dst from resp, requiring an exact fit.
+// parseSlots fills dst from resp, requiring an exact fit. Payloads are
+// copied out of resp (see parseSlot), so resp is free once this returns.
 func parseSlots(resp []byte, dst []Slot) error {
 	var err error
 	for i := range dst {
@@ -955,22 +989,33 @@ func parseSlots(resp []byte, dst []Slot) error {
 	return nil
 }
 
+// appendSlots serialises a bucket's slots.
+func appendSlots(buf []byte, src []Slot) []byte {
+	for i := range src {
+		buf = appendSlot(buf, &src[i])
+	}
+	return buf
+}
+
 // ReadBucket implements oram.Store.
 func (s *ShardStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	resp, err := s.pcall(opReadBucket, appendBucketRef(nil, level, node))
+	resp, err := s.pbuild(opReadBucket, bucketRefLen, func(buf []byte, _ uint32) []byte {
+		return appendBucketRef(buf, level, node)
+	})
 	if err != nil {
 		return err
 	}
-	return parseSlots(resp, dst)
+	err = parseSlots(resp, dst)
+	putFrame(resp)
+	return err
 }
 
 // WriteBucket implements oram.Store.
 func (s *ShardStore) WriteBucket(level int, node uint64, src []Slot) error {
-	body := appendBucketRef(nil, level, node)
-	for i := range src {
-		body = appendSlot(body, &src[i])
-	}
-	_, err := s.pcall(opWriteBucket, body)
+	resp, err := s.pbuild(opWriteBucket, bucketRefLen+slotsWireLen(len(src), s.Geometry().BlockSize()), func(buf []byte, _ uint32) []byte {
+		return appendSlots(appendBucketRef(buf, level, node), src)
+	})
+	putFrame(resp)
 	return err
 }
 
@@ -1020,21 +1065,25 @@ func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	if err := s.checkPathBufs(dst); err != nil {
 		return err
 	}
-	resp, err := s.pcall(opReadPath, appendLeaf(nil, leaf))
+	resp, err := s.pbuild(opReadPath, 8, func(buf []byte, _ uint32) []byte {
+		return appendLeaf(buf, leaf)
+	})
 	if err != nil {
 		return err
 	}
+	rest := resp
 	for lvl := range dst {
 		for i := range dst[lvl] {
-			resp, err = parseSlot(resp, &dst[lvl][i])
+			rest, err = parseSlot(rest, &dst[lvl][i])
 			if err != nil {
 				return err
 			}
 		}
 	}
-	if len(resp) != 0 {
-		return fmt.Errorf("remote: %d trailing bytes after path", len(resp))
+	if len(rest) != 0 {
+		return fmt.Errorf("remote: %d trailing bytes after path", len(rest))
 	}
+	putFrame(resp)
 	return nil
 }
 
@@ -1043,13 +1092,18 @@ func (s *ShardStore) WritePath(leaf Leaf, src [][]Slot) error {
 	if err := s.checkPathBufs(src); err != nil {
 		return err
 	}
-	body := appendLeaf(nil, leaf)
+	slots := 0
 	for lvl := range src {
-		for i := range src[lvl] {
-			body = appendSlot(body, &src[lvl][i])
-		}
+		slots += len(src[lvl])
 	}
-	_, err := s.pcall(opWritePath, body)
+	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, s.Geometry().BlockSize()), func(buf []byte, _ uint32) []byte {
+		buf = appendLeaf(buf, leaf)
+		for lvl := range src {
+			buf = appendSlots(buf, src[lvl])
+		}
+		return buf
+	})
+	putFrame(resp)
 	return err
 }
 
@@ -1104,17 +1158,18 @@ func (s *ShardStore) bucketWireCost(level int) int {
 	if level < 0 || level >= g.Levels() {
 		level = 0 // the root is never narrower than any other bucket
 	}
-	return 32 + g.BucketSize(level)*(20+g.BlockSize())
+	return 32 + g.BucketSize(level)*(slotHeaderLen+g.BlockSize())
 }
 
 // chunkRefs yields maximal ref ranges whose estimated frame size stays
-// within batchFrameBudget (always at least one ref per chunk).
-func (s *ShardStore) chunkRefs(refs []oram.BucketRef, visit func(lo, hi int) error) error {
+// within batchFrameBudget (always at least one ref per chunk), with that
+// estimate: an upper bound on the larger of the chunk's two frames.
+func (s *ShardStore) chunkRefs(refs []oram.BucketRef, visit func(lo, hi, cost int) error) error {
 	lo, cost := 0, 0
 	for i, r := range refs {
 		c := s.bucketWireCost(r.Level)
 		if i > lo && (cost+c > batchFrameBudget || i-lo >= maxBatchOps) {
-			if err := visit(lo, i); err != nil {
+			if err := visit(lo, i, cost); err != nil {
 				return err
 			}
 			lo, cost = i, 0
@@ -1122,56 +1177,68 @@ func (s *ShardStore) chunkRefs(refs []oram.BucketRef, visit func(lo, hi int) err
 		cost += c
 	}
 	if lo < len(refs) {
-		return visit(lo, len(refs))
+		return visit(lo, len(refs), cost)
 	}
 	return nil
 }
 
 // ReadBuckets implements oram.BatchStore: the deduplicated bucket union of
 // a batched fetch in one opBatch frame (or a handful, when the union
-// exceeds the frame budget).
+// exceeds the frame budget). Slot payloads land in the capacity dst arrives
+// armed with (see parseSlot).
 func (s *ShardStore) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
 	if len(refs) != len(dst) {
 		return fmt.Errorf("remote: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
 	}
-	return s.chunkRefs(refs, func(lo, hi int) error {
-		resp, err := s.pbatch(func(shard uint32) []byte {
-			body := appendU32(nil, uint32(hi-lo))
+	return s.chunkRefs(refs, func(lo, hi, _ int) error {
+		const subLen = batchSubHeaderLen + bucketRefLen
+		resp, err := s.pbuild(opBatch, 4+(hi-lo)*subLen, func(buf []byte, shard uint32) []byte {
+			buf = appendU32(buf, uint32(hi-lo))
 			for _, r := range refs[lo:hi] {
-				body = appendBatchSub(body, opReadBucket, shard, appendBucketRef(nil, r.Level, r.Node))
+				buf = beginBatchSub(buf, opReadBucket, shard)
+				mark := len(buf)
+				buf = appendBucketRef(buf, r.Level, r.Node)
+				patchLen(buf, mark)
 			}
-			return body
+			return buf
 		})
 		if err != nil {
 			return err
 		}
-		return s.parseBatchResp(resp, hi-lo, func(i int, sub []byte) error {
+		err = s.parseBatchResp(resp, hi-lo, func(i int, sub []byte) error {
 			return parseSlots(sub, dst[lo+i])
 		})
+		if err == nil {
+			putFrame(resp)
+		}
+		return err
 	})
 }
 
-// WriteBuckets implements oram.BatchStore.
+// WriteBuckets implements oram.BatchStore. Every slot is serialised exactly
+// once, straight into the frame that leaves.
 func (s *ShardStore) WriteBuckets(refs []oram.BucketRef, src [][]Slot) error {
 	if len(refs) != len(src) {
 		return fmt.Errorf("remote: WriteBuckets got %d refs, %d buffers", len(refs), len(src))
 	}
-	return s.chunkRefs(refs, func(lo, hi int) error {
-		resp, err := s.pbatch(func(shard uint32) []byte {
-			body := appendU32(nil, uint32(hi-lo))
+	return s.chunkRefs(refs, func(lo, hi, cost int) error {
+		resp, err := s.pbuild(opBatch, 4+cost, func(buf []byte, shard uint32) []byte {
+			buf = appendU32(buf, uint32(hi-lo))
 			for i, r := range refs[lo:hi] {
-				sub := appendBucketRef(nil, r.Level, r.Node)
-				for j := range src[lo+i] {
-					sub = appendSlot(sub, &src[lo+i][j])
-				}
-				body = appendBatchSub(body, opWriteBucket, shard, sub)
+				buf = beginBatchSub(buf, opWriteBucket, shard)
+				mark := len(buf)
+				buf = appendSlots(appendBucketRef(buf, r.Level, r.Node), src[lo+i])
+				patchLen(buf, mark)
 			}
-			return body
+			return buf
 		})
 		if err != nil {
 			return err
 		}
-		return s.parseBatchResp(resp, hi-lo, nil)
+		if err = s.parseBatchResp(resp, hi-lo, nil); err == nil {
+			putFrame(resp)
+		}
+		return err
 	})
 }
 

@@ -37,6 +37,9 @@ type task struct {
 	shard uint32
 	body  []byte
 	bad   error
+	// frame is the pooled request frame body aliases; process returns it to
+	// the pool after the operation has executed.
+	frame []byte
 	// data marks an admission-metered operation: it holds one unit of the
 	// global in-flight budget from admission until completion.
 	data bool

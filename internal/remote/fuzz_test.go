@@ -46,12 +46,33 @@ func FuzzProtocol(f *testing.F) {
 	batch = appendBatchSub(batch, opReadBucket, 0, appendBucketRef(nil, 0, 0))
 	batch = appendBatchSub(batch, opReadPath, 0, appendLeaf(nil, 1))
 	seed(opBatch, 0, batch)
+	// Grouped runs — the shape a joint fetch and write-back arrive in, which
+	// the server executes as one BatchStore call and answers through the
+	// in-place response builder (shard 1 is the payload store).
+	run := []oram.BucketRef{{Level: 0, Node: 0}, {Level: 1, Node: 1}, {Level: 3, Node: 5}}
+	reads, writes := appendU32(nil, uint32(len(run))), appendU32(nil, uint32(len(run)))
+	for _, r := range run {
+		reads = beginBatchSub(reads, opReadBucket, 1)
+		mark := len(reads)
+		reads = appendBucketRef(reads, r.Level, r.Node)
+		patchLen(reads, mark)
+		writes = beginBatchSub(writes, opWriteBucket, 1)
+		mark = len(writes)
+		writes = append(appendBucketRef(writes, r.Level, r.Node), bucket...)
+		patchLen(writes, mark)
+	}
+	seed(opBatch, 1, writes)
+	seed(opBatch, 1, reads)
 	// Degenerate frames.
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(appendReqHeader(nil, 0, 99, 7))
 
-	srv, err := NewSharded([]oram.Store{oram.NewMetaStore(g), oram.NewMetaStore(g)}, 1, nil)
+	ps, err := oram.NewPayloadStore(g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := NewSharded([]oram.Store{oram.NewMetaStore(g), ps}, 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,6 +81,9 @@ func FuzzProtocol(f *testing.F) {
 		// The parsers must never panic on raw bytes.
 		var s oram.Slot
 		_, _ = parseSlot(frame, &s)
+		s.Payload = make([]byte, 0, 8) // armed capacity: the decode-in-place branch
+		_, _ = parseSlot(frame, &s)
+		_, _ = viewSlot(frame, &s)
 		_, _ = parseGeometryWire(frame)
 		_, _, _, _ = parseRespHeader(frame)
 		_, _, _, _, _ = parseBatchSub(frame)

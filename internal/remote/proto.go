@@ -88,6 +88,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/oram"
@@ -166,6 +167,10 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
+// readFrame reads one frame into a buffer from the frame pool. A consumer
+// that is done with the frame (and with everything parsed out of it that
+// still aliases it) may hand it back with putFrame; one that is not simply
+// keeps it.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -175,11 +180,41 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	buf := getFrame(int(n))[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// framePool recycles frame buffers between requests on both sides of the
+// wire: a bucket-union frame is ~100 KB, and allocating (and zeroing) one
+// per direction per call was a fifth of the joint-lookup profile. Buffers
+// are handed over by putFrame only at points where nothing aliases them any
+// more; every other frame is left to the collector, so forgetting a putFrame
+// costs an allocation, never correctness.
+var framePool sync.Pool // of *[]byte
+
+// maxPooledFrame keeps the rare huge frame (a snapshot, a maximal batch
+// chunk) from being pinned by the pool.
+const maxPooledFrame = 4 << 20
+
+// getFrame returns an empty buffer with room for n bytes.
+func getFrame(n int) []byte {
+	if p, _ := framePool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return (*p)[:0]
+	}
+	return make([]byte, 0, n)
+}
+
+// putFrame recycles b's backing array. b may be any slice of a frame (a
+// response body, say); the caller must hold no other live reference into it.
+func putFrame(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooledFrame {
+		return
+	}
+	b = b[:0]
+	framePool.Put(&b)
 }
 
 // appendReqHeader starts a request frame payload.
@@ -258,10 +293,10 @@ func parseBusy(body []byte) (retryAfter time.Duration, reason string) {
 // deadlineHdrLen is the envelope prefix: budget u32 (ms) + inner opcode.
 const deadlineHdrLen = 5
 
-// appendDeadline wraps one data operation in the v3 deadline envelope:
-// the body of an opDeadline request. budget is relative to the server's
-// receipt of the frame.
-func appendDeadline(buf []byte, budget time.Duration, op byte, body []byte) []byte {
+// appendDeadlineHeader starts the body of an opDeadline request — the v3
+// deadline envelope around one data operation, whose own body follows in
+// place. budget is relative to the server's receipt of the frame.
+func appendDeadlineHeader(buf []byte, budget time.Duration, op byte) []byte {
 	ms := uint64(budget / time.Millisecond)
 	if budget > 0 && ms == 0 {
 		ms = 1 // a sub-millisecond budget must not round down to "none"
@@ -270,8 +305,7 @@ func appendDeadline(buf []byte, budget time.Duration, op byte, body []byte) []by
 		ms = uint64(^uint32(0))
 	}
 	buf = appendU32(buf, uint32(ms))
-	buf = append(buf, op)
-	return append(buf, body...)
+	return append(buf, op)
 }
 
 // parseDeadline unwraps an opDeadline body into the inner operation and
@@ -301,7 +335,7 @@ func parseRespHeader(frame []byte) (id uint64, status byte, body []byte, err err
 
 // appendSlot serialises one slot.
 func appendSlot(buf []byte, s *oram.Slot) []byte {
-	var tmp [20]byte
+	var tmp [slotHeaderLen]byte
 	binary.BigEndian.PutUint64(tmp[0:], uint64(s.ID))
 	binary.BigEndian.PutUint64(tmp[8:], uint64(s.Leaf))
 	binary.BigEndian.PutUint32(tmp[16:], uint32(len(s.Payload)))
@@ -309,42 +343,87 @@ func appendSlot(buf []byte, s *oram.Slot) []byte {
 	return append(buf, s.Payload...)
 }
 
-// parseSlot deserialises one slot, returning the remaining buffer.
+// slotHeaderLen is id u64 + leaf u64 + payloadLen u32.
+const slotHeaderLen = 20
+
+// slotsWireLen is the serialised size of n slots that all carry a
+// blockSize payload: the capacity to reserve before appending up to n slots
+// of a tree (dummies are shorter).
+func slotsWireLen(n, blockSize int) int { return n * (slotHeaderLen + blockSize) }
+
+// parseSlot deserialises one slot, returning the remaining buffer. The
+// payload is copied out of the frame: into the capacity of s's existing
+// Payload slice when that is large enough (the oram.Store.ReadBucket
+// contract — clients arm recycled arenas there), into a fresh slice
+// otherwise. The destination therefore must never be armed with memory
+// something else still reads (a live stash slab: DESIGN.md invariant #8).
 func parseSlot(buf []byte, s *oram.Slot) ([]byte, error) {
-	if len(buf) < 20 {
-		return nil, fmt.Errorf("remote: truncated slot header")
+	payload, rest, err := parseSlotHeader(buf, s)
+	if err != nil {
+		return nil, err
+	}
+	switch n := len(payload); {
+	case n == 0:
+		s.Payload = nil
+	case cap(s.Payload) >= n:
+		s.Payload = s.Payload[:n]
+		copy(s.Payload, payload)
+	default:
+		s.Payload = append([]byte(nil), payload...)
+	}
+	return rest, nil
+}
+
+// viewSlot is parseSlot without the copy: s.Payload aliases the frame. The
+// server's write handlers use it — a store copies (or seals) what WriteBucket
+// hands it before returning, so the frame is the only buffer a written
+// payload ever needs — and they must not let the view outlive the frame.
+func viewSlot(buf []byte, s *oram.Slot) ([]byte, error) {
+	payload, rest, err := parseSlotHeader(buf, s)
+	if err != nil {
+		return nil, err
+	}
+	s.Payload = nil
+	if n := len(payload); n > 0 {
+		s.Payload = payload[:n:n]
+	}
+	return rest, nil
+}
+
+// parseSlotHeader decodes a slot's id and leaf and splits off its payload
+// bytes (still inside buf).
+func parseSlotHeader(buf []byte, s *oram.Slot) (payload, rest []byte, err error) {
+	if len(buf) < slotHeaderLen {
+		return nil, nil, fmt.Errorf("remote: truncated slot header")
 	}
 	s.ID = oram.BlockID(binary.BigEndian.Uint64(buf[0:]))
 	s.Leaf = oram.Leaf(binary.BigEndian.Uint64(buf[8:]))
 	n := binary.BigEndian.Uint32(buf[16:])
-	buf = buf[20:]
+	buf = buf[slotHeaderLen:]
 	if uint64(len(buf)) < uint64(n) {
-		return nil, fmt.Errorf("remote: truncated slot payload (%d < %d)", len(buf), n)
+		return nil, nil, fmt.Errorf("remote: truncated slot payload (%d < %d)", len(buf), n)
 	}
-	if n == 0 {
-		s.Payload = nil
-	} else {
-		s.Payload = make([]byte, n)
-		copy(s.Payload, buf[:n])
-	}
-	return buf[n:], nil
+	return buf[:n], buf[n:], nil
 }
+
+// bucketRefLen is level u32 + node u64.
+const bucketRefLen = 12
 
 // appendBucketRef serialises a (level, node) bucket address.
 func appendBucketRef(buf []byte, level int, node uint64) []byte {
-	var tmp [12]byte
+	var tmp [bucketRefLen]byte
 	binary.BigEndian.PutUint32(tmp[0:], uint32(level))
 	binary.BigEndian.PutUint64(tmp[4:], node)
 	return append(buf, tmp[:]...)
 }
 
 func parseBucketRef(buf []byte) (level int, node uint64, rest []byte, err error) {
-	if len(buf) < 12 {
+	if len(buf) < bucketRefLen {
 		return 0, 0, nil, fmt.Errorf("remote: truncated bucket address")
 	}
 	level = int(int32(binary.BigEndian.Uint32(buf[0:])))
 	node = binary.BigEndian.Uint64(buf[4:])
-	return level, node, buf[12:], nil
+	return level, node, buf[bucketRefLen:], nil
 }
 
 // appendSlotRef serialises a (level, node, slot) slot address.
@@ -381,37 +460,55 @@ func parseLeaf(buf []byte) (leaf oram.Leaf, rest []byte, err error) {
 	return oram.Leaf(binary.BigEndian.Uint64(buf)), buf[8:], nil
 }
 
-// appendBatchSub serialises one opBatch sub-request.
-func appendBatchSub(buf []byte, op byte, shard uint32, body []byte) []byte {
-	buf = append(buf, op)
-	var tmp [8]byte
-	binary.BigEndian.PutUint32(tmp[0:], shard)
-	binary.BigEndian.PutUint32(tmp[4:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+// batchSubHeaderLen is op u8 + shard u32 + len u32.
+const batchSubHeaderLen = 9
+
+// beginBatchSub starts one opBatch sub-request in place: it appends the
+// header with the length field left zero; the caller appends the body and
+// back-fills the field with patchLen(buf, mark), mark being len(buf) as
+// returned here.
+func beginBatchSub(buf []byte, op byte, shard uint32) []byte {
+	var tmp [batchSubHeaderLen]byte
+	tmp[0] = op
+	binary.BigEndian.PutUint32(tmp[1:], shard)
+	return append(buf, tmp[:]...)
+}
+
+// patchLen back-fills the u32 length field ending at mark with the number of
+// bytes appended since — the second half of beginBatchSub/beginBatchSubResp.
+func patchLen(buf []byte, mark int) {
+	binary.BigEndian.PutUint32(buf[mark-4:], uint32(len(buf)-mark))
 }
 
 func parseBatchSub(buf []byte) (op byte, shard uint32, body []byte, rest []byte, err error) {
-	if len(buf) < 9 {
+	if len(buf) < batchSubHeaderLen {
 		return 0, 0, nil, nil, fmt.Errorf("remote: truncated batch sub-request")
 	}
 	op = buf[0]
 	shard = binary.BigEndian.Uint32(buf[1:])
 	n := binary.BigEndian.Uint32(buf[5:])
-	buf = buf[9:]
+	buf = buf[batchSubHeaderLen:]
 	if uint64(len(buf)) < uint64(n) {
 		return 0, 0, nil, nil, fmt.Errorf("remote: truncated batch sub-body (%d < %d)", len(buf), n)
 	}
 	return op, shard, buf[:n], buf[n:], nil
 }
 
-// appendBatchSubResp serialises one opBatch sub-response.
+// appendBatchSubResp serialises one opBatch sub-response whose body already
+// exists (an error text); slot-bearing responses are built in place with
+// beginBatchSubResp … patchLen.
 func appendBatchSubResp(buf []byte, status byte, body []byte) []byte {
-	buf = append(buf, status)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+	buf = beginBatchSubResp(buf, status)
+	mark := len(buf)
+	buf = append(buf, body...)
+	patchLen(buf, mark)
+	return buf
+}
+
+// beginBatchSubResp appends an opBatch sub-response header with a zero
+// length field, to be back-filled by patchLen.
+func beginBatchSubResp(buf []byte, status byte) []byte {
+	return append(buf, status, 0, 0, 0, 0)
 }
 
 func parseBatchSubResp(buf []byte) (status byte, body []byte, rest []byte, err error) {

@@ -329,3 +329,62 @@ func TestDialFailure(t *testing.T) {
 		t.Error("dial to closed port succeeded")
 	}
 }
+
+// TestJointAccessOverTCP: the joint multi-key access (oram.Client.AccessBatch)
+// over a real connection — its bucket unions travel as opBatch frames through
+// the in-place codec — is checked against a plain map at several chunk
+// sizes, with duplicate ids, stash-resident ids and first writes in the mix
+// (invariant #2).
+func TestJointAccessOverTCP(t *testing.T) {
+	for _, chunk := range []int{3, 16, 64} {
+		g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 6, LeafZ: 4, BlockSize: 16})
+		_, addr := startServer(t, g, false)
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		client, err := oram.NewClient(oram.ClientConfig{
+			Store: cl, Rand: rand.New(rand.NewSource(3)),
+			Evict: oram.PaperEvict, StashHits: true, Blocks: 64,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := make(map[oram.BlockID][]byte)
+		var known []oram.BlockID
+		rng := rand.New(rand.NewSource(int64(chunk)))
+		for round := 0; round < 120; round++ {
+			k := 1 + rng.Intn(chunk)
+			ids, rows := make([]oram.BlockID, k), make([][]byte, k)
+			if len(known) == 0 || rng.Intn(2) == 0 {
+				for i := range ids {
+					ids[i] = oram.BlockID(rng.Intn(64))
+					rows[i] = make([]byte, 16)
+					binary.LittleEndian.PutUint64(rows[i], rng.Uint64())
+				}
+				if err := client.AccessBatch(oram.OpWrite, ids, rows, nil); err != nil {
+					t.Fatalf("chunk %d round %d: %v", chunk, round, err)
+				}
+				for i, id := range ids {
+					if ref[id] == nil {
+						known = append(known, id)
+					}
+					ref[id] = rows[i]
+				}
+				continue
+			}
+			for i := range ids {
+				ids[i] = known[rng.Intn(len(known))]
+			}
+			if err := client.AccessBatch(oram.OpRead, ids, nil, rows); err != nil {
+				t.Fatalf("chunk %d round %d: %v", chunk, round, err)
+			}
+			for i, id := range ids {
+				if !bytes.Equal(rows[i], ref[id]) {
+					t.Fatalf("chunk %d round %d: block %d = %x, want %x", chunk, round, id, rows[i], ref[id])
+				}
+			}
+		}
+	}
+}

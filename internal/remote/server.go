@@ -10,6 +10,7 @@ import (
 	"log"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -401,7 +402,9 @@ func (s *Server) readLoop(sc *serverConn) {
 			}
 			return
 		}
-		t := task{sc: sc}
+		// t.body (and, for writes, the slots the handler views in it) aliases
+		// the pooled frame; process hands it back once the store is done.
+		t := task{sc: sc, frame: frame}
 		t.id, t.op, t.shard, t.body, t.bad = parseReqHeader(frame)
 		if t.bad != nil {
 			t.id = 0 // answered with ID 0; see handle
@@ -466,7 +469,9 @@ func (s *Server) writeLoop(sc *serverConn) {
 			s.writeGoaway(sc, g)
 			return
 		case resp := <-sc.out:
-			if err := writeFrame(sc.conn, resp); err != nil {
+			err := writeFrame(sc.conn, resp)
+			putFrame(resp) // the queue held the only reference
+			if err != nil {
 				sc.close()
 				return
 			}
@@ -499,17 +504,19 @@ var (
 
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var ws workScratch
 	for {
 		t, ok := s.disp.dequeue()
 		if !ok {
 			return
 		}
-		s.process(t)
+		s.process(&ws, t)
 	}
 }
 
 // process executes one admitted task and queues its response.
-func (s *Server) process(t task) {
+func (s *Server) process(ws *workScratch, t task) {
+	defer putFrame(t.frame)
 	if t.data {
 		defer s.inflight.Add(-1)
 	}
@@ -526,7 +533,7 @@ func (s *Server) process(t task) {
 		return
 	}
 	start := time.Now()
-	respBody, err := s.dispatch(t.op, t.shard, t.body, true)
+	resp, err := s.dispatch(ws, appendRespHeader(getFrame(respHeaderLen), t.id, statusOK), t.op, t.shard, t.body, true)
 	if isDataOp(t.op) {
 		s.svc.observe(time.Since(start))
 	}
@@ -534,8 +541,7 @@ func (s *Server) process(t task) {
 		s.respond(t.sc, errResponse(t.id, err))
 		return
 	}
-	out := appendRespHeader(make([]byte, 0, respHeaderLen+len(respBody)), t.id, statusOK)
-	s.respond(t.sc, append(out, respBody...))
+	s.respond(t.sc, resp)
 }
 
 // respond enqueues one response frame for sc, waiting up to slowConnTimeout
@@ -593,37 +599,103 @@ func (s *Server) handle(frame []byte) []byte {
 	if err != nil {
 		return errResponse(0, err)
 	}
-	respBody, err := s.dispatch(op, shard, body, true)
+	resp, err := s.dispatch(new(workScratch), appendRespHeader(nil, id, statusOK), op, shard, body, true)
 	if err != nil {
 		return errResponse(id, err)
 	}
-	out := appendRespHeader(make([]byte, 0, respHeaderLen+len(respBody)), id, statusOK)
-	return append(out, respBody...)
+	return resp
 }
 
-// dispatch executes one operation against its shard store and returns the
-// response body. allowBatch guards against nested opBatch frames.
-func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) ([]byte, error) {
+// workScratch is the reusable request state of one executing goroutine (a
+// pool worker): the parsed sub-requests of a batch, the bucket refs and slot
+// buffers handed to the store, and the payload arena read results land in.
+// One request executes at a time per worker, so nothing here is shared; in
+// steady state a path or bucket-union request allocates only what the store
+// itself allocates.
+type workScratch struct {
+	subs  []batchSub
+	refs  []oram.BucketRef
+	bufs  [][]oram.Slot // bufs[i] is a window of slots
+	slots []oram.Slot
+	arena []byte // one block-size stripe per slot, armed for reads
+}
+
+// layout points bufs[i], i < n, at BucketSize(level(i)) zeroed slots of the
+// one reused slot array and returns bufs.
+func (ws *workScratch) layout(g *oram.Geometry, n int, level func(i int) int) [][]oram.Slot {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += g.BucketSize(level(i))
+	}
+	ws.slots = slices.Grow(ws.slots[:0], total)[:total]
+	clear(ws.slots)
+	ws.bufs = slices.Grow(ws.bufs[:0], n)[:n]
+	off := 0
+	for i := range ws.bufs {
+		z := g.BucketSize(level(i))
+		ws.bufs[i] = ws.slots[off : off+z : off+z]
+		off += z
+	}
+	return ws.bufs
+}
+
+// arm backs every laid-out slot with its own stripe of the scratch arena,
+// so a store that reads into the capacity it is handed (the ReadBucket
+// contract) allocates nothing. (layout has already dropped whatever the
+// slots held before — after a write, views into a request frame since
+// recycled, which must never be decoded into.)
+func (ws *workScratch) arm(blockSize int) {
+	if blockSize <= 0 {
+		return
+	}
+	if need := len(ws.slots) * blockSize; cap(ws.arena) < need {
+		ws.arena = make([]byte, need)
+	}
+	for k := range ws.slots {
+		ws.slots[k].Payload = ws.arena[k*blockSize : (k+1)*blockSize : (k+1)*blockSize]
+	}
+}
+
+// viewSlots fills dst with views of the slots serialised at the head of buf
+// (see viewSlot) and returns the rest.
+func viewSlots(buf []byte, dst []oram.Slot) ([]byte, error) {
+	var err error
+	for i := range dst {
+		if buf, err = viewSlot(buf, &dst[i]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// dispatch executes one operation against its shard store and appends the
+// response body to dst — a frame that already holds its response header (or,
+// inside opBatch, the sub-responses so far) — returning the extended frame:
+// a response is serialised once, into the buffer that leaves. On error the
+// returned frame is nil and whatever was appended to dst is meaningless.
+// allowBatch guards against nested opBatch frames; ws is the executing
+// goroutine's scratch.
+func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, body []byte, allowBatch bool) ([]byte, error) {
 	g := s.geom
 	// opHello/opHealth/opAddStore are whole-server operations: they are
 	// answered before the shard range check (their shard field is ignored).
 	switch op {
 	case opHello:
-		out := appendU32(nil, uint32(s.Shards()))
-		out = geometryToWire(g).append(out)
-		return binary.BigEndian.AppendUint64(out, s.bootID), nil
+		dst = appendU32(dst, uint32(s.Shards()))
+		dst = geometryToWire(g).append(dst)
+		return binary.BigEndian.AppendUint64(dst, s.bootID), nil
 	case opHealth:
-		out := make([]byte, 1, 5)
+		var draining byte
 		if s.draining.Load() {
-			out[0] = 1
+			draining = 1
 		}
-		return appendU32(out, uint32(s.Shards())), nil
+		return appendU32(append(dst, draining), uint32(s.Shards())), nil
 	case opAddStore:
 		idx, err := s.AddStore()
 		if err != nil {
 			return nil, err
 		}
-		return appendU32(nil, uint32(idx)), nil
+		return appendU32(dst, uint32(idx)), nil
 	}
 	store, lock, err := s.shardStore(shard)
 	if err != nil {
@@ -638,18 +710,15 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		if level < 0 || level >= g.Levels() {
 			return nil, fmt.Errorf("level %d out of range", level)
 		}
-		buf := make([]oram.Slot, g.BucketSize(level))
+		buf := ws.layout(g, 1, func(int) int { return level })[0]
+		ws.arm(g.BlockSize())
 		lock.Lock()
 		err = store.ReadBucket(level, node, buf)
 		lock.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		var out []byte
-		for i := range buf {
-			out = appendSlot(out, &buf[i])
-		}
-		return out, nil
+		return appendSlots(slices.Grow(dst, slotsWireLen(len(ws.slots), g.BlockSize())), buf), nil
 	case opWriteBucket:
 		level, node, rest, err := parseBucketRef(body)
 		if err != nil {
@@ -658,18 +727,14 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		if level < 0 || level >= g.Levels() {
 			return nil, fmt.Errorf("level %d out of range", level)
 		}
-		z := g.BucketSize(level)
-		slots := make([]oram.Slot, z)
-		for i := 0; i < z; i++ {
-			rest, err = parseSlot(rest, &slots[i])
-			if err != nil {
-				return nil, err
-			}
+		slots := ws.layout(g, 1, func(int) int { return level })[0]
+		if _, err := viewSlots(rest, slots); err != nil {
+			return nil, err
 		}
 		lock.Lock()
 		err = store.WriteBucket(level, node, slots)
 		lock.Unlock()
-		return nil, err
+		return dst, err
 	case opReadSlot:
 		level, node, slot, _, err := parseSlotRef(body)
 		if err != nil {
@@ -682,20 +747,20 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		if err != nil {
 			return nil, err
 		}
-		return appendSlot(nil, &sl), nil
+		return appendSlot(dst, &sl), nil
 	case opWriteSlot:
 		level, node, slot, rest, err := parseSlotRef(body)
 		if err != nil {
 			return nil, err
 		}
 		var sl oram.Slot
-		if _, err := parseSlot(rest, &sl); err != nil {
+		if _, err := viewSlot(rest, &sl); err != nil {
 			return nil, err
 		}
 		lock.Lock()
 		err = store.WriteSlot(level, node, slot, sl)
 		lock.Unlock()
-		return nil, err
+		return dst, err
 	case opReadPath:
 		leaf, _, err := parseLeaf(body)
 		if err != nil {
@@ -710,10 +775,8 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		// under the shard lock. Results and traffic accounting are
 		// identical either way.
 		levels := g.Levels()
-		bufs := make([][]oram.Slot, levels)
-		for lvl := range bufs {
-			bufs[lvl] = make([]oram.Slot, g.BucketSize(lvl))
-		}
+		bufs := ws.layout(g, levels, func(lvl int) int { return lvl })
+		ws.arm(g.BlockSize())
 		lock.Lock()
 		if ps, ok := store.(oram.PathStore); ok {
 			err = ps.ReadPath(leaf, bufs)
@@ -728,13 +791,7 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		if err != nil {
 			return nil, err
 		}
-		var out []byte
-		for _, buf := range bufs {
-			for i := range buf {
-				out = appendSlot(out, &buf[i])
-			}
-		}
-		return out, nil
+		return appendSlots(slices.Grow(dst, slotsWireLen(len(ws.slots), g.BlockSize())), ws.slots), nil
 	case opWritePath:
 		leaf, rest, err := parseLeaf(body)
 		if err != nil {
@@ -746,16 +803,9 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		// Parse the whole path before touching the store, so a truncated
 		// frame cannot leave a half-written path behind.
 		levels := g.Levels()
-		slots := make([][]oram.Slot, levels)
-		for lvl := 0; lvl < levels; lvl++ {
-			z := g.BucketSize(lvl)
-			slots[lvl] = make([]oram.Slot, z)
-			for i := 0; i < z; i++ {
-				rest, err = parseSlot(rest, &slots[lvl][i])
-				if err != nil {
-					return nil, err
-				}
-			}
+		slots := ws.layout(g, levels, func(lvl int) int { return lvl })
+		if _, err := viewSlots(rest, ws.slots); err != nil {
+			return nil, err
 		}
 		lock.Lock()
 		if ps, ok := store.(oram.PathStore); ok {
@@ -768,27 +818,27 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 			}
 		}
 		lock.Unlock()
-		return nil, err
+		return dst, err
 	case opSnapshot:
 		// Checkpoint-coordinator RPC: serialise this shard's store under
 		// its lock, exactly as the in-process SnapshotShard does, so the
 		// client can commit one snapshot per shard together with its own
 		// SaveState as one epoch-stamped set. The snapshot must fit one
-		// response frame; writeFrame rejects anything larger with a clean
+		// response frame; anything larger is refused here with a clean
 		// error rather than a torn write.
 		snap, ok := store.(oram.Snapshotter)
 		if !ok {
 			return nil, fmt.Errorf("shard %d store %T does not support snapshots", shard, store)
 		}
-		var buf bytes.Buffer
+		buf := bytes.NewBuffer(dst) // the snapshot lands behind the header
 		lock.Lock()
-		err := snap.Save(&buf)
+		err := snap.Save(buf)
 		lock.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		if buf.Len() > maxFrame-respHeaderLen {
-			return nil, fmt.Errorf("shard %d snapshot of %d bytes exceeds frame limit", shard, buf.Len())
+		if n := buf.Len() - len(dst); n > maxFrame-respHeaderLen {
+			return nil, fmt.Errorf("shard %d snapshot of %d bytes exceeds frame limit", shard, n)
 		}
 		return buf.Bytes(), nil
 	case opRestore:
@@ -799,7 +849,7 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		lock.Lock()
 		err := snap.Load(bytes.NewReader(body))
 		lock.Unlock()
-		return nil, err
+		return dst, err
 	case opBatch:
 		if !allowBatch {
 			return nil, fmt.Errorf("nested batch request")
@@ -816,14 +866,16 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 		// arrive in — can execute as one BatchStore call, which a sealed
 		// server store fans across its crypto workers instead of opening
 		// bucket by bucket under the shard lock.
-		subs := make([]batchSub, count)
+		subs := slices.Grow(ws.subs[:0], int(count))[:count]
+		ws.subs = subs
 		for i := range subs {
 			subs[i].op, subs[i].shard, subs[i].body, rest, err = parseBatchSub(rest)
 			if err != nil {
 				return nil, fmt.Errorf("batch op %d: %w", i, err)
 			}
 		}
-		out := appendU32(nil, count)
+		base := len(dst)
+		out := appendU32(dst, count)
 		for i := 0; i < len(subs); {
 			j := i
 			if subs[i].op == opReadBucket || subs[i].op == opWriteBucket {
@@ -831,38 +883,38 @@ func (s *Server) dispatch(op byte, shard uint32, body []byte, allowBatch bool) (
 					j++
 				}
 			}
-			var run []byte
-			var grouped bool
+			grouped := false
 			if j > i {
-				run, grouped = s.dispatchBucketRun(subs[i : j+1])
+				out, grouped = s.dispatchBucketRun(ws, out, subs[i:j+1])
 			}
 			if !grouped {
 				// Singleton sub-request, non-bucket opcode, or a run the
 				// grouped fast path declined (validation or store error):
 				// the per-op dispatch preserves exact per-sub status
 				// semantics.
-				run = nil
 				for _, sub := range subs[i : j+1] {
 					if sub.op == opBatch || sub.op == opHello || sub.op == opSnapshot || sub.op == opRestore ||
 						sub.op == opHealth || sub.op == opAddStore {
-						run = appendBatchSubResp(run, statusErr, []byte(fmt.Sprintf("opcode %d not allowed in batch", sub.op)))
+						out = appendBatchSubResp(out, statusErr, []byte(fmt.Sprintf("opcode %d not allowed in batch", sub.op)))
 						continue
 					}
-					subResp, err := s.dispatch(sub.op, sub.shard, sub.body, false)
-					if err != nil {
-						run = appendBatchSubResp(run, statusErr, []byte(err.Error()))
+					start := len(out)
+					out = beginBatchSubResp(out, statusOK)
+					mark := len(out)
+					if ext, err := s.dispatch(ws, out, sub.op, sub.shard, sub.body, false); err != nil {
+						out = appendBatchSubResp(out[:start], statusErr, []byte(err.Error()))
 					} else {
-						run = appendBatchSubResp(run, statusOK, subResp)
+						out = ext
+						patchLen(out, mark)
 					}
 				}
 			}
-			out = append(out, run...)
 			i = j + 1
 			// An over-large aggregate response must fail this one request
 			// with a clean error, not kill the connection when the
 			// unsendable frame hits writeFrame (well-behaved clients chunk
 			// batches below batchFrameBudget; see client.go).
-			if len(out) > maxFrame-respHeaderLen {
+			if len(out)-base > maxFrame-respHeaderLen {
 				return nil, fmt.Errorf("batch response exceeds frame limit after %d of %d ops; split the batch", i, count)
 			}
 		}
@@ -881,37 +933,42 @@ type batchSub struct {
 
 // dispatchBucketRun executes a run of same-shard opReadBucket or
 // opWriteBucket sub-requests as a single BatchStore operation under the
-// shard lock, returning the concatenated per-sub responses. ok = false
-// declines the run — shard/ref validation failed, the store lacks batch
-// support, or the grouped call itself errored — and the caller falls back
-// to per-op dispatch, which reproduces exact per-sub status semantics.
-func (s *Server) dispatchBucketRun(subs []batchSub) (resp []byte, ok bool) {
+// shard lock and appends the per-sub responses to dst. ok = false declines
+// the run — shard/ref validation failed, the store lacks batch support, or
+// the grouped call itself errored — with dst returned untouched, and the
+// caller falls back to per-op dispatch, which reproduces exact per-sub
+// status semantics.
+//
+// Reads land in the worker's armed arena and are serialised once, into the
+// response frame (reserved up front); written slots are views into the
+// request frame, which the store copies into its own storage.
+func (s *Server) dispatchBucketRun(ws *workScratch, dst []byte, subs []batchSub) (out []byte, ok bool) {
 	g := s.geom
 	store, lock, err := s.shardStore(subs[0].shard)
 	if err != nil {
-		return nil, false
+		return dst, false
 	}
 	bs, isBatch := store.(oram.BatchStore)
 	if !isBatch {
-		return nil, false
+		return dst, false
 	}
-	refs := make([]oram.BucketRef, len(subs))
-	bufs := make([][]oram.Slot, len(subs))
-	reads := subs[0].op == opReadBucket
+	refs := slices.Grow(ws.refs[:0], len(subs))[:len(subs)]
+	ws.refs = refs
 	for i, sub := range subs {
-		level, node, rest, err := parseBucketRef(sub.body)
+		level, node, _, err := parseBucketRef(sub.body)
 		if err != nil || level < 0 || level >= g.Levels() || node >= 1<<uint(level) {
-			return nil, false
+			return dst, false
 		}
-		z := g.BucketSize(level)
 		refs[i] = oram.BucketRef{Level: level, Node: node}
-		bufs[i] = make([]oram.Slot, z)
-		if !reads {
-			for k := 0; k < z; k++ {
-				rest, err = parseSlot(rest, &bufs[i][k])
-				if err != nil {
-					return nil, false
-				}
+	}
+	bufs := ws.layout(g, len(refs), func(i int) int { return refs[i].Level })
+	reads := subs[0].op == opReadBucket
+	if reads {
+		ws.arm(g.BlockSize())
+	} else {
+		for i, sub := range subs {
+			if _, err := viewSlots(sub.body[bucketRefLen:], bufs[i]); err != nil {
+				return dst, false
 			}
 		}
 	}
@@ -923,20 +980,23 @@ func (s *Server) dispatchBucketRun(subs []batchSub) (resp []byte, ok bool) {
 	}
 	lock.Unlock()
 	if err != nil {
-		return nil, false
+		return dst, false
 	}
-	for i := range bufs {
-		if reads {
-			var body []byte
-			for k := range bufs[i] {
-				body = appendSlot(body, &bufs[i][k])
-			}
-			resp = appendBatchSubResp(resp, statusOK, body)
-		} else {
-			resp = appendBatchSubResp(resp, statusOK, nil)
+	if !reads {
+		out = slices.Grow(dst, 5*len(bufs))
+		for range bufs {
+			out = beginBatchSubResp(out, statusOK)
 		}
+		return out, true
 	}
-	return resp, true
+	out = slices.Grow(dst, 5*len(bufs)+slotsWireLen(len(ws.slots), g.BlockSize()))
+	for _, buf := range bufs {
+		out = beginBatchSubResp(out, statusOK)
+		mark := len(out)
+		out = appendSlots(out, buf)
+		patchLen(out, mark)
+	}
+	return out, true
 }
 
 // isClosedConn reports the "use of closed network connection" error that

@@ -117,6 +117,11 @@ type Engine struct {
 	entries uint64
 	seed    int64
 	subs    []Sub
+
+	// Batch-call scratch, one entry per shard: which batch positions each
+	// lane owns, and the lane's chunk buffers.
+	lanes   [][]int
+	scratch []laneScratch
 }
 
 // New builds the N shard stacks via cfg.Build.
@@ -133,7 +138,11 @@ func New(cfg Config) (*Engine, error) {
 	if uint64(cfg.Shards) > cfg.Entries {
 		return nil, fmt.Errorf("shard: %d shards over %d entries leaves empty shards", cfg.Shards, cfg.Entries)
 	}
-	e := &Engine{n: cfg.Shards, entries: cfg.Entries, seed: cfg.Seed}
+	e := &Engine{
+		n: cfg.Shards, entries: cfg.Entries, seed: cfg.Seed,
+		lanes:   make([][]int, cfg.Shards),
+		scratch: make([]laneScratch, cfg.Shards),
+	}
 	per := PerShardEntries(cfg.Entries, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		sub, err := cfg.Build(i, per, SeedFor(cfg.Seed, i))
@@ -194,44 +203,49 @@ func (e *Engine) Write(id uint64, data []byte) error {
 }
 
 // ReadBatch fans ids out to per-shard workers and merges the payloads back
-// in request order. Within a shard, accesses execute in batch order, so
-// results are deterministic for a fixed seed regardless of scheduling.
+// in request order. Each lane serves its share as joint multi-path accesses
+// (oram.Client.AccessBatch): one fetch of the deduplicated bucket union of up
+// to batchChunk keys, one joint write-back — two store operations per chunk
+// instead of two per key, which over a remote store is two frames per lane
+// for any request of up to batchChunk keys per shard. Within a shard,
+// accesses apply in batch order, so results are deterministic for a fixed
+// seed regardless of scheduling; a one-key share is byte-identical to Read.
 func (e *Engine) ReadBatch(ids []uint64) ([][]byte, error) {
 	return e.ReadBatchContext(context.Background(), ids)
 }
 
+// batchChunk is how many keys of one lane share a joint access. It bounds
+// what a request of any size can make one access hold — the transient stash
+// (the real blocks of batchChunk paths, ≈ 25 per path on the benchmark's
+// trees) and the bucket-union frame — and is a constant, not an option: no
+// caller at hand needs another value, larger chunks gain little (the paths
+// share only their top few levels) and smaller ones give the round trips
+// back.
+const batchChunk = 32
+
+// laneScratch is one lane's reusable view of its share of a batch: the
+// chunk's local ids and the payload slots AccessBatch reads or fills.
+type laneScratch struct {
+	ids []oram.BlockID
+	buf [][]byte
+}
+
 // ReadBatchContext is ReadBatch with cooperative cancellation: every shard
-// worker checks ctx before each access, so a cancelled context drains the
-// fan-out at the next access boundary and returns ctx.Err(). The check
-// consumes no randomness — an uncancelled batch is byte-identical to
-// ReadBatch.
+// worker checks ctx before each chunk of batchChunk keys, so a cancelled
+// context drains the fan-out at the next chunk boundary and returns
+// ctx.Err(). The check consumes no randomness — an uncancelled batch is
+// byte-identical to ReadBatch.
 func (e *Engine) ReadBatchContext(ctx context.Context, ids []uint64) ([][]byte, error) {
 	out := make([][]byte, len(ids))
-	lanes, err := e.split(ids)
-	if err != nil {
-		return nil, err
-	}
-	err = e.fanOut(func(s int) error {
-		c := e.subs[s].Client
-		for _, j := range lanes[s] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			p, err := c.Read(oram.BlockID(LocalID(ids[j], e.n)))
-			if err != nil {
-				return err
-			}
-			out[j] = p
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.accessBatch(ctx, oram.OpRead, ids, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// WriteBatch fans (ids[i], data[i]) pairs out to per-shard workers.
+// WriteBatch fans (ids[i], data[i]) pairs out to per-shard workers, each lane
+// applying its share as joint accesses (see ReadBatch); an id repeated in the
+// batch takes its payloads in batch order, so the last one wins.
 func (e *Engine) WriteBatch(ids []uint64, data [][]byte) error {
 	return e.WriteBatchContext(context.Background(), ids, data)
 }
@@ -242,36 +256,64 @@ func (e *Engine) WriteBatchContext(ctx context.Context, ids []uint64, data [][]b
 	if len(ids) != len(data) {
 		return fmt.Errorf("shard: WriteBatch got %d ids, %d payloads", len(ids), len(data))
 	}
+	return e.accessBatch(ctx, oram.OpWrite, ids, data)
+}
+
+// accessBatch is the one batched-access path: split by shard, then every
+// lane walks its share in chunks of batchChunk through its client's joint
+// access. rows[j] is the payload written for ids[j] (OpWrite) or the slot
+// that receives its caller-owned copy (OpRead).
+func (e *Engine) accessBatch(ctx context.Context, op oram.Op, ids []uint64, rows [][]byte) error {
 	lanes, err := e.split(ids)
 	if err != nil {
 		return err
 	}
 	return e.fanOut(func(s int) error {
-		c := e.subs[s].Client
-		for _, j := range lanes[s] {
+		c, sc := e.subs[s].Client, &e.scratch[s]
+		for lane := lanes[s]; len(lane) > 0; {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := c.Write(oram.BlockID(LocalID(ids[j], e.n)), data[j]); err != nil {
-				return err
+			chunk := lane[:min(batchChunk, len(lane))]
+			lane = lane[len(chunk):]
+			sc.ids, sc.buf = sc.ids[:0], sc.buf[:0]
+			for _, j := range chunk {
+				sc.ids = append(sc.ids, oram.BlockID(LocalID(ids[j], e.n)))
+				sc.buf = append(sc.buf, rows[j])
 			}
+			if op == oram.OpWrite {
+				if err := c.AccessBatch(op, sc.ids, sc.buf, nil); err != nil {
+					return err
+				}
+			} else {
+				if err := c.AccessBatch(op, sc.ids, nil, sc.buf); err != nil {
+					return err
+				}
+				for k, j := range chunk {
+					rows[j] = sc.buf[k]
+				}
+			}
+			clear(sc.buf) // drop the references to caller-owned rows
 		}
 		return nil
 	})
 }
 
 // split groups batch positions by owning shard, preserving batch order
-// within each lane.
+// within each lane. The lanes alias engine-owned scratch (the Engine is
+// single-caller) and are valid until the next batch call.
 func (e *Engine) split(ids []uint64) ([][]int, error) {
-	lanes := make([][]int, e.n)
+	for s := range e.lanes {
+		e.lanes[s] = e.lanes[s][:0]
+	}
 	for j, id := range ids {
 		if err := e.check(id); err != nil {
 			return nil, err
 		}
 		s := ShardOf(id, e.n)
-		lanes[s] = append(lanes[s], j)
+		e.lanes[s] = append(e.lanes[s], j)
 	}
-	return lanes, nil
+	return e.lanes, nil
 }
 
 // LoadCount is |{id < n : id ≡ s (mod N)}|: how many of the first n global

@@ -731,22 +731,32 @@ func (o *ORAM) Write(id uint64, data []byte) error {
 
 // ReadBatch obliviously fetches a batch of blocks, fanning the requests
 // out to per-shard worker goroutines and merging the payloads back in
-// request order (with one shard, the batch runs sequentially inline).
+// request order (with one shard, the batch runs inline). Each shard serves
+// its share as joint multi-path accesses: the paths of up to 32 keys are
+// fetched as one deduplicated bucket union, every touched block is remapped
+// to a fresh uniform path, and the union is written back jointly — two store
+// operations (two frames on a remote store) per 32 keys of a shard instead
+// of two per key. The server sees the union of independent uniform paths,
+// as it does under Train with BatchBins; a key that is already stashed, or
+// repeated in the batch, costs no path. Returned rows are the caller's.
 func (o *ORAM) ReadBatch(ids []uint64) ([][]byte, error) {
 	return o.eng.ReadBatch(ids)
 }
 
 // ReadBatchContext is ReadBatch with cooperative cancellation: every shard
-// worker checks ctx before each access, so a cancelled context drains the
-// fan-out at the next access boundary and returns ctx.Err(). The check
-// consumes no randomness — an uncancelled batch is byte-identical to
-// ReadBatch.
+// worker checks ctx before each joint access (a chunk of up to 32 of its
+// keys), so a cancelled context drains the fan-out at the next chunk
+// boundary and returns ctx.Err(). The check consumes no randomness — an
+// uncancelled batch is byte-identical to ReadBatch.
 func (o *ORAM) ReadBatchContext(ctx context.Context, ids []uint64) ([][]byte, error) {
 	return o.eng.ReadBatchContext(ctx, ids)
 }
 
 // WriteBatch obliviously updates a batch of blocks; data[i] is written to
-// ids[i]. Like ReadBatch, requests fan out across shards.
+// ids[i]. Like ReadBatch, requests fan out across shards and each shard
+// applies its share as joint accesses; an id that appears more than once
+// takes its payloads in batch order (the last one wins), and the first
+// write of a block costs one cover path, as under Write.
 func (o *ORAM) WriteBatch(ids []uint64, data [][]byte) error {
 	return o.eng.WriteBatch(ids, data)
 }
