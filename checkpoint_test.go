@@ -177,7 +177,7 @@ func TestCheckpointEnvelopeErrors(t *testing.T) {
 	// and crossing the split silently would put a client-held tree onto
 	// serving nodes (or vice versa) that the operator never asked to move.
 	addr := startShardedServer(t, 256, 1, 8)
-	rem, err := New(Options{Entries: 256, RemoteAddr: addr, Seed: 3})
+	rem, err := New(Options{Entries: 256, RemoteAddrs: []string{addr}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 // whole run with runtime/pprof for hot-path inspection.
 //
 // Experiment IDs follow DESIGN.md's experiment index: fig2, fig7a..fig7f,
-// fig8, fig9, table1, table2, memneutral, preproc, ring, security, serve,
+// fig8, fig9, table1, table2, memneutral, preproc, ring, security,
 // pipeline, sealed, elastic, tiered, serve-overload, and the ablations
 // abl-window, abl-profile, abl-thresh, abl-z, abl-model, abl-batch,
 // abl-shards.
@@ -71,7 +71,7 @@ func experiments() []experiment {
 		{"table1", "embedding table memory requirement", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Table1(sc, false) }},
 		{"table2", "average dummy reads per access", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Table2(sc, seed) }},
 		{"memneutral", "§VIII-C fat 9→5 vs uniform Z=6", func(sc harness.Scale, seed int64) (renderer, error) { return harness.MemNeutral(sc, seed) }},
-		{"preproc", "§VIII-A preprocessing timing pipeline", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Preproc(sc, seed) }},
+		{"preproc", "§VIII-A preprocessing timing: plan vs execute time of a windowed Train run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Preproc(sc, seed) }},
 		{"ring", "§VIII-G RingORAM vs LAORAM-on-Ring", func(sc harness.Scale, seed int64) (renderer, error) { return harness.RingExp(sc, seed) }},
 		{"security", "§VI empirical uniformity/indistinguishability", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Security(sc, seed) }},
 		{"abl-window", "ablation: look-ahead window size", func(sc harness.Scale, seed int64) (renderer, error) { return harness.WindowSweep(sc, seed) }},
@@ -81,7 +81,6 @@ func experiments() []experiment {
 		{"abl-model", "ablation: timing-model robustness", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ModelSweep(sc, seed) }},
 		{"abl-batch", "ablation: batch-granularity fetch", func(sc harness.Scale, seed int64) (renderer, error) { return harness.BatchSweep(sc, seed) }},
 		{"abl-shards", "ablation: shard count vs batch throughput", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ShardSweep(sc, seed) }},
-		{"serve", "remote serving path: pipelined vs sync protocol over TCP", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Serve(sc, seed) }},
 		{"pipeline", "§VIII-A overlap: streaming Trainer vs sequential plan-then-run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.PipelineExp(sc, seed) }},
 		{"sealed", "crypto fan-out: sealed-batch throughput vs CryptoWorkers", func(sc harness.Scale, seed int64) (renderer, error) { return harness.SealedExp(sc, seed) }},
 		{"elastic", "elastic serving: live migration blackout + re-placement vs rollback MTTR", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ElasticExp(sc, seed) }},

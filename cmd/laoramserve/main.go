@@ -7,7 +7,7 @@
 //
 // With -shards N the table is served as N independent shard trees (one
 // backing store per shard, the partition rules of internal/shard), matching
-// a client started with laoram.Options{Shards: N, RemoteAddr: ...}. Many
+// a client started with laoram.Options{Shards: N, RemoteAddrs: ...}. Many
 // clients may connect concurrently; requests are multiplexed per
 // connection and dispatched to a bounded worker pool with per-shard
 // locking.
@@ -358,7 +358,7 @@ var (
 	errMemBudgetWithoutDataDir = errors.New("-mem-budget requires -data-dir (the cache budget only applies to disk-backed stores)")
 	errDataDirIsCheckpointDir  = errors.New("-data-dir and -checkpoint must be different directories (checkpoints must survive an arena reset)")
 	errDataDirMetadataOnly     = errors.New("-data-dir requires a payload-bearing store (-block > 0); metadata-only trees fit in memory")
-	errDataDirSealed           = errors.New("-sealed uses a fresh random key per start and cannot resume sealed arenas across restarts; run -data-dir without -sealed (or front it with an encrypting client)")
+	errDataDirSealed           = errors.New("-sealed uses a fresh random key per start and cannot resume sealed arenas across restarts; run -data-dir without -sealed")
 	errNegativeMemBudget       = errors.New("-mem-budget must be >= 0")
 
 	errNegativeMaxInflight   = errors.New("-max-inflight must be >= 0")

@@ -59,24 +59,10 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		plan, err := db.Preprocess(stream, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.LoadForPlan(plan, payload); err != nil {
-			t.Fatal(err)
-		}
-		db.ResetStats()
-		sess, err := db.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.RunBatched(8, func(id uint64, row []byte) []byte {
+		sess := trainOneWindow(t, db, stream, 4, 8, payload, func(id uint64, row []byte) []byte {
 			row[0] += byte(id) // training update: every bin reseals its paths
 			return row
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}).Session
 		// Ad-hoc batch traffic on top of the session: the ReadBatch /
 		// WriteBatch / single-access shapes all cross the sealed store.
 		var ids []uint64
@@ -99,7 +85,7 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 		} else {
 			reads = append(reads, one)
 		}
-		return outcome{reads: reads, stats: db.Stats(), sess: sess.Stats(), snap: snapshotTree(t, db)}
+		return outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db)}
 	}
 
 	for _, shards := range []int{1, 4} {

@@ -18,7 +18,7 @@ import (
 // polls every node's opHealth heartbeat so a draining node (laoramserve
 // under SIGTERM) is evacuated proactively. Health-based *re-placement* —
 // moving a dead node's shards from the last checkpoint onto survivors —
-// lives in the Trainer's recovery loop (Recovery.Replace), which is the
+// lives in Train's recovery loop (Recovery.Replace), which is the
 // component that owns checkpoints and replay.
 
 // remote reports whether this instance serves through remote nodes.
@@ -202,7 +202,7 @@ type MonitorOptions struct {
 // OnEvent and — with AutoMigrate — evacuating draining nodes. The returned
 // stop function halts the monitor and waits for it to exit. Monitoring is
 // advisory: nothing it does rewinds training; a node that dies outright is
-// the Trainer recovery loop's job (Recovery.Replace).
+// the job of Train's recovery loop (Recovery.Replace).
 func (o *ORAM) StartHealthMonitor(opts MonitorOptions) (stop func(), err error) {
 	if !o.remote() {
 		return nil, fmt.Errorf("laoram: health monitoring requires a remote instance (Options.RemoteAddrs)")

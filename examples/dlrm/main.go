@@ -5,7 +5,7 @@
 // encrypted rows, the *addresses* of the rows a user's sample touches leak
 // their behaviour — so the table lives in LAORAM. The sample pipeline
 // produces the upcoming training order incrementally (modelled here by a
-// dataloader goroutine feeding a channel); the streaming Trainer scans it
+// dataloader goroutine feeding a channel); Train scans it
 // into look-ahead windows, planning window k+1 while window k trains — the
 // paper's §VIII-A two-stage pipeline — and each training step fetches one
 // superblock bin with one path read.
@@ -60,8 +60,8 @@ func main() {
 	fmt.Printf("server tree: %s (%.1f MB)\n", db.Describe(), float64(db.ServerBytes())/(1<<20))
 
 	// The dataloader: a goroutine feeding sample indices epoch by epoch,
-	// the way a real input pipeline hands batches to the trainer. The
-	// Trainer consumes it through an IndexSource.
+	// the way a real input pipeline hands batches to the trainer.
+	// Train consumes it through an IndexSource.
 	feed := make(chan uint64, 1024)
 	go func() {
 		defer close(feed)
@@ -70,7 +70,7 @@ func main() {
 		}
 	}()
 
-	// Stream the epochs through the Trainer. The look-ahead window is
+	// Stream the epochs through Train. The look-ahead window is
 	// left at 0 (the full stream) because the Kaggle trace's reuse
 	// distance is a whole epoch: any smaller horizon would let rows fall
 	// out of the plan between epochs and splinter superblock fetches

@@ -2,7 +2,7 @@
 //
 // This example stores encrypted 128-byte rows in a PathORAM tree, performs
 // some ad-hoc oblivious reads/writes, then trains through the streaming
-// look-ahead Trainer (the LAORAM fast path) and compares traffic.
+// look-ahead Train (the LAORAM fast path) and compares traffic.
 //
 //	go run ./examples/quickstart
 package main
@@ -59,7 +59,7 @@ func main() {
 		st.PathReads, st.PathWrites, float64(st.BytesMoved)/1024)
 
 	// Look-ahead mode: a training loop knows its upcoming accesses, so
-	// the Trainer ingests them through an IndexSource and scans them
+	// Train ingests them through an IndexSource and scans them
 	// into superblocks of 4 sharing a path. The window is left at 0 —
 	// the look-ahead horizon spans the whole stream, which is what a
 	// one-off uniform stream needs for the full superblock win (set

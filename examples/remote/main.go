@@ -4,9 +4,11 @@
 // contained example; run cmd/laoramserve for a real split). The trainer
 // client connects over the network — the socket is the paper's red line,
 // the insecure channel where the adversary sees every bucket address — and
-// performs oblivious accesses plus a look-ahead session against it. Rows
-// are sealed with AES-GCM before leaving the client, so the server holds
-// only ciphertext at addresses chosen uniformly at random.
+// performs oblivious accesses plus a look-ahead training pass against it.
+// What the ORAM hides is the access pattern: the server sees buckets at
+// addresses chosen uniformly at random. Row contents are not sealed on this
+// path (Options.Encrypt is rejected with RemoteAddrs until the client can
+// seal remote storage; see ROADMAP.md).
 //
 // The client is built with NewContext: cancelling the context closes the
 // connection, which is how a trainer stalled on a dead server is unwound
@@ -40,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := oram.NewPayloadStore(g, nil) // server sees sealed bytes as opaque payloads
+	store, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +61,9 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	db, err := laoram.NewContext(ctx, laoram.Options{
-		Entries:    entries,
-		RemoteAddr: addr,
-		Seed:       9,
+		Entries:     entries,
+		RemoteAddrs: []string{addr},
+		Seed:        9,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -114,7 +116,7 @@ func main() {
 	fmt.Printf("\nsession: %d row visits via %d path reads over the network\n", touched, st.PathReads)
 	fmt.Printf("server observed: %d bucket reads, %d bucket writes, %.2f MB on the wire\n",
 		c.BucketReads, c.BucketWrites, float64(c.BytesRead+c.BytesWritten)/(1<<20))
-	fmt.Println("…and nothing else: addresses are uniform paths, contents are ciphertext.")
+	fmt.Println("…and no pattern in them: every address is a uniformly random path.")
 }
 
 func padded(s string, n int) []byte {

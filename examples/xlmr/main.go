@@ -4,12 +4,12 @@
 // 262,144 rows of 4 KB. Token IDs are Zipf-distributed, so the same hot
 // rows recur constantly; knowing which embedding row a sample touches
 // reveals which words a user typed. This example compares PathORAM-style
-// per-access cost against the streaming look-ahead Trainer on the same
+// per-access cost against streaming look-ahead Train on the same
 // stream and prints the speedup, the paper's Fig. 7f measurement.
 //
 // Because Zipf reuse distances are short, the look-ahead horizon can be a
 // bounded window (a quarter of the stream here) without losing the
-// superblock win — so the Trainer preprocesses window k+1 while window k
+// superblock win — so Train preprocesses window k+1 while window k
 // trains, the §VIII-A pipeline, and never needs the whole token stream in
 // memory at once.
 //

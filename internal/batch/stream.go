@@ -1,3 +1,18 @@
+// Package batch implements the paper's two-stage training pipeline
+// (§VIII-A): "Preprocessing and accessing data are two pipeline stages in
+// the 2-stage LAORAM pipeline. Once the preprocessing for the first several
+// batches is complete, GPU can generate the LAORAM accesses and start the
+// training process. The preprocessing can then run ahead of the GPU
+// training process."
+//
+// A shard.Planner scans an incremental index Source window by window and
+// queues per-shard Plans; the trainer stage executes each window through a
+// sharded Session, all shard lanes concurrent, while the planner works on
+// the next window. Wall-clock time spent in each stage is recorded so the
+// harness can reproduce the §VIII-A observation that preprocessing is off
+// the critical path. Everything is context-aware: cancelling ctx stops the
+// planner, drains the shard workers at the next bin boundary and returns
+// ctx.Err().
 package batch
 
 import (
@@ -7,15 +22,6 @@ import (
 
 	"repro/internal/shard"
 )
-
-// stream.go is the streaming successor of the single-ORAM Pipeline: the
-// §VIII-A two-stage pipeline rebuilt on the sharded engine. A
-// shard.Planner scans an incremental index Source window by window and
-// queues per-shard Plans; the trainer stage executes each window through a
-// sharded Session, all shard lanes concurrent, while the planner works on
-// the next window. Everything is context-aware: cancelling ctx stops the
-// planner, drains the shard workers at the next bin boundary and returns
-// ctx.Err().
 
 // TrainConfig drives one streaming training run over a shard.Engine.
 type TrainConfig struct {
@@ -235,11 +241,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 			return err
 		}
 		runStart := time.Now()
-		if cfg.BatchBins > 0 {
-			err = sess.RunBatchedContext(ctx, cfg.BatchBins, cfg.NewVisit)
-		} else {
-			err = sess.RunContext(ctx, cfg.NewVisit)
-		}
+		err = sess.RunContext(ctx, cfg.BatchBins, nil, cfg.NewVisit)
 		st.TrainTime += time.Since(runStart)
 		ss := sess.Stats()
 		st.Bins += ss.Bins

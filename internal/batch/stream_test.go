@@ -129,3 +129,33 @@ func TestStreamValidation(t *testing.T) {
 		t.Errorf("empty stream: got %+v, %v; want 0-window success", st, err)
 	}
 }
+
+// TestWindowBoundariesCauseColdReads: shrinking the look-ahead window below
+// the reuse distance reintroduces cold path reads (the abl-window effect);
+// a full-stream window eliminates them after pre-placement.
+func TestWindowBoundariesCauseColdReads(t *testing.T) {
+	const entries = 512
+	stream := trace.PermutationEpochs(trace.NewRNG(3), entries, 2048)
+	run := func(window int) (cold, pathReads uint64) {
+		e := streamEngine(t, 1, entries, 8)
+		st, err := Train(context.Background(), e, &sliceSrc{rest: stream}, TrainConfig{
+			S: 4, Window: window, Depth: 2, PrePlace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Accesses != uint64(len(stream)) {
+			t.Fatalf("window %d trained %d of %d accesses", window, st.Accesses, len(stream))
+		}
+		return st.ColdPathReads, e.Stats().Access.PathReads
+	}
+	fullCold, fullReads := run(0)
+	tinyCold, tinyReads := run(64)
+	if fullCold != 0 {
+		t.Errorf("full-stream window after pre-placement made %d cold path reads, want 0", fullCold)
+	}
+	if tinyCold == 0 || tinyReads <= fullReads {
+		t.Errorf("tiny window: %d cold / %d path reads should exceed the full window's %d / %d",
+			tinyCold, tinyReads, fullCold, fullReads)
+	}
+}

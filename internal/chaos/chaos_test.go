@@ -343,3 +343,42 @@ func TestRestartRaceTyped(t *testing.T) {
 		}
 	}
 }
+
+// TestSuperviseStopsAfterLostRestartRace: a manual Restart that wins between
+// the supervisor's liveness check and its wait for the address to free must
+// not leave the supervisor dialling a live node forever — the wait ends when
+// the node is running again, so stop() returns promptly.
+func TestSuperviseStopsAfterLostRestartRace(t *testing.T) {
+	n := startNode(t, 1)
+	n.Kill()
+	n.WaitDown()
+	raced := make(chan struct{})
+	var once sync.Once
+	n.foundDown = func() {
+		once.Do(func() {
+			if _, err := n.Restart(); err != nil {
+				t.Errorf("manual restart: %v", err)
+			}
+			close(raced)
+		})
+	}
+	stop := n.Supervise(0, time.Millisecond)
+	select {
+	case <-raced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("supervisor never found the node down")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("stop() still blocked a second after the node came back: the supervisor is stuck waiting for a live node to go down")
+	}
+	if !n.Running() {
+		t.Error("node not running after the manual restart")
+	}
+}

@@ -36,6 +36,11 @@ type Node struct {
 	srv     *remote.Server
 	factory func() (oram.Store, error) // armed on every (re)started server; nil = fixed placement
 	limits  remote.Limits              // admission control, applied before every Listen
+
+	// foundDown, when set, runs in the supervisor between finding the node
+	// dead and waiting for its address to free — the window a manual
+	// Restart can win (tests only).
+	foundDown func()
 }
 
 // NewNode wraps a store factory. Every (re)start calls build() for fresh
@@ -216,7 +221,7 @@ func (n *Node) RestoreAll(snaps [][]byte) error {
 // the node, and when it finds it dead it waits for the address to free,
 // pauses delay (the restart latency of a real process manager), and
 // Restarts the node with fresh empty stores. It is the process-supervision
-// half of the automated failover story — the Trainer's recovery loop
+// half of the automated failover story — Train's recovery loop
 // restores state into whatever the supervisor brings back; the supervisor
 // itself restores nothing. The returned stop function halts supervision
 // and waits for the goroutine to exit (it never kills the node).
@@ -235,7 +240,10 @@ func (n *Node) Supervise(delay, poll time.Duration) (stop func()) {
 			if n.Running() {
 				continue
 			}
-			n.WaitDown()
+			if n.foundDown != nil {
+				n.foundDown()
+			}
+			n.waitDown(done)
 			select {
 			case <-done:
 				return
@@ -258,10 +266,20 @@ func (n *Node) Supervise(delay, poll time.Duration) (stop func()) {
 }
 
 // WaitDown blocks until nothing accepts on the node's address (the OS may
-// briefly keep accepting after Close on some platforms). Bounded by the
-// caller's patience: attempts dials until one is refused.
-func (n *Node) WaitDown() {
-	for {
+// briefly keep accepting after Close on some platforms), attempting dials
+// until one is refused. It also returns once the node is running again:
+// someone restarted it, every dial would succeed, and "down" is over.
+func (n *Node) WaitDown() { n.waitDown(nil) }
+
+// waitDown is WaitDown that additionally gives up when stop closes (a nil
+// stop never does).
+func (n *Node) waitDown(stop <-chan struct{}) {
+	for !n.Running() {
+		select {
+		case <-stop:
+			return
+		default:
+		}
 		conn, err := net.Dial("tcp", n.Addr())
 		if err != nil {
 			return

@@ -237,15 +237,3 @@ func (l *LAORAM) RunContext(ctx context.Context, visit Visit) error {
 	}
 	return nil
 }
-
-// RunN executes up to n bins, returning how many were executed.
-func (l *LAORAM) RunN(n int, visit Visit) (int, error) {
-	done := 0
-	for done < n && !l.cursor.Done() {
-		if _, err := l.StepBin(visit); err != nil {
-			return done, err
-		}
-		done++
-	}
-	return done, nil
-}

@@ -154,8 +154,10 @@ func TestColdStartConverges(t *testing.T) {
 	})
 	// First epoch: blocks/4 bins.
 	firstBins := int(blocks / 4)
-	if _, err := f.laoram.RunN(firstBins, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < firstBins; i++ {
+		if _, err := f.laoram.StepBin(nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cold1 := f.laoram.Stats().ColdPathReads
 	if cold1 == 0 {
@@ -251,9 +253,8 @@ func TestPlanExhaustion(t *testing.T) {
 	if _, err := f.laoram.StepBin(nil); err == nil {
 		t.Error("StepBin past plan end succeeded")
 	}
-	n, err := f.laoram.RunN(5, nil)
-	if err != nil || n != 0 {
-		t.Errorf("RunN on exhausted plan = %d, %v", n, err)
+	if err := f.laoram.Run(nil); err != nil {
+		t.Errorf("Run on exhausted plan = %v, want a no-op", err)
 	}
 }
 

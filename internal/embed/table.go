@@ -1,15 +1,9 @@
-// Package embed implements the embedding-table training substrate the
-// paper's evaluation runs on (§I-A, §VII-B): fixed-width embedding rows
-// stored as ORAM blocks, an SGD trainer with deterministic synthetic
-// gradients, and the model configurations of Table I (DLRM/Kaggle rows of
-// 128 bytes, XLM-R/XNLI rows of 4 KB).
-//
-// The trainer mirrors the paper's data flow: for each training batch the
-// client fetches the referenced rows through the (LA)ORAM into trusted
-// memory, applies the gradient update there, and the updated rows are
-// written back obliviously. Integration tests verify the resulting table
-// is bit-identical to an insecure in-memory baseline given the same sample
-// order.
+// Package embed holds the embedding-table row helpers the paper's
+// evaluation shapes need (§I-A, §VII-B): fixed-width float32 rows stored as
+// ORAM blocks, their little-endian codec, a deterministic row initialiser,
+// and the model configurations of Table I (DLRM/Kaggle rows of 128 bytes,
+// XLM-R/XNLI rows of 4 KB). The training loop itself is laoram.ORAM.Train
+// with a Visit callback.
 package embed
 
 import (

@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/batch"
+	laoram "repro"
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/oram"
@@ -543,48 +544,53 @@ func (r *MemNeutralResult) Render() string {
 
 // PreprocResult reproduces §VIII-A: preprocessing timing vs training.
 type PreprocResult struct {
-	Stats batch.Stats
+	Stats laoram.TrainStats
 }
 
-// Preproc runs the two-stage pipeline on the Kaggle-like workload.
+// PlanPerAccess and TrainPerAccess are the per-access averages of the two
+// pipeline stages (zero for an empty run).
+func (r *PreprocResult) PlanPerAccess() time.Duration {
+	return perAccess(r.Stats.PlanTime, r.Stats.Accesses)
+}
+
+func (r *PreprocResult) TrainPerAccess() time.Duration {
+	return perAccess(r.Stats.TrainTime, r.Stats.Accesses)
+}
+
+func perAccess(d time.Duration, accesses uint64) time.Duration {
+	if accesses == 0 {
+		return 0
+	}
+	return d / time.Duration(accesses)
+}
+
+// Preproc trains the Kaggle-like workload through ORAM.Train in four
+// look-ahead windows — the two-stage pipeline, window k+1 planned while
+// window k executes — and reports each stage's time.
 func Preproc(sc Scale, seed int64) (*PreprocResult, error) {
 	entries := sc.KaggleRows
 	stream, err := workloadStream(trace.KindKaggle, entries, sc.Accesses, seed)
 	if err != nil {
 		return nil, err
 	}
-	window := sc.Accesses / 4
-	if window < 8 {
-		window = 8
-	}
-	p, err := batch.NewPipeline(batch.PipelineConfig{
-		Stream: stream, S: 4, WindowAccesses: window, Depth: 2, Seed: seed + 13,
+	db, err := laoram.New(laoram.Options{
+		Entries: entries, BlockSize: 128, MetadataOnly: true, Seed: seed + 13,
 	})
 	if err != nil {
 		return nil, err
 	}
-	g, err := oram.NewGeometry(oram.GeometryConfig{
-		LeafBits: oram.LeafBitsFor(entries), LeafZ: 4, BlockSize: 128,
+	defer db.Close()
+	st, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream),
+		Superblock: 4,
+		Window:     max(sc.Accesses/4, 8),
+		Depth:      2,
+		PrePlace:   true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	base, err := oram.NewClient(oram.ClientConfig{
-		Store: oram.NewCountingStore(oram.NewMetaStore(g), nil),
-		Rand:  trace.NewRNG(seed + 14), Evict: oram.PaperEvict,
-		StashHits: true, Blocks: entries,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := p.PrePlaceFirstWindow(base, entries, nil); err != nil {
-		return nil, err
-	}
-	st, err := p.Run(base, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &PreprocResult{Stats: st}, nil
+	return &PreprocResult{Stats: *st}, nil
 }
 
 // Render formats the pipeline measurement.
@@ -595,16 +601,16 @@ func (r *PreprocResult) Render() string {
 	}
 	s := r.Stats
 	t.AddRow("windows", fmt.Sprintf("%d", s.Windows))
-	t.AddRow("bins", fmt.Sprintf("%d", s.Bins))
+	t.AddRow("bins", fmt.Sprintf("%d", s.Session.Bins))
 	t.AddRow("accesses", fmt.Sprintf("%d", s.Accesses))
-	t.AddRow("preprocess total", s.PreprocessTime.String())
+	t.AddRow("preprocess total", s.PlanTime.String())
 	t.AddRow("train (ORAM) total", s.TrainTime.String())
 	t.AddRow("trainer stalled", s.TrainerStalled.String())
-	t.AddRow("preprocess / access", s.PreprocessPerAccess.String())
-	t.AddRow("train / access", s.TrainPerAccess.String())
-	if s.TrainPerAccess > 0 {
+	t.AddRow("preprocess / access", r.PlanPerAccess().String())
+	t.AddRow("train / access", r.TrainPerAccess().String())
+	if plan := r.PlanPerAccess(); plan > 0 {
 		t.AddNote("preprocessing is %.0fx cheaper per access — off the critical path, as §VIII-A reports",
-			float64(s.TrainPerAccess)/float64(s.PreprocessPerAccess))
+			float64(r.TrainPerAccess())/float64(plan))
 	}
 	return t.Render()
 }

@@ -14,11 +14,12 @@ import (
 // "the preprocessing can then run ahead of the GPU training process". The
 // index stream of a real trainer is not a slice sitting in memory — it is
 // produced incrementally by the sample pipeline (a dataloader, a feature
-// queue) at a bounded rate. The one-shot API forces the sequential
-// schedule: wait for the whole stream to arrive, preprocess it, then
-// train. The streaming Trainer overlaps all three — indices arrive and are
-// binned into look-ahead windows while earlier windows execute — so the
-// stage-1 cost (stream arrival + §IV-B scan) hides behind ORAM execution.
+// queue) at a bounded rate. The sequential schedule
+// (TrainOptions.Sequential) waits for the whole stream to arrive,
+// preprocesses it, then trains. Pipelined Train overlaps all three —
+// indices arrive and are binned into look-ahead windows while earlier
+// windows execute — so the stage-1 cost (stream arrival + §IV-B scan)
+// hides behind ORAM execution.
 //
 // The experiment runs identical work through both schedules and reports
 // the wall-clock speedup of the overlap. The feed rate is an explicit
@@ -96,8 +97,8 @@ func pipelineRun(sc Scale, seed int64, stream []uint64, ratePerSec int, sequenti
 }
 
 // PipelineExp calibrates the feed to this host's training throughput,
-// then runs the sequential baseline (the one-shot API's schedule: full
-// stream arrives, then plan, then run) and the pipelined Trainer on
+// then runs the sequential baseline (full stream arrives, then plan, then
+// run) and the pipelined Train on
 // identical work and reports the overlap speedup.
 func PipelineExp(sc Scale, seed int64) (*PipelineResult, error) {
 	accesses := 4 * sc.Accesses

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -83,9 +84,10 @@ type sealedOutcome struct {
 }
 
 // runSealed measures one fan-out width: an encrypted single-shard
-// instance, the one-shot §IV-B plan over the stream, pre-placed load, then
-// the whole plan executed in batched server round trips (the §IV-A
-// per-training-batch fetch) under a read-modify-write visitor.
+// instance trains the stream as one pre-placed §IV-B window, executed in
+// batched server round trips (the §IV-A per-training-batch fetch) under a
+// read-modify-write visitor; the returned duration is the execution time
+// alone (load and planning excluded).
 func runSealed(entries uint64, seed int64, stream []uint64, workers, s, batchBins int) (time.Duration, sealedOutcome, error) {
 	var out sealedOutcome
 	db, err := laoram.New(laoram.Options{
@@ -101,38 +103,32 @@ func runSealed(entries uint64, seed int64, stream []uint64, workers, s, batchBin
 		return 0, out, err
 	}
 	defer db.Close()
-	plan, err := db.Preprocess(stream, s)
+	ts, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream),
+		Superblock: s,
+		BatchBins:  batchBins,
+		PrePlace:   true,
+		Payload: func(id uint64) []byte {
+			row := make([]byte, sealedBlockSize)
+			row[0] = byte(id)
+			return row
+		},
+		Visit: func(id uint64, row []byte) []byte {
+			row[0]++ // minimal training update; the whole fetched path reseals on write-back
+			return row
+		},
+	})
 	if err != nil {
 		return 0, out, err
 	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		row := make([]byte, sealedBlockSize)
-		row[0] = byte(id)
-		return row
-	}); err != nil {
-		return 0, out, err
-	}
-	db.ResetStats()
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		return 0, out, err
-	}
-	start := time.Now()
-	if err := sess.RunBatched(batchBins, func(id uint64, row []byte) []byte {
-		row[0]++ // minimal training update; the whole fetched path reseals on write-back
-		return row
-	}); err != nil {
-		return 0, out, err
-	}
-	wall := time.Since(start)
-	out.sess, out.stats = sess.Stats(), db.Stats()
-	return wall, out, nil
+	out.sess, out.stats = ts.Session, db.Stats()
+	return ts.TrainTime, out, nil
 }
 
 // SealedExp sweeps the crypto fan-out width over identical sealed batched
 // sessions. Wall-clock on a shared host is noisy, so each width takes the
-// best of two runs (the same noise-floor estimator the pipeline and serve
-// experiments use); a width above the host's CPU count runs once, for the
+// best of two runs (the same noise-floor estimator the pipeline
+// experiment uses); a width above the host's CPU count runs once, for the
 // identity check only. A cross-width mismatch of session or engine
 // counters is an error — the configurations are identical by construction.
 func SealedExp(sc Scale, seed int64) (*SealedResult, error) {

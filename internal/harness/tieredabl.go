@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -69,8 +70,8 @@ type tieredRun struct {
 	tree  int64
 }
 
-// runTiered executes the standard batched training session (one-shot
-// §IV-B plan, pre-placed load, read-modify-write visitor) on either the
+// runTiered executes the standard batched training run (the stream as one
+// pre-placed §IV-B window, read-modify-write visitor) on either the
 // in-memory store (dataDir == "") or the disk tier.
 func runTiered(entries uint64, blockSize int, seed int64, stream []uint64, s, batchBins int, dataDir string, budget int64, prefetch bool) (tieredRun, error) {
 	var out tieredRun
@@ -87,31 +88,26 @@ func runTiered(entries uint64, blockSize int, seed int64, stream []uint64, s, ba
 		return out, err
 	}
 	defer db.Close()
-	plan, err := db.Preprocess(stream, s)
+	ts, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source:     laoram.FromSlice(stream),
+		Superblock: s,
+		BatchBins:  batchBins,
+		PrePlace:   true,
+		Payload: func(id uint64) []byte {
+			row := make([]byte, blockSize)
+			row[0] = byte(id)
+			row[1] = byte(id >> 8)
+			return row
+		},
+		Visit: func(id uint64, row []byte) []byte {
+			row[0]++
+			return row
+		},
+	})
 	if err != nil {
 		return out, err
 	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		row := make([]byte, blockSize)
-		row[0] = byte(id)
-		row[1] = byte(id >> 8)
-		return row
-	}); err != nil {
-		return out, err
-	}
-	db.ResetStats()
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		return out, err
-	}
-	start := time.Now()
-	if err := sess.RunBatched(batchBins, func(id uint64, row []byte) []byte {
-		row[0]++
-		return row
-	}); err != nil {
-		return out, err
-	}
-	out.wall = time.Since(start)
+	out.wall = ts.TrainTime
 	for i := uint64(0); i < 64; i++ {
 		row, err := db.Read((i * 131) % entries)
 		if err != nil {
@@ -120,7 +116,7 @@ func runTiered(entries uint64, blockSize int, seed int64, stream []uint64, s, ba
 		out.reads = append(out.reads, row)
 	}
 	out.stats = db.Stats()
-	out.sess = sess.Stats()
+	out.sess = ts.Session
 	out.tree = db.TierBytes()
 	return out, nil
 }

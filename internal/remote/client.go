@@ -379,18 +379,6 @@ func (c *Client) AddStore() (*ShardStore, error) {
 	return &ShardStore{c: c, shard: idx}, nil
 }
 
-// SyncStore returns a bucket-granularity Store view of one shard that uses
-// only the v1 opcodes — one bucket per round trip, no path or batch
-// framing. It exists for the serve experiment's baseline (the old
-// synchronous protocol's behaviour); production callers want Store.
-func (c *Client) SyncStore(shard int) (oram.Store, error) {
-	st, err := c.Store(shard)
-	if err != nil {
-		return nil, err
-	}
-	return &syncStore{s: st}, nil
-}
-
 // readLoop routes response frames to their waiting callers by request ID.
 // It owns exactly one connection generation and reports its death via
 // lost(gen, ...), which ignores stale generations.
@@ -1271,29 +1259,6 @@ func (s *ShardStore) parseBatchResp(resp []byte, want int, visit func(i int, bod
 		return fmt.Errorf("remote: %d trailing bytes after batch response", len(rest))
 	}
 	return nil
-}
-
-// syncStore exposes only the four bucket/slot operations of a ShardStore:
-// the v1 synchronous protocol surface, kept as the serve experiment's
-// baseline.
-type syncStore struct {
-	s *ShardStore
-}
-
-var _ oram.Store = (*syncStore)(nil)
-
-func (b *syncStore) Geometry() *oram.Geometry { return b.s.Geometry() }
-func (b *syncStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	return b.s.ReadBucket(level, node, dst)
-}
-func (b *syncStore) WriteBucket(level int, node uint64, src []Slot) error {
-	return b.s.WriteBucket(level, node, src)
-}
-func (b *syncStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	return b.s.ReadSlot(level, node, slot, dst)
-}
-func (b *syncStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	return b.s.WriteSlot(level, node, slot, src)
 }
 
 // Slot aliases oram.Slot for the Store method signatures.

@@ -10,7 +10,7 @@ import (
 
 // Visit is invoked for each block of a bin while it is resident in trusted
 // memory; ids are global. Returning non-nil replaces the payload. During
-// Run/RunBatched, visit is called concurrently from different shard
+// Run/RunContext, visit is called concurrently from different shard
 // lanes — never concurrently for the same id (a block lives in exactly one
 // shard) — so implementations need per-lane scratch or no shared state;
 // NewVisit builds one visitor per lane for that purpose.
@@ -22,13 +22,11 @@ type Visit func(id uint64, payload []byte) []byte
 type NewVisit func(shard int) Visit
 
 // Session executes a sharded Plan: one core.LAORAM lane per shard, each
-// consuming its shard's bins in plan order. Step/StepBatch serve lanes
-// round-robin on the calling goroutine; Run/RunBatched drive every lane
+// consuming its shard's bins in plan order; Run/RunContext drive the lanes
 // concurrently.
 type Session struct {
 	e   *Engine
 	las []*core.LAORAM
-	rr  int // next lane Step considers (round-robin)
 }
 
 // NewSession builds the per-shard LAORAM lanes for plan p.
@@ -74,124 +72,47 @@ func (s *Session) Done() bool {
 	return true
 }
 
-// next returns the round-robin next lane with work, or -1 when done.
-func (s *Session) next() int {
-	for k := 0; k < len(s.las); k++ {
-		i := (s.rr + k) % len(s.las)
-		if !s.las[i].Done() {
-			s.rr = (i + 1) % len(s.las)
-			return i
-		}
-	}
-	return -1
-}
-
-// Step executes one superblock bin on the next lane that has work
-// (round-robin across shards, inline on the calling goroutine). Returns
-// false when every lane is exhausted.
-func (s *Session) Step(v Visit) (bool, error) {
-	i := s.next()
-	if i < 0 {
-		return false, nil
-	}
-	if _, err := s.las[i].StepBin(s.wrap(i, v)); err != nil {
-		return false, fmt.Errorf("shard %d: %w", i, err)
-	}
-	return true, nil
-}
-
-// StepBatch executes up to k bins in one batched round trip on the next
-// lane with work, returning the number of bins executed (0 when done).
-func (s *Session) StepBatch(k int, v Visit) (int, error) {
-	i := s.next()
-	if i < 0 {
-		return 0, nil
-	}
-	done, err := s.las[i].StepBatch(k, s.wrap(i, v))
-	if err != nil {
-		return done, fmt.Errorf("shard %d: %w", i, err)
-	}
-	return done, nil
-}
-
-// Run drives every lane to completion concurrently. nv (may be nil) builds
-// one visitor per lane; use it to keep scratch state lane-local.
+// Run drives every lane to completion concurrently, bin by bin. nv (may be
+// nil) builds one visitor per lane; use it to keep scratch state lane-local.
 func (s *Session) Run(nv NewVisit) error {
-	return s.RunContext(context.Background(), nv)
+	return s.RunContext(context.Background(), 0, nil, nv)
 }
 
-// RunContext is Run with cooperative cancellation: every lane checks ctx at
-// each bin boundary, so a cancelled context drains all shard workers (the
-// fan-out always joins) and returns ctx.Err(). The check consumes no
-// randomness — an uncancelled run is byte-identical to Run.
-func (s *Session) RunContext(ctx context.Context, nv NewVisit) error {
-	return s.e.fanOut(func(i int) error {
+// RunContext drives the lanes sel marks true (nil selects every lane) to
+// completion concurrently, k bins per server round trip (§IV-A's
+// per-training-batch fetch within each shard; 0 steps bin by bin). Every
+// lane checks ctx at each bin or batch boundary, so a cancelled context
+// drains all shard workers (the fan-out always joins) and returns
+// ctx.Err(); the check consumes no randomness — an uncancelled run is
+// byte-identical to Run.
+//
+// A lane selector is the re-placement catch-up path: after a dead node's
+// shards were restored from the last checkpoint onto survivors, just those
+// lanes re-run the windows since the boundary while the other lanes' plans
+// and live state stay untouched. A selected lane executes exactly as it
+// would with every lane selected (same bin order, same randomness), so a
+// caught-up lane is byte-identical to one that never failed.
+func (s *Session) RunContext(ctx context.Context, k int, sel []bool, nv NewVisit) error {
+	lane := func(i int) error {
 		var v Visit
 		if nv != nil {
 			v = nv(i)
 		}
-		if err := s.las[i].RunContext(ctx, s.wrap(i, v)); err != nil {
+		var err error
+		if k > 0 {
+			err = s.las[i].RunBatchedContext(ctx, k, s.wrap(i, v))
+		} else {
+			err = s.las[i].RunContext(ctx, s.wrap(i, v))
+		}
+		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		return nil
-	})
-}
-
-// RunBatched drives every lane to completion concurrently, k bins per
-// server round trip (§IV-A's per-training-batch fetch within each shard).
-func (s *Session) RunBatched(k int, nv NewVisit) error {
-	return s.RunBatchedContext(context.Background(), k, nv)
-}
-
-// RunBatchedContext is RunBatched with cooperative cancellation (ctx is
-// checked before every batch round trip in every lane).
-func (s *Session) RunBatchedContext(ctx context.Context, k int, nv NewVisit) error {
-	return s.e.fanOut(func(i int) error {
-		var v Visit
-		if nv != nil {
-			v = nv(i)
-		}
-		if err := s.las[i].RunBatchedContext(ctx, k, s.wrap(i, v)); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// RunLanesContext drives only the lanes sel marks true to completion,
-// leaving the other lanes' plans untouched — the re-placement catch-up
-// path: after a dead node's shards were restored from the last checkpoint
-// onto survivors, just those lanes re-run the windows since the boundary
-// while healthy lanes keep their live state. Each selected lane executes
-// exactly as it would under RunContext (same bin order, same randomness),
-// so a caught-up lane is byte-identical to one that never failed.
-func (s *Session) RunLanesContext(ctx context.Context, sel []bool, nv NewVisit) error {
-	return s.e.fanOutLanes(sel, func(i int) error {
-		var v Visit
-		if nv != nil {
-			v = nv(i)
-		}
-		if err := s.las[i].RunContext(ctx, s.wrap(i, v)); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// RunBatchedLanesContext is RunLanesContext with k bins per server round
-// trip — the selected-lane mirror of RunBatchedContext, so catch-up can
-// reproduce a batched run's exact access pattern.
-func (s *Session) RunBatchedLanesContext(ctx context.Context, k int, sel []bool, nv NewVisit) error {
-	return s.e.fanOutLanes(sel, func(i int) error {
-		var v Visit
-		if nv != nil {
-			v = nv(i)
-		}
-		if err := s.las[i].RunBatchedContext(ctx, k, s.wrap(i, v)); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		return nil
-	})
+	}
+	if sel == nil {
+		return s.e.fanOut(lane)
+	}
+	return s.e.fanOutLanes(sel, lane)
 }
 
 // Lane exposes shard i's LAORAM executor (stats, manual stepping).

@@ -182,7 +182,7 @@ func TestWriteBatch(t *testing.T) {
 
 // TestSessionConcurrentMatchesSerial builds two identically-seeded engines
 // and executes the same sharded plan once via the concurrent Run scheduler
-// and once via the serial round-robin Step loop. Per-shard work is
+// and once via a serial round-robin StepBin loop. Per-shard work is
 // deterministic given the seed, so the final table contents and the
 // aggregate counters must be identical regardless of lane interleaving.
 func TestSessionConcurrentMatchesSerial(t *testing.T) {
@@ -232,15 +232,15 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 			for i := range visitors {
 				visitors[i] = nv(i)
 			}
-			// Serial round-robin through the same lanes (next() both
-			// selects the lane and advances the cursor).
-			for {
-				i := sess.next()
-				if i < 0 {
-					break
-				}
-				if _, err := sess.Lane(i).StepBin(sess.wrap(i, visitors[i])); err != nil {
-					t.Fatal(err)
+			// Serial round-robin through the same lanes, one bin each.
+			for !sess.Done() {
+				for i := range visitors {
+					if sess.Lane(i).Done() {
+						continue
+					}
+					if _, err := sess.Lane(i).StepBin(sess.wrap(i, visitors[i])); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -417,8 +417,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := e.Preprocess([]uint64{1, 2, 64}, 2); err == nil {
 		t.Error("out-of-range stream id accepted")
 	}
+	if _, err := e.Preprocess([]uint64{1}, 0); err == nil {
+		t.Error("S=0 accepted")
+	}
 	if err := e.LoadForPlan(nil, nil); err == nil {
-		t.Error("nil plan accepted")
+		t.Error("nil plan accepted for load")
+	}
+	if _, err := e.NewSession(nil); err == nil {
+		t.Error("nil plan accepted for session")
 	}
 	other := payloadEngine(t, 4, 64, 16, 1)
 	p, err := other.Preprocess([]uint64{1, 2, 3}, 2)

@@ -132,80 +132,6 @@ func TestStaticReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestCachedStaticSequentialGain reproduces §II-D's "perfectly formed
-// superblock" arithmetic: with a client cache over static superblocks of
-// size S, a sequential scan costs ~1/S path reads per access.
-func TestCachedStaticSequentialGain(t *testing.T) {
-	const blocks = 256
-	const S = 4
-	base, _ := newBase(t, 8, blocks, 0)
-	so, err := NewStaticORAM(base, S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := so.LoadGrouped(blocks, nil); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewCachedStatic(so, 2*S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.ResetStats()
-	stream := trace.Sequential(blocks, 1024)
-	for _, a := range stream {
-		if _, err := cs.Access(oram.OpRead, oram.BlockID(a), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := base.Stats()
-	readsPerAccess := float64(st.PathReads) / float64(len(stream))
-	if readsPerAccess > 1.0/S+0.05 {
-		t.Errorf("sequential reads/access = %.3f, want ≈ %.3f", readsPerAccess, 1.0/S)
-	}
-	if hr := cs.Cache().HitRate(); hr < 0.7 {
-		t.Errorf("cache hit rate = %.2f, want ≈ 0.75", hr)
-	}
-}
-
-// TestCachedStaticWritebackDurability: dirty cached entries must survive a
-// flush and land in the ORAM.
-func TestCachedStaticWritebackDurability(t *testing.T) {
-	const blocks = 64
-	base, _ := newBase(t, 6, blocks, 8)
-	so, err := NewStaticORAM(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := so.LoadGrouped(blocks, func(id oram.BlockID) []byte { return u64payload(8, 0) }); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewCachedStatic(so, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := oram.BlockID(0); i < 16; i++ {
-		if _, err := cs.Access(oram.OpWrite, i, u64payload(8, uint64(i)+100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cs.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Read back through a fresh (uncached) path: values must be present.
-	for i := oram.BlockID(0); i < 16; i++ {
-		got, err := so.Access(oram.OpRead, i, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if binary.LittleEndian.Uint64(got) != uint64(i)+100 {
-			t.Errorf("block %d = %x after flush", i, got)
-		}
-	}
-	if cs.Inner() != so {
-		t.Error("Inner not retained")
-	}
-}
-
 func TestDynamicValidation(t *testing.T) {
 	base, _ := newBase(t, 6, 64, 0)
 	if _, err := NewDynamicORAM(base, DynamicConfig{S: 1, MergeThreshold: 3}); err == nil {

@@ -4,16 +4,16 @@
 // PathORAM with the paper's two contributions layered on top:
 //
 //   - Look-ahead superblocks (§IV): when the upcoming access stream is
-//     known — as it is in ML training — Preprocess groups future co-accessed
-//     blocks into superblock bins on shared paths, and a Session serves each
-//     bin with (ideally) a single path fetch.
+//     known — as it is in ML training — Train's planner groups future
+//     co-accessed blocks into superblock bins on shared paths and serves
+//     each bin with (ideally) a single path fetch.
 //   - Fat trees (§V): wider buckets near the root absorb superblock
 //     write-back pressure, cutting background evictions.
 //
 // Beyond the paper, Options.Shards partitions the table across N
 // independent ORAM instances (internal/shard): each shard has its own
 // position map, stash, server tree and preprocessor, and batch operations
-// plus Session execution fan out to per-shard worker goroutines. Shards=1
+// plus Train's execution fan out to per-shard worker goroutines. Shards=1
 // (the default) is byte-identical to the unsharded engine.
 //
 // Typical use:
@@ -32,13 +32,8 @@
 //
 // Train streams the upcoming indices through an incremental planner
 // (window k+1 is preprocessed while window k trains — the §VIII-A
-// two-stage pipeline) and is cancellable through its context. The
-// one-shot primitives it subsumes remain available and byte-identical:
-//
-//	plan, _ := db.Preprocess(upcomingIndices, 4)
-//	db.LoadForPlan(plan, initRow)                  // (fresh instance)
-//	s, _ := db.NewSession(plan)
-//	s.Run(func(id uint64, row []byte) []byte { return update(row) })
+// two-stage pipeline) and is cancellable through its context; it is the
+// one way to run a look-ahead training pass.
 //
 // Everything here wraps the internal packages; see DESIGN.md for the
 // paper-to-module map and README.md for a walkthrough.
@@ -79,7 +74,9 @@ type Options struct {
 	MetadataOnly bool
 	// Encrypt seals payloads with AES-128-GCM before they reach server
 	// storage (the §III threat model's "content of the memory itself is
-	// considered encrypted"). Ignored with MetadataOnly.
+	// considered encrypted"). Ignored with MetadataOnly; rejected with
+	// RemoteAddrs, where nothing on the client would seal (the nodes own
+	// their storage).
 	Encrypt bool
 	// CryptoWorkers bounds the intra-shard crypto fan-out of sealed
 	// stores: path reads/write-backs, batched bucket unions and
@@ -91,8 +88,9 @@ type Options struct {
 	// path. Either way results — tree bytes included — are
 	// byte-identical: parallel seals draw their nonce sequence number
 	// from a deterministic per-slot reservation, not from scheduling
-	// order. Applies to local encrypted stores (Encrypt without
-	// MetadataOnly/RemoteAddr); ignored otherwise.
+	// order. Applies to local in-memory encrypted stores (Encrypt without
+	// MetadataOnly or DataDir — disk-backed stores seal serially); ignored
+	// otherwise.
 	CryptoWorkers int
 	// Key is the optional 32-byte sealing key; nil generates a random
 	// one.
@@ -105,21 +103,18 @@ type Options struct {
 	Seed int64
 	// Shards partitions the table across this many independent ORAM
 	// instances (internal/shard), each with its own position map, stash,
-	// tree and preprocessor. 0 or 1 (the default) keeps today's
-	// single-instance behaviour; batch operations and Sessions then fan
-	// out to per-shard worker goroutines. Composes with RemoteAddr: the
-	// server must expose exactly Shards shard stores (laoramserve
+	// tree and preprocessor. 0 or 1 (the default) keeps the
+	// single-instance behaviour; batch operations and Train then fan out
+	// to per-shard worker goroutines. Composes with RemoteAddrs: the
+	// nodes together must expose Shards shard stores (laoramserve
 	// -shards N), and every shard lane then pipelines its requests on
-	// one multiplexed connection.
+	// its node's one multiplexed connection.
 	Shards int
-	// RemoteAddr, when set, uses a laoramserve instance at this address
-	// as server storage instead of in-process memory. Entries must match
-	// the server's tree capacity; BlockSize/BucketSize/FatTree are taken
-	// from the server. Shorthand for a one-element RemoteAddrs; setting
-	// both is an error.
-	RemoteAddr string
-	// RemoteAddrs spreads the shard trees across N laoramserve nodes —
-	// the multi-node serving tier. Placement is fixed and public: node j
+	// RemoteAddrs, when set, uses laoramserve nodes at these addresses as
+	// server storage instead of in-process memory, spreading the shard
+	// trees across the N of them. Entries must fit the servers' tree
+	// capacity; BlockSize/BucketSize/FatTree are taken from the servers.
+	// Placement is fixed and public: node j
 	// (RemoteAddrs[j]) serves every shard i with i % N == j, addressed
 	// there by local store index i / N, so node j must run laoramserve
 	// with -shards equal to its placement count (validated at dial time).
@@ -180,8 +175,8 @@ type Options struct {
 	// Existing clean arenas are resumed; an arena from a crashed run fails
 	// construction with diskstore.ErrUnclean inside the error chain.
 	// Incompatible with MetadataOnly (a 16 B/slot tree fits in RAM by
-	// construction) and with RemoteAddr/RemoteAddrs (the server owns its
-	// storage; use laoramserve -data-dir for a disk-backed serving tier).
+	// construction) and with RemoteAddrs (the server owns its storage; use
+	// laoramserve -data-dir for a disk-backed serving tier).
 	DataDir string
 	// MemBudget bounds the disk-backed stores' total in-memory bucket
 	// cache, in bytes, split evenly across shards (each shard keeps at
@@ -218,23 +213,6 @@ func (o Options) shards() int {
 		return 1
 	}
 	return o.Shards
-}
-
-// remoteAddrs resolves RemoteAddr/RemoteAddrs to the node list (nil when
-// local).
-func (o Options) remoteAddrs() ([]string, error) {
-	if o.RemoteAddr != "" && len(o.RemoteAddrs) > 0 {
-		return nil, fmt.Errorf("laoram: set Options.RemoteAddr or Options.RemoteAddrs, not both")
-	}
-	if o.RemoteAddr != "" {
-		return []string{o.RemoteAddr}, nil
-	}
-	for j, a := range o.RemoteAddrs {
-		if a == "" {
-			return nil, fmt.Errorf("laoram: Options.RemoteAddrs[%d] is empty", j)
-		}
-	}
-	return o.RemoteAddrs, nil
 }
 
 // cryptoWorkers resolves the crypto fan-out width (>= 1).
@@ -322,9 +300,14 @@ func NewContext(ctx context.Context, opts Options) (*ORAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrs, err := opts.remoteAddrs()
-	if err != nil {
-		return nil, err
+	addrs := opts.RemoteAddrs
+	for j, a := range addrs {
+		if a == "" {
+			return nil, fmt.Errorf("laoram: Options.RemoteAddrs[%d] is empty", j)
+		}
+	}
+	if opts.Encrypt && len(addrs) > 0 {
+		return nil, fmt.Errorf("laoram: Options.Encrypt is incompatible with RemoteAddrs (nothing on the client seals remote storage: rows would reach the nodes in plaintext)")
 	}
 	if opts.MemBudget < 0 {
 		return nil, fmt.Errorf("laoram: Options.MemBudget must be >= 0, got %d", opts.MemBudget)
@@ -351,7 +334,7 @@ func NewContext(ctx context.Context, opts Options) (*ORAM, error) {
 	// share. Disk-backed stores seal serially (their cost model is disk
 	// I/O, and serial sealing keeps them byte-identical to the serial
 	// in-memory path), so no pool is built for them.
-	if opts.Encrypt && !opts.MetadataOnly && len(addrs) == 0 && opts.DataDir == "" {
+	if opts.Encrypt && !opts.MetadataOnly && opts.DataDir == "" {
 		if w := opts.cryptoWorkers(); w > 1 {
 			o.pool = crypto.NewPool(w)
 		}
@@ -693,22 +676,6 @@ func (o *ORAM) LoadContext(ctx context.Context, n uint64, payload func(id uint64
 	return o.eng.LoadContext(ctx, n, payload)
 }
 
-// LoadForPlan bulk-initialises with look-ahead pre-placement: blocks start
-// on the path of their first superblock bin, the converged steady state of
-// §IV-B (equivalent to running a warm-up epoch).
-func (o *ORAM) LoadForPlan(p *Plan, payload func(id uint64) []byte) error {
-	return o.LoadForPlanContext(context.Background(), p, payload)
-}
-
-// LoadForPlanContext is LoadForPlan with cooperative cancellation at shard
-// granularity (see LoadContext).
-func (o *ORAM) LoadForPlanContext(ctx context.Context, p *Plan, payload func(id uint64) []byte) error {
-	if p == nil {
-		return fmt.Errorf("laoram: nil plan")
-	}
-	return o.eng.LoadForPlanContext(ctx, p.plan, payload)
-}
-
 // Read obliviously fetches a block (PathORAM access, §II-C). Returns nil
 // under MetadataOnly.
 func (o *ORAM) Read(id uint64) ([]byte, error) {
@@ -795,150 +762,21 @@ func (o *ORAM) Stats() Stats {
 // ResetStats zeroes activity counters (typically after Load).
 func (o *ORAM) ResetStats() { o.eng.ResetStats() }
 
-// Plan is the preprocessor output: superblock bins with assigned paths
-// (§IV-B), ready for a Session. With Shards > 1 it holds one plan per
-// shard, built over the shard's slice of the access stream.
-type Plan struct {
-	plan *shard.Plan
-}
-
-// Bins returns the number of superblock bins (summed across shards).
-func (p *Plan) Bins() int { return p.plan.Bins() }
-
-// UniqueBlocks returns the number of distinct blocks in the plan.
-func (p *Plan) UniqueBlocks() int { return p.plan.UniqueBlocks() }
-
-// MetadataBytes returns the size of the (superblock → future path)
-// metadata the preprocessor ships to the trainer.
-func (p *Plan) MetadataBytes() int64 { return p.plan.MetadataBytes() }
-
-// Preprocess runs the §IV-B preprocessing over the upcoming access stream:
-// the dataset scan bins the next s unique indices together and assigns each
-// bin a uniformly random path. With Shards > 1 the stream is partitioned
-// first and each shard's slice is scanned concurrently.
-func (o *ORAM) Preprocess(stream []uint64, s int) (*Plan, error) {
-	p, err := o.eng.Preprocess(stream, s)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{plan: p}, nil
-}
-
-// Session executes a Plan bin by bin: the LAORAM client of §IV-A. With
-// Shards > 1 it drives one executor lane per shard.
-type Session struct {
-	s *shard.Session
-}
-
-// NewSession starts executing plan on this ORAM. The instance should have
-// been loaded with LoadForPlan (or warmed up) for steady-state behaviour.
-func (o *ORAM) NewSession(p *Plan) (*Session, error) {
-	if p == nil {
-		return nil, fmt.Errorf("laoram: nil plan")
-	}
-	s, err := o.eng.NewSession(p.plan)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s}, nil
-}
-
 // Visit is invoked for each block of a bin while it is resident in trusted
 // memory; returning non-nil replaces the block's payload (the training
 // update). payload is nil under MetadataOnly.
 //
-// With Shards > 1, Run and RunBatched call visit concurrently from
+// With Shards > 1, Train calls TrainOptions.Visit concurrently from
 // different shard lanes (never concurrently for the same id); visit must
-// therefore avoid shared mutable state, or use the per-lane form of
-// Session.RunPerLane.
+// therefore avoid shared mutable state, or use the per-lane form
+// TrainOptions.PerLane.
 type Visit func(id uint64, payload []byte) []byte
 
-func wrapVisit(v Visit) shard.Visit {
-	if v == nil {
-		return nil
-	}
-	return shard.Visit(v)
-}
-
-func fanVisit(v Visit) shard.NewVisit {
-	if v == nil {
-		return nil
-	}
-	return func(int) shard.Visit { return shard.Visit(v) }
-}
-
-// Step executes the next superblock bin (round-robin across shard lanes),
-// returning false when the plan is exhausted.
-func (s *Session) Step(v Visit) (bool, error) {
-	return s.s.Step(wrapVisit(v))
-}
-
-// Run executes the remaining plan; shard lanes run concurrently.
-func (s *Session) Run(v Visit) error { return s.s.Run(fanVisit(v)) }
-
-// RunContext is Run with cooperative cancellation: every shard lane checks
-// ctx at each bin boundary, so a cancelled context drains all workers and
-// returns ctx.Err(). The check consumes no randomness — an uncancelled run
-// is byte-identical to Run.
-func (s *Session) RunContext(ctx context.Context, v Visit) error {
-	return s.s.RunContext(ctx, fanVisit(v))
-}
-
-// RunPerLane is Run with one visitor per shard lane: newVisit(lane) is
-// called once per lane before execution, letting trainers keep scratch
-// buffers and optimiser state lane-local during concurrent execution.
-func (s *Session) RunPerLane(newVisit func(lane int) Visit) error {
-	return s.RunPerLaneContext(context.Background(), newVisit)
-}
-
-// RunPerLaneContext is RunPerLane with cooperative cancellation (see
-// RunContext).
-func (s *Session) RunPerLaneContext(ctx context.Context, newVisit func(lane int) Visit) error {
-	if newVisit == nil {
-		return s.s.RunContext(ctx, nil)
-	}
-	return s.s.RunContext(ctx, func(lane int) shard.Visit { return wrapVisit(newVisit(lane)) })
-}
-
-// StepBatch executes up to k superblock bins in one batched server round
-// trip on the next lane with work, reading and writing buckets shared
-// between the batch's paths only once (the paper's per-training-batch
-// fetch, §IV-A). Returns the number of bins executed.
-func (s *Session) StepBatch(k int, v Visit) (int, error) {
-	return s.s.StepBatch(k, wrapVisit(v))
-}
-
-// RunBatched executes the remaining plan in batches of k bins; shard lanes
-// run concurrently.
-func (s *Session) RunBatched(k int, v Visit) error {
-	return s.s.RunBatched(k, fanVisit(v))
-}
-
-// RunBatchedContext is RunBatched with cooperative cancellation (ctx is
-// checked before every batch round trip in every lane).
-func (s *Session) RunBatchedContext(ctx context.Context, k int, v Visit) error {
-	return s.s.RunBatchedContext(ctx, k, fanVisit(v))
-}
-
-// Done reports whether the plan is exhausted.
-func (s *Session) Done() bool { return s.s.Done() }
-
 // SessionStats exposes the LAORAM-level counters of §IV (summed across
-// shard lanes).
+// shard lanes and windows; see TrainStats.Session).
 type SessionStats struct {
 	Bins            uint64
 	ColdPathReads   uint64
 	LookaheadRemaps uint64
 	UniformRemaps   uint64
-}
-
-// Stats returns the session's counters.
-func (s *Session) Stats() SessionStats {
-	st := s.s.Stats()
-	return SessionStats{
-		Bins:            st.Bins,
-		ColdPathReads:   st.ColdPathReads,
-		LookaheadRemaps: st.LookaheadRemaps,
-		UniformRemaps:   st.UniformRemaps,
-	}
 }

@@ -2,6 +2,7 @@ package laoram
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/oram"
@@ -21,7 +22,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, Key: []byte("short")}); err == nil {
 		t.Error("short key accepted")
 	}
-	if _, err := New(Options{Entries: 8, RemoteAddr: "127.0.0.1:1"}); err == nil {
+	if _, err := New(Options{Entries: 8, RemoteAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("dead remote accepted")
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, CryptoWorkers: -1}); err == nil {
@@ -160,6 +161,9 @@ func TestFatTreeOption(t *testing.T) {
 	}
 }
 
+// TestPreprocessAndSession runs one whole-stream look-ahead pass through
+// Train and checks the plan accounting, the steady-state path cost and that
+// the training update persisted.
 func TestPreprocessAndSession(t *testing.T) {
 	const entries = 1 << 10
 	db, err := New(Options{Entries: entries, BlockSize: 16, Seed: 5, Measure: true})
@@ -171,56 +175,23 @@ func TestPreprocessAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Bins() != 512 {
-		t.Errorf("bins = %d, want 512", plan.Bins())
-	}
-	if plan.UniqueBlocks() != entries {
-		t.Errorf("unique blocks = %d", plan.UniqueBlocks())
-	}
-	if plan.MetadataBytes() <= 0 {
-		t.Error("metadata bytes missing")
-	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte { return make([]byte, 16) }); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetStats()
-	s, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Done() {
-		t.Error("fresh session done")
-	}
 	visits := 0
-	more, err := s.Step(func(id uint64, payload []byte) []byte {
-		visits++
-		out := make([]byte, len(payload))
-		out[0] = 0xAB
-		return out
-	})
-	if err != nil || !more {
-		t.Fatalf("Step = %v, %v", more, err)
+	ts := trainOneWindow(t, db, stream, 4, 0, func(id uint64) []byte { return make([]byte, 16) },
+		func(id uint64, payload []byte) []byte {
+			visits++
+			out := make([]byte, len(payload))
+			out[0] = 0xAB
+			return out
+		})
+	if ts.Windows != 1 || ts.Accesses != uint64(len(stream)) {
+		t.Errorf("trained %d accesses in %d windows, want %d in 1", ts.Accesses, ts.Windows, len(stream))
 	}
-	if visits != 4 {
-		t.Errorf("first bin visited %d blocks", visits)
+	if visits != len(stream) {
+		t.Errorf("visited %d blocks, want %d", visits, len(stream))
 	}
-	if err := s.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Done() {
-		t.Error("session not done after Run")
-	}
-	more, err = s.Step(nil)
-	if err != nil || more {
-		t.Errorf("Step past end = %v, %v", more, err)
-	}
-	ss := s.Stats()
+	ss := ts.Session
 	if ss.Bins != 512 {
-		t.Errorf("session bins = %d", ss.Bins)
+		t.Errorf("session bins = %d, want 512", ss.Bins)
 	}
 	st := db.Stats()
 	if st.Accesses == 0 || st.SimTimeSeconds <= 0 {
@@ -230,9 +201,11 @@ func TestPreprocessAndSession(t *testing.T) {
 	if st.PathReads > ss.Bins {
 		t.Errorf("path reads %d > bins %d in steady state", st.PathReads, ss.Bins)
 	}
-	// The payload mutation from the first bin persisted.
-	first := stream[0]
-	got, err := db.Read(first)
+	// A second pass over an exhausted source is a successful no-op.
+	if again, err := db.Train(context.Background(), TrainOptions{Source: FromSlice(nil)}); err != nil || again.Windows != 0 {
+		t.Errorf("Train past the end of the stream = %+v, %v", again, err)
+	}
+	got, err := db.Read(stream[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,20 +214,26 @@ func TestPreprocessAndSession(t *testing.T) {
 	}
 }
 
+// TestSessionValidation: a superblock size or stream the planner rejects
+// fails Train, and leaves the instance usable.
 func TestSessionValidation(t *testing.T) {
 	db, err := New(Options{Entries: 16, BlockSize: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if _, err := db.NewSession(nil); err == nil {
-		t.Error("nil plan accepted")
+	ctx := context.Background()
+	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), Superblock: -1}); err == nil {
+		t.Error("negative Superblock accepted")
 	}
-	if err := db.LoadForPlan(nil, nil); err == nil {
-		t.Error("LoadForPlan with nil plan accepted")
+	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1, 16}), PrePlace: true}); err == nil {
+		t.Error("out-of-range stream id accepted")
 	}
-	if _, err := db.Preprocess([]uint64{1}, 0); err == nil {
-		t.Error("S=0 accepted")
+	if err := db.Load(16, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1, 2, 3})}); err != nil {
+		t.Errorf("Train after rejected runs: %v", err)
 	}
 }
 
@@ -271,7 +250,7 @@ func TestRemoteOption(t *testing.T) {
 	}
 	defer srv.Close()
 
-	db, err := New(Options{Entries: 256, RemoteAddr: addr, Seed: 8})
+	db, err := New(Options{Entries: 256, RemoteAddrs: []string{addr}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +267,7 @@ func TestRemoteOption(t *testing.T) {
 		t.Error("remote round trip failed")
 	}
 	// Entries exceeding the remote tree are rejected.
-	if _, err := New(Options{Entries: 1 << 20, RemoteAddr: addr}); err == nil {
+	if _, err := New(Options{Entries: 1 << 20, RemoteAddrs: []string{addr}}); err == nil {
 		t.Error("oversized Entries accepted for small remote tree")
 	}
 }

@@ -166,7 +166,7 @@ func TestBatchedLookupsAcrossBackends(t *testing.T) {
 			return o
 		},
 		"remote": func(t *testing.T) Options {
-			return Options{Entries: entries, Seed: seed, Shards: shards, RemoteAddr: startShardedServer(t, entries, shards, blockSize)}
+			return Options{Entries: entries, Seed: seed, Shards: shards, RemoteAddrs: []string{startShardedServer(t, entries, shards, blockSize)}}
 		},
 	}
 	for name, opts := range variants {

@@ -83,22 +83,8 @@ func TestMultiNodeMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := db.Preprocess(stream, S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.LoadForPlan(plan, initPayload); err != nil {
-			t.Fatal(err)
-		}
-		db.ResetStats()
-		sess, err := db.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Run(visit); err != nil {
-			t.Fatal(err)
-		}
-		return db, sess.Stats(), db.Stats()
+		st := trainOneWindow(t, db, stream, S, 0, initPayload, visit)
+		return db, st.Session, db.Stats()
 	}
 
 	local, localSess, localStats := run(Options{
@@ -135,43 +121,6 @@ func TestMultiNodeMatchesLocal(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d: multi-node engine diverges from local", id)
-		}
-	}
-}
-
-// TestMultiNodeSingleAddrMatchesRemoteAddr: RemoteAddrs with one node is
-// exactly the RemoteAddr path (the back-compat alias).
-func TestMultiNodeSingleAddrMatchesRemoteAddr(t *testing.T) {
-	const entries = 1 << 8
-	addr := startShardedServer(t, entries, 2, 16)
-	addr2 := startShardedServer(t, entries, 2, 16)
-	a, err := New(Options{Entries: entries, Shards: 2, RemoteAddr: addr, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(Options{Entries: entries, Shards: 2, RemoteAddrs: []string{addr2}, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	pay := func(id uint64) []byte { p := make([]byte, 16); p[0] = byte(id); return p }
-	for _, db := range []*ORAM{a, b} {
-		if err := db.Load(entries, pay); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := uint64(0); id < 32; id++ {
-		wa, err := a.Read(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := b.Read(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wa, wb) {
-			t.Fatalf("block %d diverges between RemoteAddr and one-element RemoteAddrs", id)
 		}
 	}
 }
@@ -295,9 +244,6 @@ func TestReplacementRestore(t *testing.T) {
 // TestMultiNodeOptionValidation pins the construction errors of the
 // multi-node placement.
 func TestMultiNodeOptionValidation(t *testing.T) {
-	if _, err := New(Options{Entries: 64, RemoteAddr: "x:1", RemoteAddrs: []string{"y:1"}}); err == nil {
-		t.Error("RemoteAddr and RemoteAddrs together accepted")
-	}
 	if _, err := New(Options{Entries: 64, RemoteAddrs: []string{"x:1", ""}}); err == nil {
 		t.Error("empty node address accepted")
 	}

@@ -2,8 +2,34 @@ package laoram
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
+
+// TestIncompatibleOptions: an option that would silently do nothing in the
+// requested combination fails construction, before any node is dialled (the
+// addresses here answer nothing).
+func TestIncompatibleOptions(t *testing.T) {
+	dead := []string{"127.0.0.1:1"}
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"encrypt over remote storage", Options{Entries: 256, Encrypt: true, RemoteAddrs: dead}, "Options.Encrypt is incompatible with RemoteAddrs"},
+		{"encrypt with a key over sharded remote storage",
+			Options{Entries: 256, Shards: 2, Encrypt: true, Key: make([]byte, 32), RemoteAddrs: []string{dead[0], dead[0]}},
+			"Options.Encrypt is incompatible with RemoteAddrs"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
 
 // TestVerifyOption: the Merkle-authenticated store works end to end
 // through the public API.
@@ -57,24 +83,12 @@ func TestVerifyWithEncryptAndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte { return make([]byte, 32) }); err != nil {
-		t.Fatal(err)
-	}
-	s, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	if err := s.Run(func(id uint64, payload []byte) []byte {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	trainOneWindow(t, db, stream, 4, 0, func(id uint64) []byte { return make([]byte, 32) },
+		func(id uint64, payload []byte) []byte {
+			n++
+			return nil
+		})
 	if n != len(stream) {
 		t.Errorf("visited %d rows, want %d", n, len(stream))
 	}

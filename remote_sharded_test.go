@@ -79,22 +79,8 @@ func TestShardedRemoteMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := db.Preprocess(stream, S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.LoadForPlan(plan, initPayload); err != nil {
-			t.Fatal(err)
-		}
-		db.ResetStats()
-		sess, err := db.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.Run(visit); err != nil {
-			t.Fatal(err)
-		}
-		return db, sess.Stats(), db.Stats()
+		st := trainOneWindow(t, db, stream, S, 0, initPayload, visit)
+		return db, st.Session, db.Stats()
 	}
 
 	local, localSess, localStats := run(Options{
@@ -104,7 +90,7 @@ func TestShardedRemoteMatchesLocal(t *testing.T) {
 
 	addr := startShardedServer(t, entries, shards, blockSize)
 	rem, remSess, remStats := run(Options{
-		Entries: entries, Seed: seed, Shards: shards, RemoteAddr: addr,
+		Entries: entries, Seed: seed, Shards: shards, RemoteAddrs: []string{addr},
 	})
 	defer rem.Close()
 
@@ -149,10 +135,10 @@ func TestShardedRemoteMatchesLocal(t *testing.T) {
 // and client disagree on the partition count.
 func TestRemoteShardCountMismatch(t *testing.T) {
 	addr := startShardedServer(t, 1<<8, 2, 16)
-	if _, err := New(Options{Entries: 1 << 8, Shards: 4, RemoteAddr: addr}); err == nil {
+	if _, err := New(Options{Entries: 1 << 8, Shards: 4, RemoteAddrs: []string{addr}}); err == nil {
 		t.Error("4-shard client accepted by 2-shard server")
 	}
-	db, err := New(Options{Entries: 1 << 8, Shards: 2, RemoteAddr: addr, Seed: 3})
+	db, err := New(Options{Entries: 1 << 8, Shards: 2, RemoteAddrs: []string{addr}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

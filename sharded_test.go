@@ -40,7 +40,7 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 	}
 
 	// Reference: the single-ORAM path assembled directly from internals,
-	// mirroring what New/Preprocess/NewSession compose.
+	// mirroring what New and Train compose.
 	g, err := oram.NewGeometry(oram.GeometryConfig{
 		LeafBits: oram.LeafBitsFor(entries), LeafZ: 4, BlockSize: blockSize,
 	})
@@ -82,26 +82,12 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	plan, err := db.Preprocess(stream, S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plan.Bins(), refPlan.Len(); got != want {
+	pubSess := trainOneWindow(t, db, stream, S, 0, initPayload, visit).Session
+	if got, want := pubSess.Bins, uint64(refPlan.Len()); got != want {
 		t.Fatalf("plan bins: public %d, reference %d", got, want)
-	}
-	if err := db.LoadForPlan(plan, initPayload); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Run(visit); err != nil {
-		t.Fatal(err)
 	}
 
 	refStats := la.Stats()
-	pubSess := sess.Stats()
 	if pubSess.Bins != refStats.Bins ||
 		pubSess.LookaheadRemaps != refStats.LookaheadRemaps ||
 		pubSess.UniformRemaps != refStats.UniformRemaps ||
@@ -193,38 +179,22 @@ func TestShardedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := db.Preprocess(stream, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Bins() == 0 || plan.UniqueBlocks() == 0 {
-		t.Fatalf("empty plan: %d bins, %d blocks", plan.Bins(), plan.UniqueBlocks())
-	}
-	if err := db.LoadForPlan(plan, func(id uint64) []byte {
-		return bytes.Repeat([]byte{byte(id)}, blockSize)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db.ResetStats()
-	sess, err := db.NewSession(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A pure marker update: safe under concurrent lanes.
 	marker := func(id uint64, payload []byte) []byte {
 		out := bytes.Repeat([]byte{0xAB}, len(payload))
 		out[0] = byte(id)
 		return out
 	}
-	if err := sess.Run(marker); err != nil {
-		t.Fatal(err)
+	ts := trainOneWindow(t, db, stream, 4, 0, func(id uint64) []byte {
+		return bytes.Repeat([]byte{byte(id)}, blockSize)
+	}, marker)
+	if ts.Windows != 1 || ts.Accesses != uint64(len(stream)) {
+		t.Fatalf("trained %d accesses in %d windows, want %d in 1", ts.Accesses, ts.Windows, len(stream))
 	}
-	if !sess.Done() {
-		t.Fatal("session not done after Run")
-	}
-	st := sess.Stats()
-	if int(st.Bins) != plan.Bins() {
-		t.Errorf("executed %d bins, plan has %d", st.Bins, plan.Bins())
+	st := ts.Session
+	// Every bin holds at most 4 blocks and every access lands in one.
+	if distinct := uint64(len(uniqueSorted(stream))); st.Bins == 0 || 4*st.Bins < distinct {
+		t.Errorf("executed %d bins for %d distinct blocks", st.Bins, distinct)
 	}
 	if st.ColdPathReads != 0 {
 		t.Errorf("pre-placed run saw %d cold path reads", st.ColdPathReads)
@@ -242,27 +212,10 @@ func TestShardedSession(t *testing.T) {
 
 // TestShardsValidation pins the sharding-specific construction errors.
 func TestShardsValidation(t *testing.T) {
-	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 2, RemoteAddr: "127.0.0.1:1"}); err == nil {
-		t.Error("Shards > 1 with RemoteAddr accepted")
+	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 2, RemoteAddrs: []string{"127.0.0.1:1"}}); err == nil {
+		t.Error("Shards > 1 with a dead remote accepted")
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Shards: 16}); err == nil {
 		t.Error("more shards than entries accepted")
-	}
-	db, err := New(Options{Entries: 64, BlockSize: 16, Shards: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	other, err := New(Options{Entries: 64, BlockSize: 16, Shards: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-	p, err := other.Preprocess([]uint64{1, 2, 3, 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.NewSession(p); err == nil {
-		t.Error("plan from a 4-shard instance accepted by a 2-shard instance")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // IndexSource is a pull-based stream of upcoming embedding indices — the
-// incremental replacement for handing Preprocess the entire access stream
-// as one []uint64. Training systems usually learn the upcoming sample
+// incremental alternative to materialising the entire access stream as one
+// []uint64. Training systems usually learn the upcoming sample
 // order batch by batch (a dataloader, a feature-store queue, a shuffled
 // epoch being generated on the fly); an IndexSource lets the look-ahead
 // planner consume that order as it appears, so epoch-scale runs never
@@ -43,10 +43,8 @@ type RewindSource interface {
 	Rewind(pos uint64) error
 }
 
-// FromSlice adapts an in-memory access stream to a RewindSource (the
-// bridge from the one-shot API: Preprocess(stream, s) becomes
-// TrainOptions{Source: FromSlice(stream)}). The slice is not copied; do
-// not mutate it while training.
+// FromSlice adapts an in-memory access stream to a RewindSource. The slice
+// is not copied; do not mutate it while training.
 func FromSlice(stream []uint64) RewindSource {
 	return &sliceSource{s: trace.NewStream(stream)}
 }

@@ -61,24 +61,10 @@ func TestTieredIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		plan, err := db.Preprocess(stream, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.LoadForPlan(plan, payload); err != nil {
-			t.Fatal(err)
-		}
-		db.ResetStats()
-		sess, err := db.NewSession(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.RunBatched(8, func(id uint64, row []byte) []byte {
+		sess := trainOneWindow(t, db, stream, 4, 8, payload, func(id uint64, row []byte) []byte {
 			row[0] += byte(id)
 			return row
-		}); err != nil {
-			t.Fatal(err)
-		}
+		}).Session
 		var ids []uint64
 		for i := uint64(0); i < 64; i++ {
 			ids = append(ids, (i*37)%entries)
@@ -103,7 +89,7 @@ func TestTieredIdentity(t *testing.T) {
 		for _, ds := range db.disks {
 			tree += ds.TreeBytes()
 		}
-		o := outcome{reads: reads, stats: db.Stats(), sess: sess.Stats(), snap: snapshotTree(t, db)}
+		o := outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db)}
 		// Tier counters are the disk run's own telemetry — residency and
 		// timing dependent, deliberately outside the identity contract.
 		o.stats.TierHits = 0
@@ -165,7 +151,7 @@ func TestTieredOptionValidation(t *testing.T) {
 		{"budget without data dir", func(o *Options) { o.MemBudget = 1 << 20 }, "requires Options.DataDir"},
 		{"disable prefetch without data dir", func(o *Options) { o.DisablePrefetch = true }, "requires Options.DataDir"},
 		{"metadata-only on disk", func(o *Options) { o.DataDir = t.TempDir(); o.MetadataOnly = true }, "MetadataOnly"},
-		{"remote with data dir", func(o *Options) { o.DataDir = t.TempDir(); o.RemoteAddr = "127.0.0.1:1" }, "laoramserve -data-dir"},
+		{"remote with data dir", func(o *Options) { o.DataDir = t.TempDir(); o.RemoteAddrs = []string{"127.0.0.1:1"} }, "laoramserve -data-dir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 // This file re-exports the embedding-table training helpers the examples
 // and downstream users need, so they can stay on the public API. They
-// plug directly into the streaming Trainer: InitRowBytes produces the
+// plug directly into ORAM.Train: InitRowBytes produces the
 // TrainOptions.Payload initialiser and GenerateTrace/FromTrace produce
 // evaluation IndexSources.
 
@@ -31,7 +31,8 @@ func DecodeRow(payload []byte) ([]float32, error) { return embed.DecodeRow(paylo
 // InitRow returns the deterministic initial embedding vector for a row.
 func InitRow(cfg TableConfig, id uint64) []float32 { return embed.InitRow(cfg, id) }
 
-// InitRowBytes returns a payload initialiser for Load/LoadForPlan.
+// InitRowBytes returns a payload initialiser for Load and
+// TrainOptions.Payload.
 func InitRowBytes(cfg TableConfig) func(id uint64) []byte {
 	f := embed.InitRowBytes(cfg)
 	return func(id uint64) []byte { return f(id) }

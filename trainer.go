@@ -11,9 +11,8 @@ import (
 	"repro/internal/shard"
 )
 
-// TrainOptions configures one streaming training run — the v2 API that
-// subsumes the Preprocess → LoadForPlan → NewSession → Run/RunBatched
-// dance of the one-shot flow. Only Source is required.
+// TrainOptions configures one streaming training run (ORAM.Train). Only
+// Source is required.
 type TrainOptions struct {
 	// Source streams the upcoming embedding indices in training order
 	// (FromSlice, FromTrace, FromChannel, or any custom IndexSource).
@@ -22,10 +21,11 @@ type TrainOptions struct {
 	// evaluates S ∈ {2, 4, 8}).
 	Superblock int
 	// Window is the look-ahead horizon: how many upcoming accesses each
-	// planning window scans. 0 plans the entire stream as one window —
-	// byte-identical to the one-shot Preprocess/Session flow under the
-	// same seed. Smaller windows bound planner memory and latency but
-	// degrade toward PathORAM as blocks leave the horizon (the
+	// planning window scans. 0 plans the entire stream as one window, the
+	// paper's whole-epoch preprocessing (byte-identical to the engine-level
+	// Preprocess → LoadForPlan → Session flow under the same seed;
+	// DESIGN.md invariant #9). Smaller windows bound planner memory and
+	// latency but degrade toward PathORAM as blocks leave the horizon (the
 	// abl-window ablation). A positive Window must be >= Superblock.
 	Window int
 	// Depth is how many preprocessed windows may queue ahead of the
@@ -46,11 +46,10 @@ type TrainOptions struct {
 	PerLane func(lane int) Visit
 	// PrePlace bulk-loads the table before the first window executes,
 	// pre-placing every block of window 0 on its first superblock's path
-	// (the converged steady state of §IV-B — what LoadForPlan does in
-	// the one-shot flow), then zeroes the activity counters so Stats
-	// describe the training run only (the LoadForPlan → ResetStats
-	// convention). When false, the instance must already be loaded
-	// (Load or a previous run).
+	// (the converged steady state of §IV-B, equivalent to running a
+	// warm-up epoch), then zeroes the activity counters so Stats describe
+	// the training run only. When false, the instance must already be
+	// loaded (Load or a previous run).
 	PrePlace bool
 	// Payload initialises rows during the PrePlace load; nil loads
 	// zero/simulated content. Requires PrePlace.
@@ -172,19 +171,25 @@ type TrainStats struct {
 	RewoundAccesses uint64
 }
 
-// Trainer is the pipelined training facade: an incremental planner
-// (internal/shard.Planner) scanning the Source window by window on a
-// bounded queue, and a sharded executor running each window while the next
-// is being planned. Build one with NewTrainer, run it with Train; the
-// one-call form is ORAM.Train.
-type Trainer struct {
-	db   *ORAM
-	opts TrainOptions
-	ran  bool
-}
-
-// NewTrainer validates opts against the instance and returns a Trainer.
-func (o *ORAM) NewTrainer(opts TrainOptions) (*Trainer, error) {
+// Train is the streaming training API: an incremental planner
+// (internal/shard.Planner) scans opts.Source window by window on a bounded
+// queue, and the sharded executor runs each window while the next is being
+// planned.
+//
+//	st, err := db.Train(ctx, laoram.TrainOptions{
+//	    Source:     laoram.FromSlice(upcoming),
+//	    Superblock: 4,
+//	    Window:     1 << 16,
+//	    PrePlace:   true,
+//	    Visit:      func(id uint64, row []byte) []byte { return update(row) },
+//	})
+//
+// It runs the pipeline to completion, or until ctx is cancelled, in which
+// case it returns ctx.Err() after the planner goroutine and every shard
+// worker have drained. Cancelling a run over RemoteAddrs also closes the
+// node connections — the only way to unblock a request stalled on a dead
+// network — so the instance is not usable after a cancelled remote run.
+func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error) {
 	if opts.Source == nil {
 		return nil, fmt.Errorf("laoram: TrainOptions.Source is required")
 	}
@@ -202,24 +207,6 @@ func (o *ORAM) NewTrainer(opts TrainOptions) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	return &Trainer{db: o, opts: opts}, nil
-}
-
-// Train runs the pipeline to completion (or until ctx is cancelled, in
-// which case it returns ctx.Err() after the planner goroutine and every
-// shard worker have drained). Cancelling a run over RemoteAddr also closes
-// the server connection — the only way to unblock a request stalled on a
-// dead network — so the instance is not usable after a cancelled remote
-// run. A Trainer is single-use: run it once.
-func (t *Trainer) Train(ctx context.Context) (*TrainStats, error) {
-	if t.ran {
-		// The Source was (partially) consumed by the first run; a silent
-		// zero-window "success" here would mask that.
-		return nil, fmt.Errorf("laoram: Trainer already ran (build a new Trainer with a fresh Source)")
-	}
-	t.ran = true
-	o := t.db
-	opts := t.opts
 	cfg := batch.TrainConfig{
 		S:          opts.Superblock,
 		Window:     opts.Window,
@@ -231,9 +218,9 @@ func (t *Trainer) Train(ctx context.Context) (*TrainStats, error) {
 	}
 	switch {
 	case opts.PerLane != nil:
-		cfg.NewVisit = func(lane int) shard.Visit { return wrapVisit(opts.PerLane(lane)) }
+		cfg.NewVisit = func(lane int) shard.Visit { return shard.Visit(opts.PerLane(lane)) }
 	case opts.Visit != nil:
-		cfg.NewVisit = fanVisit(opts.Visit)
+		cfg.NewVisit = func(int) shard.Visit { return shard.Visit(opts.Visit) }
 	}
 
 	// A remote request stalled on the network cannot observe ctx; closing
@@ -259,19 +246,16 @@ func (t *Trainer) Train(ctx context.Context) (*TrainStats, error) {
 	}
 
 	if opts.Recovery != nil {
-		return t.trainRecover(ctx, cfg)
+		return o.trainRecover(ctx, opts, cfg)
 	}
 	st, err := batch.Train(ctx, o.eng, opts.Source, cfg)
 	out := &TrainStats{PlanQueueMean: st.QueueMean}
 	out.setIdentity(runAgg{}.plus(st))
 	out.addTimings(st)
-	if err != nil {
-		if ctx.Err() != nil {
-			return out, ctx.Err()
-		}
-		return out, err
+	if err != nil && ctx.Err() != nil {
+		return out, ctx.Err()
 	}
-	return out, nil
+	return out, err
 }
 
 // runAgg are the identity counters of a (partial) run: the quantities
@@ -325,9 +309,8 @@ func (out *TrainStats) addTimings(st batch.TrainStats) {
 // boundary's offset, and the next attempt resumes planning at the
 // boundary's absolute window index — so the finished run is byte-identical
 // to one that never failed (DESIGN.md invariant #12).
-func (t *Trainer) trainRecover(ctx context.Context, cfg batch.TrainConfig) (*TrainStats, error) {
-	o := t.db
-	rec := *t.opts.Recovery
+func (o *ORAM) trainRecover(ctx context.Context, opts TrainOptions, cfg batch.TrainConfig) (*TrainStats, error) {
+	rec := *opts.Recovery
 	if rec.CheckpointEvery == 0 {
 		rec.CheckpointEvery = 1
 	}
@@ -337,7 +320,7 @@ func (t *Trainer) trainRecover(ctx context.Context, cfg batch.TrainConfig) (*Tra
 	if rec.Backoff == 0 {
 		rec.Backoff = 50 * time.Millisecond
 	}
-	src := t.opts.Source.(RewindSource) // validated by NewTrainer
+	src := opts.Source.(RewindSource) // validated by Train
 
 	out := &TrainStats{}
 	var (
@@ -406,7 +389,7 @@ func (t *Trainer) trainRecover(ctx context.Context, cfg batch.TrainConfig) (*Tra
 
 		if rec.Replace {
 			repairStart := time.Now()
-			rp, rerr := t.tryReplace(ctx, cfg, st, nd, src, lastCk, ckAgg, ckPos, ckWin, cur)
+			rp, rerr := o.tryReplace(ctx, cfg, st, nd, src, lastCk, ckAgg, ckPos, ckWin, cur)
 			out.RepairTime += time.Since(repairStart)
 			if rerr == nil {
 				// Resume after window W: only the dead lanes replayed, the
@@ -505,8 +488,7 @@ type replaceResume struct {
 // Any error leaves recovery to the caller's full-rollback path, which
 // tolerates whatever this attempt already changed (repointed shards restore
 // through the live placement).
-func (t *Trainer) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.TrainStats, nd *remote.ErrNodeDown, src RewindSource, lastCk []byte, ckAgg runAgg, ckPos uint64, ckWin int, cur runAgg) (replaceResume, error) {
-	o := t.db
+func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.TrainStats, nd *remote.ErrNodeDown, src RewindSource, lastCk []byte, ckAgg runAgg, ckPos uint64, ckWin int, cur runAgg) (replaceResume, error) {
 	var zero replaceResume
 	if !o.remote() {
 		return zero, fmt.Errorf("laoram: re-placement requires a remote instance")
@@ -631,12 +613,7 @@ func (t *Trainer) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batc
 			drain()
 			return zero, err
 		}
-		if cfg.BatchBins > 0 {
-			err = sess.RunBatchedLanesContext(ctx, cfg.BatchBins, dead, cfg.NewVisit)
-		} else {
-			err = sess.RunLanesContext(ctx, dead, cfg.NewVisit)
-		}
-		if err != nil {
+		if err := sess.RunContext(ctx, cfg.BatchBins, dead, cfg.NewVisit); err != nil {
 			drain()
 			return zero, fmt.Errorf("laoram: catch-up window %d: %w", pw.Index, err)
 		}
@@ -709,26 +686,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Train is the one-call streaming API: plan look-ahead windows from
-// opts.Source while executing them through the sharded engine.
-//
-//	st, err := db.Train(ctx, laoram.TrainOptions{
-//	    Source:     laoram.FromSlice(upcoming),
-//	    Superblock: 4,
-//	    Window:     1 << 16,
-//	    PrePlace:   true,
-//	    Visit:      func(id uint64, row []byte) []byte { return update(row) },
-//	})
-//
-// With Window = 0 (one window spanning the whole stream) the run is
-// byte-identical to the one-shot Preprocess → LoadForPlan → NewSession →
-// Run flow under the same seed.
-func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error) {
-	t, err := o.NewTrainer(opts)
-	if err != nil {
-		return nil, err
-	}
-	return t.Train(ctx)
 }

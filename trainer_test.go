@@ -8,16 +8,19 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/shard"
 )
 
-// trainer_test.go pins the streaming API v2 contracts (ISSUE 4):
+// trainer_test.go pins the streaming Train contracts:
 //
-//   - streaming-vs-oneshot equivalence: a Trainer with a full-stream
-//     window reproduces the one-shot Preprocess → LoadForPlan →
-//     NewSession → Run flow byte-identically (seed 42, Shards ∈ {1, 4});
+//   - streaming equivalence: Train with a full-stream window reproduces
+//     the engine-level Preprocess → LoadForPlan → NewSession → Run flow
+//     byte-identically (seed 42, Shards ∈ {1, 4});
 //   - windowed streaming: incremental sources (slices, channels) train
 //     the whole stream across window boundaries;
 //   - context-aware cancellation: a mid-epoch cancel returns ctx.Err(),
@@ -43,6 +46,20 @@ func trainVisit(id uint64, payload []byte) []byte {
 	return out
 }
 
+// trainOneWindow runs the whole stream as one pre-placed look-ahead window —
+// the paper's whole-epoch preprocessing — and returns the run's stats.
+func trainOneWindow(t testing.TB, db *ORAM, stream []uint64, s, batchBins int, payload func(uint64) []byte, visit Visit) *TrainStats {
+	t.Helper()
+	st, err := db.Train(context.Background(), TrainOptions{
+		Source: FromSlice(stream), Superblock: s, BatchBins: batchBins,
+		PrePlace: true, Payload: payload, Visit: visit,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func uniqueSorted(stream []uint64) []uint64 {
 	seen := map[uint64]bool{}
 	for _, id := range stream {
@@ -56,10 +73,12 @@ func uniqueSorted(stream []uint64) []uint64 {
 	return out
 }
 
-// TestTrainerMatchesOneShot is the streaming-equivalence pin: with the
-// window spanning the full stream, Train must reproduce the one-shot flow
-// byte-identically — same Stats counters, same session counters, same
-// payload bytes — for both the unsharded and the 4-shard engine.
+// TestTrainerMatchesOneShot is the streaming-equivalence pin (DESIGN.md
+// invariant #9): with the window spanning the full stream, Train must
+// reproduce the engine-level one-shot flow it is built from — shard.Engine
+// Preprocess → LoadForPlan → NewSession → Run — byte-identically: same
+// Stats counters, same session counters, same payload bytes, for both the
+// unsharded and the 4-shard engine.
 func TestTrainerMatchesOneShot(t *testing.T) {
 	const entries = 1 << 10
 	const blockSize = 32
@@ -73,28 +92,32 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			opts := Options{Entries: entries, BlockSize: blockSize, Seed: seed, Shards: shards}
 
-			// One-shot reference flow.
+			// One-shot reference flow, driven on the engine directly.
 			ref, err := New(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			plan, err := ref.Preprocess(stream, S)
+			plan, err := ref.eng.Preprocess(stream, S)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.LoadForPlan(plan, trainInit(blockSize)); err != nil {
+			if err := ref.eng.LoadForPlan(plan, trainInit(blockSize)); err != nil {
 				t.Fatal(err)
 			}
 			ref.ResetStats() // Train's PrePlace resets after loading too
-			sess, err := ref.NewSession(plan)
+			sess, err := ref.eng.NewSession(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sess.Run(trainVisit); err != nil {
+			if err := sess.Run(func(int) shard.Visit { return trainVisit }); err != nil {
 				t.Fatal(err)
 			}
-			refSess := sess.Stats()
+			ss := sess.Stats()
+			refSess := SessionStats{
+				Bins: ss.Bins, ColdPathReads: ss.ColdPathReads,
+				LookaheadRemaps: ss.LookaheadRemaps, UniformRemaps: ss.UniformRemaps,
+			}
 			refStats := ref.Stats()
 
 			// Streaming flow, full-stream window.
@@ -137,6 +160,67 @@ func TestTrainerMatchesOneShot(t *testing.T) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("block %d: streaming payload diverges from one-shot", id)
+				}
+			}
+		})
+	}
+}
+
+// TestTrainingEquivalence is integration invariant #5 (DESIGN.md): training
+// an embedding table through Train produces a table bit-identical to the
+// insecure in-memory baseline under the same sample order, gradients and
+// optimiser — unsharded and with four concurrent shard lanes.
+func TestTrainingEquivalence(t *testing.T) {
+	cfg := TableConfig{Rows: 256, Dim: 8}
+	stream, err := GenerateTrace(TraceConfig{Kind: TracePermutation, N: cfg.Rows, Count: 3 * int(cfg.Rows), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One SGD step under a deterministic synthetic gradient of the row's id
+	// and current value — the read-modify-write data path of a backward pass.
+	const lr = 0.1
+	step := func(id uint64, row []float32) {
+		for i := range row {
+			grad := float32(id%7+uint64(i)+1) * (row[i] + 0.01)
+			row[i] -= lr * grad
+		}
+	}
+	ref := make([][]float32, cfg.Rows)
+	for id := range ref {
+		ref[id] = InitRow(cfg, uint64(id))
+	}
+	for _, id := range stream {
+		step(id, ref[id])
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := New(Options{Entries: cfg.Rows, BlockSize: cfg.RowBytes(), Seed: 11, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			var touched atomic.Uint64
+			trainOneWindow(t, db, stream, 4, 0, InitRowBytes(cfg), func(id uint64, payload []byte) []byte {
+				row, err := DecodeRow(payload)
+				if err != nil {
+					panic(err)
+				}
+				step(id, row)
+				touched.Add(1)
+				return EncodeRow(row)
+			})
+			// A permutation stream has no duplicates within a bin, so every
+			// access is one row update.
+			if got := touched.Load(); got != uint64(len(stream)) {
+				t.Errorf("%d row updates, stream has %d accesses", got, len(stream))
+			}
+			for id := uint64(0); id < cfg.Rows; id++ {
+				got, err := db.Read(id)
+				if err != nil {
+					t.Fatalf("read row %d: %v", id, err)
+				}
+				if !bytes.Equal(got, EncodeRow(ref[id])) {
+					t.Fatalf("row %d differs from the insecure baseline (bit-exact check)", id)
 				}
 			}
 		})
@@ -238,21 +322,6 @@ func TestTrainerValidation(t *testing.T) {
 	}
 	if _, err := db.Train(ctx, TrainOptions{Source: FromSlice([]uint64{999})}); err == nil {
 		t.Error("out-of-range id accepted")
-	}
-	// A Trainer is single-use: rerunning it would silently no-op on the
-	// consumed source, so it must error instead.
-	if err := db.Load(64, nil); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := db.NewTrainer(TrainOptions{Source: FromSlice([]uint64{1, 2, 3})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Train(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Train(ctx); err == nil {
-		t.Error("second Train on the same Trainer accepted")
 	}
 }
 
@@ -361,7 +430,7 @@ func TestTrainCancelRemote(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	db, err := NewContext(ctx, Options{Entries: entries, RemoteAddr: addr, Seed: 23})
+	db, err := NewContext(ctx, Options{Entries: entries, RemoteAddrs: []string{addr}, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,23 +486,23 @@ func TestRecoveryValidation(t *testing.T) {
 		}
 	}
 
-	// Non-checkpointable instances fail at NewTrainer, with the same errors
-	// SaveState would give.
+	// Non-checkpointable instances fail Train's validation, with the same
+	// errors SaveState would give.
 	rp, err := New(Options{Entries: 1 << 10, MetadataOnly: true, RecursivePosMap: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rp.Close()
-	if _, err := rp.NewTrainer(TrainOptions{Source: FromSlice([]uint64{1}), Recovery: rec}); err == nil {
-		t.Error("Recovery on a RecursivePosMap instance accepted")
+	if _, err := rp.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), Recovery: rec}); err == nil || !strings.Contains(err.Error(), "RecursivePosMap") {
+		t.Errorf("Recovery on a RecursivePosMap instance: got %v, want the checkpointing error", err)
 	}
 	vf, err := New(Options{Entries: 256, BlockSize: 8, Verify: true, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vf.Close()
-	if _, err := vf.NewTrainer(TrainOptions{Source: FromSlice([]uint64{1}), Recovery: rec}); err == nil {
-		t.Error("Recovery on a Verify instance accepted")
+	if _, err := vf.Train(ctx, TrainOptions{Source: FromSlice([]uint64{1}), Recovery: rec}); err == nil || !strings.Contains(err.Error(), "Options.Verify") {
+		t.Errorf("Recovery on a Verify instance: got %v, want the checkpointing error", err)
 	}
 }
 
