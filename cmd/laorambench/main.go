@@ -10,21 +10,24 @@
 //	laorambench -json /tmp/b.json -baseline BENCH_engine.json  # CI gate
 //	laorambench -exp fig7e -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -json runs the engine microbenchmarks (steady-state access, write-back,
-// sealed access, seal/open) plus the Fig. 7e simulated speedups, the
-// pipeline overlap and the sealed crypto-worker sweep, and writes a
-// machine-readable trajectory — ns/op, B/op, allocs/op and the pinned
-// pre-refactor baseline — to the given file. With -baseline the fresh
-// numbers are compared against a committed trajectory: >20% ns/op
-// regression or any allocs/op increase fails the run (the CI gate that
-// keeps the PR 3 wins from rotting). -cpuprofile/-memprofile wrap the
-// whole run with runtime/pprof for hot-path inspection.
+// -json runs the engine microbenchmarks (steady-state access, single and
+// joint write-back, sealed access, seal/open at 128 B and 4 KB), the
+// Fig. 7e simulated speedups and the tiered sweep, and writes what
+// -baseline judges — ns/op, B/op, allocs/op, the pinned pre-refactor
+// baseline, and the tiered hit/miss counts and identity flags — to the
+// given file. The wall-clock experiments (pipeline, elastic,
+// serve-overload) are not part of it: run them with -exp; their tests are
+// their gates. With -baseline the fresh numbers are compared against a
+// committed trajectory: >20% ns/op regression, any allocs/op increase, a
+// tiered row that diverged or lost its prefetch win, or a baseline the run
+// shares no row with fails the run (the CI gate that keeps the PR 3 wins
+// from rotting). -cpuprofile/-memprofile wrap the whole run with
+// runtime/pprof for hot-path inspection.
 //
 // Experiment IDs follow DESIGN.md's experiment index: fig2, fig7a..fig7f,
 // fig8, fig9, table1, table2, memneutral, preproc, ring, security,
-// pipeline, sealed, elastic, tiered, serve-overload, and the ablations
-// abl-window, abl-profile, abl-thresh, abl-z, abl-model, abl-batch,
-// abl-shards.
+// pipeline, elastic, tiered, serve-overload, and the ablations abl-window,
+// abl-profile, abl-thresh, abl-z, abl-model, abl-batch, abl-shards.
 package main
 
 import (
@@ -82,7 +85,6 @@ func experiments() []experiment {
 		{"abl-batch", "ablation: batch-granularity fetch", func(sc harness.Scale, seed int64) (renderer, error) { return harness.BatchSweep(sc, seed) }},
 		{"abl-shards", "ablation: shard count vs batch throughput", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ShardSweep(sc, seed) }},
 		{"pipeline", "§VIII-A overlap: streaming Trainer vs sequential plan-then-run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.PipelineExp(sc, seed) }},
-		{"sealed", "crypto fan-out: sealed-batch throughput vs CryptoWorkers", func(sc harness.Scale, seed int64) (renderer, error) { return harness.SealedExp(sc, seed) }},
 		{"elastic", "elastic serving: live migration blackout + re-placement vs rollback MTTR", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ElasticExp(sc, seed) }},
 		{"tiered", "tiered storage: disk-backed tree hit/miss curve vs memory budget, prefetch on/off", func(sc harness.Scale, seed int64) (renderer, error) { return harness.TieredExp(sc, seed) }},
 		{"serve-overload", "overload robustness: admission control + fair queueing vs a flooding aggressor", func(sc harness.Scale, seed int64) (renderer, error) { return harness.OverloadExp(sc, seed) }},
@@ -243,7 +245,9 @@ const nsRegressionTolerance = 1.20
 // BENCH_engine.json: every benchmark present in both must stay within the
 // ns/op tolerance and must not allocate more. Benchmarks only one side has
 // (added or retired rows) are skipped — the gate protects standing wins,
-// not the row set.
+// not the row set — but a baseline that shares no row with the run, or has
+// no tiered section to hold the run's against, compared nothing and is
+// refused.
 func checkRegression(res *harness.EngineBenchResult, baselinePath string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -258,11 +262,13 @@ func checkRegression(res *harness.EngineBenchResult, baselinePath string) error 
 		byName[row.Name] = row
 	}
 	var failures []string
+	compared := 0
 	for _, row := range res.Rows {
 		b, ok := byName[row.Name]
 		if !ok {
 			continue
 		}
+		compared++
 		if b.NsPerOp > 0 && row.NsPerOp > b.NsPerOp*nsRegressionTolerance {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (>%.0f%% regression)",
 				row.Name, row.NsPerOp, b.NsPerOp, (nsRegressionTolerance-1)*100))
@@ -271,6 +277,12 @@ func checkRegression(res *harness.EngineBenchResult, baselinePath string) error 
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op vs baseline %d (allocation count regressed)",
 				row.Name, row.AllocsPerOp, b.AllocsPerOp))
 		}
+	}
+	if compared == 0 {
+		return fmt.Errorf("%s has none of the run's %d benchmark rows: nothing was compared", baselinePath, len(res.Rows))
+	}
+	if res.Tiered != nil && base.Tiered == nil {
+		return fmt.Errorf("%s has no tiered section to compare the run's against", baselinePath)
 	}
 	failures = append(failures, checkTieredRegression(res.Tiered, base.Tiered)...)
 	if len(failures) > 0 {
@@ -299,9 +311,6 @@ func checkTieredRegression(cur, base *harness.TieredBench) []string {
 	var failures []string
 	var on5, off5 *harness.TieredBenchRow
 	baseRow := func(pct int, pf bool) *harness.TieredBenchRow {
-		if base == nil {
-			return nil
-		}
 		for i := range base.Rows {
 			if base.Rows[i].BudgetPct == pct && base.Rows[i].Prefetch == pf {
 				return &base.Rows[i]

@@ -3,63 +3,64 @@ package laoram
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"repro/internal/oram"
 )
 
 // TestCryptoWorkersEquivalence pins the crypto fan-out's determinism
-// contract through the public API (runs under -race in CI): for Shards ∈
-// {1, 4} under seed 42, CryptoWorkers=4 must be byte-identical to
+// contract through the public API (runs under -race in CI): under seed 42,
+// every CryptoWorkers width in {2, 4, 8} must be byte-identical to
 // CryptoWorkers=1 — the serial path — in every observable: batch read
 // payloads, engine statistics, session counters, and a full tree snapshot
-// (per-shard position map, stash and every decrypted server slot).
-// Parallel seals draw their CTR counters from deterministic per-slot
-// reservation, so which worker sealed a bucket can never show.
+// (per-shard position map, stash and every decrypted server slot). The
+// cases are Shards ∈ {1, 4} on 32 B rows, and the train-sealed shape — 4 KB
+// rows fetched 16 bins per round trip — where a bucket union is large
+// enough for every width to actually fan out. Parallel seals draw their
+// nonce sequence numbers from deterministic per-slot reservation, so which
+// worker sealed a bucket can never show.
 func TestCryptoWorkersEquivalence(t *testing.T) {
 	const entries = 1 << 10
-	const blockSize = 32
 	const seed = 42
 	key := make([]byte, 32)
 	for i := range key {
 		key[i] = byte(i*13 + 7)
 	}
-	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 3000, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	type shape struct {
+		name                   string
+		shards, blockSize      int
+		accesses, s, batchBins int
 	}
-	payload := func(id uint64) []byte {
-		p := make([]byte, blockSize)
-		for i := range p {
-			p[i] = byte(id + uint64(i)*3)
-		}
-		return p
-	}
-
 	type outcome struct {
 		reads [][]byte
 		stats Stats
 		sess  SessionStats
 		snap  []byte
 	}
-	run := func(t *testing.T, shards, workers int) outcome {
+	run := func(t *testing.T, sh shape, stream []uint64, workers int) outcome {
 		t.Helper()
+		payload := func(id uint64) []byte {
+			p := make([]byte, sh.blockSize)
+			for i := range p {
+				p[i] = byte(id + uint64(i)*3)
+			}
+			return p
+		}
 		db, err := New(Options{
 			Entries:       entries,
-			BlockSize:     blockSize,
+			BlockSize:     sh.blockSize,
 			Encrypt:       true,
 			Key:           key,
 			FatTree:       true,
 			Seed:          seed,
-			Shards:        shards,
+			Shards:        sh.shards,
 			CryptoWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		sess := trainOneWindow(t, db, stream, 4, 8, payload, func(id uint64, row []byte) []byte {
+		sess := trainOneWindow(t, db, stream, sh.s, sh.batchBins, payload, func(id uint64, row []byte) []byte {
 			row[0] += byte(id) // training update: every bin reseals its paths
 			return row
 		}).Session
@@ -88,26 +89,36 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 		return outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db)}
 	}
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			serial := run(t, shards, 1)
-			fanned := run(t, shards, 4)
-			if len(serial.reads) != len(fanned.reads) {
-				t.Fatalf("read counts diverged: %d vs %d", len(serial.reads), len(fanned.reads))
+	for _, sh := range []shape{
+		{name: "shards=1", shards: 1, blockSize: 32, accesses: 3000, s: 4, batchBins: 8},
+		{name: "shards=4", shards: 4, blockSize: 32, accesses: 3000, s: 4, batchBins: 8},
+		{name: "4KB-rows-16-bins", shards: 1, blockSize: 4096, accesses: 1500, s: 8, batchBins: 16},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: sh.accesses, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range serial.reads {
-				if !bytes.Equal(serial.reads[i], fanned.reads[i]) {
-					t.Fatalf("read %d diverged between CryptoWorkers 1 and 4", i)
+			serial := run(t, sh, stream, 1)
+			for _, workers := range []int{2, 4, 8} {
+				fanned := run(t, sh, stream, workers)
+				if len(serial.reads) != len(fanned.reads) {
+					t.Fatalf("read counts diverged: %d vs %d at CryptoWorkers %d", len(serial.reads), len(fanned.reads), workers)
 				}
-			}
-			if serial.stats != fanned.stats {
-				t.Fatalf("engine stats diverged:\n  workers=1: %+v\n  workers=4: %+v", serial.stats, fanned.stats)
-			}
-			if serial.sess != fanned.sess {
-				t.Fatalf("session stats diverged:\n  workers=1: %+v\n  workers=4: %+v", serial.sess, fanned.sess)
-			}
-			if !bytes.Equal(serial.snap, fanned.snap) {
-				t.Fatal("tree snapshot (position maps, stashes, decrypted server slots) diverged")
+				for i := range serial.reads {
+					if !bytes.Equal(serial.reads[i], fanned.reads[i]) {
+						t.Fatalf("read %d diverged between CryptoWorkers 1 and %d", i, workers)
+					}
+				}
+				if serial.stats != fanned.stats {
+					t.Fatalf("engine stats diverged:\n  workers=1: %+v\n  workers=%d: %+v", serial.stats, workers, fanned.stats)
+				}
+				if serial.sess != fanned.sess {
+					t.Fatalf("session stats diverged:\n  workers=1: %+v\n  workers=%d: %+v", serial.sess, workers, fanned.sess)
+				}
+				if !bytes.Equal(serial.snap, fanned.snap) {
+					t.Fatalf("tree snapshot (position maps, stashes, decrypted server slots) diverged at CryptoWorkers %d", workers)
+				}
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -381,4 +382,77 @@ func TestSuperviseStopsAfterLostRestartRace(t *testing.T) {
 	if !n.Running() {
 		t.Error("node not running after the manual restart")
 	}
+}
+
+// TestClusterPlacement: NewCluster lays the serving tier out under the
+// public placement (node j holds every shard i with i % Nodes == j), gives
+// each fresh node one placeholder store, and Close takes all of it down.
+func TestClusterPlacement(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{Entries: 1 << 8, Shards: 5, BlockSize: 8, Nodes: 2, Fresh: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if got := len(cl.Addrs()); got != 2 {
+		t.Fatalf("%d serving addresses, want 2", got)
+	}
+	for j, want := range []int{3, 2} {
+		if got := cl.Node(j).Server().Shards(); got != want {
+			t.Errorf("serving node %d holds %d stores, want %d", j, got, want)
+		}
+	}
+	snaps, err := cl.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 5 {
+		t.Errorf("SnapshotAll returned %d trees, want one per shard (5)", len(snaps))
+	}
+	all := append(cl.Addrs(), cl.FreshAddrs()...)
+	if len(all) != 4 {
+		t.Fatalf("%d addresses, want 4", len(all))
+	}
+	cl.Close()
+	for _, addr := range all {
+		if !refusesDial(addr) {
+			t.Errorf("node %s still accepts after Close", addr)
+		}
+	}
+}
+
+// TestClusterBootFailureKillsStarted: when node 1 of 3 fails to boot, the
+// cluster boot must not leave node 0 listening with no handle to kill it.
+func TestClusterBootFailureKillsStarted(t *testing.T) {
+	boom := errors.New("no stores today")
+	nodes := []*Node{
+		NewNode(metaStores(t, 1), 0, nil),
+		NewNode(func() ([]oram.Store, error) { return nil, boom }, 0, nil),
+		NewNode(metaStores(t, 1), 0, nil),
+	}
+	if err := startAll(nodes); !errors.Is(err, boom) {
+		t.Fatalf("startAll = %v, want the node 1 build error", err)
+	}
+	if nodes[0].Addr() == "" {
+		t.Fatal("node 0 never started: the test exercised nothing")
+	}
+	if nodes[0].Running() || !refusesDial(nodes[0].Addr()) {
+		t.Errorf("node 0 (%s) still serves after the failed boot", nodes[0].Addr())
+	}
+	if nodes[2].Addr() != "" {
+		t.Error("node 2 was started after node 1 failed")
+	}
+}
+
+// refusesDial reports whether addr stops accepting within a second (the OS
+// may keep accepting briefly after a listener closes).
+func refusesDial(addr string) bool {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return true
+		}
+		conn.Close()
+		time.Sleep(5 * time.Millisecond)
+	}
+	return false
 }

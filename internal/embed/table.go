@@ -20,17 +20,6 @@ type TableConfig struct {
 	Dim int
 }
 
-// Validate checks the configuration.
-func (c TableConfig) Validate() error {
-	if c.Rows == 0 {
-		return fmt.Errorf("embed: Rows must be > 0")
-	}
-	if c.Dim < 1 {
-		return fmt.Errorf("embed: Dim must be >= 1, got %d", c.Dim)
-	}
-	return nil
-}
-
 // RowBytes returns the serialized size of one row.
 func (c TableConfig) RowBytes() int { return 4 * c.Dim }
 
@@ -73,30 +62,6 @@ func DecodeRow(payload []byte) ([]float32, error) {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
 	return out, nil
-}
-
-// DecodeRowInto parses payload into dst, which must have exactly
-// len(payload)/4 elements; it avoids the allocation of DecodeRow on hot
-// paths.
-func DecodeRowInto(dst []float32, payload []byte) error {
-	if len(payload) != 4*len(dst) {
-		return fmt.Errorf("embed: payload length %d != 4*%d", len(payload), len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return nil
-}
-
-// EncodeRowInto serialises row into dst (len(dst) == 4*len(row)).
-func EncodeRowInto(dst []byte, row []float32) error {
-	if len(dst) != 4*len(row) {
-		return fmt.Errorf("embed: dst length %d != 4*%d", len(dst), len(row))
-	}
-	for i, v := range row {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-	return nil
 }
 
 // InitRow returns the deterministic initial embedding vector for a row:

@@ -15,9 +15,14 @@ import (
 // enginebench.go runs the engine microbenchmarks (ISSUE 3: the
 // allocation-free hot path) through testing.Benchmark so `laorambench
 // -json` can emit a machine-readable performance trajectory,
-// BENCH_engine.json: ns/op, B/op and allocs/op per benchmark, the pinned
-// pre-refactor baseline for comparison, and the simulated Fig. 7e speedups
-// at the chosen scale.
+// BENCH_engine.json. The trajectory holds what `-baseline` judges and
+// nothing else: ns/op, B/op and allocs/op per microbenchmark, the pinned
+// pre-refactor baseline they are read against, the simulated Fig. 7e
+// speedups at the chosen scale, and the tiered sweep's hit/miss counts and
+// identity flags. Wall-clock experiments (pipeline, elastic,
+// serve-overload) print their own numbers under `laorambench -exp` and are
+// gated by their own tests; end-to-end throughput per deployment shape is
+// BENCHMARK.json's ledger, not this file's.
 
 // EngineBenchRow is one microbenchmark measurement.
 type EngineBenchRow struct {
@@ -47,61 +52,6 @@ var engineBaseline = []EngineBenchRow{
 	{Name: "SealOpen4K", NsPerOp: 18420, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
-// PipelineBench is the streaming-pipeline point of the trajectory: the
-// §VIII-A overlap speedup of the pipelined Trainer over the sequential
-// arrive-plan-run schedule (see PipelineExp).
-type PipelineBench struct {
-	SeqWallMs  float64 `json:"seq_wall_ms"`
-	PipeWallMs float64 `json:"pipelined_wall_ms"`
-	PlanMs     float64 `json:"plan_ms"`
-	TrainMs    float64 `json:"train_ms"`
-	StalledMs  float64 `json:"stalled_ms"`
-	// The first-class TrainStats pipeline counters (previously stalled_ms
-	// was the only stall observability and was inferred externally).
-	TrainerStalls    int     `json:"trainer_stalls"`
-	PlannerStalledMs float64 `json:"planner_stalled_ms"`
-	QueuePeak        int     `json:"plan_queue_peak"`
-	QueueMean        float64 `json:"plan_queue_mean"`
-	Windows          int     `json:"windows"`
-	FeedRate         int     `json:"feed_rate_idx_per_s"`
-	OverlapGain      float64 `json:"overlap_speedup"`
-}
-
-// SealedBenchRow is one point of the crypto fan-out sweep. A width above
-// the recording host's cpus carries "skipped" and no numbers.
-type SealedBenchRow struct {
-	Workers     int     `json:"workers"`
-	Skipped     bool    `json:"skipped,omitempty"`
-	NsPerAccess float64 `json:"ns_per_access,omitempty"`
-	Speedup     float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// SealedBench records the sealed worker sweep: batched sealed-session
-// throughput on 4 KB rows vs Options.CryptoWorkers, for the widths the
-// recording host (cpus) can show. TestSealedExperiment gates the sweep's
-// cross-width identity, not its wall-clock.
-type SealedBench struct {
-	CPUs      int              `json:"cpus"`
-	Entries   uint64           `json:"entries"`
-	BlockSize int              `json:"block_size"`
-	Rows      []SealedBenchRow `json:"sweep"`
-}
-
-// ElasticBench records the elastic-serving points of the trajectory (the
-// PR 8 acceptance metrics): the live-migration blackout per shard and the
-// repair-time (MTTR) and replay-volume comparison between health-based
-// re-placement and the full rollback on the same fault schedule.
-type ElasticBench struct {
-	MigratedShards       int     `json:"migrated_shards"`
-	MigrationBlackoutMs  float64 `json:"migration_blackout_ms"`
-	ReplaceMTTRMs        float64 `json:"replace_mttr_ms"`
-	RollbackMTTRMs       float64 `json:"rollback_mttr_ms"`
-	ReplaceRewound       uint64  `json:"replace_rewound_accesses"`
-	RollbackRewound      uint64  `json:"rollback_rewound_accesses"`
-	MigrationIdentical   bool    `json:"migration_identical"`
-	ReplacementIdentical bool    `json:"replacement_identical"`
-}
-
 // TieredBenchRow is one (budget, prefetch) point of the tiered sweep.
 type TieredBenchRow struct {
 	BudgetPct      int     `json:"budget_pct"`
@@ -127,35 +77,6 @@ type TieredBench struct {
 	Rows          []TieredBenchRow `json:"sweep"`
 }
 
-// OverloadBenchRow is one configuration of the serve-overload drill.
-type OverloadBenchRow struct {
-	Config         string  `json:"config"`
-	Aggressor      bool    `json:"aggressor"`
-	OfferedFair    float64 `json:"offered_fair_req_s"`
-	FairGoodput    float64 `json:"fair_goodput_req_s"`
-	FairMinGoodput float64 `json:"fair_min_goodput_req_s"`
-	FairP50Ms      float64 `json:"fair_p50_ms"`
-	FairP95Ms      float64 `json:"fair_p95_ms"`
-	FairP99Ms      float64 `json:"fair_p99_ms"`
-	FairShedRate   float64 `json:"fair_shed_rate"`
-	AggrGoodput    float64 `json:"aggr_goodput_req_s"`
-	AggrShedRate   float64 `json:"aggr_shed_rate"`
-	ServerShed     uint64  `json:"server_shed"`
-}
-
-// OverloadBench records the serve-overload drill (PR 10's acceptance
-// curves): well-behaved-client goodput and tail latency with and without
-// an aggressor connection, under FIFO dispatch vs per-connection fair
-// queueing, plus the byte-transparency identity verdict (invariant 15).
-type OverloadBench struct {
-	CapacityReqS      float64            `json:"capacity_req_s"`
-	Workers           int                `json:"workers"`
-	FairClients       int                `json:"fair_clients"`
-	Rows              []OverloadBenchRow `json:"rows"`
-	IdentitySheds     uint64             `json:"identity_sheds"`
-	IdentityIdentical bool               `json:"identity_identical"`
-}
-
 // EngineBenchResult is the BENCH_engine.json document.
 type EngineBenchResult struct {
 	GoVersion string             `json:"go_version"`
@@ -166,11 +87,7 @@ type EngineBenchResult struct {
 	Rows      []EngineBenchRow   `json:"benchmarks"`
 	Baseline  []EngineBenchRow   `json:"baseline_pre_refactor"`
 	Speedups  map[string]float64 `json:"fig7e_sim_speedups"`
-	Pipeline  *PipelineBench     `json:"pipeline_overlap,omitempty"`
-	Sealed    *SealedBench       `json:"sealed_workers,omitempty"`
-	Elastic   *ElasticBench      `json:"elastic,omitempty"`
 	Tiered    *TieredBench       `json:"tiered,omitempty"`
-	Overload  *OverloadBench     `json:"overload,omitempty"`
 }
 
 // JSON renders the document with stable indentation.
@@ -192,41 +109,11 @@ func (r *EngineBenchResult) Render() string {
 		sb.WriteString(fmt.Sprintf("%-20s %12.0f %10d %12.0f %14d\n",
 			row.Name, row.NsPerOp, row.AllocsPerOp, b.NsPerOp, b.AllocsPerOp))
 	}
-	for k, v := range r.Speedups {
-		sb.WriteString(fmt.Sprintf("fig7e %-24s %.2fx\n", k, v))
-	}
-	if p := r.Pipeline; p != nil {
-		sb.WriteString(fmt.Sprintf("pipeline overlap            %.2fx (seq %.0fms → pipelined %.0fms, %d windows, %d stalls, queue mean %.2f)\n",
-			p.OverlapGain, p.SeqWallMs, p.PipeWallMs, p.Windows, p.TrainerStalls, p.QueueMean))
-	}
-	if s := r.Sealed; s != nil {
-		for _, row := range s.Rows {
-			if row.Skipped {
-				sb.WriteString(fmt.Sprintf("sealed workers=%d            skipped\n", row.Workers))
-				continue
-			}
-			sb.WriteString(fmt.Sprintf("sealed workers=%d            %8.0f ns/access  %.2fx\n",
-				row.Workers, row.NsPerAccess, row.Speedup))
+	// Fig. 7e's variant order, not the map's.
+	for _, v := range StandardVariants() {
+		if x, ok := r.Speedups[v.Name]; ok {
+			sb.WriteString(fmt.Sprintf("fig7e %-24s %.2fx\n", v.Name, x))
 		}
-		sb.WriteString(fmt.Sprintf("sealed sweep on %d cpu(s) — wider rows are not recorded\n", s.CPUs))
-	}
-	if e := r.Elastic; e != nil {
-		sb.WriteString(fmt.Sprintf("elastic migration           %d shard(s), %.2fms blackout, identical=%v\n",
-			e.MigratedShards, e.MigrationBlackoutMs, e.MigrationIdentical))
-		sb.WriteString(fmt.Sprintf("elastic re-placement        MTTR %.2fms vs rollback %.2fms; replayed %d vs %d accesses, identical=%v\n",
-			e.ReplaceMTTRMs, e.RollbackMTTRMs, e.ReplaceRewound, e.RollbackRewound, e.ReplacementIdentical))
-	}
-	if o := r.Overload; o != nil {
-		for _, row := range o.Rows {
-			aggr := "-"
-			if row.Aggressor {
-				aggr = "10x"
-			}
-			sb.WriteString(fmt.Sprintf("overload %-8s aggr=%-3s   fair %6.1f/%.1f req/s  p99 %.1fms  aggr shed %.0f%%\n",
-				row.Config, aggr, row.FairGoodput, row.OfferedFair*float64(o.FairClients), row.FairP99Ms, row.AggrShedRate*100))
-		}
-		sb.WriteString(fmt.Sprintf("overload capacity %.0f req/s, identity sheds %d, byte-identical=%v\n",
-			o.CapacityReqS, o.IdentitySheds, o.IdentityIdentical))
 	}
 	if td := r.Tiered; td != nil {
 		for _, row := range td.Rows {
@@ -487,59 +374,6 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		out.Speedups[row.Variant] = row.Speedup
 	}
 
-	// Streaming-pipeline overlap: the §VIII-A wall-clock win of planning
-	// window k+1 while window k trains (ISSUE 4's acceptance metric).
-	pr, err := PipelineExp(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	out.Pipeline = &PipelineBench{
-		SeqWallMs:        float64(pr.SeqWall.Microseconds()) / 1000,
-		PipeWallMs:       float64(pr.PipeWall.Microseconds()) / 1000,
-		PlanMs:           float64(pr.PlanTime.Microseconds()) / 1000,
-		TrainMs:          float64(pr.TrainTime.Microseconds()) / 1000,
-		StalledMs:        float64(pr.Stalled.Microseconds()) / 1000,
-		TrainerStalls:    pr.TrainerStalls,
-		PlannerStalledMs: float64(pr.PlannerStalled.Microseconds()) / 1000,
-		QueuePeak:        pr.QueuePeak,
-		QueueMean:        pr.QueueMean,
-		Windows:          pr.Windows,
-		FeedRate:         pr.FeedRate,
-		OverlapGain:      pr.Speedup,
-	}
-
-	// Sealed crypto fan-out curve: batched sealed-session throughput vs
-	// Options.CryptoWorkers.
-	sr, err := SealedExp(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	out.Sealed = &SealedBench{CPUs: sr.CPUs, Entries: sr.Entries, BlockSize: sr.BlockSize}
-	for _, row := range sr.Rows {
-		b := SealedBenchRow{Workers: row.Workers, Skipped: row.Skipped, Speedup: row.Speedup}
-		if !row.Skipped && row.Accesses > 0 {
-			b.NsPerAccess = float64(row.Wall.Nanoseconds()) / float64(row.Accesses)
-		}
-		out.Sealed.Rows = append(out.Sealed.Rows, b)
-	}
-
-	// Elastic serving: live-migration blackout and the re-placement vs
-	// rollback MTTR/replay comparison (PR 8's acceptance metrics).
-	er, err := ElasticExp(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	out.Elastic = &ElasticBench{
-		MigratedShards:       er.Migration.Moved,
-		MigrationBlackoutMs:  float64(er.Migration.Blackout.Microseconds()) / 1000,
-		ReplaceMTTRMs:        float64(er.Replacement.ReplaceRepair.Microseconds()) / 1000,
-		RollbackMTTRMs:       float64(er.Replacement.RollbackRepair.Microseconds()) / 1000,
-		ReplaceRewound:       er.Replacement.ReplaceRewound,
-		RollbackRewound:      er.Replacement.RollbackRewound,
-		MigrationIdentical:   er.Migration.Identical(),
-		ReplacementIdentical: er.Replacement.Identical() && er.Replacement.RollbackMatch,
-	}
-
 	// Tiered storage: the disk-backed tree's hit/miss curve over shrinking
 	// memory budgets, with the look-ahead prefetcher on and off (PR 9's
 	// acceptance metrics).
@@ -562,35 +396,5 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		})
 	}
 
-	// Serve-overload drill: fair-client goodput and tails under a flooding
-	// aggressor, FIFO vs fair queueing, plus the byte-transparency identity
-	// verdict (PR 10's acceptance curves).
-	or, err := OverloadExp(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	out.Overload = &OverloadBench{
-		CapacityReqS:      or.Capacity,
-		Workers:           or.Workers,
-		FairClients:       or.FairClients,
-		IdentitySheds:     or.IdentitySheds,
-		IdentityIdentical: or.IdentityIdentical,
-	}
-	for _, row := range or.Rows {
-		out.Overload.Rows = append(out.Overload.Rows, OverloadBenchRow{
-			Config:         row.Config,
-			Aggressor:      row.Aggressor,
-			OfferedFair:    row.OfferedFair,
-			FairGoodput:    row.FairGoodput,
-			FairMinGoodput: row.FairMinGoodput,
-			FairP50Ms:      float64(row.FairP50.Microseconds()) / 1000,
-			FairP95Ms:      float64(row.FairP95.Microseconds()) / 1000,
-			FairP99Ms:      float64(row.FairP99.Microseconds()) / 1000,
-			FairShedRate:   row.FairShedRate,
-			AggrGoodput:    row.AggrGoodput,
-			AggrShedRate:   row.AggrShedRate,
-			ServerShed:     row.Shed,
-		})
-	}
 	return out, nil
 }

@@ -23,6 +23,12 @@ func TestOverloadExperiment(t *testing.T) {
 		if base.FairP99 <= 0 || fair.FairP99 <= 0 {
 			return "empty p99 measurement", false
 		}
+		// Capacity is calibrated once, up front; when the host speeds up
+		// between calibration and measurement the "10x" aggressor fits
+		// under the real capacity and nothing queues long enough to shed.
+		if fair.Shed == 0 {
+			return "fair row shed nothing; the aggressor was not actually over budget", false
+		}
 		// Wall-clock tails on a shared CI host are noisy near zero: judge
 		// the 3x band above a 25ms floor so a 2ms-vs-7ms flutter cannot
 		// fail the drill (real starvation shows up as hundreds of ms —
@@ -73,9 +79,6 @@ func TestOverloadExperiment(t *testing.T) {
 	}
 	if base.Shed != 0 {
 		t.Errorf("baseline (no aggressor, under capacity) shed %d requests", base.Shed)
-	}
-	if fair.Shed == 0 {
-		t.Errorf("fair row shed nothing; the aggressor was not actually over budget")
 	}
 	if why, ok := gate(res); !ok {
 		t.Errorf("acceptance gate failed after retry: %s (baseline p99 %v, fair p99 %v, fair min goodput %.1f of %.1f offered)",

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"runtime"
 	"slices"
@@ -1003,15 +1002,4 @@ func (s *Server) dispatchBucketRun(ws *workScratch, dst []byte, subs []batchSub)
 // tearing down a connection from our own side produces.
 func isClosedConn(err error) bool {
 	return errors.Is(err, net.ErrClosed)
-}
-
-// ListenAndLog is a convenience for cmd/laoramserve: listen and log with the
-// standard logger.
-func ListenAndLog(store oram.Store, addr string) (*Server, string, error) {
-	srv := NewServer(store, log.Printf)
-	bound, err := srv.Listen(addr)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
 }

@@ -27,34 +27,6 @@ func (p *Plan) Shards() int { return p.n }
 // ShardPlan returns shard s's superblock plan (local-ID space).
 func (p *Plan) ShardPlan(s int) *superblock.Plan { return p.plans[s] }
 
-// Bins returns the total bin count across shards.
-func (p *Plan) Bins() int {
-	total := 0
-	for _, sp := range p.plans {
-		total += sp.Len()
-	}
-	return total
-}
-
-// UniqueBlocks returns the number of distinct global blocks in the plan
-// (partitions are disjoint, so the per-shard counts sum exactly).
-func (p *Plan) UniqueBlocks() int {
-	total := 0
-	for _, sp := range p.plans {
-		total += sp.UniqueBlocks()
-	}
-	return total
-}
-
-// MetadataBytes sums the per-shard (superblock → future path) metadata.
-func (p *Plan) MetadataBytes() int64 {
-	var total int64
-	for _, sp := range p.plans {
-		total += sp.MetadataBytes()
-	}
-	return total
-}
-
 // SplitStream partitions a global access stream into per-shard local-ID
 // streams, preserving relative order within each shard. With one shard the
 // split is the identity, so the returned slice aliases stream rather than

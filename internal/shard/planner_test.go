@@ -74,14 +74,11 @@ func TestPlannerFullWindowMatchesPreprocess(t *testing.T) {
 			t.Fatalf("shards=%d: got %d windows, want 1", shards, len(wins))
 		}
 		got := wins[0].Plan
-		if got.Bins() != want.Bins() || got.UniqueBlocks() != want.UniqueBlocks() {
-			t.Fatalf("shards=%d: plan shape diverges: %d/%d bins, %d/%d blocks",
-				shards, got.Bins(), want.Bins(), got.UniqueBlocks(), want.UniqueBlocks())
-		}
 		for s := 0; s < shards; s++ {
 			gp, wp := got.ShardPlan(s), want.ShardPlan(s)
-			if gp.Len() != wp.Len() {
-				t.Fatalf("shard %d: %d bins vs %d", s, gp.Len(), wp.Len())
+			if gp.Len() != wp.Len() || gp.UniqueBlocks() != wp.UniqueBlocks() {
+				t.Fatalf("shard %d: plan shape diverges: %d/%d bins, %d/%d blocks",
+					s, gp.Len(), wp.Len(), gp.UniqueBlocks(), wp.UniqueBlocks())
 			}
 			for i := 0; i < gp.Len(); i++ {
 				gb, wb := gp.Bin(i), wp.Bin(i)

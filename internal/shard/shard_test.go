@@ -296,6 +296,9 @@ func TestPreprocessPartition(t *testing.T) {
 			seen[l] = true
 		}
 		sp := plan.ShardPlan(s)
+		if sp.Len() == 0 || sp.UniqueBlocks() != len(seen) {
+			t.Fatalf("shard %d plan: %d bins over %d blocks, stream slice has %d unique", s, sp.Len(), sp.UniqueBlocks(), len(seen))
+		}
 		for b := 0; b < sp.Len(); b++ {
 			for _, id := range sp.Bin(b).Blocks {
 				if !seen[uint64(id)] {
@@ -303,9 +306,6 @@ func TestPreprocessPartition(t *testing.T) {
 				}
 			}
 		}
-	}
-	if plan.Bins() == 0 || plan.UniqueBlocks() == 0 || plan.MetadataBytes() == 0 {
-		t.Fatalf("plan aggregation empty: bins=%d uniq=%d meta=%d", plan.Bins(), plan.UniqueBlocks(), plan.MetadataBytes())
 	}
 	if err := e.LoadForPlan(plan, nil); err != nil {
 		t.Fatal(err)

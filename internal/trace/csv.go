@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -21,37 +20,6 @@ func WriteCSV(w io.Writer, stream []uint64) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a stream written by WriteCSV. Rows must be in access order.
-func ReadCSV(r io.Reader) ([]uint64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	var out []uint64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if line == 1 && strings.HasPrefix(text, "access") {
-			continue
-		}
-		if text == "" {
-			continue
-		}
-		parts := strings.Split(text, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("trace: line %d: expected 2 fields, got %d", line, len(parts))
-		}
-		idx, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, idx)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ASCIIScatter renders the stream as a coarse density plot (rows = index

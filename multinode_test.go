@@ -6,45 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/oram"
-	"repro/internal/shard"
 )
 
-// startNodes boots an N-node serving tier for a (entries, shards) table:
-// node j holds the stores of every shard i with i % N == j, in local-index
-// order — the placement Options.RemoteAddrs encodes.
-func startNodes(t *testing.T, entries uint64, shards, nodes, blockSize int) ([]*chaos.Node, []string) {
+// clusterAddrs boots an N-node serving tier for a (entries, shards) table
+// on the shared fixture and returns its Options.RemoteAddrs.
+func clusterAddrs(t *testing.T, entries uint64, shards, nodes, blockSize int) []string {
 	t.Helper()
-	per := shard.PerShardEntries(entries, shards)
-	g, err := oram.NewGeometry(oram.GeometryConfig{
-		LeafBits: oram.LeafBitsFor(per), LeafZ: 4, BlockSize: blockSize,
+	cl, err := chaos.NewCluster(chaos.ClusterConfig{
+		Entries: entries, Shards: shards, BlockSize: blockSize, Nodes: nodes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := make([]*chaos.Node, nodes)
-	addrs := make([]string, nodes)
-	for j := range ns {
-		count := int(shard.LoadCount(uint64(shards), j, nodes))
-		ns[j] = chaos.NewNode(func() ([]oram.Store, error) {
-			stores := make([]oram.Store, count)
-			for i := range stores {
-				ps, err := oram.NewPayloadStore(g, nil)
-				if err != nil {
-					return nil, err
-				}
-				stores[i] = ps
-			}
-			return stores, nil
-		}, 0, nil)
-		addr, err := ns[j].Start()
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[j] = addr
-		t.Cleanup(func() { ns[j].Kill() })
-	}
-	return ns, addrs
+	t.Cleanup(cl.Close)
+	return cl.Addrs()
 }
 
 // TestMultiNodeMatchesLocal extends the remote byte-identity invariant to
@@ -92,7 +67,7 @@ func TestMultiNodeMatchesLocal(t *testing.T) {
 	})
 	defer local.Close()
 
-	_, addrs := startNodes(t, entries, shards, nodes, blockSize)
+	addrs := clusterAddrs(t, entries, shards, nodes, blockSize)
 	multi, multiSess, multiStats := run(Options{
 		Entries: entries, Seed: seed, Shards: shards, RemoteAddrs: addrs,
 	})
@@ -171,7 +146,7 @@ func TestReplacementRestore(t *testing.T) {
 
 	// First half of the epoch on the 2-node tier, then the mid-epoch
 	// checkpoint that will cross node counts.
-	_, addrs2 := startNodes(t, entries, shards, 2, blockSize)
+	addrs2 := clusterAddrs(t, entries, shards, 2, blockSize)
 	ref, err := New(Options{Entries: entries, Seed: seed, Shards: shards, RemoteAddrs: addrs2})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +168,7 @@ func TestReplacementRestore(t *testing.T) {
 
 	// Replacement: restore the 2-node checkpoint onto 3 fresh nodes and
 	// finish the same second half there.
-	_, addrs3 := startNodes(t, entries, shards, 3, blockSize)
+	addrs3 := clusterAddrs(t, entries, shards, 3, blockSize)
 	repl, err := New(Options{Entries: entries, Seed: seed, Shards: shards, RemoteAddrs: addrs3})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +222,7 @@ func TestMultiNodeOptionValidation(t *testing.T) {
 	if _, err := New(Options{Entries: 64, RemoteAddrs: []string{"x:1", ""}}); err == nil {
 		t.Error("empty node address accepted")
 	}
-	_, addrs := startNodes(t, 64, 2, 2, 8)
+	addrs := clusterAddrs(t, 64, 2, 2, 8)
 	// More nodes than shards: node 2 would serve nothing.
 	if _, err := New(Options{Entries: 64, Shards: 2, RemoteAddrs: append(addrs, addrs[0])}); err == nil {
 		t.Error("more nodes than shards accepted")
