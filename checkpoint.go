@@ -36,10 +36,6 @@ import (
 // unconditional (v1 embedded trees only for local instances).
 const checkpointMagic = 0x4C414F52434B5032
 
-// checkpointMagicV1 is the superseded "LAORCKP1" envelope, recognised only
-// to reject it with a useful error.
-const checkpointMagicV1 = 0x4C414F52434B5031
-
 // maxCheckpointSection bounds one length-prefixed section (engine state or
 // a single shard tree) so a corrupted length can't trigger an absurd
 // allocation before the magic check inside the section fails.
@@ -168,9 +164,6 @@ func (o *ORAM) loadState(r io.Reader, pick []bool) error {
 	magic, err := get()
 	if err != nil {
 		return fmt.Errorf("laoram: checkpoint header: %w", err)
-	}
-	if magic == checkpointMagicV1 {
-		return fmt.Errorf("laoram: version 1 checkpoint is not supported (no epoch stamp, trees conditional); re-record the checkpoint with this version's SaveState")
 	}
 	if magic != checkpointMagic {
 		return fmt.Errorf("laoram: bad checkpoint magic %#x", magic)

@@ -2,7 +2,6 @@ package laoram
 
 import (
 	"bytes"
-	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -142,8 +141,8 @@ func TestCheckpointRejectsVerify(t *testing.T) {
 	}
 }
 
-// TestCheckpointEnvelopeErrors: garbage, superseded-version and
-// local/remote-split mismatches are rejected at the envelope layer.
+// TestCheckpointEnvelopeErrors: garbage and local/remote-split mismatches
+// are rejected at the envelope layer.
 func TestCheckpointEnvelopeErrors(t *testing.T) {
 	local, err := New(Options{Entries: 256, BlockSize: 8, Seed: 3})
 	if err != nil {
@@ -155,16 +154,6 @@ func TestCheckpointEnvelopeErrors(t *testing.T) {
 	}
 	if err := local.LoadState(strings.NewReader("definitely not a checkpoint")); err == nil {
 		t.Error("garbage accepted")
-	}
-	// A v1 envelope (no epoch stamp) is recognised but refused with a
-	// descriptive error, not parsed as garbage.
-	var v1 [16]byte
-	binary.LittleEndian.PutUint64(v1[:8], checkpointMagicV1)
-	err = local.LoadState(bytes.NewReader(v1[:]))
-	if err == nil {
-		t.Error("v1 checkpoint accepted")
-	} else if !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("v1 rejection does not say which version: %v", err)
 	}
 	var ck bytes.Buffer
 	if err := local.SaveState(&ck); err != nil {

@@ -215,7 +215,7 @@ func layoutCheck(g *oram.Geometry) uint64 {
 
 // bucketKey is the linear bucket index of (level, node) — heap order.
 func bucketKey(level int, node uint64) int64 {
-	return int64((uint64(1)<<uint(level)) - 1 + node)
+	return int64((uint64(1) << uint(level)) - 1 + node)
 }
 
 // recOff returns the file offset of bucket (level, node)'s record:
@@ -685,8 +685,10 @@ func payloadInto(dst *oram.Slot, n int) []byte {
 }
 
 // encodeSlot seals src into body slot k with PayloadStore's exact write
-// semantics: dummies store zeroed payload bytes, a real block with a nil
-// payload stores a zero-filled row.
+// semantics — as read back and saved, not as instructions executed: a dummy
+// slot holds zeroed payload bytes (PayloadStore's arena invariant; it skips
+// the store when the slot was a dummy already, this tier re-zeroes every
+// time), a real block with a nil payload stores a zero-filled row.
 func (st *Store) encodeSlot(body []byte, k int, src oram.Slot) error {
 	off := k * (slotMeta + st.stride)
 	binary.LittleEndian.PutUint64(body[off:], uint64(src.ID))
@@ -932,10 +934,10 @@ func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 }
 
 // BatchNative implements the oram.BatchNative probe: batches unroll to
-// per-bucket cache operations here, exactly like a local serial store, so
-// the multipath client should skip its batch buffers (this also keeps the
-// client's branch choices — and hence byte-identity with the in-memory
-// serial store — aligned).
+// per-bucket cache operations under the one lock here, so the multipath
+// client issues the buckets itself and skips its batch buffers. Both client
+// branches move the same buckets in the same order, so byte-identity with
+// the in-memory store (which batches natively) does not depend on this.
 func (st *Store) BatchNative() bool { return false }
 
 // Sync flushes every dirty bucket, fsyncs the arena and marks the header

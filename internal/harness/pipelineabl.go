@@ -162,15 +162,15 @@ func PipelineExp(sc Scale, seed int64) (*PipelineResult, error) {
 			seq.Session, pipe.Session)
 	}
 	res := &PipelineResult{
-		Entries:   sc.EntriesSmall,
-		S:         8,
-		Window:    accesses / 16,
-		Depth:     2,
-		Accesses:  accesses,
-		Windows:   pipe.Windows,
-		FeedRate:  rate,
-		SeqWall:   seq.WallTime,
-		PipeWall:  pipe.WallTime,
+		Entries:        sc.EntriesSmall,
+		S:              8,
+		Window:         accesses / 16,
+		Depth:          2,
+		Accesses:       accesses,
+		Windows:        pipe.Windows,
+		FeedRate:       rate,
+		SeqWall:        seq.WallTime,
+		PipeWall:       pipe.WallTime,
 		PlanTime:       pipe.PlanTime,
 		TrainTime:      pipe.TrainTime,
 		Stalled:        pipe.TrainerStalled,

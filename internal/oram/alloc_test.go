@@ -75,33 +75,32 @@ func TestWriteBackAllocs(t *testing.T) {
 
 // TestWriteBackPathsAllocs: the multi-path joint write-back (the LAORAM
 // bin primitive) also runs allocation-free once its scratch has warmed up —
-// for a bin's pair of paths, and at the batch shape (64 paths, a union of
+// for a bin's pair of paths over the metadata-only store (per-bucket branch)
+// and over an unsealed PayloadStore (batched branch), and at the batch shape (64 paths, a union of
 // ~650 buckets, a stash of ~2 000) where it leans hardest on that scratch.
 func TestWriteBackPathsAllocs(t *testing.T) {
 	t.Run("pair", func(t *testing.T) {
-		c := allocTestClient(t)
-		rng := rand.New(rand.NewSource(14))
-		leaves := int64(c.Geometry().Leaves())
-		pair := make([]Leaf, 2)
-		round := func() {
-			pair[0] = Leaf(rng.Int63n(leaves))
-			pair[1] = Leaf(rng.Int63n(leaves))
-			if pair[0] == pair[1] {
-				pair[1] = (pair[1] + 1) % Leaf(leaves)
-			}
-			if err := c.ReadPaths(pair); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.WriteBackPaths(pair); err != nil {
-				t.Fatal(err)
-			}
-		}
+		round := jointRound(t, allocTestClient(t), 2, 14)
 		for i := 0; i < 64; i++ {
 			round() // warm the multi-path scratch
 		}
 		allocs := testing.AllocsPerRun(300, round)
 		if allocs > 0 {
 			t.Errorf("ReadPaths+WriteBackPaths allocates %.2f objects/op in steady state, want 0", allocs)
+		}
+	})
+	t.Run("local-payload", func(t *testing.T) {
+		ps, err := NewPayloadStore(payloadAllocGeom, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := payloadAllocClient(t, NewCountingStore(ps, nil))
+		round := jointRound(t, c, 2, 20)
+		for i := 0; i < 64; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
+			t.Errorf("ReadPaths+WriteBackPaths over an unsealed PayloadStore allocates %.2f objects/op in steady state, want 0", allocs)
 		}
 	})
 	t.Run("batch", func(t *testing.T) {
@@ -189,19 +188,26 @@ func TestAccessBatchAllocs(t *testing.T) {
 
 func sealedAllocClient(t *testing.T) (*Client, uint64) {
 	t.Helper()
-	g := MustGeometry(GeometryConfig{LeafBits: 8, LeafZ: 4, BlockSize: 64})
-	key := make([]byte, 32)
-	sealer, err := crypto.NewSealer(key)
+	sealer, err := crypto.NewSealer(make([]byte, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPayloadStore(g, sealer)
+	ps, err := NewPayloadStore(payloadAllocGeom, sealer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return payloadAllocClient(t, NewCountingStore(ps, nil))
+}
+
+var payloadAllocGeom = MustGeometry(GeometryConfig{LeafBits: 8, LeafZ: 4, BlockSize: 64})
+
+// payloadAllocClient loads 2^9 rows into a client over st (a payload-bearing
+// store of payloadAllocGeom) and warms it up.
+func payloadAllocClient(t *testing.T, st Store) (*Client, uint64) {
+	t.Helper()
 	blocks := uint64(1) << 9
 	c, err := NewClient(ClientConfig{
-		Store:     NewCountingStore(ps, nil),
+		Store:     st,
 		Rand:      rand.New(rand.NewSource(15)),
 		Evict:     PaperEvict,
 		StashHits: true,
@@ -225,6 +231,80 @@ func sealedAllocClient(t *testing.T) (*Client, uint64) {
 		}
 	}
 	return c, blocks
+}
+
+// batchCallSpy counts which shape a client's joint operations reach a local
+// payload store in.
+type batchCallSpy struct {
+	*PayloadStore
+	bucketCalls, batchCalls int
+}
+
+func (s *batchCallSpy) ReadBucket(level int, node uint64, dst []Slot) error {
+	s.bucketCalls++
+	return s.PayloadStore.ReadBucket(level, node, dst)
+}
+
+func (s *batchCallSpy) WriteBucket(level int, node uint64, src []Slot) error {
+	s.bucketCalls++
+	return s.PayloadStore.WriteBucket(level, node, src)
+}
+
+func (s *batchCallSpy) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
+	s.batchCalls++
+	return s.PayloadStore.ReadBuckets(refs, dst)
+}
+
+func (s *batchCallSpy) WriteBuckets(refs []BucketRef, src [][]Slot) error {
+	s.batchCalls++
+	return s.PayloadStore.WriteBuckets(refs, src)
+}
+
+// TestReadPathsLocalBatchAllocs: a joint fetch over an unsealed local
+// PayloadStore takes the batched branch — one ReadBuckets and one
+// WriteBuckets call per round behind the CountingStore, no per-bucket call —
+// and that branch, batch buffers included, allocates nothing in steady state.
+func TestReadPathsLocalBatchAllocs(t *testing.T) {
+	ps, err := NewPayloadStore(payloadAllocGeom, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &batchCallSpy{PayloadStore: ps}
+	c, _ := payloadAllocClient(t, NewCountingStore(spy, nil))
+	round := jointRound(t, c, 8, 19)
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	spy.bucketCalls, spy.batchCalls = 0, 0
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, round)
+	if allocs > 0 {
+		t.Errorf("local batched ReadPaths+WriteBackPaths allocates %.2f objects/op in steady state, want 0", allocs)
+	}
+	// AllocsPerRun calls round once more to warm up.
+	if spy.bucketCalls != 0 || spy.batchCalls != 2*(runs+1) {
+		t.Errorf("%d rounds made %d batch and %d per-bucket store calls, want %d and 0", runs+1, spy.batchCalls, spy.bucketCalls, 2*(runs+1))
+	}
+}
+
+// jointRound returns one joint fetch + joint write-back of n distinct random
+// paths of c's tree.
+func jointRound(t *testing.T, c *Client, n int, seed int64) func() {
+	rng := rand.New(rand.NewSource(seed))
+	leaves := int64(c.Geometry().Leaves())
+	var set LeafSet
+	return func() {
+		set.Reset()
+		for len(set.Leaves()) < n {
+			set.Add(Leaf(rng.Int63n(leaves)))
+		}
+		if err := c.ReadPaths(set.Leaves()); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteBackPaths(set.Leaves()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestAccessSealedAllocBudget: with a payload-bearing sealed store the only

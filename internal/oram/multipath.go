@@ -138,9 +138,10 @@ func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
 // prefixes). All real blocks land in the stash. This is the paper's
 // batch-granularity fetch: "The GPU then issues read request to all the
 // paths associated with the embedding entries in the upcoming training
-// batch and caches them locally" (§IV-A). When the store implements
-// BatchStore, the whole deduplicated union moves in a single store
-// operation — one network frame on a remote store.
+// batch and caches them locally" (§IV-A). When the store executes a bucket
+// batch as one operation (see BatchNative), the whole deduplicated union
+// moves in a single store call — one pass over a local PayloadStore's arena,
+// one network frame on a remote store.
 func (c *Client) ReadPaths(leaves []Leaf) error {
 	switch len(leaves) {
 	case 0:
@@ -197,8 +198,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // operation. Paths overlap (every path shares at least the root bucket), so
 // writing them back one at a time would let a later path's write-back
 // clobber blocks the earlier one just placed in a shared bucket. The joint
-// plan writes every bucket in the union exactly once; with a BatchStore the
-// whole union ships in a single store operation.
+// plan writes every bucket in the union exactly once; to a store that
+// batches natively the whole union ships in a single store call.
 //
 // Superblock clients need this whenever a single logical access fetches
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM

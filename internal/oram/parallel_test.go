@@ -77,7 +77,7 @@ func randomBuckets(g *Geometry, rng *rand.Rand, count int, nextID *uint64) ([]Bu
 	return refs, bufs
 }
 
-func snapshotBytes(t *testing.T, st *PayloadStore) []byte {
+func snapshotBytes(t *testing.T, st Snapshotter) []byte {
 	t.Helper()
 	var sb bytes.Buffer
 	if err := st.Save(&sb); err != nil {
@@ -212,55 +212,5 @@ func TestParallelPathRoundTrip(t *testing.T) {
 				t.Fatalf("level %d slot %d: path round trip mismatch", lvl, k)
 			}
 		}
-	}
-}
-
-// TestBatchNativeProbe: a payload store advertises native batching exactly
-// when a multi-worker pool is installed (so the multipath client only pays
-// for batch buffers when the fan-out buys something), and SetCryptoPool
-// rejects stores without a crypto sealer.
-func TestBatchNativeProbe(t *testing.T) {
-	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 4, BlockSize: 16})
-	plain, err := NewPayloadStore(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.BatchNative() {
-		t.Error("store without a pool claims native batching")
-	}
-	pool := crypto.NewPool(4)
-	defer pool.Close()
-	if err := plain.SetCryptoPool(pool); err == nil {
-		t.Error("SetCryptoPool accepted a store without a crypto sealer")
-	}
-	key := make([]byte, 32)
-	s, err := crypto.NewSealer(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := NewPayloadStore(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sealed.SetCryptoPool(pool); err != nil {
-		t.Fatal(err)
-	}
-	if !sealed.BatchNative() {
-		t.Error("pooled sealed store does not claim native batching")
-	}
-	one := crypto.NewPool(1)
-	defer one.Close()
-	if err := sealed.SetCryptoPool(one); err != nil {
-		t.Fatal(err)
-	}
-	if sealed.BatchNative() {
-		t.Error("1-worker pool should keep the serial (non-batching) path")
-	}
-	// CountingStore forwards the probe, so the multipath client sees it.
-	if err := sealed.SetCryptoPool(pool); err != nil {
-		t.Fatal(err)
-	}
-	if !NewCountingStore(sealed, nil).BatchNative() {
-		t.Error("CountingStore does not forward BatchNative from a pooled store")
 	}
 }

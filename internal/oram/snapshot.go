@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Checkpoint/restore: embedding-table training runs for days and
@@ -86,7 +87,7 @@ func (c *Client) SaveState(w io.Writer) error {
 	// Stash: count, then (id, leaf, payloadLen, payload) sorted by ID
 	// for deterministic output.
 	ids := c.stash.IDs()
-	sortBlockIDsStable(ids)
+	slices.Sort(ids)
 	if err := put(uint64(len(ids))); err != nil {
 		return err
 	}
@@ -183,14 +184,6 @@ func (c *Client) LoadState(r io.Reader) error {
 		}
 	}
 	return nil
-}
-
-func sortBlockIDsStable(ids []BlockID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // Save serialises the metadata-only server tree.

@@ -75,18 +75,21 @@ type BatchStore interface {
 	WriteBuckets(refs []BucketRef, src [][]Slot) error
 }
 
-// BatchNative is implemented by forwarding wrappers (CountingStore) to
-// report whether batched operations reach a store that natively benefits
-// (a remote transport) or are merely unrolled per bucket locally. The
-// multipath client skips the batch branch — and its per-call buffer
-// allocations — when batching buys nothing underneath. A BatchStore that
-// does not implement this probe is presumed native.
+// BatchNative is the probe the multipath client asks before it moves a
+// joint fetch as one ReadBuckets/WriteBuckets call: does the batch reach a
+// store that executes it as one operation? PayloadStore (one pass over the
+// arena, fanned across the crypto pool when one is installed) and the remote
+// transport (one frame) do; CountingStore answers for whatever it wraps. A
+// store that would only unroll the batch bucket by bucket — CountingStore's
+// own fallback over a MetaStore, diskstore under its cache lock — answers
+// false, and the client then issues the buckets itself through its per-level
+// buffers. A BatchStore that does not implement the probe is presumed native.
 type BatchNative interface {
 	BatchNative() bool
 }
 
-// batchWorthwhile reports whether st's BatchStore implementation reaches a
-// native batching transport.
+// batchWorthwhile reports whether st executes a bucket batch as one
+// operation (see BatchNative).
 func batchWorthwhile(st Store) bool {
 	if bn, ok := st.(BatchNative); ok {
 		return bn.BatchNative()
@@ -237,9 +240,14 @@ type InplaceSealer interface {
 // sealed/opened at the Read/Write boundary, mimicking a client that only
 // ever hands ciphertext to the untrusted server.
 type PayloadStore struct {
-	geom   *Geometry
-	ids    []uint64
-	leaf   []uint64
+	geom *Geometry
+	ids  []uint64
+	leaf []uint64
+	// arena holds stride bytes per slot. Invariant: ids[i] == DummyID ⇒ the
+	// slot's stride bytes are all zero. make establishes it, writeSlotAt
+	// preserves it (a real→dummy write zeroes the slot, so no stale row or
+	// ciphertext stays at rest) and Save/Load carry it — which is what lets
+	// a dummy→dummy write, most of every eviction, skip the bytes.
 	arena  []byte
 	stride int // bytes per slot in the arena
 	sealer Sealer
@@ -349,19 +357,24 @@ func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 	return nil
 }
 
-func (st *PayloadStore) writeSlotAt(i int64, src Slot) error {
+// writeSlotAt overwrites slot i. A real slot is sealed under the sealer's
+// next sequence number, or — on SealRange's fan-out, which reserved one per
+// real slot up front — under *seq, which it then advances.
+func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
+	wasDummy := st.ids[i] == uint64(DummyID)
 	st.ids[i] = uint64(src.ID)
 	st.leaf[i] = uint64(src.Leaf)
-	raw := st.slotBytes(i)
 	if src.ID == DummyID {
-		// Dummy payloads are zeroed (a real deployment stores fresh
-		// random ciphertext; the distinction is invisible to the
-		// client logic we are measuring).
-		for j := range raw {
-			raw[j] = 0
+		// A dummy is a zeroed slot (a real deployment stores fresh random
+		// ciphertext; the distinction is invisible to the client logic we
+		// are measuring). One that replaces a dummy is zero already (the
+		// arena invariant); one that replaces a real block clears it.
+		if !wasDummy {
+			clear(st.slotBytes(i))
 		}
 		return nil
 	}
+	raw := st.slotBytes(i)
 	if src.Payload == nil {
 		// A real block with no payload means "zero-filled row" (e.g.
 		// bulk loads that only care about placement).
@@ -370,21 +383,25 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot) error {
 	if len(src.Payload) != st.geom.BlockSize() {
 		return fmt.Errorf("oram: payload len %d != block size %d", len(src.Payload), st.geom.BlockSize())
 	}
-	if st.inplace != nil {
+	switch {
+	case seq != nil:
+		if err := st.seq.SealSeqTo(raw, src.Payload, *seq); err != nil {
+			return fmt.Errorf("oram: seal slot %d: %w", i, err)
+		}
+		*seq++
+	case st.inplace != nil:
 		if err := st.inplace.SealTo(raw, src.Payload); err != nil {
 			return fmt.Errorf("oram: seal slot %d: %w", i, err)
 		}
-		return nil
-	}
-	if st.sealer != nil {
+	case st.sealer != nil:
 		sealed, err := st.sealer.Seal(src.Payload)
 		if err != nil {
 			return fmt.Errorf("oram: seal slot %d: %w", i, err)
 		}
 		copy(raw, sealed)
-		return nil
+	default:
+		copy(raw, src.Payload)
 	}
-	copy(raw, src.Payload)
 	return nil
 }
 
@@ -407,30 +424,6 @@ func (st *PayloadStore) SetCryptoPool(p *crypto.Pool) error {
 		return fmt.Errorf("oram: SetCryptoPool requires a *crypto.Sealer (store has %T)", st.sealer)
 	}
 	st.pool, st.seq = p, seq
-	return nil
-}
-
-// sealSlotSeq is writeSlotAt sealing with an explicitly reserved sequence
-// number (the parallel fan-out path).
-func (st *PayloadStore) sealSlotSeq(i int64, src Slot, seq uint64) error {
-	st.ids[i] = uint64(src.ID)
-	st.leaf[i] = uint64(src.Leaf)
-	raw := st.slotBytes(i)
-	if src.ID == DummyID {
-		for j := range raw {
-			raw[j] = 0
-		}
-		return nil
-	}
-	if src.Payload == nil {
-		src.Payload = st.zero
-	}
-	if len(src.Payload) != st.geom.BlockSize() {
-		return fmt.Errorf("oram: payload len %d != block size %d", len(src.Payload), st.geom.BlockSize())
-	}
-	if err := st.seq.SealSeqTo(raw, src.Payload, seq); err != nil {
-		return fmt.Errorf("oram: seal slot %d: %w", i, err)
-	}
 	return nil
 }
 
@@ -499,7 +492,7 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 		for i, r := range refs {
 			base := st.geom.SlotIndex(r.Level, r.Node, 0)
 			for k := range src[i] {
-				if err := st.writeSlotAt(base+int64(k), src[i][k]); err != nil {
+				if err := st.writeSlotAt(base+int64(k), src[i][k], nil); err != nil {
 					return err
 				}
 			}
@@ -527,12 +520,8 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 			base := st.geom.SlotIndex(refs[i].Level, refs[i].Node, 0)
 			seq := first + uint64(st.sealOrd[i])
 			for k := range src[i] {
-				s := src[i][k]
-				if err := st.sealSlotSeq(base+int64(k), s, seq); err != nil {
+				if err := st.writeSlotAt(base+int64(k), src[i][k], &seq); err != nil {
 					return err
-				}
-				if s.ID != DummyID {
-					seq++
 				}
 			}
 		}
@@ -585,13 +574,9 @@ func (st *PayloadStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	return st.SealRange(refs, src)
 }
 
-// BatchNative implements the BatchNative probe: batching a local payload
-// store is worthwhile exactly when a multi-worker crypto pool can fan the
-// union's seal/open work out (otherwise the per-bucket unrolled path is
-// strictly cheaper — no batch buffers to fill).
-func (st *PayloadStore) BatchNative() bool {
-	return st.pool != nil
-}
+// BatchNative implements the BatchNative probe: a bucket union is one pass
+// over the arena (OpenRange/SealRange), sealed or not, pooled or not.
+func (st *PayloadStore) BatchNative() bool { return true }
 
 // ReadBucket implements Store.
 func (st *PayloadStore) ReadBucket(level int, node uint64, dst []Slot) error {
@@ -622,7 +607,7 @@ func (st *PayloadStore) WriteBucket(level int, node uint64, src []Slot) error {
 	}
 	base := st.geom.SlotIndex(level, node, 0)
 	for i := 0; i < z; i++ {
-		if err := st.writeSlotAt(base+int64(i), src[i]); err != nil {
+		if err := st.writeSlotAt(base+int64(i), src[i], nil); err != nil {
 			return err
 		}
 	}
@@ -648,7 +633,7 @@ func (st *PayloadStore) WriteSlot(level int, node uint64, slot int, src Slot) er
 	if slot < 0 || slot >= st.geom.BucketSize(level) {
 		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
 	}
-	return st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src)
+	return st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src, nil)
 }
 
 // Counters aggregates server-side traffic statistics: exactly what the
@@ -721,24 +706,48 @@ func (cs *CountingStore) ResetCounters() {
 	cs.c = Counters{}
 }
 
-func (cs *CountingStore) charge(read, bucketOp bool, slots int, bytes int) {
+// charge tallies one store call — buckets whole buckets (0 for a slot
+// operation) holding slots slots in all — under a single lock, however many
+// buckets the call moved: a lane charges once per path or bucket union, and
+// the remote server's workers contend once per frame.
+func (cs *CountingStore) charge(read bool, buckets, slots int) {
+	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
 	cs.mu.Lock()
 	if read {
-		if bucketOp {
-			cs.c.BucketReads++
-		}
+		cs.c.BucketReads += uint64(buckets)
 		cs.c.SlotReads += uint64(slots)
-		cs.c.BytesRead += uint64(bytes)
+		cs.c.BytesRead += bytes
 	} else {
-		if bucketOp {
-			cs.c.BucketWrites++
-		}
+		cs.c.BucketWrites += uint64(buckets)
 		cs.c.SlotWrites += uint64(slots)
-		cs.c.BytesWritten += uint64(bytes)
+		cs.c.BytesWritten += bytes
 	}
 	cs.mu.Unlock()
+}
+
+// chargeBuckets charges one call that moved bufs, then hands an installed
+// Ticker its per-bucket transfers in bufs order — the sequence the buckets
+// would have produced moved one call each, so simulated time does not depend
+// on how the client grouped them.
+func (cs *CountingStore) chargeBuckets(read bool, bufs ...[]Slot) {
+	slots := 0
+	for _, b := range bufs {
+		slots += len(b)
+	}
+	cs.charge(read, len(bufs), slots)
 	if cs.tick != nil {
-		cs.tick.OnTransfer(bytes)
+		bs := cs.Geometry().BlockSize()
+		for _, b := range bufs {
+			cs.tick.OnTransfer(len(b) * bs)
+		}
+	}
+}
+
+// chargeSlot charges a single-slot operation.
+func (cs *CountingStore) chargeSlot(read bool) {
+	cs.charge(read, 0, 1)
+	if cs.tick != nil {
+		cs.tick.OnTransfer(cs.Geometry().BlockSize())
 	}
 }
 
@@ -747,7 +756,7 @@ func (cs *CountingStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	if err := cs.inner.ReadBucket(level, node, dst); err != nil {
 		return err
 	}
-	cs.charge(true, true, len(dst), len(dst)*cs.Geometry().BlockSize())
+	cs.chargeBuckets(true, dst)
 	return nil
 }
 
@@ -756,14 +765,15 @@ func (cs *CountingStore) WriteBucket(level int, node uint64, src []Slot) error {
 	if err := cs.inner.WriteBucket(level, node, src); err != nil {
 		return err
 	}
-	cs.charge(false, true, len(src), len(src)*cs.Geometry().BlockSize())
+	cs.chargeBuckets(false, src)
 	return nil
 }
 
 // ReadPath implements PathStore: delegate when the inner store can move a
-// whole path at once, fall back to per-bucket reads otherwise. Counter
-// charges are identical either way (one bucket read per level), so the
-// traffic ledger does not depend on which transport is underneath.
+// whole path at once, unroll it into the inner store's buckets otherwise.
+// The charge is the same either way (one bucket read per level), so the
+// traffic ledger does not depend on which transport is underneath; a call
+// that fails charges nothing.
 func (cs *CountingStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	g := cs.Geometry()
 	if len(dst) != g.Levels() {
@@ -773,20 +783,17 @@ func (cs *CountingStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 		if err := ps.ReadPath(leaf, dst); err != nil {
 			return err
 		}
-		bs := g.BlockSize()
-		for _, b := range dst {
-			cs.charge(true, true, len(b), len(b)*bs)
+	} else {
+		if !g.ValidLeaf(leaf) {
+			return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
 		}
-		return nil
-	}
-	if !g.ValidLeaf(leaf) {
-		return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
-	}
-	for lvl := range dst {
-		if err := cs.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
-			return err
+		for lvl := range dst {
+			if err := cs.inner.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
+				return err
+			}
 		}
 	}
+	cs.chargeBuckets(true, dst...)
 	return nil
 }
 
@@ -800,30 +807,27 @@ func (cs *CountingStore) WritePath(leaf Leaf, src [][]Slot) error {
 		if err := ps.WritePath(leaf, src); err != nil {
 			return err
 		}
-		bs := g.BlockSize()
-		for _, b := range src {
-			cs.charge(false, true, len(b), len(b)*bs)
+	} else {
+		if !g.ValidLeaf(leaf) {
+			return fmt.Errorf("oram: WritePath: invalid leaf %d", leaf)
 		}
-		return nil
-	}
-	if !g.ValidLeaf(leaf) {
-		return fmt.Errorf("oram: WritePath: invalid leaf %d", leaf)
-	}
-	for lvl := range src {
-		if err := cs.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
-			return err
+		for lvl := range src {
+			if err := cs.inner.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
+				return err
+			}
 		}
 	}
+	cs.chargeBuckets(false, src...)
 	return nil
 }
 
-// BatchNative implements the BatchNative probe: batching is worthwhile
-// exactly when the wrapped store batches natively.
+// BatchNative implements the BatchNative probe: a batch through the wrapper
+// is one operation exactly when it is one in the wrapped store.
 func (cs *CountingStore) BatchNative() bool {
 	return batchWorthwhile(cs.inner)
 }
 
-// ReadBuckets implements BatchStore.
+// ReadBuckets implements BatchStore (delegation and charge as ReadPath).
 func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	if len(refs) != len(dst) {
 		return fmt.Errorf("oram: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
@@ -832,17 +836,14 @@ func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 		if err := bs.ReadBuckets(refs, dst); err != nil {
 			return err
 		}
-		blockSize := cs.Geometry().BlockSize()
-		for _, b := range dst {
-			cs.charge(true, true, len(b), len(b)*blockSize)
-		}
-		return nil
-	}
-	for i, r := range refs {
-		if err := cs.ReadBucket(r.Level, r.Node, dst[i]); err != nil {
-			return err
+	} else {
+		for i, r := range refs {
+			if err := cs.inner.ReadBucket(r.Level, r.Node, dst[i]); err != nil {
+				return err
+			}
 		}
 	}
+	cs.chargeBuckets(true, dst...)
 	return nil
 }
 
@@ -855,17 +856,14 @@ func (cs *CountingStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 		if err := bs.WriteBuckets(refs, src); err != nil {
 			return err
 		}
-		blockSize := cs.Geometry().BlockSize()
-		for _, b := range src {
-			cs.charge(false, true, len(b), len(b)*blockSize)
-		}
-		return nil
-	}
-	for i, r := range refs {
-		if err := cs.WriteBucket(r.Level, r.Node, src[i]); err != nil {
-			return err
+	} else {
+		for i, r := range refs {
+			if err := cs.inner.WriteBucket(r.Level, r.Node, src[i]); err != nil {
+				return err
+			}
 		}
 	}
+	cs.chargeBuckets(false, src...)
 	return nil
 }
 
@@ -874,7 +872,7 @@ func (cs *CountingStore) ReadSlot(level int, node uint64, slot int, dst *Slot) e
 	if err := cs.inner.ReadSlot(level, node, slot, dst); err != nil {
 		return err
 	}
-	cs.charge(true, false, 1, cs.Geometry().BlockSize())
+	cs.chargeSlot(true)
 	return nil
 }
 
@@ -883,6 +881,6 @@ func (cs *CountingStore) WriteSlot(level int, node uint64, slot int, src Slot) e
 	if err := cs.inner.WriteSlot(level, node, slot, src); err != nil {
 		return err
 	}
-	cs.charge(false, false, 1, cs.Geometry().BlockSize())
+	cs.chargeSlot(false)
 	return nil
 }

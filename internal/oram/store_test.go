@@ -2,6 +2,8 @@ package oram
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -232,5 +234,141 @@ func TestCountingStore(t *testing.T) {
 	cs.ResetCounters()
 	if c := cs.Counters(); c.SlotReads != 0 {
 		t.Error("reset failed")
+	}
+}
+
+// TestCountingStoreChargeEquivalence: CountingStore charges once per store
+// call, and the ledger must not show it — the same bucket set moved bucket by
+// bucket, as one path and as one batch produces identical Counters and an
+// identical per-bucket OnTransfer sequence, over a store the wrapper unrolls
+// (MetaStore) and one it delegates to (PayloadStore), reads and writes alike.
+func TestCountingStoreChargeEquivalence(t *testing.T) {
+	// A fat tree: bucket sizes differ by level, so the OnTransfer order shows.
+	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 2, RootZ: 7, Profile: ProfileLinear, BlockSize: 24})
+	inners := map[string]func() Store{
+		"MetaStore": func() Store { return NewMetaStore(g) },
+		"PayloadStore": func() Store {
+			ps, err := NewPayloadStore(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ps
+		},
+	}
+	leaf := Leaf(19)
+	refs := make([]BucketRef, g.Levels())
+	for lvl := range refs {
+		refs[lvl] = BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)}
+	}
+	type shape struct {
+		name string
+		move func(cs *CountingStore, bufs [][]Slot) error
+	}
+	reads := []shape{
+		{"ReadBucket×n", func(cs *CountingStore, bufs [][]Slot) error {
+			for i, r := range refs {
+				if err := cs.ReadBucket(r.Level, r.Node, bufs[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ReadPath", func(cs *CountingStore, bufs [][]Slot) error { return cs.ReadPath(leaf, bufs) }},
+		{"ReadBuckets", func(cs *CountingStore, bufs [][]Slot) error { return cs.ReadBuckets(refs, bufs) }},
+	}
+	writes := []shape{
+		{"WriteBucket×n", func(cs *CountingStore, bufs [][]Slot) error {
+			for i, r := range refs {
+				if err := cs.WriteBucket(r.Level, r.Node, bufs[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"WritePath", func(cs *CountingStore, bufs [][]Slot) error { return cs.WritePath(leaf, bufs) }},
+		{"WriteBuckets", func(cs *CountingStore, bufs [][]Slot) error { return cs.WriteBuckets(refs, bufs) }},
+	}
+	for name, mk := range inners {
+		for _, shapes := range [][]shape{reads, writes} {
+			var want Counters
+			var wantTicks []int
+			for i, sh := range shapes {
+				tick := &recordTicker{}
+				cs := NewCountingStore(mk(), tick)
+				bufs := make([][]Slot, len(refs))
+				for lvl := range bufs {
+					bufs[lvl] = make([]Slot, g.BucketSize(lvl))
+					for k := range bufs[lvl] {
+						bufs[lvl][k] = DummySlot()
+					}
+				}
+				if err := sh.move(cs, bufs); err != nil {
+					t.Fatalf("%s %s: %v", name, sh.name, err)
+				}
+				if i == 0 {
+					want, wantTicks = cs.Counters(), tick.events
+					if slots, _ := want.Total(); slots != uint64(g.PathSlots()) || len(wantTicks) != g.Levels() {
+						t.Fatalf("%s %s: moved %d slots in %d transfers, want %d in %d", name, sh.name, slots, len(wantTicks), g.PathSlots(), g.Levels())
+					}
+					continue
+				}
+				if got := cs.Counters(); got != want {
+					t.Errorf("%s %s: counters %+v, want %+v (as %s)", name, sh.name, got, want, shapes[0].name)
+				}
+				if !slices.Equal(tick.events, wantTicks) {
+					t.Errorf("%s %s: OnTransfer sequence %v, want %v (as %s)", name, sh.name, tick.events, wantTicks, shapes[0].name)
+				}
+			}
+		}
+	}
+}
+
+// TestCountingStoreConcurrentCharge: a server's workers charge one
+// CountingStore concurrently (the laoramserve shape). Four goroutines moving
+// disjoint subtrees through the batch path must add up to the serial sum.
+func TestCountingStoreConcurrentCharge(t *testing.T) {
+	g := MustGeometry(GeometryConfig{LeafBits: 6, LeafZ: 4, BlockSize: 16})
+	ps, err := NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := NewCountingStore(ps, nil)
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker w moves the leftmost path of the level-2 subtree rooted
+			// at node w, so no two workers share a bucket.
+			var refs []BucketRef
+			var bufs [][]Slot
+			for lvl := 2; lvl < g.Levels(); lvl++ {
+				refs = append(refs, BucketRef{Level: lvl, Node: uint64(w) << uint(lvl-2)})
+				bufs = append(bufs, make([]Slot, g.BucketSize(lvl)))
+			}
+			for r := 0; r < rounds; r++ {
+				if err := cs.ReadBuckets(refs, bufs); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cs.WriteBuckets(refs, bufs); err != nil {
+					t.Error(err)
+					return
+				}
+				cs.Counters() // a concurrent reader, as opStats/Stats would be
+			}
+		}()
+	}
+	wg.Wait()
+	buckets := uint64(workers * rounds * (g.Levels() - 2))
+	slots := buckets * uint64(g.BucketSize(0))
+	want := Counters{
+		BucketReads: buckets, BucketWrites: buckets,
+		SlotReads: slots, SlotWrites: slots,
+		BytesRead: slots * uint64(g.BlockSize()), BytesWritten: slots * uint64(g.BlockSize()),
+	}
+	if got := cs.Counters(); got != want {
+		t.Errorf("concurrent totals %+v, want the serial sum %+v", got, want)
 	}
 }
