@@ -12,6 +12,16 @@ import (
 	"repro/internal/remote"
 )
 
+// shard0 is the store view onto shard 0 of c's node.
+func shard0(t testing.TB, c *remote.Client) *remote.ShardStore {
+	t.Helper()
+	st, err := c.Store(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func metaStores(t *testing.T, shards int) func() ([]oram.Store, error) {
 	t.Helper()
 	return func() ([]oram.Store, error) {
@@ -49,11 +59,11 @@ func TestProxyPassthrough(t *testing.T) {
 	}
 	defer c.Close()
 	want := oram.Slot{ID: 9, Leaf: 3}
-	if err := c.WriteSlot(2, 1, 0, want); err != nil {
+	if err := shard0(t, c).WriteSlot(2, 1, 0, want); err != nil {
 		t.Fatal(err)
 	}
 	var got oram.Slot
-	if err := c.ReadSlot(2, 1, 0, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(2, 1, 0, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != want.ID || got.Leaf != want.Leaf {
@@ -77,11 +87,11 @@ func TestProxyLatency(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		if err := c.WriteSlot(3, 2, 1, oram.Slot{ID: uint64ID(i), Leaf: 5}); err != nil {
+		if err := shard0(t, c).WriteSlot(3, 2, 1, oram.Slot{ID: uint64ID(i), Leaf: 5}); err != nil {
 			t.Fatal(err)
 		}
 		var got oram.Slot
-		if err := c.ReadSlot(3, 2, 1, &got); err != nil {
+		if err := shard0(t, c).ReadSlot(3, 2, 1, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got.ID != uint64ID(i) {
@@ -108,13 +118,13 @@ func TestProxyKillConnsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteSlot(1, 0, 0, oram.Slot{ID: 77, Leaf: 1}); err != nil {
+	if err := shard0(t, c).WriteSlot(1, 0, 0, oram.Slot{ID: 77, Leaf: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
 		p.KillConns()
 		var got oram.Slot
-		if err := c.ReadSlot(1, 0, 0, &got); err != nil {
+		if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil {
 			t.Fatalf("round %d: read after kill: %v", round, err)
 		}
 		if got.ID != 77 {
@@ -141,12 +151,12 @@ func TestProxyTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteSlot(2, 0, 0, oram.Slot{ID: 5, Leaf: 2}); err != nil {
+	if err := shard0(t, c).WriteSlot(2, 0, 0, oram.Slot{ID: 5, Leaf: 2}); err != nil {
 		t.Fatal(err)
 	}
 	p.TruncateNext(3) // cut mid-length-prefix
 	var got oram.Slot
-	if err := c.ReadSlot(2, 0, 0, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(2, 0, 0, &got); err != nil {
 		t.Fatalf("read across torn frame: %v", err)
 	}
 	if got.ID != 5 || got.Leaf != 2 {
@@ -276,7 +286,7 @@ func TestSnapshotDeterministicAcrossNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.WriteSlot(4, 9, 3, oram.Slot{ID: 2, Leaf: 8}); err != nil {
+		if err := shard0(t, c).WriteSlot(4, 9, 3, oram.Slot{ID: 2, Leaf: 8}); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()

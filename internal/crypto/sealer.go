@@ -60,8 +60,8 @@ var (
 )
 
 // Sealer encrypts and authenticates block payloads. It implements the
-// oram.Sealer interface and its in-place extension, oram.InplaceSealer,
-// and is safe for concurrent use.
+// in-place oram.Sealer contract (SealedSize/SealTo/OpenTo) and is safe for
+// concurrent use.
 type Sealer struct {
 	aead  cipher.AEAD
 	fixed [fixedSize]byte // single crypto/rand read, at construction

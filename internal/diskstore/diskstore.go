@@ -103,13 +103,12 @@ type entry struct {
 // prefetch goroutines — and planner-side PrefetchPaths hints — touch the
 // cache concurrently.
 type Store struct {
-	geom      *oram.Geometry
-	sealer    oram.Sealer
-	inplace   oram.InplaceSealer
-	stride    int
-	zeroBlock []byte // plaintext zero row for nil-payload real blocks
-	path      string
-	f         *os.File
+	geom   *oram.Geometry
+	sealer oram.Sealer
+	codec  oram.SlotCodec // a real slot's bytes at rest: PayloadStore's rule
+	stride int
+	path   string
+	f      *os.File
 
 	mu     sync.Mutex
 	cache  map[int64]*entry
@@ -243,17 +242,14 @@ func Open(cfg Config) (*Store, error) {
 	st := &Store{
 		geom:      cfg.Geometry,
 		sealer:    cfg.Sealer,
+		codec:     oram.NewSlotCodec(cfg.Geometry.BlockSize(), cfg.Sealer),
 		stride:    strideFor(cfg.Geometry, cfg.Sealer),
-		zeroBlock: make([]byte, cfg.Geometry.BlockSize()),
 		path:      cfg.Path,
 		cache:     make(map[int64]*entry),
 		lru:       list.New(),
 		pfKey:     noPrefetch,
 		flushWake: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
-	}
-	if is, ok := cfg.Sealer.(oram.InplaceSealer); ok {
-		st.inplace = is
 	}
 	if cfg.MemBudget > 0 {
 		var pathBody int64
@@ -652,36 +648,10 @@ func (st *Store) decodeSlot(body []byte, k int, dst *oram.Slot) error {
 		dst.Payload = nil
 		return nil
 	}
-	bs := st.geom.BlockSize()
-	if st.inplace != nil {
-		out := payloadInto(dst, bs)
-		if err := st.inplace.OpenTo(out, raw); err != nil {
-			return fmt.Errorf("diskstore: open slot %d: %w", k, err)
-		}
-		dst.Payload = out
-		return nil
+	if err := st.codec.Open(raw, dst); err != nil {
+		return fmt.Errorf("diskstore: open slot %d: %w", k, err)
 	}
-	if st.sealer != nil {
-		plain, err := st.sealer.Open(raw)
-		if err != nil {
-			return fmt.Errorf("diskstore: open slot %d: %w", k, err)
-		}
-		dst.Payload = plain
-		return nil
-	}
-	out := payloadInto(dst, bs)
-	copy(out, raw)
-	dst.Payload = out
 	return nil
-}
-
-// payloadInto mirrors oram's payloadDst: reuse dst.Payload's capacity
-// when big enough, allocate otherwise.
-func payloadInto(dst *oram.Slot, n int) []byte {
-	if cap(dst.Payload) >= n {
-		return dst.Payload[:n]
-	}
-	return make([]byte, n)
 }
 
 // encodeSlot seals src into body slot k with PayloadStore's exact write
@@ -695,32 +665,12 @@ func (st *Store) encodeSlot(body []byte, k int, src oram.Slot) error {
 	binary.LittleEndian.PutUint64(body[off+8:], uint64(src.Leaf))
 	raw := body[off+slotMeta : off+slotMeta+st.stride]
 	if src.ID == oram.DummyID {
-		for j := range raw {
-			raw[j] = 0
-		}
+		clear(raw)
 		return nil
 	}
-	if src.Payload == nil {
-		src.Payload = st.zeroBlock
+	if err := st.codec.Seal(raw, src.Payload, nil); err != nil {
+		return fmt.Errorf("diskstore: seal slot %d: %w", k, err)
 	}
-	if len(src.Payload) != st.geom.BlockSize() {
-		return fmt.Errorf("diskstore: payload len %d != block size %d", len(src.Payload), st.geom.BlockSize())
-	}
-	if st.inplace != nil {
-		if err := st.inplace.SealTo(raw, src.Payload); err != nil {
-			return fmt.Errorf("diskstore: seal slot %d: %w", k, err)
-		}
-		return nil
-	}
-	if st.sealer != nil {
-		sealed, err := st.sealer.Seal(src.Payload)
-		if err != nil {
-			return fmt.Errorf("diskstore: seal slot %d: %w", k, err)
-		}
-		copy(raw, sealed)
-		return nil
-	}
-	copy(raw, src.Payload)
 	return nil
 }
 
@@ -853,12 +803,14 @@ func (st *Store) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
 	if len(dst) != st.geom.Levels() {
 		return fmt.Errorf("diskstore: ReadPath dst has %d levels, tree has %d", len(dst), st.geom.Levels())
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for lvl := range dst {
 		if z := st.geom.BucketSize(lvl); len(dst[lvl]) != z {
 			return fmt.Errorf("diskstore: ReadBucket dst len %d != bucket size %d", len(dst[lvl]), z)
 		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for lvl := range dst {
 		if err := st.readBucketLocked(lvl, st.geom.NodeAt(leaf, lvl), dst[lvl]); err != nil {
 			return err
 		}
@@ -874,12 +826,16 @@ func (st *Store) WritePath(leaf oram.Leaf, src [][]oram.Slot) error {
 	if len(src) != st.geom.Levels() {
 		return fmt.Errorf("diskstore: WritePath src has %d levels, tree has %d", len(src), st.geom.Levels())
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	// Every level is checked before the first is written: a path that is
+	// wrong anywhere changes nothing (as WriteBuckets' checkRefs).
 	for lvl := range src {
 		if z := st.geom.BucketSize(lvl); len(src[lvl]) != z {
 			return fmt.Errorf("diskstore: WriteBucket src len %d != bucket size %d", len(src[lvl]), z)
 		}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for lvl := range src {
 		if err := st.writeBucketLocked(lvl, st.geom.NodeAt(leaf, lvl), src[lvl]); err != nil {
 			return err
 		}
@@ -934,10 +890,10 @@ func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 }
 
 // BatchNative implements the oram.BatchNative probe: batches unroll to
-// per-bucket cache operations under the one lock here, so the multipath
-// client issues the buckets itself and skips its batch buffers. Both client
-// branches move the same buckets in the same order, so byte-identity with
-// the in-memory store (which batches natively) does not depend on this.
+// per-bucket cache operations under the one lock here, so oram.Resolve hands
+// drivers the bucket loop instead of ReadBuckets/WriteBuckets. Either way
+// the same buckets move in the same order, so byte-identity with the
+// in-memory store (which batches natively) does not depend on this.
 func (st *Store) BatchNative() bool { return false }
 
 // Sync flushes every dirty bucket, fsyncs the arena and marks the header

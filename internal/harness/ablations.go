@@ -150,10 +150,10 @@ func ProfileSweep(sc Scale, seed int64) (*ProfileSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rr, err := runWithGeometry(RunSpec{
+		rr, err := Run(RunSpec{
 			Entries: entries, BlockSize: 128, Variant: Variant{Name: p.name, S: S},
-			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 23,
-		}, g)
+			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 23, Geometry: g,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", p.name, err)
 		}

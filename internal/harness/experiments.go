@@ -461,11 +461,11 @@ func MemNeutral(sc Scale, seed int64) (*MemNeutralResult, error) {
 			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 11,
 		}
 		// The §VIII-C fat tree is 9→5, not the default 2×; build by hand.
-		g := fatGeom
+		spec.Geometry = fatGeom
 		if !fat {
-			g = wideGeom
+			spec.Geometry = wideGeom
 		}
-		rr, err := runWithGeometry(spec, g)
+		rr, err := Run(spec)
 		if err != nil {
 			return 0, err
 		}
@@ -481,52 +481,6 @@ func MemNeutral(sc Scale, seed int64) (*MemNeutralResult, error) {
 		res.DummyReduction = 1 - float64(res.FatDummies)/float64(res.WideDummy)
 	}
 	return res, nil
-}
-
-// runWithGeometry is Run with an explicit geometry (for non-standard
-// configurations like §VIII-C's 9→5 fat tree).
-func runWithGeometry(spec RunSpec, g *oram.Geometry) (RunResult, error) {
-	var out RunResult
-	out.Variant = spec.Variant
-	out.ServerGeom = g
-	model := spec.Model
-	if model.BytesPerSecond == 0 {
-		model = memsim.DDR4Default()
-	}
-	meter := memsim.NewMeter(model)
-	cs := oram.NewCountingStore(oram.NewMetaStore(g), meter)
-	base, err := oram.NewClient(oram.ClientConfig{
-		Store: cs, Rand: trace.NewRNG(spec.Seed), Evict: spec.Evict,
-		Timer: meter, StashHits: true, Blocks: spec.Entries,
-	})
-	if err != nil {
-		return out, err
-	}
-	plan, err := superblock.NewPlan(spec.Stream, superblock.PlanConfig{
-		S: spec.Variant.S, Leaves: g.Leaves(), Rand: trace.NewRNG(spec.Seed + 1),
-	})
-	if err != nil {
-		return out, err
-	}
-	la, err := coreNew(base, plan)
-	if err != nil {
-		return out, err
-	}
-	if err := la.LoadPrePlaced(spec.Entries, nil); err != nil {
-		return out, err
-	}
-	cs.ResetCounters()
-	meter.Reset()
-	la.ResetStats()
-	if err := la.Run(nil); err != nil {
-		return out, err
-	}
-	out.Core = la.Stats()
-	out.Stats = out.Core.AccessStats
-	out.SimTime = meter.Now()
-	out.Counters = cs.Counters()
-	out.StashPeak = base.Stash().Peak()
-	return out, nil
 }
 
 // Render formats the §VIII-C comparison.
@@ -765,7 +719,7 @@ func Security(sc Scale, seed int64) (*SecurityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		la, err := coreNew(base, plan)
+		la, err := core.New(core.Config{Base: base, Plan: plan})
 		if err != nil {
 			return nil, err
 		}
@@ -889,10 +843,4 @@ func (r *Fig2Result) Render() string {
 	return fmt.Sprintf("Fig. 2 — %d accesses to the Kaggle-like embedding table (N=%d)\n"+
 		"(index ↑, access time →; repeat fraction %.2f — the dark band at the bottom)\n%s",
 		len(r.Stream), r.Entries, r.Repeat, art)
-}
-
-// coreNew builds a LAORAM instance (import-cycle-free helper shared by the
-// experiment bodies).
-func coreNew(base *oram.Client, plan *superblock.Plan) (*core.LAORAM, error) {
-	return core.New(core.Config{Base: base, Plan: plan})
 }

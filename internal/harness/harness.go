@@ -113,6 +113,10 @@ type RunSpec struct {
 	// StashSampler, if non-nil, is called after every logical access
 	// with (accessIndex, stashSize) — the Fig. 8 probe.
 	StashSampler func(access int, stash int)
+	// Geometry, if non-nil, is the tree to run on instead of the one
+	// Entries/LeafZ/Variant.Fat describe (non-standard shapes like
+	// §VIII-C's 9→5 fat tree).
+	Geometry *oram.Geometry
 }
 
 // RunResult carries everything the experiments need.
@@ -160,9 +164,12 @@ func buildGeometry(spec *RunSpec) (*oram.Geometry, error) {
 func Run(spec RunSpec) (RunResult, error) {
 	var out RunResult
 	out.Variant = spec.Variant
-	g, err := buildGeometry(&spec)
-	if err != nil {
-		return out, err
+	g := spec.Geometry
+	if g == nil {
+		var err error
+		if g, err = buildGeometry(&spec); err != nil {
+			return out, err
+		}
 	}
 	out.ServerGeom = g
 	model := spec.Model

@@ -1,0 +1,63 @@
+package oram_test
+
+import (
+	"path/filepath"
+	"testing"
+
+	"repro/internal/diskstore"
+	"repro/internal/integrity"
+	"repro/internal/oram"
+	"repro/internal/remote"
+)
+
+// The conformance rows for the stores that live in packages which import
+// oram: constructors handed to TestPathStoreFastPathEquivalence's table.
+func init() {
+	payload := func(t *testing.T, g *oram.Geometry) *oram.PayloadStore {
+		ps, err := oram.NewPayloadStore(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ps
+	}
+	oram.ConformanceShapes = append(oram.ConformanceShapes,
+		oram.StoreShape{Name: "VerifiedStore", Payloads: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
+			vs, err := integrity.NewVerifiedStore(payload(t, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vs
+		}},
+		// A budget of two paths (the floor diskstore clamps to): every bucket
+		// set below is read back through evictions and disk reads.
+		oram.StoreShape{Name: "diskstore", Atomic: true, Payloads: true, ZeroRows: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
+			ds, err := diskstore.Open(diskstore.Config{Path: filepath.Join(t.TempDir(), "arena"), Geometry: g, MemBudget: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ds.Close() })
+			return ds
+		}},
+		oram.StoreShape{Name: "remote.ShardStore", Native: true, Atomic: true, Payloads: true, ZeroRows: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
+			srv, err := remote.NewSharded([]oram.Store{payload(t, g)}, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			cl, err := remote.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cl.Close() })
+			st, err := cl.Store(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}},
+	)
+}

@@ -6,11 +6,13 @@ import (
 	"slices"
 )
 
-// multiScratch is the reusable state of the multi-path operations. A
-// client executes one ReadPaths/WriteBackPaths at a time (single-goroutine
-// model), so one scratch set per client suffices and the superblock hot
-// path — one bin = one ReadPaths + one WriteBackPaths — allocates nothing
-// in steady state. Everything here is O(stash + bucket union).
+// multiScratch is the client's one set of transfer buffers plus the scratch
+// of the joint operations. A client moves one path or bucket union at a time
+// (single-goroutine model), so ReadPath, WriteBackPath, ReadPaths and
+// WriteBackPaths all lay their buckets out in the same bufs, and the hot
+// paths — an access = one ReadPath + one WriteBackPath, a superblock bin =
+// one ReadPaths + one WriteBackPaths — allocate nothing in steady state.
+// Everything here is O(stash + bucket union).
 type multiScratch struct {
 	refs   []BucketRef // bucket union (read order or write order)
 	ids    []BlockID   // sorted stash snapshot for deterministic placement
@@ -22,12 +24,15 @@ type multiScratch struct {
 }
 
 // batchBufs returns n slot buffers with bufs[i] sized to size(i), reusing
-// prior capacity. Slots are zeroed and their payloads re-armed from a
-// private arena (the same discipline as Client.rearmBucket): stale payload
-// pointers from a previous write-back would alias live stash slabs, which
-// a store honouring the decrypt-into-capacity contract must never be
+// prior capacity. A write-back (blockSize 0) overwrites every slot. For a
+// read, every slot's payload is re-armed from a private arena first: stale
+// payload pointers from a previous write-back would alias live stash slabs,
+// which a store honouring the decrypt-into-capacity contract must never be
 // handed, while arena-backed slices let such a store read into recycled
-// client memory instead of allocating.
+// client memory instead of allocating. Whatever the store leaves behind is
+// re-armed before the next read, so nothing the client retains can alias the
+// arena — the stash copies on Put. (A geometry without payloads has no slabs
+// to alias: its stash holds nil payloads.)
 func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot {
 	if cap(m.bufs) < n {
 		m.bufs = append(m.bufs[:cap(m.bufs)], make([][]Slot, n-cap(m.bufs))...)
@@ -41,16 +46,16 @@ func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot 
 			m.bufs[i] = make([]Slot, z)
 		}
 		m.bufs[i] = m.bufs[i][:z]
-		clear(m.bufs[i])
 		if blockSize > 0 {
-			if cap(m.arena[i]) < z {
-				m.arena[i] = append(m.arena[i][:cap(m.arena[i])], make([][]byte, z-cap(m.arena[i]))...)
-			}
-			m.arena[i] = m.arena[i][:z]
-			for j := 0; j < z; j++ {
-				if m.arena[i][j] == nil {
-					m.arena[i][j] = make([]byte, blockSize)
+			// arena[i] only ever grows: one contiguous stripe per growth.
+			if have := len(m.arena[i]); have < z {
+				stripe := make([]byte, (z-have)*blockSize)
+				for ; have < z; have++ {
+					m.arena[i] = append(m.arena[i], stripe[:blockSize:blockSize])
+					stripe = stripe[blockSize:]
 				}
+			}
+			for j := range m.bufs[i] {
 				m.bufs[i][j].Payload = m.arena[i][j]
 			}
 		}
@@ -112,9 +117,10 @@ func (c *Client) GatherLeaf(set *LeafSet, id BlockID) (hit bool, err error) {
 
 // pathUnion collects the deduplicated buckets of a set of paths, level by
 // level from the root, preserving the leaves' order within a level. This is
-// the canonical bucket order both ReadPaths branches (batched and
-// per-bucket) iterate, so results are independent of the transport. The
-// returned slice aliases the client's scratch.
+// the canonical bucket order of a joint fetch — the order a batch-native
+// store is handed and the order the bucket loop issues — so results are
+// independent of the transport. The returned slice aliases the client's
+// scratch.
 func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
 	g := c.geom
 	refs := c.multi.refs[:0]
@@ -138,10 +144,11 @@ func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
 // prefixes). All real blocks land in the stash. This is the paper's
 // batch-granularity fetch: "The GPU then issues read request to all the
 // paths associated with the embedding entries in the upcoming training
-// batch and caches them locally" (§IV-A). When the store executes a bucket
-// batch as one operation (see BatchNative), the whole deduplicated union
-// moves in a single store call — one pass over a local PayloadStore's arena,
-// one network frame on a remote store.
+// batch and caches them locally" (§IV-A). The union moves in one ReadBuckets
+// call on the store's Face: where the store executes a bucket batch as one
+// operation (see BatchNative) that is one pass over a local PayloadStore's
+// arena or one network frame on a remote store, and otherwise the bucket
+// loop over the same refs.
 func (c *Client) ReadPaths(leaves []Leaf) error {
 	switch len(leaves) {
 	case 0:
@@ -156,32 +163,13 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 		}
 	}
 	refs := c.pathUnion(leaves)
-	moved := 0
-	if bs, ok := c.store.(BatchStore); ok && batchWorthwhile(c.store) {
-		bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
-		if err := bs.ReadBuckets(refs, bufs); err != nil {
-			return fmt.Errorf("oram: ReadPaths: %w", err)
-		}
-		for _, buf := range bufs {
-			n, err := c.ingestBucket(buf)
-			if err != nil {
-				return err
-			}
-			moved += n
-		}
-	} else {
-		for _, r := range refs {
-			c.rearmBucket(r.Level)
-			buf := c.bucketBufs[r.Level]
-			if err := c.store.ReadBucket(r.Level, r.Node, buf); err != nil {
-				return fmt.Errorf("oram: ReadPaths level %d node %d: %w", r.Level, r.Node, err)
-			}
-			n, err := c.ingestBucket(buf)
-			if err != nil {
-				return err
-			}
-			moved += n
-		}
+	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
+	if err := c.face.ReadBuckets(refs, bufs); err != nil {
+		return fmt.Errorf("oram: ReadPaths: %w", err)
+	}
+	moved, err := c.ingest(bufs)
+	if err != nil {
+		return err
 	}
 	if c.timer != nil {
 		for range leaves {
@@ -198,8 +186,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // operation. Paths overlap (every path shares at least the root bucket), so
 // writing them back one at a time would let a later path's write-back
 // clobber blocks the earlier one just placed in a shared bucket. The joint
-// plan writes every bucket in the union exactly once; to a store that
-// batches natively the whole union ships in a single store call.
+// plan writes every bucket in the union exactly once, in one WriteBuckets
+// call on the store's Face (see ReadPaths).
 //
 // Superblock clients need this whenever a single logical access fetches
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
@@ -281,16 +269,8 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		}
 	}
 
-	if bs, ok := c.store.(BatchStore); ok && batchWorthwhile(c.store) {
-		if err := bs.WriteBuckets(buckets, bufs); err != nil {
-			return fmt.Errorf("oram: WriteBackPaths: %w", err)
-		}
-	} else {
-		for i, b := range buckets {
-			if err := c.store.WriteBucket(b.Level, b.Node, bufs[i]); err != nil {
-				return fmt.Errorf("oram: WriteBackPaths level %d node %d: %w", b.Level, b.Node, err)
-			}
-		}
+	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
+		return fmt.Errorf("oram: WriteBackPaths: %w", err)
 	}
 	for i, buf := range bufs {
 		for j := 0; j < fill[i]; j++ {

@@ -95,6 +95,9 @@ type ClientConfig struct {
 type Client struct {
 	geom  *Geometry
 	store Store
+	// face is store at path and batch granularity, resolved once: every
+	// path and bucket union the client moves goes through it.
+	face  Face
 	pos   PositionMap
 	stash *Stash
 	rng   *rand.Rand
@@ -103,25 +106,11 @@ type Client struct {
 	stats AccessStats
 
 	stashHits bool
-	// bucketBufs[level] is a reusable read buffer sized to the level's
-	// bucket capacity.
-	bucketBufs [][]Slot
-	// slotBacking[level][slot] is the payload buffer re-armed into
-	// bucketBufs before every read, so payload-bearing stores can decrypt
-	// into client-owned memory instead of allocating (nil when the
-	// geometry has no payloads). The stash copies on Put, so recycling
-	// these buffers across reads is safe.
-	slotBacking [][][]byte
-	// writeBuf is a reusable write buffer sized to the largest bucket.
-	writeBuf []Slot
-	// pathWriteBufs[level] are reusable write buffers for single-round-trip
-	// path write-backs (PathStore stores), allocated on first use.
-	pathWriteBufs [][]Slot
 	// planner is the reusable greedy write-back planner: WriteBackPath
 	// allocates nothing in steady state.
 	planner evictPlanner
-	// multi holds the scratch of the multi-path operations (ReadPaths /
-	// WriteBackPaths); see multipath.go.
+	// multi holds the client's one set of transfer buffers and the scratch
+	// of the joint operations; see multipath.go.
 	multi multiScratch
 	// batch holds the scratch of the joint multi-key access; see
 	// accessbatch.go.
@@ -159,6 +148,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		geom:      g,
 		store:     cfg.Store,
+		face:      Resolve(cfg.Store),
 		pos:       pm,
 		stash:     NewStash(),
 		rng:       cfg.Rand,
@@ -166,51 +156,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		timer:     cfg.Timer,
 		stashHits: cfg.StashHits,
 	}
-	c.bucketBufs = make([][]Slot, g.Levels())
-	maxZ := 0
-	for lvl := 0; lvl < g.Levels(); lvl++ {
-		z := g.BucketSize(lvl)
-		c.bucketBufs[lvl] = make([]Slot, z)
-		if z > maxZ {
-			maxZ = z
-		}
-	}
-	c.writeBuf = make([]Slot, maxZ)
-	if bs := g.BlockSize(); bs > 0 {
-		// One arena, sliced per path slot, backs every read buffer.
-		total := 0
-		for lvl := 0; lvl < g.Levels(); lvl++ {
-			total += g.BucketSize(lvl)
-		}
-		arena := make([]byte, total*bs)
-		c.slotBacking = make([][][]byte, g.Levels())
-		off := 0
-		for lvl := 0; lvl < g.Levels(); lvl++ {
-			z := g.BucketSize(lvl)
-			c.slotBacking[lvl] = make([][]byte, z)
-			for i := 0; i < z; i++ {
-				c.slotBacking[lvl][i] = arena[off : off+bs : off+bs]
-				off += bs
-			}
-		}
-	}
 	return c, nil
-}
-
-// rearmBucket points the read buffer's payload slices back at the client's
-// recycled backing arena before a store read. Stores overwrite (or, for
-// payload-bearing local stores, decrypt into) these buffers; whatever the
-// store leaves behind is re-armed before the next read, so nothing the
-// client retains can alias them — the stash copies on Put.
-func (c *Client) rearmBucket(lvl int) {
-	if c.slotBacking == nil {
-		return
-	}
-	buf := c.bucketBufs[lvl]
-	backing := c.slotBacking[lvl]
-	for i := range buf {
-		buf[i].Payload = backing[i]
-	}
 }
 
 // Geometry returns the tree shape.
@@ -248,10 +194,10 @@ func (c *Client) RandomLeaf() Leaf {
 // ReadPath fetches every bucket on the path to leaf, moving all real blocks
 // into the stash (§II-C step 2); dummies are dropped. It performs no
 // statistics accounting beyond timing: callers decide whether the read was
-// a real access or a dummy. When the store implements PathStore the whole
-// path moves in one store operation (one network round trip on a remote
-// store); slot processing order — and therefore every downstream decision —
-// is identical either way.
+// a real access or a dummy. The whole path moves in one call on the store's
+// Face — one network round trip on a remote store, the level-by-level bucket
+// loop on a bucket-only one; slot processing order, and therefore every
+// downstream decision, is the same either way.
 func (c *Client) ReadPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
@@ -259,35 +205,13 @@ func (c *Client) ReadPath(leaf Leaf) error {
 	if c.timer != nil {
 		c.timer.OnPathRequest()
 	}
-	moved := 0
-	if ps, ok := c.store.(PathStore); ok {
-		for lvl := range c.bucketBufs {
-			c.rearmBucket(lvl)
-		}
-		if err := ps.ReadPath(leaf, c.bucketBufs); err != nil {
-			return fmt.Errorf("oram: ReadPath: %w", err)
-		}
-		for lvl := range c.bucketBufs {
-			n, err := c.ingestBucket(c.bucketBufs[lvl])
-			if err != nil {
-				return err
-			}
-			moved += n
-		}
-	} else {
-		for lvl := 0; lvl < c.geom.Levels(); lvl++ {
-			node := c.geom.NodeAt(leaf, lvl)
-			c.rearmBucket(lvl)
-			buf := c.bucketBufs[lvl]
-			if err := c.store.ReadBucket(lvl, node, buf); err != nil {
-				return fmt.Errorf("oram: ReadPath level %d: %w", lvl, err)
-			}
-			n, err := c.ingestBucket(buf)
-			if err != nil {
-				return err
-			}
-			moved += n
-		}
+	bufs := c.multi.batchBufs(c.geom.Levels(), c.geom.BlockSize(), c.geom.BucketSize)
+	if err := c.face.ReadPath(leaf, bufs); err != nil {
+		return fmt.Errorf("oram: ReadPath: %w", err)
+	}
+	moved, err := c.ingest(bufs)
+	if err != nil {
+		return err
 	}
 	if c.timer != nil && moved > 0 {
 		c.timer.OnStashWork(moved)
@@ -295,29 +219,30 @@ func (c *Client) ReadPath(leaf Leaf) error {
 	return nil
 }
 
-// ingestBucket moves every real slot of buf into the stash (§II-C step 2;
-// dummies are dropped), returning how many blocks moved. Both the
-// path-granularity and bucket-granularity read paths funnel through here,
-// so stash-ingestion semantics live in one place.
-func (c *Client) ingestBucket(buf []Slot) (int, error) {
+// ingest moves every real slot of the fetched buckets into the stash (§II-C
+// step 2; dummies are dropped), in bucket order, returning how many blocks
+// moved. Every read — a path or a bucket union — funnels through here, so
+// stash-ingestion semantics live in one place.
+func (c *Client) ingest(bufs [][]Slot) (int, error) {
 	moved := 0
-	for i := range buf {
-		if buf[i].Dummy() {
-			continue
+	for _, buf := range bufs {
+		for i := range buf {
+			if buf[i].Dummy() {
+				continue
+			}
+			if err := c.stash.Put(buf[i].ID, buf[i].Leaf, buf[i].Payload); err != nil {
+				return moved, err
+			}
+			moved++
 		}
-		if err := c.stash.Put(buf[i].ID, buf[i].Leaf, buf[i].Payload); err != nil {
-			return moved, err
-		}
-		moved++
 	}
 	return moved, nil
 }
 
 // WriteBackPath greedily writes stashed blocks into the path to leaf
 // (§II-C step 5), as deep as each block's assigned leaf allows, filling
-// remaining slots with dummies. Blocks written are removed from the stash.
-// When the store implements PathStore the whole path is written back in one
-// store operation; placement is identical either way.
+// remaining slots with dummies. The whole path is written in one call on the
+// store's Face; blocks written are removed from the stash once it returns.
 func (c *Client) WriteBackPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WriteBackPath: invalid leaf %d", leaf)
@@ -326,58 +251,26 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 		c.timer.OnPathRequest()
 	}
 	plan := c.stash.evictPlanInto(&c.planner, c.geom, leaf)
+	bufs := c.multi.batchBufs(c.geom.Levels(), 0, c.geom.BucketSize)
 	moved := 0
-	if ps, ok := c.store.(PathStore); ok {
-		if c.pathWriteBufs == nil {
-			c.pathWriteBufs = make([][]Slot, c.geom.Levels())
-			for lvl := range c.pathWriteBufs {
-				c.pathWriteBufs[lvl] = make([]Slot, c.geom.BucketSize(lvl))
-			}
+	for lvl, ids := range plan {
+		buf := bufs[lvl]
+		for i, id := range ids {
+			l, _ := c.stash.Leaf(id)
+			p, _ := c.stash.Payload(id)
+			buf[i] = Slot{ID: id, Leaf: l, Payload: p}
 		}
-		for lvl := 0; lvl < c.geom.Levels(); lvl++ {
-			buf := c.pathWriteBufs[lvl]
-			i := 0
-			for _, id := range plan[lvl] {
-				l, _ := c.stash.Leaf(id)
-				p, _ := c.stash.Payload(id)
-				buf[i] = Slot{ID: id, Leaf: l, Payload: p}
-				i++
-			}
-			moved += i
-			for ; i < len(buf); i++ {
-				buf[i] = DummySlot()
-			}
+		moved += len(ids)
+		for i := len(ids); i < len(buf); i++ {
+			buf[i] = DummySlot()
 		}
-		if err := ps.WritePath(leaf, c.pathWriteBufs); err != nil {
-			return fmt.Errorf("oram: WriteBackPath: %w", err)
-		}
-		for lvl := range plan {
-			for _, id := range plan[lvl] {
-				c.stash.Remove(id)
-			}
-		}
-	} else {
-		for lvl := 0; lvl < c.geom.Levels(); lvl++ {
-			node := c.geom.NodeAt(leaf, lvl)
-			z := c.geom.BucketSize(lvl)
-			buf := c.writeBuf[:z]
-			i := 0
-			for _, id := range plan[lvl] {
-				l, _ := c.stash.Leaf(id)
-				p, _ := c.stash.Payload(id)
-				buf[i] = Slot{ID: id, Leaf: l, Payload: p}
-				i++
-			}
-			moved += i
-			for ; i < z; i++ {
-				buf[i] = DummySlot()
-			}
-			if err := c.store.WriteBucket(lvl, node, buf); err != nil {
-				return fmt.Errorf("oram: WriteBackPath level %d: %w", lvl, err)
-			}
-			for _, id := range plan[lvl] {
-				c.stash.Remove(id)
-			}
+	}
+	if err := c.face.WritePath(leaf, bufs); err != nil {
+		return fmt.Errorf("oram: WriteBackPath: %w", err)
+	}
+	for _, ids := range plan {
+		for _, id := range ids {
+			c.stash.Remove(id)
 		}
 	}
 	if c.timer != nil && moved > 0 {

@@ -85,12 +85,15 @@ type strideSealer struct {
 }
 
 func (s *strideSealer) SealedSize(plain int) int { return plain + s.overhead }
-func (s *strideSealer) Seal(plain []byte) ([]byte, error) {
-	return append(make([]byte, s.overhead), plain...), nil
+func (s *strideSealer) SealTo(dst, plain []byte) error {
+	clear(dst[:s.overhead])
+	copy(dst[s.overhead:], plain)
+	return nil
 }
-func (s *strideSealer) Open(sealed []byte) ([]byte, error) {
+func (s *strideSealer) OpenTo(dst, sealed []byte) error {
 	s.opens++
-	return append([]byte(nil), sealed[s.overhead:]...), nil
+	copy(dst, sealed[s.overhead:])
+	return nil
 }
 
 // TestOldSealedSnapshotRefused: a snapshot taken at the old sealed stride

@@ -42,18 +42,18 @@ var (
 // same way the client's RNG position is serialised separately from its
 // position map.
 func (cs *CountingStore) Save(w io.Writer) error {
-	s, ok := cs.inner.(Snapshotter)
+	s, ok := cs.inner.Store.(Snapshotter)
 	if !ok {
-		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner)
+		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner.Store)
 	}
 	return s.Save(w)
 }
 
 // Load forwards to the wrapped store's Snapshotter.
 func (cs *CountingStore) Load(r io.Reader) error {
-	s, ok := cs.inner.(Snapshotter)
+	s, ok := cs.inner.Store.(Snapshotter)
 	if !ok {
-		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner)
+		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner.Store)
 	}
 	return s.Load(r)
 }

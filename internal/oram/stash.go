@@ -217,14 +217,6 @@ func (ep *evictPlanner) reset(levels int) {
 	ep.spill = ep.spill[:0]
 }
 
-// evictPlan computes the greedy write-back for one path with a throwaway
-// planner; tests and one-shot callers use it. The hot path goes through
-// evictPlanInto with the client's reusable planner.
-func (s *Stash) evictPlan(g *Geometry, target Leaf) [][]BlockID {
-	var ep evictPlanner
-	return s.evictPlanInto(&ep, g, target)
-}
-
 // evictPlanInto computes the greedy write-back for one path: which stashed
 // blocks go into which level of the path to target. A stashed block with
 // assigned leaf b can be placed at any level <= CommonLevel(target, b); the

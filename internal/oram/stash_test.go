@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// evictPlan computes the greedy write-back for one path with a throwaway
+// planner; the client goes through evictPlanInto with its reusable one.
+func (s *Stash) evictPlan(g *Geometry, target Leaf) [][]BlockID {
+	var ep evictPlanner
+	return s.evictPlanInto(&ep, g, target)
+}
+
 func TestStashBasics(t *testing.T) {
 	s := NewStash()
 	if s.Len() != 0 || s.Peak() != 0 {

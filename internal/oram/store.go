@@ -75,15 +75,14 @@ type BatchStore interface {
 	WriteBuckets(refs []BucketRef, src [][]Slot) error
 }
 
-// BatchNative is the probe the multipath client asks before it moves a
-// joint fetch as one ReadBuckets/WriteBuckets call: does the batch reach a
-// store that executes it as one operation? PayloadStore (one pass over the
-// arena, fanned across the crypto pool when one is installed) and the remote
-// transport (one frame) do; CountingStore answers for whatever it wraps. A
-// store that would only unroll the batch bucket by bucket — CountingStore's
-// own fallback over a MetaStore, diskstore under its cache lock — answers
-// false, and the client then issues the buckets itself through its per-level
-// buffers. A BatchStore that does not implement the probe is presumed native.
+// BatchNative is the probe Resolve asks before it hands a driver the store's
+// own ReadBuckets/WriteBuckets: does a batch reach a store that executes it as
+// one operation? PayloadStore (one pass over the arena, fanned across the
+// crypto pool when one is installed) and the remote transport (one frame) do;
+// CountingStore answers for whatever it wraps. A store that would only unroll
+// the batch bucket by bucket — diskstore under its cache lock — answers false,
+// and the driver is handed the bucket loop instead. A BatchStore that does not
+// implement the probe is presumed native.
 type BatchNative interface {
 	BatchNative() bool
 }
@@ -96,6 +95,105 @@ func batchWorthwhile(st Store) bool {
 	}
 	_, ok := st.(BatchStore)
 	return ok
+}
+
+// Face is a store seen at path and batch granularity: every Store has one.
+// The PathStore half is the store's own ReadPath/WritePath where it has them,
+// the BatchStore half its own ReadBuckets/WriteBuckets where it executes a
+// batch as one operation (Native), and either half is otherwise the one
+// bucket-by-bucket loop — the same ReadBucket/WriteBucket sequence, in ref
+// order, that a driver without the extension would have issued itself.
+//
+// Drivers (Client, CountingStore, the remote server per shard) resolve a
+// store's Face once, at construction, and move every path and bucket union
+// through it; nothing outside Resolve asks a store what it implements.
+type Face struct {
+	Store
+	PathStore
+	BatchStore
+	// Native reports that the BatchStore half is the store's own.
+	Native bool
+}
+
+// Resolve returns st's Face. This is the only place the optional PathStore,
+// BatchStore and BatchNative extensions are probed.
+func Resolve(st Store) Face {
+	loop := bucketLoop{st}
+	f := Face{Store: st, PathStore: loop, BatchStore: loop}
+	if ps, ok := st.(PathStore); ok {
+		f.PathStore = ps
+	}
+	if bs, ok := st.(BatchStore); ok && batchWorthwhile(st) {
+		f.BatchStore, f.Native = bs, true
+	}
+	return f
+}
+
+// bucketLoop is the path- and batch-granularity face of a bucket-only store:
+// the one place a path or a bucket union is unrolled into bucket calls. The
+// store validates each bucket as it comes, so a call that fails midway has
+// moved the buckets before the failing one.
+type bucketLoop struct{ Store }
+
+func (l bucketLoop) checkPath(op string, leaf Leaf, levels int) error {
+	g := l.Geometry()
+	if !g.ValidLeaf(leaf) {
+		return fmt.Errorf("oram: %s: invalid leaf %d", op, leaf)
+	}
+	if levels != g.Levels() {
+		return fmt.Errorf("oram: %s got %d levels, tree has %d", op, levels, g.Levels())
+	}
+	return nil
+}
+
+func (l bucketLoop) ReadPath(leaf Leaf, dst [][]Slot) error {
+	if err := l.checkPath("ReadPath", leaf, len(dst)); err != nil {
+		return err
+	}
+	g := l.Geometry()
+	for lvl := range dst {
+		if err := l.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (l bucketLoop) WritePath(leaf Leaf, src [][]Slot) error {
+	if err := l.checkPath("WritePath", leaf, len(src)); err != nil {
+		return err
+	}
+	g := l.Geometry()
+	for lvl := range src {
+		if err := l.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (l bucketLoop) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
+	if len(refs) != len(dst) {
+		return fmt.Errorf("oram: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
+	}
+	for i, r := range refs {
+		if err := l.ReadBucket(r.Level, r.Node, dst[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (l bucketLoop) WriteBuckets(refs []BucketRef, src [][]Slot) error {
+	if len(refs) != len(src) {
+		return fmt.Errorf("oram: WriteBuckets got %d refs, %d buffers", len(refs), len(src))
+	}
+	for i, r := range refs {
+		if err := l.WriteBucket(r.Level, r.Node, src[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bucketRange validates bucket coordinates against g.
@@ -204,34 +302,93 @@ func (st *MetaStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 	return nil
 }
 
-// Sealer transforms slot payloads at the storage boundary. The crypto
-// package provides the AES-GCM implementation; the interface keeps the
-// serial seal/open contract implementation-agnostic. (The parallel fast
-// path below is specific to crypto.Sealer's nonce-reservation discipline,
-// so PayloadStore imports crypto for it; any Sealer still works serially.)
+// Sealer transforms slot payloads at the storage boundary, in place: a store
+// seals straight into its arena and opens straight into the caller's read
+// buffer, so the hot path makes no slice per slot. The crypto package provides
+// the AES-GCM implementation. (The parallel fast path below is specific to
+// crypto.Sealer's nonce-reservation discipline, so PayloadStore imports crypto
+// for it; any Sealer still works serially.)
 type Sealer interface {
 	// SealedSize returns the on-server size of a sealed payload of the
 	// given plaintext size.
 	SealedSize(plain int) int
-	// Seal encrypts plain (exactly the configured block size) into a
-	// fresh ciphertext slice.
-	Seal(plain []byte) ([]byte, error)
-	// Open decrypts sealed in place of a fresh plaintext slice.
-	Open(sealed []byte) ([]byte, error)
-}
-
-// InplaceSealer is an optional Sealer extension: seal/open into
-// caller-provided buffers. PayloadStore uses it to encrypt directly into
-// its ciphertext arena and decrypt directly into the client's read buffers,
-// removing the make-per-slot from the hot path. crypto.Sealer implements
-// it.
-type InplaceSealer interface {
-	Sealer
-	// SealTo encrypts plain into dst (len SealedSize(len(plain))).
+	// SealTo encrypts plain (exactly the configured block size) into dst
+	// (len SealedSize(len(plain))).
 	SealTo(dst, plain []byte) error
 	// OpenTo authenticates and decrypts sealed into dst
 	// (len(sealed) - overhead bytes).
 	OpenTo(dst, sealed []byte) error
+}
+
+// SlotCodec is the one rule for what a real slot's payload looks like at
+// rest — a slot's raw bytes in PayloadStore's arena or a diskstore record are
+// the block itself, or its sealed form when a Sealer is installed. What a
+// dummy's bytes look like is each store's own rule (both keep them zero).
+type SlotCodec struct {
+	sealer Sealer
+	// seq is sealer as the concrete type whose reserved sequence numbers
+	// make a fan-out deterministic; set only by PayloadStore.SetCryptoPool.
+	seq *crypto.Sealer
+	// zero is the row sealed for a real block handed over with a nil
+	// payload ("zero-filled row", e.g. bulk loads that only place blocks).
+	zero []byte
+}
+
+// NewSlotCodec returns the at-rest rule for blockSize-byte blocks; a nil
+// sealer stores them in the clear.
+func NewSlotCodec(blockSize int, sealer Sealer) SlotCodec {
+	return SlotCodec{sealer: sealer, zero: make([]byte, blockSize)}
+}
+
+// Stride returns the at-rest bytes per slot.
+func (c *SlotCodec) Stride() int {
+	if c.sealer != nil {
+		return c.sealer.SealedSize(len(c.zero))
+	}
+	return len(c.zero)
+}
+
+// Open decodes a real slot's raw bytes into dst.Payload: into the capacity of
+// the slice dst arrives with when that is big enough (the ReadBucket
+// contract), into a fresh one otherwise.
+func (c *SlotCodec) Open(raw []byte, dst *Slot) error {
+	out := dst.Payload[:0]
+	if bs := len(c.zero); cap(out) >= bs {
+		out = out[:bs]
+	} else {
+		out = make([]byte, bs)
+	}
+	dst.Payload = out
+	if c.sealer == nil {
+		copy(out, raw)
+		return nil
+	}
+	return c.sealer.OpenTo(out, raw)
+}
+
+// Seal encodes a real slot's payload into its raw bytes. A nil payload is the
+// zero row; any other length than the block size is an error. The slot is
+// sealed under the sealer's next sequence number, or — on a fan-out that
+// reserved one per real slot up front — under *seq, which is then advanced.
+func (c *SlotCodec) Seal(raw, payload []byte, seq *uint64) error {
+	if payload == nil {
+		payload = c.zero
+	}
+	if len(payload) != len(c.zero) {
+		return fmt.Errorf("payload len %d != block size %d", len(payload), len(c.zero))
+	}
+	switch {
+	case c.sealer == nil:
+		copy(raw, payload)
+	case seq != nil:
+		if err := c.seq.SealSeqTo(raw, payload, *seq); err != nil {
+			return err
+		}
+		*seq++
+	default:
+		return c.sealer.SealTo(raw, payload)
+	}
+	return nil
 }
 
 // PayloadStore is a payload-bearing in-memory server storage. Slot metadata
@@ -249,23 +406,15 @@ type PayloadStore struct {
 	// ciphertext stays at rest) and Save/Load carry it — which is what lets
 	// a dummy→dummy write, most of every eviction, skip the bytes.
 	arena  []byte
-	stride int // bytes per slot in the arena
-	sealer Sealer
-	// inplace is sealer's in-place fast path, probed once at construction:
-	// seal straight into the arena, open straight into the caller's
-	// buffer.
-	inplace InplaceSealer
-	// zero is the reusable zero payload written for real blocks loaded
-	// with a nil payload ("zero-filled row").
-	zero []byte
+	stride int       // bytes per slot in the arena
+	codec  SlotCodec // a real slot's bytes at rest; holds the sealer
 
 	// pool, when installed via SetCryptoPool with more than one worker,
 	// fans the seal/open work of path- and batch-granularity operations
-	// across its workers, all through the store's one sealer (seq is that
-	// sealer as the concrete type whose reservations make the fan-out
+	// across its workers, all through the store's one sealer (codec.seq is
+	// that sealer as the concrete type whose reservations make the fan-out
 	// deterministic); nil pool keeps every path strictly serial.
 	pool *crypto.Pool
-	seq  *crypto.Sealer
 	// sealOrd[i] is the scratch prefix count of real (nonce-consuming)
 	// slots in buckets [0, i) of the current SealRange; pathRefs is the
 	// reusable path→bucket-refs conversion of ReadPath/WritePath.
@@ -281,10 +430,8 @@ func NewPayloadStore(g *Geometry, sealer Sealer) (*PayloadStore, error) {
 	if g.BlockSize() <= 0 {
 		return nil, fmt.Errorf("oram: PayloadStore requires BlockSize > 0, got %d", g.BlockSize())
 	}
-	stride := g.BlockSize()
-	if sealer != nil {
-		stride = sealer.SealedSize(g.BlockSize())
-	}
+	codec := NewSlotCodec(g.BlockSize(), sealer)
+	stride := codec.Stride()
 	n := g.TotalSlots()
 	bytes := n * int64(stride)
 	const maxArena = int64(8) << 30
@@ -297,11 +444,7 @@ func NewPayloadStore(g *Geometry, sealer Sealer) (*PayloadStore, error) {
 		leaf:   make([]uint64, n),
 		arena:  make([]byte, bytes),
 		stride: stride,
-		sealer: sealer,
-		zero:   make([]byte, g.BlockSize()),
-	}
-	if is, ok := sealer.(InplaceSealer); ok {
-		st.inplace = is
+		codec:  codec,
 	}
 	for i := range st.ids {
 		st.ids[i] = uint64(DummyID)
@@ -316,16 +459,6 @@ func (st *PayloadStore) slotBytes(i int64) []byte {
 	return st.arena[i*int64(st.stride) : (i+1)*int64(st.stride)]
 }
 
-// payloadDst returns a write target of exactly blockSize bytes, reusing
-// the capacity of the caller's existing Payload slice when it is big
-// enough (the ReadBucket contract) and allocating otherwise.
-func payloadDst(dst *Slot, blockSize int) []byte {
-	if cap(dst.Payload) >= blockSize {
-		return dst.Payload[:blockSize]
-	}
-	return make([]byte, blockSize)
-}
-
 func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 	dst.ID = BlockID(st.ids[i])
 	dst.Leaf = Leaf(st.leaf[i])
@@ -333,27 +466,9 @@ func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 		dst.Payload = nil
 		return nil
 	}
-	raw := st.slotBytes(i)
-	bs := st.geom.BlockSize()
-	if st.inplace != nil {
-		out := payloadDst(dst, bs)
-		if err := st.inplace.OpenTo(out, raw); err != nil {
-			return fmt.Errorf("oram: open slot %d: %w", i, err)
-		}
-		dst.Payload = out
-		return nil
+	if err := st.codec.Open(st.slotBytes(i), dst); err != nil {
+		return fmt.Errorf("oram: open slot %d: %w", i, err)
 	}
-	if st.sealer != nil {
-		plain, err := st.sealer.Open(raw)
-		if err != nil {
-			return fmt.Errorf("oram: open slot %d: %w", i, err)
-		}
-		dst.Payload = plain
-		return nil
-	}
-	out := payloadDst(dst, bs)
-	copy(out, raw)
-	dst.Payload = out
 	return nil
 }
 
@@ -374,33 +489,8 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
 		}
 		return nil
 	}
-	raw := st.slotBytes(i)
-	if src.Payload == nil {
-		// A real block with no payload means "zero-filled row" (e.g.
-		// bulk loads that only care about placement).
-		src.Payload = st.zero
-	}
-	if len(src.Payload) != st.geom.BlockSize() {
-		return fmt.Errorf("oram: payload len %d != block size %d", len(src.Payload), st.geom.BlockSize())
-	}
-	switch {
-	case seq != nil:
-		if err := st.seq.SealSeqTo(raw, src.Payload, *seq); err != nil {
-			return fmt.Errorf("oram: seal slot %d: %w", i, err)
-		}
-		*seq++
-	case st.inplace != nil:
-		if err := st.inplace.SealTo(raw, src.Payload); err != nil {
-			return fmt.Errorf("oram: seal slot %d: %w", i, err)
-		}
-	case st.sealer != nil:
-		sealed, err := st.sealer.Seal(src.Payload)
-		if err != nil {
-			return fmt.Errorf("oram: seal slot %d: %w", i, err)
-		}
-		copy(raw, sealed)
-	default:
-		copy(raw, src.Payload)
+	if err := st.codec.Seal(st.slotBytes(i), src.Payload, seq); err != nil {
+		return fmt.Errorf("oram: seal slot %d: %w", i, err)
 	}
 	return nil
 }
@@ -416,14 +506,14 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
 // single worker) keeps the strictly serial behaviour.
 func (st *PayloadStore) SetCryptoPool(p *crypto.Pool) error {
 	if p == nil || p.Workers() == 1 {
-		st.pool, st.seq = nil, nil
+		st.pool, st.codec.seq = nil, nil
 		return nil
 	}
-	seq, ok := st.sealer.(*crypto.Sealer)
+	seq, ok := st.codec.sealer.(*crypto.Sealer)
 	if !ok {
-		return fmt.Errorf("oram: SetCryptoPool requires a *crypto.Sealer (store has %T)", st.sealer)
+		return fmt.Errorf("oram: SetCryptoPool requires a *crypto.Sealer (store has %T)", st.codec.sealer)
 	}
-	st.pool, st.seq = p, seq
+	st.pool, st.codec.seq = p, seq
 	return nil
 }
 
@@ -511,7 +601,7 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 			}
 		}
 	}
-	first, err := st.seq.ReserveSeals(total)
+	first, err := st.codec.seq.ReserveSeals(total)
 	if err != nil {
 		return fmt.Errorf("oram: SealRange: %w", err)
 	}
@@ -670,7 +760,7 @@ func (c Counters) Sub(prev Counters) Counters {
 // the memsim timing model: if a Ticker is installed every transfer charges
 // simulated time.
 type CountingStore struct {
-	inner Store
+	inner Face // the wrapped store, resolved once
 	c     Counters
 	tick  Ticker
 	mu    sync.Mutex // protects c; remote server may count concurrently
@@ -686,7 +776,7 @@ var _ Store = (*CountingStore)(nil)
 
 // NewCountingStore wraps inner. tick may be nil.
 func NewCountingStore(inner Store, tick Ticker) *CountingStore {
-	return &CountingStore{inner: inner, tick: tick}
+	return &CountingStore{inner: Resolve(inner), tick: tick}
 }
 
 // Geometry implements Store.
@@ -769,53 +859,22 @@ func (cs *CountingStore) WriteBucket(level int, node uint64, src []Slot) error {
 	return nil
 }
 
-// ReadPath implements PathStore: delegate when the inner store can move a
-// whole path at once, unroll it into the inner store's buckets otherwise.
-// The charge is the same either way (one bucket read per level), so the
-// traffic ledger does not depend on which transport is underneath; a call
-// that fails charges nothing.
+// ReadPath implements PathStore: the path moves through the inner store's
+// Face — its own ReadPath, or the bucket loop — and is charged one bucket read
+// per level either way, so the traffic ledger does not depend on which
+// transport is underneath; a call that fails charges nothing.
 func (cs *CountingStore) ReadPath(leaf Leaf, dst [][]Slot) error {
-	g := cs.Geometry()
-	if len(dst) != g.Levels() {
-		return fmt.Errorf("oram: ReadPath dst has %d levels, tree has %d", len(dst), g.Levels())
-	}
-	if ps, ok := cs.inner.(PathStore); ok {
-		if err := ps.ReadPath(leaf, dst); err != nil {
-			return err
-		}
-	} else {
-		if !g.ValidLeaf(leaf) {
-			return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
-		}
-		for lvl := range dst {
-			if err := cs.inner.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
-				return err
-			}
-		}
+	if err := cs.inner.ReadPath(leaf, dst); err != nil {
+		return err
 	}
 	cs.chargeBuckets(true, dst...)
 	return nil
 }
 
-// WritePath implements PathStore (see ReadPath for the delegation rule).
+// WritePath implements PathStore (see ReadPath).
 func (cs *CountingStore) WritePath(leaf Leaf, src [][]Slot) error {
-	g := cs.Geometry()
-	if len(src) != g.Levels() {
-		return fmt.Errorf("oram: WritePath src has %d levels, tree has %d", len(src), g.Levels())
-	}
-	if ps, ok := cs.inner.(PathStore); ok {
-		if err := ps.WritePath(leaf, src); err != nil {
-			return err
-		}
-	} else {
-		if !g.ValidLeaf(leaf) {
-			return fmt.Errorf("oram: WritePath: invalid leaf %d", leaf)
-		}
-		for lvl := range src {
-			if err := cs.inner.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
-				return err
-			}
-		}
+	if err := cs.inner.WritePath(leaf, src); err != nil {
+		return err
 	}
 	cs.chargeBuckets(false, src...)
 	return nil
@@ -823,25 +882,12 @@ func (cs *CountingStore) WritePath(leaf Leaf, src [][]Slot) error {
 
 // BatchNative implements the BatchNative probe: a batch through the wrapper
 // is one operation exactly when it is one in the wrapped store.
-func (cs *CountingStore) BatchNative() bool {
-	return batchWorthwhile(cs.inner)
-}
+func (cs *CountingStore) BatchNative() bool { return cs.inner.Native }
 
 // ReadBuckets implements BatchStore (delegation and charge as ReadPath).
 func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
-	if len(refs) != len(dst) {
-		return fmt.Errorf("oram: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
-	}
-	if bs, ok := cs.inner.(BatchStore); ok {
-		if err := bs.ReadBuckets(refs, dst); err != nil {
-			return err
-		}
-	} else {
-		for i, r := range refs {
-			if err := cs.inner.ReadBucket(r.Level, r.Node, dst[i]); err != nil {
-				return err
-			}
-		}
+	if err := cs.inner.ReadBuckets(refs, dst); err != nil {
+		return err
 	}
 	cs.chargeBuckets(true, dst...)
 	return nil
@@ -849,19 +895,8 @@ func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 
 // WriteBuckets implements BatchStore.
 func (cs *CountingStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
-	if len(refs) != len(src) {
-		return fmt.Errorf("oram: WriteBuckets got %d refs, %d buffers", len(refs), len(src))
-	}
-	if bs, ok := cs.inner.(BatchStore); ok {
-		if err := bs.WriteBuckets(refs, src); err != nil {
-			return err
-		}
-	} else {
-		for i, r := range refs {
-			if err := cs.inner.WriteBucket(r.Level, r.Node, src[i]); err != nil {
-				return err
-			}
-		}
+	if err := cs.inner.WriteBuckets(refs, src); err != nil {
+		return err
 	}
 	cs.chargeBuckets(false, src...)
 	return nil

@@ -145,20 +145,18 @@ func TestPayloadStoreRequiresBlockSize(t *testing.T) {
 type xorSealer struct{ key byte }
 
 func (x *xorSealer) SealedSize(plain int) int { return plain + 1 }
-func (x *xorSealer) Seal(plain []byte) ([]byte, error) {
-	out := make([]byte, len(plain)+1)
-	out[0] = 0x5A
+func (x *xorSealer) SealTo(dst, plain []byte) error {
+	dst[0] = 0x5A
 	for i, b := range plain {
-		out[i+1] = b ^ x.key
+		dst[i+1] = b ^ x.key
 	}
-	return out, nil
+	return nil
 }
-func (x *xorSealer) Open(sealed []byte) ([]byte, error) {
-	out := make([]byte, len(sealed)-1)
-	for i := range out {
-		out[i] = sealed[i+1] ^ x.key
+func (x *xorSealer) OpenTo(dst, sealed []byte) error {
+	for i := range dst {
+		dst[i] = sealed[i+1] ^ x.key
 	}
-	return out, nil
+	return nil
 }
 
 func TestPayloadStoreSealed(t *testing.T) {

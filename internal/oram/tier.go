@@ -64,7 +64,7 @@ type TieredStore interface {
 // zero value when the store has no disk tier (so callers can aggregate
 // unconditionally).
 func (cs *CountingStore) TierStats() TierStats {
-	if ts, ok := cs.inner.(TieredStore); ok {
+	if ts, ok := cs.inner.Store.(TieredStore); ok {
 		return ts.TierStats()
 	}
 	return TierStats{}
@@ -73,7 +73,7 @@ func (cs *CountingStore) TierStats() TierStats {
 // ResetTierStats forwards to the wrapped store; a no-op without a disk
 // tier.
 func (cs *CountingStore) ResetTierStats() {
-	if ts, ok := cs.inner.(TieredStore); ok {
+	if ts, ok := cs.inner.Store.(TieredStore); ok {
 		ts.ResetTierStats()
 	}
 }

@@ -21,10 +21,7 @@ import (
 // only on its own response, so N concurrent ORAM lanes (per-shard workers,
 // multiple trainers) overlap their round trips instead of serialising.
 //
-// Client itself satisfies oram.Store (and the PathStore/BatchStore
-// extensions) for shard 0, so single-shard callers keep the old "the
-// connection is the store" shape; Store(i) returns the view onto shard i
-// of a sharded server.
+// Store(i) returns the oram.Store view onto shard i of the server.
 //
 // # Failure handling
 //
@@ -55,7 +52,6 @@ type Client struct {
 
 	geom   *oram.Geometry
 	shards int
-	s0     *ShardStore
 
 	// wmu serialises frame writes; a frame is written atomically but many
 	// may be in flight awaiting responses.
@@ -163,12 +159,6 @@ type rpcResult struct {
 	retryAfter time.Duration
 }
 
-var (
-	_ oram.Store      = (*Client)(nil)
-	_ oram.PathStore  = (*Client)(nil)
-	_ oram.BatchStore = (*Client)(nil)
-)
-
 // Dial connects to a Server and performs the geometry handshake.
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
@@ -225,7 +215,6 @@ func DialConfig(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		rng:     rand.New(rand.NewSource(jitterSeed(addr))),
 		brng:    rand.New(rand.NewSource(jitterSeed(addr))),
 	}
-	c.s0 = &ShardStore{c: c, shard: 0}
 	go c.readLoop(conn, 1)
 	if ctx.Done() != nil {
 		go func() {
@@ -277,14 +266,10 @@ func dialHandshake(ctx context.Context, addr string) (net.Conn, int, geometryWir
 	if shards == 0 {
 		return fail(fmt.Errorf("remote: server reports zero shards"))
 	}
-	// Boot ID: appended after the geometry by servers that support
-	// checkpointed restarts; 0 (absent) from older servers, which then
-	// never trips the state-loss detector.
-	var bootID uint64
-	if len(rest) >= geometryWireLen+8 {
-		bootID = binary.BigEndian.Uint64(rest[geometryWireLen:])
+	if len(rest) < geometryWireLen+8 {
+		return fail(fmt.Errorf("remote: bad hello response: no boot id"))
 	}
-	return conn, int(shards), gw, bootID, nil
+	return conn, int(shards), gw, binary.BigEndian.Uint64(rest[geometryWireLen:]), nil
 }
 
 // Close shuts the connection; in-flight calls fail with *ErrNodeDown.
@@ -306,7 +291,7 @@ func (c *Client) Close() error {
 }
 
 // BootID returns the serving node's boot identifier from the latest
-// handshake (0 against pre-checkpoint servers).
+// handshake.
 func (c *Client) BootID() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,8 +301,8 @@ func (c *Client) BootID() uint64 {
 // Addr returns the node's dial address.
 func (c *Client) Addr() string { return c.addr }
 
-// Geometry implements oram.Store. All shard stores of one server share a
-// geometry (enforced server-side).
+// Geometry returns the tree shape all shard stores of the server share
+// (enforced server-side).
 func (c *Client) Geometry() *oram.Geometry { return c.geom }
 
 // Shards returns the number of shard stores the server exposes (as of the
@@ -792,45 +777,6 @@ func (c *Client) callOnce(op byte, shard uint32, bodyCap int, build func(buf []b
 	return res
 }
 
-// Shard-0 convenience delegations, keeping Client itself usable as the
-// store of a single-shard server (the original deployment shape).
-
-// ReadBucket implements oram.Store.
-func (c *Client) ReadBucket(level int, node uint64, dst []Slot) error {
-	return c.s0.ReadBucket(level, node, dst)
-}
-
-// WriteBucket implements oram.Store.
-func (c *Client) WriteBucket(level int, node uint64, src []Slot) error {
-	return c.s0.WriteBucket(level, node, src)
-}
-
-// ReadSlot implements oram.Store.
-func (c *Client) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	return c.s0.ReadSlot(level, node, slot, dst)
-}
-
-// WriteSlot implements oram.Store.
-func (c *Client) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	return c.s0.WriteSlot(level, node, slot, src)
-}
-
-// ReadPath implements oram.PathStore.
-func (c *Client) ReadPath(leaf Leaf, dst [][]Slot) error { return c.s0.ReadPath(leaf, dst) }
-
-// WritePath implements oram.PathStore.
-func (c *Client) WritePath(leaf Leaf, src [][]Slot) error { return c.s0.WritePath(leaf, src) }
-
-// ReadBuckets implements oram.BatchStore.
-func (c *Client) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
-	return c.s0.ReadBuckets(refs, dst)
-}
-
-// WriteBuckets implements oram.BatchStore.
-func (c *Client) WriteBuckets(refs []oram.BucketRef, src [][]Slot) error {
-	return c.s0.WriteBuckets(refs, src)
-}
-
 // ShardStore is the oram.Store view onto one shard of a sharded server,
 // sharing the underlying multiplexed connection. Safe for concurrent use;
 // typically each per-shard ORAM lane owns one ShardStore and their
@@ -892,14 +838,10 @@ func (s *ShardStore) pcall(op byte, body []byte) ([]byte, error) {
 }
 
 // pbuild is pcall with the body built in place (see Client.callBuild).
-// build also receives the wire shard, which opBatch sub-requests embed: it
-// runs under the placement lock, so the frame and its routing agree even
-// across a concurrent migration.
-func (s *ShardStore) pbuild(op byte, bodyCap int, build func(buf []byte, shard uint32) []byte) ([]byte, error) {
+func (s *ShardStore) pbuild(op byte, bodyCap int, build func(buf []byte) []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	shard := s.shard
-	return s.c.callBuild(op, shard, bodyCap, func(buf []byte) []byte { return build(buf, shard) })
+	return s.c.callBuild(op, s.shard, bodyCap, build)
 }
 
 // Repoint swaps this view's placement to the target view's (node, shard)
@@ -961,14 +903,16 @@ func (s *ShardStore) MigrateTo(target *ShardStore) (blackout time.Duration, err 
 	return time.Since(start), nil
 }
 
-// parseSlots fills dst from resp, requiring an exact fit. Payloads are
-// copied out of resp (see parseSlot), so resp is free once this returns.
-func parseSlots(resp []byte, dst []Slot) error {
+// parseBuckets fills dst bucket by bucket from resp, requiring an exact fit.
+// Payloads are copied out of resp (see parseSlot), so resp is free once this
+// returns.
+func parseBuckets(resp []byte, dst ...[]Slot) error {
 	var err error
-	for i := range dst {
-		resp, err = parseSlot(resp, &dst[i])
-		if err != nil {
-			return err
+	for _, bucket := range dst {
+		for i := range bucket {
+			if resp, err = parseSlot(resp, &bucket[i]); err != nil {
+				return err
+			}
 		}
 	}
 	if len(resp) != 0 {
@@ -987,20 +931,20 @@ func appendSlots(buf []byte, src []Slot) []byte {
 
 // ReadBucket implements oram.Store.
 func (s *ShardStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	resp, err := s.pbuild(opReadBucket, bucketRefLen, func(buf []byte, _ uint32) []byte {
+	resp, err := s.pbuild(opReadBucket, bucketRefLen, func(buf []byte) []byte {
 		return appendBucketRef(buf, level, node)
 	})
 	if err != nil {
 		return err
 	}
-	err = parseSlots(resp, dst)
+	err = parseBuckets(resp, dst)
 	putFrame(resp)
 	return err
 }
 
 // WriteBucket implements oram.Store.
 func (s *ShardStore) WriteBucket(level int, node uint64, src []Slot) error {
-	resp, err := s.pbuild(opWriteBucket, bucketRefLen+slotsWireLen(len(src), s.Geometry().BlockSize()), func(buf []byte, _ uint32) []byte {
+	resp, err := s.pbuild(opWriteBucket, bucketRefLen+slotsWireLen(len(src), s.Geometry().BlockSize()), func(buf []byte) []byte {
 		return appendSlots(appendBucketRef(buf, level, node), src)
 	})
 	putFrame(resp)
@@ -1053,26 +997,15 @@ func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	if err := s.checkPathBufs(dst); err != nil {
 		return err
 	}
-	resp, err := s.pbuild(opReadPath, 8, func(buf []byte, _ uint32) []byte {
+	resp, err := s.pbuild(opReadPath, 8, func(buf []byte) []byte {
 		return appendLeaf(buf, leaf)
 	})
 	if err != nil {
 		return err
 	}
-	rest := resp
-	for lvl := range dst {
-		for i := range dst[lvl] {
-			rest, err = parseSlot(rest, &dst[lvl][i])
-			if err != nil {
-				return err
-			}
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("remote: %d trailing bytes after path", len(rest))
-	}
+	err = parseBuckets(resp, dst...)
 	putFrame(resp)
-	return nil
+	return err
 }
 
 // WritePath implements oram.PathStore.
@@ -1084,7 +1017,7 @@ func (s *ShardStore) WritePath(leaf Leaf, src [][]Slot) error {
 	for lvl := range src {
 		slots += len(src[lvl])
 	}
-	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, s.Geometry().BlockSize()), func(buf []byte, _ uint32) []byte {
+	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, s.Geometry().BlockSize()), func(buf []byte) []byte {
 		buf = appendLeaf(buf, leaf)
 		for lvl := range src {
 			buf = appendSlots(buf, src[lvl])
@@ -1137,8 +1070,8 @@ func (s *ShardStore) Load(r io.Reader) error {
 // refuse. A var so tests can force the chunking path cheaply.
 var batchFrameBudget = maxFrame / 2
 
-// bucketWireCost over-estimates the on-wire bytes of one bucket in either
-// direction (sub framing + per-slot header + payload). Out-of-range levels
+// bucketWireCost is an upper bound on the on-wire bytes of one bucket in
+// either direction (its ref + per-slot header + payload). Out-of-range levels
 // — rejected by the server anyway — are priced as the widest bucket so the
 // estimator never trusts caller input.
 func (s *ShardStore) bucketWireCost(level int) int {
@@ -1146,7 +1079,7 @@ func (s *ShardStore) bucketWireCost(level int) int {
 	if level < 0 || level >= g.Levels() {
 		level = 0 // the root is never narrower than any other bucket
 	}
-	return 32 + g.BucketSize(level)*(slotHeaderLen+g.BlockSize())
+	return bucketRefLen + slotsWireLen(g.BucketSize(level), g.BlockSize())
 }
 
 // chunkRefs yields maximal ref ranges whose estimated frame size stays
@@ -1179,86 +1112,39 @@ func (s *ShardStore) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
 		return fmt.Errorf("remote: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
 	}
 	return s.chunkRefs(refs, func(lo, hi, _ int) error {
-		const subLen = batchSubHeaderLen + bucketRefLen
-		resp, err := s.pbuild(opBatch, 4+(hi-lo)*subLen, func(buf []byte, shard uint32) []byte {
-			buf = appendU32(buf, uint32(hi-lo))
-			for _, r := range refs[lo:hi] {
-				buf = beginBatchSub(buf, opReadBucket, shard)
-				mark := len(buf)
-				buf = appendBucketRef(buf, r.Level, r.Node)
-				patchLen(buf, mark)
-			}
-			return buf
+		resp, err := s.pbuild(opBatch, batchHeaderLen+(hi-lo)*bucketRefLen, func(buf []byte) []byte {
+			return appendBatchRefs(buf, batchRead, refs[lo:hi])
 		})
 		if err != nil {
 			return err
 		}
-		err = s.parseBatchResp(resp, hi-lo, func(i int, sub []byte) error {
-			return parseSlots(sub, dst[lo+i])
-		})
-		if err == nil {
-			putFrame(resp)
-		}
+		err = parseBuckets(resp, dst[lo:hi]...)
+		putFrame(resp)
 		return err
 	})
 }
 
 // WriteBuckets implements oram.BatchStore. Every slot is serialised exactly
-// once, straight into the frame that leaves.
+// once, straight into the frame that leaves; a chunk is written whole or not
+// at all (the server validates the frame before it takes the shard lock).
 func (s *ShardStore) WriteBuckets(refs []oram.BucketRef, src [][]Slot) error {
 	if len(refs) != len(src) {
 		return fmt.Errorf("remote: WriteBuckets got %d refs, %d buffers", len(refs), len(src))
 	}
 	return s.chunkRefs(refs, func(lo, hi, cost int) error {
-		resp, err := s.pbuild(opBatch, 4+cost, func(buf []byte, shard uint32) []byte {
-			buf = appendU32(buf, uint32(hi-lo))
-			for i, r := range refs[lo:hi] {
-				buf = beginBatchSub(buf, opWriteBucket, shard)
-				mark := len(buf)
-				buf = appendSlots(appendBucketRef(buf, r.Level, r.Node), src[lo+i])
-				patchLen(buf, mark)
+		resp, err := s.pbuild(opBatch, batchHeaderLen+cost, func(buf []byte) []byte {
+			buf = appendBatchRefs(buf, batchWrite, refs[lo:hi])
+			for _, b := range src[lo:hi] {
+				buf = appendSlots(buf, b)
 			}
 			return buf
 		})
-		if err != nil {
-			return err
+		if err == nil && len(resp) != 0 {
+			err = fmt.Errorf("remote: %d trailing bytes after batch write response", len(resp))
 		}
-		if err = s.parseBatchResp(resp, hi-lo, nil); err == nil {
-			putFrame(resp)
-		}
+		putFrame(resp)
 		return err
 	})
-}
-
-// parseBatchResp walks an opBatch response, surfacing the first sub-error
-// and handing OK sub-bodies to visit (which may be nil).
-func (s *ShardStore) parseBatchResp(resp []byte, want int, visit func(i int, body []byte) error) error {
-	count, rest, err := parseU32(resp)
-	if err != nil {
-		return err
-	}
-	if int(count) != want {
-		return fmt.Errorf("remote: batch response has %d entries, want %d", count, want)
-	}
-	for i := 0; i < want; i++ {
-		status, body, r, err := parseBatchSubResp(rest)
-		if err != nil {
-			return err
-		}
-		rest = r
-		if status != statusOK {
-			return fmt.Errorf("remote: server: %s", string(body))
-		}
-		if visit != nil {
-			if err := visit(i, body); err != nil {
-				return err
-			}
-		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("remote: %d trailing bytes after batch response", len(rest))
-	}
-	return nil
 }
 
 // Slot aliases oram.Slot for the Store method signatures.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,65 +15,45 @@ import (
 	"repro/internal/oram"
 )
 
-// The reference encoders below are the protocol's original whole-body
-// builders, kept verbatim: the in-place builders the hot paths use must put
-// the same bytes on the wire (the protocol version did not change).
+// The reference encoders below write the wire layouts out longhand, field by
+// field from the proto.go table, sharing nothing with the builders the hot
+// paths use: what ShardStore and the server put on the wire must be these
+// bytes.
 
-func appendBatchSub(buf []byte, op byte, shard uint32, body []byte) []byte {
-	buf = append(buf, op)
-	var tmp [8]byte
-	binary.BigEndian.PutUint32(tmp[0:], shard)
-	binary.BigEndian.PutUint32(tmp[4:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+func refSlots(buf []byte, bufs [][]oram.Slot) []byte {
+	for _, b := range bufs {
+		for _, s := range b {
+			buf = binary.BigEndian.AppendUint64(buf, uint64(s.ID))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(s.Leaf))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Payload)))
+			buf = append(buf, s.Payload...)
+		}
+	}
+	return buf
 }
 
-func refBatchSubResp(buf []byte, status byte, body []byte) []byte {
-	buf = append(buf, status)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(body)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, body...)
+// refBatch is an opBatch body: kind, count, the refs, then (for a write) the
+// buckets' slots in ref order.
+func refBatch(kind byte, refs []oram.BucketRef, src [][]oram.Slot) []byte {
+	body := binary.BigEndian.AppendUint32([]byte{kind}, uint32(len(refs)))
+	for _, r := range refs {
+		body = binary.BigEndian.AppendUint32(body, uint32(r.Level))
+		body = binary.BigEndian.AppendUint64(body, r.Node)
+	}
+	return refSlots(body, src)
 }
+
+func refReadBatch(refs []oram.BucketRef) []byte { return refBatch(0, refs, nil) }
+
+func refWriteBatch(refs []oram.BucketRef, src [][]oram.Slot) []byte { return refBatch(1, refs, src) }
+
+// refReadBatchResp is the response body of a bucket-union read: the slots,
+// nothing else.
+func refReadBatchResp(bufs [][]oram.Slot) []byte { return refSlots(nil, bufs) }
 
 // appendDeadline is a whole deadline envelope: header, then the inner body.
 func appendDeadline(buf []byte, budget time.Duration, op byte, body []byte) []byte {
 	return append(appendDeadlineHeader(buf, budget, op), body...)
-}
-
-// refReadBatch and refWriteBatch are the opBatch bodies of a bucket-union
-// read and write as the client built them before the in-place codec.
-func refReadBatch(shard uint32, refs []oram.BucketRef) []byte {
-	body := appendU32(nil, uint32(len(refs)))
-	for _, r := range refs {
-		body = appendBatchSub(body, opReadBucket, shard, appendBucketRef(nil, r.Level, r.Node))
-	}
-	return body
-}
-
-func refWriteBatch(shard uint32, refs []oram.BucketRef, src [][]oram.Slot) []byte {
-	body := appendU32(nil, uint32(len(refs)))
-	for i, r := range refs {
-		sub := appendBucketRef(nil, r.Level, r.Node)
-		for j := range src[i] {
-			sub = appendSlot(sub, &src[i][j])
-		}
-		body = appendBatchSub(body, opWriteBucket, shard, sub)
-	}
-	return body
-}
-
-// refReadBatchResp is the response body of a bucket-union read.
-func refReadBatchResp(bufs [][]oram.Slot) []byte {
-	out := appendU32(nil, uint32(len(bufs)))
-	for _, b := range bufs {
-		var body []byte
-		for k := range b {
-			body = appendSlot(body, &b[k])
-		}
-		out = refBatchSubResp(out, statusOK, body)
-	}
-	return out
 }
 
 // unionFixture is a scattered bucket union with a mix of real and dummy
@@ -99,30 +80,31 @@ func unionFixture(g *oram.Geometry, seed int64) ([]oram.BucketRef, [][]oram.Slot
 	return refs, src
 }
 
-// TestQuickInPlaceBuildersMatchReference: begin…/patchLen produce exactly the
-// bytes of the reference whole-body encoders, for sub-requests,
-// sub-responses and the deadline envelope, at any position in a frame.
+// TestQuickInPlaceBuildersMatchReference: appendBatchRefs produces exactly
+// the bytes of the reference encoder at any position in a frame,
+// parseBatchRefs reads them back and hands over what follows, and the
+// deadline envelope round-trips.
 func TestQuickInPlaceBuildersMatchReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(61))}
-	sub := func(prefix []byte, op byte, shard uint32, body []byte) bool {
-		buf := beginBatchSub(append([]byte(nil), prefix...), op, shard)
-		mark := len(buf)
-		buf = append(buf, body...)
-		patchLen(buf, mark)
-		return bytes.Equal(buf, appendBatchSub(append([]byte(nil), prefix...), op, shard, body))
+	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 6, LeafZ: 2, BlockSize: 8})
+	batch := func(prefix []byte, write bool, picks []uint16, tail []byte) bool {
+		kind := byte(batchRead)
+		if write {
+			kind = batchWrite
+		}
+		refs := make([]oram.BucketRef, len(picks))
+		for i, p := range picks {
+			lvl := int(p) % g.Levels()
+			refs[i] = oram.BucketRef{Level: lvl, Node: uint64(p) % (1 << uint(lvl))}
+		}
+		buf := appendBatchRefs(append([]byte(nil), prefix...), kind, refs)
+		if !bytes.Equal(buf, append(append([]byte(nil), prefix...), refBatch(kind, refs, nil)...)) {
+			return false
+		}
+		gw, grefs, rest, err := parseBatchRefs(g, append(buf[len(prefix):], tail...), nil)
+		return err == nil && gw == write && slices.Equal(grefs, refs) && bytes.Equal(rest, tail)
 	}
-	if err := quick.Check(sub, cfg); err != nil {
-		t.Error(err)
-	}
-	resp := func(prefix []byte, status byte, body []byte) bool {
-		buf := beginBatchSubResp(append([]byte(nil), prefix...), status)
-		mark := len(buf)
-		buf = append(buf, body...)
-		patchLen(buf, mark)
-		want := refBatchSubResp(append([]byte(nil), prefix...), status, body)
-		return bytes.Equal(buf, want) && bytes.Equal(appendBatchSubResp(append([]byte(nil), prefix...), status, body), want)
-	}
-	if err := quick.Check(resp, cfg); err != nil {
+	if err := quick.Check(batch, cfg); err != nil {
 		t.Error(err)
 	}
 	deadline := func(ms uint16, body []byte) bool {
@@ -178,10 +160,11 @@ func TestQuickSlotDecodeModes(t *testing.T) {
 	}
 }
 
-// TestClientBatchFramesMatchReference: the opBatch bodies ShardStore's
-// in-place builders put on the wire are byte-identical to the reference
-// encoding, and a reference-encoded response decodes into the capacity the
-// caller armed (the ReadBucket contract) rather than into fresh slices.
+// TestClientBatchFramesMatchReference: the opBatch bodies ShardStore puts on
+// the wire are byte-identical to the reference encoding, a reference-encoded
+// response decodes into the capacity the caller armed (the ReadBucket
+// contract) rather than into fresh slices, and a response with a byte after
+// its last slot is refused.
 func TestClientBatchFramesMatchReference(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
 	refs, src := unionFixture(g, 71)
@@ -190,15 +173,14 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 	addr := startScriptedServer(t, g, func(conn net.Conn, id uint64, op byte, _ time.Duration, body []byte) bool {
 		mu.Lock()
 		bodies = append(bodies, append([]byte{op}, body...))
+		n := len(bodies)
 		mu.Unlock()
 		resp := appendRespHeader(nil, id, statusOK)
-		if sub, _, _, _, _ := parseBatchSub(body[4:]); sub == opReadBucket {
+		if body[0] == 0 {
 			resp = append(resp, refReadBatchResp(src)...)
-		} else {
-			resp = appendU32(resp, uint32(len(refs)))
-			for range refs {
-				resp = refBatchSubResp(resp, statusOK, nil)
-			}
+		}
+		if n > 2 {
+			resp = append(resp, 0xEE)
 		}
 		return writeFrame(conn, resp) == nil
 	})
@@ -207,8 +189,9 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	st := shard0(t, cl)
 
-	if err := cl.WriteBuckets(refs, src); err != nil {
+	if err := st.WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([][]oram.Slot, len(refs))
@@ -221,18 +204,24 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 			dst[i][j].Payload = arena[i][j]
 		}
 	}
-	if err := cl.ReadBuckets(refs, dst); err != nil {
+	if err := st.ReadBuckets(refs, dst); err != nil {
 		t.Fatal(err)
+	}
+	if err := st.WriteBuckets(refs, src); err == nil {
+		t.Error("a write response with a trailing byte was accepted")
+	}
+	if err := st.ReadBuckets(refs, dst); err == nil {
+		t.Error("a read response with a trailing byte was accepted")
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(bodies) != 2 {
-		t.Fatalf("client sent %d frames, want 2", len(bodies))
+	if len(bodies) != 4 {
+		t.Fatalf("client sent %d frames, want 4", len(bodies))
 	}
-	if want := append([]byte{opBatch}, refWriteBatch(0, refs, src)...); !bytes.Equal(bodies[0], want) {
+	if want := append([]byte{opBatch}, refWriteBatch(refs, src)...); !bytes.Equal(bodies[0], want) {
 		t.Errorf("WriteBuckets frame differs from the reference encoding:\n got  %x\n want %x", bodies[0], want)
 	}
-	if want := append([]byte{opBatch}, refReadBatch(0, refs)...); !bytes.Equal(bodies[1], want) {
+	if want := append([]byte{opBatch}, refReadBatch(refs)...); !bytes.Equal(bodies[1], want) {
 		t.Errorf("ReadBuckets frame differs from the reference encoding:\n got  %x\n want %x", bodies[1], want)
 	}
 	for i := range src {
@@ -267,70 +256,109 @@ func batchServer(t testing.TB, g *oram.Geometry) *Server {
 	return srv
 }
 
-// TestServerBatchResponseMatchesReference: a grouped write run followed by a
-// grouped read run through the server's in-place response builder returns
-// exactly the reference-encoded frames — and the same bytes when the runs
-// are broken up (a foreign sub-request in the middle forces per-op dispatch
-// for part of the batch).
+// TestServerBatchResponseMatchesReference: a bucket-union write followed by a
+// read of the same union through the server returns exactly the
+// reference-encoded frames — a bare OK header for the write, the slots in ref
+// order for the read — whether the shard's store batches natively
+// (PayloadStore) or is looped bucket by bucket (VerifiedStore-shaped: a
+// bucket-only wrapper).
 func TestServerBatchResponseMatchesReference(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
-	srv := batchServer(t, g)
+	ps, err := oram.NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	looped, err := oram.NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewSharded([]oram.Store{bucketOnly{looped}, ps}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refs, src := unionFixture(g, 72)
+	for shard := uint32(0); shard < 2; shard++ {
+		resp := srv.handle(append(appendReqHeader(nil, 5, opBatch, shard), refWriteBatch(refs, src)...))
+		if want := appendRespHeader(nil, 5, statusOK); !bytes.Equal(resp, want) {
+			t.Fatalf("shard %d: write response %x, want %x", shard, resp, want)
+		}
+		resp = srv.handle(append(appendReqHeader(nil, 6, opBatch, shard), refReadBatch(refs)...))
+		if want := append(appendRespHeader(nil, 6, statusOK), refReadBatchResp(src)...); !bytes.Equal(resp, want) {
+			t.Fatalf("shard %d: read response differs from the reference encoding:\n got  %x\n want %x", shard, resp, want)
+		}
+	}
+}
 
-	resp := srv.handle(append(appendReqHeader(nil, 5, opBatch, 1), refWriteBatch(1, refs, src)...))
-	want := appendU32(appendRespHeader(nil, 5, statusOK), uint32(len(refs)))
-	for range refs {
-		want = refBatchSubResp(want, statusOK, nil)
-	}
-	if !bytes.Equal(resp, want) {
-		t.Fatalf("write run response %x, want %x", resp, want)
-	}
+// bucketOnly hides every optional extension of the store it wraps: the shape
+// of MetaStore and integrity.VerifiedStore, which the server must loop.
+type bucketOnly struct{ oram.Store }
 
-	resp = srv.handle(append(appendReqHeader(nil, 6, opBatch, 1), refReadBatch(1, refs)...))
-	want = append(appendRespHeader(nil, 6, statusOK), refReadBatchResp(src)...)
-	if !bytes.Equal(resp, want) {
-		t.Fatalf("read run response differs from the reference encoding:\n got  %x\n want %x", resp, want)
+// TestServerWriteFramesAllOrNothing: a write frame that is wrong anywhere —
+// a byte after its last slot, a slot short, a bad payload length, and for
+// opBatch an out-of-range ref, an unknown kind or a count the frame does not
+// carry — is answered with one error status and leaves the store exactly as
+// it was; a batch read with bytes after its refs is refused the same way.
+func TestServerWriteFramesAllOrNothing(t *testing.T) {
+	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
+	srv := batchServer(t, g)
+	refs, before := unionFixture(g, 76)
+	_, src := unionFixture(g, 77)
+	if resp := srv.handle(append(appendReqHeader(nil, 1, opBatch, 0), refWriteBatch(refs, before)...)); resp[8] != statusOK {
+		t.Fatalf("seeding write failed: %s", resp[respHeaderLen:])
 	}
-
-	// The same reads with a path read wedged in: two short runs and a
-	// singleton, each through its own branch, same sub-response bytes.
-	mixed := appendU32(nil, uint32(len(refs)+1))
-	for i, r := range refs {
-		if i == 2 {
-			mixed = appendBatchSub(mixed, opReadPath, 0, appendLeaf(nil, 1))
-		}
-		mixed = appendBatchSub(mixed, opReadBucket, 1, appendBucketRef(nil, r.Level, r.Node))
+	// The path to leaf 6 shares its upper three buckets with the union.
+	bucket := append(appendBucketRef(nil, 3, 5), refSlots(nil, src[3:4])...)
+	path := append(appendLeaf(nil, 6), refSlots(nil, src[:4])...)
+	slot := append(appendSlotRef(nil, 3, 5, 1), refSlots(nil, [][]oram.Slot{src[3][1:2]})...)
+	batch := refWriteBatch(refs, src)
+	short := func(b []byte) []byte { return b[:len(b)-1] }
+	long := func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }
+	badRef := append([]oram.BucketRef(nil), refs...)
+	badRef[len(badRef)-1] = oram.BucketRef{Level: 2, Node: 4}
+	badLen := func() []byte {
+		s := append([][]oram.Slot(nil), src...)
+		last := append([]oram.Slot(nil), s[len(s)-1]...)
+		last[len(last)-1] = oram.Slot{ID: 99, Leaf: 1, Payload: []byte{1, 2, 3}}
+		s[len(s)-1] = last
+		return refWriteBatch(refs, s)
+	}()
+	cases := []struct {
+		name string
+		op   byte
+		body []byte
+	}{
+		{"bucket/trailing", opWriteBucket, long(bucket)},
+		{"bucket/short", opWriteBucket, short(bucket)},
+		{"path/trailing", opWritePath, long(path)},
+		{"path/short", opWritePath, short(path)},
+		{"slot/trailing", opWriteSlot, long(slot)},
+		{"slot/short", opWriteSlot, short(slot)},
+		{"batch/trailing", opBatch, long(batch)},
+		{"batch/short", opBatch, short(batch)},
+		{"batch/bad last ref", opBatch, refWriteBatch(badRef, src)},
+		{"batch/bad last payload", opBatch, badLen},
+		{"batch/unknown kind", opBatch, append([]byte{2}, batch[1:]...)},
+		{"batch/count over carried", opBatch, refBatch(1, refs, nil)[:batchHeaderLen+bucketRefLen]},
+		{"batch/read trailing", opBatch, long(refReadBatch(refs))},
 	}
-	resp = srv.handle(append(appendReqHeader(nil, 7, opBatch, 1), mixed...))
-	_, status, body, err := parseRespHeader(resp)
-	if err != nil || status != statusOK {
-		t.Fatalf("mixed batch: status %d, err %v", status, err)
+	for _, tc := range cases {
+		resp := srv.handle(append(appendReqHeader(nil, 2, tc.op, 0), tc.body...))
+		if _, status, _, err := parseRespHeader(resp); err != nil || status != statusErr {
+			t.Errorf("%s: status %d, err %v; want one error status", tc.name, status, err)
+		}
+		got := srv.handle(append(appendReqHeader(nil, 3, opBatch, 0), refReadBatch(refs)...))
+		if want := append(appendRespHeader(nil, 3, statusOK), refReadBatchResp(before)...); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the refused frame changed the store", tc.name)
+		}
 	}
-	count, rest, _ := parseU32(body)
-	if int(count) != len(refs)+1 {
-		t.Fatalf("mixed batch answered %d subs, want %d", count, len(refs)+1)
-	}
-	k := 0
-	for i := 0; i <= len(refs); i++ {
-		var st byte
-		var sub []byte
-		if st, sub, rest, err = parseBatchSubResp(rest); err != nil || st != statusOK {
-			t.Fatalf("mixed batch sub %d: status %d, err %v", i, st, err)
+	// The well-formed frames the cases were cut from do execute.
+	for _, ok := range []struct {
+		op   byte
+		body []byte
+	}{{opWriteBucket, bucket}, {opWritePath, path}, {opWriteSlot, slot}, {opBatch, batch}} {
+		if resp := srv.handle(append(appendReqHeader(nil, 4, ok.op, 0), ok.body...)); resp[8] != statusOK {
+			t.Errorf("well-formed op %d refused: %s", ok.op, resp[respHeaderLen:])
 		}
-		if i == 2 {
-			continue // the path read
-		}
-		var exp []byte
-		for j := range src[k] {
-			exp = appendSlot(exp, &src[k][j])
-		}
-		if !bytes.Equal(sub, exp) {
-			t.Fatalf("mixed batch bucket %d: %x, want %x", k, sub, exp)
-		}
-		k++
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes after the mixed batch response", len(rest))
 	}
 }
 
@@ -368,28 +396,29 @@ func fullSlots(g *oram.Geometry, refs []oram.BucketRef) [][]oram.Slot {
 	return src
 }
 
-// TestServerBatchAllocs: a grouped opBatch write run and read run of a
-// 16-path bucket union through Server.dispatch.
+// TestServerBatchAllocs: an opBatch write and read of a 16-path bucket union
+// through Server.dispatch.
 func TestServerBatchAllocs(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 10, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 64})
 	srv := batchServer(t, g)
 	refs := allocUnion(g)
-	write, read := refWriteBatch(0, refs, fullSlots(g, refs)), refReadBatch(0, refs)
+	write, read := refWriteBatch(refs, fullSlots(g, refs)), refReadBatch(refs)
 	var ws workScratch
 	frame := make([]byte, 0, 1<<20)
-	run := func(body []byte) {
-		out, err := srv.dispatch(&ws, appendRespHeader(frame[:0], 1, statusOK), opBatch, 0, body, true)
-		if err != nil || len(out) < respHeaderLen+4+5*len(refs) {
+	run := func(body []byte, want int) {
+		out, err := srv.dispatch(&ws, appendRespHeader(frame[:0], 1, statusOK), opBatch, 0, body)
+		if err != nil || len(out) != respHeaderLen+want {
 			t.Fatalf("dispatch: %d bytes, err %v", len(out), err)
 		}
 	}
-	run(write)
-	run(read) // warm the scratch
-	if allocs := testing.AllocsPerRun(100, func() { run(write) }); allocs > 1 {
-		t.Errorf("opBatch write run of %d buckets allocates %.1f objects, want <= 1", len(refs), allocs)
+	slotBytes := len(write) - len(read)
+	run(write, 0)
+	run(read, slotBytes) // warm the scratch
+	if allocs := testing.AllocsPerRun(100, func() { run(write, 0) }); allocs > 1 {
+		t.Errorf("opBatch write of %d buckets allocates %.1f objects, want <= 1", len(refs), allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { run(read) }); allocs > 1 {
-		t.Errorf("opBatch read run of %d buckets allocates %.1f objects, want <= 1", len(refs), allocs)
+	if allocs := testing.AllocsPerRun(100, func() { run(read, slotBytes) }); allocs > 1 {
+		t.Errorf("opBatch read of %d buckets allocates %.1f objects, want <= 1", len(refs), allocs)
 	}
 }
 
@@ -408,7 +437,7 @@ func TestServerPathAllocs(t *testing.T) {
 	var ws workScratch
 	frame := make([]byte, 0, 1<<16)
 	run := func(op byte, body []byte) {
-		if _, err := srv.dispatch(&ws, appendRespHeader(frame[:0], 1, statusOK), op, 1, body, true); err != nil {
+		if _, err := srv.dispatch(&ws, appendRespHeader(frame[:0], 1, statusOK), op, 1, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,17 +464,17 @@ func TestServerScratchNeverDecodesIntoStaleViews(t *testing.T) {
 	_, src := unionFixture(g, 75)
 	var ws workScratch
 	do := func(shard uint32, body []byte) []byte {
-		out, err := srv.dispatch(&ws, nil, opBatch, shard, body, true)
+		out, err := srv.dispatch(&ws, nil, opBatch, shard, body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	do(1, refWriteBatch(1, refs, other))
-	write := refWriteBatch(0, refs, src)
+	do(1, refWriteBatch(refs, other))
+	write := refWriteBatch(refs, src)
 	do(0, write)
 	frozen := append([]byte(nil), write...)
-	if got, want := do(1, refReadBatch(1, refs)), refReadBatchResp(other); !bytes.Equal(got, want) {
+	if got, want := do(1, refReadBatch(refs)), refReadBatchResp(other); !bytes.Equal(got, want) {
 		t.Fatal("shard 1 read back wrong after a write to shard 0")
 	}
 	if !bytes.Equal(write, frozen) {
@@ -454,7 +483,7 @@ func TestServerScratchNeverDecodesIntoStaleViews(t *testing.T) {
 	for i := range write {
 		write[i] = 0xFF // the pooled frame moves on to another request
 	}
-	if got, want := do(0, refReadBatch(0, refs)), refReadBatchResp(src); !bytes.Equal(got, want) {
+	if got, want := do(0, refReadBatch(refs)), refReadBatchResp(src); !bytes.Equal(got, want) {
 		t.Fatal("stored buckets changed when the recycled request frame was overwritten")
 	}
 }

@@ -42,31 +42,27 @@ func FuzzProtocol(f *testing.F) {
 	seed(opWriteSlot, 0, appendSlot(appendSlotRef(nil, 2, 1, 1), &slot))
 	seed(opReadPath, 0, appendLeaf(nil, 3))
 	seed(opWritePath, 0, append(appendLeaf(nil, 3), path...))
-	batch := appendU32(nil, 2)
-	batch = appendBatchSub(batch, opReadBucket, 0, appendBucketRef(nil, 0, 0))
-	batch = appendBatchSub(batch, opReadPath, 0, appendLeaf(nil, 1))
-	seed(opBatch, 0, batch)
-	// Grouped runs — the shape a joint fetch and write-back arrive in, which
-	// the server executes as one BatchStore call and answers through the
-	// in-place response builder (shard 1 is the payload store).
+	// Bucket unions — the shape a joint fetch and write-back arrive in: one
+	// on the metadata store, which the server loops bucket by bucket, then a
+	// write and a read on shard 1, the payload store that batches natively.
 	run := []oram.BucketRef{{Level: 0, Node: 0}, {Level: 1, Node: 1}, {Level: 3, Node: 5}}
-	reads, writes := appendU32(nil, uint32(len(run))), appendU32(nil, uint32(len(run)))
-	for _, r := range run {
-		reads = beginBatchSub(reads, opReadBucket, 1)
-		mark := len(reads)
-		reads = appendBucketRef(reads, r.Level, r.Node)
-		patchLen(reads, mark)
-		writes = beginBatchSub(writes, opWriteBucket, 1)
-		mark = len(writes)
-		writes = append(appendBucketRef(writes, r.Level, r.Node), bucket...)
-		patchLen(writes, mark)
+	reads := appendBatchRefs(nil, batchRead, run)
+	writes := appendBatchRefs(nil, batchWrite, run)
+	for range run {
+		writes = append(writes, bucket...)
 	}
+	seed(opBatch, 0, reads)
 	seed(opBatch, 1, writes)
 	seed(opBatch, 1, reads)
 	// Degenerate frames.
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(appendReqHeader(nil, 0, 99, 7))
+	// Write frames with a byte after their last slot: refused whole.
+	seed(opWriteBucket, 1, append(append(appendBucketRef(nil, 1, 1), bucket...), 0))
+	seed(opWriteSlot, 1, append(appendSlot(appendSlotRef(nil, 2, 1, 1), &slot), 0))
+	seed(opWritePath, 1, append(append(appendLeaf(nil, 3), path...), 0))
+	seed(opBatch, 1, append(writes, 0))
 
 	ps, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
@@ -86,8 +82,7 @@ func FuzzProtocol(f *testing.F) {
 		_, _ = viewSlot(frame, &s)
 		_, _ = parseGeometryWire(frame)
 		_, _, _, _ = parseRespHeader(frame)
-		_, _, _, _, _ = parseBatchSub(frame)
-		_, _, _, _ = parseBatchSubResp(frame)
+		_, _, _, _ = parseBatchRefs(g, frame, nil)
 
 		// The server must answer every frame with a well-formed response.
 		resp := srv.handle(frame)

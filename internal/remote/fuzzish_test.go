@@ -29,8 +29,7 @@ func TestQuickProtoNeverPanics(t *testing.T) {
 		_, _, _, _, _ = parseSlotRef(raw)
 		_, _, _ = parseLeaf(raw)
 		_, _, _ = parseU32(raw)
-		_, _, _, _, _ = parseBatchSub(raw)
-		_, _, _, _ = parseBatchSubResp(raw)
+		_, _, _, _ = parseBatchRefs(fuzzGeom(), raw, nil)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(41))}
@@ -97,10 +96,43 @@ func TestServerGarbageFrames(t *testing.T) {
 			t.Fatalf("frame %d: no response to garbage: %v", i, err)
 		}
 	}
-	// The good client must still function.
-	var s oram.Slot
-	if err := good.ReadSlot(0, 0, 0, &s); err != nil {
-		t.Errorf("well-behaved client broken after garbage: %v", err)
+	// Well-formed write frames with one byte after their last slot: each is
+	// answered with an error and executes nothing.
+	row := oram.Slot{ID: 7, Leaf: 3, Payload: bytes.Repeat([]byte{0xCD}, 8)}
+	slots := func(n int) []byte {
+		var buf []byte
+		for i := 0; i < n; i++ {
+			buf = appendSlot(buf, &row)
+		}
+		return buf
+	}
+	refs := []oram.BucketRef{{Level: 0, Node: 0}, {Level: 2, Node: 1}}
+	for name, frame := range map[string][]byte{
+		"opWriteBucket": append(appendReqHeader(nil, 1, opWriteBucket, 0), append(appendBucketRef(nil, 0, 0), slots(2)...)...),
+		"opWriteSlot":   append(appendReqHeader(nil, 2, opWriteSlot, 0), append(appendSlotRef(nil, 0, 0, 0), slots(1)...)...),
+		"opWritePath":   append(appendReqHeader(nil, 3, opWritePath, 0), append(appendLeaf(nil, 0), slots(g.PathSlots())...)...),
+		"opBatch":       append(appendReqHeader(nil, 4, opBatch, 0), append(appendBatchRefs(nil, batchWrite, refs), slots(4)...)...),
+	} {
+		if err := writeFrame(raw, append(frame, 0)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp, err := readFrame(raw)
+		if err != nil {
+			t.Fatalf("%s: no response: %v", name, err)
+		}
+		if _, status, body, err := parseRespHeader(resp); err != nil || status != statusErr {
+			t.Errorf("%s with a trailing byte: status %d (%q), err %v; want an error response", name, status, body, err)
+		}
+	}
+	// The good client must still function, and find the root untouched.
+	root := make([]oram.Slot, 2)
+	if err := shard0(t, good).ReadBucket(0, 0, root); err != nil {
+		t.Fatalf("well-behaved client broken after garbage: %v", err)
+	}
+	for i := range root {
+		if !root[i].Dummy() {
+			t.Errorf("root slot %d holds %+v: a refused write frame executed", i, root[i])
+		}
 	}
 }
 
@@ -123,19 +155,24 @@ func TestServerConcurrentClients(t *testing.T) {
 				return
 			}
 			defer cl.Close()
+			st, err := cl.Store(0)
+			if err != nil {
+				errs <- err
+				return
+			}
 			rng := rand.New(rand.NewSource(int64(ci)))
 			buf := make([]oram.Slot, 4)
 			for i := 0; i < opsPer; i++ {
 				lvl := rng.Intn(g.Levels())
 				node := uint64(rng.Intn(1 << uint(lvl)))
-				if err := cl.ReadBucket(lvl, node, buf); err != nil {
+				if err := st.ReadBucket(lvl, node, buf); err != nil {
 					errs <- err
 					return
 				}
 				// Write a slot tagged with this client's identity into a
 				// region the clients share.
 				pay := bytes.Repeat([]byte{byte(ci)}, 16)
-				if err := cl.WriteSlot(lvl, node, rng.Intn(4), oram.Slot{
+				if err := st.WriteSlot(lvl, node, rng.Intn(4), oram.Slot{
 					ID: oram.BlockID(ci*opsPer + i), Leaf: oram.Leaf(node), Payload: pay,
 				}); err != nil {
 					errs <- err

@@ -341,7 +341,7 @@ func TestClientRetriesShedsInLane(t *testing.T) {
 	}
 	defer cl.Close()
 	var s oram.Slot
-	if err := cl.ReadSlot(0, 0, 0, &s); err != nil {
+	if err := shard0(t, cl).ReadSlot(0, 0, 0, &s); err != nil {
 		t.Fatalf("call with retry budget left failed: %v", err)
 	}
 	if s.ID != 7 || !bytes.Equal(s.Payload, bytes.Repeat([]byte{0xAB}, 8)) {
@@ -373,7 +373,7 @@ func TestClientShedBudgetExhausted(t *testing.T) {
 			}
 			defer cl.Close()
 			var s oram.Slot
-			err = cl.ReadSlot(0, 0, 0, &s)
+			err = shard0(t, cl).ReadSlot(0, 0, 0, &s)
 			ov, ok := AsOverloaded(err)
 			if !ok {
 				t.Fatalf("error = %v, want *ErrOverloaded", err)
@@ -414,7 +414,7 @@ func TestClientSendsDeadlineEnvelope(t *testing.T) {
 	}
 	defer cl.Close()
 	var s oram.Slot
-	if err := cl.ReadSlot(0, 0, 0, &s); err != nil {
+	if err := shard0(t, cl).ReadSlot(0, 0, 0, &s); err != nil {
 		t.Fatal(err)
 	}
 	if got := time.Duration(dataBudget.Load()); got != 700*time.Millisecond {
@@ -447,7 +447,7 @@ func TestClientGoawayMapsToOverloaded(t *testing.T) {
 	}
 	defer cl.Close()
 	var s oram.Slot
-	err = cl.ReadSlot(0, 0, 0, &s)
+	err = shard0(t, cl).ReadSlot(0, 0, 0, &s)
 	ov, ok := AsOverloaded(err)
 	if !ok {
 		t.Fatalf("error after goaway = %v (%T), want *ErrOverloaded", err, err)
@@ -522,7 +522,7 @@ func TestServerGoawaySlowConsumer(t *testing.T) {
 			id++
 		}
 	}
-	if err := seed.WritePath(0, src); err != nil {
+	if err := shard0(t, seed).WritePath(0, src); err != nil {
 		t.Fatal(err)
 	}
 	seed.Close()
@@ -648,11 +648,12 @@ func TestDeadlineShedInQueue(t *testing.T) {
 	level := g.LeafBits()
 	dst := make([]oram.Slot, g.BucketSize(level))
 	first := make(chan error, 1)
-	go func() { first <- cl.ReadBucket(level, 0, dst) }()
+	st := shard0(t, cl)
+	go func() { first <- st.ReadBucket(level, 0, dst) }()
 	time.Sleep(30 * time.Millisecond) // let the first request occupy the lone worker
 
 	dst2 := make([]oram.Slot, g.BucketSize(level))
-	err = cl.ReadBucket(level, 1, dst2)
+	err = st.ReadBucket(level, 1, dst2)
 	ov, ok := AsOverloaded(err)
 	if !ok {
 		t.Fatalf("queued-past-deadline call returned %v, want *ErrOverloaded", err)
@@ -807,7 +808,7 @@ func TestRateLimitSheds(t *testing.T) {
 	dst := make([]oram.Slot, g.BucketSize(level))
 	var shed *ErrOverloaded
 	for i := 0; i < 10 && shed == nil; i++ {
-		if err := metered.ReadBucket(level, 0, dst); err != nil {
+		if err := shard0(t, metered).ReadBucket(level, 0, dst); err != nil {
 			ov, ok := AsOverloaded(err)
 			if !ok {
 				t.Fatalf("rate-limited call returned %v, want *ErrOverloaded", err)
@@ -831,7 +832,7 @@ func TestRateLimitSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	if err := other.ReadBucket(level, 0, dst); err != nil {
+	if err := shard0(t, other).ReadBucket(level, 0, dst); err != nil {
 		t.Errorf("second connection was shed by the first's bucket: %v", err)
 	}
 

@@ -6,7 +6,7 @@
 // Block contents should be sealed by the client (internal/crypto) before
 // they reach this layer.
 //
-// Wire format (protocol v2): 4-byte big-endian length-prefixed frames.
+// Wire format (protocol v4): 4-byte big-endian length-prefixed frames.
 // Every request carries a client-chosen request ID so many requests can be
 // in flight on one connection and responses may return out of order; the
 // client multiplexes by ID. Layouts (all integers big-endian):
@@ -19,16 +19,23 @@
 //	opHello       → resp: shards u32 · geometry (17 B) · bootID u64
 //	              (bootID: a random per-process identifier; a client that
 //	              reconnects and sees a different bootID knows the server
-//	              restarted and lost its in-memory tree. Absent from older
-//	              servers; clients treat a short response as bootID 0.)
+//	              restarted and lost its in-memory tree.)
 //	opReadBucket  req: level u32 · node u64            → resp: Z slots
 //	opWriteBucket req: level u32 · node u64 · Z slots  → resp: empty
 //	opReadSlot    req: level u32 · node u64 · slot u32 → resp: 1 slot
 //	opWriteSlot   req: level u32 · node u64 · slot u32 · slot → resp: empty
 //	opReadPath    req: leaf u64                        → resp: per-level slots
 //	opWritePath   req: leaf u64 · per-level slots      → resp: empty
-//	opBatch       req: count u32 · count×(op u8 · shard u32 · len u32 · body)
-//	              → resp: count u32 · count×(status u8 · len u32 · body)
+//	opBatch       req: kind u8 · count u32 · count×(level u32 · node u64)
+//	                   · [kind = write: the buckets' slots, in ref order]
+//	              → resp: the buckets' slots in ref order (read) / empty (write)
+//	              (protocol v4: one bucket union — the deduplicated buckets of
+//	              a joint fetch or write-back — on the frame's shard, under the
+//	              frame's one status. Every ref and slot is validated before
+//	              the shard lock is taken, so a bad ref, a short slot list or
+//	              a trailing byte fails the whole frame with nothing written.
+//	              A v3 peer, whose opBatch was a list of sub-requests, fails
+//	              the first batch frame with a clean parse error.)
 //	opSnapshot    req: empty            → resp: shard store snapshot bytes
 //	opRestore     req: snapshot bytes   → resp: empty
 //	              (opSnapshot/opRestore are the checkpoint-coordinator RPC:
@@ -38,8 +45,7 @@
 //	              must fit one frame — maxFrame bounds the serialisable tree.
 //	              The same pair is the live-migration transport: the client
 //	              snapshots a shard at one node and restores it at another,
-//	              repointing its placement in between. Neither is valid
-//	              inside opBatch.)
+//	              repointing its placement in between.)
 //	opHealth      req: empty → resp: draining u8 · shards u32
 //	              (the heartbeat behind health-based re-placement: draining
 //	              is 1 once the server stopped accepting new connections
@@ -52,7 +58,7 @@
 //	              through its configured store factory — same geometry as
 //	              the rest — and returns its index, giving a migration or
 //	              re-placement somewhere to land a shard. Rejected when the
-//	              server has no factory. Not valid inside opBatch.)
+//	              server has no factory.)
 //	opDeadline    req: budgetMillis u32 · inner op u8 · inner body
 //	              (protocol v3: a deadline-carrying envelope around one data
 //	              operation. budgetMillis is RELATIVE — how long the client
@@ -77,10 +83,12 @@
 // than a generic I/O error. ID 0 is never allocated to a real call, so
 // goaways can never be mistaken for a response.
 //
-// Slots are serialised as (id u64, leaf u64, payloadLen u32, payload).
-// The path and batch opcodes are what make the serving path fast: a whole
-// root→leaf path (or the deduplicated bucket union of a training batch)
-// moves in one frame instead of one frame per bucket.
+// Slots are serialised as (id u64, leaf u64, payloadLen u32, payload). A
+// write frame must end with its last slot; a real slot's payload is empty
+// (the zero row) or exactly the block size. The path and batch opcodes are
+// what make the serving path fast: a whole root→leaf path (or the
+// deduplicated bucket union of a training batch) moves in one frame instead
+// of one frame per bucket.
 package remote
 
 import (
@@ -95,9 +103,10 @@ import (
 )
 
 // Opcodes. 1–5 are the original synchronous protocol's operations; 6–8 are
-// the v2 pipelining additions; 9–10 are the checkpoint-coordinator RPC;
-// 11–12 are the elastic-placement additions (health heartbeat, dynamic
-// store growth); 13 is the v3 deadline envelope.
+// the v2 pipelining additions (8 carries one bucket union since v4); 9–10
+// are the checkpoint-coordinator RPC; 11–12 are the elastic-placement
+// additions (health heartbeat, dynamic store growth); 13 is the v3 deadline
+// envelope.
 const (
 	opHello       = 1
 	opReadBucket  = 2
@@ -142,8 +151,8 @@ func isDataOp(op byte) bool {
 // bucket union of 4 KB blocks with headroom.
 const maxFrame = 32 << 20
 
-// maxBatchOps bounds the sub-operations of one opBatch frame, so a
-// malformed count field cannot make the server loop unboundedly.
+// maxBatchOps bounds the buckets of one opBatch frame, so a malformed count
+// field cannot make the server loop unboundedly.
 const maxBatchOps = 1 << 14
 
 // reqHeaderLen is id u64 + opcode u8 + shard u32.
@@ -460,72 +469,57 @@ func parseLeaf(buf []byte) (leaf oram.Leaf, rest []byte, err error) {
 	return oram.Leaf(binary.BigEndian.Uint64(buf)), buf[8:], nil
 }
 
-// batchSubHeaderLen is op u8 + shard u32 + len u32.
-const batchSubHeaderLen = 9
+// opBatch kinds: what the frame does with the buckets it names.
+const (
+	batchRead  = 0
+	batchWrite = 1
+)
 
-// beginBatchSub starts one opBatch sub-request in place: it appends the
-// header with the length field left zero; the caller appends the body and
-// back-fills the field with patchLen(buf, mark), mark being len(buf) as
-// returned here.
-func beginBatchSub(buf []byte, op byte, shard uint32) []byte {
-	var tmp [batchSubHeaderLen]byte
-	tmp[0] = op
-	binary.BigEndian.PutUint32(tmp[1:], shard)
-	return append(buf, tmp[:]...)
-}
+// batchHeaderLen is kind u8 + count u32.
+const batchHeaderLen = 5
 
-// patchLen back-fills the u32 length field ending at mark with the number of
-// bytes appended since — the second half of beginBatchSub/beginBatchSubResp.
-func patchLen(buf []byte, mark int) {
-	binary.BigEndian.PutUint32(buf[mark-4:], uint32(len(buf)-mark))
-}
-
-func parseBatchSub(buf []byte) (op byte, shard uint32, body []byte, rest []byte, err error) {
-	if len(buf) < batchSubHeaderLen {
-		return 0, 0, nil, nil, fmt.Errorf("remote: truncated batch sub-request")
+// appendBatchRefs starts an opBatch body: the kind and the bucket refs. A
+// write's slots follow in ref order.
+func appendBatchRefs(buf []byte, kind byte, refs []oram.BucketRef) []byte {
+	buf = appendU32(append(buf, kind), uint32(len(refs)))
+	for _, r := range refs {
+		buf = appendBucketRef(buf, r.Level, r.Node)
 	}
-	op = buf[0]
-	shard = binary.BigEndian.Uint32(buf[1:])
-	n := binary.BigEndian.Uint32(buf[5:])
-	buf = buf[batchSubHeaderLen:]
-	if uint64(len(buf)) < uint64(n) {
-		return 0, 0, nil, nil, fmt.Errorf("remote: truncated batch sub-body (%d < %d)", len(buf), n)
-	}
-	return op, shard, buf[:n], buf[n:], nil
-}
-
-// appendBatchSubResp serialises one opBatch sub-response whose body already
-// exists (an error text); slot-bearing responses are built in place with
-// beginBatchSubResp … patchLen.
-func appendBatchSubResp(buf []byte, status byte, body []byte) []byte {
-	buf = beginBatchSubResp(buf, status)
-	mark := len(buf)
-	buf = append(buf, body...)
-	patchLen(buf, mark)
 	return buf
 }
 
-// beginBatchSubResp appends an opBatch sub-response header with a zero
-// length field, to be back-filled by patchLen.
-func beginBatchSubResp(buf []byte, status byte) []byte {
-	return append(buf, status, 0, 0, 0, 0)
+// parseBatchRefs decodes the head of an opBatch body into refs (reused),
+// checking the kind, the count bound and every ref against g, and returns
+// what follows the refs.
+func parseBatchRefs(g *oram.Geometry, body []byte, refs []oram.BucketRef) (write bool, _ []oram.BucketRef, rest []byte, err error) {
+	if len(body) < batchHeaderLen {
+		return false, nil, nil, fmt.Errorf("remote: truncated batch header")
+	}
+	if body[0] != batchRead && body[0] != batchWrite {
+		return false, nil, nil, fmt.Errorf("remote: unknown batch kind %d", body[0])
+	}
+	count := binary.BigEndian.Uint32(body[1:])
+	if count > maxBatchOps {
+		return false, nil, nil, fmt.Errorf("remote: batch of %d buckets exceeds limit %d", count, maxBatchOps)
+	}
+	rest = body[batchHeaderLen:]
+	if uint64(len(rest)) < uint64(count)*bucketRefLen {
+		return false, nil, nil, fmt.Errorf("remote: batch names %d buckets, carries %d", count, len(rest)/bucketRefLen)
+	}
+	refs = refs[:0]
+	for i := 0; i < int(count); i++ {
+		var r oram.BucketRef
+		r.Level, r.Node, rest, _ = parseBucketRef(rest)
+		if r.Level < 0 || r.Level >= g.Levels() || r.Node >= 1<<uint(r.Level) {
+			return false, nil, nil, fmt.Errorf("remote: batch bucket %d: (%d,%d) out of range", i, r.Level, r.Node)
+		}
+		refs = append(refs, r)
+	}
+	return body[0] == batchWrite, refs, rest, nil
 }
 
-func parseBatchSubResp(buf []byte) (status byte, body []byte, rest []byte, err error) {
-	if len(buf) < 5 {
-		return 0, nil, nil, fmt.Errorf("remote: truncated batch sub-response")
-	}
-	status = buf[0]
-	n := binary.BigEndian.Uint32(buf[1:])
-	buf = buf[5:]
-	if uint64(len(buf)) < uint64(n) {
-		return 0, nil, nil, fmt.Errorf("remote: truncated batch sub-response body (%d < %d)", len(buf), n)
-	}
-	return status, buf[:n], buf[n:], nil
-}
-
-// appendU32 / parseU32 are the count fields of batch frames and the shard
-// count of the Hello response.
+// appendU32 / parseU32 are the count fields of the batch, busy and Hello
+// frames.
 func appendU32(buf []byte, v uint32) []byte {
 	var tmp [4]byte
 	binary.BigEndian.PutUint32(tmp[:], v)

@@ -67,30 +67,6 @@ func TestQuickAddressCodecs(t *testing.T) {
 	}
 }
 
-// TestQuickBatchSubRoundTrip: opBatch sub-requests and sub-responses
-// round-trip with arbitrary bodies and trailing data.
-func TestQuickBatchSubRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(54))}
-	sub := func(op byte, shard uint32, body, tail []byte) bool {
-		buf := append(appendBatchSub(nil, op, shard, body), tail...)
-		gop, gshard, gbody, rest, err := parseBatchSub(buf)
-		return err == nil && gop == op && gshard == shard &&
-			bytes.Equal(gbody, body) && bytes.Equal(rest, tail)
-	}
-	if err := quick.Check(sub, cfg); err != nil {
-		t.Error(err)
-	}
-	subResp := func(status byte, body, tail []byte) bool {
-		buf := append(appendBatchSubResp(nil, status, body), tail...)
-		gstatus, gbody, rest, err := parseBatchSubResp(buf)
-		return err == nil && gstatus == status &&
-			bytes.Equal(gbody, body) && bytes.Equal(rest, tail)
-	}
-	if err := quick.Check(subResp, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickGeometryWireRoundTrip: the handshake geometry encoding
 // round-trips arbitrary field values.
 func TestQuickGeometryWireRoundTrip(t *testing.T) {
@@ -118,7 +94,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-// TestBatchCountBounds: a batch frame claiming more sub-ops than the limit
+// TestBatchCountBounds: a batch frame claiming more buckets than the limit
 // is rejected outright, and one claiming more than it carries errors
 // cleanly.
 func TestBatchCountBounds(t *testing.T) {
@@ -127,14 +103,16 @@ func TestBatchCountBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over := appendU32(nil, maxBatchOps+1)
-	resp := srv.handle(append(appendReqHeader(nil, 9, opBatch, 0), over...))
-	if _, status, _, err := parseRespHeader(resp); err != nil || status != statusErr {
-		t.Errorf("oversized batch count not rejected: status=%d err=%v", status, err)
-	}
-	lying := appendU32(nil, 5) // claims 5 sub-ops, carries none
-	resp = srv.handle(append(appendReqHeader(nil, 10, opBatch, 0), lying...))
-	if _, status, _, err := parseRespHeader(resp); err != nil || status != statusErr {
-		t.Errorf("truncated batch not rejected: status=%d err=%v", status, err)
+	for kind := byte(0); kind < 2; kind++ {
+		over := appendU32([]byte{kind}, maxBatchOps+1)
+		resp := srv.handle(append(appendReqHeader(nil, 9, opBatch, 0), over...))
+		if _, status, _, err := parseRespHeader(resp); err != nil || status != statusErr {
+			t.Errorf("kind %d: oversized batch count not rejected: status=%d err=%v", kind, status, err)
+		}
+		lying := appendBucketRef(appendU32([]byte{kind}, 5), 0, 0) // claims 5 buckets, carries one
+		resp = srv.handle(append(appendReqHeader(nil, 10, opBatch, 0), lying...))
+		if _, status, _, err := parseRespHeader(resp); err != nil || status != statusErr {
+			t.Errorf("kind %d: truncated batch not rejected: status=%d err=%v", kind, status, err)
+		}
 	}
 }

@@ -17,6 +17,16 @@ import (
 	"repro/internal/remote"
 )
 
+// shard0 is the store view onto shard 0 of c's node.
+func shard0(t testing.TB, c *remote.Client) *remote.ShardStore {
+	t.Helper()
+	st, err := c.Store(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func startNode(t *testing.T, shards int) *chaos.Node {
 	t.Helper()
 	n := chaos.NewNode(func() ([]oram.Store, error) {
@@ -101,12 +111,12 @@ func TestReconnectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteSlot(2, 1, 1, oram.Slot{ID: 42, Leaf: 9}); err != nil {
+	if err := shard0(t, c).WriteSlot(2, 1, 1, oram.Slot{ID: 42, Leaf: 9}); err != nil {
 		t.Fatal(err)
 	}
 	p.KillConns()
 	var got oram.Slot
-	if err := c.ReadSlot(2, 1, 1, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(2, 1, 1, &got); err != nil {
 		t.Fatalf("read across connection kill: %v", err)
 	}
 	if got.ID != 42 || got.Leaf != 9 {
@@ -126,7 +136,7 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteSlot(1, 1, 0, oram.Slot{ID: 7, Leaf: 2}); err != nil {
+	if err := shard0(t, c).WriteSlot(1, 1, 0, oram.Slot{ID: 7, Leaf: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := c.Store(0)
@@ -140,7 +150,7 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 	n.Kill()
 	n.WaitDown()
 	var got oram.Slot
-	err = c.ReadSlot(1, 1, 0, &got)
+	err = shard0(t, c).ReadSlot(1, 1, 0, &got)
 	if _, ok := remote.AsNodeDown(err); !ok {
 		t.Fatalf("exhausted retry budget surfaced as %T: %v", err, err)
 	}
@@ -151,7 +161,7 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 	// restarted node and latches state loss (new boot ID, empty tree).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err = c.ReadSlot(1, 1, 0, &got)
+		err = shard0(t, c).ReadSlot(1, 1, 0, &got)
 		if nd, ok := remote.AsNodeDown(err); ok && nd.StateLost {
 			break
 		}
@@ -167,7 +177,7 @@ func TestReconnectBudgetExhausted(t *testing.T) {
 	if err := s.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("restore after state loss: %v", err)
 	}
-	if err := c.ReadSlot(1, 1, 0, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(1, 1, 0, &got); err != nil {
 		t.Fatalf("read after restore: %v", err)
 	}
 	if got.ID != 7 || got.Leaf != 2 {
@@ -196,7 +206,7 @@ func TestReconnectGoroutineLeaks(t *testing.T) {
 		}
 		p.KillConns()
 		var got oram.Slot
-		if err := c.ReadSlot(1, 0, 0, &got); err != nil {
+		if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil {
 			t.Fatalf("read across kill: %v", err)
 		}
 		c.Close()
@@ -218,9 +228,10 @@ func TestReconnectGoroutineLeaks(t *testing.T) {
 		// Park a call on the reconnect loop, then cancel the context out
 		// from under it: the call must fail and every goroutine drain.
 		done := make(chan error, 1)
+		st := shard0(t, c)
 		go func() {
 			var got oram.Slot
-			done <- c.ReadSlot(1, 0, 0, &got)
+			done <- st.ReadSlot(1, 0, 0, &got)
 		}()
 		time.Sleep(50 * time.Millisecond)
 		cancel()
@@ -246,9 +257,10 @@ func TestReconnectGoroutineLeaks(t *testing.T) {
 		n.Kill()
 		n.WaitDown()
 		done := make(chan error, 1)
+		st := shard0(t, c)
 		go func() {
 			var got oram.Slot
-			done <- c.ReadSlot(1, 0, 0, &got)
+			done <- st.ReadSlot(1, 0, 0, &got)
 		}()
 		time.Sleep(50 * time.Millisecond)
 		c.Close()
@@ -286,9 +298,10 @@ func TestReconnectCancelMidBackoff(t *testing.T) {
 	n.Kill()
 	n.WaitDown()
 	done := make(chan error, 1)
+	st := shard0(t, c)
 	go func() {
 		var got oram.Slot
-		done <- c.ReadSlot(1, 0, 0, &got)
+		done <- st.ReadSlot(1, 0, 0, &got)
 	}()
 	// Give the loop time to burn through the short initial backoffs and park
 	// in a longer sleep, then cancel mid-sleep.
@@ -327,7 +340,7 @@ func TestCancelDoesNotResurrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got oram.Slot
-	if err := c.ReadSlot(1, 0, 0, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,7 +349,7 @@ func TestCancelDoesNotResurrect(t *testing.T) {
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = c.ReadSlot(1, 0, 0, &got); err != nil {
+		if err = shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -349,7 +362,7 @@ func TestCancelDoesNotResurrect(t *testing.T) {
 	// fire: hammer the client past the retry budget and the backoff cap.
 	until := time.Now().Add(250 * time.Millisecond)
 	for time.Now().Before(until) {
-		if err := c.ReadSlot(1, 0, 0, &got); err == nil {
+		if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err == nil {
 			t.Fatal("cancelled client resurrected its connection")
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -397,7 +410,7 @@ func TestBootIDStateLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.WriteSlot(2, 2, 0, oram.Slot{ID: 3, Leaf: 1}); err != nil {
+	if err := shard0(t, c).WriteSlot(2, 2, 0, oram.Slot{ID: 3, Leaf: 1}); err != nil {
 		t.Fatal(err)
 	}
 	boot1 := c.BootID()
@@ -416,9 +429,10 @@ func TestBootIDStateLoss(t *testing.T) {
 	// Park a call mid-outage by racing it with the kill; then restart.
 	n.Kill()
 	done := make(chan error, 1)
+	st := shard0(t, c)
 	go func() {
 		var got oram.Slot
-		done <- c.ReadSlot(2, 2, 0, &got)
+		done <- st.ReadSlot(2, 2, 0, &got)
 	}()
 	n.WaitDown()
 	if _, err := n.Restart(); err != nil {
@@ -441,7 +455,7 @@ func TestBootIDStateLoss(t *testing.T) {
 	var got oram.Slot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.ReadSlot(2, 2, 0, &got)
+		err := shard0(t, c).ReadSlot(2, 2, 0, &got)
 		if err == nil {
 			t.Fatal("read succeeded against the restarted node before any restore")
 		}
@@ -461,7 +475,7 @@ func TestBootIDStateLoss(t *testing.T) {
 	if err := s.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("restore after state loss: %v", err)
 	}
-	if err := c.ReadSlot(2, 2, 0, &got); err != nil {
+	if err := shard0(t, c).ReadSlot(2, 2, 0, &got); err != nil {
 		t.Fatalf("read after restore: %v", err)
 	}
 	if got.ID != 3 || got.Leaf != 1 {

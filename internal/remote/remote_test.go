@@ -14,6 +14,17 @@ import (
 	"repro/internal/trace"
 )
 
+// shard0 is the store view onto shard 0 of cl's node: what a single-shard
+// test reads and writes through.
+func shard0(t testing.TB, cl *Client) *ShardStore {
+	t.Helper()
+	st, err := cl.Store(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func startServer(t *testing.T, g *oram.Geometry, sealed bool) (*Server, string) {
 	t.Helper()
 	var inner oram.Store
@@ -78,11 +89,11 @@ func TestRemoteBucketRoundTrip(t *testing.T) {
 		oram.DummySlot(),
 		{ID: 9, Leaf: 1, Payload: bytes.Repeat([]byte{0x11}, 16)},
 	}
-	if err := cl.WriteBucket(2, 1, src); err != nil {
+	if err := shard0(t, cl).WriteBucket(2, 1, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]oram.Slot, 3)
-	if err := cl.ReadBucket(2, 1, dst); err != nil {
+	if err := shard0(t, cl).ReadBucket(2, 1, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0].ID != 3 || !bytes.Equal(dst[0].Payload, pay) {
@@ -92,11 +103,11 @@ func TestRemoteBucketRoundTrip(t *testing.T) {
 		t.Errorf("slot 1 = %+v", dst[1])
 	}
 	// Single-slot ops.
-	if err := cl.WriteSlot(4, 9, 2, oram.Slot{ID: 42, Leaf: 5, Payload: pay}); err != nil {
+	if err := shard0(t, cl).WriteSlot(4, 9, 2, oram.Slot{ID: 42, Leaf: 5, Payload: pay}); err != nil {
 		t.Fatal(err)
 	}
 	var s oram.Slot
-	if err := cl.ReadSlot(4, 9, 2, &s); err != nil {
+	if err := shard0(t, cl).ReadSlot(4, 9, 2, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.ID != 42 || s.Leaf != 5 || !bytes.Equal(s.Payload, pay) {
@@ -113,18 +124,18 @@ func TestRemoteServerErrors(t *testing.T) {
 	}
 	defer cl.Close()
 	dst := make([]oram.Slot, 3)
-	if err := cl.ReadBucket(99, 0, dst); err == nil {
+	if err := shard0(t, cl).ReadBucket(99, 0, dst); err == nil {
 		t.Error("bad level accepted")
 	}
-	if err := cl.ReadBucket(2, 1<<40, dst); err == nil {
+	if err := shard0(t, cl).ReadBucket(2, 1<<40, dst); err == nil {
 		t.Error("bad node accepted")
 	}
 	var s oram.Slot
-	if err := cl.ReadSlot(0, 0, 99, &s); err == nil {
+	if err := shard0(t, cl).ReadSlot(0, 0, 99, &s); err == nil {
 		t.Error("bad slot accepted")
 	}
 	// The connection must survive server-side errors.
-	if err := cl.ReadBucket(0, 0, dst); err != nil {
+	if err := shard0(t, cl).ReadBucket(0, 0, dst); err != nil {
 		t.Errorf("connection broken after error: %v", err)
 	}
 }
@@ -140,7 +151,7 @@ func TestFullPathORAMOverTCP(t *testing.T) {
 	}
 	defer cl.Close()
 	client, err := oram.NewClient(oram.ClientConfig{
-		Store: cl, Rand: rand.New(rand.NewSource(3)),
+		Store: shard0(t, cl), Rand: rand.New(rand.NewSource(3)),
 		Evict: oram.PaperEvict, StashHits: true, Blocks: 64,
 	})
 	if err != nil {
@@ -182,7 +193,7 @@ func TestLAORAMOverTCPWithSealing(t *testing.T) {
 	}
 	defer cl.Close()
 	base, err := oram.NewClient(oram.ClientConfig{
-		Store: cl, Rand: rand.New(rand.NewSource(5)),
+		Store: shard0(t, cl), Rand: rand.New(rand.NewSource(5)),
 		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
 	})
 	if err != nil {
@@ -223,7 +234,7 @@ func TestLAORAMOverTCPWithSealing(t *testing.T) {
 }
 
 // TestSealedPooledServerOverTCP: a sealed server store with a multi-worker
-// crypto pool serves the same protocol — path frames and grouped batch
+// crypto pool serves the same protocol — path frames and batch
 // runs fan their per-bucket crypto across the pool under the shard lock —
 // and every payload round-trips. (Byte-identity of pooled vs serial
 // sealing is pinned at the store layer; this covers the serving path's
@@ -257,7 +268,7 @@ func TestSealedPooledServerOverTCP(t *testing.T) {
 	}
 	defer cl.Close()
 	client, err := oram.NewClient(oram.ClientConfig{
-		Store: cl, Rand: rand.New(rand.NewSource(15)),
+		Store: shard0(t, cl), Rand: rand.New(rand.NewSource(15)),
 		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
 	})
 	if err != nil {
@@ -271,7 +282,7 @@ func TestSealedPooledServerOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single accesses (path frames) and multi-path unions (batch frames,
-	// the grouped opBatch fast path on the server).
+	// one BatchStore call per opBatch frame on the server).
 	for i := 0; i < 64; i++ {
 		id := oram.BlockID(i % blocks)
 		got, err := client.Read(id)
@@ -345,7 +356,7 @@ func TestJointAccessOverTCP(t *testing.T) {
 		}
 		defer cl.Close()
 		client, err := oram.NewClient(oram.ClientConfig{
-			Store: cl, Rand: rand.New(rand.NewSource(3)),
+			Store: shard0(t, cl), Rand: rand.New(rand.NewSource(3)),
 			Evict: oram.PaperEvict, StashHits: true, Blocks: 64,
 		})
 		if err != nil {

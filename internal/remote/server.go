@@ -36,7 +36,7 @@ type Server struct {
 	// appending to a []sync.Mutex would reallocate the array out from
 	// under a held lock.
 	smu     sync.RWMutex
-	stores  []oram.Store
+	stores  []oram.Face // each shard's store, its path/batch face resolved once
 	locks   []*sync.Mutex
 	factory func() (oram.Store, error) // builds one more store for opAddStore; nil = fixed placement
 
@@ -116,10 +116,12 @@ func NewSharded(stores []oram.Store, workers int, logf func(string, ...any)) (*S
 		logf = func(string, ...any) {}
 	}
 	var geom *oram.Geometry
+	faces := make([]oram.Face, len(stores))
 	for i, st := range stores {
 		if st == nil {
 			return nil, fmt.Errorf("remote: shard %d store is nil", i)
 		}
+		faces[i] = oram.Resolve(st)
 		g := st.Geometry()
 		if i == 0 {
 			geom = g
@@ -140,7 +142,7 @@ func NewSharded(stores []oram.Store, workers int, logf func(string, ...any)) (*S
 		locks[i] = new(sync.Mutex)
 	}
 	return &Server{
-		stores:  stores,
+		stores:  faces,
 		locks:   locks,
 		geom:    geom,
 		workers: workers,
@@ -151,18 +153,13 @@ func NewSharded(stores []oram.Store, workers int, logf func(string, ...any)) (*S
 	}, nil
 }
 
-// newBootID draws a random, never-zero process identity. Zero is reserved
-// to mean "server predates boot IDs" on the client side.
+// newBootID draws a random process identity.
 func newBootID() uint64 {
 	var b [8]byte
-	for {
-		if _, err := crand.Read(b[:]); err != nil {
-			panic(fmt.Sprintf("remote: boot id entropy: %v", err))
-		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id
-		}
+	if _, err := crand.Read(b[:]); err != nil {
+		panic(fmt.Sprintf("remote: boot id entropy: %v", err))
 	}
+	return binary.BigEndian.Uint64(b[:])
 }
 
 // Shards returns the number of shard stores served.
@@ -178,11 +175,11 @@ func (s *Server) BootID() uint64 { return s.bootID }
 // shardStore resolves one shard's store and lock under the table's read
 // lock. The lock is a stable pointer, so the caller may use both after the
 // read lock is released even while AddStore grows the table.
-func (s *Server) shardStore(shard uint32) (oram.Store, *sync.Mutex, error) {
+func (s *Server) shardStore(shard uint32) (oram.Face, *sync.Mutex, error) {
 	s.smu.RLock()
 	defer s.smu.RUnlock()
 	if shard >= uint32(len(s.stores)) {
-		return nil, nil, fmt.Errorf("shard %d out of range (server has %d)", shard, len(s.stores))
+		return oram.Face{}, nil, fmt.Errorf("shard %d out of range (server has %d)", shard, len(s.stores))
 	}
 	return s.stores[shard], s.locks[shard], nil
 }
@@ -216,7 +213,7 @@ func (s *Server) AddStore() (int, error) {
 	if geometryToWire(st.Geometry()) != geometryToWire(s.geom) {
 		return 0, fmt.Errorf("remote: store factory geometry %s differs from serving geometry %s", st.Geometry(), s.geom)
 	}
-	s.stores = append(s.stores, st)
+	s.stores = append(s.stores, oram.Resolve(st))
 	s.locks = append(s.locks, new(sync.Mutex))
 	return len(s.stores) - 1, nil
 }
@@ -279,9 +276,9 @@ func (s *Server) SnapshotShard(shard int, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("remote: %w", err)
 	}
-	snap, ok := store.(oram.Snapshotter)
+	snap, ok := store.Store.(oram.Snapshotter)
 	if !ok {
-		return fmt.Errorf("remote: shard %d store %T does not support snapshots", shard, store)
+		return fmt.Errorf("remote: shard %d store %T does not support snapshots", shard, store.Store)
 	}
 	lock.Lock()
 	defer lock.Unlock()
@@ -299,9 +296,9 @@ func (s *Server) RestoreShard(shard int, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("remote: %w", err)
 	}
-	snap, ok := store.(oram.Snapshotter)
+	snap, ok := store.Store.(oram.Snapshotter)
 	if !ok {
-		return fmt.Errorf("remote: shard %d store %T does not support snapshots", shard, store)
+		return fmt.Errorf("remote: shard %d store %T does not support snapshots", shard, store.Store)
 	}
 	lock.Lock()
 	defer lock.Unlock()
@@ -532,7 +529,7 @@ func (s *Server) process(ws *workScratch, t task) {
 		return
 	}
 	start := time.Now()
-	resp, err := s.dispatch(ws, appendRespHeader(getFrame(respHeaderLen), t.id, statusOK), t.op, t.shard, t.body, true)
+	resp, err := s.dispatch(ws, appendRespHeader(getFrame(respHeaderLen), t.id, statusOK), t.op, t.shard, t.body)
 	if isDataOp(t.op) {
 		s.svc.observe(time.Since(start))
 	}
@@ -598,7 +595,7 @@ func (s *Server) handle(frame []byte) []byte {
 	if err != nil {
 		return errResponse(0, err)
 	}
-	resp, err := s.dispatch(new(workScratch), appendRespHeader(nil, id, statusOK), op, shard, body, true)
+	resp, err := s.dispatch(new(workScratch), appendRespHeader(nil, id, statusOK), op, shard, body)
 	if err != nil {
 		return errResponse(id, err)
 	}
@@ -606,13 +603,11 @@ func (s *Server) handle(frame []byte) []byte {
 }
 
 // workScratch is the reusable request state of one executing goroutine (a
-// pool worker): the parsed sub-requests of a batch, the bucket refs and slot
-// buffers handed to the store, and the payload arena read results land in.
-// One request executes at a time per worker, so nothing here is shared; in
-// steady state a path or bucket-union request allocates only what the store
-// itself allocates.
+// pool worker): the bucket refs and slot buffers handed to the store, and the
+// payload arena read results land in. One request executes at a time per
+// worker, so nothing here is shared; in steady state a path or bucket-union
+// request allocates only what the store itself allocates.
 type workScratch struct {
-	subs  []batchSub
 	refs  []oram.BucketRef
 	bufs  [][]oram.Slot // bufs[i] is a window of slots
 	slots []oram.Slot
@@ -655,26 +650,43 @@ func (ws *workScratch) arm(blockSize int) {
 	}
 }
 
-// viewSlots fills dst with views of the slots serialised at the head of buf
-// (see viewSlot) and returns the rest.
-func viewSlots(buf []byte, dst []oram.Slot) ([]byte, error) {
+// viewSlots fills dst with views of the slots serialised in buf (see
+// viewSlot) — the tail of every write frame. The frame must end with its last
+// slot, and a real slot's payload must be empty (the zero row) or exactly
+// blockSize bytes: the checks a store would otherwise make slot by slot, made
+// here before the shard lock is taken so a bad frame writes nothing.
+func viewSlots(buf []byte, dst []oram.Slot, blockSize int) error {
 	var err error
 	for i := range dst {
 		if buf, err = viewSlot(buf, &dst[i]); err != nil {
-			return nil, err
+			return err
+		}
+		if n := len(dst[i].Payload); n != 0 && n != blockSize && !dst[i].Dummy() {
+			return fmt.Errorf("remote: slot %d payload len %d != block size %d", i, n, blockSize)
 		}
 	}
-	return buf, nil
+	if len(buf) != 0 {
+		return fmt.Errorf("remote: %d trailing bytes after slots", len(buf))
+	}
+	return nil
+}
+
+// appendRead serialises what a read left in the laid-out slots onto dst.
+func (ws *workScratch) appendRead(dst []byte, blockSize int) []byte {
+	return appendSlots(slices.Grow(dst, slotsWireLen(len(ws.slots), blockSize)), ws.slots)
 }
 
 // dispatch executes one operation against its shard store and appends the
-// response body to dst — a frame that already holds its response header (or,
-// inside opBatch, the sub-responses so far) — returning the extended frame:
-// a response is serialised once, into the buffer that leaves. On error the
-// returned frame is nil and whatever was appended to dst is meaningless.
-// allowBatch guards against nested opBatch frames; ws is the executing
-// goroutine's scratch.
-func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, body []byte, allowBatch bool) ([]byte, error) {
+// response body to dst — a frame that already holds its response header —
+// returning the extended frame: a response is serialised once, into the
+// buffer that leaves. On error the returned frame is nil and whatever was
+// appended to dst is meaningless. ws is the executing goroutine's scratch.
+//
+// Every data handler has one shape: parse and validate the whole request into
+// ws, take the shard lock for exactly one call on the store's Face, serialise.
+// Reads land in the worker's armed arena; written slots are views into the
+// request frame, which the store copies into its own storage.
+func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, body []byte) ([]byte, error) {
 	g := s.geom
 	// opHello/opHealth/opAddStore are whole-server operations: they are
 	// answered before the shard range check (their shard field is ignored).
@@ -701,24 +713,7 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		return nil, err
 	}
 	switch op {
-	case opReadBucket:
-		level, node, _, err := parseBucketRef(body)
-		if err != nil {
-			return nil, err
-		}
-		if level < 0 || level >= g.Levels() {
-			return nil, fmt.Errorf("level %d out of range", level)
-		}
-		buf := ws.layout(g, 1, func(int) int { return level })[0]
-		ws.arm(g.BlockSize())
-		lock.Lock()
-		err = store.ReadBucket(level, node, buf)
-		lock.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return appendSlots(slices.Grow(dst, slotsWireLen(len(ws.slots), g.BlockSize())), buf), nil
-	case opWriteBucket:
+	case opReadBucket, opWriteBucket:
 		level, node, rest, err := parseBucketRef(body)
 		if err != nil {
 			return nil, err
@@ -726,14 +721,24 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		if level < 0 || level >= g.Levels() {
 			return nil, fmt.Errorf("level %d out of range", level)
 		}
-		slots := ws.layout(g, 1, func(int) int { return level })[0]
-		if _, err := viewSlots(rest, slots); err != nil {
+		buf := ws.layout(g, 1, func(int) int { return level })[0]
+		if op == opWriteBucket {
+			if err := viewSlots(rest, buf, g.BlockSize()); err != nil {
+				return nil, err
+			}
+			lock.Lock()
+			err = store.WriteBucket(level, node, buf)
+			lock.Unlock()
+			return dst, err
+		}
+		ws.arm(g.BlockSize())
+		lock.Lock()
+		err = store.ReadBucket(level, node, buf)
+		lock.Unlock()
+		if err != nil {
 			return nil, err
 		}
-		lock.Lock()
-		err = store.WriteBucket(level, node, slots)
-		lock.Unlock()
-		return dst, err
+		return ws.appendRead(dst, g.BlockSize()), nil
 	case opReadSlot:
 		level, node, slot, _, err := parseSlotRef(body)
 		if err != nil {
@@ -752,46 +757,15 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		if err != nil {
 			return nil, err
 		}
-		var sl oram.Slot
-		if _, err := viewSlot(rest, &sl); err != nil {
+		var sl [1]oram.Slot
+		if err := viewSlots(rest, sl[:], g.BlockSize()); err != nil {
 			return nil, err
 		}
 		lock.Lock()
-		err = store.WriteSlot(level, node, slot, sl)
+		err = store.WriteSlot(level, node, slot, sl[0])
 		lock.Unlock()
 		return dst, err
-	case opReadPath:
-		leaf, _, err := parseLeaf(body)
-		if err != nil {
-			return nil, err
-		}
-		if !g.ValidLeaf(leaf) {
-			return nil, fmt.Errorf("leaf %d out of range", leaf)
-		}
-		// Read through the store's PathStore fast path when it has one:
-		// a sealed server store then fans the path's per-bucket crypto
-		// across its worker pool instead of decrypting bucket by bucket
-		// under the shard lock. Results and traffic accounting are
-		// identical either way.
-		levels := g.Levels()
-		bufs := ws.layout(g, levels, func(lvl int) int { return lvl })
-		ws.arm(g.BlockSize())
-		lock.Lock()
-		if ps, ok := store.(oram.PathStore); ok {
-			err = ps.ReadPath(leaf, bufs)
-		} else {
-			for lvl := 0; lvl < levels; lvl++ {
-				if err = store.ReadBucket(lvl, g.NodeAt(leaf, lvl), bufs[lvl]); err != nil {
-					break
-				}
-			}
-		}
-		lock.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return appendSlots(slices.Grow(dst, slotsWireLen(len(ws.slots), g.BlockSize())), ws.slots), nil
-	case opWritePath:
+	case opReadPath, opWritePath:
 		leaf, rest, err := parseLeaf(body)
 		if err != nil {
 			return nil, err
@@ -799,25 +773,63 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		if !g.ValidLeaf(leaf) {
 			return nil, fmt.Errorf("leaf %d out of range", leaf)
 		}
-		// Parse the whole path before touching the store, so a truncated
-		// frame cannot leave a half-written path behind.
-		levels := g.Levels()
-		slots := ws.layout(g, levels, func(lvl int) int { return lvl })
-		if _, err := viewSlots(rest, ws.slots); err != nil {
+		bufs := ws.layout(g, g.Levels(), func(lvl int) int { return lvl })
+		if op == opWritePath {
+			// The whole path is parsed before the store is touched, so a
+			// truncated frame cannot leave a half-written path behind.
+			if err := viewSlots(rest, ws.slots, g.BlockSize()); err != nil {
+				return nil, err
+			}
+			lock.Lock()
+			err = store.WritePath(leaf, bufs)
+			lock.Unlock()
+			return dst, err
+		}
+		ws.arm(g.BlockSize())
+		lock.Lock()
+		err = store.ReadPath(leaf, bufs)
+		lock.Unlock()
+		if err != nil {
 			return nil, err
 		}
-		lock.Lock()
-		if ps, ok := store.(oram.PathStore); ok {
-			err = ps.WritePath(leaf, slots)
-		} else {
-			for lvl := 0; lvl < levels; lvl++ {
-				if err = store.WriteBucket(lvl, g.NodeAt(leaf, lvl), slots[lvl]); err != nil {
-					break
-				}
-			}
+		return ws.appendRead(dst, g.BlockSize()), nil
+	case opBatch:
+		// One bucket union. A sealed server store fans the union's crypto
+		// across its worker pool instead of opening bucket by bucket under
+		// the shard lock; a store that does not batch natively is looped.
+		write, refs, rest, err := parseBatchRefs(g, body, ws.refs)
+		if err != nil {
+			return nil, err
 		}
+		ws.refs = refs
+		bufs := ws.layout(g, len(refs), func(i int) int { return refs[i].Level })
+		if write {
+			if err := viewSlots(rest, ws.slots, g.BlockSize()); err != nil {
+				return nil, err
+			}
+			lock.Lock()
+			err = store.WriteBuckets(refs, bufs)
+			lock.Unlock()
+			return dst, err
+		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("remote: %d trailing bytes after batch refs", len(rest))
+		}
+		// A response that could not be framed must fail this one request
+		// with a clean error, not kill the connection when the unsendable
+		// frame hits writeFrame (well-behaved clients chunk batches below
+		// batchFrameBudget; see client.go).
+		if n := slotsWireLen(len(ws.slots), g.BlockSize()); n > maxFrame-respHeaderLen {
+			return nil, fmt.Errorf("response of up to %d bytes exceeds frame limit; split the batch", n)
+		}
+		ws.arm(g.BlockSize())
+		lock.Lock()
+		err = store.ReadBuckets(refs, bufs)
 		lock.Unlock()
-		return dst, err
+		if err != nil {
+			return nil, err
+		}
+		return ws.appendRead(dst, g.BlockSize()), nil
 	case opSnapshot:
 		// Checkpoint-coordinator RPC: serialise this shard's store under
 		// its lock, exactly as the in-process SnapshotShard does, so the
@@ -825,9 +837,9 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		// SaveState as one epoch-stamped set. The snapshot must fit one
 		// response frame; anything larger is refused here with a clean
 		// error rather than a torn write.
-		snap, ok := store.(oram.Snapshotter)
+		snap, ok := store.Store.(oram.Snapshotter)
 		if !ok {
-			return nil, fmt.Errorf("shard %d store %T does not support snapshots", shard, store)
+			return nil, fmt.Errorf("shard %d store %T does not support snapshots", shard, store.Store)
 		}
 		buf := bytes.NewBuffer(dst) // the snapshot lands behind the header
 		lock.Lock()
@@ -841,161 +853,17 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		}
 		return buf.Bytes(), nil
 	case opRestore:
-		snap, ok := store.(oram.Snapshotter)
+		snap, ok := store.Store.(oram.Snapshotter)
 		if !ok {
-			return nil, fmt.Errorf("shard %d store %T does not support snapshots", shard, store)
+			return nil, fmt.Errorf("shard %d store %T does not support snapshots", shard, store.Store)
 		}
 		lock.Lock()
 		err := snap.Load(bytes.NewReader(body))
 		lock.Unlock()
 		return dst, err
-	case opBatch:
-		if !allowBatch {
-			return nil, fmt.Errorf("nested batch request")
-		}
-		count, rest, err := parseU32(body)
-		if err != nil {
-			return nil, err
-		}
-		if count > maxBatchOps {
-			return nil, fmt.Errorf("batch of %d ops exceeds limit %d", count, maxBatchOps)
-		}
-		// Parse every sub-request up front so runs of same-shard bucket
-		// reads/writes — the shape multipath's batched bucket unions
-		// arrive in — can execute as one BatchStore call, which a sealed
-		// server store fans across its crypto workers instead of opening
-		// bucket by bucket under the shard lock.
-		subs := slices.Grow(ws.subs[:0], int(count))[:count]
-		ws.subs = subs
-		for i := range subs {
-			subs[i].op, subs[i].shard, subs[i].body, rest, err = parseBatchSub(rest)
-			if err != nil {
-				return nil, fmt.Errorf("batch op %d: %w", i, err)
-			}
-		}
-		base := len(dst)
-		out := appendU32(dst, count)
-		for i := 0; i < len(subs); {
-			j := i
-			if subs[i].op == opReadBucket || subs[i].op == opWriteBucket {
-				for j+1 < len(subs) && subs[j+1].op == subs[i].op && subs[j+1].shard == subs[i].shard {
-					j++
-				}
-			}
-			grouped := false
-			if j > i {
-				out, grouped = s.dispatchBucketRun(ws, out, subs[i:j+1])
-			}
-			if !grouped {
-				// Singleton sub-request, non-bucket opcode, or a run the
-				// grouped fast path declined (validation or store error):
-				// the per-op dispatch preserves exact per-sub status
-				// semantics.
-				for _, sub := range subs[i : j+1] {
-					if sub.op == opBatch || sub.op == opHello || sub.op == opSnapshot || sub.op == opRestore ||
-						sub.op == opHealth || sub.op == opAddStore {
-						out = appendBatchSubResp(out, statusErr, []byte(fmt.Sprintf("opcode %d not allowed in batch", sub.op)))
-						continue
-					}
-					start := len(out)
-					out = beginBatchSubResp(out, statusOK)
-					mark := len(out)
-					if ext, err := s.dispatch(ws, out, sub.op, sub.shard, sub.body, false); err != nil {
-						out = appendBatchSubResp(out[:start], statusErr, []byte(err.Error()))
-					} else {
-						out = ext
-						patchLen(out, mark)
-					}
-				}
-			}
-			i = j + 1
-			// An over-large aggregate response must fail this one request
-			// with a clean error, not kill the connection when the
-			// unsendable frame hits writeFrame (well-behaved clients chunk
-			// batches below batchFrameBudget; see client.go).
-			if len(out)-base > maxFrame-respHeaderLen {
-				return nil, fmt.Errorf("batch response exceeds frame limit after %d of %d ops; split the batch", i, count)
-			}
-		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("unknown opcode %d", op)
 	}
-}
-
-// batchSub is one parsed opBatch sub-request.
-type batchSub struct {
-	op    byte
-	shard uint32
-	body  []byte
-}
-
-// dispatchBucketRun executes a run of same-shard opReadBucket or
-// opWriteBucket sub-requests as a single BatchStore operation under the
-// shard lock and appends the per-sub responses to dst. ok = false declines
-// the run — shard/ref validation failed, the store lacks batch support, or
-// the grouped call itself errored — with dst returned untouched, and the
-// caller falls back to per-op dispatch, which reproduces exact per-sub
-// status semantics.
-//
-// Reads land in the worker's armed arena and are serialised once, into the
-// response frame (reserved up front); written slots are views into the
-// request frame, which the store copies into its own storage.
-func (s *Server) dispatchBucketRun(ws *workScratch, dst []byte, subs []batchSub) (out []byte, ok bool) {
-	g := s.geom
-	store, lock, err := s.shardStore(subs[0].shard)
-	if err != nil {
-		return dst, false
-	}
-	bs, isBatch := store.(oram.BatchStore)
-	if !isBatch {
-		return dst, false
-	}
-	refs := slices.Grow(ws.refs[:0], len(subs))[:len(subs)]
-	ws.refs = refs
-	for i, sub := range subs {
-		level, node, _, err := parseBucketRef(sub.body)
-		if err != nil || level < 0 || level >= g.Levels() || node >= 1<<uint(level) {
-			return dst, false
-		}
-		refs[i] = oram.BucketRef{Level: level, Node: node}
-	}
-	bufs := ws.layout(g, len(refs), func(i int) int { return refs[i].Level })
-	reads := subs[0].op == opReadBucket
-	if reads {
-		ws.arm(g.BlockSize())
-	} else {
-		for i, sub := range subs {
-			if _, err := viewSlots(sub.body[bucketRefLen:], bufs[i]); err != nil {
-				return dst, false
-			}
-		}
-	}
-	lock.Lock()
-	if reads {
-		err = bs.ReadBuckets(refs, bufs)
-	} else {
-		err = bs.WriteBuckets(refs, bufs)
-	}
-	lock.Unlock()
-	if err != nil {
-		return dst, false
-	}
-	if !reads {
-		out = slices.Grow(dst, 5*len(bufs))
-		for range bufs {
-			out = beginBatchSubResp(out, statusOK)
-		}
-		return out, true
-	}
-	out = slices.Grow(dst, 5*len(bufs)+slotsWireLen(len(ws.slots), g.BlockSize()))
-	for _, buf := range bufs {
-		out = beginBatchSubResp(out, statusOK)
-		mark := len(out)
-		out = appendSlots(out, buf)
-		patchLen(out, mark)
-	}
-	return out, true
 }
 
 // isClosedConn reports the "use of closed network connection" error that

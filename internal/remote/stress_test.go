@@ -26,6 +26,8 @@ func TestClientSharedAcrossGoroutines(t *testing.T) {
 	}
 	defer cl.Close()
 
+	st := shard0(t, cl)
+
 	const workers = 8
 	const opsPer = 200
 	var wg sync.WaitGroup
@@ -46,7 +48,7 @@ func TestClientSharedAcrossGoroutines(t *testing.T) {
 					pay := make([]byte, 16)
 					binary.LittleEndian.PutUint64(pay, rng.Uint64())
 					pay[15] = byte(w)
-					if err := cl.WriteSlot(lvl, node, slot, oram.Slot{
+					if err := st.WriteSlot(lvl, node, slot, oram.Slot{
 						ID: oram.BlockID(w*1000 + slot), Leaf: oram.Leaf(node), Payload: pay,
 					}); err != nil {
 						errs <- fmt.Errorf("worker %d: %w", w, err)
@@ -55,7 +57,7 @@ func TestClientSharedAcrossGoroutines(t *testing.T) {
 					ref[slot] = pay
 				} else {
 					var s oram.Slot
-					if err := cl.ReadSlot(lvl, node, slot, &s); err != nil {
+					if err := st.ReadSlot(lvl, node, slot, &s); err != nil {
 						errs <- fmt.Errorf("worker %d: %w", w, err)
 						return
 					}
@@ -263,14 +265,14 @@ func TestPathOpsRoundTrip(t *testing.T) {
 			src[lvl][i] = oram.Slot{ID: oram.BlockID(rng.Intn(1000)), Leaf: oram.Leaf(rng.Intn(16)), Payload: pay}
 		}
 	}
-	if err := cl.WritePath(leaf, src); err != nil {
+	if err := shard0(t, cl).WritePath(leaf, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([][]oram.Slot, g.Levels())
 	for lvl := range dst {
 		dst[lvl] = make([]oram.Slot, g.BucketSize(lvl))
 	}
-	if err := cl.ReadPath(leaf, dst); err != nil {
+	if err := shard0(t, cl).ReadPath(leaf, dst); err != nil {
 		t.Fatal(err)
 	}
 	for lvl := range src {
@@ -282,7 +284,7 @@ func TestPathOpsRoundTrip(t *testing.T) {
 		}
 		// Cross-check against a per-bucket read of the same node.
 		buf := make([]oram.Slot, g.BucketSize(lvl))
-		if err := cl.ReadBucket(lvl, g.NodeAt(leaf, lvl), buf); err != nil {
+		if err := shard0(t, cl).ReadBucket(lvl, g.NodeAt(leaf, lvl), buf); err != nil {
 			t.Fatal(err)
 		}
 		for i := range buf {
@@ -292,10 +294,10 @@ func TestPathOpsRoundTrip(t *testing.T) {
 		}
 	}
 	// Shape validation: wrong buffer shapes must be rejected client-side.
-	if err := cl.ReadPath(leaf, dst[:2]); err == nil {
+	if err := shard0(t, cl).ReadPath(leaf, dst[:2]); err == nil {
 		t.Error("short path buffer accepted")
 	}
-	if err := cl.ReadPath(oram.Leaf(1<<40), dst); err == nil {
+	if err := shard0(t, cl).ReadPath(oram.Leaf(1<<40), dst); err == nil {
 		t.Error("out-of-range leaf accepted")
 	}
 }
@@ -323,14 +325,14 @@ func TestBatchOpsRoundTrip(t *testing.T) {
 			src[i][j] = oram.Slot{ID: oram.BlockID(100*i + j), Leaf: oram.Leaf(r.Node), Payload: pay}
 		}
 	}
-	if err := cl.WriteBuckets(refs, src); err != nil {
+	if err := shard0(t, cl).WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([][]oram.Slot, len(refs))
 	for i, r := range refs {
 		dst[i] = make([]oram.Slot, g.BucketSize(r.Level))
 	}
-	if err := cl.ReadBuckets(refs, dst); err != nil {
+	if err := shard0(t, cl).ReadBuckets(refs, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i := range refs {
@@ -343,10 +345,10 @@ func TestBatchOpsRoundTrip(t *testing.T) {
 	// A bad ref inside the batch must surface as an error without killing
 	// the connection.
 	bad := []oram.BucketRef{{Level: 99, Node: 0}}
-	if err := cl.ReadBuckets(bad, [][]oram.Slot{make([]oram.Slot, 3)}); err == nil {
+	if err := shard0(t, cl).ReadBuckets(bad, [][]oram.Slot{make([]oram.Slot, 3)}); err == nil {
 		t.Error("bad level inside batch accepted")
 	}
-	if err := cl.ReadBuckets(refs, dst); err != nil {
+	if err := shard0(t, cl).ReadBuckets(refs, dst); err != nil {
 		t.Errorf("connection broken after batch error: %v", err)
 	}
 }
@@ -383,14 +385,14 @@ func TestBatchChunking(t *testing.T) {
 			src[i][j] = oram.Slot{ID: oram.BlockID(1000*i + j), Leaf: oram.Leaf(r.Node), Payload: pay}
 		}
 	}
-	if err := cl.WriteBuckets(refs, src); err != nil {
+	if err := shard0(t, cl).WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([][]oram.Slot, len(refs))
 	for i, r := range refs {
 		dst[i] = make([]oram.Slot, g.BucketSize(r.Level))
 	}
-	if err := cl.ReadBuckets(refs, dst); err != nil {
+	if err := shard0(t, cl).ReadBuckets(refs, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i := range refs {

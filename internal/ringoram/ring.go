@@ -210,7 +210,7 @@ func (r *Ring) Load(n uint64, payload func(oram.BlockID) []byte) error {
 
 // clearPayloads drops stale payload references from a reused read buffer
 // before handing it to the store: stores may decrypt into the capacity of
-// dst payload slices (oram.InplaceSealer), and after an eviction these
+// dst payload slices (the ReadBucket contract), and after an eviction these
 // buffers still alias live stash slabs.
 func clearPayloads(buf []oram.Slot) {
 	for i := range buf {
