@@ -334,7 +334,7 @@ func main() {
 		log.Printf("laoramserve: close: %v", err)
 	}
 	// Disk arenas close last (after the server stops issuing requests):
-	// Close flushes the write-behind queue, fsyncs, and marks the arena
+	// Close writes the dirty spans back, fsyncs, and marks the arena
 	// clean so the next start resumes instead of demanding a checkpoint.
 	disksMu.Lock()
 	var tier oram.TierStats
@@ -441,9 +441,10 @@ func sameDir(a, b string) bool {
 
 // openArena opens (or creates) the disk arena backing store idx under
 // dataDir. A cleanly closed arena resumes as-is. An arena left dirty by a
-// crash mid write-behind flush (diskstore.ErrUnclean) is reset — but only
-// when a checkpoint exists to restore from; otherwise startup fails loudly
-// rather than serving possibly-torn buckets. The prefetcher stays off on
+// crash mid write-back (diskstore.ErrUnclean), or laid out by a build with
+// another record order (diskstore.ErrLayout), is reset — but only when a
+// checkpoint exists to restore from; otherwise startup fails loudly rather
+// than serving possibly-torn buckets or dropping a tree it cannot read. The prefetcher stays off on
 // the server: the remote protocol carries no look-ahead hints, the client
 // plans the windows.
 func openArena(dataDir, ckDir string, idx int, g *oram.Geometry, budget int64) (*diskstore.Store, error) {
@@ -456,7 +457,7 @@ func openArena(dataDir, ckDir string, idx int, g *oram.Geometry, budget int64) (
 	if err == nil {
 		return ds, nil
 	}
-	if !errors.Is(err, diskstore.ErrUnclean) {
+	if !errors.Is(err, diskstore.ErrUnclean) && !errors.Is(err, diskstore.ErrLayout) {
 		return nil, err
 	}
 	if ckDir == "" {
@@ -465,7 +466,7 @@ func openArena(dataDir, ckDir string, idx int, g *oram.Geometry, budget int64) (
 	if _, serr := os.Stat(checkpointPath(ckDir, idx)); serr != nil {
 		return nil, fmt.Errorf("%w (no checkpoint for store %d in %s; delete %s to start empty)", err, idx, ckDir, path)
 	}
-	log.Printf("laoramserve: %s was not cleanly closed; resetting, checkpoint restore will rebuild it", path)
+	log.Printf("laoramserve: %v; resetting, checkpoint restore will rebuild it", err)
 	cfg.Reset = true
 	return diskstore.Open(cfg)
 }

@@ -25,6 +25,12 @@ func newTestSealer(t *testing.T) oram.Sealer {
 	return s
 }
 
+// recOff is the file offset of bucket (level, node)'s record.
+func (st *Store) recOff(level int, node uint64) int64 {
+	at, _ := st.locate(level, node).recOff()
+	return at
+}
+
 func readFileRange(t *testing.T, path string, off int64, n int) []byte {
 	t.Helper()
 	f, err := os.Open(path)
@@ -51,29 +57,32 @@ func writeFileRange(t *testing.T, path string, off int64, p []byte) {
 	}
 }
 
-// dirtyBuckets writes enough distinct buckets to leave real dirt in the
-// write-behind queue.
+// dirtyBuckets reads and then rewrites n distinct leaf buckets, which
+// leaves real dirt in the cache: spans faulted in by the reads, newer than
+// the file, that only an eviction or a Sync would write back.
 func dirtyBuckets(t *testing.T, st *Store, g *oram.Geometry, n int) {
 	t.Helper()
 	lvl := g.Levels() - 1
 	src := make([]oram.Slot, g.BucketSize(lvl))
-	for k := range src {
-		src[k] = oram.Slot{ID: oram.BlockID(k), Leaf: 1, Payload: bytes.Repeat([]byte{byte(k + 1)}, g.BlockSize())}
-	}
 	for node := 0; node < n; node++ {
+		if err := st.ReadBucket(lvl, uint64(node), src); err != nil {
+			t.Fatal(err)
+		}
+		for k := range src {
+			src[k] = oram.Slot{ID: oram.BlockID(k), Leaf: 1, Payload: bytes.Repeat([]byte{byte(k + 1)}, g.BlockSize())}
+		}
 		if err := st.WriteBucket(lvl, uint64(node), src); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestCrashMidWriteBehind is the satellite regression: a store killed
-// with dirty write-behind state (Abandon — no flush, no sync, like a
-// SIGKILL) must NOT reopen as if nothing happened. The dirty header
-// (forced to disk before the first record write of the cycle) makes the
-// next Open fail with ErrUnclean instead of serving a possibly-blended
-// tree, and Reset is the documented way back.
-func TestCrashMidWriteBehind(t *testing.T) {
+// TestCrashMidWriteBack: a store killed with dirty spans in its cache
+// (Abandon — no write-back, no sync, like a SIGKILL) must NOT reopen as if
+// nothing happened. The dirty header (forced to disk before the first
+// change of the cycle) makes the next Open fail with ErrUnclean instead of
+// serving a possibly-blended tree, and Reset is the documented way back.
+func TestCrashMidWriteBack(t *testing.T) {
 	g := testGeometry(t, 4, 4, 16)
 	path := filepath.Join(t.TempDir(), "tree.laor")
 	st, err := Open(Config{Path: path, Geometry: g})
@@ -185,7 +194,7 @@ func TestTruncatedArenaRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := st.recOff(g.Levels()-1, 3) + 7 // mid write-behind flush offset
+	cut := st.recOff(g.Levels()-1, 3) + 7 // mid-record
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -202,6 +211,54 @@ func TestTruncatedArenaRefused(t *testing.T) {
 		t.Fatalf("Reset of a truncated arena: %v", err)
 	}
 	st2.Close()
+}
+
+// TestOtherLayoutRefused is the format guard: an arena whose header says
+// its records are in another order — the bucket-ordered LAORDSK1 format, or
+// spans of another height — is refused with ErrLayout from the header
+// alone (the file below is cut off right behind it: were a record looked
+// for, or the size checked first, the error would be another), and Reset,
+// which a checkpoint restore follows, is the way back.
+func TestOtherLayoutRefused(t *testing.T) {
+	g := testGeometry(t, 5, 4, 16)
+	for name, patch := range map[string]func(hdr []byte){
+		"LAORDSK1":       func(hdr []byte) { hdr[7] = '1' },
+		"span height 5":  func(hdr []byte) { hdr[63] = 5 },
+		"no span height": func(hdr []byte) { hdr[63] = 0 },
+	} {
+		path := filepath.Join(t.TempDir(), "tree.laor")
+		st, err := Open(Config{Path: path, Geometry: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirtyBuckets(t, st, g, 2)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		epoch := st.Epoch()
+		hdr := readFileRange(t, path, 0, headerLen)
+		patch(hdr)
+		writeFileRange(t, path, 0, hdr)
+		if err := os.Truncate(path, headerLen); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(Config{Path: path, Geometry: g})
+		if !errors.Is(err, ErrLayout) || !strings.Contains(err.Error(), "Reset") || !strings.Contains(err.Error(), "checkpoint") {
+			t.Fatalf("%s: got %v, want ErrLayout naming the fix", name, err)
+		}
+		st2, err := Open(Config{Path: path, Geometry: g, Reset: true})
+		if err != nil {
+			t.Fatalf("%s: Reset of an arena in another layout: %v", name, err)
+		}
+		if st2.Epoch() <= epoch {
+			t.Errorf("%s: Reset lost the epoch lineage: %d -> %d", name, epoch, st2.Epoch())
+		}
+		buf := make([]oram.Slot, g.BucketSize(g.Levels()-1))
+		if err := st2.ReadBucket(g.Levels()-1, 0, buf); err != nil || buf[0].ID != oram.DummyID {
+			t.Errorf("%s: reset arena does not serve a fresh tree: %v, %+v", name, err, buf[0])
+		}
+		st2.Close()
+	}
 }
 
 // TestNotAnArena: garbage files are refused by magic.

@@ -1,13 +1,16 @@
 package diskstore
 
 import (
-	"container/list"
+	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,19 +20,20 @@ import (
 // Arena file header, 64 bytes, big-endian like laoramserve's LAORCKF1
 // checkpoint discipline:
 //
-//	[ 0: 8) magic "LAORDSK1"
+//	[ 0: 8) magic "LAORDSK2"
 //	[ 8:16) epoch — incremented every time the arena reaches a clean,
 //	        fsynced state (Sync/Close/Load)
 //	[16:24) clean flag — 1 when every record on disk is consistent and
 //	        fsynced; forced to 0 (and fsynced) before the first record
-//	        write of a cycle, so a crash mid write-behind is detectable
+//	        write of a cycle, so a crash mid write-back is detectable
 //	[24:32) leafBits, [32:40) stride, [40:48) totalSlots,
 //	[48:56) layout fingerprint — geometry guards against opening an arena
 //	        built for a different tree
-//	[56:64) reserved
+//	[56:64) span height — the records' order in the file (see tier)
 const (
-	fileMagic = 0x4C414F5244534B31 // "LAORDSK1"
-	headerLen = 64
+	fileMagic   = 0x4C414F5244534B32 // "LAORDSK2"
+	fileMagicV1 = 0x4C414F5244534B31 // "LAORDSK1": the same records in bucket order
+	headerLen   = 64
 )
 
 // snapshotMagicPayload is oram's PayloadStore snapshot magic
@@ -39,20 +43,25 @@ const (
 const snapshotMagicPayload = 0x4C414F52414D5631 + 2
 
 // ErrUnclean reports an arena whose header says it was not cleanly
-// synced — the process died mid write-behind flush, so record state on
-// disk may be a blend of epochs. The store refuses to serve it: restore
-// from a checkpoint (Load rewrites every record) or open with
-// Config.Reset to start fresh.
-var ErrUnclean = errors.New("diskstore: arena not cleanly closed — possible torn write-behind flush; restore from a checkpoint or reset")
+// synced — the process died with spans written back but not yet fsynced
+// under a new epoch, so record state on disk may be a blend of epochs. The
+// store refuses to serve it: restore from a checkpoint (Load rewrites every
+// record) or open with Config.Reset to start fresh.
+var ErrUnclean = errors.New("diskstore: arena not cleanly closed — possible torn write-back; restore from a checkpoint or reset")
 
-// flushThreshold is how many dirty buckets accumulate before the
-// write-behind goroutine is woken to coalesce them into one batch of
-// positioned writes (Sync/Close flush whatever remains).
-const flushThreshold = 64
+// ErrLayout reports an arena whose records are in another order than this
+// build reads: a bucket-ordered LAORDSK1 file, or spans of another height.
+// Nothing past the header is read. A checkpoint is layout-independent, so
+// the fix is the one for ErrUnclean.
+var ErrLayout = errors.New("diskstore: arena was laid out by another version (bucket order or another span height) — open with Config.Reset, then restore from a checkpoint")
 
 // prefetchQueue bounds the number of outstanding prefetch hint batches;
 // hints beyond it are dropped (prefetch is strictly best-effort).
 const prefetchQueue = 16
+
+// freeSpans bounds a tier's list of recycled span buffers: the demand path
+// and the prefetcher each hold at most one in flight.
+const freeSpans = 4
 
 // Config assembles a disk-backed bucket store.
 type Config struct {
@@ -65,11 +74,11 @@ type Config struct {
 	// ciphertext at the sealed stride). Sealing is serial — the crypto
 	// pool fan-out applies to in-memory stores only.
 	Sealer oram.Sealer
-	// MemBudget bounds the in-memory bucket cache in body bytes (the
+	// MemBudget bounds the in-memory span cache in body bytes (the
 	// quantity CacheBytes reports for a whole tree). <= 0 means
-	// unbounded — the whole tree is cached after first touch. Positive
-	// budgets are clamped up to two root→leaf paths so the store can
-	// always make progress.
+	// unbounded — the whole tree is cached after first read. Positive
+	// budgets are clamped up to two root→leaf paths of spans so the store
+	// can always make progress.
 	MemBudget int64
 	// Prefetch starts the look-ahead prefetch worker consuming
 	// PrefetchPaths hints; without it hints are dropped.
@@ -77,31 +86,32 @@ type Config struct {
 	// Reset reinitialises the arena (every slot a dummy, epoch carried
 	// forward when the old header is readable) regardless of prior
 	// content — the restore-from-checkpoint escape hatch for an
-	// ErrUnclean arena.
+	// ErrUnclean or ErrLayout arena.
 	Reset bool
 }
 
-// entry is one cached bucket record body (CRC trailer lives only on
-// disk; body slices reserve crcLen capacity so flushing stamps in place).
-type entry struct {
-	key        int64
-	level      int
-	node       uint64
-	body       []byte
-	dirty      bool
-	queued     bool // sitting in the dirty queue
-	prefetched bool // faulted in by the prefetcher, not yet demanded
-	elem       *list.Element
+// span is one cached subtree: buf is its byte image as the arena file
+// holds it, records and trailers alike.
+type span struct {
+	t    *tier
+	root uint64
+	buf  []byte
+	// dirty has bit i set when bucket i (heap order inside the span) is
+	// newer than the file; verified when its CRC was checked since buf was
+	// read, or its body was overwritten whole.
+	dirty, verified uint16
+	prefetched      bool // faulted in by the prefetcher, not yet demanded
+	prev, next      *span
 }
 
 // Store is a disk-backed bucket store: oram.Store / PathStore /
 // BatchStore / Snapshotter over a fixed-layout arena file, with a bounded
-// LRU bucket cache, write-behind flushing and a look-ahead prefetcher.
+// span cache written back on eviction and a look-ahead prefetcher.
 //
 // Like the in-memory stores it is driven by a single client goroutine;
-// unlike them it synchronises internally, because its own flush and
-// prefetch goroutines — and planner-side PrefetchPaths hints — touch the
-// cache concurrently.
+// unlike them it synchronises internally, because its own prefetch
+// goroutine — and planner-side PrefetchPaths hints — touch the cache
+// concurrently.
 type Store struct {
 	geom   *oram.Geometry
 	sealer oram.Sealer
@@ -109,18 +119,18 @@ type Store struct {
 	stride int
 	path   string
 	f      *os.File
+	tiers  []tier
+	tierOf []int // tree level → index into tiers
 
 	mu     sync.Mutex
-	cache  map[int64]*entry
-	lru    *list.List // front = most recently used
+	cache  map[int64]*span
 	used   int64
 	budget int64 // <= 0: unbounded
-	dq     []*entry
 	epoch  uint64
 	clean  bool // header state currently on disk
 	stats  oram.TierStats
 	// pfBytes is the resident footprint of prefetched-but-not-yet-demanded
-	// entries; the prefetch worker throttles on it so look-ahead never runs
+	// spans; the prefetch worker throttles on it so look-ahead never runs
 	// so far ahead of the demand stream that it evicts its own useful work.
 	pfBytes int64
 	// pfMap indexes the active hint: leaf-level node → first hint position
@@ -130,26 +140,28 @@ type Store struct {
 	pfMap    map[uint64]int
 	pfDemand int
 	// pfLead is the pacing window in paths: how far past the demand cursor
-	// the prefetcher may walk. Sized from the budget so the look-ahead
-	// always fits in cache alongside the demand working set (0 = unpaced,
-	// unbounded budget).
+	// the prefetcher may walk. Sized from the budget in paths of spans so
+	// the look-ahead always fits in cache alongside the demand working set
+	// (0 = unpaced, unbounded budget).
 	pfLead int
-	// pfKey is the bucket whose record the prefetch worker is reading
-	// outside mu (noPrefetch when none). Writing that bucket — or reloading
+	// pfWake is signalled when pfDemand advances, pfBytes drops or the
+	// store stops: everything pfGate waits on.
+	pfWake *sync.Cond
+	// pfKey is the span the prefetch worker is reading outside mu
+	// (noPrefetch when none). Writing a bucket of that span — or reloading
 	// the arena — resets it, which cancels the read: what it fetched
 	// predates the write.
 	pfKey  int64
-	ioErr  error // sticky background flush/evict error
+	ioErr  error // sticky write-back error
 	closed bool
+	// rec is the client goroutine's one-record buffer for writes that go
+	// around the cache, refs its ref list for ReadPath/WritePath.
+	rec  []byte
+	refs []oram.BucketRef
 
-	flushWake chan struct{}
-	pfCh      chan []oram.Leaf
-	stop      chan struct{}
-	wg        sync.WaitGroup
-
-	// demandScratch is the client goroutine's per-level record buffer
-	// (the prefetch worker keeps its own set).
-	demandScratch [][]byte
+	pfCh chan []oram.Leaf
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 var (
@@ -188,13 +200,7 @@ func FileBytes(g *oram.Geometry, sealer oram.Sealer) int64 {
 
 // TreeBytes returns this store's whole-tree cache requirement (the value
 // a MemBudget of 0 effectively grants).
-func (st *Store) TreeBytes() int64 {
-	var total int64
-	for lvl := 0; lvl < st.geom.Levels(); lvl++ {
-		total += int64(bodyLen(st.geom.BucketSize(lvl), st.stride)) << uint(lvl)
-	}
-	return total
-}
+func (st *Store) TreeBytes() int64 { return CacheBytes(st.geom, st.sealer) }
 
 // layoutCheck fingerprints the geometry facts the record layout depends
 // on, guarding an arena against reopening under a different tree shape.
@@ -217,18 +223,12 @@ func bucketKey(level int, node uint64) int64 {
 	return int64((uint64(1) << uint(level)) - 1 + node)
 }
 
-// recOff returns the file offset of bucket (level, node)'s record:
-// records are laid out contiguously in linear slot order, each preceded
-// by the CRC trailers of the buckets before it.
-func (st *Store) recOff(level int, node uint64) int64 {
-	return headerLen + st.geom.SlotIndex(level, node, 0)*int64(slotMeta+st.stride) + bucketKey(level, node)*crcLen
-}
-
-// Open creates or resumes the arena at cfg.Path and starts the
-// write-behind (and, when configured, prefetch) workers. Resuming an
-// arena that was not cleanly synced fails with ErrUnclean; a truncated or
-// mismatched arena fails with a descriptive error. No torn record is ever
-// served: every record read re-checks its CRC trailer.
+// Open creates or resumes the arena at cfg.Path and, when configured,
+// starts the prefetch worker. Resuming an arena that was not cleanly synced
+// fails with ErrUnclean, one in another record order with ErrLayout; a
+// truncated or mismatched arena fails with a descriptive error. No torn
+// record is ever served: a record's CRC trailer is re-checked the first
+// time it is handed out after its span was read.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("diskstore: Config.Path is required")
@@ -240,29 +240,32 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("diskstore: requires BlockSize > 0, got %d (metadata-only trees fit in memory)", cfg.Geometry.BlockSize())
 	}
 	st := &Store{
-		geom:      cfg.Geometry,
-		sealer:    cfg.Sealer,
-		codec:     oram.NewSlotCodec(cfg.Geometry.BlockSize(), cfg.Sealer),
-		stride:    strideFor(cfg.Geometry, cfg.Sealer),
-		path:      cfg.Path,
-		cache:     make(map[int64]*entry),
-		lru:       list.New(),
-		pfKey:     noPrefetch,
-		flushWake: make(chan struct{}, 1),
-		stop:      make(chan struct{}),
+		geom:   cfg.Geometry,
+		sealer: cfg.Sealer,
+		codec:  oram.NewSlotCodec(cfg.Geometry.BlockSize(), cfg.Sealer),
+		stride: strideFor(cfg.Geometry, cfg.Sealer),
+		path:   cfg.Path,
+		cache:  make(map[int64]*span),
+		pfKey:  noPrefetch,
+		stop:   make(chan struct{}),
 	}
+	st.pfWake = sync.NewCond(&st.mu)
+	st.tiers, st.tierOf = newLayout(st.geom, st.stride)
+	var pathBody int64
+	maxRec := 0
+	for i := range st.tiers {
+		st.tiers[i].reset()
+		pathBody += st.tiers[i].body
+		maxRec = max(maxRec, slices.Max(st.tiers[i].rec[:]))
+	}
+	st.rec, st.refs = make([]byte, maxRec), make([]oram.BucketRef, st.geom.Levels())
 	if cfg.MemBudget > 0 {
-		var pathBody int64
-		for lvl := 0; lvl < st.geom.Levels(); lvl++ {
-			pathBody += int64(bodyLen(st.geom.BucketSize(lvl), st.stride))
-		}
 		st.budget = max(cfg.MemBudget, 2*pathBody)
-		// The pacing window: half the budget in root→leaf paths, never
-		// less than two — look-ahead must always fit in cache alongside
-		// the demand working set.
+		// The pacing window: half the budget in root→leaf paths of spans,
+		// never less than two — look-ahead must always fit in cache
+		// alongside the demand working set.
 		st.pfLead = int(max(st.budget/(2*pathBody), 2))
 	}
-	st.demandScratch = st.newScratch()
 	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
@@ -282,23 +285,12 @@ func Open(cfg Config) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	st.wg.Add(1)
-	go st.flusher()
 	if cfg.Prefetch {
 		st.pfCh = make(chan []oram.Leaf, prefetchQueue)
 		st.wg.Add(1)
 		go st.prefetcher()
 	}
 	return st, nil
-}
-
-// newScratch allocates one full-record buffer per level.
-func (st *Store) newScratch() [][]byte {
-	s := make([][]byte, st.geom.Levels())
-	for lvl := range s {
-		s[lvl] = make([]byte, recLen(st.geom.BucketSize(lvl), st.stride))
-	}
-	return s
 }
 
 // writeHeader writes the 64-byte header with the given epoch and clean
@@ -314,6 +306,7 @@ func (st *Store) writeHeader(epoch uint64, clean bool) error {
 	binary.BigEndian.PutUint64(hdr[32:40], uint64(st.stride))
 	binary.BigEndian.PutUint64(hdr[40:48], uint64(st.geom.TotalSlots()))
 	binary.BigEndian.PutUint64(hdr[48:56], layoutCheck(st.geom))
+	binary.BigEndian.PutUint64(hdr[56:64], spanLevels)
 	if _, err := st.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("diskstore: write header: %w", err)
 	}
@@ -323,15 +316,16 @@ func (st *Store) writeHeader(epoch uint64, clean bool) error {
 // initArena lays out a fresh arena: every slot a dummy (DummyID is
 // all-ones, so a zeroed file is NOT a valid empty tree — dummies are
 // written explicitly), CRC-stamped, fsynced, then the header is marked
-// clean. When resetting over a readable old header the epoch continues
-// from it.
+// clean. When resetting over a readable old header — of either layout —
+// the epoch continues from it.
 func (st *Store) initArena(oldSize int64) error {
 	epoch := uint64(0)
 	if oldSize >= headerLen {
 		var hdr [headerLen]byte
-		if _, err := st.f.ReadAt(hdr[:], 0); err == nil &&
-			binary.BigEndian.Uint64(hdr[0:8]) == fileMagic {
-			epoch = binary.BigEndian.Uint64(hdr[8:16])
+		if _, err := st.f.ReadAt(hdr[:], 0); err == nil {
+			if m := binary.BigEndian.Uint64(hdr[0:8]); m == fileMagic || m == fileMagicV1 {
+				epoch = binary.BigEndian.Uint64(hdr[8:16])
+			}
 		}
 	}
 	size := FileBytes(st.geom, st.sealer)
@@ -342,17 +336,21 @@ func (st *Store) initArena(oldSize int64) error {
 	if err := st.writeHeader(epoch, false); err != nil {
 		return err
 	}
-	w := newOffsetWriter(st.f, headerLen)
-	for lvl := 0; lvl < st.geom.Levels(); lvl++ {
-		z := st.geom.BucketSize(lvl)
-		rec := make([]byte, recLen(z, st.stride))
-		body := rec[:bodyLen(z, st.stride)]
-		for k := 0; k < z; k++ {
-			putSlot(body, k, st.stride, uint64(oram.DummyID), 0, nil)
+	w := bufio.NewWriterSize(io.NewOffsetWriter(st.f, headerLen), 1<<20)
+	for i := range st.tiers {
+		// Every span of a tier starts out as the same bytes.
+		t := &st.tiers[i]
+		img := make([]byte, t.size)
+		for idx := uint(0); idx < t.buckets; idx++ {
+			off, n := t.at(idx)
+			rec := img[off : off+n]
+			for k := 0; k < (n-crcLen)/(slotMeta+st.stride); k++ {
+				putSlot(rec, k, st.stride, uint64(oram.DummyID), 0, nil)
+			}
+			stampRecord(rec)
 		}
-		stampRecord(rec)
-		for n := uint64(0); n < uint64(1)<<uint(lvl); n++ {
-			if _, err := w.Write(rec); err != nil {
+		for root := 0; root < 1<<uint(t.lo); root++ {
+			if _, err := w.Write(img); err != nil {
 				return fmt.Errorf("diskstore: init arena: %w", err)
 			}
 		}
@@ -381,8 +379,15 @@ func (st *Store) resumeArena(size int64) error {
 	if _, err := st.f.ReadAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("diskstore: %s: short header (%d-byte file): %w", st.path, size, err)
 	}
-	if got := binary.BigEndian.Uint64(hdr[0:8]); got != fileMagic {
+	switch got := binary.BigEndian.Uint64(hdr[0:8]); got {
+	case fileMagic:
+	case fileMagicV1:
+		return fmt.Errorf("diskstore: %s: LAORDSK1 arena: %w", st.path, ErrLayout)
+	default:
 		return fmt.Errorf("diskstore: %s: bad magic %#x — not a bucket arena", st.path, got)
+	}
+	if got := binary.BigEndian.Uint64(hdr[56:64]); got != spanLevels {
+		return fmt.Errorf("diskstore: %s: spans of %d levels, this build reads %d: %w", st.path, got, spanLevels, ErrLayout)
 	}
 	if got := binary.BigEndian.Uint64(hdr[24:32]); got != uint64(st.geom.LeafBits()) {
 		return fmt.Errorf("diskstore: %s: arena has %d leaf bits, geometry needs %d", st.path, got, st.geom.LeafBits())
@@ -417,7 +422,10 @@ func (st *Store) Epoch() uint64 {
 	return st.epoch
 }
 
-// TierStats implements oram.TieredStore.
+// TierStats implements oram.TieredStore. Hits counts bucket lookups — reads
+// and writes alike — served from a resident span, Misses the span faults (a
+// write never faults: it goes around the cache); PrefetchIssued and
+// PrefetchUseful count spans.
 func (st *Store) TierStats() oram.TierStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -442,15 +450,13 @@ func (st *Store) checkBucket(level int, node uint64) error {
 	return nil
 }
 
-// takeIOErrLocked surfaces a sticky background flush/evict error.
-func (st *Store) takeIOErrLocked() error { return st.ioErr }
-
-// markHeaderDirtyLocked forces the on-disk clean flag to 0 — durably —
-// before the first record write of a cycle, so a crash anywhere in the
-// write-behind window is detected at the next Open.
-func (st *Store) markHeaderDirtyLocked() error {
-	if !st.clean {
-		return nil
+// beginWriteLocked is the start of every mutating call: a sticky write-back
+// error surfaces, and the on-disk clean flag is forced to 0 — durably —
+// before the first change of a cycle, so a crash anywhere between here and
+// the next Sync is detected at the next Open.
+func (st *Store) beginWriteLocked() error {
+	if st.ioErr != nil || !st.clean {
+		return st.ioErr
 	}
 	if err := st.writeHeader(st.epoch, false); err != nil {
 		return err
@@ -462,179 +468,204 @@ func (st *Store) markHeaderDirtyLocked() error {
 	return nil
 }
 
-// writeEntryLocked stamps and positionally writes one record (no fsync).
-// Bodies reserve crcLen capacity, so stamping extends in place.
-func (st *Store) writeEntryLocked(e *entry) error {
-	rec := e.body[:len(e.body)+crcLen]
-	stampRecord(rec)
-	if _, err := st.f.WriteAt(rec, st.recOff(e.level, e.node)); err != nil {
-		return fmt.Errorf("diskstore: write bucket (%d,%d): %w", e.level, e.node, err)
+// toFront makes sp the tier's most recently used span, linking it in when
+// it is not on the list yet.
+func (t *tier) toFront(sp *span) {
+	if sp.next != nil {
+		sp.unlink()
 	}
-	return nil
+	sp.prev, sp.next = &t.lru, t.lru.next
+	sp.prev.next, sp.next.prev = sp, sp
 }
 
-// markEntryDirtyLocked queues e for the write-behind flusher, waking it
-// once enough dirt has coalesced.
-func (st *Store) markEntryDirtyLocked(e *entry) {
-	e.dirty = true
-	if e.key == st.pfKey {
-		st.pfKey = noPrefetch
-	}
-	if e.prefetched {
-		e.prefetched = false
-		st.pfBytes -= int64(len(e.body))
-	}
-	if !e.queued {
-		e.queued = true
-		st.dq = append(st.dq, e)
-	}
-	if len(st.dq) >= flushThreshold {
-		select {
-		case st.flushWake <- struct{}{}:
-		default:
-		}
-	}
+// unlink takes sp off its tier's list.
+func (sp *span) unlink() {
+	sp.prev.next, sp.next.prev = sp.next, sp.prev
+	sp.prev, sp.next = nil, nil
 }
 
-// flushAllLocked drains the dirty queue to disk (no fsync — Sync adds
-// durability).
-func (st *Store) flushAllLocked() error {
-	for len(st.dq) > 0 {
-		e := st.dq[0]
-		st.dq = st.dq[1:]
-		e.queued = false
-		if !e.dirty {
-			continue
-		}
-		if err := st.writeEntryLocked(e); err != nil {
-			return err
-		}
-		e.dirty = false
-	}
-	return nil
+// reset empties the tier's cache state.
+func (t *tier) reset() {
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	t.resident, t.free = 0, nil
 }
 
-// flusher is the write-behind goroutine: woken when dirty buckets
-// coalesce past the threshold, it batches them to disk so client writes
-// return without touching the file.
-func (st *Store) flusher() {
-	defer st.wg.Done()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case <-st.flushWake:
-			st.mu.Lock()
-			if st.ioErr == nil {
-				if err := st.flushAllLocked(); err != nil {
-					st.ioErr = err
-				}
-			}
-			st.mu.Unlock()
-		}
+// take returns an unlisted span of the tier to read root's image into, from
+// the free list when it has one. Like recycle, called with Store.mu held.
+func (t *tier) take(root uint64) *span {
+	var sp *span
+	if n := len(t.free); n > 0 {
+		sp, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		sp = &span{t: t, buf: make([]byte, t.size)}
+	}
+	sp.root, sp.dirty, sp.verified, sp.prefetched = root, 0, 0, false
+	return sp
+}
+
+// recycle keeps an unlisted span's buffer for the tier's next fault.
+func (t *tier) recycle(sp *span) {
+	if len(t.free) < freeSpans {
+		t.free = append(t.free, sp)
 	}
 }
 
-// insertLocked adds a fresh entry to the cache and evicts past the
-// budget (LRU; dirty victims are written out first, so eviction never
-// loses data).
-func (st *Store) insertLocked(e *entry) error {
-	st.cache[e.key] = e
-	e.elem = st.lru.PushFront(e)
-	st.used += int64(len(e.body))
-	if st.budget <= 0 {
+// key is the span's cache key: the heap index of its root bucket.
+func (sp *span) key() int64 { return bucketKey(sp.t.lo, sp.root) }
+
+// demandedLocked clears sp's prefetched mark: the client got to it (or
+// overwrote it), so it no longer counts against the look-ahead's footprint.
+func (st *Store) demandedLocked(sp *span) {
+	if sp.prefetched {
+		sp.prefetched = false
+		st.pfBytes -= sp.t.body
+		st.pfWake.Signal()
+	}
+}
+
+// writeOutLocked brings the file up to date with sp — the one write-out
+// routine, called on eviction and by Sync: one positioned write of the
+// whole span (no fsync), or of the one record when exactly one bucket is
+// stale. Which records a write carries is a function of which paths were
+// written, never of block IDs or payloads.
+func (st *Store) writeOutLocked(sp *span) error {
+	if sp.dirty == 0 {
 		return nil
 	}
-	for st.used > st.budget {
-		el := st.lru.Back()
-		if el == nil {
-			return nil
+	var off, n int
+	for m := sp.dirty; m != 0; m &= m - 1 {
+		off, n = sp.t.at(uint(bits.TrailingZeros16(m)))
+		stampRecord(sp.buf[off : off+n])
+	}
+	if bits.OnesCount16(sp.dirty) > 1 {
+		off, n = 0, sp.t.size
+	}
+	if _, err := st.f.WriteAt(sp.buf[off:off+n], sp.t.spanOff(sp.root)+int64(off)); err != nil {
+		st.ioErr = fmt.Errorf("diskstore: write span (%d,%d): %w", sp.t.lo, sp.root, err)
+		return st.ioErr
+	}
+	sp.dirty = 0
+	return nil
+}
+
+// insertLocked adds a freshly read span to the cache and evicts past the
+// budget, deepest tier first and least recently used within a tier: every
+// ORAM path is uniform over leaves, so a span of a tier that starts at
+// level lo is next needed 2^lo accesses from now in expectation — the
+// static order is the next-use order. Dirty victims are written out first,
+// so eviction never loses data; sp itself is never the victim.
+func (st *Store) insertLocked(sp *span) error {
+	st.cache[sp.key()] = sp
+	sp.t.toFront(sp)
+	sp.t.resident++
+	st.used += sp.t.body
+	for i := len(st.tiers) - 1; i >= 0 && st.budget > 0 && st.used > st.budget; {
+		t := &st.tiers[i]
+		v := t.lru.prev
+		if v == sp {
+			v = v.prev
 		}
-		v := el.Value.(*entry)
-		if v == e {
-			// Never evict the bucket being faulted in.
-			if st.lru.Len() == 1 {
-				return nil
-			}
-			st.lru.MoveToFront(el)
+		if v == &t.lru {
+			i--
 			continue
 		}
-		if v.dirty {
-			if err := st.writeEntryLocked(v); err != nil {
-				return err
-			}
-			v.dirty = false
+		if err := st.writeOutLocked(v); err != nil {
+			return err
 		}
-		delete(st.cache, v.key)
-		st.lru.Remove(v.elem)
-		st.used -= int64(len(v.body))
-		if v.prefetched {
-			st.pfBytes -= int64(len(v.body))
-		}
+		delete(st.cache, v.key())
+		v.unlink()
+		t.resident--
+		st.used -= t.body
+		st.demandedLocked(v)
+		t.recycle(v)
 	}
 	return nil
 }
 
-// newEntry builds a cache entry whose body copies rec's body bytes
-// (reserving CRC capacity for in-place stamping at flush time).
-func (st *Store) newEntry(level int, node uint64, rec []byte) *entry {
-	bl := bodyLen(st.geom.BucketSize(level), st.stride)
-	body := make([]byte, bl, bl+crcLen)
-	if rec != nil {
-		copy(body, rec)
+// residentLocked returns l's span when it is cached, counting the bucket
+// lookup — a read or a write — as served from the memory tier and marking
+// the span most recently used. last is the calling operation's memo of the
+// span it resolved before this one: consecutive buckets of a path share a
+// span, so a call looks each span up once.
+func (st *Store) residentLocked(l loc, last **span) *span {
+	sp := *last
+	if sp == nil || sp.t != l.t || sp.root != l.root {
+		if sp = st.cache[l.key()]; sp != nil {
+			l.t.toFront(sp)
+		}
+		*last = sp
 	}
-	return &entry{key: bucketKey(level, node), level: level, node: node, body: body}
+	if sp != nil {
+		st.stats.Hits++
+	}
+	return sp
 }
 
-// entryFor returns bucket (level, node)'s cached entry, faulting it from
-// disk on a miss — the demand path: the miss is counted, the pread is
-// timed as demand stall, and a CRC failure is a hard error (torn records
+// demandLocked returns the verified body of bucket (level, node), faulting
+// its span in on a miss — the demand path: the miss is counted, the pread
+// is timed as demand stall, and a CRC failure is a hard error (torn records
 // are never decoded). Called with mu held; drops and reacquires it around
-// the disk read. The second return reports a cache hit.
-func (st *Store) entryFor(level int, node uint64) (*entry, bool, error) {
+// the disk read.
+func (st *Store) demandLocked(level int, node uint64, last **span) ([]byte, error) {
 	// A leaf-level lookup pins where the client is in the hinted plan —
 	// the prefetch worker paces its look-ahead window against pfDemand.
 	if st.pfMap != nil && level == st.geom.Levels()-1 {
 		if idx, ok := st.pfMap[node]; ok && idx > st.pfDemand {
 			st.pfDemand = idx
+			st.pfWake.Signal()
 		}
 	}
-	key := bucketKey(level, node)
-	if e, ok := st.cache[key]; ok {
-		st.stats.Hits++
-		if e.prefetched {
-			st.stats.PrefetchUseful++
-			e.prefetched = false
-			st.pfBytes -= int64(len(e.body))
+	l := st.locate(level, node)
+	sp := st.residentLocked(l, last)
+	if sp != nil && sp.prefetched {
+		st.stats.PrefetchUseful++
+		st.demandedLocked(sp)
+	} else if sp == nil {
+		st.stats.Misses++
+		sp = l.t.take(l.root)
+		st.mu.Unlock()
+		t0 := time.Now()
+		_, err := st.f.ReadAt(sp.buf, l.t.spanOff(l.root))
+		stall := time.Since(t0)
+		st.mu.Lock()
+		st.stats.DemandStallNs += stall.Nanoseconds()
+		if err != nil {
+			sp.t.recycle(sp)
+			return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
 		}
-		st.lru.MoveToFront(e.elem)
-		return e, true, nil
+		if cur := st.cache[l.key()]; cur != nil {
+			// The prefetcher faulted the span in while we read; its copy is
+			// identical (the client — the only writer — is right here).
+			sp.t.recycle(sp)
+			sp = cur
+		} else if err := st.insertLocked(sp); err != nil {
+			return nil, err
+		}
+		*last = sp
 	}
-	st.stats.Misses++
-	st.mu.Unlock()
-	t0 := time.Now()
-	rec := st.demandScratch[level]
-	_, err := st.f.ReadAt(rec, st.recOff(level, node))
-	if err == nil {
-		err = verifyRecord(rec)
-	}
-	stall := time.Since(t0)
-	st.mu.Lock()
-	st.stats.DemandStallNs += stall.Nanoseconds()
+	body, err := st.bodyLocked(sp, l.idx, false)
 	if err != nil {
-		return nil, false, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
+		return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
 	}
-	// The prefetcher may have faulted the bucket in while we read; its
-	// copy is identical (the client — the only writer — is right here).
-	if e, ok := st.cache[key]; ok {
-		return e, false, nil
+	return body, nil
+}
+
+// bodyLocked hands out the body of sp's bucket idx, checking its CRC the
+// first time since the span was read: an intact bucket beside a torn one
+// is served, the torn one refused. A caller about to overwrite every slot
+// keeps nothing of the old record, so instead of checked it is zeroed — it
+// then holds no dummy slot whose payload bytes could be stale.
+func (st *Store) bodyLocked(sp *span, idx uint, overwrite bool) ([]byte, error) {
+	off, n := sp.t.at(idx)
+	if sp.verified&(1<<idx) == 0 {
+		if overwrite {
+			clear(sp.buf[off : off+n-crcLen])
+		} else if err := verifyRecord(sp.buf[off : off+n]); err != nil {
+			return nil, err
+		}
+		sp.verified |= 1 << idx
 	}
-	e := st.newEntry(level, node, rec)
-	if err := st.insertLocked(e); err != nil {
-		st.ioErr = err
-		return nil, false, err
-	}
-	return e, false, nil
+	return sp.buf[off : off+n-crcLen], nil
 }
 
 // decodeSlot opens body slot k into dst with PayloadStore's exact
@@ -655,17 +686,19 @@ func (st *Store) decodeSlot(body []byte, k int, dst *oram.Slot) error {
 }
 
 // encodeSlot seals src into body slot k with PayloadStore's exact write
-// semantics — as read back and saved, not as instructions executed: a dummy
-// slot holds zeroed payload bytes (PayloadStore's arena invariant; it skips
-// the store when the slot was a dummy already, this tier re-zeroes every
-// time), a real block with a nil payload stores a zero-filled row.
+// semantics: a dummy slot holds zeroed payload bytes (the arena invariant —
+// so a dummy written over a dummy stops after the metadata store), a real
+// block with a nil payload stores a zero-filled row.
 func (st *Store) encodeSlot(body []byte, k int, src oram.Slot) error {
 	off := k * (slotMeta + st.stride)
+	wasDummy := oram.BlockID(binary.LittleEndian.Uint64(body[off:])) == oram.DummyID
 	binary.LittleEndian.PutUint64(body[off:], uint64(src.ID))
 	binary.LittleEndian.PutUint64(body[off+8:], uint64(src.Leaf))
 	raw := body[off+slotMeta : off+slotMeta+st.stride]
 	if src.ID == oram.DummyID {
-		clear(raw)
+		if !wasDummy {
+			clear(raw)
+		}
 		return nil
 	}
 	if err := st.codec.Seal(raw, src.Payload, nil); err != nil {
@@ -675,172 +708,158 @@ func (st *Store) encodeSlot(body []byte, k int, src oram.Slot) error {
 }
 
 // readBucketLocked serves one validated bucket read (demand path).
-func (st *Store) readBucketLocked(level int, node uint64, dst []oram.Slot) error {
-	if err := st.takeIOErrLocked(); err != nil {
-		return err
-	}
-	e, _, err := st.entryFor(level, node)
+func (st *Store) readBucketLocked(level int, node uint64, dst []oram.Slot, last **span) error {
+	body, err := st.demandLocked(level, node, last)
 	if err != nil {
 		return err
 	}
 	for k := range dst {
-		if err := st.decodeSlot(e.body, k, &dst[k]); err != nil {
+		if err := st.decodeSlot(body, k, &dst[k]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeBucketLocked serves one validated whole-bucket overwrite: the
-// record needs no read-modify-write, so a cache miss here costs no disk
-// read — the entry is created dirty and flushed behind.
-func (st *Store) writeBucketLocked(level int, node uint64, src []oram.Slot) error {
-	if err := st.takeIOErrLocked(); err != nil {
-		return err
+// writeLocked stores src over bucket (level, node) from slot first on: the
+// whole bucket (first 0, every slot) or a single slot. A resident span
+// takes the write in place and turns dirty. A non-resident one is not
+// faulted in for it — the write covers a fraction of the span — but goes
+// around the cache: the one record is rewritten on disk (read first when a
+// single slot changes and the rest of the bucket must survive), and an
+// in-flight prefetch of the span is cancelled, as what it reads predates
+// the write.
+func (st *Store) writeLocked(level int, node uint64, first int, src []oram.Slot, last **span) error {
+	l := st.locate(level, node)
+	whole := len(src) == st.geom.BucketSize(level)
+	if l.key() == st.pfKey {
+		st.pfKey = noPrefetch
 	}
-	if err := st.markHeaderDirtyLocked(); err != nil {
-		return err
-	}
-	key := bucketKey(level, node)
-	e, ok := st.cache[key]
-	if !ok {
-		e = st.newEntry(level, node, nil)
-		if err := st.insertLocked(e); err != nil {
-			st.ioErr = err
-			return err
+	var body []byte
+	sp := st.residentLocked(l, last)
+	at, n := l.recOff()
+	switch {
+	case sp != nil:
+		var err error
+		if body, err = st.bodyLocked(sp, l.idx, whole); err != nil {
+			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
 		}
-	} else {
-		st.lru.MoveToFront(e.elem)
+	case whole:
+		body = st.rec[:n-crcLen]
+		clear(body)
+	default:
+		if _, err := st.f.ReadAt(st.rec[:n], at); err != nil {
+			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
+		}
+		if err := verifyRecord(st.rec[:n]); err != nil {
+			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
+		}
+		body = st.rec[:n-crcLen]
 	}
-	st.markEntryDirtyLocked(e)
 	for k := range src {
-		if err := st.encodeSlot(e.body, k, src[k]); err != nil {
+		if err := st.encodeSlot(body, first+k, src[k]); err != nil {
 			return err
 		}
+	}
+	if sp != nil {
+		sp.dirty |= 1 << l.idx
+		st.demandedLocked(sp)
+		return nil
+	}
+	stampRecord(st.rec[:n])
+	if _, err := st.f.WriteAt(st.rec[:n], at); err != nil {
+		return fmt.Errorf("diskstore: write bucket (%d,%d): %w", level, node, err)
 	}
 	return nil
 }
 
 // ReadBucket implements oram.Store.
 func (st *Store) ReadBucket(level int, node uint64, dst []oram.Slot) error {
-	if err := st.checkBucket(level, node); err != nil {
-		return err
-	}
-	if z := st.geom.BucketSize(level); len(dst) != z {
-		return fmt.Errorf("diskstore: ReadBucket dst len %d != bucket size %d", len(dst), z)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.readBucketLocked(level, node, dst)
+	return st.ReadBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]oram.Slot{dst})
 }
 
 // WriteBucket implements oram.Store.
 func (st *Store) WriteBucket(level int, node uint64, src []oram.Slot) error {
-	if err := st.checkBucket(level, node); err != nil {
-		return err
-	}
-	if z := st.geom.BucketSize(level); len(src) != z {
-		return fmt.Errorf("diskstore: WriteBucket src len %d != bucket size %d", len(src), z)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.writeBucketLocked(level, node, src)
+	return st.WriteBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]oram.Slot{src})
 }
 
-// ReadSlot implements oram.Store. The record is faulted at bucket
-// granularity (one hit/miss per record, like ReadBucket).
-func (st *Store) ReadSlot(level int, node uint64, slot int, dst *oram.Slot) error {
+// checkSlot validates single-slot coordinates.
+func (st *Store) checkSlot(level int, node uint64, slot int) error {
 	if err := st.checkBucket(level, node); err != nil {
 		return err
 	}
 	if slot < 0 || slot >= st.geom.BucketSize(level) {
 		return fmt.Errorf("diskstore: slot %d out of range at level %d", slot, level)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.takeIOErrLocked(); err != nil {
+	return nil
+}
+
+// ReadSlot implements oram.Store. The slot is served from its span like a
+// bucket (one hit or miss per lookup).
+func (st *Store) ReadSlot(level int, node uint64, slot int, dst *oram.Slot) error {
+	if err := st.checkSlot(level, node, slot); err != nil {
 		return err
 	}
-	e, _, err := st.entryFor(level, node)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ioErr != nil {
+		return st.ioErr
+	}
+	var last *span
+	body, err := st.demandLocked(level, node, &last)
 	if err != nil {
 		return err
 	}
-	return st.decodeSlot(e.body, slot, dst)
+	return st.decodeSlot(body, slot, dst)
 }
 
 // WriteSlot implements oram.Store: a read-modify-write of the record (the
-// rest of the bucket must survive), so a miss faults the record in first.
+// rest of the bucket must survive).
 func (st *Store) WriteSlot(level int, node uint64, slot int, src oram.Slot) error {
-	if err := st.checkBucket(level, node); err != nil {
+	if err := st.checkSlot(level, node, slot); err != nil {
 		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("diskstore: slot %d out of range at level %d", slot, level)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.takeIOErrLocked(); err != nil {
+	if err := st.beginWriteLocked(); err != nil {
 		return err
 	}
-	if err := st.markHeaderDirtyLocked(); err != nil {
-		return err
-	}
-	e, _, err := st.entryFor(level, node)
+	var last *span
+	return st.writeLocked(level, node, slot, []oram.Slot{src}, &last)
+}
+
+// ReadPath implements oram.PathStore: a path is the ref list of its
+// buckets, root first, so the call resolves one span per tier it crosses.
+func (st *Store) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
+	refs, err := st.pathRefs("ReadPath", leaf, len(dst))
 	if err != nil {
 		return err
 	}
-	st.markEntryDirtyLocked(e)
-	return st.encodeSlot(e.body, slot, src)
-}
-
-// ReadPath implements oram.PathStore (the serial per-level loop — the
-// cache is the win here, not I/O coalescing, and CountingStore charges
-// identically either way).
-func (st *Store) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
-	if !st.geom.ValidLeaf(leaf) {
-		return fmt.Errorf("diskstore: ReadPath: invalid leaf %d", leaf)
-	}
-	if len(dst) != st.geom.Levels() {
-		return fmt.Errorf("diskstore: ReadPath dst has %d levels, tree has %d", len(dst), st.geom.Levels())
-	}
-	for lvl := range dst {
-		if z := st.geom.BucketSize(lvl); len(dst[lvl]) != z {
-			return fmt.Errorf("diskstore: ReadBucket dst len %d != bucket size %d", len(dst[lvl]), z)
-		}
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for lvl := range dst {
-		if err := st.readBucketLocked(lvl, st.geom.NodeAt(leaf, lvl), dst[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.ReadBuckets(refs, dst)
 }
 
 // WritePath implements oram.PathStore.
 func (st *Store) WritePath(leaf oram.Leaf, src [][]oram.Slot) error {
+	refs, err := st.pathRefs("WritePath", leaf, len(src))
+	if err != nil {
+		return err
+	}
+	return st.WriteBuckets(refs, src)
+}
+
+// pathRefs lists the buckets on the path to leaf in the client goroutine's
+// scratch, having checked that the caller brought one buffer per level.
+func (st *Store) pathRefs(op string, leaf oram.Leaf, levels int) ([]oram.BucketRef, error) {
 	if !st.geom.ValidLeaf(leaf) {
-		return fmt.Errorf("diskstore: WritePath: invalid leaf %d", leaf)
+		return nil, fmt.Errorf("diskstore: %s: invalid leaf %d", op, leaf)
 	}
-	if len(src) != st.geom.Levels() {
-		return fmt.Errorf("diskstore: WritePath src has %d levels, tree has %d", len(src), st.geom.Levels())
+	if levels != st.geom.Levels() {
+		return nil, fmt.Errorf("diskstore: %s has %d levels, tree has %d", op, levels, st.geom.Levels())
 	}
-	// Every level is checked before the first is written: a path that is
-	// wrong anywhere changes nothing (as WriteBuckets' checkRefs).
-	for lvl := range src {
-		if z := st.geom.BucketSize(lvl); len(src[lvl]) != z {
-			return fmt.Errorf("diskstore: WriteBucket src len %d != bucket size %d", len(src[lvl]), z)
-		}
+	for lvl := range st.refs {
+		st.refs[lvl] = oram.BucketRef{Level: lvl, Node: st.geom.NodeAt(leaf, lvl)}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for lvl := range src {
-		if err := st.writeBucketLocked(lvl, st.geom.NodeAt(leaf, lvl), src[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.refs, nil
 }
 
 // checkRefs validates a batched bucket request.
@@ -866,38 +885,49 @@ func (st *Store) ReadBuckets(refs []oram.BucketRef, dst [][]oram.Slot) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.ioErr != nil {
+		return st.ioErr
+	}
+	var last *span
 	for i, r := range refs {
-		if err := st.readBucketLocked(r.Level, r.Node, dst[i]); err != nil {
+		if err := st.readBucketLocked(r.Level, r.Node, dst[i], &last); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteBuckets implements oram.BatchStore.
+// WriteBuckets implements oram.BatchStore. Every ref is checked before the
+// first is written: a batch that is wrong anywhere changes nothing.
 func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 	if err := st.checkRefs("WriteBuckets", refs, src); err != nil {
 		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if err := st.beginWriteLocked(); err != nil {
+		return err
+	}
+	var last *span
 	for i, r := range refs {
-		if err := st.writeBucketLocked(r.Level, r.Node, src[i]); err != nil {
+		if err := st.writeLocked(r.Level, r.Node, 0, src[i], &last); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// BatchNative implements the oram.BatchNative probe: batches unroll to
-// per-bucket cache operations under the one lock here, so oram.Resolve hands
-// drivers the bucket loop instead of ReadBuckets/WriteBuckets. Either way
-// the same buckets move in the same order, so byte-identity with the
-// in-memory store (which batches natively) does not depend on this.
-func (st *Store) BatchNative() bool { return false }
+// BatchNative implements the oram.BatchNative probe: a bucket union is one
+// operation here — one lock hold, each span of the union looked up once per
+// run of buckets it holds — so oram.Resolve hands drivers
+// ReadBuckets/WriteBuckets rather than the bucket loop. Either way the same
+// buckets move in the same order, so byte-identity with the in-memory store
+// does not depend on this.
+func (st *Store) BatchNative() bool { return true }
 
-// Sync flushes every dirty bucket, fsyncs the arena and marks the header
-// clean under a fresh epoch — the checkpoint/durability point.
+// Sync writes every dirty span back in offset order, fsyncs the arena and
+// marks the header clean under a fresh epoch — the checkpoint/durability
+// point.
 func (st *Store) Sync() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -905,12 +935,26 @@ func (st *Store) Sync() error {
 }
 
 func (st *Store) syncLocked() error {
-	if err := st.takeIOErrLocked(); err != nil {
-		return err
+	if st.ioErr != nil {
+		return st.ioErr
 	}
-	if err := st.flushAllLocked(); err != nil {
-		st.ioErr = err
-		return err
+	var dirty []*span
+	for i := range st.tiers {
+		for sp := st.tiers[i].lru.next; sp != &st.tiers[i].lru; sp = sp.next {
+			if sp.dirty != 0 {
+				dirty = append(dirty, sp)
+			}
+		}
+	}
+	// Tiers are laid out top-down and spans by root: root-bucket heap order
+	// is file order.
+	slices.SortFunc(dirty, func(a, b *span) int {
+		return cmp.Compare(a.key(), b.key())
+	})
+	for _, sp := range dirty {
+		if err := st.writeOutLocked(sp); err != nil {
+			return err
+		}
 	}
 	if st.clean {
 		return nil
@@ -929,7 +973,7 @@ func (st *Store) syncLocked() error {
 	return nil
 }
 
-// stopWorkers makes Close/Abandon idempotent and joins the goroutines.
+// stopWorkers makes Close/Abandon idempotent and joins the prefetcher.
 func (st *Store) stopWorkers() bool {
 	st.mu.Lock()
 	if st.closed {
@@ -937,13 +981,14 @@ func (st *Store) stopWorkers() bool {
 		return false
 	}
 	st.closed = true
+	st.pfWake.Signal()
 	st.mu.Unlock()
 	close(st.stop)
 	st.wg.Wait()
 	return true
 }
 
-// Close stops the workers, syncs the arena clean and closes the file.
+// Close stops the prefetcher, syncs the arena clean and closes the file.
 func (st *Store) Close() error {
 	if !st.stopWorkers() {
 		return nil
@@ -957,51 +1002,13 @@ func (st *Store) Close() error {
 	return err
 }
 
-// Abandon is the chaos hook: drop the store without flushing or syncing,
-// as a killed process would. If any write happened since the last Sync
-// the on-disk header is still marked dirty, so the next Open fails with
-// ErrUnclean instead of serving a possibly-blended tree.
+// Abandon is the chaos hook: drop the store without writing anything back
+// or syncing, as a killed process would. If any write happened since the
+// last Sync the on-disk header is still marked dirty, so the next Open
+// fails with ErrUnclean instead of serving a possibly-blended tree.
 func (st *Store) Abandon() {
 	if !st.stopWorkers() {
 		return
 	}
 	st.f.Close()
 }
-
-// offsetWriter adapts sequential buffered writes at a file offset.
-type offsetWriter struct {
-	f   *os.File
-	off int64
-	buf []byte
-}
-
-func newOffsetWriter(f *os.File, off int64) *offsetWriter {
-	return &offsetWriter{f: f, off: off, buf: make([]byte, 0, 1<<20)}
-}
-
-func (w *offsetWriter) Write(p []byte) (int, error) {
-	if len(w.buf)+len(p) > cap(w.buf) {
-		if err := w.Flush(); err != nil {
-			return 0, err
-		}
-	}
-	if len(p) >= cap(w.buf) {
-		n, err := w.f.WriteAt(p, w.off)
-		w.off += int64(n)
-		return n, err
-	}
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *offsetWriter) Flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	n, err := w.f.WriteAt(w.buf, w.off)
-	w.off += int64(n)
-	w.buf = w.buf[:0]
-	return err
-}
-
-var _ io.Writer = (*offsetWriter)(nil)

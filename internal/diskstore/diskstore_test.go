@@ -186,6 +186,19 @@ func TestDifferentialVsPayloadStore(t *testing.T) {
 					check("Read", lvl, node)
 				}
 			}
+			// The arenas agree byte for byte too, dummy slots' payload
+			// bytes included: both zero them when a real block leaves and
+			// skip the store when a dummy lands on a dummy.
+			var memSnap, diskSnap bytes.Buffer
+			if err := mem.Save(&memSnap); err != nil {
+				t.Fatal(err)
+			}
+			if err := disk.Save(&diskSnap); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(memSnap.Bytes(), diskSnap.Bytes()) {
+				t.Fatal("disk-backed Save is not byte-identical to PayloadStore.Save after the same writes")
+			}
 		})
 	}
 }
@@ -344,11 +357,11 @@ func TestSnapshotInterchange(t *testing.T) {
 	}
 }
 
-// TestPrefetchFaultsPathsIn: hinted paths land in the memory tier and
-// turn subsequent demand reads into useful-prefetch hits, without any
-// effect on the returned contents.
+// TestPrefetchFaultsPathsIn: a hinted path lands in the memory tier as one
+// span per tier it crosses and turns the subsequent demand read into
+// useful-prefetch hits, without any effect on the returned contents.
 func TestPrefetchFaultsPathsIn(t *testing.T) {
-	g := testGeometry(t, 4, 4, 16)
+	g := testGeometry(t, 6, 4, 16)
 	path := filepath.Join(t.TempDir(), "tree.laor")
 	st, err := Open(Config{Path: path, Geometry: g})
 	if err != nil {
@@ -374,12 +387,13 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	spans := uint64(len(st.tiers)) // one per tier: ⌈7/4⌉
 
 	st.PrefetchPaths([]oram.Leaf{5})
 	deadline := time.Now().Add(5 * time.Second)
-	for st.TierStats().PrefetchIssued < uint64(g.Levels()) {
+	for st.TierStats().PrefetchIssued < spans {
 		if time.Now().After(deadline) {
-			t.Fatalf("prefetcher faulted only %d of %d hinted buckets", st.TierStats().PrefetchIssued, g.Levels())
+			t.Fatalf("prefetcher faulted only %d of %d hinted spans", st.TierStats().PrefetchIssued, spans)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -396,32 +410,34 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 		}
 	}
 	ts := st.TierStats()
-	if ts.Hits == 0 || ts.PrefetchUseful == 0 {
-		t.Fatalf("demand read of a prefetched path recorded no useful prefetches: %+v", ts)
+	if ts.Hits != uint64(g.Levels()) || ts.PrefetchUseful != spans || ts.PrefetchIssued != spans {
+		t.Fatalf("demand read of a prefetched path: %+v, want %d bucket hits on %d useful spans", ts, g.Levels(), spans)
 	}
 	if ts.Misses != 0 {
 		t.Fatalf("fully prefetched path still demand-missed: %+v", ts)
 	}
 
 	// Duplicate hints on resident paths issue nothing new.
-	issued := ts.PrefetchIssued
 	st.PrefetchPaths([]oram.Leaf{5})
 	time.Sleep(10 * time.Millisecond)
-	if got := st.TierStats().PrefetchIssued; got != issued {
-		t.Fatalf("re-hinting a resident path issued %d extra prefetches", got-issued)
+	if got := st.TierStats().PrefetchIssued; got != spans {
+		t.Fatalf("re-hinting a resident path issued %d extra prefetches", got-spans)
 	}
 }
 
 // TestPrefetchDropsStaleRead replays, step by step, the interleaving that made
 // tiny-cache training runs fail with "block … missing after path reads": the
-// prefetcher preads a bucket outside the store's lock, and inside that window
-// the client faults the bucket in, rewrites it and has it LRU-evicted. The
-// prefetcher must not then cache what it read — the bucket before the write.
+// prefetcher preads a span outside the store's lock, and inside that window
+// the client rewrites a bucket of it on disk — by faulting the span in,
+// writing and having it evicted, or, the span not being resident, by writing
+// the record around the cache. The prefetcher must not then cache what it
+// read — the span before the write.
 func TestPrefetchDropsStaleRead(t *testing.T) {
-	g := testGeometry(t, 4, 4, 16)
-	st, _ := openStore(t, g, 1, false) // clamped to two paths' worth: 10 buckets
+	g := testGeometry(t, 7, 4, 16)
+	st, _ := openStore(t, g, 1, false) // clamped to two paths of spans: room for three of the 16 leaf-tier spans
 	defer st.Close()
-	const lvl, node = 4, 5
+	const lvl, node = 7, 5
+	l := st.locate(lvl, node)
 	bucket := func(tag byte) []oram.Slot {
 		b := make([]oram.Slot, g.BucketSize(lvl))
 		for k := range b {
@@ -429,68 +445,80 @@ func TestPrefetchDropsStaleRead(t *testing.T) {
 		}
 		return b
 	}
-	// evict pushes the 15 buckets above the leaf level through the cache,
-	// which evicts (and so flushes) everything else.
+	got := make([]oram.Slot, g.BucketSize(lvl))
+	// evict reads a bucket of every other leaf-tier span, which pushes the
+	// test span out of the cache (and so writes it back).
 	evict := func() {
-		for l := 0; l < lvl; l++ {
-			buf := make([]oram.Slot, g.BucketSize(l))
-			for n := uint64(0); n < 1<<uint(l); n++ {
-				if err := st.ReadBucket(l, n, buf); err != nil {
-					t.Fatal(err)
-				}
+		t.Helper()
+		for n := uint64(0); n < 1<<lvl; n += 8 {
+			if st.locate(lvl, n).root == l.root {
+				continue
+			}
+			if err := st.ReadBucket(lvl, n, got); err != nil {
+				t.Fatal(err)
 			}
 		}
 		st.mu.Lock()
-		_, resident := st.cache[bucketKey(lvl, node)]
+		resident := st.cache[l.key()] != nil
 		st.mu.Unlock()
 		if resident {
-			t.Fatal("test bucket still resident after cycling the cache")
+			t.Fatal("test span still resident after cycling the cache")
 		}
 	}
-	old, fresh := bucket(1), bucket(2)
-	if err := st.WriteBucket(lvl, node, old); err != nil {
+	readsBack := func(want []oram.Slot) {
+		t.Helper()
+		if err := st.ReadBucket(lvl, node, got); err != nil {
+			t.Fatal(err)
+		}
+		if !slotsEqual(got, want) {
+			t.Fatalf("bucket reads back as it was before the write: block ids %d.., want %d..", got[0].ID, want[0].ID)
+		}
+	}
+	v1, v2, v3 := bucket(1), bucket(2), bucket(3)
+	if err := st.WriteBucket(lvl, node, v1); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fault in, write, evict — inside the prefetcher's read window.
+	evict()
+	sp := st.prefetchRead(l)
+	if sp == nil {
+		t.Fatal("prefetch read of a non-resident span was skipped")
+	}
+	readsBack(v1)
+	if err := st.WriteBucket(lvl, node, v2); err != nil {
 		t.Fatal(err)
 	}
 	evict()
+	st.prefetchInsert(sp)
+	readsBack(v2)
 
-	rec := st.newScratch()[lvl]
-	if !st.prefetchRead(lvl, node, rec) {
-		t.Fatal("prefetch read of a non-resident bucket was skipped")
-	}
-	got := make([]oram.Slot, g.BucketSize(lvl))
-	if err := st.ReadBucket(lvl, node, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteBucket(lvl, node, fresh); err != nil {
-		t.Fatal(err)
-	}
+	// Write around the cache inside the window.
 	evict()
-	st.prefetchInsert(lvl, node, rec)
-
-	if err := st.ReadBucket(lvl, node, got); err != nil {
+	if sp = st.prefetchRead(l); sp == nil {
+		t.Fatal("prefetch read of a non-resident span was skipped")
+	}
+	if err := st.WriteBucket(lvl, node, v3); err != nil {
 		t.Fatal(err)
 	}
-	if !slotsEqual(got, fresh) {
-		t.Fatalf("bucket reads back as it was before the write: block ids %d.., want %d..", got[0].ID, fresh[0].ID)
-	}
+	st.prefetchInsert(sp)
+	readsBack(v3)
 	if n := st.TierStats().PrefetchIssued; n != 0 {
 		t.Fatalf("a cancelled prefetch read was still counted as issued (%d)", n)
 	}
 
 	// With nothing written in the window the same two steps do cache it.
 	evict()
-	if !st.prefetchRead(lvl, node, rec) {
-		t.Fatal("prefetch read of a non-resident bucket was skipped")
+	if sp = st.prefetchRead(l); sp == nil {
+		t.Fatal("prefetch read of a non-resident span was skipped")
 	}
-	st.prefetchInsert(lvl, node, rec)
+	st.prefetchInsert(sp)
 	if n := st.TierStats().PrefetchIssued; n != 1 {
-		t.Fatalf("an undisturbed prefetch read issued %d entries, want 1", n)
+		t.Fatalf("an undisturbed prefetch read issued %d spans, want 1", n)
 	}
-	if err := st.ReadBucket(lvl, node, got); err != nil {
-		t.Fatal(err)
-	}
-	if !slotsEqual(got, fresh) {
-		t.Fatal("prefetched bucket diverged from the last write")
+	readsBack(v3)
+	if ts := st.TierStats(); ts.PrefetchUseful != 1 {
+		t.Fatalf("the demand read of the prefetched span was not counted useful: %+v", ts)
 	}
 }
 
@@ -532,7 +560,7 @@ func TestSealedStore(t *testing.T) {
 
 // TestJointAccessOnDisk: the joint multi-key access (oram.Client.AccessBatch)
 // over a disk arena with a cache of a tenth of the tree — bucket unions
-// faulting in and flushing behind it — is checked against a plain map at
+// faulting in and written back on eviction — is checked against a plain map at
 // several chunk sizes (invariant #2; the tier stays invisible, invariant #14).
 func TestJointAccessOnDisk(t *testing.T) {
 	for _, chunk := range []int{3, 16, 64} {

@@ -1,10 +1,6 @@
 package diskstore
 
-import (
-	"time"
-
-	"repro/internal/oram"
-)
+import "repro/internal/oram"
 
 // PrefetchPaths implements oram.PathPrefetcher: hint that the paths to
 // leaves will be read soon. The hint is queued for the prefetch worker
@@ -25,16 +21,12 @@ func (st *Store) PrefetchPaths(leaves []oram.Leaf) {
 	}
 }
 
-// prefetcher is the look-ahead worker: it walks each hinted path and
-// faults uncached buckets from disk into the memory tier. All its disk
-// activity is reads; a CRC mismatch here is the benign signature of
-// racing a concurrent flush/evict pwrite of the same bucket (in which
-// case the bucket is dirty-in-cache or about to be, so the demand path
-// will not miss on it) and is skipped silently — the demand path is the
-// arbiter of integrity.
+// prefetcher is the look-ahead worker: for each hinted leaf it requests one
+// span per tier the path crosses, skipping tiers that are wholly resident.
+// All its disk activity is reads, and it checks no CRC: the demand path
+// verifies every bucket it hands out and is the arbiter of integrity.
 func (st *Store) prefetcher() {
 	defer st.wg.Done()
-	scratch := st.newScratch()
 	for {
 		select {
 		case <-st.stop:
@@ -45,7 +37,7 @@ func (st *Store) prefetcher() {
 			// cursor to i. The worker then slides a bounded look-ahead
 			// window past that cursor instead of racing to the end of the
 			// hint — at small budgets, anything prefetched too early is
-			// LRU-evicted by demand misses before the client arrives, and
+			// evicted by demand misses before the client arrives, and
 			// anything behind the cursor has already hit or missed.
 			lastLvl := st.geom.Levels() - 1
 			idx := make(map[uint64]int, len(leaves))
@@ -73,13 +65,11 @@ func (st *Store) prefetcher() {
 				if stale {
 					continue // demand already passed this path
 				}
-				for lvl := 0; lvl < st.geom.Levels(); lvl++ {
-					select {
-					case <-st.stop:
-						return
-					default:
+				for t := range st.tiers {
+					lo := st.tiers[t].lo
+					if sp := st.prefetchRead(st.locate(lo, st.geom.NodeAt(leaf, lo))); sp != nil {
+						st.prefetchInsert(sp)
 					}
-					st.prefetchBucket(lvl, st.geom.NodeAt(leaf, lvl), scratch[lvl])
 				}
 			}
 		}
@@ -87,86 +77,68 @@ func (st *Store) prefetcher() {
 }
 
 // pfGate paces hint position i: it blocks while i is more than pfLead
-// paths past the demand cursor, or while unconsumed prefetched entries
-// occupy more than half the cache budget. stale reports that the demand
-// stream has already moved past i; ok is false when the store is
-// stopping.
+// paths past the demand cursor, or while unconsumed prefetched spans
+// occupy more than half the cache budget — parked on pfWake, which every
+// change to either quantity signals. stale reports that the demand stream
+// has already moved past i; ok is false when the store is stopping.
 func (st *Store) pfGate(i int) (stale, ok bool) {
-	for {
-		select {
-		case <-st.stop:
-			return false, false
-		default:
-		}
-		st.mu.Lock()
-		d := st.pfDemand
-		wait := st.budget > 0 && !st.closed &&
-			(i > d+st.pfLead || st.pfBytes > st.budget/2)
-		st.mu.Unlock()
-		if i < d {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for !st.closed {
+		if i < st.pfDemand {
 			return true, true
 		}
-		if !wait {
+		if st.budget <= 0 || (i <= st.pfDemand+st.pfLead && st.pfBytes <= st.budget/2) {
 			return false, true
 		}
-		select {
-		case <-st.stop:
-			return false, false
-		case <-time.After(20 * time.Microsecond):
-		}
+		st.pfWake.Wait()
 	}
+	return false, false
 }
 
-// noPrefetch is pfKey's value while no prefetch read is in flight (bucket
+// noPrefetch is pfKey's value while no prefetch read is in flight (span
 // keys are >= 0).
 const noPrefetch = -1
 
-// prefetchBucket faults one bucket in if it is not already resident.
-func (st *Store) prefetchBucket(level int, node uint64, rec []byte) {
-	if st.prefetchRead(level, node, rec) {
-		st.prefetchInsert(level, node, rec)
-	}
-}
-
-// prefetchRead preads a non-resident bucket's record into rec outside mu,
-// having registered the bucket as the in-flight prefetch. It reports whether
-// rec holds a verified record to hand to prefetchInsert.
-func (st *Store) prefetchRead(level int, node uint64, rec []byte) bool {
-	key := bucketKey(level, node)
+// prefetchRead preads the span at l into a free buffer outside mu, having
+// registered it as the in-flight prefetch. It returns nil when there is
+// nothing to hand to prefetchInsert: the span (or its whole tier) is
+// resident, the store is stopping, or the read failed.
+func (st *Store) prefetchRead(l loc) *span {
 	st.mu.Lock()
-	_, resident := st.cache[key]
-	if !resident {
-		st.pfKey = key
+	if st.closed || l.t.resident == 1<<uint(l.t.lo) || st.cache[l.key()] != nil {
+		st.mu.Unlock()
+		return nil
 	}
+	st.pfKey = l.key()
+	sp := l.t.take(l.root)
 	st.mu.Unlock()
-	if resident {
-		return false
+	if _, err := st.f.ReadAt(sp.buf, l.t.spanOff(l.root)); err != nil {
+		st.mu.Lock()
+		sp.t.recycle(sp)
+		st.mu.Unlock()
+		return nil
 	}
-	if _, err := st.f.ReadAt(rec, st.recOff(level, node)); err != nil {
-		return false
-	}
-	// A CRC mismatch is racing a concurrent flush of this bucket — skip.
-	return verifyRecord(rec) == nil
+	return sp
 }
 
-// prefetchInsert caches the record prefetchRead fetched, unless the bucket
-// became resident meanwhile or the read was cancelled: the client may have
-// faulted the bucket in, rewritten it and had it evicted again — all inside
-// the read window — and rec is then the bucket as it was before that write.
-func (st *Store) prefetchInsert(level int, node uint64, rec []byte) {
-	key := bucketKey(level, node)
+// prefetchInsert caches the span prefetchRead fetched, unless it became
+// resident meanwhile or the read was cancelled: the client may have
+// faulted the span in, rewritten a bucket of it and had it evicted again
+// (or rewritten the bucket's record around the cache) — all inside the read
+// window — and sp is then the span as it was before that write.
+func (st *Store) prefetchInsert(sp *span) {
+	key := sp.key()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cancelled := st.pfKey != key
 	st.pfKey = noPrefetch
-	if _, resident := st.cache[key]; resident || cancelled || st.closed {
+	if cancelled || st.closed || st.cache[key] != nil {
+		sp.t.recycle(sp)
 		return
 	}
-	e := st.newEntry(level, node, rec)
-	e.prefetched = true
-	st.pfBytes += int64(len(e.body))
+	sp.prefetched = true
+	st.pfBytes += sp.t.body
 	st.stats.PrefetchIssued++
-	if err := st.insertLocked(e); err != nil {
-		st.ioErr = err
-	}
+	st.insertLocked(sp) // a failed write-out of a victim is sticky in ioErr
 }

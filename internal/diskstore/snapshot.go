@@ -11,30 +11,34 @@ import (
 // "LAORAMV1"+2, slot metadata, then the raw payload arena in linear slot
 // order), so checkpoints written by an in-memory store restore into a
 // disk-backed one and vice versa — laoramserve's LAORCKF1 files are
-// backend-agnostic. Records on disk and linear slot order coincide
-// (SlotIndex is layout order), so both passes stream sequentially.
+// backend-agnostic, and independent of the arena's record order: linear
+// slot order is bucket order, which both passes walk, locating each record.
 
-// snapshotBody returns a stable view of bucket (level, node)'s body:
-// the cached copy when resident (the client — the only mutator of body
-// bytes — is blocked inside Save), else a CRC-verified read into scratch.
+// snapshotBody copies bucket (level, node)'s CRC-verified body into rec:
+// from the cached span when resident (the client — the only mutator of
+// body bytes — is blocked inside Save), else from the file.
 func (st *Store) snapshotBody(level int, node uint64, rec []byte) ([]byte, error) {
 	st.mu.Lock()
-	if err := st.takeIOErrLocked(); err != nil {
-		st.mu.Unlock()
-		return nil, err
+	defer st.mu.Unlock()
+	if st.ioErr != nil {
+		return nil, st.ioErr
 	}
-	if e, ok := st.cache[bucketKey(level, node)]; ok {
-		st.mu.Unlock()
-		return e.body, nil
+	l := st.locate(level, node)
+	at, n := l.recOff()
+	rec = rec[:n]
+	var err error
+	if sp := st.cache[l.key()]; sp != nil {
+		var body []byte
+		if body, err = st.bodyLocked(sp, l.idx, false); err == nil {
+			copy(rec, body)
+		}
+	} else if _, err = st.f.ReadAt(rec, at); err == nil {
+		err = verifyRecord(rec)
 	}
-	st.mu.Unlock()
-	if _, err := st.f.ReadAt(rec, st.recOff(level, node)); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
 	}
-	if err := verifyRecord(rec); err != nil {
-		return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
-	}
-	return rec[:len(rec)-crcLen], nil
+	return rec[:n-crcLen], nil
 }
 
 // Save implements oram.Snapshotter, emitting PayloadStore's byte format.
@@ -55,13 +59,13 @@ func (st *Store) Save(w io.Writer) error {
 	if err := put(uint64(st.stride)); err != nil {
 		return err
 	}
-	scratch := st.newScratch()
+	scratch := make([]byte, len(st.rec))
 	// Pass 1: slot metadata in linear order; pass 2: the payload arena.
 	for pass := 0; pass < 2; pass++ {
 		for lvl := 0; lvl < st.geom.Levels(); lvl++ {
 			z := st.geom.BucketSize(lvl)
 			for node := uint64(0); node < uint64(1)<<uint(lvl); node++ {
-				body, err := st.snapshotBody(lvl, node, scratch[lvl])
+				body, err := st.snapshotBody(lvl, node, scratch)
 				if err != nil {
 					return err
 				}
@@ -86,8 +90,9 @@ func (st *Store) Save(w io.Writer) error {
 
 // Load implements oram.Snapshotter, restoring a PayloadStore-format
 // snapshot by rewriting every record: header goes down dirty first, the
-// cache (including unflushed dirt — all obsolete) is dropped, records
-// stream sequentially, then the arena is fsynced clean under a new epoch.
+// cache (including unwritten dirt — all obsolete) is dropped, each level's
+// records go down one (span, level) run — 2^j adjacent records — per
+// positioned write, then the arena is fsynced clean under a new epoch.
 // A crash anywhere inside leaves the dirty header in place, so the next
 // Open refuses the blend.
 func (st *Store) Load(r io.Reader) error {
@@ -132,40 +137,43 @@ func (st *Store) Load(r io.Reader) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.markHeaderDirtyLocked(); err != nil {
+	st.ioErr = nil // every record is about to be rewritten; prior write-back errors are moot
+	if err := st.beginWriteLocked(); err != nil {
 		return err
 	}
-	// Every cached bucket — dirty or not — is superseded by the snapshot.
-	st.cache = make(map[int64]*entry)
-	st.lru.Init()
-	st.dq = nil
+	// Every cached span — dirty or not — is superseded by the snapshot.
+	clear(st.cache)
+	for i := range st.tiers {
+		st.tiers[i].reset()
+	}
 	st.used = 0
 	st.pfBytes = 0
 	st.pfKey = noPrefetch
-	w := newOffsetWriter(st.f, headerLen)
+	st.pfWake.Signal()
 	slot := 0
 	for lvl := 0; lvl < st.geom.Levels(); lvl++ {
 		z := st.geom.BucketSize(lvl)
-		rec := make([]byte, recLen(z, st.stride))
-		body := rec[:bodyLen(z, st.stride)]
-		for node := uint64(0); node < uint64(1)<<uint(lvl); node++ {
-			for k := 0; k < z; k++ {
-				off := k * (slotMeta + st.stride)
-				binary.LittleEndian.PutUint64(body[off:], ids[slot])
-				binary.LittleEndian.PutUint64(body[off+8:], leaves[slot])
-				if _, err := io.ReadFull(br, body[off+slotMeta:off+slotMeta+st.stride]); err != nil {
-					return fmt.Errorf("diskstore: snapshot payload arena: %w", err)
+		l := st.locate(lvl, 0)
+		_, n := l.recOff()
+		run := make([]byte, n<<uint(lvl-l.t.lo))
+		for node := uint64(0); node < uint64(1)<<uint(lvl); node += uint64(len(run) / n) {
+			for rec := run; len(rec) > 0; rec = rec[n:] {
+				for k := 0; k < z; k++ {
+					off := k * (slotMeta + st.stride)
+					binary.LittleEndian.PutUint64(rec[off:], ids[slot])
+					binary.LittleEndian.PutUint64(rec[off+8:], leaves[slot])
+					if _, err := io.ReadFull(br, rec[off+slotMeta:off+slotMeta+st.stride]); err != nil {
+						return fmt.Errorf("diskstore: snapshot payload arena: %w", err)
+					}
+					slot++
 				}
-				slot++
+				stampRecord(rec[:n])
 			}
-			stampRecord(rec)
-			if _, err := w.Write(rec); err != nil {
+			at, _ := st.locate(lvl, node).recOff()
+			if _, err := st.f.WriteAt(run, at); err != nil {
 				return fmt.Errorf("diskstore: restore bucket: %w", err)
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("diskstore: restore: %w", err)
 	}
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
@@ -178,6 +186,5 @@ func (st *Store) Load(r io.Reader) error {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	st.clean = true
-	st.ioErr = nil // the arena was fully rewritten; prior flush errors are moot
 	return nil
 }

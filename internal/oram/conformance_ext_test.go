@@ -28,9 +28,9 @@ func init() {
 			}
 			return vs
 		}},
-		// A budget of two paths (the floor diskstore clamps to): every bucket
-		// set below is read back through evictions and disk reads.
-		oram.StoreShape{Name: "diskstore", Atomic: true, Payloads: true, ZeroRows: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
+		// A budget of two paths of spans (the floor diskstore clamps to): bucket
+		// sets below are read back through evictions and disk reads.
+		oram.StoreShape{Name: "diskstore", Native: true, Atomic: true, Payloads: true, ZeroRows: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
 			ds, err := diskstore.Open(diskstore.Config{Path: filepath.Join(t.TempDir(), "arena"), Geometry: g, MemBudget: 1})
 			if err != nil {
 				t.Fatal(err)

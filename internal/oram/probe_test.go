@@ -11,9 +11,10 @@ import (
 
 // TestBatchNativeProbe: the stores that execute a bucket batch as one
 // operation say so — a PayloadStore plain or sealed, with or without a
-// crypto pool, and a CountingStore over one — and the stores that would only
-// unroll it bucket by bucket (a CountingStore over a MetaStore, the disk
-// tier) say they do not, so the multipath client issues those buckets itself.
+// crypto pool, the disk tier, and a CountingStore over either — and the store
+// that would only unroll it bucket by bucket (a CountingStore over a
+// MetaStore) says it does not, so the multipath client issues those buckets
+// itself.
 // SetCryptoPool still rejects a store without a *crypto.Sealer.
 func TestBatchNativeProbe(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 4, LeafZ: 4, BlockSize: 16})
@@ -65,7 +66,7 @@ func TestBatchNativeProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	if native(disk) || native(oram.NewCountingStore(disk, nil)) {
-		t.Error("diskstore claims native batching, bare or counted; it unrolls per bucket under its cache lock")
+	if !native(disk) || !native(oram.NewCountingStore(disk, nil)) {
+		t.Error("diskstore does not report native batching, bare or counted; a union is one lock hold over its span cache")
 	}
 }

@@ -167,20 +167,22 @@ type Options struct {
 	// DataDir, when set, backs every shard tree with a disk arena file
 	// (internal/diskstore) under this directory instead of an in-memory
 	// store — the tiered storage backend that lets tables exceed RAM. A
-	// bounded bucket cache (MemBudget) absorbs the working set, dirty
-	// buckets flush behind writes, and the look-ahead planner prefetches
-	// each upcoming window's superblock paths from disk before the session
-	// arrives. Accesses, stats and decrypted tree state are byte-identical
+	// bounded cache of 4-level subtrees (MemBudget) absorbs the working
+	// set, dirty ones are written back on eviction and at Close, and the
+	// look-ahead planner prefetches each upcoming window's superblock paths
+	// from disk before the session arrives. Accesses, stats and decrypted tree state are byte-identical
 	// to the in-memory store at any budget (DESIGN.md invariant #14).
 	// Existing clean arenas are resumed; an arena from a crashed run fails
-	// construction with diskstore.ErrUnclean inside the error chain.
+	// construction with diskstore.ErrUnclean inside the error chain, one
+	// written by an older build in another record order with
+	// diskstore.ErrLayout.
 	// Incompatible with MetadataOnly (a 16 B/slot tree fits in RAM by
 	// construction) and with RemoteAddrs (the server owns its storage; use
 	// laoramserve -data-dir for a disk-backed serving tier).
 	DataDir string
-	// MemBudget bounds the disk-backed stores' total in-memory bucket
-	// cache, in bytes, split evenly across shards (each shard keeps at
-	// least two root→leaf paths so it can always make progress). 0 means
+	// MemBudget bounds the disk-backed stores' total in-memory cache, in
+	// bytes, split evenly across shards (each shard keeps at least two
+	// root→leaf paths of subtrees so it can always make progress). 0 means
 	// unbounded — the whole tree may be cached. Requires DataDir.
 	MemBudget int64
 	// DisablePrefetch turns off the look-ahead disk prefetcher (hints from

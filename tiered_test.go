@@ -2,11 +2,20 @@ package laoram
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// stressSeeds is how many seeds TestTinyCacheTrainStress runs: 25 in tier-1,
+// 150 in CI's diskstore job (go test -race -timeout 30m -run TestTinyCacheTrainStress . -args
+// -stress-seeds=150).
+var stressSeeds = flag.Int("stress-seeds", 25, "seeds for TestTinyCacheTrainStress")
 
 // TestTieredIdentity pins DESIGN.md invariant #14 through the public API:
 // a disk-backed instance (Options.DataDir) is byte-identical to the
@@ -183,5 +192,72 @@ func TestTieredOptionValidation(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("disk-backed round trip without prefetch failed")
+	}
+}
+
+// TestTinyCacheTrainStress trains 20 k operations over a 4096-row table on
+// disk arenas whose cache (500 kB over two shards) turns over within a few
+// disk reads, with the prefetcher on — the shape in which a stale prefetch
+// once lost a block in 3 of 150 runs ("block … missing after path reads").
+// Every seed must train without error and leave every row with exactly the
+// visits §IV-B binning gives it: a window is split by shard, a shard's share
+// cut into bins of the next S distinct ids, and a row visited once per bin
+// that holds it.
+func TestTinyCacheTrainStress(t *testing.T) {
+	const entries, blockSize, ops = 4096, 128, 20000
+	const shards, superblock, window = 2, 4, 512
+	for seed := int64(1); seed <= int64(*stressSeeds); seed++ {
+		stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: ops, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := New(Options{
+			Entries: entries, BlockSize: blockSize, FatTree: true, Seed: seed, Shards: shards,
+			DataDir: t.TempDir(), MemBudget: 500 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		visits := make(map[uint64]uint64)
+		for lo := 0; lo < len(stream); lo += window {
+			var bins [shards][]uint64
+			for _, id := range stream[lo:min(lo+window, len(stream))] {
+				b := &bins[id%shards]
+				if slices.Contains(*b, id) {
+					continue
+				}
+				visits[id]++
+				if *b = append(*b, id); len(*b) == superblock {
+					*b = (*b)[:0]
+				}
+			}
+		}
+		_, err = db.Train(context.Background(), TrainOptions{
+			Source: FromSlice(stream), Superblock: superblock, Window: window, PrePlace: true,
+			Payload: func(id uint64) []byte {
+				row := make([]byte, blockSize)
+				binary.LittleEndian.PutUint64(row, id)
+				return row
+			},
+			Visit: func(id uint64, row []byte) []byte {
+				binary.LittleEndian.PutUint64(row[8:], binary.LittleEndian.Uint64(row[8:])+1)
+				return row
+			},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for id, n := range visits {
+			row, err := db.Read(id)
+			if err != nil {
+				t.Fatalf("seed %d: row %d: %v", seed, id, err)
+			}
+			if binary.LittleEndian.Uint64(row) != id || binary.LittleEndian.Uint64(row[8:]) != n {
+				t.Fatalf("seed %d: row %d reads id %d with %d visits, want %d", seed, id, binary.LittleEndian.Uint64(row), binary.LittleEndian.Uint64(row[8:]), n)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("seed %d: close: %v", seed, err)
+		}
 	}
 }
