@@ -11,7 +11,8 @@
 //	laorambench -exp fig7e -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -json runs the engine microbenchmarks (steady-state access, single and
-// joint write-back, sealed access, seal/open at 128 B and 4 KB), the
+// joint write-back, a cold superblock bin, sealed access, seal/open at 128 B
+// and 4 KB), the
 // Fig. 7e simulated speedups and the tiered sweep, and writes what
 // -baseline judges — ns/op, B/op, allocs/op, the pinned pre-refactor
 // baseline, and the tiered hit/miss counts and identity flags — to the

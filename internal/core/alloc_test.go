@@ -7,12 +7,14 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStepBinAllocs gates the LAORAM bin cycle (ISSUE 3): with a
-// metadata-only store and pre-placed blocks, the steady-state superblock
-// step — plan consumption, path fetch, per-member remap, joint write-back,
-// background eviction — must not allocate. This is the end-to-end proof
-// that the slab stash, the reusable evict planner and the cursor scratch
-// compose across the oram and superblock layers.
+// TestStepBinAllocs gates the LAORAM bin cycle (ISSUE 3): the steady-state
+// superblock step — plan consumption, path fetch, per-member remap, joint
+// write-back, background eviction — must not allocate. This is the end-to-end
+// proof that the slab stash and its index, the reusable evict planner, the
+// transfer buffers and the cursor scratch compose across the oram and
+// superblock layers. Two shapes: the converged one-path bin over a
+// metadata-only store, and the cold bin — two to four paths fetched as one
+// bucket union and written back as one — over an unsealed PayloadStore.
 func TestStepBinAllocs(t *testing.T) {
 	const blocks = 1 << 11
 	stream, err := trace.Generate(trace.Config{
@@ -21,22 +23,38 @@ func TestStepBinAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := newFixture(t, fixtureConfig{
-		leafBits: 10, blocks: blocks, s: 4,
-		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 32,
-	})
-	// Warm up executor scratch (readLeaves, planner, cursor, stash slab).
-	for i := 0; i < 1024; i++ {
-		if _, err := fx.laoram.StepBin(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		if _, err := fx.laoram.StepBin(nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("StepBin allocates %.2f objects/op in steady state, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		cold bool
+		fx   *fixture
+	}{
+		{"one-path/meta", false, newFixture(t, fixtureConfig{
+			leafBits: 10, blocks: blocks, s: 4,
+			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 32,
+		})},
+		{"cold/payload", true, coldBinFixture(t, nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := tc.fx
+			// Warm up executor scratch (readLeaves, planner, cursor, stash
+			// slab and index, transfer buffers).
+			for i := 0; i < 1024; i++ {
+				if _, err := fx.laoram.StepBin(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cold := fx.laoram.Stats().ColdPathReads
+			allocs := testing.AllocsPerRun(500, func() {
+				if _, err := fx.laoram.StepBin(nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("StepBin allocates %.2f objects/op in steady state, want 0", allocs)
+			}
+			if got := fx.laoram.Stats().ColdPathReads - cold; (got > 500) != tc.cold {
+				t.Errorf("%d cold path reads in 501 measured bins: not the shape the case is named for", got)
+			}
+		})
 	}
 }

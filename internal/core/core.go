@@ -33,9 +33,9 @@ type Stats struct {
 	oram.AccessStats
 	// Bins is the number of superblock bins executed.
 	Bins uint64
-	// ColdPathReads counts extra path reads needed because a bin member
-	// was not yet sitting on the bin's path (first access within the
-	// horizon without pre-placement).
+	// ColdPathReads counts the paths a bin's joint fetch read beyond its
+	// first, needed because a member was not yet sitting on the bin's path
+	// (first access within the horizon without pre-placement).
 	ColdPathReads uint64
 	// LookaheadRemaps counts remaps whose target came from the plan
 	// (vs. UniformRemaps for blocks leaving the horizon).
@@ -130,9 +130,10 @@ func (l *LAORAM) LoadPrePlaced(n uint64, payload func(oram.BlockID) []byte) erro
 
 // StepBin executes the next superblock bin (§IV-A):
 //
-//  1. Fetch the bin's path once; members not resident there (cold blocks
-//     still on their own paths) cost extra reads, counted in
-//     ColdPathReads.
+//  1. Fetch the bin's paths as one bucket union (oram.ReadPaths): in steady
+//     state that is the bin's own path; members not resident there (cold
+//     blocks still on their own paths) add theirs, counted in ColdPathReads,
+//     and the buckets the paths share cross once.
 //  2. Remap every member to its own next bin's path (or uniform if it has
 //     no future within the horizon).
 //  3. Run visit for each member while resident in trusted memory.
@@ -162,15 +163,13 @@ func (l *LAORAM) StepBin(visit Visit) (*superblock.Bin, error) {
 		}
 	}
 	readLeaves := l.fetch.Leaves()
-	for i, leaf := range readLeaves {
-		if err := l.base.ReadPath(leaf); err != nil {
-			return nil, err
-		}
-		st.PathReads++
-		if i > 0 {
-			// Everything beyond the first path is cold-start traffic.
-			l.coldPathReads++
-		}
+	if err := l.base.ReadPaths(readLeaves); err != nil {
+		return nil, err
+	}
+	st.PathReads += uint64(len(readLeaves))
+	if len(readLeaves) > 1 {
+		// Everything beyond the first path is cold-start traffic.
+		l.coldPathReads += uint64(len(readLeaves) - 1)
 	}
 
 	// Consume the plan: each member's next path comes from its next bin.

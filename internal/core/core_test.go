@@ -28,6 +28,8 @@ type fixtureConfig struct {
 	stream    []uint64
 	prePlace  bool
 	seed      int64
+	// spy, if set, is put between the CountingStore and the PayloadStore.
+	spy *binSpy
 }
 
 func newFixture(t *testing.T, fc fixtureConfig) *fixture {
@@ -45,6 +47,10 @@ func newFixture(t *testing.T, fc fixtureConfig) *fixture {
 			t.Fatal(err)
 		}
 		inner = ps
+		if fc.spy != nil {
+			fc.spy.PayloadStore = ps
+			inner = fc.spy
+		}
 	} else {
 		inner = oram.NewMetaStore(g)
 	}

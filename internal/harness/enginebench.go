@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/oram"
+	"repro/internal/superblock"
 )
 
 // enginebench.go runs the engine microbenchmarks (ISSUE 3: the
@@ -50,6 +52,11 @@ var engineBaseline = []EngineBenchRow{
 	// AES-GCM sealing (ISSUE 15; same container): SealTo+OpenTo through the
 	// per-block CTR loop and HMAC-SHA-256, already allocation-free.
 	{Name: "SealOpen4K", NsPerOp: 18420, BytesPerOp: 0, AllocsPerOp: 0},
+	// The cold-bin row's reference point is the commit preceding the joint bin
+	// fetch and the open-addressed stash index (ISSUE 22; same container,
+	// median of three runs): one ReadPath per distinct leaf, map-indexed
+	// stash, already allocation-free.
+	{Name: "StepBinCold", NsPerOp: 32872, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
 // TieredBenchRow is one (budget, prefetch) point of the tiered sweep.
@@ -255,6 +262,62 @@ func (s *batchShape) round() error {
 	return c.WriteBackPaths(s.leaves)
 }
 
+// coldBins drives core.StepBin over the bin shape that fills the train-mem
+// lane: one shard's tree of that workload (2^16 blocks of 128 B on an unsealed
+// PayloadStore, fat tree 8→4) and S=4 bins whose members are all cold — every
+// block appears once per epoch, so each sits on its own uniform path, the bin
+// fetches four paths and remaps four blocks uniformly. An epoch is one
+// permutation of the table; the next one is planned off the clock.
+type coldBins struct {
+	base   *oram.Client
+	la     *core.LAORAM
+	rng    *rand.Rand
+	stream []uint64
+}
+
+func newColdBins() (*coldBins, error) {
+	const blocks = 1 << 16
+	g, err := oram.NewGeometry(oram.GeometryConfig{
+		LeafBits: oram.LeafBitsFor(blocks), LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 128,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ps, err := oram.NewPayloadStore(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	base, err := oram.NewClient(oram.ClientConfig{
+		Store:     oram.NewCountingStore(ps, nil),
+		Rand:      rand.New(rand.NewSource(8)),
+		Evict:     oram.PaperEvict,
+		StashHits: true,
+		Blocks:    blocks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	row := make([]byte, g.BlockSize())
+	if err := base.Load(blocks, nil, func(oram.BlockID) []byte { return row }); err != nil {
+		return nil, err
+	}
+	s := &coldBins{base: base, rng: rand.New(rand.NewSource(9)), stream: make([]uint64, blocks)}
+	for i := range s.stream {
+		s.stream[i] = uint64(i)
+	}
+	return s, s.nextEpoch()
+}
+
+func (s *coldBins) nextEpoch() error {
+	s.rng.Shuffle(len(s.stream), func(i, j int) { s.stream[i], s.stream[j] = s.stream[j], s.stream[i] })
+	plan, err := superblock.NewPlan(s.stream, superblock.PlanConfig{S: 4, Leaves: s.base.Geometry().Leaves(), Rand: s.rng})
+	if err != nil {
+		return err
+	}
+	s.la, err = core.New(core.Config{Base: s.base, Plan: plan})
+	return err
+}
+
 // EngineBench measures the engine hot path and the Fig. 7e simulated
 // speedups at the given scale, producing the BENCH_engine.json document.
 func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
@@ -310,6 +373,26 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := batch.round(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+
+	cold, err := newColdBins()
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, benchRow("StepBinCold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if cold.la.Done() {
+				b.StopTimer()
+				if err := cold.nextEpoch(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if _, err := cold.la.StepBin(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -201,9 +201,6 @@ func (g *Geometry) PathSlots() int {
 	return n
 }
 
-// PathBytes returns the byte traffic of reading (or writing) one full path.
-func (g *Geometry) PathBytes() int64 { return int64(g.PathSlots()) * int64(g.blockSize) }
-
 // NodeAt returns the index within its level of the bucket on the path to
 // leaf at the given level: the leading `level` bits of the leaf index.
 func (g *Geometry) NodeAt(leaf Leaf, level int) uint64 {

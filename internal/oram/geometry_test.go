@@ -46,9 +46,6 @@ func TestUniformGeometry(t *testing.T) {
 	if g.PathSlots() != 5*4 {
 		t.Errorf("PathSlots = %d, want 20", g.PathSlots())
 	}
-	if g.PathBytes() != 20*128 {
-		t.Errorf("PathBytes = %d, want %d", g.PathBytes(), 20*128)
-	}
 	for lvl := 0; lvl < g.Levels(); lvl++ {
 		if g.BucketSize(lvl) != 4 {
 			t.Errorf("BucketSize(%d) = %d, want 4", lvl, g.BucketSize(lvl))

@@ -1,7 +1,6 @@
 package oram
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -16,7 +15,8 @@ import (
 type multiScratch struct {
 	refs   []BucketRef // bucket union (read order or write order)
 	ids    []BlockID   // sorted stash snapshot for deterministic placement
-	off    []int       // write order: where each level's buckets start in refs
+	placed []bool      // per slab slot: written back by the call in flight
+	at     []int32     // write order: leaf × level → index of that bucket in refs
 	fill   []int       // real blocks placed so far, per union bucket
 	leaves []Leaf      // the call's distinct leaves, ascending
 	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
@@ -162,6 +162,9 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: ReadPaths: invalid leaf %d", l)
 		}
 	}
+	// Charged before the fetch, as in ReadPath: a fetch that fails has still
+	// cost its round trips.
+	c.chargeRequests(len(leaves))
 	refs := c.pathUnion(leaves)
 	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
 	if err := c.face.ReadBuckets(refs, bufs); err != nil {
@@ -171,15 +174,20 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 	if err != nil {
 		return err
 	}
-	if c.timer != nil {
-		for range leaves {
-			c.timer.OnPathRequest()
-		}
-		if moved > 0 {
-			c.timer.OnStashWork(moved)
-		}
+	if c.timer != nil && moved > 0 {
+		c.timer.OnStashWork(moved)
 	}
 	return nil
+}
+
+// chargeRequests charges the timing model one path request per path of a
+// joint operation.
+func (c *Client) chargeRequests(paths int) {
+	if c.timer != nil {
+		for ; paths > 0; paths-- {
+			c.timer.OnPathRequest()
+		}
+	}
 }
 
 // WriteBackPaths writes a set of previously read paths back in one joint
@@ -201,8 +209,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // blocks one by one in ascending id, each into the deepest bucket on its
 // path that still has room, fills every bucket with the same blocks in the
 // same slots. Cost: one O(stash · log stash) snapshot sort, then per block
-// one O(log paths) search for the deepest level its path shares with the
-// union and one more per level it is turned away at.
+// one O(log paths) search for the neighbour whose path it shares deepest and
+// one array load per level it is turned away at.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	switch len(leaves) {
 	case 0:
@@ -216,48 +224,56 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: WriteBackPaths: invalid leaf %d", l)
 		}
 	}
+	c.chargeRequests(len(leaves))
 
 	// The union of buckets, deepest level first; within a level, ascending
 	// by node. NodeAt is monotone in the leaf, so walking the distinct
 	// leaves in ascending order yields each level already sorted, with the
-	// duplicates (shared prefixes) adjacent. Level lvl's buckets are
-	// buckets[off[L-lvl]:off[L-lvl+1]].
+	// duplicates (shared prefixes) adjacent. at[p*levels+lvl] is where the
+	// level-lvl bucket of the path to sorted[p] sits in the union.
 	m := &c.multi
 	m.leaves = append(m.leaves[:0], leaves...)
 	slices.Sort(m.leaves)
 	sorted := slices.Compact(m.leaves)
-	L := g.LeafBits()
-	buckets, off := m.refs[:0], append(m.off[:0], 0)
-	for lvl := L; lvl >= 0; lvl-- {
-		for _, l := range sorted {
+	levels := g.Levels()
+	buckets := m.refs[:0]
+	m.at = slices.Grow(m.at[:0], len(sorted)*levels)[:len(sorted)*levels]
+	at := m.at
+	for lvl := levels - 1; lvl >= 0; lvl-- {
+		for p, l := range sorted {
 			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
 			if n := len(buckets); n == 0 || buckets[n-1] != b {
 				buckets = append(buckets, b)
 			}
+			at[p*levels+lvl] = int32(len(buckets) - 1)
 		}
-		off = append(off, len(buckets))
 	}
-	m.refs, m.off = buckets, off
+	m.refs = buckets
 
 	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
 	m.fill = slices.Grow(m.fill[:0], len(buckets))[:len(buckets)]
 	fill := m.fill
 	clear(fill)
 
-	// One sorted snapshot of the stash per call, one index lookup per block.
-	m.ids = c.stash.AppendIDs(m.ids[:0])
+	// One snapshot of the stash per call, sorted by id; placed marks the slab
+	// slots to drop once the write has gone through.
+	stash := c.stash
+	m.ids = stash.AppendIDs(m.ids[:0])
 	slices.Sort(m.ids)
+	m.placed = slices.Grow(m.placed[:0], len(m.ids))[:len(m.ids)]
+	placed := m.placed
+	clear(placed)
 	moved := 0
 	for _, id := range m.ids {
-		e := &c.stash.entries[c.stash.index[id]]
-		for lvl := deepestShared(g, sorted, e.leaf); lvl >= 0; lvl-- {
-			lo, hi := off[L-lvl], off[L-lvl+1]
-			k, _ := slices.BinarySearchFunc(buckets[lo:hi], g.NodeAt(e.leaf, lvl),
-				func(b BucketRef, node uint64) int { return cmp.Compare(b.Node, node) })
-			k += lo
+		slot := stash.slot(id)
+		e := &stash.entries[slot]
+		p, lvl := deepestShared(g, sorted, e.leaf)
+		for path := at[p*levels:]; lvl >= 0; lvl-- {
+			k := path[lvl]
 			if n := fill[k]; n < len(bufs[k]) {
 				bufs[k][n] = Slot{ID: id, Leaf: e.leaf, Payload: e.payload}
 				fill[k]++
+				placed[slot] = true
 				moved++
 				break
 			}
@@ -272,33 +288,26 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
 	}
-	for i, buf := range bufs {
-		for j := 0; j < fill[i]; j++ {
-			c.stash.Remove(buf[j].ID)
-		}
-	}
-	if c.timer != nil {
-		for range leaves {
-			c.timer.OnPathRequest()
-		}
-		if moved > 0 {
-			c.timer.OnStashWork(moved)
-		}
+	c.stash.removeMarked(placed)
+	if c.timer != nil && moved > 0 {
+		c.timer.OnStashWork(moved)
 	}
 	return nil
 }
 
-// deepestShared returns the deepest level at which the path to leaf still
-// shares a bucket with one of the paths to sorted (ascending, non-empty).
-// The longest common prefix with a sorted set is with a neighbour.
-func deepestShared(g *Geometry, sorted []Leaf, leaf Leaf) int {
+// deepestShared returns the deepest level d at which the path to leaf still
+// shares a bucket with one of the paths to sorted (ascending, non-empty), and
+// which one: down to level d the path to leaf is the path to sorted[p]. The
+// longest common prefix with a sorted set is with a neighbour; a leaf on no
+// path at all (NoLeaf) gets a negative d.
+func deepestShared(g *Geometry, sorted []Leaf, leaf Leaf) (p, d int) {
 	k, _ := slices.BinarySearch(sorted, leaf)
-	d := 0
-	if k > 0 {
-		d = g.CommonLevel(leaf, sorted[k-1])
+	p = min(k, len(sorted)-1)
+	d = g.CommonLevel(leaf, sorted[p])
+	if p == k && k > 0 {
+		if below := g.CommonLevel(leaf, sorted[k-1]); below > d {
+			p, d = k-1, below
+		}
 	}
-	if k < len(sorted) {
-		d = max(d, g.CommonLevel(leaf, sorted[k]))
-	}
-	return d
+	return p, d
 }

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -145,5 +146,66 @@ func TestWriteBackPathsDrainsStash(t *testing.T) {
 	// where it was.
 	if c.Stash().Len() != start {
 		t.Errorf("stash grew from %d to %d without remaps", start, c.Stash().Len())
+	}
+}
+
+// countingTimer tallies what a client charges the timing model.
+type countingTimer struct{ requests, stashBlocks int }
+
+func (ct *countingTimer) OnPathRequest()    { ct.requests++ }
+func (ct *countingTimer) OnStashWork(n int) { ct.stashBlocks += n }
+
+// downStore is a store whose every transfer fails; downBatch is the same
+// store seen batch-native, so the joint operations reach ReadBuckets and
+// WriteBuckets instead of the bucket loop.
+type downStore struct{ *MetaStore }
+
+type downBatch struct{ downStore }
+
+var errStoreDown = errors.New("store down")
+
+func (downStore) ReadBucket(int, uint64, []Slot) error     { return errStoreDown }
+func (downStore) WriteBucket(int, uint64, []Slot) error    { return errStoreDown }
+func (downBatch) ReadBuckets([]BucketRef, [][]Slot) error  { return errStoreDown }
+func (downBatch) WriteBuckets([]BucketRef, [][]Slot) error { return errStoreDown }
+
+// TestFailedFetchChargesItsRoundTrips: a fetch that fails has still cost its
+// round trips on the simulated clock — one request per path, charged before
+// the store is asked — whether it went out as ReadPath, as a one-leaf ReadPaths
+// or as a joint ReadPaths, over the bucket loop or a batch-native store; no
+// stash work is charged for blocks that never arrived. The write-backs charge
+// the same way.
+func TestFailedFetchChargesItsRoundTrips(t *testing.T) {
+	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 4})
+	for _, native := range []bool{false, true} {
+		var st Store = downStore{NewMetaStore(g)}
+		if native {
+			st = downBatch{downStore{NewMetaStore(g)}}
+		}
+		timer := &countingTimer{}
+		c, err := NewClient(ClientConfig{Store: st, Rand: rand.New(rand.NewSource(1)), Timer: timer, Blocks: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			fetch func() error
+			want  int
+		}{
+			{"ReadPath", func() error { return c.ReadPath(3) }, 1},
+			{"ReadPaths/1", func() error { return c.ReadPaths([]Leaf{3}) }, 1},
+			{"ReadPaths/3", func() error { return c.ReadPaths([]Leaf{3, 17, 30}) }, 3},
+			{"WriteBackPath", func() error { return c.WriteBackPath(3) }, 1},
+			{"WriteBackPaths/3", func() error { return c.WriteBackPaths([]Leaf{3, 17, 30}) }, 3},
+		} {
+			*timer = countingTimer{}
+			if err := tc.fetch(); !errors.Is(err, errStoreDown) {
+				t.Fatalf("native=%v %s: err = %v, want the store's", native, tc.name, err)
+			}
+			if timer.requests != tc.want || timer.stashBlocks != 0 {
+				t.Errorf("native=%v %s: failed call charged %d requests and %d stash blocks, want %d and 0",
+					native, tc.name, timer.requests, timer.stashBlocks, tc.want)
+			}
+		}
 	}
 }

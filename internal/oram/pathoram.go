@@ -202,9 +202,7 @@ func (c *Client) ReadPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
 	}
-	if c.timer != nil {
-		c.timer.OnPathRequest()
-	}
+	c.chargeRequests(1)
 	bufs := c.multi.batchBufs(c.geom.Levels(), c.geom.BlockSize(), c.geom.BucketSize)
 	if err := c.face.ReadPath(leaf, bufs); err != nil {
 		return fmt.Errorf("oram: ReadPath: %w", err)
@@ -247,18 +245,15 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WriteBackPath: invalid leaf %d", leaf)
 	}
-	if c.timer != nil {
-		c.timer.OnPathRequest()
-	}
+	c.chargeRequests(1)
 	plan := c.stash.evictPlanInto(&c.planner, c.geom, leaf)
 	bufs := c.multi.batchBufs(c.geom.Levels(), 0, c.geom.BucketSize)
 	moved := 0
 	for lvl, ids := range plan {
 		buf := bufs[lvl]
 		for i, id := range ids {
-			l, _ := c.stash.Leaf(id)
-			p, _ := c.stash.Payload(id)
-			buf[i] = Slot{ID: id, Leaf: l, Payload: p}
+			e := c.stash.lookup(id)
+			buf[i] = Slot{ID: id, Leaf: e.leaf, Payload: e.payload}
 		}
 		moved += len(ids)
 		for i := len(ids); i < len(buf); i++ {

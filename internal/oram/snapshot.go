@@ -266,11 +266,11 @@ func (st *PayloadStore) Save(w io.Writer) error {
 	if err := put(uint64(st.stride)); err != nil {
 		return err
 	}
-	for i := range st.ids {
-		if err := put(st.ids[i]); err != nil {
+	for _, m := range st.meta {
+		if err := put(m.id); err != nil {
 			return err
 		}
-		if err := put(st.leaf[i]); err != nil {
+		if err := put(m.leaf); err != nil {
 			return err
 		}
 	}
@@ -312,11 +312,11 @@ func (st *PayloadStore) Load(r io.Reader) error {
 	if stride != uint64(st.stride) {
 		return fmt.Errorf("oram: store snapshot stride %d != %d (sealing mismatch?)", stride, st.stride)
 	}
-	for i := range st.ids {
-		if st.ids[i], err = get(); err != nil {
+	for i := range st.meta {
+		if st.meta[i].id, err = get(); err != nil {
 			return err
 		}
-		if st.leaf[i], err = get(); err != nil {
+		if st.meta[i].leaf, err = get(); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -9,20 +10,21 @@ import (
 // into the tree (§II-E). It lives in trusted client memory (the trainer
 // GPU's HBM in the paper); its accesses are invisible to the adversary.
 //
-// Layout: a slab — one flat entry array indexed by a BlockID → slot map —
-// instead of a map of heap-allocated entries. Freed slots go on a free
-// list and keep their payload backing buffers, so in steady state the
-// read → stash → write-back cycle recycles memory instead of allocating:
-// Put and SetPayload copy the payload into the slot's recycled buffer (the
-// stash owns its bytes; callers keep ownership of what they pass in), and
-// Payload returns the live slab slice without copying.
+// Layout: a dense slab — entries[:len] are the stashed blocks, in no
+// particular order, found through a private open-addressed BlockID → slot
+// index — instead of a map of heap-allocated entries. Remove swaps the last
+// entry into the hole, and the slots past len keep their payload backing
+// buffers, so in steady state the read → stash → write-back cycle recycles
+// memory instead of allocating and a walk never visits a vacant slot: Put and
+// SetPayload copy the payload into the slot's recycled buffer (the stash owns
+// its bytes; callers keep ownership of what they pass in), and Payload returns
+// the live slab slice without copying.
 //
 // The stash tracks its own high-water mark because stash growth is the
 // paper's central scalability concern with superblocks (Fig. 8).
 type Stash struct {
-	entries []stashEntry
-	free    []int32 // indices of vacant slab slots
-	index   map[BlockID]int32
+	entries []stashEntry // live blocks; entries[len:cap] hold recycled buffers
+	index   stashIndex
 	peak    int
 }
 
@@ -48,34 +50,103 @@ func (e *stashEntry) setPayload(p []byte) {
 	e.payload = b
 }
 
+// stashIndex maps a stashed BlockID to its slab slot: an open-addressed table
+// with linear probing and backward-shift deletion (no tombstones), kept at
+// most half full. It is sized by the stash, never by the table — O(N) client
+// state is what RecursivePosMap exists to avoid — and a lookup is one multiply
+// and, nearly always, one cache line.
+type stashIndex struct {
+	cells []indexCell // power-of-two length
+	shift uint        // 64 − log2(len(cells)): home takes the hash's top bits
+}
+
+type indexCell struct {
+	id   BlockID
+	slot int32 // slab slot + 1; 0 marks a vacant cell
+}
+
+const minIndexCells = 64
+
+func (x *stashIndex) home(id BlockID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> x.shift)
+}
+
+// find returns the cell holding id, or the vacant cell that ends its probe
+// chain (where an insert of id goes).
+func (x *stashIndex) find(id BlockID) (pos int, found bool) {
+	mask := len(x.cells) - 1
+	for pos = x.home(id); x.cells[pos].slot != 0; pos = (pos + 1) & mask {
+		if x.cells[pos].id == id {
+			return pos, true
+		}
+	}
+	return pos, false
+}
+
+// rebuild re-indexes entries in a fresh table of size cells.
+func (x *stashIndex) rebuild(size int, entries []stashEntry) {
+	x.cells = make([]indexCell, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i := range entries {
+		pos, _ := x.find(entries[i].id)
+		x.cells[pos] = indexCell{id: entries[i].id, slot: int32(i + 1)}
+	}
+}
+
+// delete vacates cell pos, shifting back every later cell of the cluster whose
+// home lies at or before the hole so that no probe chain is cut.
+func (x *stashIndex) delete(pos int) {
+	mask := len(x.cells) - 1
+	for next := (pos + 1) & mask; x.cells[next].slot != 0; next = (next + 1) & mask {
+		if (next-x.home(x.cells[next].id))&mask >= (next-pos)&mask {
+			x.cells[pos] = x.cells[next]
+			pos = next
+		}
+	}
+	x.cells[pos] = indexCell{}
+}
+
 // NewStash returns an empty stash.
 func NewStash() *Stash {
-	return &Stash{index: make(map[BlockID]int32)}
+	s := &Stash{}
+	s.index.rebuild(minIndexCells, nil)
+	return s
 }
 
 // Len returns the number of blocks currently stashed.
-func (s *Stash) Len() int { return len(s.index) }
+func (s *Stash) Len() int { return len(s.entries) }
 
 // Peak returns the high-water mark of Len over the stash's lifetime.
 func (s *Stash) Peak() int { return s.peak }
 
 // ResetPeak sets the high-water mark to the current size.
-func (s *Stash) ResetPeak() { s.peak = len(s.index) }
+func (s *Stash) ResetPeak() { s.peak = len(s.entries) }
 
 // RestorePeak sets the high-water mark to a checkpointed value (clamped up
 // to the current size, which is a lower bound by definition). Checkpoint
 // restore uses this so post-restart stash statistics continue the original
 // run's trajectory instead of restarting from the restored occupancy.
-func (s *Stash) RestorePeak(p int) {
-	if p < len(s.index) {
-		p = len(s.index)
+func (s *Stash) RestorePeak(p int) { s.peak = max(p, len(s.entries)) }
+
+// slot returns the slab slot of a stashed block, -1 when id is absent.
+func (s *Stash) slot(id BlockID) int {
+	if pos, ok := s.index.find(id); ok {
+		return int(s.index.cells[pos].slot - 1)
 	}
-	s.peak = p
+	return -1
+}
+
+// lookup returns the slab entry of a stashed block, nil when id is absent.
+func (s *Stash) lookup(id BlockID) *stashEntry {
+	if i := s.slot(id); i >= 0 {
+		return &s.entries[i]
+	}
+	return nil
 }
 
 // Contains reports whether id is stashed.
 func (s *Stash) Contains(id BlockID) bool {
-	_, ok := s.index[id]
+	_, ok := s.index.find(id)
 	return ok
 }
 
@@ -87,48 +158,47 @@ func (s *Stash) Put(id BlockID, leaf Leaf, payload []byte) error {
 	if id == DummyID {
 		return fmt.Errorf("oram: refusing to stash a dummy block")
 	}
-	if i, ok := s.index[id]; ok {
-		e := &s.entries[i]
+	pos, ok := s.index.find(id)
+	if ok {
+		e := &s.entries[s.index.cells[pos].slot-1]
 		e.leaf = leaf
 		e.setPayload(payload)
 		return nil
 	}
-	var i int32
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
+	n := len(s.entries)
+	if 2*(n+1) > len(s.index.cells) {
+		s.index.rebuild(2*len(s.index.cells), s.entries)
+		pos, _ = s.index.find(id)
+	}
+	if n < cap(s.entries) {
+		s.entries = s.entries[:n+1] // a recycled slot, its buffer with it
 	} else {
 		s.entries = append(s.entries, stashEntry{})
-		i = int32(len(s.entries) - 1)
 	}
-	e := &s.entries[i]
+	e := &s.entries[n]
 	e.id = id
 	e.leaf = leaf
 	e.setPayload(payload)
-	s.index[id] = i
-	if len(s.index) > s.peak {
-		s.peak = len(s.index)
-	}
+	s.index.cells[pos] = indexCell{id: id, slot: int32(n + 1)}
+	s.peak = max(s.peak, n+1)
 	return nil
 }
 
 // Leaf returns the assigned leaf of a stashed block.
 func (s *Stash) Leaf(id BlockID) (Leaf, bool) {
-	i, ok := s.index[id]
-	if !ok {
-		return NoLeaf, false
+	if e := s.lookup(id); e != nil {
+		return e.leaf, true
 	}
-	return s.entries[i].leaf, true
+	return NoLeaf, false
 }
 
 // SetLeaf reassigns the leaf of a stashed block.
 func (s *Stash) SetLeaf(id BlockID, leaf Leaf) bool {
-	i, ok := s.index[id]
-	if !ok {
-		return false
+	e := s.lookup(id)
+	if e != nil {
+		e.leaf = leaf
 	}
-	s.entries[i].leaf = leaf
-	return true
+	return e != nil
 }
 
 // Payload returns the stored payload of a stashed block. The slice is the
@@ -137,60 +207,66 @@ func (s *Stash) SetLeaf(id BlockID, leaf Leaf) bool {
 // returning payloads to untrusted callers must copy — see
 // Client.serveFromStash).
 func (s *Stash) Payload(id BlockID) ([]byte, bool) {
-	i, ok := s.index[id]
-	if !ok {
-		return nil, false
+	if e := s.lookup(id); e != nil {
+		return e.payload, true
 	}
-	return s.entries[i].payload, true
+	return nil, false
 }
 
 // SetPayload replaces the payload of a stashed block, copying it into
 // stash-owned storage; the caller keeps ownership of payload.
 func (s *Stash) SetPayload(id BlockID, payload []byte) bool {
-	i, ok := s.index[id]
-	if !ok {
-		return false
+	e := s.lookup(id)
+	if e != nil {
+		e.setPayload(payload)
 	}
-	s.entries[i].setPayload(payload)
-	return true
+	return e != nil
 }
 
 // Remove deletes a block from the stash. The slab slot (and its payload
 // buffer) is recycled for future inserts.
 func (s *Stash) Remove(id BlockID) {
-	i, ok := s.index[id]
-	if !ok {
-		return
+	if pos, ok := s.index.find(id); ok {
+		s.removeCell(pos)
 	}
-	delete(s.index, id)
-	e := &s.entries[i]
-	e.id = DummyID
-	e.leaf = 0
-	e.payload = nil
-	s.free = append(s.free, i)
 }
 
-// ForEach calls fn for every stashed block, in unspecified order. fn must
-// not mutate the stash.
-func (s *Stash) ForEach(fn func(id BlockID, leaf Leaf)) {
-	for id, i := range s.index {
-		fn(id, s.entries[i].leaf)
+// removeCell deletes the block index cell pos points at: the last slab entry
+// takes its slot, and the vacated entry — buffer kept — becomes the first
+// recycled one. Slots below the removed one are not disturbed.
+func (s *Stash) removeCell(pos int) {
+	i, last := int(s.index.cells[pos].slot-1), len(s.entries)-1
+	s.index.delete(pos)
+	if i != last {
+		s.entries[i], s.entries[last] = s.entries[last], s.entries[i]
+		moved, _ := s.index.find(s.entries[i].id)
+		s.index.cells[moved].slot = int32(i + 1)
+	}
+	e := &s.entries[last]
+	e.id, e.leaf, e.payload = DummyID, 0, nil
+	s.entries = s.entries[:last]
+}
+
+// removeMarked removes every block whose slab slot is marked, highest slot
+// first so that the slots still to be visited stay where the marks say.
+func (s *Stash) removeMarked(marked []bool) {
+	for i := len(marked) - 1; i >= 0; i-- {
+		if marked[i] {
+			s.Remove(s.entries[i].id)
+		}
 	}
 }
 
 // IDs returns the stashed block IDs in unspecified order.
 func (s *Stash) IDs() []BlockID {
-	return s.AppendIDs(make([]BlockID, 0, len(s.index)))
+	return s.AppendIDs(make([]BlockID, 0, len(s.entries)))
 }
 
 // AppendIDs appends the stashed block IDs (unspecified order) to dst and
-// returns the extended slice — the allocation-free form of IDs. It walks
-// the slab rather than ranging the index.
+// returns the extended slice — the allocation-free form of IDs.
 func (s *Stash) AppendIDs(dst []BlockID) []BlockID {
 	for i := range s.entries {
-		if id := s.entries[i].id; id != DummyID {
-			dst = append(dst, id)
-		}
+		dst = append(dst, s.entries[i].id)
 	}
 	return dst
 }
@@ -238,9 +314,6 @@ func (s *Stash) evictPlanInto(ep *evictPlanner, g *Geometry, target Leaf) [][]Bl
 	ep.reset(L + 1)
 	for i := range s.entries {
 		e := &s.entries[i]
-		if e.id == DummyID {
-			continue // vacant slab slot
-		}
 		d := g.CommonLevel(target, e.leaf)
 		ep.byDeepest[d] = append(ep.byDeepest[d], e.id)
 	}

@@ -72,11 +72,6 @@ func TestStashBasics(t *testing.T) {
 	if len(ids) != 1 || ids[0] != 9 {
 		t.Errorf("IDs = %v", ids)
 	}
-	n := 0
-	s.ForEach(func(id BlockID, leaf Leaf) { n++ })
-	if n != 1 {
-		t.Errorf("ForEach visited %d", n)
-	}
 }
 
 // TestEvictPlanRespectsConstraints checks the two safety properties of the

@@ -114,6 +114,134 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 	}
 }
 
+// checkIndex verifies the open-addressed index against the slab: every
+// stashed block is found at its slot, nothing else occupies a cell, and the
+// table is at most half full. It reports whether some probe chain currently
+// wraps around the end of the table.
+func checkIndex(t *testing.T, s *Stash) (wrapped bool) {
+	t.Helper()
+	x := &s.index
+	if len(x.cells)&(len(x.cells)-1) != 0 || 2*len(s.entries) > len(x.cells) {
+		t.Fatalf("index has %d cells for %d blocks, want a power of two at most half full", len(x.cells), len(s.entries))
+	}
+	for i := range s.entries {
+		pos, ok := x.find(s.entries[i].id)
+		if !ok || int(x.cells[pos].slot-1) != i {
+			t.Fatalf("block %d in slab slot %d: index finds %v at cell %d -> slot %d", s.entries[i].id, i, ok, pos, x.cells[pos].slot-1)
+		}
+	}
+	occupied := 0
+	for pos, c := range x.cells {
+		if c.slot != 0 {
+			occupied++
+			wrapped = wrapped || x.home(c.id) > pos
+		}
+	}
+	if occupied != len(s.entries) {
+		t.Fatalf("index holds %d cells for %d blocks", occupied, len(s.entries))
+	}
+	return wrapped
+}
+
+// TestQuickIndexMatchesMap is TestQuickSlabMatchesMapStash's twin for the
+// open-addressed index: random Put / replace / SetLeaf / Contains / Remove over
+// an id pool built to hurt — ids equal in their low 32 and low 48 bits, dense
+// small ids, and ids chosen so that their home is one of the last two cells of
+// every table size the run passes through — with the stash swinging between
+// empty and several hundred blocks, so the table grows more than once, probe
+// chains run around its end and backward-shift deletes move cells across the
+// wrap. After every step Len, Peak, IDs (as a set), every leaf and every
+// payload agree with the map model and the index is consistent with the slab.
+func TestQuickIndexMatchesMap(t *testing.T) {
+	var pool []BlockID
+	for k := uint64(1); k <= 150; k++ {
+		pool = append(pool, BlockID(k), BlockID(k<<32), BlockID(k<<48|7))
+	}
+	for size := minIndexCells; size <= 2048; size *= 2 {
+		var x stashIndex
+		x.rebuild(size, nil)
+		for id, n := BlockID(1<<20), 0; n < 24; id++ {
+			if x.home(id) >= size-2 {
+				pool = append(pool, id)
+				n++
+			}
+		}
+	}
+	sawWrap, sawWrapDelete, sawGrowth := false, false, 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStash()
+		ref := newRefStash()
+		peak, cells := 0, len(s.index.cells)
+		scratch := make([]byte, 16)
+		for step := 0; step < 4000; step++ {
+			id := pool[rng.Intn(len(pool))]
+			leaf := Leaf(rng.Intn(1 << 12))
+			// Long growing and long draining phases, so that the stash swings.
+			grow := (step/500)%2 == 0
+			switch op := rng.Intn(10); {
+			case op < 5 && grow, op < 2:
+				p := scratch[:1+rng.Intn(15)]
+				rng.Read(p)
+				if err := s.Put(id, leaf, p); err != nil {
+					return false
+				}
+				ref.put(id, leaf, p)
+				rng.Read(scratch)
+			case op < 7:
+				wrapped := checkIndex(t, s)
+				_, exists := ref.leaf[id]
+				s.Remove(id)
+				ref.remove(id)
+				sawWrapDelete = sawWrapDelete || wrapped && exists
+			case op < 8:
+				_, exists := ref.leaf[id]
+				if s.SetLeaf(id, leaf) != exists {
+					return false
+				}
+				if exists {
+					ref.leaf[id] = leaf
+				}
+			default:
+				if _, exists := ref.leaf[id]; s.Contains(id) != exists {
+					return false
+				}
+			}
+			peak = max(peak, len(ref.leaf))
+			if s.Len() != len(ref.leaf) || s.Peak() != peak {
+				t.Logf("step %d: Len %d Peak %d, model %d / %d", step, s.Len(), s.Peak(), len(ref.leaf), peak)
+				return false
+			}
+			sawWrap = checkIndex(t, s) || sawWrap
+			if len(s.index.cells) != cells {
+				cells = len(s.index.cells)
+				sawGrowth++
+			}
+			ids := s.IDs()
+			if len(ids) != len(ref.leaf) {
+				return false
+			}
+			for _, id := range ids {
+				wantLeaf, ok := ref.leaf[id]
+				gotLeaf, _ := s.Leaf(id)
+				gotP, _ := s.Payload(id)
+				if !ok || gotLeaf != wantLeaf || !bytes.Equal(gotP, ref.payload[id]) {
+					t.Logf("step %d: block %d = (%d, %x), model (%v %d, %x)", step, id, gotLeaf, gotP, ok, wantLeaf, ref.payload[id])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(43))}); err != nil {
+		t.Error(err)
+	}
+	if !sawWrap || !sawWrapDelete || sawGrowth < 3 {
+		t.Errorf("the run never reached what it is for: wrapped chain %v, delete under a wrapped chain %v, table growths %d",
+			sawWrap, sawWrapDelete, sawGrowth)
+	}
+}
+
 // TestStashSlabRecycling: Remove + re-Put cycles reuse slab slots without
 // the recycled buffer leaking a previous block's payload.
 func TestStashSlabRecycling(t *testing.T) {

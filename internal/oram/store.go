@@ -398,9 +398,11 @@ func (c *SlotCodec) Seal(raw, payload []byte, seq *uint64) error {
 // ever hands ciphertext to the untrusted server.
 type PayloadStore struct {
 	geom *Geometry
-	ids  []uint64
-	leaf []uint64
-	// arena holds stride bytes per slot. Invariant: ids[i] == DummyID ⇒ the
+	// meta is one (id, leaf) record per slot, a bucket's records one
+	// contiguous run: a slot's metadata is one load from one cache line,
+	// dummy or not. It is the order Save writes.
+	meta []slotMeta
+	// arena holds stride bytes per slot. Invariant: meta[i].id == DummyID ⇒ the
 	// slot's stride bytes are all zero. make establishes it, writeSlotAt
 	// preserves it (a real→dummy write zeroes the slot, so no stale row or
 	// ciphertext stays at rest) and Save/Load carry it — which is what lets
@@ -422,6 +424,9 @@ type PayloadStore struct {
 	pathRefs []BucketRef
 }
 
+// slotMeta is a PayloadStore slot's metadata as kept and as snapshotted.
+type slotMeta struct{ id, leaf uint64 }
+
 var _ Store = (*PayloadStore)(nil)
 
 // NewPayloadStore allocates a payload-bearing store with every slot a dummy.
@@ -440,14 +445,13 @@ func NewPayloadStore(g *Geometry, sealer Sealer) (*PayloadStore, error) {
 	}
 	st := &PayloadStore{
 		geom:   g,
-		ids:    make([]uint64, n),
-		leaf:   make([]uint64, n),
+		meta:   make([]slotMeta, n),
 		arena:  make([]byte, bytes),
 		stride: stride,
 		codec:  codec,
 	}
-	for i := range st.ids {
-		st.ids[i] = uint64(DummyID)
+	for i := range st.meta {
+		st.meta[i].id = uint64(DummyID)
 	}
 	return st, nil
 }
@@ -460,10 +464,10 @@ func (st *PayloadStore) slotBytes(i int64) []byte {
 }
 
 func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
-	dst.ID = BlockID(st.ids[i])
-	dst.Leaf = Leaf(st.leaf[i])
+	m := st.meta[i]
+	dst.ID, dst.Leaf = BlockID(m.id), Leaf(m.leaf)
 	if dst.ID == DummyID {
-		dst.Payload = nil
+		dst.Payload = nil // a dummy's row is never read
 		return nil
 	}
 	if err := st.codec.Open(st.slotBytes(i), dst); err != nil {
@@ -476,9 +480,8 @@ func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 // next sequence number, or — on SealRange's fan-out, which reserved one per
 // real slot up front — under *seq, which it then advances.
 func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
-	wasDummy := st.ids[i] == uint64(DummyID)
-	st.ids[i] = uint64(src.ID)
-	st.leaf[i] = uint64(src.Leaf)
+	wasDummy := st.meta[i].id == uint64(DummyID)
+	st.meta[i] = slotMeta{id: uint64(src.ID), leaf: uint64(src.Leaf)}
 	if src.ID == DummyID {
 		// A dummy is a zeroed slot (a real deployment stores fresh random
 		// ciphertext; the distinction is invisible to the client logic we

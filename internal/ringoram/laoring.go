@@ -2,6 +2,7 @@ package ringoram
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/oram"
 	"repro/internal/superblock"
@@ -201,7 +202,7 @@ func (lr *LAORing) walkPath(leaf oram.Leaf, members []oram.BlockID) error {
 	for m := range remaining {
 		ids = append(ids, m)
 	}
-	sortBlockIDs(ids)
+	slices.Sort(ids)
 	for _, m := range ids {
 		if err := lr.directRead(leaf, m); err != nil {
 			return err

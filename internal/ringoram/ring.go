@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/oram"
 )
@@ -428,7 +429,7 @@ func (r *Ring) evictPath() error {
 	}
 	// Greedy refill, deepest level first, at most Z real blocks/bucket.
 	ids := r.stash.IDs()
-	sortBlockIDs(ids)
+	slices.Sort(ids)
 	placed := make(map[oram.BlockID]bool)
 	for lvl := r.geom.Levels() - 1; lvl >= 0; lvl-- {
 		node := r.geom.NodeAt(leaf, lvl)
@@ -475,13 +476,4 @@ func (r *Ring) nextEvictLeaf() oram.Leaf {
 	L := uint(r.geom.LeafBits())
 	rev := bits.Reverse64(g) >> (64 - L)
 	return oram.Leaf(rev % r.geom.Leaves())
-}
-
-func sortBlockIDs(ids []oram.BlockID) {
-	// Insertion sort is fine: stash stays small between evictions.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
