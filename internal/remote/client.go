@@ -69,6 +69,10 @@ type Client struct {
 	closed       bool
 	stateLost    bool // latched by a boot-ID change; cleared by a Restore
 
+	// held is each wire shard's accepted, unsent write-back (see heldWrite):
+	// state of the (connection, shard) placement, not of a ShardStore view.
+	held map[uint32]*heldWrite
+
 	// stop is closed exactly once, by Close: it releases the context
 	// watcher and any sleeping reconnect loop.
 	stop chan struct{}
@@ -211,6 +215,7 @@ func DialConfig(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		gen:     1,
 		bootID:  bootID,
 		pending: make(map[uint64]*pendingCall),
+		held:    make(map[uint32]*heldWrite),
 		stop:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(jitterSeed(addr))),
 		brng:    rand.New(rand.NewSource(jitterSeed(addr))),
@@ -220,7 +225,7 @@ func DialConfig(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		go func() {
 			select {
 			case <-ctx.Done():
-				c.Close()
+				c.shutdown()
 			case <-c.stop:
 			}
 		}()
@@ -272,8 +277,24 @@ func dialHandshake(ctx context.Context, addr string) (net.Conn, int, geometryWir
 	return conn, int(shards), gw, binary.BigEndian.Uint64(rest[geometryWireLen:]), nil
 }
 
-// Close shuts the connection; in-flight calls fail with *ErrNodeDown.
+// closeGrace bounds Close's wait for the acks of the write-backs it flushes:
+// Close is also the lever that cancels a lane stalled on a hung node.
+var closeGrace = 2 * time.Second
+
+// Close sends every held write-back (best effort: no later call is left for a
+// failure to surface on) and shuts the connection; in-flight calls fail with
+// *ErrNodeDown.
 func (c *Client) Close() error {
+	watchdog := time.AfterFunc(closeGrace, func() { c.shutdown() })
+	defer watchdog.Stop()
+	for shard := range c.Shards() {
+		_ = c.setHeld(uint32(shard), nil, false)
+	}
+	return c.shutdown()
+}
+
+// shutdown is Close without the flush: what a cancelled context gets.
+func (c *Client) shutdown() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -633,19 +654,43 @@ func (c *Client) call(op byte, shard uint32, body []byte) ([]byte, error) {
 	return c.callBuild(op, shard, len(body), func(buf []byte) []byte { return append(buf, body...) })
 }
 
+// hdrRoom is the space a request frame is built with ahead of its body: the
+// request header, stamped in place per attempt, and an optional deadline
+// envelope.
+const hdrRoom = reqHeaderLen + deadlineHdrLen
+
+// newFrame returns a pooled request frame with room for bodyCap bytes of body.
+func newFrame(bodyCap int) []byte { return getFrame(hdrRoom + bodyCap)[:hdrRoom] }
+
 // callBuild is call with the request body built in place: build appends the
-// body to the frame buffer it is handed — already holding the request header
-// and sized for bodyCap more bytes — so a large body (a bucket union) is
-// written once, where it leaves from. build runs once per attempt (a shed
-// request is rebuilt for its retry) and must append the same bytes each
-// time. The returned body aliases a pooled frame: a caller that has parsed
-// everything it needs out of it may putFrame it.
+// body to the frame buffer it is handed, sized for bodyCap bytes, so a large
+// body (a bucket union) is written once, where it leaves from. An operation on
+// a shard's tree goes behind the shard's held write-back: sent first, or
+// dropped by the restore that replaces the tree it was computed against. The
+// returned body aliases a pooled frame the caller may putFrame once parsed.
 func (c *Client) callBuild(op byte, shard uint32, bodyCap int, build func(buf []byte) []byte) ([]byte, error) {
+	if isDataOp(op) || op == opSnapshot || op == opRestore {
+		if err := c.setHeld(shard, nil, op == opRestore); err != nil {
+			return nil, err
+		}
+	}
+	return c.callFrame(op, shard, build(newFrame(bodyCap)))
+}
+
+// callFrame performs the exchange for a built frame (newFrame plus body) and
+// recycles it. A shed request is re-sent from the same bytes.
+func (c *Client) callFrame(op byte, shard uint32, frame []byte) ([]byte, error) {
 	backoff := time.Millisecond
 	for sheds := 0; ; {
-		res := c.callOnce(op, shard, bodyCap, build)
+		res, replayed := c.callOnce(op, shard, frame)
 		if !res.busy {
+			if !replayed {
+				putFrame(frame)
+			}
 			return res.body, res.err
+		}
+		if replayed { // a reconnect may still be writing this copy
+			frame = append(getFrame(len(frame)), frame...)
 		}
 		sheds++
 		if sheds > c.cfg.ShedRetries {
@@ -700,23 +745,20 @@ func (c *Client) requestBudget() (budget time.Duration, ok bool) {
 // flight concurrently; each blocks only on its own response channel. While
 // the connection is down in reconnect mode the call parks: the reconnect
 // loop will send its frame once a connection is adopted, or fail it when
-// the retry budget runs out.
-func (c *Client) callOnce(op byte, shard uint32, bodyCap int, build func(buf []byte) []byte) rpcResult {
-	budget, deadline := time.Duration(0), false
-	if isDataOp(op) {
-		budget, deadline = c.requestBudget()
-	}
-	// The frame is built before the lock is taken (a bucket union is ~100 KB
-	// of copying that concurrent lanes need not wait for); only its request
-	// ID, assigned under the lock with the admission checks, is filled in
-	// there.
-	req := getFrame(reqHeaderLen + deadlineHdrLen + bodyCap)
-	if deadline {
-		req = appendDeadlineHeader(appendReqHeader(req, 0, opDeadline, shard), budget, op)
+// the retry budget runs out. replayed: a reconnect took the frame and may
+// still be writing it, so the caller must neither change nor recycle it.
+func (c *Client) callOnce(op byte, shard uint32, frame []byte) (res rpcResult, replayed bool) {
+	// The frame was built before the lock is taken (a bucket union is ~100 KB
+	// of copying that concurrent lanes need not wait for); only its header is
+	// stamped here, its request ID under the lock with the admission checks.
+	off := deadlineHdrLen
+	if budget, deadline := c.requestBudget(); deadline && isDataOp(op) {
+		off = 0
+		appendDeadlineHeader(appendReqHeader(frame[:0], 0, opDeadline, shard), budget, op)
 	} else {
-		req = appendReqHeader(req, 0, op, shard)
+		appendReqHeader(frame[:off], 0, op, shard)
 	}
-	req = build(req)
+	req := frame[off:]
 	pc := &pendingCall{ch: make(chan rpcResult, 1), req: req, shard: shard, op: op}
 
 	c.mu.Lock()
@@ -735,8 +777,7 @@ func (c *Client) callOnce(op byte, shard uint32, bodyCap int, build func(buf []b
 	}
 	if refuse != nil {
 		c.mu.Unlock()
-		putFrame(req)
-		return rpcResult{err: refuse}
+		return rpcResult{err: refuse}, false
 	}
 	c.nextID++
 	id := c.nextID
@@ -767,14 +808,77 @@ func (c *Client) callOnce(op byte, shard uint32, bodyCap int, build func(buf []b
 			c.mu.Unlock()
 		}
 	}
-	res := <-pc.ch
+	res = <-pc.ch
 	// Every send on pc.ch happens under, or after a critical section of,
 	// c.mu that follows any adopt marking the call replayed, so this read
 	// is ordered after the mark.
-	if !pc.replayed {
-		putFrame(req)
+	return res, pc.replayed
+}
+
+// heldWrite is one shard's held write-back — stash by another name: a union
+// WriteBuckets checked as the server would and serialised once, which leaves at
+// the head of the shard's next ReadBuckets frame (kind 2) or, ahead of any
+// other operation, as an ordinary kind-1 frame. mu is held across the round
+// trip that sends the frame, so nothing on the shard overtakes it.
+type heldWrite struct {
+	mu    sync.Mutex
+	frame []byte // newFrame + a whole kind-1 opBatch body; nil = nothing held
+}
+
+// lockHeld returns shard's hold, locked.
+func (c *Client) lockHeld(shard uint32) *heldWrite {
+	c.mu.Lock()
+	h := c.held[shard]
+	if h == nil {
+		h = new(heldWrite)
+		c.held[shard] = h
 	}
-	return res
+	c.mu.Unlock()
+	h.mu.Lock()
+	return h
+}
+
+// setHeld makes next (nil: nothing) shard's held write-back, once the one held
+// before is sent and acked as an ordinary frame — or, with drop, discarded. A
+// write-back that fails is gone, as when WriteBuckets itself failed; the error
+// surfaces, named as the write-back's, on the operation that sent it.
+func (c *Client) setHeld(shard uint32, next []byte, drop bool) error {
+	h := c.lockHeld(shard)
+	defer h.mu.Unlock()
+	old := h.frame
+	if h.frame = next; old == nil || drop {
+		putFrame(old)
+		return nil
+	}
+	resp, err := c.callFrame(opBatch, shard, old)
+	if err == nil && len(resp) != 0 {
+		err = fmt.Errorf("%d trailing bytes after batch write response", len(resp))
+	}
+	putFrame(resp)
+	if err != nil {
+		putFrame(next)
+		h.frame = nil
+		err = fmt.Errorf("remote: held write-back: %w", err)
+	}
+	return err
+}
+
+// readUnion fetches refs on shard in one round trip: a held write-back heads
+// a kind-2 frame and the read rides behind it.
+func (c *Client) readUnion(shard uint32, refs []oram.BucketRef) ([]byte, error) {
+	h := c.lockHeld(shard)
+	frame := h.frame
+	if h.frame = nil; frame == nil {
+		h.mu.Unlock()
+		return c.callFrame(opBatch, shard, appendUnion(append(newFrame(batchHeaderLen+len(refs)*bucketRefLen), batchRead), refs))
+	}
+	defer h.mu.Unlock()
+	frame[hdrRoom] = batchCarry
+	resp, err := c.callFrame(opBatch, shard, appendUnion(frame, refs))
+	if err != nil {
+		err = fmt.Errorf("remote: read carrying the held write-back: %w", err)
+	}
+	return resp, err
 }
 
 // ShardStore is the oram.Store view onto one shard of a sharded server,
@@ -832,9 +936,7 @@ func (s *ShardStore) Client() *Client {
 // holding the placement read lock for the whole round trip (see the type
 // comment: the lock is what drains the lane during a migration).
 func (s *ShardStore) pcall(op byte, body []byte) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.c.call(op, s.shard, body)
+	return s.pbuild(op, len(body), func(buf []byte) []byte { return append(buf, body...) })
 }
 
 // pbuild is pcall with the body built in place (see Client.callBuild).
@@ -847,8 +949,8 @@ func (s *ShardStore) pbuild(op byte, bodyCap int, build func(buf []byte) []byte)
 // Repoint swaps this view's placement to the target view's (node, shard)
 // without moving any data — the re-placement primitive for a shard whose
 // old node is gone: point the view at a fresh store on a survivor, then
-// restore the shard's checkpoint through it. Fails if the target's
-// geometry differs.
+// restore the shard's checkpoint through it (the old placement is sent its
+// held write-back first). Fails if the target's geometry differs.
 func (s *ShardStore) Repoint(target *ShardStore) error {
 	if target == nil {
 		return fmt.Errorf("remote: Repoint needs a target view")
@@ -861,15 +963,17 @@ func (s *ShardStore) Repoint(target *ShardStore) error {
 	if geometryToWire(tc.geom) != geometryToWire(s.c.geom) {
 		return fmt.Errorf("remote: Repoint target geometry %s differs from %s", tc.geom, s.c.geom)
 	}
+	// A held write-back the old node no longer takes is lost with the node.
+	_ = s.c.setHeld(s.shard, nil, false)
 	s.c, s.shard = tc, tshard
 	return nil
 }
 
 // MigrateTo moves this shard's tree to the target view's (node, shard)
 // live: under the placement write lock — which drains the shard's lane —
-// it snapshots the tree at the current node (opSnapshot), restores it into
-// the target store (opRestore), and swaps the placement. The returned
-// duration is the migration blackout: how long the lane was paused. On any
+// it snapshots the tree at the current node (opSnapshot, behind the shard's
+// held write-back), restores it into the target store (opRestore), and swaps
+// the placement. The returned duration is the migration blackout. On any
 // error the placement is untouched and the old node keeps serving — a
 // failed migration never leaves a half-migrated shard. No source rewind,
 // no rollback: the client's stash and position map never notice the move.
@@ -975,26 +1079,26 @@ func (s *ShardStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 	return err
 }
 
-// checkPathBufs validates that bufs matches the tree shape, so a response
-// parse cannot silently desynchronise.
-func (s *ShardStore) checkPathBufs(bufs [][]Slot) error {
-	g := s.Geometry()
+// checkPathBufs validates that bufs matches the tree shape g, so a response
+// parse cannot silently desynchronise, and returns the slot count.
+func checkPathBufs(g *oram.Geometry, bufs [][]Slot) (slots int, err error) {
 	if len(bufs) != g.Levels() {
-		return fmt.Errorf("remote: path buffer has %d levels, tree has %d", len(bufs), g.Levels())
+		return 0, fmt.Errorf("remote: path buffer has %d levels, tree has %d", len(bufs), g.Levels())
 	}
 	for lvl := range bufs {
 		if len(bufs[lvl]) != g.BucketSize(lvl) {
-			return fmt.Errorf("remote: level %d buffer holds %d slots, bucket size is %d",
+			return 0, fmt.Errorf("remote: level %d buffer holds %d slots, bucket size is %d",
 				lvl, len(bufs[lvl]), g.BucketSize(lvl))
 		}
+		slots += len(bufs[lvl])
 	}
-	return nil
+	return slots, nil
 }
 
 // ReadPath implements oram.PathStore: the whole root→leaf path in one
 // frame.
 func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
-	if err := s.checkPathBufs(dst); err != nil {
+	if _, err := checkPathBufs(s.Geometry(), dst); err != nil {
 		return err
 	}
 	resp, err := s.pbuild(opReadPath, 8, func(buf []byte) []byte {
@@ -1010,14 +1114,12 @@ func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 
 // WritePath implements oram.PathStore.
 func (s *ShardStore) WritePath(leaf Leaf, src [][]Slot) error {
-	if err := s.checkPathBufs(src); err != nil {
+	g := s.Geometry()
+	slots, err := checkPathBufs(g, src)
+	if err != nil {
 		return err
 	}
-	slots := 0
-	for lvl := range src {
-		slots += len(src[lvl])
-	}
-	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, s.Geometry().BlockSize()), func(buf []byte) []byte {
+	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, g.BlockSize()), func(buf []byte) []byte {
 		buf = appendLeaf(buf, leaf)
 		for lvl := range src {
 			buf = appendSlots(buf, src[lvl])
@@ -1070,25 +1172,33 @@ func (s *ShardStore) Load(r io.Reader) error {
 // refuse. A var so tests can force the chunking path cheaply.
 var batchFrameBudget = maxFrame / 2
 
-// bucketWireCost is an upper bound on the on-wire bytes of one bucket in
-// either direction (its ref + per-slot header + payload). Out-of-range levels
-// — rejected by the server anyway — are priced as the widest bucket so the
-// estimator never trusts caller input.
-func (s *ShardStore) bucketWireCost(level int) int {
-	g := s.Geometry()
-	if level < 0 || level >= g.Levels() {
-		level = 0 // the root is never narrower than any other bucket
+// checkUnion makes the server's pre-lock checks on a bucket union against the
+// client's own geometry — refs in range, buffers their buckets' size, written
+// rows empty or one block long — so the call itself refuses a bad union.
+func checkUnion(g *oram.Geometry, refs []oram.BucketRef, bufs [][]Slot, write bool) error {
+	if len(refs) != len(bufs) {
+		return fmt.Errorf("remote: bucket union of %d refs, %d buffers", len(refs), len(bufs))
 	}
-	return bucketRefLen + slotsWireLen(g.BucketSize(level), g.BlockSize())
+	for i, r := range refs {
+		if !validRef(g, r) || len(bufs[i]) != g.BucketSize(r.Level) {
+			return fmt.Errorf("remote: union bucket %d: (%d,%d) out of range, or not %d slots", i, r.Level, r.Node, len(bufs[i]))
+		}
+		for k := 0; write && k < len(bufs[i]); k++ {
+			if badPayload(&bufs[i][k], g.BlockSize()) {
+				return fmt.Errorf("remote: union bucket %d slot %d: payload len %d != block size %d", i, k, len(bufs[i][k].Payload), g.BlockSize())
+			}
+		}
+	}
+	return nil
 }
 
-// chunkRefs yields maximal ref ranges whose estimated frame size stays
-// within batchFrameBudget (always at least one ref per chunk), with that
+// chunkRefs yields maximal ranges of (checked) refs whose estimated frame size
+// stays within batchFrameBudget (always at least one ref per chunk), with that
 // estimate: an upper bound on the larger of the chunk's two frames.
-func (s *ShardStore) chunkRefs(refs []oram.BucketRef, visit func(lo, hi, cost int) error) error {
+func chunkRefs(g *oram.Geometry, refs []oram.BucketRef, visit func(lo, hi, cost int) error) error {
 	lo, cost := 0, 0
 	for i, r := range refs {
-		c := s.bucketWireCost(r.Level)
+		c := bucketRefLen + slotsWireLen(g.BucketSize(r.Level), g.BlockSize())
 		if i > lo && (cost+c > batchFrameBudget || i-lo >= maxBatchOps) {
 			if err := visit(lo, i, cost); err != nil {
 				return err
@@ -1105,16 +1215,17 @@ func (s *ShardStore) chunkRefs(refs []oram.BucketRef, visit func(lo, hi, cost in
 
 // ReadBuckets implements oram.BatchStore: the deduplicated bucket union of
 // a batched fetch in one opBatch frame (or a handful, when the union
-// exceeds the frame budget). Slot payloads land in the capacity dst arrives
-// armed with (see parseSlot).
+// exceeds the frame budget) — the frame that also carries the shard's held
+// write-back, so a lane's chunk is one round trip. Slot payloads land in the
+// capacity dst arrives armed with (see parseSlot).
 func (s *ShardStore) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
-	if len(refs) != len(dst) {
-		return fmt.Errorf("remote: ReadBuckets got %d refs, %d buffers", len(refs), len(dst))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if err := checkUnion(s.c.geom, refs, dst, false); err != nil {
+		return err
 	}
-	return s.chunkRefs(refs, func(lo, hi, _ int) error {
-		resp, err := s.pbuild(opBatch, batchHeaderLen+(hi-lo)*bucketRefLen, func(buf []byte) []byte {
-			return appendBatchRefs(buf, batchRead, refs[lo:hi])
-		})
+	return chunkRefs(s.c.geom, refs, func(lo, hi, _ int) error {
+		resp, err := s.c.readUnion(s.shard, refs[lo:hi])
 		if err != nil {
 			return err
 		}
@@ -1124,26 +1235,23 @@ func (s *ShardStore) ReadBuckets(refs []oram.BucketRef, dst [][]Slot) error {
 	})
 }
 
-// WriteBuckets implements oram.BatchStore. Every slot is serialised exactly
-// once, straight into the frame that leaves; a chunk is written whole or not
-// at all (the server validates the frame before it takes the shard lock).
+// WriteBuckets implements oram.BatchStore. The union is checked whole, every
+// slot serialised exactly once, into the frame that will leave, and that frame
+// held (see heldWrite): nil means accepted, and applied before any later
+// operation on the shard executes. Of a union that needs several frames all
+// but the last are sent here; each is written whole or not at all.
 func (s *ShardStore) WriteBuckets(refs []oram.BucketRef, src [][]Slot) error {
-	if len(refs) != len(src) {
-		return fmt.Errorf("remote: WriteBuckets got %d refs, %d buffers", len(refs), len(src))
-	}
-	return s.chunkRefs(refs, func(lo, hi, cost int) error {
-		resp, err := s.pbuild(opBatch, batchHeaderLen+cost, func(buf []byte) []byte {
-			buf = appendBatchRefs(buf, batchWrite, refs[lo:hi])
-			for _, b := range src[lo:hi] {
-				buf = appendSlots(buf, b)
-			}
-			return buf
-		})
-		if err == nil && len(resp) != 0 {
-			err = fmt.Errorf("remote: %d trailing bytes after batch write response", len(resp))
-		}
-		putFrame(resp)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if err := checkUnion(s.c.geom, refs, src, true); err != nil {
 		return err
+	}
+	return chunkRefs(s.c.geom, refs, func(lo, hi, cost int) error {
+		frame := appendUnion(append(newFrame(batchHeaderLen+cost), batchWrite), refs[lo:hi])
+		for _, b := range src[lo:hi] {
+			frame = appendSlots(frame, b)
+		}
+		return s.c.setHeld(s.shard, frame, false)
 	})
 }
 

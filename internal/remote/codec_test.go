@@ -47,6 +47,12 @@ func refReadBatch(refs []oram.BucketRef) []byte { return refBatch(0, refs, nil) 
 
 func refWriteBatch(refs []oram.BucketRef, src [][]oram.Slot) []byte { return refBatch(1, refs, src) }
 
+// refCarryBatch is the v5 write-then-read body: kind 2, the written union and
+// its slots, then the read union (its count and refs, no second kind byte).
+func refCarryBatch(wrefs []oram.BucketRef, src [][]oram.Slot, rrefs []oram.BucketRef) []byte {
+	return append(refBatch(2, wrefs, src), refReadBatch(rrefs)[1:]...)
+}
+
 // refReadBatchResp is the response body of a bucket-union read: the slots,
 // nothing else.
 func refReadBatchResp(bufs [][]oram.Slot) []byte { return refSlots(nil, bufs) }
@@ -80,9 +86,9 @@ func unionFixture(g *oram.Geometry, seed int64) ([]oram.BucketRef, [][]oram.Slot
 	return refs, src
 }
 
-// TestQuickInPlaceBuildersMatchReference: appendBatchRefs produces exactly
+// TestQuickInPlaceBuildersMatchReference: a kind and appendUnion produce exactly
 // the bytes of the reference encoder at any position in a frame,
-// parseBatchRefs reads them back and hands over what follows, and the
+// parseUnion reads the refs back and hands over what follows, and the
 // deadline envelope round-trips.
 func TestQuickInPlaceBuildersMatchReference(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(61))}
@@ -97,12 +103,13 @@ func TestQuickInPlaceBuildersMatchReference(t *testing.T) {
 			lvl := int(p) % g.Levels()
 			refs[i] = oram.BucketRef{Level: lvl, Node: uint64(p) % (1 << uint(lvl))}
 		}
-		buf := appendBatchRefs(append([]byte(nil), prefix...), kind, refs)
+		buf := appendUnion(append(append([]byte(nil), prefix...), kind), refs)
 		if !bytes.Equal(buf, append(append([]byte(nil), prefix...), refBatch(kind, refs, nil)...)) {
 			return false
 		}
-		gw, grefs, rest, err := parseBatchRefs(g, append(buf[len(prefix):], tail...), nil)
-		return err == nil && gw == write && slices.Equal(grefs, refs) && bytes.Equal(rest, tail)
+		body := append(buf[len(prefix):], tail...)
+		grefs, rest, err := parseUnion(g, body[1:], nil)
+		return err == nil && body[0] == kind && slices.Equal(grefs, refs) && bytes.Equal(rest, tail)
 	}
 	if err := quick.Check(batch, cfg); err != nil {
 		t.Error(err)
@@ -161,13 +168,18 @@ func TestQuickSlotDecodeModes(t *testing.T) {
 }
 
 // TestClientBatchFramesMatchReference: the opBatch bodies ShardStore puts on
-// the wire are byte-identical to the reference encoding, a reference-encoded
-// response decodes into the capacity the caller armed (the ReadBucket
-// contract) rather than into fresh slices, and a response with a byte after
-// its last slot is refused.
+// the wire are byte-identical to the reference encoding of protocol v5 — a
+// write-back held by WriteBuckets leaves as the head of the next ReadBuckets'
+// one kind-2 frame, ahead of any other operation as a kind-1 frame, and a
+// read with nothing held is a kind-0 frame — a reference-encoded response
+// decodes into the capacity the caller armed (the ReadBucket contract) rather
+// than into fresh slices, and a response with a byte after its last slot is
+// refused.
 func TestClientBatchFramesMatchReference(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
 	refs, src := unionFixture(g, 71)
+	rrefs := append([]oram.BucketRef{{Level: 2, Node: 1}}, refs[:3]...)
+	rsrc := append([][]oram.Slot{src[2]}, src[:3]...)
 	var mu sync.Mutex
 	var bodies [][]byte
 	addr := startScriptedServer(t, g, func(conn net.Conn, id uint64, op byte, _ time.Duration, body []byte) bool {
@@ -176,10 +188,15 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 		n := len(bodies)
 		mu.Unlock()
 		resp := appendRespHeader(nil, id, statusOK)
-		if body[0] == 0 {
+		switch {
+		case op == opReadSlot:
+			resp = append(resp, refSlots(nil, [][]oram.Slot{src[0][:1]})...)
+		case body[0] == 2:
+			resp = append(resp, refReadBatchResp(rsrc)...)
+		case body[0] == 0:
 			resp = append(resp, refReadBatchResp(src)...)
 		}
-		if n > 2 {
+		if n > 4 {
 			resp = append(resp, 0xEE)
 		}
 		return writeFrame(conn, resp) == nil
@@ -190,49 +207,101 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 	}
 	defer cl.Close()
 	st := shard0(t, cl)
+	armed := func(refs []oram.BucketRef) (dst [][]oram.Slot, arena [][][]byte) {
+		dst, arena = make([][]oram.Slot, len(refs)), make([][][]byte, len(refs))
+		for i, r := range refs {
+			z := g.BucketSize(r.Level)
+			dst[i], arena[i] = make([]oram.Slot, z), make([][]byte, z)
+			for j := range dst[i] {
+				arena[i][j] = make([]byte, g.BlockSize())
+				dst[i][j].Payload = arena[i][j]
+			}
+		}
+		return dst, arena
+	}
+	decoded := func(what string, dst, want [][]oram.Slot, arena [][][]byte) {
+		t.Helper()
+		for i := range want {
+			for j := range want[i] {
+				got, want := dst[i][j], want[i][j]
+				if got.ID != want.ID || (!want.Dummy() && got.Leaf != want.Leaf) || !bytes.Equal(got.Payload, want.Payload) {
+					t.Fatalf("%s: bucket %d slot %d decoded as %+v, want %+v", what, i, j, got, want)
+				}
+				if len(got.Payload) > 0 && unsafe.SliceData(got.Payload) != unsafe.SliceData(arena[i][j]) {
+					t.Fatalf("%s: bucket %d slot %d: payload was not decoded into the armed buffer", what, i, j)
+				}
+			}
+		}
+	}
 
+	// Frame 1: the held write-back and the read that carries it.
 	if err := st.WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([][]oram.Slot, len(refs))
-	arena := make([][][]byte, len(refs))
-	for i, r := range refs {
-		z := g.BucketSize(r.Level)
-		dst[i], arena[i] = make([]oram.Slot, z), make([][]byte, z)
-		for j := range dst[i] {
-			arena[i][j] = make([]byte, g.BlockSize())
-			dst[i][j].Payload = arena[i][j]
-		}
+	mu.Lock()
+	if len(bodies) != 0 {
+		t.Fatalf("WriteBuckets sent %d frames; it holds its union", len(bodies))
 	}
+	mu.Unlock()
+	dst, arena := armed(rrefs)
+	if err := st.ReadBuckets(rrefs, dst); err != nil {
+		t.Fatal(err)
+	}
+	decoded("carried read", dst, rsrc, arena)
+	// Frame 2: nothing held, a plain read.
+	dst, arena = armed(refs)
 	if err := st.ReadBuckets(refs, dst); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteBuckets(refs, src); err == nil {
+	decoded("plain read", dst, src, arena)
+	// Frames 3 and 4: another operation sends the held union first, as an
+	// ordinary write frame.
+	if err := st.WriteBuckets(refs, src); err != nil {
+		t.Fatal(err)
+	}
+	var one oram.Slot
+	if err := st.ReadSlot(0, 0, 0, &one); err != nil {
+		t.Fatal(err)
+	}
+	// From frame 5 on every response carries a byte too many.
+	if err := st.WriteBuckets(refs, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ReadSlot(0, 0, 0, &one); err == nil {
 		t.Error("a write response with a trailing byte was accepted")
 	}
 	if err := st.ReadBuckets(refs, dst); err == nil {
 		t.Error("a read response with a trailing byte was accepted")
 	}
+	if err := st.WriteBuckets(refs, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ReadBuckets(rrefs, dst[:len(rrefs)]); err == nil {
+		t.Error("a write-then-read response with a trailing byte was accepted")
+	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(bodies) != 4 {
-		t.Fatalf("client sent %d frames, want 4", len(bodies))
+	want := [][]byte{
+		refCarryBatch(refs, src, rrefs),
+		refReadBatch(refs),
+		refWriteBatch(refs, src),
+		nil, // the ReadSlot
+		refWriteBatch(refs, src),
+		refReadBatch(refs),
+		refCarryBatch(refs, src, rrefs),
 	}
-	if want := append([]byte{opBatch}, refWriteBatch(refs, src)...); !bytes.Equal(bodies[0], want) {
-		t.Errorf("WriteBuckets frame differs from the reference encoding:\n got  %x\n want %x", bodies[0], want)
+	if len(bodies) != len(want) {
+		t.Fatalf("client sent %d frames, want %d", len(bodies), len(want))
 	}
-	if want := append([]byte{opBatch}, refReadBatch(refs)...); !bytes.Equal(bodies[1], want) {
-		t.Errorf("ReadBuckets frame differs from the reference encoding:\n got  %x\n want %x", bodies[1], want)
-	}
-	for i := range src {
-		for j := range src[i] {
-			got, want := dst[i][j], src[i][j]
-			if got.ID != want.ID || (!want.Dummy() && got.Leaf != want.Leaf) || !bytes.Equal(got.Payload, want.Payload) {
-				t.Fatalf("bucket %d slot %d decoded as %+v, want %+v", i, j, got, want)
+	for i, w := range want {
+		if w == nil {
+			if bodies[i][0] != opReadSlot {
+				t.Errorf("frame %d is op %d, want the ReadSlot", i+1, bodies[i][0])
 			}
-			if len(got.Payload) > 0 && unsafe.SliceData(got.Payload) != unsafe.SliceData(arena[i][j]) {
-				t.Fatalf("bucket %d slot %d: payload was not decoded into the armed buffer", i, j)
-			}
+			continue
+		}
+		if w = append([]byte{opBatch}, w...); !bytes.Equal(bodies[i], w) {
+			t.Errorf("frame %d differs from the reference encoding:\n got  %x\n want %x", i+1, bodies[i], w)
 		}
 	}
 }
@@ -297,7 +366,10 @@ type bucketOnly struct{ oram.Store }
 // a byte after its last slot, a slot short, a bad payload length, and for
 // opBatch an out-of-range ref, an unknown kind or a count the frame does not
 // carry — is answered with one error status and leaves the store exactly as
-// it was; a batch read with bytes after its refs is refused the same way.
+// it was; a batch read with bytes after its refs is refused the same way. A
+// write-then-read frame (kind 2) that is wrong in either half — a bad write
+// ref, a bad read ref, a short slot, a byte after the read refs, a read union
+// the frame does not carry — writes nothing and reads nothing.
 func TestServerWriteFramesAllOrNothing(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
 	srv := batchServer(t, g)
@@ -337,9 +409,16 @@ func TestServerWriteFramesAllOrNothing(t *testing.T) {
 		{"batch/short", opBatch, short(batch)},
 		{"batch/bad last ref", opBatch, refWriteBatch(badRef, src)},
 		{"batch/bad last payload", opBatch, badLen},
-		{"batch/unknown kind", opBatch, append([]byte{2}, batch[1:]...)},
+		{"batch/unknown kind", opBatch, append([]byte{3}, batch[1:]...)},
 		{"batch/count over carried", opBatch, refBatch(1, refs, nil)[:batchHeaderLen+bucketRefLen]},
 		{"batch/read trailing", opBatch, long(refReadBatch(refs))},
+		{"carry/bad write ref", opBatch, refCarryBatch(badRef, src, refs)},
+		{"carry/bad read ref", opBatch, refCarryBatch(refs, src, badRef)},
+		{"carry/bad last payload", opBatch, append(append([]byte{2}, badLen[1:]...), refReadBatch(refs)[1:]...)},
+		{"carry/short slot", opBatch, append(append([]byte{2}, short(batch)[1:]...), refReadBatch(refs)[1:]...)},
+		{"carry/trailing", opBatch, long(refCarryBatch(refs, src, refs))},
+		{"carry/short read refs", opBatch, short(refCarryBatch(refs, src, refs))},
+		{"carry/no read union", opBatch, append([]byte{2}, batch[1:]...)},
 	}
 	for _, tc := range cases {
 		resp := srv.handle(append(appendReqHeader(nil, 2, tc.op, 0), tc.body...))
@@ -359,6 +438,46 @@ func TestServerWriteFramesAllOrNothing(t *testing.T) {
 		if resp := srv.handle(append(appendReqHeader(nil, 4, ok.op, 0), ok.body...)); resp[8] != statusOK {
 			t.Errorf("well-formed op %d refused: %s", ok.op, resp[respHeaderLen:])
 		}
+	}
+	// So does the write-then-read frame, and what it reads is what it wrote.
+	got := srv.handle(append(appendReqHeader(nil, 5, opBatch, 0), refCarryBatch(refs, before, refs)...))
+	if want := append(appendRespHeader(nil, 5, statusOK), refReadBatchResp(before)...); !bytes.Equal(got, want) {
+		t.Errorf("well-formed write-then-read frame answered %x, want %x", got, want)
+	}
+}
+
+// TestServerCarryResponseBound: a write-then-read frame whose read half could
+// not be answered in one frame is refused before the lock — its write half,
+// well-formed, is not applied.
+func TestServerCarryResponseBound(t *testing.T) {
+	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 11, LeafZ: 4, BlockSize: 4096})
+	srv, err := NewSharded([]oram.Store{oram.NewMetaStore(g)}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrefs := []oram.BucketRef{{Level: 0, Node: 0}}
+	src := [][]oram.Slot{{{ID: 1, Leaf: 1}, {ID: 2, Leaf: 2}, {ID: 3, Leaf: 3}, {ID: 4, Leaf: 4}}}
+	var rrefs []oram.BucketRef
+	for n := uint64(0); slotsWireLen(4*len(rrefs), 4096) <= maxFrame; n++ {
+		rrefs = append(rrefs, oram.BucketRef{Level: 11, Node: n})
+	}
+	resp := srv.handle(append(appendReqHeader(nil, 1, opBatch, 0), refCarryBatch(wrefs, src, rrefs)...))
+	if _, status, body, _ := parseRespHeader(resp); status != statusErr || !bytes.Contains(body, []byte("exceeds frame limit")) {
+		t.Fatalf("over-bound read half answered status %d: %.80s", status, body)
+	}
+	resp = srv.handle(append(appendReqHeader(nil, 2, opBatch, 0), refReadBatch(wrefs)...))
+	empty := [][]oram.Slot{{oram.DummySlot(), oram.DummySlot(), oram.DummySlot(), oram.DummySlot()}}
+	if want := append(appendRespHeader(nil, 2, statusOK), refReadBatchResp(empty)...); !bytes.Equal(resp, want) {
+		t.Fatalf("the refused frame's write half was applied: root reads %x", resp[respHeaderLen:])
+	}
+	// A read half that fits executes both halves.
+	resp = srv.handle(append(appendReqHeader(nil, 3, opBatch, 0), refCarryBatch(wrefs, src, rrefs[:8])...))
+	if _, status, body, _ := parseRespHeader(resp); status != statusOK {
+		t.Fatalf("in-bound frame refused: %.80s", body)
+	}
+	resp = srv.handle(append(appendReqHeader(nil, 4, opBatch, 0), refReadBatch(wrefs)...))
+	if want := append(appendRespHeader(nil, 4, statusOK), refReadBatchResp(src)...); !bytes.Equal(resp, want) {
+		t.Fatalf("the in-bound frame's write half is missing: root reads %x", resp[respHeaderLen:])
 	}
 }
 

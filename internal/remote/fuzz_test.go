@@ -46,8 +46,8 @@ func FuzzProtocol(f *testing.F) {
 	// on the metadata store, which the server loops bucket by bucket, then a
 	// write and a read on shard 1, the payload store that batches natively.
 	run := []oram.BucketRef{{Level: 0, Node: 0}, {Level: 1, Node: 1}, {Level: 3, Node: 5}}
-	reads := appendBatchRefs(nil, batchRead, run)
-	writes := appendBatchRefs(nil, batchWrite, run)
+	reads := appendUnion([]byte{batchRead}, run)
+	writes := appendUnion([]byte{batchWrite}, run)
 	for range run {
 		writes = append(writes, bucket...)
 	}
@@ -63,6 +63,13 @@ func FuzzProtocol(f *testing.F) {
 	seed(opWriteSlot, 1, append(appendSlot(appendSlotRef(nil, 2, 1, 1), &slot), 0))
 	seed(opWritePath, 1, append(append(appendLeaf(nil, 3), path...), 0))
 	seed(opBatch, 1, append(writes, 0))
+	// Protocol v5: a write-back and the read that carries it in one frame
+	// (kind 2: the write frame's body, then the read union) — looped, native,
+	// and with a byte after the read refs.
+	carry := append(append([]byte{batchCarry}, writes[1:]...), reads[1:]...)
+	seed(opBatch, 0, carry)
+	seed(opBatch, 1, carry)
+	seed(opBatch, 1, append(carry, 0))
 
 	ps, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
@@ -82,7 +89,7 @@ func FuzzProtocol(f *testing.F) {
 		_, _ = viewSlot(frame, &s)
 		_, _ = parseGeometryWire(frame)
 		_, _, _, _ = parseRespHeader(frame)
-		_, _, _, _ = parseBatchRefs(g, frame, nil)
+		_, _, _ = parseUnion(g, frame, nil)
 
 		// The server must answer every frame with a well-formed response.
 		resp := srv.handle(frame)

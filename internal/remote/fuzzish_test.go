@@ -29,7 +29,7 @@ func TestQuickProtoNeverPanics(t *testing.T) {
 		_, _, _, _, _ = parseSlotRef(raw)
 		_, _, _ = parseLeaf(raw)
 		_, _, _ = parseU32(raw)
-		_, _, _, _ = parseBatchRefs(fuzzGeom(), raw, nil)
+		_, _, _ = parseUnion(fuzzGeom(), raw, nil)
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(41))}
@@ -111,7 +111,7 @@ func TestServerGarbageFrames(t *testing.T) {
 		"opWriteBucket": append(appendReqHeader(nil, 1, opWriteBucket, 0), append(appendBucketRef(nil, 0, 0), slots(2)...)...),
 		"opWriteSlot":   append(appendReqHeader(nil, 2, opWriteSlot, 0), append(appendSlotRef(nil, 0, 0, 0), slots(1)...)...),
 		"opWritePath":   append(appendReqHeader(nil, 3, opWritePath, 0), append(appendLeaf(nil, 0), slots(g.PathSlots())...)...),
-		"opBatch":       append(appendReqHeader(nil, 4, opBatch, 0), append(appendBatchRefs(nil, batchWrite, refs), slots(4)...)...),
+		"opBatch":       append(appendReqHeader(nil, 4, opBatch, 0), append(appendUnion([]byte{batchWrite}, refs), slots(4)...)...),
 	} {
 		if err := writeFrame(raw, append(frame, 0)); err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -6,7 +6,7 @@
 // Block contents should be sealed by the client (internal/crypto) before
 // they reach this layer.
 //
-// Wire format (protocol v4): 4-byte big-endian length-prefixed frames.
+// Wire format (protocol v5): 4-byte big-endian length-prefixed frames.
 // Every request carries a client-chosen request ID so many requests can be
 // in flight on one connection and responses may return out of order; the
 // client multiplexes by ID. Layouts (all integers big-endian):
@@ -26,16 +26,20 @@
 //	opWriteSlot   req: level u32 · node u64 · slot u32 · slot → resp: empty
 //	opReadPath    req: leaf u64                        → resp: per-level slots
 //	opWritePath   req: leaf u64 · per-level slots      → resp: empty
-//	opBatch       req: kind u8 · count u32 · count×(level u32 · node u64)
-//	                   · [kind = write: the buckets' slots, in ref order]
-//	              → resp: the buckets' slots in ref order (read) / empty (write)
-//	              (protocol v4: one bucket union — the deduplicated buckets of
-//	              a joint fetch or write-back — on the frame's shard, under the
+//	opBatch       req: kind u8 (0) · union                 → resp: the union's slots
+//	                   kind u8 (1) · union · slots         → resp: empty
+//	                   kind u8 (2) · union · slots · union → resp: the 2nd union's slots
+//	              union = count u32 · count×(level u32 · node u64), slots = its
+//	              buckets' slots in ref order
+//	              (a bucket union — the deduplicated buckets of a joint fetch
+//	              or write-back — read, written, or (kind 2, protocol v5: a
+//	              lane's write-back riding its next fetch) one written and then
+//	              one read under one hold of the shard lock, all under the
 //	              frame's one status. Every ref and slot is validated before
-//	              the shard lock is taken, so a bad ref, a short slot list or
-//	              a trailing byte fails the whole frame with nothing written.
-//	              A v3 peer, whose opBatch was a list of sub-requests, fails
-//	              the first batch frame with a clean parse error.)
+//	              the lock is taken, so a bad ref, a short slot list or a
+//	              trailing byte fails the whole frame with nothing written; a
+//	              failed write reads nothing. A v4 peer answers kind 2 "unknown
+//	              batch kind", a v3 peer any batch with a clean parse error.)
 //	opSnapshot    req: empty            → resp: shard store snapshot bytes
 //	opRestore     req: snapshot bytes   → resp: empty
 //	              (opSnapshot/opRestore are the checkpoint-coordinator RPC:
@@ -96,6 +100,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,10 +108,10 @@ import (
 )
 
 // Opcodes. 1–5 are the original synchronous protocol's operations; 6–8 are
-// the v2 pipelining additions (8 carries one bucket union since v4); 9–10
-// are the checkpoint-coordinator RPC; 11–12 are the elastic-placement
-// additions (health heartbeat, dynamic store growth); 13 is the v3 deadline
-// envelope.
+// the v2 pipelining additions (8 carries one bucket union since v4, a
+// write-back with the next fetch since v5); 9–10 are the checkpoint RPC;
+// 11–12 are the elastic-placement additions (health heartbeat, dynamic store
+// growth); 13 is the v3 deadline envelope.
 const (
 	opHello       = 1
 	opReadBucket  = 2
@@ -342,14 +347,15 @@ func parseRespHeader(frame []byte) (id uint64, status byte, body []byte, err err
 	return binary.BigEndian.Uint64(frame[0:]), frame[8], frame[respHeaderLen:], nil
 }
 
-// appendSlot serialises one slot.
+// appendSlot serialises one slot, its header written in place.
 func appendSlot(buf []byte, s *oram.Slot) []byte {
-	var tmp [slotHeaderLen]byte
-	binary.BigEndian.PutUint64(tmp[0:], uint64(s.ID))
-	binary.BigEndian.PutUint64(tmp[8:], uint64(s.Leaf))
-	binary.BigEndian.PutUint32(tmp[16:], uint32(len(s.Payload)))
-	buf = append(buf, tmp[:]...)
-	return append(buf, s.Payload...)
+	n := len(buf)
+	buf = slices.Grow(buf, slotHeaderLen+len(s.Payload))[:n+slotHeaderLen+len(s.Payload)]
+	binary.BigEndian.PutUint64(buf[n:], uint64(s.ID))
+	binary.BigEndian.PutUint64(buf[n+8:], uint64(s.Leaf))
+	binary.BigEndian.PutUint32(buf[n+16:], uint32(len(s.Payload)))
+	copy(buf[n+slotHeaderLen:], s.Payload)
+	return buf
 }
 
 // slotHeaderLen is id u64 + leaf u64 + payloadLen u32.
@@ -420,10 +426,11 @@ const bucketRefLen = 12
 
 // appendBucketRef serialises a (level, node) bucket address.
 func appendBucketRef(buf []byte, level int, node uint64) []byte {
-	var tmp [bucketRefLen]byte
-	binary.BigEndian.PutUint32(tmp[0:], uint32(level))
-	binary.BigEndian.PutUint64(tmp[4:], node)
-	return append(buf, tmp[:]...)
+	n := len(buf)
+	buf = slices.Grow(buf, bucketRefLen)[:n+bucketRefLen]
+	binary.BigEndian.PutUint32(buf[n:], uint32(level))
+	binary.BigEndian.PutUint64(buf[n+4:], node)
+	return buf
 }
 
 func parseBucketRef(buf []byte) (level int, node uint64, rest []byte, err error) {
@@ -473,49 +480,50 @@ func parseLeaf(buf []byte) (leaf oram.Leaf, rest []byte, err error) {
 const (
 	batchRead  = 0
 	batchWrite = 1
+	batchCarry = 2 // a held write-back, then the read that carried it
 )
 
 // batchHeaderLen is kind u8 + count u32.
 const batchHeaderLen = 5
 
-// appendBatchRefs starts an opBatch body: the kind and the bucket refs. A
-// write's slots follow in ref order.
-func appendBatchRefs(buf []byte, kind byte, refs []oram.BucketRef) []byte {
-	buf = appendU32(append(buf, kind), uint32(len(refs)))
+// appendUnion serialises one ref list of an opBatch body, which starts with
+// the kind: its count, then the refs. A written union's slots follow it.
+func appendUnion(buf []byte, refs []oram.BucketRef) []byte {
+	buf = appendU32(buf, uint32(len(refs)))
 	for _, r := range refs {
 		buf = appendBucketRef(buf, r.Level, r.Node)
 	}
 	return buf
 }
 
-// parseBatchRefs decodes the head of an opBatch body into refs (reused),
-// checking the kind, the count bound and every ref against g, and returns
-// what follows the refs.
-func parseBatchRefs(g *oram.Geometry, body []byte, refs []oram.BucketRef) (write bool, _ []oram.BucketRef, rest []byte, err error) {
-	if len(body) < batchHeaderLen {
-		return false, nil, nil, fmt.Errorf("remote: truncated batch header")
+// validRef reports whether r names a bucket of g's tree.
+func validRef(g *oram.Geometry, r oram.BucketRef) bool {
+	return r.Level >= 0 && r.Level < g.Levels() && r.Node < 1<<uint(r.Level)
+}
+
+// parseUnion decodes one ref list into refs (reused), checking the count
+// bound and every ref against g, and returns what follows the refs.
+func parseUnion(g *oram.Geometry, body []byte, refs []oram.BucketRef) (_ []oram.BucketRef, rest []byte, err error) {
+	count, rest, err := parseU32(body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("remote: truncated batch header")
 	}
-	if body[0] != batchRead && body[0] != batchWrite {
-		return false, nil, nil, fmt.Errorf("remote: unknown batch kind %d", body[0])
-	}
-	count := binary.BigEndian.Uint32(body[1:])
 	if count > maxBatchOps {
-		return false, nil, nil, fmt.Errorf("remote: batch of %d buckets exceeds limit %d", count, maxBatchOps)
+		return nil, nil, fmt.Errorf("remote: batch of %d buckets exceeds limit %d", count, maxBatchOps)
 	}
-	rest = body[batchHeaderLen:]
 	if uint64(len(rest)) < uint64(count)*bucketRefLen {
-		return false, nil, nil, fmt.Errorf("remote: batch names %d buckets, carries %d", count, len(rest)/bucketRefLen)
+		return nil, nil, fmt.Errorf("remote: batch names %d buckets, carries %d", count, len(rest)/bucketRefLen)
 	}
 	refs = refs[:0]
 	for i := 0; i < int(count); i++ {
 		var r oram.BucketRef
 		r.Level, r.Node, rest, _ = parseBucketRef(rest)
-		if r.Level < 0 || r.Level >= g.Levels() || r.Node >= 1<<uint(r.Level) {
-			return false, nil, nil, fmt.Errorf("remote: batch bucket %d: (%d,%d) out of range", i, r.Level, r.Node)
+		if !validRef(g, r) {
+			return nil, nil, fmt.Errorf("remote: batch bucket %d: (%d,%d) out of range", i, r.Level, r.Node)
 		}
 		refs = append(refs, r)
 	}
-	return body[0] == batchWrite, refs, rest, nil
+	return refs, rest, nil
 }
 
 // appendU32 / parseU32 are the count fields of the batch, busy and Hello

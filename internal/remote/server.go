@@ -611,7 +611,18 @@ type workScratch struct {
 	refs  []oram.BucketRef
 	bufs  [][]oram.Slot // bufs[i] is a window of slots
 	slots []oram.Slot
-	arena []byte // one block-size stripe per slot, armed for reads
+	arena []byte       // one block-size stripe per slot, armed for reads
+	wb    *workScratch // the write-back half of a kind-2 opBatch frame
+}
+
+// union parses one ref list of an opBatch body into ws.refs, lays its buckets
+// out and returns what follows the refs.
+func (ws *workScratch) union(g *oram.Geometry, body []byte) (rest []byte, err error) {
+	if ws.refs, rest, err = parseUnion(g, body, ws.refs); err != nil {
+		return nil, err
+	}
+	ws.layout(g, len(ws.refs), func(i int) int { return ws.refs[i].Level })
+	return rest, nil
 }
 
 // layout points bufs[i], i < n, at BucketSize(level(i)) zeroed slots of the
@@ -650,25 +661,34 @@ func (ws *workScratch) arm(blockSize int) {
 	}
 }
 
-// viewSlots fills dst with views of the slots serialised in buf (see
-// viewSlot) — the tail of every write frame. The frame must end with its last
-// slot, and a real slot's payload must be empty (the zero row) or exactly
-// blockSize bytes: the checks a store would otherwise make slot by slot, made
-// here before the shard lock is taken so a bad frame writes nothing.
-func viewSlots(buf []byte, dst []oram.Slot, blockSize int) error {
-	var err error
+// viewSlots fills dst with views of the slots serialised at the head of buf
+// (see viewSlot) and returns what follows them. A real slot's payload must be
+// empty (the zero row) or exactly blockSize bytes: the check a store would
+// otherwise make slot by slot, made here before the shard lock is taken so a
+// bad frame writes nothing.
+func viewSlots(buf []byte, dst []oram.Slot, blockSize int) (rest []byte, err error) {
 	for i := range dst {
 		if buf, err = viewSlot(buf, &dst[i]); err != nil {
-			return err
+			return nil, err
 		}
-		if n := len(dst[i].Payload); n != 0 && n != blockSize && !dst[i].Dummy() {
-			return fmt.Errorf("remote: slot %d payload len %d != block size %d", i, n, blockSize)
+		if badPayload(&dst[i], blockSize) {
+			return nil, fmt.Errorf("remote: slot %d payload len %d != block size %d", i, len(dst[i].Payload), blockSize)
 		}
 	}
-	if len(buf) != 0 {
-		return fmt.Errorf("remote: %d trailing bytes after slots", len(buf))
+	return buf, nil
+}
+
+// badPayload reports a slot no store would take: a row of the wrong length.
+func badPayload(s *oram.Slot, blockSize int) bool {
+	return len(s.Payload) != 0 && len(s.Payload) != blockSize && !s.Dummy()
+}
+
+// endOfFrame refuses a request with bytes after its last slot or ref.
+func endOfFrame(rest []byte, err error) error {
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("remote: %d trailing bytes after the request's last field", len(rest))
 	}
-	return nil
+	return err
 }
 
 // appendRead serialises what a read left in the laid-out slots onto dst.
@@ -723,7 +743,7 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		}
 		buf := ws.layout(g, 1, func(int) int { return level })[0]
 		if op == opWriteBucket {
-			if err := viewSlots(rest, buf, g.BlockSize()); err != nil {
+			if err := endOfFrame(viewSlots(rest, buf, g.BlockSize())); err != nil {
 				return nil, err
 			}
 			lock.Lock()
@@ -758,7 +778,7 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 			return nil, err
 		}
 		var sl [1]oram.Slot
-		if err := viewSlots(rest, sl[:], g.BlockSize()); err != nil {
+		if err := endOfFrame(viewSlots(rest, sl[:], g.BlockSize())); err != nil {
 			return nil, err
 		}
 		lock.Lock()
@@ -777,7 +797,7 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		if op == opWritePath {
 			// The whole path is parsed before the store is touched, so a
 			// truncated frame cannot leave a half-written path behind.
-			if err := viewSlots(rest, ws.slots, g.BlockSize()); err != nil {
+			if err := endOfFrame(viewSlots(rest, ws.slots, g.BlockSize())); err != nil {
 				return nil, err
 			}
 			lock.Lock()
@@ -794,40 +814,52 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		}
 		return ws.appendRead(dst, g.BlockSize()), nil
 	case opBatch:
-		// One bucket union. A sealed server store fans the union's crypto
-		// across its worker pool instead of opening bucket by bucket under
-		// the shard lock; a store that does not batch natively is looped.
-		write, refs, rest, err := parseBatchRefs(g, body, ws.refs)
-		if err != nil {
-			return nil, err
+		// One bucket union written, one read, or both in that order (kind 2:
+		// a lane's write-back riding its next fetch). The whole frame — both
+		// ref lists, every slot, the response bound — is checked before the
+		// one hold of the shard lock. A sealed server store fans a union's
+		// crypto across its worker pool instead of opening bucket by bucket
+		// under the lock; a store that does not batch natively is looped.
+		if len(body) == 0 || body[0] > batchCarry {
+			return nil, fmt.Errorf("remote: unknown batch kind %d", body[:min(1, len(body))])
 		}
-		ws.refs = refs
-		bufs := ws.layout(g, len(refs), func(i int) int { return refs[i].Level })
-		if write {
-			if err := viewSlots(rest, ws.slots, g.BlockSize()); err != nil {
-				return nil, err
+		kind, rest, wr := body[0], body[1:], ws
+		if kind == batchCarry {
+			if ws.wb == nil {
+				ws.wb = new(workScratch)
 			}
-			lock.Lock()
-			err = store.WriteBuckets(refs, bufs)
-			lock.Unlock()
-			return dst, err
+			wr = ws.wb
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("remote: %d trailing bytes after batch refs", len(rest))
+		if kind != batchRead {
+			if rest, err = wr.union(g, rest); err == nil {
+				rest, err = viewSlots(rest, wr.slots, g.BlockSize())
+			}
 		}
-		// A response that could not be framed must fail this one request
-		// with a clean error, not kill the connection when the unsendable
-		// frame hits writeFrame (well-behaved clients chunk batches below
-		// batchFrameBudget; see client.go).
-		if n := slotsWireLen(len(ws.slots), g.BlockSize()); n > maxFrame-respHeaderLen {
-			return nil, fmt.Errorf("response of up to %d bytes exceeds frame limit; split the batch", n)
+		if kind != batchWrite && err == nil {
+			if rest, err = ws.union(g, rest); err == nil {
+				// A response that could not be framed fails this one request,
+				// not the connection when it hits writeFrame (well-behaved
+				// clients chunk below batchFrameBudget; see client.go).
+				if n := slotsWireLen(len(ws.slots), g.BlockSize()); n > maxFrame-respHeaderLen {
+					err = fmt.Errorf("response of up to %d bytes exceeds frame limit; split the batch", n)
+				} else {
+					ws.arm(g.BlockSize())
+				}
+			}
 		}
-		ws.arm(g.BlockSize())
-		lock.Lock()
-		err = store.ReadBuckets(refs, bufs)
-		lock.Unlock()
-		if err != nil {
+		if err = endOfFrame(rest, err); err != nil {
 			return nil, err
+		}
+		lock.Lock()
+		if kind != batchRead {
+			err = store.WriteBuckets(wr.refs, wr.bufs)
+		}
+		if kind != batchWrite && err == nil {
+			err = store.ReadBuckets(ws.refs, ws.bufs)
+		}
+		lock.Unlock()
+		if err != nil || kind == batchWrite {
+			return dst, err
 		}
 		return ws.appendRead(dst, g.BlockSize()), nil
 	case opSnapshot:
