@@ -57,6 +57,13 @@ var engineBaseline = []EngineBenchRow{
 	// median of three runs): one ReadPath per distinct leaf, map-indexed
 	// stash, already allocation-free.
 	{Name: "StepBinCold", NsPerOp: 32872, BytesPerOp: 0, AllocsPerOp: 0},
+	// The bulk-load row's reference point is the commit preceding the two-pass
+	// loader (ISSUE 24; same container, fastest of three runs): one WriteSlot
+	// per row. On a local PayloadStore that was the cheaper loop — the union
+	// loader also builds every written bucket's dummies — and the row is here to
+	// keep the local cost from creeping; what the unions buy is round trips
+	// (train-remote setup_s 1.8 s → 0.1 s) and whole-record disk writes.
+	{Name: "BulkLoad", NsPerOp: 44, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
 // TieredBenchRow is one (budget, prefetch) point of the tiered sweep.
@@ -318,6 +325,43 @@ func (s *coldBins) nextEpoch() error {
 	return err
 }
 
+// bulkLoad drives oram.Client.Load, one op per loaded row: 2^14 rows of 128 B
+// into an unsealed PayloadStore on train-mem's fat tree 8→4. Every table goes
+// into the same store through a fresh client seeded alike, so each Load
+// overwrites exactly the buckets the one before it wrote.
+type bulkLoad struct {
+	store *oram.PayloadStore
+	row   []byte
+}
+
+const bulkLoadBlocks = 1 << 14
+
+func newBulkLoad() (*bulkLoad, error) {
+	g, err := oram.NewGeometry(oram.GeometryConfig{
+		LeafBits: oram.LeafBitsFor(bulkLoadBlocks), LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 128,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ps, err := oram.NewPayloadStore(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &bulkLoad{store: ps, row: make([]byte, g.BlockSize())}, nil
+}
+
+func (l *bulkLoad) client() (*oram.Client, error) {
+	return oram.NewClient(oram.ClientConfig{
+		Store:     l.store,
+		Rand:      rand.New(rand.NewSource(10)),
+		Evict:     oram.PaperEvict,
+		StashHits: true,
+		Blocks:    bulkLoadBlocks,
+	})
+}
+
+func (l *bulkLoad) payload(oram.BlockID) []byte { return l.row }
+
 // EngineBench measures the engine hot path and the Fig. 7e simulated
 // speedups at the given scale, producing the BENCH_engine.json document.
 func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
@@ -395,6 +439,27 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 			if _, err := cold.la.StepBin(nil); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}))
+
+	load, err := newBulkLoad()
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, benchRow("BulkLoad", func(b *testing.B) {
+		b.ReportAllocs()
+		for done := 0; done < b.N; {
+			b.StopTimer()
+			c, err := load.client()
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := min(b.N-done, bulkLoadBlocks)
+			b.StartTimer()
+			if err := c.Load(uint64(n), nil, load.payload); err != nil {
+				b.Fatal(err)
+			}
+			done += n
 		}
 	}))
 

@@ -326,8 +326,10 @@ func LoadCount(n uint64, s, shards int) uint64 {
 }
 
 // Load bulk-initialises blocks 0..n-1 of the global space with random
-// placement, each shard loading its partition concurrently. payload (may
-// be nil) receives global IDs.
+// placement, each shard loading its partition concurrently (oram.Client.Load:
+// placement first, then whole buckets into an empty tree). payload (may be
+// nil) receives global IDs, exactly once each, in no particular order and
+// from every shard's goroutine at once: it must depend on the id only.
 func (e *Engine) Load(n uint64, payload func(id uint64) []byte) error {
 	return e.load(context.Background(), n, nil, payload)
 }

@@ -667,7 +667,11 @@ func (o *ORAM) Describe() string {
 
 // Load bulk-initialises blocks 0..n-1 with random placement, each shard
 // loading its partition concurrently. payload may be nil (zero/simulated
-// content). Call once, before accesses.
+// content); it is called exactly once per loaded id, in no particular
+// order and from all shard lanes at once, so it must be safe for
+// concurrent use and depend on the id only. Precondition: the trees are
+// empty — Load is called once, before any access, and writes whole buckets
+// (one frame per chunk of buckets on a remote store, not one per row).
 func (o *ORAM) Load(n uint64, payload func(id uint64) []byte) error {
 	return o.eng.Load(n, payload)
 }

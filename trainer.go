@@ -52,7 +52,9 @@ type TrainOptions struct {
 	// loaded (Load or a previous run).
 	PrePlace bool
 	// Payload initialises rows during the PrePlace load; nil loads
-	// zero/simulated content. Requires PrePlace.
+	// zero/simulated content. Requires PrePlace. As with Load, it is
+	// called exactly once per id, in no particular order, concurrently
+	// across shard lanes: it must depend on the id only.
 	Payload func(id uint64) []byte
 	// Sequential disables the plan/execute overlap (every window is
 	// planned before the first executes). Identical work and results;
