@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 )
 
@@ -186,142 +187,96 @@ func (c *Client) LoadState(r io.Reader) error {
 	return nil
 }
 
-// Save serialises the metadata-only server tree.
+// Save serialises the metadata-only server tree: a header, then the slot
+// records as kept.
 func (st *MetaStore) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var u64 [8]byte
-	put := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		_, err := bw.Write(u64[:])
-		return err
-	}
-	if err := put(snapshotMagic + 1); err != nil {
-		return err
-	}
-	if err := put(uint64(st.geom.TotalSlots())); err != nil {
-		return err
-	}
-	for i := range st.ids {
-		if err := put(st.ids[i]); err != nil {
-			return err
-		}
-		if err := put(st.leaf[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	defer runtime.KeepAlive(st)
+	return writeSnapshot(w, []uint64{snapshotMagic + 1, uint64(st.geom.TotalSlots())}, st.meta)
 }
 
 // Load restores a MetaStore snapshot; the geometry must match.
 func (st *MetaStore) Load(r io.Reader) error {
+	defer runtime.KeepAlive(st)
 	br := bufio.NewReader(r)
-	var u64 [8]byte
-	get := func() (uint64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
-	}
-	magic, err := get()
-	if err != nil {
+	if err := readStoreHeader(br, snapshotMagic+1, st.geom); err != nil {
 		return err
 	}
-	if magic != snapshotMagic+1 {
-		return fmt.Errorf("oram: bad store snapshot magic %#x", magic)
-	}
-	n, err := get()
-	if err != nil {
-		return err
-	}
-	if n != uint64(st.geom.TotalSlots()) {
-		return fmt.Errorf("oram: store snapshot has %d slots, geometry needs %d", n, st.geom.TotalSlots())
-	}
-	for i := range st.ids {
-		if st.ids[i], err = get(); err != nil {
-			return err
-		}
-		if st.leaf[i], err = get(); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.ReadFull(br, st.meta)
+	return err
 }
 
 // Save serialises the payload-bearing server tree (including sealed
-// payload bytes exactly as stored, so a sealed store restores sealed).
+// payload bytes exactly as stored, so a sealed store restores sealed): a
+// header, the slot records, then the arena.
 func (st *PayloadStore) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var u64 [8]byte
-	put := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		_, err := bw.Write(u64[:])
-		return err
-	}
-	if err := put(snapshotMagic + 2); err != nil {
-		return err
-	}
-	if err := put(uint64(st.geom.TotalSlots())); err != nil {
-		return err
-	}
-	if err := put(uint64(st.stride)); err != nil {
-		return err
-	}
-	for _, m := range st.meta {
-		if err := put(m.id); err != nil {
-			return err
-		}
-		if err := put(m.leaf); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.Write(st.arena); err != nil {
-		return err
-	}
-	return bw.Flush()
+	defer runtime.KeepAlive(st)
+	return writeSnapshot(w, []uint64{snapshotMagic + 2, uint64(st.geom.TotalSlots()), uint64(st.stride)}, st.meta, st.arena)
 }
 
 // Load restores a PayloadStore snapshot; geometry and stride (and hence
 // sealing configuration) must match.
 func (st *PayloadStore) Load(r io.Reader) error {
+	defer runtime.KeepAlive(st)
 	br := bufio.NewReader(r)
-	var u64 [8]byte
-	get := func() (uint64, error) {
-		if _, err := io.ReadFull(br, u64[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
-	}
-	magic, err := get()
-	if err != nil {
+	if err := readStoreHeader(br, snapshotMagic+2, st.geom); err != nil {
 		return err
 	}
-	if magic != snapshotMagic+2 {
-		return fmt.Errorf("oram: bad store snapshot magic %#x", magic)
-	}
-	n, err := get()
-	if err != nil {
-		return err
-	}
-	if n != uint64(st.geom.TotalSlots()) {
-		return fmt.Errorf("oram: store snapshot has %d slots, geometry needs %d", n, st.geom.TotalSlots())
-	}
-	stride, err := get()
+	stride, err := readU64(br)
 	if err != nil {
 		return err
 	}
 	if stride != uint64(st.stride) {
 		return fmt.Errorf("oram: store snapshot stride %d != %d (sealing mismatch?)", stride, st.stride)
 	}
-	for i := range st.meta {
-		if st.meta[i].id, err = get(); err != nil {
-			return err
-		}
-		if st.meta[i].leaf, err = get(); err != nil {
+	if _, err := io.ReadFull(br, st.meta); err != nil {
+		return err
+	}
+	_, err = io.ReadFull(br, st.arena)
+	return err
+}
+
+// writeSnapshot writes a store snapshot: little-endian header words, then
+// each run of bytes as it is.
+func writeSnapshot(w io.Writer, header []uint64, runs ...[]byte) error {
+	bw := bufio.NewWriter(w)
+	var u64 [8]byte
+	for _, v := range header {
+		binary.LittleEndian.PutUint64(u64[:], v)
+		if _, err := bw.Write(u64[:]); err != nil {
 			return err
 		}
 	}
-	if _, err := io.ReadFull(br, st.arena); err != nil {
+	for _, run := range runs {
+		if _, err := bw.Write(run); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func readU64(r io.Reader) (uint64, error) {
+	var u64 [8]byte
+	if _, err := io.ReadFull(r, u64[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(u64[:]), nil
+}
+
+// readStoreHeader checks a store snapshot's magic and slot count against g.
+func readStoreHeader(r io.Reader, magic uint64, g *Geometry) error {
+	got, err := readU64(r)
+	if err != nil {
 		return err
+	}
+	if got != magic {
+		return fmt.Errorf("oram: bad store snapshot magic %#x", got)
+	}
+	n, err := readU64(r)
+	if err != nil {
+		return err
+	}
+	if n != uint64(g.TotalSlots()) {
+		return fmt.Errorf("oram: store snapshot has %d slots, geometry needs %d", n, g.TotalSlots())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/crypto"
@@ -208,30 +209,28 @@ func bucketRange(g *Geometry, level int, node uint64) error {
 }
 
 // MetaStore is a metadata-only server storage: it records, for every slot,
-// only the block ID and assigned leaf (16 bytes/slot) and simulates the
-// payload. This is what makes the paper's full-scale configurations (8M–16M
-// entries, multi-GB trees) runnable on a laptop: the traffic, stash and
-// eviction behaviour is identical to a payload-bearing store because client
-// decisions never depend on payload bytes.
+// only the block ID and assigned leaf (16 bytes/slot, in a slab off the Go
+// heap; see slab) and simulates the payload. This is what makes the paper's full-scale
+// configurations (8M–16M entries, multi-GB trees) runnable on a laptop: the
+// traffic, stash and eviction behaviour is identical to a payload-bearing
+// store because client decisions never depend on payload bytes.
 type MetaStore struct {
 	geom *Geometry
-	ids  []uint64 // BlockID per linear slot
-	leaf []uint64 // Leaf per linear slot
+	slab *slab   // owns meta's memory
+	meta records // one (id, leaf) record per linear slot
 }
 
 var _ Store = (*MetaStore)(nil)
 
-// NewMetaStore allocates a metadata-only store with every slot a dummy.
+// NewMetaStore allocates a metadata-only store with every slot a dummy. Like
+// make, it panics when the memory cannot be had.
 func NewMetaStore(g *Geometry) *MetaStore {
-	n := g.TotalSlots()
-	st := &MetaStore{
-		geom: g,
-		ids:  make([]uint64, n),
-		leaf: make([]uint64, n),
+	sl, err := newSlab(g.TotalSlots() * recordSize)
+	if err != nil {
+		panic(err)
 	}
-	for i := range st.ids {
-		st.ids[i] = uint64(DummyID)
-	}
+	st := &MetaStore{geom: g, slab: sl, meta: records(sl.b)}
+	st.meta.clearAll()
 	return st
 }
 
@@ -248,11 +247,11 @@ func (st *MetaStore) ReadBucket(level int, node uint64, dst []Slot) error {
 		return fmt.Errorf("oram: ReadBucket dst len %d != bucket size %d", len(dst), z)
 	}
 	base := st.geom.SlotIndex(level, node, 0)
-	for i := 0; i < z; i++ {
-		dst[i].ID = BlockID(st.ids[base+int64(i)])
-		dst[i].Leaf = Leaf(st.leaf[base+int64(i)])
+	for i := range dst {
+		dst[i].ID, dst[i].Leaf = st.meta.get(base + int64(i))
 		dst[i].Payload = nil
 	}
+	runtime.KeepAlive(st)
 	return nil
 }
 
@@ -266,10 +265,10 @@ func (st *MetaStore) WriteBucket(level int, node uint64, src []Slot) error {
 		return fmt.Errorf("oram: WriteBucket src len %d != bucket size %d", len(src), z)
 	}
 	base := st.geom.SlotIndex(level, node, 0)
-	for i := 0; i < z; i++ {
-		st.ids[base+int64(i)] = uint64(src[i].ID)
-		st.leaf[base+int64(i)] = uint64(src[i].Leaf)
+	for i := range src {
+		st.meta.set(base+int64(i), src[i].ID, src[i].Leaf)
 	}
+	runtime.KeepAlive(st)
 	return nil
 }
 
@@ -281,10 +280,9 @@ func (st *MetaStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error
 	if slot < 0 || slot >= st.geom.BucketSize(level) {
 		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
 	}
-	i := st.geom.SlotIndex(level, node, slot)
-	dst.ID = BlockID(st.ids[i])
-	dst.Leaf = Leaf(st.leaf[i])
+	dst.ID, dst.Leaf = st.meta.get(st.geom.SlotIndex(level, node, slot))
 	dst.Payload = nil
+	runtime.KeepAlive(st)
 	return nil
 }
 
@@ -296,9 +294,8 @@ func (st *MetaStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 	if slot < 0 || slot >= st.geom.BucketSize(level) {
 		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
 	}
-	i := st.geom.SlotIndex(level, node, slot)
-	st.ids[i] = uint64(src.ID)
-	st.leaf[i] = uint64(src.Leaf)
+	st.meta.set(st.geom.SlotIndex(level, node, slot), src.ID, src.Leaf)
+	runtime.KeepAlive(st)
 	return nil
 }
 
@@ -392,21 +389,24 @@ func (c *SlotCodec) Seal(raw, payload []byte, seq *uint64) error {
 }
 
 // PayloadStore is a payload-bearing in-memory server storage. Slot metadata
-// (ID, leaf) is kept alongside a byte arena holding fixed-size payloads.
-// With a Sealer installed the arena holds ciphertext and payloads are
-// sealed/opened at the Read/Write boundary, mimicking a client that only
-// ever hands ciphertext to the untrusted server.
+// (ID, leaf) is kept alongside a byte arena holding fixed-size payloads, both
+// in one slab (off the Go heap; see slab). With a Sealer installed the arena
+// holds ciphertext and payloads are sealed/opened at the Read/Write boundary,
+// mimicking a client that only ever hands ciphertext to the untrusted server.
 type PayloadStore struct {
 	geom *Geometry
+	// slab owns the memory meta and arena view; keeping it here keeps the
+	// views valid (see slab's aliasing rule).
+	slab *slab
 	// meta is one (id, leaf) record per slot, a bucket's records one
 	// contiguous run: a slot's metadata is one load from one cache line,
-	// dummy or not. It is the order Save writes.
-	meta []slotMeta
-	// arena holds stride bytes per slot. Invariant: meta[i].id == DummyID ⇒ the
-	// slot's stride bytes are all zero. make establishes it, writeSlotAt
+	// dummy or not. It is the order and the format Save writes.
+	meta records
+	// arena holds stride bytes per slot. Invariant: a slot whose record is a
+	// dummy has stride zero bytes. A fresh slab establishes it, writeSlotAt
 	// preserves it (a real→dummy write zeroes the slot, so no stale row or
-	// ciphertext stays at rest) and Save/Load carry it — which is what lets
-	// a dummy→dummy write, most of every eviction, skip the bytes.
+	// ciphertext stays at rest) and Save/Load carry it — which is what lets a
+	// dummy→dummy write, most of every eviction, skip the bytes.
 	arena  []byte
 	stride int       // bytes per slot in the arena
 	codec  SlotCodec // a real slot's bytes at rest; holds the sealer
@@ -424,10 +424,10 @@ type PayloadStore struct {
 	pathRefs []BucketRef
 }
 
-// slotMeta is a PayloadStore slot's metadata as kept and as snapshotted.
-type slotMeta struct{ id, leaf uint64 }
-
 var _ Store = (*PayloadStore)(nil)
+
+// maxTree bounds a PayloadStore's slab: metadata plus arena.
+const maxTree = int64(8) << 30
 
 // NewPayloadStore allocates a payload-bearing store with every slot a dummy.
 // If sealer is non-nil all payloads are stored sealed.
@@ -438,21 +438,28 @@ func NewPayloadStore(g *Geometry, sealer Sealer) (*PayloadStore, error) {
 	codec := NewSlotCodec(g.BlockSize(), sealer)
 	stride := codec.Stride()
 	n := g.TotalSlots()
-	bytes := n * int64(stride)
-	const maxArena = int64(8) << 30
-	if bytes > maxArena {
-		return nil, fmt.Errorf("oram: PayloadStore would need %d bytes (> %d); use MetaStore for paper-scale sweeps", bytes, maxArena)
+	// The arena opens the slab, so rows start page-aligned; the records
+	// follow on a cache-line boundary.
+	arenaLen := n * int64(stride)
+	metaOff := (arenaLen + 63) &^ 63
+	total := metaOff + n*recordSize
+	if total > maxTree {
+		return nil, fmt.Errorf("oram: PayloadStore would need %d bytes (%d of metadata, %d of arena; > %d); use MetaStore for paper-scale sweeps",
+			total, n*recordSize, arenaLen, maxTree)
+	}
+	sl, err := newSlab(total)
+	if err != nil {
+		return nil, err
 	}
 	st := &PayloadStore{
 		geom:   g,
-		meta:   make([]slotMeta, n),
-		arena:  make([]byte, bytes),
+		slab:   sl,
+		meta:   records(sl.b[metaOff:]),
+		arena:  sl.b[:arenaLen:arenaLen],
 		stride: stride,
 		codec:  codec,
 	}
-	for i := range st.meta {
-		st.meta[i].id = uint64(DummyID)
-	}
+	st.meta.clearAll()
 	return st, nil
 }
 
@@ -464,13 +471,15 @@ func (st *PayloadStore) slotBytes(i int64) []byte {
 }
 
 func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
-	m := st.meta[i]
-	dst.ID, dst.Leaf = BlockID(m.id), Leaf(m.leaf)
+	dst.ID, dst.Leaf = st.meta.get(i)
 	if dst.ID == DummyID {
 		dst.Payload = nil // a dummy's row is never read
+		runtime.KeepAlive(st)
 		return nil
 	}
-	if err := st.codec.Open(st.slotBytes(i), dst); err != nil {
+	err := st.codec.Open(st.slotBytes(i), dst)
+	runtime.KeepAlive(st)
+	if err != nil {
 		return fmt.Errorf("oram: open slot %d: %w", i, err)
 	}
 	return nil
@@ -480,19 +489,22 @@ func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 // next sequence number, or — on SealRange's fan-out, which reserved one per
 // real slot up front — under *seq, which it then advances.
 func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
-	wasDummy := st.meta[i].id == uint64(DummyID)
-	st.meta[i] = slotMeta{id: uint64(src.ID), leaf: uint64(src.Leaf)}
+	old, _ := st.meta.get(i)
+	st.meta.set(i, src.ID, src.Leaf)
+	var err error
 	if src.ID == DummyID {
 		// A dummy is a zeroed slot (a real deployment stores fresh random
 		// ciphertext; the distinction is invisible to the client logic we
 		// are measuring). One that replaces a dummy is zero already (the
 		// arena invariant); one that replaces a real block clears it.
-		if !wasDummy {
+		if old != DummyID {
 			clear(st.slotBytes(i))
 		}
-		return nil
+	} else {
+		err = st.codec.Seal(st.slotBytes(i), src.Payload, seq)
 	}
-	if err := st.codec.Seal(st.slotBytes(i), src.Payload, seq); err != nil {
+	runtime.KeepAlive(st)
+	if err != nil {
 		return fmt.Errorf("oram: seal slot %d: %w", i, err)
 	}
 	return nil
