@@ -83,6 +83,11 @@ type Config struct {
 	// Prefetch starts the look-ahead prefetch worker consuming
 	// PrefetchPaths hints; without it hints are dropped.
 	Prefetch bool
+	// TreetopLevels is how many top levels the client keeps in an
+	// oram.Treetop above this store. They reach the store only at a
+	// checkpoint's sink and lift, so the prefetcher leaves the spans wholly
+	// inside them on disk; hinted paths still prefetch every deeper tier.
+	TreetopLevels int
 	// Reset reinitialises the arena (every slot a dummy, epoch carried
 	// forward when the old header is readable) regardless of prior
 	// content — the restore-from-checkpoint escape hatch for an
@@ -151,7 +156,10 @@ type Store struct {
 	// (noPrefetch when none). Writing a bucket of that span — or reloading
 	// the arena — resets it, which cancels the read: what it fetched
 	// predates the write.
-	pfKey  int64
+	pfKey int64
+	// pfTier is the first tier the prefetcher reads: the ones above it lie
+	// wholly inside Config.TreetopLevels.
+	pfTier int
 	ioErr  error // sticky write-back error
 	closed bool
 	// rec is the client goroutine's one-record buffer for writes that go
@@ -259,6 +267,9 @@ func Open(cfg Config) (*Store, error) {
 		maxRec = max(maxRec, slices.Max(st.tiers[i].rec[:]))
 	}
 	st.rec, st.refs = make([]byte, maxRec), make([]oram.BucketRef, st.geom.Levels())
+	for st.pfTier+1 < len(st.tiers) && st.tiers[st.pfTier+1].lo <= cfg.TreetopLevels {
+		st.pfTier++
+	}
 	if cfg.MemBudget > 0 {
 		st.budget = max(cfg.MemBudget, 2*pathBody)
 		// The pacing window: half the budget in root→leaf paths of spans,

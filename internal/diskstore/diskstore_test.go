@@ -425,6 +425,40 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 	}
 }
 
+// TestPrefetchSkipsTreetopTiers: under a client treetop of five levels the
+// prefetcher leaves the tier wholly inside it (levels 0–1 of a ten-level tree)
+// on disk and faults in the other two spans of a hinted path, the tier that
+// straddles the treetop's edge included.
+func TestPrefetchSkipsTreetopTiers(t *testing.T) {
+	g := testGeometry(t, 9, 4, 16)
+	st, err := Open(Config{Path: filepath.Join(t.TempDir(), "tree.laor"), Geometry: g, MemBudget: 1, Prefetch: true, TreetopLevels: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if len(st.tiers) != 3 || st.tiers[1].lo != 2 {
+		t.Fatalf("layout has %d tiers, the second at level %d; want 3, the second at 2", len(st.tiers), st.tiers[1].lo)
+	}
+	const leaf = oram.Leaf(300)
+	resident := func(level int) bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.cache[st.locate(level, g.NodeAt(leaf, level)).key()] != nil
+	}
+	st.PrefetchPaths([]oram.Leaf{leaf})
+	deadline := time.Now().Add(5 * time.Second)
+	for !resident(g.Levels() - 1) { // tiers are walked top-down: the leaf tier comes last
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetcher faulted in %d spans and never the leaf tier's", st.TierStats().PrefetchIssued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if resident(0) || !resident(2) || st.TierStats().PrefetchIssued != 2 {
+		t.Fatalf("prefetch issued %d spans (top tier resident %t, treetop-edge tier resident %t), want 2 (false, true)",
+			st.TierStats().PrefetchIssued, resident(0), resident(2))
+	}
+}
+
 // TestPrefetchDropsStaleRead replays, step by step, the interleaving that made
 // tiny-cache training runs fail with "block … missing after path reads": the
 // prefetcher preads a span outside the store's lock, and inside that window

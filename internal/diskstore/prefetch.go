@@ -22,7 +22,8 @@ func (st *Store) PrefetchPaths(leaves []oram.Leaf) {
 }
 
 // prefetcher is the look-ahead worker: for each hinted leaf it requests one
-// span per tier the path crosses, skipping tiers that are wholly resident.
+// span per tier the path crosses, skipping tiers that are wholly resident
+// and those the client's treetop holds.
 // All its disk activity is reads, and it checks no CRC: the demand path
 // verifies every bucket it hands out and is the arbiter of integrity.
 func (st *Store) prefetcher() {
@@ -65,7 +66,7 @@ func (st *Store) prefetcher() {
 				if stale {
 					continue // demand already passed this path
 				}
-				for t := range st.tiers {
+				for t := st.pfTier; t < len(st.tiers); t++ {
 					lo := st.tiers[t].lo
 					if sp := st.prefetchRead(st.locate(lo, st.geom.NodeAt(leaf, lo))); sp != nil {
 						st.prefetchInsert(sp)

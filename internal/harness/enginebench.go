@@ -64,6 +64,10 @@ var engineBaseline = []EngineBenchRow{
 	// keep the local cost from creeping; what the unions buy is round trips
 	// (train-remote setup_s 1.8 s → 0.1 s) and whole-record disk writes.
 	{Name: "BulkLoad", NsPerOp: 44, BytesPerOp: 0, AllocsPerOp: 0},
+	// The treetop row's reference point is AccessSealed — the same client over
+	// the bare sealed store — measured beside it at the commit that added the
+	// treetop (2-vCPU guest, median of three runs).
+	{Name: "AccessSealedTreetop", NsPerOp: 4154, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
 // TieredBenchRow is one (budget, prefetch) point of the tiered sweep.
@@ -155,8 +159,9 @@ func benchRow(name string, fn func(b *testing.B)) EngineBenchRow {
 }
 
 // engineClient builds a loaded steady-state PathORAM client for the
-// microbenchmarks (mirrors internal/oram's hotpath benchmarks).
-func engineClient(leafBits int, sealer oram.Sealer, blockSize int) (*oram.Client, error) {
+// microbenchmarks (mirrors internal/oram's hotpath benchmarks), with the
+// store under a Treetop when treetop is set — the stack laoram assembles.
+func engineClient(leafBits int, sealer oram.Sealer, blockSize int, treetop bool) (*oram.Client, error) {
 	g, err := oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, BlockSize: blockSize})
 	if err != nil {
 		return nil, err
@@ -170,6 +175,11 @@ func engineClient(leafBits int, sealer oram.Sealer, blockSize int) (*oram.Client
 		inner = ps
 	} else {
 		inner = oram.NewMetaStore(g)
+	}
+	if treetop {
+		if inner, err = oram.NewTreetop(inner, blockSize > 0); err != nil {
+			return nil, err
+		}
 	}
 	blocks := uint64(1) << uint(leafBits+1)
 	c, err := oram.NewClient(oram.ClientConfig{
@@ -375,7 +385,7 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		Speedups:  map[string]float64{},
 	}
 
-	metaClient, err := engineClient(12, nil, 0)
+	metaClient, err := engineClient(12, nil, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +400,7 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		}
 	}))
 
-	wbClient, err := engineClient(12, nil, 0)
+	wbClient, err := engineClient(12, nil, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -471,24 +481,32 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sealedClient, err := engineClient(10, sealer, 128)
-	if err != nil {
-		return nil, err
-	}
-	sealedBlocks := int64(sealedClient.PosMap().Len())
-	sealedRng := rand.New(rand.NewSource(4))
-	sealedBuf := make([]byte, 128)
-	out.Rows = append(out.Rows, benchRow("AccessSealed", func(b *testing.B) {
-		// ReadInto with a recycled result buffer is the steady-state
-		// training read; since ISSUE 5 the whole sealed cycle is
-		// allocation-free (TestAccessSealedAllocs gates it at 0).
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sealedClient.ReadInto(oram.BlockID(uint64(sealedRng.Int63n(sealedBlocks))), sealedBuf); err != nil {
-				b.Fatal(err)
-			}
+	// AccessSealed is the sealed store alone; AccessSealedTreetop the same
+	// client over the stack laoram assembles, which seals only the levels
+	// below the treetop.
+	for _, sa := range []struct {
+		name    string
+		treetop bool
+	}{{"AccessSealed", false}, {"AccessSealedTreetop", true}} {
+		sealedClient, err := engineClient(10, sealer, 128, sa.treetop)
+		if err != nil {
+			return nil, err
 		}
-	}))
+		sealedBlocks := int64(sealedClient.PosMap().Len())
+		sealedRng := rand.New(rand.NewSource(4))
+		sealedBuf := make([]byte, 128)
+		out.Rows = append(out.Rows, benchRow(sa.name, func(b *testing.B) {
+			// ReadInto with a recycled result buffer is the steady-state
+			// training read; the whole sealed cycle is allocation-free
+			// (TestAccessSealedAllocs gates it at 0).
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sealedClient.ReadInto(oram.BlockID(uint64(sealedRng.Int63n(sealedBlocks))), sealedBuf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
 
 	for _, so := range []struct {
 		name string

@@ -30,7 +30,7 @@ func TestEngineBenchTrajectory(t *testing.T) {
 	for _, b := range res.Baseline {
 		base[b.Name] = b
 	}
-	want := []string{"AccessSteadyState", "WriteBackPath", "WriteBackPathsBatch", "StepBinCold", "BulkLoad", "AccessSealed", "SealOpen", "SealOpen4K"}
+	want := []string{"AccessSteadyState", "WriteBackPath", "WriteBackPathsBatch", "StepBinCold", "BulkLoad", "AccessSealed", "AccessSealedTreetop", "SealOpen", "SealOpen4K"}
 	got := make(map[string]EngineBenchRow, len(res.Rows))
 	for _, r := range res.Rows {
 		got[r.Name] = r

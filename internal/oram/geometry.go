@@ -150,6 +150,22 @@ func MustGeometry(cfg GeometryConfig) *Geometry {
 	return g
 }
 
+// Prefix returns the tree's top levels (1 <= levels <= Levels()) as a tree of
+// their own: the same bucket size at every level and the same linear slot
+// index for every slot, so a store built over it holds exactly the top of a
+// store built over g, addressed the same way.
+func (g *Geometry) Prefix(levels int) *Geometry {
+	if levels < 1 || levels > g.Levels() {
+		panic(fmt.Sprintf("oram: prefix of %d levels of a %d-level tree", levels, g.Levels()))
+	}
+	p := *g
+	p.leafBits = levels - 1
+	p.bucketSize = g.bucketSize[:levels:levels]
+	p.levelOff = g.levelOff[:levels:levels]
+	p.totalSlots = g.levelOff[levels-1] + int64(g.bucketSize[levels-1])<<uint(levels-1)
+	return &p
+}
+
 // LeafBitsFor returns the smallest leafBits such that 2^leafBits >= n,
 // the standard PathORAM sizing for n real blocks.
 func LeafBitsFor(n uint64) int {
@@ -212,6 +228,13 @@ func (g *Geometry) NodeAt(leaf Leaf, level int) uint64 {
 // are what the Store implementations address.
 func (g *Geometry) SlotIndex(level int, node uint64, slot int) int64 {
 	return g.levelOff[level] + int64(node)*int64(g.bucketSize[level]) + int64(slot)
+}
+
+// fits reports whether r names a bucket of the tree and n is its size: the
+// whole check a union makes per ref, in a few comparisons and no call, so
+// the stores and the treetop can run it on every bucket of every union.
+func (g *Geometry) fits(r BucketRef, n int) bool {
+	return uint(r.Level) < uint(len(g.bucketSize)) && r.Node>>uint(r.Level) == 0 && n == g.bucketSize[r.Level]
 }
 
 // CommonLevel returns the deepest level at which the paths to leaves a and

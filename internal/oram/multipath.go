@@ -19,6 +19,8 @@ type multiScratch struct {
 	at     []int32     // write order: leaf × level → index of that bucket in refs
 	fill   []int       // real blocks placed so far, per union bucket
 	leaves []Leaf      // the call's distinct leaves, ascending
+	group  []int32     // pathUnion: per leaf, the first leaf sharing its bucket
+	split  []int32     // pathUnion: per group and branch, its first leaf
 	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
 	arena  [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
 }
@@ -121,20 +123,40 @@ func (c *Client) GatherLeaf(set *LeafSet, id BlockID) (hit bool, err error) {
 // store is handed and the order the bucket loop issues — so results are
 // independent of the transport. The returned slice aliases the client's
 // scratch.
+//
+// Two paths share a bucket at a level only if they shared its parent, so the
+// dedup is O(leaves) per level: every leaf carries its group — the first leaf
+// that shares its bucket — from the level above, and a group splits into at
+// most its left and right branch below.
 func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
-	g := c.geom
-	refs := c.multi.refs[:0]
-	for lvl := 0; lvl < g.Levels(); lvl++ {
-		start := len(refs)
-		for _, l := range leaves {
-			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
-			// At most len(leaves) refs at this level: a scan dedups them.
-			if !slices.Contains(refs[start:], b) {
-				refs = append(refs, b)
+	g, m := c.geom, &c.multi
+	refs := m.refs[:0]
+	if len(leaves) == 0 {
+		m.refs = refs
+		return refs
+	}
+	n := len(leaves)
+	m.group = slices.Grow(m.group[:0], n)[:n]
+	m.split = slices.Grow(m.split[:0], 2*n)[:2*n]
+	group, split := m.group, m.split
+	clear(group) // the root: every leaf in leaf 0's group
+	refs = append(refs, BucketRef{Level: 0, Node: 0})
+	for lvl := 1; lvl < g.Levels(); lvl++ {
+		for i := range split {
+			split[i] = -1
+		}
+		shift := uint(g.LeafBits() - lvl)
+		for i, l := range leaves {
+			node := uint64(l) >> shift
+			k := 2*group[i] + int32(node&1)
+			if split[k] < 0 {
+				split[k] = int32(i)
+				refs = append(refs, BucketRef{Level: lvl, Node: node})
 			}
+			group[i] = split[k]
 		}
 	}
-	c.multi.refs = refs
+	m.refs = refs
 	return refs
 }
 

@@ -3,8 +3,68 @@ package oram
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// scanUnion is pathUnion as a per-level scan of the refs already emitted:
+// O(leaves²) per level, and the order pathUnion must keep.
+func scanUnion(g *Geometry, leaves []Leaf) []BucketRef {
+	var refs []BucketRef
+	for lvl := 0; lvl < g.Levels() && len(leaves) > 0; lvl++ {
+		start := len(refs)
+		for _, l := range leaves {
+			if b := (BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}); !slices.Contains(refs[start:], b) {
+				refs = append(refs, b)
+			}
+		}
+	}
+	return refs
+}
+
+// TestPathUnionMatchesScan: the group-tracking dedup emits exactly the refs,
+// in exactly the order, of the scan it replaced — on random leaf sets with
+// repeats, a single leaf, all leaves equal, and every leaf of a small tree in
+// ascending and shuffled order.
+func TestPathUnionMatchesScan(t *testing.T) {
+	for _, bits := range []int{1, 3, 7, 12} {
+		g := MustGeometry(GeometryConfig{LeafBits: bits, LeafZ: 2})
+		c, err := NewClient(ClientConfig{Store: NewMetaStore(g), Rand: rand.New(rand.NewSource(1)), Blocks: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(bits)))
+		leaves := int64(g.Leaves())
+		var sets [][]Leaf
+		for round := 0; round < 200; round++ {
+			set := make([]Leaf, 1+rng.Intn(48))
+			for i := range set {
+				set[i] = Leaf(rng.Int63n(leaves))
+				if i > 0 && rng.Intn(4) == 0 {
+					set[i] = set[rng.Intn(i)] // a repeat
+				}
+			}
+			sets = append(sets, set)
+		}
+		same := make([]Leaf, 9)
+		for i := range same {
+			same[i] = Leaf(leaves - 1)
+		}
+		all := make([]Leaf, min(leaves, 1<<7))
+		for i := range all {
+			all[i] = Leaf(i)
+		}
+		shuffled := slices.Clone(all)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		sets = append(sets, nil, []Leaf{Leaf(leaves / 2)}, same, all, shuffled)
+		for _, set := range sets {
+			want := scanUnion(g, set)
+			if got := c.pathUnion(set); !slices.Equal(got, want) {
+				t.Fatalf("LeafBits %d, leaves %v:\n got %v\nwant %v", bits, set, got, want)
+			}
+		}
+	}
+}
 
 // TestWriteBackPathsConservation is the regression test for the multi-path
 // clobbering bug: reading several overlapping paths and writing them back

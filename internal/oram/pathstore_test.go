@@ -226,11 +226,32 @@ func localShapes() []StoreShape {
 			return ps
 		}
 	}
+	meta := func(_ *testing.T, g *Geometry) Store { return NewMetaStore(g) }
 	return []StoreShape{
-		{Name: "MetaStore", Open: func(_ *testing.T, g *Geometry) Store { return NewMetaStore(g) }},
+		{Name: "MetaStore", Open: meta},
 		{Name: "PayloadStore", Open: payload(false, 1), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
 		{Name: "PayloadStore/sealed", Open: payload(true, 1), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
 		{Name: "PayloadStore/sealed+pool", Open: payload(true, 4), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
+		TreetopShape("MetaStore", meta, false),
+		TreetopShape("PayloadStore", payload(false, 1), true),
+		TreetopShape("PayloadStore/sealed", payload(true, 1), true),
+	}
+}
+
+// TreetopShape is the conformance row of a Treetop over the stores open
+// builds: batch-native and validating whatever it wraps, since it checks a
+// whole path or union before either part moves, and answering slot for slot
+// like the bare store — rows where it keeps rows, zero rows for nil payloads.
+func TreetopShape(name string, open func(*testing.T, *Geometry) Store, payloads bool) StoreShape {
+	return StoreShape{
+		Name: "Treetop/" + name, Native: true, Atomic: true, Payloads: payloads, ZeroRows: payloads,
+		Open: func(t *testing.T, g *Geometry) Store {
+			tt, err := NewTreetop(open(t, g), payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tt
+		},
 	}
 }
 

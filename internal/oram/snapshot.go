@@ -38,23 +38,32 @@ var (
 	_ Snapshotter = (*CountingStore)(nil)
 )
 
+// snapshotterOf returns the Snapshotter a wrapper forwards to.
+func snapshotterOf(st Store) (Snapshotter, error) {
+	s, ok := st.(Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("oram: wrapped %T does not support snapshots", st)
+	}
+	return s, nil
+}
+
 // Save forwards to the wrapped store's Snapshotter. Counters are traffic
 // telemetry, not tree state — they are deliberately not serialised, the
 // same way the client's RNG position is serialised separately from its
 // position map.
 func (cs *CountingStore) Save(w io.Writer) error {
-	s, ok := cs.inner.Store.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner.Store)
+	s, err := snapshotterOf(cs.inner.Store)
+	if err != nil {
+		return err
 	}
 	return s.Save(w)
 }
 
 // Load forwards to the wrapped store's Snapshotter.
 func (cs *CountingStore) Load(r io.Reader) error {
-	s, ok := cs.inner.Store.(Snapshotter)
-	if !ok {
-		return fmt.Errorf("oram: wrapped %T does not support snapshots", cs.inner.Store)
+	s, err := snapshotterOf(cs.inner.Store)
+	if err != nil {
+		return err
 	}
 	return s.Load(r)
 }

@@ -538,14 +538,19 @@ func (st *PayloadStore) checkRange(op string, refs []BucketRef, bufs [][]Slot) e
 		return fmt.Errorf("oram: %s got %d refs, %d buffers", op, len(refs), len(bufs))
 	}
 	for i, r := range refs {
-		if err := bucketRange(st.geom, r.Level, r.Node); err != nil {
-			return err
-		}
-		if z := st.geom.BucketSize(r.Level); len(bufs[i]) != z {
-			return fmt.Errorf("oram: %s buffer %d has %d slots, bucket size is %d", op, i, len(bufs[i]), z)
+		if !st.geom.fits(r, len(bufs[i])) {
+			return misfit(st.geom, op, i, r, len(bufs[i]))
 		}
 	}
 	return nil
+}
+
+// misfit explains why refs[i] of a union fails Geometry.fits.
+func misfit(g *Geometry, op string, i int, r BucketRef, n int) error {
+	if err := bucketRange(g, r.Level, r.Node); err != nil {
+		return err
+	}
+	return fmt.Errorf("oram: %s buffer %d has %d slots, bucket size is %d", op, i, n, g.BucketSize(r.Level))
 }
 
 // OpenRange reads (and, for sealed stores, decrypts) the buckets refs[i]
@@ -741,10 +746,12 @@ func (st *PayloadStore) WriteSlot(level int, node uint64, slot int, src Slot) er
 	return st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src, nil)
 }
 
-// Counters aggregates server-side traffic statistics: exactly what the
-// adversary on the memory bus could tally, and the raw material for the
-// paper's Fig. 9 (traffic reduction) and Table II (dummy reads, counted by
-// the client into AccessStats).
+// Counters aggregates the logical path traffic a client moves through a
+// CountingStore: every bucket of every path and union it reads or writes,
+// wherever the bucket lives. It is the raw material for the paper's Fig. 9
+// (traffic reduction) and Table II (dummy reads, counted by the client into
+// AccessStats). Under a Treetop it is more than the untrusted side sees: the
+// top levels are counted but never leave trusted memory.
 type Counters struct {
 	BucketReads  uint64
 	BucketWrites uint64
@@ -771,9 +778,11 @@ func (c Counters) Sub(prev Counters) Counters {
 	}
 }
 
-// CountingStore wraps a Store and tallies traffic. It is also the hook for
-// the memsim timing model: if a Ticker is installed every transfer charges
-// simulated time.
+// CountingStore wraps a Store and tallies the logical traffic of the calls it
+// is handed (see Counters) — the same tally whatever sits below it, a Treetop
+// included, so figures and count metrics do not depend on where a bucket
+// lives. It is also the hook for the memsim timing model: if a Ticker is
+// installed every transfer charges simulated time.
 type CountingStore struct {
 	inner Face // the wrapped store, resolved once
 	c     Counters

@@ -63,17 +63,23 @@ type TieredStore interface {
 // TierStats forwards to the wrapped store's tier counters, returning the
 // zero value when the store has no disk tier (so callers can aggregate
 // unconditionally).
-func (cs *CountingStore) TierStats() TierStats {
-	if ts, ok := cs.inner.Store.(TieredStore); ok {
+func (cs *CountingStore) TierStats() TierStats { return tierStatsOf(cs.inner.Store) }
+
+// ResetTierStats forwards to the wrapped store; a no-op without a disk
+// tier.
+func (cs *CountingStore) ResetTierStats() { resetTierStats(cs.inner.Store) }
+
+// tierStatsOf returns st's tier counters, or zero when it has no disk tier.
+func tierStatsOf(st Store) TierStats {
+	if ts, ok := st.(TieredStore); ok {
 		return ts.TierStats()
 	}
 	return TierStats{}
 }
 
-// ResetTierStats forwards to the wrapped store; a no-op without a disk
-// tier.
-func (cs *CountingStore) ResetTierStats() {
-	if ts, ok := cs.inner.Store.(TieredStore); ok {
+// resetTierStats zeroes st's tier counters, if it has any.
+func resetTierStats(st Store) {
+	if ts, ok := st.(TieredStore); ok {
 		ts.ResetTierStats()
 	}
 }

@@ -444,7 +444,8 @@ func (o *ORAM) remoteList() []*remote.Client {
 }
 
 // buildSub assembles shard idx's stack — server store (in-memory,
-// metadata-only, encrypted or remote), traffic counters, optional timing
+// metadata-only, encrypted, disk-backed or remote) under the client-side
+// treetop, traffic counters, optional timing
 // meter and Merkle verification, then the PathORAM client — for per blocks
 // seeded with seed. With Shards <= 1 this is exactly the unsharded
 // construction. Remote shards share one multiplexed connection per node:
@@ -453,6 +454,7 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 	opts := o.opts
 	var inner oram.Store
 	var prefetch oram.PathPrefetcher
+	payloads := !opts.MetadataOnly // whether inner keeps rows
 	if len(o.remotes) > 0 {
 		nodes := len(o.remotes)
 		st, err := o.remotes[idx%nodes].Store(idx / nodes)
@@ -469,6 +471,7 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		// client) keeps addressing the same view object.
 		o.places[idx] = st
 		inner = st
+		payloads = g.BlockSize() > 0
 	} else {
 		z := opts.BucketSize
 		if z == 0 {
@@ -518,11 +521,12 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 					budget = max(opts.MemBudget/int64(o.opts.shards()), 1)
 				}
 				ds, err := diskstore.Open(diskstore.Config{
-					Path:      filepath.Join(opts.DataDir, fmt.Sprintf("tree-%d.laor", idx)),
-					Geometry:  g,
-					Sealer:    sealer,
-					MemBudget: budget,
-					Prefetch:  !opts.DisablePrefetch,
+					Path:          filepath.Join(opts.DataDir, fmt.Sprintf("tree-%d.laor", idx)),
+					Geometry:      g,
+					Sealer:        sealer,
+					MemBudget:     budget,
+					Prefetch:      !opts.DisablePrefetch,
+					TreetopLevels: oram.TreetopLevels(g),
 				})
 				if err != nil {
 					return shard.Sub{}, err
@@ -544,11 +548,17 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 			}
 		}
 	}
+	// The top half of the levels stays in trusted memory (DESIGN.md
+	// "Treetop"); the counters above it tally the logical traffic.
+	top, err := oram.NewTreetop(inner, payloads)
+	if err != nil {
+		return shard.Sub{}, err
+	}
 	var meter *memsim.Meter
 	if opts.Measure {
 		meter = memsim.NewMeter(memsim.DDR4Default())
 	}
-	cs := oram.NewCountingStore(inner, tickerOrNil(meter))
+	cs := oram.NewCountingStore(top, tickerOrNil(meter))
 	var clientStore oram.Store = cs
 	if opts.Verify {
 		vs, err := integrity.NewVerifiedStore(cs)
