@@ -27,12 +27,15 @@ import (
 type TrainConfig struct {
 	// S is the superblock size (default 4 when 0).
 	S int
-	// Window is the look-ahead horizon in global accesses per planning
-	// window; 0 plans the whole stream as one window (the one-shot
-	// shape, byte-identical to Preprocess + Session).
+	// Window is the number of global accesses per planning window; the
+	// look-ahead horizon is Window·(Depth+1). 0 plans the whole stream as
+	// one window (the one-shot shape, byte-identical to Preprocess +
+	// Session).
 	Window int
 	// Depth is the bounded plan queue (default 2 when 0 — double
-	// buffering: plan window k+1 while executing window k).
+	// buffering: plan window k+1 while executing window k) and the
+	// cross-window horizon: a window executes once the Depth after it are
+	// planned, with its blocks' next leaves reaching into them.
 	Depth int
 	// BatchBins > 0 executes each window in batched server round trips
 	// of that many bins (§IV-A per-training-batch fetch); 0 steps bin by
@@ -135,17 +138,19 @@ type TrainStats struct {
 	// Stalled is how long the trainer waited on the plan queue — near
 	// zero when preprocessing keeps ahead, the §VIII-A claim.
 	Stalled time.Duration
-	// TrainerStalls counts the window fetches that found the plan queue
-	// empty: the queue-miss count behind Stalled (pipelined runs only).
+	// TrainerStalls counts the window fetches that found no released
+	// window on offer: the queue-miss count behind Stalled (pipelined runs
+	// only).
 	TrainerStalls int
 	// PlannerStalled is how long the planning goroutine was blocked
 	// handing windows to the full queue — backpressure on the cheap
 	// stage, the healthy pipeline regime.
 	PlannerStalled time.Duration
 	// QueuePeak and QueueMean summarise the plan-queue depth observed at
-	// each window fetch (bounded by Depth; pipelined runs only). A mean
-	// near Depth means planning stays ahead; near zero means the trainer
-	// is starved.
+	// each window fetch: the planned windows waiting behind the one taken,
+	// held ones included, or 0 on a stall (bounded by Depth; pipelined
+	// runs only). A mean near Depth means planning stays ahead; near zero
+	// means the trainer is starved.
 	QueuePeak int
 	QueueMean float64
 	// CheckpointTime is the total wall time spent inside the Checkpoint
@@ -302,18 +307,31 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	} else {
 		depthSum := 0
 		for {
-			// Sample the queue depth the fetch finds: an empty queue
-			// means this wait is a genuine pipeline stall, a full one
+			// A fetch that finds no released window on offer is a genuine
+			// pipeline stall and samples depth 0; otherwise it samples the
+			// planned windows waiting behind the one it takes — Depth
 			// means planning is comfortably ahead.
-			ready := len(ch)
+			var (
+				w       shard.PlannedWindow
+				ok      bool
+				stalled bool
+			)
 			waitStart := time.Now()
-			w, ok := <-ch
+			select {
+			case w, ok = <-ch:
+			default:
+				stalled = true
+				w, ok = <-ch
+			}
 			st.Stalled += time.Since(waitStart)
 			if !ok {
 				break
 			}
-			if ready == 0 {
+			ready := 0
+			if stalled {
 				st.TrainerStalls++
+			} else {
+				ready = planner.Ready()
 			}
 			if ready > st.QueuePeak {
 				st.QueuePeak = ready

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"testing"
+	"time"
 
 	"repro/internal/oram"
 	"repro/internal/shard"
@@ -127,6 +128,92 @@ func TestStreamValidation(t *testing.T) {
 	// Empty streams are a successful no-op, matching one-shot Preprocess.
 	if st, err := Train(ctx, e, &sliceSrc{}, TrainConfig{}); err != nil || st.Windows != 0 {
 		t.Errorf("empty stream: got %+v, %v; want 0-window success", st, err)
+	}
+}
+
+// TestLookaheadAcrossWindowsNoColdReads: a block leaving window 0 for the
+// last time goes to its first bin in window 1, so a two-window stream whose
+// window-1 blocks all appear in window 0 runs pre-placed without one cold
+// path read, at every Depth. Cut at the window boundary, it paid one per
+// block crossing it.
+func TestLookaheadAcrossWindowsNoColdReads(t *testing.T) {
+	const entries, window = 512, 512
+	rng := trace.NewRNG(5)
+	stream := make([]uint64, 0, 2*window)
+	for len(stream) < window {
+		stream = append(stream, uint64(rng.Int63n(256)))
+	}
+	for len(stream) < 2*window {
+		stream = append(stream, stream[rng.Intn(window)])
+	}
+	for depth := 1; depth <= 3; depth++ {
+		st, err := Train(context.Background(), streamEngine(t, 2, entries, 13), &sliceSrc{rest: stream}, TrainConfig{
+			S: 4, Window: window, Depth: depth, PrePlace: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Windows != 2 || st.ColdPathReads != 0 {
+			t.Errorf("depth %d: %d windows, %d cold path reads; want 2 windows, 0 cold reads", depth, st.Windows, st.ColdPathReads)
+		}
+	}
+}
+
+// pacedSrc is a sliceSrc whose every Read first waits: a dataloader slower
+// than the trainer.
+type pacedSrc struct {
+	sliceSrc
+	pause time.Duration
+}
+
+func (s *pacedSrc) Read(ctx context.Context, dst []uint64) (int, error) {
+	time.Sleep(s.pause)
+	return s.sliceSrc.Read(ctx, dst)
+}
+
+// TestQueueStatsTrackPlanning: the plan-queue counters say whether planning
+// stayed ahead, held windows and all. A trainer slower than the planner finds
+// Depth windows waiting behind nearly every window it takes; a source slower
+// than the trainer starves it at nearly every fetch.
+func TestQueueStatsTrackPlanning(t *testing.T) {
+	const entries, window, depth = 256, 64, 2
+	ctx := context.Background()
+
+	const windows = 30
+	stream := trace.PermutationEpochs(trace.NewRNG(6), entries, window*windows)
+	slowTrainer := func(int) shard.Visit {
+		visits := 0
+		return func(uint64, []byte) []byte {
+			if visits++; visits%window == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			return nil
+		}
+	}
+	st, err := Train(ctx, streamEngine(t, 1, entries, 3), &sliceSrc{rest: stream}, TrainConfig{
+		S: 4, Window: window, Depth: depth, PrePlace: true, NewVisit: slowTrainer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first fetch waits for windows 0..Depth to be planned, and the
+	// last Depth find fewer windows behind them.
+	if st.Windows != windows || st.QueuePeak != depth || st.QueueMean < depth-0.5 || st.TrainerStalls > 2 {
+		t.Errorf("fast planner: %d windows, queue peak %d mean %.2f, %d stalls; want %d windows, peak %d, mean near it, ≤ 2 stalls",
+			st.Windows, st.QueuePeak, st.QueueMean, st.TrainerStalls, windows, depth)
+	}
+
+	const slowWindows = 12
+	stream = trace.PermutationEpochs(trace.NewRNG(7), entries, window*slowWindows)
+	st, err = Train(ctx, streamEngine(t, 1, entries, 3), &pacedSrc{sliceSrc{rest: stream}, 10 * time.Millisecond}, TrainConfig{
+		S: 4, Window: window, Depth: depth, PrePlace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Windows != slowWindows || st.TrainerStalls < slowWindows/2 || st.QueueMean >= 1 {
+		t.Errorf("blocking source: %d windows, %d stalls, queue mean %.2f; want %d windows, most of them stalls, mean below 1",
+			st.Windows, st.TrainerStalls, st.QueueMean, slowWindows)
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // superblock step — plan consumption, path fetch, per-member remap, joint
 // write-back, background eviction — must not allocate. This is the end-to-end
 // proof that the slab stash and its index, the reusable evict planner, the
-// transfer buffers and the cursor scratch compose across the oram and
-// superblock layers. Two shapes: the converged one-path bin over a
+// transfer buffers and the cursor (an index into the plan's next-leaf table)
+// compose across the oram and superblock layers. Two shapes: the converged
+// one-path bin over a
 // metadata-only store, and the cold bin — two to four paths fetched as one
 // bucket union and written back as one — over an unsealed PayloadStore.
 func TestStepBinAllocs(t *testing.T) {
@@ -56,5 +57,35 @@ func TestStepBinAllocs(t *testing.T) {
 				t.Errorf("%d cold path reads in 501 measured bins: not the shape the case is named for", got)
 			}
 		})
+	}
+}
+
+// TestStepBatchAllocs gates the batched step the same way: peeking k bins,
+// one joint fetch, each bin's next leaves from the cursor, one joint
+// write-back.
+func TestStepBatchAllocs(t *testing.T) {
+	const blocks = 1 << 11
+	stream, err := trace.Generate(trace.Config{
+		Kind: trace.KindPermutation, N: blocks, Count: 16 * blocks, Seed: 33,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newFixture(t, fixtureConfig{
+		leafBits: 10, blocks: blocks, s: 4,
+		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 34,
+	})
+	for i := 0; i < 256; i++ {
+		if _, err := fx.laoram.StepBatch(4, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := fx.laoram.StepBatch(4, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("StepBatch allocates %.2f objects/op in steady state, want 0", allocs)
 	}
 }

@@ -94,6 +94,18 @@ func (e *Engine) preprocessWindow(stream []uint64, sblk, win int) (*Plan, error)
 	return p, nil
 }
 
+// release finishes every shard's plan of p from the windows planned after
+// it, nearest first (superblock.Plan.Release).
+func (p *Plan) release(later []PlannedWindow) {
+	next := make([]*superblock.Plan, len(later))
+	for s, sp := range p.plans {
+		for i := range later {
+			next[i] = later[i].Plan.plans[s]
+		}
+		sp.Release(next)
+	}
+}
+
 // LoadForPlan bulk-initialises every shard concurrently with look-ahead
 // pre-placement: each block starts on the path of its first superblock bin
 // in its shard's plan (the converged steady state of §IV-B), everything

@@ -27,14 +27,19 @@ type Source interface {
 type PlannerConfig struct {
 	// S is the superblock size (§IV-B).
 	S int
-	// Window is the look-ahead horizon in global accesses per planning
-	// window. 0 means one window spanning the entire stream — the
-	// one-shot Preprocess shape, byte-identical to it by construction.
-	// A positive Window must be >= S.
+	// Window is the number of global accesses per planning window; a
+	// block's look-ahead horizon is its own window plus the Depth after it,
+	// Window·(Depth+1) accesses. 0 means one window spanning the entire
+	// stream — the one-shot Preprocess shape, byte-identical to it by
+	// construction. A positive Window must be >= S.
 	Window int
 	// Depth is the bounded plan queue: how many preprocessed windows may
 	// wait ahead of the consumer (>= 1). Depth 2 double-buffers — the
-	// planner works on window k+1 while the trainer executes window k.
+	// planner works on window k+1 while the trainer executes window k. It
+	// is also the look-ahead horizon across windows: a window is released
+	// only once the Depth windows after it are planned (or the stream has
+	// ended), and a block leaving its last bin of the window is remapped to
+	// its first bin in those.
 	Depth int
 	// StartWindow offsets the absolute window index of the first planned
 	// window. A recovery that rewinds the source to the boundary of window
@@ -84,6 +89,12 @@ type PlannedWindow struct {
 // client state — so it is safe to run concurrently with Session execution
 // on the same Engine.
 //
+// The queue is the planner's own list of held windows: window k is
+// released — its next-leaf tables finished from windows k+1..k+Depth
+// (superblock.Plan.Release) and offered on the unbuffered channel — once
+// those are planned or the stream has ended. A released plan is never
+// written again.
+//
 // Window w of shard s draws its bin paths from the deterministic seed
 // planSeed(s, w); window 0 uses exactly the one-shot Preprocess seeds, so
 // a Planner with Window = 0 reproduces Engine.Preprocess byte-identically.
@@ -96,6 +107,9 @@ type Planner struct {
 	started bool
 	err     error // written before ch closes; read after it closes
 
+	// ready is how many planned windows wait behind the one on offer (all
+	// held windows while none is): at most Depth.
+	ready atomic.Int64
 	// enqStalledNs accumulates the time the planning goroutine spent
 	// blocked handing finished windows to the full queue — backpressure,
 	// i.e. training (not planning) is the pipeline bottleneck. Atomic
@@ -118,6 +132,10 @@ func (p *Planner) Stats() PlannerStats {
 	return PlannerStats{EnqueueStalled: time.Duration(p.enqStalledNs.Load())}
 }
 
+// Ready returns how many planned windows wait behind the one on offer,
+// those held for the horizon included (0..Depth). Safe to call at any time.
+func (p *Planner) Ready() int { return int(p.ready.Load()) }
+
 // NewPlanner validates cfg and prepares a Planner over src.
 func (e *Engine) NewPlanner(src Source, cfg PlannerConfig) (*Planner, error) {
 	if src == nil {
@@ -126,7 +144,8 @@ func (e *Engine) NewPlanner(src Source, cfg PlannerConfig) (*Planner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{e: e, src: src, cfg: cfg, ch: make(chan PlannedWindow, cfg.Depth)}, nil
+	// Unbuffered: the held windows are the queue, so Depth bounds it alone.
+	return &Planner{e: e, src: src, cfg: cfg, ch: make(chan PlannedWindow)}, nil
 }
 
 // Start launches the planning goroutine and returns the bounded window
@@ -150,15 +169,18 @@ func (p *Planner) Err() error { return p.err }
 // readChunk is the Source fill granularity when windows are unbounded.
 const readChunk = 1 << 16
 
-// run scans the source window by window. The window buffer is reused: the
-// superblock scan copies ids into its own bin storage, so nothing built
-// from one window aliases the buffer by the time the next fill starts.
+// run scans the source window by window, holding each planned window until
+// the Depth after it are planned (or the stream ends), then releasing it.
+// The window buffer is reused: the superblock scan copies ids into its own
+// bin storage, so nothing built from one window aliases the buffer by the
+// time the next fill starts.
 func (p *Planner) run(ctx context.Context) {
 	defer close(p.ch)
 	var buf []uint64
 	if p.cfg.Window > 0 {
 		buf = make([]uint64, 0, p.cfg.Window)
 	}
+	held := make([]PlannedWindow, 0, p.cfg.Depth+1)
 	for win := p.cfg.StartWindow; ; win++ {
 		ids, eof, err := p.fillWindow(ctx, buf[:0])
 		if err != nil {
@@ -181,21 +203,39 @@ func (p *Planner) run(ctx context.Context) {
 			// The plan is the prefetch oracle: hint tiered stores now,
 			// while the trainer is still executing earlier windows.
 			p.e.prefetchPlan(plan)
-			w := PlannedWindow{Index: win, Accesses: len(ids), Plan: plan, PlanTime: time.Since(start)}
-			enqStart := time.Now()
-			select {
-			case p.ch <- w:
-			case <-ctx.Done():
-				p.err = ctx.Err()
-				return
-			}
-			p.enqStalledNs.Add(time.Since(enqStart).Nanoseconds())
+			held = append(held, PlannedWindow{Index: win, Accesses: len(ids), Plan: plan, PlanTime: time.Since(start)})
 		}
 		buf = ids
+		for len(held) > p.cfg.Depth || (eof && len(held) > 0) {
+			if err := p.release(ctx, held); err != nil {
+				p.err = err
+				return
+			}
+			held = append(held[:0], held[1:]...)
+		}
+		p.ready.Store(int64(len(held)))
 		if eof {
 			return
 		}
 	}
+}
+
+// release finishes held[0] from the windows held after it and hands it to
+// the consumer.
+func (p *Planner) release(ctx context.Context, held []PlannedWindow) error {
+	w := held[0]
+	start := time.Now()
+	w.Plan.release(held[1:])
+	w.PlanTime += time.Since(start)
+	p.ready.Store(int64(len(held) - 1))
+	enqStart := time.Now()
+	select {
+	case p.ch <- w:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	p.enqStalledNs.Add(time.Since(enqStart).Nanoseconds())
+	return nil
 }
 
 // fillWindow reads up to one window of indices into dst (growing it for

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/oram"
+	"repro/internal/superblock"
 	"repro/internal/trace"
 )
 
@@ -163,6 +166,92 @@ func TestPlannerCancelWithFullQueue(t *testing.T) {
 		case <-deadline:
 			t.Fatal("planner did not drain after cancel")
 		}
+	}
+}
+
+// nextLeafTables reads every shard's next-leaf table of p the way a lane
+// does, through a fresh cursor.
+func nextLeafTables(p *Plan) [][]oram.Leaf {
+	out := make([][]oram.Leaf, p.Shards())
+	for s := range out {
+		for cur := superblock.NewCursor(p.ShardPlan(s)); !cur.Done(); {
+			_, next, _ := cur.Advance()
+			out[s] = append(out[s], next...)
+		}
+	}
+	return out
+}
+
+// TestPlannerReleasedPlansFinal executes every window as soon as the planner
+// releases it while the planner plans and releases the next ones (CI runs it
+// under -race, which flags any write to a table a lane is reading). When the
+// stream is done, every released table still reads as it did at release, and
+// the release filled entries an unreleased plan of the same window leaves
+// NoLeaf.
+func TestPlannerReleasedPlansFinal(t *testing.T) {
+	const entries, window, depth = 1 << 10, 512, 2
+	stream, err := trace.Generate(trace.Config{Kind: trace.KindKaggle, N: entries, Count: 6 * window, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := plannerEngine(t, entries, 2, 17)
+	p, err := e.NewPlanner(&testSource{rest: stream, bite: 200}, PlannerConfig{S: 4, Window: window, Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := p.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wins    []PlannedWindow
+		atStart [][][]oram.Leaf
+	)
+	for w := range ch {
+		if len(wins) == 0 {
+			if err := e.LoadForPlan(w.Plan, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wins = append(wins, w)
+		atStart = append(atStart, nextLeafTables(w.Plan))
+		sess, err := e.NewSession(w.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wins) != 6 {
+		t.Fatalf("got %d windows, want 6", len(wins))
+	}
+	filled := 0
+	for k, w := range wins {
+		if !reflect.DeepEqual(nextLeafTables(w.Plan), atStart[k]) {
+			t.Fatalf("window %d's next-leaf table changed after its release", k)
+		}
+		lo := k * window
+		unreleased, err := e.preprocessWindow(stream[lo:lo+w.Accesses], 4, w.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, table := range nextLeafTables(unreleased) {
+			for i, leaf := range table {
+				switch got := atStart[k][s][i]; {
+				case leaf != oram.NoLeaf && got != leaf:
+					t.Fatalf("window %d shard %d entry %d: release rewrote an in-window next leaf", k, s, i)
+				case leaf == oram.NoLeaf && got != oram.NoLeaf:
+					filled++
+				}
+			}
+		}
+	}
+	if filled == 0 {
+		t.Error("no entry was filled from a later window")
 	}
 }
 

@@ -42,15 +42,20 @@ type PlanConfig struct {
 // (superblock → future path) metadata the trainer GPU consumes to assign
 // predetermined future paths to blocks when it accesses them.
 type Plan struct {
-	s      int
-	bins   []Bin
-	queues map[oram.BlockID][]int32 // orderly bin indices per block
+	s    int
+	bins []Bin
+	// nextLeaf holds member j of bin i at [i·S + j]: the leaf of the
+	// member's next bin, or NoLeaf when it has none within the horizon.
+	// Every bin but the last is full, so the layout has no gaps.
+	nextLeaf []oram.Leaf
+	first    map[oram.BlockID]int32 // first bin index per block
 }
 
 // NewPlan runs the two preprocessing steps of §IV-B on the upcoming access
 // stream: the dataset scan (binning the next S unique indices together,
 // skipping indices already in the open bin) and superblock path generation
-// (one uniform path per bin). The final bin may be short.
+// (one uniform path per bin). The final bin may be short. Each member's next
+// leaf is its next bin in this stream; Release extends that horizon.
 func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
 	if cfg.S < 1 {
 		return nil, fmt.Errorf("superblock: S must be >= 1, got %d", cfg.S)
@@ -61,10 +66,7 @@ func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("superblock: Rand is required")
 	}
-	p := &Plan{
-		s:      cfg.S,
-		queues: make(map[oram.BlockID][]int32),
-	}
+	p := &Plan{s: cfg.S}
 	var cur []oram.BlockID
 	inCur := make(map[oram.BlockID]bool, cfg.S)
 	flush := func() {
@@ -74,9 +76,6 @@ func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
 		idx := len(p.bins)
 		leaf := oram.Leaf(cfg.Rand.Int63n(int64(cfg.Leaves)))
 		p.bins = append(p.bins, Bin{Index: idx, Blocks: cur, Leaf: leaf})
-		for _, id := range cur {
-			p.queues[id] = append(p.queues[id], int32(idx))
-		}
 		cur = nil
 		for k := range inCur {
 			delete(inCur, k)
@@ -94,7 +93,47 @@ func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
 		}
 	}
 	flush()
+	// Walk the bins backwards: the bin a block was last seen in on the way
+	// is its next one, and at the front it is its first.
+	p.nextLeaf = make([]oram.Leaf, len(p.bins)*cfg.S)
+	p.first = make(map[oram.BlockID]int32)
+	for i := len(p.bins) - 1; i >= 0; i-- {
+		for j, id := range p.bins[i].Blocks {
+			leaf := oram.NoLeaf
+			if nb, ok := p.first[id]; ok {
+				leaf = p.bins[nb].Leaf
+			}
+			p.nextLeaf[i*cfg.S+j] = leaf
+			p.first[id] = int32(i)
+		}
+	}
 	return p, nil
+}
+
+// Release extends the plan's horizon into the plans that follow it in the
+// stream, nearest first: a member whose next leaf is NoLeaf — its last bin
+// in this plan — gets the leaf of its first bin in the earliest of later
+// that holds it, and keeps NoLeaf only if none does. Call Release once,
+// before a Cursor reads the plan; a released plan is read-only, so a Cursor
+// may run on one goroutine while Release finishes the next plan on another.
+func (p *Plan) Release(later []*Plan) {
+	if len(later) == 0 {
+		return
+	}
+	for i := range p.bins {
+		row := p.nextLeaf[i*p.s:]
+		for j, id := range p.bins[i].Blocks {
+			if row[j] != oram.NoLeaf {
+				continue
+			}
+			for _, lp := range later {
+				if leaf := lp.FirstLeaf(id); leaf != oram.NoLeaf {
+					row[j] = leaf
+					break
+				}
+			}
+		}
+	}
 }
 
 // S returns the configured superblock size.
@@ -106,24 +145,20 @@ func (p *Plan) Len() int { return len(p.bins) }
 // Bin returns bin i.
 func (p *Plan) Bin(i int) *Bin { return &p.bins[i] }
 
-// BinsOf returns the ordered bin indices in which id appears (shared slice;
-// do not mutate).
-func (p *Plan) BinsOf(id oram.BlockID) []int32 { return p.queues[id] }
-
 // FirstLeaf returns the path of the first bin containing id, or NoLeaf if
 // the block never appears in the plan. Loading the ORAM with these leaves
 // ("pre-placement") is equivalent to having run a converged warm-up epoch:
 // each block already sits on the path of its first superblock.
 func (p *Plan) FirstLeaf(id oram.BlockID) oram.Leaf {
-	q := p.queues[id]
-	if len(q) == 0 {
+	i, ok := p.first[id]
+	if !ok {
 		return oram.NoLeaf
 	}
-	return p.bins[q[0]].Leaf
+	return p.bins[i].Leaf
 }
 
 // UniqueBlocks returns the number of distinct blocks in the plan.
-func (p *Plan) UniqueBlocks() int { return len(p.queues) }
+func (p *Plan) UniqueBlocks() int { return len(p.first) }
 
 // MetadataBytes estimates the size of the (superblock, future path)
 // metadata shipped from the preprocessor to the trainer GPU (§IV-B3):
@@ -136,23 +171,17 @@ func (p *Plan) MetadataBytes() int64 {
 	return n
 }
 
-// Cursor tracks plan consumption for the trainer: for every block, how many
-// of its bins have already been executed, so the block's *next* path is
-// always the path of its next future bin (§IV-A: "the path of all four data
-// blocks is changed independently based on their future locality").
+// Cursor tracks plan consumption for the trainer: the next bin to execute,
+// whose members' *next* paths the plan already holds (§IV-A: "the path of
+// all four data blocks is changed independently based on their future
+// locality").
 type Cursor struct {
 	plan *Plan
-	pos  map[oram.BlockID]int
 	next int
-	// leafScratch backs Advance's nextLeaf result, reused across bins so
-	// the steady-state executor loop allocates nothing.
-	leafScratch []oram.Leaf
 }
 
 // NewCursor starts consumption at bin 0.
-func NewCursor(p *Plan) *Cursor {
-	return &Cursor{plan: p, pos: make(map[oram.BlockID]int, len(p.queues))}
-}
+func NewCursor(p *Plan) *Cursor { return &Cursor{plan: p} }
 
 // NextBin returns the next unexecuted bin, or nil when the plan is done.
 func (c *Cursor) NextBin() *Bin {
@@ -183,32 +212,13 @@ func (c *Cursor) Done() bool { return c.next >= c.plan.Len() }
 // horizon — the caller then draws a uniform leaf, preserving §VI
 // obliviousness.
 //
-// nextLeaf aliases the cursor's reusable scratch: it is valid until the
-// next Advance call, which every executor (consume one bin fully, then
-// move on) satisfies by construction.
+// nextLeaf is the bin's row of the plan's table: read it, never write it.
 func (c *Cursor) Advance() (bin *Bin, nextLeaf []oram.Leaf, err error) {
 	if c.next >= c.plan.Len() {
 		return nil, nil, fmt.Errorf("superblock: plan exhausted")
 	}
 	bin = c.plan.Bin(c.next)
-	if cap(c.leafScratch) < len(bin.Blocks) {
-		c.leafScratch = make([]oram.Leaf, len(bin.Blocks))
-	}
-	c.leafScratch = c.leafScratch[:len(bin.Blocks)]
-	nextLeaf = c.leafScratch
-	for i, id := range bin.Blocks {
-		q := c.plan.queues[id]
-		k := c.pos[id]
-		if k >= len(q) || q[k] != int32(bin.Index) {
-			return nil, nil, fmt.Errorf("superblock: cursor desync for block %d at bin %d", id, bin.Index)
-		}
-		c.pos[id] = k + 1
-		if k+1 < len(q) {
-			nextLeaf[i] = c.plan.bins[q[k+1]].Leaf
-		} else {
-			nextLeaf[i] = oram.NoLeaf
-		}
-	}
+	off := c.next * c.plan.s
 	c.next++
-	return bin, nextLeaf, nil
+	return bin, c.plan.nextLeaf[off : off+len(bin.Blocks) : off+len(bin.Blocks)], nil
 }

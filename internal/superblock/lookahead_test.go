@@ -92,9 +92,11 @@ func TestPlanWithinBinDedupe(t *testing.T) {
 		}
 	}
 	// Block 1 appears in bins 0 and 2.
-	q := p.BinsOf(1)
-	if len(q) != 2 || q[0] != 0 || q[1] != 2 {
-		t.Errorf("BinsOf(1) = %v", q)
+	if q := binsOfAll(p)[1]; len(q) != 2 || q[0] != 0 || q[1] != 2 {
+		t.Errorf("block 1 in bins %v", q)
+	}
+	if _, next, _ := NewCursor(p).Advance(); next[0] != p.Bin(2).Leaf {
+		t.Errorf("block 1's next leaf = %d, want bin 2's %d", next[0], p.Bin(2).Leaf)
 	}
 	if p.FirstLeaf(1) != p.Bin(0).Leaf {
 		t.Error("FirstLeaf(1) wrong")

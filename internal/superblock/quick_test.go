@@ -2,6 +2,7 @@ package superblock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -58,27 +59,27 @@ func TestQuickPlanInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// (3) queues strictly increasing and consistent with bins.
+		// (3) the next-leaf table and first-bin index agree with a scan of
+		// the bins.
+		all := binsOfAll(p)
+		if len(p.first) != len(all) || p.UniqueBlocks() != len(all) {
+			return false
+		}
 		queued := 0
-		for id, q := range p.queues {
-			prev := int32(-1)
-			for _, bi := range q {
-				if bi <= prev {
-					return false
+		for id, q := range all {
+			queued += len(q)
+			if p.first[id] != int32(q[0]) {
+				return false
+			}
+			for k, bi := range q {
+				want := oram.NoLeaf
+				if k+1 < len(q) {
+					want = p.bins[q[k+1]].Leaf
 				}
-				prev = bi
-				found := false
-				for _, m := range p.bins[bi].Blocks {
-					if m == id {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if p.nextLeaf[bi*s+slices.Index(p.bins[bi].Blocks, id)] != want {
 					return false
 				}
 			}
-			queued += len(q)
 		}
 		if queued != totalMembers {
 			return false
@@ -88,6 +89,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 		cur := NewCursor(p)
 		executed := map[oram.BlockID]bool{}
 		si := 0
+		all = binsOfAll(p)
 		for !cur.Done() {
 			bin, _, err := cur.Advance()
 			if err != nil {
@@ -105,7 +107,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 			// the bin containing stream[si] is executed in order.
 			if si < len(stream) {
 				// The next unserved access must belong to a future bin.
-				q := p.BinsOf(oram.BlockID(stream[si]))
+				q := all[oram.BlockID(stream[si])]
 				future := false
 				for _, bi := range q {
 					if int(bi) >= bin.Index {
@@ -144,6 +146,7 @@ func TestQuickCursorNextLeafConsistency(t *testing.T) {
 			return false
 		}
 		cur := NewCursor(p)
+		all := binsOfAll(p)
 		pos := map[oram.BlockID]int{}
 		for !cur.Done() {
 			bin, next, err := cur.Advance()
@@ -151,18 +154,96 @@ func TestQuickCursorNextLeafConsistency(t *testing.T) {
 				return false
 			}
 			for i, id := range bin.Blocks {
-				q := p.BinsOf(id)
+				q := all[id]
 				k := pos[id]
-				if k >= len(q) || q[k] != int32(bin.Index) {
+				if k >= len(q) || q[k] != bin.Index {
 					return false
 				}
 				pos[id] = k + 1
 				if k+1 < len(q) {
-					if next[i] != p.Bin(int(q[k+1])).Leaf {
+					if next[i] != p.Bin(q[k+1]).Leaf {
 						return false
 					}
 				} else if next[i] != oram.NoLeaf {
 					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// binsOfAll returns, per block, the ordered indices of the bins holding it.
+func binsOfAll(p *Plan) map[oram.BlockID][]int {
+	out := map[oram.BlockID][]int{}
+	for i := 0; i < p.Len(); i++ {
+		for _, id := range p.Bin(i).Blocks {
+			out[id] = append(out[id], i)
+		}
+	}
+	return out
+}
+
+// TestQuickReleaseHorizon: over random streams cut into windows and released
+// at Depth 1–3, every member's next leaf is its next bin in its own window,
+// else its first bin in the nearest of the next Depth windows holding it,
+// else NoLeaf — never a bin further on. Leaves are drawn from 2^40 paths so
+// a wrong bin cannot match by chance.
+func TestQuickReleaseHorizon(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	f := func(streamRaw []uint8, winRaw, sRaw uint8, seed int64) bool {
+		s := 1 + int(sRaw%4)
+		window := s + int(winRaw%24)
+		stream := make([]uint64, len(streamRaw))
+		for i, v := range streamRaw {
+			stream[i] = uint64(v % 48)
+		}
+		for depth := 1; depth <= 3; depth++ {
+			var plans []*Plan
+			for lo := 0; lo < len(stream); lo += window {
+				p, err := NewPlan(stream[lo:min(lo+window, len(stream))], PlanConfig{
+					S: s, Leaves: 1 << 40, Rand: rand.New(rand.NewSource(seed + int64(lo))),
+				})
+				if err != nil {
+					return false
+				}
+				plans = append(plans, p)
+			}
+			for k, p := range plans {
+				p.Release(plans[k+1 : min(k+1+depth, len(plans))])
+			}
+			// want scans the bins themselves, which Release leaves alone.
+			want := func(k, bin int, id oram.BlockID) oram.Leaf {
+				for i := bin + 1; i < plans[k].Len(); i++ {
+					if slices.Contains(plans[k].Bin(i).Blocks, id) {
+						return plans[k].Bin(i).Leaf
+					}
+				}
+				for w := k + 1; w <= k+depth && w < len(plans); w++ {
+					for i := 0; i < plans[w].Len(); i++ {
+						if slices.Contains(plans[w].Bin(i).Blocks, id) {
+							return plans[w].Bin(i).Leaf
+						}
+					}
+				}
+				return oram.NoLeaf
+			}
+			for k, p := range plans {
+				for cur := NewCursor(p); !cur.Done(); {
+					bin, next, err := cur.Advance()
+					if err != nil {
+						return false
+					}
+					for j, id := range bin.Blocks {
+						if next[j] != want(k, bin.Index, id) {
+							t.Logf("depth %d window %d bin %d member %d: next leaf %d, want %d",
+								depth, k, bin.Index, id, next[j], want(k, bin.Index, id))
+							return false
+						}
+					}
 				}
 			}
 		}

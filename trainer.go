@@ -20,17 +20,22 @@ type TrainOptions struct {
 	// Superblock is the §IV-B superblock size S (default 4; the paper
 	// evaluates S ∈ {2, 4, 8}).
 	Superblock int
-	// Window is the look-ahead horizon: how many upcoming accesses each
-	// planning window scans. 0 plans the entire stream as one window, the
-	// paper's whole-epoch preprocessing (byte-identical to the engine-level
-	// Preprocess → LoadForPlan → Session flow under the same seed;
-	// DESIGN.md invariant #9). Smaller windows bound planner memory and
-	// latency but degrade toward PathORAM as blocks leave the horizon (the
-	// abl-window ablation). A positive Window must be >= Superblock.
+	// Window is how many upcoming accesses each planning window scans; a
+	// block's look-ahead horizon is its own window plus the Depth after
+	// it, Window·(Depth+1) accesses. 0 plans the entire stream as one
+	// window, the paper's whole-epoch preprocessing (byte-identical to the
+	// engine-level Preprocess → LoadForPlan → Session flow under the same
+	// seed; DESIGN.md invariant #9). Smaller windows bound planner memory
+	// and latency but degrade toward PathORAM as blocks leave the horizon
+	// (the abl-window ablation). A positive Window must be >= Superblock.
 	Window int
 	// Depth is how many preprocessed windows may queue ahead of the
 	// trainer (default 2 — double-buffered: window k+1 is planned while
-	// window k executes, the paper's §VIII-A overlap).
+	// window k executes, the paper's §VIII-A overlap). It is the
+	// look-ahead horizon across windows too: a window executes once the
+	// Depth after it are planned, and a block leaving its last bin of the
+	// window is remapped to its first bin in those (DESIGN.md
+	// "Cross-window look-ahead").
 	Depth int
 	// BatchBins > 0 executes each window in batched server round trips
 	// of that many superblock bins (§IV-A's per-training-batch fetch);
@@ -113,9 +118,11 @@ type TrainStats struct {
 	Windows int
 	// Accesses is the number of stream indices covered by fully executed
 	// windows. After a cancelled run the planner may have consumed up to
-	// (Depth+1)·Window further indices from the Source that never
-	// trained; reconcile against the Source itself if exact feed
-	// accounting matters.
+	// (Depth+1)·Window further indices from the Source that never trained
+	// — the windows it held for the horizon count against Depth, so the
+	// bound does not grow with it — plus the window that was executing;
+	// reconcile against the Source itself if exact feed accounting
+	// matters.
 	Accesses uint64
 	// Session aggregates the LAORAM session counters (§IV) across all
 	// windows and shard lanes.
@@ -129,19 +136,20 @@ type TrainStats struct {
 	// TrainerStalled is how long execution waited on the plan queue —
 	// near zero when preprocessing keeps ahead.
 	TrainerStalled time.Duration
-	// TrainerStalls counts the window fetches that found the plan queue
-	// empty: the queue-miss count behind TrainerStalled. The pipeline
-	// experiment previously inferred stalling externally from wall-clock
-	// deltas; these are the first-class counters.
+	// TrainerStalls counts the window fetches that found no window ready
+	// for execution: the queue-miss count behind TrainerStalled. The
+	// pipeline experiment previously inferred stalling externally from
+	// wall-clock deltas; these are the first-class counters.
 	TrainerStalls int
 	// PlannerStalled is how long the planning stage was blocked handing
 	// finished windows to the full plan queue — backpressure on the
 	// cheap stage, the healthy §VIII-A regime.
 	PlannerStalled time.Duration
 	// PlanQueuePeak and PlanQueueMean summarise the plan-queue depth each
-	// window fetch observed (bounded by TrainOptions.Depth): a mean near
-	// Depth means planning stayed ahead; near zero, the trainer was
-	// starved.
+	// window fetch observed: the planned windows waiting behind the one it
+	// took, those held for the horizon included, or 0 on a stall (bounded
+	// by TrainOptions.Depth). A mean near Depth means planning stayed
+	// ahead; near zero, the trainer was starved.
 	PlanQueuePeak int
 	PlanQueueMean float64
 	// CheckpointTime is total wall time spent taking window-boundary
