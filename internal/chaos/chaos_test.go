@@ -121,9 +121,12 @@ func TestProxyKillConnsReplay(t *testing.T) {
 	if err := shard0(t, c).WriteSlot(1, 0, 0, oram.Slot{ID: 77, Leaf: 1}); err != nil {
 		t.Fatal(err)
 	}
+	var got oram.Slot
+	if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil { // sends the held write
+		t.Fatal(err)
+	}
 	for round := 0; round < 3; round++ {
 		p.KillConns()
-		var got oram.Slot
 		if err := shard0(t, c).ReadSlot(1, 0, 0, &got); err != nil {
 			t.Fatalf("round %d: read after kill: %v", round, err)
 		}
@@ -154,8 +157,11 @@ func TestProxyTruncate(t *testing.T) {
 	if err := shard0(t, c).WriteSlot(2, 0, 0, oram.Slot{ID: 5, Leaf: 2}); err != nil {
 		t.Fatal(err)
 	}
-	p.TruncateNext(3) // cut mid-length-prefix
 	var got oram.Slot
+	if err := shard0(t, c).ReadSlot(2, 0, 0, &got); err != nil { // sends the held write
+		t.Fatal(err)
+	}
+	p.TruncateNext(3) // cut mid-length-prefix
 	if err := shard0(t, c).ReadSlot(2, 0, 0, &got); err != nil {
 		t.Fatalf("read across torn frame: %v", err)
 	}
@@ -205,6 +211,10 @@ func TestNodeKillRestart(t *testing.T) {
 	if err := st1.WriteSlot(3, 4, 2, oram.Slot{ID: 11, Leaf: 6}); err != nil {
 		t.Fatal(err)
 	}
+	var got oram.Slot
+	if err := st1.ReadSlot(3, 4, 2, &got); err != nil { // sends the held write
+		t.Fatal(err)
+	}
 	ck, err := n.SnapshotAll()
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +243,6 @@ func TestNodeKillRestart(t *testing.T) {
 	// with StateLost even though the supervisor restored the server's
 	// stores, because the client can only trust a restore it sent itself
 	// (anything else could be an empty restart adopted in an idle gap).
-	var got oram.Slot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err = st1.ReadSlot(3, 4, 2, &got)

@@ -88,8 +88,8 @@ func (r *OverloadResult) Row(config string) *OverloadRow {
 
 // slowStore throttles every bucket operation by a fixed delay, giving the
 // drill a deterministic per-request service time so offered load can
-// exceed capacity on any host. Deliberately NOT a PathStore: the server
-// falls back to per-bucket path reads, so one opReadPath costs
+// exceed capacity on any host. Deliberately NOT a BatchStore: the server
+// loops a path's bucket union bucket by bucket, so one path read costs
 // levels*delay under the shard lock.
 type slowStore struct {
 	oram.Store
@@ -158,10 +158,10 @@ func pathBufs(g *oram.Geometry) [][]oram.Slot {
 
 // overloadClient drives one connection's open-loop load for window: an
 // arrival goroutine draws a (shard, leaf) pair on the pacer's schedule, a
-// pool of senders issues opReadPath, and every request's latency is
-// measured from its arrival slot (queue wait included — no coordinated
-// omission). The sender pool is deliberately larger than the server's
-// per-connection queue bound: with fewer senders the client would
+// pool of senders issues path reads (one opBatch frame each), and every
+// request's latency is measured from its arrival slot (queue wait included —
+// no coordinated omission). The sender pool is deliberately larger than the
+// server's per-connection queue bound: with fewer senders the client would
 // self-throttle at `senders` outstanding requests and the bounded queue
 // could never overflow, so sheds would be structurally impossible.
 func overloadClient(addr string, nshards int, rng *rand.Rand, rate float64, keys loadgen.Keys, window time.Duration, rec *loadgen.Recorder) error {

@@ -78,9 +78,6 @@ func (vs *VerifiedStore) Verified() uint64 { return vs.verified }
 // Failures returns how many reads failed authentication.
 func (vs *VerifiedStore) Failures() uint64 { return vs.failures }
 
-// Root returns the trusted root digest.
-func (vs *VerifiedStore) Root() Digest { return vs.root }
-
 func (vs *VerifiedStore) bucketNo(level int, node uint64) int64 {
 	return int64((uint64(1)<<uint(level))-1) + int64(node)
 }

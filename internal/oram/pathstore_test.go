@@ -80,8 +80,7 @@ func (s *bucketOnlyStore) WriteSlot(level int, node uint64, slot int, src Slot) 
 // capable store must behave byte-identically — same payloads, same stats,
 // same traffic counters — to a client over the same store with the fast
 // paths hidden. This is the foundation of the remote protocol's
-// transparency: opReadPath/opWritePath/opBatch change framing, not
-// semantics.
+// transparency: opBatch unions change framing, not semantics.
 func TestPathStoreFastPathEquivalence(t *testing.T) {
 	t.Run("client", clientFastPathEquivalence)
 	shapes := append(localShapes(), ConformanceShapes...)

@@ -650,8 +650,18 @@ func (c *Client) adopt(conn net.Conn, bootID uint64) {
 // (Config.ShedRetries) runs out does the caller see *ErrOverloaded. An
 // overloaded node is not a failed node: nothing executed, nothing was
 // lost, so no rollback or recovery is ever triggered by a shed.
+//
+// A snapshot or restore of a shard's tree goes behind the shard's held
+// write-back: sent first, or dropped by the restore that replaces the tree it
+// was computed against. (Data frames are built in place and sent through
+// callFrame; see readUnion and WriteBuckets.)
 func (c *Client) call(op byte, shard uint32, body []byte) ([]byte, error) {
-	return c.callBuild(op, shard, len(body), func(buf []byte) []byte { return append(buf, body...) })
+	if op == opSnapshot || op == opRestore {
+		if err := c.setHeld(shard, nil, op == opRestore); err != nil {
+			return nil, err
+		}
+	}
+	return c.callFrame(op, shard, append(newFrame(len(body)), body...))
 }
 
 // hdrRoom is the space a request frame is built with ahead of its body: the
@@ -662,23 +672,9 @@ const hdrRoom = reqHeaderLen + deadlineHdrLen
 // newFrame returns a pooled request frame with room for bodyCap bytes of body.
 func newFrame(bodyCap int) []byte { return getFrame(hdrRoom + bodyCap)[:hdrRoom] }
 
-// callBuild is call with the request body built in place: build appends the
-// body to the frame buffer it is handed, sized for bodyCap bytes, so a large
-// body (a bucket union) is written once, where it leaves from. An operation on
-// a shard's tree goes behind the shard's held write-back: sent first, or
-// dropped by the restore that replaces the tree it was computed against. The
-// returned body aliases a pooled frame the caller may putFrame once parsed.
-func (c *Client) callBuild(op byte, shard uint32, bodyCap int, build func(buf []byte) []byte) ([]byte, error) {
-	if isDataOp(op) || op == opSnapshot || op == opRestore {
-		if err := c.setHeld(shard, nil, op == opRestore); err != nil {
-			return nil, err
-		}
-	}
-	return c.callFrame(op, shard, build(newFrame(bodyCap)))
-}
-
 // callFrame performs the exchange for a built frame (newFrame plus body) and
-// recycles it. A shed request is re-sent from the same bytes.
+// recycles it. A shed request is re-sent from the same bytes. The returned
+// body aliases a pooled frame the caller may putFrame once parsed.
 func (c *Client) callFrame(op byte, shard uint32, frame []byte) ([]byte, error) {
 	backoff := time.Millisecond
 	for sheds := 0; ; {
@@ -932,18 +928,13 @@ func (s *ShardStore) Client() *Client {
 	return s.c
 }
 
-// pcall performs one operation through the view's current placement,
-// holding the placement read lock for the whole round trip (see the type
-// comment: the lock is what drains the lane during a migration).
+// pcall performs one snapshot or restore through the view's current
+// placement, holding the placement read lock for the whole round trip (see
+// the type comment: the lock is what drains the lane during a migration).
 func (s *ShardStore) pcall(op byte, body []byte) ([]byte, error) {
-	return s.pbuild(op, len(body), func(buf []byte) []byte { return append(buf, body...) })
-}
-
-// pbuild is pcall with the body built in place (see Client.callBuild).
-func (s *ShardStore) pbuild(op byte, bodyCap int, build func(buf []byte) []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.c.callBuild(op, s.shard, bodyCap, build)
+	return s.c.call(op, s.shard, body)
 }
 
 // Repoint swaps this view's placement to the target view's (node, shard)
@@ -1033,101 +1024,96 @@ func appendSlots(buf []byte, src []Slot) []byte {
 	return buf
 }
 
+// The per-granularity methods below have no frame of their own (opBatch is the
+// only data frame): a bucket is a one-ref union and a path its Levels() refs,
+// root first. Reads carry the shard's held write-back; writes are held, as
+// WriteBuckets' are.
+
 // ReadBucket implements oram.Store.
 func (s *ShardStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	resp, err := s.pbuild(opReadBucket, bucketRefLen, func(buf []byte) []byte {
-		return appendBucketRef(buf, level, node)
-	})
-	if err != nil {
-		return err
-	}
-	err = parseBuckets(resp, dst)
-	putFrame(resp)
-	return err
+	return s.ReadBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]Slot{dst})
 }
 
 // WriteBucket implements oram.Store.
 func (s *ShardStore) WriteBucket(level int, node uint64, src []Slot) error {
-	resp, err := s.pbuild(opWriteBucket, bucketRefLen+slotsWireLen(len(src), s.Geometry().BlockSize()), func(buf []byte) []byte {
-		return appendSlots(appendBucketRef(buf, level, node), src)
-	})
-	putFrame(resp)
-	return err
+	return s.WriteBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]Slot{src})
 }
 
-// ReadSlot implements oram.Store.
+// ReadSlot implements oram.Store: it reads the slot's bucket and copies the
+// slot out, its payload into the capacity dst arrives armed with.
 func (s *ShardStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	resp, err := s.pcall(opReadSlot, appendSlotRef(nil, level, node, slot))
+	bucket, err := s.slotBucket(level, node, slot)
 	if err != nil {
 		return err
 	}
-	rest, err := parseSlot(resp, dst)
-	if err != nil {
+	bucket[slot].Payload = dst.Payload
+	if err := s.ReadBucket(level, node, bucket); err != nil {
 		return err
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("remote: %d trailing bytes after slot", len(rest))
-	}
+	*dst = bucket[slot]
 	return nil
 }
 
-// WriteSlot implements oram.Store.
+// WriteSlot implements oram.Store as a read-modify-write of the slot's bucket:
+// the read carries the shard's held write-back and the rewritten bucket is
+// held in its place. A concurrent write to another slot of the same bucket can
+// be lost, so each bucket must have one writer (every caller owns the buckets
+// it writes slot by slot).
 func (s *ShardStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	body := appendSlotRef(nil, level, node, slot)
-	body = appendSlot(body, &src)
-	_, err := s.pcall(opWriteSlot, body)
-	return err
+	bucket, err := s.slotBucket(level, node, slot)
+	if err != nil {
+		return err
+	}
+	if err := s.ReadBucket(level, node, bucket); err != nil {
+		return err
+	}
+	bucket[slot] = src
+	return s.WriteBucket(level, node, bucket)
 }
 
-// checkPathBufs validates that bufs matches the tree shape g, so a response
-// parse cannot silently desynchronise, and returns the slot count.
-func checkPathBufs(g *oram.Geometry, bufs [][]Slot) (slots int, err error) {
-	if len(bufs) != g.Levels() {
-		return 0, fmt.Errorf("remote: path buffer has %d levels, tree has %d", len(bufs), g.Levels())
+// slotBucket returns a buffer for bucket (level, node) once slot is known to
+// be one of its slots.
+func (s *ShardStore) slotBucket(level int, node uint64, slot int) ([]Slot, error) {
+	g := s.Geometry()
+	if !validRef(g, oram.BucketRef{Level: level, Node: node}) {
+		return nil, fmt.Errorf("remote: bucket (%d,%d) out of range", level, node)
 	}
-	for lvl := range bufs {
-		if len(bufs[lvl]) != g.BucketSize(lvl) {
-			return 0, fmt.Errorf("remote: level %d buffer holds %d slots, bucket size is %d",
-				lvl, len(bufs[lvl]), g.BucketSize(lvl))
-		}
-		slots += len(bufs[lvl])
+	if z := g.BucketSize(level); slot < 0 || slot >= z {
+		return nil, fmt.Errorf("remote: slot %d out of range for a bucket of %d", slot, z)
 	}
-	return slots, nil
+	return make([]Slot, g.BucketSize(level)), nil
 }
 
 // ReadPath implements oram.PathStore: the whole root→leaf path in one
 // frame.
 func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
-	if _, err := checkPathBufs(s.Geometry(), dst); err != nil {
-		return err
-	}
-	resp, err := s.pbuild(opReadPath, 8, func(buf []byte) []byte {
-		return appendLeaf(buf, leaf)
-	})
+	refs, err := s.pathRefs(leaf)
 	if err != nil {
 		return err
 	}
-	err = parseBuckets(resp, dst...)
-	putFrame(resp)
-	return err
+	return s.ReadBuckets(refs, dst)
 }
 
 // WritePath implements oram.PathStore.
 func (s *ShardStore) WritePath(leaf Leaf, src [][]Slot) error {
-	g := s.Geometry()
-	slots, err := checkPathBufs(g, src)
+	refs, err := s.pathRefs(leaf)
 	if err != nil {
 		return err
 	}
-	resp, err := s.pbuild(opWritePath, 8+slotsWireLen(slots, g.BlockSize()), func(buf []byte) []byte {
-		buf = appendLeaf(buf, leaf)
-		for lvl := range src {
-			buf = appendSlots(buf, src[lvl])
-		}
-		return buf
-	})
-	putFrame(resp)
-	return err
+	return s.WriteBuckets(refs, src)
+}
+
+// pathRefs lists the buckets on the path to leaf, root first.
+func (s *ShardStore) pathRefs(leaf Leaf) ([]oram.BucketRef, error) {
+	g := s.Geometry()
+	if !g.ValidLeaf(leaf) {
+		return nil, fmt.Errorf("remote: leaf %d out of range", leaf)
+	}
+	refs := make([]oram.BucketRef, g.Levels())
+	for lvl := range refs {
+		refs[lvl] = oram.BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)}
+	}
+	return refs, nil
 }
 
 // Save implements oram.Snapshotter over the wire (opSnapshot): the server

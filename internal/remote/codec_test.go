@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -116,8 +117,8 @@ func TestQuickInPlaceBuildersMatchReference(t *testing.T) {
 	}
 	deadline := func(ms uint16, body []byte) bool {
 		budget := time.Duration(ms) * time.Millisecond
-		gb, gop, inner, err := parseDeadline(appendDeadline(nil, budget, opReadPath, body))
-		return err == nil && gop == opReadPath && gb == budget && bytes.Equal(inner, body)
+		gb, gop, inner, err := parseDeadline(appendDeadline(nil, budget, opBatch, body))
+		return err == nil && gop == opBatch && gb == budget && bytes.Equal(inner, body)
 	}
 	if err := quick.Check(deadline, cfg); err != nil {
 		t.Error(err)
@@ -189,8 +190,7 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 		mu.Unlock()
 		resp := appendRespHeader(nil, id, statusOK)
 		switch {
-		case op == opReadSlot:
-			resp = append(resp, refSlots(nil, [][]oram.Slot{src[0][:1]})...)
+		case op == opSnapshot:
 		case body[0] == 2:
 			resp = append(resp, refReadBatchResp(rsrc)...)
 		case body[0] == 0:
@@ -259,15 +259,14 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 	if err := st.WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
-	var one oram.Slot
-	if err := st.ReadSlot(0, 0, 0, &one); err != nil {
+	if err := st.Save(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// From frame 5 on every response carries a byte too many.
 	if err := st.WriteBuckets(refs, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReadSlot(0, 0, 0, &one); err == nil {
+	if err := st.Save(io.Discard); err == nil {
 		t.Error("a write response with a trailing byte was accepted")
 	}
 	if err := st.ReadBuckets(refs, dst); err == nil {
@@ -285,7 +284,7 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 		refCarryBatch(refs, src, rrefs),
 		refReadBatch(refs),
 		refWriteBatch(refs, src),
-		nil, // the ReadSlot
+		nil, // the Save
 		refWriteBatch(refs, src),
 		refReadBatch(refs),
 		refCarryBatch(refs, src, rrefs),
@@ -295,8 +294,8 @@ func TestClientBatchFramesMatchReference(t *testing.T) {
 	}
 	for i, w := range want {
 		if w == nil {
-			if bodies[i][0] != opReadSlot {
-				t.Errorf("frame %d is op %d, want the ReadSlot", i+1, bodies[i][0])
+			if bodies[i][0] != opSnapshot {
+				t.Errorf("frame %d is op %d, want the Save", i+1, bodies[i][0])
 			}
 			continue
 		}
@@ -363,10 +362,10 @@ func TestServerBatchResponseMatchesReference(t *testing.T) {
 type bucketOnly struct{ oram.Store }
 
 // TestServerWriteFramesAllOrNothing: a write frame that is wrong anywhere —
-// a byte after its last slot, a slot short, a bad payload length, and for
-// opBatch an out-of-range ref, an unknown kind or a count the frame does not
-// carry — is answered with one error status and leaves the store exactly as
-// it was; a batch read with bytes after its refs is refused the same way. A
+// a byte after its last slot, a slot short, a bad payload length, an
+// out-of-range ref, an unknown kind or a count the frame does not carry — is
+// answered with one error status and leaves the store exactly as it was; a
+// batch read with bytes after its refs is refused the same way. A
 // write-then-read frame (kind 2) that is wrong in either half — a bad write
 // ref, a bad read ref, a short slot, a byte after the read refs, a read union
 // the frame does not carry — writes nothing and reads nothing.
@@ -378,10 +377,6 @@ func TestServerWriteFramesAllOrNothing(t *testing.T) {
 	if resp := srv.handle(append(appendReqHeader(nil, 1, opBatch, 0), refWriteBatch(refs, before)...)); resp[8] != statusOK {
 		t.Fatalf("seeding write failed: %s", resp[respHeaderLen:])
 	}
-	// The path to leaf 6 shares its upper three buckets with the union.
-	bucket := append(appendBucketRef(nil, 3, 5), refSlots(nil, src[3:4])...)
-	path := append(appendLeaf(nil, 6), refSlots(nil, src[:4])...)
-	slot := append(appendSlotRef(nil, 3, 5, 1), refSlots(nil, [][]oram.Slot{src[3][1:2]})...)
 	batch := refWriteBatch(refs, src)
 	short := func(b []byte) []byte { return b[:len(b)-1] }
 	long := func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }
@@ -399,12 +394,6 @@ func TestServerWriteFramesAllOrNothing(t *testing.T) {
 		op   byte
 		body []byte
 	}{
-		{"bucket/trailing", opWriteBucket, long(bucket)},
-		{"bucket/short", opWriteBucket, short(bucket)},
-		{"path/trailing", opWritePath, long(path)},
-		{"path/short", opWritePath, short(path)},
-		{"slot/trailing", opWriteSlot, long(slot)},
-		{"slot/short", opWriteSlot, short(slot)},
 		{"batch/trailing", opBatch, long(batch)},
 		{"batch/short", opBatch, short(batch)},
 		{"batch/bad last ref", opBatch, refWriteBatch(badRef, src)},
@@ -430,14 +419,9 @@ func TestServerWriteFramesAllOrNothing(t *testing.T) {
 			t.Fatalf("%s: the refused frame changed the store", tc.name)
 		}
 	}
-	// The well-formed frames the cases were cut from do execute.
-	for _, ok := range []struct {
-		op   byte
-		body []byte
-	}{{opWriteBucket, bucket}, {opWritePath, path}, {opWriteSlot, slot}, {opBatch, batch}} {
-		if resp := srv.handle(append(appendReqHeader(nil, 4, ok.op, 0), ok.body...)); resp[8] != statusOK {
-			t.Errorf("well-formed op %d refused: %s", ok.op, resp[respHeaderLen:])
-		}
+	// The well-formed frame the cases were cut from does execute.
+	if resp := srv.handle(append(appendReqHeader(nil, 4, opBatch, 0), batch...)); resp[8] != statusOK {
+		t.Errorf("well-formed write frame refused: %s", resp[respHeaderLen:])
 	}
 	// So does the write-then-read frame, and what it reads is what it wrote.
 	got := srv.handle(append(appendReqHeader(nil, 5, opBatch, 0), refCarryBatch(refs, before, refs)...))
@@ -538,35 +522,6 @@ func TestServerBatchAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { run(read, slotBytes) }); allocs > 1 {
 		t.Errorf("opBatch read of %d buckets allocates %.1f objects, want <= 1", len(refs), allocs)
-	}
-}
-
-// TestServerPathAllocs: opWritePath and opReadPath through Server.dispatch.
-func TestServerPathAllocs(t *testing.T) {
-	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 10, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 64})
-	srv := batchServer(t, g)
-	const leaf = 321
-	write := appendLeaf(nil, leaf)
-	for lvl := 0; lvl < g.Levels(); lvl++ {
-		for j := 0; j < g.BucketSize(lvl); j++ {
-			write = appendSlot(write, &oram.Slot{ID: oram.BlockID(lvl*8 + j), Leaf: leaf, Payload: bytes.Repeat([]byte{byte(lvl)}, 64)})
-		}
-	}
-	read := appendLeaf(nil, leaf)
-	var ws workScratch
-	frame := make([]byte, 0, 1<<16)
-	run := func(op byte, body []byte) {
-		if _, err := srv.dispatch(&ws, appendRespHeader(frame[:0], 1, statusOK), op, 1, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run(opWritePath, write)
-	run(opReadPath, read)
-	if allocs := testing.AllocsPerRun(200, func() { run(opWritePath, write) }); allocs > 1 {
-		t.Errorf("opWritePath allocates %.1f objects, want <= 1", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { run(opReadPath, read) }); allocs > 1 {
-		t.Errorf("opReadPath allocates %.1f objects, want <= 1", allocs)
 	}
 }
 

@@ -26,22 +26,30 @@ func FuzzProtocol(f *testing.F) {
 	for i := 0; i < 2; i++ {
 		bucket = appendSlot(bucket, &slot)
 	}
-	var path []byte
-	for lvl := 0; lvl < g.Levels(); lvl++ {
-		for i := 0; i < g.BucketSize(lvl); i++ {
-			path = appendSlot(path, &slot)
-		}
-	}
 	seed := func(op byte, shard uint32, body []byte) {
 		f.Add(append(appendReqHeader(nil, 1, op, shard), body...))
 	}
 	seed(opHello, 0, nil)
-	seed(opReadBucket, 0, appendBucketRef(nil, 1, 0))
-	seed(opWriteBucket, 0, append(appendBucketRef(nil, 1, 1), bucket...))
-	seed(opReadSlot, 0, appendSlotRef(nil, 2, 1, 0))
-	seed(opWriteSlot, 0, appendSlot(appendSlotRef(nil, 2, 1, 1), &slot))
-	seed(opReadPath, 0, appendLeaf(nil, 3))
-	seed(opWritePath, 0, append(appendLeaf(nil, 3), path...))
+	// A bucket is a one-ref union and a path its refs, root first: each read,
+	// written, and written then read.
+	path := make([]oram.BucketRef, g.Levels())
+	for lvl := range path {
+		path[lvl] = oram.BucketRef{Level: lvl, Node: g.NodeAt(3, lvl)}
+	}
+	for _, u := range [][]oram.BucketRef{{{Level: 1, Node: 1}}, path} {
+		w := appendUnion([]byte{batchWrite}, u)
+		for range u {
+			w = append(w, bucket...)
+		}
+		r := appendUnion([]byte{batchRead}, u)
+		seed(opBatch, 0, r)
+		seed(opBatch, 0, w)
+		seed(opBatch, 0, append(append([]byte{batchCarry}, w[1:]...), r[1:]...))
+	}
+	// Protocol v5's retired opcodes 2–7, refused whatever follows them.
+	for op := byte(2); op <= 7; op++ {
+		seed(op, 0, append(appendBucketRef(nil, 1, 1), bucket...))
+	}
 	// Bucket unions — the shape a joint fetch and write-back arrive in: one
 	// on the metadata store, which the server loops bucket by bucket, then a
 	// write and a read on shard 1, the payload store that batches natively.
@@ -58,10 +66,7 @@ func FuzzProtocol(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(appendReqHeader(nil, 0, 99, 7))
-	// Write frames with a byte after their last slot: refused whole.
-	seed(opWriteBucket, 1, append(append(appendBucketRef(nil, 1, 1), bucket...), 0))
-	seed(opWriteSlot, 1, append(appendSlot(appendSlotRef(nil, 2, 1, 1), &slot), 0))
-	seed(opWritePath, 1, append(append(appendLeaf(nil, 3), path...), 0))
+	// A write frame with a byte after its last slot: refused whole.
 	seed(opBatch, 1, append(writes, 0))
 	// Protocol v5: a write-back and the read that carries it in one frame
 	// (kind 2: the write frame's body, then the read union) — looped, native,

@@ -2,11 +2,13 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/oram"
 )
@@ -26,8 +28,6 @@ func TestQuickProtoNeverPanics(t *testing.T) {
 		_, _, _, _, _ = parseReqHeader(raw)
 		_, _, _, _ = parseRespHeader(raw)
 		_, _, _, _ = parseBucketRef(raw)
-		_, _, _, _, _ = parseSlotRef(raw)
-		_, _, _ = parseLeaf(raw)
 		_, _, _ = parseU32(raw)
 		_, _, _ = parseUnion(fuzzGeom(), raw, nil)
 		return true
@@ -96,8 +96,17 @@ func TestServerGarbageFrames(t *testing.T) {
 			t.Fatalf("frame %d: no response to garbage: %v", i, err)
 		}
 	}
-	// Well-formed write frames with one byte after their last slot: each is
-	// answered with an error and executes nothing.
+	// Well-formed frames that must execute nothing, each answered with an
+	// error: a batch write with one byte after its last slot, and protocol
+	// v5's bucket, slot and path operations — opcodes 2–7, unassigned since v6
+	// — bare and under a deadline envelope. The v5 bodies are laid out
+	// longhand: level u32 · node u64 [· slot u32] or leaf u64, then the slots
+	// a write carries.
+	const (
+		opReadBucket, opWriteBucket = 2, 3
+		opReadSlot, opWriteSlot     = 4, 5
+		opReadPath, opWritePath     = 6, 7
+	)
 	row := oram.Slot{ID: 7, Leaf: 3, Payload: bytes.Repeat([]byte{0xCD}, 8)}
 	slots := func(n int) []byte {
 		var buf []byte
@@ -106,14 +115,23 @@ func TestServerGarbageFrames(t *testing.T) {
 		}
 		return buf
 	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	bucket := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, 0), 0)
+	slot := binary.BigEndian.AppendUint32(cat(bucket), 0)
+	leaf := binary.BigEndian.AppendUint64(nil, 0)
 	refs := []oram.BucketRef{{Level: 0, Node: 0}, {Level: 2, Node: 1}}
 	for name, frame := range map[string][]byte{
-		"opWriteBucket": append(appendReqHeader(nil, 1, opWriteBucket, 0), append(appendBucketRef(nil, 0, 0), slots(2)...)...),
-		"opWriteSlot":   append(appendReqHeader(nil, 2, opWriteSlot, 0), append(appendSlotRef(nil, 0, 0, 0), slots(1)...)...),
-		"opWritePath":   append(appendReqHeader(nil, 3, opWritePath, 0), append(appendLeaf(nil, 0), slots(g.PathSlots())...)...),
-		"opBatch":       append(appendReqHeader(nil, 4, opBatch, 0), append(appendUnion([]byte{batchWrite}, refs), slots(4)...)...),
+		"opBatch with a trailing byte": cat(appendReqHeader(nil, 1, opBatch, 0), appendUnion([]byte{batchWrite}, refs), slots(4), []byte{0}),
+		"v5 opReadBucket":              cat(appendReqHeader(nil, 2, opReadBucket, 0), bucket),
+		"v5 opWriteBucket":             cat(appendReqHeader(nil, 3, opWriteBucket, 0), bucket, slots(2)),
+		"v5 opReadSlot":                cat(appendReqHeader(nil, 4, opReadSlot, 0), slot),
+		"v5 opWriteSlot":               cat(appendReqHeader(nil, 5, opWriteSlot, 0), slot, slots(1)),
+		"v5 opReadPath":                cat(appendReqHeader(nil, 6, opReadPath, 0), leaf),
+		"v5 opWritePath":               cat(appendReqHeader(nil, 7, opWritePath, 0), leaf, slots(g.PathSlots())),
+		"v5 opWriteBucket under a deadline": cat(appendReqHeader(nil, 8, opDeadline, 0),
+			appendDeadline(nil, time.Minute, opWriteBucket, cat(bucket, slots(2)))),
 	} {
-		if err := writeFrame(raw, append(frame, 0)); err != nil {
+		if err := writeFrame(raw, frame); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		resp, err := readFrame(raw)
@@ -121,8 +139,15 @@ func TestServerGarbageFrames(t *testing.T) {
 			t.Fatalf("%s: no response: %v", name, err)
 		}
 		if _, status, body, err := parseRespHeader(resp); err != nil || status != statusErr {
-			t.Errorf("%s with a trailing byte: status %d (%q), err %v; want an error response", name, status, body, err)
+			t.Errorf("%s: status %d (%q), err %v; want an error response", name, status, body, err)
 		}
+	}
+	// The connection that sent them is still served.
+	if err := writeFrame(raw, cat(appendReqHeader(nil, 9, opBatch, 0), appendUnion([]byte{batchRead}, refs))); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readFrame(raw); err != nil || resp[8] != statusOK {
+		t.Fatalf("a read after the refused frames: %x, %v", resp, err)
 	}
 	// The good client must still function, and find the root untouched.
 	root := make([]oram.Slot, 2)

@@ -19,11 +19,12 @@ import (
 	"repro/internal/oram"
 )
 
-// Protocol v5 on the client: WriteBuckets holds its union, the shard's next
-// ReadBuckets carries it in one write-then-read frame, and every other
-// operation on the shard sends it first. The tests below pin that against a
-// v4-style reference (a write frame, then a read frame), at every operation
-// that must act as a barrier, and under a shed.
+// The held write-back on the client: WriteBuckets (and every write, a bucket,
+// slot or path being a union too) holds its union, the shard's next read
+// carries it in one write-then-read frame, and every other operation on the
+// shard sends it first. The tests below pin that against a v4-style reference
+// (a write frame, then a read frame), at every operation that must act as a
+// barrier, and under a shed.
 
 // randUnion draws a bucket union — the deduplicated buckets of a few random
 // paths, in path order — and content for it: dummies, rows and zero rows.
@@ -254,10 +255,13 @@ func (r *recStore) Load(rd io.Reader) error {
 
 // TestHeldWriteBarriers: one table over every operation that must not overtake
 // a held write-back. The held union reaches the served store before the
-// operation's own call does (the log is in arrival order), in as many frames
-// as the operation needs plus one; ReadBuckets alone carries it, in one. Load
-// discards it, two views of one shard share one hold, and a WriteBuckets the
-// client refuses holds nothing.
+// operation's own call does (the log is in arrival order). Every read — a
+// bucket, a slot and a path are unions too — carries it in the one frame it
+// sends; a write sends it as one frame and is held in its place (a slot write
+// reads its bucket first, which carries it), and the read that follows sends
+// the write's own union. Save sends it first, Load discards it, two views of
+// one shard share one hold, and a WriteBuckets the client refuses holds
+// nothing.
 func TestHeldWriteBarriers(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
 	stores := make([]*recStore, 3)
@@ -321,15 +325,16 @@ func TestHeldWriteBarriers(t *testing.T) {
 		op     func(st *ShardStore) error
 		log    string // what reaches store 0, in order
 		frames uint64 // data frames the server sees for hold + op
+		held   string // the op's own union, as the next read sends it
 	}{
-		{"ReadBuckets", func(st *ShardStore) error { return st.ReadBuckets(refs, emptyUnion(g, refs)) }, "WriteBuckets(1) ReadBuckets", 1},
-		{"ReadBucket", func(st *ShardStore) error { return st.ReadBucket(1, 1, bucket) }, "WriteBuckets(2) ReadBucket", 2},
-		{"WriteBucket", func(st *ShardStore) error { return st.WriteBucket(1, 1, src[1]) }, "WriteBuckets(3) WriteBucket", 2},
-		{"ReadSlot", func(st *ShardStore) error { return st.ReadSlot(0, 0, 0, &slot) }, "WriteBuckets(4) ReadSlot", 2},
-		{"WriteSlot", func(st *ShardStore) error { return st.WriteSlot(0, 0, 1, src[0][1]) }, "WriteBuckets(5) WriteSlot", 2},
-		{"ReadPath", func(st *ShardStore) error { return st.ReadPath(5, path) }, "WriteBuckets(6) ReadPath", 2},
-		{"WritePath", func(st *ShardStore) error { return st.WritePath(5, src[:4]) }, "WriteBuckets(7) WritePath", 2},
-		{"Save", func(st *ShardStore) error { return st.Save(io.Discard) }, "WriteBuckets(8) Save", 1},
+		{"ReadBuckets", func(st *ShardStore) error { return st.ReadBuckets(refs, emptyUnion(g, refs)) }, "WriteBuckets(1) ReadBuckets", 1, ""},
+		{"ReadBucket", func(st *ShardStore) error { return st.ReadBucket(1, 1, bucket) }, "WriteBuckets(2) ReadBuckets", 1, ""},
+		{"WriteBucket", func(st *ShardStore) error { return st.WriteBucket(1, 1, mark(60)[0]) }, "WriteBuckets(3)", 1, "WriteBuckets(60)"},
+		{"ReadSlot", func(st *ShardStore) error { return st.ReadSlot(0, 0, 0, &slot) }, "WriteBuckets(4) ReadBuckets", 1, ""},
+		{"WriteSlot", func(st *ShardStore) error { return st.WriteSlot(0, 0, 1, src[0][1]) }, "WriteBuckets(5) ReadBuckets", 1, "WriteBuckets(5)"},
+		{"ReadPath", func(st *ShardStore) error { return st.ReadPath(5, path) }, "WriteBuckets(6) ReadBuckets", 1, ""},
+		{"WritePath", func(st *ShardStore) error { return st.WritePath(5, mark(70)[:4]) }, "WriteBuckets(7)", 1, "WriteBuckets(70)"},
+		{"Save", func(st *ShardStore) error { return st.Save(io.Discard) }, "WriteBuckets(8) Save", 1, ""},
 		{"second WriteBuckets", func(st *ShardStore) error {
 			if err := st.WriteBuckets(refs, mark(90)); err != nil {
 				return err
@@ -338,14 +343,14 @@ func TestHeldWriteBarriers(t *testing.T) {
 				return fmt.Errorf("after the second WriteBuckets the store saw %q, want the first union only", got)
 			}
 			return st.ReadBuckets(refs, emptyUnion(g, refs))
-		}, "WriteBuckets(90) ReadBuckets", 2},
+		}, "WriteBuckets(90) ReadBuckets", 2, ""},
 		{"Load", func(st *ShardStore) error {
 			if err := st.Load(bytes.NewReader(snap.Bytes())); err != nil {
 				return err
 			}
 			return st.ReadBucket(0, 0, bucket) // nothing left to send first
-		}, "Load ReadBucket", 1},
-		{"another view", func(st *ShardStore) error { return view(cl, 0).ReadBuckets(refs, emptyUnion(g, refs)) }, "WriteBuckets(11) ReadBuckets", 1},
+		}, "Load ReadBuckets", 1, ""},
+		{"another view", func(st *ShardStore) error { return view(cl, 0).ReadBuckets(refs, emptyUnion(g, refs)) }, "WriteBuckets(11) ReadBuckets", 1, ""},
 		{"refused WriteBuckets", func(st *ShardStore) error {
 			if err := st.ReadSlot(0, 0, 0, &slot); err != nil { // settle the table's own hold
 				return err
@@ -365,7 +370,7 @@ func TestHeldWriteBarriers(t *testing.T) {
 				}
 			}
 			return st.ReadBucket(0, 0, bucket)
-		}, "WriteBuckets(12) ReadSlot ReadBucket", 3},
+		}, "WriteBuckets(12) ReadBuckets ReadBuckets", 2, ""},
 	}
 	for i, tc := range cases {
 		st := view(cl, 0)
@@ -384,6 +389,15 @@ func TestHeldWriteBarriers(t *testing.T) {
 		}
 		if got := srv.OverloadStats().Admitted - frames; got != tc.frames {
 			t.Errorf("%s: %d data frames, want %d", tc.name, got, tc.frames)
+		}
+		if tc.held == "" {
+			continue
+		}
+		if err := st.ReadBuckets(refs, emptyUnion(g, refs)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := stores[0].take(), tc.held+" ReadBuckets"; got != want {
+			t.Errorf("%s: the read after it sent %q, want %q", tc.name, got, want)
 		}
 	}
 
@@ -426,7 +440,7 @@ func TestHeldWriteBarriers(t *testing.T) {
 		if err := st.ReadBucket(0, 0, bucket); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := stores[2].take(), "ReadBucket"; got != want || stores[0].take() != "" {
+		if got, want := stores[2].take(), "ReadBuckets"; got != want || stores[0].take() != "" {
 			t.Errorf("new placement saw %q, want %q (and the old one nothing)", got, want)
 		}
 	})
@@ -490,7 +504,7 @@ func TestHeldWriteShedExecutesOnce(t *testing.T) {
 	if srv.OverloadStats().ShedRate == 0 {
 		t.Fatal("the write-then-read frame was never shed; the test no longer tests the retry")
 	}
-	if got, want := rs.take(), fmt.Sprintf("ReadSlot WriteBuckets(%d) ReadBuckets", src[0][0].ID); got != want {
+	if got, want := rs.take(), fmt.Sprintf("ReadBuckets WriteBuckets(%d) ReadBuckets", src[0][0].ID); got != want {
 		t.Errorf("store saw %q, want %q", got, want)
 	}
 	for i := range src {

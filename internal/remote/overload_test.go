@@ -57,26 +57,27 @@ func TestBusyFrameRoundTrip(t *testing.T) {
 
 func TestDeadlineEnvelopeRoundTrip(t *testing.T) {
 	inner := []byte{1, 2, 3, 4}
-	body := appendDeadline(nil, 1500*time.Millisecond, opReadPath, inner)
+	body := appendDeadline(nil, 1500*time.Millisecond, opBatch, inner)
 	budget, op, got, err := parseDeadline(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if budget != 1500*time.Millisecond || op != opReadPath || !bytes.Equal(got, inner) {
+	if budget != 1500*time.Millisecond || op != opBatch || !bytes.Equal(got, inner) {
 		t.Errorf("parseDeadline = %v, %d, %v", budget, op, got)
 	}
 
 	// A sub-millisecond budget must not round down to "no deadline".
-	body = appendDeadline(nil, 100*time.Microsecond, opReadBucket, nil)
+	body = appendDeadline(nil, 100*time.Microsecond, opBatch, nil)
 	if budget, _, _, err := parseDeadline(body); err != nil || budget != time.Millisecond {
 		t.Errorf("sub-ms budget = %v, %v", budget, err)
 	}
 
-	// Nested envelopes and non-data opcodes are rejected.
+	// Nested envelopes and every opcode but opBatch (protocol v5's retired
+	// data opcodes 2–7 included) are rejected.
 	if _, _, _, err := parseDeadline(appendDeadline(nil, time.Second, opDeadline, nil)); err == nil {
 		t.Error("nested deadline envelope accepted")
 	}
-	for _, op := range []byte{opHello, opSnapshot, opRestore, opHealth, opAddStore} {
+	for _, op := range []byte{opHello, 2, 3, 4, 5, 6, 7, opSnapshot, opRestore, opHealth, opAddStore} {
 		if _, _, _, err := parseDeadline(appendDeadline(nil, time.Second, op, nil)); err == nil {
 			t.Errorf("opcode %d accepted a deadline", op)
 		}
@@ -318,9 +319,13 @@ func startScriptedServer(t *testing.T, g *oram.Geometry, handle func(conn net.Co
 	return ln.Addr().String()
 }
 
-func scriptedSlotResponse(id uint64) []byte {
+// scriptedRootResponse answers a read of the root bucket of the scripted
+// tests' tree (LeafZ 3): slot 0 holds block 7.
+func scriptedRootResponse(id uint64) []byte {
 	resp := appendRespHeader(nil, id, statusOK)
-	return appendSlot(resp, &oram.Slot{ID: 7, Leaf: 3, Payload: bytes.Repeat([]byte{0xAB}, 8)})
+	resp = appendSlot(resp, &oram.Slot{ID: 7, Leaf: 3, Payload: bytes.Repeat([]byte{0xAB}, 8)})
+	dummy := oram.DummySlot()
+	return appendSlot(appendSlot(resp, &dummy), &dummy)
 }
 
 func TestClientRetriesShedsInLane(t *testing.T) {
@@ -333,7 +338,7 @@ func TestClientRetriesShedsInLane(t *testing.T) {
 			return writeFrame(conn, busyResponse(id, 2*time.Millisecond, "scripted shed")) == nil
 		}
 		served.Add(1)
-		return writeFrame(conn, scriptedSlotResponse(id)) == nil
+		return writeFrame(conn, scriptedRootResponse(id)) == nil
 	})
 	cl, err := DialConfig(context.Background(), addr, Config{ShedRetries: 5})
 	if err != nil {
@@ -396,9 +401,9 @@ func TestClientSendsDeadlineEnvelope(t *testing.T) {
 	var dataBudget, healthBudget atomic.Int64
 	addr := startScriptedServer(t, g, func(conn net.Conn, id uint64, op byte, budget time.Duration, _ []byte) bool {
 		switch op {
-		case opReadSlot:
+		case opBatch:
 			dataBudget.Store(int64(budget))
-			return writeFrame(conn, scriptedSlotResponse(id)) == nil
+			return writeFrame(conn, scriptedRootResponse(id)) == nil
 		case opHealth:
 			healthBudget.Store(int64(budget))
 			resp := appendRespHeader(nil, id, statusOK)
@@ -525,7 +530,11 @@ func TestServerGoawaySlowConsumer(t *testing.T) {
 	if err := shard0(t, seed).WritePath(0, src); err != nil {
 		t.Fatal(err)
 	}
-	seed.Close()
+	seed.Close() // sends the held path
+	path := make([]oram.BucketRef, g.Levels())
+	for lvl := range path {
+		path[lvl] = oram.BucketRef{Level: lvl, Node: g.NodeAt(0, lvl)}
+	}
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -539,8 +548,7 @@ func TestServerGoawaySlowConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		req := appendReqHeader(nil, uint64(i+2), opReadPath, 0)
-		req = appendLeaf(req, 0)
+		req := appendUnion(append(appendReqHeader(nil, uint64(i+2), opBatch, 0), batchRead), path)
 		if err := writeFrame(conn, req); err != nil {
 			break // the server may already have dropped us mid-flood
 		}

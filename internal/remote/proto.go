@@ -6,7 +6,7 @@
 // Block contents should be sealed by the client (internal/crypto) before
 // they reach this layer.
 //
-// Wire format (protocol v5): 4-byte big-endian length-prefixed frames.
+// Wire format (protocol v6): 4-byte big-endian length-prefixed frames.
 // Every request carries a client-chosen request ID so many requests can be
 // in flight on one connection and responses may return out of order; the
 // client multiplexes by ID. Layouts (all integers big-endian):
@@ -20,26 +20,24 @@
 //	              (bootID: a random per-process identifier; a client that
 //	              reconnects and sees a different bootID knows the server
 //	              restarted and lost its in-memory tree.)
-//	opReadBucket  req: level u32 · node u64            → resp: Z slots
-//	opWriteBucket req: level u32 · node u64 · Z slots  → resp: empty
-//	opReadSlot    req: level u32 · node u64 · slot u32 → resp: 1 slot
-//	opWriteSlot   req: level u32 · node u64 · slot u32 · slot → resp: empty
-//	opReadPath    req: leaf u64                        → resp: per-level slots
-//	opWritePath   req: leaf u64 · per-level slots      → resp: empty
+//	2–7           unassigned (protocol v5's bucket, slot and path reads and
+//	              writes; a v6 server answers them "unknown opcode")
 //	opBatch       req: kind u8 (0) · union                 → resp: the union's slots
 //	                   kind u8 (1) · union · slots         → resp: empty
 //	                   kind u8 (2) · union · slots · union → resp: the 2nd union's slots
 //	              union = count u32 · count×(level u32 · node u64), slots = its
 //	              buckets' slots in ref order
-//	              (a bucket union — the deduplicated buckets of a joint fetch
-//	              or write-back — read, written, or (kind 2, protocol v5: a
-//	              lane's write-back riding its next fetch) one written and then
-//	              one read under one hold of the shard lock, all under the
-//	              frame's one status. Every ref and slot is validated before
-//	              the lock is taken, so a bad ref, a short slot list or a
-//	              trailing byte fails the whole frame with nothing written; a
-//	              failed write reads nothing. A v4 peer answers kind 2 "unknown
-//	              batch kind", a v3 peer any batch with a clean parse error.)
+//	              (the one data frame: a bucket union — the deduplicated
+//	              buckets of a joint fetch or write-back, a path's buckets root
+//	              first, or a single bucket — read, written, or (kind 2,
+//	              protocol v5: a lane's write-back riding its next fetch) one
+//	              written and then one read under one hold of the shard lock,
+//	              all under the frame's one status. Every ref and slot is
+//	              validated before the lock is taken, so a bad ref, a short
+//	              slot list or a trailing byte fails the whole frame with
+//	              nothing written; a failed write reads nothing. A v4 peer
+//	              answers kind 2 "unknown batch kind", a v3 peer any batch with
+//	              a clean parse error.)
 //	opSnapshot    req: empty            → resp: shard store snapshot bytes
 //	opRestore     req: snapshot bytes   → resp: empty
 //	              (opSnapshot/opRestore are the checkpoint-coordinator RPC:
@@ -72,7 +70,10 @@
 //	              instead of executing it once the budget has elapsed in
 //	              queue; servers predating v3 reject the unknown opcode,
 //	              which clients treat as fatal, so deadlines are opt-in.
-//	              Only the data opcodes (2–8) may be wrapped.)
+//	              Only the data opcode (opBatch) may be wrapped.)
+//
+// opBatch and opcodes 9–13 kept their v5 numbers, so a v6 client, which sends
+// no other opcode, is served by a v5 server too.
 //
 // Overload (protocol v3): a server under admission control may answer any
 // data request with statusBusy instead of executing it. The busy body is
@@ -89,10 +90,10 @@
 //
 // Slots are serialised as (id u64, leaf u64, payloadLen u32, payload). A
 // write frame must end with its last slot; a real slot's payload is empty
-// (the zero row) or exactly the block size. The path and batch opcodes are
-// what make the serving path fast: a whole root→leaf path (or the
-// deduplicated bucket union of a training batch) moves in one frame instead
-// of one frame per bucket.
+// (the zero row) or exactly the block size. The batch opcode is what makes
+// the serving path fast: a whole root→leaf path (or the deduplicated bucket
+// union of a training batch) moves in one frame instead of one frame per
+// bucket.
 package remote
 
 import (
@@ -107,25 +108,19 @@ import (
 	"repro/internal/oram"
 )
 
-// Opcodes. 1–5 are the original synchronous protocol's operations; 6–8 are
-// the v2 pipelining additions (8 carries one bucket union since v4, a
-// write-back with the next fetch since v5); 9–10 are the checkpoint RPC;
-// 11–12 are the elastic-placement additions (health heartbeat, dynamic store
-// growth); 13 is the v3 deadline envelope.
+// Opcodes. 2–7 are unassigned since v6: the bucket, slot and path operations
+// that opBatch (one bucket union since v4, a write-back with the next fetch
+// since v5) replaced. 9–10 are the checkpoint RPC; 11–12 are the
+// elastic-placement additions (health heartbeat, dynamic store growth); 13 is
+// the v3 deadline envelope.
 const (
-	opHello       = 1
-	opReadBucket  = 2
-	opWriteBucket = 3
-	opReadSlot    = 4
-	opWriteSlot   = 5
-	opReadPath    = 6
-	opWritePath   = 7
-	opBatch       = 8
-	opSnapshot    = 9
-	opRestore     = 10
-	opHealth      = 11
-	opAddStore    = 12
-	opDeadline    = 13
+	opHello    = 1
+	opBatch    = 8
+	opSnapshot = 9
+	opRestore  = 10
+	opHealth   = 11
+	opAddStore = 12
+	opDeadline = 13
 )
 
 // Response status codes. statusBusy (protocol v3) means the request was
@@ -143,13 +138,13 @@ const (
 // (goawayID, statusBusy) frame is unambiguous.
 const goawayID = 0
 
-// isDataOp reports whether op is one of the shard data operations (the
-// only opcodes admission control meters, deadlines may wrap, and a busy
-// shed may answer). Everything else is control plane: handshake, health,
-// checkpoint/recovery and placement traffic must not be shed — it is
-// exactly the traffic that resolves an overload or repairs a node.
+// isDataOp reports whether op is the shard data operation (the only opcode
+// admission control meters, deadlines may wrap, and a busy shed may answer).
+// Everything else is control plane: handshake, health, checkpoint/recovery
+// and placement traffic must not be shed — it is exactly the traffic that
+// resolves an overload or repairs a node.
 func isDataOp(op byte) bool {
-	return op >= opReadBucket && op <= opBatch
+	return op == opBatch
 }
 
 // maxFrame bounds a frame to something generous but finite: a batched
@@ -440,40 +435,6 @@ func parseBucketRef(buf []byte) (level int, node uint64, rest []byte, err error)
 	level = int(int32(binary.BigEndian.Uint32(buf[0:])))
 	node = binary.BigEndian.Uint64(buf[4:])
 	return level, node, buf[bucketRefLen:], nil
-}
-
-// appendSlotRef serialises a (level, node, slot) slot address.
-func appendSlotRef(buf []byte, level int, node uint64, slot int) []byte {
-	buf = appendBucketRef(buf, level, node)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(slot))
-	return append(buf, tmp[:]...)
-}
-
-func parseSlotRef(buf []byte) (level int, node uint64, slot int, rest []byte, err error) {
-	level, node, rest, err = parseBucketRef(buf)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	if len(rest) < 4 {
-		return 0, 0, 0, nil, fmt.Errorf("remote: truncated slot address")
-	}
-	slot = int(int32(binary.BigEndian.Uint32(rest)))
-	return level, node, slot, rest[4:], nil
-}
-
-// appendLeaf serialises a path address.
-func appendLeaf(buf []byte, leaf oram.Leaf) []byte {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(leaf))
-	return append(buf, tmp[:]...)
-}
-
-func parseLeaf(buf []byte) (leaf oram.Leaf, rest []byte, err error) {
-	if len(buf) < 8 {
-		return 0, nil, fmt.Errorf("remote: truncated leaf address")
-	}
-	return oram.Leaf(binary.BigEndian.Uint64(buf)), buf[8:], nil
 }
 
 // opBatch kinds: what the frame does with the buckets it names.

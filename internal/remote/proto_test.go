@@ -36,9 +36,8 @@ func TestQuickRespHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickAddressCodecs: bucket/slot/leaf address bodies round-trip
-// (the bodies of opReadBucket/opWriteBucket/opReadSlot/opWriteSlot/
-// opReadPath/opWritePath).
+// TestQuickAddressCodecs: a bucket address (the ref of an opBatch union)
+// round-trips.
 func TestQuickAddressCodecs(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(53))}
 	bucket := func(level int32, node uint64, tail []byte) bool {
@@ -47,22 +46,6 @@ func TestQuickAddressCodecs(t *testing.T) {
 		return err == nil && l == int(level) && n == node && bytes.Equal(rest, tail)
 	}
 	if err := quick.Check(bucket, cfg); err != nil {
-		t.Error(err)
-	}
-	slotRef := func(level int32, node uint64, slot int32, tail []byte) bool {
-		buf := append(appendSlotRef(nil, int(level), node, int(slot)), tail...)
-		l, n, s, rest, err := parseSlotRef(buf)
-		return err == nil && l == int(level) && n == node && s == int(slot) && bytes.Equal(rest, tail)
-	}
-	if err := quick.Check(slotRef, cfg); err != nil {
-		t.Error(err)
-	}
-	leaf := func(lf uint64, tail []byte) bool {
-		buf := append(appendLeaf(nil, oram.Leaf(lf)), tail...)
-		got, rest, err := parseLeaf(buf)
-		return err == nil && got == oram.Leaf(lf) && bytes.Equal(rest, tail)
-	}
-	if err := quick.Check(leaf, cfg); err != nil {
 		t.Error(err)
 	}
 }

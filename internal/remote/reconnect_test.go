@@ -114,8 +114,11 @@ func TestReconnectReplay(t *testing.T) {
 	if err := shard0(t, c).WriteSlot(2, 1, 1, oram.Slot{ID: 42, Leaf: 9}); err != nil {
 		t.Fatal(err)
 	}
-	p.KillConns()
 	var got oram.Slot
+	if err := shard0(t, c).ReadSlot(2, 1, 1, &got); err != nil { // sends the held write
+		t.Fatal(err)
+	}
+	p.KillConns()
 	if err := shard0(t, c).ReadSlot(2, 1, 1, &got); err != nil {
 		t.Fatalf("read across connection kill: %v", err)
 	}

@@ -19,7 +19,7 @@ import (
 
 // Server exposes one or more shard Stores over TCP: the paper's
 // server_storage component, scaled to the serving path. It is intentionally
-// "dumb" — it answers bucket/path requests at the addresses the client
+// "dumb" — it answers bucket-union requests at the addresses the client
 // names and never learns which logical block is meant; all obliviousness
 // lives client-side.
 //
@@ -605,8 +605,8 @@ func (s *Server) handle(frame []byte) []byte {
 // workScratch is the reusable request state of one executing goroutine (a
 // pool worker): the bucket refs and slot buffers handed to the store, and the
 // payload arena read results land in. One request executes at a time per
-// worker, so nothing here is shared; in steady state a path or bucket-union
-// request allocates only what the store itself allocates.
+// worker, so nothing here is shared; in steady state a bucket-union request
+// allocates only what the store itself allocates.
 type workScratch struct {
 	refs  []oram.BucketRef
 	bufs  [][]oram.Slot // bufs[i] is a window of slots
@@ -615,33 +615,27 @@ type workScratch struct {
 	wb    *workScratch // the write-back half of a kind-2 opBatch frame
 }
 
-// union parses one ref list of an opBatch body into ws.refs, lays its buckets
-// out and returns what follows the refs.
+// union parses one ref list of an opBatch body into ws.refs, points bufs[i]
+// at BucketSize(refs[i].Level) zeroed slots of the one reused slot array and
+// returns what follows the refs.
 func (ws *workScratch) union(g *oram.Geometry, body []byte) (rest []byte, err error) {
 	if ws.refs, rest, err = parseUnion(g, body, ws.refs); err != nil {
 		return nil, err
 	}
-	ws.layout(g, len(ws.refs), func(i int) int { return ws.refs[i].Level })
-	return rest, nil
-}
-
-// layout points bufs[i], i < n, at BucketSize(level(i)) zeroed slots of the
-// one reused slot array and returns bufs.
-func (ws *workScratch) layout(g *oram.Geometry, n int, level func(i int) int) [][]oram.Slot {
 	total := 0
-	for i := 0; i < n; i++ {
-		total += g.BucketSize(level(i))
+	for _, r := range ws.refs {
+		total += g.BucketSize(r.Level)
 	}
 	ws.slots = slices.Grow(ws.slots[:0], total)[:total]
 	clear(ws.slots)
-	ws.bufs = slices.Grow(ws.bufs[:0], n)[:n]
+	ws.bufs = slices.Grow(ws.bufs[:0], len(ws.refs))[:len(ws.refs)]
 	off := 0
-	for i := range ws.bufs {
-		z := g.BucketSize(level(i))
+	for i, r := range ws.refs {
+		z := g.BucketSize(r.Level)
 		ws.bufs[i] = ws.slots[off : off+z : off+z]
 		off += z
 	}
-	return ws.bufs
+	return rest, nil
 }
 
 // arm backs every laid-out slot with its own stripe of the scratch arena,
@@ -702,10 +696,10 @@ func (ws *workScratch) appendRead(dst []byte, blockSize int) []byte {
 // buffer that leaves. On error the returned frame is nil and whatever was
 // appended to dst is meaningless. ws is the executing goroutine's scratch.
 //
-// Every data handler has one shape: parse and validate the whole request into
-// ws, take the shard lock for exactly one call on the store's Face, serialise.
-// Reads land in the worker's armed arena; written slots are views into the
-// request frame, which the store copies into its own storage.
+// The one data handler, opBatch, parses and validates the whole request into
+// ws, takes the shard lock once for its calls on the store's Face, and
+// serialises. Reads land in the worker's armed arena; written slots are views
+// into the request frame, which the store copies into its own storage.
 func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, body []byte) ([]byte, error) {
 	g := s.geom
 	// opHello/opHealth/opAddStore are whole-server operations: they are
@@ -733,86 +727,6 @@ func (s *Server) dispatch(ws *workScratch, dst []byte, op byte, shard uint32, bo
 		return nil, err
 	}
 	switch op {
-	case opReadBucket, opWriteBucket:
-		level, node, rest, err := parseBucketRef(body)
-		if err != nil {
-			return nil, err
-		}
-		if level < 0 || level >= g.Levels() {
-			return nil, fmt.Errorf("level %d out of range", level)
-		}
-		buf := ws.layout(g, 1, func(int) int { return level })[0]
-		if op == opWriteBucket {
-			if err := endOfFrame(viewSlots(rest, buf, g.BlockSize())); err != nil {
-				return nil, err
-			}
-			lock.Lock()
-			err = store.WriteBucket(level, node, buf)
-			lock.Unlock()
-			return dst, err
-		}
-		ws.arm(g.BlockSize())
-		lock.Lock()
-		err = store.ReadBucket(level, node, buf)
-		lock.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return ws.appendRead(dst, g.BlockSize()), nil
-	case opReadSlot:
-		level, node, slot, _, err := parseSlotRef(body)
-		if err != nil {
-			return nil, err
-		}
-		var sl oram.Slot
-		lock.Lock()
-		err = store.ReadSlot(level, node, slot, &sl)
-		lock.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return appendSlot(dst, &sl), nil
-	case opWriteSlot:
-		level, node, slot, rest, err := parseSlotRef(body)
-		if err != nil {
-			return nil, err
-		}
-		var sl [1]oram.Slot
-		if err := endOfFrame(viewSlots(rest, sl[:], g.BlockSize())); err != nil {
-			return nil, err
-		}
-		lock.Lock()
-		err = store.WriteSlot(level, node, slot, sl[0])
-		lock.Unlock()
-		return dst, err
-	case opReadPath, opWritePath:
-		leaf, rest, err := parseLeaf(body)
-		if err != nil {
-			return nil, err
-		}
-		if !g.ValidLeaf(leaf) {
-			return nil, fmt.Errorf("leaf %d out of range", leaf)
-		}
-		bufs := ws.layout(g, g.Levels(), func(lvl int) int { return lvl })
-		if op == opWritePath {
-			// The whole path is parsed before the store is touched, so a
-			// truncated frame cannot leave a half-written path behind.
-			if err := endOfFrame(viewSlots(rest, ws.slots, g.BlockSize())); err != nil {
-				return nil, err
-			}
-			lock.Lock()
-			err = store.WritePath(leaf, bufs)
-			lock.Unlock()
-			return dst, err
-		}
-		ws.arm(g.BlockSize())
-		lock.Lock()
-		err = store.ReadPath(leaf, bufs)
-		lock.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return ws.appendRead(dst, g.BlockSize()), nil
 	case opBatch:
 		// One bucket union written, one read, or both in that order (kind 2:
 		// a lane's write-back riding its next fetch). The whole frame — both

@@ -242,9 +242,10 @@ func TestManyClientsOneServer(t *testing.T) {
 	}
 }
 
-// TestPathOpsRoundTrip pins the opReadPath/opWritePath framing end to end:
-// a path written through the store comes back bucket-for-bucket identical,
-// and matches per-bucket reads of the same nodes.
+// TestPathOpsRoundTrip pins ShardStore's path methods end to end (a path
+// travels as the union of its buckets, root first): a path written through
+// the store comes back bucket-for-bucket identical, and matches per-bucket
+// reads of the same nodes.
 func TestPathOpsRoundTrip(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 4, LeafZ: 3, RootZ: 6, Profile: oram.ProfileLinear, BlockSize: 16})
 	_, addr := startServer(t, g, false)

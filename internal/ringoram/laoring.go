@@ -19,10 +19,8 @@ type LAORing struct {
 	plan   *superblock.Plan
 	cursor *superblock.Cursor
 
-	bins          uint64
-	extraReads    uint64 // direct member reads beyond the path walk
-	coldPathWalks uint64 // extra path walks for members off the bin path
-	sinceEvict    int    // logical accesses since the last eviction path
+	bins       uint64
+	sinceEvict int // logical accesses since the last eviction path
 }
 
 // NewLAORing wraps a Ring with a superblock plan.
@@ -38,13 +36,6 @@ func (lr *LAORing) Ring() *Ring { return lr.ring }
 
 // Bins returns how many bins have been executed.
 func (lr *LAORing) Bins() uint64 { return lr.bins }
-
-// ExtraReads returns the direct member reads beyond one-per-bucket walks —
-// the "+S" term of the paper's formula.
-func (lr *LAORing) ExtraReads() uint64 { return lr.extraReads }
-
-// ColdPathWalks returns path walks beyond the first per bin.
-func (lr *LAORing) ColdPathWalks() uint64 { return lr.coldPathWalks }
 
 // Done reports whether the plan is exhausted.
 func (lr *LAORing) Done() bool { return lr.cursor.Done() }
@@ -119,10 +110,7 @@ func (lr *LAORing) StepBin(visit func(id oram.BlockID, payload []byte) []byte) e
 		}
 		groups[leaf] = append(groups[leaf], id)
 	}
-	for i, leaf := range order {
-		if i > 0 {
-			lr.coldPathWalks++
-		}
+	for _, leaf := range order {
 		if err := lr.walkPath(leaf, groups[leaf]); err != nil {
 			return err
 		}
@@ -207,7 +195,6 @@ func (lr *LAORing) walkPath(leaf oram.Leaf, members []oram.BlockID) error {
 		if err := lr.directRead(leaf, m); err != nil {
 			return err
 		}
-		lr.extraReads++
 	}
 	return nil
 }

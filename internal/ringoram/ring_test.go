@@ -264,8 +264,7 @@ func TestLAORingFormula(t *testing.T) {
 		t.Errorf("bins executed %d != plan %d", lr.Bins(), plan.Len())
 	}
 	ratio := float64(plainReads) / float64(laoReads)
-	t.Logf("ring reads: plain=%d laoring=%d ratio=%.2f (S=%d) extras=%d cold=%d",
-		plainReads, laoReads, ratio, S, lr.ExtraReads(), lr.ColdPathWalks())
+	t.Logf("ring reads: plain=%d laoring=%d ratio=%.2f (S=%d)", plainReads, laoReads, ratio, S)
 	// The formula predicts close to S× fewer path-walk reads; reshuffles
 	// and evictions dilute it, but ≥ 1.8× must hold at S=4.
 	if ratio < 1.8 {

@@ -1,6 +1,6 @@
 // Package superblock implements the superblock machinery of the paper:
-// LAORAM's look-ahead preprocessor (§IV-B) and the PrORAM static/dynamic
-// baselines it is compared against (§II-D).
+// LAORAM's look-ahead preprocessor (§IV-B). The PrORAM static/dynamic
+// baselines it is compared against (§II-D) are discussed, not built.
 //
 // A superblock is a set of data blocks assigned to the same ORAM path, so
 // one path fetch serves the whole set. LAORAM's insight is that training

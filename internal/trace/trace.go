@@ -213,7 +213,7 @@ func Uniform(rng *rand.Rand, n uint64, count int) []uint64 {
 }
 
 // Sequential returns 0,1,2,...,count-1 mod n — the best case for PrORAM's
-// spatial-locality superblocks, used to validate the PrORAM baseline.
+// spatial-locality superblocks (§II-D).
 func Sequential(n uint64, count int) []uint64 {
 	out := make([]uint64, count)
 	for i := range out {

@@ -2,8 +2,13 @@ package laoram
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
+
+	"repro/internal/oram"
+	"repro/internal/remote"
 )
 
 // TestIncompatibleOptions: an option that would silently do nothing in the
@@ -91,6 +96,108 @@ func TestVerifyWithEncryptAndSession(t *testing.T) {
 		})
 	if n != len(stream) {
 		t.Errorf("visited %d rows, want %d", n, len(stream))
+	}
+}
+
+// TestVerifyOverRemote: Merkle authentication over a serving node, the one
+// public path whose store moves single buckets, each a one-ref union on the
+// wire. Load, a multi-window Train and read-your-writes pass authentication;
+// then another connection overwrites one leaf-level bucket (below the
+// treetop, so it lives only on the node) and a later read fails it.
+func TestVerifyOverRemote(t *testing.T) {
+	const entries, blockSize = 256, 16
+	addr := startShardedServer(t, entries, 1, blockSize)
+	db, err := New(Options{Entries: entries, RemoteAddrs: []string{addr}, Verify: true, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	row := func(id uint64) []byte {
+		p := make([]byte, blockSize)
+		binary.LittleEndian.PutUint64(p, id*0x9E3779B97F4A7C15)
+		return p
+	}
+	if err := db.Load(entries, row); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 1500, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Train(context.Background(), TrainOptions{
+		Source: FromSlice(stream), Superblock: 4, Window: 256,
+		Visit: func(id uint64, p []byte) []byte {
+			p[8] = 1
+			return p
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Windows < 2 {
+		t.Fatalf("Train ran %d window(s), want several", st.Windows)
+	}
+	ids := make([]uint64, entries)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	trained := map[uint64]bool{}
+	for _, id := range stream {
+		trained[id] = true
+	}
+	rows, err := db.ReadBatch(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, got := range rows {
+		want := row(uint64(id))
+		if trained[uint64(id)] {
+			want[8] = 1
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("row %d reads %x, want %x", id, got, want)
+		}
+	}
+
+	attacker, err := remote.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attacker.Close()
+	node, err := attacker.Store(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := node.Geometry()
+	leafLevel := g.LeafBits()
+	if leafLevel-1 < oram.TreetopLevels(g) {
+		t.Fatalf("the leaf level's parents are inside the treetop (%d levels)", oram.TreetopLevels(g))
+	}
+	forged := make([]oram.Slot, g.BucketSize(leafLevel))
+	for i := range forged {
+		forged[i] = oram.Slot{ID: 7, Leaf: 0, Payload: bytes.Repeat([]byte{0xEE}, blockSize)}
+	}
+	if err := node.WriteBucket(leafLevel, 0, forged); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.ReadBucket(leafLevel, 0, make([]oram.Slot, len(forged))); err != nil { // sends the forgery
+		t.Fatal(err)
+	}
+	// The client writes a bucket only after reading it, and the write it may
+	// still hold is not a leaf bucket's (re-hashing a leaf bucket reads its
+	// parent from the node, which carries the write), so nothing it sends
+	// replaces the forgery before a read through it fails.
+	for round := 0; ; round++ {
+		_, err := db.ReadBatch(ids)
+		if err != nil {
+			if !strings.Contains(err.Error(), "integrity") {
+				t.Fatalf("a read over the forged bucket failed with %v, want an authentication failure", err)
+			}
+			break
+		}
+		if round == 20 {
+			t.Fatal("20 reads of every row never met the forged bucket")
+		}
 	}
 }
 
