@@ -79,7 +79,7 @@ func main() {
 		out[1]++ // visit counter
 		return out
 	}
-	err = la.RunContext(ctx, func(id oram.BlockID, payload []byte) []byte {
+	err = la.Run(ctx, 1, func(id oram.BlockID, payload []byte) []byte {
 		if int(la.Stats().Bins) >= half-1 {
 			preempt() // SIGTERM arrives mid-epoch
 		}
@@ -139,7 +139,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := la2.Run(touch); err != nil {
+	if err := la2.Run(context.Background(), 1, touch); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("phase 2: trained remaining %d bins after restore (%d cold reads — re-warming look-ahead)\n",

@@ -32,14 +32,13 @@ type TrainConfig struct {
 	// one window (the one-shot shape, byte-identical to Preprocess +
 	// Session).
 	Window int
-	// Depth is the bounded plan queue (default 2 when 0 — double
+	// Depth is the bounded plan queue (DefaultDepth when 0 — double
 	// buffering: plan window k+1 while executing window k) and the
 	// cross-window horizon: a window executes once the Depth after it are
 	// planned, with its blocks' next leaves reaching into them.
 	Depth int
-	// BatchBins > 0 executes each window in batched server round trips
-	// of that many bins (§IV-A per-training-batch fetch); 0 steps bin by
-	// bin.
+	// BatchBins is how many bins each server round trip fetches (§IV-A
+	// per-training-batch fetch); 0 is one bin per round trip.
 	BatchBins int
 	// PrePlace bulk-loads the engine before the first window executes,
 	// pre-placing every block of window 0 on its first bin's path (the
@@ -51,11 +50,6 @@ type TrainConfig struct {
 	Payload func(id uint64) []byte
 	// NewVisit builds one trainer callback per shard lane (may be nil).
 	NewVisit shard.NewVisit
-	// Sequential disables the §VIII-A overlap: every window is planned
-	// before the first one executes. This is the measurement baseline
-	// for the pipeline experiment — identical work, no concurrency
-	// between the stages — not a production mode.
-	Sequential bool
 	// StartWindow offsets the absolute index of the first planned window:
 	// a recovery that rewound the source to the boundary of window B
 	// resumes with StartWindow = B, keeping every window's absolute index
@@ -78,12 +72,16 @@ type TrainConfig struct {
 	SkipStartCheckpoint bool
 }
 
+// DefaultDepth is the plan-queue depth Train uses when TrainConfig.Depth is
+// 0: double buffering.
+const DefaultDepth = 2
+
 func (c *TrainConfig) fill() error {
 	if c.S == 0 {
 		c.S = 4
 	}
 	if c.Depth == 0 {
-		c.Depth = 2
+		c.Depth = DefaultDepth
 	}
 	if c.S < 1 {
 		return fmt.Errorf("batch: S must be >= 1, got %d", c.S)
@@ -130,7 +128,7 @@ type TrainStats struct {
 	LookaheadRemaps uint64
 	UniformRemaps   uint64
 	// PlanTime is the total wall time the planner stage spent scanning
-	// and binning (overlaps TrainTime unless Sequential).
+	// and binning (overlaps TrainTime).
 	PlanTime time.Duration
 	// TrainTime is the total wall time the trainer stage spent executing
 	// windows (ORAM work, all shard lanes).
@@ -139,8 +137,7 @@ type TrainStats struct {
 	// zero when preprocessing keeps ahead, the §VIII-A claim.
 	Stalled time.Duration
 	// TrainerStalls counts the window fetches that found no released
-	// window on offer: the queue-miss count behind Stalled (pipelined runs
-	// only).
+	// window on offer: the queue-miss count behind Stalled.
 	TrainerStalls int
 	// PlannerStalled is how long the planning goroutine was blocked
 	// handing windows to the full queue — backpressure on the cheap
@@ -148,9 +145,9 @@ type TrainStats struct {
 	PlannerStalled time.Duration
 	// QueuePeak and QueueMean summarise the plan-queue depth observed at
 	// each window fetch: the planned windows waiting behind the one taken,
-	// held ones included, or 0 on a stall (bounded by Depth; pipelined
-	// runs only). A mean near Depth means planning stays ahead; near zero
-	// means the trainer is starved.
+	// held ones included, or 0 on a stall (bounded by Depth). A mean near
+	// Depth means planning stays ahead; near zero means the trainer is
+	// starved.
 	QueuePeak int
 	QueueMean float64
 	// CheckpointTime is the total wall time spent inside the Checkpoint
@@ -290,63 +287,47 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 		return st, err
 	}
 
-	if cfg.Sequential {
-		// Baseline: drain the planner completely, then execute.
-		var windows []shard.PlannedWindow
-		for w := range ch {
-			windows = append(windows, w)
+	depthSum := 0
+	for {
+		// A fetch that finds no released window on offer is a genuine
+		// pipeline stall and samples depth 0; otherwise it samples the
+		// planned windows waiting behind the one it takes — Depth
+		// means planning is comfortably ahead.
+		var (
+			w       shard.PlannedWindow
+			ok      bool
+			stalled bool
+		)
+		waitStart := time.Now()
+		select {
+		case w, ok = <-ch:
+		default:
+			stalled = true
+			w, ok = <-ch
 		}
-		if err := planner.Err(); err != nil {
+		st.Stalled += time.Since(waitStart)
+		if !ok {
+			break
+		}
+		ready := 0
+		if stalled {
+			st.TrainerStalls++
+		} else {
+			ready = planner.Ready()
+		}
+		if ready > st.QueuePeak {
+			st.QueuePeak = ready
+		}
+		depthSum += ready
+		if err := execute(w); err != nil {
 			return fail(err)
 		}
-		for _, w := range windows {
-			if err := execute(w); err != nil {
-				return fail(err)
-			}
-		}
-	} else {
-		depthSum := 0
-		for {
-			// A fetch that finds no released window on offer is a genuine
-			// pipeline stall and samples depth 0; otherwise it samples the
-			// planned windows waiting behind the one it takes — Depth
-			// means planning is comfortably ahead.
-			var (
-				w       shard.PlannedWindow
-				ok      bool
-				stalled bool
-			)
-			waitStart := time.Now()
-			select {
-			case w, ok = <-ch:
-			default:
-				stalled = true
-				w, ok = <-ch
-			}
-			st.Stalled += time.Since(waitStart)
-			if !ok {
-				break
-			}
-			ready := 0
-			if stalled {
-				st.TrainerStalls++
-			} else {
-				ready = planner.Ready()
-			}
-			if ready > st.QueuePeak {
-				st.QueuePeak = ready
-			}
-			depthSum += ready
-			if err := execute(w); err != nil {
-				return fail(err)
-			}
-		}
-		if st.Windows > 0 {
-			st.QueueMean = float64(depthSum) / float64(st.Windows)
-		}
-		if err := planner.Err(); err != nil {
-			return fail(err)
-		}
+	}
+	if st.Windows > 0 {
+		st.QueueMean = float64(depthSum) / float64(st.Windows)
+	}
+	if err := planner.Err(); err != nil {
+		return fail(err)
 	}
 	st.PlannerStalled = planner.Stats().EnqueueStalled
 	st.Wall = time.Since(wallStart)

@@ -55,34 +55,6 @@ func (s *sliceSrc) Read(ctx context.Context, dst []uint64) (int, error) {
 	return n, nil
 }
 
-// TestStreamSequentialMatchesPipelined: both schedules must execute
-// identical plans and produce identical counters — the invariant the
-// pipeline experiment's speedup measurement rests on.
-func TestStreamSequentialMatchesPipelined(t *testing.T) {
-	const entries = 512
-	stream := trace.PermutationEpochs(trace.NewRNG(4), entries, 3000)
-	run := func(sequential bool) (TrainStats, shard.Stats) {
-		e := streamEngine(t, 2, entries, 31)
-		st, err := Train(context.Background(), e, &sliceSrc{rest: stream}, TrainConfig{
-			S: 4, Window: 512, Depth: 2, PrePlace: true, Sequential: sequential,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, e.Stats()
-	}
-	seq, seqEng := run(true)
-	pipe, pipeEng := run(false)
-	if seq.Windows != pipe.Windows || seq.Accesses != pipe.Accesses || seq.Bins != pipe.Bins ||
-		seq.ColdPathReads != pipe.ColdPathReads ||
-		seq.LookaheadRemaps != pipe.LookaheadRemaps || seq.UniformRemaps != pipe.UniformRemaps {
-		t.Errorf("schedules diverge:\nseq  %+v\npipe %+v", seq, pipe)
-	}
-	if seqEng.Access != pipeEng.Access {
-		t.Errorf("engine counters diverge:\nseq  %+v\npipe %+v", seqEng.Access, pipeEng.Access)
-	}
-}
-
 // TestStreamDeterministic: two identically-seeded runs are identical even
 // though planning and execution overlap across goroutines.
 func TestStreamDeterministic(t *testing.T) {

@@ -7,8 +7,8 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStepBinAllocs gates the LAORAM bin cycle (ISSUE 3): the steady-state
-// superblock step — plan consumption, path fetch, per-member remap, joint
+// TestStepAllocs gates the LAORAM bin cycle: the steady-state one-bin
+// Step — plan consumption, path fetch, per-member remap, joint
 // write-back, background eviction — must not allocate. This is the end-to-end
 // proof that the slab stash and its index, the reusable evict planner, the
 // transfer buffers and the cursor (an index into the plan's next-leaf table)
@@ -16,7 +16,7 @@ import (
 // one-path bin over a
 // metadata-only store, and the cold bin — two to four paths fetched as one
 // bucket union and written back as one — over an unsealed PayloadStore.
-func TestStepBinAllocs(t *testing.T) {
+func TestStepAllocs(t *testing.T) {
 	const blocks = 1 << 11
 	stream, err := trace.Generate(trace.Config{
 		Kind: trace.KindPermutation, N: blocks, Count: 16 * blocks, Seed: 31,
@@ -40,18 +40,18 @@ func TestStepBinAllocs(t *testing.T) {
 			// Warm up executor scratch (readLeaves, planner, cursor, stash
 			// slab and index, transfer buffers).
 			for i := 0; i < 1024; i++ {
-				if _, err := fx.laoram.StepBin(nil); err != nil {
+				if _, err := fx.laoram.Step(1, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 			cold := fx.laoram.Stats().ColdPathReads
 			allocs := testing.AllocsPerRun(500, func() {
-				if _, err := fx.laoram.StepBin(nil); err != nil {
+				if _, err := fx.laoram.Step(1, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs > 0 {
-				t.Errorf("StepBin allocates %.2f objects/op in steady state, want 0", allocs)
+				t.Errorf("Step(1) allocates %.2f objects/op in steady state, want 0", allocs)
 			}
 			if got := fx.laoram.Stats().ColdPathReads - cold; (got > 500) != tc.cold {
 				t.Errorf("%d cold path reads in 501 measured bins: not the shape the case is named for", got)
@@ -60,7 +60,7 @@ func TestStepBinAllocs(t *testing.T) {
 	}
 }
 
-// TestStepBatchAllocs gates the batched step the same way: peeking k bins,
+// TestStepBatchAllocs gates a k-bin Step the same way: peeking k bins,
 // one joint fetch, each bin's next leaves from the cursor, one joint
 // write-back.
 func TestStepBatchAllocs(t *testing.T) {
@@ -76,16 +76,16 @@ func TestStepBatchAllocs(t *testing.T) {
 		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 34,
 	})
 	for i := 0; i < 256; i++ {
-		if _, err := fx.laoram.StepBatch(4, nil); err != nil {
+		if _, err := fx.laoram.Step(4, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(300, func() {
-		if _, err := fx.laoram.StepBatch(4, nil); err != nil {
+		if _, err := fx.laoram.Step(4, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("StepBatch allocates %.2f objects/op in steady state, want 0", allocs)
+		t.Errorf("Step(4) allocates %.2f objects/op in steady state, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -14,10 +15,10 @@ func TestStepBatchValidation(t *testing.T) {
 	f := newFixture(t, fixtureConfig{
 		leafBits: 6, blocks: blocks, s: 4, stream: stream, prePlace: true, seed: 40,
 	})
-	if _, err := f.laoram.StepBatch(0, nil); err == nil {
+	if _, err := f.laoram.Step(0, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := f.laoram.StepBatch(-1, nil); err == nil {
+	if _, err := f.laoram.Step(-1, nil); err == nil {
 		t.Error("k<0 accepted")
 	}
 }
@@ -40,13 +41,11 @@ func TestStepBatchEquivalence(t *testing.T) {
 			binary.LittleEndian.PutUint64(out[8:], visits[id])
 			return out
 		}
-		var err error
+		k := 1
 		if batched {
-			err = f.laoram.RunBatched(8, visit)
-		} else {
-			err = f.laoram.Run(visit)
+			k = 8
 		}
-		if err != nil {
+		if err := f.laoram.Run(context.Background(), k, visit); err != nil {
 			t.Fatal(err)
 		}
 		// Verify final payloads agree with visit counts.
@@ -84,13 +83,7 @@ func TestStepBatchSavesTraffic(t *testing.T) {
 			leafBits: 10, blocks: blocks, s: 4,
 			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 44,
 		})
-		var err error
-		if batch <= 1 {
-			err = f.laoram.Run(nil)
-		} else {
-			err = f.laoram.RunBatched(batch, nil)
-		}
-		if err != nil {
+		if err := f.laoram.Run(context.Background(), batch, nil); err != nil {
 			t.Fatal(err)
 		}
 		c := f.store.Counters()
@@ -115,7 +108,7 @@ func TestStepBatchPartialFinalBatch(t *testing.T) {
 	})
 	total := 0
 	for !f.laoram.Done() {
-		n, err := f.laoram.StepBatch(4, nil)
+		n, err := f.laoram.Step(4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +117,8 @@ func TestStepBatchPartialFinalBatch(t *testing.T) {
 	if total != f.plan.Len() {
 		t.Errorf("executed %d bins, plan has %d", total, f.plan.Len())
 	}
-	if _, err := f.laoram.StepBatch(4, nil); err == nil {
-		t.Error("StepBatch past plan end succeeded")
+	if _, err := f.laoram.Step(4, nil); err == nil {
+		t.Error("Step past plan end succeeded")
 	}
 	st := f.laoram.Stats()
 	if st.Bins != uint64(f.plan.Len()) {

@@ -128,109 +128,111 @@ func (l *LAORAM) LoadPrePlaced(n uint64, payload func(oram.BlockID) []byte) erro
 	return l.base.Load(n, leafOf, payload)
 }
 
-// StepBin executes the next superblock bin (§IV-A):
+// Step executes up to k superblock bins as one server round trip — the
+// paper's per-training-batch flow (§IV-A); a bin is the one-bin batch:
 //
-//  1. Fetch the bin's paths as one bucket union (oram.ReadPaths): in steady
-//     state that is the bin's own path; members not resident there (cold
-//     blocks still on their own paths) add theirs, counted in ColdPathReads,
-//     and the buckets the paths share cross once.
-//  2. Remap every member to its own next bin's path (or uniform if it has
-//     no future within the horizon).
-//  3. Run visit for each member while resident in trusted memory.
-//  4. Write the fetched paths back with greedy eviction, then run
+//  1. Gather the distinct leaves of every member of the k bins and fetch
+//     them as one bucket union (oram.ReadPaths). In steady state each bin
+//     contributes exactly its own path; members not resident there (cold
+//     blocks still on their own paths) add theirs, counted in
+//     ColdPathReads, and buckets the paths share cross once.
+//  2. Consume the bins in order: remap every member to its own next bin's
+//     path (or uniform if it has no future within the horizon), then run
+//     visit for each member while it is resident in trusted memory.
+//  3. Write the fetched paths back jointly with greedy eviction, then run
 //     background eviction if the stash is over its high-water mark.
 //
-// visit may be nil. Returns the executed bin.
-func (l *LAORAM) StepBin(visit Visit) (*superblock.Bin, error) {
-	bin := l.cursor.NextBin()
-	if bin == nil {
-		return nil, fmt.Errorf("core: plan exhausted after %d bins", l.bins)
+// visit may be nil. Returns the number of bins executed (less than k only
+// at plan end).
+func (l *LAORAM) Step(k int, visit Visit) (int, error) {
+	if k <= 0 {
+		return 0, fmt.Errorf("core: Step k must be > 0, got %d", k)
 	}
 	st := l.base.StatsMut()
-	st.Accesses += uint64(len(bin.Blocks))
 
-	// Gather the distinct paths that must be fetched. In steady state
-	// every member already sits on bin.Leaf (or in the stash) and this
-	// is exactly one path.
 	l.fetch.Reset()
-	for _, id := range bin.Blocks {
-		hit, err := l.base.GatherLeaf(&l.fetch, id)
-		if err != nil {
-			return nil, fmt.Errorf("core: bin %d: %w", bin.Index, err)
+	bins := 0
+	for i := 0; i < k; i++ {
+		bin := l.cursor.PeekBin(i)
+		if bin == nil {
+			break
 		}
-		if hit {
-			st.StashHits++
-		}
-	}
-	readLeaves := l.fetch.Leaves()
-	if err := l.base.ReadPaths(readLeaves); err != nil {
-		return nil, err
-	}
-	st.PathReads += uint64(len(readLeaves))
-	if len(readLeaves) > 1 {
-		// Everything beyond the first path is cold-start traffic.
-		l.coldPathReads += uint64(len(readLeaves) - 1)
-	}
-
-	// Consume the plan: each member's next path comes from its next bin.
-	_, nextLeaves, err := l.cursor.Advance()
-	if err != nil {
-		return nil, err
-	}
-	for i, id := range bin.Blocks {
-		if !l.base.Stash().Contains(id) {
-			return nil, fmt.Errorf("core: block %d missing after path reads (bin %d)", id, bin.Index)
-		}
-		leaf := nextLeaves[i]
-		if leaf == oram.NoLeaf {
-			leaf = l.base.RandomLeaf()
-			l.uniformRemaps++
-		} else {
-			l.lookaheadRemaps++
-		}
-		l.base.PosMap().Set(id, leaf)
-		l.base.Stash().SetLeaf(id, leaf)
-		st.Remaps++
-	}
-
-	if visit != nil {
+		bins++
+		st.Accesses += uint64(len(bin.Blocks))
 		for _, id := range bin.Blocks {
-			p, _ := l.base.Stash().Payload(id)
-			if np := visit(id, p); np != nil {
-				l.base.Stash().SetPayload(id, np)
+			hit, err := l.base.GatherLeaf(&l.fetch, id)
+			if err != nil {
+				return 0, fmt.Errorf("core: bin %d: %w", bin.Index, err)
+			}
+			if hit {
+				st.StashHits++
 			}
 		}
 	}
+	if bins == 0 {
+		return 0, fmt.Errorf("core: plan exhausted after %d bins", l.bins)
+	}
+	readLeaves := l.fetch.Leaves()
+	if err := l.base.ReadPaths(readLeaves); err != nil {
+		return 0, err
+	}
+	st.PathReads += uint64(len(readLeaves))
+	if len(readLeaves) > bins {
+		// Everything beyond one path per bin is cold-start traffic.
+		l.coldPathReads += uint64(len(readLeaves) - bins)
+	}
 
-	// Joint write-back: with cold members more than one path was read,
-	// and the paths overlap at least at the root (oram.WriteBackPaths
-	// writes the union exactly once).
+	for i := 0; i < bins; i++ {
+		bin, nextLeaves, err := l.cursor.Advance()
+		if err != nil {
+			return 0, err
+		}
+		for j, id := range bin.Blocks {
+			if !l.base.Stash().Contains(id) {
+				return 0, fmt.Errorf("core: block %d missing after path reads (bin %d)", id, bin.Index)
+			}
+			leaf := nextLeaves[j]
+			if leaf == oram.NoLeaf {
+				leaf = l.base.RandomLeaf()
+				l.uniformRemaps++
+			} else {
+				l.lookaheadRemaps++
+			}
+			l.base.PosMap().Set(id, leaf)
+			l.base.Stash().SetLeaf(id, leaf)
+			st.Remaps++
+		}
+		if visit != nil {
+			for _, id := range bin.Blocks {
+				p, _ := l.base.Stash().Payload(id)
+				if np := visit(id, p); np != nil {
+					l.base.Stash().SetPayload(id, np)
+				}
+			}
+		}
+		l.bins++
+	}
+
 	if err := l.base.WriteBackPaths(readLeaves); err != nil {
-		return nil, err
+		return 0, err
 	}
 	st.PathWrites += uint64(len(readLeaves))
 	if _, err := l.base.MaybeEvict(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	l.bins++
-	return bin, nil
+	return bins, nil
 }
 
-// Run executes the remaining plan to completion.
-func (l *LAORAM) Run(visit Visit) error {
-	return l.RunContext(context.Background(), visit)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked before
-// every bin, so a cancelled context stops execution at the next bin
-// boundary and returns ctx.Err(). The check consumes no randomness — a run
-// that is never cancelled is byte-identical to Run.
-func (l *LAORAM) RunContext(ctx context.Context, visit Visit) error {
+// Run executes the remaining plan k bins per Step. ctx is checked before
+// every step, so a cancelled context stops execution at the next step
+// boundary and returns ctx.Err(); the check consumes no randomness — a run
+// that is never cancelled is byte-identical to one without a deadline.
+func (l *LAORAM) Run(ctx context.Context, k int, visit Visit) error {
 	for !l.cursor.Done() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if _, err := l.StepBin(visit); err != nil {
+		if _, err := l.Step(k, visit); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -123,7 +124,7 @@ func TestSteadyStateOnePathPerBin(t *testing.T) {
 		leafBits: 10, blocks: blocks, s: 4,
 		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 2,
 	})
-	if err := f.laoram.Run(nil); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := f.laoram.Stats()
@@ -161,7 +162,7 @@ func TestColdStartConverges(t *testing.T) {
 	// First epoch: blocks/4 bins.
 	firstBins := int(blocks / 4)
 	for i := 0; i < firstBins; i++ {
-		if _, err := f.laoram.StepBin(nil); err != nil {
+		if _, err := f.laoram.Step(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +171,7 @@ func TestColdStartConverges(t *testing.T) {
 		t.Error("cold start produced no cold reads — suspicious")
 	}
 	// Second epoch: every member was remapped by lookahead already.
-	if err := f.laoram.Run(nil); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	cold2 := f.laoram.Stats().ColdPathReads - cold1
@@ -204,7 +205,7 @@ func TestReadYourWritesThroughPlan(t *testing.T) {
 		binary.LittleEndian.PutUint64(out[8:], c+1)
 		return out
 	}
-	if err := f.laoram.Run(visit); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, visit); err != nil {
 		t.Fatal(err)
 	}
 	for id, c := range counts {
@@ -223,7 +224,7 @@ func TestLookaheadRemapAccounting(t *testing.T) {
 		leafBits: 7, blocks: blocks, s: 4,
 		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 5,
 	})
-	if err := f.laoram.Run(nil); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := f.laoram.Stats()
@@ -250,16 +251,16 @@ func TestPlanExhaustion(t *testing.T) {
 	if f.laoram.Done() {
 		t.Error("fresh plan reported done")
 	}
-	if err := f.laoram.Run(nil); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !f.laoram.Done() {
 		t.Error("completed plan not done")
 	}
-	if _, err := f.laoram.StepBin(nil); err == nil {
-		t.Error("StepBin past plan end succeeded")
+	if _, err := f.laoram.Step(1, nil); err == nil {
+		t.Error("Step past plan end succeeded")
 	}
-	if err := f.laoram.Run(nil); err != nil {
+	if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 		t.Errorf("Run on exhausted plan = %v, want a no-op", err)
 	}
 }
@@ -284,8 +285,8 @@ func TestUnloadedBlockFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Load: members unknown to the position map.
-	if _, err := la.StepBin(nil); err == nil {
-		t.Error("StepBin with unloaded blocks succeeded")
+	if _, err := la.Step(1, nil); err == nil {
+		t.Error("Step with unloaded blocks succeeded")
 	}
 }
 
@@ -308,7 +309,7 @@ func TestBinReferencesOutOfRangeBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := la.StepBin(nil); err == nil {
+	if _, err := la.Step(1, nil); err == nil {
 		t.Error("bin referencing block beyond table accepted")
 	}
 }
@@ -325,7 +326,7 @@ func TestFatTreeReducesDummyReads(t *testing.T) {
 			leafBits: 12, blocks: blocks, s: S, fat: fat,
 			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 7,
 		})
-		if err := f.laoram.Run(nil); err != nil {
+		if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		return f.base.Stats()
@@ -351,7 +352,7 @@ func TestStashGrowthOrdering(t *testing.T) {
 			leafBits: 12, blocks: blocks, s: s, fat: fat,
 			evict: oram.EvictConfig{}, stream: stream, prePlace: true, seed: 8,
 		})
-		if err := f.laoram.Run(nil); err != nil {
+		if err := f.laoram.Run(context.Background(), 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		return f.base.Stash().Peak()
@@ -391,7 +392,7 @@ func TestLeafAccessUniformity(t *testing.T) {
 				break
 			}
 		}
-		if _, err := f.laoram.StepBin(nil); err != nil {
+		if _, err := f.laoram.Step(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,7 +424,7 @@ func TestTwoStreamIndistinguishability(t *testing.T) {
 					break
 				}
 			}
-			if _, err := f.laoram.StepBin(nil); err != nil {
+			if _, err := f.laoram.Step(1, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -444,7 +445,7 @@ func TestStatsResetAndSnapshot(t *testing.T) {
 		leafBits: 6, blocks: blocks, s: 4,
 		stream: stream, prePlace: true, seed: 14,
 	})
-	if _, err := f.laoram.StepBin(nil); err != nil {
+	if _, err := f.laoram.Step(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if f.laoram.Stats().Bins != 1 {

@@ -45,11 +45,11 @@ func (s *binSpy) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 	return s.PayloadStore.WriteBuckets(refs, src)
 }
 
-// stepBinPerLeaf is StepBin as it was before the joint fetch — one ReadPath per
+// stepBinPerLeaf is a one-bin Step as it was before the joint fetch — one ReadPath per
 // distinct leaf, shared upper buckets fetched and stashed again for every path
 // — kept here, and only here, as the reference the joint bin is held to.
 func stepBinPerLeaf(l *LAORAM, visit Visit) error {
-	bin := l.cursor.NextBin()
+	bin := l.cursor.PeekBin(0)
 	if bin == nil {
 		return fmt.Errorf("plan exhausted")
 	}
@@ -167,7 +167,7 @@ func TestJointBinOneFetchOneWriteBack(t *testing.T) {
 	for i := 0; i < bins; i++ {
 		spy.calls = spy.calls[:0]
 		before, reads := joint.store.Counters(), joint.laoram.Stats().PathReads
-		if _, err := joint.laoram.StepBin(visit); err != nil {
+		if _, err := joint.laoram.Step(1, visit); err != nil {
 			t.Fatal(err)
 		}
 		if err := stepBinPerLeaf(ref.laoram, visit); err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -69,12 +70,7 @@ func BatchSweep(sc Scale, seed int64) (*BatchSweepResult, error) {
 		}
 		cs.ResetCounters()
 		meter.Reset()
-		if batch == 1 {
-			err = la.Run(nil)
-		} else {
-			err = la.RunBatched(batch, nil)
-		}
-		if err != nil {
+		if err := la.Run(context.Background(), batch, nil); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", batch, err)
 		}
 		c := cs.Counters()

@@ -493,12 +493,6 @@ type ReplacementResult struct {
 	RollbackMatch bool
 }
 
-// FewerReplayed reports the drill's headline: re-placement replayed
-// strictly less work than the rollback did on the same fault.
-func (r *ReplacementResult) FewerReplayed() bool {
-	return r.ReplaceRewound < r.RollbackRewound
-}
-
 // Replacement runs the reference, the re-placement run (kill, no
 // supervisor, Recovery.Replace) and the rollback run (kill, supervised
 // restart, full rollback) on one fault schedule and compares them.

@@ -279,7 +279,7 @@ func (s *batchShape) round() error {
 	return c.WriteBackPaths(s.leaves)
 }
 
-// coldBins drives core.StepBin over the bin shape that fills the train-mem
+// coldBins drives a one-bin core.LAORAM.Step over the bin shape that fills the train-mem
 // lane: one shard's tree of that workload (2^16 blocks of 128 B on an unsealed
 // PayloadStore, fat tree 8→4) and S=4 bins whose members are all cold — every
 // block appears once per epoch, so each sits on its own uniform path, the bin
@@ -446,7 +446,7 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 				}
 				b.StartTimer()
 			}
-			if _, err := cold.la.StepBin(nil); err != nil {
+			if _, err := cold.la.Step(1, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

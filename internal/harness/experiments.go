@@ -734,7 +734,7 @@ func Security(sc Scale, seed int64) (*SecurityResult, error) {
 					break
 				}
 			}
-			if _, err := la.StepBin(nil); err != nil {
+			if _, err := la.Step(1, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -233,15 +233,12 @@ func Run(spec RunSpec) (RunResult, error) {
 		meter.Reset()
 		la.ResetStats()
 		base.Stash().ResetPeak()
-		accesses := 0
 		for !la.Done() {
-			bin, err := la.StepBin(nil)
-			if err != nil {
+			if _, err := la.Step(1, nil); err != nil {
 				return out, err
 			}
 			if spec.StashSampler != nil {
-				accesses += len(bin.Blocks)
-				spec.StashSampler(accesses, base.Stash().Len())
+				spec.StashSampler(int(la.Stats().Accesses), base.Stash().Len())
 			}
 		}
 		out.Core = la.Stats()

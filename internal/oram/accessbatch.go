@@ -41,12 +41,12 @@ type batchScratch struct {
 //  4. WriteBackPaths the same union, then run background eviction once.
 //
 // What the server sees is the union of k independent uniform leaves, each
-// revealed once and replaced before write-back — core.StepBatch's argument
+// revealed once and replaced before write-back — core.LAORAM.Step's argument
 // (DESIGN.md "Joint lookups"). k is the same function of the request as
 // under len(ids) sequential Access calls: a key already in the stash, or
 // repeated within the batch, costs no path with StashHits and one uniformly
 // drawn cover path without; a first write costs one cover path; everything
-// else costs its own path. Statistics count as StepBatch counts: Accesses,
+// else costs its own path. Statistics count as core.LAORAM.Step counts: Accesses,
 // StashHits and Remaps per key, PathReads and PathWrites per distinct leaf.
 //
 // Reads of never-written blocks and out-of-range ids fail before any state

@@ -291,7 +291,7 @@ func TestAccessBatchResultsCallerOwned(t *testing.T) {
 	}
 }
 
-// TestAccessBatchStats pins the counters to core.StepBatch's rule: Accesses,
+// TestAccessBatchStats pins the counters to core.LAORAM.Step's rule: Accesses,
 // StashHits and Remaps per key, PathReads and PathWrites per distinct leaf;
 // a repeated or stash-resident key is a hit (no path with StashHits, one
 // cover path without); a first write costs one cover path and one remap.

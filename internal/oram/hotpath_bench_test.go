@@ -153,7 +153,7 @@ func newBatchShape(tb testing.TB) *batchShape {
 	return s
 }
 
-// round is one training batch as the ORAM client sees it (core.StepBatch):
+// round is one training batch as the ORAM client sees it (core.LAORAM.Step):
 // fetch the paths of 64 blocks jointly, remap each block uniformly (within
 // the left half), write the paths back jointly.
 func (s *batchShape) round(tb testing.TB) {

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -218,7 +219,7 @@ func TestLAORAMOverTCPWithSealing(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	err = la.Run(func(id oram.BlockID, payload []byte) []byte {
+	err = la.Run(context.Background(), 1, func(id oram.BlockID, payload []byte) []byte {
 		if binary.LittleEndian.Uint64(payload) != uint64(id) {
 			t.Fatalf("block %d corrupt over network", id)
 		}

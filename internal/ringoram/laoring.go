@@ -84,7 +84,7 @@ func (lr *LAORing) LoadPrePlaced(n uint64, payload func(oram.BlockID) []byte) er
 
 // StepBin executes the next superblock bin through the ring.
 func (lr *LAORing) StepBin(visit func(id oram.BlockID, payload []byte) []byte) error {
-	bin := lr.cursor.NextBin()
+	bin := lr.cursor.PeekBin(0)
 	if bin == nil {
 		return fmt.Errorf("ringoram: plan exhausted after %d bins", lr.bins)
 	}

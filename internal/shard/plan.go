@@ -24,9 +24,6 @@ type Plan struct {
 // Shards returns the partition count the plan was built for.
 func (p *Plan) Shards() int { return p.n }
 
-// ShardPlan returns shard s's superblock plan (local-ID space).
-func (p *Plan) ShardPlan(s int) *superblock.Plan { return p.plans[s] }
-
 // SplitStream partitions a global access stream into per-shard local-ID
 // streams, preserving relative order within each shard. With one shard the
 // split is the identity, so the returned slice aliases stream rather than
@@ -78,7 +75,7 @@ func (e *Engine) Preprocess(stream []uint64, sblk int) (*Plan, error) {
 func (e *Engine) preprocessWindow(stream []uint64, sblk, win int) (*Plan, error) {
 	locals := SplitStream(stream, e.n)
 	p := &Plan{n: e.n, plans: make([]*superblock.Plan, e.n)}
-	err := e.fanOut(func(s int) error {
+	err := e.fanOut(nil, func(s int) error {
 		// A shard absent from the stream gets an empty plan (zero bins).
 		sp, err := superblock.NewPlan(locals[s], superblock.PlanConfig{
 			S:      sblk,

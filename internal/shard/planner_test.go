@@ -78,7 +78,7 @@ func TestPlannerFullWindowMatchesPreprocess(t *testing.T) {
 		}
 		got := wins[0].Plan
 		for s := 0; s < shards; s++ {
-			gp, wp := got.ShardPlan(s), want.ShardPlan(s)
+			gp, wp := got.plans[s], want.plans[s]
 			if gp.Len() != wp.Len() || gp.UniqueBlocks() != wp.UniqueBlocks() {
 				t.Fatalf("shard %d: plan shape diverges: %d/%d bins, %d/%d blocks",
 					s, gp.Len(), wp.Len(), gp.UniqueBlocks(), wp.UniqueBlocks())
@@ -174,7 +174,7 @@ func TestPlannerCancelWithFullQueue(t *testing.T) {
 func nextLeafTables(p *Plan) [][]oram.Leaf {
 	out := make([][]oram.Leaf, p.Shards())
 	for s := range out {
-		for cur := superblock.NewCursor(p.ShardPlan(s)); !cur.Done(); {
+		for cur := superblock.NewCursor(p.plans[s]); !cur.Done(); {
 			_, next, _ := cur.Advance()
 			out[s] = append(out[s], next...)
 		}

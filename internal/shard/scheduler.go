@@ -8,65 +8,46 @@ import (
 	"repro/internal/oram"
 )
 
-// fanOut runs f(s) for every shard, one worker goroutine per shard, and
-// returns the lowest-shard error. The single-shard case runs inline on the
-// calling goroutine, so a 1-shard engine consumes randomness and advances
-// clocks in exactly the order the unsharded engine would — the property
-// behind the byte-identical Shards=1 guarantee.
+// fanOut runs f(s) for every shard sel marks true (nil selects every
+// shard), one worker goroutine per shard, and returns the lowest-shard
+// error. A single selected shard runs inline on the calling goroutine, so a
+// 1-shard engine consumes randomness and advances clocks in exactly the
+// order the unsharded engine would — the property behind the
+// byte-identical Shards=1 guarantee. A selector is the execution primitive
+// of per-shard re-placement catch-up, where only the re-placed lanes replay
+// their accesses while healthy lanes' state stays untouched; zero selected
+// shards is a no-op.
 //
 // Shards never share mutable state (each worker touches only its own
 // client, store and meter), so no locking is needed beyond the join.
-func (e *Engine) fanOut(f func(shard int) error) error {
-	if e.n == 1 {
-		return f(0)
+func (e *Engine) fanOut(sel []bool, f func(shard int) error) error {
+	if sel != nil && len(sel) != e.n {
+		return fmt.Errorf("shard: lane selector has %d entries, engine has %d shards", len(sel), e.n)
+	}
+	on := func(s int) bool { return sel == nil || sel[s] }
+	picked, last := 0, 0
+	for s := 0; s < e.n; s++ {
+		if on(s) {
+			picked, last = picked+1, s
+		}
+	}
+	switch picked {
+	case 0:
+		return nil
+	case 1:
+		return f(last)
 	}
 	errs := make([]error, e.n)
 	var wg sync.WaitGroup
-	wg.Add(e.n)
 	for s := 0; s < e.n; s++ {
+		if !on(s) {
+			continue
+		}
+		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			errs[s] = f(s)
 		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fanOutLanes is fanOut restricted to the shards sel marks true — the
-// execution primitive of per-shard re-placement catch-up, where only the
-// re-placed lanes replay their accesses while healthy lanes' state stays
-// untouched. A single selected lane runs inline (same determinism argument
-// as fanOut's 1-shard case); zero selected lanes is a no-op.
-func (e *Engine) fanOutLanes(sel []bool, f func(shard int) error) error {
-	if len(sel) != e.n {
-		return fmt.Errorf("shard: lane selector has %d entries, engine has %d shards", len(sel), e.n)
-	}
-	picked := make([]int, 0, e.n)
-	for s, on := range sel {
-		if on {
-			picked = append(picked, s)
-		}
-	}
-	switch len(picked) {
-	case 0:
-		return nil
-	case 1:
-		return f(picked[0])
-	}
-	errs := make([]error, len(picked))
-	var wg sync.WaitGroup
-	wg.Add(len(picked))
-	for k, s := range picked {
-		go func(k, s int) {
-			defer wg.Done()
-			errs[k] = f(s)
-		}(k, s)
 	}
 	wg.Wait()
 	for _, err := range errs {

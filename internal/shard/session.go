@@ -80,9 +80,9 @@ func (s *Session) Run(nv NewVisit) error {
 
 // RunContext drives the lanes sel marks true (nil selects every lane) to
 // completion concurrently, k bins per server round trip (§IV-A's
-// per-training-batch fetch within each shard; 0 steps bin by bin). Every
-// lane checks ctx at each bin or batch boundary, so a cancelled context
-// drains all shard workers (the fan-out always joins) and returns
+// per-training-batch fetch within each shard; 0 is one bin per round
+// trip). Every lane checks ctx at each round-trip boundary, so a cancelled
+// context drains all shard workers (the fan-out always joins) and returns
 // ctx.Err(); the check consumes no randomness — an uncancelled run is
 // byte-identical to Run.
 //
@@ -93,26 +93,17 @@ func (s *Session) Run(nv NewVisit) error {
 // would with every lane selected (same bin order, same randomness), so a
 // caught-up lane is byte-identical to one that never failed.
 func (s *Session) RunContext(ctx context.Context, k int, sel []bool, nv NewVisit) error {
-	lane := func(i int) error {
+	k = max(k, 1)
+	return s.e.fanOut(sel, func(i int) error {
 		var v Visit
 		if nv != nil {
 			v = nv(i)
 		}
-		var err error
-		if k > 0 {
-			err = s.las[i].RunBatchedContext(ctx, k, s.wrap(i, v))
-		} else {
-			err = s.las[i].RunContext(ctx, s.wrap(i, v))
-		}
-		if err != nil {
+		if err := s.las[i].Run(ctx, k, s.wrap(i, v)); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		return nil
-	}
-	if sel == nil {
-		return s.e.fanOut(lane)
-	}
-	return s.e.fanOutLanes(sel, lane)
+	})
 }
 
 // Lane exposes shard i's LAORAM executor (stats, manual stepping).

@@ -268,7 +268,7 @@ func (e *Engine) accessBatch(ctx context.Context, op oram.Op, ids []uint64, rows
 	if err != nil {
 		return err
 	}
-	return e.fanOut(func(s int) error {
+	return e.fanOut(nil, func(s int) error {
 		c, sc := e.subs[s].Client, &e.scratch[s]
 		for lane := lanes[s]; len(lane) > 0; {
 			if err := ctx.Err(); err != nil {
@@ -345,7 +345,7 @@ func (e *Engine) load(ctx context.Context, n uint64, leafOf []func(oram.BlockID)
 	if n > e.entries {
 		return fmt.Errorf("shard: Load of %d blocks exceeds configured %d", n, e.entries)
 	}
-	return e.fanOut(func(s int) error {
+	return e.fanOut(nil, func(s int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -182,7 +182,7 @@ func TestWriteBatch(t *testing.T) {
 
 // TestSessionConcurrentMatchesSerial builds two identically-seeded engines
 // and executes the same sharded plan once via the concurrent Run scheduler
-// and once via a serial round-robin StepBin loop. Per-shard work is
+// and once via a serial round-robin one-bin Step loop. Per-shard work is
 // deterministic given the seed, so the final table contents and the
 // aggregate counters must be identical regardless of lane interleaving.
 func TestSessionConcurrentMatchesSerial(t *testing.T) {
@@ -238,7 +238,7 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 					if sess.Lane(i).Done() {
 						continue
 					}
-					if _, err := sess.Lane(i).StepBin(sess.wrap(i, visitors[i])); err != nil {
+					if _, err := sess.Lane(i).Step(1, sess.wrap(i, visitors[i])); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -295,7 +295,7 @@ func TestPreprocessPartition(t *testing.T) {
 		for _, l := range locals[s] {
 			seen[l] = true
 		}
-		sp := plan.ShardPlan(s)
+		sp := plan.plans[s]
 		if sp.Len() == 0 || sp.UniqueBlocks() != len(seen) {
 			t.Fatalf("shard %d plan: %d bins over %d blocks, stream slice has %d unique", s, sp.Len(), sp.UniqueBlocks(), len(seen))
 		}

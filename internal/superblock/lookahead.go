@@ -183,18 +183,9 @@ type Cursor struct {
 // NewCursor starts consumption at bin 0.
 func NewCursor(p *Plan) *Cursor { return &Cursor{plan: p} }
 
-// NextBin returns the next unexecuted bin, or nil when the plan is done.
-func (c *Cursor) NextBin() *Bin {
-	if c.next >= c.plan.Len() {
-		return nil
-	}
-	return c.plan.Bin(c.next)
-}
-
 // PeekBin returns the bin offset positions after the next unexecuted one
-// (PeekBin(0) == NextBin) without consuming anything, or nil past the plan
-// end. Batched executors use it to gather several bins' paths in one
-// fetch.
+// (PeekBin(0) is the next bin) without consuming anything, or nil past the
+// plan end. Executors use it to gather a step's bins' paths in one fetch.
 func (c *Cursor) PeekBin(offset int) *Bin {
 	i := c.next + offset
 	if offset < 0 || i >= c.plan.Len() {

@@ -115,7 +115,7 @@ func TestPlanEmptyStream(t *testing.T) {
 		t.Errorf("empty plan: len=%d unique=%d bytes=%d", p.Len(), p.UniqueBlocks(), p.MetadataBytes())
 	}
 	c := NewCursor(p)
-	if !c.Done() || c.NextBin() != nil {
+	if !c.Done() || c.PeekBin(0) != nil {
 		t.Error("cursor on empty plan should be done")
 	}
 	if _, _, err := c.Advance(); err == nil {
@@ -159,8 +159,8 @@ func TestCursorAdvance(t *testing.T) {
 	if c.Done() {
 		t.Fatal("fresh cursor done")
 	}
-	if nb := c.NextBin(); nb == nil || nb.Index != 0 {
-		t.Fatalf("NextBin = %+v", nb)
+	if nb := c.PeekBin(0); nb == nil || nb.Index != 0 {
+		t.Fatalf("PeekBin(0) = %+v", nb)
 	}
 	bin, next, err := c.Advance()
 	if err != nil {

@@ -1,8 +1,11 @@
 package laoram
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -68,5 +71,76 @@ func TestWindowedTrainServerLeavesUniform(t *testing.T) {
 	}
 	if _, _, p, err := stats.ChiSquareTwoSample(hp, hx); err != nil || p < 0.001 {
 		t.Errorf("permutation and xnli leaf streams distinguishable: p=%v err=%v", p, err)
+	}
+}
+
+// trickleSource delivers one index per Read, pausing before every 16th: the
+// most finely cut feed a planner can be handed, and with a pause one slower
+// than the trainer.
+type trickleSource struct {
+	rest  []uint64
+	pause time.Duration
+}
+
+func (s *trickleSource) Read(ctx context.Context, dst []uint64) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if len(s.rest) == 0 {
+		return 0, io.EOF
+	}
+	if s.pause > 0 && len(s.rest)%16 == 0 {
+		time.Sleep(s.pause)
+	}
+	dst[0], s.rest = s.rest[0], s.rest[1:]
+	return 1, nil
+}
+
+// TestTrickleSourceMatchesSlice is DESIGN.md invariant #9's timing clause:
+// how the source cuts and paces the stream never changes what executes. A
+// source that hands over one index per Read, paced or not, trains to the
+// same identity counters and the same SaveState bytes as FromSlice, with
+// windows that look ahead across each other at every Depth.
+func TestTrickleSourceMatchesSlice(t *testing.T) {
+	const entries, blockSize, window = 512, 16, 256
+	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 2000, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(src IndexSource, depth int) (*TrainStats, []byte) {
+		t.Helper()
+		db, err := New(Options{Entries: entries, BlockSize: blockSize, Shards: 2, Seed: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		st, err := db.Train(context.Background(), TrainOptions{
+			Source: src, Superblock: 4, Window: window, Depth: depth,
+			PrePlace: true, Payload: trainInit(blockSize), Visit: trainVisit,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var state bytes.Buffer
+		if err := db.SaveState(&state); err != nil {
+			t.Fatal(err)
+		}
+		return st, state.Bytes()
+	}
+	for depth := 1; depth <= 3; depth++ {
+		want, wantState := run(FromSlice(stream), depth)
+		if want.Windows < 2*depth {
+			t.Fatalf("depth %d: %d windows, too few to look ahead across", depth, want.Windows)
+		}
+		for _, pause := range []time.Duration{0, 200 * time.Microsecond} {
+			got, gotState := run(&trickleSource{rest: stream, pause: pause}, depth)
+			if got.Windows != want.Windows || got.Accesses != want.Accesses || got.Session != want.Session {
+				t.Errorf("depth %d, pause %v: identity counters %d/%d/%+v, FromSlice %d/%d/%+v", depth, pause,
+					got.Windows, got.Accesses, got.Session, want.Windows, want.Accesses, want.Session)
+			}
+			if !bytes.Equal(gotState, wantState) {
+				t.Errorf("depth %d, pause %v: SaveState bytes differ from FromSlice's", depth, pause)
+			}
+		}
 	}
 }

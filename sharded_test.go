@@ -2,6 +2,7 @@ package laoram
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -72,7 +73,7 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 	if err := la.LoadPrePlaced(entries, func(id oram.BlockID) []byte { return initPayload(uint64(id)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := la.Run(func(id oram.BlockID, p []byte) []byte { return visit(uint64(id), p) }); err != nil {
+	if err := la.Run(context.Background(), 1, func(id oram.BlockID, p []byte) []byte { return visit(uint64(id), p) }); err != nil {
 		t.Fatal(err)
 	}
 

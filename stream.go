@@ -2,6 +2,7 @@ package laoram
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/trace"
@@ -46,30 +47,41 @@ type RewindSource interface {
 // FromSlice adapts an in-memory access stream to a RewindSource. The slice
 // is not copied; do not mutate it while training.
 func FromSlice(stream []uint64) RewindSource {
-	return &sliceSource{s: trace.NewStream(stream)}
+	return &sliceSource{data: stream}
 }
 
+// sliceSource is a counted cursor over an in-memory stream: pos, the number
+// of indices consumed, is the cursor's whole state, so Rewind(pos) replays
+// the feed byte-identically (DESIGN.md invariant #12). Not safe for
+// concurrent use; the planner goroutine owns it.
 type sliceSource struct {
-	s *trace.Stream
+	data []uint64
+	pos  uint64
 }
 
 func (s *sliceSource) Read(ctx context.Context, dst []uint64) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if s.s.Remaining() == 0 {
-		return 0, io.EOF
-	}
-	n := s.s.Next(dst)
-	if s.s.Remaining() == 0 {
+	n := copy(dst, s.data[s.pos:])
+	s.pos += uint64(n)
+	if s.pos == uint64(len(s.data)) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-func (s *sliceSource) Pos() uint64 { return s.s.Pos() }
+func (s *sliceSource) Pos() uint64 { return s.pos }
 
-func (s *sliceSource) Rewind(pos uint64) error { return s.s.Rewind(pos) }
+// Rewind seeks to the absolute offset pos; seeking forward within the stream
+// is allowed, though recovery only ever moves backwards.
+func (s *sliceSource) Rewind(pos uint64) error {
+	if pos > uint64(len(s.data)) {
+		return fmt.Errorf("laoram: rewind to %d past end of %d-index stream", pos, len(s.data))
+	}
+	s.pos = pos
+	return nil
+}
 
 // FromTrace generates one of the synthetic evaluation workloads (§VII-B)
 // and streams it as a RewindSource. The trace is generated eagerly — it is

@@ -37,9 +37,9 @@ type TrainOptions struct {
 	// window is remapped to its first bin in those (DESIGN.md
 	// "Cross-window look-ahead").
 	Depth int
-	// BatchBins > 0 executes each window in batched server round trips
-	// of that many superblock bins (§IV-A's per-training-batch fetch);
-	// 0 steps bin by bin.
+	// BatchBins is how many superblock bins each server round trip
+	// fetches and writes back (§IV-A's per-training-batch fetch); 0 is one
+	// bin per round trip.
 	BatchBins int
 	// Visit is the per-block training callback (see type Visit for the
 	// concurrency contract under Shards > 1). Mutually exclusive with
@@ -61,10 +61,6 @@ type TrainOptions struct {
 	// called exactly once per id, in no particular order, concurrently
 	// across shard lanes: it must depend on the id only.
 	Payload func(id uint64) []byte
-	// Sequential disables the plan/execute overlap (every window is
-	// planned before the first executes). Identical work and results;
-	// exists as the measurement baseline for the pipeline experiment.
-	Sequential bool
 	// Recovery, when non-nil, makes Train self-healing: the run
 	// checkpoints the whole system (client state + every node's shard
 	// trees, via the checkpoint coordinator RPC) at window boundaries,
@@ -128,8 +124,8 @@ type TrainStats struct {
 	// windows and shard lanes.
 	Session SessionStats
 	// PlanTime is total wall time spent in the planning stage. It
-	// overlaps TrainTime (unless Sequential) — the §VIII-A claim is that
-	// it hides behind training almost entirely.
+	// overlaps TrainTime — the §VIII-A claim is that it hides behind
+	// training almost entirely.
 	PlanTime time.Duration
 	// TrainTime is total wall time spent executing windows (ORAM work).
 	TrainTime time.Duration
@@ -218,13 +214,12 @@ func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error
 		}
 	}
 	cfg := batch.TrainConfig{
-		S:          opts.Superblock,
-		Window:     opts.Window,
-		Depth:      opts.Depth,
-		BatchBins:  opts.BatchBins,
-		PrePlace:   opts.PrePlace,
-		Payload:    opts.Payload,
-		Sequential: opts.Sequential,
+		S:         opts.Superblock,
+		Window:    opts.Window,
+		Depth:     opts.Depth,
+		BatchBins: opts.BatchBins,
+		PrePlace:  opts.PrePlace,
+		Payload:   opts.Payload,
 	}
 	switch {
 	case opts.PerLane != nil:
@@ -573,7 +568,7 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	// hold its results.
 	depth := cfg.Depth
 	if depth == 0 {
-		depth = 2 // batch.Train's default, applied there after validation
+		depth = batch.DefaultDepth
 	}
 	planner, err := o.eng.NewPlanner(src, shard.PlannerConfig{
 		S: cfg.S, Window: cfg.Window, Depth: depth, StartWindow: ckWin,
