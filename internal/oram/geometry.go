@@ -59,6 +59,11 @@ type Geometry struct {
 	profile    Profile
 }
 
+// maxBucketSize is the widest bucket a Geometry admits. The loader counts a
+// bucket's blocks and the in-memory stores keep a bucket's live bound in one
+// byte each, so no bucket may hold more than 255 slots.
+const maxBucketSize = 255
+
 // GeometryConfig collects the knobs for building a Geometry.
 type GeometryConfig struct {
 	// LeafBits is log2 of the leaf count. A table of N blocks needs
@@ -129,6 +134,9 @@ func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
 			g.bucketSize[lvl] = sz
 		default:
 			return nil, fmt.Errorf("oram: unknown profile %v", cfg.Profile)
+		}
+		if z := g.bucketSize[lvl]; z > maxBucketSize {
+			return nil, fmt.Errorf("oram: %d slots per bucket at level %d, at most %d supported", z, lvl, maxBucketSize)
 		}
 	}
 	var off int64
@@ -221,6 +229,13 @@ func (g *Geometry) PathSlots() int {
 // leaf at the given level: the leading `level` bits of the leaf index.
 func (g *Geometry) NodeAt(leaf Leaf, level int) uint64 {
 	return uint64(leaf) >> uint(g.leafBits-level)
+}
+
+// bucketNo returns the heap index of bucket (level, node): levels in order,
+// nodes within a level, root 0. The loader's fill counts and the in-memory
+// stores' live bounds are indexed by it.
+func (g *Geometry) bucketNo(level int, node uint64) int64 {
+	return 1<<uint(level) - 1 + int64(node)
 }
 
 // SlotIndex maps (level, nodeInLevel, slotInBucket) to a linear slot index

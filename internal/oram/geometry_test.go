@@ -2,6 +2,7 @@ package oram
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +142,41 @@ func TestGeometryErrors(t *testing.T) {
 		if _, err := NewGeometry(cfg); err == nil {
 			t.Errorf("case %d: expected error for %+v", i, cfg)
 		}
+	}
+}
+
+// TestGeometryRefusesWideBuckets: the loader's fill counts and the stores'
+// live bounds count a bucket's slots in one byte, so a geometry with a bucket
+// wider than 255 slots, at any level and under any profile, is refused when it
+// is built; 255 is admitted and loads.
+func TestGeometryRefusesWideBuckets(t *testing.T) {
+	wide := []GeometryConfig{
+		{LeafBits: 1, LeafZ: 256},
+		{LeafBits: 4, LeafZ: 4, RootZ: 256, Profile: ProfileLinear},
+		{LeafBits: 4, LeafZ: 4, RootZ: 300, Profile: ProfileStep},
+		{LeafBits: 12, LeafZ: 4, RootZ: 1 << 12, Profile: ProfileExp},
+	}
+	for _, cfg := range wide {
+		if _, err := NewGeometry(cfg); err == nil || !strings.Contains(err.Error(), "at most 255") {
+			t.Errorf("NewGeometry(%+v) = %v, want the 255-slot error", cfg, err)
+		}
+	}
+	// Levels 0–4 hold 255 slots, 5–9 hold 4: 300 blocks on leaf 0 fill the
+	// path's lower 20 slots, all 255 of level 4's bucket, and 25 above it.
+	g := MustGeometry(GeometryConfig{LeafBits: 9, LeafZ: 4, RootZ: 255, Profile: ProfileStep})
+	c, err := NewClient(ClientConfig{Store: NewMetaStore(g), Rand: rand.New(rand.NewSource(1)), Blocks: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(300, func(BlockID) Leaf { return 0 }, nil); err != nil {
+		t.Fatal(err)
+	}
+	bucket := make([]Slot, 255)
+	if err := c.Store().ReadBucket(4, 0, bucket); err != nil {
+		t.Fatal(err)
+	}
+	if n := liveLen(bucket); n != 255 || c.stash.Len() != 0 {
+		t.Errorf("255-slot bucket holds %d blocks with %d stashed, want 255 and 0", n, c.stash.Len())
 	}
 }
 

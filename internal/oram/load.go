@@ -62,19 +62,12 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 	g := c.geom
 	maxZ := 0
 	for lvl := 0; lvl < g.Levels(); lvl++ {
-		z := g.BucketSize(lvl)
-		if z > 255 {
-			return fmt.Errorf("oram: Load: %d slots per bucket at level %d, at most 255 supported", z, lvl)
-		}
-		maxZ = max(maxZ, z)
-	}
-	// bucketNo is a bucket's heap index: levels in order, nodes within.
-	bucketNo := func(level int, node uint64) uint64 {
-		return uint64(1)<<uint(level) - 1 + node
+		maxZ = max(maxZ, g.BucketSize(lvl))
 	}
 
-	// Pass 1: placement. fill[b] counts the blocks bucket b holds so far,
-	// which is also the slot the next one takes.
+	// Pass 1: placement. fill[b] counts the blocks bucket b (in heap order)
+	// holds so far, which is also the slot the next one takes; a byte
+	// suffices, as the geometry admits no bucket wider than maxBucketSize.
 	fill := make([]uint8, g.TotalBuckets())
 	place := make([]uint64, n)
 	var placed uint64
@@ -93,7 +86,7 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 		level := uint64(stashedLevel)
 		var slot uint8
 		for lvl := g.Levels() - 1; lvl >= 0; lvl-- {
-			b := bucketNo(lvl, g.NodeAt(leaf, lvl))
+			b := g.bucketNo(lvl, g.NodeAt(leaf, lvl))
 			if int(fill[b]) < g.BucketSize(lvl) {
 				level, slot = uint64(lvl), fill[b]
 				fill[b]++
@@ -131,7 +124,7 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 		if lvl == stashedLevel {
 			continue
 		}
-		b := bucketNo(lvl, g.NodeAt(Leaf(p&placeLeafMask), lvl))
+		b := g.bucketNo(lvl, g.NodeAt(Leaf(p&placeLeafMask), lvl))
 		at := starts[b/loadGroup] + (p>>placeSlotShift)&0xff
 		for _, f := range fill[b&^(loadGroup-1) : b] {
 			at += uint64(f)
@@ -166,7 +159,7 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 	}
 	for lvl := 0; lvl < g.Levels(); lvl++ {
 		z := g.BucketSize(lvl)
-		for node, f := range fill[bucketNo(lvl, 0):bucketNo(lvl+1, 0)] {
+		for node, f := range fill[g.bucketNo(lvl, 0):g.bucketNo(lvl+1, 0)] {
 			cnt := int(f)
 			if cnt == 0 {
 				continue

@@ -320,21 +320,3 @@ func TestLoadInvalidLeafWritesNothing(t *testing.T) {
 		t.Fatalf("failed Loads reached the store: %+v", got)
 	}
 }
-
-// TestLoadRefusesWideBuckets: the loader counts a bucket's blocks in one byte,
-// so a geometry with more than 255 slots in a bucket is refused up front
-// rather than wrapped.
-func TestLoadRefusesWideBuckets(t *testing.T) {
-	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 1, LeafZ: 256})
-	cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
-	c, err := oram.NewClient(oram.ClientConfig{Store: cs, Rand: rand.New(rand.NewSource(1)), Blocks: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(300, nil, nil); err == nil {
-		t.Fatal("Load accepted 256-slot buckets")
-	}
-	if got := cs.Counters(); got != (oram.Counters{}) {
-		t.Fatalf("refused Load reached the store: %+v", got)
-	}
-}

@@ -203,7 +203,8 @@ func (st *MetaStore) Save(w io.Writer) error {
 	return writeSnapshot(w, []uint64{snapshotMagic + 1, uint64(st.geom.TotalSlots())}, st.meta)
 }
 
-// Load restores a MetaStore snapshot; the geometry must match.
+// Load restores a MetaStore snapshot; the geometry must match. The live
+// bounds are not in the snapshot: they are rebuilt from the records.
 func (st *MetaStore) Load(r io.Reader) error {
 	defer runtime.KeepAlive(st)
 	br := bufio.NewReader(r)
@@ -211,6 +212,7 @@ func (st *MetaStore) Load(r io.Reader) error {
 		return err
 	}
 	_, err := io.ReadFull(br, st.meta)
+	st.reboundAll()
 	return err
 }
 
@@ -223,7 +225,8 @@ func (st *PayloadStore) Save(w io.Writer) error {
 }
 
 // Load restores a PayloadStore snapshot; geometry and stride (and hence
-// sealing configuration) must match.
+// sealing configuration) must match. The live bounds are rebuilt from the
+// records, as MetaStore.Load does.
 func (st *PayloadStore) Load(r io.Reader) error {
 	defer runtime.KeepAlive(st)
 	br := bufio.NewReader(r)
@@ -237,7 +240,9 @@ func (st *PayloadStore) Load(r io.Reader) error {
 	if stride != uint64(st.stride) {
 		return fmt.Errorf("oram: store snapshot stride %d != %d (sealing mismatch?)", stride, st.stride)
 	}
-	if _, err := io.ReadFull(br, st.meta); err != nil {
+	_, err = io.ReadFull(br, st.meta)
+	st.reboundAll()
+	if err != nil {
 		return err
 	}
 	_, err = io.ReadFull(br, st.arena)

@@ -209,15 +209,14 @@ func bucketRange(g *Geometry, level int, node uint64) error {
 }
 
 // MetaStore is a metadata-only server storage: it records, for every slot,
-// only the block ID and assigned leaf (16 bytes/slot, in a slab off the Go
-// heap; see slab) and simulates the payload. This is what makes the paper's full-scale
-// configurations (8M–16M entries, multi-GB trees) runnable on a laptop: the
-// traffic, stash and eviction behaviour is identical to a payload-bearing
-// store because client decisions never depend on payload bytes.
+// only the block ID and assigned leaf (16 bytes/slot, plus a live bound per
+// bucket, in a slab off the Go heap; see slab and tree) and simulates the
+// payload. This is what makes the paper's full-scale configurations (8M–16M
+// entries, multi-GB trees) runnable on a laptop: the traffic, stash and
+// eviction behaviour is identical to a payload-bearing store because client
+// decisions never depend on payload bytes.
 type MetaStore struct {
-	geom *Geometry
-	slab *slab   // owns meta's memory
-	meta records // one (id, leaf) record per linear slot
+	tree
 }
 
 var _ Store = (*MetaStore)(nil)
@@ -225,29 +224,24 @@ var _ Store = (*MetaStore)(nil)
 // NewMetaStore allocates a metadata-only store with every slot a dummy. Like
 // make, it panics when the memory cannot be had.
 func NewMetaStore(g *Geometry) *MetaStore {
-	sl, err := newSlab(g.TotalSlots() * recordSize)
+	sl, err := newSlab(treeBytes(g))
 	if err != nil {
 		panic(err)
 	}
-	st := &MetaStore{geom: g, slab: sl, meta: records(sl.b)}
-	st.meta.clearAll()
-	return st
+	return &MetaStore{newTree(g, sl, 0)}
 }
 
 // Geometry implements Store.
 func (st *MetaStore) Geometry() *Geometry { return st.geom }
 
-// ReadBucket implements Store.
+// ReadBucket implements Store: the records below the bucket's live bound.
 func (st *MetaStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
+	r := BucketRef{Level: level, Node: node}
+	if !st.geom.fits(r, len(dst)) {
+		return misfit(st.geom, "ReadBucket", 0, r, len(dst))
 	}
-	z := st.geom.BucketSize(level)
-	if len(dst) != z {
-		return fmt.Errorf("oram: ReadBucket dst len %d != bucket size %d", len(dst), z)
-	}
-	base := st.geom.SlotIndex(level, node, 0)
-	for i := range dst {
+	base, n := st.readSpan(r, dst)
+	for i := range dst[:n] {
 		dst[i].ID, dst[i].Leaf = st.meta.get(base + int64(i))
 		dst[i].Payload = nil
 	}
@@ -255,19 +249,19 @@ func (st *MetaStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	return nil
 }
 
-// WriteBucket implements Store.
+// WriteBucket implements Store: src's records up to the bucket's live bound
+// or src's last non-fresh slot, whichever is further.
 func (st *MetaStore) WriteBucket(level int, node uint64, src []Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
+	r := BucketRef{Level: level, Node: node}
+	if !st.geom.fits(r, len(src)) {
+		return misfit(st.geom, "WriteBucket", 0, r, len(src))
 	}
-	z := st.geom.BucketSize(level)
-	if len(src) != z {
-		return fmt.Errorf("oram: WriteBucket src len %d != bucket size %d", len(src), z)
-	}
-	base := st.geom.SlotIndex(level, node, 0)
-	for i := range src {
+	n := liveLen(src)
+	b, base, w := st.writeSpan(r, n)
+	for i := range src[:w] {
 		st.meta.set(base+int64(i), src[i].ID, src[i].Leaf)
 	}
+	st.live[b] = uint8(n)
 	runtime.KeepAlive(st)
 	return nil
 }
@@ -295,6 +289,7 @@ func (st *MetaStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
 	}
 	st.meta.set(st.geom.SlotIndex(level, node, slot), src.ID, src.Leaf)
+	st.rebound(level, node)
 	runtime.KeepAlive(st)
 	return nil
 }
@@ -389,24 +384,21 @@ func (c *SlotCodec) Seal(raw, payload []byte, seq *uint64) error {
 }
 
 // PayloadStore is a payload-bearing in-memory server storage. Slot metadata
-// (ID, leaf) is kept alongside a byte arena holding fixed-size payloads, both
-// in one slab (off the Go heap; see slab). With a Sealer installed the arena
-// holds ciphertext and payloads are sealed/opened at the Read/Write boundary,
-// mimicking a client that only ever hands ciphertext to the untrusted server.
+// (ID, leaf) and a live bound per bucket (see tree) are kept alongside a byte
+// arena holding fixed-size payloads, all in one slab (off the Go heap; see
+// slab). A bucket's records are one contiguous run, in the order and the
+// format Save writes. With a Sealer installed the arena holds ciphertext and
+// payloads are sealed/opened at the Read/Write boundary, mimicking a client
+// that only ever hands ciphertext to the untrusted server.
 type PayloadStore struct {
-	geom *Geometry
-	// slab owns the memory meta and arena view; keeping it here keeps the
-	// views valid (see slab's aliasing rule).
-	slab *slab
-	// meta is one (id, leaf) record per slot, a bucket's records one
-	// contiguous run: a slot's metadata is one load from one cache line,
-	// dummy or not. It is the order and the format Save writes.
-	meta records
+	tree
 	// arena holds stride bytes per slot. Invariant: a slot whose record is a
 	// dummy has stride zero bytes. A fresh slab establishes it, writeSlotAt
 	// preserves it (a real→dummy write zeroes the slot, so no stale row or
 	// ciphertext stays at rest) and Save/Load carry it — which is what lets a
-	// dummy→dummy write, most of every eviction, skip the bytes.
+	// dummy→dummy write, most of every eviction, skip the bytes. The slots
+	// past a bucket's live bound are such dummies, so neither a read nor a
+	// write touches their records or rows.
 	arena  []byte
 	stride int       // bytes per slot in the arena
 	codec  SlotCodec // a real slot's bytes at rest; holds the sealer
@@ -439,28 +431,24 @@ func NewPayloadStore(g *Geometry, sealer Sealer) (*PayloadStore, error) {
 	stride := codec.Stride()
 	n := g.TotalSlots()
 	// The arena opens the slab, so rows start page-aligned; the records
-	// follow on a cache-line boundary.
+	// and then the bounds follow on a cache-line boundary.
 	arenaLen := n * int64(stride)
 	metaOff := (arenaLen + 63) &^ 63
-	total := metaOff + n*recordSize
+	total := metaOff + treeBytes(g)
 	if total > maxTree {
 		return nil, fmt.Errorf("oram: PayloadStore would need %d bytes (%d of metadata, %d of arena; > %d); use MetaStore for paper-scale sweeps",
-			total, n*recordSize, arenaLen, maxTree)
+			total, treeBytes(g), arenaLen, maxTree)
 	}
 	sl, err := newSlab(total)
 	if err != nil {
 		return nil, err
 	}
-	st := &PayloadStore{
-		geom:   g,
-		slab:   sl,
-		meta:   records(sl.b[metaOff:]),
+	return &PayloadStore{
+		tree:   newTree(g, sl, metaOff),
 		arena:  sl.b[:arenaLen:arenaLen],
 		stride: stride,
 		codec:  codec,
-	}
-	st.meta.clearAll()
-	return st, nil
+	}, nil
 }
 
 // Geometry implements Store.
@@ -565,27 +553,32 @@ func (st *PayloadStore) OpenRange(refs []BucketRef, dst [][]Slot) error {
 	}
 	if st.pool == nil || len(refs) < 2 {
 		for i, r := range refs {
-			base := st.geom.SlotIndex(r.Level, r.Node, 0)
-			for k := range dst[i] {
-				if err := st.readSlotAt(base+int64(k), &dst[i][k]); err != nil {
-					return err
-				}
+			if err := st.openBucket(r, dst[i]); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 	return st.pool.Run(len(refs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			base := st.geom.SlotIndex(refs[i].Level, refs[i].Node, 0)
-			buf := dst[i]
-			for k := range buf {
-				if err := st.readSlotAt(base+int64(k), &buf[k]); err != nil {
-					return err
-				}
+			if err := st.openBucket(refs[i], dst[i]); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
+}
+
+// openBucket reads bucket r into buf: the slots below its live bound, and
+// DummySlot() for the rest without loading their records.
+func (st *PayloadStore) openBucket(r BucketRef, buf []Slot) error {
+	base, n := st.readSpan(r, buf)
+	for k := range buf[:n] {
+		if err := st.readSlotAt(base+int64(k), &buf[k]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SealRange overwrites the buckets refs[i] from src[i], partitioning the
@@ -600,11 +593,8 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 	}
 	if st.pool == nil || len(refs) < 2 {
 		for i, r := range refs {
-			base := st.geom.SlotIndex(r.Level, r.Node, 0)
-			for k := range src[i] {
-				if err := st.writeSlotAt(base+int64(k), src[i][k], nil); err != nil {
-					return err
-				}
+			if err := st.sealBucket(r, src[i], nil); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -627,16 +617,29 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 	}
 	return st.pool.Run(len(refs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			base := st.geom.SlotIndex(refs[i].Level, refs[i].Node, 0)
 			seq := first + uint64(st.sealOrd[i])
-			for k := range src[i] {
-				if err := st.writeSlotAt(base+int64(k), src[i][k], &seq); err != nil {
-					return err
-				}
+			if err := st.sealBucket(refs[i], src[i], &seq); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
+}
+
+// sealBucket overwrites bucket r from src, through the bucket's live bound or
+// src's last non-fresh slot, whichever is further, and then narrows the bound
+// to src's; seq is writeSlotAt's.
+func (st *PayloadStore) sealBucket(r BucketRef, src []Slot, seq *uint64) error {
+	n := liveLen(src)
+	b, base, w := st.writeSpan(r, n)
+	for k := range src[:w] {
+		if err := st.writeSlotAt(base+int64(k), src[k], seq); err != nil {
+			return err
+		}
+	}
+	st.live[b] = uint8(n)
+	runtime.KeepAlive(st)
+	return nil
 }
 
 // pathToRefs converts a root→leaf path to its bucket refs in level order,
@@ -688,40 +691,22 @@ func (st *PayloadStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 // over the arena (OpenRange/SealRange), sealed or not, pooled or not.
 func (st *PayloadStore) BatchNative() bool { return true }
 
-// ReadBucket implements Store.
+// ReadBucket implements Store: one bucket of OpenRange's serial loop.
 func (st *PayloadStore) ReadBucket(level int, node uint64, dst []Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
+	r := BucketRef{Level: level, Node: node}
+	if !st.geom.fits(r, len(dst)) {
+		return misfit(st.geom, "ReadBucket", 0, r, len(dst))
 	}
-	z := st.geom.BucketSize(level)
-	if len(dst) != z {
-		return fmt.Errorf("oram: ReadBucket dst len %d != bucket size %d", len(dst), z)
-	}
-	base := st.geom.SlotIndex(level, node, 0)
-	for i := 0; i < z; i++ {
-		if err := st.readSlotAt(base+int64(i), &dst[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.openBucket(r, dst)
 }
 
-// WriteBucket implements Store.
+// WriteBucket implements Store: one bucket of SealRange's serial loop.
 func (st *PayloadStore) WriteBucket(level int, node uint64, src []Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
+	r := BucketRef{Level: level, Node: node}
+	if !st.geom.fits(r, len(src)) {
+		return misfit(st.geom, "WriteBucket", 0, r, len(src))
 	}
-	z := st.geom.BucketSize(level)
-	if len(src) != z {
-		return fmt.Errorf("oram: WriteBucket src len %d != bucket size %d", len(src), z)
-	}
-	base := st.geom.SlotIndex(level, node, 0)
-	for i := 0; i < z; i++ {
-		if err := st.writeSlotAt(base+int64(i), src[i], nil); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.sealBucket(r, src, nil)
 }
 
 // ReadSlot implements Store.
@@ -743,7 +728,9 @@ func (st *PayloadStore) WriteSlot(level int, node uint64, slot int, src Slot) er
 	if slot < 0 || slot >= st.geom.BucketSize(level) {
 		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
 	}
-	return st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src, nil)
+	err := st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src, nil)
+	st.rebound(level, node)
+	return err
 }
 
 // Counters aggregates the logical path traffic a client moves through a

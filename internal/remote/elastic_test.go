@@ -325,6 +325,83 @@ func TestMigrateToSelfNoOp(t *testing.T) {
 	}
 }
 
+// TestRestoreRebuildsLiveBounds: a restored shard reads back every block its
+// snapshot holds, one in a bucket's last slot included. A node's in-memory
+// store stops each read at the bucket's live bound, which no snapshot carries,
+// so a restore must rebuild it: through opRestore into a fresh node store, and
+// through MigrateTo, every bucket is read back as one opBatch union.
+func TestRestoreRebuildsLiveBounds(t *testing.T) {
+	g := elasticGeometry()
+	view := func(n *chaos.Node) *remote.ShardStore {
+		c, err := remote.Dial(n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		st, err := c.Store(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	src := view(startElasticNode(t, 1))
+
+	// Every bucket holds one block, in its last slot, behind dummies.
+	var refs []oram.BucketRef
+	var want [][]oram.Slot
+	for lvl := 0; lvl < g.Levels(); lvl++ {
+		for node := uint64(0); node < 1<<uint(lvl); node++ {
+			b := make([]oram.Slot, g.BucketSize(lvl))
+			for k := range b {
+				b[k] = oram.DummySlot()
+			}
+			id := len(refs)
+			b[len(b)-1] = oram.Slot{ID: oram.BlockID(id), Leaf: oram.Leaf(node << uint(g.LeafBits()-lvl)), Payload: bytes.Repeat([]byte{byte(id + 1)}, g.BlockSize())}
+			refs, want = append(refs, oram.BucketRef{Level: lvl, Node: node}), append(want, b)
+		}
+	}
+	if err := src.WriteBuckets(refs, want); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.Save(&snap); err != nil { // sends the held write first
+		t.Fatal(err)
+	}
+	check := func(how string, st *remote.ShardStore) {
+		t.Helper()
+		got := make([][]oram.Slot, len(refs))
+		for i := range got {
+			got[i] = make([]oram.Slot, len(want[i]))
+		}
+		if err := st.ReadBuckets(refs, got); err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		for i := range want {
+			for k, w := range want[i] {
+				if s := got[i][k]; s.ID != w.ID || s.Leaf != w.Leaf || !bytes.Equal(s.Payload, w.Payload) {
+					t.Fatalf("%s: bucket %+v slot %d reads {%d %d %x}, want {%d %d %x}", how, refs[i], k, s.ID, s.Leaf, s.Payload, w.ID, w.Leaf, w.Payload)
+				}
+			}
+		}
+	}
+	check("source", src)
+
+	restored := view(startElasticNode(t, 1))
+	if err := restored.Load(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	check("opRestore", restored)
+
+	target := startElasticNode(t, 1)
+	if _, err := src.MigrateTo(view(target)); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Client().Addr(); got != target.Addr() {
+		t.Fatalf("migrated view serves from %s, want %s", got, target.Addr())
+	}
+	check("MigrateTo", src)
+}
+
 // TestMigrateGeometryMismatch: a target with a different geometry is
 // rejected before any data moves.
 func TestMigrateGeometryMismatch(t *testing.T) {

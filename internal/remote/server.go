@@ -638,11 +638,12 @@ func (ws *workScratch) union(g *oram.Geometry, body []byte) (rest []byte, err er
 	return rest, nil
 }
 
-// arm backs every laid-out slot with its own stripe of the scratch arena,
-// so a store that reads into the capacity it is handed (the ReadBucket
-// contract) allocates nothing. (layout has already dropped whatever the
-// slots held before — after a write, views into a request frame since
-// recycled, which must never be decoded into.)
+// arm backs every slot union laid out with its own stripe of the scratch
+// arena, so a store that reads into the capacity it is handed (the
+// ReadBucket contract) allocates nothing. (union cleared every slot when it
+// sized them for the frame's refs, so nothing a slot held before — after a
+// write, views into a request frame since recycled, which must never be
+// decoded into — survives to be read into.)
 func (ws *workScratch) arm(blockSize int) {
 	if blockSize <= 0 {
 		return

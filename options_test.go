@@ -36,6 +36,18 @@ func TestIncompatibleOptions(t *testing.T) {
 	}
 }
 
+// TestWideBucketsRefused: a bucket wider than 255 slots fails construction
+// with the geometry's own error (the stores count a bucket's slots in a byte).
+func TestWideBucketsRefused(t *testing.T) {
+	_, want := oram.NewGeometry(oram.GeometryConfig{LeafBits: 6, LeafZ: 256, BlockSize: 16})
+	if want == nil {
+		t.Fatal("NewGeometry accepted 256-slot buckets")
+	}
+	if _, err := New(Options{Entries: 64, BlockSize: 16, BucketSize: 256}); err == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Fatalf("New = %v, want error containing %q", err, want)
+	}
+}
+
 // TestVerifyOption: the Merkle-authenticated store works end to end
 // through the public API.
 func TestVerifyOption(t *testing.T) {
