@@ -16,19 +16,19 @@
 // Fig. 7e simulated speedups and the tiered sweep, and writes what
 // -baseline judges — ns/op, B/op, allocs/op, the pinned pre-refactor
 // baseline, and the tiered hit/miss counts and identity flags — to the
-// given file. The wall-clock experiments (pipeline, elastic,
-// serve-overload) are not part of it: run them with -exp; their tests are
-// their gates. With -baseline the fresh numbers are compared against a
-// committed trajectory: >20% ns/op regression, any allocs/op increase, a
-// tiered row that diverged or lost its prefetch win, or a baseline the run
-// shares no row with fails the run (the CI gate that keeps the PR 3 wins
-// from rotting). -cpuprofile/-memprofile wrap the whole run with
-// runtime/pprof for hot-path inspection.
+// given file. The wall-clock experiments (pipeline, elastic) are not part
+// of it: run them with -exp; their tests are their gates. With -baseline
+// the fresh numbers are compared against a committed trajectory: >20%
+// ns/op regression, any allocs/op increase, a tiered row that diverged or
+// lost its prefetch win, or a baseline the run shares no row with fails
+// the run (the CI gate that keeps the allocation-free hot path from
+// rotting). -cpuprofile/-memprofile wrap the whole run with runtime/pprof
+// for hot-path inspection.
 //
 // Experiment IDs follow DESIGN.md's experiment index: fig2, fig7a..fig7f,
 // fig8, fig9, table1, table2, memneutral, preproc, ring, security,
-// pipeline, elastic, tiered, serve-overload, and the ablations abl-window,
-// abl-profile, abl-thresh, abl-z, abl-model, abl-batch, abl-shards.
+// pipeline, elastic, tiered, and the ablations abl-window, abl-profile,
+// abl-thresh, abl-z, abl-model, abl-batch, abl-shards.
 package main
 
 import (
@@ -88,7 +88,6 @@ func experiments() []experiment {
 		{"pipeline", "§VIII-A overlap: streaming Trainer vs sequential plan-then-run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.PipelineExp(sc, seed) }},
 		{"elastic", "elastic serving: live migration blackout + re-placement vs rollback MTTR", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ElasticExp(sc, seed) }},
 		{"tiered", "tiered storage: disk-backed tree hit/miss curve vs memory budget, prefetch on/off", func(sc harness.Scale, seed int64) (renderer, error) { return harness.TieredExp(sc, seed) }},
-		{"serve-overload", "overload robustness: admission control + fair queueing vs a flooding aggressor", func(sc harness.Scale, seed int64) (renderer, error) { return harness.OverloadExp(sc, seed) }},
 	}
 }
 

@@ -21,10 +21,10 @@ import (
 // nothing else: ns/op, B/op and allocs/op per microbenchmark, the pinned
 // pre-refactor baseline they are read against, the simulated Fig. 7e
 // speedups at the chosen scale, and the tiered sweep's hit/miss counts and
-// identity flags. Wall-clock experiments (pipeline, elastic,
-// serve-overload) print their own numbers under `laorambench -exp` and are
-// gated by their own tests; end-to-end throughput per deployment shape is
-// BENCHMARK.json's ledger, not this file's.
+// identity flags. Wall-clock experiments (pipeline, elastic) print their
+// own numbers under `laorambench -exp` and are gated by their own tests;
+// end-to-end throughput per deployment shape is BENCHMARK.json's ledger,
+// not this file's.
 
 // EngineBenchRow is one microbenchmark measurement.
 type EngineBenchRow struct {

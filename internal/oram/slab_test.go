@@ -124,7 +124,7 @@ func TestSlabReleasedWhenUnreachable(t *testing.T) {
 
 // TestSlabViewsDoNotOutliveStore holds the aliasing rule: nothing a store
 // hands out — payloads from ReadBucket (into fresh slices and into the
-// caller's), ReadPath and OpenRange, or the bytes Save writes — is a view of
+// caller's), ReadPath and ReadBuckets, or the bytes Save writes — is a view of
 // its slab, so all of it stays intact after the store is collected and its
 // mapping released. A view that escaped would fault when read here.
 func TestSlabViewsDoNotOutliveStore(t *testing.T) {
@@ -174,7 +174,7 @@ func TestSlabViewsDoNotOutliveStore(t *testing.T) {
 	if err := st.ReadPath(leaf, path); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.OpenRange(refs, ranged); err != nil {
+	if err := st.ReadBuckets(refs, ranged); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -189,7 +189,7 @@ func TestSlabViewsDoNotOutliveStore(t *testing.T) {
 	} else {
 		runtime.GC()
 	}
-	for name, got := range map[string][][]Slot{"ReadBucket": fresh, "ReadBucket into buffers": into, "ReadPath": path, "OpenRange": ranged} {
+	for name, got := range map[string][][]Slot{"ReadBucket": fresh, "ReadBucket into buffers": into, "ReadPath": path, "ReadBuckets": ranged} {
 		for lvl := range want {
 			for k, w := range want[lvl] {
 				if g := got[lvl][k]; g.ID != w.ID || g.Leaf != w.Leaf || !bytes.Equal(g.Payload, w.Payload) {

@@ -79,11 +79,11 @@ type BatchStore interface {
 // BatchNative is the probe Resolve asks before it hands a driver the store's
 // own ReadBuckets/WriteBuckets: does a batch reach a store that executes it as
 // one operation? PayloadStore (one pass over the arena, fanned across the
-// crypto pool when one is installed) and the remote transport (one frame) do;
-// CountingStore answers for whatever it wraps. A store that would only unroll
-// the batch bucket by bucket — diskstore under its cache lock — answers false,
-// and the driver is handed the bucket loop instead. A BatchStore that does not
-// implement the probe is presumed native.
+// crypto pool when one is installed), the remote transport (one frame) and
+// diskstore (one pass under one cache lock) do; CountingStore answers for
+// whatever it wraps. A store that would only unroll the batch bucket by
+// bucket answers false, and the driver is handed the bucket loop instead. A
+// BatchStore that does not implement the probe is presumed native.
 type BatchNative interface {
 	BatchNative() bool
 }
@@ -410,7 +410,7 @@ type PayloadStore struct {
 	// deterministic); nil pool keeps every path strictly serial.
 	pool *crypto.Pool
 	// sealOrd[i] is the scratch prefix count of real (nonce-consuming)
-	// slots in buckets [0, i) of the current SealRange; pathRefs is the
+	// slots in buckets [0, i) of the current WriteBuckets; pathRefs is the
 	// reusable path→bucket-refs conversion of ReadPath/WritePath.
 	sealOrd  []int
 	pathRefs []BucketRef
@@ -474,7 +474,7 @@ func (st *PayloadStore) readSlotAt(i int64, dst *Slot) error {
 }
 
 // writeSlotAt overwrites slot i. A real slot is sealed under the sealer's
-// next sequence number, or — on SealRange's fan-out, which reserved one per
+// next sequence number, or — on WriteBuckets' fan-out, which reserved one per
 // real slot up front — under *seq, which it then advances.
 func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
 	old, _ := st.meta.get(i)
@@ -499,13 +499,13 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
 }
 
 // SetCryptoPool installs a bounded crypto worker pool: the seal/open work
-// of path- and batch-granularity operations (ReadPath/WritePath,
-// ReadBuckets/WriteBuckets and the OpenRange/SealRange primitives under
-// them) is partitioned across the pool's workers, all sealing through the
-// store's own Sealer. Requires the store to have been built with a
-// *crypto.Sealer — the fan-out leans on its nonce-reservation discipline
-// for determinism and on its being safe for concurrent use — and must not
-// be called concurrently with store operations. A nil pool (or one with a
+// of path- and batch-granularity operations (ReadPath/WritePath and the
+// ReadBuckets/WriteBuckets under them) is partitioned across the pool's
+// workers, all sealing through the store's own Sealer. Requires the store
+// to have been built with a *crypto.Sealer — the fan-out leans on its
+// nonce-reservation discipline for determinism and on its being safe for
+// concurrent use — and must not be called concurrently with store
+// operations. A nil pool (or one with a
 // single worker) keeps the strictly serial behaviour.
 func (st *PayloadStore) SetCryptoPool(p *crypto.Pool) error {
 	if p == nil || p.Workers() == 1 {
@@ -541,14 +541,14 @@ func misfit(g *Geometry, op string, i int, r BucketRef, n int) error {
 	return fmt.Errorf("oram: %s buffer %d has %d slots, bucket size is %d", op, i, n, g.BucketSize(r.Level))
 }
 
-// OpenRange reads (and, for sealed stores, decrypts) the buckets refs[i]
-// into dst[i], partitioning the buckets across the crypto pool's workers
-// when one is installed — per-slot AEAD records are independent, so opening
-// is embarrassingly parallel and the result is identical to the serial
-// loop regardless of scheduling. Without a pool it is exactly that serial
-// loop.
-func (st *PayloadStore) OpenRange(refs []BucketRef, dst [][]Slot) error {
-	if err := st.checkRange("OpenRange", refs, dst); err != nil {
+// ReadBuckets implements BatchStore: it reads (and, for sealed stores,
+// decrypts) the buckets refs[i] into dst[i], partitioning the buckets across
+// the crypto pool's workers when one is installed — per-slot AEAD records
+// are independent, so opening is embarrassingly parallel and the result is
+// identical to the serial loop regardless of scheduling. Without a pool it
+// is exactly that serial loop.
+func (st *PayloadStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
+	if err := st.checkRange("ReadBuckets", refs, dst); err != nil {
 		return err
 	}
 	if st.pool == nil || len(refs) < 2 {
@@ -581,14 +581,15 @@ func (st *PayloadStore) openBucket(r BucketRef, buf []Slot) error {
 	return nil
 }
 
-// SealRange overwrites the buckets refs[i] from src[i], partitioning the
-// seal work across the crypto pool's workers when one is installed.
-// A sequence number for every real slot is reserved up front in (bucket,
-// slot) order, so each slot's nonce — and hence the ciphertext arena — is
-// byte-identical to sealing the same slots serially, no matter which
-// worker runs which bucket. Without a pool it is exactly the serial loop.
-func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
-	if err := st.checkRange("SealRange", refs, src); err != nil {
+// WriteBuckets implements BatchStore: it overwrites the buckets refs[i] from
+// src[i], partitioning the seal work across the crypto pool's workers when
+// one is installed. A sequence number for every real slot is reserved up
+// front in (bucket, slot) order, so each slot's nonce — and hence the
+// ciphertext arena — is byte-identical to sealing the same slots serially,
+// no matter which worker runs which bucket. Without a pool it is exactly
+// the serial loop.
+func (st *PayloadStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
+	if err := st.checkRange("WriteBuckets", refs, src); err != nil {
 		return err
 	}
 	if st.pool == nil || len(refs) < 2 {
@@ -613,7 +614,7 @@ func (st *PayloadStore) SealRange(refs []BucketRef, src [][]Slot) error {
 	}
 	first, err := st.codec.seq.ReserveSeals(total)
 	if err != nil {
-		return fmt.Errorf("oram: SealRange: %w", err)
+		return fmt.Errorf("oram: WriteBuckets: %w", err)
 	}
 	return st.pool.Run(len(refs), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
@@ -653,7 +654,7 @@ func (st *PayloadStore) pathToRefs(leaf Leaf) []BucketRef {
 }
 
 // ReadPath implements PathStore: the whole path's slots open through
-// OpenRange (parallel across the crypto pool when installed; the plain
+// ReadBuckets (parallel across the crypto pool when installed; the plain
 // level-by-level loop otherwise, with identical results).
 func (st *PayloadStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	if !st.geom.ValidLeaf(leaf) {
@@ -662,11 +663,11 @@ func (st *PayloadStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	if len(dst) != st.geom.Levels() {
 		return fmt.Errorf("oram: ReadPath dst has %d levels, tree has %d", len(dst), st.geom.Levels())
 	}
-	return st.OpenRange(st.pathToRefs(leaf), dst)
+	return st.ReadBuckets(st.pathToRefs(leaf), dst)
 }
 
 // WritePath implements PathStore (see ReadPath; sealing goes through
-// SealRange).
+// WriteBuckets).
 func (st *PayloadStore) WritePath(leaf Leaf, src [][]Slot) error {
 	if !st.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WritePath: invalid leaf %d", leaf)
@@ -674,24 +675,14 @@ func (st *PayloadStore) WritePath(leaf Leaf, src [][]Slot) error {
 	if len(src) != st.geom.Levels() {
 		return fmt.Errorf("oram: WritePath src has %d levels, tree has %d", len(src), st.geom.Levels())
 	}
-	return st.SealRange(st.pathToRefs(leaf), src)
-}
-
-// ReadBuckets implements BatchStore.
-func (st *PayloadStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
-	return st.OpenRange(refs, dst)
-}
-
-// WriteBuckets implements BatchStore.
-func (st *PayloadStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
-	return st.SealRange(refs, src)
+	return st.WriteBuckets(st.pathToRefs(leaf), src)
 }
 
 // BatchNative implements the BatchNative probe: a bucket union is one pass
-// over the arena (OpenRange/SealRange), sealed or not, pooled or not.
+// over the arena (ReadBuckets/WriteBuckets), sealed or not, pooled or not.
 func (st *PayloadStore) BatchNative() bool { return true }
 
-// ReadBucket implements Store: one bucket of OpenRange's serial loop.
+// ReadBucket implements Store: one bucket of ReadBuckets' serial loop.
 func (st *PayloadStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	r := BucketRef{Level: level, Node: node}
 	if !st.geom.fits(r, len(dst)) {
@@ -700,7 +691,7 @@ func (st *PayloadStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	return st.openBucket(r, dst)
 }
 
-// WriteBucket implements Store: one bucket of SealRange's serial loop.
+// WriteBucket implements Store: one bucket of WriteBuckets' serial loop.
 func (st *PayloadStore) WriteBucket(level int, node uint64, src []Slot) error {
 	r := BucketRef{Level: level, Node: node}
 	if !st.geom.fits(r, len(src)) {

@@ -42,10 +42,11 @@ type Limits struct {
 	// 0 derives it from PerConnRate (one second's worth, at least 1).
 	PerConnBurst int
 
-	// Fair dispatches the worker pool across connections by deficit round
-	// robin (equal weights) instead of the global FIFO: each connection
-	// keeps its own bounded queue and the pool drains them in turns, so a
-	// connection with a deep backlog cannot starve the others. Queue
+	// Fair dispatches the worker pool across connections round robin
+	// instead of the global FIFO: each connection keeps its own bounded
+	// queue and the pool drains them in turns, one request per connection
+	// per turn, so a connection with a deep backlog cannot starve the
+	// others. Queue
 	// overflow is shed with statusBusy instead of blocking the reader.
 	Fair bool
 

@@ -12,19 +12,15 @@ import (
 //     full, enqueue BLOCKS the connection's reader — backpressure through
 //     TCP, exactly like the old `chan task` of capacity workers.
 //
-//   - Fair (Limits.Fair): one bounded queue per connection, drained by
-//     deficit round robin with equal weights. A connection with a deep
-//     backlog (the hot tenant) only ever has one request dispatched per
-//     turn of the ring, so its queue depth hurts its own latency, not its
-//     neighbours'. Queue overflow is REJECTED (errQueueFull → statusBusy)
-//     instead of blocking the reader: with admission control on, bounded
-//     queues with explicit rejection beat silent queue growth.
-//
-// Weighted: every connection carries a weight (today always 1); a ring
-// turn dispatches up to `weight` requests from one connection before
-// moving on, so capacity under contention divides proportionally to
-// weight. The plumbing is weight-ready even though no configuration
-// surface sets unequal weights yet.
+//   - Fair (Limits.Fair): one bounded queue per connection, drained round
+//     robin: a turn of the ring dispatches one request from one connection
+//     and moves on. A connection with a deep backlog (the hot tenant) only
+//     ever has one request dispatched per turn, so its queue depth hurts its
+//     own latency, not its neighbours', and capacity under contention
+//     divides evenly among the connections with work queued. Queue overflow
+//     is REJECTED (errQueueFull → statusBusy) instead of blocking the
+//     reader: with admission control on, bounded queues with explicit
+//     rejection beat silent queue growth.
 
 // task is one parsed request awaiting a worker. The admission layer fills
 // the parsed fields in the reader goroutine; bad short-circuits dispatch
@@ -61,7 +57,6 @@ type connQueue struct {
 	sc     *serverConn
 	q      []task
 	head   int // q[head:] are pending; head bounds slice churn
-	weight int
 	inRing bool
 }
 
@@ -96,7 +91,7 @@ type dispatcher struct {
 	gHead     int
 	maxGlobal int
 
-	// Fair mode: the DRR ring of connections with pending tasks.
+	// Fair mode: the round-robin ring of connections with pending tasks.
 	ring []*connQueue
 	next int
 }
@@ -149,9 +144,9 @@ func (dispatcherClosedError) Error() string { return "remote: server closed" }
 var errDispatcherClosed = dispatcherClosedError{}
 
 // dequeue blocks until a task is available (ok) or the dispatcher closes
-// (!ok). Fair mode serves the ring in turns: up to `weight` tasks from one
-// connection, then the next connection, so every live connection is
-// visited once per round regardless of backlog depth.
+// (!ok). Fair mode serves the ring in turns: one task from one connection,
+// then the next connection, so every live connection is visited once per
+// round regardless of backlog depth.
 func (d *dispatcher) dequeue() (task, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

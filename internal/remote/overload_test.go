@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,9 @@ import (
 // overload_test.go covers the protocol-v3 overload machinery end to end:
 // the busy/deadline frame formats, Limits validation, the token bucket,
 // both dispatcher modes, the client's in-lane shed retries and goaway
-// handling, deadline-aware shedding, and the fairness property the DRR
-// dispatcher exists to provide (DESIGN.md "Overload model").
+// handling, deadline-aware shedding, the fairness property the DRR
+// dispatcher exists to provide (DESIGN.md "Overload model"), and that none
+// of it changes a byte a client reads (invariant #15).
 
 func TestBusyFrameRoundTrip(t *testing.T) {
 	frame := busyResponse(7, 250*time.Millisecond, "queue full")
@@ -213,9 +215,9 @@ func TestDispatcherFIFO(t *testing.T) {
 func TestDispatcherFairDRR(t *testing.T) {
 	d := newDispatcher(true, 0, 2)
 	scA := &serverConn{}
-	scA.cq = &connQueue{sc: scA, weight: 1}
+	scA.cq = &connQueue{sc: scA}
 	scB := &serverConn{}
-	scB.cq = &connQueue{sc: scB, weight: 1}
+	scB.cq = &connQueue{sc: scB}
 
 	for id := uint64(1); id <= 2; id++ {
 		if err := d.enqueue(task{sc: scA, id: id}); err != nil {
@@ -683,13 +685,18 @@ func TestDeadlineShedInQueue(t *testing.T) {
 // ring slot, so every well-behaved client must still get close to its
 // 1/5 fair share of completions — the aggressor's backlog hurts only the
 // aggressor. (Under the FIFO dispatcher the aggressor would own the queue
-// in proportion to its arrival rate.)
+// in proportion to its arrival rate.) The same four clients first run
+// alone on the same server, and their p99 latency with the aggressor
+// present must stay within 3x of that baseline's, judged above a 25 ms
+// floor so a few ms of scheduler flutter cannot fail the band.
 func TestFairShareUnderAggressor(t *testing.T) {
 	const (
 		nstores     = 8 // spread load so the worker pool, not one shard lock, is the contended resource
 		workers     = 2
 		wellBehaved = 4
+		senders     = 8 // per well-behaved connection; the aggressor runs tenfold
 		window      = 800 * time.Millisecond
+		p99Floor    = 25 * time.Millisecond
 	)
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 0})
 	stores := make([]oram.Store, nstores)
@@ -709,59 +716,97 @@ func TestFairShareUnderAggressor(t *testing.T) {
 	}
 	defer srv.Close()
 
-	counts := make([]atomic.Int64, wellBehaved+1)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	clients := make([]*Client, 0, wellBehaved+1)
-	runClient := func(idx, senders int) {
-		t.Helper()
-		cl, err := DialConfig(context.Background(), addr, Config{ShedRetries: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
+	// phase runs the well-behaved clients and, if asked, the aggressor for
+	// one window. It returns every client's completions and the
+	// well-behaved clients' request latencies, sorted.
+	phase := func(aggressor bool) ([]int64, []time.Duration) {
+		conns := wellBehaved
+		if aggressor {
+			conns++
 		}
-		clients = append(clients, cl)
-		views := make([]*ShardStore, nstores)
-		for s := range views {
-			if views[s], err = cl.Store(s); err != nil {
+		counts := make([]atomic.Int64, conns)
+		lats := make([][]time.Duration, wellBehaved*senders) // one per well-behaved sender
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		clients := make([]*Client, 0, conns)
+		runClient := func(idx, n int) {
+			t.Helper()
+			cl, err := DialConfig(context.Background(), addr, Config{ShedRetries: 1 << 20})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for k := 0; k < senders; k++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				var slot oram.Slot
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := views[rng.Intn(nstores)].ReadSlot(0, 0, 0, &slot); err == nil {
-						counts[idx].Add(1)
-					}
+			clients = append(clients, cl)
+			views := make([]*ShardStore, nstores)
+			for s := range views {
+				if views[s], err = cl.Store(s); err != nil {
+					t.Fatal(err)
 				}
-			}(int64(idx*100 + k))
+			}
+			for k := 0; k < n; k++ {
+				var lat *[]time.Duration
+				if idx < wellBehaved {
+					lat = &lats[idx*senders+k]
+				}
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					var slot oram.Slot
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						t0 := time.Now()
+						if err := views[rng.Intn(nstores)].ReadSlot(0, 0, 0, &slot); err == nil {
+							counts[idx].Add(1)
+							if lat != nil {
+								*lat = append(*lat, time.Since(t0))
+							}
+						}
+					}
+				}(int64(idx*100 + k))
+			}
 		}
+		for i := 0; i < wellBehaved; i++ {
+			runClient(i, senders)
+		}
+		if aggressor {
+			runClient(wellBehaved, 10*senders)
+		}
+		time.Sleep(window)
+		close(stop)
+		wg.Wait()
+		for _, cl := range clients {
+			cl.Close()
+		}
+		out := make([]int64, conns)
+		for i := range counts {
+			out[i] = counts[i].Load()
+		}
+		var all []time.Duration
+		for _, l := range lats {
+			all = append(all, l...)
+		}
+		sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+		return out, all
 	}
-	for i := 0; i < wellBehaved; i++ {
-		runClient(i, 8)
+	p99 := func(sorted []time.Duration) time.Duration {
+		if len(sorted) == 0 {
+			t.Fatal("no well-behaved request completed")
+		}
+		return sorted[(len(sorted)-1)*99/100]
 	}
-	runClient(wellBehaved, 80) // the aggressor: one connection, tenfold senders
 
-	time.Sleep(window)
-	close(stop)
-	wg.Wait()
-	for _, cl := range clients {
-		cl.Close()
-	}
+	_, baseLats := phase(false)
+	counts, lats := phase(true)
 
 	var total, wellTotal int64
-	for i := range counts {
-		total += counts[i].Load()
+	for i, n := range counts {
+		total += n
 		if i < wellBehaved {
-			wellTotal += counts[i].Load()
+			wellTotal += n
 		}
 	}
 	if total == 0 {
@@ -770,10 +815,10 @@ func TestFairShareUnderAggressor(t *testing.T) {
 	fairShare := float64(total) / float64(wellBehaved+1)
 	wellMean := float64(wellTotal) / wellBehaved
 	for i := 0; i < wellBehaved; i++ {
-		got := float64(counts[i].Load())
+		got := float64(counts[i])
 		if got < 0.8*fairShare {
 			t.Errorf("well-behaved client %d completed %.0f, below 80%% of fair share %.0f (aggressor %d)",
-				i, got, fairShare, counts[wellBehaved].Load())
+				i, got, fairShare, counts[wellBehaved])
 		}
 		if got < 0.8*wellMean || got > 1.2*wellMean {
 			t.Errorf("well-behaved client %d completed %.0f, outside ±20%% of peer mean %.0f", i, got, wellMean)
@@ -782,9 +827,12 @@ func TestFairShareUnderAggressor(t *testing.T) {
 	if srv.OverloadStats().ShedQueue == 0 {
 		t.Error("the aggressor never overflowed its queue; the drill was not an overload")
 	}
-	t.Logf("completions: well-behaved %v, aggressor %d, fair share %.0f, stats %+v",
-		[]int64{counts[0].Load(), counts[1].Load(), counts[2].Load(), counts[3].Load()},
-		counts[wellBehaved].Load(), fairShare, srv.OverloadStats())
+	baseP99, aggrP99 := p99(baseLats), p99(lats)
+	if bound := 3 * max(baseP99, p99Floor); aggrP99 > bound {
+		t.Errorf("well-behaved p99 %v with the aggressor, above 3x the baseline's %v (bound %v)", aggrP99, baseP99, bound)
+	}
+	t.Logf("completions: well-behaved %v, aggressor %d, fair share %.0f; well-behaved p99 %v alone, %v with the aggressor; stats %+v",
+		counts[:wellBehaved], counts[wellBehaved], fairShare, baseP99, aggrP99, srv.OverloadStats())
 }
 
 // TestRateLimitSheds exercises the per-connection token bucket through the
@@ -848,4 +896,103 @@ func TestRateLimitSheds(t *testing.T) {
 	if _, _, err := metered.Health(); err != nil {
 		t.Errorf("health check shed by admission control: %v", err)
 	}
+}
+
+// TestAdmissionIsByteTransparent is invariant #15 end to end: shedding
+// changes when a request runs, never what it does. An oram.Client writes
+// and then reads a seeded sequence through shards {1, 4} of one five-store
+// node, once with admission off and once under a per-connection rate limit
+// that sheds the closed-loop client (each shed retried in the lane), and
+// every read must come back byte-identical. At 50 req/s with a burst of 1
+// a request is shed unless the client spent 20 ms since its last one, which
+// even a -race build never does across the whole sequence.
+func TestAdmissionIsByteTransparent(t *testing.T) {
+	const (
+		perShard  = 1 << 9
+		blockSize = 64
+		opsPer    = 32
+		seed      = 42
+	)
+	shards := []int{1, 4}
+	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: oram.LeafBitsFor(perShard), LeafZ: 4, BlockSize: blockSize})
+	run := func(limits Limits, cfg Config) (map[int][][]byte, uint64) {
+		t.Helper()
+		stores := make([]oram.Store, 5)
+		for i := range stores {
+			ps, err := oram.NewPayloadStore(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = ps
+		}
+		srv, err := NewSharded(stores, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.SetLimits(limits); err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cl, err := DialConfig(context.Background(), addr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		reads := make(map[int][][]byte, len(shards))
+		for _, shard := range shards {
+			st, err := cl.Store(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := oram.NewClient(oram.ClientConfig{
+				Store: st, Rand: rand.New(rand.NewSource(seed + int64(shard))),
+				Evict: oram.PaperEvict, StashHits: true, Blocks: perShard,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed + 100 + int64(shard)))
+			pay := make([]byte, blockSize)
+			ids := make([]oram.BlockID, opsPer)
+			for k := range ids {
+				ids[k] = oram.BlockID(rng.Int63n(perShard))
+				binary.LittleEndian.PutUint64(pay, uint64(ids[k])^rng.Uint64())
+				if err := client.Write(ids[k], pay); err != nil {
+					t.Fatalf("shard %d write %d: %v", shard, k, err)
+				}
+			}
+			for k, id := range ids {
+				got, err := client.Read(id)
+				if err != nil {
+					t.Fatalf("shard %d read %d: %v", shard, k, err)
+				}
+				reads[shard] = append(reads[shard], append([]byte(nil), got...))
+			}
+		}
+		return reads, srv.OverloadStats().Shed()
+	}
+
+	want, sheds := run(Limits{}, Config{})
+	if sheds != 0 {
+		t.Fatalf("the unlimited run shed %d requests", sheds)
+	}
+	got, sheds := run(
+		Limits{PerConnRate: 50, PerConnBurst: 1, Fair: true},
+		Config{ShedRetries: 64, RequestDeadline: 2 * time.Second},
+	)
+	if sheds == 0 {
+		t.Fatal("the limited run shed nothing; byte transparency was not exercised")
+	}
+	for _, shard := range shards {
+		for k := range want[shard] {
+			if !bytes.Equal(got[shard][k], want[shard][k]) {
+				t.Errorf("shard %d read %d differs under admission control", shard, k)
+			}
+		}
+	}
+	t.Logf("limited run: %d sheds", sheds)
 }

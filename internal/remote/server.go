@@ -364,7 +364,7 @@ func (s *Server) acceptLoop() {
 			goaway: make(chan []byte, 1),
 		}
 		if s.limits.Fair {
-			sc.cq = &connQueue{sc: sc, weight: 1}
+			sc.cq = &connQueue{sc: sc}
 		}
 		if s.limits.PerConnRate > 0 {
 			sc.bucket = newTokenBucket(s.limits.PerConnRate, s.limits.burst())

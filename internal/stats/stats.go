@@ -1,14 +1,13 @@
 // Package stats provides the statistical machinery for the paper's security
-// analysis (§VI) and workload characterisation: histograms, chi-square
-// goodness-of-fit and two-sample tests, and summary statistics. The §VI
-// claim under test is that path accesses are uniform over leaves and that
-// two different request streams generate indistinguishable access patterns.
+// analysis (§VI) and workload characterisation: histograms and chi-square
+// goodness-of-fit and two-sample tests. The §VI claim under test is that
+// path accesses are uniform over leaves and that two different request
+// streams generate indistinguishable access patterns.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram counts occurrences over a fixed number of integer-keyed bins.
@@ -184,61 +183,4 @@ func ChiSquareSurvival(stat float64, df int) float64 {
 // NormalSurvival returns P(Z >= z) for the standard normal.
 func NormalSurvival(z float64) float64 {
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// Summary holds basic descriptive statistics.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes descriptive statistics of xs (which it sorts a copy of).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var sum, sumsq float64
-	for _, x := range s {
-		sum += x
-		sumsq += x * x
-	}
-	n := float64(len(s))
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(s),
-		Mean:   mean,
-		Std:    math.Sqrt(variance),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Median: quantile(s, 0.5),
-		P95:    quantile(s, 0.95),
-		P99:    quantile(s, 0.99),
-	}
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

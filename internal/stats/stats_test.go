@@ -169,34 +169,3 @@ func TestNormalSurvival(t *testing.T) {
 		}
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Error("empty summary wrong")
-	}
-	xs := []float64{5, 1, 3, 2, 4}
-	s := Summarize(xs)
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("std = %v, want sqrt(2)", s.Std)
-	}
-	// Input must be unmodified.
-	if xs[0] != 5 {
-		t.Error("Summarize mutated input")
-	}
-	one := Summarize([]float64{7})
-	if one.Median != 7 || one.P95 != 7 || one.P99 != 7 || one.Std != 0 {
-		t.Errorf("single-value summary = %+v", one)
-	}
-	// Percentiles interpolate.
-	long := make([]float64, 101)
-	for i := range long {
-		long[i] = float64(i)
-	}
-	ls := Summarize(long)
-	if ls.P95 != 95 || ls.P99 != 99 || ls.Median != 50 {
-		t.Errorf("percentiles = %+v", ls)
-	}
-}

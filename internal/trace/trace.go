@@ -222,23 +222,6 @@ func Sequential(n uint64, count int) []uint64 {
 	return out
 }
 
-// Batches splits a stream into training batches of the given size (the last
-// batch may be short). Batches share the underlying array.
-func Batches(stream []uint64, batchSize int) [][]uint64 {
-	if batchSize <= 0 {
-		return nil
-	}
-	out := make([][]uint64, 0, (len(stream)+batchSize-1)/batchSize)
-	for i := 0; i < len(stream); i += batchSize {
-		j := i + batchSize
-		if j > len(stream) {
-			j = len(stream)
-		}
-		out = append(out, stream[i:j])
-	}
-	return out
-}
-
 // UniqueCount returns the number of distinct addresses in the stream.
 func UniqueCount(stream []uint64) int {
 	seen := make(map[uint64]struct{}, len(stream))

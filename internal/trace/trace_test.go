@@ -215,17 +215,6 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
-func TestBatches(t *testing.T) {
-	s := Sequential(100, 10)
-	bs := Batches(s, 4)
-	if len(bs) != 3 || len(bs[0]) != 4 || len(bs[2]) != 2 {
-		t.Errorf("batch shapes wrong: %v", bs)
-	}
-	if Batches(s, 0) != nil {
-		t.Error("batchSize=0 should return nil")
-	}
-}
-
 func TestUniqueCountAndRepeatFraction(t *testing.T) {
 	s := []uint64{1, 2, 1, 3, 2, 1}
 	if UniqueCount(s) != 3 {
