@@ -218,21 +218,6 @@ func BenchmarkMemNeutralFatVsWide(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocessingThroughput regenerates §VIII-A (preprocessing off
-// the critical path).
-func BenchmarkPreprocessingThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Preproc(benchScale(), benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && res.PlanPerAccess() > 0 {
-			b.ReportMetric(float64(res.PlanPerAccess().Nanoseconds()), "ns-preproc/access")
-			b.ReportMetric(float64(res.TrainPerAccess().Nanoseconds()), "ns-oram/access")
-		}
-	}
-}
-
 // BenchmarkRingORAMComparison regenerates §VIII-G (LAORAM on RingORAM).
 func BenchmarkRingORAMComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {

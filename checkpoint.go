@@ -44,9 +44,6 @@ const maxCheckpointSection = 1 << 38
 // checkpointable reports whether this instance supports SaveState /
 // LoadState, with a descriptive error when not.
 func (o *ORAM) checkpointable() error {
-	if o.opts.RecursivePosMap {
-		return fmt.Errorf("laoram: checkpointing does not support Options.RecursivePosMap: the recursive map's state lives in its own internal ORAMs (and its RNG position is not tracked), so SaveState cannot capture it — use the flat position map for restartable runs")
-	}
 	if o.opts.Verify {
 		return fmt.Errorf("laoram: checkpointing does not support Options.Verify: the Merkle digests authenticating server storage are rebuilt from the live tree at construction and are not serialised, so a restored instance would reject every bucket")
 	}
@@ -69,9 +66,7 @@ func (o *ORAM) checkpointable() error {
 // (unsealed stores; sealed local stores restore content-identically, since
 // a fresh sealer draws a fresh random nonce field for post-restore writes).
 //
-// Not supported — and rejected with an error — under
-// Options.RecursivePosMap (the recursive map's state lives in its own
-// internal ORAMs and cannot be captured here) or Options.Verify (the
+// Not supported — and rejected with an error — under Options.Verify (the
 // trusted Merkle digests are not serialised).
 func (o *ORAM) SaveState(w io.Writer) error {
 	if err := o.checkpointable(); err != nil {

@@ -101,29 +101,6 @@ func TestCheckpointRoundTripLocal(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsRecursivePosMap: the documented Options-layer guard
-// — a recursive position map's state lives in its own internal ORAMs and
-// cannot be checkpointed, and SaveState/LoadState must say so rather than
-// emit a checkpoint that silently drops it.
-func TestCheckpointRejectsRecursivePosMap(t *testing.T) {
-	db, err := New(Options{Entries: 1 << 10, MetadataOnly: true, RecursivePosMap: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	var ck bytes.Buffer
-	err = db.SaveState(&ck)
-	if err == nil {
-		t.Fatal("SaveState accepted RecursivePosMap")
-	}
-	if !strings.Contains(err.Error(), "RecursivePosMap") {
-		t.Errorf("guard error does not name the option: %v", err)
-	}
-	if err := db.LoadState(bytes.NewReader(ck.Bytes())); err == nil {
-		t.Fatal("LoadState accepted RecursivePosMap")
-	}
-}
-
 // TestCheckpointRejectsVerify: Merkle digests are trusted state rebuilt at
 // construction, not serialised — checkpointing a verified instance must be
 // refused, not allowed to produce a restore that fails every read.

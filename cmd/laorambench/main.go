@@ -26,9 +26,9 @@
 // for hot-path inspection.
 //
 // Experiment IDs follow DESIGN.md's experiment index: fig2, fig7a..fig7f,
-// fig8, fig9, table1, table2, memneutral, preproc, ring, security,
-// pipeline, elastic, tiered, and the ablations abl-window, abl-profile,
-// abl-thresh, abl-z, abl-model, abl-batch, abl-shards.
+// fig8, fig9, table1, table2, memneutral, ring, security, pipeline,
+// elastic, tiered, and the ablations abl-window, abl-profile, abl-thresh,
+// abl-z, abl-model, abl-batch, abl-shards.
 package main
 
 import (
@@ -75,7 +75,6 @@ func experiments() []experiment {
 		{"table1", "embedding table memory requirement", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Table1(sc, false) }},
 		{"table2", "average dummy reads per access", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Table2(sc, seed) }},
 		{"memneutral", "§VIII-C fat 9→5 vs uniform Z=6", func(sc harness.Scale, seed int64) (renderer, error) { return harness.MemNeutral(sc, seed) }},
-		{"preproc", "§VIII-A preprocessing timing: plan vs execute time of a windowed Train run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Preproc(sc, seed) }},
 		{"ring", "§VIII-G RingORAM vs LAORAM-on-Ring", func(sc harness.Scale, seed int64) (renderer, error) { return harness.RingExp(sc, seed) }},
 		{"security", "§VI empirical uniformity/indistinguishability", func(sc harness.Scale, seed int64) (renderer, error) { return harness.Security(sc, seed) }},
 		{"abl-window", "ablation: look-ahead window size", func(sc harness.Scale, seed int64) (renderer, error) { return harness.WindowSweep(sc, seed) }},

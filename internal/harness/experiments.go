@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	laoram "repro"
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/oram"
@@ -493,79 +491,6 @@ func (r *MemNeutralResult) Render() string {
 	t.AddRow("uniform Z=6", gb(r.WideBytes), fmt.Sprintf("%d", r.WideDummy))
 	t.AddNote("memory saving %.1f%% (paper: 16.6%%), dummy-read reduction %.1f%% (paper: 12.4%%)",
 		r.MemorySaving*100, r.DummyReduction*100)
-	return t.Render()
-}
-
-// PreprocResult reproduces §VIII-A: preprocessing timing vs training.
-type PreprocResult struct {
-	Stats laoram.TrainStats
-}
-
-// PlanPerAccess and TrainPerAccess are the per-access averages of the two
-// pipeline stages (zero for an empty run).
-func (r *PreprocResult) PlanPerAccess() time.Duration {
-	return perAccess(r.Stats.PlanTime, r.Stats.Accesses)
-}
-
-func (r *PreprocResult) TrainPerAccess() time.Duration {
-	return perAccess(r.Stats.TrainTime, r.Stats.Accesses)
-}
-
-func perAccess(d time.Duration, accesses uint64) time.Duration {
-	if accesses == 0 {
-		return 0
-	}
-	return d / time.Duration(accesses)
-}
-
-// Preproc trains the Kaggle-like workload through ORAM.Train in four
-// look-ahead windows — the two-stage pipeline, window k+1 planned while
-// window k executes — and reports each stage's time.
-func Preproc(sc Scale, seed int64) (*PreprocResult, error) {
-	entries := sc.KaggleRows
-	stream, err := workloadStream(trace.KindKaggle, entries, sc.Accesses, seed)
-	if err != nil {
-		return nil, err
-	}
-	db, err := laoram.New(laoram.Options{
-		Entries: entries, BlockSize: 128, MetadataOnly: true, Seed: seed + 13,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	st, err := db.Train(context.Background(), laoram.TrainOptions{
-		Source:     laoram.FromSlice(stream),
-		Superblock: 4,
-		Window:     max(sc.Accesses/4, 8),
-		Depth:      2,
-		PrePlace:   true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PreprocResult{Stats: *st}, nil
-}
-
-// Render formats the pipeline measurement.
-func (r *PreprocResult) Render() string {
-	t := Table{
-		Title:   "§VIII-A — Preprocessing timing (2-stage pipeline, Kaggle-like)",
-		Headers: []string{"metric", "value"},
-	}
-	s := r.Stats
-	t.AddRow("windows", fmt.Sprintf("%d", s.Windows))
-	t.AddRow("bins", fmt.Sprintf("%d", s.Session.Bins))
-	t.AddRow("accesses", fmt.Sprintf("%d", s.Accesses))
-	t.AddRow("preprocess total", s.PlanTime.String())
-	t.AddRow("train (ORAM) total", s.TrainTime.String())
-	t.AddRow("trainer stalled", s.TrainerStalled.String())
-	t.AddRow("preprocess / access", r.PlanPerAccess().String())
-	t.AddRow("train / access", r.TrainPerAccess().String())
-	if plan := r.PlanPerAccess(); plan > 0 {
-		t.AddNote("preprocessing is %.0fx cheaper per access — off the critical path, as §VIII-A reports",
-			float64(r.TrainPerAccess())/float64(plan))
-	}
 	return t.Render()
 }
 

@@ -256,38 +256,6 @@ func TestMemNeutralShape(t *testing.T) {
 		res.MemorySaving*100, res.DummyReduction*100)
 }
 
-// TestPreprocShape holds the re-pointed preproc experiment to the §VIII-A
-// claim it records: planning a window costs less per access than executing
-// it, so preprocessing stays off the critical path.
-func TestPreprocShape(t *testing.T) {
-	// Wall-clock on a shared host (go test ./... runs packages in
-	// parallel): judge the best of three runs, as TestPipelineExperiment
-	// does.
-	below := func(r *PreprocResult) bool {
-		return r.PlanPerAccess() < r.TrainPerAccess()
-	}
-	res, err := Preproc(CIScale(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for try := 1; try < 3 && !below(res); try++ {
-		if res, err = Preproc(CIScale(), 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := res.Stats
-	if s.Accesses == 0 || s.Windows == 0 || s.Session.Bins == 0 {
-		t.Fatalf("empty run: %+v", s)
-	}
-	if !below(res) {
-		t.Errorf("preprocessing (%v/access) should be below ORAM cost (%v/access)",
-			res.PlanPerAccess(), res.TrainPerAccess())
-	}
-	if !strings.Contains(res.Render(), "VIII-A") {
-		t.Error("render missing title")
-	}
-}
-
 func TestRingExpShape(t *testing.T) {
 	res, err := RingExp(CIScale(), 9)
 	if err != nil {

@@ -82,9 +82,6 @@ type ClientConfig struct {
 	StashHits bool
 	// Blocks is the number of real blocks (dense IDs 0..Blocks-1).
 	Blocks uint64
-	// PosMap overrides the position map implementation (default: a flat
-	// in-client PosMap). Use NewRecursiveMap for O(log N) client state.
-	PosMap PositionMap
 }
 
 // Client is a PathORAM client (§II-C): position map + stash on the trusted
@@ -98,7 +95,7 @@ type Client struct {
 	// face is store at path and batch granularity, resolved once: every
 	// path and bucket union the client moves goes through it.
 	face  Face
-	pos   PositionMap
+	pos   *PosMap
 	stash *Stash
 	rng   *rand.Rand
 	evict EvictConfig
@@ -130,6 +127,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("oram: ClientConfig.Blocks must be > 0")
 	}
 	g := cfg.Store.Geometry()
+	if g.Leaves() > maxPosMapLeaves {
+		return nil, fmt.Errorf("oram: LeafBits %d exceeds the position map's 31", g.LeafBits())
+	}
 	if z := uint64(g.BucketSize(g.LeafBits())); g.Leaves() < (cfg.Blocks+z-1)/z {
 		return nil, fmt.Errorf("oram: tree too small: %d leaves for %d blocks", g.Leaves(), cfg.Blocks)
 	}
@@ -138,18 +138,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			return nil, fmt.Errorf("oram: invalid eviction thresholds high=%d low=%d", cfg.Evict.High, cfg.Evict.Low)
 		}
 	}
-	pm := cfg.PosMap
-	if pm == nil {
-		pm = NewPosMap(cfg.Blocks)
-	}
-	if pm.Len() < cfg.Blocks {
-		return nil, fmt.Errorf("oram: position map covers %d blocks, need %d", pm.Len(), cfg.Blocks)
-	}
 	c := &Client{
 		geom:      g,
 		store:     cfg.Store,
 		face:      Resolve(cfg.Store),
-		pos:       pm,
+		pos:       NewPosMap(cfg.Blocks),
 		stash:     NewStash(),
 		rng:       cfg.Rand,
 		evict:     cfg.Evict,
@@ -167,7 +160,7 @@ func (c *Client) Store() Store { return c.store }
 
 // PosMap exposes the position map (trusted client state). The LAORAM layer
 // uses it to install look-ahead path assignments.
-func (c *Client) PosMap() PositionMap { return c.pos }
+func (c *Client) PosMap() *PosMap { return c.pos }
 
 // Stash exposes the stash (trusted client state).
 func (c *Client) Stash() *Stash { return c.stash }

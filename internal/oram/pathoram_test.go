@@ -43,6 +43,35 @@ func payload8(blockSize int, v uint64) []byte {
 	return b
 }
 
+// shapeOnlyStore reports a geometry and nothing else: NewClient's checks run
+// before it touches the store, so a 2^32-leaf tree costs no memory.
+type shapeOnlyStore struct {
+	Store
+	g *Geometry
+}
+
+func (s shapeOnlyStore) Geometry() *Geometry { return s.g }
+
+// TestClientRefusesLeavesBeyondPosMap: a PosMap entry is a uint32 whose top
+// value means "no leaf", so a tree of 2^32 leaves must fail NewClient instead
+// of panicking in PosMap.Set on the first draw of a high leaf.
+func TestClientRefusesLeavesBeyondPosMap(t *testing.T) {
+	for _, c := range []struct {
+		leafBits int
+		ok       bool
+	}{{31, true}, {32, false}, {40, false}} {
+		g := MustGeometry(GeometryConfig{LeafBits: c.leafBits, LeafZ: 4})
+		_, err := NewClient(ClientConfig{
+			Store:  shapeOnlyStore{g: g},
+			Rand:   rand.New(rand.NewSource(1)),
+			Blocks: 1,
+		})
+		if (err == nil) != c.ok {
+			t.Errorf("LeafBits %d: NewClient error %v, want accepted=%v", c.leafBits, err, c.ok)
+		}
+	}
+}
+
 func TestClientConfigValidation(t *testing.T) {
 	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 4, BlockSize: 0})
 	st := NewMetaStore(g)

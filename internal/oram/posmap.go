@@ -2,33 +2,19 @@ package oram
 
 import "fmt"
 
-// PositionMap abstracts the block ID → leaf mapping (§II-C). Two
-// implementations exist: the flat in-client PosMap (the paper's setting —
-// it lives in the trainer GPU's HBM, invisible to the adversary) and
-// RecursiveMap, which stores the map itself in smaller ORAMs as the
-// original PathORAM paper describes, shrinking trusted client state to
-// O(log N) at the cost of extra oblivious accesses per lookup.
-type PositionMap interface {
-	// Get returns the leaf currently assigned to id, or NoLeaf.
-	Get(id BlockID) Leaf
-	// Set assigns leaf to id (NoLeaf clears).
-	Set(id BlockID, l Leaf)
-	// Known reports whether id has an assigned leaf.
-	Known(id BlockID) bool
-	// Len returns the number of block IDs covered.
-	Len() uint64
-	// Bytes returns the trusted client memory the map occupies.
-	Bytes() int64
-}
-
-// PosMap is the flat position map. IDs are dense (0..N-1) so a slice
-// suffices; leaves fit uint32 for every configuration in the paper
-// (≤ 2^24 leaves).
+// PosMap is the client's position map, the block ID → leaf mapping of
+// §II-C. It is flat and lives in trusted client memory — the trainer GPU's
+// HBM in the paper's threat model (§III), invisible to the adversary. IDs
+// are dense (0..N-1) so a slice suffices; a leaf is a uint32 with
+// ^uint32(0) meaning "no leaf", so NewClient refuses a tree of more than
+// maxPosMapLeaves leaves (the paper's configurations have ≤ 2^24).
 type PosMap struct {
 	leaves []uint32
 }
 
-var _ PositionMap = (*PosMap)(nil)
+// maxPosMapLeaves is the widest tree (LeafBits 31) whose every leaf fits a
+// PosMap entry below the no-leaf sentinel.
+const maxPosMapLeaves = 1 << 31
 
 const noLeaf32 = ^uint32(0)
 
@@ -65,9 +51,6 @@ func (pm *PosMap) Set(id BlockID, l Leaf) {
 	}
 	pm.leaves[id] = uint32(l)
 }
-
-// Known reports whether id has an assigned leaf.
-func (pm *PosMap) Known(id BlockID) bool { return pm.leaves[id] != noLeaf32 }
 
 // Bytes returns the client memory footprint of the map, for the paper's
 // client-storage accounting.

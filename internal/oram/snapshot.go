@@ -69,13 +69,7 @@ func (cs *CountingStore) Load(r io.Reader) error {
 }
 
 // SaveState writes the client's trusted state (position map and stash).
-// Only flat position maps are supported; a RecursiveMap's state already
-// lives in its own ORAM stores and is saved with them.
 func (c *Client) SaveState(w io.Writer) error {
-	pm, ok := c.pos.(*PosMap)
-	if !ok {
-		return fmt.Errorf("oram: SaveState supports flat position maps; recursive maps persist via their stores")
-	}
 	bw := bufio.NewWriter(w)
 	var u64 [8]byte
 	put := func(v uint64) error {
@@ -86,11 +80,11 @@ func (c *Client) SaveState(w io.Writer) error {
 	if err := put(snapshotMagic); err != nil {
 		return err
 	}
-	if err := put(pm.Len()); err != nil {
+	if err := put(c.pos.Len()); err != nil {
 		return err
 	}
-	for i := uint64(0); i < pm.Len(); i++ {
-		if err := put(uint64(pm.leaves[i])); err != nil {
+	for i := uint64(0); i < c.pos.Len(); i++ {
+		if err := put(uint64(c.pos.leaves[i])); err != nil {
 			return err
 		}
 	}
@@ -121,12 +115,8 @@ func (c *Client) SaveState(w io.Writer) error {
 }
 
 // LoadState restores state saved by SaveState into this client. The client
-// must have been built with the same Blocks count and a flat position map.
+// must have been built with the same Blocks count.
 func (c *Client) LoadState(r io.Reader) error {
-	pm, ok := c.pos.(*PosMap)
-	if !ok {
-		return fmt.Errorf("oram: LoadState requires a flat position map")
-	}
 	br := bufio.NewReader(r)
 	var u64 [8]byte
 	get := func() (uint64, error) {
@@ -146,15 +136,15 @@ func (c *Client) LoadState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if n != pm.Len() {
-		return fmt.Errorf("oram: snapshot covers %d blocks, client configured for %d", n, pm.Len())
+	if n != c.pos.Len() {
+		return fmt.Errorf("oram: snapshot covers %d blocks, client configured for %d", n, c.pos.Len())
 	}
 	for i := uint64(0); i < n; i++ {
 		v, err := get()
 		if err != nil {
 			return err
 		}
-		pm.leaves[i] = uint32(v)
+		c.pos.leaves[i] = uint32(v)
 	}
 	// Rebuild the stash.
 	c.stash = NewStash()

@@ -122,22 +122,6 @@ func TestSnapshotErrors(t *testing.T) {
 	if err := other.LoadState(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Error("mismatched block count accepted")
 	}
-	// Recursive maps refuse flat snapshots.
-	rm := newRecursive(t, 1<<12, 16, 64, 11)
-	g := MustGeometry(GeometryConfig{LeafBits: 12, LeafZ: 4, BlockSize: 0})
-	rc, err := NewClient(ClientConfig{
-		Store: NewMetaStore(g), Rand: rand.New(rand.NewSource(12)),
-		StashHits: true, Blocks: 1 << 12, PosMap: rm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.SaveState(&bytes.Buffer{}); err == nil {
-		t.Error("recursive map SaveState should refuse")
-	}
-	if err := rc.LoadState(bytes.NewReader(snap.Bytes())); err == nil {
-		t.Error("recursive map LoadState should refuse")
-	}
 }
 
 // TestSnapshotDeterministic: two snapshots of identical state are

@@ -52,9 +52,9 @@ func (e *stashEntry) setPayload(p []byte) {
 
 // stashIndex maps a stashed BlockID to its slab slot: an open-addressed table
 // with linear probing and backward-shift deletion (no tombstones), kept at
-// most half full. It is sized by the stash, never by the table — O(N) client
-// state is what RecursivePosMap exists to avoid — and a lookup is one multiply
-// and, nearly always, one cache line.
+// most half full. It is sized by the stash, never by the table — the position
+// map already holds the client's one O(N) structure — and a lookup is one
+// multiply and, nearly always, one cache line.
 type stashIndex struct {
 	cells []indexCell // power-of-two length
 	shift uint        // 64 − log2(len(cells)): home takes the hash's top bits
@@ -203,9 +203,9 @@ func (s *Stash) SetLeaf(id BlockID, leaf Leaf) bool {
 
 // Payload returns the stored payload of a stashed block. The slice is the
 // live slab storage, not a copy: it is valid until the block is removed,
-// and mutating it mutates the stash (Client.Update relies on this; code
-// returning payloads to untrusted callers must copy — see
-// Client.serveFromStash).
+// and mutating it mutates the stash (core's visit passes it to the trainer
+// without a copy, so an update may land in place; code returning payloads to
+// untrusted callers must copy — see Client.serveFromStash).
 func (s *Stash) Payload(id BlockID) ([]byte, bool) {
 	if e := s.lookup(id); e != nil {
 		return e.payload, true

@@ -45,8 +45,8 @@ func SplitStream(stream []uint64, n int) [][]uint64 {
 // paths with seed SeedFor(seed, s) + 1 + w*windowSeedStride. Window 0
 // therefore uses exactly the seed Preprocess uses — a full-stream window
 // is byte-identical to one-shot preprocessing — and later windows stay
-// clear of the other per-shard seed slots (client seed at +0, recursive
-// position map at +2).
+// clear of the other per-shard seed slots (client seed at +0; +2 is
+// unused but stays reserved so window seeds do not move).
 const windowSeedStride = 131
 
 // planSeed returns the deterministic bin-path seed of planner window win

@@ -189,12 +189,6 @@ type Options struct {
 	// the planner are dropped), leaving every miss to be demand-fetched —
 	// the ablation knob for measuring prefetch hiding. Requires DataDir.
 	DisablePrefetch bool
-	// RecursivePosMap stores the position map itself in smaller ORAMs
-	// (the original PathORAM recursion), shrinking trusted client state
-	// from O(N) to O(log N) at the cost of extra oblivious accesses per
-	// lookup. Loads become substantially slower; intended for the
-	// client-memory ablation, not the paper's default setting.
-	RecursivePosMap bool
 }
 
 func (o Options) evict() (oram.EvictConfig, error) {
@@ -567,17 +561,6 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		}
 		clientStore = vs
 	}
-	var posMap oram.PositionMap
-	if opts.RecursivePosMap {
-		rm, err := oram.NewRecursiveMap(oram.RecursiveConfig{
-			Blocks: per,
-			Rand:   trace.NewRNG(seed + 2),
-		})
-		if err != nil {
-			return shard.Sub{}, err
-		}
-		posMap = rm
-	}
 	// The client RNG runs through a counted source: same stream as
 	// trace.NewRNG(seed) draw for draw, but its (seed, draws) position is
 	// serialisable, which is what makes the instance checkpointable
@@ -590,7 +573,6 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		Timer:     timerOrNil(meter),
 		StashHits: true,
 		Blocks:    per,
-		PosMap:    posMap,
 	})
 	if err != nil {
 		return shard.Sub{}, err

@@ -212,34 +212,3 @@ func TestVerifyOverRemote(t *testing.T) {
 		}
 	}
 }
-
-// TestRecursivePosMapOption: O(log N) client state through the public API.
-func TestRecursivePosMapOption(t *testing.T) {
-	const entries = 1 << 12 // big enough to force at least one recursion level
-	db, err := New(Options{Entries: entries, BlockSize: 8, RecursivePosMap: true, Seed: 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Load(entries, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte{7}, 8)
-	if err := db.Write(9, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.Read(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("recursive posmap round trip failed")
-	}
-	// Client-resident position state must be far below the flat map's
-	// 4 bytes/entry.
-	st := db.Stats()
-	if st.PositionBytes >= int64(entries)*4 {
-		t.Errorf("recursive posmap client state %d B not below flat %d B",
-			st.PositionBytes, entries*4)
-	}
-}

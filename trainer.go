@@ -68,7 +68,7 @@ type TrainOptions struct {
 	// client state from the last boundary, rewinds the Source, and
 	// re-runs — no caller-side recovery code. Requires a rewindable
 	// Source (RewindSource: FromSlice/FromTrace qualify, FromChannel does
-	// not) and a checkpointable instance (no RecursivePosMap/Verify).
+	// not) and a checkpointable instance (no Verify).
 	// Something outside the run must bring the dead node back on its old
 	// address (a process supervisor; internal/chaos.Node.Supervise in
 	// tests) — Train waits for it within the restart budget. The
