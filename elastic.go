@@ -139,30 +139,50 @@ func (o *ORAM) MigrateOff(ctx context.Context, addr string) (MigrateStats, error
 	if !o.remote() {
 		return MigrateStats{}, fmt.Errorf("laoram: MigrateOff requires a remote instance (Options.RemoteAddrs)")
 	}
-	var targets []string
+	var out MigrateStats
+	err := o.evacuate(addr, func(s int, view *remote.ShardStore) error {
+		blackout, err := o.places[s].MigrateTo(view)
+		if err == nil {
+			out.Blackout += blackout
+			out.Moved++
+		}
+		return err
+	})
+	return out, err
+}
+
+// evacuate re-homes every shard the placement table routes to addr:
+// round-robin over the other connected nodes, each grows a store
+// (opAddStore) and move makes it the shard's home — MigrateTo copies the
+// live tree over, Repoint (re-placement) switches to it and leaves the
+// content to a checkpoint restore. It stops at the first error, keeping
+// the shards already moved.
+func (o *ORAM) evacuate(addr string, move func(s int, view *remote.ShardStore) error) error {
+	var targets []*remote.Client
 	for _, rc := range o.remoteList() {
 		if rc.Addr() != addr {
-			targets = append(targets, rc.Addr())
+			targets = append(targets, rc)
 		}
 	}
 	if len(targets) == 0 {
-		return MigrateStats{}, fmt.Errorf("laoram: MigrateOff %s: no other node to migrate to", addr)
+		return fmt.Errorf("laoram: no node other than %s to move its shards to", addr)
 	}
-	var out MigrateStats
 	rr := 0
 	for s := range o.places {
 		if o.placeAddr(s) != addr {
 			continue
 		}
-		ms, err := o.Migrate(ctx, s, targets[rr%len(targets)])
+		tc := targets[rr%len(targets)]
 		rr++
-		if err != nil {
-			return out, err
+		view, err := tc.AddStore()
+		if err == nil {
+			err = move(s, view)
 		}
-		out.Blackout += ms.Blackout
-		out.Moved += ms.Moved
+		if err != nil {
+			return fmt.Errorf("laoram: move shard %d from %s to %s: %w", s, addr, tc.Addr(), err)
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // HealthEvent is one observation of the health monitor.

@@ -32,7 +32,7 @@ type TrainConfig struct {
 	// one window (the one-shot shape, byte-identical to Preprocess +
 	// Session).
 	Window int
-	// Depth is the bounded plan queue (DefaultDepth when 0 — double
+	// Depth is the bounded plan queue (2 when 0 — double
 	// buffering: plan window k+1 while executing window k) and the
 	// cross-window horizon: a window executes once the Depth after it are
 	// planned, with its blocks' next leaves reaching into them.
@@ -50,6 +50,11 @@ type TrainConfig struct {
 	Payload func(id uint64) []byte
 	// NewVisit builds one trainer callback per shard lane (may be nil).
 	NewVisit shard.NewVisit
+	// Lanes selects the shard lanes every window executes on (nil runs
+	// them all), passed straight to Session.RunContext: the re-placement
+	// catch-up replays only the lanes restored from a checkpoint. The
+	// session counters then cover the selected lanes only.
+	Lanes []bool
 	// StartWindow offsets the absolute index of the first planned window:
 	// a recovery that rewound the source to the boundary of window B
 	// resumes with StartWindow = B, keeping every window's absolute index
@@ -72,16 +77,12 @@ type TrainConfig struct {
 	SkipStartCheckpoint bool
 }
 
-// DefaultDepth is the plan-queue depth Train uses when TrainConfig.Depth is
-// 0: double buffering.
-const DefaultDepth = 2
-
 func (c *TrainConfig) fill() error {
 	if c.S == 0 {
 		c.S = 4
 	}
 	if c.Depth == 0 {
-		c.Depth = DefaultDepth
+		c.Depth = 2
 	}
 	if c.S < 1 {
 		return fmt.Errorf("batch: S must be >= 1, got %d", c.S)
@@ -243,7 +244,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 			return err
 		}
 		runStart := time.Now()
-		err = sess.RunContext(ctx, cfg.BatchBins, nil, cfg.NewVisit)
+		err = sess.RunContext(ctx, cfg.BatchBins, cfg.Lanes, cfg.NewVisit)
 		st.TrainTime += time.Since(runStart)
 		ss := sess.Stats()
 		st.Bins += ss.Bins

@@ -142,52 +142,72 @@ func TestMigrationIdentity(t *testing.T) {
 }
 
 // TestReplacementWithoutRollback is the acceptance test of health-based
-// re-placement: on one fault schedule (kill node 1 mid-window-3, seed 42,
-// checkpoints every other boundary), Recovery.Replace repoints only the
-// dead node's shards onto the survivor, restores just those shards from the
-// last checkpoint, and replays only their lanes — strictly fewer replayed
-// accesses than the full rollback the same fault costs without Replace —
+// re-placement: node 1 of 2 dies mid-epoch (seed 42, 6 windows of 400,
+// checkpoints every other boundary) and never comes back. Recovery.Replace
+// repoints only the dead node's shards onto the survivor, restores just
+// those shards from the last checkpoint, and replays only their lanes,
 // while both recovered runs finish byte-identical to the unfaulted
-// reference.
+// reference. Each case kills at a different point of the checkpoint
+// cadence and pins the accesses both recovery modes replay.
 func TestReplacementWithoutRollback(t *testing.T) {
 	elasticSkip(t)
-	cfg := ReplacementConfig{
-		Entries: 1 << 10, BlockSize: 16, Shards: 4, Nodes: 2,
-		Seed: 42, Accesses: 2400, Window: 400, S: 4,
-		// Early in window 3: windows 2 (fully executed, past the skipped
-		// boundary) must be discarded by rollback but only half-replayed by
-		// re-placement.
-		KillAfter: 3*400 + 50, KillNode: 1, CheckpointEvery: 2,
+	for _, tc := range []struct {
+		name      string
+		killAfter int
+		// replayed and rolledBack are the replace and rollback runs'
+		// RewoundAccesses; fewer asserts replayed < rolledBack.
+		replayed, rolledBack uint64
+		fewer                bool
+	}{
+		// Early in window 3: window 2 (fully executed, past the boundary
+		// at 2) is discarded by rollback but replayed on the dead lanes
+		// only — strictly fewer accesses.
+		{"after-boundary-window", 3*400 + 50, 187, 400, true},
+		// Inside the checkpoint's own window 2: the catch-up is exactly
+		// that one window and replays nothing.
+		{"checkpoint-window", 2*400 + 50, 0, 0, false},
+		// In the epoch's last window 5: the catch-up runs to the end of
+		// the stream, so it never reaches a boundary after the failure.
+		{"last-window", 5*400 + 50, 180, 400, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ReplacementConfig{
+				Entries: 1 << 10, BlockSize: 16, Shards: 4, Nodes: 2,
+				Seed: 42, Accesses: 2400, Window: 400, S: 4,
+				KillAfter: tc.killAfter, KillNode: 1, CheckpointEvery: 2,
+			}
+			res, err := Replacement(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("\n%s", res.Render())
+			if res.Replacements == 0 {
+				t.Fatal("replace run performed no re-placement — the fault never landed or it fell back to rollback")
+			}
+			if tc.fewer && res.ReplaceRewound >= res.RollbackRewound {
+				t.Errorf("re-placement replayed %d accesses, rollback %d: want strictly fewer",
+					res.ReplaceRewound, res.RollbackRewound)
+			}
+			if res.ReplaceRewound != tc.replayed || res.RollbackRewound != tc.rolledBack {
+				t.Errorf("replayed: replace %d, rollback %d accesses; want %d, %d",
+					res.ReplaceRewound, res.RollbackRewound, tc.replayed, tc.rolledBack)
+			}
+			// The dead node is abandoned: no shard may still point at it.
+			// With 2 nodes all shards end on the single survivor.
+			addrs := map[string]bool{}
+			for _, a := range res.Placement {
+				addrs[a] = true
+			}
+			if len(addrs) != 1 {
+				t.Errorf("after re-placement the %d shards span %d nodes, want all on the survivor: %v",
+					cfg.Shards, len(addrs), res.Placement)
+			}
+			if !res.Identical() {
+				t.Fatalf("re-placed run diverged from unfaulted run:\n%s", res.Render())
+			}
+			if !res.RollbackMatch {
+				t.Fatalf("rollback cross-check diverged from unfaulted run:\n%s", res.Render())
+			}
+		})
 	}
-	res, err := Replacement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replacements == 0 {
-		t.Fatal("replace run performed no re-placement — the fault never landed or it fell back to rollback")
-	}
-	if res.RollbackRewound == 0 {
-		t.Fatal("rollback run rewound nothing — the fault schedule missed the skipped boundary")
-	}
-	if res.ReplaceRewound >= res.RollbackRewound {
-		t.Errorf("re-placement replayed %d accesses, rollback %d: want strictly fewer",
-			res.ReplaceRewound, res.RollbackRewound)
-	}
-	// The dead node is abandoned: no shard may still point at it. With 2
-	// nodes all shards end on the single survivor.
-	addrs := map[string]bool{}
-	for _, a := range res.Placement {
-		addrs[a] = true
-	}
-	if len(addrs) != 1 {
-		t.Errorf("after re-placement the %d shards span %d nodes, want all on the survivor: %v",
-			cfg.Shards, len(addrs), res.Placement)
-	}
-	if !res.Identical() {
-		t.Fatalf("re-placed run diverged from unfaulted run:\n%s", res.Render())
-	}
-	if !res.RollbackMatch {
-		t.Fatalf("rollback cross-check diverged from unfaulted run:\n%s", res.Render())
-	}
-	t.Logf("\n%s", res.Render())
 }

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	laoram "repro"
+	"repro/internal/batch"
 	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/shard"
@@ -74,8 +77,8 @@ func buildShardEngine(entries uint64, n int, seed int64) (*shard.Engine, error) 
 }
 
 // ShardSweep measures the sharded engine across shard counts on the
-// Kaggle-like workload: preprocess, pre-place, then execute the whole plan
-// through the concurrent per-shard scheduler.
+// Kaggle-like workload: the whole stream planned as one window, pre-placed,
+// then executed through the concurrent per-shard scheduler.
 func ShardSweep(sc Scale, seed int64) (*ShardSweepResult, error) {
 	entries := sc.EntriesSmall
 	const S = 4
@@ -90,28 +93,17 @@ func ShardSweep(sc Scale, seed int64) (*ShardSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan, err := e.Preprocess(stream, S)
+		// One whole-stream pre-placed window: byte-identical to
+		// Preprocess → LoadForPlan → Session.Run (DESIGN.md invariant #9).
+		ts, err := batch.Train(context.Background(), e, laoram.FromSlice(stream), batch.TrainConfig{S: S, PrePlace: true})
 		if err != nil {
-			return nil, err
-		}
-		if err := e.LoadForPlan(plan, nil); err != nil {
-			return nil, err
-		}
-		e.ResetStats()
-		sess, err := e.NewSession(plan)
-		if err != nil {
-			return nil, err
-		}
-		wallStart := time.Now()
-		if err := sess.Run(nil); err != nil {
 			return nil, fmt.Errorf("shards=%d: %w", n, err)
 		}
-		wall := time.Since(wallStart)
 		st := e.Stats()
 		row := ShardRow{
 			Shards:     n,
 			SimTime:    st.SimTime,
-			WallTime:   wall,
+			WallTime:   ts.TrainTime,
 			SlotsMoved: st.Counters.SlotReads + st.Counters.SlotWrites,
 		}
 		if st.SimTime > 0 {

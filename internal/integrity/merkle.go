@@ -1,16 +1,18 @@
 // Package integrity adds authenticated storage to the ORAM: a Merkle tree
-// mirroring the bucket tree, with only the root digest held in trusted
-// client memory. The paper's threat model (§III) assumes an honest-but-
-// curious server — it observes addresses but returns data faithfully; this
-// layer extends the reproduction to an actively malicious server that may
-// tamper with or roll back bucket contents, the standard hardening for
-// PathORAM deployments.
+// mirroring the bucket tree, anchored at a trusted root digest. The
+// paper's threat model (§III) assumes an honest-but-curious server — it
+// observes addresses but returns data faithfully; this layer extends the
+// reproduction to an actively malicious server that may tamper with or
+// roll back bucket contents, the standard hardening for PathORAM
+// deployments.
 //
 // Construction: digest(node) = SHA-256(level ‖ index ‖ bucket slots ‖
-// digest(left) ‖ digest(right)). The digests live with the (untrusted)
-// server; the client trusts only the root. Every bucket read verifies the
-// authentication path to the root; every write recomputes digests up to
-// the root and refreshes the trusted copy. Collision resistance makes a
+// digest(left) ‖ digest(right)). The digests are a client-resident slice,
+// one 32-byte digest per bucket in heap order (TotalBuckets() of them), so
+// the layer costs O(buckets) trusted memory; no digest crosses the wire.
+// Every bucket read still verifies the authentication path to the root as
+// if the digests were untrusted; every write recomputes digests up to the
+// root and refreshes the trusted copy. Collision resistance makes a
 // consistent forgery impossible, and holding the root client-side defeats
 // replay of stale states.
 package integrity
@@ -32,8 +34,8 @@ type Digest = [sha256.Size]byte
 type VerifiedStore struct {
 	inner oram.Store
 	geom  *oram.Geometry
-	// digests is conceptually server-side (untrusted) storage: one per
-	// bucket, heap-indexed (2^level - 1 + node).
+	// digests holds one digest per bucket, heap-indexed
+	// (2^level - 1 + node), in client memory.
 	digests []Digest
 	// root is the trusted client-side copy.
 	root Digest

@@ -52,6 +52,9 @@ type Client struct {
 
 	geom   *oram.Geometry
 	shards int
+	// placed is the store count at dial: the stores ShardBase/ShardStride
+	// map. One grown later by AddStore names no engine shard of its own.
+	placed int
 
 	// wmu serialises frame writes; a frame is written atomically but many
 	// may be in flight awaiting responses.
@@ -115,8 +118,9 @@ type Config struct {
 
 	// ShardBase and ShardStride map this node's local shard indices to the
 	// engine's global shards (global = ShardBase + local*ShardStride), so
-	// an ErrNodeDown names the shard the trainer knows. A single-node
-	// deployment leaves them zero (stride defaults to 1).
+	// an ErrNodeDown names the shard the trainer knows. They cover the
+	// stores the node had at dial; one grown later by AddStore maps to
+	// -1. A single-node deployment leaves them zero (stride defaults to 1).
 	ShardBase   int
 	ShardStride int
 
@@ -211,6 +215,7 @@ func DialConfig(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		ctx:     ctx,
 		geom:    g,
 		shards:  shards,
+		placed:  shards,
 		conn:    conn,
 		gen:     1,
 		bootID:  bootID,
@@ -439,8 +444,13 @@ func (c *Client) readLoop(conn net.Conn, gen uint64) {
 	}
 }
 
-// globalShard maps a node-local wire shard to the engine's global index.
+// globalShard maps a node-local wire shard to the engine's global index,
+// or -1 for a store grown by AddStore (a migrated or re-placed shard's
+// landing zone), which the dial-time placement does not cover.
 func (c *Client) globalShard(local uint32) int {
+	if int(local) >= c.placed {
+		return -1
+	}
 	return c.cfg.ShardBase + int(local)*c.cfg.ShardStride
 }
 

@@ -492,3 +492,43 @@ func TestDrainedNodeEvacuation(t *testing.T) {
 		t.Errorf("evacuated bucket = %+v", dst[0])
 	}
 }
+
+// TestErrNodeDownGrownStore: ShardBase/ShardStride map only the stores a
+// node had at dial. A store grown by AddStore (a migrated or re-placed
+// shard's landing zone) names no engine shard, so its ErrNodeDown carries
+// Shard -1 instead of an index past the engine's shards, while a dial-time
+// store still maps through the placement.
+func TestErrNodeDownGrownStore(t *testing.T) {
+	// Node 1 of a 4-shard engine over 2 nodes: local i is global 1 + 2i.
+	n := startElasticNode(t, 2)
+	c, err := remote.DialConfig(context.Background(), n.Addr(), remote.Config{
+		ShardBase: 1, ShardStride: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	placed, err := c.Store(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := c.AddStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Kill()
+	dst := make([]oram.Slot, elasticGeometry().BucketSize(0))
+	for _, tc := range []struct {
+		st   *remote.ShardStore
+		want int
+	}{{grown, -1}, {placed, 3}} {
+		err := tc.st.ReadBucket(0, 0, dst)
+		nd, ok := remote.AsNodeDown(err)
+		if !ok {
+			t.Fatalf("local store %d: node death surfaced as %T: %v", tc.st.Shard(), err, err)
+		}
+		if nd.Shard != tc.want {
+			t.Errorf("local store %d: ErrNodeDown.Shard = %d (%v), want %d", tc.st.Shard(), nd.Shard, nd, tc.want)
+		}
+	}
+}

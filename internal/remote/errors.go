@@ -20,7 +20,8 @@ type ErrNodeDown struct {
 
 	// Shard is the global shard index the failed call addressed (the
 	// engine-level shard, mapped through the client's ShardBase/ShardStride
-	// placement), or -1 when the failure is not specific to one call.
+	// placement), or -1 when the failure is not specific to one call or
+	// addressed a store grown by AddStore.
 	Shard int
 
 	// StateLost reports that the node answered a reconnect handshake with a

@@ -162,7 +162,8 @@ type Options struct {
 	// bucket read is checked against a trusted root digest, detecting
 	// tampering and rollback by an actively malicious server (an
 	// extension beyond the paper's honest-but-curious model; see
-	// internal/integrity). Adds hashing plus authentication-path reads.
+	// internal/integrity). Adds hashing plus authentication-path checks,
+	// and keeps one 32-byte digest per bucket in client memory.
 	Verify bool
 	// DataDir, when set, backs every shard tree with a disk arena file
 	// (internal/diskstore) under this directory instead of an in-memory

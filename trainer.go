@@ -3,6 +3,7 @@ package laoram
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -133,9 +134,7 @@ type TrainStats struct {
 	// near zero when preprocessing keeps ahead.
 	TrainerStalled time.Duration
 	// TrainerStalls counts the window fetches that found no window ready
-	// for execution: the queue-miss count behind TrainerStalled. The
-	// pipeline experiment previously inferred stalling externally from
-	// wall-clock deltas; these are the first-class counters.
+	// for execution: the queue-miss count behind TrainerStalled.
 	TrainerStalls int
 	// PlannerStalled is how long the planning stage was blocked handing
 	// finished windows to the full plan queue — backpressure on the
@@ -479,6 +478,10 @@ type replaceResume struct {
 	replayed uint64
 }
 
+// errCaughtUp stops the re-placement catch-up at the boundary after the
+// failed window.
+var errCaughtUp = errors.New("laoram: catch-up reached the failed window's end")
+
 // tryReplace is rollback-free recovery: instead of rewinding the whole
 // system to the last checkpoint, the dead node's shards are repointed onto
 // stores the surviving nodes grow for them, restored individually from the
@@ -511,48 +514,25 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	// Classify: dead shards are the ones the placement table still routes
 	// to the down node. Needs a true subset — survivors must exist both as
 	// re-placement targets and as keepers of live state.
-	shards := o.eng.Shards()
-	dead := make([]bool, shards)
+	dead := make([]bool, o.eng.Shards())
 	ndead := 0
-	for s := 0; s < shards; s++ {
-		if o.placeAddr(s) == nd.Addr {
-			dead[s] = true
+	for s := range dead {
+		if dead[s] = o.placeAddr(s) == nd.Addr; dead[s] {
 			ndead++
 		}
 	}
 	if ndead == 0 {
 		return zero, fmt.Errorf("laoram: down node %s serves no shard", nd.Addr)
 	}
-	if ndead == shards {
+	if ndead == len(dead) {
 		return zero, fmt.Errorf("laoram: down node %s serves every shard; nothing survives to re-place onto", nd.Addr)
 	}
-	var survivors []*remote.Client
-	for _, rc := range o.remoteList() {
-		if rc.Addr() != nd.Addr {
-			survivors = append(survivors, rc)
-		}
-	}
-	if len(survivors) == 0 {
-		return zero, fmt.Errorf("laoram: no surviving node connected")
-	}
-
-	// Repoint each dead shard onto a store a survivor grows for it. Unlike
-	// Migrate nothing is copied — the old placement is unreachable, and the
-	// tree content comes from the checkpoint restore below.
-	rr := 0
-	for s := 0; s < shards; s++ {
-		if !dead[s] {
-			continue
-		}
-		tc := survivors[rr%len(survivors)]
-		rr++
-		view, err := tc.AddStore()
-		if err != nil {
-			return zero, fmt.Errorf("laoram: grow store on %s for shard %d: %w", tc.Addr(), s, err)
-		}
-		if err := o.places[s].Repoint(view); err != nil {
-			return zero, fmt.Errorf("laoram: repoint shard %d: %w", s, err)
-		}
+	// Unlike Migrate nothing is copied — the old placement is unreachable,
+	// and the tree content comes from the checkpoint restore below.
+	if err := o.evacuate(nd.Addr, func(s int, view *remote.ShardStore) error {
+		return o.places[s].Repoint(view)
+	}); err != nil {
+		return zero, err
 	}
 	if err := o.loadStateShards(bytes.NewReader(lastCk), dead); err != nil {
 		return zero, fmt.Errorf("laoram: per-shard restore: %w", err)
@@ -561,41 +541,14 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 		return zero, fmt.Errorf("laoram: re-placement rewind: %w", err)
 	}
 
-	// Catch-up: replan windows ckWin..W — identical slicing and plan seeds,
-	// since StartWindow pins the absolute indices and the source sits at the
-	// boundary's offset — and execute only the dead lanes. Window W runs on
-	// the dead lanes for the first complete time; the healthy lanes already
-	// hold its results.
-	depth := cfg.Depth
-	if depth == 0 {
-		depth = batch.DefaultDepth
-	}
-	planner, err := o.eng.NewPlanner(src, shard.PlannerConfig{
-		S: cfg.S, Window: cfg.Window, Depth: depth, StartWindow: ckWin,
-	})
-	if err != nil {
-		return zero, err
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch, err := planner.Start(pctx)
-	if err != nil {
-		return zero, err
-	}
-	drain := func() {
-		cancel()
-		for range ch {
-		}
-	}
-
 	// The dead lanes' client access counters were just restored to their
 	// boundary values; their growth over the re-executed complete windows
 	// (everything before W) is exactly the replayed work. Window W is not a
 	// replay — it never completed, exactly like the partial windows the
 	// rollback path excludes from RewoundAccesses.
 	deadAcc := func() (sum uint64) {
-		for s := 0; s < shards; s++ {
-			if dead[s] {
+		for s, d := range dead {
+			if d {
 				sum += o.eng.Sub(s).Client.Stats().Accesses
 			}
 		}
@@ -603,82 +556,74 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	}
 	startAcc := deadAcc()
 
+	// Catch-up: replan windows ckWin..W — identical slicing and plan seeds,
+	// since StartWindow pins the absolute indices and the source sits at the
+	// boundary's offset — and execute them on the dead lanes only. Window W
+	// runs on the dead lanes for the first complete time; the healthy lanes
+	// already hold its results. The boundary hook fires before every
+	// window: at W it samples the replayed work and the counters so far, at
+	// W+1 it stops the run (a failure in the epoch's last window ends with
+	// the stream instead).
 	var (
-		replayed uint64 // dead-lane accesses re-executed for windows < W
-		span     int    // stream indices covered by windows ckWin..W
-		caughtW  bool
-		deadW    []batch.LaneSession // dead lanes' full window-W counters
+		replayed uint64
+		beforeW  batch.TrainStats
 	)
-	for pw := range ch {
-		if pw.Index == w {
+	cc := cfg
+	cc.StartWindow, cc.SkipStartCheckpoint = ckWin, false
+	cc.PrePlace, cc.Payload = false, nil
+	cc.Lanes = dead
+	cc.CheckpointEvery = 1
+	cc.Checkpoint = func(win int, sofar batch.TrainStats) error {
+		switch win {
+		case w:
 			replayed = deadAcc() - startAcc
+			beforeW = sofar
+		case w + 1:
+			return errCaughtUp
 		}
-		sess, err := o.eng.NewSession(pw.Plan)
-		if err != nil {
-			drain()
-			return zero, err
-		}
-		if err := sess.RunContext(ctx, cfg.BatchBins, dead, cfg.NewVisit); err != nil {
-			drain()
-			return zero, fmt.Errorf("laoram: catch-up window %d: %w", pw.Index, err)
-		}
-		span += pw.Accesses
-		if pw.Index < w {
-			continue
-		}
-		// pw.Index == w: record the dead lanes' complete window-W session
-		// counters, replacing the partial ones the failed attempt folded in.
-		deadW = make([]batch.LaneSession, shards)
-		for s := 0; s < shards; s++ {
-			if !dead[s] {
-				continue
-			}
-			ls := sess.Lane(s).Stats()
-			deadW[s] = batch.LaneSession{
-				Bins: ls.Bins, ColdPathReads: ls.ColdPathReads,
-				LookaheadRemaps: ls.LookaheadRemaps, UniformRemaps: ls.UniformRemaps,
-			}
-		}
-		caughtW = true
-		break
+		return nil
 	}
-	drain()
-	if !caughtW {
-		if err := planner.Err(); err != nil {
-			return zero, fmt.Errorf("laoram: catch-up planner: %w", err)
-		}
+	cu, err := batch.Train(ctx, o.eng, src, cc)
+	if err != nil && !errors.Is(err, errCaughtUp) {
+		return zero, fmt.Errorf("laoram: catch-up: %w", err)
+	}
+	if cu.Windows != w-ckWin+1 {
 		return zero, fmt.Errorf("laoram: catch-up stream ended before window %d", w)
 	}
 	// The windows ckWin..W must cover exactly the boundary-to-failure span:
 	// the completed windows' accesses since the boundary plus window W's. A
 	// mismatch means the re-planned slicing diverged — unsafe to resume.
-	if want := int(cur.accesses-ckAgg.accesses) + st.FailedAccesses; span != want {
+	span := cu.Accesses
+	if want := cur.accesses - ckAgg.accesses + uint64(st.FailedAccesses); span != want {
 		return zero, fmt.Errorf("laoram: catch-up covered %d accesses, boundary-to-failure span is %d", span, want)
 	}
 
-	// Assemble the post-W identity counters: everything the failed attempt
-	// accumulated, plus window W now counting as complete, minus the dead
-	// lanes' partial window-W contribution, plus their complete one.
-	agg := cur
-	agg.windows++
-	agg.accesses += uint64(st.FailedAccesses)
-	for s := 0; s < shards; s++ {
-		if !dead[s] {
-			continue
+	// Window W now counts as complete: its span, and the dead lanes'
+	// complete window-W counters (the catch-up's last window) in place of
+	// the partial ones the failed attempt folded in.
+	winW := batch.TrainStats{
+		Windows: 1, Accesses: uint64(st.FailedAccesses),
+		Bins:            cu.Bins - beforeW.Bins,
+		ColdPathReads:   cu.ColdPathReads - beforeW.ColdPathReads,
+		LookaheadRemaps: cu.LookaheadRemaps - beforeW.LookaheadRemaps,
+		UniformRemaps:   cu.UniformRemaps - beforeW.UniformRemaps,
+	}
+	for s, d := range dead {
+		if d {
+			part := st.FailedLaneSession[s]
+			winW.Bins -= part.Bins
+			winW.ColdPathReads -= part.ColdPathReads
+			winW.LookaheadRemaps -= part.LookaheadRemaps
+			winW.UniformRemaps -= part.UniformRemaps
 		}
-		part := st.FailedLaneSession[s]
-		agg.session.Bins += deadW[s].Bins - part.Bins
-		agg.session.ColdPathReads += deadW[s].ColdPathReads - part.ColdPathReads
-		agg.session.LookaheadRemaps += deadW[s].LookaheadRemaps - part.LookaheadRemaps
-		agg.session.UniformRemaps += deadW[s].UniformRemaps - part.UniformRemaps
 	}
 
 	// The catch-up planner read ahead of window W (bounded queue); park the
 	// source exactly after W so the resumed attempt sees the right stream.
-	if err := src.Rewind(ckPos + uint64(span)); err != nil {
+	if err := src.Rewind(ckPos + span); err != nil {
 		return zero, fmt.Errorf("laoram: post-catch-up seek: %w", err)
 	}
-	return replaceResume{base: agg, pos: ckPos + uint64(span), win: w + 1, replayed: replayed}, nil
+	return replaceResume{base: cur.plus(winW), pos: ckPos + span, win: w + 1, replayed: replayed}, nil
 }
 
 // sleepCtx pauses for d or until ctx fires.
