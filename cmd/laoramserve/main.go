@@ -28,7 +28,8 @@
 //
 // The server is elastic: clients migrating a shard in (laoram.Migrate)
 // grow a fresh backing store over the wire (opAddStore), so a node can
-// start with -shards covering its modulo placement and end up serving more.
+// start with -shards covering its modulo placement and end up serving more
+// (not under -sealed, whose fresh per-store key could not open the snapshot).
 // SIGTERM begins a graceful drain instead of stopping: the listener closes
 // (no new connections), the health heartbeat (opHealth) announces draining
 // so connected clients migrate their shards off, and once the last
@@ -74,7 +75,7 @@ func main() {
 		fat     = flag.Bool("fat", false, "use the fat-tree (root 2x leaf, linear decay)")
 		shards  = flag.Int("shards", 1, "number of shard stores (match the client's Options.Shards)")
 		workers = flag.Int("workers", 0, "request worker pool size (0 = one per CPU)")
-		sealed  = flag.Bool("sealed", false, "seal payloads at rest (AES-128-GCM, fresh random key per shard store)")
+		sealed  = flag.Bool("sealed", false, "seal payloads at rest (AES-128-GCM, fresh random key per shard store and per start): refuses -checkpoint and -data-dir, and grows no store for a migration")
 		cworker = flag.Int("cryptoworkers", 0, "crypto fan-out width for sealed stores: seal/open of path and batched requests is partitioned across this many workers (0 = one per CPU capped at 8, 1 = serial)")
 		dataDir = flag.String("data-dir", "", "directory for disk-backed shard trees (one bucket arena file per store, internal/diskstore): the tiered storage backend — served trees may exceed RAM; clean arenas are resumed at startup, crashed arenas are restored from -checkpoint or refused")
 		memBud  = flag.Int64("mem-budget", 0, "total in-memory bucket cache across all disk-backed stores, in bytes, split evenly per store (0 = unbounded); requires -data-dir")
@@ -85,7 +86,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "global concurrency budget: admitted-but-unfinished data requests across all connections; beyond it requests are shed with a typed busy frame (0 = unbounded)")
 		perConnRate = flag.Float64("per-conn-rate", 0, "per-connection sustained data-request rate limit, requests/second, via token bucket (0 = unlimited)")
 		perConnBur  = flag.Int("per-conn-burst", 0, "token bucket capacity: back-to-back requests one connection may issue before -per-conn-rate applies (0 = one second's worth of -per-conn-rate); requires -per-conn-rate")
-		fairQ       = flag.Bool("fair", false, "dispatch the worker pool across connections by deficit round robin with bounded per-connection queues instead of one shared FIFO: a flooding connection's backlog hurts only itself, its overflow is shed")
+		fairQ       = flag.Bool("fair", false, "dispatch the worker pool across connections by round robin, one request per connection per turn, with bounded per-connection queues instead of one shared FIFO: a flooding connection's backlog hurts only itself, its overflow is shed")
 	)
 	flag.Parse()
 
@@ -211,18 +212,23 @@ func main() {
 	if err := srv.SetLimits(limits); err != nil {
 		log.Fatalf("laoramserve: %v", err)
 	}
-	// Migrated-in shards count toward the shutdown byte totals too.
+	// Migrated-in shards count toward the shutdown byte totals too. A sealed
+	// node grows no stores: a fresh store has a fresh key, so the snapshot a
+	// migration restores into it could never be opened. Without a factory
+	// opAddStore is refused and the migration fails before it moves a byte.
 	var cmu sync.Mutex
-	srv.SetStoreFactory(func() (oram.Store, error) {
-		cs, err := newStore()
-		if err != nil {
-			return nil, err
-		}
-		cmu.Lock()
-		counters = append(counters, cs)
-		cmu.Unlock()
-		return cs, nil
-	})
+	if !*sealed {
+		srv.SetStoreFactory(func() (oram.Store, error) {
+			cs, err := newStore()
+			if err != nil {
+				return nil, err
+			}
+			cmu.Lock()
+			counters = append(counters, cs)
+			cmu.Unlock()
+			return cs, nil
+		})
+	}
 	if *ckEvery < 0 || (*ckEvery > 0 && *ckDir == "") {
 		log.Fatalf("laoramserve: -checkpoint-interval requires -checkpoint")
 	}
@@ -359,6 +365,7 @@ var (
 	errDataDirIsCheckpointDir  = errors.New("-data-dir and -checkpoint must be different directories (checkpoints must survive an arena reset)")
 	errDataDirMetadataOnly     = errors.New("-data-dir requires a payload-bearing store (-block > 0); metadata-only trees fit in memory")
 	errDataDirSealed           = errors.New("-sealed uses a fresh random key per start and cannot resume sealed arenas across restarts; run -data-dir without -sealed")
+	errCheckpointSealed        = errors.New("-sealed uses a fresh random key per store and per start, so a sealed store cannot open a checkpoint sealed under another key; run -checkpoint without -sealed")
 	errNegativeMemBudget       = errors.New("-mem-budget must be >= 0")
 
 	errNegativeMaxInflight   = errors.New("-max-inflight must be >= 0")
@@ -404,11 +411,14 @@ func validateAdmissionFlags(l remote.Limits, workers int) error {
 // validateStorageFlags rejects tiered-storage flag combinations that could
 // not work: a cache budget with nothing to cache, arenas sharing a
 // directory with the checkpoints that are supposed to outlive them, disk
-// backing for metadata-only trees, and sealed arenas whose key would be
-// lost on restart.
+// backing for metadata-only trees, and sealed arenas or checkpoints whose
+// key would be lost on restart.
 func validateStorageFlags(dataDir string, memBudget int64, ckDir string, block int, sealed bool) error {
 	if memBudget < 0 {
 		return errNegativeMemBudget
+	}
+	if sealed && ckDir != "" {
+		return errCheckpointSealed
 	}
 	if dataDir == "" {
 		if memBudget != 0 {
@@ -489,7 +499,7 @@ func admissionString(l remote.Limits) string {
 		parts = append(parts, fmt.Sprintf("%.0f req/s per conn (burst %d)", l.PerConnRate, b))
 	}
 	if l.Fair {
-		parts = append(parts, "fair queueing (deficit round robin, bounded per-conn queues)")
+		parts = append(parts, "fair queueing (round robin, one request per conn per turn, bounded per-conn queues)")
 	}
 	return strings.Join(parts, ", ")
 }

@@ -190,6 +190,7 @@ func TestValidateStorageFlags(t *testing.T) {
 		{name: "data dir is checkpoint dir, unclean path", dataDir: "/tmp/x/../d", ckDir: "/tmp/d/.", block: 128, want: errDataDirIsCheckpointDir},
 		{name: "metadata-only on disk", dataDir: "/tmp/d", block: 0, want: errDataDirMetadataOnly},
 		{name: "sealed on disk", dataDir: "/tmp/d", block: 128, sealed: true, want: errDataDirSealed},
+		{name: "sealed with checkpoint", ckDir: "/tmp/ck", block: 128, sealed: true, want: errCheckpointSealed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

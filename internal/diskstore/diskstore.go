@@ -732,43 +732,26 @@ func (st *Store) readBucketLocked(level int, node uint64, dst []oram.Slot, last 
 	return nil
 }
 
-// writeLocked stores src over bucket (level, node) from slot first on: the
-// whole bucket (first 0, every slot) or a single slot. A resident span
-// takes the write in place and turns dirty. A non-resident one is not
+// writeLocked stores src over the whole bucket (level, node). A resident
+// span takes the write in place and turns dirty. A non-resident one is not
 // faulted in for it — the write covers a fraction of the span — but goes
-// around the cache: the one record is rewritten on disk (read first when a
-// single slot changes and the rest of the bucket must survive), and an
-// in-flight prefetch of the span is cancelled, as what it reads predates
-// the write.
-func (st *Store) writeLocked(level int, node uint64, first int, src []oram.Slot, last **span) error {
+// around the cache: the one record is rewritten on disk, and an in-flight
+// prefetch of the span is cancelled, as what it reads predates the write.
+func (st *Store) writeLocked(level int, node uint64, src []oram.Slot, last **span) error {
 	l := st.locate(level, node)
-	whole := len(src) == st.geom.BucketSize(level)
 	if l.key() == st.pfKey {
 		st.pfKey = noPrefetch
 	}
-	var body []byte
 	sp := st.residentLocked(l, last)
 	at, n := l.recOff()
-	switch {
-	case sp != nil:
-		var err error
-		if body, err = st.bodyLocked(sp, l.idx, whole); err != nil {
-			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
-		}
-	case whole:
-		body = st.rec[:n-crcLen]
+	body := st.rec[:n-crcLen]
+	if sp != nil {
+		body, _ = st.bodyLocked(sp, l.idx, true) // an overwrite is never refused
+	} else {
 		clear(body)
-	default:
-		if _, err := st.f.ReadAt(st.rec[:n], at); err != nil {
-			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
-		}
-		if err := verifyRecord(st.rec[:n]); err != nil {
-			return fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
-		}
-		body = st.rec[:n-crcLen]
 	}
 	for k := range src {
-		if err := st.encodeSlot(body, first+k, src[k]); err != nil {
+		if err := st.encodeSlot(body, k, src[k]); err != nil {
 			return err
 		}
 	}
@@ -794,49 +777,14 @@ func (st *Store) WriteBucket(level int, node uint64, src []oram.Slot) error {
 	return st.WriteBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]oram.Slot{src})
 }
 
-// checkSlot validates single-slot coordinates.
-func (st *Store) checkSlot(level int, node uint64, slot int) error {
-	if err := st.checkBucket(level, node); err != nil {
-		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("diskstore: slot %d out of range at level %d", slot, level)
-	}
-	return nil
-}
-
-// ReadSlot implements oram.Store. The slot is served from its span like a
-// bucket (one hit or miss per lookup).
+// ReadSlot implements oram.Store.
 func (st *Store) ReadSlot(level int, node uint64, slot int, dst *oram.Slot) error {
-	if err := st.checkSlot(level, node, slot); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.ioErr != nil {
-		return st.ioErr
-	}
-	var last *span
-	body, err := st.demandLocked(level, node, &last)
-	if err != nil {
-		return err
-	}
-	return st.decodeSlot(body, slot, dst)
+	return oram.ReadSlotVia(st, level, node, slot, dst)
 }
 
-// WriteSlot implements oram.Store: a read-modify-write of the record (the
-// rest of the bucket must survive).
+// WriteSlot implements oram.Store.
 func (st *Store) WriteSlot(level int, node uint64, slot int, src oram.Slot) error {
-	if err := st.checkSlot(level, node, slot); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.beginWriteLocked(); err != nil {
-		return err
-	}
-	var last *span
-	return st.writeLocked(level, node, slot, []oram.Slot{src}, &last)
+	return oram.WriteSlotVia(st, level, node, slot, src)
 }
 
 // ReadPath implements oram.PathStore: a path is the ref list of its
@@ -921,7 +869,7 @@ func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 	}
 	var last *span
 	for i, r := range refs {
-		if err := st.writeLocked(r.Level, r.Node, 0, src[i], &last); err != nil {
+		if err := st.writeLocked(r.Level, r.Node, src[i], &last); err != nil {
 			return err
 		}
 	}

@@ -520,7 +520,7 @@ func RingExp(sc Scale, seed int64) (*RingResult, error) {
 	}
 	res := &RingResult{Entries: entries, S: S}
 
-	plain, _, err := ringoram.New(ringoram.Config{Blocks: entries, Rand: trace.NewRNG(seed + 15)})
+	plain, err := ringoram.New(ringoram.Config{Blocks: entries, Rand: trace.NewRNG(seed + 15)})
 	if err != nil {
 		return nil, err
 	}
@@ -539,7 +539,7 @@ func RingExp(sc Scale, seed int64) (*RingResult, error) {
 		PerAccess: float64(pst.BlocksRead) / float64(pst.Accesses), Reduction: 1,
 	})
 
-	ring, _, err := ringoram.New(ringoram.Config{Blocks: entries, Rand: trace.NewRNG(seed + 15)})
+	ring, err := ringoram.New(ringoram.Config{Blocks: entries, Rand: trace.NewRNG(seed + 15)})
 	if err != nil {
 		return nil, err
 	}

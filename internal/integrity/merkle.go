@@ -39,7 +39,7 @@ type VerifiedStore struct {
 	digests []Digest
 	// root is the trusted client-side copy.
 	root Digest
-	// buf is a scratch bucket for single-slot operations.
+	// buf is a scratch bucket for the parent reads of verifyUp/updateUp.
 	buf []oram.Slot
 
 	verified uint64
@@ -235,34 +235,10 @@ func (vs *VerifiedStore) WriteBucket(level int, node uint64, src []oram.Slot) er
 
 // ReadSlot implements oram.Store; the whole bucket is verified.
 func (vs *VerifiedStore) ReadSlot(level int, node uint64, slot int, dst *oram.Slot) error {
-	z := vs.geom.BucketSize(level)
-	if slot < 0 || slot >= z {
-		return fmt.Errorf("integrity: slot %d out of range", slot)
-	}
-	buf := make([]oram.Slot, z)
-	if err := vs.inner.ReadBucket(level, node, buf); err != nil {
-		return err
-	}
-	if err := vs.verifyUp(level, node, vs.hashBucket(level, node, buf)); err != nil {
-		return err
-	}
-	*dst = buf[slot]
-	return nil
+	return oram.ReadSlotVia(vs, level, node, slot, dst)
 }
 
-// WriteSlot implements oram.Store via read-modify-write of the bucket.
+// WriteSlot implements oram.Store; the digest chain is refreshed.
 func (vs *VerifiedStore) WriteSlot(level int, node uint64, slot int, src oram.Slot) error {
-	z := vs.geom.BucketSize(level)
-	if slot < 0 || slot >= z {
-		return fmt.Errorf("integrity: slot %d out of range", slot)
-	}
-	buf := make([]oram.Slot, z)
-	if err := vs.inner.ReadBucket(level, node, buf); err != nil {
-		return err
-	}
-	buf[slot] = src
-	if err := vs.inner.WriteBucket(level, node, buf); err != nil {
-		return err
-	}
-	return vs.updateUp(level, node, buf)
+	return oram.WriteSlotVia(vs, level, node, slot, src)
 }

@@ -39,19 +39,6 @@ func TestVerifiedRoundTrip(t *testing.T) {
 	if vs.Verified() == 0 {
 		t.Error("no verifications recorded")
 	}
-	var s oram.Slot
-	if err := vs.WriteSlot(3, 5, 1, oram.Slot{ID: 9, Leaf: 2, Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-	if err := vs.ReadSlot(3, 5, 1, &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.ID != 9 {
-		t.Errorf("slot round trip: %+v", s)
-	}
-	if err := vs.ReadSlot(3, 5, 99, &s); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
 }
 
 // TestTamperDetection: direct modification of the inner store (bypassing

@@ -16,7 +16,7 @@ import "runtime"
 // is not fresh: it is stored and read back like a real record.
 //
 // The bounds are not part of any snapshot: Load rebuilds them from the
-// records (rebound), so every restore path — a checkpoint, a migration, a
+// records (reboundAll), so every restore path — a checkpoint, a migration, a
 // treetop lift — leaves them exact.
 type tree struct {
 	geom *Geometry
@@ -90,23 +90,18 @@ func (t *tree) writeSpan(r BucketRef, n int) (b, base int64, w int) {
 	return b, t.geom.SlotIndex(r.Level, r.Node, 0), w
 }
 
-// rebound recomputes bucket (level, node)'s live bound from its records: after
-// a single-slot write, and for every bucket after a Load.
-func (t *tree) rebound(level int, node uint64) {
-	base := t.geom.SlotIndex(level, node, 0)
-	n := t.geom.BucketSize(level)
-	for n > 0 && fresh(t.meta.get(base+int64(n-1))) {
-		n--
-	}
-	t.live[t.geom.bucketNo(level, node)] = uint8(n)
-	runtime.KeepAlive(t)
-}
-
-// reboundAll rebuilds every bucket's live bound from the records.
+// reboundAll rebuilds every bucket's live bound from the records, after a
+// Load.
 func (t *tree) reboundAll() {
 	for lvl := range t.geom.Levels() {
 		for node := range uint64(1) << uint(lvl) {
-			t.rebound(lvl, node)
+			base := t.geom.SlotIndex(lvl, node, 0)
+			n := t.geom.BucketSize(lvl)
+			for n > 0 && fresh(t.meta.get(base+int64(n-1))) {
+				n--
+			}
+			t.live[t.geom.bucketNo(lvl, node)] = uint8(n)
 		}
 	}
+	runtime.KeepAlive(t)
 }

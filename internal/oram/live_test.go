@@ -14,7 +14,9 @@ import (
 // to: their rule before live bounds, every slot of a bucket loaded on a read
 // and stored on a write, over the same record and arena layout and the same
 // at-rest codec, so its Save bytes are the ones the store's must equal. Paths
-// and unions reach it through Resolve's bucket loop.
+// and unions reach it through Resolve's bucket loop, and single slots through
+// ReadSlotVia/WriteSlotVia like every store's: a slot write reseals its whole
+// bucket, in slot order, on both sides.
 type walkStore struct {
 	geom   *Geometry
 	meta   records
@@ -42,7 +44,7 @@ func (w *walkStore) row(i int64) []byte {
 
 func (w *walkStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	for k := range dst {
-		if err := w.ReadSlot(level, node, k, &dst[k]); err != nil {
+		if err := w.readSlot(level, node, k, &dst[k]); err != nil {
 			return err
 		}
 	}
@@ -51,7 +53,7 @@ func (w *walkStore) ReadBucket(level int, node uint64, dst []Slot) error {
 
 func (w *walkStore) WriteBucket(level int, node uint64, src []Slot) error {
 	for k := range src {
-		if err := w.WriteSlot(level, node, k, src[k]); err != nil {
+		if err := w.writeSlot(level, node, k, src[k]); err != nil {
 			return err
 		}
 	}
@@ -59,6 +61,14 @@ func (w *walkStore) WriteBucket(level int, node uint64, src []Slot) error {
 }
 
 func (w *walkStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
+	return ReadSlotVia(w, level, node, slot, dst)
+}
+
+func (w *walkStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
+	return WriteSlotVia(w, level, node, slot, src)
+}
+
+func (w *walkStore) readSlot(level int, node uint64, slot int, dst *Slot) error {
 	i := w.geom.SlotIndex(level, node, slot)
 	dst.ID, dst.Leaf = w.meta.get(i)
 	if dst.ID == DummyID || w.arena == nil {
@@ -68,7 +78,7 @@ func (w *walkStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error 
 	return w.codec.Open(w.row(i), dst)
 }
 
-func (w *walkStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
+func (w *walkStore) writeSlot(level int, node uint64, slot int, src Slot) error {
 	i := w.geom.SlotIndex(level, node, slot)
 	old, _ := w.meta.get(i)
 	w.meta.set(i, src.ID, src.Leaf)

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -85,11 +86,13 @@ func TestPathStoreFastPathEquivalence(t *testing.T) {
 	t.Run("client", clientFastPathEquivalence)
 	shapes := append(localShapes(), ConformanceShapes...)
 	for _, sh := range shapes {
-		t.Run(sh.Name, func(t *testing.T) { storeConformance(t, sh) })
 		counted := sh
 		counted.Name = "CountingStore/" + sh.Name
 		counted.Open = func(t *testing.T, g *Geometry) Store { return NewCountingStore(sh.Open(t, g), nil) }
-		t.Run(counted.Name, func(t *testing.T) { storeConformance(t, counted) })
+		for _, sh := range []StoreShape{sh, counted} {
+			t.Run(sh.Name, func(t *testing.T) { storeConformance(t, sh) })
+			t.Run(sh.Name+"/slot", func(t *testing.T) { slotConformance(t, sh) })
+		}
 	}
 }
 
@@ -442,4 +445,100 @@ func storeConformance(t *testing.T, sh StoreShape) {
 	refused("bad last ref", sh.Atomic && sh.Native,
 		func() error { return viaFace.ReadBuckets(badRefs, armed(union)) },
 		func() error { return viaFace.WriteBuckets(badRefs, fill(union)) })
+}
+
+// slotConformance holds a store's ReadSlot/WriteSlot to its buckets: slots
+// written one at a time read back, slot by slot and whole, as the same bucket
+// written and read whole does; a slot read lands in the capacity its dst came
+// with; and a slot or a bucket out of range is refused and writes nothing.
+func slotConformance(t *testing.T, sh StoreShape) {
+	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 2, RootZ: 5, Profile: ProfileLinear, BlockSize: 16})
+	viaSlot, viaBucket := sh.Open(t, g), sh.Open(t, g)
+	rng := rand.New(rand.NewSource(7))
+	draw := func() Slot {
+		id, leaf := BlockID(rng.Intn(1000)), Leaf(rng.Intn(16))
+		switch pick := rng.Intn(4); {
+		case pick == 0:
+			return DummySlot()
+		case pick == 1 && sh.ZeroRows:
+			return Slot{ID: id, Leaf: leaf}
+		}
+		row := make([]byte, g.BlockSize())
+		rng.Read(row)
+		return Slot{ID: id, Leaf: leaf, Payload: row}
+	}
+	same := func(what string, got, want Slot) {
+		t.Helper()
+		if got.ID != want.ID || got.Leaf != want.Leaf || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("%s: %+v by slot, %+v by bucket", what, got, want)
+		}
+	}
+	readBucket := func(st Store, level int, node uint64) []Slot {
+		t.Helper()
+		buf := make([]Slot, g.BucketSize(level))
+		if err := st.ReadBucket(level, node, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	// The widest bucket, a middle and a leaf one: every slot written in a
+	// random order, then one of them overwritten; the twin takes each whole.
+	refs := []BucketRef{{0, 0}, {2, 1}, {g.Levels() - 1, 9}}
+	for _, r := range refs {
+		src := make([]Slot, g.BucketSize(r.Level))
+		for _, k := range append(rng.Perm(len(src)), rng.Intn(len(src))) {
+			src[k] = draw()
+			if err := viaSlot.WriteSlot(r.Level, r.Node, k, src[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := viaBucket.WriteBucket(r.Level, r.Node, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range refs {
+		want := readBucket(viaBucket, r.Level, r.Node)
+		for k, s := range readBucket(viaSlot, r.Level, r.Node) {
+			same(fmt.Sprintf("bucket %v slot %d read whole", r, k), s, want[k])
+		}
+		for k := range want {
+			row := make([]byte, g.BlockSize())
+			got := Slot{Payload: row}
+			if err := viaSlot.ReadSlot(r.Level, r.Node, k, &got); err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("bucket %v slot %d", r, k), got, want[k])
+			if sh.Payloads && !got.Dummy() && &got.Payload[0] != &row[0] {
+				t.Fatalf("bucket %v slot %d: payload not read into the capacity dst came with", r, k)
+			}
+		}
+	}
+	bad := []struct {
+		level int
+		node  uint64
+		slot  int
+	}{
+		{2, 1, g.BucketSize(2)}, // a root-sized slot index at a narrower level
+		{2, 1, -1},
+		{2, 4, 0},
+		{g.Levels(), 0, 0},
+		{-1, 0, 0},
+	}
+	for _, b := range bad {
+		var got Slot
+		if err := viaSlot.ReadSlot(b.level, b.node, b.slot, &got); err == nil {
+			t.Errorf("ReadSlot(%d, %d, %d) accepted", b.level, b.node, b.slot)
+		}
+		if err := viaSlot.WriteSlot(b.level, b.node, b.slot, Slot{ID: 1, Leaf: 1, Payload: make([]byte, g.BlockSize())}); err == nil {
+			t.Errorf("WriteSlot(%d, %d, %d) accepted", b.level, b.node, b.slot)
+		}
+	}
+	for lvl := range g.Levels() {
+		for node := range uint64(1) << lvl {
+			want := readBucket(viaBucket, lvl, node)
+			for k, s := range readBucket(viaSlot, lvl, node) {
+				same(fmt.Sprintf("after refused calls, bucket (%d,%d) slot %d", lvl, node, k), s, want[k])
+			}
+		}
+	}
 }

@@ -14,8 +14,9 @@ import (
 // client's job, not the store's.
 //
 // Bucket granularity (rather than whole-path granularity) is exposed so
-// that the fat-tree, the RingORAM variant (which reads a single slot per
-// bucket) and the remote TCP server can all share one interface.
+// that the fat-tree, the RingORAM variant (which takes its one slot per
+// bucket out of a bucket it has read) and the remote TCP server can all
+// share one interface.
 //
 // Implementations must be safe for use by a single client goroutine;
 // concurrent use requires external synchronisation except where noted.
@@ -39,12 +40,56 @@ type Store interface {
 	// remote server hands it views into a request frame it then recycles.
 	WriteBucket(level int, node uint64, src []Slot) error
 
-	// ReadSlot reads a single slot. RingORAM's per-bucket single-block
-	// reads use this; PathORAM reads whole buckets.
+	// ReadSlot and WriteSlot move one slot of a bucket. No product code
+	// calls them: they stay only because benchmark/spanstore.go forwards
+	// them, and every store implements them as ReadSlotVia and
+	// WriteSlotVia. WriteSlot is a read-modify-write of the whole bucket,
+	// so each bucket must have one writer.
 	ReadSlot(level int, node uint64, slot int, dst *Slot) error
-
-	// WriteSlot overwrites a single slot.
 	WriteSlot(level int, node uint64, slot int, src Slot) error
+}
+
+// ReadSlotVia reads one slot of bucket (level, node) out of a whole-bucket
+// read of st, its payload into the capacity dst arrives with.
+func ReadSlotVia(st Store, level int, node uint64, slot int, dst *Slot) error {
+	bucket, err := slotBucket(st.Geometry(), level, node, slot)
+	if err != nil {
+		return err
+	}
+	bucket[slot].Payload = dst.Payload
+	if err := st.ReadBucket(level, node, bucket); err != nil {
+		return err
+	}
+	*dst = bucket[slot]
+	return nil
+}
+
+// WriteSlotVia overwrites one slot of bucket (level, node) by reading the
+// bucket from st and writing it back with the slot replaced. A concurrent
+// write to another slot of the same bucket can be lost.
+func WriteSlotVia(st Store, level int, node uint64, slot int, src Slot) error {
+	bucket, err := slotBucket(st.Geometry(), level, node, slot)
+	if err != nil {
+		return err
+	}
+	if err := st.ReadBucket(level, node, bucket); err != nil {
+		return err
+	}
+	bucket[slot] = src
+	return st.WriteBucket(level, node, bucket)
+}
+
+// slotBucket returns a buffer for bucket (level, node) once slot is known to
+// be one of its slots.
+func slotBucket(g *Geometry, level int, node uint64, slot int) ([]Slot, error) {
+	if err := bucketRange(g, level, node); err != nil {
+		return nil, err
+	}
+	z := g.BucketSize(level)
+	if slot < 0 || slot >= z {
+		return nil, fmt.Errorf("oram: slot %d out of range for a bucket of %d", slot, z)
+	}
+	return make([]Slot, z), nil
 }
 
 // BucketRef names one bucket of the tree for batched operations.
@@ -268,30 +313,12 @@ func (st *MetaStore) WriteBucket(level int, node uint64, src []Slot) error {
 
 // ReadSlot implements Store.
 func (st *MetaStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
-	}
-	dst.ID, dst.Leaf = st.meta.get(st.geom.SlotIndex(level, node, slot))
-	dst.Payload = nil
-	runtime.KeepAlive(st)
-	return nil
+	return ReadSlotVia(st, level, node, slot, dst)
 }
 
 // WriteSlot implements Store.
 func (st *MetaStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
-	}
-	st.meta.set(st.geom.SlotIndex(level, node, slot), src.ID, src.Leaf)
-	st.rebound(level, node)
-	runtime.KeepAlive(st)
-	return nil
+	return WriteSlotVia(st, level, node, slot, src)
 }
 
 // Sealer transforms slot payloads at the storage boundary, in place: a store
@@ -702,26 +729,12 @@ func (st *PayloadStore) WriteBucket(level int, node uint64, src []Slot) error {
 
 // ReadSlot implements Store.
 func (st *PayloadStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
-	}
-	return st.readSlotAt(st.geom.SlotIndex(level, node, slot), dst)
+	return ReadSlotVia(st, level, node, slot, dst)
 }
 
 // WriteSlot implements Store.
 func (st *PayloadStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	if err := bucketRange(st.geom, level, node); err != nil {
-		return err
-	}
-	if slot < 0 || slot >= st.geom.BucketSize(level) {
-		return fmt.Errorf("oram: slot %d out of range at level %d", slot, level)
-	}
-	err := st.writeSlotAt(st.geom.SlotIndex(level, node, slot), src, nil)
-	st.rebound(level, node)
-	return err
+	return WriteSlotVia(st, level, node, slot, src)
 }
 
 // Counters aggregates the logical path traffic a client moves through a
@@ -798,10 +811,10 @@ func (cs *CountingStore) ResetCounters() {
 	cs.c = Counters{}
 }
 
-// charge tallies one store call — buckets whole buckets (0 for a slot
-// operation) holding slots slots in all — under a single lock, however many
-// buckets the call moved: a lane charges once per path or bucket union, and
-// the remote server's workers contend once per frame.
+// charge tallies one store call — buckets whole buckets holding slots slots
+// in all — under a single lock, however many buckets the call moved: a lane
+// charges once per path or bucket union, and the remote server's workers
+// contend once per frame.
 func (cs *CountingStore) charge(read bool, buckets, slots int) {
 	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
 	cs.mu.Lock()
@@ -832,14 +845,6 @@ func (cs *CountingStore) chargeBuckets(read bool, bufs ...[]Slot) {
 		for _, b := range bufs {
 			cs.tick.OnTransfer(len(b) * bs)
 		}
-	}
-}
-
-// chargeSlot charges a single-slot operation.
-func (cs *CountingStore) chargeSlot(read bool) {
-	cs.charge(read, 0, 1)
-	if cs.tick != nil {
-		cs.tick.OnTransfer(cs.Geometry().BlockSize())
 	}
 }
 
@@ -904,20 +909,12 @@ func (cs *CountingStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	return nil
 }
 
-// ReadSlot implements Store.
+// ReadSlot implements Store: a slot read is charged as the bucket read it is.
 func (cs *CountingStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	if err := cs.inner.ReadSlot(level, node, slot, dst); err != nil {
-		return err
-	}
-	cs.chargeSlot(true)
-	return nil
+	return ReadSlotVia(cs, level, node, slot, dst)
 }
 
-// WriteSlot implements Store.
+// WriteSlot implements Store: charged as a bucket read and a bucket write.
 func (cs *CountingStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	if err := cs.inner.WriteSlot(level, node, slot, src); err != nil {
-		return err
-	}
-	cs.chargeSlot(false)
-	return nil
+	return WriteSlotVia(cs, level, node, slot, src)
 }

@@ -105,12 +105,12 @@ func (tt *Treetop) WriteBucket(level int, node uint64, src []Slot) error {
 
 // ReadSlot implements Store.
 func (tt *Treetop) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	return tt.at(level).ReadSlot(level, node, slot, dst)
+	return ReadSlotVia(tt, level, node, slot, dst)
 }
 
 // WriteSlot implements Store.
 func (tt *Treetop) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	return tt.at(level).WriteSlot(level, node, slot, src)
+	return WriteSlotVia(tt, level, node, slot, src)
 }
 
 // ReadPath implements PathStore: levels ≥ t as one union of the wrapped

@@ -1049,49 +1049,16 @@ func (s *ShardStore) WriteBucket(level int, node uint64, src []Slot) error {
 	return s.WriteBuckets([]oram.BucketRef{{Level: level, Node: node}}, [][]Slot{src})
 }
 
-// ReadSlot implements oram.Store: it reads the slot's bucket and copies the
-// slot out, its payload into the capacity dst arrives armed with.
+// ReadSlot implements oram.Store: a one-ref union, so it carries the held
+// write-back.
 func (s *ShardStore) ReadSlot(level int, node uint64, slot int, dst *Slot) error {
-	bucket, err := s.slotBucket(level, node, slot)
-	if err != nil {
-		return err
-	}
-	bucket[slot].Payload = dst.Payload
-	if err := s.ReadBucket(level, node, bucket); err != nil {
-		return err
-	}
-	*dst = bucket[slot]
-	return nil
+	return oram.ReadSlotVia(s, level, node, slot, dst)
 }
 
-// WriteSlot implements oram.Store as a read-modify-write of the slot's bucket:
-// the read carries the shard's held write-back and the rewritten bucket is
-// held in its place. A concurrent write to another slot of the same bucket can
-// be lost, so each bucket must have one writer (every caller owns the buckets
-// it writes slot by slot).
+// WriteSlot implements oram.Store: the bucket read carries the held write-back
+// and the rewritten bucket is held in its place.
 func (s *ShardStore) WriteSlot(level int, node uint64, slot int, src Slot) error {
-	bucket, err := s.slotBucket(level, node, slot)
-	if err != nil {
-		return err
-	}
-	if err := s.ReadBucket(level, node, bucket); err != nil {
-		return err
-	}
-	bucket[slot] = src
-	return s.WriteBucket(level, node, bucket)
-}
-
-// slotBucket returns a buffer for bucket (level, node) once slot is known to
-// be one of its slots.
-func (s *ShardStore) slotBucket(level int, node uint64, slot int) ([]Slot, error) {
-	g := s.Geometry()
-	if !validRef(g, oram.BucketRef{Level: level, Node: node}) {
-		return nil, fmt.Errorf("remote: bucket (%d,%d) out of range", level, node)
-	}
-	if z := g.BucketSize(level); slot < 0 || slot >= z {
-		return nil, fmt.Errorf("remote: slot %d out of range for a bucket of %d", slot, z)
-	}
-	return make([]Slot, g.BucketSize(level)), nil
+	return oram.WriteSlotVia(s, level, node, slot, src)
 }
 
 // ReadPath implements oram.PathStore: the whole root→leaf path in one

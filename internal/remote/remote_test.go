@@ -103,17 +103,6 @@ func TestRemoteBucketRoundTrip(t *testing.T) {
 	if !dst[1].Dummy() {
 		t.Errorf("slot 1 = %+v", dst[1])
 	}
-	// Single-slot ops.
-	if err := shard0(t, cl).WriteSlot(4, 9, 2, oram.Slot{ID: 42, Leaf: 5, Payload: pay}); err != nil {
-		t.Fatal(err)
-	}
-	var s oram.Slot
-	if err := shard0(t, cl).ReadSlot(4, 9, 2, &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.ID != 42 || s.Leaf != 5 || !bytes.Equal(s.Payload, pay) {
-		t.Errorf("ReadSlot = %+v", s)
-	}
 }
 
 func TestRemoteServerErrors(t *testing.T) {
@@ -130,10 +119,6 @@ func TestRemoteServerErrors(t *testing.T) {
 	}
 	if err := shard0(t, cl).ReadBucket(2, 1<<40, dst); err == nil {
 		t.Error("bad node accepted")
-	}
-	var s oram.Slot
-	if err := shard0(t, cl).ReadSlot(0, 0, 99, &s); err == nil {
-		t.Error("bad slot accepted")
 	}
 	// The connection must survive server-side errors.
 	if err := shard0(t, cl).ReadBucket(0, 0, dst); err != nil {

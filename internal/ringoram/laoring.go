@@ -44,42 +44,12 @@ func (lr *LAORing) Done() bool { return lr.cursor.Done() }
 // path (see core.LAORAM.LoadPrePlaced).
 func (lr *LAORing) LoadPrePlaced(n uint64, payload func(oram.BlockID) []byte) error {
 	r := lr.ring
-	if n > r.pos.Len() {
-		return fmt.Errorf("ringoram: load of %d blocks exceeds configured %d", n, r.pos.Len())
-	}
-	realFill := make([]uint8, r.geom.TotalBuckets())
-	for i := uint64(0); i < n; i++ {
-		id := oram.BlockID(i)
-		leaf := lr.plan.FirstLeaf(id)
-		if leaf == oram.NoLeaf {
-			leaf = oram.Leaf(r.rng.Int63n(int64(r.geom.Leaves())))
+	return r.load(n, payload, func(id oram.BlockID) oram.Leaf {
+		if leaf := lr.plan.FirstLeaf(id); leaf != oram.NoLeaf {
+			return leaf
 		}
-		r.pos.Set(id, leaf)
-		var data []byte
-		if payload != nil {
-			data = payload(id)
-		}
-		placed := false
-		for lvl := r.geom.Levels() - 1; lvl >= 0; lvl-- {
-			node := r.geom.NodeAt(leaf, lvl)
-			b := r.bucketNo(lvl, node)
-			if int(realFill[b]) >= r.cfg.Z {
-				continue
-			}
-			if err := r.store.WriteSlot(lvl, node, int(realFill[b]), oram.Slot{ID: id, Leaf: leaf, Payload: data}); err != nil {
-				return err
-			}
-			realFill[b]++
-			placed = true
-			break
-		}
-		if !placed {
-			if err := r.stash.Put(id, leaf, data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return oram.Leaf(r.rng.Int63n(int64(r.geom.Leaves())))
+	})
 }
 
 // StepBin executes the next superblock bin through the ring.
@@ -222,14 +192,12 @@ func (lr *LAORing) findMemberSlot(level int, node uint64, remaining map[oram.Blo
 	return -1, oram.DummyID, nil
 }
 
-// consumeSlot reads one slot, updates marks/counters, stashes a member hit,
-// and reshuffles the bucket if its dummy budget is spent.
+// consumeSlot takes one slot of the bucket findSlot or findMemberSlot left in
+// bucketBuf, updates marks/counters, stashes a member hit, and reshuffles the
+// bucket if its dummy budget is spent.
 func (lr *LAORing) consumeSlot(level int, node uint64, slot int, hit oram.BlockID, remaining map[oram.BlockID]bool) error {
 	r := lr.ring
-	var s oram.Slot
-	if err := r.store.ReadSlot(level, node, slot, &s); err != nil {
-		return err
-	}
+	s := r.bucketBuf[slot]
 	r.stats.BlocksRead++
 	b := r.bucketNo(level, node)
 	r.readMask[b] |= 1 << uint(slot)

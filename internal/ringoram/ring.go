@@ -103,11 +103,11 @@ type Ring struct {
 	bucketBuf []oram.Slot
 }
 
-// New builds a RingORAM client over a fresh counting MetaStore or
-// PayloadStore depending on BlockSize.
-func New(cfg Config) (*Ring, *oram.CountingStore, error) {
+// New builds a RingORAM client over a fresh MetaStore or PayloadStore
+// depending on BlockSize.
+func New(cfg Config) (*Ring, error) {
 	if err := cfg.setDefaults(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	g, err := oram.NewGeometry(oram.GeometryConfig{
 		LeafBits:  cfg.LeafBits,
@@ -115,23 +115,20 @@ func New(cfg Config) (*Ring, *oram.CountingStore, error) {
 		BlockSize: cfg.BlockSize,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var inner oram.Store
+	var st oram.Store
 	if cfg.BlockSize > 0 {
-		ps, err := oram.NewPayloadStore(g, nil)
-		if err != nil {
-			return nil, nil, err
+		if st, err = oram.NewPayloadStore(g, nil); err != nil {
+			return nil, err
 		}
-		inner = ps
 	} else {
-		inner = oram.NewMetaStore(g)
+		st = oram.NewMetaStore(g)
 	}
-	cs := oram.NewCountingStore(inner, nil)
 	r := &Ring{
 		cfg:       cfg,
 		geom:      g,
-		store:     cs,
+		store:     st,
 		pos:       oram.NewPosMap(cfg.Blocks),
 		stash:     oram.NewStash(),
 		rng:       cfg.Rand,
@@ -140,7 +137,7 @@ func New(cfg Config) (*Ring, *oram.CountingStore, error) {
 		slotBuf:   make([]oram.Slot, cfg.Z+cfg.S),
 		bucketBuf: make([]oram.Slot, cfg.Z+cfg.S),
 	}
-	return r, cs, nil
+	return r, nil
 }
 
 // Geometry returns the tree shape (bucket capacity Z+S).
@@ -173,13 +170,23 @@ func (r *Ring) bucketNo(level int, node uint64) int64 {
 // in the deepest bucket on its path with a free real slot (at most Z real
 // blocks per bucket; the S dummy slots stay dummy).
 func (r *Ring) Load(n uint64, payload func(oram.BlockID) []byte) error {
+	return r.load(n, payload, func(oram.BlockID) oram.Leaf {
+		return oram.Leaf(r.rng.Int63n(int64(r.geom.Leaves())))
+	})
+}
+
+// load places blocks 0..n-1, each on the leaf leafOf gives it, in the deepest
+// bucket on that path with a free real slot (real slots first, dummies after)
+// by a read-modify-write of the bucket through bucketBuf, or in the stash when
+// every bucket on the path is full.
+func (r *Ring) load(n uint64, payload func(oram.BlockID) []byte, leafOf func(oram.BlockID) oram.Leaf) error {
 	if n > r.pos.Len() {
-		return fmt.Errorf("ringoram: Load of %d blocks exceeds configured %d", n, r.pos.Len())
+		return fmt.Errorf("ringoram: load of %d blocks exceeds configured %d", n, r.pos.Len())
 	}
 	realFill := make([]uint8, r.geom.TotalBuckets())
 	for i := uint64(0); i < n; i++ {
 		id := oram.BlockID(i)
-		leaf := oram.Leaf(r.rng.Int63n(int64(r.geom.Leaves())))
+		leaf := leafOf(id)
 		r.pos.Set(id, leaf)
 		var data []byte
 		if payload != nil {
@@ -192,8 +199,12 @@ func (r *Ring) Load(n uint64, payload func(oram.BlockID) []byte) error {
 			if int(realFill[b]) >= r.cfg.Z {
 				continue
 			}
-			slot := int(realFill[b]) // real slots first, dummies after
-			if err := r.store.WriteSlot(lvl, node, slot, oram.Slot{ID: id, Leaf: leaf, Payload: data}); err != nil {
+			clearPayloads(r.bucketBuf)
+			if err := r.store.ReadBucket(lvl, node, r.bucketBuf); err != nil {
+				return err
+			}
+			r.bucketBuf[realFill[b]] = oram.Slot{ID: id, Leaf: leaf, Payload: data}
+			if err := r.store.WriteBucket(lvl, node, r.bucketBuf); err != nil {
 				return err
 			}
 			realFill[b]++
@@ -294,10 +305,7 @@ func (r *Ring) Access(op oram.Op, id oram.BlockID, data []byte) ([]byte, error) 
 			}
 		}
 		if slot >= 0 {
-			var s oram.Slot
-			if err := r.store.ReadSlot(lvl, node, slot, &s); err != nil {
-				return nil, err
-			}
+			s := r.bucketBuf[slot] // findSlot left this bucket in bucketBuf
 			r.stats.BlocksRead++
 			b := r.bucketNo(lvl, node)
 			r.readMask[b] |= 1 << uint(slot)

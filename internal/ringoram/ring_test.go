@@ -13,7 +13,7 @@ import (
 
 func newRing(t *testing.T, blocks uint64, blockSize int, seed int64) *Ring {
 	t.Helper()
-	r, _, err := New(Config{
+	r, err := New(Config{
 		Blocks: blocks, BlockSize: blockSize,
 		Rand: rand.New(rand.NewSource(seed)),
 	})
@@ -32,7 +32,7 @@ func TestConfigValidation(t *testing.T) {
 		{Blocks: 8, Rand: rng, Z: 40, S: 40},
 	}
 	for i, cfg := range bad {
-		if _, _, err := New(cfg); err == nil {
+		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -277,7 +277,7 @@ func TestLAORingFormula(t *testing.T) {
 func TestLAORingVisitAndPayload(t *testing.T) {
 	const blocks = 128
 	stream := trace.PermutationEpochs(trace.NewRNG(16), blocks, 2*blocks)
-	r, _, err := New(Config{Blocks: blocks, BlockSize: 8, Rand: rand.New(rand.NewSource(17))})
+	r, err := New(Config{Blocks: blocks, BlockSize: 8, Rand: rand.New(rand.NewSource(17))})
 	if err != nil {
 		t.Fatal(err)
 	}
