@@ -38,7 +38,7 @@ type TrainConfig struct {
 	// planned, with its blocks' next leaves reaching into them.
 	Depth int
 	// BatchBins is how many bins each server round trip fetches (§IV-A
-	// per-training-batch fetch); 0 is one bin per round trip.
+	// per-training-batch fetch); 0 is shard.StepBins(S).
 	BatchBins int
 	// PrePlace bulk-loads the engine before the first window executes,
 	// pre-placing every block of window 0 on its first bin's path (the
@@ -75,6 +75,11 @@ type TrainConfig struct {
 	// again would break the one-save-per-boundary epoch parity between
 	// faulted and unfaulted runs.
 	SkipStartCheckpoint bool
+	// Flush, when set, runs once the stream is exhausted after at least
+	// one window, and sends the write-backs the stores still hold. It
+	// belongs to the last window: a failure fails that window, exactly as
+	// a failed step in it would.
+	Flush func() error
 }
 
 func (c *TrainConfig) fill() error {
@@ -210,6 +215,28 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 
 	wallStart := time.Now()
 	loaded := false
+	var (
+		lastW    shard.PlannedWindow
+		lastSess *shard.Session
+	)
+	// failWindow records window w's failure. The session counters already
+	// folded into st still record the interrupted window's partial
+	// progress; FailedWindow and the per-lane breakdown let a per-shard
+	// recovery subtract the failed lanes' contribution and replay only
+	// them.
+	failWindow := func(w shard.PlannedWindow, sess *shard.Session, err error) error {
+		st.FailedWindow = w.Index
+		st.FailedAccesses = w.Accesses
+		st.FailedLaneSession = make([]LaneSession, e.Shards())
+		for i := range st.FailedLaneSession {
+			ls := sess.Lane(i).Stats()
+			st.FailedLaneSession[i] = LaneSession{
+				Bins: ls.Bins, ColdPathReads: ls.ColdPathReads,
+				LookaheadRemaps: ls.LookaheadRemaps, UniformRemaps: ls.UniformRemaps,
+			}
+		}
+		return fmt.Errorf("batch: window %d: %w", w.Index, err)
+	}
 	execute := func(w shard.PlannedWindow) error {
 		if cfg.PrePlace && !loaded {
 			// Pre-place window 0 (LoadForPlan leaves the rest of the
@@ -252,25 +279,12 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 		st.LookaheadRemaps += ss.LookaheadRemaps
 		st.UniformRemaps += ss.UniformRemaps
 		if err != nil {
-			// The session counters above still record the partial
-			// progress of the interrupted window; FailedWindow and the
-			// per-lane breakdown let a per-shard recovery subtract the
-			// failed lanes' partial contribution and replay only them.
-			st.FailedWindow = w.Index
-			st.FailedAccesses = w.Accesses
-			st.FailedLaneSession = make([]LaneSession, e.Shards())
-			for i := range st.FailedLaneSession {
-				ls := sess.Lane(i).Stats()
-				st.FailedLaneSession[i] = LaneSession{
-					Bins: ls.Bins, ColdPathReads: ls.ColdPathReads,
-					LookaheadRemaps: ls.LookaheadRemaps, UniformRemaps: ls.UniformRemaps,
-				}
-			}
-			return fmt.Errorf("batch: window %d: %w", w.Index, err)
+			return failWindow(w, sess, err)
 		}
 		st.Windows++
 		st.Accesses += uint64(w.Accesses)
 		st.PlanTime += w.PlanTime
+		lastW, lastSess = w, sess
 		return nil
 	}
 
@@ -329,6 +343,13 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	}
 	if err := planner.Err(); err != nil {
 		return fail(err)
+	}
+	if cfg.Flush != nil && lastSess != nil {
+		if err := cfg.Flush(); err != nil {
+			st.Windows--
+			st.Accesses -= uint64(lastW.Accesses)
+			return fail(failWindow(lastW, lastSess, err))
+		}
 	}
 	st.PlannerStalled = planner.Stats().EnqueueStalled
 	st.Wall = time.Since(wallStart)

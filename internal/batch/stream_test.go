@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -100,6 +101,54 @@ func TestStreamValidation(t *testing.T) {
 	// Empty streams are a successful no-op, matching one-shot Preprocess.
 	if st, err := Train(ctx, e, &sliceSrc{}, TrainConfig{}); err != nil || st.Windows != 0 {
 		t.Errorf("empty stream: got %+v, %v; want 0-window success", st, err)
+	}
+}
+
+// TestFlushFailsLastWindow: a failed end-of-stream Flush is the last
+// window's failure — that window leaves the completed count and its span
+// and per-lane counters are reported as FailedWindow's, as a failed step in
+// it would report them — and Flush runs only after a window executed.
+func TestFlushFailsLastWindow(t *testing.T) {
+	const entries = 512
+	stream := trace.PermutationEpochs(trace.NewRNG(5), entries, 1600)
+	errFlush := errors.New("flush refused")
+	run := func(cfg TrainConfig) (TrainStats, error) {
+		cfg.S, cfg.Window, cfg.PrePlace = 4, 400, true
+		return Train(context.Background(), streamEngine(t, 2, entries, 13), &sliceSrc{rest: stream}, cfg)
+	}
+	var last TrainStats // the counters before the last window
+	lastWin := -1
+	ref, err := run(TrainConfig{CheckpointEvery: 1, Checkpoint: func(win int, sofar TrainStats) error {
+		last, lastWin = sofar, win
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := run(TrainConfig{Flush: func() error { return errFlush }})
+	if !errors.Is(err, errFlush) {
+		t.Fatalf("Train returned %v, want the flush error", err)
+	}
+	if st.FailedWindow != lastWin || st.Windows != last.Windows || st.Accesses != last.Accesses ||
+		uint64(st.FailedAccesses) != ref.Accesses-last.Accesses {
+		t.Errorf("failed flush: window %d, %d windows, %d+%d accesses; want window %d, %d windows, %d+%d accesses",
+			st.FailedWindow, st.Windows, st.Accesses, st.FailedAccesses,
+			lastWin, last.Windows, last.Accesses, ref.Accesses-last.Accesses)
+	}
+	var lanes LaneSession
+	for _, ls := range st.FailedLaneSession {
+		lanes.Bins += ls.Bins
+		lanes.UniformRemaps += ls.UniformRemaps
+	}
+	if st.Bins != ref.Bins || lanes.Bins != ref.Bins-last.Bins || lanes.UniformRemaps != ref.UniformRemaps-last.UniformRemaps {
+		t.Errorf("failed flush: %d bins, last window's lanes %+v; want %d, %d bins and %d uniform remaps",
+			st.Bins, lanes, ref.Bins, ref.Bins-last.Bins, ref.UniformRemaps-last.UniformRemaps)
+	}
+
+	flushes := 0
+	e := streamEngine(t, 1, 64, 1)
+	if _, err := Train(context.Background(), e, &sliceSrc{}, TrainConfig{Flush: func() error { flushes++; return nil }}); err != nil || flushes != 0 {
+		t.Errorf("empty stream: %v, %d flushes; want success and none", err, flushes)
 	}
 }
 

@@ -62,7 +62,7 @@ func TestStepAllocs(t *testing.T) {
 
 // TestStepBatchAllocs gates a k-bin Step the same way: peeking k bins,
 // one joint fetch, each bin's next leaves from the cursor, one joint
-// write-back.
+// write-back. k = 8 is Train's default step at S = 4.
 func TestStepBatchAllocs(t *testing.T) {
 	const blocks = 1 << 11
 	stream, err := trace.Generate(trace.Config{
@@ -71,21 +71,23 @@ func TestStepBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := newFixture(t, fixtureConfig{
-		leafBits: 10, blocks: blocks, s: 4,
-		evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 34,
-	})
-	for i := 0; i < 256; i++ {
-		if _, err := fx.laoram.Step(4, nil); err != nil {
-			t.Fatal(err)
+	for _, k := range []int{4, 8} {
+		fx := newFixture(t, fixtureConfig{
+			leafBits: 10, blocks: blocks, s: 4,
+			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 34,
+		})
+		for i := 0; i < 256; i++ {
+			if _, err := fx.laoram.Step(k, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(300, func() {
-		if _, err := fx.laoram.Step(4, nil); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(300, func() {
+			if _, err := fx.laoram.Step(k, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("Step(%d) allocates %.2f objects/op in steady state, want 0", k, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Step(4) allocates %.2f objects/op in steady state, want 0", allocs)
 	}
 }

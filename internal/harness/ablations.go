@@ -64,7 +64,10 @@ func WindowSweep(sc Scale, seed int64) (*WindowSweepResult, error) {
 			Superblock: S,
 			Window:     w,
 			Depth:      2,
-			PrePlace:   true,
+			// One bin per step, so two bins of a step never share a
+			// fetched path and the sweep isolates the horizon.
+			BatchBins: 1,
+			PrePlace:  true,
 		})
 		if err != nil {
 			db.Close()

@@ -230,7 +230,7 @@ func DialConfig(ctx context.Context, addr string, cfg Config) (*Client, error) {
 		go func() {
 			select {
 			case <-ctx.Done():
-				c.shutdown()
+				c.Abort()
 			case <-c.stop:
 			}
 		}()
@@ -290,16 +290,17 @@ var closeGrace = 2 * time.Second
 // failure to surface on) and shuts the connection; in-flight calls fail with
 // *ErrNodeDown.
 func (c *Client) Close() error {
-	watchdog := time.AfterFunc(closeGrace, func() { c.shutdown() })
+	watchdog := time.AfterFunc(closeGrace, func() { c.Abort() })
 	defer watchdog.Stop()
 	for shard := range c.Shards() {
 		_ = c.setHeld(uint32(shard), nil, false)
 	}
-	return c.shutdown()
+	return c.Abort()
 }
 
-// shutdown is Close without the flush: what a cancelled context gets.
-func (c *Client) shutdown() error {
+// Abort is Close without the flush: what a cancelled context gets. Held
+// write-backs are dropped, and in-flight calls fail at once.
+func (c *Client) Abort() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -936,6 +937,13 @@ func (s *ShardStore) Client() *Client {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.c
+}
+
+// Flush sends the shard's held write-back, if any, as a frame of its own.
+func (s *ShardStore) Flush() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.c.setHeld(s.shard, nil, false)
 }
 
 // pcall performs one snapshot or restore through the view's current

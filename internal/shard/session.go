@@ -72,19 +72,20 @@ func (s *Session) Done() bool {
 	return true
 }
 
-// Run drives every lane to completion concurrently, bin by bin. nv (may be
-// nil) builds one visitor per lane; use it to keep scratch state lane-local.
+// Run drives every lane to completion concurrently at the default step
+// (RunContext with k = 0). nv (may be nil) builds one visitor per lane; use
+// it to keep scratch state lane-local.
 func (s *Session) Run(nv NewVisit) error {
 	return s.RunContext(context.Background(), 0, nil, nv)
 }
 
 // RunContext drives the lanes sel marks true (nil selects every lane) to
 // completion concurrently, k bins per server round trip (§IV-A's
-// per-training-batch fetch within each shard; 0 is one bin per round
-// trip). Every lane checks ctx at each round-trip boundary, so a cancelled
-// context drains all shard workers (the fan-out always joins) and returns
-// ctx.Err(); the check consumes no randomness — an uncancelled run is
-// byte-identical to Run.
+// per-training-batch fetch within each shard). k = 0 is the default step:
+// StepBins(S), a batchChunk of keys' worth of bins. Every lane checks ctx
+// at each round-trip boundary, so a cancelled context drains all shard
+// workers (the fan-out always joins) and returns ctx.Err(); the check
+// consumes no randomness — an uncancelled run is byte-identical to Run.
 //
 // A lane selector is the re-placement catch-up path: after a dead node's
 // shards were restored from the last checkpoint onto survivors, just those
@@ -93,7 +94,9 @@ func (s *Session) Run(nv NewVisit) error {
 // would with every lane selected (same bin order, same randomness), so a
 // caught-up lane is byte-identical to one that never failed.
 func (s *Session) RunContext(ctx context.Context, k int, sel []bool, nv NewVisit) error {
-	k = max(k, 1)
+	if k < 1 {
+		k = StepBins(s.las[0].Plan().S())
+	}
 	return s.e.fanOut(sel, func(i int) error {
 		var v Visit
 		if nv != nil {
@@ -105,6 +108,12 @@ func (s *Session) RunContext(ctx context.Context, k int, sel []bool, nv NewVisit
 		return nil
 	})
 }
+
+// StepBins is the default step of a plan of superblock size S: as many bins
+// as hold batchChunk keys (8 at the paper's S = 4), never fewer than one. A
+// training step then moves one joint access's worth of keys, the bound
+// ReadBatch and WriteBatch cut lookups at.
+func StepBins(S int) int { return max(1, batchChunk/S) }
 
 // Lane exposes shard i's LAORAM executor (stats, manual stepping).
 func (s *Session) Lane(i int) *core.LAORAM { return s.las[i] }

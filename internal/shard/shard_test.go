@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -14,6 +16,13 @@ import (
 // payloadEngine builds an N-shard engine over a payload store (real bytes)
 // with per-shard meters and counters, the way the public API does.
 func payloadEngine(t testing.TB, n int, entries uint64, blockSize int, seed int64) *Engine {
+	t.Helper()
+	return payloadEngineWith(t, n, entries, blockSize, seed, nil)
+}
+
+// payloadEngineWith is payloadEngine with wrap (may be nil) placed between
+// each shard's payload store and its CountingStore.
+func payloadEngineWith(t testing.TB, n int, entries uint64, blockSize int, seed int64, wrap func(s int, ps *oram.PayloadStore) oram.Store) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Shards:  n,
@@ -30,8 +39,12 @@ func payloadEngine(t testing.TB, n int, entries uint64, blockSize int, seed int6
 			if err != nil {
 				return Sub{}, err
 			}
+			var st oram.Store = ps
+			if wrap != nil {
+				st = wrap(s, ps)
+			}
 			meter := memsim.NewMeter(memsim.DDR4Default())
-			cs := oram.NewCountingStore(ps, meter)
+			cs := oram.NewCountingStore(st, meter)
 			client, err := oram.NewClient(oram.ClientConfig{
 				Store: cs, Rand: trace.NewRNG(sd), Evict: oram.PaperEvict,
 				Timer: meter, StashHits: true, Blocks: per,
@@ -182,9 +195,10 @@ func TestWriteBatch(t *testing.T) {
 
 // TestSessionConcurrentMatchesSerial builds two identically-seeded engines
 // and executes the same sharded plan once via the concurrent Run scheduler
-// and once via a serial round-robin one-bin Step loop. Per-shard work is
-// deterministic given the seed, so the final table contents and the
-// aggregate counters must be identical regardless of lane interleaving.
+// and once via a serial round-robin Step loop at the default step.
+// Per-shard work is deterministic given the seed, so the final table
+// contents and the aggregate counters must be identical regardless of lane
+// interleaving.
 func TestSessionConcurrentMatchesSerial(t *testing.T) {
 	const entries = 1 << 10
 	const bs = 16
@@ -232,13 +246,14 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 			for i := range visitors {
 				visitors[i] = nv(i)
 			}
-			// Serial round-robin through the same lanes, one bin each.
+			// Serial round-robin through the same lanes, one default
+			// step each.
 			for !sess.Done() {
 				for i := range visitors {
 					if sess.Lane(i).Done() {
 						continue
 					}
-					if _, err := sess.Lane(i).Step(1, sess.wrap(i, visitors[i])); err != nil {
+					if _, err := sess.Lane(i).Step(StepBins(S), sess.wrap(i, visitors[i])); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -272,6 +287,160 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("block %d diverges between concurrent and serial execution", id)
 		}
+	}
+}
+
+// stepSpy counts the fetches and write-backs that reach one shard's payload
+// store, a bucket union or a single path alike, and samples the stash at
+// each fetch: what the previous write-back (and any background eviction)
+// left behind.
+type stepSpy struct {
+	*oram.PayloadStore
+	stash            *oram.Stash
+	unions           int // fetches and write-backs as ReadBuckets/WriteBuckets
+	fetches, writes  int
+	stashPeakAtFetch int
+}
+
+func (s *stepSpy) fetched() {
+	s.fetches++
+	s.stashPeakAtFetch = max(s.stashPeakAtFetch, s.stash.Len())
+}
+
+func (s *stepSpy) ReadBuckets(refs []oram.BucketRef, dst [][]oram.Slot) error {
+	s.fetched()
+	s.unions++
+	return s.PayloadStore.ReadBuckets(refs, dst)
+}
+
+func (s *stepSpy) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
+	s.writes++
+	s.unions++
+	return s.PayloadStore.WriteBuckets(refs, src)
+}
+
+func (s *stepSpy) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
+	s.fetched()
+	return s.PayloadStore.ReadPath(leaf, dst)
+}
+
+func (s *stepSpy) WritePath(leaf oram.Leaf, src [][]oram.Slot) error {
+	s.writes++
+	return s.PayloadStore.WritePath(leaf, src)
+}
+
+// TestSessionDefaultStep runs a plan at the default step (k = 0) and checks
+// that a step is a batchChunk of keys' worth of bins: each lane's store sees
+// one fetch and one write-back per ⌈bins/k⌉ step, with k = 8 at S = 4, 4 at
+// S = 8 and 1 at S = 64, the joint ones as one ReadBuckets/WriteBuckets
+// pair. The trained rows and every lane's visitor calls are those of a
+// one-bin-step run on the same seed (invariant #5), and the stash a step
+// leaves behind stays within invariant #4's bound.
+func TestSessionDefaultStep(t *testing.T) {
+	const entries = 1 << 10
+	const bs = 16
+	const shards = 4
+	stream, err := trace.Generate(trace.Config{Kind: trace.KindKaggle, N: entries, Count: 4000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type visitCall struct {
+		id      uint64
+		payload string
+	}
+	run := func(S, k int) (*Engine, []*stepSpy, [][]visitCall, *Session) {
+		t.Helper()
+		spies := make([]*stepSpy, shards)
+		e := payloadEngineWith(t, shards, entries, bs, 31, func(s int, ps *oram.PayloadStore) oram.Store {
+			spies[s] = &stepSpy{PayloadStore: ps}
+			return spies[s]
+		})
+		for i, sp := range spies {
+			sp.stash = e.Sub(i).Client.Stash()
+		}
+		plan, err := e.Preprocess(stream, S)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadForPlan(plan, func(id uint64) []byte { return payloadFor(id, bs) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range spies {
+			sp.unions, sp.fetches, sp.writes = 0, 0, 0
+		}
+		sess, err := e.NewSession(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := make([][]visitCall, shards)
+		nv := func(lane int) Visit {
+			return func(id uint64, payload []byte) []byte {
+				calls[lane] = append(calls[lane], visitCall{id, string(payload)})
+				out := bytes.Clone(payload)
+				out[0] ^= byte(id)
+				out[1]++
+				return out
+			}
+		}
+		if err := sess.RunContext(context.Background(), k, nil, nv); err != nil {
+			t.Fatal(err)
+		}
+		return e, spies, calls, sess
+	}
+
+	for _, tc := range []struct{ S, k int }{{4, 8}, {8, 4}, {64, 1}} {
+		t.Run(fmt.Sprintf("S=%d", tc.S), func(t *testing.T) {
+			e, spies, calls, sess := run(tc.S, 0)
+			for i, sp := range spies {
+				st := sess.Lane(i).Stats()
+				if st.DummyReads != 0 {
+					t.Fatalf("lane %d ran %d background evictions; the counts below assume none", i, st.DummyReads)
+				}
+				steps := (int(st.Bins) + tc.k - 1) / tc.k
+				if sp.fetches != steps || sp.writes != steps {
+					t.Errorf("lane %d: %d bins took %d fetches and %d write-backs, want %d of each (%d bins a step)",
+						i, st.Bins, sp.fetches, sp.writes, steps, tc.k)
+				}
+				// A step of several bins fetches several paths, as one union;
+				// a one-bin step in steady state fetches its bin's one path.
+				multi := 0
+				if tc.k > 1 {
+					multi = int(st.Bins) / tc.k
+					if int(st.Bins)%tc.k > 1 {
+						multi++
+					}
+				}
+				if sp.unions != 2*multi {
+					t.Errorf("lane %d: %d of %d step transfers were bucket unions, want %d", i, sp.unions, 2*steps, 2*multi)
+				}
+				if sp.stashPeakAtFetch > oram.PaperEvict.High {
+					t.Errorf("lane %d: a step left %d blocks in the stash, bound %d", i, sp.stashPeakAtFetch, oram.PaperEvict.High)
+				}
+				if n := sp.stash.Len(); n > oram.PaperEvict.High {
+					t.Errorf("lane %d: the last step left %d blocks in the stash, bound %d", i, n, oram.PaperEvict.High)
+				}
+			}
+
+			ref, _, refCalls, _ := run(tc.S, 1)
+			for lane := range calls {
+				if !slices.Equal(calls[lane], refCalls[lane]) {
+					t.Errorf("lane %d: visitor calls diverge from the one-bin-step run", lane)
+				}
+			}
+			for id := uint64(0); id < entries; id++ {
+				a, err := e.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := ref.Read(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("row %d diverges from the one-bin-step run", id)
+				}
+			}
+		})
 	}
 }
 

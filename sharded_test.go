@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/oram"
+	"repro/internal/shard"
 	"repro/internal/superblock"
 	"repro/internal/trace"
 )
@@ -14,8 +15,9 @@ import (
 // TestShardsEquivalentToSingleORAM is the Shards=1 byte-identity check:
 // the public engine with one shard must produce exactly the results of the
 // hand-assembled single-ORAM stack (geometry → payload store → PathORAM
-// client → superblock plan → LAORAM executor) on a fixed-seed trace —
-// same payload bytes after training, same counter values.
+// client → superblock plan → LAORAM executor, stepped at Train's default
+// step) on a fixed-seed trace — same payload bytes after training, same
+// counter values.
 func TestShardsEquivalentToSingleORAM(t *testing.T) {
 	const entries = 1 << 10
 	const blockSize = 32
@@ -73,7 +75,7 @@ func TestShardsEquivalentToSingleORAM(t *testing.T) {
 	if err := la.LoadPrePlaced(entries, func(id oram.BlockID) []byte { return initPayload(uint64(id)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := la.Run(context.Background(), 1, func(id oram.BlockID, p []byte) []byte { return visit(uint64(id), p) }); err != nil {
+	if err := la.Run(context.Background(), shard.StepBins(S), func(id oram.BlockID, p []byte) []byte { return visit(uint64(id), p) }); err != nil {
 		t.Fatal(err)
 	}
 

@@ -39,8 +39,9 @@ type TrainOptions struct {
 	// "Cross-window look-ahead").
 	Depth int
 	// BatchBins is how many superblock bins each server round trip
-	// fetches and writes back (§IV-A's per-training-batch fetch); 0 is one
-	// bin per round trip.
+	// fetches and writes back (§IV-A's per-training-batch fetch); 0 is
+	// as many bins as hold 32 keys (8 at Superblock 4, never fewer than
+	// one), the bound a ReadBatch/WriteBatch access holds too.
 	BatchBins int
 	// Visit is the per-block training callback (see type Visit for the
 	// concurrency contract under Shards > 1). Mutually exclusive with
@@ -227,24 +228,26 @@ func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error
 		cfg.NewVisit = func(int) shard.Visit { return shard.Visit(opts.Visit) }
 	}
 
-	// A remote request stalled on the network cannot observe ctx; closing
+	// A remote request stalled on the network cannot observe ctx; aborting
 	// the connections is the lever that unblocks it (every in-flight call
 	// on every node then fails with a connection error, which Train maps
-	// back to ctx.Err()).
+	// back to ctx.Err()). A cancelled Train returns only once they are
+	// aborted, so no access after it can still reach a node, and a hung
+	// node cannot hold it up: Abort sends nothing.
 	if o.remote() && ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				// Snapshot without clearing o.remotes: a concurrent or
-				// later ORAM.Close must not race on the slice, and a
-				// migration may be appending to it (Client.Close is
-				// idempotent).
-				for _, rc := range o.remoteList() {
-					rc.Close()
-				}
-			case <-stop:
+		closed := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			defer close(closed)
+			// Snapshot without clearing o.remotes: a concurrent or later
+			// ORAM.Close must not race on the slice, and a migration may
+			// be appending to it (Client.Abort is idempotent).
+			for _, rc := range o.remoteList() {
+				rc.Abort()
+			}
+		})
+		defer func() {
+			if !stop() {
+				<-closed
 			}
 		}()
 	}
@@ -339,6 +342,18 @@ func (o *ORAM) trainRecover(ctx context.Context, opts TrainOptions, cfg batch.Tr
 		meanDen int
 	)
 	var ckBuf bytes.Buffer
+	// A node that dies while its lanes run their last step leaves nothing
+	// failed but their held write-backs: sending them at the end of the
+	// epoch makes that death the last window's failure, recovered like
+	// any other.
+	cfg.Flush = func() error {
+		for _, view := range o.places {
+			if err := view.Flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	cfg.CheckpointEvery = rec.CheckpointEvery
 	cfg.Checkpoint = func(win int, sofar batch.TrainStats) error {
 		ckBuf.Reset()
@@ -371,7 +386,7 @@ func (o *ORAM) trainRecover(ctx context.Context, opts TrainOptions, cfg batch.Tr
 			finish(cur)
 			return out, nil
 		}
-		// A cancelled run's watcher closes the node clients, which
+		// A cancelled run's watcher aborts the node clients, which
 		// surfaces as ErrNodeDown too — the context verdict comes first.
 		if ctx.Err() != nil {
 			finish(cur)

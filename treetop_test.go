@@ -17,7 +17,9 @@ import (
 
 // treetopWorkload takes db through everything that moves buckets: a pre-placed
 // load and a Train run, a joint ReadBatch/WriteBatch, and single reads and
-// writes. It is deterministic under db's seed.
+// writes. It is deterministic under db's seed. Train steps one bin at a time:
+// the golden pins checkpoint bytes, and the spy needs a background eviction,
+// which on this workload only one-bin steps trigger.
 func treetopWorkload(t *testing.T, db *ORAM, entries uint64, blockSize int) {
 	t.Helper()
 	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 6000, Seed: 27})
@@ -30,7 +32,7 @@ func treetopWorkload(t *testing.T, db *ORAM, entries uint64, blockSize int) {
 		return p
 	}
 	if _, err := db.Train(context.Background(), TrainOptions{
-		Source: FromSlice(stream), Superblock: 4, Window: 1024, PrePlace: true, Payload: row,
+		Source: FromSlice(stream), Superblock: 4, Window: 1024, BatchBins: 1, PrePlace: true, Payload: row,
 		Visit: func(id uint64, p []byte) []byte {
 			p[8]++
 			return p
