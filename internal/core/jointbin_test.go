@@ -45,8 +45,8 @@ func (s *binSpy) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 	return s.PayloadStore.WriteBuckets(refs, src)
 }
 
-// stepBinPerLeaf is a one-bin Step as it was before the joint fetch — one ReadPath per
-// distinct leaf, shared upper buckets fetched and stashed again for every path
+// stepBinPerLeaf is a one-bin Step as it was before the joint fetch — one path
+// fetch per distinct leaf, shared upper buckets fetched and stashed again for every path
 // — kept here, and only here, as the reference the joint bin is held to.
 func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 	bin := l.cursor.PeekBin(0)
@@ -67,7 +67,7 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 	}
 	readLeaves := l.fetch.Leaves()
 	for i, leaf := range readLeaves {
-		if err := l.base.ReadPath(leaf); err != nil {
+		if err := l.base.ReadPaths([]oram.Leaf{leaf}); err != nil {
 			return err
 		}
 		st.PathReads++
@@ -152,7 +152,7 @@ func sortedRefs(refs []oram.BucketRef) []oram.BucketRef {
 // and one WriteBuckets over the same bucket union — as many slots read as
 // written, every shared bucket crossing once each way — and 2,000 such bins
 // leave the server tree, the stash, the position map, the statistics and the
-// client's random stream exactly where the per-leaf ReadPath loop leaves them.
+// client's random stream exactly where the per-leaf path-fetch loop leaves them.
 func TestJointBinOneFetchOneWriteBack(t *testing.T) {
 	const bins = 2000
 	visit := func(_ oram.BlockID, p []byte) []byte {

@@ -109,8 +109,8 @@ type span struct {
 	prev, next      *span
 }
 
-// Store is a disk-backed bucket store: oram.Store / PathStore /
-// BatchStore / Snapshotter over a fixed-layout arena file, with a bounded
+// Store is a disk-backed bucket store: oram.Store / BatchStore /
+// Snapshotter over a fixed-layout arena file, with a bounded
 // span cache written back on eviction and a look-ahead prefetcher.
 //
 // Like the in-memory stores it is driven by a single client goroutine;
@@ -788,7 +788,9 @@ func (st *Store) WriteSlot(level int, node uint64, slot int, src oram.Slot) erro
 }
 
 // ReadPath implements oram.PathStore: a path is the ref list of its
-// buckets, root first, so the call resolves one span per tier it crosses.
+// buckets, root first, so the call resolves one span per tier it crosses. No
+// product code calls it or WritePath; they stay only for
+// benchmark/spanstore.go.
 func (st *Store) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
 	refs, err := st.pathRefs("ReadPath", leaf, len(dst))
 	if err != nil {
@@ -878,10 +880,8 @@ func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 
 // BatchNative implements the oram.BatchNative probe: a bucket union is one
 // operation here — one lock hold, each span of the union looked up once per
-// run of buckets it holds — so oram.Resolve hands drivers
-// ReadBuckets/WriteBuckets rather than the bucket loop. Either way the same
-// buckets move in the same order, so byte-identity with the in-memory store
-// does not depend on this.
+// run of buckets it holds. Nothing in the product asks; it stays only for
+// benchmark/spanstore.go.
 func (st *Store) BatchNative() bool { return true }
 
 // Sync writes every dirty span back in offset order, fsyncs the arena and

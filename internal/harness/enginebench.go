@@ -406,14 +406,15 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 	}
 	leaves := int64(wbClient.Geometry().Leaves())
 	wbRng := rand.New(rand.NewSource(3))
+	path := make([]oram.Leaf, 1)
 	out.Rows = append(out.Rows, benchRow("WriteBackPath", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			leaf := oram.Leaf(wbRng.Int63n(leaves))
-			if err := wbClient.ReadPath(leaf); err != nil {
+			path[0] = oram.Leaf(wbRng.Int63n(leaves))
+			if err := wbClient.ReadPaths(path); err != nil {
 				b.Fatal(err)
 			}
-			if err := wbClient.WriteBackPath(leaf); err != nil {
+			if err := wbClient.WriteBackPath(path[0]); err != nil {
 				b.Fatal(err)
 			}
 		}

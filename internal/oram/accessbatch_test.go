@@ -305,7 +305,7 @@ func TestAccessBatchStats(t *testing.T) {
 		c.ResetStats()
 		// Put block 7 in the stash: a first write's cover path may evict the
 		// new block, so probe for a resident one instead of assuming.
-		if err := c.ReadPath(c.PosMap().Get(7)); err != nil {
+		if err := c.ReadPaths([]Leaf{c.PosMap().Get(7)}); err != nil {
 			t.Fatal(err)
 		}
 		if !c.Stash().Contains(7) {

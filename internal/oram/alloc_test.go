@@ -59,17 +59,18 @@ func TestWriteBackAllocs(t *testing.T) {
 	c := allocTestClient(t)
 	rng := rand.New(rand.NewSource(13))
 	leaves := int64(c.Geometry().Leaves())
+	path := make([]Leaf, 1)
 	allocs := testing.AllocsPerRun(500, func() {
-		leaf := Leaf(rng.Int63n(leaves))
-		if err := c.ReadPath(leaf); err != nil {
+		path[0] = Leaf(rng.Int63n(leaves))
+		if err := c.ReadPaths(path); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.WriteBackPath(leaf); err != nil {
+		if err := c.WriteBackPath(path[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("ReadPath+WriteBackPath allocates %.2f objects/op in steady state, want 0", allocs)
+		t.Errorf("ReadPaths+WriteBackPath allocates %.2f objects/op in steady state, want 0", allocs)
 	}
 }
 

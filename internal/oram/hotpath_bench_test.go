@@ -80,14 +80,15 @@ func BenchmarkWriteBackPath(b *testing.B) {
 	c := benchClient(b, 12)
 	rng := rand.New(rand.NewSource(3))
 	leaves := c.Geometry().Leaves()
+	path := make([]Leaf, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		leaf := Leaf(rng.Int63n(int64(leaves)))
-		if err := c.ReadPath(leaf); err != nil {
+		path[0] = Leaf(rng.Int63n(int64(leaves)))
+		if err := c.ReadPaths(path); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.WriteBackPath(leaf); err != nil {
+		if err := c.WriteBackPath(path[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -271,26 +271,27 @@ func TestLiveBoundIdentity(t *testing.T) {
 					}
 					got, want = liveTestBuffers(g, levels), liveTestBuffers(g, levels)
 					err, refErr = face.ReadBuckets(refs, got), refFace.ReadBuckets(refs, want)
-				case 3, 4: // a path
+				case 3, 4: // a path: the one-leaf union, root first
 					leaf := Leaf(rng.Int63n(int64(g.Leaves())))
 					levels := make([]int, g.Levels())
+					refs := make([]BucketRef, g.Levels())
 					for lvl := range levels {
-						levels[lvl] = lvl
+						levels[lvl], refs[lvl] = lvl, BucketRef{lvl, g.NodeAt(leaf, lvl)}
 					}
 					if op == 3 {
 						src := make([][]Slot, g.Levels())
 						before := make([]uint8, g.Levels())
 						for lvl := range src {
-							src[lvl], before[lvl] = liveTestBucket(rng, g, lvl), bound(BucketRef{lvl, g.NodeAt(leaf, lvl)})
+							src[lvl], before[lvl] = liveTestBucket(rng, g, lvl), bound(refs[lvl])
 						}
-						err, refErr = face.WritePath(leaf, src), refFace.WritePath(leaf, src)
+						err, refErr = face.WriteBuckets(refs, src), refFace.WriteBuckets(refs, src)
 						for lvl := range src {
-							wrote(BucketRef{lvl, g.NodeAt(leaf, lvl)}, before[lvl])
+							wrote(refs[lvl], before[lvl])
 						}
 						break
 					}
 					got, want = liveTestBuffers(g, levels), liveTestBuffers(g, levels)
-					err, refErr = face.ReadPath(leaf, got), refFace.ReadPath(leaf, want)
+					err, refErr = face.ReadBuckets(refs, got), refFace.ReadBuckets(refs, want)
 				case 5: // one bucket
 					r := randRef()
 					src, before := liveTestBucket(rng, g, r.Level), bound(r)

@@ -6,12 +6,12 @@ import (
 )
 
 // multiScratch is the client's one set of transfer buffers plus the scratch
-// of the joint operations. A client moves one path or bucket union at a time
-// (single-goroutine model), so ReadPath, WriteBackPath, ReadPaths and
-// WriteBackPaths all lay their buckets out in the same bufs, and the hot
-// paths — an access = one ReadPath + one WriteBackPath, a superblock bin =
-// one ReadPaths + one WriteBackPaths — allocate nothing in steady state.
-// Everything here is O(stash + bucket union).
+// of the joint operations. A client moves one bucket union at a time
+// (single-goroutine model), so ReadPaths, WriteBackPath and WriteBackPaths
+// all lay their buckets out in the same bufs, and the hot paths — an access =
+// one one-leaf ReadPaths + one WriteBackPath, a superblock bin = one ReadPaths
+// + one WriteBackPaths — allocate nothing in steady state. Everything here is
+// O(stash + bucket union).
 type multiScratch struct {
 	refs   []BucketRef // bucket union (read order or write order)
 	ids    []BlockID   // sorted stash snapshot for deterministic placement
@@ -19,6 +19,7 @@ type multiScratch struct {
 	at     []int32     // write order: leaf × level → index of that bucket in refs
 	fill   []int       // real blocks placed so far, per union bucket
 	leaves []Leaf      // the call's distinct leaves, ascending
+	one    [1]Leaf     // the one-leaf set of a single path (onePath)
 	group  []int32     // pathUnion: per leaf, the first leaf sharing its bucket
 	split  []int32     // pathUnion: per group and branch, its first leaf
 	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
@@ -119,64 +120,72 @@ func (c *Client) GatherLeaf(set *LeafSet, id BlockID) (hit bool, err error) {
 
 // pathUnion collects the deduplicated buckets of a set of paths, level by
 // level from the root, preserving the leaves' order within a level. This is
-// the canonical bucket order of a joint fetch — the order a batch-native
-// store is handed and the order the bucket loop issues — so results are
+// the canonical bucket order of a fetch — the order a store's own
+// ReadBuckets is handed and the order the bucket loop issues — so results are
 // independent of the transport. The returned slice aliases the client's
 // scratch.
 //
 // Two paths share a bucket at a level only if they shared its parent, so the
 // dedup is O(leaves) per level: every leaf carries its group — the first leaf
 // that shares its bucket — from the level above, and a group splits into at
-// most its left and right branch below.
+// most its left and right branch below. A branch's first leaf is recorded as
+// lvl·n + i, so entries left from the levels above read as unset without a
+// reset per level, and a single path costs one pass down it like any set.
 func (c *Client) pathUnion(leaves []Leaf) []BucketRef {
 	g, m := c.geom, &c.multi
 	refs := m.refs[:0]
-	if len(leaves) == 0 {
+	n := len(leaves)
+	if n == 0 {
 		m.refs = refs
 		return refs
 	}
-	n := len(leaves)
-	m.group = slices.Grow(m.group[:0], n)[:n]
-	m.split = slices.Grow(m.split[:0], 2*n)[:2*n]
-	group, split := m.group, m.split
+	group := slices.Grow(m.group[:0], n)[:n]
+	split := slices.Grow(m.split[:0], 2*n)[:2*n]
+	m.group, m.split = group, split
 	clear(group) // the root: every leaf in leaf 0's group
+	clear(split)
 	refs = append(refs, BucketRef{Level: 0, Node: 0})
-	for lvl := 1; lvl < g.Levels(); lvl++ {
-		for i := range split {
-			split[i] = -1
-		}
-		shift := uint(g.LeafBits() - lvl)
+	bits := g.LeafBits()
+	for lvl := 1; lvl <= bits; lvl++ {
+		base, shift := int32(lvl*n), uint(bits-lvl)
 		for i, l := range leaves {
 			node := uint64(l) >> shift
-			k := 2*group[i] + int32(node&1)
-			if split[k] < 0 {
-				split[k] = int32(i)
+			k := uint(2*group[i]) | uint(node&1)
+			first := split[k]
+			if first < base {
+				first = base + int32(i)
+				split[k] = first
 				refs = append(refs, BucketRef{Level: lvl, Node: node})
 			}
-			group[i] = split[k]
+			group[i] = first - base
 		}
 	}
 	m.refs = refs
 	return refs
 }
 
-// ReadPaths fetches the union of buckets across several paths in one
+// onePath returns leaf as a one-leaf set held in the client's scratch: a
+// single path is the joint fetch of one leaf.
+func (c *Client) onePath(leaf Leaf) []Leaf {
+	c.multi.one[0] = leaf
+	return c.multi.one[:]
+}
+
+// ReadPaths fetches the union of buckets across a set of paths in one
 // operation, reading each shared bucket exactly once (paths overlap at
 // least at the root, and batched fetches of nearby leaves share long
-// prefixes). All real blocks land in the stash. This is the paper's
-// batch-granularity fetch: "The GPU then issues read request to all the
-// paths associated with the embedding entries in the upcoming training
-// batch and caches them locally" (§IV-A). The union moves in one ReadBuckets
-// call on the store's Face: where the store executes a bucket batch as one
-// operation (see BatchNative) that is one pass over a local PayloadStore's
-// arena or one network frame on a remote store, and otherwise the bucket
-// loop over the same refs.
+// prefixes). All real blocks land in the stash; dummies are dropped. This is
+// the paper's batch-granularity fetch: "The GPU then issues read request to
+// all the paths associated with the embedding entries in the upcoming
+// training batch and caches them locally" (§IV-A), and a single path is the
+// set of one leaf. The union moves in one ReadBuckets call on the store's
+// Face: one pass over a local PayloadStore's arena or one network frame on a
+// remote store, and the bucket loop over the same refs on a bucket-only
+// store. It performs no statistics accounting beyond timing: callers decide
+// whether the read was a real access or a dummy.
 func (c *Client) ReadPaths(leaves []Leaf) error {
-	switch len(leaves) {
-	case 0:
+	if len(leaves) == 0 {
 		return nil
-	case 1:
-		return c.ReadPath(leaves[0])
 	}
 	g := c.geom
 	for _, l := range leaves {
@@ -184,8 +193,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: ReadPaths: invalid leaf %d", l)
 		}
 	}
-	// Charged before the fetch, as in ReadPath: a fetch that fails has still
-	// cost its round trips.
+	// Charged before the fetch: a fetch that fails has still cost its round
+	// trips.
 	c.chargeRequests(len(leaves))
 	refs := c.pathUnion(leaves)
 	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })

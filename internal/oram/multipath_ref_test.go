@@ -71,23 +71,13 @@ func refWriteBackPaths(c *Client, leaves []Leaf) error {
 		}
 	}
 
-	if bs, ok := c.store.(BatchStore); ok && batchWorthwhile(c.store) {
-		bufs := make([][]Slot, len(buckets))
-		for i, b := range buckets {
-			bufs[i] = make([]Slot, g.BucketSize(b.Level))
-			place(b, bufs[i])
-		}
-		if err := bs.WriteBuckets(buckets, bufs); err != nil {
-			return err
-		}
-	} else {
-		for _, b := range buckets {
-			buf := make([]Slot, g.BucketSize(b.Level))
-			place(b, buf)
-			if err := c.store.WriteBucket(b.Level, b.Node, buf); err != nil {
-				return err
-			}
-		}
+	bufs := make([][]Slot, len(buckets))
+	for i, b := range buckets {
+		bufs[i] = make([]Slot, g.BucketSize(b.Level))
+		place(b, bufs[i])
+	}
+	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
+		return err
 	}
 	for id := range placed {
 		c.stash.Remove(id)

@@ -88,7 +88,7 @@ func TestWriteBackPathsConservation(t *testing.T) {
 			}
 		}
 		for _, l := range leaves {
-			if err := c.ReadPath(l); err != nil {
+			if err := c.ReadPaths([]Leaf{l}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,7 +127,7 @@ func TestWriteBackPathsPlacementLegality(t *testing.T) {
 	}
 	leaves := []Leaf{0, 31, 32, 63}
 	for _, l := range leaves {
-		if err := c.ReadPath(l); err != nil {
+		if err := c.ReadPaths([]Leaf{l}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestWriteBackPathsEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single path delegates to WriteBackPath.
-	if err := c.ReadPath(3); err != nil {
+	if err := c.ReadPaths([]Leaf{3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WriteBackPaths([]Leaf{3}); err != nil {
@@ -176,7 +176,7 @@ func TestWriteBackPathsEdgeCases(t *testing.T) {
 		t.Error("invalid leaf accepted")
 	}
 	// Duplicate leaves collapse (shared buckets written once).
-	if err := c.ReadPath(5); err != nil {
+	if err := c.ReadPaths([]Leaf{5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WriteBackPaths([]Leaf{5, 5}); err != nil {
@@ -195,7 +195,7 @@ func TestWriteBackPathsDrainsStash(t *testing.T) {
 	start := c.Stash().Len()
 	leaves := []Leaf{7, 21}
 	for _, l := range leaves {
-		if err := c.ReadPath(l); err != nil {
+		if err := c.ReadPaths([]Leaf{l}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,8 +231,8 @@ func (downBatch) WriteBuckets([]BucketRef, [][]Slot) error { return errStoreDown
 
 // TestFailedFetchChargesItsRoundTrips: a fetch that fails has still cost its
 // round trips on the simulated clock — one request per path, charged before
-// the store is asked — whether it went out as ReadPath, as a one-leaf ReadPaths
-// or as a joint ReadPaths, over the bucket loop or a batch-native store; no
+// the store is asked — whether it went out as a one-leaf ReadPaths or as a
+// joint ReadPaths, over the bucket loop or a batch-native store; no
 // stash work is charged for blocks that never arrived. The write-backs charge
 // the same way.
 func TestFailedFetchChargesItsRoundTrips(t *testing.T) {
@@ -252,7 +252,6 @@ func TestFailedFetchChargesItsRoundTrips(t *testing.T) {
 			fetch func() error
 			want  int
 		}{
-			{"ReadPath", func() error { return c.ReadPath(3) }, 1},
 			{"ReadPaths/1", func() error { return c.ReadPaths([]Leaf{3}) }, 1},
 			{"ReadPaths/3", func() error { return c.ReadPaths([]Leaf{3, 17, 30}) }, 3},
 			{"WriteBackPath", func() error { return c.WriteBackPath(3) }, 1},

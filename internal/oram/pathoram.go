@@ -87,13 +87,13 @@ type ClientConfig struct {
 // Client is a PathORAM client (§II-C): position map + stash on the trusted
 // side, tree on the untrusted Store. It is both the paper's baseline and
 // the engine under the LAORAM client in internal/core, which composes the
-// exported ReadPath/WriteBackPath/DummyRead primitives with look-ahead path
+// exported ReadPaths/WriteBackPath/DummyRead primitives with look-ahead path
 // assignment.
 type Client struct {
 	geom  *Geometry
 	store Store
-	// face is store at path and batch granularity, resolved once: every
-	// path and bucket union the client moves goes through it.
+	// face is store at batch granularity, resolved once: every path and
+	// bucket union the client moves goes through it.
 	face  Face
 	pos   *PosMap
 	stash *Stash
@@ -184,32 +184,6 @@ func (c *Client) RandomLeaf() Leaf {
 	return Leaf(c.rng.Int63n(int64(c.geom.Leaves())))
 }
 
-// ReadPath fetches every bucket on the path to leaf, moving all real blocks
-// into the stash (§II-C step 2); dummies are dropped. It performs no
-// statistics accounting beyond timing: callers decide whether the read was
-// a real access or a dummy. The whole path moves in one call on the store's
-// Face — one network round trip on a remote store, the level-by-level bucket
-// loop on a bucket-only one; slot processing order, and therefore every
-// downstream decision, is the same either way.
-func (c *Client) ReadPath(leaf Leaf) error {
-	if !c.geom.ValidLeaf(leaf) {
-		return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
-	}
-	c.chargeRequests(1)
-	bufs := c.multi.batchBufs(c.geom.Levels(), c.geom.BlockSize(), c.geom.BucketSize)
-	if err := c.face.ReadPath(leaf, bufs); err != nil {
-		return fmt.Errorf("oram: ReadPath: %w", err)
-	}
-	moved, err := c.ingest(bufs)
-	if err != nil {
-		return err
-	}
-	if c.timer != nil && moved > 0 {
-		c.timer.OnStashWork(moved)
-	}
-	return nil
-}
-
 // ingest moves every real slot of the fetched buckets into the stash (§II-C
 // step 2; dummies are dropped), in bucket order, returning how many blocks
 // moved. Every read — a path or a bucket union — funnels through here, so
@@ -232,15 +206,17 @@ func (c *Client) ingest(bufs [][]Slot) (int, error) {
 
 // WriteBackPath greedily writes stashed blocks into the path to leaf
 // (§II-C step 5), as deep as each block's assigned leaf allows, filling
-// remaining slots with dummies. The whole path is written in one call on the
-// store's Face; blocks written are removed from the stash once it returns.
+// remaining slots with dummies. The whole path is written as one bucket union
+// on the store's Face, root first; blocks written are removed from the stash
+// once it returns.
 func (c *Client) WriteBackPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WriteBackPath: invalid leaf %d", leaf)
 	}
 	c.chargeRequests(1)
 	plan := c.stash.evictPlanInto(&c.planner, c.geom, leaf)
-	bufs := c.multi.batchBufs(c.geom.Levels(), 0, c.geom.BucketSize)
+	refs := c.pathUnion(c.onePath(leaf))
+	bufs := c.multi.batchBufs(len(refs), 0, c.geom.BucketSize)
 	moved := 0
 	for lvl, ids := range plan {
 		buf := bufs[lvl]
@@ -253,7 +229,7 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 			buf[i] = DummySlot()
 		}
 	}
-	if err := c.face.WritePath(leaf, bufs); err != nil {
+	if err := c.face.WriteBuckets(refs, bufs); err != nil {
 		return fmt.Errorf("oram: WriteBackPath: %w", err)
 	}
 	for _, ids := range plan {
@@ -272,7 +248,7 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 // placement, remapping nothing. Counted in stats.DummyReads.
 func (c *Client) DummyRead() error {
 	leaf := c.RandomLeaf()
-	if err := c.ReadPath(leaf); err != nil {
+	if err := c.ReadPaths(c.onePath(leaf)); err != nil {
 		return err
 	}
 	if err := c.WriteBackPath(leaf); err != nil {
@@ -364,7 +340,7 @@ func (c *Client) accessInto(op Op, id BlockID, data, dst []byte) ([]byte, error)
 		// Obliviousness: the bus must still see one path read + write,
 		// otherwise "first write" is distinguishable from an update.
 		cover := c.RandomLeaf()
-		if err := c.ReadPath(cover); err != nil {
+		if err := c.ReadPaths(c.onePath(cover)); err != nil {
 			return nil, err
 		}
 		c.stats.PathReads++
@@ -376,7 +352,7 @@ func (c *Client) accessInto(op Op, id BlockID, data, dst []byte) ([]byte, error)
 		return nil, err
 	}
 
-	if err := c.ReadPath(leaf); err != nil {
+	if err := c.ReadPaths(c.onePath(leaf)); err != nil {
 		return nil, err
 	}
 	c.stats.PathReads++

@@ -10,36 +10,15 @@ import (
 	"repro/internal/crypto"
 )
 
-// pathCapableStore wraps a PayloadStore with PathStore/BatchStore
-// implementations that delegate bucket by bucket — the shape a remote
-// store has, without the network. It lets the tests below force the
-// client's fast paths and compare them against the bucket-granularity
-// reference.
-type pathCapableStore struct {
+// batchCapableStore wraps a PayloadStore with a BatchStore implementation
+// that delegates bucket by bucket — the shape a remote store has, without
+// the network. It lets the tests below force the client's fast paths and
+// compare them against the bucket-granularity reference.
+type batchCapableStore struct {
 	*PayloadStore
 }
 
-func (s *pathCapableStore) ReadPath(leaf Leaf, dst [][]Slot) error {
-	g := s.Geometry()
-	for lvl := range dst {
-		if err := s.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *pathCapableStore) WritePath(leaf Leaf, src [][]Slot) error {
-	g := s.Geometry()
-	for lvl := range src {
-		if err := s.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *pathCapableStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
+func (s *batchCapableStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	for i, r := range refs {
 		if err := s.ReadBucket(r.Level, r.Node, dst[i]); err != nil {
 			return err
@@ -48,7 +27,7 @@ func (s *pathCapableStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	return nil
 }
 
-func (s *pathCapableStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
+func (s *batchCapableStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	for i, r := range refs {
 		if err := s.WriteBucket(r.Level, r.Node, src[i]); err != nil {
 			return err
@@ -57,8 +36,7 @@ func (s *pathCapableStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	return nil
 }
 
-// bucketOnlyStore hides any PathStore/BatchStore methods of the wrapped
-// store, forcing the client's per-bucket slow path.
+// bucketOnlyStore hides any BatchStore methods of the wrapped store, forcing the client's per-bucket slow path.
 type bucketOnlyStore struct {
 	inner Store
 }
@@ -77,8 +55,8 @@ func (s *bucketOnlyStore) WriteSlot(level int, node uint64, slot int, src Slot) 
 	return s.inner.WriteSlot(level, node, slot, src)
 }
 
-// TestPathStoreFastPathEquivalence: a client over a PathStore/BatchStore-
-// capable store must behave byte-identically — same payloads, same stats,
+// TestPathStoreFastPathEquivalence: a client over a BatchStore-capable
+// store must behave byte-identically — same payloads, same stats,
 // same traffic counters — to a client over the same store with the fast
 // paths hidden. This is the foundation of the remote protocol's
 // transparency: opBatch unions change framing, not semantics.
@@ -88,6 +66,7 @@ func TestPathStoreFastPathEquivalence(t *testing.T) {
 	for _, sh := range shapes {
 		counted := sh
 		counted.Name = "CountingStore/" + sh.Name
+		counted.Native = true
 		counted.Open = func(t *testing.T, g *Geometry) Store { return NewCountingStore(sh.Open(t, g), nil) }
 		for _, sh := range []StoreShape{sh, counted} {
 			t.Run(sh.Name, func(t *testing.T) { storeConformance(t, sh) })
@@ -105,7 +84,7 @@ func clientFastPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var inner Store = &pathCapableStore{ps}
+		var inner Store = &batchCapableStore{ps}
 		cs := NewCountingStore(inner, nil)
 		var top Store = cs
 		if !fast {
@@ -187,10 +166,11 @@ func clientFastPathEquivalence(t *testing.T) {
 type StoreShape struct {
 	Name string
 	Open func(t *testing.T, g *Geometry) Store
-	// Native: Resolve hands drivers the store's own ReadBuckets/WriteBuckets.
+	// Native: the store has its own ReadBuckets/WriteBuckets, which Resolve
+	// hands out instead of the bucket loop.
 	Native bool
-	// Atomic: the store validates a whole path or batch before it writes, so
-	// a write that is wrong in its last bucket changes nothing.
+	// Atomic: the store validates a whole batch before it writes, so a write
+	// that is wrong in its last bucket changes nothing.
 	Atomic bool
 	// Payloads: the store keeps payload bytes (MetaStore keeps none).
 	Payloads bool
@@ -242,7 +222,7 @@ func localShapes() []StoreShape {
 
 // TreetopShape is the conformance row of a Treetop over the stores open
 // builds: batch-native and validating whatever it wraps, since it checks a
-// whole path or union before either part moves, and answering slot for slot
+// whole union before either part moves, and answering slot for slot
 // like the bare store — rows where it keeps rows, zero rows for nil payloads.
 func TreetopShape(name string, open func(*testing.T, *Geometry) Store, payloads bool) StoreShape {
 	return StoreShape{
@@ -258,20 +238,23 @@ func TreetopShape(name string, open func(*testing.T, *Geometry) Store, payloads 
 }
 
 // storeConformance moves the same buckets through a store's resolved Face
-// (one ReadPath/WritePath per path, one ReadBuckets/WriteBuckets per union)
-// and through a twin bucket by bucket, and requires the same slot bytes and
-// the same Counters; that the store keeps no reference to the payloads it was
-// handed and hands out none to its own storage (invariant #8); and that a
-// path or batch call that is wrong in its last bucket charges nothing and —
-// through a validating store — writes nothing.
+// (one ReadBuckets/WriteBuckets per union, a path being the one-leaf union,
+// root first) and through a twin bucket by bucket, and requires the same slot
+// bytes and the same Counters; that the store's own ReadPath/WritePath, where
+// it still has them, move what the path's union does; that the store keeps no
+// reference to the payloads it was handed and hands out none to its own
+// storage (invariant #8); and that a call that is wrong in its last bucket
+// charges nothing and — through a validating batch-native store — writes
+// nothing.
 func storeConformance(t *testing.T, sh StoreShape) {
 	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 2, RootZ: 5, Profile: ProfileLinear, BlockSize: 16})
-	raw := sh.Open(t, g)
-	if got := Resolve(raw).Native; got != sh.Native {
-		t.Fatalf("Resolve(%T).Native = %t, want %t", raw, got, sh.Native)
+	raw, twin := sh.Open(t, g), sh.Open(t, g)
+	if _, loop := Resolve(raw).BatchStore.(bucketLoop); loop == sh.Native {
+		t.Fatalf("Resolve(%T) hands out the bucket loop: %t, want %t", raw, loop, !sh.Native)
 	}
-	viaFace, viaLoop := NewCountingStore(raw, nil), NewCountingStore(sh.Open(t, g), nil)
+	viaFace, viaLoop := NewCountingStore(raw, nil), NewCountingStore(twin, nil)
 	face := Resolve(viaFace)
+	ownPath, hasPath := raw.(PathStore)
 
 	const leaf = Leaf(11)
 	path := make([]BucketRef, g.Levels())
@@ -377,11 +360,13 @@ func storeConformance(t *testing.T, sh StoreShape) {
 			}
 		}
 	}
-	// readBoth reads the path and the union back both ways and compares.
+	// readBoth reads the path and the union back both ways and compares;
+	// the store's own ReadPath, uncharged, must read what the path's union
+	// does.
 	readBoth := func(what string) {
 		t.Helper()
 		gotPath, gotUnion := armed(path), armed(union)
-		if err := face.ReadPath(leaf, gotPath); err != nil {
+		if err := face.ReadBuckets(path, gotPath); err != nil {
 			t.Fatal(err)
 		}
 		if err := face.ReadBuckets(union, gotUnion); err != nil {
@@ -389,6 +374,14 @@ func storeConformance(t *testing.T, sh StoreShape) {
 		}
 		same(what+" path", path, gotPath, loopRead(viaLoop, path))
 		same(what+" union", union, gotUnion, loopRead(viaLoop, union))
+		if hasPath {
+			own := armed(path)
+			if err := ownPath.ReadPath(leaf, own); err != nil {
+				t.Fatal(err)
+			}
+			same(what+" own ReadPath", path, own, gotPath)
+			scribble(own)
+		}
 		// Invariant #8, read side: what a read hands out is the caller's.
 		scribble(gotPath)
 		scribble(gotUnion)
@@ -397,7 +390,7 @@ func storeConformance(t *testing.T, sh StoreShape) {
 	pathSrc, unionSrc := fill(path), fill(union)
 	record(path, pathSrc)
 	record(union, unionSrc) // the union shares the root with the path and overwrites it
-	if err := face.WritePath(leaf, pathSrc); err != nil {
+	if err := face.WriteBuckets(path, pathSrc); err != nil {
 		t.Fatal(err)
 	}
 	if err := face.WriteBuckets(union, unionSrc); err != nil {
@@ -409,6 +402,18 @@ func storeConformance(t *testing.T, sh StoreShape) {
 	scribble(pathSrc)
 	scribble(unionSrc)
 	readBoth("first read")
+	if hasPath {
+		// The store's own WritePath lands what the path's union would: the
+		// twin takes the same rows bucket by bucket, both uncharged.
+		ownSrc := fill(path)
+		record(path, ownSrc)
+		if err := ownPath.WritePath(leaf, ownSrc); err != nil {
+			t.Fatal(err)
+		}
+		loopWrite(twin, path, ownSrc)
+		scribble(ownSrc)
+		readBoth("read after the store's own WritePath")
+	}
 	readBoth("read after the first read's buffers were overwritten")
 	if a, b := viaFace.Counters(), viaLoop.Counters(); a != b {
 		t.Errorf("counters: %+v through the face, %+v bucket by bucket", a, b)
@@ -416,7 +421,7 @@ func storeConformance(t *testing.T, sh StoreShape) {
 
 	// Calls that are wrong in their last bucket — a path whose leaf-level
 	// buffer is a slot short, a union whose last ref names no bucket — are
-	// refused uncharged, and a store that validates a call before it writes
+	// refused uncharged, and a store that validates a union before it writes
 	// is left as it was. (A union reaches such a store whole only when the
 	// store is batch-native; the bucket loop stops where the store objects.)
 	refused := func(what string, unchanged bool, calls ...func() error) {
@@ -438,9 +443,16 @@ func storeConformance(t *testing.T, sh StoreShape) {
 	badPath, shortPath := fill(path), armed(path)
 	last := len(path) - 1
 	badPath[last], shortPath[last] = badPath[last][:1], shortPath[last][:1]
-	refused("short path", sh.Atomic,
-		func() error { return viaFace.ReadPath(leaf, shortPath) },
-		func() error { return viaFace.WritePath(leaf, badPath) })
+	refused("short path", sh.Atomic && sh.Native,
+		func() error { return viaFace.ReadBuckets(path, shortPath) },
+		func() error { return viaFace.WriteBuckets(path, badPath) })
+	if hasPath {
+		// The store's own path pair, kept for the benchmark, refuses the same
+		// short path uncharged, and a validating store writes none of it.
+		refused("short path, the store's own", sh.Atomic,
+			func() error { return ownPath.ReadPath(leaf, shortPath) },
+			func() error { return ownPath.WritePath(leaf, badPath) })
+	}
 	badRefs := append(append([]BucketRef(nil), union[:len(union)-1]...), BucketRef{Level: 1, Node: 7})
 	refused("bad last ref", sh.Atomic && sh.Native,
 		func() error { return viaFace.ReadBuckets(badRefs, armed(union)) },

@@ -9,12 +9,10 @@ import (
 	"repro/internal/oram"
 )
 
-// TestBatchNativeProbe: the stores that execute a bucket batch as one
-// operation say so — a PayloadStore plain or sealed, with or without a
-// crypto pool, the disk tier, and a CountingStore over either — and the store
-// that would only unroll it bucket by bucket (a CountingStore over a
-// MetaStore) says it does not, so the multipath client issues those buckets
-// itself.
+// TestBatchNativeProbe: the stores benchmark/spanstore.go's case table tells
+// apart by their optional methods still answer the probe the table forwards —
+// a PayloadStore plain or sealed, with or without a crypto pool, and the disk
+// tier all execute a bucket batch as one operation. No product code asks it.
 // SetCryptoPool still rejects a store without a *crypto.Sealer.
 func TestBatchNativeProbe(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 4, LeafZ: 4, BlockSize: 16})
@@ -50,23 +48,19 @@ func TestBatchNativeProbe(t *testing.T) {
 		if err := sealed.SetCryptoPool(p); err != nil {
 			t.Fatal(err)
 		}
-		if !native(sealed) || !native(oram.NewCountingStore(sealed, nil)) {
-			t.Errorf("sealed store (pool %v) does not report native batching, bare or counted", p)
+		if !native(sealed) {
+			t.Errorf("sealed store (pool %v) does not report native batching", p)
 		}
 	}
-	if !native(plain) || !native(oram.NewCountingStore(plain, nil)) {
-		t.Error("plain payload store does not report native batching, bare or counted")
-	}
-
-	if native(oram.NewCountingStore(oram.NewMetaStore(g), nil)) {
-		t.Error("CountingStore over a MetaStore claims native batching; it unrolls per bucket")
+	if !native(plain) {
+		t.Error("plain payload store does not report native batching")
 	}
 	disk, err := diskstore.Open(diskstore.Config{Path: filepath.Join(t.TempDir(), "arena"), Geometry: g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	if !native(disk) || !native(oram.NewCountingStore(disk, nil)) {
-		t.Error("diskstore does not report native batching, bare or counted; a union is one lock hold over its span cache")
+	if !native(disk) {
+		t.Error("diskstore does not report native batching; a union is one lock hold over its span cache")
 	}
 }

@@ -98,11 +98,12 @@ type BucketRef struct {
 	Node  uint64
 }
 
-// PathStore is an optional Store extension: move a whole root→leaf path in
-// one operation. Remote stores implement it so a path costs one network
-// round trip instead of Levels() bucket round trips; the PathORAM client
-// uses it transparently when available. dst/src are indexed by level and
-// each entry must have length BucketSize(level).
+// PathStore is the path-granularity form of a transfer: a whole root→leaf
+// path, dst/src indexed by level, each entry of length BucketSize(level).
+// PayloadStore, diskstore.Store and remote.ShardStore still implement it, but
+// no product code calls it: the client moves a path as the one-leaf bucket
+// union through its Face. It stays only because benchmark/spanstore.go
+// forwards it.
 type PathStore interface {
 	// ReadPath reads every bucket on the path to leaf into dst.
 	ReadPath(leaf Leaf, dst [][]Slot) error
@@ -111,9 +112,9 @@ type PathStore interface {
 }
 
 // BatchStore is an optional Store extension: execute several bucket
-// operations in one server round trip. The multipath client (batched
-// superblock fetch, §IV-A) uses it so the deduplicated bucket union of a
-// whole training batch moves in one frame.
+// operations in one server round trip. The client moves every path and every
+// deduplicated bucket union of a training batch (§IV-A) through it, so a union
+// moves in one frame on a remote store and in one pass over a local arena.
 type BatchStore interface {
 	// ReadBuckets reads refs[i] into dst[i] (len BucketSize(refs[i].Level)).
 	ReadBuckets(refs []BucketRef, dst [][]Slot) error
@@ -121,102 +122,43 @@ type BatchStore interface {
 	WriteBuckets(refs []BucketRef, src [][]Slot) error
 }
 
-// BatchNative is the probe Resolve asks before it hands a driver the store's
-// own ReadBuckets/WriteBuckets: does a batch reach a store that executes it as
-// one operation? PayloadStore (one pass over the arena, fanned across the
-// crypto pool when one is installed), the remote transport (one frame) and
-// diskstore (one pass under one cache lock) do; CountingStore answers for
-// whatever it wraps. A store that would only unroll the batch bucket by
-// bucket answers false, and the driver is handed the bucket loop instead. A
-// BatchStore that does not implement the probe is presumed native.
+// BatchNative reports whether a store executes a bucket union as one
+// operation. PayloadStore and diskstore.Store still answer it, but nothing in
+// the product asks: Resolve hands out any store's own BatchStore. It
+// stays only because benchmark/spanstore.go forwards it.
 type BatchNative interface {
 	BatchNative() bool
 }
 
-// batchWorthwhile reports whether st executes a bucket batch as one
-// operation (see BatchNative).
-func batchWorthwhile(st Store) bool {
-	if bn, ok := st.(BatchNative); ok {
-		return bn.BatchNative()
-	}
-	_, ok := st.(BatchStore)
-	return ok
-}
-
-// Face is a store seen at path and batch granularity: every Store has one.
-// The PathStore half is the store's own ReadPath/WritePath where it has them,
-// the BatchStore half its own ReadBuckets/WriteBuckets where it executes a
-// batch as one operation (Native), and either half is otherwise the one
-// bucket-by-bucket loop — the same ReadBucket/WriteBucket sequence, in ref
-// order, that a driver without the extension would have issued itself.
+// Face is a store seen at batch granularity: every Store has one. The
+// BatchStore half is the store's own ReadBuckets/WriteBuckets where it has
+// them, and otherwise the bucket-by-bucket loop — the same
+// ReadBucket/WriteBucket sequence, in ref order, that a caller without the
+// extension would have issued itself. A path is the one-leaf union: its
+// buckets, root first.
 //
-// Drivers (Client, CountingStore, the remote server per shard) resolve a
-// store's Face once, at construction, and move every path and bucket union
-// through it; nothing outside Resolve asks a store what it implements.
+// Client, CountingStore, Treetop and the remote server (per shard) resolve a
+// store's Face once, at construction, and move every bucket union through
+// it; nothing outside Resolve asks a store what it implements.
 type Face struct {
 	Store
-	PathStore
 	BatchStore
-	// Native reports that the BatchStore half is the store's own.
-	Native bool
 }
 
-// Resolve returns st's Face. This is the only place the optional PathStore,
-// BatchStore and BatchNative extensions are probed.
+// Resolve returns st's Face. This is the only place the optional BatchStore
+// extension is probed.
 func Resolve(st Store) Face {
-	loop := bucketLoop{st}
-	f := Face{Store: st, PathStore: loop, BatchStore: loop}
-	if ps, ok := st.(PathStore); ok {
-		f.PathStore = ps
+	if bs, ok := st.(BatchStore); ok {
+		return Face{st, bs}
 	}
-	if bs, ok := st.(BatchStore); ok && batchWorthwhile(st) {
-		f.BatchStore, f.Native = bs, true
-	}
-	return f
+	return Face{st, bucketLoop{st}}
 }
 
-// bucketLoop is the path- and batch-granularity face of a bucket-only store:
-// the one place a path or a bucket union is unrolled into bucket calls. The
-// store validates each bucket as it comes, so a call that fails midway has
-// moved the buckets before the failing one.
+// bucketLoop is the batch face of a bucket-only store: the one place a bucket
+// union is unrolled into bucket calls. The store validates each bucket as it
+// comes, so a call that fails midway has moved the buckets before the failing
+// one.
 type bucketLoop struct{ Store }
-
-func (l bucketLoop) checkPath(op string, leaf Leaf, levels int) error {
-	g := l.Geometry()
-	if !g.ValidLeaf(leaf) {
-		return fmt.Errorf("oram: %s: invalid leaf %d", op, leaf)
-	}
-	if levels != g.Levels() {
-		return fmt.Errorf("oram: %s got %d levels, tree has %d", op, levels, g.Levels())
-	}
-	return nil
-}
-
-func (l bucketLoop) ReadPath(leaf Leaf, dst [][]Slot) error {
-	if err := l.checkPath("ReadPath", leaf, len(dst)); err != nil {
-		return err
-	}
-	g := l.Geometry()
-	for lvl := range dst {
-		if err := l.ReadBucket(lvl, g.NodeAt(leaf, lvl), dst[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l bucketLoop) WritePath(leaf Leaf, src [][]Slot) error {
-	if err := l.checkPath("WritePath", leaf, len(src)); err != nil {
-		return err
-	}
-	g := l.Geometry()
-	for lvl := range src {
-		if err := l.WriteBucket(lvl, g.NodeAt(leaf, lvl), src[lvl]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (l bucketLoop) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	if len(refs) != len(dst) {
@@ -431,10 +373,10 @@ type PayloadStore struct {
 	codec  SlotCodec // a real slot's bytes at rest; holds the sealer
 
 	// pool, when installed via SetCryptoPool with more than one worker,
-	// fans the seal/open work of path- and batch-granularity operations
-	// across its workers, all through the store's one sealer (codec.seq is
-	// that sealer as the concrete type whose reservations make the fan-out
-	// deterministic); nil pool keeps every path strictly serial.
+	// fans the seal/open work of a bucket union across its workers, all
+	// through the store's one sealer (codec.seq is that sealer as the
+	// concrete type whose reservations make the fan-out deterministic); nil
+	// pool keeps every union strictly serial.
 	pool *crypto.Pool
 	// sealOrd[i] is the scratch prefix count of real (nonce-consuming)
 	// slots in buckets [0, i) of the current WriteBuckets; pathRefs is the
@@ -526,8 +468,7 @@ func (st *PayloadStore) writeSlotAt(i int64, src Slot, seq *uint64) error {
 }
 
 // SetCryptoPool installs a bounded crypto worker pool: the seal/open work
-// of path- and batch-granularity operations (ReadPath/WritePath and the
-// ReadBuckets/WriteBuckets under them) is partitioned across the pool's
+// of a bucket union (ReadBuckets/WriteBuckets) is partitioned across the pool's
 // workers, all sealing through the store's own Sealer. Requires the store
 // to have been built with a *crypto.Sealer — the fan-out leans on its
 // nonce-reservation discipline for determinism and on its being safe for
@@ -680,9 +621,8 @@ func (st *PayloadStore) pathToRefs(leaf Leaf) []BucketRef {
 	return st.pathRefs
 }
 
-// ReadPath implements PathStore: the whole path's slots open through
-// ReadBuckets (parallel across the crypto pool when installed; the plain
-// level-by-level loop otherwise, with identical results).
+// ReadPath implements PathStore as ReadBuckets over the path's refs. No
+// product code calls it; it stays only for benchmark/spanstore.go.
 func (st *PayloadStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	if !st.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: ReadPath: invalid leaf %d", leaf)
@@ -693,8 +633,7 @@ func (st *PayloadStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	return st.ReadBuckets(st.pathToRefs(leaf), dst)
 }
 
-// WritePath implements PathStore (see ReadPath; sealing goes through
-// WriteBuckets).
+// WritePath implements PathStore as WriteBuckets (see ReadPath).
 func (st *PayloadStore) WritePath(leaf Leaf, src [][]Slot) error {
 	if !st.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WritePath: invalid leaf %d", leaf)
@@ -706,7 +645,8 @@ func (st *PayloadStore) WritePath(leaf Leaf, src [][]Slot) error {
 }
 
 // BatchNative implements the BatchNative probe: a bucket union is one pass
-// over the arena (ReadBuckets/WriteBuckets), sealed or not, pooled or not.
+// over the arena. Nothing in the product asks; it stays only for
+// benchmark/spanstore.go.
 func (st *PayloadStore) BatchNative() bool { return true }
 
 // ReadBucket implements Store: one bucket of ReadBuckets' serial loop.
@@ -813,7 +753,7 @@ func (cs *CountingStore) ResetCounters() {
 
 // charge tallies one store call — buckets whole buckets holding slots slots
 // in all — under a single lock, however many buckets the call moved: a lane
-// charges once per path or bucket union, and the remote server's workers
+// charges once per bucket union, and the remote server's workers
 // contend once per frame.
 func (cs *CountingStore) charge(read bool, buckets, slots int) {
 	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
@@ -866,32 +806,10 @@ func (cs *CountingStore) WriteBucket(level int, node uint64, src []Slot) error {
 	return nil
 }
 
-// ReadPath implements PathStore: the path moves through the inner store's
-// Face — its own ReadPath, or the bucket loop — and is charged one bucket read
-// per level either way, so the traffic ledger does not depend on which
-// transport is underneath; a call that fails charges nothing.
-func (cs *CountingStore) ReadPath(leaf Leaf, dst [][]Slot) error {
-	if err := cs.inner.ReadPath(leaf, dst); err != nil {
-		return err
-	}
-	cs.chargeBuckets(true, dst...)
-	return nil
-}
-
-// WritePath implements PathStore (see ReadPath).
-func (cs *CountingStore) WritePath(leaf Leaf, src [][]Slot) error {
-	if err := cs.inner.WritePath(leaf, src); err != nil {
-		return err
-	}
-	cs.chargeBuckets(false, src...)
-	return nil
-}
-
-// BatchNative implements the BatchNative probe: a batch through the wrapper
-// is one operation exactly when it is one in the wrapped store.
-func (cs *CountingStore) BatchNative() bool { return cs.inner.Native }
-
-// ReadBuckets implements BatchStore (delegation and charge as ReadPath).
+// ReadBuckets implements BatchStore: the union moves through the inner
+// store's Face — its own ReadBuckets, or the bucket loop — and is charged one
+// bucket read per ref either way, so the traffic ledger does not depend on
+// which transport is underneath; a call that fails charges nothing.
 func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	if err := cs.inner.ReadBuckets(refs, dst); err != nil {
 		return err

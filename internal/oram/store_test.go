@@ -221,9 +221,10 @@ func TestCountingStore(t *testing.T) {
 
 // TestCountingStoreChargeEquivalence: CountingStore charges once per store
 // call, and the ledger must not show it — the same bucket set moved bucket by
-// bucket, as one path and as one batch produces identical Counters and an
-// identical per-bucket OnTransfer sequence, over a store the wrapper unrolls
-// (MetaStore) and one it delegates to (PayloadStore), reads and writes alike.
+// bucket and as one batch (a path's refs, root first) produces identical
+// Counters and an identical per-bucket OnTransfer sequence, over a store the
+// wrapper unrolls (MetaStore) and one it delegates to (PayloadStore), reads
+// and writes alike.
 func TestCountingStoreChargeEquivalence(t *testing.T) {
 	// A fat tree: bucket sizes differ by level, so the OnTransfer order shows.
 	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 2, RootZ: 7, Profile: ProfileLinear, BlockSize: 24})
@@ -255,7 +256,6 @@ func TestCountingStoreChargeEquivalence(t *testing.T) {
 			}
 			return nil
 		}},
-		{"ReadPath", func(cs *CountingStore, bufs [][]Slot) error { return cs.ReadPath(leaf, bufs) }},
 		{"ReadBuckets", func(cs *CountingStore, bufs [][]Slot) error { return cs.ReadBuckets(refs, bufs) }},
 	}
 	writes := []shape{
@@ -267,7 +267,6 @@ func TestCountingStoreChargeEquivalence(t *testing.T) {
 			}
 			return nil
 		}},
-		{"WritePath", func(cs *CountingStore, bufs [][]Slot) error { return cs.WritePath(leaf, bufs) }},
 		{"WriteBuckets", func(cs *CountingStore, bufs [][]Slot) error { return cs.WriteBuckets(refs, bufs) }},
 	}
 	for name, mk := range inners {

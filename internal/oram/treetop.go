@@ -37,18 +37,15 @@ type Treetop struct {
 	top   Face // unsealed in-memory store over geom.Prefix(t)
 	inner Face // the wrapped store, resolved once
 
-	// Scratch, reused so a call allocates nothing in steady state: a path's
-	// refs, and the parts of a union that crosses the top's edge more than
-	// once — cleared after every call, so no reference to a caller's slots
-	// outlives it.
-	path             []BucketRef
+	// Scratch, reused so a call allocates nothing in steady state: the parts
+	// of a union that crosses the top's edge more than once — cleared after
+	// every call, so no reference to a caller's slots outlives it.
 	topRefs, lowRefs []BucketRef
 	topBufs, lowBufs [][]Slot
 }
 
 var (
 	_ Store       = (*Treetop)(nil)
-	_ PathStore   = (*Treetop)(nil)
 	_ BatchStore  = (*Treetop)(nil)
 	_ Snapshotter = (*Treetop)(nil)
 	_ TieredStore = (*Treetop)(nil)
@@ -113,46 +110,6 @@ func (tt *Treetop) WriteSlot(level int, node uint64, slot int, src Slot) error {
 	return WriteSlotVia(tt, level, node, slot, src)
 }
 
-// ReadPath implements PathStore: levels ≥ t as one union of the wrapped
-// store, the rest from the top.
-func (tt *Treetop) ReadPath(leaf Leaf, dst [][]Slot) error {
-	refs, err := tt.pathRefs("ReadPath", leaf, dst)
-	if err != nil {
-		return err
-	}
-	return tt.parts(false, refs[tt.t:], dst[tt.t:], refs[:tt.t], dst[:tt.t])
-}
-
-// WritePath implements PathStore (see ReadPath).
-func (tt *Treetop) WritePath(leaf Leaf, src [][]Slot) error {
-	refs, err := tt.pathRefs("WritePath", leaf, src)
-	if err != nil {
-		return err
-	}
-	return tt.parts(true, refs[tt.t:], src[tt.t:], refs[:tt.t], src[:tt.t])
-}
-
-// pathRefs checks a path call's buffers and lists its buckets, root first.
-// (A path is a level-ordered union, but splitting it at t directly costs a
-// single path a few per cent less than the union's check does.)
-func (tt *Treetop) pathRefs(op string, leaf Leaf, bufs [][]Slot) ([]BucketRef, error) {
-	g := tt.geom
-	if !g.ValidLeaf(leaf) {
-		return nil, fmt.Errorf("oram: %s: invalid leaf %d", op, leaf)
-	}
-	if len(bufs) != g.Levels() {
-		return nil, fmt.Errorf("oram: %s got %d levels, tree has %d", op, len(bufs), g.Levels())
-	}
-	tt.path = tt.path[:0]
-	for lvl, b := range bufs {
-		if len(b) != g.BucketSize(lvl) {
-			return nil, fmt.Errorf("oram: %s level %d buffer has %d slots, bucket size is %d", op, lvl, len(b), g.BucketSize(lvl))
-		}
-		tt.path = append(tt.path, BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)})
-	}
-	return tt.path, nil
-}
-
 // ReadBuckets implements BatchStore.
 func (tt *Treetop) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	return tt.union("ReadBuckets", refs, dst, false)
@@ -163,15 +120,12 @@ func (tt *Treetop) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	return tt.union("WriteBuckets", refs, src, true)
 }
 
-// BatchNative implements the BatchNative probe: a union through the treetop
-// is at most one union of the wrapped store and one pass over the top.
-func (tt *Treetop) BatchNative() bool { return true }
-
 // union checks a whole bucket union, then moves its part below the top
 // through the wrapped store and the rest through the top, each in ref order.
 //
-// The client's unions are level-ordered — root first for a fetch, leaves
-// first for a write-back — so they cross the treetop's edge once and both
+// The client's unions are level-ordered — root first for a fetch and for a
+// path's write-back, leaves first for a joint write-back — so they cross the
+// treetop's edge once and both
 // parts are sub-slices of the call's own; any other union is gathered into
 // scratch. The check is the one pass that finds the crossing.
 func (tt *Treetop) union(op string, refs []BucketRef, bufs [][]Slot, write bool) error {

@@ -168,8 +168,8 @@ func TestTreetopUnionAnyOrder(t *testing.T) {
 	}
 }
 
-// TestTreetopAllocFree: splitting a union or a path between the top and the
-// wrapped store allocates nothing in steady state, on its own and under a
+// TestTreetopAllocFree: splitting a union or a one-path union between the top
+// and the wrapped store allocates nothing in steady state, on its own and under a
 // client's joint fetch and write-back, and the sealed access cycle stays at
 // zero with the top unsealed.
 func TestTreetopAllocFree(t *testing.T) {
@@ -229,11 +229,11 @@ func TestTreetopAllocFree(t *testing.T) {
 			if err := tt.ReadBuckets(refs, union); err != nil {
 				t.Fatal(err)
 			}
-			if err := tt.WritePath(leaf, paths); err != nil {
+			if err := tt.WriteBuckets(path, paths); err != nil {
 				t.Fatal(err)
 			}
 			rearmPath()
-			if err := tt.ReadPath(leaf, paths); err != nil {
+			if err := tt.ReadBuckets(path, paths); err != nil {
 				t.Fatal(err)
 			}
 			rearmUnion()

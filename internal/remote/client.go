@@ -341,8 +341,8 @@ func (c *Client) Shards() int {
 }
 
 // Store returns the oram.Store view onto one shard of the server. The view
-// implements PathStore and BatchStore, so ORAM clients above it move whole
-// paths (and batched bucket unions) in single frames.
+// implements BatchStore, so ORAM clients above it move every path and bucket
+// union in a single frame.
 func (c *Client) Store(shard int) (*ShardStore, error) {
 	if shard < 0 || shard >= c.Shards() {
 		return nil, fmt.Errorf("remote: shard %d out of range (server has %d)", shard, c.Shards())
@@ -1070,7 +1070,8 @@ func (s *ShardStore) WriteSlot(level int, node uint64, slot int, src Slot) error
 }
 
 // ReadPath implements oram.PathStore: the whole root→leaf path in one
-// frame.
+// frame. No product code calls it or WritePath; they stay only for
+// benchmark/spanstore.go.
 func (s *ShardStore) ReadPath(leaf Leaf, dst [][]Slot) error {
 	refs, err := s.pathRefs(leaf)
 	if err != nil {

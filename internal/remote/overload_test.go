@@ -602,8 +602,8 @@ func TestServerGoawaySlowConsumer(t *testing.T) {
 
 // sleepStore wraps a Store with a fixed per-operation service time, giving
 // overload tests a server whose capacity is bounded and predictable. It is
-// deliberately only an oram.Store (no PathStore), so path requests fall
-// back to per-bucket reads, each paying the delay.
+// deliberately only an oram.Store (no BatchStore), so unions fall back to
+// per-bucket reads, each paying the delay.
 type sleepStore struct {
 	oram.Store
 	delay time.Duration

@@ -36,7 +36,7 @@ type Server struct {
 	// appending to a []sync.Mutex would reallocate the array out from
 	// under a held lock.
 	smu     sync.RWMutex
-	stores  []oram.Face // each shard's store, its path/batch face resolved once
+	stores  []oram.Face // each shard's store, its batch face resolved once
 	locks   []*sync.Mutex
 	factory func() (oram.Store, error) // builds one more store for opAddStore; nil = fixed placement
 

@@ -291,49 +291,44 @@ func TestSessionConcurrentMatchesSerial(t *testing.T) {
 }
 
 // stepSpy counts the fetches and write-backs that reach one shard's payload
-// store, a bucket union or a single path alike, and samples the stash at
-// each fetch: what the previous write-back (and any background eviction)
-// left behind.
+// store — every one a bucket union — by how many refs they name, and samples
+// the stash at each fetch: what the previous write-back (and any background
+// eviction) left behind.
 type stepSpy struct {
 	*oram.PayloadStore
 	stash            *oram.Stash
-	unions           int // fetches and write-backs as ReadBuckets/WriteBuckets
 	fetches, writes  int
+	paths, wider     int // transfers of exactly one path's refs, of more
 	stashPeakAtFetch int
 }
 
-func (s *stepSpy) fetched() {
-	s.fetches++
-	s.stashPeakAtFetch = max(s.stashPeakAtFetch, s.stash.Len())
+func (s *stepSpy) moved(refs []oram.BucketRef) {
+	switch levels := s.Geometry().Levels(); {
+	case len(refs) == levels:
+		s.paths++
+	case len(refs) > levels:
+		s.wider++
+	}
 }
 
 func (s *stepSpy) ReadBuckets(refs []oram.BucketRef, dst [][]oram.Slot) error {
-	s.fetched()
-	s.unions++
+	s.fetches++
+	s.stashPeakAtFetch = max(s.stashPeakAtFetch, s.stash.Len())
+	s.moved(refs)
 	return s.PayloadStore.ReadBuckets(refs, dst)
 }
 
 func (s *stepSpy) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 	s.writes++
-	s.unions++
+	s.moved(refs)
 	return s.PayloadStore.WriteBuckets(refs, src)
-}
-
-func (s *stepSpy) ReadPath(leaf oram.Leaf, dst [][]oram.Slot) error {
-	s.fetched()
-	return s.PayloadStore.ReadPath(leaf, dst)
-}
-
-func (s *stepSpy) WritePath(leaf oram.Leaf, src [][]oram.Slot) error {
-	s.writes++
-	return s.PayloadStore.WritePath(leaf, src)
 }
 
 // TestSessionDefaultStep runs a plan at the default step (k = 0) and checks
 // that a step is a batchChunk of keys' worth of bins: each lane's store sees
 // one fetch and one write-back per ⌈bins/k⌉ step, with k = 8 at S = 4, 4 at
-// S = 8 and 1 at S = 64, the joint ones as one ReadBuckets/WriteBuckets
-// pair. The trained rows and every lane's visitor calls are those of a
+// S = 8 and 1 at S = 64: a one-bin step moves its one path's Levels() refs
+// each way, and a step of several bins more. The trained rows and every lane's visitor calls are those of a
 // one-bin-step run on the same seed (invariant #5), and the stash a step
 // leaves behind stays within invariant #4's bound.
 func TestSessionDefaultStep(t *testing.T) {
@@ -366,7 +361,7 @@ func TestSessionDefaultStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sp := range spies {
-			sp.unions, sp.fetches, sp.writes = 0, 0, 0
+			sp.fetches, sp.writes, sp.paths, sp.wider = 0, 0, 0, 0
 		}
 		sess, err := e.NewSession(plan)
 		if err != nil {
@@ -401,8 +396,8 @@ func TestSessionDefaultStep(t *testing.T) {
 					t.Errorf("lane %d: %d bins took %d fetches and %d write-backs, want %d of each (%d bins a step)",
 						i, st.Bins, sp.fetches, sp.writes, steps, tc.k)
 				}
-				// A step of several bins fetches several paths, as one union;
-				// a one-bin step in steady state fetches its bin's one path.
+				// A step of several bins fetches several paths' union; a
+				// one-bin step in steady state fetches its bin's one path.
 				multi := 0
 				if tc.k > 1 {
 					multi = int(st.Bins) / tc.k
@@ -410,8 +405,9 @@ func TestSessionDefaultStep(t *testing.T) {
 						multi++
 					}
 				}
-				if sp.unions != 2*multi {
-					t.Errorf("lane %d: %d of %d step transfers were bucket unions, want %d", i, sp.unions, 2*steps, 2*multi)
+				if sp.wider != 2*multi || sp.paths != 2*(steps-multi) {
+					t.Errorf("lane %d: of %d step transfers %d moved one path's refs and %d more, want %d and %d",
+						i, 2*steps, sp.paths, sp.wider, 2*(steps-multi), 2*multi)
 				}
 				if sp.stashPeakAtFetch > oram.PaperEvict.High {
 					t.Errorf("lane %d: a step left %d blocks in the stash, bound %d", i, sp.stashPeakAtFetch, oram.PaperEvict.High)
