@@ -45,7 +45,7 @@ const maxCheckpointSection = 1 << 38
 // LoadState, with a descriptive error when not.
 func (o *ORAM) checkpointable() error {
 	if o.opts.Verify {
-		return fmt.Errorf("laoram: checkpointing does not support Options.Verify: the Merkle digests authenticating server storage are rebuilt from the live tree at construction and are not serialised, so a restored instance would reject every bucket")
+		return fmt.Errorf("laoram: checkpointing does not support Options.Verify: the bucket digests that authenticate server storage are trusted client state outside the snapshot format, so a restored instance could not check a bucket")
 	}
 	return nil
 }
@@ -67,7 +67,7 @@ func (o *ORAM) checkpointable() error {
 // a fresh sealer draws a fresh random nonce field for post-restore writes).
 //
 // Not supported — and rejected with an error — under Options.Verify (the
-// trusted Merkle digests are not serialised).
+// trusted bucket digests are not in the snapshot).
 func (o *ORAM) SaveState(w io.Writer) error {
 	if err := o.checkpointable(); err != nil {
 		return err

@@ -101,8 +101,8 @@ func TestCheckpointRoundTripLocal(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsVerify: Merkle digests are trusted state rebuilt at
-// construction, not serialised — checkpointing a verified instance must be
+// TestCheckpointRejectsVerify: the bucket digests are trusted client state
+// outside the snapshot format — checkpointing a verified instance must be
 // refused, not allowed to produce a restore that fails every read.
 func TestCheckpointRejectsVerify(t *testing.T) {
 	db, err := New(Options{Entries: 256, BlockSize: 8, Verify: true, Seed: 2})

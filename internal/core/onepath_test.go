@@ -232,7 +232,7 @@ func TestPathIsOneLeafUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := oram.NewTreetop(ps, true)
+	tt, err := oram.NewTreetop(ps, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func (st *Store) PrefetchPaths(leaves []oram.Leaf) {
 // span per tier the path crosses, skipping tiers that are wholly resident
 // and those the client's treetop holds.
 // All its disk activity is reads, and it checks no CRC: the demand path
-// verifies every bucket it hands out and is the arbiter of integrity.
+// checks the CRC of every bucket it hands out.
 func (st *Store) prefetcher() {
 	defer st.wg.Done()
 	for {

@@ -177,7 +177,7 @@ func engineClient(leafBits int, sealer oram.Sealer, blockSize int, treetop bool)
 		inner = oram.NewMetaStore(g)
 	}
 	if treetop {
-		if inner, err = oram.NewTreetop(inner, blockSize > 0); err != nil {
+		if inner, err = oram.NewTreetop(inner, blockSize > 0, false); err != nil {
 			return nil, err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/diskstore"
-	"repro/internal/integrity"
 	"repro/internal/oram"
 	"repro/internal/remote"
 )
@@ -52,16 +51,10 @@ func init() {
 		return st
 	}
 	oram.ConformanceShapes = append(oram.ConformanceShapes,
-		oram.StoreShape{Name: "VerifiedStore", Payloads: true, Open: func(t *testing.T, g *oram.Geometry) oram.Store {
-			vs, err := integrity.NewVerifiedStore(payload(t, g))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return vs
-		}},
-		oram.StoreShape{Name: "diskstore", Native: true, Atomic: true, Payloads: true, ZeroRows: true, Open: disk},
-		oram.StoreShape{Name: "remote.ShardStore", Native: true, Atomic: true, Payloads: true, ZeroRows: true, Open: shardStore},
-		oram.TreetopShape("diskstore", disk, true),
-		oram.TreetopShape("remote.ShardStore", shardStore, true),
+		oram.StoreShape{Name: "diskstore", Native: true, Atomic: true, Payloads: true, Open: disk},
+		oram.StoreShape{Name: "remote.ShardStore", Native: true, Atomic: true, Payloads: true, Open: shardStore},
+		oram.TreetopShape("diskstore", disk, true, false),
+		oram.TreetopShape("remote.ShardStore", shardStore, true, false),
+		oram.TreetopShape("remote.ShardStore", shardStore, true, true),
 	)
 }

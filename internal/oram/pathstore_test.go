@@ -172,15 +172,13 @@ type StoreShape struct {
 	// Atomic: the store validates a whole batch before it writes, so a write
 	// that is wrong in its last bucket changes nothing.
 	Atomic bool
-	// Payloads: the store keeps payload bytes (MetaStore keeps none).
+	// Payloads: the store keeps payload bytes (MetaStore keeps none), and a
+	// real slot handed over with a nil payload reads back as a zero row.
 	Payloads bool
-	// ZeroRows: a real slot handed over with a nil payload reads back as a
-	// zero row (VerifiedStore hashes what it was handed, so it takes none).
-	ZeroRows bool
 }
 
 // ConformanceShapes are the rows contributed by packages internal/oram
-// cannot import (conformance_ext_test.go: VerifiedStore, diskstore, remote).
+// cannot import (conformance_ext_test.go: diskstore, remote).
 var ConformanceShapes []StoreShape
 
 func localShapes() []StoreShape {
@@ -211,24 +209,30 @@ func localShapes() []StoreShape {
 	meta := func(_ *testing.T, g *Geometry) Store { return NewMetaStore(g) }
 	return []StoreShape{
 		{Name: "MetaStore", Open: meta},
-		{Name: "PayloadStore", Open: payload(false, 1), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
-		{Name: "PayloadStore/sealed", Open: payload(true, 1), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
-		{Name: "PayloadStore/sealed+pool", Open: payload(true, 4), Native: true, Atomic: true, Payloads: true, ZeroRows: true},
-		TreetopShape("MetaStore", meta, false),
-		TreetopShape("PayloadStore", payload(false, 1), true),
-		TreetopShape("PayloadStore/sealed", payload(true, 1), true),
+		{Name: "PayloadStore", Open: payload(false, 1), Native: true, Atomic: true, Payloads: true},
+		{Name: "PayloadStore/sealed", Open: payload(true, 1), Native: true, Atomic: true, Payloads: true},
+		{Name: "PayloadStore/sealed+pool", Open: payload(true, 4), Native: true, Atomic: true, Payloads: true},
+		TreetopShape("MetaStore", meta, false, false),
+		TreetopShape("PayloadStore", payload(false, 1), true, false),
+		TreetopShape("PayloadStore/sealed", payload(true, 1), true, false),
+		TreetopShape("MetaStore", meta, false, true),
+		TreetopShape("PayloadStore/sealed", payload(true, 1), true, true),
 	}
 }
 
 // TreetopShape is the conformance row of a Treetop over the stores open
-// builds: batch-native and validating whatever it wraps, since it checks a
-// whole union before either part moves, and answering slot for slot
-// like the bare store — rows where it keeps rows, zero rows for nil payloads.
-func TreetopShape(name string, open func(*testing.T, *Geometry) Store, payloads bool) StoreShape {
+// builds, verifying with verify: batch-native and validating whatever it
+// wraps, since it checks a whole union before either part moves, and
+// answering slot for slot like the bare store — rows where it keeps rows,
+// zero rows for nil payloads.
+func TreetopShape(name string, open func(*testing.T, *Geometry) Store, payloads, verify bool) StoreShape {
+	if verify {
+		name = "verify/" + name
+	}
 	return StoreShape{
-		Name: "Treetop/" + name, Native: true, Atomic: true, Payloads: payloads, ZeroRows: payloads,
+		Name: "Treetop/" + name, Native: true, Atomic: true, Payloads: payloads,
 		Open: func(t *testing.T, g *Geometry) Store {
-			tt, err := NewTreetop(open(t, g), payloads)
+			tt, err := NewTreetop(open(t, g), payloads, verify)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +288,7 @@ func storeConformance(t *testing.T, sh StoreShape) {
 				switch pick := rng.Intn(4); {
 				case pick == 0:
 					bufs[i][k] = DummySlot()
-				case pick == 1 && sh.ZeroRows:
+				case pick == 1:
 					bufs[i][k] = Slot{ID: nextID, Leaf: Leaf(rng.Intn(16))}
 				default:
 					row := make([]byte, g.BlockSize())
@@ -472,7 +476,7 @@ func slotConformance(t *testing.T, sh StoreShape) {
 		switch pick := rng.Intn(4); {
 		case pick == 0:
 			return DummySlot()
-		case pick == 1 && sh.ZeroRows:
+		case pick == 1:
 			return Slot{ID: id, Leaf: leaf}
 		}
 		row := make([]byte, g.BlockSize())

@@ -1,9 +1,16 @@
 package oram
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
+
+// ErrIntegrity is in the chain of every error a verifying Treetop returns for
+// a bucket that does not read back as this client last wrote it.
+var ErrIntegrity = errors.New("oram: integrity check failed")
 
 // Treetop keeps the top of a tree in trusted memory: levels 0 … t−1, with
 // t = TreetopLevels(g), live in an unsealed client-side store, and every
@@ -30,12 +37,29 @@ import (
 // the top back with one ReadBuckets over the same set. In between, the wrapped
 // store's copy of the top is stale and nothing reads it.
 //
+// Verification (Options.Verify) sits at the same edge: the trusted side keeps
+// one SHA-256 per bucket below the top, indexed by its (level, node), of what
+// this client last wrote there. Every write through the wrapped store records
+// the digest of what went down; every read checks what came back and fails
+// with ErrIntegrity on a mismatch, so a forged, replayed or relocated bucket
+// is caught when it is read. It costs one hash per bucket moved below the top
+// and 32 bytes of client memory per such bucket, and moves nothing extra. The
+// digests are client state outside the snapshot format.
+//
 // Like the stores it wraps, a Treetop serves one client goroutine.
 type Treetop struct {
 	geom  *Geometry
 	t     int  // levels 0 … t−1 live in top
 	top   Face // unsealed in-memory store over geom.Prefix(t)
 	inner Face // the wrapped store, resolved once
+
+	// Under verification: sums holds one digest per bucket below the top, in
+	// heap order from (t, 0); row is how many bytes of a real slot's row are
+	// hashed (the block size, or 0 where no rows are kept); rec is scratch for
+	// the record one bucket hashes as. Nil sums: off.
+	sums [][sha256.Size]byte
+	row  int
+	rec  []byte
 
 	// Scratch, reused so a call allocates nothing in steady state: the parts
 	// of a union that crosses the top's edge more than once — cleared after
@@ -61,8 +85,9 @@ func TreetopLevels(g *Geometry) int { return g.Levels() / 2 }
 // when inner keeps rows, a MetaStore when it simulates them (MetadataOnly, or
 // a remote tree of block size 0), so the top answers exactly as inner would.
 // Inner is assumed to hold an empty tree, as a fresh store does; one that
-// holds a tree already is brought in with Load.
-func NewTreetop(inner Store, payloads bool) (*Treetop, error) {
+// holds a tree already is brought in with Load. With verify, a bucket inner
+// holds that no empty bucket hashes as fails its first read.
+func NewTreetop(inner Store, payloads, verify bool) (*Treetop, error) {
 	g := inner.Geometry()
 	t := TreetopLevels(g)
 	var top Store
@@ -75,29 +100,96 @@ func NewTreetop(inner Store, payloads bool) (*Treetop, error) {
 	} else {
 		top = NewMetaStore(g.Prefix(t))
 	}
-	return &Treetop{geom: g, t: t, top: Resolve(top), inner: Resolve(inner)}, nil
+	tt := &Treetop{geom: g, t: t, top: Resolve(top), inner: Resolve(inner)}
+	if verify {
+		tt.initSums(payloads)
+	}
+	return tt, nil
+}
+
+// initSums starts every digest below the top at its level's empty bucket.
+func (tt *Treetop) initSums(rows bool) {
+	g := tt.geom
+	if rows {
+		tt.row = g.BlockSize()
+	}
+	z := 0
+	for lvl := tt.t; lvl < g.Levels(); lvl++ {
+		z = max(z, g.BucketSize(lvl))
+	}
+	tt.rec = make([]byte, z*(16+tt.row))
+	tt.sums = make([][sha256.Size]byte, 1<<g.Levels()-1<<tt.t)
+	empty := make([]Slot, z)
+	for k := range empty {
+		empty[k] = DummySlot()
+	}
+	for lvl, i := tt.t, 0; lvl < g.Levels(); lvl++ {
+		sum := tt.digest(empty[:g.BucketSize(lvl)])
+		for range 1 << lvl {
+			tt.sums[i] = sum
+			i++
+		}
+	}
+}
+
+// digest hashes a bucket as the wrapped store returns it: a dummy as its id
+// alone, a real slot as its id, its leaf and — where rows are kept — its row
+// zero-padded to the block size.
+func (tt *Treetop) digest(b []Slot) [sha256.Size]byte {
+	rec := tt.rec[:0]
+	for k := range b {
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(b[k].ID))
+		if b[k].Dummy() {
+			continue
+		}
+		rec = binary.LittleEndian.AppendUint64(rec, uint64(b[k].Leaf))
+		row := rec[len(rec) : len(rec)+tt.row]
+		clear(row[copy(row, b[k].Payload):])
+		rec = rec[:len(rec)+tt.row]
+	}
+	return sha256.Sum256(rec)
+}
+
+// check records, after a write below the top, the digest of what went down,
+// and checks, after a read, what came back. It is a no-op without Verify.
+func (tt *Treetop) check(write bool, r BucketRef, b []Slot) error {
+	if tt.sums == nil {
+		return nil
+	}
+	i := 1<<r.Level - 1<<tt.t + int(r.Node)
+	sum := tt.digest(b)
+	if write {
+		tt.sums[i] = sum
+	} else if sum != tt.sums[i] {
+		return fmt.Errorf("%w: bucket (%d,%d) is not what this client last wrote there", ErrIntegrity, r.Level, r.Node)
+	}
+	return nil
 }
 
 // Geometry implements Store.
 func (tt *Treetop) Geometry() *Geometry { return tt.geom }
 
-// at returns the store that holds the buckets of level. An out-of-range level
-// goes to the wrapped store, which refuses it.
-func (tt *Treetop) at(level int) Store {
-	if level >= 0 && level < tt.t {
-		return tt.top.Store
-	}
-	return tt.inner.Store
-}
-
-// ReadBucket implements Store.
+// ReadBucket implements Store. An out-of-range level goes to the wrapped
+// store, which refuses it.
 func (tt *Treetop) ReadBucket(level int, node uint64, dst []Slot) error {
-	return tt.at(level).ReadBucket(level, node, dst)
+	if level >= 0 && level < tt.t {
+		return tt.top.ReadBucket(level, node, dst)
+	}
+	if err := tt.inner.ReadBucket(level, node, dst); err != nil {
+		return err
+	}
+	return tt.check(false, BucketRef{Level: level, Node: node}, dst)
 }
 
 // WriteBucket implements Store.
 func (tt *Treetop) WriteBucket(level int, node uint64, src []Slot) error {
-	return tt.at(level).WriteBucket(level, node, src)
+	if level >= 0 && level < tt.t {
+		return tt.top.WriteBucket(level, node, src)
+	}
+	if err := tt.inner.WriteBucket(level, node, src); err != nil {
+		return err
+	}
+	return tt.check(true, BucketRef{Level: level, Node: node}, src)
 }
 
 // ReadSlot implements Store.
@@ -147,7 +239,7 @@ func (tt *Treetop) union(op string, refs []BucketRef, bufs [][]Slot, write bool)
 	}
 	switch {
 	case top == 0:
-		return move(tt.inner, write, refs, bufs)
+		return tt.below(write, refs, bufs)
 	case top == len(refs):
 		return move(tt.top, write, refs, bufs)
 	case runs == 2 && refs[0].Level < tt.t:
@@ -172,10 +264,24 @@ func (tt *Treetop) union(op string, refs []BucketRef, bufs [][]Slot, write bool)
 
 // parts moves a checked union's part below the top, then its top part.
 func (tt *Treetop) parts(write bool, lowRefs []BucketRef, lowBufs [][]Slot, topRefs []BucketRef, topBufs [][]Slot) error {
-	if err := move(tt.inner, write, lowRefs, lowBufs); err != nil {
+	if err := tt.below(write, lowRefs, lowBufs); err != nil {
 		return err
 	}
 	return move(tt.top, write, topRefs, topBufs)
+}
+
+// below moves a checked union's part below the top through the wrapped store
+// and checks every bucket of it.
+func (tt *Treetop) below(write bool, refs []BucketRef, bufs [][]Slot) error {
+	if err := move(tt.inner, write, refs, bufs); err != nil || tt.sums == nil {
+		return err
+	}
+	for i, r := range refs {
+		if err := tt.check(write, r, bufs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // move is one ReadBuckets or WriteBuckets through f.

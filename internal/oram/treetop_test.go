@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -29,7 +30,7 @@ func TestTreetopSnapshotBytes(t *testing.T) {
 			return ps
 		}
 		treetop := func() *Treetop {
-			tt, err := NewTreetop(open(), payloads)
+			tt, err := NewTreetop(open(), payloads, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func TestTreetopUnionAnyOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt, err := NewTreetop(inner, true)
+	tt, err := NewTreetop(inner, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,99 +171,40 @@ func TestTreetopUnionAnyOrder(t *testing.T) {
 
 // TestTreetopAllocFree: splitting a union or a one-path union between the top
 // and the wrapped store allocates nothing in steady state, on its own and under a
-// client's joint fetch and write-back, and the sealed access cycle stays at
-// zero with the top unsealed.
+// client's joint fetch and write-back, verifying or not, and the sealed access
+// cycle stays at zero with the top unsealed.
 func TestTreetopAllocFree(t *testing.T) {
-	newTreetop := func(sealer Sealer) *Treetop {
+	newTreetop := func(sealer Sealer, verify bool) *Treetop {
 		ps, err := NewPayloadStore(payloadAllocGeom, sealer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tt, err := NewTreetop(ps, true)
+		tt, err := NewTreetop(ps, true, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tt
 	}
-	t.Run("union", func(t *testing.T) {
-		g := payloadAllocGeom
-		tt := newTreetop(nil)
-		const leaf = Leaf(77)
-		refs := scanUnion(g, []Leaf{3, leaf, 140, 251})
-		path := refs[:0:0]
-		for lvl := 0; lvl < g.Levels(); lvl++ {
-			path = append(path, BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)})
-		}
-		// Real rows and dummies in both calls; every slot's row is re-armed
-		// before a read, as the client's batch buffers are.
-		arm := func(refs []BucketRef) (bufs [][]Slot, rearm func()) {
-			rows := make([][]byte, 0)
-			for i, r := range refs {
-				b := make([]Slot, g.BucketSize(r.Level))
-				for k := range b {
-					rows = append(rows, make([]byte, g.BlockSize()))
-					if k%2 == 0 {
-						b[k] = Slot{ID: BlockID(i*8 + k), Leaf: leaf, Payload: rows[len(rows)-1]}
-					} else {
-						b[k] = DummySlot()
-					}
-				}
-				bufs = append(bufs, b)
+	for _, verify := range []bool{false, true} {
+		name := map[bool]string{false: "", true: "/verify"}[verify]
+		t.Run("union"+name, func(t *testing.T) { treetopUnionAllocFree(t, newTreetop(nil, verify)) })
+		t.Run("joint"+name, func(t *testing.T) {
+			c, _ := payloadAllocClient(t, NewCountingStore(newTreetop(nil, verify), nil))
+			round := jointRound(t, c, 8, 21)
+			for i := 0; i < 64; i++ {
+				round()
 			}
-			return bufs, func() {
-				n := 0
-				for _, b := range bufs {
-					for k := range b {
-						b[k].Payload = rows[n]
-						n++
-					}
-				}
+			if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
+				t.Errorf("ReadPaths+WriteBackPaths through a Treetop allocates %.2f objects/op in steady state, want 0", allocs)
 			}
-		}
-		union, rearmUnion := arm(refs)
-		paths, rearmPath := arm(path)
-		round := func() {
-			if err := tt.WriteBuckets(refs, union); err != nil {
-				t.Fatal(err)
-			}
-			rearmUnion()
-			if err := tt.ReadBuckets(refs, union); err != nil {
-				t.Fatal(err)
-			}
-			if err := tt.WriteBuckets(path, paths); err != nil {
-				t.Fatal(err)
-			}
-			rearmPath()
-			if err := tt.ReadBuckets(path, paths); err != nil {
-				t.Fatal(err)
-			}
-			rearmUnion()
-			rearmPath()
-		}
-		round()
-		if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
-			t.Errorf("the treetop's union and path split allocates %.2f objects per round, want 0", allocs)
-		}
-		if n := slices.IndexFunc(refs, func(r BucketRef) bool { return r.Level >= TreetopLevels(g) }); n <= 0 {
-			t.Fatalf("the union does not straddle the treetop (first deep ref at %d)", n)
-		}
-	})
-	t.Run("joint", func(t *testing.T) {
-		c, _ := payloadAllocClient(t, NewCountingStore(newTreetop(nil), nil))
-		round := jointRound(t, c, 8, 21)
-		for i := 0; i < 64; i++ {
-			round()
-		}
-		if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
-			t.Errorf("ReadPaths+WriteBackPaths through a Treetop allocates %.2f objects/op in steady state, want 0", allocs)
-		}
-	})
+		})
+	}
 	t.Run("sealed-access", func(t *testing.T) {
 		sealer, err := crypto.NewSealer(make([]byte, 32))
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, blocks := payloadAllocClient(t, NewCountingStore(newTreetop(sealer), nil))
+		c, blocks := payloadAllocClient(t, NewCountingStore(newTreetop(sealer, false), nil))
 		rng := rand.New(rand.NewSource(22))
 		buf := make([]byte, 64)
 		allocs := testing.AllocsPerRun(500, func() {
@@ -274,4 +216,284 @@ func TestTreetopAllocFree(t *testing.T) {
 			t.Errorf("sealed ReadInto through a Treetop allocates %.2f objects/op in steady state, want 0", allocs)
 		}
 	})
+}
+
+// treetopUnionAllocFree moves a straddling union and a path, rows and
+// dummies, through tt and requires no allocation per round.
+func treetopUnionAllocFree(t *testing.T, tt *Treetop) {
+	g := payloadAllocGeom
+	const leaf = Leaf(77)
+	refs := scanUnion(g, []Leaf{3, leaf, 140, 251})
+	path := refs[:0:0]
+	for lvl := 0; lvl < g.Levels(); lvl++ {
+		path = append(path, BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)})
+	}
+	// Real rows and dummies in both calls; every slot's row is re-armed
+	// before a read, as the client's batch buffers are.
+	arm := func(refs []BucketRef) (bufs [][]Slot, rearm func()) {
+		rows := make([][]byte, 0)
+		for i, r := range refs {
+			b := make([]Slot, g.BucketSize(r.Level))
+			for k := range b {
+				rows = append(rows, make([]byte, g.BlockSize()))
+				if k%2 == 0 {
+					b[k] = Slot{ID: BlockID(i*8 + k), Leaf: leaf, Payload: rows[len(rows)-1]}
+				} else {
+					b[k] = DummySlot()
+				}
+			}
+			bufs = append(bufs, b)
+		}
+		return bufs, func() {
+			n := 0
+			for _, b := range bufs {
+				for k := range b {
+					b[k].Payload = rows[n]
+					n++
+				}
+			}
+		}
+	}
+	union, rearmUnion := arm(refs)
+	paths, rearmPath := arm(path)
+	round := func() {
+		if err := tt.WriteBuckets(refs, union); err != nil {
+			t.Fatal(err)
+		}
+		rearmUnion()
+		if err := tt.ReadBuckets(refs, union); err != nil {
+			t.Fatal(err)
+		}
+		if err := tt.WriteBuckets(path, paths); err != nil {
+			t.Fatal(err)
+		}
+		rearmPath()
+		if err := tt.ReadBuckets(path, paths); err != nil {
+			t.Fatal(err)
+		}
+		rearmUnion()
+		rearmPath()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
+		t.Errorf("the treetop's union and path split allocates %.2f objects per round, want 0", allocs)
+	}
+	if n := slices.IndexFunc(refs, func(r BucketRef) bool { return r.Level >= TreetopLevels(g) }); n <= 0 {
+		t.Fatalf("the union does not straddle the treetop (first deep ref at %d)", n)
+	}
+}
+
+// verifyingTreetop is a verifying Treetop over a fresh PayloadStore of 16-byte
+// rows and five levels (two in the top), and that store, which the tests
+// write to directly as the server would.
+func verifyingTreetop(t *testing.T) (*Treetop, *PayloadStore) {
+	t.Helper()
+	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 3, BlockSize: 16})
+	inner, err := NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := NewTreetop(inner, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tt, inner
+}
+
+// bucketOf is a three-slot bucket holding block id on leaf with a row led by
+// b, then two dummies.
+func bucketOf(id BlockID, leaf Leaf, b byte) []Slot {
+	row := make([]byte, 16)
+	row[0] = b
+	return []Slot{{ID: id, Leaf: leaf, Payload: row}, DummySlot(), DummySlot()}
+}
+
+// readFails reads bucket (level, node) through tt and requires an
+// ErrIntegrity naming it.
+func readFails(t *testing.T, tt *Treetop, level int, node uint64, what string) {
+	t.Helper()
+	err := tt.ReadBucket(level, node, make([]Slot, tt.Geometry().BucketSize(level)))
+	if !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("%s: read of bucket (%d,%d) returned %v, want ErrIntegrity", what, level, node, err)
+	}
+}
+
+// TestTreetopVerifyRoundTrip: a bucket written below the top — a row and a
+// real slot with a nil row — reads back through the verifying treetop, with
+// its digest moved off the empty bucket's.
+func TestTreetopVerifyRoundTrip(t *testing.T) {
+	tt, _ := verifyingTreetop(t)
+	src := bucketOf(1, 3, 0x77)
+	src[1] = Slot{ID: 2, Leaf: 5}
+	empty := tt.sums[1<<2-1<<tt.t+1]
+	if err := tt.WriteBucket(2, 1, src); err != nil {
+		t.Fatal(err)
+	}
+	if tt.sums[1<<2-1<<tt.t+1] == empty {
+		t.Fatal("the write left the bucket's digest at the empty bucket's")
+	}
+	dst := make([]Slot, 3)
+	if err := tt.ReadBucket(2, 1, dst); err != nil {
+		t.Fatal(err)
+	}
+	if dst[0].ID != 1 || dst[0].Payload[0] != 0x77 || dst[1].ID != 2 || !bytes.Equal(dst[1].Payload, make([]byte, 16)) {
+		t.Errorf("round trip mismatch: %+v", dst)
+	}
+}
+
+// TestTreetopVerifyTamper: a bucket the server rewrites fails the next read,
+// as a single bucket and inside a union.
+func TestTreetopVerifyTamper(t *testing.T) {
+	tt, inner := verifyingTreetop(t)
+	if err := tt.WriteBucket(3, 2, bucketOf(5, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.WriteBucket(3, 2, bucketOf(5, 1, 0xFF)); err != nil {
+		t.Fatal(err)
+	}
+	readFails(t, tt, 3, 2, "tampered bucket")
+	refs := []BucketRef{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 5}}
+	bufs := make([][]Slot, len(refs))
+	for i, r := range refs {
+		bufs[i] = make([]Slot, tt.Geometry().BucketSize(r.Level))
+	}
+	if err := tt.ReadBuckets(refs, bufs); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("a union over the tampered bucket returned %v, want ErrIntegrity", err)
+	}
+}
+
+// TestTreetopVerifyRollback: replaying an older copy of the same bucket fails,
+// because the client's digest has moved on.
+func TestTreetopVerifyRollback(t *testing.T) {
+	tt, inner := verifyingTreetop(t)
+	if err := tt.WriteBucket(4, 0, bucketOf(3, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	old := make([]Slot, 3)
+	if err := inner.ReadBucket(4, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := tt.WriteBucket(4, 0, bucketOf(3, 0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.WriteBucket(4, 0, old); err != nil {
+		t.Fatal(err)
+	}
+	readFails(t, tt, 4, 0, "rolled-back bucket")
+}
+
+// TestTreetopVerifyRelocation: a valid bucket copied to another (level, node),
+// over one the client wrote and over one it never wrote, fails both reads.
+func TestTreetopVerifyRelocation(t *testing.T) {
+	tt, inner := verifyingTreetop(t)
+	if err := tt.WriteBucket(3, 2, bucketOf(5, 4, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tt.WriteBucket(3, 5, bucketOf(6, 10, 8)); err != nil {
+		t.Fatal(err)
+	}
+	valid := make([]Slot, 3)
+	if err := inner.ReadBucket(3, 2, valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []BucketRef{{3, 5}, {2, 3}} {
+		if err := inner.WriteBucket(r.Level, r.Node, valid); err != nil {
+			t.Fatal(err)
+		}
+		readFails(t, tt, r.Level, r.Node, "relocated bucket")
+	}
+}
+
+// TestTreetopVerifyRefusesNonEmptyStore: construction reads nothing and trusts
+// nothing, so a bucket the wrapped store held before it fails its first read.
+func TestTreetopVerifyRefusesNonEmptyStore(t *testing.T) {
+	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 3, BlockSize: 16})
+	inner, err := NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.WriteBucket(3, 1, bucketOf(7, 2, 7)); err != nil {
+		t.Fatal(err)
+	}
+	tt, err := NewTreetop(inner, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tt.ReadBucket(3, 0, make([]Slot, 3)); err != nil {
+		t.Fatalf("an empty bucket failed its read: %v", err)
+	}
+	readFails(t, tt, 3, 1, "a bucket held before construction")
+}
+
+// TestTreetopVerifyClient: a PathORAM client runs over a verifying treetop, and
+// a block the server moves to another leaf in a bucket below the top breaks the
+// first access whose path reads that bucket.
+func TestTreetopVerifyClient(t *testing.T) {
+	const blocks = 64
+	g := MustGeometry(GeometryConfig{LeafBits: 6, LeafZ: 3, BlockSize: 8})
+	inner, err := NewPayloadStore(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, err := NewTreetop(inner, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(ClientConfig{
+		Store: NewCountingStore(tt, nil), Rand: rand.New(rand.NewSource(1)),
+		Evict: PaperEvict, StashHits: true, Blocks: blocks,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(blocks, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < blocks; i++ {
+		if err := c.Write(BlockID(i), []byte{byte(i), 0, 0, 0, 0, 0, 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < blocks; i++ {
+		got, err := c.Read(BlockID(i))
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if got[0] != byte(i) {
+			t.Fatalf("block %d corrupt", i)
+		}
+	}
+	leaf := g.Levels() - 1
+	buf := make([]Slot, g.BucketSize(leaf))
+	node := uint64(0)
+	for ; ; node++ {
+		if node == 1<<uint(leaf) {
+			t.Fatal("no leaf bucket holds a block")
+		}
+		if err := inner.ReadBucket(leaf, node, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !buf[0].Dummy() {
+			break
+		}
+	}
+	buf[0].Leaf ^= 1
+	if err := inner.WriteBucket(leaf, node, buf); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; ; round++ {
+		if round == 20 {
+			t.Fatal("20 reads of every block never met the tampered bucket")
+		}
+		var err error
+		for i := uint64(0); i < blocks && err == nil; i++ {
+			_, err = c.Read(BlockID(i))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("a read over the tampered bucket failed with %v, want ErrIntegrity", err)
+			}
+			break
+		}
+	}
 }

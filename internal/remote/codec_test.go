@@ -328,8 +328,7 @@ func batchServer(t testing.TB, g *oram.Geometry) *Server {
 // read of the same union through the server returns exactly the
 // reference-encoded frames — a bare OK header for the write, the slots in ref
 // order for the read — whether the shard's store batches natively
-// (PayloadStore) or is looped bucket by bucket (VerifiedStore-shaped: a
-// bucket-only wrapper).
+// (PayloadStore) or is looped bucket by bucket (a bucket-only wrapper).
 func TestServerBatchResponseMatchesReference(t *testing.T) {
 	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 3, LeafZ: 3, BlockSize: 8})
 	ps, err := oram.NewPayloadStore(g, nil)
@@ -358,7 +357,7 @@ func TestServerBatchResponseMatchesReference(t *testing.T) {
 }
 
 // bucketOnly hides every optional extension of the store it wraps: the shape
-// of MetaStore and integrity.VerifiedStore, which the server must loop.
+// of MetaStore, which the server must loop.
 type bucketOnly struct{ oram.Store }
 
 // TestServerWriteFramesAllOrNothing: a write frame that is wrong anywhere —

@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diskstore"
-	"repro/internal/integrity"
 	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/remote"
@@ -158,12 +157,13 @@ type Options struct {
 	// meter (independent memory channels) and SimTime reports the
 	// slowest shard's clock.
 	Measure bool
-	// Verify adds Merkle authentication over server storage: every
-	// bucket read is checked against a trusted root digest, detecting
-	// tampering and rollback by an actively malicious server (an
-	// extension beyond the paper's honest-but-curious model; see
-	// internal/integrity). Adds hashing plus authentication-path checks,
-	// and keeps one 32-byte digest per bucket in client memory.
+	// Verify authenticates server storage against an actively malicious
+	// server (an extension beyond the paper's honest-but-curious model): the
+	// client-side treetop keeps a SHA-256 of every bucket below it as last
+	// written, and a bucket that reads back otherwise — forged, replayed or
+	// moved — fails with oram.ErrIntegrity in the error chain. It costs one
+	// hash per bucket moved below the top and 32 B of client memory per such
+	// bucket, and moves no extra bucket or frame. Not checkpointable.
 	Verify bool
 	// DataDir, when set, backs every shard tree with a disk arena file
 	// (internal/diskstore) under this directory instead of an in-memory
@@ -440,8 +440,8 @@ func (o *ORAM) remoteList() []*remote.Client {
 
 // buildSub assembles shard idx's stack — server store (in-memory,
 // metadata-only, encrypted, disk-backed or remote) under the client-side
-// treetop, traffic counters, optional timing
-// meter and Merkle verification, then the PathORAM client — for per blocks
+// treetop (which verifies under Verify), traffic counters, optional timing
+// meter, then the PathORAM client — for per blocks
 // seeded with seed. With Shards <= 1 this is exactly the unsharded
 // construction. Remote shards share one multiplexed connection per node:
 // shard idx lives on node idx % N as that node's store idx / N.
@@ -543,9 +543,10 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 			}
 		}
 	}
-	// The top half of the levels stays in trusted memory (DESIGN.md
-	// "Treetop"); the counters above it tally the logical traffic.
-	top, err := oram.NewTreetop(inner, payloads)
+	// The top half of the levels stays in trusted memory, and so do the
+	// digests Verify checks the rest against (DESIGN.md "Treetop"); the
+	// counters above it tally the logical traffic.
+	top, err := oram.NewTreetop(inner, payloads, opts.Verify)
 	if err != nil {
 		return shard.Sub{}, err
 	}
@@ -554,21 +555,13 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		meter = memsim.NewMeter(memsim.DDR4Default())
 	}
 	cs := oram.NewCountingStore(top, tickerOrNil(meter))
-	var clientStore oram.Store = cs
-	if opts.Verify {
-		vs, err := integrity.NewVerifiedStore(cs)
-		if err != nil {
-			return shard.Sub{}, err
-		}
-		clientStore = vs
-	}
 	// The client RNG runs through a counted source: same stream as
 	// trace.NewRNG(seed) draw for draw, but its (seed, draws) position is
 	// serialisable, which is what makes the instance checkpointable
 	// (ORAM.SaveState).
 	rng, src := trace.NewCountedRNG(seed)
 	client, err := oram.NewClient(oram.ClientConfig{
-		Store:     clientStore,
+		Store:     cs,
 		Rand:      rng,
 		Evict:     evict,
 		Timer:     timerOrNil(meter),
