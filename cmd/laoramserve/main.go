@@ -328,11 +328,7 @@ func main() {
 	cmu.Lock()
 	defer cmu.Unlock()
 	for _, cs := range counters {
-		c := cs.Counters()
-		total.BucketReads += c.BucketReads
-		total.BucketWrites += c.BucketWrites
-		total.BytesRead += c.BytesRead
-		total.BytesWritten += c.BytesWritten
+		total = total.Add(cs.Counters())
 	}
 	fmt.Printf("\nlaoramserve: shutting down — served %d bucket reads, %d bucket writes, %.2f MB moved\n",
 		total.BucketReads, total.BucketWrites, float64(total.BytesRead+total.BytesWritten)/(1<<20))

@@ -51,7 +51,6 @@ func main() {
 		FatTree:   true, // §V: wider roots absorb superblock pressure
 		Encrypt:   true,
 		Seed:      3,
-		Measure:   true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,7 @@ func main() {
 	// payload store would produce.
 	base, err := laoram.New(laoram.Options{
 		Entries: table.Rows, BlockSize: table.RowBytes(),
-		MetadataOnly: true, Seed: 5, Measure: true,
+		MetadataOnly: true, Seed: 5,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -69,7 +69,7 @@ func main() {
 	// trained through the streaming pipeline in four look-ahead windows.
 	fast, err := laoram.New(laoram.Options{
 		Entries: table.Rows, BlockSize: table.RowBytes(),
-		MetadataOnly: true, FatTree: true, Seed: 6, Measure: true,
+		MetadataOnly: true, FatTree: true, Seed: 6,
 	})
 	if err != nil {
 		log.Fatal(err)

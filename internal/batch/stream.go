@@ -247,7 +247,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 			if err := e.LoadForPlanContext(ctx, w.Plan, cfg.Payload); err != nil {
 				return err
 			}
-			// Engine counters (and meters) describe the training run, not
+			// Engine counters (and so SimTime) describe the training run, not
 			// the bulk load — the LoadForPlan → ResetStats convention of
 			// the one-shot flow, applied internally.
 			e.ResetStats()

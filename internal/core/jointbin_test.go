@@ -204,7 +204,14 @@ func TestJointBinOneFetchOneWriteBack(t *testing.T) {
 		t.Errorf("bins by distinct paths %v: want mostly 4, and 2 and 3 a tenth each at least", byPaths)
 	}
 
-	if js, rs := joint.laoram.Stats(), ref.laoram.Stats(); js != rs {
+	js, rs := joint.laoram.Stats(), ref.laoram.Stats()
+	// A bucket shared by two paths is ingested once by the joint fetch and
+	// twice per leaf, so BlocksMoved falls with the slots read.
+	if js.BlocksMoved >= rs.BlocksMoved {
+		t.Errorf("joint moved %d blocks, per-leaf %d: want fewer", js.BlocksMoved, rs.BlocksMoved)
+	}
+	js.BlocksMoved, rs.BlocksMoved = 0, 0
+	if js != rs {
 		t.Errorf("stats diverged:\njoint    %+v\nper-leaf %+v", js, rs)
 	}
 	jc, rc := joint.store.Counters(), ref.store.Counters()

@@ -309,13 +309,23 @@ type ModelSweepResult struct {
 	Speedup []float64
 }
 
-// ModelSweep measures the Fat/S4 speedup under three bandwidth/latency
-// regimes.
+// ModelSweep prices one PathORAM run and one Fat/S4 run under three
+// bandwidth/latency regimes: the counts are the model's only input.
 func ModelSweep(sc Scale, seed int64) (*ModelSweepResult, error) {
 	entries := sc.EntriesSmall
 	stream, err := workloadStream(trace.KindPermutation, entries, sc.Accesses, seed)
 	if err != nil {
 		return nil, err
+	}
+	var runs [2]RunResult
+	for i, v := range []Variant{{Name: "PathORAM", S: 1}, {Name: "Fat/S4", S: 4, Fat: true}} {
+		if runs[i], err = Run(RunSpec{
+			Entries: entries, BlockSize: 128, Variant: v,
+			Stream: stream, Evict: oram.PaperEvict, PrePlace: true,
+			Seed: seed + 29,
+		}); err != nil {
+			return nil, err
+		}
 	}
 	models := []struct {
 		name string
@@ -327,24 +337,8 @@ func ModelSweep(sc Scale, seed int64) (*ModelSweepResult, error) {
 	}
 	res := &ModelSweepResult{Entries: entries}
 	for _, mm := range models {
-		var baseTime, fatTime time.Duration
-		for _, v := range []Variant{{Name: "PathORAM", S: 1}, {Name: "Fat/S4", S: 4, Fat: true}} {
-			rr, err := Run(RunSpec{
-				Entries: entries, BlockSize: 128, Variant: v,
-				Stream: stream, Evict: oram.PaperEvict, PrePlace: true,
-				Seed: seed + 29, Model: mm.m,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if v.S <= 1 {
-				baseTime = rr.SimTime
-			} else {
-				fatTime = rr.SimTime
-			}
-		}
 		res.Models = append(res.Models, mm.name)
-		res.Speedup = append(res.Speedup, memsim.Speedup(baseTime, fatTime))
+		res.Speedup = append(res.Speedup, memsim.Speedup(runs[0].Time(mm.m), runs[1].Time(mm.m)))
 	}
 	return res, nil
 }

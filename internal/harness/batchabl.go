@@ -46,11 +46,10 @@ func BatchSweep(sc Scale, seed int64) (*BatchSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		meter := memsim.NewMeter(memsim.DDR4Default())
-		cs := oram.NewCountingStore(oram.NewMetaStore(g), meter)
+		cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
 		base, err := oram.NewClient(oram.ClientConfig{
 			Store: cs, Rand: trace.NewRNG(seed + 31), Evict: oram.PaperEvict,
-			Timer: meter, StashHits: true, Blocks: entries,
+			StashHits: true, Blocks: entries,
 		})
 		if err != nil {
 			return nil, err
@@ -69,19 +68,20 @@ func BatchSweep(sc Scale, seed int64) (*BatchSweepResult, error) {
 			return nil, err
 		}
 		cs.ResetCounters()
-		meter.Reset()
+		la.ResetStats()
 		if err := la.Run(context.Background(), batch, nil); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", batch, err)
 		}
 		c := cs.Counters()
+		simTime := memsim.DDR4Default().Time(g, c, la.Stats().AccessStats)
 		if batch == 1 {
-			baseTime = meter.Now()
+			baseTime = simTime
 		}
 		res.Rows = append(res.Rows, BatchRow{
 			BatchBins:  batch,
 			SlotsMoved: c.SlotReads + c.SlotWrites,
-			SimTime:    meter.Now(),
-			Speedup:    memsim.Speedup(baseTime, meter.Now()),
+			SimTime:    simTime,
+			Speedup:    memsim.Speedup(baseTime, simTime),
 		})
 	}
 	return res, nil

@@ -264,7 +264,7 @@ func matchRuns(got, want *drillRun) DrillMatch {
 // BytesMoved is store telemetry that checkpoints deliberately do not
 // serialise — a recovered run's counters legitimately include the doomed
 // windows' partial traffic plus the re-run (real bytes really moved) — and
-// SimTimeSeconds is always zero for remote instances.
+// SimTimeSeconds, priced from those counters, includes that traffic too.
 func restoredStatsEqual(a, b laoram.Stats) bool {
 	return a.Accesses == b.Accesses && a.PathReads == b.PathReads &&
 		a.PathWrites == b.PathWrites && a.DummyReads == b.DummyReads &&

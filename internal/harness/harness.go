@@ -108,8 +108,6 @@ type RunSpec struct {
 	// (default true; see core.LoadPrePlaced).
 	PrePlace bool
 	Seed     int64
-	// Model is the timing model (zero value → memsim.DDR4Default).
-	Model memsim.Model
 	// StashSampler, if non-nil, is called after every logical access
 	// with (accessIndex, stashSize) — the Fig. 8 probe.
 	StashSampler func(access int, stash int)
@@ -121,7 +119,9 @@ type RunSpec struct {
 
 // RunResult carries everything the experiments need.
 type RunResult struct {
-	Variant    Variant
+	Variant Variant
+	// SimTime is the DDR4 model's time for the measured phase
+	// (memsim.DDR4Default; Time prices it under any other model).
 	SimTime    time.Duration
 	Stats      oram.AccessStats
 	Core       core.Stats // populated for LAORAM variants
@@ -136,6 +136,11 @@ type RunResult struct {
 // BytesMoved returns total server traffic (the Fig. 9 numerator).
 func (r *RunResult) BytesMoved() uint64 {
 	return r.Counters.BytesRead + r.Counters.BytesWritten
+}
+
+// Time prices the measured phase's traffic under model m.
+func (r *RunResult) Time(m memsim.Model) time.Duration {
+	return m.Time(r.ServerGeom, r.Counters, r.Stats)
 }
 
 // DummyPerAccess returns Table II's metric.
@@ -159,8 +164,8 @@ func buildGeometry(spec *RunSpec) (*oram.Geometry, error) {
 	return oram.NewGeometry(cfg)
 }
 
-// Run executes one spec on a metadata-only store with the memsim clock and
-// traffic counters attached.
+// Run executes one spec on a metadata-only store with traffic counters
+// attached, and prices the measured phase on the memsim DDR4 model.
 func Run(spec RunSpec) (RunResult, error) {
 	var out RunResult
 	out.Variant = spec.Variant
@@ -172,17 +177,11 @@ func Run(spec RunSpec) (RunResult, error) {
 		}
 	}
 	out.ServerGeom = g
-	model := spec.Model
-	if model.BytesPerSecond == 0 {
-		model = memsim.DDR4Default()
-	}
-	meter := memsim.NewMeter(model)
-	cs := oram.NewCountingStore(oram.NewMetaStore(g), meter)
+	cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
 	base, err := oram.NewClient(oram.ClientConfig{
 		Store:     cs,
 		Rand:      trace.NewRNG(spec.Seed),
 		Evict:     spec.Evict,
-		Timer:     meter,
 		StashHits: true,
 		Blocks:    spec.Entries,
 	})
@@ -197,7 +196,6 @@ func Run(spec RunSpec) (RunResult, error) {
 			return out, err
 		}
 		cs.ResetCounters()
-		meter.Reset()
 		base.ResetStats()
 		base.Stash().ResetPeak()
 		for i, a := range spec.Stream {
@@ -230,7 +228,6 @@ func Run(spec RunSpec) (RunResult, error) {
 			}
 		}
 		cs.ResetCounters()
-		meter.Reset()
 		la.ResetStats()
 		base.Stash().ResetPeak()
 		for !la.Done() {
@@ -246,8 +243,8 @@ func Run(spec RunSpec) (RunResult, error) {
 		out.PlanBytes = plan.MetadataBytes()
 	}
 	out.WallTime = time.Since(wallStart)
-	out.SimTime = meter.Now()
 	out.Counters = cs.Counters()
+	out.SimTime = out.Time(memsim.DDR4Default())
 	out.StashPeak = base.Stash().Peak()
 	out.PosBytes = base.PosMap().Bytes()
 	return out, nil

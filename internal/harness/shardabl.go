@@ -7,7 +7,6 @@ import (
 
 	laoram "repro"
 	"repro/internal/batch"
-	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -48,8 +47,9 @@ type ShardSweepResult struct {
 	Rows     []ShardRow
 }
 
-// buildShardEngine assembles an n-shard metadata-only engine with
-// per-shard meters and traffic counters (the harness measurement stack).
+// buildShardEngine assembles an n-shard metadata-only engine with per-shard
+// traffic counters (the harness measurement stack; Engine.Stats prices
+// each shard's counts).
 func buildShardEngine(entries uint64, n int, seed int64) (*shard.Engine, error) {
 	return shard.New(shard.Config{
 		Shards:  n,
@@ -62,16 +62,15 @@ func buildShardEngine(entries uint64, n int, seed int64) (*shard.Engine, error) 
 			if err != nil {
 				return shard.Sub{}, err
 			}
-			meter := memsim.NewMeter(memsim.DDR4Default())
-			cs := oram.NewCountingStore(oram.NewMetaStore(g), meter)
+			cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
 			client, err := oram.NewClient(oram.ClientConfig{
 				Store: cs, Rand: trace.NewRNG(sd), Evict: oram.PaperEvict,
-				Timer: meter, StashHits: true, Blocks: per,
+				StashHits: true, Blocks: per,
 			})
 			if err != nil {
 				return shard.Sub{}, err
 			}
-			return shard.Sub{Client: client, Store: cs, Meter: meter}, nil
+			return shard.Sub{Client: client, Store: cs}, nil
 		},
 	})
 }
@@ -145,7 +144,7 @@ func (r *ShardSweepResult) Render() string {
 			fmt.Sprintf("%d", row.SlotsMoved),
 		)
 	}
-	t.AddNote("each shard is an independent tree with its own DDR4 channel meter; sim time is the slowest shard's clock (the critical lane)")
+	t.AddNote("each shard is an independent tree priced as its own DDR4 channel; sim time is the slowest shard's (the critical lane)")
 	t.AddNote("per-shard trees are log2(shards) levels shorter, so traffic also drops as shards increase")
 	return t.Render()
 }

@@ -6,13 +6,16 @@
 // structure (see DESIGN.md, "Substitutions").
 //
 // The model is intentionally simple and fully deterministic: simulated time
-// advances only through explicit charges. Speedups are computed as
+// is a pure function of a run's counts (Model.Time), computed after the
+// fact; nothing on the access path charges a clock. Speedups are computed as
 // simTime(baseline)/simTime(config), mirroring Fig. 7.
 package memsim
 
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/oram"
 )
 
 // Model holds the cost parameters of the simulated memory system.
@@ -52,57 +55,31 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// Meter accumulates simulated time under a Model. It implements both
-// oram.Ticker (byte transfers) and oram.Timer (request/stash events) so it
-// plugs into the CountingStore and the ORAM clients without those packages
-// importing memsim.
-type Meter struct {
-	model Model
-	now   time.Duration
-}
-
-// NewMeter builds a meter; panics on an invalid model (programmer error).
-func NewMeter(model Model) *Meter {
-	if err := model.Validate(); err != nil {
-		panic(err)
+// Time returns the simulated time of the traffic in c and the client work
+// in s on a tree of geometry g:
+//
+//   - bandwidth: every bucket transfer at level l costs
+//     BucketSize(l)·BlockSize bytes over BytesPerSecond, truncated to a
+//     whole nanosecond per transfer, times c.LevelTransfers[l];
+//   - latency: one RequestLatency per path-granularity round trip. A real
+//     path read and its write-back are one each and a dummy read is both, so
+//     requests = PathReads + PathWrites + 2·DummyReads (a joint fetch of k
+//     paths is k requests, as PathReads counts it);
+//   - client CPU: PerBlockCPU per real block the client moved
+//     (s.BlocksMoved).
+//
+// The counters and the stats must cover the same window: reset both
+// together.
+func (m Model) Time(g *oram.Geometry, c oram.Counters, s oram.AccessStats) time.Duration {
+	var t time.Duration
+	for lvl := 0; lvl < g.Levels(); lvl++ {
+		bytes := g.BucketSize(lvl) * g.BlockSize()
+		t += time.Duration(c.LevelTransfers[lvl]) * time.Duration(float64(bytes)/m.BytesPerSecond*float64(time.Second))
 	}
-	return &Meter{model: model}
-}
-
-// Model returns the cost parameters.
-func (mt *Meter) Model() Model { return mt.model }
-
-// Now returns accumulated simulated time.
-func (mt *Meter) Now() time.Duration { return mt.now }
-
-// Reset zeroes the simulated clock.
-func (mt *Meter) Reset() { mt.now = 0 }
-
-// Advance adds an explicit duration (e.g. preprocessing CPU time measured
-// elsewhere).
-func (mt *Meter) Advance(d time.Duration) { mt.now += d }
-
-// OnTransfer charges bandwidth time for a bulk transfer of n bytes.
-// Implements oram.Ticker.
-func (mt *Meter) OnTransfer(bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	sec := float64(bytes) / mt.model.BytesPerSecond
-	mt.now += time.Duration(sec * float64(time.Second))
-}
-
-// OnPathRequest charges one request round-trip latency. Implements
-// oram.Timer.
-func (mt *Meter) OnPathRequest() { mt.now += mt.model.RequestLatency }
-
-// OnStashWork charges client CPU for handling n blocks. Implements
-// oram.Timer.
-func (mt *Meter) OnStashWork(blocks int) {
-	if blocks <= 0 {
-		return
-	}
-	mt.now += time.Duration(blocks) * mt.model.PerBlockCPU
+	requests := s.PathReads + s.PathWrites + 2*s.DummyReads
+	t += time.Duration(requests) * m.RequestLatency
+	t += time.Duration(s.BlocksMoved) * m.PerBlockCPU
+	return t
 }
 
 // Speedup returns base/this as a ratio of simulated times; it is the

@@ -3,6 +3,8 @@ package memsim
 import (
 	"testing"
 	"time"
+
+	"repro/internal/oram"
 )
 
 func TestModelValidate(t *testing.T) {
@@ -22,58 +24,44 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
-func TestNewMeterPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewMeter(Model{})
-}
-
+// TestMeterCharging checks what Model.Time charges for each count, priced
+// by hand: bandwidth per bucket transfer at its level's width (whole
+// nanoseconds per transfer), one latency per request (PathReads + PathWrites
+// + 2·DummyReads) and CPU per block moved.
 func TestMeterCharging(t *testing.T) {
 	m := Model{
 		RequestLatency: time.Microsecond,
 		BytesPerSecond: 1e9, // 1 GB/s → 1 ns per byte
 		PerBlockCPU:    10 * time.Nanosecond,
 	}
-	mt := NewMeter(m)
-	if mt.Now() != 0 {
-		t.Fatal("fresh meter nonzero")
+	g := oram.MustGeometry(oram.GeometryConfig{LeafBits: 2, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 100})
+	if got := m.Time(g, oram.Counters{}, oram.AccessStats{}); got != 0 {
+		t.Fatalf("no counts priced at %v", got)
 	}
-	if mt.Model() != m {
-		t.Fatal("model not retained")
+	var c oram.Counters
+	c.LevelTransfers[0] = 1 // 8 slots · 100 B = 800 ns
+	c.LevelTransfers[2] = 3 // 4 slots · 100 B = 400 ns each
+	if got, want := m.Time(g, c, oram.AccessStats{}), 2000*time.Nanosecond; got != want {
+		t.Errorf("transfers: %v, want %v", got, want)
 	}
-	mt.OnPathRequest()
-	if mt.Now() != time.Microsecond {
-		t.Errorf("after request: %v", mt.Now())
+	s := oram.AccessStats{PathReads: 2, PathWrites: 2, DummyReads: 1, Accesses: 9, StashHits: 4, Remaps: 7}
+	if got, want := m.Time(g, oram.Counters{}, s), 6*time.Microsecond; got != want {
+		t.Errorf("requests: %v, want %v", got, want)
 	}
-	mt.OnTransfer(1000)
-	want := time.Microsecond + 1000*time.Nanosecond
-	if mt.Now() != want {
-		t.Errorf("after transfer: %v, want %v", mt.Now(), want)
+	if got, want := m.Time(g, oram.Counters{}, oram.AccessStats{BlocksMoved: 5}), 50*time.Nanosecond; got != want {
+		t.Errorf("blocks moved: %v, want %v", got, want)
 	}
-	mt.OnStashWork(5)
-	want += 50 * time.Nanosecond
-	if mt.Now() != want {
-		t.Errorf("after stash work: %v, want %v", mt.Now(), want)
+	s.BlocksMoved = 5
+	if got, want := m.Time(g, c, s), 2000*time.Nanosecond+6*time.Microsecond+50*time.Nanosecond; got != want {
+		t.Errorf("all counts: %v, want %v", got, want)
 	}
-	// Zero/negative events are no-ops.
-	mt.OnTransfer(0)
-	mt.OnTransfer(-5)
-	mt.OnStashWork(0)
-	mt.OnStashWork(-1)
-	if mt.Now() != want {
-		t.Errorf("no-op events advanced clock: %v", mt.Now())
-	}
-	mt.Advance(time.Millisecond)
-	want += time.Millisecond
-	if mt.Now() != want {
-		t.Errorf("Advance: %v", mt.Now())
-	}
-	mt.Reset()
-	if mt.Now() != 0 {
-		t.Error("Reset failed")
+	// Each transfer truncates to whole nanoseconds before it is multiplied:
+	// 400 B at 3 GB/s is 133.3 ns, so three transfers cost 399 ns.
+	m.BytesPerSecond = 3e9
+	var leaf oram.Counters
+	leaf.LevelTransfers[2] = 3
+	if got, want := m.Time(g, leaf, oram.AccessStats{}), 399*time.Nanosecond; got != want {
+		t.Errorf("truncation: %v, want %v", got, want)
 	}
 }
 
@@ -91,19 +79,26 @@ func TestSpeedup(t *testing.T) {
 // (3Z+1)/(2(Z+1)) factor in §VIII-F comes straight from this.
 func TestBandwidthDominatedOrdering(t *testing.T) {
 	m := DDR4Default()
-	normal := NewMeter(m)
-	fat := NewMeter(m)
 	const blockBytes = 128
-	// Normal Z=4 path of 21 levels = 84 slots; fat 8→4 ≈ 127 slots.
-	normal.OnPathRequest()
-	normal.OnTransfer(84 * blockBytes)
-	fat.OnPathRequest()
-	fat.OnTransfer(127 * blockBytes)
-	if fat.Now() <= normal.Now() {
-		t.Errorf("fat path (%v) should cost more than normal (%v)", fat.Now(), normal.Now())
+	normal := oram.MustGeometry(oram.GeometryConfig{LeafBits: 20, LeafZ: 4, BlockSize: blockBytes})
+	fat := oram.MustGeometry(oram.GeometryConfig{LeafBits: 20, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: blockBytes})
+	// One path read: one request, one transfer per level.
+	path := func(g *oram.Geometry) (time.Duration, int) {
+		var c oram.Counters
+		slots := 0
+		for lvl := 0; lvl < g.Levels(); lvl++ {
+			c.LevelTransfers[lvl] = 1
+			slots += g.BucketSize(lvl)
+		}
+		return m.Time(g, c, oram.AccessStats{PathReads: 1}), slots
 	}
-	ratio := float64(fat.Now()-time.Microsecond) / float64(normal.Now()-time.Microsecond)
-	if ratio < 1.4 || ratio > 1.6 {
-		t.Errorf("bandwidth ratio = %.2f, want ≈ 127/84 = 1.51", ratio)
+	nt, ns := path(normal)
+	ft, fs := path(fat)
+	if ft <= nt {
+		t.Errorf("fat path (%v) should cost more than normal (%v)", ft, nt)
+	}
+	ratio := float64(ft-time.Microsecond) / float64(nt-time.Microsecond)
+	if want := float64(fs) / float64(ns); ratio < want-0.05 || ratio > want+0.05 {
+		t.Errorf("bandwidth ratio = %.2f, want ≈ %d/%d = %.2f", ratio, fs, ns, want)
 	}
 }

@@ -82,10 +82,14 @@ type GeometryConfig struct {
 	BlockSize int
 }
 
+// maxLevels bounds Levels: LeafBits is at most 40. Counters sizes its
+// per-level array from it.
+const maxLevels = 41
+
 // NewGeometry validates cfg and builds the tree shape.
 func NewGeometry(cfg GeometryConfig) (*Geometry, error) {
-	if cfg.LeafBits < 1 || cfg.LeafBits > 40 {
-		return nil, fmt.Errorf("oram: LeafBits %d out of range [1,40]", cfg.LeafBits)
+	if cfg.LeafBits < 1 || cfg.LeafBits >= maxLevels {
+		return nil, fmt.Errorf("oram: LeafBits %d out of range [1,%d]", cfg.LeafBits, maxLevels-1)
 	}
 	if cfg.LeafZ < 1 {
 		return nil, fmt.Errorf("oram: LeafZ %d must be >= 1", cfg.LeafZ)

@@ -181,8 +181,8 @@ func (c *Client) onePath(leaf Leaf) []Leaf {
 // set of one leaf. The union moves in one ReadBuckets call on the store's
 // Face: one pass over a local PayloadStore's arena or one network frame on a
 // remote store, and the bucket loop over the same refs on a bucket-only
-// store. It performs no statistics accounting beyond timing: callers decide
-// whether the read was a real access or a dummy.
+// store. It counts only BlocksMoved: callers decide whether the read was a
+// real access or a dummy.
 func (c *Client) ReadPaths(leaves []Leaf) error {
 	if len(leaves) == 0 {
 		return nil
@@ -193,9 +193,6 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: ReadPaths: invalid leaf %d", l)
 		}
 	}
-	// Charged before the fetch: a fetch that fails has still cost its round
-	// trips.
-	c.chargeRequests(len(leaves))
 	refs := c.pathUnion(leaves)
 	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
 	if err := c.face.ReadBuckets(refs, bufs); err != nil {
@@ -205,20 +202,8 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 	if err != nil {
 		return err
 	}
-	if c.timer != nil && moved > 0 {
-		c.timer.OnStashWork(moved)
-	}
+	c.stats.BlocksMoved += uint64(moved)
 	return nil
-}
-
-// chargeRequests charges the timing model one path request per path of a
-// joint operation.
-func (c *Client) chargeRequests(paths int) {
-	if c.timer != nil {
-		for ; paths > 0; paths-- {
-			c.timer.OnPathRequest()
-		}
-	}
 }
 
 // WriteBackPaths writes a set of previously read paths back in one joint
@@ -255,7 +240,6 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: WriteBackPaths: invalid leaf %d", l)
 		}
 	}
-	c.chargeRequests(len(leaves))
 
 	// The union of buckets, deepest level first; within a level, ascending
 	// by node. NodeAt is monotone in the leaf, so walking the distinct
@@ -320,9 +304,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
 	}
 	c.stash.removeMarked(placed)
-	if c.timer != nil && moved > 0 {
-		c.timer.OnStashWork(moved)
-	}
+	c.stats.BlocksMoved += uint64(moved)
 	return nil
 }
 

@@ -209,11 +209,41 @@ func TestWriteBackPathsDrainsStash(t *testing.T) {
 	}
 }
 
-// countingTimer tallies what a client charges the timing model.
-type countingTimer struct{ requests, stashBlocks int }
+// workSpy is a bucket-only store that tallies what the timing model prices:
+// leaf-level buckets moved (one per path, a path having one leaf bucket) and
+// real blocks read and written.
+type workSpy struct {
+	*MetaStore
+	leafReads, leafWrites, realRead, realWritten uint64
+}
 
-func (ct *countingTimer) OnPathRequest()    { ct.requests++ }
-func (ct *countingTimer) OnStashWork(n int) { ct.stashBlocks += n }
+func (w *workSpy) ReadBucket(level int, node uint64, dst []Slot) error {
+	if err := w.MetaStore.ReadBucket(level, node, dst); err != nil {
+		return err
+	}
+	if level == w.geom.LeafBits() {
+		w.leafReads++
+	}
+	w.realRead += realSlots(dst)
+	return nil
+}
+
+func (w *workSpy) WriteBucket(level int, node uint64, src []Slot) error {
+	if level == w.geom.LeafBits() {
+		w.leafWrites++
+	}
+	w.realWritten += realSlots(src)
+	return w.MetaStore.WriteBucket(level, node, src)
+}
+
+func realSlots(b []Slot) (n uint64) {
+	for _, s := range b {
+		if !s.Dummy() {
+			n++
+		}
+	}
+	return n
+}
 
 // downStore is a store whose every transfer fails; downBatch is the same
 // store seen batch-native, so the joint operations reach ReadBuckets and
@@ -229,41 +259,87 @@ func (downStore) WriteBucket(int, uint64, []Slot) error    { return errStoreDown
 func (downBatch) ReadBuckets([]BucketRef, [][]Slot) error  { return errStoreDown }
 func (downBatch) WriteBuckets([]BucketRef, [][]Slot) error { return errStoreDown }
 
-// TestFailedFetchChargesItsRoundTrips: a fetch that fails has still cost its
-// round trips on the simulated clock — one request per path, charged before
-// the store is asked — whether it went out as a one-leaf ReadPaths or as a
-// joint ReadPaths, over the bucket loop or a batch-native store; no
-// stash work is charged for blocks that never arrived. The write-backs charge
-// the same way.
-func TestFailedFetchChargesItsRoundTrips(t *testing.T) {
+// TestClientCountsPricedWork: the client's AccessStats carry everything the
+// timing model prices besides the store's per-level transfers. Every path
+// moved is one request, so the paths the store saw equal PathReads +
+// PathWrites + 2·DummyReads, and BlocksMoved equals the real blocks the
+// store handed up plus those written down — over single accesses, first
+// writes, joint batches and dummy reads. A call that fails counts no blocks,
+// over the bucket loop or a batch-native store.
+func TestClientCountsPricedWork(t *testing.T) {
 	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 4})
-	for _, native := range []bool{false, true} {
-		var st Store = downStore{NewMetaStore(g)}
-		if native {
-			st = downBatch{downStore{NewMetaStore(g)}}
+	spy := &workSpy{MetaStore: NewMetaStore(g)}
+	c, err := NewClient(ClientConfig{
+		Store: spy, Rand: rand.New(rand.NewSource(1)), StashHits: true, Blocks: 80,
+		Evict: EvictConfig{Enabled: true, High: 6, Low: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(64, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	*spy = workSpy{MetaStore: spy.MetaStore}
+	c.ResetStats()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 300; i++ {
+		if _, err := c.Access(OpRead, BlockID(rng.Intn(64)), nil); err != nil {
+			t.Fatal(err)
 		}
-		timer := &countingTimer{}
-		c, err := NewClient(ClientConfig{Store: st, Rand: rand.New(rand.NewSource(1)), Timer: timer, Blocks: 16})
+	}
+	for id := BlockID(64); id < 80; id++ { // first writes: a cover path each
+		if _, err := c.Access(OpWrite, id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		ids := make([]BlockID, 6)
+		for k := range ids {
+			ids[k] = BlockID(rng.Intn(80))
+		}
+		if err := c.AccessBatch(OpRead, ids, nil, make([][]byte, len(ids))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := c.DummyRead(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.DummyReads == 0 || st.BlocksMoved == 0 {
+		t.Fatalf("workload too light: %+v", st)
+	}
+	if paths, requests := spy.leafReads+spy.leafWrites, st.PathReads+st.PathWrites+2*st.DummyReads; paths != requests {
+		t.Errorf("store moved %d paths, stats price %d requests (%+v)", paths, requests, st)
+	}
+	if blocks := spy.realRead + spy.realWritten; blocks != st.BlocksMoved {
+		t.Errorf("store moved %d real blocks, BlocksMoved = %d", blocks, st.BlocksMoved)
+	}
+
+	for _, native := range []bool{false, true} {
+		var down Store = downStore{NewMetaStore(g)}
+		if native {
+			down = downBatch{downStore{NewMetaStore(g)}}
+		}
+		c, err := NewClient(ClientConfig{Store: down, Rand: rand.New(rand.NewSource(1)), Blocks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			name  string
-			fetch func() error
-			want  int
+			name string
+			call func() error
 		}{
-			{"ReadPaths/1", func() error { return c.ReadPaths([]Leaf{3}) }, 1},
-			{"ReadPaths/3", func() error { return c.ReadPaths([]Leaf{3, 17, 30}) }, 3},
-			{"WriteBackPath", func() error { return c.WriteBackPath(3) }, 1},
-			{"WriteBackPaths/3", func() error { return c.WriteBackPaths([]Leaf{3, 17, 30}) }, 3},
+			{"ReadPaths/1", func() error { return c.ReadPaths([]Leaf{3}) }},
+			{"ReadPaths/3", func() error { return c.ReadPaths([]Leaf{3, 17, 30}) }},
+			{"WriteBackPath", func() error { return c.WriteBackPath(3) }},
+			{"WriteBackPaths/3", func() error { return c.WriteBackPaths([]Leaf{3, 17, 30}) }},
 		} {
-			*timer = countingTimer{}
-			if err := tc.fetch(); !errors.Is(err, errStoreDown) {
+			if err := tc.call(); !errors.Is(err, errStoreDown) {
 				t.Fatalf("native=%v %s: err = %v, want the store's", native, tc.name, err)
 			}
-			if timer.requests != tc.want || timer.stashBlocks != 0 {
-				t.Errorf("native=%v %s: failed call charged %d requests and %d stash blocks, want %d and 0",
-					native, tc.name, timer.requests, timer.stashBlocks, tc.want)
+			if st := c.Stats(); st != (AccessStats{}) {
+				t.Errorf("native=%v %s: failed call counted %+v", native, tc.name, st)
 			}
 		}
 	}

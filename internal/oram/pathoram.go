@@ -5,17 +5,6 @@ import (
 	"math/rand"
 )
 
-// Timer observes client-side request boundaries for the timing model.
-// memsim.Meter implements it; a nil Timer disables simulated timing.
-type Timer interface {
-	// OnPathRequest is charged once per path-granularity round trip to
-	// server storage (path read, path write-back, dummy read, ...).
-	OnPathRequest()
-	// OnStashWork is charged for client-side metadata management over the
-	// given number of blocks (stash scan/insert, position-map updates).
-	OnStashWork(blocks int)
-}
-
 // EvictConfig controls background eviction (§II-E, §VIII-E): when the stash
 // exceeds High blocks, dummy reads are issued until it drains to Low.
 type EvictConfig struct {
@@ -40,6 +29,11 @@ type AccessStats struct {
 	PathWrites uint64 // path write-backs paired with real reads
 	DummyReads uint64 // background-eviction path read+write pairs
 	Remaps     uint64 // uniform re-assignments of a block's leaf
+	// BlocksMoved counts real blocks taken into the stash by path reads
+	// plus those placed by write-backs: the client-side work a timing model
+	// prices per block (memsim.Time). Telemetry, like Counters: checkpoints
+	// do not carry it.
+	BlocksMoved uint64
 }
 
 // DummyReadsPerAccess returns Table II's metric.
@@ -50,15 +44,29 @@ func (s AccessStats) DummyReadsPerAccess() float64 {
 	return float64(s.DummyReads) / float64(s.Accesses)
 }
 
+// Add returns the sum s + o, for aggregating shards.
+func (s AccessStats) Add(o AccessStats) AccessStats {
+	return AccessStats{
+		Accesses:    s.Accesses + o.Accesses,
+		StashHits:   s.StashHits + o.StashHits,
+		PathReads:   s.PathReads + o.PathReads,
+		PathWrites:  s.PathWrites + o.PathWrites,
+		DummyReads:  s.DummyReads + o.DummyReads,
+		Remaps:      s.Remaps + o.Remaps,
+		BlocksMoved: s.BlocksMoved + o.BlocksMoved,
+	}
+}
+
 // Sub returns the difference s - prev for windowed measurement.
 func (s AccessStats) Sub(prev AccessStats) AccessStats {
 	return AccessStats{
-		Accesses:   s.Accesses - prev.Accesses,
-		StashHits:  s.StashHits - prev.StashHits,
-		PathReads:  s.PathReads - prev.PathReads,
-		PathWrites: s.PathWrites - prev.PathWrites,
-		DummyReads: s.DummyReads - prev.DummyReads,
-		Remaps:     s.Remaps - prev.Remaps,
+		Accesses:    s.Accesses - prev.Accesses,
+		StashHits:   s.StashHits - prev.StashHits,
+		PathReads:   s.PathReads - prev.PathReads,
+		PathWrites:  s.PathWrites - prev.PathWrites,
+		DummyReads:  s.DummyReads - prev.DummyReads,
+		Remaps:      s.Remaps - prev.Remaps,
+		BlocksMoved: s.BlocksMoved - prev.BlocksMoved,
 	}
 }
 
@@ -72,8 +80,6 @@ type ClientConfig struct {
 	Rand *rand.Rand
 	// Evict is the background-eviction policy.
 	Evict EvictConfig
-	// Timer receives simulated-time events; may be nil.
-	Timer Timer
 	// StashHits, when true (the paper's description, §II-C step 1:
 	// "If the block is already in the stash, it is immediately
 	// provided"), serves stash-resident blocks without touching the
@@ -99,7 +105,6 @@ type Client struct {
 	stash *Stash
 	rng   *rand.Rand
 	evict EvictConfig
-	timer Timer
 	stats AccessStats
 
 	stashHits bool
@@ -146,7 +151,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		stash:     NewStash(),
 		rng:       cfg.Rand,
 		evict:     cfg.Evict,
-		timer:     cfg.Timer,
 		stashHits: cfg.StashHits,
 	}
 	return c, nil
@@ -213,7 +217,6 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 	if !c.geom.ValidLeaf(leaf) {
 		return fmt.Errorf("oram: WriteBackPath: invalid leaf %d", leaf)
 	}
-	c.chargeRequests(1)
 	plan := c.stash.evictPlanInto(&c.planner, c.geom, leaf)
 	refs := c.pathUnion(c.onePath(leaf))
 	bufs := c.multi.batchBufs(len(refs), 0, c.geom.BucketSize)
@@ -237,9 +240,7 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 			c.stash.Remove(id)
 		}
 	}
-	if c.timer != nil && moved > 0 {
-		c.timer.OnStashWork(moved)
-	}
+	c.stats.BlocksMoved += uint64(moved)
 	return nil
 }
 

@@ -690,6 +690,9 @@ type Counters struct {
 	SlotWrites   uint64
 	BytesRead    uint64
 	BytesWritten uint64
+	// LevelTransfers counts bucket reads plus writes by tree level: with the
+	// geometry, what a timing model needs to price the traffic (memsim.Time).
+	LevelTransfers [maxLevels]uint64
 }
 
 // Total returns total slots and bytes moved in both directions.
@@ -697,41 +700,56 @@ func (c *Counters) Total() (slots, bytes uint64) {
 	return c.SlotReads + c.SlotWrites, c.BytesRead + c.BytesWritten
 }
 
+// Add returns the sum c + o, for aggregating shards.
+func (c Counters) Add(o Counters) Counters {
+	c.BucketReads += o.BucketReads
+	c.BucketWrites += o.BucketWrites
+	c.SlotReads += o.SlotReads
+	c.SlotWrites += o.SlotWrites
+	c.BytesRead += o.BytesRead
+	c.BytesWritten += o.BytesWritten
+	for i, n := range o.LevelTransfers {
+		c.LevelTransfers[i] += n
+	}
+	return c
+}
+
 // Sub returns the difference c - prev, for windowed measurements.
 func (c Counters) Sub(prev Counters) Counters {
-	return Counters{
-		BucketReads:  c.BucketReads - prev.BucketReads,
-		BucketWrites: c.BucketWrites - prev.BucketWrites,
-		SlotReads:    c.SlotReads - prev.SlotReads,
-		SlotWrites:   c.SlotWrites - prev.SlotWrites,
-		BytesRead:    c.BytesRead - prev.BytesRead,
-		BytesWritten: c.BytesWritten - prev.BytesWritten,
+	c.BucketReads -= prev.BucketReads
+	c.BucketWrites -= prev.BucketWrites
+	c.SlotReads -= prev.SlotReads
+	c.SlotWrites -= prev.SlotWrites
+	c.BytesRead -= prev.BytesRead
+	c.BytesWritten -= prev.BytesWritten
+	for i, n := range prev.LevelTransfers {
+		c.LevelTransfers[i] -= n
 	}
+	return c
 }
 
 // CountingStore wraps a Store and tallies the logical traffic of the calls it
 // is handed (see Counters) — the same tally whatever sits below it, a Treetop
 // included, so figures and count metrics do not depend on where a bucket
-// lives. It is also the hook for the memsim timing model: if a Ticker is
-// installed every transfer charges simulated time.
+// lives.
 type CountingStore struct {
 	inner Face // the wrapped store, resolved once
 	c     Counters
-	tick  Ticker
 	mu    sync.Mutex // protects c; remote server may count concurrently
-}
-
-// Ticker receives byte-level transfer events; memsim.Meter implements it.
-type Ticker interface {
-	// OnTransfer is called once per bucket read/write with the bytes moved.
-	OnTransfer(bytes int)
 }
 
 var _ Store = (*CountingStore)(nil)
 
-// NewCountingStore wraps inner. tick may be nil.
-func NewCountingStore(inner Store, tick Ticker) *CountingStore {
-	return &CountingStore{inner: Resolve(inner), tick: tick}
+// NewCountingStore wraps inner. The second parameter must be nil: it exists
+// only for benchmark/engine.go's call, until that hand-built engine goes
+// (ROADMAP direction 1B). A non-nil value panics, so no caller believes it
+// installed a clock: simulated time is computed from the counters
+// (memsim.Model.Time), not charged here.
+func NewCountingStore(inner Store, mustBeNil any) *CountingStore {
+	if mustBeNil != nil {
+		panic("oram: NewCountingStore takes no timing hook; price Counters with memsim.Model.Time")
+	}
+	return &CountingStore{inner: Resolve(inner)}
 }
 
 // Geometry implements Store.
@@ -751,41 +769,31 @@ func (cs *CountingStore) ResetCounters() {
 	cs.c = Counters{}
 }
 
-// charge tallies one store call — buckets whole buckets holding slots slots
-// in all — under a single lock, however many buckets the call moved: a lane
-// charges once per bucket union, and the remote server's workers
-// contend once per frame.
-func (cs *CountingStore) charge(read bool, buckets, slots int) {
-	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
-	cs.mu.Lock()
-	if read {
-		cs.c.BucketReads += uint64(buckets)
-		cs.c.SlotReads += uint64(slots)
-		cs.c.BytesRead += bytes
-	} else {
-		cs.c.BucketWrites += uint64(buckets)
-		cs.c.SlotWrites += uint64(slots)
-		cs.c.BytesWritten += bytes
-	}
-	cs.mu.Unlock()
-}
-
-// chargeBuckets charges one call that moved bufs, then hands an installed
-// Ticker its per-bucket transfers in bufs order — the sequence the buckets
-// would have produced moved one call each, so simulated time does not depend
-// on how the client grouped them.
-func (cs *CountingStore) chargeBuckets(read bool, bufs ...[]Slot) {
+// charge tallies one store call that moved bufs to or from the buckets at
+// refs under a single lock, however many buckets the call moved: a lane
+// charges once per bucket union, and the remote server's workers contend
+// once per frame.
+func (cs *CountingStore) charge(read bool, refs []BucketRef, bufs [][]Slot) {
 	slots := 0
 	for _, b := range bufs {
 		slots += len(b)
 	}
-	cs.charge(read, len(bufs), slots)
-	if cs.tick != nil {
-		bs := cs.Geometry().BlockSize()
-		for _, b := range bufs {
-			cs.tick.OnTransfer(len(b) * bs)
-		}
+	buckets := uint64(len(bufs))
+	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
+	cs.mu.Lock()
+	if read {
+		cs.c.BucketReads += buckets
+		cs.c.SlotReads += uint64(slots)
+		cs.c.BytesRead += bytes
+	} else {
+		cs.c.BucketWrites += buckets
+		cs.c.SlotWrites += uint64(slots)
+		cs.c.BytesWritten += bytes
 	}
+	for _, r := range refs {
+		cs.c.LevelTransfers[r.Level]++
+	}
+	cs.mu.Unlock()
 }
 
 // ReadBucket implements Store.
@@ -793,7 +801,7 @@ func (cs *CountingStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	if err := cs.inner.ReadBucket(level, node, dst); err != nil {
 		return err
 	}
-	cs.chargeBuckets(true, dst)
+	cs.charge(true, []BucketRef{{Level: level, Node: node}}, [][]Slot{dst})
 	return nil
 }
 
@@ -802,7 +810,7 @@ func (cs *CountingStore) WriteBucket(level int, node uint64, src []Slot) error {
 	if err := cs.inner.WriteBucket(level, node, src); err != nil {
 		return err
 	}
-	cs.chargeBuckets(false, src)
+	cs.charge(false, []BucketRef{{Level: level, Node: node}}, [][]Slot{src})
 	return nil
 }
 
@@ -814,7 +822,7 @@ func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	if err := cs.inner.ReadBuckets(refs, dst); err != nil {
 		return err
 	}
-	cs.chargeBuckets(true, dst...)
+	cs.charge(true, refs, dst)
 	return nil
 }
 
@@ -823,7 +831,7 @@ func (cs *CountingStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	if err := cs.inner.WriteBuckets(refs, src); err != nil {
 		return err
 	}
-	cs.chargeBuckets(false, src...)
+	cs.charge(false, refs, src)
 	return nil
 }
 

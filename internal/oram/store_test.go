@@ -2,7 +2,7 @@ package oram
 
 import (
 	"bytes"
-	"slices"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -164,14 +164,9 @@ func TestPayloadStoreSealed(t *testing.T) {
 	}
 }
 
-type recordTicker struct{ events []int }
-
-func (r *recordTicker) OnTransfer(bytes int) { r.events = append(r.events, bytes) }
-
 func TestCountingStore(t *testing.T) {
 	g := testGeom(t, 32)
-	tick := &recordTicker{}
-	cs := NewCountingStore(NewMetaStore(g), tick)
+	cs := NewCountingStore(NewMetaStore(g), nil)
 	buf := make([]Slot, 3)
 	if err := cs.ReadBucket(0, 0, buf); err != nil {
 		t.Fatal(err)
@@ -202,15 +197,17 @@ func TestCountingStore(t *testing.T) {
 	if slots != 15 || bytesMoved != 480 {
 		t.Errorf("Total = %d slots %d bytes, want 15/480", slots, bytesMoved)
 	}
-	if len(tick.events) != 5 {
-		t.Errorf("ticker saw %d events, want 5", len(tick.events))
+	var levels [maxLevels]uint64
+	levels[0], levels[1] = 2, 3
+	if c.LevelTransfers != levels {
+		t.Errorf("level transfers = %v, want %v", c.LevelTransfers[:g.Levels()], levels[:g.Levels()])
 	}
 	prev := cs.Counters()
 	if err := cs.ReadSlot(1, 0, 0, &s); err != nil {
 		t.Fatal(err)
 	}
 	d := cs.Counters().Sub(prev)
-	if d.SlotReads != 3 || d.SlotWrites != 0 {
+	if d.SlotReads != 3 || d.SlotWrites != 0 || d.LevelTransfers[1] != 1 || d.LevelTransfers[0] != 0 {
 		t.Errorf("windowed delta = %+v", d)
 	}
 	cs.ResetCounters()
@@ -219,14 +216,59 @@ func TestCountingStore(t *testing.T) {
 	}
 }
 
+func TestCountingStoreRefusesAHook(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a non-nil second argument was accepted")
+		}
+	}()
+	NewCountingStore(NewMetaStore(testGeom(t, 8)), struct{}{})
+}
+
+// fillDistinct sets every uint64 field of *p, array elements included, to a
+// distinct non-zero value starting at base.
+func fillDistinct(p any, base uint64) {
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() == reflect.Array {
+			for k := 0; k < f.Len(); k++ {
+				base++
+				f.Index(k).SetUint(base)
+			}
+			continue
+		}
+		base++
+		f.SetUint(base)
+	}
+}
+
+// TestStatsAddSub: Add and Sub are inverses over every field of AccessStats
+// and Counters, so a field added to either struct and forgotten in one of
+// them fails here rather than vanishing from the shard sums.
+func TestStatsAddSub(t *testing.T) {
+	var s, ds AccessStats
+	fillDistinct(&s, 1000)
+	fillDistinct(&ds, 10)
+	if got := s.Add(ds).Sub(ds); got != s {
+		t.Errorf("AccessStats: x.Add(y).Sub(y) = %+v, want %+v", got, s)
+	}
+	var c, dc Counters
+	fillDistinct(&c, 1000)
+	fillDistinct(&dc, 10)
+	if got := c.Add(dc).Sub(dc); got != c {
+		t.Errorf("Counters: x.Add(y).Sub(y) = %+v, want %+v", got, c)
+	}
+}
+
 // TestCountingStoreChargeEquivalence: CountingStore charges once per store
 // call, and the ledger must not show it — the same bucket set moved bucket by
 // bucket and as one batch (a path's refs, root first) produces identical
-// Counters and an identical per-bucket OnTransfer sequence, over a store the
-// wrapper unrolls (MetaStore) and one it delegates to (PayloadStore), reads
-// and writes alike.
+// Counters, per-level transfers included (one per level of the path), over a
+// store the wrapper unrolls (MetaStore) and one it delegates to
+// (PayloadStore), reads and writes alike.
 func TestCountingStoreChargeEquivalence(t *testing.T) {
-	// A fat tree: bucket sizes differ by level, so the OnTransfer order shows.
+	// A fat tree: bucket sizes differ by level, so a level mix-up shows.
 	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 2, RootZ: 7, Profile: ProfileLinear, BlockSize: 24})
 	inners := map[string]func() Store{
 		"MetaStore": func() Store { return NewMetaStore(g) },
@@ -272,10 +314,8 @@ func TestCountingStoreChargeEquivalence(t *testing.T) {
 	for name, mk := range inners {
 		for _, shapes := range [][]shape{reads, writes} {
 			var want Counters
-			var wantTicks []int
 			for i, sh := range shapes {
-				tick := &recordTicker{}
-				cs := NewCountingStore(mk(), tick)
+				cs := NewCountingStore(mk(), nil)
 				bufs := make([][]Slot, len(refs))
 				for lvl := range bufs {
 					bufs[lvl] = make([]Slot, g.BucketSize(lvl))
@@ -287,17 +327,18 @@ func TestCountingStoreChargeEquivalence(t *testing.T) {
 					t.Fatalf("%s %s: %v", name, sh.name, err)
 				}
 				if i == 0 {
-					want, wantTicks = cs.Counters(), tick.events
-					if slots, _ := want.Total(); slots != uint64(g.PathSlots()) || len(wantTicks) != g.Levels() {
-						t.Fatalf("%s %s: moved %d slots in %d transfers, want %d in %d", name, sh.name, slots, len(wantTicks), g.PathSlots(), g.Levels())
+					want = cs.Counters()
+					var onePerLevel [maxLevels]uint64
+					for lvl := range refs {
+						onePerLevel[lvl] = 1
+					}
+					if slots, _ := want.Total(); slots != uint64(g.PathSlots()) || want.LevelTransfers != onePerLevel {
+						t.Fatalf("%s %s: moved %d slots, level transfers %v; want %d, one per level", name, sh.name, slots, want.LevelTransfers[:g.Levels()], g.PathSlots())
 					}
 					continue
 				}
 				if got := cs.Counters(); got != want {
 					t.Errorf("%s %s: counters %+v, want %+v (as %s)", name, sh.name, got, want, shapes[0].name)
-				}
-				if !slices.Equal(tick.events, wantTicks) {
-					t.Errorf("%s %s: OnTransfer sequence %v, want %v (as %s)", name, sh.name, tick.events, wantTicks, shapes[0].name)
 				}
 			}
 		}
@@ -348,6 +389,9 @@ func TestCountingStoreConcurrentCharge(t *testing.T) {
 		BucketReads: buckets, BucketWrites: buckets,
 		SlotReads: slots, SlotWrites: slots,
 		BytesRead: slots * uint64(g.BlockSize()), BytesWritten: slots * uint64(g.BlockSize()),
+	}
+	for lvl := 2; lvl < g.Levels(); lvl++ {
+		want.LevelTransfers[lvl] = 2 * workers * rounds
 	}
 	if got := cs.Counters(); got != want {
 		t.Errorf("concurrent totals %+v, want the serial sum %+v", got, want)

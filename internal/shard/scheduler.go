@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/memsim"
 	"repro/internal/oram"
 )
 
@@ -19,7 +20,7 @@ import (
 // shards is a no-op.
 //
 // Shards never share mutable state (each worker touches only its own
-// client, store and meter), so no locking is needed beyond the join.
+// client and store), so no locking is needed beyond the join.
 func (e *Engine) fanOut(sel []bool, f func(shard int) error) error {
 	if sel != nil && len(sel) != e.n {
 		return fmt.Errorf("shard: lane selector has %d entries, engine has %d shards", len(sel), e.n)
@@ -60,9 +61,11 @@ func (e *Engine) fanOut(sel []bool, f func(shard int) error) error {
 
 // Stats aggregates the whole engine's counters. Additive quantities
 // (accesses, path I/O, traffic, stash occupancy, position-map bytes) are
-// summed across shards; SimTime is the maximum over the per-shard meters,
-// because the shards model independent memory channels running in
-// parallel — elapsed time is the slowest lane, not the sum.
+// summed across shards. SimTime is the maximum over the shards of the DDR4
+// model's time for each shard's own counts (memsim.Model.Time), because the
+// shards model independent memory channels running in parallel — elapsed
+// time is the slowest lane, not the sum. A shard without a CountingStore
+// contributes none.
 type Stats struct {
 	Access      oram.AccessStats
 	Counters    oram.Counters
@@ -82,34 +85,23 @@ func (e *Engine) Stats() Stats {
 	var out Stats
 	for _, sub := range e.subs {
 		st := sub.Client.Stats()
-		out.Access.Accesses += st.Accesses
-		out.Access.StashHits += st.StashHits
-		out.Access.PathReads += st.PathReads
-		out.Access.PathWrites += st.PathWrites
-		out.Access.DummyReads += st.DummyReads
-		out.Access.Remaps += st.Remaps
+		out.Access = out.Access.Add(st)
 		out.StashLen += sub.Client.Stash().Len()
 		out.StashPeak += sub.Client.Stash().Peak()
 		out.ServerBytes += sub.Client.Geometry().ServerBytes()
 		out.PosBytes += sub.Client.PosMap().Bytes()
 		if sub.Store != nil {
 			c := sub.Store.Counters()
-			out.Counters.BucketReads += c.BucketReads
-			out.Counters.BucketWrites += c.BucketWrites
-			out.Counters.SlotReads += c.SlotReads
-			out.Counters.SlotWrites += c.SlotWrites
-			out.Counters.BytesRead += c.BytesRead
-			out.Counters.BytesWritten += c.BytesWritten
+			out.Counters = out.Counters.Add(c)
 			out.Tier = out.Tier.Add(sub.Store.TierStats())
-		}
-		if sub.Meter != nil && sub.Meter.Now() > out.SimTime {
-			out.SimTime = sub.Meter.Now()
+			out.SimTime = max(out.SimTime, memsim.DDR4Default().Time(sub.Store.Geometry(), c, st))
 		}
 	}
 	return out
 }
 
-// ResetStats zeroes every shard's counters, stash peaks and meters.
+// ResetStats zeroes every shard's counters and stash peaks (and so its
+// simulated time).
 func (e *Engine) ResetStats() {
 	for _, sub := range e.subs {
 		sub.Client.ResetStats()
@@ -117,9 +109,6 @@ func (e *Engine) ResetStats() {
 		if sub.Store != nil {
 			sub.Store.ResetCounters()
 			sub.Store.ResetTierStats()
-		}
-		if sub.Meter != nil {
-			sub.Meter.Reset()
 		}
 	}
 }

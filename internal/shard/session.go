@@ -123,12 +123,7 @@ func (s *Session) Stats() core.Stats {
 	var out core.Stats
 	for _, la := range s.las {
 		st := la.Stats()
-		out.Accesses += st.Accesses
-		out.StashHits += st.StashHits
-		out.PathReads += st.PathReads
-		out.PathWrites += st.PathWrites
-		out.DummyReads += st.DummyReads
-		out.Remaps += st.Remaps
+		out.AccessStats = out.AccessStats.Add(st.AccessStats)
 		out.Bins += st.Bins
 		out.ColdPathReads += st.ColdPathReads
 		out.LookaheadRemaps += st.LookaheadRemaps

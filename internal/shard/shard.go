@@ -14,8 +14,8 @@
 // single-instance design leaks. What sharding buys is parallelism: the N
 // trees are independent, so path fetches, evictions and plan execution
 // proceed concurrently — on real hardware over N memory channels or
-// hosts, in simulation over N independent memsim meters (elapsed time is
-// the slowest shard's clock, see Stats).
+// hosts, in simulation over N independent memsim channels (elapsed time
+// is the slowest shard's, see Stats).
 //
 // The partition is the modulo split
 //
@@ -37,7 +37,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/trace"
 )
@@ -68,16 +67,16 @@ func PerShardEntries(entries uint64, n int) uint64 {
 	return (entries + uint64(n) - 1) / uint64(n)
 }
 
-// Sub is one shard's engine stack. Client is required; Store and Meter are
-// optional observability wrappers the caller may have threaded under the
-// client (traffic counters, simulated clock). Src, when the builder wires
+// Sub is one shard's engine stack. Client is required; Store is the optional
+// traffic-counting wrapper the caller may have threaded under the client,
+// from whose counts Engine.Stats derives the shard's simulated time. Src,
+// when the builder wires
 // the Client's RNG through a trace.CountedSource, is what makes the shard
 // checkpointable: Engine.SaveState serialises (seed, draws) so a restored
 // engine resumes the exact leaf-selection stream (see state.go).
 type Sub struct {
 	Client *oram.Client
 	Store  *oram.CountingStore
-	Meter  *memsim.Meter
 	Src    *trace.CountedSource
 	// Prefetch, when non-nil, receives look-ahead path hints: as soon as a
 	// window's superblock plan exists, the bin leaves are handed to the

@@ -8,13 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/trace"
 )
 
 // payloadEngine builds an N-shard engine over a payload store (real bytes)
-// with per-shard meters and counters, the way the public API does.
+// with per-shard counters, the way the public API does.
 func payloadEngine(t testing.TB, n int, entries uint64, blockSize int, seed int64) *Engine {
 	t.Helper()
 	return payloadEngineWith(t, n, entries, blockSize, seed, nil)
@@ -43,16 +42,15 @@ func payloadEngineWith(t testing.TB, n int, entries uint64, blockSize int, seed 
 			if wrap != nil {
 				st = wrap(s, ps)
 			}
-			meter := memsim.NewMeter(memsim.DDR4Default())
-			cs := oram.NewCountingStore(st, meter)
+			cs := oram.NewCountingStore(st, nil)
 			client, err := oram.NewClient(oram.ClientConfig{
 				Store: cs, Rand: trace.NewRNG(sd), Evict: oram.PaperEvict,
-				Timer: meter, StashHits: true, Blocks: per,
+				StashHits: true, Blocks: per,
 			})
 			if err != nil {
 				return Sub{}, err
 			}
-			return Sub{Client: client, Store: cs, Meter: meter}, nil
+			return Sub{Client: client, Store: cs}, nil
 		},
 	})
 	if err != nil {

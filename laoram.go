@@ -49,7 +49,6 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/diskstore"
-	"repro/internal/memsim"
 	"repro/internal/oram"
 	"repro/internal/remote"
 	"repro/internal/shard"
@@ -152,11 +151,6 @@ type Options struct {
 	// intact, so a shed never triggers rollback or recovery — unlike
 	// ErrNodeDown. Zero means 12; negative fails on the first shed.
 	ShedRetries int
-	// Measure attaches a deterministic DDR4 timing model; SimTime then
-	// reports simulated time. With Shards > 1 every shard gets its own
-	// meter (independent memory channels) and SimTime reports the
-	// slowest shard's clock.
-	Measure bool
 	// Verify authenticates server storage against an actively malicious
 	// server (an extension beyond the paper's honest-but-curious model): the
 	// client-side treetop keeps a SHA-256 of every bucket below it as last
@@ -248,7 +242,14 @@ type ORAM struct {
 // Stats summarises client activity and server traffic. With Shards > 1,
 // additive quantities (accesses, traffic, stash occupancy, trusted bytes)
 // are summed across shards and SimTimeSeconds is the slowest shard's
-// simulated clock (shards model independent memory channels).
+// simulated time (shards model independent memory channels).
+//
+// SimTimeSeconds is the deterministic DDR4 model's time for the traffic
+// counted since the last ResetStats (memsim.DDR4Default), computed from the
+// counts on every instance — in-memory, disk-backed and remote alike. Like
+// BytesMoved it is telemetry: a checkpoint does not carry the traffic counts
+// it is priced from, so after a rollback it also prices the discarded
+// windows' traffic.
 type Stats struct {
 	Accesses       uint64
 	PathReads      uint64
@@ -440,8 +441,8 @@ func (o *ORAM) remoteList() []*remote.Client {
 
 // buildSub assembles shard idx's stack — server store (in-memory,
 // metadata-only, encrypted, disk-backed or remote) under the client-side
-// treetop (which verifies under Verify), traffic counters, optional timing
-// meter, then the PathORAM client — for per blocks
+// treetop (which verifies under Verify), traffic counters, then the
+// PathORAM client — for per blocks
 // seeded with seed. With Shards <= 1 this is exactly the unsharded
 // construction. Remote shards share one multiplexed connection per node:
 // shard idx lives on node idx % N as that node's store idx / N.
@@ -550,11 +551,7 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 	if err != nil {
 		return shard.Sub{}, err
 	}
-	var meter *memsim.Meter
-	if opts.Measure {
-		meter = memsim.NewMeter(memsim.DDR4Default())
-	}
-	cs := oram.NewCountingStore(top, tickerOrNil(meter))
+	cs := oram.NewCountingStore(top, nil)
 	// The client RNG runs through a counted source: same stream as
 	// trace.NewRNG(seed) draw for draw, but its (seed, draws) position is
 	// serialisable, which is what makes the instance checkpointable
@@ -564,28 +561,13 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		Store:     cs,
 		Rand:      rng,
 		Evict:     evict,
-		Timer:     timerOrNil(meter),
 		StashHits: true,
 		Blocks:    per,
 	})
 	if err != nil {
 		return shard.Sub{}, err
 	}
-	return shard.Sub{Client: client, Store: cs, Meter: meter, Src: src, Prefetch: prefetch}, nil
-}
-
-func tickerOrNil(m *memsim.Meter) oram.Ticker {
-	if m == nil {
-		return nil
-	}
-	return m
-}
-
-func timerOrNil(m *memsim.Meter) oram.Timer {
-	if m == nil {
-		return nil
-	}
-	return m
+	return shard.Sub{Client: client, Store: cs, Src: src, Prefetch: prefetch}, nil
 }
 
 // TierBytes reports the memory needed to keep every server bucket of a

@@ -166,7 +166,7 @@ func TestFatTreeOption(t *testing.T) {
 // the training update persisted.
 func TestPreprocessAndSession(t *testing.T) {
 	const entries = 1 << 10
-	db, err := New(Options{Entries: entries, BlockSize: 16, Seed: 5, Measure: true})
+	db, err := New(Options{Entries: entries, BlockSize: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestTableHelpers(t *testing.T) {
 }
 
 func TestResetStats(t *testing.T) {
-	db, err := New(Options{Entries: 64, BlockSize: 8, Seed: 10, Measure: true})
+	db, err := New(Options{Entries: 64, BlockSize: 8, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,5 +337,42 @@ func TestResetStats(t *testing.T) {
 	}
 	if db.Entries() != 64 {
 		t.Errorf("Entries = %d", db.Entries())
+	}
+}
+
+// TestSimTimeWithoutOption: every instance prices its own counts, so
+// SimTimeSeconds is populated with no option set — in memory, on disk and
+// over a node — and reads zero again after ResetStats.
+func TestSimTimeWithoutOption(t *testing.T) {
+	const entries, blockSize = 256, 16
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"memory", Options{}},
+		{"disk", Options{DataDir: t.TempDir()}},
+		{"remote", Options{RemoteAddrs: clusterAddrs(t, entries, 1, 1, blockSize)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Entries, opts.BlockSize, opts.Seed = entries, blockSize, 3
+			db, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for id := uint64(0); id < 8; id++ {
+				if err := db.Write(id, make([]byte, blockSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := db.Stats(); st.SimTimeSeconds <= 0 {
+				t.Errorf("SimTimeSeconds = %v after %d accesses, want > 0", st.SimTimeSeconds, st.Accesses)
+			}
+			db.ResetStats()
+			if st := db.Stats(); st.SimTimeSeconds != 0 {
+				t.Errorf("SimTimeSeconds = %v after ResetStats, want 0", st.SimTimeSeconds)
+			}
+		})
 	}
 }
