@@ -105,7 +105,7 @@ func TestWriteBackPathsAllocs(t *testing.T) {
 		}
 	})
 	t.Run("batch", func(t *testing.T) {
-		s := newBatchShape(t)
+		s := newBatchShape(t, batchShapeWaiting)
 		peak := s.c.Stash().Peak()
 		if peak < 1800 || peak > 2600 {
 			t.Errorf("batch shape stashes %d blocks at its peak, want about 2000", peak)
@@ -118,9 +118,21 @@ func TestWriteBackPathsAllocs(t *testing.T) {
 		// the table (2^16 blocks) or the tree (2^17 buckets).
 		m := &s.c.multi
 		union := batchShapePaths * s.c.Geometry().Levels()
-		if cap(m.refs) > 4*union || cap(m.bufs) > 4*union || cap(m.fill) > 4*union || cap(m.ids) > 4*peak {
-			t.Errorf("multipath scratch outgrew O(stash + union): refs %d bufs %d fill %d (union <= %d), ids %d (stash peak %d)",
-				cap(m.refs), cap(m.bufs), cap(m.fill), union, cap(m.ids), peak)
+		if cap(m.refs) > 4*union || cap(m.bufs) > 4*union || cap(m.at) > 4*union ||
+			cap(m.parent) > 4*union || cap(m.head) > 4*union || cap(m.nodes) > 4*peak || cap(m.placed) > 4*peak {
+			t.Errorf("multipath scratch outgrew O(stash + union): refs %d bufs %d at %d parent %d head %d (union <= %d), nodes %d placed %d (stash peak %d)",
+				cap(m.refs), cap(m.bufs), cap(m.at), cap(m.parent), cap(m.head), union, cap(m.nodes), cap(m.placed), peak)
+		}
+		// Per call: one node per stashed block (not one per level it
+		// climbs), one parent and one list head per union bucket, and a
+		// prefix table of at most 8 entries per distinct leaf.
+		if len(m.nodes) > peak || len(m.parent) != len(m.refs) || len(m.head) != len(m.refs) {
+			t.Errorf("last write-back: %d nodes (stash peak %d), %d parents and %d heads for %d union buckets",
+				len(m.nodes), peak, len(m.parent), len(m.head), len(m.refs))
+		}
+		if len(m.prefix) > 8*len(m.leaves)+1 || cap(m.prefix) > 4*(8*batchShapePaths+1) {
+			t.Errorf("prefix table: %d entries (cap %d) for %d distinct leaves, want <= 8 per leaf + 1",
+				len(m.prefix), cap(m.prefix), len(m.leaves))
 		}
 	})
 }

@@ -122,7 +122,7 @@ type batchShape struct {
 	leaves []Leaf
 }
 
-func newBatchShape(tb testing.TB) *batchShape {
+func newBatchShape(tb testing.TB, waiting int) *batchShape {
 	tb.Helper()
 	g := MustGeometry(GeometryConfig{LeafBits: 16, LeafZ: 4, RootZ: 8, Profile: ProfileLinear})
 	c, err := NewClient(ClientConfig{
@@ -137,7 +137,7 @@ func newBatchShape(tb testing.TB) *batchShape {
 	if err := c.Load(batchShapeBlocks, func(BlockID) Leaf { return Leaf(c.Rand().Int63n(half)) }, nil); err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < batchShapeWaiting; i++ {
+	for i := 0; i < waiting; i++ {
 		if err := c.Stash().Put(BlockID(batchShapeBlocks+i), Leaf(half+c.Rand().Int63n(half)), nil); err != nil {
 			tb.Fatal(err)
 		}
@@ -179,13 +179,23 @@ func (s *batchShape) round(tb testing.TB) {
 
 // BenchmarkWriteBackPathsBatch gates the joint write-back's placement cost
 // where it is largest: per call 64 leaves, a union of about 650 buckets and
-// a stash of about 2 000 blocks.
+// a stash of about 2 000 blocks. The 4× row keeps four times the waiting
+// blocks over the same union — they can only go to the root, and the
+// fetches, remaps and real placements are the same — so the difference is
+// what each block that stays costs.
 func BenchmarkWriteBackPathsBatch(b *testing.B) {
-	s := newBatchShape(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.round(b)
+	for _, w := range []struct {
+		name    string
+		waiting int
+	}{{"waiting=1x", batchShapeWaiting}, {"waiting=4x", 4 * batchShapeWaiting}} {
+		b.Run(w.name, func(b *testing.B) {
+			s := newBatchShape(b, w.waiting)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.round(b)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -14,10 +15,13 @@ import (
 // O(stash + bucket union).
 type multiScratch struct {
 	refs   []BucketRef // bucket union (read order or write order)
-	ids    []BlockID   // sorted stash snapshot for deterministic placement
 	placed []bool      // per slab slot: written back by the call in flight
 	at     []int32     // write order: leaf × level → index of that bucket in refs
-	fill   []int       // real blocks placed so far, per union bucket
+	parent []int32     // write order: per union bucket, its parent's index (-1: root)
+	head   []int32     // write order: per union bucket, its first candidate node (-1: none)
+	nodes  []placeNode // one per homed stashed block, linked into its bucket's candidates
+	cand   []int32     // the candidates of the bucket being filled
+	prefix []int32     // per top-bits prefix, the first sorted leaf at or above it
 	leaves []Leaf      // the call's distinct leaves, ascending
 	one    [1]Leaf     // the one-leaf set of a single path (onePath)
 	group  []int32     // pathUnion: per leaf, the first leaf sharing its bucket
@@ -217,22 +221,26 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
 // dynamic superblocks right after a merge.
 //
-// Placement is the same greedy rule as WriteBackPath, generalised: levels
-// fill deepest first, and each bucket of the union takes, in ascending id,
-// the first Z stash blocks that are not placed deeper and whose assigned
-// path runs through it. A bucket never prefers a larger id to a smaller one,
-// so where a block lands depends on the smaller ids alone — and placing the
-// blocks one by one in ascending id, each into the deepest bucket on its
-// path that still has room, fills every bucket with the same blocks in the
-// same slots. Cost: one O(stash · log stash) snapshot sort, then per block
-// one O(log paths) search for the neighbour whose path it shares deepest and
-// one array load per level it is turned away at.
+// The result depends on the set of leaves alone, not on order or
+// duplicates. One distinct leaf is WriteBackPath's path and takes its
+// per-level rule: at each level the blocks homed there first, then the
+// spill from below. Two or more take the joint rule: every stashed block
+// goes, in ascending id, into the deepest union bucket on its path that
+// still has room. The two differ only where a bucket overflows, where the
+// path rule lets a homed block beat a smaller spilled id.
+//
+// The joint rule is computed children-first. Each block is homed once, in
+// the deepest union bucket on its path (a lower-bound table over the
+// leaves' top bits finds its neighbours), and linked into that bucket's
+// candidates. Walking the union deepest level first, a bucket of room z
+// keeps its z smallest candidates and relinks the rest into its parent's
+// list, so each bucket takes the smallest ids among the blocks not placed
+// deeper whose path runs through it: by induction over the levels, the
+// ascending-id greedy. Cost: O(1) expected per stashed block, a selection
+// where a bucket overflows and a sort of at most z ids per bucket.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
-	switch len(leaves) {
-	case 0:
+	if len(leaves) == 0 {
 		return nil
-	case 1:
-		return c.WriteBackPath(leaves[0])
 	}
 	g := c.geom
 	for _, l := range leaves {
@@ -240,18 +248,23 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			return fmt.Errorf("oram: WriteBackPaths: invalid leaf %d", l)
 		}
 	}
+	m := &c.multi
+	m.leaves = append(m.leaves[:0], leaves...)
+	slices.Sort(m.leaves)
+	m.leaves = slices.Compact(m.leaves)
+	sorted := m.leaves
+	if len(sorted) == 1 {
+		return c.WriteBackPath(sorted[0])
+	}
 
 	// The union of buckets, deepest level first; within a level, ascending
 	// by node. NodeAt is monotone in the leaf, so walking the distinct
 	// leaves in ascending order yields each level already sorted, with the
 	// duplicates (shared prefixes) adjacent. at[p*levels+lvl] is where the
-	// level-lvl bucket of the path to sorted[p] sits in the union.
-	m := &c.multi
-	m.leaves = append(m.leaves[:0], leaves...)
-	slices.Sort(m.leaves)
-	sorted := slices.Compact(m.leaves)
+	// level-lvl bucket of the path to sorted[p] sits in the union; a
+	// bucket's parent is recorded when the level above is built.
 	levels := g.Levels()
-	buckets := m.refs[:0]
+	buckets, parent, head := m.refs[:0], m.parent[:0], m.head[:0]
 	m.at = slices.Grow(m.at[:0], len(sorted)*levels)[:len(sorted)*levels]
 	at := m.at
 	for lvl := levels - 1; lvl >= 0; lvl-- {
@@ -259,46 +272,95 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			b := BucketRef{Level: lvl, Node: g.NodeAt(l, lvl)}
 			if n := len(buckets); n == 0 || buckets[n-1] != b {
 				buckets = append(buckets, b)
+				parent = append(parent, -1)
+				head = append(head, -1)
 			}
-			at[p*levels+lvl] = int32(len(buckets) - 1)
+			k := int32(len(buckets) - 1)
+			at[p*levels+lvl] = k
+			if lvl+1 < levels {
+				parent[at[p*levels+lvl+1]] = k
+			}
 		}
 	}
-	m.refs = buckets
+	m.refs, m.parent, m.head = buckets, parent, head
 
-	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
-	m.fill = slices.Grow(m.fill[:0], len(buckets))[:len(buckets)]
-	fill := m.fill
-	clear(fill)
+	// prefix[t] is the first index into sorted whose leaf's top `top` bits
+	// are >= t, at most 8 entries per leaf: a block's lower bound in sorted
+	// is a search of its own prefix's few leaves.
+	top := min(bits.Len(uint(len(sorted)))+2, g.LeafBits())
+	shift := uint(g.LeafBits() - top)
+	m.prefix = slices.Grow(m.prefix[:0], 1<<top+1)[:1<<top+1]
+	prefix := m.prefix
+	q := 0
+	for t := range prefix {
+		for q < len(sorted) && int(sorted[q]>>shift) < t {
+			q++
+		}
+		prefix[t] = int32(q)
+	}
 
-	// One snapshot of the stash per call, sorted by id; placed marks the slab
-	// slots to drop once the write has gone through.
+	// Home every stashed block: one node each, linked into its bucket's
+	// candidates. A block on no path (NoLeaf) has no home and stays.
 	stash := c.stash
-	m.ids = stash.AppendIDs(m.ids[:0])
-	slices.Sort(m.ids)
-	m.placed = slices.Grow(m.placed[:0], len(m.ids))[:len(m.ids)]
+	nodes := slices.Grow(m.nodes[:0], stash.Len())
+	for slot := range stash.entries {
+		e := &stash.entries[slot]
+		if !g.ValidLeaf(e.leaf) {
+			continue
+		}
+		t := e.leaf >> shift
+		lo, hi := int(prefix[t]), int(prefix[t+1])
+		for lo < hi { // lower bound within the prefix's leaves
+			if mid := int(uint(lo+hi) >> 1); sorted[mid] < e.leaf {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		p, d := deepestShared(g, sorted, lo, e.leaf)
+		h := at[p*levels+d]
+		nodes = append(nodes, placeNode{id: e.id, slot: int32(slot), next: head[h]})
+		head[h] = int32(len(nodes) - 1)
+	}
+	m.nodes = nodes
+
+	// Fill children-first: a bucket keeps its z smallest candidates and
+	// passes the rest up. placed marks the slab slots to drop once the write
+	// has gone through.
+	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
+	m.placed = slices.Grow(m.placed[:0], stash.Len())[:stash.Len()]
 	placed := m.placed
 	clear(placed)
+	cand := m.cand
 	moved := 0
-	for _, id := range m.ids {
-		slot := stash.slot(id)
-		e := &stash.entries[slot]
-		p, lvl := deepestShared(g, sorted, e.leaf)
-		for path := at[p*levels:]; lvl >= 0; lvl-- {
-			k := path[lvl]
-			if n := fill[k]; n < len(bufs[k]) {
-				bufs[k][n] = Slot{ID: id, Leaf: e.leaf, Payload: e.payload}
-				fill[k]++
-				placed[slot] = true
-				moved++
-				break
+	for k, buf := range bufs {
+		cand = cand[:0]
+		for n := head[k]; n >= 0; n = nodes[n].next {
+			cand = append(cand, n)
+		}
+		if z := len(buf); len(cand) > z {
+			selectLeast(nodes, cand, z)
+			if up := parent[k]; up >= 0 {
+				for _, n := range cand[z:] {
+					nodes[n].next = head[up]
+					head[up] = n
+				}
 			}
+			cand = cand[:z]
 		}
-	}
-	for i, buf := range bufs {
-		for j := fill[i]; j < len(buf); j++ {
-			buf[j] = DummySlot()
+		sortByID(nodes, cand)
+		for i, n := range cand {
+			slot := nodes[n].slot
+			e := &stash.entries[slot]
+			buf[i] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
+			placed[slot] = true
 		}
+		for i := len(cand); i < len(buf); i++ {
+			buf[i] = DummySlot()
+		}
+		moved += len(cand)
 	}
+	m.cand = cand
 
 	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
@@ -308,13 +370,19 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	return nil
 }
 
+// placeNode is one stashed block in WriteBackPaths' candidate lists.
+type placeNode struct {
+	id   BlockID
+	slot int32 // the block's slab slot
+	next int32 // the next candidate of the same bucket; -1 ends the list
+}
+
 // deepestShared returns the deepest level d at which the path to leaf still
 // shares a bucket with one of the paths to sorted (ascending, non-empty), and
-// which one: down to level d the path to leaf is the path to sorted[p]. The
-// longest common prefix with a sorted set is with a neighbour; a leaf on no
-// path at all (NoLeaf) gets a negative d.
-func deepestShared(g *Geometry, sorted []Leaf, leaf Leaf) (p, d int) {
-	k, _ := slices.BinarySearch(sorted, leaf)
+// which one: down to level d the path to leaf is the path to sorted[p]. k is
+// leaf's lower bound in sorted; the longest common prefix with a sorted set
+// is with a neighbour.
+func deepestShared(g *Geometry, sorted []Leaf, k int, leaf Leaf) (p, d int) {
 	p = min(k, len(sorted)-1)
 	d = g.CommonLevel(leaf, sorted[p])
 	if p == k && k > 0 {
@@ -323,4 +391,46 @@ func deepestShared(g *Geometry, sorted []Leaf, leaf Leaf) (p, d int) {
 		}
 	}
 	return p, d
+}
+
+// selectLeast reorders cand so that cand[:k] are the k candidates of
+// smallest id, in no particular order (Hoare's selection; ids are distinct).
+func selectLeast(nodes []placeNode, cand []int32, k int) {
+	lo, hi, t := 0, len(cand)-1, k-1
+	for t >= 0 && lo < hi {
+		pivot := nodes[cand[t]].id
+		i, j := lo, hi
+		for i <= j {
+			for nodes[cand[i]].id < pivot {
+				i++
+			}
+			for nodes[cand[j]].id > pivot {
+				j--
+			}
+			if i <= j {
+				cand[i], cand[j] = cand[j], cand[i]
+				i++
+				j--
+			}
+		}
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
+	}
+}
+
+// sortByID sorts the few candidates a bucket takes by id: the slot order.
+func sortByID(nodes []placeNode, cand []int32) {
+	for i := 1; i < len(cand); i++ {
+		n := cand[i]
+		id := nodes[n].id
+		j := i
+		for ; j > 0 && nodes[cand[j-1]].id > id; j-- {
+			cand[j] = cand[j-1]
+		}
+		cand[j] = n
+	}
 }

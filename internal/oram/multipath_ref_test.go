@@ -173,16 +173,30 @@ func sameStash(a, b *Stash) error {
 	return nil
 }
 
+// refDistinct is refWriteBackPaths for two or more distinct leaves and
+// WriteBackPath for one: a joint write-back of a single path takes the path
+// rule (see WriteBackPaths), however often the leaf repeats.
+func refDistinct(c *Client, leaves []Leaf) error {
+	if d := slices.Compact(slices.Sorted(slices.Values(leaves))); len(d) == 1 {
+		return c.WriteBackPath(d[0])
+	}
+	return refWriteBackPaths(c, leaves)
+}
+
 // TestQuickWriteBackPathsMatchesReference: for random geometries (uniform
-// Z=4 and fat tree), stashes of 0–3000 blocks and 2–64 leaves (duplicates
-// and all-equal sets included), with and without payloads, the sweep writes
-// exactly the buckets the reference writes — same order, same slots — leaves
-// the same stash behind, and does so through both transports. Two rounds per
-// case run on the same clients so reused scratch is covered too.
+// Z=4 and fat tree, one to 14 leaf bits), stashes of 0–3000 blocks (some on
+// no path, some on exactly a written leaf) and 2–64 leaves — independent,
+// few distinct with duplicates, all equal, and clustered in one small
+// subtree so that the buckets of its trunk overflow and spill — with and
+// without payloads, the sweep writes exactly the buckets the reference
+// writes — same order, same slots — leaves the same stash behind, and does
+// so through both transports. Two rounds per case run on the same clients
+// so reused scratch is covered too. All-equal leaves are one path and are
+// held to WriteBackPath.
 func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 	f := func(seed int64, fat, payloads bool, leafBitsRaw, shapeRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		gc := GeometryConfig{LeafBits: 3 + int(leafBitsRaw%12), LeafZ: 4}
+		gc := GeometryConfig{LeafBits: 1 + int(leafBitsRaw%14), LeafZ: 4}
 		if fat {
 			gc.Profile, gc.RootZ = ProfileLinear, 8
 		}
@@ -215,14 +229,46 @@ func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 		}
 
 		for round := 0; round < 2; round++ {
+			leaves := make([]Leaf, 2+rng.Intn(63))
+			// cluster is a subtree of at most 8 leaves: the clustered
+			// shape's leaves, and half its stash, sit under it.
+			width := min(nLeaves, 1<<rng.Intn(4))
+			cluster := rng.Int63n(nLeaves) &^ (width - 1)
+			clustered := shapeRaw%4 == 3
+			switch shapeRaw % 4 {
+			case 0: // independent uniform leaves
+				for i := range leaves {
+					leaves[i] = Leaf(rng.Int63n(nLeaves))
+				}
+			case 1: // few distinct leaves, many duplicates
+				pool := []Leaf{Leaf(rng.Int63n(nLeaves)), Leaf(rng.Int63n(nLeaves)), Leaf(rng.Int63n(nLeaves))}
+				for i := range leaves {
+					leaves[i] = pool[rng.Intn(len(pool))]
+				}
+			case 2: // all equal
+				l := Leaf(rng.Int63n(nLeaves))
+				for i := range leaves {
+					leaves[i] = l
+				}
+			default: // clustered in one small subtree
+				for i := range leaves {
+					leaves[i] = Leaf(cluster + rng.Int63n(width))
+				}
+			}
+
 			for n := rng.Intn(3001 - clients[0].stash.Len()); n > 0; n-- {
 				id := BlockID(rng.Int63n(1 << 16))
 				if clients[0].stash.Contains(id) {
 					continue
 				}
 				leaf := Leaf(rng.Int63n(nLeaves))
-				if rng.Intn(64) == 0 {
+				switch {
+				case rng.Intn(64) == 0:
 					leaf = NoLeaf // on no path: must stay stashed
+				case rng.Intn(8) == 0:
+					leaf = leaves[rng.Intn(len(leaves))] // exactly a written leaf
+				case clustered && rng.Intn(2) == 0:
+					leaf = Leaf(cluster + rng.Int63n(width))
 				}
 				var p []byte
 				if payloads {
@@ -235,29 +281,12 @@ func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			leaves := make([]Leaf, 2+rng.Intn(63))
-			switch shapeRaw % 3 {
-			case 0: // independent uniform leaves
-				for i := range leaves {
-					leaves[i] = Leaf(rng.Int63n(nLeaves))
-				}
-			case 1: // few distinct leaves, many duplicates
-				pool := []Leaf{Leaf(rng.Int63n(nLeaves)), Leaf(rng.Int63n(nLeaves)), Leaf(rng.Int63n(nLeaves))}
-				for i := range leaves {
-					leaves[i] = pool[rng.Intn(len(pool))]
-				}
-			default: // all equal
-				l := Leaf(rng.Int63n(nLeaves))
-				for i := range leaves {
-					leaves[i] = l
-				}
-			}
 
 			for i, c := range clients {
 				stores[i].writes = nil
 				var err error
 				if i%2 == 0 {
-					err = refWriteBackPaths(c, leaves)
+					err = refDistinct(c, leaves)
 				} else {
 					err = c.WriteBackPaths(leaves)
 				}
@@ -283,8 +312,123 @@ func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(14))}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(14))}
 	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickWriteBackPathsLeafSet: a joint write-back is a function of the
+// set of leaves. The set written once each, ascending, and the same set
+// shuffled with duplicates write the same buckets with the same slots and
+// leave the same stash behind — for sets of one leaf too, which take the
+// one-path rule however often the leaf repeats. Buckets are compared as a
+// set: the one-path call writes root-first.
+func TestQuickWriteBackPathsLeafSet(t *testing.T) {
+	f := func(seed int64, fat bool, leafBitsRaw, setRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		gc := GeometryConfig{LeafBits: 1 + int(leafBitsRaw%8), LeafZ: 2}
+		if fat {
+			gc.Profile, gc.RootZ = ProfileLinear, 4
+		}
+		g := MustGeometry(gc)
+		nLeaves := int64(g.Leaves())
+
+		set := make([]Leaf, 1+int(setRaw)%4)
+		for i := range set {
+			set[i] = Leaf(rng.Int63n(nLeaves))
+		}
+		set = slices.Compact(slices.Sorted(slices.Values(set)))
+		shuffled := slices.Clone(set)
+		for n := 1 + rng.Intn(2*len(set)); n > 0; n-- {
+			shuffled = append(shuffled, set[rng.Intn(len(set))])
+		}
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		stores := [2]*recStore{{g: g}, {g: g}}
+		clients := [2]*Client{}
+		for i := range clients {
+			c, err := NewClient(ClientConfig{Store: stores[i], Rand: rand.New(rand.NewSource(1)), Blocks: 1})
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			clients[i] = c
+		}
+		for n := 4 + rng.Intn(24); n > 0; n-- {
+			id := BlockID(rng.Int63n(256))
+			leaf := Leaf(rng.Int63n(nLeaves))
+			for _, c := range clients {
+				if err := c.stash.Put(id, leaf, nil); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+		}
+		for i, leaves := range [2][]Leaf{set, shuffled} {
+			if err := clients[i].WriteBackPaths(leaves); err != nil {
+				t.Log(err)
+				return false
+			}
+			slices.SortFunc(stores[i].writes, func(a, b recWrite) int {
+				if a.ref.Level != b.ref.Level {
+					return a.ref.Level - b.ref.Level
+				}
+				return int(a.ref.Node) - int(b.ref.Node)
+			})
+		}
+		if err := sameWrites(stores[0].writes, stores[1].writes); err != nil {
+			t.Logf("%v, set %v, shuffled %v: %v", g, set, shuffled, err)
+			return false
+		}
+		if err := sameStash(clients[0].stash, clients[1].stash); err != nil {
+			t.Logf("%v, set %v, shuffled %v: %v", g, set, shuffled, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(42))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickSelectLeast: selectLeast leaves the k smallest ids in cand[:k],
+// the same ids a full sort puts there.
+func TestQuickSelectLeast(t *testing.T) {
+	f := func(seed int64, nRaw, kRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)
+		k := int(kRaw) % (n + 1)
+		nodes := make([]placeNode, n)
+		cand := make([]int32, n)
+		want := make([]BlockID, n)
+		for i, id := range rng.Perm(4 * n)[:n] {
+			if rng.Intn(4) == 0 {
+				id = i // runs already in order
+			}
+			nodes[i] = placeNode{id: BlockID(id)}
+			cand[i] = int32(i)
+		}
+		for i := range nodes {
+			if slices.ContainsFunc(nodes[:i], func(p placeNode) bool { return p.id == nodes[i].id }) {
+				nodes[i].id = BlockID(4*n + i) // keep ids distinct
+			}
+			want[i] = nodes[i].id
+		}
+		slices.Sort(want)
+		selectLeast(nodes, cand, k)
+		sortByID(nodes, cand[:k])
+		got := make([]BlockID, k)
+		for i, c := range cand[:k] {
+			got[i] = nodes[c].id
+		}
+		if !slices.Equal(got, want[:k]) {
+			t.Logf("n %d k %d: got %v, want %v", n, k, got, want[:k])
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -247,28 +247,41 @@ func (s *Stash) removeCell(pos int) {
 	s.entries = s.entries[:last]
 }
 
-// removeMarked removes every block whose slab slot is marked, highest slot
-// first so that the slots still to be visited stay where the marks say.
+// removeMarked removes every block whose slab slot is marked, in one pass:
+// each marked block's index cell is deleted and the unmarked blocks are
+// compacted to the front by swapping, so the vacated entries keep their
+// buffers. Survivors may change slots; slab order is not observable
+// (Snapshot sorts ids, evictPlanInto sorts per level and WriteBackPaths
+// selects by id).
 func (s *Stash) removeMarked(marked []bool) {
-	for i := len(marked) - 1; i >= 0; i-- {
+	keep := 0
+	for i := range s.entries {
 		if marked[i] {
-			s.Remove(s.entries[i].id)
+			pos, _ := s.index.find(s.entries[i].id)
+			s.index.delete(pos)
+			continue
 		}
+		if i != keep {
+			s.entries[keep], s.entries[i] = s.entries[i], s.entries[keep]
+			pos, _ := s.index.find(s.entries[keep].id)
+			s.index.cells[pos].slot = int32(keep + 1)
+		}
+		keep++
 	}
+	for i := keep; i < len(s.entries); i++ {
+		e := &s.entries[i]
+		e.id, e.leaf, e.payload = DummyID, 0, nil
+	}
+	s.entries = s.entries[:keep]
 }
 
 // IDs returns the stashed block IDs in unspecified order.
 func (s *Stash) IDs() []BlockID {
-	return s.AppendIDs(make([]BlockID, 0, len(s.entries)))
-}
-
-// AppendIDs appends the stashed block IDs (unspecified order) to dst and
-// returns the extended slice — the allocation-free form of IDs.
-func (s *Stash) AppendIDs(dst []BlockID) []BlockID {
+	ids := make([]BlockID, len(s.entries))
 	for i := range s.entries {
-		dst = append(dst, s.entries[i].id)
+		ids[i] = s.entries[i].id
 	}
-	return dst
+	return ids
 }
 
 // evictPlanner holds the scratch state of the greedy write-back planner so
@@ -314,8 +327,9 @@ func (s *Stash) evictPlanInto(ep *evictPlanner, g *Geometry, target Leaf) [][]Bl
 	ep.reset(L + 1)
 	for i := range s.entries {
 		e := &s.entries[i]
-		d := g.CommonLevel(target, e.leaf)
-		ep.byDeepest[d] = append(ep.byDeepest[d], e.id)
+		if d := g.CommonLevel(target, e.leaf); d >= 0 { // NoLeaf: on no path, stays
+			ep.byDeepest[d] = append(ep.byDeepest[d], e.id)
+		}
 	}
 	// Slab order depends on slot-recycling history; sort so placement is a
 	// function of the stash contents alone.

@@ -39,8 +39,9 @@ func (r *refStash) remove(id BlockID) {
 }
 
 // TestQuickSlabMatchesMapStash drives both implementations with the same
-// random op sequence (put / set-leaf / set-payload / remove, with payload
-// buffers deliberately mutated after each call) and compares full contents.
+// random op sequence (put / set-leaf / set-payload / remove / a marked set
+// of slab slots removed at once, with payload buffers deliberately mutated
+// after each call) and compares full contents.
 func TestQuickSlabMatchesMapStash(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,7 +57,7 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 				p = scratch[:1+rng.Intn(31)]
 				rng.Read(p)
 			}
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				if err := s.Put(id, leaf, p); err != nil {
 					return false
@@ -85,6 +86,15 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 			case 4:
 				s.Remove(id)
 				ref.remove(id)
+			case 5: // a write-back's removal: random slab slots at once
+				marked := make([]bool, s.Len())
+				for slot := range marked {
+					if marked[slot] = rng.Intn(3) == 0; marked[slot] {
+						ref.remove(s.entries[slot].id)
+					}
+				}
+				s.removeMarked(marked)
+				checkIndex(t, s)
 			}
 			// The caller's buffer is scribbled over after every op: if the
 			// stash aliased it instead of copying, contents would drift.
