@@ -70,12 +70,12 @@ func main() {
 	}()
 
 	// Stream the epochs through Train. The look-ahead window is
-	// left at 0 (the full stream) because the Kaggle trace's reuse
-	// distance is a whole epoch: any smaller horizon would let rows fall
-	// out of the plan between epochs and splinter superblock fetches
-	// into cold path reads (the abl-window ablation measures exactly
-	// that decay — use TrainOptions.Window for workloads whose locality
-	// is shorter, as examples/xlmr does). Each visit applies one SGD
+	// left at 0 (the full stream): the stream is small enough to plan
+	// whole, and a positive Window would execute it in slices whose
+	// horizon (4·Entries accesses by default) still spans the Kaggle
+	// trace's epoch-long reuse — a horizon shorter than that lets rows
+	// fall out of the plan and splinters superblock fetches into cold
+	// path reads (the abl-window ablation). Each visit applies one SGD
 	// step to the row while it is resident in trusted memory. The
 	// "gradient" here is a deterministic stand-in — the ORAM doesn't
 	// care what the numbers mean, only that the row is read, modified

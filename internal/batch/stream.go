@@ -18,6 +18,7 @@ package batch
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/shard"
@@ -27,16 +28,20 @@ import (
 type TrainConfig struct {
 	// S is the superblock size (default 4 when 0).
 	S int
-	// Window is the number of global accesses per planning window; the
-	// look-ahead horizon is Window·(Depth+1). 0 plans the whole stream as
-	// one window (the one-shot shape, byte-identical to Preprocess +
-	// Session).
+	// Window is the number of global accesses per planning window. 0 plans
+	// the whole stream as one window (the one-shot shape, byte-identical to
+	// Preprocess + Session).
 	Window int
-	// Depth is the bounded plan queue (2 when 0 — double
-	// buffering: plan window k+1 while executing window k) and the
-	// cross-window horizon: a window executes once the Depth after it are
-	// planned, with its blocks' next leaves reaching into them.
+	// Depth is the least number of windows binned behind a window before it
+	// executes (2 when 0 — double buffering: plan window k+1 while
+	// executing window k).
 	Depth int
+	// Horizon is how many accesses after a window its blocks' next bins are
+	// looked up in: a window executes once the D = max(Depth,
+	// ⌈Horizon/Window⌉) windows after it are binned (the planner's
+	// shard.PlannerConfig.Depth). 0 is max(Window·Depth, 4·Entries);
+	// Window·Depth gives D = Depth.
+	Horizon int
 	// BatchBins is how many bins each server round trip fetches (§IV-A
 	// per-training-batch fetch); 0 is shard.StepBins(S).
 	BatchBins int
@@ -82,12 +87,15 @@ type TrainConfig struct {
 	Flush func() error
 }
 
-func (c *TrainConfig) fill() error {
+func (c *TrainConfig) fill(entries uint64) error {
 	if c.S == 0 {
 		c.S = 4
 	}
 	if c.Depth == 0 {
 		c.Depth = 2
+	}
+	if c.Horizon == 0 && c.Window > 0 && c.Depth > 0 {
+		c.Horizon = max(c.Window*c.Depth, int(4*min(entries, math.MaxInt/4)))
 	}
 	if c.S < 1 {
 		return fmt.Errorf("batch: S must be >= 1, got %d", c.S)
@@ -100,6 +108,9 @@ func (c *TrainConfig) fill() error {
 	}
 	if c.Depth < 1 {
 		return fmt.Errorf("batch: Depth must be >= 1, got %d", c.Depth)
+	}
+	if c.Horizon < 0 {
+		return fmt.Errorf("batch: Horizon must be >= 0, got %d", c.Horizon)
 	}
 	if c.BatchBins < 0 {
 		return fmt.Errorf("batch: BatchBins must be >= 0, got %d", c.BatchBins)
@@ -117,6 +128,15 @@ func (c *TrainConfig) fill() error {
 		return fmt.Errorf("batch: CheckpointEvery and Checkpoint must be set together")
 	}
 	return nil
+}
+
+// ahead is D, how many windows are binned behind a window before it
+// executes; fill has set Horizon.
+func (c *TrainConfig) ahead() int {
+	if c.Window == 0 {
+		return c.Depth
+	}
+	return max(c.Depth, (c.Horizon-1)/c.Window+1)
 }
 
 // TrainStats summarises a streaming run.
@@ -150,10 +170,10 @@ type TrainStats struct {
 	// stage, the healthy pipeline regime.
 	PlannerStalled time.Duration
 	// QueuePeak and QueueMean summarise the plan-queue depth observed at
-	// each window fetch: the planned windows waiting behind the one taken,
-	// held ones included, or 0 on a stall (bounded by Depth). A mean near
-	// Depth means planning stays ahead; near zero means the trainer is
-	// starved.
+	// each window fetch: the binned windows waiting behind the one taken,
+	// held ones included, or 0 on a stall (bounded by D, see Horizon). A
+	// mean near D means planning stays ahead; near zero means the trainer
+	// is starved.
 	QueuePeak int
 	QueueMean float64
 	// CheckpointTime is the total wall time spent inside the Checkpoint
@@ -195,11 +215,11 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	if src == nil {
 		return st, fmt.Errorf("batch: nil source")
 	}
-	if err := cfg.fill(); err != nil {
+	if err := cfg.fill(e.Entries()); err != nil {
 		return st, err
 	}
 	planner, err := e.NewPlanner(src, shard.PlannerConfig{
-		S: cfg.S, Window: cfg.Window, Depth: cfg.Depth, StartWindow: cfg.StartWindow,
+		S: cfg.S, Window: cfg.Window, Depth: cfg.ahead(), StartWindow: cfg.StartWindow,
 	})
 	if err != nil {
 		return st, err
@@ -306,8 +326,8 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	for {
 		// A fetch that finds no released window on offer is a genuine
 		// pipeline stall and samples depth 0; otherwise it samples the
-		// planned windows waiting behind the one it takes — Depth
-		// means planning is comfortably ahead.
+		// binned windows waiting behind the one it takes — D means
+		// planning is comfortably ahead.
 		var (
 			w       shard.PlannedWindow
 			ok      bool

@@ -194,8 +194,9 @@ func (s *pacedSrc) Read(ctx context.Context, dst []uint64) (int, error) {
 
 // TestQueueStatsTrackPlanning: the plan-queue counters say whether planning
 // stayed ahead, held windows and all. A trainer slower than the planner finds
-// Depth windows waiting behind nearly every window it takes; a source slower
-// than the trainer starves it at nearly every fetch.
+// D windows waiting behind nearly every window it takes — Depth at a horizon
+// of Window·Depth, 16 at the default 4·Entries; a source slower than the
+// trainer starves it at nearly every fetch.
 func TestQueueStatsTrackPlanning(t *testing.T) {
 	const entries, window, depth = 256, 64, 2
 	ctx := context.Background()
@@ -211,23 +212,30 @@ func TestQueueStatsTrackPlanning(t *testing.T) {
 			return nil
 		}
 	}
-	st, err := Train(ctx, streamEngine(t, 1, entries, 3), &sliceSrc{rest: stream}, TrainConfig{
-		S: 4, Window: window, Depth: depth, PrePlace: true, NewVisit: slowTrainer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first fetch waits for windows 0..Depth to be planned, and the
-	// last Depth find fewer windows behind them.
-	if st.Windows != windows || st.QueuePeak != depth || st.QueueMean < depth-0.5 || st.TrainerStalls > 2 {
-		t.Errorf("fast planner: %d windows, queue peak %d mean %.2f, %d stalls; want %d windows, peak %d, mean near it, ≤ 2 stalls",
-			st.Windows, st.QueuePeak, st.QueueMean, st.TrainerStalls, windows, depth)
+	// minMean allows for the first fetch, which may stall while windows
+	// 0..D are binned, and the last D windows' shorter queues.
+	for _, c := range []struct {
+		horizon, d int
+		minMean    float64
+	}{{window * depth, depth, depth - 0.5}, {0, 4 * entries / window, 10.4}} {
+		st, err := Train(ctx, streamEngine(t, 1, entries, 3), &sliceSrc{rest: stream}, TrainConfig{
+			S: 4, Window: window, Depth: depth, Horizon: c.horizon, PrePlace: true, NewVisit: slowTrainer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first fetch waits for windows 0..D to be binned, and the
+		// last D find fewer windows behind them.
+		if st.Windows != windows || st.QueuePeak != c.d || st.QueueMean < c.minMean || st.TrainerStalls > 2 {
+			t.Errorf("fast planner, horizon %d: %d windows, queue peak %d mean %.2f, %d stalls; want %d windows, peak %d, mean near it, ≤ 2 stalls",
+				c.horizon, st.Windows, st.QueuePeak, st.QueueMean, st.TrainerStalls, windows, c.d)
+		}
 	}
 
 	const slowWindows = 12
 	stream = trace.PermutationEpochs(trace.NewRNG(7), entries, window*slowWindows)
-	st, err = Train(ctx, streamEngine(t, 1, entries, 3), &pacedSrc{sliceSrc{rest: stream}, 10 * time.Millisecond}, TrainConfig{
-		S: 4, Window: window, Depth: depth, PrePlace: true,
+	st, err := Train(ctx, streamEngine(t, 1, entries, 3), &pacedSrc{sliceSrc{rest: stream}, 10 * time.Millisecond}, TrainConfig{
+		S: 4, Window: window, Depth: depth, Horizon: window * depth, PrePlace: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,9 @@ type WindowSweepResult struct {
 
 // WindowSweep runs the permutation workload through the streaming Trainer
 // (TrainOptions.Window on the sharded engine) at decreasing look-ahead
-// windows. The full-stream point (Window = 0) is the one-shot flow's
-// behaviour; every smaller window trades planner memory and latency for
-// cold path reads.
+// windows, each with a horizon of two windows (Horizon = Window·Depth). The
+// full-stream point (Window = 0) is the one-shot flow's behaviour; every
+// smaller horizon trades planner memory and latency for cold path reads.
 func WindowSweep(sc Scale, seed int64) (*WindowSweepResult, error) {
 	entries := sc.EntriesSmall
 	const S = 4
@@ -64,6 +64,7 @@ func WindowSweep(sc Scale, seed int64) (*WindowSweepResult, error) {
 			Superblock: S,
 			Window:     w,
 			Depth:      2,
+			Horizon:    2 * w,
 			// One bin per step, so two bins of a step never share a
 			// fetched path and the sweep isolates the horizon.
 			BatchBins: 1,

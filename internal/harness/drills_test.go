@@ -49,6 +49,19 @@ func TestFailoverIdentity(t *testing.T) {
 			},
 			wantRewound: true,
 		},
+		{
+			// The default horizon, 4·Entries, is D = 7 windows of 300 in an
+			// epoch of 12: the rewind to boundary 2 re-plans from an empty
+			// ring that fills to D before window 2 is released, with the
+			// rest of the stream still beyond the horizon.
+			name: "partial-horizon",
+			cfg: FailoverConfig{
+				Entries: 1 << 9, BlockSize: 16, Shards: 1, Nodes: 1, Seed: 42,
+				Accesses: 3600, Window: 300, S: 4,
+				KillAfter: 1000, KillNode: 0, CheckpointEvery: 2,
+			},
+			wantRewound: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

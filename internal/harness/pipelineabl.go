@@ -86,6 +86,7 @@ func pipelineRun(sc Scale, seed int64, src laoram.IndexSource, window int) (*lao
 		Superblock: 8,
 		Window:     window,
 		Depth:      2,
+		Horizon:    2 * window,
 		PrePlace:   true,
 	})
 }

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"time"
 
 	"repro/internal/oram"
 	"repro/internal/superblock"
@@ -24,22 +26,6 @@ type Plan struct {
 // Shards returns the partition count the plan was built for.
 func (p *Plan) Shards() int { return p.n }
 
-// SplitStream partitions a global access stream into per-shard local-ID
-// streams, preserving relative order within each shard. With one shard the
-// split is the identity, so the returned slice aliases stream rather than
-// copying it (multi-million-access streams pass through unduplicated).
-func SplitStream(stream []uint64, n int) [][]uint64 {
-	if n == 1 {
-		return [][]uint64{stream}
-	}
-	out := make([][]uint64, n)
-	for _, id := range stream {
-		s := ShardOf(id, n)
-		out[s] = append(out[s], LocalID(id, n))
-	}
-	return out
-}
-
 // windowSeedStride separates the plan-RNG seed domains of consecutive
 // planner windows within one shard: window w of shard s draws its bin
 // paths with seed SeedFor(seed, s) + 1 + w*windowSeedStride. Window 0
@@ -58,49 +44,101 @@ func (e *Engine) planSeed(s, win int) int64 {
 // Preprocess runs the §IV-B scan per shard, concurrently: shard s bins its
 // local stream with superblock size sblk and draws bin paths from its own
 // tree's leaves with the deterministic seed SeedFor(seed, s)+1 (for a
-// 1-shard engine this is the seed the unsharded preprocessor uses).
+// 1-shard engine this is the seed the unsharded preprocessor uses). It is
+// the planner's horizon over one window spanning the stream, released.
 func (e *Engine) Preprocess(stream []uint64, sblk int) (*Plan, error) {
-	for _, id := range stream {
-		if err := e.check(id); err != nil {
-			return nil, err
-		}
-	}
-	return e.preprocessWindow(stream, sblk, 0)
-}
-
-// preprocessWindow is the shared scan behind Preprocess (window 0) and the
-// incremental Planner (windows 1..): split the window's slice of the
-// global stream by shard, then bin every local slice concurrently with the
-// window's deterministic seed. Callers must have validated the ids.
-func (e *Engine) preprocessWindow(stream []uint64, sblk, win int) (*Plan, error) {
-	locals := SplitStream(stream, e.n)
-	p := &Plan{n: e.n, plans: make([]*superblock.Plan, e.n)}
-	err := e.fanOut(nil, func(s int) error {
-		// A shard absent from the stream gets an empty plan (zero bins).
-		sp, err := superblock.NewPlan(locals[s], superblock.PlanConfig{
-			S:      sblk,
-			Leaves: e.subs[s].Client.Geometry().Leaves(),
-			Rand:   trace.NewRNG(e.planSeed(s, win)),
-		})
-		p.plans[s] = sp
-		return err
-	})
+	h, err := e.newHorizon(sblk)
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	if err := h.bin(stream, 0); err != nil {
+		return nil, err
+	}
+	return h.release().Plan, nil
 }
 
-// release finishes every shard's plan of p from the windows planned after
-// it, nearest first (superblock.Plan.Release).
-func (p *Plan) release(later []PlannedWindow) {
-	next := make([]*superblock.Plan, len(later))
-	for s, sp := range p.plans {
-		for i := range later {
-			next[i] = later[i].Plan.plans[s]
+// horizon is the planner's look-ahead state: one superblock.Horizon per
+// shard, the windows binned into them, and the split buffers and plan RNGs
+// binning reuses every window.
+type horizon struct {
+	e      *Engine
+	rings  []*superblock.Horizon
+	locals [][]uint64
+	rngs   []*rand.Rand
+	held   []heldWindow // binned windows, oldest first
+}
+
+// heldWindow is a binned window: its PlannedWindow less the Plan, and each
+// shard ring's extent of it.
+type heldWindow struct {
+	PlannedWindow
+	ext []superblock.Extent
+}
+
+func (e *Engine) newHorizon(sblk int) (*horizon, error) {
+	h := &horizon{e: e, rings: make([]*superblock.Horizon, e.n), locals: make([][]uint64, e.n), rngs: make([]*rand.Rand, e.n)}
+	for s := range h.rings {
+		ring, err := superblock.NewHorizon(sblk, e.subs[s].Client.Geometry().Leaves(), int(PerShardEntries(e.entries, e.n)))
+		if err != nil {
+			return nil, err
 		}
-		sp.Release(next)
+		h.rings[s], h.rngs[s] = ring, trace.NewRNG(0)
 	}
+	return h, nil
+}
+
+// bin validates window win's slice of the global stream, splits it into
+// per-shard local-ID streams, in order, and bins every local slice into its
+// shard's ring, concurrently, with the window's deterministic seed; the
+// window is then held, its PlanTime the time this took. Splitting first
+// preserves the look-ahead property: a bin's members are still the next S
+// unique indices its shard will serve.
+func (h *horizon) bin(stream []uint64, win int) error {
+	start := time.Now()
+	for _, id := range stream {
+		if err := h.e.check(id); err != nil {
+			return err
+		}
+	}
+	n := h.e.n
+	if n == 1 {
+		h.locals[0] = stream
+	} else {
+		for s := range h.locals {
+			h.locals[s] = h.locals[s][:0]
+		}
+		for _, id := range stream {
+			s := ShardOf(id, n)
+			h.locals[s] = append(h.locals[s], LocalID(id, n))
+		}
+	}
+	ext := make([]superblock.Extent, n)
+	err := h.e.fanOut(nil, func(s int) (err error) {
+		h.rngs[s].Seed(h.e.planSeed(s, win))
+		ext[s], err = h.rings[s].Bin(h.locals[s], h.rngs[s])
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	h.held = append(h.held, heldWindow{PlannedWindow{Index: win, Accesses: len(stream), PlanTime: time.Since(start)}, ext})
+	return nil
+}
+
+// release removes the oldest held window from every shard's ring and
+// returns it with its sharded Plan, each member's next leaf reaching into
+// every window still held; its PlanTime includes the release.
+func (h *horizon) release() PlannedWindow {
+	start := time.Now()
+	w := h.held[0]
+	h.held = append(h.held[:0], h.held[1:]...)
+	w.Plan = &Plan{n: h.e.n, plans: make([]*superblock.Plan, h.e.n)}
+	h.e.fanOut(nil, func(s int) error {
+		w.Plan.plans[s] = h.rings[s].Release(w.ext[s])
+		return nil
+	})
+	w.PlanTime += time.Since(start)
+	return w.PlannedWindow
 }
 
 // LoadForPlan bulk-initialises every shard concurrently with look-ahead

@@ -27,19 +27,16 @@ type Source interface {
 type PlannerConfig struct {
 	// S is the superblock size (§IV-B).
 	S int
-	// Window is the number of global accesses per planning window; a
-	// block's look-ahead horizon is its own window plus the Depth after it,
-	// Window·(Depth+1) accesses. 0 means one window spanning the entire
-	// stream — the one-shot Preprocess shape, byte-identical to it by
-	// construction. A positive Window must be >= S.
+	// Window is the number of global accesses per planning window, the
+	// unit of execution. 0 means one window spanning the entire stream —
+	// the one-shot Preprocess shape, byte-identical to it by construction.
+	// A positive Window must be >= S.
 	Window int
-	// Depth is the bounded plan queue: how many preprocessed windows may
-	// wait ahead of the consumer (>= 1). Depth 2 double-buffers — the
-	// planner works on window k+1 while the trainer executes window k. It
-	// is also the look-ahead horizon across windows: a window is released
-	// only once the Depth windows after it are planned (or the stream has
-	// ended), and a block leaving its last bin of the window is remapped to
-	// its first bin in those.
+	// Depth is the look-ahead in windows (>= 1): a window is released once
+	// the Depth windows after it are binned (or the stream has ended), and
+	// a block leaving its last bin of the window is remapped to its next
+	// bin in those. Depth 2 double-buffers — the planner works on window k+1
+	// while the trainer executes window k.
 	Depth int
 	// StartWindow offsets the absolute window index of the first planned
 	// window. A recovery that rewinds the source to the boundary of window
@@ -89,10 +86,11 @@ type PlannedWindow struct {
 // client state — so it is safe to run concurrently with Session execution
 // on the same Engine.
 //
-// The queue is the planner's own list of held windows: window k is
-// released — its next-leaf tables finished from windows k+1..k+Depth
-// (superblock.Plan.Release) and offered on the unbuffered channel — once
-// those are planned or the stream has ended. A released plan is never
+// The queue is the planner's own list of held windows, binned into one
+// superblock.Horizon ring per shard: window k is released — its plan built
+// from the rings, its next leaves reaching windows k+1..k+Depth, and
+// offered on the unbuffered channel — once those are binned or the stream
+// has ended. A released plan shares nothing with the rings and is never
 // written again.
 //
 // Window w of shard s draws its bin paths from the deterministic seed
@@ -107,7 +105,7 @@ type Planner struct {
 	started bool
 	err     error // written before ch closes; read after it closes
 
-	// ready is how many planned windows wait behind the one on offer (all
+	// ready is how many binned windows wait behind the one on offer (all
 	// held windows while none is): at most Depth.
 	ready atomic.Int64
 	// enqStalledNs accumulates the time the planning goroutine spent
@@ -132,7 +130,7 @@ func (p *Planner) Stats() PlannerStats {
 	return PlannerStats{EnqueueStalled: time.Duration(p.enqStalledNs.Load())}
 }
 
-// Ready returns how many planned windows wait behind the one on offer,
+// Ready returns how many binned windows wait behind the one on offer,
 // those held for the horizon included (0..Depth). Safe to call at any time.
 func (p *Planner) Ready() int { return int(p.ready.Load()) }
 
@@ -169,18 +167,20 @@ func (p *Planner) Err() error { return p.err }
 // readChunk is the Source fill granularity when windows are unbounded.
 const readChunk = 1 << 16
 
-// run scans the source window by window, holding each planned window until
-// the Depth after it are planned (or the stream ends), then releasing it.
-// The window buffer is reused: the superblock scan copies ids into its own
-// bin storage, so nothing built from one window aliases the buffer by the
-// time the next fill starts.
+// run scans the source window by window, binning each into the horizon and
+// releasing the oldest once Depth windows are binned behind it (or the stream
+// ends). The window buffer is reused: binning copies ids into the rings.
 func (p *Planner) run(ctx context.Context) {
 	defer close(p.ch)
 	var buf []uint64
 	if p.cfg.Window > 0 {
 		buf = make([]uint64, 0, p.cfg.Window)
 	}
-	held := make([]PlannedWindow, 0, p.cfg.Depth+1)
+	h, err := p.e.newHorizon(p.cfg.S)
+	if err != nil {
+		p.err = err
+		return
+	}
 	for win := p.cfg.StartWindow; ; win++ {
 		ids, eof, err := p.fillWindow(ctx, buf[:0])
 		if err != nil {
@@ -188,46 +188,35 @@ func (p *Planner) run(ctx context.Context) {
 			return
 		}
 		if len(ids) > 0 {
-			start := time.Now()
-			for _, id := range ids {
-				if err := p.e.check(id); err != nil {
-					p.err = fmt.Errorf("shard: planner window %d: %w", win, err)
-					return
-				}
-			}
-			plan, err := p.e.preprocessWindow(ids, p.cfg.S, win)
-			if err != nil {
+			if err := h.bin(ids, win); err != nil {
 				p.err = fmt.Errorf("shard: planner window %d: %w", win, err)
 				return
 			}
-			// The plan is the prefetch oracle: hint tiered stores now,
-			// while the trainer is still executing earlier windows.
-			p.e.prefetchPlan(plan)
-			held = append(held, PlannedWindow{Index: win, Accesses: len(ids), Plan: plan, PlanTime: time.Since(start)})
 		}
 		buf = ids
-		for len(held) > p.cfg.Depth || (eof && len(held) > 0) {
-			if err := p.release(ctx, held); err != nil {
+		for len(h.held) > p.cfg.Depth || (eof && len(h.held) > 0) {
+			if err := p.release(ctx, h); err != nil {
 				p.err = err
 				return
 			}
-			held = append(held[:0], held[1:]...)
 		}
-		p.ready.Store(int64(len(held)))
+		p.ready.Store(int64(len(h.held)))
 		if eof {
 			return
 		}
 	}
 }
 
-// release finishes held[0] from the windows held after it and hands it to
-// the consumer.
-func (p *Planner) release(ctx context.Context, held []PlannedWindow) error {
-	w := held[0]
+// release builds the oldest held window's plan from the horizon and hands
+// it to the consumer. The plan is the prefetch oracle: tiered stores are
+// hinted now, one window ahead of its execution, so the hints neither queue
+// up Depth windows deep nor arrive after the lane.
+func (p *Planner) release(ctx context.Context, h *horizon) error {
+	w := h.release()
 	start := time.Now()
-	w.Plan.release(held[1:])
+	p.e.prefetchPlan(w.Plan)
 	w.PlanTime += time.Since(start)
-	p.ready.Store(int64(len(held) - 1))
+	p.ready.Store(int64(len(h.held)))
 	enqStart := time.Now()
 	select {
 	case p.ch <- w:

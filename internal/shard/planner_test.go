@@ -235,10 +235,15 @@ func TestPlannerReleasedPlansFinal(t *testing.T) {
 			t.Fatalf("window %d's next-leaf table changed after its release", k)
 		}
 		lo := k * window
-		unreleased, err := e.preprocessWindow(stream[lo:lo+w.Accesses], 4, w.Index)
+		// The window binned alone: its plan with nothing held behind it.
+		h, err := e.newHorizon(4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := h.bin(stream[lo:lo+w.Accesses], w.Index); err != nil {
+			t.Fatal(err)
+		}
+		unreleased := h.release().Plan
 		for s, table := range nextLeafTables(unreleased) {
 			for i, leaf := range table {
 				switch got := atStart[k][s][i]; {

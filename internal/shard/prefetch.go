@@ -4,19 +4,19 @@ import "repro/internal/oram"
 
 // Look-ahead prefetch: the §IV-B plan is a complete oracle of the paths a
 // window will touch (every bin carries its pre-assigned leaf), so the
-// moment a window is planned its paths can start streaming from a tiered
-// store's disk arena into memory — the planner runs a window (or more)
-// ahead of the session, which is exactly the lead time a prefetcher
-// needs. prefetchPlan hands each shard's bin leaves to its Sub.Prefetch
-// hook; the hint is fire-and-forget and the store may drop it, so this
-// costs one leaf-slice copy per shard per window and has no effect on
-// correctness or on the client-visible access sequence (DESIGN.md
-// invariant #14).
+// moment a window is released its paths can start streaming from a tiered
+// store's disk arena into memory — the planner releases a window while the
+// session still executes the one before, which is the lead time a
+// prefetcher needs. prefetchPlan hands each shard's bin leaves to its
+// Sub.Prefetch hook; the hint is fire-and-forget and the store may drop
+// it, so this costs one leaf-slice copy per shard per window and has no
+// effect on correctness or on the client-visible access sequence
+// (DESIGN.md invariant #14).
 //
-// Hints fire from two sites: Planner.run (right after preprocessWindow —
-// the lead-time path) and Engine.NewSession (catch-up for plans built
-// without a planner, e.g. one-shot Preprocess). Duplicate hints are
-// harmless: the store skips already-resident buckets.
+// Hints fire from two sites: Planner.release (the lead-time path) and
+// Engine.NewSession (catch-up for plans built without a planner, e.g.
+// one-shot Preprocess). Duplicate hints are harmless: the store skips
+// already-resident buckets.
 func (e *Engine) prefetchPlan(p *Plan) {
 	if p == nil || p.n != e.n {
 		return

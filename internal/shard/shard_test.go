@@ -452,11 +452,12 @@ func TestPreprocessPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locals := SplitStream(stream, 4)
 	for s := 0; s < 4; s++ {
 		seen := map[uint64]bool{}
-		for _, l := range locals[s] {
-			seen[l] = true
+		for _, id := range stream {
+			if ShardOf(id, 4) == s {
+				seen[LocalID(id, 4)] = true
+			}
 		}
 		sp := plan.plans[s]
 		if sp.Len() == 0 || sp.UniqueBlocks() != len(seen) {

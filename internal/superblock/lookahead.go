@@ -11,6 +11,7 @@ package superblock
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/oram"
 )
@@ -48,92 +49,37 @@ type Plan struct {
 	// member's next bin, or NoLeaf when it has none within the horizon.
 	// Every bin but the last is full, so the layout has no gaps.
 	nextLeaf []oram.Leaf
-	first    map[oram.BlockID]int32 // first bin index per block
+
+	firstOnce sync.Once
+	first     map[oram.BlockID]int32 // first bin index per block, built on first use
 }
 
 // NewPlan runs the two preprocessing steps of §IV-B on the upcoming access
 // stream: the dataset scan (binning the next S unique indices together,
 // skipping indices already in the open bin) and superblock path generation
 // (one uniform path per bin). The final bin may be short. Each member's next
-// leaf is its next bin in this stream; Release extends that horizon.
+// leaf is its next bin in this stream: NewPlan is a Horizon of one window,
+// released. Block IDs must fit 32 bits.
 func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
-	if cfg.S < 1 {
-		return nil, fmt.Errorf("superblock: S must be >= 1, got %d", cfg.S)
-	}
-	if cfg.Leaves == 0 {
-		return nil, fmt.Errorf("superblock: Leaves must be > 0")
-	}
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("superblock: Rand is required")
 	}
-	p := &Plan{s: cfg.S}
-	var cur []oram.BlockID
-	inCur := make(map[oram.BlockID]bool, cfg.S)
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		idx := len(p.bins)
-		leaf := oram.Leaf(cfg.Rand.Int63n(int64(cfg.Leaves)))
-		p.bins = append(p.bins, Bin{Index: idx, Blocks: cur, Leaf: leaf})
-		cur = nil
-		for k := range inCur {
-			delete(inCur, k)
-		}
-	}
+	var ids uint64
 	for _, a := range stream {
-		id := oram.BlockID(a)
-		if inCur[id] {
-			continue // §IV-B: a bin holds unique indices
+		if a >= 1<<32 {
+			return nil, fmt.Errorf("superblock: id %d does not fit 32 bits", a)
 		}
-		cur = append(cur, id)
-		inCur[id] = true
-		if len(cur) == cfg.S {
-			flush()
-		}
+		ids = max(ids, a+1)
 	}
-	flush()
-	// Walk the bins backwards: the bin a block was last seen in on the way
-	// is its next one, and at the front it is its first.
-	p.nextLeaf = make([]oram.Leaf, len(p.bins)*cfg.S)
-	p.first = make(map[oram.BlockID]int32)
-	for i := len(p.bins) - 1; i >= 0; i-- {
-		for j, id := range p.bins[i].Blocks {
-			leaf := oram.NoLeaf
-			if nb, ok := p.first[id]; ok {
-				leaf = p.bins[nb].Leaf
-			}
-			p.nextLeaf[i*cfg.S+j] = leaf
-			p.first[id] = int32(i)
-		}
+	h, err := NewHorizon(cfg.S, cfg.Leaves, int(ids))
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
-}
-
-// Release extends the plan's horizon into the plans that follow it in the
-// stream, nearest first: a member whose next leaf is NoLeaf — its last bin
-// in this plan — gets the leaf of its first bin in the earliest of later
-// that holds it, and keeps NoLeaf only if none does. Call Release once,
-// before a Cursor reads the plan; a released plan is read-only, so a Cursor
-// may run on one goroutine while Release finishes the next plan on another.
-func (p *Plan) Release(later []*Plan) {
-	if len(later) == 0 {
-		return
+	w, err := h.Bin(stream, cfg.Rand)
+	if err != nil {
+		return nil, err
 	}
-	for i := range p.bins {
-		row := p.nextLeaf[i*p.s:]
-		for j, id := range p.bins[i].Blocks {
-			if row[j] != oram.NoLeaf {
-				continue
-			}
-			for _, lp := range later {
-				if leaf := lp.FirstLeaf(id); leaf != oram.NoLeaf {
-					row[j] = leaf
-					break
-				}
-			}
-		}
-	}
+	return h.Release(w), nil
 }
 
 // S returns the configured superblock size.
@@ -150,7 +96,7 @@ func (p *Plan) Bin(i int) *Bin { return &p.bins[i] }
 // ("pre-placement") is equivalent to having run a converged warm-up epoch:
 // each block already sits on the path of its first superblock.
 func (p *Plan) FirstLeaf(id oram.BlockID) oram.Leaf {
-	i, ok := p.first[id]
+	i, ok := p.firstBins()[id]
 	if !ok {
 		return oram.NoLeaf
 	}
@@ -158,7 +104,21 @@ func (p *Plan) FirstLeaf(id oram.BlockID) oram.Leaf {
 }
 
 // UniqueBlocks returns the number of distinct blocks in the plan.
-func (p *Plan) UniqueBlocks() int { return len(p.first) }
+func (p *Plan) UniqueBlocks() int { return len(p.firstBins()) }
+
+// firstBins returns the first bin index of every block, built once on first
+// use: only pre-placement and tests ask, so released windows skip the map.
+func (p *Plan) firstBins() map[oram.BlockID]int32 {
+	p.firstOnce.Do(func() {
+		p.first = make(map[oram.BlockID]int32)
+		for i := len(p.bins) - 1; i >= 0; i-- {
+			for _, id := range p.bins[i].Blocks {
+				p.first[id] = int32(i)
+			}
+		}
+	})
+	return p.first
+}
 
 // MetadataBytes estimates the size of the (superblock, future path)
 // metadata shipped from the preprocessor to the trainer GPU (§IV-B3):

@@ -62,13 +62,13 @@ func TestQuickPlanInvariants(t *testing.T) {
 		// (3) the next-leaf table and first-bin index agree with a scan of
 		// the bins.
 		all := binsOfAll(p)
-		if len(p.first) != len(all) || p.UniqueBlocks() != len(all) {
+		if len(p.firstBins()) != len(all) || p.UniqueBlocks() != len(all) {
 			return false
 		}
 		queued := 0
 		for id, q := range all {
 			queued += len(q)
-			if p.first[id] != int32(q[0]) {
+			if p.firstBins()[id] != int32(q[0]) {
 				return false
 			}
 			for k, bi := range q {
@@ -185,6 +185,148 @@ func binsOfAll(p *Plan) map[oram.BlockID][]int {
 		}
 	}
 	return out
+}
+
+// Release is the reference a Horizon's release is held to: it extends the
+// plan's horizon into the plans that follow it in the stream, nearest first.
+// A member whose next leaf is NoLeaf — its last bin in this plan — gets the
+// leaf of its first bin in the earliest of later that holds it, and keeps
+// NoLeaf only if none does.
+func (p *Plan) Release(later []*Plan) {
+	for i := range p.bins {
+		row := p.nextLeaf[i*p.s:]
+		for j, id := range p.bins[i].Blocks {
+			if row[j] != oram.NoLeaf {
+				continue
+			}
+			for _, lp := range later {
+				if leaf := lp.FirstLeaf(id); leaf != oram.NoLeaf {
+					row[j] = leaf
+					break
+				}
+			}
+		}
+	}
+}
+
+// nextLeaves reads p's next-leaf table the way a lane does, through a cursor.
+func nextLeaves(p *Plan) []oram.Leaf {
+	var out []oram.Leaf
+	for cur := NewCursor(p); !cur.Done(); {
+		_, next, _ := cur.Advance()
+		out = append(out, next...)
+	}
+	return out
+}
+
+// TestQuickHorizonMatchesRelease: a stream of ids that recur across windows
+// is split over 1, 2, 4 or 8 shards (id mod shards) and cut into windows, the
+// last one short; a shard may be absent from a window. Every shard's Horizon,
+// released with D windows held behind each window (D = 1..6) at S ∈ {1, 2,
+// 4, 8}, yields exactly the bins and next-leaf tables of per-window NewPlan
+// finished by the reference Release from the next D windows' plans — the
+// plan-level proof that a horizon of Window·Depth accesses is the
+// cross-window release it replaces. Random short streams cover the window
+// shapes; long ones make the rings wrap, then grow.
+func TestQuickHorizonMatchesRelease(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	f := func(streamRaw []uint8, winRaw, shardRaw, sRaw uint8, seed int64) bool {
+		stream := make([]uint64, len(streamRaw))
+		for i, v := range streamRaw {
+			stream[i] = uint64(v % 40)
+		}
+		s, shards := []int{1, 2, 4, 8}[sRaw%4], []int{1, 2, 4, 8}[shardRaw%4]
+		return horizonMatchesRelease(t, stream, 40, s+int(winRaw%32), s, shards, seed)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+	for i, s := range []int{1, 2, 4, 8} {
+		// Runs of 8 equal ids bin to an eighth of the members per access,
+		// so the rings are already wrapping when the uniform part makes
+		// them grow.
+		stream := make([]uint64, 40_000)
+		for j := range stream {
+			if j < len(stream)/3 && j%8 != 0 {
+				stream[j] = stream[j-1]
+			} else {
+				stream[j] = uint64(rng.Intn(6000))
+			}
+		}
+		if !horizonMatchesRelease(t, stream, 6000, 1500+700*i, s, 1<<i, int64(i)) {
+			t.Fatalf("S=%d over %d shards: long stream diverges", s, 1<<i)
+		}
+	}
+}
+
+// horizonMatchesRelease checks one stream at depths 1..6 (see
+// TestQuickHorizonMatchesRelease); ids is the global id space.
+func horizonMatchesRelease(t *testing.T, stream []uint64, ids, window, s, shards int, seed int64) bool {
+	seedOf := func(sh, k int) int64 { return seed + int64(sh)*7919 + int64(k) }
+	for depth := 1; depth <= 6; depth++ {
+		for sh := 0; sh < shards; sh++ {
+			// Window k's slice of this shard's local ids.
+			var wins [][]uint64
+			for lo := 0; lo < len(stream); lo += window {
+				var local []uint64
+				for _, id := range stream[lo:min(lo+window, len(stream))] {
+					if int(id)%shards == sh {
+						local = append(local, id/uint64(shards))
+					}
+				}
+				wins = append(wins, local)
+			}
+			cfg := func(k int) PlanConfig {
+				return PlanConfig{S: s, Leaves: 1 << 40, Rand: rand.New(rand.NewSource(seedOf(sh, k)))}
+			}
+			plans := make([]*Plan, len(wins))
+			for k, local := range wins {
+				var err error
+				if plans[k], err = NewPlan(local, cfg(k)); err != nil {
+					return false
+				}
+			}
+			for k, p := range plans {
+				p.Release(plans[k+1 : min(k+1+depth, len(plans))])
+			}
+			h, err := NewHorizon(s, 1<<40, ids/shards+1)
+			if err != nil {
+				return false
+			}
+			var got []*Plan
+			var held []Extent
+			for k, local := range wins {
+				w, err := h.Bin(local, cfg(k).Rand)
+				if err != nil {
+					return false
+				}
+				held = append(held, w)
+				for len(held) > depth || (k == len(wins)-1 && len(held) > 0) {
+					got = append(got, h.Release(held[0]))
+					held = held[1:]
+				}
+			}
+			if len(got) != len(plans) {
+				return false
+			}
+			for k := range plans {
+				if got[k].Len() != plans[k].Len() {
+					return false
+				}
+				for i := 0; i < got[k].Len(); i++ {
+					gb, wb := got[k].Bin(i), plans[k].Bin(i)
+					if gb.Leaf != wb.Leaf || !slices.Equal(gb.Blocks, wb.Blocks) {
+						return false
+					}
+				}
+				if g, w := nextLeaves(got[k]), nextLeaves(plans[k]); !slices.Equal(g, w) {
+					t.Logf("S=%d shards=%d depth=%d shard %d window %d: next leaves differ", s, shards, depth, sh, k)
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // TestQuickReleaseHorizon: over random streams cut into windows and released

@@ -25,7 +25,7 @@
 //
 //	st, _ := db.Train(ctx, laoram.TrainOptions{   // look-ahead training
 //	    Source:   laoram.FromSlice(upcomingIndices),
-//	    Window:   1 << 16,                        // plan 64k accesses ahead
+//	    Window:   1 << 16,                        // execute in 64k-access windows
 //	    PrePlace: true,
 //	    Visit:    func(id uint64, row []byte) []byte { return update(row) },
 //	})

@@ -3,6 +3,8 @@ package laoram
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"testing"
 	"time"
@@ -100,14 +102,16 @@ func (s *trickleSource) Read(ctx context.Context, dst []uint64) (int, error) {
 // how the source cuts and paces the stream never changes what executes. A
 // source that hands over one index per Read, paced or not, trains to the
 // same identity counters and the same SaveState bytes as FromSlice, with
-// windows that look ahead across each other at every Depth.
+// windows that look ahead across each other at every Depth: D = Depth 1–3
+// and D = 5 release windows while the source is still being read; the
+// default horizon (4·Entries, 8 windows) bins the whole stream first.
 func TestTrickleSourceMatchesSlice(t *testing.T) {
 	const entries, blockSize, window = 512, 16, 256
 	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 2000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(src IndexSource, depth int) (*TrainStats, []byte) {
+	run := func(src IndexSource, depth, horizon int) (*TrainStats, []byte) {
 		t.Helper()
 		db, err := New(Options{Entries: entries, BlockSize: blockSize, Shards: 2, Seed: 12})
 		if err != nil {
@@ -115,7 +119,7 @@ func TestTrickleSourceMatchesSlice(t *testing.T) {
 		}
 		defer db.Close()
 		st, err := db.Train(context.Background(), TrainOptions{
-			Source: src, Superblock: 4, Window: window, Depth: depth,
+			Source: src, Superblock: 4, Window: window, Depth: depth, Horizon: horizon,
 			PrePlace: true, Payload: trainInit(blockSize), Visit: trainVisit,
 		})
 		if err != nil {
@@ -127,20 +131,83 @@ func TestTrickleSourceMatchesSlice(t *testing.T) {
 		}
 		return st, state.Bytes()
 	}
-	for depth := 1; depth <= 3; depth++ {
-		want, wantState := run(FromSlice(stream), depth)
-		if want.Windows < 2*depth {
-			t.Fatalf("depth %d: %d windows, too few to look ahead across", depth, want.Windows)
+	for _, c := range []struct{ depth, horizon int }{
+		{1, window}, {2, 2 * window}, {3, 3 * window}, {2, 5 * window}, {2, 0},
+	} {
+		want, wantState := run(FromSlice(stream), c.depth, c.horizon)
+		if d := c.horizon / window; c.horizon > 0 && want.Windows < d+2 {
+			t.Fatalf("D %d: %d windows, too few to release any before the stream ends", d, want.Windows)
 		}
 		for _, pause := range []time.Duration{0, 200 * time.Microsecond} {
-			got, gotState := run(&trickleSource{rest: stream, pause: pause}, depth)
+			got, gotState := run(&trickleSource{rest: stream, pause: pause}, c.depth, c.horizon)
 			if got.Windows != want.Windows || got.Accesses != want.Accesses || got.Session != want.Session {
-				t.Errorf("depth %d, pause %v: identity counters %d/%d/%+v, FromSlice %d/%d/%+v", depth, pause,
+				t.Errorf("depth %d, horizon %d, pause %v: identity counters %d/%d/%+v, FromSlice %d/%d/%+v", c.depth, c.horizon, pause,
 					got.Windows, got.Accesses, got.Session, want.Windows, want.Accesses, want.Session)
 			}
 			if !bytes.Equal(gotState, wantState) {
-				t.Errorf("depth %d, pause %v: SaveState bytes differ from FromSlice's", depth, pause)
+				t.Errorf("depth %d, horizon %d, pause %v: SaveState bytes differ from FromSlice's", c.depth, c.horizon, pause)
 			}
 		}
 	}
+}
+
+// horizonRun trains a fresh two-shard instance over a Kaggle trace in
+// 4096-access windows at Depth 2 and the given Horizon, and returns its
+// Stats and the SHA-256 of every row read back afterwards.
+func horizonRun(t *testing.T, horizon int) (Stats, string) {
+	t.Helper()
+	const entries, blockSize = 8192, 16
+	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 10 * 4096, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(Options{Entries: entries, BlockSize: blockSize, Shards: 2, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Train(context.Background(), TrainOptions{
+		Source: FromSlice(stream), Superblock: 4, Window: 4096, Depth: 2, Horizon: horizon,
+		PrePlace: true, Payload: trainInit(blockSize), Visit: trainVisit,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	ids := make([]uint64, entries)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	rows, err := db.ReadBatch(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bytes.Join(rows, nil))
+	return st, hex.EncodeToString(sum[:])
+}
+
+// TestDefaultHorizonReadsFewerPaths: Horizon 0 looks 4·Entries = 32,768
+// accesses past each window (8 windows), so the Kaggle trace's reuse stays in
+// the plan and the run reads fewer paths per access than at Horizon 8192
+// (Window·Depth). That explicit run is the planner's old horizon of Depth
+// windows: its counts and rows are pinned to what the code read before
+// Horizon existed.
+func TestDefaultHorizonReadsFewerPaths(t *testing.T) {
+	// Recorded before Horizon existed, when Depth 2 alone set the horizon.
+	const (
+		wantPathReads = 21285
+		wantStashPeak = 746
+		wantRows      = "390eff6c74039c13b25cccb9d9196b7d322cfedf913569b6b7291163c8b15943"
+	)
+	explicit, rows := horizonRun(t, 8192)
+	if explicit.PathReads != wantPathReads || explicit.StashPeak != wantStashPeak || rows != wantRows {
+		t.Errorf("Horizon 8192: %d path reads, stash peak %d, rows %s; want %d, %d, %s",
+			explicit.PathReads, explicit.StashPeak, rows, wantPathReads, wantStashPeak, wantRows)
+	}
+	derived, _ := horizonRun(t, 0)
+	if derived.Accesses != explicit.Accesses || derived.PathReads >= explicit.PathReads {
+		t.Errorf("default horizon: %d path reads over %d accesses, want fewer than Horizon 8192's %d over %d",
+			derived.PathReads, derived.Accesses, explicit.PathReads, explicit.Accesses)
+	}
+	t.Logf("path reads per access: %.3f at Horizon 8192, %.3f at the default",
+		float64(explicit.PathReads)/float64(explicit.Accesses), float64(derived.PathReads)/float64(derived.Accesses))
 }

@@ -21,23 +21,29 @@ type TrainOptions struct {
 	// Superblock is the §IV-B superblock size S (default 4; the paper
 	// evaluates S ∈ {2, 4, 8}).
 	Superblock int
-	// Window is how many upcoming accesses each planning window scans; a
-	// block's look-ahead horizon is its own window plus the Depth after
-	// it, Window·(Depth+1) accesses. 0 plans the entire stream as one
-	// window, the paper's whole-epoch preprocessing (byte-identical to the
-	// engine-level Preprocess → LoadForPlan → Session flow under the same
-	// seed; DESIGN.md invariant #9). Smaller windows bound planner memory
-	// and latency but degrade toward PathORAM as blocks leave the horizon
-	// (the abl-window ablation). A positive Window must be >= Superblock.
+	// Window is how many upcoming accesses each planning window scans: the
+	// unit the trainer executes, pre-places (window 0) and checkpoints at.
+	// 0 plans the entire stream as one window, the paper's whole-epoch
+	// preprocessing (byte-identical to the engine-level Preprocess →
+	// LoadForPlan → Session flow under the same seed; DESIGN.md invariant
+	// #9). A positive Window must be >= Superblock.
 	Window int
-	// Depth is how many preprocessed windows may queue ahead of the
-	// trainer (default 2 — double-buffered: window k+1 is planned while
-	// window k executes, the paper's §VIII-A overlap). It is the
-	// look-ahead horizon across windows too: a window executes once the
-	// Depth after it are planned, and a block leaving its last bin of the
-	// window is remapped to its first bin in those (DESIGN.md
-	// "Cross-window look-ahead").
+	// Depth is the least number of windows planned ahead of the one
+	// executing (default 2 — double-buffered: window k+1 is planned while
+	// window k executes, the paper's §VIII-A overlap). It bounds read-ahead
+	// only with Horizon at most Window·Depth: the default Horizon reads up
+	// to 4·Entries accesses ahead, however small Depth is.
 	Depth int
+	// Horizon is how many accesses after a window its blocks' next bins are
+	// looked up in: a window executes once the D = max(Depth,
+	// ⌈Horizon/Window⌉) windows after it are planned, and a block leaving
+	// its last bin of the window is remapped to its next bin in those
+	// (DESIGN.md "Cross-window look-ahead"). Blocks whose next access lies
+	// past it are remapped uniformly, degrading toward PathORAM (the
+	// abl-window ablation). 0 is max(Window·Depth, 4·Entries): under
+	// uniform access a block recurs within 4·Entries accesses with
+	// probability 1 − e⁻⁴ ≈ 98 %. Ignored when Window is 0.
+	Horizon int
 	// BatchBins is how many superblock bins each server round trip
 	// fetches and writes back (§IV-A's per-training-batch fetch); 0 is
 	// as many bins as hold 32 keys (8 at Superblock 4, never fewer than
@@ -116,9 +122,9 @@ type TrainStats struct {
 	Windows int
 	// Accesses is the number of stream indices covered by fully executed
 	// windows. After a cancelled run the planner may have consumed up to
-	// (Depth+1)·Window further indices from the Source that never trained
-	// — the windows it held for the horizon count against Depth, so the
-	// bound does not grow with it — plus the window that was executing;
+	// (D+1)·Window further indices from the Source that never trained —
+	// the horizon rounded up to whole windows, plus the window on offer
+	// (see TrainOptions.Horizon) — plus the window that was executing;
 	// reconcile against the Source itself if exact feed accounting
 	// matters.
 	Accesses uint64
@@ -144,7 +150,7 @@ type TrainStats struct {
 	// PlanQueuePeak and PlanQueueMean summarise the plan-queue depth each
 	// window fetch observed: the planned windows waiting behind the one it
 	// took, those held for the horizon included, or 0 on a stall (bounded
-	// by TrainOptions.Depth). A mean near Depth means planning stayed
+	// by D, see TrainOptions.Horizon). A mean near D means planning stayed
 	// ahead; near zero, the trainer was starved.
 	PlanQueuePeak int
 	PlanQueueMean float64
@@ -217,6 +223,7 @@ func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error
 		S:         opts.Superblock,
 		Window:    opts.Window,
 		Depth:     opts.Depth,
+		Horizon:   opts.Horizon,
 		BatchBins: opts.BatchBins,
 		PrePlace:  opts.PrePlace,
 		Payload:   opts.Payload,

@@ -500,14 +500,16 @@ func TestRecoveryValidation(t *testing.T) {
 
 // TestTrainAccountingAfterCancel reconciles consumed-vs-trained counts when
 // a run is cancelled mid-epoch: the planner legitimately reads ahead of the
-// trainer — Depth windows queued, one more scanned and blocked on the
-// queue, and the partially-trained window itself (consumed but not counted
-// in Accesses) — so the counted source may be up to (Depth+2)·Window
-// indices past TrainStats.Accesses, but never more, and never behind.
+// trainer — D windows held for the default horizon of 4·Entries accesses,
+// one more offered on the queue, and the partially-trained window itself
+// (consumed but not counted in Accesses) — so the counted source may be up
+// to (D+2)·Window indices past TrainStats.Accesses, but never more, and
+// never behind.
 func TestTrainAccountingAfterCancel(t *testing.T) {
 	const entries = 1 << 10
 	const window = 1024
 	const depth = 3
+	const d = max(depth, 4*entries/window)
 	stream, err := GenerateTrace(TraceConfig{Kind: TraceUniform, N: entries, Count: 20000, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
@@ -541,9 +543,9 @@ func TestTrainAccountingAfterCancel(t *testing.T) {
 	if trained > consumed {
 		t.Fatalf("trained %d accesses but consumed only %d from the source", trained, consumed)
 	}
-	if slack := consumed - trained; slack > (depth+2)*window {
+	if slack := consumed - trained; slack > (d+2)*window {
 		t.Errorf("source over-consumed by %d indices, look-ahead bound is %d",
-			slack, (depth+2)*window)
+			slack, (d+2)*window)
 	}
 }
 

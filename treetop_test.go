@@ -32,7 +32,8 @@ func treetopWorkload(t *testing.T, db *ORAM, entries uint64, blockSize int) {
 		return p
 	}
 	if _, err := db.Train(context.Background(), TrainOptions{
-		Source: FromSlice(stream), Superblock: 4, Window: 1024, BatchBins: 1, PrePlace: true, Payload: row,
+		// The horizon of two windows the golden was recorded under.
+		Source: FromSlice(stream), Superblock: 4, Window: 1024, Horizon: 2048, BatchBins: 1, PrePlace: true, Payload: row,
 		Visit: func(id uint64, p []byte) []byte {
 			p[8]++
 			return p
