@@ -12,10 +12,11 @@ import (
 // write-back, background eviction — must not allocate. This is the end-to-end
 // proof that the slab stash and its index, the reusable evict planner, the
 // transfer buffers and the cursor (an index into the plan's next-leaf table)
-// compose across the oram and superblock layers. Two shapes: the converged
-// one-path bin over a
-// metadata-only store, and the cold bin — two to four paths fetched as one
-// bucket union and written back as one — over an unsealed PayloadStore.
+// compose across the oram and superblock layers. Three shapes: the converged
+// one-path bin over a metadata-only store and over a Treetop on a sealed
+// PayloadStore (rows handed between the stash, the read arena and the top),
+// and the cold bin — two to four paths fetched as one bucket union and
+// written back as one — over an unsealed PayloadStore.
 func TestStepAllocs(t *testing.T) {
 	const blocks = 1 << 11
 	stream, err := trace.Generate(trace.Config{
@@ -31,6 +32,10 @@ func TestStepAllocs(t *testing.T) {
 	}{
 		{"one-path/meta", false, newFixture(t, fixtureConfig{
 			leafBits: 10, blocks: blocks, s: 4,
+			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 32,
+		})},
+		{"one-path/sealed-treetop", false, newFixture(t, fixtureConfig{
+			leafBits: 10, blocks: blocks, blockSize: 64, s: 4, fat: true, sealed: true,
 			evict: oram.PaperEvict, stream: stream, prePlace: true, seed: 32,
 		})},
 		{"cold/payload", true, coldBinFixture(t, nil)},

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/oram"
 	"repro/internal/stats"
 	"repro/internal/superblock"
@@ -31,6 +32,9 @@ type fixtureConfig struct {
 	seed      int64
 	// spy, if set, is put between the CountingStore and the PayloadStore.
 	spy *binSpy
+	// sealed seals the PayloadStore and puts a Treetop over it, as a
+	// laoram instance with Encrypt builds its shards.
+	sealed bool
 }
 
 func newFixture(t *testing.T, fc fixtureConfig) *fixture {
@@ -43,7 +47,15 @@ func newFixture(t *testing.T, fc fixtureConfig) *fixture {
 	g := oram.MustGeometry(gc)
 	var inner oram.Store
 	if fc.blockSize > 0 {
-		ps, err := oram.NewPayloadStore(g, nil)
+		var sealer oram.Sealer
+		if fc.sealed {
+			s, err := crypto.NewSealer(make([]byte, 32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealer = s
+		}
+		ps, err := oram.NewPayloadStore(g, sealer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,6 +63,11 @@ func newFixture(t *testing.T, fc fixtureConfig) *fixture {
 		if fc.spy != nil {
 			fc.spy.PayloadStore = ps
 			inner = fc.spy
+		}
+		if fc.sealed {
+			if inner, err = oram.NewTreetop(inner, true, false); err != nil {
+				t.Fatal(err)
+			}
 		}
 	} else {
 		inner = oram.NewMetaStore(g)

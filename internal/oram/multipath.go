@@ -28,6 +28,7 @@ type multiScratch struct {
 	split  []int32     // pathUnion: per group and branch, its first leaf
 	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
 	arena  [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
+	spare  [][]byte    // rows write-backs got back, to refill the read arena
 }
 
 // batchBufs returns n slot buffers with bufs[i] sized to size(i), reusing
@@ -36,10 +37,10 @@ type multiScratch struct {
 // payload pointers from a previous write-back would alias live stash slabs,
 // which a store honouring the decrypt-into-capacity contract must never be
 // handed, while arena-backed slices let such a store read into recycled
-// client memory instead of allocating. Whatever the store leaves behind is
-// re-armed before the next read, so nothing the client retains can alias the
-// arena — the stash copies on Put. (A geometry without payloads has no slabs
-// to alias: its stash holds nil payloads.)
+// client memory instead of allocating. A row the stash adopts leaves the
+// arena and a spare row takes its place (ingest), so nothing is held twice.
+// (A geometry without payloads has no slabs to alias: its stash holds nil
+// payloads.)
 func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot {
 	if cap(m.bufs) < n {
 		m.bufs = append(m.bufs[:cap(m.bufs)], make([][]Slot, n-cap(m.bufs))...)
@@ -68,6 +69,32 @@ func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot 
 		}
 	}
 	return m.bufs
+}
+
+// keepRows takes every real row of a write-back's bufs into the spare rows.
+// Once the store has returned, the client owns what those slots hold — the
+// block's own row where the store copied it, a row of the store's where it
+// kept the block's (Store.WriteBucket) — and the placed blocks have left the
+// stash without their rows (Stash.removeMarked, Stash.release).
+func (m *multiScratch) keepRows(bufs [][]Slot) {
+	for _, buf := range bufs {
+		for i := 0; i < len(buf) && !buf[i].Dummy(); i++ {
+			if p := buf[i].Payload; p != nil {
+				m.spare = append(m.spare, p)
+			}
+		}
+	}
+}
+
+// spareRow hands out a spare row, or a fresh one of n bytes when none is left.
+func (m *multiScratch) spareRow(n int) []byte {
+	k := len(m.spare) - 1
+	if k < 0 {
+		return make([]byte, n)
+	}
+	p := m.spare[k]
+	m.spare[k], m.spare = nil, m.spare[:k]
+	return p
 }
 
 // LeafSet is the distinct leaves of one joint fetch in first-seen order: what
@@ -366,6 +393,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
 	}
 	c.stash.removeMarked(placed)
+	m.keepRows(bufs)
 	c.stats.BlocksMoved += uint64(moved)
 	return nil
 }

@@ -191,16 +191,22 @@ func (c *Client) RandomLeaf() Leaf {
 // ingest moves every real slot of the fetched buckets into the stash (§II-C
 // step 2; dummies are dropped), in bucket order, returning how many blocks
 // moved. Every read — a path or a bucket union — funnels through here, so
-// stash-ingestion semantics live in one place.
+// stash-ingestion semantics live in one place. The stash adopts the buffer
+// each row was read into, and a spare row takes its place in the read arena,
+// so a row is not copied again on its way in.
 func (c *Client) ingest(bufs [][]Slot) (int, error) {
 	moved := 0
-	for _, buf := range bufs {
-		for i := range buf {
-			if buf[i].Dummy() {
+	for i, buf := range bufs {
+		for j := range buf {
+			s := &buf[j]
+			if s.Dummy() {
 				continue
 			}
-			if err := c.stash.Put(buf[i].ID, buf[i].Leaf, buf[i].Payload); err != nil {
+			if err := c.stash.Adopt(s.ID, s.Leaf, s.Payload); err != nil {
 				return moved, err
+			}
+			if s.Payload != nil {
+				c.multi.arena[i][j] = c.multi.spareRow(len(s.Payload))
 			}
 			moved++
 		}
@@ -237,9 +243,10 @@ func (c *Client) WriteBackPath(leaf Leaf) error {
 	}
 	for _, ids := range plan {
 		for _, id := range ids {
-			c.stash.Remove(id)
+			c.stash.release(id)
 		}
 	}
+	c.multi.keepRows(bufs)
 	c.stats.BlocksMoved += uint64(moved)
 	return nil
 }

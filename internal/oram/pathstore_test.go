@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/crypto"
@@ -394,17 +395,22 @@ func storeConformance(t *testing.T, sh StoreShape) {
 	pathSrc, unionSrc := fill(path), fill(union)
 	record(path, pathSrc)
 	record(union, unionSrc) // the union shares the root with the path and overwrites it
+	// The twin's own copy, as a Treetop may keep the rows it is handed.
+	pathTwin, unionTwin := deepCopy(pathSrc), deepCopy(unionSrc)
 	if err := face.WriteBuckets(path, pathSrc); err != nil {
 		t.Fatal(err)
 	}
 	if err := face.WriteBuckets(union, unionSrc); err != nil {
 		t.Fatal(err)
 	}
-	loopWrite(viaLoop, path, pathSrc)
-	loopWrite(viaLoop, union, unionSrc)
-	// Invariant #8, write side: the store kept copies, not the caller's rows.
+	loopWrite(viaLoop, path, pathTwin)
+	loopWrite(viaLoop, union, unionTwin)
+	// Invariant #8, write side: mutating what src holds after the call
+	// changes nothing stored.
 	scribble(pathSrc)
 	scribble(unionSrc)
+	scribble(pathTwin)
+	scribble(unionTwin)
 	readBoth("first read")
 	if hasPath {
 		// The store's own WritePath lands what the path's union would: the
@@ -504,9 +510,12 @@ func slotConformance(t *testing.T, sh StoreShape) {
 		src := make([]Slot, g.BucketSize(r.Level))
 		for _, k := range append(rng.Perm(len(src)), rng.Intn(len(src))) {
 			src[k] = draw()
-			if err := viaSlot.WriteSlot(r.Level, r.Node, k, src[k]); err != nil {
+			in := src[k]
+			in.Payload = bytes.Clone(in.Payload)
+			if err := viaSlot.WriteSlot(r.Level, r.Node, k, in); err != nil {
 				t.Fatal(err)
 			}
+			clear(in.Payload) // invariant #8, write side: the row was copied in
 		}
 		if err := viaBucket.WriteBucket(r.Level, r.Node, src); err != nil {
 			t.Fatal(err)
@@ -557,4 +566,16 @@ func slotConformance(t *testing.T, sh StoreShape) {
 			}
 		}
 	}
+}
+
+// deepCopy copies a bucket set, rows included (nil rows stay nil).
+func deepCopy(bufs [][]Slot) [][]Slot {
+	out := make([][]Slot, len(bufs))
+	for i, b := range bufs {
+		out[i] = slices.Clone(b)
+		for k := range out[i] {
+			out[i][k].Payload = bytes.Clone(b[k].Payload)
+		}
+	}
+	return out
 }

@@ -17,8 +17,9 @@ import (
 // buffers, so in steady state the read → stash → write-back cycle recycles
 // memory instead of allocating and a walk never visits a vacant slot: Put and
 // SetPayload copy the payload into the slot's recycled buffer (the stash owns
-// its bytes; callers keep ownership of what they pass in), and Payload returns
-// the live slab slice without copying.
+// its bytes; callers keep ownership of what they pass in), Adopt takes a
+// caller's buffer instead, and Payload returns the live slab slice without
+// copying.
 //
 // The stash tracks its own high-water mark because stash growth is the
 // paper's central scalability concern with superblocks (Fig. 8).
@@ -155,15 +156,40 @@ func (s *Stash) Contains(id BlockID) bool {
 // rejected: dummies are dropped at path-read time, never stashed (§II-C
 // step 2).
 func (s *Stash) Put(id BlockID, leaf Leaf, payload []byte) error {
+	e, err := s.entry(id, leaf)
+	if err != nil {
+		return err
+	}
+	e.setPayload(payload)
+	return nil
+}
+
+// Adopt is Put without the copy: the stash takes payload itself as the
+// block's row, and the caller gives it up. A buffer the entry held is
+// dropped; a nil payload is stored as Put stores it.
+func (s *Stash) Adopt(id BlockID, leaf Leaf, payload []byte) error {
+	e, err := s.entry(id, leaf)
+	if err != nil {
+		return err
+	}
+	if payload != nil {
+		e.buf = payload
+	}
+	e.payload = payload
+	return nil
+}
+
+// entry returns id's slab entry with its leaf set, inserting it — into a
+// recycled slot, its buffer with it — when id is not stashed yet.
+func (s *Stash) entry(id BlockID, leaf Leaf) (*stashEntry, error) {
 	if id == DummyID {
-		return fmt.Errorf("oram: refusing to stash a dummy block")
+		return nil, fmt.Errorf("oram: refusing to stash a dummy block")
 	}
 	pos, ok := s.index.find(id)
 	if ok {
 		e := &s.entries[s.index.cells[pos].slot-1]
 		e.leaf = leaf
-		e.setPayload(payload)
-		return nil
+		return e, nil
 	}
 	n := len(s.entries)
 	if 2*(n+1) > len(s.index.cells) {
@@ -171,17 +197,16 @@ func (s *Stash) Put(id BlockID, leaf Leaf, payload []byte) error {
 		pos, _ = s.index.find(id)
 	}
 	if n < cap(s.entries) {
-		s.entries = s.entries[:n+1] // a recycled slot, its buffer with it
+		s.entries = s.entries[:n+1]
 	} else {
 		s.entries = append(s.entries, stashEntry{})
 	}
 	e := &s.entries[n]
 	e.id = id
 	e.leaf = leaf
-	e.setPayload(payload)
 	s.index.cells[pos] = indexCell{id: id, slot: int32(n + 1)}
 	s.peak = max(s.peak, n+1)
-	return nil
+	return e, nil
 }
 
 // Leaf returns the assigned leaf of a stashed block.
@@ -231,6 +256,15 @@ func (s *Stash) Remove(id BlockID) {
 	}
 }
 
+// release deletes a block whose row a write-back handed out: its entry is
+// recycled without the buffer, which the row's new owner now holds.
+func (s *Stash) release(id BlockID) {
+	if pos, ok := s.index.find(id); ok {
+		s.entries[s.index.cells[pos].slot-1].buf = nil
+		s.removeCell(pos)
+	}
+}
+
 // removeCell deletes the block index cell pos points at: the last slab entry
 // takes its slot, and the vacated entry — buffer kept — becomes the first
 // recycled one. Slots below the removed one are not disturbed.
@@ -248,17 +282,18 @@ func (s *Stash) removeCell(pos int) {
 }
 
 // removeMarked removes every block whose slab slot is marked, in one pass:
-// each marked block's index cell is deleted and the unmarked blocks are
-// compacted to the front by swapping, so the vacated entries keep their
-// buffers. Survivors may change slots; slab order is not observable
-// (Snapshot sorts ids, evictPlanInto sorts per level and WriteBackPaths
-// selects by id).
+// the blocks a write-back placed, whose rows it handed out, so their entries
+// give up their buffers as release does. Each marked block's index cell is
+// deleted and the unmarked blocks are compacted to the front by swapping.
+// Survivors may change slots; slab order is not observable (Snapshot sorts
+// ids, evictPlanInto sorts per level and WriteBackPaths selects by id).
 func (s *Stash) removeMarked(marked []bool) {
 	keep := 0
 	for i := range s.entries {
 		if marked[i] {
 			pos, _ := s.index.find(s.entries[i].id)
 			s.index.delete(pos)
+			s.entries[i].buf = nil
 			continue
 		}
 		if i != keep {

@@ -29,15 +29,15 @@ type Store interface {
 	// server storage (or are nil for metadata-only stores); a store MAY
 	// read/decrypt a payload into the capacity of the dst slot's existing
 	// Payload slice instead of allocating, so callers that retain payload
-	// bytes beyond the next read of the same buffer must copy them (the
-	// client's stash copies on Put).
+	// bytes beyond the next read of the same buffer must copy them or take
+	// the buffer (the client's stash adopts it and re-arms the read).
 	ReadBucket(level int, node uint64, dst []Slot) error
 
 	// WriteBucket overwrites all slots of the bucket (level, node) from
-	// src, which must have length BucketSize(level). The store copies (or
-	// seals) the payloads into its own storage before returning and keeps
-	// no reference to src's: callers hand it live stash slabs, and the
-	// remote server hands it views into a request frame it then recycles.
+	// src, which must have length BucketSize(level). A store copies (or
+	// seals) the payloads into its own storage, except that a Treetop may
+	// keep a caller's real rows, handing back rows of its own in their
+	// slots (none on a failed call): the caller owns what src's slots hold.
 	WriteBucket(level int, node uint64, src []Slot) error
 
 	// ReadSlot and WriteSlot move one slot of a bucket. No product code
@@ -75,7 +75,12 @@ func WriteSlotVia(st Store, level int, node uint64, slot int, src Slot) error {
 	if err := st.ReadBucket(level, node, bucket); err != nil {
 		return err
 	}
+	row := bucket[slot].Payload
 	bucket[slot] = src
+	if src.Payload != nil {
+		// A copy, as st may keep the row it is handed (WriteBucket).
+		bucket[slot].Payload = append(row[:0], src.Payload...)
+	}
 	return st.WriteBucket(level, node, bucket)
 }
 
@@ -489,13 +494,13 @@ func (st *PayloadStore) SetCryptoPool(p *crypto.Pool) error {
 }
 
 // checkRange validates a bucket-range request against the geometry.
-func (st *PayloadStore) checkRange(op string, refs []BucketRef, bufs [][]Slot) error {
+func (t *tree) checkRange(op string, refs []BucketRef, bufs [][]Slot) error {
 	if len(refs) != len(bufs) {
 		return fmt.Errorf("oram: %s got %d refs, %d buffers", op, len(refs), len(bufs))
 	}
 	for i, r := range refs {
-		if !st.geom.fits(r, len(bufs[i])) {
-			return misfit(st.geom, op, i, r, len(bufs[i]))
+		if !t.geom.fits(r, len(bufs[i])) {
+			return misfit(t.geom, op, i, r, len(bufs[i]))
 		}
 	}
 	return nil

@@ -13,11 +13,11 @@ import (
 var ErrIntegrity = errors.New("oram: integrity check failed")
 
 // Treetop keeps the top of a tree in trusted memory: levels 0 … t−1, with
-// t = TreetopLevels(g), live in an unsealed client-side store, and every
-// deeper bucket is forwarded to the store it wraps. Every path crosses the
-// top, and the fat tree (§V) puts its widest buckets there, so the top half of
-// the levels holds a large share of the real rows a path moves while holding
-// only 2^t − 1 of the tree's buckets. Under the §III threat model the trainer's
+// t = TreetopLevels(g), live in a client-side store, and every deeper bucket
+// is forwarded to the store it wraps. Every path crosses the top, and the fat
+// tree (§V) puts its widest buckets there, so the top half of the levels
+// holds a large share of the real rows a path moves while holding only
+// 2^t − 1 of the tree's buckets. Under the §III threat model the trainer's
 // memory is trusted, so what the wrapped store — the server, the wire, the
 // disk arena — sees of an access is levels ≥ t of the same uniformly random
 // path: the treetop caching of Phantom (Maas et al., CCS 2013).
@@ -50,7 +50,7 @@ var ErrIntegrity = errors.New("oram: integrity check failed")
 type Treetop struct {
 	geom  *Geometry
 	t     int  // levels 0 … t−1 live in top
-	top   Face // unsealed in-memory store over geom.Prefix(t)
+	top   Face // rowStore or MetaStore over geom.Prefix(t)
 	inner Face // the wrapped store, resolved once
 
 	// Under verification: sums holds one digest per bucket below the top, in
@@ -81,9 +81,10 @@ var (
 // the square root of the leaf count.
 func TreetopLevels(g *Geometry) int { return g.Levels() / 2 }
 
-// NewTreetop wraps inner. payloads selects the top's store: a PayloadStore
-// when inner keeps rows, a MetaStore when it simulates them (MetadataOnly, or
-// a remote tree of block size 0), so the top answers exactly as inner would.
+// NewTreetop wraps inner. payloads selects the top's store: a rowStore, which
+// moves rows by handle (see Store.WriteBucket), when inner keeps rows, a
+// MetaStore when it simulates them (MetadataOnly, or a remote tree of block
+// size 0), so the top answers exactly as inner would.
 // Inner is assumed to hold an empty tree, as a fresh store does; one that
 // holds a tree already is brought in with Load. With verify, a bucket inner
 // holds that no empty bucket hashes as fails its first read.
@@ -92,11 +93,11 @@ func NewTreetop(inner Store, payloads, verify bool) (*Treetop, error) {
 	t := TreetopLevels(g)
 	var top Store
 	if payloads {
-		ps, err := NewPayloadStore(g.Prefix(t), nil)
+		rs, err := newRowStore(g.Prefix(t))
 		if err != nil {
 			return nil, fmt.Errorf("oram: treetop: %w", err)
 		}
-		top = ps
+		top = rs
 	} else {
 		top = NewMetaStore(g.Prefix(t))
 	}

@@ -229,7 +229,9 @@ func treetopUnionAllocFree(t *testing.T, tt *Treetop) {
 		path = append(path, BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)})
 	}
 	// Real rows and dummies in both calls; every slot's row is re-armed
-	// before a read, as the client's batch buffers are.
+	// before a read, as the client's batch buffers are, from what the slot
+	// holds after a write (the top may have kept the row and handed back
+	// one of its own).
 	arm := func(refs []BucketRef) (bufs [][]Slot, rearm func()) {
 		rows := make([][]byte, 0)
 		for i, r := range refs {
@@ -248,6 +250,9 @@ func treetopUnionAllocFree(t *testing.T, tt *Treetop) {
 			n := 0
 			for _, b := range bufs {
 				for k := range b {
+					if b[k].Payload != nil {
+						rows[n] = b[k].Payload
+					}
 					b[k].Payload = rows[n]
 					n++
 				}

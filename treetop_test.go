@@ -306,3 +306,68 @@ func TestTreetopKeepsTopOffTheServer(t *testing.T) {
 	}
 	check("lookups after the restore", "")
 }
+
+// TestTreetopRowsCallerOwned is invariant #8 on an assembled instance whose
+// treetop carries rows (Encrypt): the rows a visit returns and the rows a
+// ReadBatch hands out are the caller's, so mutating them after the call
+// changes nothing stored, although the treetop moves rows by handle.
+func TestTreetopRowsCallerOwned(t *testing.T) {
+	const entries, blockSize = 512, 32
+	db, err := New(Options{Entries: entries, BlockSize: blockSize, Encrypt: true, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 4000, Seed: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(id uint64) []byte {
+		p := make([]byte, blockSize)
+		binary.LittleEndian.PutUint64(p, id*0x9E3779B97F4A7C15)
+		return p
+	}
+	var (
+		mu       sync.Mutex
+		visits   = map[uint64]int{}
+		returned [][]byte
+	)
+	if _, err := db.Train(context.Background(), TrainOptions{
+		Source: FromSlice(stream), Superblock: 4, PrePlace: true, Payload: row,
+		Visit: func(id uint64, p []byte) []byte {
+			out := slices.Clone(p)
+			out[8]++
+			mu.Lock()
+			visits[id]++
+			returned = append(returned, out)
+			mu.Unlock()
+			return out
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range returned {
+		clear(p)
+	}
+	ids := make([]uint64, entries)
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	want := func(id uint64) []byte {
+		p := row(id)
+		p[8] += byte(visits[id])
+		return p
+	}
+	for round := range 2 {
+		rows, err := db.ReadBatch(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, got := range rows {
+			if !bytes.Equal(got, want(uint64(id))) {
+				t.Fatalf("read %d: row %d reads %x, want %x", round, id, got, want(uint64(id)))
+			}
+			clear(got)
+		}
+	}
+}
