@@ -133,31 +133,25 @@ func ProfileSweep(sc Scale, seed int64) (*ProfileSweepResult, error) {
 	res := &ProfileSweepResult{Entries: entries, S: S}
 	leafBits := oram.LeafBitsFor(entries)
 	profiles := []struct {
-		name  string
-		build func() (*oram.Geometry, error)
+		name string
+		cfg  oram.GeometryConfig
 	}{
-		{"uniform Z=4", func() (*oram.Geometry, error) {
-			return oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, BlockSize: 128})
-		}},
-		{"linear 8→4", func() (*oram.Geometry, error) {
-			return oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 128})
-		}},
-		{"step 8/4", func() (*oram.Geometry, error) {
-			return oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 8, Profile: oram.ProfileStep, BlockSize: 128})
-		}},
-		{"exp cap16", func() (*oram.Geometry, error) {
-			return oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 16, Profile: oram.ProfileExp, BlockSize: 128})
-		}},
+		{"uniform Z=4", oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, BlockSize: 128}},
+		{"linear 8→4", oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 8, Profile: oram.ProfileLinear, BlockSize: 128}},
+		{"step 8/4", oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 8, Profile: oram.ProfileStep, BlockSize: 128}},
+		{"exp cap16", oram.GeometryConfig{LeafBits: leafBits, LeafZ: 4, RootZ: 16, Profile: oram.ProfileExp, BlockSize: 128}},
 	}
+	// Step and exp trees are no Options shape, so the sweep runs on the
+	// hand path.
 	for _, p := range profiles {
-		g, err := p.build()
+		g, err := oram.NewGeometry(p.cfg)
 		if err != nil {
 			return nil, err
 		}
-		rr, err := Run(RunSpec{
+		rr, err := runHand(RunSpec{
 			Entries: entries, BlockSize: 128, Variant: Variant{Name: p.name, S: S},
-			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 23, Geometry: g,
-		})
+			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 23,
+		}, g, nil)
 		if err != nil {
 			return nil, fmt.Errorf("profile %s: %w", p.name, err)
 		}
@@ -209,7 +203,7 @@ func ThreshSweep(sc Scale, seed int64) (*ThreshSweepResult, error) {
 	for _, th := range [][2]int{{100, 10}, {500, 50}, {2000, 200}} {
 		rr, err := Run(RunSpec{
 			Entries: entries, BlockSize: 128, Variant: Variant{Name: "Normal/S4", S: 4},
-			Stream: stream, PrePlace: true, Seed: seed + 25,
+			Stream: stream, Seed: seed + 25,
 			Evict: oram.EvictConfig{Enabled: true, High: th[0], Low: th[1]},
 		})
 		if err != nil {
@@ -269,13 +263,13 @@ func ZSweep(sc Scale, seed int64) (*ZSweepResult, error) {
 			rr, err := Run(RunSpec{
 				Entries: entries, BlockSize: 128, LeafZ: z,
 				Variant: Variant{Name: name, S: 4, Fat: fat},
-				Stream:  stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 27,
+				Stream:  stream, Evict: oram.PaperEvict, Seed: seed + 27,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("z=%d fat=%v: %w", z, fat, err)
 			}
 			res.Rows = append(res.Rows, ZRow{
-				Z: z, Fat: fat, ServerBytes: rr.ServerGeom.ServerBytes(),
+				Z: z, Fat: fat, ServerBytes: rr.ServerBytes,
 				DummyPerAccess: rr.DummyPerAccess(), SimTime: rr.SimTime,
 			})
 		}
@@ -318,13 +312,12 @@ func ModelSweep(sc Scale, seed int64) (*ModelSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var runs [2]RunResult
+	var runs [2]*handRun
 	for i, v := range []Variant{{Name: "PathORAM", S: 1}, {Name: "Fat/S4", S: 4, Fat: true}} {
-		if runs[i], err = Run(RunSpec{
+		if runs[i], err = runHand(RunSpec{
 			Entries: entries, BlockSize: 128, Variant: v,
-			Stream: stream, Evict: oram.PaperEvict, PrePlace: true,
-			Seed: seed + 29,
-		}); err != nil {
+			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 29,
+		}, nil, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	laoram "repro"
 	"repro/internal/memsim"
-	"repro/internal/oram"
-	"repro/internal/superblock"
 	"repro/internal/trace"
 )
 
@@ -32,7 +30,7 @@ type BatchSweepResult struct {
 // BatchSweep measures traffic and simulated time across batch sizes.
 func BatchSweep(sc Scale, seed int64) (*BatchSweepResult, error) {
 	entries := sc.EntriesSmall
-	const S = 4
+	const S, blockSize = 4, 128
 	stream, err := workloadStream(trace.KindKaggle, entries, sc.Accesses, seed)
 	if err != nil {
 		return nil, err
@@ -40,48 +38,28 @@ func BatchSweep(sc Scale, seed int64) (*BatchSweepResult, error) {
 	res := &BatchSweepResult{Entries: entries, S: S}
 	var baseTime time.Duration
 	for _, batch := range []int{1, 4, 16, 64} {
-		g, err := oram.NewGeometry(oram.GeometryConfig{
-			LeafBits: oram.LeafBitsFor(entries), LeafZ: 4, BlockSize: 128,
+		db, err := laoram.New(laoram.Options{
+			Entries: entries, BlockSize: blockSize, MetadataOnly: true, Seed: seed + 31,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
-		base, err := oram.NewClient(oram.ClientConfig{
-			Store: cs, Rand: trace.NewRNG(seed + 31), Evict: oram.PaperEvict,
-			StashHits: true, Blocks: entries,
+		_, err = db.Train(context.Background(), laoram.TrainOptions{
+			Source: laoram.FromSlice(stream), Superblock: S, BatchBins: batch, PrePlace: true,
 		})
+		rr := result(db.Stats())
+		db.Close()
 		if err != nil {
-			return nil, err
-		}
-		plan, err := superblock.NewPlan(stream, superblock.PlanConfig{
-			S: S, Leaves: g.Leaves(), Rand: trace.NewRNG(seed + 32),
-		})
-		if err != nil {
-			return nil, err
-		}
-		la, err := core.New(core.Config{Base: base, Plan: plan})
-		if err != nil {
-			return nil, err
-		}
-		if err := la.LoadPrePlaced(entries, nil); err != nil {
-			return nil, err
-		}
-		cs.ResetCounters()
-		la.ResetStats()
-		if err := la.Run(context.Background(), batch, nil); err != nil {
 			return nil, fmt.Errorf("batch %d: %w", batch, err)
 		}
-		c := cs.Counters()
-		simTime := memsim.DDR4Default().Time(g, c, la.Stats().AccessStats)
 		if batch == 1 {
-			baseTime = simTime
+			baseTime = rr.SimTime
 		}
 		res.Rows = append(res.Rows, BatchRow{
 			BatchBins:  batch,
-			SlotsMoved: c.SlotReads + c.SlotWrites,
-			SimTime:    simTime,
-			Speedup:    memsim.Speedup(baseTime, simTime),
+			SlotsMoved: rr.BytesMoved / blockSize,
+			SimTime:    rr.SimTime,
+			Speedup:    memsim.Speedup(baseTime, rr.SimTime),
 		})
 	}
 	return res, nil

@@ -56,7 +56,7 @@ func fig7Panel(panel string, kind trace.Kind, entries uint64, blockSize int, sc 
 	for _, v := range StandardVariants() {
 		rr, err := Run(RunSpec{
 			Entries: entries, BlockSize: blockSize, Variant: v,
-			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 100,
+			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 100,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig7%s %s: %w", panel, v.Name, err)
@@ -70,7 +70,7 @@ func fig7Panel(panel string, kind trace.Kind, entries uint64, blockSize int, sc 
 			Speedup:        memsim.Speedup(baseTime, rr.SimTime),
 			DummyPerAccess: rr.DummyPerAccess(),
 			StashPeak:      rr.StashPeak,
-			BytesMoved:     rr.BytesMoved(),
+			BytesMoved:     rr.BytesMoved,
 		})
 	}
 	return res, nil
@@ -153,18 +153,17 @@ func Fig8(sc Scale, seed int64) (*Fig8Result, error) {
 		spec := RunSpec{
 			Entries: entries, BlockSize: 128, LeafZ: cfg.leafZ,
 			Variant: Variant{Name: cfg.name, S: cfg.s, Fat: cfg.fat},
-			Stream:  stream, Evict: oram.EvictConfig{}, PrePlace: true, Seed: seed + 7,
-			// Sample on each crossing of a sampleEvery boundary; bins
-			// advance the access counter in steps of S, so equality
-			// with the boundary cannot be relied on.
-			StashSampler: func(access, stash int) {
-				for (len(series.Access)+1)*sampleEvery <= access {
-					series.Access = append(series.Access, (len(series.Access)+1)*sampleEvery)
-					series.Stash = append(series.Stash, stash)
-				}
-			},
+			Stream:  stream, Evict: oram.EvictConfig{}, Seed: seed + 7,
 		}
-		rr, err := Run(spec)
+		// Sample on each crossing of a sampleEvery boundary; bins advance
+		// the access counter in steps of S, so equality with the boundary
+		// cannot be relied on.
+		rr, err := runHand(spec, nil, func(access, stash int) {
+			for (len(series.Access)+1)*sampleEvery <= access {
+				series.Access = append(series.Access, (len(series.Access)+1)*sampleEvery)
+				series.Stash = append(series.Stash, stash)
+			}
+		})
 		if err != nil {
 			return nil, fmt.Errorf("fig8 %s: %w", cfg.name, err)
 		}
@@ -229,12 +228,12 @@ func Fig9(sc Scale, seed int64) (*Fig9Result, error) {
 	for _, v := range StandardVariants() {
 		rr, err := Run(RunSpec{
 			Entries: sc.KaggleRows, BlockSize: 128, Variant: v,
-			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 3,
+			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 3,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s: %w", v.Name, err)
 		}
-		moved := rr.BytesMoved()
+		moved := rr.BytesMoved
 		if v.S <= 1 {
 			baseBytes = moved
 		}
@@ -389,7 +388,7 @@ func Table2(sc Scale, seed int64) (*Table2Result, error) {
 		for _, c := range configs {
 			rr, err := Run(RunSpec{
 				Entries: w.n, BlockSize: 128, Variant: c,
-				Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 9,
+				Stream: stream, Evict: oram.PaperEvict, Seed: seed + 9,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s/%s: %w", c.Name, w.name, err)
@@ -452,27 +451,22 @@ func MemNeutral(sc Scale, seed int64) (*MemNeutralResult, error) {
 	}
 	res.MemorySaving = 1 - float64(res.FatBytes)/float64(res.WideBytes)
 
-	run := func(leafZ int, fat bool) (uint64, error) {
-		v := Variant{Name: "memneutral", S: 4, Fat: fat}
-		spec := RunSpec{
-			Entries: entries, BlockSize: 128, LeafZ: leafZ, Variant: v,
-			Stream: stream, Evict: oram.PaperEvict, PrePlace: true, Seed: seed + 11,
-		}
-		// The §VIII-C fat tree is 9→5, not the default 2×; build by hand.
-		spec.Geometry = fatGeom
-		if !fat {
-			spec.Geometry = wideGeom
-		}
-		rr, err := Run(spec)
+	// The §VIII-C fat tree is 9→5, not FatTree's 2×, so both trees run on
+	// the hand path.
+	run := func(g *oram.Geometry) (uint64, error) {
+		rr, err := runHand(RunSpec{
+			Entries: entries, BlockSize: 128, Variant: Variant{Name: "memneutral", S: 4},
+			Stream: stream, Evict: oram.PaperEvict, Seed: seed + 11,
+		}, g, nil)
 		if err != nil {
 			return 0, err
 		}
 		return rr.Stats.DummyReads, nil
 	}
-	if res.FatDummies, err = run(5, true); err != nil {
+	if res.FatDummies, err = run(fatGeom); err != nil {
 		return nil, err
 	}
-	if res.WideDummy, err = run(6, false); err != nil {
+	if res.WideDummy, err = run(wideGeom); err != nil {
 		return nil, err
 	}
 	if res.WideDummy > 0 {

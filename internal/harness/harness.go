@@ -6,12 +6,31 @@
 // Absolute numbers come from the memsim timing model (see DESIGN.md,
 // "Substitutions"); the claims under reproduction are the comparative
 // shapes: who wins, by what factor, where the crossovers fall.
+//
+// The figures run through the product: Run drives a metadata-only
+// laoram.New instance (Train, or Load and Read for PathORAM), and so do
+// abl-batch, abl-window and the drills, so a fault in the product's
+// assembly moves a figure digest. Four runs need what Options or
+// laoram.Stats cannot express and take the hand path, runHand, which
+// TestHandPathMatchesProduct holds to Run:
+//   - fig8 samples the stash after every bin;
+//   - abl-profile runs step and exp trees;
+//   - memneutral runs a 9→5 fat tree;
+//   - abl-model re-prices per-level transfers under three memory models.
+//
+// Four more build their own stacks on purpose: abl-shards (shard.New, for
+// the per-shard stash maximum laoram.Stats does not keep), Security (the
+// §VI leaf observations read the client's position map), RingExp
+// (RingORAM is not the product) and enginebench (it measures layers).
 package harness
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"time"
 
+	laoram "repro"
 	"repro/internal/core"
 	"repro/internal/memsim"
 	"repro/internal/oram"
@@ -104,49 +123,84 @@ type RunSpec struct {
 	Variant   Variant
 	Stream    []uint64
 	Evict     oram.EvictConfig
-	// PrePlace starts LAORAM variants in the converged steady state
-	// (default true; see core.LoadPrePlaced).
-	PrePlace bool
-	Seed     int64
-	// StashSampler, if non-nil, is called after every logical access
-	// with (accessIndex, stashSize) — the Fig. 8 probe.
-	StashSampler func(access int, stash int)
-	// Geometry, if non-nil, is the tree to run on instead of the one
-	// Entries/LeafZ/Variant.Fat describe (non-standard shapes like
-	// §VIII-C's 9→5 fat tree).
-	Geometry *oram.Geometry
+	Seed      int64
 }
 
-// RunResult carries everything the experiments need.
+// RunResult is what the experiments read of a run: the instance's Stats
+// over the measured phase (after the load).
 type RunResult struct {
-	Variant Variant
-	// SimTime is the DDR4 model's time for the measured phase
-	// (memsim.DDR4Default; Time prices it under any other model).
-	SimTime    time.Duration
-	Stats      oram.AccessStats
-	Core       core.Stats // populated for LAORAM variants
-	Counters   oram.Counters
-	StashPeak  int
-	PosBytes   int64
-	PlanBytes  int64
-	WallTime   time.Duration
-	ServerGeom *oram.Geometry
+	laoram.Stats
+	// SimTime is SimTimeSeconds to the nanosecond: the DDR4 model's time
+	// (memsim.DDR4Default) for the measured phase.
+	SimTime time.Duration
 }
 
-// BytesMoved returns total server traffic (the Fig. 9 numerator).
-func (r *RunResult) BytesMoved() uint64 {
-	return r.Counters.BytesRead + r.Counters.BytesWritten
-}
-
-// Time prices the measured phase's traffic under model m.
-func (r *RunResult) Time(m memsim.Model) time.Duration {
-	return m.Time(r.ServerGeom, r.Counters, r.Stats)
+// result wraps an instance's Stats.
+func result(st laoram.Stats) RunResult {
+	return RunResult{Stats: st, SimTime: time.Duration(math.Round(st.SimTimeSeconds * 1e9))}
 }
 
 // DummyPerAccess returns Table II's metric.
-func (r *RunResult) DummyPerAccess() float64 { return r.Stats.DummyReadsPerAccess() }
+func (r *RunResult) DummyPerAccess() float64 {
+	if r.Accesses == 0 {
+		return 0
+	}
+	return float64(r.DummyReads) / float64(r.Accesses)
+}
 
-// buildGeometry constructs the tree for a spec.
+// Run executes one spec through the product: a metadata-only laoram
+// instance on the spec's tree. LAORAM variants train the whole stream as
+// one pre-placed window, one bin per step; PathORAM loads the table and
+// reads each access. Every figure whose inputs Options can express runs
+// here; the rest use runHand.
+func Run(spec RunSpec) (RunResult, error) {
+	high, low := -1, 0
+	if spec.Evict.Enabled {
+		high, low = spec.Evict.High, spec.Evict.Low
+	}
+	db, err := laoram.New(laoram.Options{
+		Entries: spec.Entries, BlockSize: spec.BlockSize, BucketSize: spec.LeafZ,
+		FatTree: spec.Variant.Fat, MetadataOnly: true,
+		EvictHigh: high, EvictLow: low, Seed: spec.Seed,
+	})
+	if err != nil {
+		return RunResult{}, err
+	}
+	defer db.Close()
+	if spec.Variant.S <= 1 {
+		if err := db.Load(spec.Entries, nil); err != nil {
+			return RunResult{}, err
+		}
+		db.ResetStats()
+		for i, a := range spec.Stream {
+			if _, err := db.Read(a); err != nil {
+				return RunResult{}, fmt.Errorf("harness: access %d: %w", i, err)
+			}
+		}
+	} else if _, err := db.Train(context.Background(), laoram.TrainOptions{
+		Source: laoram.FromSlice(spec.Stream), Superblock: spec.Variant.S,
+		BatchBins: 1, PrePlace: true,
+	}); err != nil {
+		return RunResult{}, err
+	}
+	return result(db.Stats()), nil
+}
+
+// handRun is a run on the hand path: what Run reports, plus the counts
+// laoram.Stats does not carry, which abl-model re-prices.
+type handRun struct {
+	RunResult
+	geom     *oram.Geometry
+	counters oram.Counters
+	access   oram.AccessStats
+}
+
+// Time prices the measured phase's traffic under model m.
+func (r *handRun) Time(m memsim.Model) time.Duration {
+	return m.Time(r.geom, r.counters, r.access)
+}
+
+// buildGeometry constructs the tree Options would build for a spec.
 func buildGeometry(spec *RunSpec) (*oram.Geometry, error) {
 	leafZ := spec.LeafZ
 	if leafZ == 0 {
@@ -164,90 +218,76 @@ func buildGeometry(spec *RunSpec) (*oram.Geometry, error) {
 	return oram.NewGeometry(cfg)
 }
 
-// Run executes one spec on a metadata-only store with traffic counters
-// attached, and prices the measured phase on the memsim DDR4 model.
-func Run(spec RunSpec) (RunResult, error) {
-	var out RunResult
-	out.Variant = spec.Variant
-	g := spec.Geometry
+// runHand is the hand path (see the package doc): the client and plan that
+// Run reaches through laoram.New, assembled directly on a counted
+// metadata-only store. g, when non-nil, replaces the spec's tree (abl-profile,
+// memneutral); sample, when non-nil, sees the stash after every access or
+// bin (fig8); handRun.Time re-prices the run (abl-model).
+// TestHandPathMatchesProduct holds it to Run on every count and on SimTime.
+func runHand(spec RunSpec, g *oram.Geometry, sample func(access, stash int)) (*handRun, error) {
+	var err error
 	if g == nil {
-		var err error
 		if g, err = buildGeometry(&spec); err != nil {
-			return out, err
+			return nil, err
 		}
 	}
-	out.ServerGeom = g
 	cs := oram.NewCountingStore(oram.NewMetaStore(g), nil)
 	base, err := oram.NewClient(oram.ClientConfig{
-		Store:     cs,
-		Rand:      trace.NewRNG(spec.Seed),
-		Evict:     spec.Evict,
-		StashHits: true,
-		Blocks:    spec.Entries,
+		Store: cs, Rand: trace.NewRNG(spec.Seed), Evict: spec.Evict,
+		StashHits: true, Blocks: spec.Entries,
 	})
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-
-	wallStart := time.Now()
+	var la *core.LAORAM
 	if spec.Variant.S <= 1 {
-		// PathORAM baseline.
-		if err := base.Load(spec.Entries, nil, nil); err != nil {
-			return out, err
-		}
-		cs.ResetCounters()
-		base.ResetStats()
-		base.Stash().ResetPeak()
-		for i, a := range spec.Stream {
-			if _, err := base.Access(oram.OpRead, oram.BlockID(a), nil); err != nil {
-				return out, fmt.Errorf("harness: access %d: %w", i, err)
-			}
-			if spec.StashSampler != nil {
-				spec.StashSampler(i+1, base.Stash().Len())
-			}
-		}
-		out.Stats = base.Stats()
+		err = base.Load(spec.Entries, nil, nil)
 	} else {
-		plan, err := superblock.NewPlan(spec.Stream, superblock.PlanConfig{
+		var plan *superblock.Plan
+		plan, err = superblock.NewPlan(spec.Stream, superblock.PlanConfig{
 			S: spec.Variant.S, Leaves: g.Leaves(), Rand: trace.NewRNG(spec.Seed + 1),
 		})
-		if err != nil {
-			return out, err
+		if err == nil {
+			la, err = core.New(core.Config{Base: base, Plan: plan})
 		}
-		la, err := core.New(core.Config{Base: base, Plan: plan})
-		if err != nil {
-			return out, err
+		if err == nil {
+			err = la.LoadPrePlaced(spec.Entries, nil)
 		}
-		if spec.PrePlace {
-			if err := la.LoadPrePlaced(spec.Entries, nil); err != nil {
-				return out, err
-			}
-		} else {
-			if err := base.Load(spec.Entries, nil, nil); err != nil {
-				return out, err
-			}
-		}
-		cs.ResetCounters()
-		la.ResetStats()
-		base.Stash().ResetPeak()
-		for !la.Done() {
-			if _, err := la.Step(1, nil); err != nil {
-				return out, err
-			}
-			if spec.StashSampler != nil {
-				spec.StashSampler(int(la.Stats().Accesses), base.Stash().Len())
-			}
-		}
-		out.Core = la.Stats()
-		out.Stats = out.Core.AccessStats
-		out.PlanBytes = plan.MetadataBytes()
 	}
-	out.WallTime = time.Since(wallStart)
-	out.Counters = cs.Counters()
-	out.SimTime = out.Time(memsim.DDR4Default())
-	out.StashPeak = base.Stash().Peak()
-	out.PosBytes = base.PosMap().Bytes()
-	return out, nil
+	if err != nil {
+		return nil, err
+	}
+	cs.ResetCounters()
+	base.ResetStats()
+	base.Stash().ResetPeak()
+	if sample == nil {
+		sample = func(int, int) {}
+	}
+	if la == nil {
+		for i, a := range spec.Stream {
+			if _, err := base.Access(oram.OpRead, oram.BlockID(a), nil); err != nil {
+				return nil, fmt.Errorf("harness: access %d: %w", i, err)
+			}
+			sample(i+1, base.Stash().Len())
+		}
+	}
+	for la != nil && !la.Done() {
+		if _, err := la.Step(1, nil); err != nil {
+			return nil, err
+		}
+		sample(int(base.Stats().Accesses), base.Stash().Len())
+	}
+	r := &handRun{geom: g, counters: cs.Counters(), access: base.Stats()}
+	a := r.access
+	r.RunResult = result(laoram.Stats{
+		Accesses: a.Accesses, PathReads: a.PathReads, PathWrites: a.PathWrites,
+		DummyReads: a.DummyReads, StashHits: a.StashHits,
+		StashSize: base.Stash().Len(), StashPeak: base.Stash().Peak(),
+		BytesMoved:  r.counters.BytesRead + r.counters.BytesWritten,
+		ServerBytes: g.ServerBytes(), PositionBytes: base.PosMap().Bytes(),
+		SimTimeSeconds: r.Time(memsim.DDR4Default()).Seconds(),
+	})
+	return r, nil
 }
 
 // workloadStream generates the access stream for a paper workload at the

@@ -414,8 +414,9 @@ func TestModelSweepRobust(t *testing.T) {
 	t.Logf("Fat/S4 speedups across models: %.2f–%.2f", min, max)
 }
 
-// TestRunSpecPathORAMvsLAORAMSameTraffic sanity-checks Run itself: PathORAM
-// traffic per access ≈ 2 paths; LAORAM steady state ≈ 2 paths per bin.
+// TestRunSpecAccounting sanity-checks Run's accounting on a PathORAM run:
+// every access is a path read or a stash hit, and the result carries
+// simulated time, traffic and position-map bytes.
 func TestRunSpecAccounting(t *testing.T) {
 	sc := CIScale()
 	stream, err := workloadStream(trace.KindPermutation, sc.EntriesSmall, 2000, 17)
@@ -436,10 +437,43 @@ func TestRunSpecAccounting(t *testing.T) {
 	if rr.Stats.PathReads+rr.Stats.StashHits != rr.Stats.Accesses {
 		t.Errorf("reads+hits != accesses: %+v", rr.Stats)
 	}
-	if rr.SimTime <= 0 || rr.BytesMoved() == 0 {
+	if rr.SimTime <= 0 || rr.Stats.BytesMoved == 0 {
 		t.Errorf("missing accounting: %+v", rr)
 	}
-	if rr.PosBytes <= 0 {
+	if rr.Stats.PositionBytes <= 0 {
 		t.Error("position map bytes missing")
+	}
+}
+
+// TestHandPathMatchesProduct holds the hand path (fig8, abl-profile,
+// memneutral, abl-model) to the product: on the seven Fig. 7 variants over
+// both standard streams, with and without background eviction, runHand and
+// Run must agree on every Stats count and on SimTime to the nanosecond.
+func TestHandPathMatchesProduct(t *testing.T) {
+	const entries, accesses, seed = 4096, 16384, 42
+	for _, kind := range []trace.Kind{trace.KindPermutation, trace.KindKaggle} {
+		stream, err := workloadStream(kind, entries, accesses, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, evict := range []oram.EvictConfig{oram.PaperEvict, {}} {
+			for _, v := range StandardVariants() {
+				spec := RunSpec{
+					Entries: entries, BlockSize: 128, Variant: v,
+					Stream: stream, Evict: evict, Seed: seed,
+				}
+				prod, err := Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hand, err := runHand(spec, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hand.RunResult != prod {
+					t.Errorf("%v %s evict=%v:\nhand    %+v\nproduct %+v", kind, v.Name, evict.Enabled, hand.RunResult, prod)
+				}
+			}
+		}
 	}
 }

@@ -33,7 +33,7 @@ func TestSimTimeGolden(t *testing.T) {
 		for _, v := range StandardVariants() {
 			rr, err := Run(RunSpec{
 				Entries: entries, BlockSize: 128, Variant: v, Stream: stream,
-				Evict: oram.PaperEvict, PrePlace: true, Seed: seed,
+				Evict: oram.PaperEvict, Seed: seed,
 			})
 			if err != nil {
 				t.Fatal(err)
