@@ -10,25 +10,22 @@
 //	laorambench -json /tmp/b.json -baseline BENCH_engine.json  # CI gate
 //	laorambench -exp fig7e -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -json runs the engine microbenchmarks (steady-state access, single and
-// joint write-back, a cold superblock bin, sealed access, seal/open at 128 B
-// and 4 KB), the
-// Fig. 7e simulated speedups and the tiered sweep, and writes what
-// -baseline judges — ns/op, B/op, allocs/op, the pinned pre-refactor
-// baseline, and the tiered hit/miss counts and identity flags — to the
-// given file. The wall-clock experiments (pipeline, elastic) are not part
-// of it: run them with -exp; their tests are their gates. With -baseline
-// the fresh numbers are compared against a committed trajectory: >20%
-// ns/op regression, any allocs/op increase, a tiered row that diverged or
-// lost its prefetch win, or a baseline the run shares no row with fails
-// the run (the CI gate that keeps the allocation-free hot path from
-// rotting). -cpuprofile/-memprofile wrap the whole run with runtime/pprof
-// for hot-path inspection.
+// -json runs the nine engine microbenchmarks (steady-state access, single
+// and joint write-back, a cold superblock bin, bulk load, sealed access
+// over the bare store and under the treetop, seal/open at 128 B and 4 KB)
+// and writes what -baseline judges — ns/op, B/op, allocs/op and the pinned
+// pre-refactor baseline — to the given file. With -baseline the fresh
+// numbers are compared against a committed trajectory: >20% ns/op
+// regression, any allocs/op increase, or a baseline the run shares no row
+// with fails the run (the CI gate that keeps the allocation-free hot path
+// from rotting). -cpuprofile/-memprofile wrap the whole run with
+// runtime/pprof for hot-path inspection.
 //
 // Experiment IDs follow DESIGN.md's experiment index: fig2, fig7a..fig7f,
-// fig8, fig9, table1, table2, memneutral, ring, security, pipeline,
-// elastic, tiered, and the ablations abl-window, abl-profile, abl-thresh,
-// abl-z, abl-model, abl-batch, abl-shards.
+// fig8, fig9, table1, table2, memneutral, ring, security, elastic, and the
+// ablations abl-window, abl-profile, abl-thresh, abl-z, abl-model,
+// abl-batch, abl-shards. Retired ids (preproc, serve-overload, pipeline,
+// tiered) exit 2 like any unknown one.
 package main
 
 import (
@@ -84,9 +81,7 @@ func experiments() []experiment {
 		{"abl-model", "ablation: timing-model robustness", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ModelSweep(sc, seed) }},
 		{"abl-batch", "ablation: batch-granularity fetch", func(sc harness.Scale, seed int64) (renderer, error) { return harness.BatchSweep(sc, seed) }},
 		{"abl-shards", "ablation: shard count vs batch throughput", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ShardSweep(sc, seed) }},
-		{"pipeline", "§VIII-A overlap: streaming Trainer vs sequential plan-then-run", func(sc harness.Scale, seed int64) (renderer, error) { return harness.PipelineExp(sc, seed) }},
 		{"elastic", "elastic serving: live migration blackout + re-placement vs rollback MTTR", func(sc harness.Scale, seed int64) (renderer, error) { return harness.ElasticExp(sc, seed) }},
-		{"tiered", "tiered storage: disk-backed tree hit/miss curve vs memory budget, prefetch on/off", func(sc harness.Scale, seed int64) (renderer, error) { return harness.TieredExp(sc, seed) }},
 	}
 }
 
@@ -244,9 +239,8 @@ const nsRegressionTolerance = 1.20
 // BENCH_engine.json: every benchmark present in both must stay within the
 // ns/op tolerance and must not allocate more. Benchmarks only one side has
 // (added or retired rows) are skipped — the gate protects standing wins,
-// not the row set — but a baseline that shares no row with the run, or has
-// no tiered section to hold the run's against, compared nothing and is
-// refused.
+// not the row set — but a baseline that shares no row with the run compared
+// nothing and is refused.
 func checkRegression(res *harness.EngineBenchResult, baselinePath string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -280,67 +274,11 @@ func checkRegression(res *harness.EngineBenchResult, baselinePath string) error 
 	if compared == 0 {
 		return fmt.Errorf("%s has none of the run's %d benchmark rows: nothing was compared", baselinePath, len(res.Rows))
 	}
-	if res.Tiered != nil && base.Tiered == nil {
-		return fmt.Errorf("%s has no tiered section to compare the run's against", baselinePath)
-	}
-	failures = append(failures, checkTieredRegression(res.Tiered, base.Tiered)...)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d regression(s) vs %s:\n  %s\n(ns/op is host-dependent; if the hardware class changed rather than the code, refresh the baseline with `go run ./cmd/laorambench -scale ci -json %s` and commit it)",
 			len(failures), baselinePath, strings.Join(failures, "\n  "), baselinePath)
 	}
 	return nil
-}
-
-// missRegressionTolerance bounds how much the tiered demand-miss counts
-// may grow over the committed baseline. Only prefetch-off rows are held
-// to it: their counts are fully determined by cache geometry and the
-// access plan, whereas prefetch-on counts vary run to run with how far
-// ahead the worker gets (host-scheduling jitter).
-const missRegressionTolerance = 1.20
-
-// checkTieredRegression guards the tiered-storage acceptance properties:
-// every sweep row must remain byte-identical to the in-memory baseline,
-// the 5%-budget prefetcher must keep beating prefetch-off on demand
-// misses, and per-row miss counts must not grow past the committed
-// baseline by more than the tolerance.
-func checkTieredRegression(cur, base *harness.TieredBench) []string {
-	if cur == nil {
-		return nil
-	}
-	var failures []string
-	var on5, off5 *harness.TieredBenchRow
-	baseRow := func(pct int, pf bool) *harness.TieredBenchRow {
-		for i := range base.Rows {
-			if base.Rows[i].BudgetPct == pct && base.Rows[i].Prefetch == pf {
-				return &base.Rows[i]
-			}
-		}
-		return nil
-	}
-	for i := range cur.Rows {
-		row := &cur.Rows[i]
-		if !row.Identical {
-			failures = append(failures, fmt.Sprintf("tiered budget=%d%% prefetch=%v: diverged from the in-memory baseline",
-				row.BudgetPct, row.Prefetch))
-		}
-		if b := baseRow(row.BudgetPct, row.Prefetch); !row.Prefetch && b != nil && b.Misses > 0 &&
-			float64(row.Misses) > float64(b.Misses)*missRegressionTolerance {
-			failures = append(failures, fmt.Sprintf("tiered budget=%d%% prefetch=%v: %d demand misses vs baseline %d (>%.0f%% regression)",
-				row.BudgetPct, row.Prefetch, row.Misses, b.Misses, (missRegressionTolerance-1)*100))
-		}
-		if row.BudgetPct == 5 {
-			if row.Prefetch {
-				on5 = row
-			} else {
-				off5 = row
-			}
-		}
-	}
-	if on5 != nil && off5 != nil && on5.Misses >= off5.Misses {
-		failures = append(failures, fmt.Sprintf("tiered budget=5%%: prefetch on suffered %d demand misses vs %d with prefetch off (look-ahead no longer hides miss cost)",
-			on5.Misses, off5.Misses))
-	}
-	return failures
 }
 
 func writeCSV(dir, id string, res renderer) error {

@@ -9,32 +9,19 @@ import (
 	"repro/internal/harness"
 )
 
-// tieredSweep is a healthy two-row 5%-budget sweep: identical rows, and
-// prefetch on beating prefetch off on demand misses.
-func tieredSweep() *harness.TieredBench {
-	return &harness.TieredBench{Rows: []harness.TieredBenchRow{
-		{BudgetPct: 5, Prefetch: true, Misses: 400, Identical: true},
-		{BudgetPct: 5, Prefetch: false, Misses: 500, Identical: true},
-	}}
-}
-
 func trajectory(rows ...harness.EngineBenchRow) *harness.EngineBenchResult {
-	return &harness.EngineBenchResult{Rows: rows, Tiered: tieredSweep()}
+	return &harness.EngineBenchResult{Rows: rows}
 }
 
 // TestCheckRegression drives the -baseline gate with hand-built
-// trajectories: it must pass an unchanged run, catch a ns/op regression, an
-// allocs/op increase and a tiered miss regression, and refuse a baseline it
-// could compare nothing against.
+// trajectories: it must pass an unchanged run, catch a ns/op regression and
+// an allocs/op increase, and refuse a baseline it could compare nothing
+// against.
 func TestCheckRegression(t *testing.T) {
 	committed := trajectory(
 		harness.EngineBenchRow{Name: "AccessSteadyState", NsPerOp: 1000, AllocsPerOp: 0},
 		harness.EngineBenchRow{Name: "SealOpen", NsPerOp: 200, AllocsPerOp: 1},
 	)
-	noTiered := trajectory(committed.Rows...)
-	noTiered.Tiered = nil
-	moreMisses := trajectory(committed.Rows...)
-	moreMisses.Tiered.Rows[1].Misses = 700
 
 	cases := []struct {
 		name     string
@@ -53,11 +40,9 @@ func TestCheckRegression(t *testing.T) {
 		{"allocs/op increase", committed, trajectory(
 			harness.EngineBenchRow{Name: "SealOpen", NsPerOp: 100, AllocsPerOp: 2},
 		), "SealOpen: 2 allocs/op vs baseline 1"},
-		{"tiered misses regressed", committed, moreMisses, "700 demand misses vs baseline 500"},
 		{"empty baseline", trajectory(), committed, "nothing was compared"},
 		{"renamed rows", trajectory(harness.EngineBenchRow{Name: "access_steady_state", NsPerOp: 1000}),
 			committed, "nothing was compared"},
-		{"baseline without tiered", noTiered, committed, "no tiered section"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

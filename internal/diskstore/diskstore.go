@@ -106,7 +106,9 @@ type span struct {
 	// read, or its body was overwritten whole.
 	dirty, verified uint16
 	prefetched      bool // faulted in by the prefetcher, not yet demanded
-	prev, next      *span
+	// pfPeriod is the stats period whose PrefetchIssued counted the span.
+	pfPeriod   uint64
+	prev, next *span
 }
 
 // Store is a disk-backed bucket store: oram.Store / BatchStore /
@@ -134,6 +136,9 @@ type Store struct {
 	epoch  uint64
 	clean  bool // header state currently on disk
 	stats  oram.TierStats
+	// period counts ResetTierStats calls: a demanded prefetched span is
+	// PrefetchUseful only in the period that counted its issue.
+	period uint64
 	// pfBytes is the resident footprint of prefetched-but-not-yet-demanded
 	// spans; the prefetch worker throttles on it so look-ahead never runs
 	// so far ahead of the demand stream that it evicts its own useful work.
@@ -448,6 +453,7 @@ func (st *Store) ResetTierStats() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.stats = oram.TierStats{}
+	st.period++
 }
 
 // checkBucket validates bucket coordinates (oram.bucketRange's rule).
@@ -629,7 +635,9 @@ func (st *Store) demandLocked(level int, node uint64, last **span) ([]byte, erro
 	l := st.locate(level, node)
 	sp := st.residentLocked(l, last)
 	if sp != nil && sp.prefetched {
-		st.stats.PrefetchUseful++
+		if sp.pfPeriod == st.period {
+			st.stats.PrefetchUseful++
+		}
 		st.demandedLocked(sp)
 	} else if sp == nil {
 		st.stats.Misses++

@@ -425,6 +425,43 @@ func TestPrefetchFaultsPathsIn(t *testing.T) {
 	}
 }
 
+// TestPrefetchUsefulCountsThisPeriod: a span prefetched before
+// ResetTierStats and demanded after it was issued in the old period, so the
+// new one must not count it useful — useful never exceeds issued. Pacing
+// still sees the demand: the span leaves the look-ahead's footprint.
+func TestPrefetchUsefulCountsThisPeriod(t *testing.T) {
+	g := testGeometry(t, 6, 4, 16)
+	st, _ := openStore(t, g, 1, true)
+	defer st.Close()
+	spans := uint64(len(st.tiers))
+	st.PrefetchPaths([]oram.Leaf{5})
+	deadline := time.Now().Add(5 * time.Second)
+	for st.TierStats().PrefetchIssued < spans {
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetcher faulted only %d of %d hinted spans", st.TierStats().PrefetchIssued, spans)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.ResetTierStats()
+	got := make([][]oram.Slot, g.Levels())
+	for lvl := range got {
+		got[lvl] = make([]oram.Slot, g.BucketSize(lvl))
+	}
+	if err := st.ReadPath(5, got); err != nil {
+		t.Fatal(err)
+	}
+	ts := st.TierStats()
+	if ts.PrefetchUseful > ts.PrefetchIssued || ts.Misses != 0 {
+		t.Fatalf("after a reset between prefetch and demand: %+v, want useful <= issued and no miss", ts)
+	}
+	st.mu.Lock()
+	pf := st.pfBytes
+	st.mu.Unlock()
+	if pf != 0 {
+		t.Fatalf("demanded spans still hold %d bytes of the look-ahead's footprint", pf)
+	}
+}
+
 // TestPrefetchSkipsTreetopTiers: under a client treetop of five levels the
 // prefetcher leaves the tier wholly inside it (levels 0–1 of a ten-level tree)
 // on disk and faults in the other two spans of a hinted path, the tier that

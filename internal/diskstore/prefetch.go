@@ -138,7 +138,7 @@ func (st *Store) prefetchInsert(sp *span) {
 		sp.t.recycle(sp)
 		return
 	}
-	sp.prefetched = true
+	sp.prefetched, sp.pfPeriod = true, st.period
 	st.pfBytes += sp.t.body
 	st.stats.PrefetchIssued++
 	st.insertLocked(sp) // a failed write-out of a victim is sticky in ioErr

@@ -14,17 +14,14 @@ import (
 	"repro/internal/superblock"
 )
 
-// enginebench.go runs the engine microbenchmarks (ISSUE 3: the
-// allocation-free hot path) through testing.Benchmark so `laorambench
-// -json` can emit a machine-readable performance trajectory,
-// BENCH_engine.json. The trajectory holds what `-baseline` judges and
-// nothing else: ns/op, B/op and allocs/op per microbenchmark, the pinned
-// pre-refactor baseline they are read against, the simulated Fig. 7e
-// speedups at the chosen scale, and the tiered sweep's hit/miss counts and
-// identity flags. Wall-clock experiments (pipeline, elastic) print their
-// own numbers under `laorambench -exp` and are gated by their own tests;
-// end-to-end throughput per deployment shape is BENCHMARK.json's ledger,
-// not this file's.
+// enginebench.go runs the engine microbenchmarks (the allocation-free hot
+// path) through testing.Benchmark so `laorambench -json` can emit a
+// machine-readable performance trajectory, BENCH_engine.json. The
+// trajectory holds what `-baseline` judges and nothing else: ns/op, B/op
+// and allocs/op of the nine microbenchmarks and the pinned pre-refactor
+// baseline they are read against. The simulated Fig. 7e speedups are the
+// pinned fig7e figure's; end-to-end throughput per deployment shape is
+// BENCHMARK.json's ledger, not this file's.
 
 // EngineBenchRow is one microbenchmark measurement.
 type EngineBenchRow struct {
@@ -70,42 +67,15 @@ var engineBaseline = []EngineBenchRow{
 	{Name: "AccessSealedTreetop", NsPerOp: 4154, BytesPerOp: 0, AllocsPerOp: 0},
 }
 
-// TieredBenchRow is one (budget, prefetch) point of the tiered sweep.
-type TieredBenchRow struct {
-	BudgetPct      int     `json:"budget_pct"`
-	Prefetch       bool    `json:"prefetch"`
-	Hits           uint64  `json:"cache_hits"`
-	Misses         uint64  `json:"demand_misses"`
-	PrefetchIssued uint64  `json:"prefetch_issued"`
-	PrefetchUseful uint64  `json:"prefetch_useful"`
-	DemandStallMs  float64 `json:"demand_stall_ms"`
-	Throughput     float64 `json:"accesses_per_sec"`
-	Identical      bool    `json:"identical"`
-}
-
-// TieredBench records the tiered-storage sweep (PR 9's acceptance curve):
-// the disk-backed store's hit/miss curve over memory budgets of
-// {100, 25, 5}% of tree size, with the look-ahead prefetcher on and off.
-// Every row must be byte-identical to the in-memory baseline, and at the
-// 5% budget prefetch must reduce effective miss cost (fewer demand
-// misses, less demand stall).
-type TieredBench struct {
-	TreeBytes     int64            `json:"tree_bytes"`
-	MemThroughput float64          `json:"mem_accesses_per_sec"`
-	Rows          []TieredBenchRow `json:"sweep"`
-}
-
 // EngineBenchResult is the BENCH_engine.json document.
 type EngineBenchResult struct {
-	GoVersion string             `json:"go_version"`
-	GOOS      string             `json:"goos"`
-	GOARCH    string             `json:"goarch"`
-	Scale     string             `json:"scale"`
-	Seed      int64              `json:"seed"`
-	Rows      []EngineBenchRow   `json:"benchmarks"`
-	Baseline  []EngineBenchRow   `json:"baseline_pre_refactor"`
-	Speedups  map[string]float64 `json:"fig7e_sim_speedups"`
-	Tiered    *TieredBench       `json:"tiered,omitempty"`
+	GoVersion string           `json:"go_version"`
+	GOOS      string           `json:"goos"`
+	GOARCH    string           `json:"goarch"`
+	Scale     string           `json:"scale"`
+	Seed      int64            `json:"seed"`
+	Rows      []EngineBenchRow `json:"benchmarks"`
+	Baseline  []EngineBenchRow `json:"baseline_pre_refactor"`
 }
 
 // JSON renders the document with stable indentation.
@@ -126,24 +96,6 @@ func (r *EngineBenchResult) Render() string {
 		b := base[row.Name]
 		sb.WriteString(fmt.Sprintf("%-20s %12.0f %10d %12.0f %14d\n",
 			row.Name, row.NsPerOp, row.AllocsPerOp, b.NsPerOp, b.AllocsPerOp))
-	}
-	// Fig. 7e's variant order, not the map's.
-	for _, v := range StandardVariants() {
-		if x, ok := r.Speedups[v.Name]; ok {
-			sb.WriteString(fmt.Sprintf("fig7e %-24s %.2fx\n", v.Name, x))
-		}
-	}
-	if td := r.Tiered; td != nil {
-		for _, row := range td.Rows {
-			pf := "off"
-			if row.Prefetch {
-				pf = "on"
-			}
-			sb.WriteString(fmt.Sprintf("tiered budget=%3d%% pf=%-3s   %6d hits %6d misses  stall %.2fms  identical=%v\n",
-				row.BudgetPct, pf, row.Hits, row.Misses, row.DemandStallMs, row.Identical))
-		}
-		sb.WriteString(fmt.Sprintf("tiered tree %.1f MB, in-memory baseline %.0f acc/s\n",
-			float64(td.TreeBytes)/(1<<20), td.MemThroughput))
 	}
 	return sb.String()
 }
@@ -372,8 +324,8 @@ func (l *bulkLoad) client() (*oram.Client, error) {
 
 func (l *bulkLoad) payload(oram.BlockID) []byte { return l.row }
 
-// EngineBench measures the engine hot path and the Fig. 7e simulated
-// speedups at the given scale, producing the BENCH_engine.json document.
+// EngineBench measures the engine hot path, producing the
+// BENCH_engine.json document.
 func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 	out := &EngineBenchResult{
 		GoVersion: runtime.Version(),
@@ -382,7 +334,6 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 		Scale:     sc.Name,
 		Seed:      seed,
 		Baseline:  engineBaseline,
-		Speedups:  map[string]float64{},
 	}
 
 	metaClient, err := engineClient(12, nil, 0, false)
@@ -526,41 +477,6 @@ func EngineBench(sc Scale, seed int64) (*EngineBenchResult, error) {
 				}
 			}
 		}))
-	}
-
-	// Simulated end-to-end speedups: the trajectory ties the microbench
-	// deltas back to the paper's headline figure.
-	fig7e, err := Fig7e(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range fig7e.Rows {
-		if row.Variant == "PathORAM" {
-			continue
-		}
-		out.Speedups[row.Variant] = row.Speedup
-	}
-
-	// Tiered storage: the disk-backed tree's hit/miss curve over shrinking
-	// memory budgets, with the look-ahead prefetcher on and off (PR 9's
-	// acceptance metrics).
-	tr, err := TieredExp(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	out.Tiered = &TieredBench{TreeBytes: tr.TreeBytes, MemThroughput: tr.MemThroughput}
-	for _, row := range tr.Rows {
-		out.Tiered.Rows = append(out.Tiered.Rows, TieredBenchRow{
-			BudgetPct:      row.BudgetPct,
-			Prefetch:       row.Prefetch,
-			Hits:           row.Hits,
-			Misses:         row.Misses,
-			PrefetchIssued: row.PrefetchIssued,
-			PrefetchUseful: row.PrefetchUseful,
-			DemandStallMs:  float64(row.DemandStall.Microseconds()) / 1000,
-			Throughput:     row.Throughput,
-			Identical:      row.Identical,
-		})
 	}
 
 	return out, nil

@@ -5,7 +5,10 @@
 //
 // Absolute numbers come from the memsim timing model (see DESIGN.md,
 // "Substitutions"); the claims under reproduction are the comparative
-// shapes: who wins, by what factor, where the crossovers fall.
+// shapes: who wins, by what factor, where the crossovers fall. Claims about
+// the product rather than the paper's figures — the disk tier's prefetch,
+// §VIII-A's overlap — are count assertions on the product's own tests, and
+// wall-clock lives in benchmark/.
 //
 // The figures run through the product: Run drives a metadata-only
 // laoram.New instance (Train, or Load and Read for PathORAM), and so do

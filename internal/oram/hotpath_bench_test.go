@@ -200,7 +200,7 @@ func BenchmarkWriteBackPathsBatch(b *testing.B) {
 }
 
 // BenchmarkAccessSealed is the same access cycle over a payload-bearing
-// store with AES-CTR+HMAC sealing at the storage boundary — the §III threat
+// store with AES-GCM sealing at the storage boundary — the §III threat
 // model's full data path (decrypt on read, encrypt on write-back).
 func BenchmarkAccessSealed(b *testing.B) {
 	g := MustGeometry(GeometryConfig{LeafBits: 10, LeafZ: 4, BlockSize: 128})

@@ -264,11 +264,12 @@ type Stats struct {
 	SimTimeSeconds float64
 	// Memory-tier counters of disk-backed instances (Options.DataDir),
 	// summed across shards; all zero for in-memory and remote instances.
-	// TierHits/TierMisses split demand bucket fetches by residency,
-	// TierPrefetchIssued counts buckets the look-ahead prefetcher faulted
-	// in, TierPrefetchUseful the prefetched buckets a demand access then
-	// hit, and TierStallSeconds the wall time spent blocked on demand disk
-	// reads (the miss cost prefetching hides).
+	// TierHits counts bucket lookups served from a resident span and
+	// TierMisses span faults, TierPrefetchIssued counts spans the
+	// look-ahead prefetcher faulted in, TierPrefetchUseful those of them a
+	// demand access then hit (never more than issued: a span issued before
+	// the last reset is not counted), and TierStallSeconds the wall time
+	// spent blocked on demand disk reads (the miss cost prefetching hides).
 	TierHits           uint64
 	TierMisses         uint64
 	TierPrefetchIssued uint64

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -98,6 +100,33 @@ func (s *trickleSource) Read(ctx context.Context, dst []uint64) (int, error) {
 	return 1, nil
 }
 
+// gatedSource hands over its first held indices, then blocks until gate is
+// closed: a sample pipeline that produces the rest of the stream only once
+// training has begun.
+type gatedSource struct {
+	rest []uint64
+	held int
+	gate chan struct{}
+}
+
+func (s *gatedSource) Read(ctx context.Context, dst []uint64) (int, error) {
+	if s.held == 0 {
+		select {
+		case <-s.gate:
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	} else {
+		dst = dst[:min(len(dst), s.held)]
+	}
+	if len(s.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(dst, s.rest)
+	s.rest, s.held = s.rest[n:], max(s.held-n, 0)
+	return n, nil
+}
+
 // TestTrickleSourceMatchesSlice is DESIGN.md invariant #9's timing clause:
 // how the source cuts and paces the stream never changes what executes. A
 // source that hands over one index per Read, paced or not, trains to the
@@ -105,22 +134,28 @@ func (s *trickleSource) Read(ctx context.Context, dst []uint64) (int, error) {
 // windows that look ahead across each other at every Depth: D = Depth 1–3
 // and D = 5 release windows while the source is still being read; the
 // default horizon (4·Entries, 8 windows) bins the whole stream first.
+//
+// It is also §VIII-A's overlap, in counts rather than wall-clock: a source
+// that hands over (D+1)·Window indices and then waits for the first Visit
+// finishes training only if window 0 executes while the rest of the stream
+// has yet to arrive — a trainer that drained its source first would wait
+// out the deadline.
 func TestTrickleSourceMatchesSlice(t *testing.T) {
 	const entries, blockSize, window = 512, 16, 256
 	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 2000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(src IndexSource, depth, horizon int) (*TrainStats, []byte) {
+	run := func(ctx context.Context, src IndexSource, visit Visit, depth, horizon int) (*TrainStats, []byte) {
 		t.Helper()
 		db, err := New(Options{Entries: entries, BlockSize: blockSize, Shards: 2, Seed: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		st, err := db.Train(context.Background(), TrainOptions{
+		st, err := db.Train(ctx, TrainOptions{
 			Source: src, Superblock: 4, Window: window, Depth: depth, Horizon: horizon,
-			PrePlace: true, Payload: trainInit(blockSize), Visit: trainVisit,
+			PrePlace: true, Payload: trainInit(blockSize), Visit: visit,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -131,24 +166,75 @@ func TestTrickleSourceMatchesSlice(t *testing.T) {
 		}
 		return st, state.Bytes()
 	}
+	check := func(label string, got, want *TrainStats, gotState, wantState []byte) {
+		t.Helper()
+		if got.Windows != want.Windows || got.Accesses != want.Accesses || got.Session != want.Session {
+			t.Errorf("%s: identity counters %d/%d/%+v, FromSlice %d/%d/%+v", label,
+				got.Windows, got.Accesses, got.Session, want.Windows, want.Accesses, want.Session)
+		}
+		if !bytes.Equal(gotState, wantState) {
+			t.Errorf("%s: SaveState bytes differ from FromSlice's", label)
+		}
+	}
+	bg := context.Background()
 	for _, c := range []struct{ depth, horizon int }{
 		{1, window}, {2, 2 * window}, {3, 3 * window}, {2, 5 * window}, {2, 0},
 	} {
-		want, wantState := run(FromSlice(stream), c.depth, c.horizon)
-		if d := c.horizon / window; c.horizon > 0 && want.Windows < d+2 {
+		want, wantState := run(bg, FromSlice(stream), trainVisit, c.depth, c.horizon)
+		d := c.horizon / window
+		if c.horizon > 0 && want.Windows < d+2 {
 			t.Fatalf("D %d: %d windows, too few to release any before the stream ends", d, want.Windows)
 		}
 		for _, pause := range []time.Duration{0, 200 * time.Microsecond} {
-			got, gotState := run(&trickleSource{rest: stream, pause: pause}, c.depth, c.horizon)
-			if got.Windows != want.Windows || got.Accesses != want.Accesses || got.Session != want.Session {
-				t.Errorf("depth %d, horizon %d, pause %v: identity counters %d/%d/%+v, FromSlice %d/%d/%+v", c.depth, c.horizon, pause,
-					got.Windows, got.Accesses, got.Session, want.Windows, want.Accesses, want.Session)
-			}
-			if !bytes.Equal(gotState, wantState) {
-				t.Errorf("depth %d, horizon %d, pause %v: SaveState bytes differ from FromSlice's", c.depth, c.horizon, pause)
-			}
+			got, gotState := run(bg, &trickleSource{rest: stream, pause: pause}, trainVisit, c.depth, c.horizon)
+			check(fmt.Sprintf("depth %d, horizon %d, pause %v", c.depth, c.horizon, pause), got, want, gotState, wantState)
 		}
+		if c.horizon == 0 {
+			continue // the default horizon holds the whole stream: nothing to gate
+		}
+		src := &gatedSource{rest: stream, held: (d + 1) * window, gate: make(chan struct{})}
+		var opened sync.Once
+		visit := func(id uint64, row []byte) []byte {
+			opened.Do(func() { close(src.gate) })
+			return trainVisit(id, row)
+		}
+		ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+		got, gotState := run(ctx, src, visit, c.depth, c.horizon)
+		cancel()
+		check(fmt.Sprintf("D %d, gated after %d windows", d, d+1), got, want, gotState, wantState)
 	}
+}
+
+// TestPlanningCheaperThanTraining is §VIII-A's premise that preprocessing
+// can run ahead of training: over the same accesses, the planner's scan and
+// binning (PlanTime) costs less wall time than executing them (TrainTime).
+// The shape is a metadata-only table of 8,192 rows, 24,000 Gaussian accesses
+// in 16 windows, S 8, Depth 2.
+func TestPlanningCheaperThanTraining(t *testing.T) {
+	const entries, accesses, windows = 8192, 24000, 16
+	stream, err := GenerateTrace(TraceConfig{Kind: TraceGaussian, N: entries, Count: accesses, Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(Options{Entries: entries, MetadataOnly: true, FatTree: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const window = accesses / windows
+	st, err := db.Train(context.Background(), TrainOptions{
+		Source: FromSlice(stream), Superblock: 8, Window: window, Depth: 2, Horizon: 2 * window, PrePlace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Windows != windows || st.Accesses != accesses {
+		t.Fatalf("trained %d windows of %d accesses, want %d of %d", st.Windows, st.Accesses, windows, accesses)
+	}
+	if st.PlanTime <= 0 || st.PlanTime >= st.TrainTime {
+		t.Errorf("planning (%v) should cost less than executing (%v) the same %d accesses", st.PlanTime, st.TrainTime, accesses)
+	}
+	t.Logf("plan %v, train %v over %d windows", st.PlanTime, st.TrainTime, st.Windows)
 }
 
 // horizonRun trains a fresh two-shard instance over a Kaggle trace in

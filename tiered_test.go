@@ -20,30 +20,42 @@ var stressSeeds = flag.Int("stress-seeds", 25, "seeds for TestTinyCacheTrainStre
 // TestTieredIdentity pins DESIGN.md invariant #14 through the public API:
 // a disk-backed instance (Options.DataDir) is byte-identical to the
 // in-memory store under seed 42 for Shards ∈ {1, 4} at every memory
-// budget (100%, 25%, 5% of tree size) — same batch read payloads, same
-// engine statistics, same session counters, same decrypted tree snapshot.
-// The cache may thrash and the prefetcher may race ahead, but nothing the
-// client can observe moves. CryptoWorkers is pinned to 1 because the disk
-// tier always seals serially; tier telemetry (which IS timing- and
-// residency-dependent) is zeroed before comparison.
+// budget (100%, 25%, 5% of tree size), with the look-ahead prefetcher on
+// and off — same batch read payloads, same engine statistics, same session
+// counters, same decrypted tree snapshot. The cache may thrash and the
+// prefetcher may race ahead, but nothing the client can observe moves.
+// CryptoWorkers is pinned to 1 because the disk tier always seals serially;
+// tier telemetry (which IS timing- and residency-dependent) is zeroed
+// before comparison.
+//
+// Training's tier counters, read first, are held to the prefetcher's bars.
+// Off issues nothing and its demand misses (deterministic) stay within 1.2×
+// the recorded counts; useful never exceeds issued. Where the prefetcher
+// has room to run — the "experiment" shape, one shard of 8,192 rows of
+// 128 B, S 8, 16 bins per round trip — prefetch on issues spans and has
+// them demanded below 100%, and at 5% demand-misses strictly less than
+// off. On 1,024 rows training ends within milliseconds, and whether the
+// prefetch goroutine is scheduled before demand passes its hints is up to
+// the host: under a loaded `go test ./...` it issued nothing.
 func TestTieredIdentity(t *testing.T) {
-	const entries = 1 << 10
-	const blockSize = 32
 	const seed = 42
 	key := make([]byte, 32)
 	for i := range key {
 		key[i] = byte(i*13 + 7)
 	}
-	stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: entries, Count: 3000, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	type shape struct {
+		name             string
+		entries          uint64
+		blockSize, count int
+		shards, s, bins  int
+		offMisses        [3]uint64 // at 100, 25, 5 %, recorded before the prefetch axis
+		prefetchHasRoom  bool
 	}
-	payload := func(id uint64) []byte {
-		p := make([]byte, blockSize)
-		for i := range p {
-			p[i] = byte(id + uint64(i)*3)
-		}
-		return p
+	budgets := [3]int64{100, 25, 5}
+	shapes := []shape{
+		{"shards=1", 1 << 10, 32, 3000, 1, 4, 8, [3]uint64{136, 614, 3544}, false},
+		{"shards=4", 1 << 10, 32, 3000, 4, 4, 8, [3]uint64{136, 2400, 2566}, false},
+		{"experiment", 1 << 13, 128, 6000, 1, 8, 16, [3]uint64{609, 695, 3123}, true},
 	}
 
 	type outcome struct {
@@ -51,32 +63,44 @@ func TestTieredIdentity(t *testing.T) {
 		stats Stats
 		sess  SessionStats
 		snap  []byte
+		tier  Stats // after Train, tier counters intact
 	}
-	run := func(t *testing.T, shards int, dataDir string, budget int64) (outcome, int64) {
+	run := func(t *testing.T, sh shape, stream []uint64, dataDir string, budget int64, prefetch bool) (outcome, int64) {
 		t.Helper()
+		payload := func(id uint64) []byte {
+			p := make([]byte, sh.blockSize)
+			for i := range p {
+				p[i] = byte(id + uint64(i)*3)
+			}
+			return p
+		}
 		db, err := New(Options{
-			Entries:       entries,
-			BlockSize:     blockSize,
-			Encrypt:       true,
-			Key:           key,
-			FatTree:       true,
-			Seed:          seed,
-			Shards:        shards,
-			CryptoWorkers: 1,
-			DataDir:       dataDir,
-			MemBudget:     budget,
+			Entries:         sh.entries,
+			BlockSize:       sh.blockSize,
+			Encrypt:         true,
+			Key:             key,
+			FatTree:         true,
+			Seed:            seed,
+			Shards:          sh.shards,
+			CryptoWorkers:   1,
+			DataDir:         dataDir,
+			MemBudget:       budget,
+			DisablePrefetch: dataDir != "" && !prefetch,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		sess := trainOneWindow(t, db, stream, 4, 8, payload, func(id uint64, row []byte) []byte {
+		sess := trainOneWindow(t, db, stream, sh.s, sh.bins, payload, func(id uint64, row []byte) []byte {
 			row[0] += byte(id)
 			return row
 		}).Session
+		// The training session is the prefetcher's period (its hints come
+		// from the plan), so its counters are read before the lookups below.
+		tier := db.Stats()
 		var ids []uint64
 		for i := uint64(0); i < 64; i++ {
-			ids = append(ids, (i*37)%entries)
+			ids = append(ids, (i*37)%sh.entries)
 		}
 		wdata := make([][]byte, len(ids))
 		for i, id := range ids {
@@ -98,7 +122,7 @@ func TestTieredIdentity(t *testing.T) {
 		for _, ds := range db.disks {
 			tree += ds.TreeBytes()
 		}
-		o := outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db)}
+		o := outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db), tier: tier}
 		// Tier counters are the disk run's own telemetry — residency and
 		// timing dependent, deliberately outside the identity contract.
 		o.stats.TierHits = 0
@@ -130,16 +154,50 @@ func TestTieredIdentity(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			mem, _ := run(t, shards, "", 0)
-			// Unbounded budget first, to learn the tree size for the
-			// percentage budgets.
-			full, tree := run(t, shards, filepath.Join(t.TempDir(), "full"), 0)
-			same(t, "budget=100%", mem, full)
-			for _, pct := range []int64{25, 5} {
-				disk, _ := run(t, shards, filepath.Join(t.TempDir(), fmt.Sprintf("pct%d", pct)), tree*pct/100)
-				same(t, fmt.Sprintf("budget=%d%%", pct), mem, disk)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			stream, err := GenerateTrace(TraceConfig{Kind: TraceKaggle, N: sh.entries, Count: sh.count, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, _ := run(t, sh, stream, "", 0, false)
+			// 100% runs first, unbounded, and learns the tree size the
+			// smaller budgets are cut from.
+			var tree int64
+			for b, pct := range budgets {
+				var misses [2]uint64 // prefetch off, on
+				for i, prefetch := range []bool{false, true} {
+					label := fmt.Sprintf("budget=%d%% prefetch=%v", pct, prefetch)
+					budget := tree * pct / 100
+					if pct == 100 {
+						budget = 0
+					}
+					disk, n := run(t, sh, stream, filepath.Join(t.TempDir(), fmt.Sprintf("pct%d-pf%v", pct, prefetch)), budget, prefetch)
+					if tree == 0 {
+						tree = n
+					}
+					same(t, label, mem, disk)
+					ts := disk.tier
+					misses[i] = ts.TierMisses
+					t.Logf("%s: %d hits, %d misses, prefetch issued %d useful %d", label,
+						ts.TierHits, ts.TierMisses, ts.TierPrefetchIssued, ts.TierPrefetchUseful)
+					if ts.TierPrefetchUseful > ts.TierPrefetchIssued {
+						t.Errorf("%s: %d prefetched spans useful of %d issued", label, ts.TierPrefetchUseful, ts.TierPrefetchIssued)
+					}
+					switch {
+					case !prefetch && (ts.TierPrefetchIssued != 0 || ts.TierPrefetchUseful != 0):
+						t.Errorf("%s: prefetch disabled but issued %d, useful %d", label, ts.TierPrefetchIssued, ts.TierPrefetchUseful)
+					case !prefetch && float64(ts.TierMisses) > 1.2*float64(sh.offMisses[b]):
+						t.Errorf("%s: %d demand misses, recorded %d (>20%% regression)", label, ts.TierMisses, sh.offMisses[b])
+					case prefetch && pct < 100 && sh.prefetchHasRoom && ts.TierPrefetchIssued == 0:
+						t.Errorf("%s: prefetcher enabled but never faulted a span", label)
+					case prefetch && pct < 100 && sh.prefetchHasRoom && ts.TierPrefetchUseful == 0:
+						t.Errorf("%s: no prefetched span was ever demanded", label)
+					}
+				}
+				if pct == 5 && sh.prefetchHasRoom && misses[1] >= misses[0] {
+					t.Errorf("budget=5%%: prefetch on suffered %d demand misses vs %d with prefetch off; want fewer", misses[1], misses[0])
+				}
 			}
 		})
 	}
