@@ -19,41 +19,45 @@ const (
 	batchCreate
 )
 
-// batchScratch is AccessBatch's reusable state: the fetch set and the
-// per-key classification.
+// batchScratch is AccessBatch's reusable state: the fetch set, the per-key
+// classification, and the one-key view Access runs the batch over.
 type batchScratch struct {
 	fetch LeafSet
 	kinds []uint8
+	id    [1]BlockID
+	data  [1][]byte
+	out   [1][]byte
 }
 
 // AccessBatch performs len(ids) accesses of one kind as a single joint
 // PathORAM access — the paper's batch fetch (§IV-A: "issues read request to
 // all the paths associated with the embedding entries in the upcoming …
-// batch and caches them locally") applied to plain lookups:
+// batch and caches them locally") applied to plain lookups, and the one
+// access cycle of the client: Access is the batch of one key.
 //
 //  1. gather the position-map leaves of the keys into one deduplicated set;
 //  2. ReadPaths the bucket union (every shared bucket moves once; one frame
 //     on a BatchStore);
 //  3. in batch order, remap every fetched block to a fresh uniform leaf and
 //     serve the key from the stash — out[i] receives a caller-owned copy for
-//     OpRead, data[i] is copied in for OpWrite (duplicate ids apply in batch
-//     order, the last write wins);
+//     OpRead, made in out[i]'s capacity (ReadInto's contract; a nil slot
+//     gets a fresh row), and data[i] is copied in for OpWrite (duplicate ids
+//     apply in batch order, the last write wins);
 //  4. WriteBackPaths the same union, then run background eviction once.
 //
 // What the server sees is the union of k independent uniform leaves, each
 // revealed once and replaced before write-back — core.LAORAM.Step's argument
-// (DESIGN.md "Joint lookups"). k is the same function of the request as
-// under len(ids) sequential Access calls: a key already in the stash, or
-// repeated within the batch, costs no path with StashHits and one uniformly
-// drawn cover path without; a first write costs one cover path; everything
-// else costs its own path. Statistics count as core.LAORAM.Step counts: Accesses,
-// StashHits and Remaps per key, PathReads and PathWrites per distinct leaf.
+// (DESIGN.md "Joint lookups"). A key already in the stash, or repeated
+// within the batch, costs no path with StashHits and one uniformly drawn
+// cover path without; a first write costs one cover path; everything else
+// costs its own path. Statistics count as core.LAORAM.Step counts:
+// Accesses, StashHits and Remaps per key, PathReads and PathWrites per
+// distinct leaf.
 //
-// Reads of never-written blocks and out-of-range ids fail before any state
-// changes or server traffic. A single key goes through Access and is
-// byte-identical to it (payload, stats, traffic, RNG draws). The transient
-// stash holds the real blocks of every fetched path, so callers bound
-// len(ids); the post-write-back stash obeys the usual bound.
+// An unknown op, reads of never-written blocks and out-of-range ids fail
+// before any state changes or server traffic. The transient stash holds the
+// real blocks of every fetched path, so callers bound len(ids); the
+// post-write-back stash obeys the usual bound.
 func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 	switch op {
 	case OpRead:
@@ -67,19 +71,8 @@ func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 	default:
 		return fmt.Errorf("oram: unknown op %v", op)
 	}
-	switch len(ids) {
-	case 0:
+	if len(ids) == 0 {
 		return nil
-	case 1:
-		var in []byte
-		if op == OpWrite {
-			in = data[0]
-		}
-		p, err := c.Access(op, ids[0], in)
-		if op == OpRead {
-			out[0] = p
-		}
-		return err
 	}
 	for _, id := range ids {
 		if uint64(id) >= c.pos.Len() {
@@ -146,16 +139,13 @@ func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 			c.stash.SetLeaf(id, leaf)
 			c.stats.Remaps++
 		}
-		var in []byte
+		// Serve from the stash, which holds the block now. A read copies out:
+		// the stash's live slab bytes must never escape to callers.
 		if op == OpWrite {
-			in = data[i]
-		}
-		p, err := c.serveFromStash(op, id, in, nil)
-		if err != nil {
-			return err
-		}
-		if op == OpRead {
-			out[i] = p
+			c.stash.SetPayload(id, data[i])
+		} else {
+			p, _ := c.stash.Payload(id)
+			out[i] = copyInto(out[i], p)
 		}
 	}
 

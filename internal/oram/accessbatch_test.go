@@ -15,11 +15,18 @@ import (
 // and "sealed" (AES-GCM PayloadStore).
 func batchTestClient(t testing.TB, kind string, leafBits int, blocks uint64, stashHits bool, evict EvictConfig, seed int64) (*Client, *CountingStore) {
 	t.Helper()
-	blockSize := 16
+	return kindTestClient(t, kind, GeometryConfig{LeafBits: leafBits, LeafZ: 4}, blocks, stashHits, evict, seed)
+}
+
+// kindTestClient is batchTestClient on any tree shape; gc's BlockSize is
+// set by kind (16 bytes, none for "meta").
+func kindTestClient(t testing.TB, kind string, gc GeometryConfig, blocks uint64, stashHits bool, evict EvictConfig, seed int64) (*Client, *CountingStore) {
+	t.Helper()
+	gc.BlockSize = 16
 	if kind == "meta" {
-		blockSize = 0
+		gc.BlockSize = 0
 	}
-	g := MustGeometry(GeometryConfig{LeafBits: leafBits, LeafZ: 4, BlockSize: blockSize})
+	g := MustGeometry(gc)
 	var inner Store
 	switch kind {
 	case "meta":
@@ -202,49 +209,6 @@ func TestAccessBatchUnwrittenReadFailsClean(t *testing.T) {
 	}
 	if a, b := c.Rand().Int63(), twin.Rand().Int63(); a != b {
 		t.Errorf("failed chunks consumed randomness: next draw %d, untouched twin %d", a, b)
-	}
-}
-
-// TestAccessBatchSingleKeyIsAccess: a one-key batch is Access — same
-// payload, AccessStats, traffic counters and RNG draws — over a history that
-// mixes first writes, updates, reads and stash hits.
-func TestAccessBatchSingleKeyIsAccess(t *testing.T) {
-	for _, stashHits := range []bool{true, false} {
-		a, acs := batchTestClient(t, "sealed", 6, 64, stashHits, PaperEvict, 5)
-		b, bcs := batchTestClient(t, "sealed", 6, 64, stashHits, PaperEvict, 5)
-		rng := rand.New(rand.NewSource(6))
-		written := map[BlockID]bool{}
-		out := make([][]byte, 1)
-		for i := 0; i < 1500; i++ {
-			id := BlockID(rng.Intn(64))
-			if !written[id] || rng.Intn(2) == 0 {
-				v := payload8(16, rng.Uint64())
-				if _, err := a.Access(OpWrite, id, v); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.AccessBatch(OpWrite, []BlockID{id}, [][]byte{v}, nil); err != nil {
-					t.Fatal(err)
-				}
-				written[id] = true
-			} else {
-				want, err := a.Access(OpRead, id, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := b.AccessBatch(OpRead, []BlockID{id}, nil, out); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(out[0], want) {
-					t.Fatalf("op %d: batch read %x, Access read %x", i, out[0], want)
-				}
-			}
-			if a.Stats() != b.Stats() || acs.Counters() != bcs.Counters() {
-				t.Fatalf("op %d (hits=%v): stats %+v vs %+v, traffic %+v vs %+v", i, stashHits, a.Stats(), b.Stats(), acs.Counters(), bcs.Counters())
-			}
-		}
-		if x, y := a.Rand().Int63(), b.Rand().Int63(); x != y {
-			t.Errorf("hits=%v: RNG streams diverged (%d vs %d)", stashHits, x, y)
-		}
 	}
 }
 

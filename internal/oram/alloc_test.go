@@ -9,7 +9,7 @@ import (
 
 // alloc_test.go gates the allocation-free hot path (the PR's tentpole):
 // after warm-up, a PathORAM access over the local MetaStore path must not
-// allocate at all — the stash slab, the reusable evict planner and the
+// allocate at all — the stash slab, the write-back sweep's scratch and the
 // recycled read/write buffers absorb every step of the cycle.
 
 func allocTestClient(t *testing.T) *Client {
@@ -28,7 +28,7 @@ func allocTestClient(t *testing.T) *Client {
 	if err := c.Load(1<<11, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Warm up stash slab, planner scratch and map capacities.
+	// Warm up stash slab, write-back scratch and map capacities.
 	for i := 0; i < 2048; i++ {
 		if _, err := c.Access(OpRead, BlockID(uint64(i)%(1<<11)), nil); err != nil {
 			t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 
 // multiScratch is the client's one set of transfer buffers plus the scratch
 // of the joint operations. A client moves one bucket union at a time
-// (single-goroutine model), so ReadPaths, WriteBackPath and WriteBackPaths
-// all lay their buckets out in the same bufs, and the hot paths — an access =
-// one one-leaf ReadPaths + one WriteBackPath, a superblock bin = one ReadPaths
-// + one WriteBackPaths — allocate nothing in steady state. Everything here is
-// O(stash + bucket union).
+// (single-goroutine model), so ReadPaths and WriteBackPaths lay their
+// buckets out in the same bufs, and the hot paths — an access or a
+// superblock bin, each one ReadPaths + one WriteBackPaths of the same leaves
+// — allocate nothing in steady state. Everything here is O(stash + bucket
+// union).
 type multiScratch struct {
 	refs   []BucketRef // bucket union (read order or write order)
 	placed []bool      // per slab slot: written back by the call in flight
@@ -75,7 +75,7 @@ func (m *multiScratch) batchBufs(n, blockSize int, size func(int) int) [][]Slot 
 // Once the store has returned, the client owns what those slots hold — the
 // block's own row where the store copied it, a row of the store's where it
 // kept the block's (Store.WriteBucket) — and the placed blocks have left the
-// stash without their rows (Stash.removeMarked, Stash.release).
+// stash without their rows (Stash.removeMarked).
 func (m *multiScratch) keepRows(bufs [][]Slot) {
 	for _, buf := range bufs {
 		for i := 0; i < len(buf) && !buf[i].Dummy(); i++ {
@@ -246,25 +246,29 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 //
 // Superblock clients need this whenever a single logical access fetches
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
-// dynamic superblocks right after a merge.
+// dynamic superblocks right after a merge. A single path — an access, a
+// dummy read, WriteBackPath — is the set of one leaf.
 //
 // The result depends on the set of leaves alone, not on order or
-// duplicates. One distinct leaf is WriteBackPath's path and takes its
-// per-level rule: at each level the blocks homed there first, then the
-// spill from below. Two or more take the joint rule: every stashed block
-// goes, in ascending id, into the deepest union bucket on its path that
-// still has room. The two differ only where a bucket overflows, where the
-// path rule lets a homed block beat a smaller spilled id.
+// duplicates. Every stashed block is homed in the deepest union bucket on
+// its path, and each bucket, children first, takes the candidates of
+// smallest rank among the blocks homed at or below it that no deeper bucket
+// took. Two or more distinct leaves rank by id: every block goes, in
+// ascending id, into the deepest union bucket on its path that still has
+// room. One distinct leaf ranks by (home level, id), the PathORAM
+// reference's per-level rule: at each level the blocks homed there first,
+// then the spill from below. The two differ only where a bucket overflows,
+// where the path rule lets a homed block beat a smaller spilled id. Slots
+// are filled in rank order; a single path's buckets go to the store root
+// first, a union's deepest level first.
 //
-// The joint rule is computed children-first. Each block is homed once, in
-// the deepest union bucket on its path (a lower-bound table over the
-// leaves' top bits finds its neighbours), and linked into that bucket's
-// candidates. Walking the union deepest level first, a bucket of room z
-// keeps its z smallest candidates and relinks the rest into its parent's
-// list, so each bucket takes the smallest ids among the blocks not placed
-// deeper whose path runs through it: by induction over the levels, the
-// ascending-id greedy. Cost: O(1) expected per stashed block, a selection
-// where a bucket overflows and a sort of at most z ids per bucket.
+// The sweep homes each block once (a lower-bound table over the leaves' top
+// bits finds its neighbours) and links it into its bucket's candidates.
+// Walking the union deepest level first, a bucket of room z keeps its z
+// smallest candidates and relinks the rest into its parent's list: by
+// induction over the levels, the greedy. Cost: O(1) expected per stashed
+// block, a selection where a bucket overflows and a sort of at most z
+// candidates per bucket.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	if len(leaves) == 0 {
 		return nil
@@ -280,9 +284,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	slices.Sort(m.leaves)
 	m.leaves = slices.Compact(m.leaves)
 	sorted := m.leaves
-	if len(sorted) == 1 {
-		return c.WriteBackPath(sorted[0])
-	}
+	single := len(sorted) == 1
 
 	// The union of buckets, deepest level first; within a level, ascending
 	// by node. NodeAt is monotone in the leaf, so walking the distinct
@@ -346,7 +348,11 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		}
 		p, d := deepestShared(g, sorted, lo, e.leaf)
 		h := at[p*levels+d]
-		nodes = append(nodes, placeNode{id: e.id, slot: int32(slot), next: head[h]})
+		rank := uint64(e.id)
+		if single {
+			rank |= uint64(d) << homeShift
+		}
+		nodes = append(nodes, placeNode{rank: rank, slot: int32(slot), next: head[h]})
 		head[h] = int32(len(nodes) - 1)
 	}
 	m.nodes = nodes
@@ -375,7 +381,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			}
 			cand = cand[:z]
 		}
-		sortByID(nodes, cand)
+		sortByRank(nodes, cand)
 		for i, n := range cand {
 			slot := nodes[n].slot
 			e := &stash.entries[slot]
@@ -388,6 +394,11 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		moved += len(cand)
 	}
 	m.cand = cand
+	if single {
+		// A single path goes root first, the order ReadPaths fetched it in.
+		slices.Reverse(buckets)
+		slices.Reverse(bufs)
+	}
 
 	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
@@ -400,10 +411,15 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 
 // placeNode is one stashed block in WriteBackPaths' candidate lists.
 type placeNode struct {
-	id   BlockID
-	slot int32 // the block's slab slot
-	next int32 // the next candidate of the same bucket; -1 ends the list
+	rank uint64 // the block's id, under its home level on a single path
+	slot int32  // the block's slab slot
+	next int32  // the next candidate of the same bucket; -1 ends the list
 }
+
+// homeShift puts a block's home level (≤ 31: LeafBits is capped by the
+// position map) above its id in a single path's rank. Ids stay below 2^58:
+// the flat position map holds an entry per block.
+const homeShift = 58
 
 // deepestShared returns the deepest level d at which the path to leaf still
 // shares a bucket with one of the paths to sorted (ascending, non-empty), and
@@ -422,17 +438,18 @@ func deepestShared(g *Geometry, sorted []Leaf, k int, leaf Leaf) (p, d int) {
 }
 
 // selectLeast reorders cand so that cand[:k] are the k candidates of
-// smallest id, in no particular order (Hoare's selection; ids are distinct).
+// smallest rank, in no particular order (Hoare's selection; ranks are
+// distinct).
 func selectLeast(nodes []placeNode, cand []int32, k int) {
 	lo, hi, t := 0, len(cand)-1, k-1
 	for t >= 0 && lo < hi {
-		pivot := nodes[cand[t]].id
+		pivot := nodes[cand[t]].rank
 		i, j := lo, hi
 		for i <= j {
-			for nodes[cand[i]].id < pivot {
+			for nodes[cand[i]].rank < pivot {
 				i++
 			}
-			for nodes[cand[j]].id > pivot {
+			for nodes[cand[j]].rank > pivot {
 				j--
 			}
 			if i <= j {
@@ -450,13 +467,13 @@ func selectLeast(nodes []placeNode, cand []int32, k int) {
 	}
 }
 
-// sortByID sorts the few candidates a bucket takes by id: the slot order.
-func sortByID(nodes []placeNode, cand []int32) {
+// sortByRank sorts the few candidates a bucket takes by rank: the slot order.
+func sortByRank(nodes []placeNode, cand []int32) {
 	for i := 1; i < len(cand); i++ {
 		n := cand[i]
-		id := nodes[n].id
+		r := nodes[n].rank
 		j := i
-		for ; j > 0 && nodes[cand[j-1]].id > id; j-- {
+		for ; j > 0 && nodes[cand[j-1]].rank > r; j-- {
 			cand[j] = cand[j-1]
 		}
 		cand[j] = n

@@ -174,11 +174,11 @@ func sameStash(a, b *Stash) error {
 }
 
 // refDistinct is refWriteBackPaths for two or more distinct leaves and
-// WriteBackPath for one: a joint write-back of a single path takes the path
-// rule (see WriteBackPaths), however often the leaf repeats.
+// refWriteBackPath for one: a joint write-back of a single path takes the
+// path rule (see WriteBackPaths), however often the leaf repeats.
 func refDistinct(c *Client, leaves []Leaf) error {
 	if d := slices.Compact(slices.Sorted(slices.Values(leaves))); len(d) == 1 {
-		return c.WriteBackPath(d[0])
+		return refWriteBackPath(c, d[0])
 	}
 	return refWriteBackPaths(c, leaves)
 }
@@ -192,7 +192,7 @@ func refDistinct(c *Client, leaves []Leaf) error {
 // writes — same order, same slots — leaves the same stash behind, and does
 // so through both transports. Two rounds per case run on the same clients
 // so reused scratch is covered too. All-equal leaves are one path and are
-// held to WriteBackPath.
+// held to the path rule's reference, refWriteBackPath.
 func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 	f := func(seed int64, fat, payloads bool, leafBitsRaw, shapeRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -392,8 +392,8 @@ func TestQuickWriteBackPathsLeafSet(t *testing.T) {
 	}
 }
 
-// TestQuickSelectLeast: selectLeast leaves the k smallest ids in cand[:k],
-// the same ids a full sort puts there.
+// TestQuickSelectLeast: selectLeast leaves the k smallest ranks in
+// cand[:k], the same ranks a full sort puts there, and sortByRank orders them.
 func TestQuickSelectLeast(t *testing.T) {
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -401,26 +401,26 @@ func TestQuickSelectLeast(t *testing.T) {
 		k := int(kRaw) % (n + 1)
 		nodes := make([]placeNode, n)
 		cand := make([]int32, n)
-		want := make([]BlockID, n)
+		want := make([]uint64, n)
 		for i, id := range rng.Perm(4 * n)[:n] {
 			if rng.Intn(4) == 0 {
 				id = i // runs already in order
 			}
-			nodes[i] = placeNode{id: BlockID(id)}
+			nodes[i] = placeNode{rank: uint64(id)}
 			cand[i] = int32(i)
 		}
 		for i := range nodes {
-			if slices.ContainsFunc(nodes[:i], func(p placeNode) bool { return p.id == nodes[i].id }) {
-				nodes[i].id = BlockID(4*n + i) // keep ids distinct
+			if slices.ContainsFunc(nodes[:i], func(p placeNode) bool { return p.rank == nodes[i].rank }) {
+				nodes[i].rank = uint64(4*n + i) // keep ranks distinct
 			}
-			want[i] = nodes[i].id
+			want[i] = nodes[i].rank
 		}
 		slices.Sort(want)
 		selectLeast(nodes, cand, k)
-		sortByID(nodes, cand[:k])
-		got := make([]BlockID, k)
+		sortByRank(nodes, cand[:k])
+		got := make([]uint64, k)
 		for i, c := range cand[:k] {
-			got[i] = nodes[c].id
+			got[i] = nodes[c].rank
 		}
 		if !slices.Equal(got, want[:k]) {
 			t.Logf("n %d k %d: got %v, want %v", n, k, got, want[:k])

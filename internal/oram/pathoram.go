@@ -83,8 +83,9 @@ type ClientConfig struct {
 	// StashHits, when true (the paper's description, §II-C step 1:
 	// "If the block is already in the stash, it is immediately
 	// provided"), serves stash-resident blocks without touching the
-	// server. When false the client always performs a path read, as in
-	// the original PathORAM presentation.
+	// server. When false every access performs a path read, as in the
+	// original PathORAM presentation: a stash-resident block reads one
+	// uniformly drawn cover path and is remapped (AccessBatch).
 	StashHits bool
 	// Blocks is the number of real blocks (dense IDs 0..Blocks-1).
 	Blocks uint64
@@ -108,9 +109,6 @@ type Client struct {
 	stats AccessStats
 
 	stashHits bool
-	// planner is the reusable greedy write-back planner: WriteBackPath
-	// allocates nothing in steady state.
-	planner evictPlanner
 	// multi holds the client's one set of transfer buffers and the scratch
 	// of the joint operations; see multipath.go.
 	multi multiScratch
@@ -214,42 +212,10 @@ func (c *Client) ingest(bufs [][]Slot) (int, error) {
 	return moved, nil
 }
 
-// WriteBackPath greedily writes stashed blocks into the path to leaf
-// (§II-C step 5), as deep as each block's assigned leaf allows, filling
-// remaining slots with dummies. The whole path is written as one bucket union
-// on the store's Face, root first; blocks written are removed from the stash
-// once it returns.
-func (c *Client) WriteBackPath(leaf Leaf) error {
-	if !c.geom.ValidLeaf(leaf) {
-		return fmt.Errorf("oram: WriteBackPath: invalid leaf %d", leaf)
-	}
-	plan := c.stash.evictPlanInto(&c.planner, c.geom, leaf)
-	refs := c.pathUnion(c.onePath(leaf))
-	bufs := c.multi.batchBufs(len(refs), 0, c.geom.BucketSize)
-	moved := 0
-	for lvl, ids := range plan {
-		buf := bufs[lvl]
-		for i, id := range ids {
-			e := c.stash.lookup(id)
-			buf[i] = Slot{ID: id, Leaf: e.leaf, Payload: e.payload}
-		}
-		moved += len(ids)
-		for i := len(ids); i < len(buf); i++ {
-			buf[i] = DummySlot()
-		}
-	}
-	if err := c.face.WriteBuckets(refs, bufs); err != nil {
-		return fmt.Errorf("oram: WriteBackPath: %w", err)
-	}
-	for _, ids := range plan {
-		for _, id := range ids {
-			c.stash.release(id)
-		}
-	}
-	c.multi.keepRows(bufs)
-	c.stats.BlocksMoved += uint64(moved)
-	return nil
-}
+// WriteBackPath writes stashed blocks back into the path to leaf (§II-C
+// step 5): the joint write-back of one path (see WriteBackPaths), whose
+// placement is the PathORAM reference's greedy per-level rule.
+func (c *Client) WriteBackPath(leaf Leaf) error { return c.WriteBackPaths(c.onePath(leaf)) }
 
 // DummyRead performs one background-eviction round (§II-E): read a
 // uniformly random path and write it straight back with greedy stash
@@ -291,10 +257,11 @@ func (c *Client) MaybeEvict() (int, error) {
 
 // Access performs one PathORAM access (§II-C): look up the block's path,
 // fetch it, serve the operation, remap the block uniformly, write the path
-// back, then run background eviction. For OpRead the returned slice is a
-// copy owned by the caller; for OpWrite, data is copied in.
+// back, then run background eviction. It is AccessBatch of one key. For
+// OpRead the returned slice is a copy owned by the caller; for OpWrite,
+// data is copied in.
 func (c *Client) Access(op Op, id BlockID, data []byte) ([]byte, error) {
-	return c.accessInto(op, id, data, nil)
+	return c.accessOne(op, id, data, nil)
 }
 
 // ReadInto is an oblivious read that copies the payload into buf's
@@ -305,83 +272,18 @@ func (c *Client) Access(op Op, id BlockID, data []byte) ([]byte, error) {
 // memory bus; only the ownership of the returned bytes differs (they alias
 // buf, which the caller must not hand to concurrent readers).
 func (c *Client) ReadInto(id BlockID, buf []byte) ([]byte, error) {
-	if buf == nil {
-		// A nil buf must still mean "reuse nothing", not "fresh copy",
-		// so the zero-capacity slice keeps the copy-into semantics.
-		buf = []byte{}
-	}
-	return c.accessInto(OpRead, id, nil, buf)
+	return c.accessOne(OpRead, id, nil, buf)
 }
 
-// accessInto is the shared access cycle. dst non-nil directs an OpRead's
-// result into dst's capacity (ReadInto); nil returns a fresh copy
-// (Access).
-func (c *Client) accessInto(op Op, id BlockID, data, dst []byte) ([]byte, error) {
-	if uint64(id) >= c.pos.Len() {
-		return nil, fmt.Errorf("oram: block %d out of range (have %d blocks)", id, c.pos.Len())
-	}
-	c.stats.Accesses++
-
-	if c.stashHits && c.stash.Contains(id) {
-		c.stats.StashHits++
-		out, err := c.serveFromStash(op, id, data, dst)
-		if err != nil {
-			return nil, err
-		}
-		_, err = c.MaybeEvict()
-		return out, err
-	}
-
-	leaf := c.pos.Get(id)
-	if leaf == NoLeaf {
-		// First-ever touch of this block: it exists nowhere. A write
-		// creates it in the stash; a read is an error.
-		if op != OpWrite {
-			return nil, fmt.Errorf("oram: read of unwritten block %d", id)
-		}
-		newLeaf := c.RandomLeaf()
-		c.pos.Set(id, newLeaf)
-		c.stats.Remaps++
-		if err := c.stash.Put(id, newLeaf, data); err != nil {
-			return nil, err
-		}
-		// Obliviousness: the bus must still see one path read + write,
-		// otherwise "first write" is distinguishable from an update.
-		cover := c.RandomLeaf()
-		if err := c.ReadPaths(c.onePath(cover)); err != nil {
-			return nil, err
-		}
-		c.stats.PathReads++
-		if err := c.WriteBackPath(cover); err != nil {
-			return nil, err
-		}
-		c.stats.PathWrites++
-		_, err := c.MaybeEvict()
-		return nil, err
-	}
-
-	if err := c.ReadPaths(c.onePath(leaf)); err != nil {
-		return nil, err
-	}
-	c.stats.PathReads++
-	if !c.stash.Contains(id) {
-		return nil, fmt.Errorf("oram: block %d not found on its assigned path %d (tree corrupt)", id, leaf)
-	}
-	// Remap uniformly before write-back (§II-C step 4).
-	newLeaf := c.RandomLeaf()
-	c.pos.Set(id, newLeaf)
-	c.stash.SetLeaf(id, newLeaf)
-	c.stats.Remaps++
-
-	out, err := c.serveFromStash(op, id, data, dst)
+// accessOne runs AccessBatch over the one-key view in the client's batch
+// scratch; an OpRead's result is copied into dst's capacity.
+func (c *Client) accessOne(op Op, id BlockID, data, dst []byte) ([]byte, error) {
+	b := &c.batch
+	b.id[0], b.data[0], b.out[0] = id, data, dst
+	err := c.AccessBatch(op, b.id[:], b.data[:], b.out[:])
+	out := b.out[0]
+	b.data[0], b.out[0] = nil, nil // hold no caller memory past the call
 	if err != nil {
-		return nil, err
-	}
-	if err := c.WriteBackPath(leaf); err != nil {
-		return nil, err
-	}
-	c.stats.PathWrites++
-	if _, err := c.MaybeEvict(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -394,41 +296,6 @@ func (c *Client) Read(id BlockID) ([]byte, error) { return c.Access(OpRead, id, 
 func (c *Client) Write(id BlockID, data []byte) error {
 	_, err := c.Access(OpWrite, id, data)
 	return err
-}
-
-// serveFromStash serves one operation against the stash-resident block.
-// Reads return a copy (the stash's live slab bytes must never escape to
-// callers: they are recycled on Remove) — into dst's capacity when dst is
-// non-nil (ReadInto), freshly allocated otherwise; writes are copied in by
-// the stash itself.
-func (c *Client) serveFromStash(op Op, id BlockID, data, dst []byte) ([]byte, error) {
-	switch op {
-	case OpRead:
-		p, ok := c.stash.Payload(id)
-		if !ok {
-			return nil, fmt.Errorf("oram: block %d vanished from stash", id)
-		}
-		if dst != nil {
-			return copyInto(dst, p), nil
-		}
-		return cloneBytes(p), nil
-	case OpWrite:
-		if !c.stash.SetPayload(id, data) {
-			return nil, fmt.Errorf("oram: block %d vanished from stash", id)
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("oram: unknown op %v", op)
-	}
-}
-
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 // copyInto copies p into dst's capacity, growing only when it is too

@@ -90,13 +90,63 @@ func TestClientConfigValidation(t *testing.T) {
 	}
 }
 
+// TestReadUnwrittenFails: a read of a never-written block, or of an id out
+// of range, fails before any state changes: no store traffic, no
+// AccessStats (Accesses included), no RNG draw.
 func TestReadUnwrittenFails(t *testing.T) {
-	c, _ := newTestClient(t, 6, 64, 16, EvictConfig{})
+	c, cs := newTestClient(t, 6, 64, 16, EvictConfig{})
+	twin, _ := newTestClient(t, 6, 64, 16, EvictConfig{})
 	if _, err := c.Read(3); err == nil {
 		t.Error("read of unwritten block succeeded")
 	}
 	if _, err := c.Read(9999); err == nil {
 		t.Error("out-of-range block accepted")
+	}
+	if st, n := c.Stats(), cs.Counters(); st != (AccessStats{}) || n != (Counters{}) {
+		t.Errorf("failed reads moved counters: %+v, %+v", st, n)
+	}
+	if a, b := c.Rand().Int63(), twin.Rand().Int63(); a != b {
+		t.Errorf("failed reads consumed randomness: next draw %d, untouched twin %d", a, b)
+	}
+}
+
+// TestUnknownOpFailsClean: Access with an op that is neither read nor write
+// fails before any store call, and the block it named reads back intact
+// afterwards — also after the path it was on is fetched and written back
+// again, where a half-done access would have left a stale copy.
+func TestUnknownOpFailsClean(t *testing.T) {
+	c, cs := newTestClient(t, 6, 64, 16, EvictConfig{})
+	want := payload8(16, 0xC0FFEE)
+	if err := c.Write(5, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(5, want); err != nil { // now on a path of its own
+		t.Fatal(err)
+	}
+	leaf := c.PosMap().Get(5)
+	stats0, traffic0 := c.Stats(), cs.Counters()
+	if _, err := c.Access(Op(7), 5, nil); err == nil {
+		t.Fatal("unknown op accepted")
+	}
+	if c.Stats() != stats0 || cs.Counters() != traffic0 {
+		t.Fatalf("unknown op moved counters: %+v → %+v, %+v → %+v", stats0, c.Stats(), traffic0, cs.Counters())
+	}
+	newer := payload8(16, 0xBEEF)
+	if err := c.Write(5, newer); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadPaths([]Leaf{leaf}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBackPath(leaf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Read(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, newer) {
+		t.Errorf("block 5 = %x, want %x", got, newer)
 	}
 }
 
@@ -261,6 +311,46 @@ func TestLoadWithExplicitLeaves(t *testing.T) {
 	c2, _ := newTestClient(t, 6, blocks, 0, EvictConfig{})
 	if err := c2.Load(blocks, func(BlockID) Leaf { return Leaf(1 << 40) }, nil); err == nil {
 		t.Error("invalid leafOf accepted")
+	}
+}
+
+// TestStashResidentWithoutHitsReadsCoverPath: with StashHits off, an access
+// to a block already in the stash reads one uniformly drawn cover path — not
+// the block's own position-map leaf, which it already holds — and remaps the
+// block, as AccessBatch treats any hit.
+func TestStashResidentWithoutHitsReadsCoverPath(t *testing.T) {
+	const blocks = 64
+	g := MustGeometry(GeometryConfig{LeafBits: 6, LeafZ: 4})
+	rec := &leafRecorder{Store: NewMetaStore(g), leafLevel: 6}
+	c, err := NewClient(ClientConfig{Store: rec, Rand: rand.New(rand.NewSource(5)), Blocks: blocks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(blocks, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	own := c.PosMap().Get(9)
+	if err := c.ReadPaths([]Leaf{own}); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Stash().Contains(9) {
+		t.Fatal("block 9 not in the stash after reading its path")
+	}
+	twin := rand.New(rand.NewSource(5))
+	for range blocks { // Load drew one leaf per block
+		twin.Int63n(int64(g.Leaves()))
+	}
+	cover := Leaf(twin.Int63n(int64(g.Leaves())))
+	rec.fetched = nil
+	c.ResetStats()
+	if _, err := c.Read(9); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.fetched) != 1 || rec.fetched[0] != cover || cover == own {
+		t.Errorf("fetched %v, want the cover draw %d (own leaf %d)", rec.fetched, cover, own)
+	}
+	if st := c.Stats(); st.PathReads != 1 || st.Remaps != 1 || st.StashHits != 0 || c.PosMap().Get(9) == own {
+		t.Errorf("stats %+v, leaf %d → %d: want one path, one remap, no hit", st, own, c.PosMap().Get(9))
 	}
 }
 

@@ -3,7 +3,6 @@ package oram
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Stash is the client-side buffer for blocks that could not be written back
@@ -230,7 +229,7 @@ func (s *Stash) SetLeaf(id BlockID, leaf Leaf) bool {
 // live slab storage, not a copy: it is valid until the block is removed,
 // and mutating it mutates the stash (core's visit passes it to the trainer
 // without a copy, so an update may land in place; code returning payloads to
-// untrusted callers must copy — see Client.serveFromStash).
+// untrusted callers must copy — see Client.AccessBatch).
 func (s *Stash) Payload(id BlockID) ([]byte, bool) {
 	if e := s.lookup(id); e != nil {
 		return e.payload, true
@@ -256,15 +255,6 @@ func (s *Stash) Remove(id BlockID) {
 	}
 }
 
-// release deletes a block whose row a write-back handed out: its entry is
-// recycled without the buffer, which the row's new owner now holds.
-func (s *Stash) release(id BlockID) {
-	if pos, ok := s.index.find(id); ok {
-		s.entries[s.index.cells[pos].slot-1].buf = nil
-		s.removeCell(pos)
-	}
-}
-
 // removeCell deletes the block index cell pos points at: the last slab entry
 // takes its slot, and the vacated entry — buffer kept — becomes the first
 // recycled one. Slots below the removed one are not disturbed.
@@ -283,10 +273,10 @@ func (s *Stash) removeCell(pos int) {
 
 // removeMarked removes every block whose slab slot is marked, in one pass:
 // the blocks a write-back placed, whose rows it handed out, so their entries
-// give up their buffers as release does. Each marked block's index cell is
-// deleted and the unmarked blocks are compacted to the front by swapping.
-// Survivors may change slots; slab order is not observable (Snapshot sorts
-// ids, evictPlanInto sorts per level and WriteBackPaths selects by id).
+// are recycled without their buffers, which the rows' new owners now hold.
+// Each marked block's index cell is deleted and the unmarked blocks are
+// compacted to the front by swapping. Survivors may change slots; slab order
+// is not observable (Snapshot sorts ids and WriteBackPaths selects by rank).
 func (s *Stash) removeMarked(marked []bool) {
 	keep := 0
 	for i := range s.entries {
@@ -317,76 +307,4 @@ func (s *Stash) IDs() []BlockID {
 		ids[i] = s.entries[i].id
 	}
 	return ids
-}
-
-// evictPlanner holds the scratch state of the greedy write-back planner so
-// a client can plan every eviction without allocating: the per-level
-// candidate lists, the output plan and the spill list all keep their
-// capacity across calls.
-type evictPlanner struct {
-	byDeepest [][]BlockID
-	plan      [][]BlockID
-	spill     []BlockID
-}
-
-func (ep *evictPlanner) reset(levels int) {
-	if len(ep.byDeepest) != levels {
-		ep.byDeepest = make([][]BlockID, levels)
-		ep.plan = make([][]BlockID, levels)
-	}
-	for i := range ep.byDeepest {
-		ep.byDeepest[i] = ep.byDeepest[i][:0]
-		ep.plan[i] = nil
-	}
-	ep.spill = ep.spill[:0]
-}
-
-// evictPlanInto computes the greedy write-back for one path: which stashed
-// blocks go into which level of the path to target. A stashed block with
-// assigned leaf b can be placed at any level <= CommonLevel(target, b); the
-// greedy policy (identical to the PathORAM reference implementation)
-// places blocks as deep as possible, letting unplaced candidates spill
-// toward the root.
-//
-// perLevel[lvl] lists the block IDs to write into the path bucket at lvl;
-// each listed block must then be removed from the stash by the caller once
-// written. Capacity respects the geometry's per-level bucket size, which is
-// exactly where the fat-tree (§V) earns its keep: wider buckets near the
-// root absorb the spill that a uniform tree would bounce back into the
-// stash.
-//
-// The returned plan aliases ep's scratch and is valid until the next call
-// with the same planner. Zero allocations in steady state.
-func (s *Stash) evictPlanInto(ep *evictPlanner, g *Geometry, target Leaf) [][]BlockID {
-	L := g.LeafBits()
-	ep.reset(L + 1)
-	for i := range s.entries {
-		e := &s.entries[i]
-		if d := g.CommonLevel(target, e.leaf); d >= 0 { // NoLeaf: on no path, stays
-			ep.byDeepest[d] = append(ep.byDeepest[d], e.id)
-		}
-	}
-	// Slab order depends on slot-recycling history; sort so placement is a
-	// function of the stash contents alone.
-	for _, ids := range ep.byDeepest {
-		slices.Sort(ids)
-	}
-	for lvl := L; lvl >= 0; lvl-- {
-		cand := ep.byDeepest[lvl]
-		if len(ep.spill) > 0 {
-			// Grow through the scratch slot so the capacity is kept.
-			ep.byDeepest[lvl] = append(ep.byDeepest[lvl], ep.spill...)
-			cand = ep.byDeepest[lvl]
-			ep.spill = ep.spill[:0]
-		}
-		z := g.BucketSize(lvl)
-		if len(cand) <= z {
-			ep.plan[lvl] = cand
-			continue
-		}
-		ep.plan[lvl] = cand[:z]
-		ep.spill = append(ep.spill, cand[z:]...)
-	}
-	// Whatever is left in spill stays in the stash.
-	return ep.plan
 }

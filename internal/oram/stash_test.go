@@ -5,11 +5,42 @@ import (
 	"testing"
 )
 
-// evictPlan computes the greedy write-back for one path with a throwaway
-// planner; the client goes through evictPlanInto with its reusable one.
-func (s *Stash) evictPlan(g *Geometry, target Leaf) [][]BlockID {
-	var ep evictPlanner
-	return s.evictPlanInto(&ep, g, target)
+// writtenPlan runs WriteBackPath(target) on a client holding a copy of s's
+// blocks over a recording store, and returns the ids written into each level
+// of the path. s is left as it was. The path must go out root first, one
+// bucket per level.
+func writtenPlan(t *testing.T, s *Stash, g *Geometry, target Leaf) [][]BlockID {
+	t.Helper()
+	st := &recStore{g: g}
+	c, err := NewClient(ClientConfig{Store: st, Rand: rand.New(rand.NewSource(1)), Blocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range s.IDs() {
+		leaf, _ := s.Leaf(id)
+		p, _ := s.Payload(id)
+		if err := c.stash.Put(id, leaf, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WriteBackPath(target); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.writes) != g.Levels() {
+		t.Fatalf("WriteBackPath wrote %d buckets, want %d", len(st.writes), g.Levels())
+	}
+	plan := make([][]BlockID, g.Levels())
+	for lvl, w := range st.writes {
+		if want := (BucketRef{Level: lvl, Node: g.NodeAt(target, lvl)}); w.ref != want {
+			t.Fatalf("write %d went to %+v, want %+v", lvl, w.ref, want)
+		}
+		for _, sl := range w.slots {
+			if !sl.Dummy() {
+				plan[lvl] = append(plan[lvl], sl.ID)
+			}
+		}
+	}
+	return plan
 }
 
 func TestStashBasics(t *testing.T) {
@@ -75,9 +106,9 @@ func TestStashBasics(t *testing.T) {
 }
 
 // TestEvictPlanRespectsConstraints checks the two safety properties of the
-// greedy write-back plan: bucket capacities are honoured, and a block is
-// only planned at a level where its assigned path and the target path share
-// a node.
+// greedy write-back of one path (WriteBackPath): bucket capacities are
+// honoured, and a block is only written at a level where its assigned path
+// and the target path share a node.
 func TestEvictPlanRespectsConstraints(t *testing.T) {
 	g := MustGeometry(GeometryConfig{LeafBits: 6, LeafZ: 2, BlockSize: 0})
 	rng := rand.New(rand.NewSource(7))
@@ -92,7 +123,7 @@ func TestEvictPlanRespectsConstraints(t *testing.T) {
 			}
 		}
 		target := Leaf(rng.Int63n(int64(g.Leaves())))
-		plan := s.evictPlan(g, target)
+		plan := writtenPlan(t, s, g, target)
 		if len(plan) != g.Levels() {
 			t.Fatalf("plan has %d levels, want %d", len(plan), g.Levels())
 		}
@@ -120,14 +151,14 @@ func TestEvictPlanRespectsConstraints(t *testing.T) {
 }
 
 // TestEvictPlanGreedyDepth: with one block whose leaf equals the target and
-// room everywhere, the plan must place it at the deepest (leaf) level.
+// room everywhere, WriteBackPath must place it at the deepest (leaf) level.
 func TestEvictPlanGreedyDepth(t *testing.T) {
 	g := MustGeometry(GeometryConfig{LeafBits: 4, LeafZ: 2, BlockSize: 0})
 	s := NewStash()
 	if err := s.Put(1, 9, nil); err != nil {
 		t.Fatal(err)
 	}
-	plan := s.evictPlan(g, 9)
+	plan := writtenPlan(t, s, g, 9)
 	if len(plan[g.LeafBits()]) != 1 || plan[g.LeafBits()][0] != 1 {
 		t.Errorf("block not placed at leaf: %v", plan)
 	}
@@ -136,7 +167,7 @@ func TestEvictPlanGreedyDepth(t *testing.T) {
 	if err := s2.Put(2, 0x0, nil); err != nil { // leaf 0b0000
 		t.Fatal(err)
 	}
-	plan2 := s2.evictPlan(g, 0x8) // leaf 0b1000: disagree at level 1
+	plan2 := writtenPlan(t, s2, g, 0x8) // leaf 0b1000: disagree at level 1
 	if len(plan2[0]) != 1 {
 		t.Errorf("expected root placement, got %v", plan2)
 	}
@@ -159,7 +190,7 @@ func TestEvictPlanSpill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plan := s.evictPlan(g, 5)
+	plan := writtenPlan(t, s, g, 5)
 	total := 0
 	for lvl, ids := range plan {
 		if len(ids) > g.BucketSize(lvl) {
@@ -172,8 +203,9 @@ func TestEvictPlanSpill(t *testing.T) {
 	}
 }
 
-// TestEvictPlanDeterministic: two stashes with identical contents must
-// produce identical plans (map iteration order must not leak through).
+// TestEvictPlanDeterministic: two stashes with identical contents built in
+// opposite orders must be written back identically (slab order must not
+// leak through).
 func TestEvictPlanDeterministic(t *testing.T) {
 	g := MustGeometry(GeometryConfig{LeafBits: 5, LeafZ: 2, BlockSize: 0})
 	build := func(order []int) *Stash {
@@ -191,8 +223,8 @@ func TestEvictPlanDeterministic(t *testing.T) {
 		fwd[i] = i
 		rev[i] = 63 - i
 	}
-	p1 := build(fwd).evictPlan(g, 13)
-	p2 := build(rev).evictPlan(g, 13)
+	p1 := writtenPlan(t, build(fwd), g, 13)
+	p2 := writtenPlan(t, build(rev), g, 13)
 	for lvl := range p1 {
 		if len(p1[lvl]) != len(p2[lvl]) {
 			t.Fatalf("level %d: lengths differ", lvl)

@@ -94,7 +94,8 @@ type Options struct {
 	// one.
 	Key []byte
 	// EvictHigh/EvictLow are the background-eviction watermarks
-	// (§VIII-E; defaults 500/50). Set EvictHigh = -1 to disable.
+	// (§VIII-E; defaults 500/50). Set EvictHigh = -1 to disable; EvictLow
+	// needs an EvictHigh of its own.
 	EvictHigh, EvictLow int
 	// Seed makes all randomized behaviour reproducible (leaf choices,
 	// bin paths). Shard i derives its seeds as shard.SeedFor(Seed, i).
@@ -187,10 +188,14 @@ type Options struct {
 }
 
 func (o Options) evict() (oram.EvictConfig, error) {
-	if o.EvictHigh < 0 {
+	switch {
+	case o.EvictHigh == -1:
 		return oram.EvictConfig{}, nil
-	}
-	if o.EvictHigh == 0 {
+	case o.EvictHigh < -1:
+		return oram.EvictConfig{}, fmt.Errorf("laoram: EvictHigh %d: want -1 (off), 0 (default) or a watermark", o.EvictHigh)
+	case o.EvictHigh == 0 && o.EvictLow != 0:
+		return oram.EvictConfig{}, fmt.Errorf("laoram: EvictLow %d set without EvictHigh", o.EvictLow)
+	case o.EvictHigh == 0:
 		return oram.PaperEvict, nil
 	}
 	if o.EvictLow < 0 || o.EvictLow > o.EvictHigh {

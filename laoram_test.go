@@ -3,6 +3,7 @@ package laoram
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/oram"
@@ -18,6 +19,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, EvictHigh: 10, EvictLow: 20}); err == nil {
 		t.Error("inverted watermarks accepted")
+	}
+	if _, err := New(Options{Entries: 8, BlockSize: 16, EvictLow: 20}); err == nil || !strings.Contains(err.Error(), "EvictLow") {
+		t.Errorf("EvictLow without EvictHigh: err = %v, want one naming EvictLow", err)
+	}
+	if _, err := New(Options{Entries: 8, BlockSize: 16, EvictHigh: -2}); err == nil || !strings.Contains(err.Error(), "EvictHigh") {
+		t.Errorf("EvictHigh -2: err = %v, want one naming EvictHigh", err)
 	}
 	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, Key: []byte("short")}); err == nil {
 		t.Error("short key accepted")
@@ -97,8 +104,9 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if _, err := db.Read(6); err == nil {
 		t.Error("read of unwritten block succeeded")
 	}
+	// The failed read of block 6 changes nothing, so it is not an access.
 	st := db.Stats()
-	if st.Accesses != 3 || st.ServerBytes <= 0 || st.PositionBytes <= 0 {
+	if st.Accesses != 2 || st.ServerBytes <= 0 || st.PositionBytes <= 0 {
 		t.Errorf("stats wrong: %+v", st)
 	}
 }
