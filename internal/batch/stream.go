@@ -46,9 +46,10 @@ type TrainConfig struct {
 	// per-training-batch fetch); 0 is shard.StepBins(S).
 	BatchBins int
 	// PrePlace bulk-loads the engine before the first window executes,
-	// pre-placing every block of window 0 on its first bin's path (the
-	// converged steady state of §IV-B). When false the engine must
-	// already be loaded.
+	// pre-placing every block of the horizon held when window 0 is released
+	// — window 0 and the D windows behind it — on the path of its first bin
+	// in them (the converged steady state of §IV-B), and every other block
+	// uniformly. When false the engine must already be loaded.
 	PrePlace bool
 	// Payload initialises rows during the PrePlace load (may be nil for
 	// zero/simulated content). Requires PrePlace.
@@ -60,6 +61,11 @@ type TrainConfig struct {
 	// catch-up replays only the lanes restored from a checkpoint. The
 	// session counters then cover the selected lanes only.
 	Lanes []bool
+	// Salts are the per-shard plan-seed salts (shard.PlannerConfig.Salts);
+	// nil reads the engine's PlanSalts when Train starts. A recovery that
+	// calls Train again within one run passes the salts the run began
+	// with, so its windows keep their leaves.
+	Salts []uint64
 	// StartWindow offsets the absolute index of the first planned window:
 	// a recovery that rewound the source to the boundary of window B
 	// resumes with StartWindow = B, keeping every window's absolute index
@@ -218,8 +224,12 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	if err := cfg.fill(e.Entries()); err != nil {
 		return st, err
 	}
+	if cfg.Salts == nil {
+		cfg.Salts = e.PlanSalts()
+	}
 	planner, err := e.NewPlanner(src, shard.PlannerConfig{
 		S: cfg.S, Window: cfg.Window, Depth: cfg.ahead(), StartWindow: cfg.StartWindow,
+		Salts: cfg.Salts, Place: cfg.PrePlace,
 	})
 	if err != nil {
 		return st, err
@@ -259,10 +269,11 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	}
 	execute := func(w shard.PlannedWindow) error {
 		if cfg.PrePlace && !loaded {
-			// Pre-place window 0 (LoadForPlan leaves the rest of the
-			// table uniform). The load is excluded from Wall by shifting
-			// the clock origin: the one-shot flow loads before its
-			// session too.
+			// Pre-place the horizon held behind window 0 from the table
+			// its release carries (LoadForPlan leaves every block outside
+			// it uniform). The load is excluded from Wall by shifting the
+			// clock origin: the one-shot flow loads before its session
+			// too.
 			loadStart := time.Now()
 			if err := e.LoadForPlanContext(ctx, w.Plan, cfg.Payload); err != nil {
 				return err

@@ -152,30 +152,43 @@ func TestFlushFailsLastWindow(t *testing.T) {
 	}
 }
 
-// TestLookaheadAcrossWindowsNoColdReads: a block leaving window 0 for the
-// last time goes to its first bin in window 1, so a two-window stream whose
-// window-1 blocks all appear in window 0 runs pre-placed without one cold
-// path read, at every Depth. Cut at the window boundary, it paid one per
-// block crossing it.
+// TestLookaheadAcrossWindowsNoColdReads: pre-placement loads every block of
+// window 0 and the D windows held behind it on its first bin's path, and a
+// block leaving its last bin of a window goes to its first bin in the
+// windows after, so a stream that fits in window 0's horizon runs pre-placed
+// without one cold path read, at every Depth, however many of its blocks are
+// first touched after window 0. Cut at the window boundary, it paid one per
+// block crossing it; placing window 0 alone, one per block first touched
+// later.
 func TestLookaheadAcrossWindowsNoColdReads(t *testing.T) {
-	const entries, window = 512, 512
-	rng := trace.NewRNG(5)
-	stream := make([]uint64, 0, 2*window)
-	for len(stream) < window {
-		stream = append(stream, uint64(rng.Int63n(256)))
-	}
-	for len(stream) < 2*window {
-		stream = append(stream, stream[rng.Intn(window)])
-	}
-	for depth := 1; depth <= 3; depth++ {
-		st, err := Train(context.Background(), streamEngine(t, 2, entries, 13), &sliceSrc{rest: stream}, TrainConfig{
-			S: 4, Window: window, Depth: depth, PrePlace: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Windows != 2 || st.ColdPathReads != 0 {
-			t.Errorf("depth %d: %d windows, %d cold path reads; want 2 windows, 0 cold reads", depth, st.Windows, st.ColdPathReads)
+	const entries, window = 512, 256
+	for depth := 1; depth <= 4; depth++ {
+		for _, horizon := range []int{window * depth, 0} {
+			// Window w draws from the first (w+1)/(depth+1) of the ids, so
+			// every window past 0 brings blocks no earlier one touched.
+			rng := trace.NewRNG(int64(5 + depth))
+			stream := make([]uint64, 0, (depth+1)*window)
+			seen, later := map[uint64]bool{}, 0
+			for w := 0; w <= depth; w++ {
+				for len(stream) < (w+1)*window {
+					id := uint64(rng.Intn((w + 1) * entries / (depth + 1)))
+					if !seen[id] && w > 0 {
+						later++
+					}
+					seen[id] = true
+					stream = append(stream, id)
+				}
+			}
+			st, err := Train(context.Background(), streamEngine(t, 2, entries, 13), &sliceSrc{rest: stream}, TrainConfig{
+				S: 4, Window: window, Depth: depth, Horizon: horizon, PrePlace: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if later == 0 || st.Windows != depth+1 || st.ColdPathReads != 0 {
+				t.Errorf("depth %d, horizon %d: %d windows, %d cold path reads over %d blocks first touched after window 0; want %d windows, 0 cold reads, some such blocks",
+					depth, horizon, st.Windows, st.ColdPathReads, later, depth+1)
+			}
 		}
 	}
 }
@@ -246,16 +259,18 @@ func TestQueueStatsTrackPlanning(t *testing.T) {
 	}
 }
 
-// TestWindowBoundariesCauseColdReads: shrinking the look-ahead window below
+// TestWindowBoundariesCauseColdReads: shrinking the look-ahead horizon below
 // the reuse distance reintroduces cold path reads (the abl-window effect);
-// a full-stream window eliminates them after pre-placement.
+// a full-stream window eliminates them after pre-placement. The tiny window
+// looks Window·Depth ahead: the default horizon of 4·Entries would hold the
+// whole stream, which pre-placement then places cold-read free.
 func TestWindowBoundariesCauseColdReads(t *testing.T) {
-	const entries = 512
+	const entries, depth = 512, 2
 	stream := trace.PermutationEpochs(trace.NewRNG(3), entries, 2048)
 	run := func(window int) (cold, pathReads uint64) {
 		e := streamEngine(t, 1, entries, 8)
 		st, err := Train(context.Background(), e, &sliceSrc{rest: stream}, TrainConfig{
-			S: 4, Window: window, Depth: 2, PrePlace: true,
+			S: 4, Window: window, Depth: depth, Horizon: window * depth, PrePlace: true,
 		})
 		if err != nil {
 			t.Fatal(err)

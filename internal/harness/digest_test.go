@@ -42,7 +42,7 @@ var figureDigests = []struct {
 	{"abl-model", fig(ModelSweep), "5de1b83af160031cf4d6dd1b81e9effafd745c576c2a4fb4bb8dad34493e30c7"},
 	{"abl-profile", fig(ProfileSweep), "8c9b8b59e676b73ce4d6339bf7faeb4c84205f2925649f6b5b3299e8551cff58"},
 	{"abl-thresh", fig(ThreshSweep), "0ba2b22b5eb700ccf2b024c162e57378936f3da12f74bcff1236faa19313fbc1"},
-	{"abl-window", fig(WindowSweep), "057d010c3a4a7eb83568b7d12548a3ec5f636a656de517d77f760166e475cd5f"},
+	{"abl-window", fig(WindowSweep), "6f67ca36802c0121903cf3e443279cbb6479fd6cf73fa1184c61eb391098e641"},
 	{"abl-z", fig(ZSweep), "a3dfac4a0641e20a8bf9d0d427b375efb2fed004220de10fcc685aa308649e81"},
 }
 

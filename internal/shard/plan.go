@@ -21,6 +21,10 @@ import (
 type Plan struct {
 	n     int
 	plans []*superblock.Plan
+	// first is each shard's pre-placement table, indexed by local id: the
+	// leaf of the id's first bin in any window held when this plan was
+	// released, or NoLeaf. Only a release asked to place carries it.
+	first [][]oram.Leaf
 }
 
 // Shards returns the partition count the plan was built for.
@@ -28,29 +32,57 @@ func (p *Plan) Shards() int { return p.n }
 
 // windowSeedStride separates the plan-RNG seed domains of consecutive
 // planner windows within one shard: window w of shard s draws its bin
-// paths with seed SeedFor(seed, s) + 1 + w*windowSeedStride. Window 0
-// therefore uses exactly the seed Preprocess uses — a full-stream window
-// is byte-identical to one-shot preprocessing — and later windows stay
-// clear of the other per-shard seed slots (client seed at +0; +2 is
-// unused but stays reserved so window seeds do not move).
+// paths with seed SeedFor(seed, s) + 1 + w*windowSeedStride + mix(salt).
+// Window 0 at salt 0 therefore uses exactly the seed Preprocess uses — a
+// full-stream window is byte-identical to one-shot preprocessing — and
+// later windows stay clear of the other per-shard seed slots (client seed
+// at +0; +2 is unused but stays reserved so window seeds do not move).
 const windowSeedStride = 131
 
 // planSeed returns the deterministic bin-path seed of planner window win
-// on shard s (window 0 is the one-shot Preprocess seed).
-func (e *Engine) planSeed(s, win int) int64 {
-	return SeedFor(e.seed, s) + 1 + int64(win)*windowSeedStride
+// on shard s under the shard's salt (window 0 at salt 0 is the one-shot
+// Preprocess seed).
+func (e *Engine) planSeed(s, win int, salt uint64) int64 {
+	return SeedFor(e.seed, s) + 1 + int64(win)*windowSeedStride + int64(mixSalt(salt))
+}
+
+// mixSalt is SplitMix64's finaliser: it spreads a salt over all 64 bits, so
+// salts a window stride apart do not land on each other's seeds, and keeps
+// 0 at 0.
+func mixSalt(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// PlanSalts returns each shard's position in its counted RNG stream (0 for
+// a shard built without one): the salts a training run mixes into its plan
+// seeds. A fresh engine reads all 0; every access draws, so a later run's
+// windows draw bin leaves apart from an earlier run's. SaveState and
+// LoadState carry the positions, so a restored engine reads the salts the
+// saved one would.
+func (e *Engine) PlanSalts() []uint64 {
+	salts := make([]uint64, e.n)
+	for s, sub := range e.subs {
+		if sub.Src != nil {
+			salts[s] = sub.Src.Draws()
+		}
+	}
+	return salts
 }
 
 // Preprocess runs the §IV-B scan per shard, concurrently: shard s bins its
 // local stream with superblock size sblk and draws bin paths from its own
 // tree's leaves with the deterministic seed SeedFor(seed, s)+1 (for a
 // 1-shard engine this is the seed the unsharded preprocessor uses). It is
-// the planner's horizon over one window spanning the stream, released.
+// the planner's horizon over one window spanning the stream, released with
+// its pre-placement table.
 func (e *Engine) Preprocess(stream []uint64, sblk int) (*Plan, error) {
 	h, err := e.newHorizon(sblk)
 	if err != nil {
 		return nil, err
 	}
+	h.place = true
 	if err := h.bin(stream, 0); err != nil {
 		return nil, err
 	}
@@ -65,6 +97,8 @@ type horizon struct {
 	rings  []*superblock.Horizon
 	locals [][]uint64
 	rngs   []*rand.Rand
+	salts  []uint64     // per-shard plan-seed salts; nil is all 0
+	place  bool         // the next release carries the pre-placement table
 	held   []heldWindow // binned windows, oldest first
 }
 
@@ -114,7 +148,11 @@ func (h *horizon) bin(stream []uint64, win int) error {
 	}
 	ext := make([]superblock.Extent, n)
 	err := h.e.fanOut(nil, func(s int) (err error) {
-		h.rngs[s].Seed(h.e.planSeed(s, win))
+		var salt uint64
+		if h.salts != nil {
+			salt = h.salts[s]
+		}
+		h.rngs[s].Seed(h.e.planSeed(s, win, salt))
 		ext[s], err = h.rings[s].Bin(h.locals[s], h.rngs[s])
 		return err
 	})
@@ -127,24 +165,40 @@ func (h *horizon) bin(stream []uint64, win int) error {
 
 // release removes the oldest held window from every shard's ring and
 // returns it with its sharded Plan, each member's next leaf reaching into
-// every window still held; its PlanTime includes the release.
+// every window still held; its PlanTime includes the release. When the
+// horizon was asked to place, this first release's Plan also carries each
+// shard's first-leaf table over every held window, the released one
+// included.
 func (h *horizon) release() PlannedWindow {
 	start := time.Now()
 	w := h.held[0]
-	h.held = append(h.held[:0], h.held[1:]...)
 	w.Plan = &Plan{n: h.e.n, plans: make([]*superblock.Plan, h.e.n)}
+	if h.place {
+		w.Plan.first = make([][]oram.Leaf, h.e.n)
+	}
 	h.e.fanOut(nil, func(s int) error {
+		if h.place {
+			ext := make([]superblock.Extent, len(h.held))
+			for i, hw := range h.held {
+				ext[i] = hw.ext[s]
+			}
+			w.Plan.first[s] = h.rings[s].FirstLeaves(ext)
+		}
 		w.Plan.plans[s] = h.rings[s].Release(w.ext[s])
 		return nil
 	})
+	h.place = false
+	h.held = append(h.held[:0], h.held[1:]...)
 	w.PlanTime += time.Since(start)
 	return w.PlannedWindow
 }
 
 // LoadForPlan bulk-initialises every shard concurrently with look-ahead
-// pre-placement: each block starts on the path of its first superblock bin
-// in its shard's plan (the converged steady state of §IV-B), everything
-// else uniformly.
+// pre-placement from the plan's table: each block the horizon held at the
+// plan's release starts on the path of its first superblock bin in any
+// held window (the converged steady state of §IV-B), everything else on a
+// uniform leaf drawn in id order. The plan must carry the table: Preprocess
+// plans do, and so does a planner's first window under PlannerConfig.Place.
 func (e *Engine) LoadForPlan(p *Plan, payload func(id uint64) []byte) error {
 	return e.LoadForPlanContext(context.Background(), p, payload)
 }
@@ -158,11 +212,14 @@ func (e *Engine) LoadForPlanContext(ctx context.Context, p *Plan, payload func(i
 	if p.n != e.n {
 		return fmt.Errorf("shard: plan built for %d shards, engine has %d", p.n, e.n)
 	}
+	if p.first == nil {
+		return fmt.Errorf("shard: plan carries no pre-placement table (only Preprocess and a placing planner's first window do)")
+	}
 	leafOf := make([]func(oram.BlockID) oram.Leaf, e.n)
 	for s := 0; s < e.n; s++ {
-		sp, client := p.plans[s], e.subs[s].Client
+		first, client := p.first[s], e.subs[s].Client
 		leafOf[s] = func(local oram.BlockID) oram.Leaf {
-			if l := sp.FirstLeaf(local); l != oram.NoLeaf {
+			if l := first[local]; l != oram.NoLeaf {
 				return l
 			}
 			return client.RandomLeaf()

@@ -42,8 +42,18 @@ type PlannerConfig struct {
 	// window. A recovery that rewinds the source to the boundary of window
 	// B resumes planning with StartWindow = B, so every window keeps the
 	// absolute index — and therefore the deterministic plan seed
-	// planSeed(s, win) — it had in the unfaulted run.
+	// planSeed(s, win, salt) — it had in the unfaulted run.
 	StartWindow int
+	// Salts, one per shard (nil is all 0), are mixed into every window's
+	// plan seed. A training run passes the engine's PlanSalts as they read
+	// when the run began, and passes the same salts again on a recovery
+	// restart, so a resumed window draws the leaves it drew unfaulted
+	// while a later run draws fresh ones.
+	Salts []uint64
+	// Place makes the first released window's Plan carry the pre-placement
+	// table LoadForPlan loads from: each block's first bin in any window
+	// held at that release.
+	Place bool
 }
 
 func (c PlannerConfig) validate() error {
@@ -94,8 +104,9 @@ type PlannedWindow struct {
 // written again.
 //
 // Window w of shard s draws its bin paths from the deterministic seed
-// planSeed(s, w); window 0 uses exactly the one-shot Preprocess seeds, so
-// a Planner with Window = 0 reproduces Engine.Preprocess byte-identically.
+// planSeed(s, w, salt); window 0 at salt 0 uses exactly the one-shot
+// Preprocess seeds, so a placing Planner with Window = 0 and no salts
+// reproduces Engine.Preprocess byte-identically.
 type Planner struct {
 	e   *Engine
 	src Source
@@ -142,6 +153,9 @@ func (e *Engine) NewPlanner(src Source, cfg PlannerConfig) (*Planner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Salts != nil && len(cfg.Salts) != e.n {
+		return nil, fmt.Errorf("shard: planner has %d salts for %d shards", len(cfg.Salts), e.n)
+	}
 	// Unbuffered: the held windows are the queue, so Depth bounds it alone.
 	return &Planner{e: e, src: src, cfg: cfg, ch: make(chan PlannedWindow)}, nil
 }
@@ -181,6 +195,7 @@ func (p *Planner) run(ctx context.Context) {
 		p.err = err
 		return
 	}
+	h.salts, h.place = p.cfg.Salts, p.cfg.Place
 	for win := p.cfg.StartWindow; ; win++ {
 		ids, eof, err := p.fillWindow(ctx, buf[:0])
 		if err != nil {

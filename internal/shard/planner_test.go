@@ -195,7 +195,7 @@ func TestPlannerReleasedPlansFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := plannerEngine(t, entries, 2, 17)
-	p, err := e.NewPlanner(&testSource{rest: stream, bite: 200}, PlannerConfig{S: 4, Window: window, Depth: depth})
+	p, err := e.NewPlanner(&testSource{rest: stream, bite: 200}, PlannerConfig{S: 4, Window: window, Depth: depth, Place: true})
 	if err != nil {
 		t.Fatal(err)
 	}

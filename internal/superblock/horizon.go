@@ -154,6 +154,29 @@ func (h *Horizon) growBins() {
 	h.binLeaf, h.bhead = leaves, 0
 }
 
+// FirstLeaves returns, per id, the leaf of the id's first bin in the held
+// windows, oldest first, else NoLeaf: pre-placing on it puts every block
+// the horizon holds on the path its first bin reads. held are the extents
+// of every window binned and not yet released, oldest first. Bins fill in
+// member order and only a window's last bin is short, so member j of a
+// window is in the window's bin j/S.
+func (h *Horizon) FirstLeaves(held []Extent) []oram.Leaf {
+	first := make([]oram.Leaf, len(h.last))
+	for i := range first {
+		first[i] = oram.NoLeaf
+	}
+	members, bins := 0, 0
+	for _, w := range held {
+		for j := 0; j < w.members; j++ {
+			if id := h.ids[h.mslot(members+j)]; first[id] == oram.NoLeaf {
+				first[id] = h.binLeaf[h.bslot(bins+j/h.s)]
+			}
+		}
+		members, bins = members+w.members, bins+w.bins
+	}
+	return first
+}
+
 // Release removes the oldest window, whose Extent w is, and returns its
 // Plan: its bins and leaves as binned, and each member's next leaf the leaf
 // of the bin its link points to — its next bin in this window or in any

@@ -58,11 +58,12 @@ type TrainOptions struct {
 	// execution. Mutually exclusive with Visit.
 	PerLane func(lane int) Visit
 	// PrePlace bulk-loads the table before the first window executes,
-	// pre-placing every block of window 0 on its first superblock's path
-	// (the converged steady state of §IV-B, equivalent to running a
-	// warm-up epoch), then zeroes the activity counters so Stats describe
-	// the training run only. When false, the instance must already be
-	// loaded (Load or a previous run).
+	// pre-placing every block the planner holds when window 0 is released
+	// — window 0 and the windows of its horizon — on the path of its first
+	// superblock in them (the converged steady state of §IV-B, equivalent
+	// to running a warm-up epoch), then zeroes the activity counters so
+	// Stats describe the training run only. When false, the instance must
+	// already be loaded (Load or a previous run).
 	PrePlace bool
 	// Payload initialises rows during the PrePlace load; nil loads
 	// zero/simulated content. Requires PrePlace. As with Load, it is
@@ -227,6 +228,9 @@ func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error
 		BatchBins: opts.BatchBins,
 		PrePlace:  opts.PrePlace,
 		Payload:   opts.Payload,
+		// Read once for the whole run: recovery restarts and the
+		// re-placement catch-up replan with these same salts.
+		Salts: o.eng.PlanSalts(),
 	}
 	switch {
 	case opts.PerLane != nil:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oram"
 	"repro/internal/shard"
 )
 
@@ -639,5 +641,82 @@ func TestIndexSourceAdapters(t *testing.T) {
 	blocked := FromChannel(make(chan uint64))
 	if _, err := blocked.Read(cctx, buf); !errors.Is(err, context.Canceled) {
 		t.Errorf("FromChannel with cancelled ctx returned %v", err)
+	}
+}
+
+// TestTrainDrawsFreshBinLeaves: every Train call plans from window 0, so
+// its plan seeds carry each shard's RNG position at the call's start — 0 on
+// a fresh instance, which keeps the first call byte-identical to the
+// one-shot flow. A second call on the same stream, and a call on a fresh
+// instance restored from a checkpoint taken after it, each draw bin leaves
+// of their own, not the previous call's sequence (§VI: each bin's path is
+// fresh and uniform). The restored instance draws exactly what the saved one
+// draws next. The leaves are read as each block's position when it is
+// visited: its bin's leaf, or the leaf of its next bin.
+func TestTrainDrawsFreshBinLeaves(t *testing.T) {
+	const entries, shards = 4096, 2
+	stream, err := GenerateTrace(TraceConfig{Kind: TracePermutation, N: entries, Count: 2 * entries, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Entries: entries, Shards: shards, MetadataOnly: true, Seed: 12}
+	positions := func(db *ORAM, prePlace bool) [shards][]uint64 {
+		var got [shards][]uint64
+		if _, err := db.Train(context.Background(), TrainOptions{
+			Source: FromSlice(stream), Superblock: 4, PrePlace: prePlace,
+			PerLane: func(lane int) Visit {
+				pos := db.eng.Sub(lane).Client.PosMap()
+				return func(id uint64, row []byte) []byte {
+					got[lane] = append(got[lane], uint64(pos.Get(oram.BlockID(shard.LocalID(id, shards)))))
+					return row
+				}
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	repeats := func(name string, a, b [shards][]uint64) {
+		t.Helper()
+		same, n := 0, 0
+		for lane := range a {
+			for i := range min(len(a[lane]), len(b[lane])) {
+				n++
+				if a[lane][i] == b[lane][i] {
+					same++
+				}
+			}
+		}
+		if n == 0 || same*16 > n {
+			t.Errorf("%s: %d of %d visits found the block on the previous call's leaf", name, same, n)
+		}
+	}
+	db, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	first := positions(db, true)
+	second := positions(db, false)
+	repeats("second call", first, second)
+	var ck bytes.Buffer
+	if err := db.SaveState(&ck); err != nil {
+		t.Fatal(err)
+	}
+	third := positions(db, false)
+	repeats("third call", second, third)
+
+	fresh, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.LoadState(bytes.NewReader(ck.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	restored := positions(fresh, false)
+	repeats("restored call", second, restored)
+	if !reflect.DeepEqual(restored, third) {
+		t.Error("the restored instance's call drew other leaves than the saved instance's next call")
 	}
 }

@@ -66,10 +66,12 @@ func treetopWorkload(t *testing.T, db *ORAM, entries uint64, blockSize int) {
 // treetopGolden is the SHA-256 of TestTreetopSaveStateGolden's checkpoint:
 // keeping the top in trusted memory must not change a byte of what a
 // checkpoint holds. It was recorded before the treetop existed as
-// 8e3de637…fb08 and re-recorded when the planner's look-ahead began reaching
-// across windows (the workload's Train spans six): with the cross-window
-// fill disabled the engine still writes the old digest.
-const treetopGolden = "6469007606e71e5c3777cdcdde2f847cc140fcb87532fa25989785841e782243"
+// 8e3de637…fb08, re-recorded as 64690076…2243 when the planner's look-ahead
+// began reaching across windows (the workload's Train spans six: with the
+// cross-window fill disabled the engine still writes that digest), and
+// re-recorded again when PrePlace began loading every block of the held
+// horizon, not window 0's alone, on its first bin's leaf.
+const treetopGolden = "c8d3da9ccc4b9ad0a5412368dc36faa1de9e5a30b6264a2b69e123797ed06634"
 
 // TestTreetopSaveStateGolden: an unsealed two-shard fat-tree instance saves
 // exactly the checkpoint bytes it saved when every level lived in the store,
