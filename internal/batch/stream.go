@@ -71,6 +71,12 @@ type TrainConfig struct {
 	// resumes with StartWindow = B, keeping every window's absolute index
 	// (and deterministic plan seed) identical to the unfaulted run.
 	StartWindow int
+	// Warm is how many windows before StartWindow the source delivers
+	// first, binned for the horizon and never executed
+	// (shard.PlannerConfig.Warm): a resumed run's source is rewound to
+	// re-deliver the min(StartWindow, D) windows the interrupted run's
+	// planner held at StartWindow (see Ahead).
+	Warm int
 	// CheckpointEvery > 0 invokes Checkpoint at every window boundary
 	// whose absolute index is a multiple of it, immediately before that
 	// window executes — the engine state observed by the hook is exactly
@@ -136,8 +142,16 @@ func (c *TrainConfig) fill(entries uint64) error {
 	return nil
 }
 
-// ahead is D, how many windows are binned behind a window before it
-// executes; fill has set Horizon.
+// Ahead returns D, how many windows are binned behind a window before it
+// executes, for a run over an engine of entries ids.
+func (c TrainConfig) Ahead(entries uint64) (int, error) {
+	if err := c.fill(entries); err != nil {
+		return 0, err
+	}
+	return c.ahead(), nil
+}
+
+// ahead is D; fill has set Horizon.
 func (c *TrainConfig) ahead() int {
 	if c.Window == 0 {
 		return c.Depth
@@ -229,7 +243,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 	}
 	planner, err := e.NewPlanner(src, shard.PlannerConfig{
 		S: cfg.S, Window: cfg.Window, Depth: cfg.ahead(), StartWindow: cfg.StartWindow,
-		Salts: cfg.Salts, Place: cfg.PrePlace,
+		Warm: cfg.Warm, Salts: cfg.Salts, Place: cfg.PrePlace,
 	})
 	if err != nil {
 		return st, err

@@ -9,8 +9,12 @@
 // fetch serves every member of the bin, and each member is then remapped
 // independently to the path of the *next* bin it appears in (its "future
 // locality"), or to a fresh uniform path if it does not reappear within the
-// look-ahead horizon. Security is unchanged from PathORAM: every path a bin
-// receives was drawn uniformly (§VI).
+// look-ahead horizon. A bin whose first cold member (one with no earlier
+// occurrence in the horizon) sits on a lendable leaf — drawn uniformly for
+// that block alone and never read since — takes that leaf instead of its
+// drawn one, so one read serves the donor and the members remapped to it.
+// Security is unchanged from PathORAM: every path a step reads is a uniform
+// draw revealed for the first time (§VI).
 package core
 
 import (
@@ -33,9 +37,11 @@ type Stats struct {
 	oram.AccessStats
 	// Bins is the number of superblock bins executed.
 	Bins uint64
-	// ColdPathReads counts the paths a bin's joint fetch read beyond its
-	// first, needed because a member was not yet sitting on the bin's path
-	// (first access within the horizon without pre-placement).
+	// ColdPathReads counts the paths a step read beyond one per bin. A
+	// bin reads one path for itself — its donor's leaf when lendable, else
+	// its drawn leaf — plus the leaf of each other cold member: a member
+	// with no previous access inside the horizon that no pre-placement put
+	// on the bin's path. A bin of cold members alone reads just theirs.
 	ColdPathReads uint64
 	// LookaheadRemaps counts remaps whose target came from the plan
 	// (vs. UniformRemaps for blocks leaving the horizon).
@@ -119,26 +125,24 @@ func (l *LAORAM) Done() bool { return l.cursor.Done() }
 // the first epoch). Use Base().Load(n, nil, payload) + a warm-up run for
 // the cold-start variant.
 func (l *LAORAM) LoadPrePlaced(n uint64, payload func(oram.BlockID) []byte) error {
-	leafOf := func(id oram.BlockID) oram.Leaf {
-		if leaf := l.plan.FirstLeaf(id); leaf != oram.NoLeaf {
-			return leaf
-		}
-		return l.base.RandomLeaf()
-	}
-	return l.base.Load(n, leafOf, payload)
+	// NoLeaf leaves the block to Load's uniform draw.
+	return l.base.Load(n, l.plan.FirstLeaf, payload)
 }
 
 // Step executes up to k superblock bins as one server round trip — the
 // paper's per-training-batch flow (§IV-A); a bin is the one-bin batch:
 //
 //  1. Gather the distinct leaves of every member of the k bins and fetch
-//     them as one bucket union (oram.ReadPaths). In steady state each bin
-//     contributes exactly its own path; members not resident there (cold
-//     blocks still on their own paths) add theirs, counted in
-//     ColdPathReads, and buckets the paths share cross once.
+//     them as one bucket union (oram.ReadPaths). Each bin contributes one
+//     path: its drawn leaf, or its donor's lendable leaf, which its warm
+//     members were remapped to. Cold members past the donor, still on
+//     their own uniform paths, add theirs, counted in ColdPathReads, and
+//     buckets the paths share cross once.
 //  2. Consume the bins in order: remap every member to its own next bin's
-//     path (or uniform if it has no future within the horizon), then run
-//     visit for each member while it is resident in trusted memory.
+//     path — the next bin's donor's leaf if it is lendable now, else the
+//     bin's drawn leaf — or to a fresh lendable uniform leaf if it has no
+//     future within the horizon, then run visit for each member while it is
+//     resident in trusted memory.
 //  3. Write the fetched paths back jointly with greedy eviction, then run
 //     background eviction if the stash is over its high-water mark.
 //
@@ -191,16 +195,7 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 			if !l.base.Stash().Contains(id) {
 				return 0, fmt.Errorf("core: block %d missing after path reads (bin %d)", id, bin.Index)
 			}
-			leaf := nextLeaves[j]
-			if leaf == oram.NoLeaf {
-				leaf = l.base.RandomLeaf()
-				l.uniformRemaps++
-			} else {
-				l.lookaheadRemaps++
-			}
-			l.base.PosMap().Set(id, leaf)
-			l.base.Stash().SetLeaf(id, leaf)
-			st.Remaps++
+			l.remap(id, nextLeaves[j])
 		}
 		if visit != nil {
 			for _, id := range bin.Blocks {
@@ -221,6 +216,30 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 		return 0, err
 	}
 	return bins, nil
+}
+
+// remap moves stashed member id to the leaf its next-leaf entry names: a
+// fresh uniform leaf, lendable, when it has no next bin in the horizon;
+// else its next bin's leaf — the donor's, if the bin has a donor whose leaf
+// is lendable, the drawn one otherwise.
+func (l *LAORAM) remap(id oram.BlockID, next superblock.Next) {
+	pos := l.base.PosMap()
+	leaf := next.Leaf()
+	if leaf == oram.NoLeaf {
+		leaf = l.base.RandomLeaf()
+		pos.SetDrawn(id, leaf)
+		l.uniformRemaps++
+	} else {
+		if d, ok := next.Donor(); ok && uint64(d) < pos.Len() {
+			if lent, ok := pos.Lendable(d); ok {
+				leaf = lent
+			}
+		}
+		pos.Set(id, leaf)
+		l.lookaheadRemaps++
+	}
+	l.base.Stash().SetLeaf(id, leaf)
+	l.base.StatsMut().Remaps++
 }
 
 // Run executes the remaining plan k bins per Step. ctx is checked before

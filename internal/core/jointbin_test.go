@@ -80,16 +80,7 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 		return err
 	}
 	for i, id := range bin.Blocks {
-		leaf := nextLeaves[i]
-		if leaf == oram.NoLeaf {
-			leaf = l.base.RandomLeaf()
-			l.uniformRemaps++
-		} else {
-			l.lookaheadRemaps++
-		}
-		l.base.PosMap().Set(id, leaf)
-		l.base.Stash().SetLeaf(id, leaf)
-		st.Remaps++
+		l.remap(id, nextLeaves[i])
 	}
 	for _, id := range bin.Blocks {
 		p, _ := l.base.Stash().Payload(id)
@@ -111,9 +102,9 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 // coldBinFixture builds a tree whose bins are cold. The first 1,024 bins take
 // blocks nothing has touched, each on its own uniform path: four paths a bin.
 // After that a bin mixes k blocks seen before — look-ahead put those on the
-// bin's own path — with 4−k untouched ones, k cycling through 0, 2 and 3, so
-// bins of four, three and two distinct paths alternate, and both remap kinds
-// occur.
+// path of the bin's first untouched block, its donor — with 4−k untouched
+// ones, k cycling through 0, 1 and 2, so bins of four, three and two distinct
+// paths alternate, and both remap kinds occur.
 func coldBinFixture(t *testing.T, spy *binSpy) *fixture {
 	t.Helper()
 	const blocks, firstTouch = 1 << 13, 1 << 12
@@ -123,7 +114,7 @@ func coldBinFixture(t *testing.T, spy *binSpy) *fixture {
 	}
 	seen, unseen := uint64(0), uint64(firstTouch)
 	for bin := 0; unseen+4 <= blocks; bin++ {
-		k := []int{0, 2, 3}[bin%3]
+		k := []int{0, 1, 2}[bin%3]
 		for i := 0; i < 4; i++ {
 			if i < k {
 				stream = append(stream, seen)

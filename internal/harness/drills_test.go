@@ -224,3 +224,44 @@ func TestReplacementWithoutRollback(t *testing.T) {
 		})
 	}
 }
+
+// TestResumedRunLendsAsUnfaulted: an epoch of 16 windows over a 4-window
+// horizon reuses rows beyond the horizon, so its bins lend their cold
+// members' leaves. A run resumed at window B re-bins the windows the
+// interrupted planner held there before planning B, so it marks the donors
+// the unfaulted run marked and finishes byte-identical to it, under
+// rollback (one shard, and two shards over two nodes) and under
+// re-placement. A resumed planner that starts from an empty horizon marks
+// a member whose earlier occurrence fell before B as a donor and lends
+// differently: every case diverges then.
+func TestResumedRunLendsAsUnfaulted(t *testing.T) {
+	elasticSkip(t)
+	for _, cfg := range []FailoverConfig{
+		{Entries: 256, BlockSize: 16, Shards: 1, Nodes: 1, Seed: 42, Accesses: 4096, Window: 256, S: 4, KillAfter: 2600, KillNode: 0, CheckpointEvery: 4},
+		{Entries: 256, BlockSize: 16, Shards: 2, Nodes: 2, Seed: 42, Accesses: 4096, Window: 256, S: 4, KillAfter: 2600, KillNode: 1, CheckpointEvery: 4},
+	} {
+		res, err := Failover(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recoveries == 0 || res.Rewound == 0 {
+			t.Fatalf("%d shards: %d recoveries rewound %d accesses, want a rollback past a full window", cfg.Shards, res.Recoveries, res.Rewound)
+		}
+		if !res.Identical() {
+			t.Errorf("rolled-back run diverged from unfaulted run:\n%s", res.Render())
+		}
+	}
+	res, err := Replacement(ReplacementConfig{
+		Entries: 256, BlockSize: 16, Shards: 4, Nodes: 2, Seed: 42, Accesses: 4096, Window: 256, S: 4,
+		KillAfter: 2600, KillNode: 1, CheckpointEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replacements == 0 {
+		t.Fatal("replace run performed no re-placement")
+	}
+	if !res.Identical() || !res.RollbackMatch {
+		t.Errorf("re-placed or rolled-back run diverged from unfaulted run:\n%s", res.Render())
+	}
+}

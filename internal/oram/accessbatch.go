@@ -92,7 +92,7 @@ func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 		if c.pos.Get(id) == NoLeaf {
 			kind = batchCreate
 			leaf := c.RandomLeaf()
-			c.pos.Set(id, leaf)
+			c.pos.SetDrawn(id, leaf)
 			c.stats.Remaps++
 			if err := c.stash.Put(id, leaf, data[i]); err != nil {
 				return err
@@ -135,7 +135,7 @@ func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 		if kind == batchFetch || !c.stashHits {
 			// Remap uniformly before write-back (§II-C step 4).
 			leaf := c.RandomLeaf()
-			c.pos.Set(id, leaf)
+			c.pos.SetDrawn(id, leaf)
 			c.stash.SetLeaf(id, leaf)
 			c.stats.Remaps++
 		}

@@ -28,7 +28,8 @@ const (
 const slotRecordBytes = 40
 
 // Load bulk-initialises the ORAM with blocks 0..n-1, assigning each block
-// the leaf returned by leafOf (nil means uniformly random) and the payload
+// the leaf returned by leafOf, or a uniform one drawn here where leafOf is
+// nil or returns NoLeaf (only such a leaf is lendable), and the payload
 // returned by payload (nil payloads suit metadata-only stores). payload is
 // called exactly once per block, in no particular order, so it must depend on
 // the id only; the bytes it returns are copied before the next call.
@@ -73,16 +74,18 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 	var placed uint64
 	for i := range place {
 		id := BlockID(i)
-		var leaf Leaf
+		leaf := NoLeaf
 		if leafOf != nil {
 			leaf = leafOf(id)
-			if !g.ValidLeaf(leaf) {
-				return fmt.Errorf("oram: Load: leafOf(%d) = %d invalid", id, leaf)
-			}
-		} else {
-			leaf = c.RandomLeaf()
 		}
-		c.pos.Set(id, leaf)
+		if leaf == NoLeaf {
+			leaf = c.RandomLeaf()
+			c.pos.SetDrawn(id, leaf)
+		} else if g.ValidLeaf(leaf) {
+			c.pos.Set(id, leaf)
+		} else {
+			return fmt.Errorf("oram: Load: leafOf(%d) = %d invalid", id, leaf)
+		}
 		level := uint64(stashedLevel)
 		var slot uint8
 		for lvl := g.Levels() - 1; lvl >= 0; lvl-- {

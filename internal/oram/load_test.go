@@ -27,16 +27,18 @@ func loadSlotAtATime(c *oram.Client, n uint64, leafOf func(oram.BlockID) oram.Le
 	fill := make([]uint8, g.TotalBuckets())
 	for i := uint64(0); i < n; i++ {
 		id := oram.BlockID(i)
-		var leaf oram.Leaf
+		leaf := oram.NoLeaf
 		if leafOf != nil {
 			leaf = leafOf(id)
-			if !g.ValidLeaf(leaf) {
-				return fmt.Errorf("leafOf(%d) = %d invalid", id, leaf)
-			}
-		} else {
-			leaf = c.RandomLeaf()
 		}
-		c.PosMap().Set(id, leaf)
+		if leaf == oram.NoLeaf {
+			leaf = c.RandomLeaf()
+			c.PosMap().SetDrawn(id, leaf)
+		} else if g.ValidLeaf(leaf) {
+			c.PosMap().Set(id, leaf)
+		} else {
+			return fmt.Errorf("leafOf(%d) = %d invalid", id, leaf)
+		}
 		var data []byte
 		if payload != nil {
 			data = payload(id)
@@ -119,8 +121,10 @@ func loadRow(id oram.BlockID, blockSize int) []byte {
 func sameLoad(t *testing.T, got, want *oram.Client, n uint64, sealed bool) {
 	t.Helper()
 	for id := oram.BlockID(0); uint64(id) < n; id++ {
-		if g, w := got.PosMap().Get(id), want.PosMap().Get(id); g != w {
-			t.Fatalf("block %d: leaf %d, slot loader %d", id, g, w)
+		gl, glend := got.PosMap().Lendable(id)
+		wl, wlend := want.PosMap().Lendable(id)
+		if gl != wl || glend != wlend {
+			t.Fatalf("block %d: leaf %d (lendable %v), slot loader %d (%v)", id, gl, glend, wl, wlend)
 		}
 	}
 	gotIDs, wantIDs := got.Stash().IDs(), want.Stash().IDs()
@@ -174,7 +178,7 @@ func sameLoad(t *testing.T, got, want *oram.Client, n uint64, sealed bool) {
 // exactly the state the one-WriteSlot-per-block loader did — {fat, uniform
 // tree} × {full table, partial table, every block pinned to one leaf so blocks
 // climb the path and spill into the stash, a table of several unions} × every
-// store shape — and core.LoadPrePlaced, whose leafOf draws from the client RNG
+// store shape — and core.LoadPrePlaced, whose unplanned blocks Load draws for
 // between placements, goes through the same comparison.
 func TestLoadMatchesSlotAtATime(t *testing.T) {
 	trees := []struct {
@@ -272,12 +276,7 @@ func TestLoadMatchesSlotAtATime(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, plan := build()
-		err = loadSlotAtATime(want, blocks, func(id oram.BlockID) oram.Leaf {
-			if leaf := plan.FirstLeaf(id); leaf != oram.NoLeaf {
-				return leaf
-			}
-			return want.RandomLeaf()
-		}, payload)
+		err = loadSlotAtATime(want, blocks, plan.FirstLeaf, payload)
 		if err != nil {
 			t.Fatal(err)
 		}

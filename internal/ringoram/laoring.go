@@ -95,7 +95,8 @@ func (lr *LAORing) StepBin(visit func(id oram.BlockID, payload []byte) []byte) e
 		if !r.stash.Contains(id) {
 			return fmt.Errorf("ringoram: member %d missing after walks (bin %d)", id, bin.Index)
 		}
-		leaf := nextLeaves[i]
+		// A ring lends nothing: a member goes to its next bin's drawn leaf.
+		leaf := nextLeaves[i].Leaf()
 		if leaf == oram.NoLeaf {
 			leaf = oram.Leaf(r.rng.Int63n(int64(r.geom.Leaves())))
 		}

@@ -125,13 +125,7 @@ func TestPreprocessLoadMatchesFirstLeaf(t *testing.T) {
 	}
 	leafOf := make([]func(oram.BlockID) oram.Leaf, shards)
 	for s := range leafOf {
-		sp, client := plan.plans[s], want.subs[s].Client
-		leafOf[s] = func(local oram.BlockID) oram.Leaf {
-			if l := sp.FirstLeaf(local); l != oram.NoLeaf {
-				return l
-			}
-			return client.RandomLeaf()
-		}
+		leafOf[s] = plan.plans[s].FirstLeaf // NoLeaf: Load's uniform draw
 	}
 	if err := want.load(context.Background(), entries, leafOf, payload); err != nil {
 		t.Fatal(err)

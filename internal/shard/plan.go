@@ -193,6 +193,16 @@ func (h *horizon) release() PlannedWindow {
 	return w.PlannedWindow
 }
 
+// Unlend clears every shard's lendable bits. A training run that ends
+// before executing all it planned calls it: a bin it never ran may have been
+// promised its donor's leaf, and the blocks that took that leaf sit on it
+// with the donor, so the leaf is no longer the donor's alone.
+func (e *Engine) Unlend() {
+	for _, sub := range e.subs {
+		sub.Client.PosMap().Unlend()
+	}
+}
+
 // LoadForPlan bulk-initialises every shard concurrently with look-ahead
 // pre-placement from the plan's table: each block the horizon held at the
 // plan's release starts on the path of its first superblock bin in any
@@ -217,13 +227,9 @@ func (e *Engine) LoadForPlanContext(ctx context.Context, p *Plan, payload func(i
 	}
 	leafOf := make([]func(oram.BlockID) oram.Leaf, e.n)
 	for s := 0; s < e.n; s++ {
-		first, client := p.first[s], e.subs[s].Client
-		leafOf[s] = func(local oram.BlockID) oram.Leaf {
-			if l := first[local]; l != oram.NoLeaf {
-				return l
-			}
-			return client.RandomLeaf()
-		}
+		first := p.first[s]
+		// NoLeaf leaves the block to Load's uniform draw.
+		leafOf[s] = func(local oram.BlockID) oram.Leaf { return first[local] }
 	}
 	return e.load(ctx, e.entries, leafOf, payload)
 }

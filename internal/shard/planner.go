@@ -44,6 +44,11 @@ type PlannerConfig struct {
 	// absolute index — and therefore the deterministic plan seed
 	// planSeed(s, win, salt) — it had in the unfaulted run.
 	StartWindow int
+	// Warm is how many windows before StartWindow the source delivers
+	// first (at most StartWindow). The planner bins them and releases none,
+	// so a run resumed at StartWindow holds the windows the run it resumes
+	// held there, and marks the same donors.
+	Warm int
 	// Salts, one per shard (nil is all 0), are mixed into every window's
 	// plan seed. A training run passes the engine's PlanSalts as they read
 	// when the run began, and passes the same salts again on a recovery
@@ -71,6 +76,9 @@ func (c PlannerConfig) validate() error {
 	}
 	if c.StartWindow < 0 {
 		return fmt.Errorf("shard: planner StartWindow must be >= 0, got %d", c.StartWindow)
+	}
+	if c.Warm < 0 || c.Warm > c.StartWindow {
+		return fmt.Errorf("shard: planner Warm must be in 0..StartWindow %d, got %d", c.StartWindow, c.Warm)
 	}
 	return nil
 }
@@ -196,7 +204,7 @@ func (p *Planner) run(ctx context.Context) {
 		return
 	}
 	h.salts, h.place = p.cfg.Salts, p.cfg.Place
-	for win := p.cfg.StartWindow; ; win++ {
+	for win := p.cfg.StartWindow - p.cfg.Warm; ; win++ {
 		ids, eof, err := p.fillWindow(ctx, buf[:0])
 		if err != nil {
 			p.err = err
@@ -223,11 +231,15 @@ func (p *Planner) run(ctx context.Context) {
 }
 
 // release builds the oldest held window's plan from the horizon and hands
-// it to the consumer. The plan is the prefetch oracle: tiered stores are
-// hinted now, one window ahead of its execution, so the hints neither queue
-// up Depth windows deep nor arrive after the lane.
+// it to the consumer; a warm window's is dropped. The plan is the prefetch
+// oracle: tiered stores are hinted now, one window ahead of its execution,
+// so the hints neither queue up Depth windows deep nor arrive after the
+// lane.
 func (p *Planner) release(ctx context.Context, h *horizon) error {
 	w := h.release()
+	if w.Index < p.cfg.StartWindow {
+		return nil
+	}
 	start := time.Now()
 	p.e.prefetchPlan(w.Plan)
 	w.PlanTime += time.Since(start)

@@ -171,8 +171,8 @@ func TestPlannerCancelWithFullQueue(t *testing.T) {
 
 // nextLeafTables reads every shard's next-leaf table of p the way a lane
 // does, through a fresh cursor.
-func nextLeafTables(p *Plan) [][]oram.Leaf {
-	out := make([][]oram.Leaf, p.Shards())
+func nextLeafTables(p *Plan) [][]superblock.Next {
+	out := make([][]superblock.Next, p.Shards())
 	for s := range out {
 		for cur := superblock.NewCursor(p.plans[s]); !cur.Done(); {
 			_, next, _ := cur.Advance()
@@ -205,7 +205,7 @@ func TestPlannerReleasedPlansFinal(t *testing.T) {
 	}
 	var (
 		wins    []PlannedWindow
-		atStart [][][]oram.Leaf
+		atStart [][][]superblock.Next
 	)
 	for w := range ch {
 		if len(wins) == 0 {
@@ -245,8 +245,9 @@ func TestPlannerReleasedPlansFinal(t *testing.T) {
 		}
 		unreleased := h.release().Plan
 		for s, table := range nextLeafTables(unreleased) {
-			for i, leaf := range table {
-				switch got := atStart[k][s][i]; {
+			for i, next := range table {
+				// The window binned alone marks other donors: compare leaves.
+				switch leaf, got := next.Leaf(), atStart[k][s][i].Leaf(); {
 				case leaf != oram.NoLeaf && got != leaf:
 					t.Fatalf("window %d shard %d entry %d: release rewrote an in-window next leaf", k, s, i)
 				case leaf == oram.NoLeaf && got != oram.NoLeaf:

@@ -15,7 +15,9 @@ import (
 //
 //   - per member, its id and a link to the bin of that id's next
 //     occurrence in the ring (8 bytes);
-//   - per bin, its leaf (8 bytes, so 8/S per member).
+//   - per bin, its Next entry: its drawn leaf and its donor, the first
+//     member with no earlier occurrence in the ring (8 bytes, so 8/S per
+//     member).
 //
 // A dense last table (4 bytes per id) holds each id's latest member, so a
 // new occurrence sets its predecessor's link in O(1), and releasing a
@@ -36,7 +38,7 @@ type Horizon struct {
 
 	// Bin ring: closed bins from bhead, blen of them; the open bin takes
 	// the slot after them.
-	binLeaf []oram.Leaf
+	binNext []Next
 	bhead   int
 	blen    int
 
@@ -48,16 +50,24 @@ type Horizon struct {
 // to Release.
 type Extent struct{ members, bins int }
 
+// maxIDs is how many ids a horizon can bin: 32-bit ids with the all-ones id
+// spare, so no Next entry reads as NoNext.
+const maxIDs = 1<<32 - 1
+
+// maxLeaves is the widest tree a horizon draws for: a leaf fits 31 bits of
+// a Next entry, as it fits a position-map entry.
+const maxLeaves = 1 << 31
+
 // NewHorizon returns an empty horizon over ids 0..ids-1 that bins S unique
 // ids per bin and draws bin leaves from 0..leaves-1.
 func NewHorizon(s int, leaves uint64, ids int) (*Horizon, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("superblock: S must be >= 1, got %d", s)
 	}
-	if leaves == 0 {
-		return nil, fmt.Errorf("superblock: Leaves must be > 0")
+	if leaves == 0 || leaves > maxLeaves {
+		return nil, fmt.Errorf("superblock: Leaves must be in 1..2^31, got %d", leaves)
 	}
-	if ids < 0 || uint64(ids) > 1<<32 {
+	if ids < 0 || uint64(ids) > maxIDs {
 		return nil, fmt.Errorf("superblock: %d ids do not fit 32-bit member ids", ids)
 	}
 	h := &Horizon{s: s, leaves: leaves, last: make([]int32, ids)}
@@ -68,7 +78,7 @@ func NewHorizon(s int, leaves uint64, ids int) (*Horizon, error) {
 }
 
 func (h *Horizon) mslot(off int) int { return (h.mhead + off) % len(h.ids) }
-func (h *Horizon) bslot(off int) int { return (h.bhead + off) % len(h.binLeaf) }
+func (h *Horizon) bslot(off int) int { return (h.bhead + off) % len(h.binNext) }
 
 // moff is the ring offset of member slot i from the oldest live member.
 func (h *Horizon) moff(i int32) int {
@@ -77,11 +87,14 @@ func (h *Horizon) moff(i int32) int {
 
 // Bin appends one window: the §IV-B scan over stream (the next S unique ids
 // per bin, the last bin possibly short) with one uniform leaf per bin drawn
-// from rng in bin order. An empty stream bins an empty window, so the
-// horizons of several shards stay aligned window for window.
+// from rng in bin order. Each bin's donor is its first member whose id has
+// no occurrence in the ring: every window still held and this one's earlier
+// bins. An empty stream bins an empty window, so the horizons of several
+// shards stay aligned window for window.
 func (h *Horizon) Bin(stream []uint64, rng *rand.Rand) (Extent, error) {
 	var w Extent
 	open := h.mlen // ring offset of the open bin's first member
+	donor := int64(-1)
 	for _, a := range stream {
 		if a >= uint64(len(h.last)) {
 			return Extent{}, fmt.Errorf("superblock: id %d outside the horizon's %d ids", a, len(h.last))
@@ -93,32 +106,40 @@ func (h *Horizon) Bin(stream []uint64, rng *rand.Rand) (Extent, error) {
 		if h.mlen == len(h.ids) {
 			h.growMembers()
 		}
-		if h.mlen == open && h.blen == len(h.binLeaf) {
+		if h.mlen == open && h.blen == len(h.binNext) {
 			h.growBins()
 		}
 		slot, bin := h.mslot(h.mlen), int32(h.bslot(h.blen))
 		h.ids[slot], h.links[slot] = id, -1
 		if l := h.last[id]; l >= 0 {
 			h.links[l] = bin
+		} else if donor < 0 {
+			donor = int64(id)
 		}
 		h.last[id] = int32(slot)
 		h.mlen++
 		w.members++
 		if h.mlen-open == h.s {
-			h.closeBin(rng)
-			open = h.mlen
+			h.closeBin(rng, donor)
+			open, donor = h.mlen, -1
 			w.bins++
 		}
 	}
 	if h.mlen > open {
-		h.closeBin(rng)
+		h.closeBin(rng, donor)
 		w.bins++
 	}
 	return w, nil
 }
 
-func (h *Horizon) closeBin(rng *rand.Rand) {
-	h.binLeaf[h.bslot(h.blen)] = oram.Leaf(rng.Int63n(int64(h.leaves)))
+// closeBin draws the open bin's leaf and records it with the bin's donor
+// (-1 for none).
+func (h *Horizon) closeBin(rng *rand.Rand, donor int64) {
+	next := Next(rng.Int63n(int64(h.leaves)))
+	if donor >= 0 {
+		next = lendFrom(oram.Leaf(next), uint32(donor))
+	}
+	h.binNext[h.bslot(h.blen)] = next
 	h.blen++
 }
 
@@ -142,16 +163,16 @@ func (h *Horizon) growMembers() {
 // growBins re-lays the bin ring from slot 0 at a larger capacity, with the
 // open bin's slot (offset blen) free after the closed ones.
 func (h *Horizon) growBins() {
-	leaves := make([]oram.Leaf, grown(len(h.binLeaf)))
+	next := make([]Next, grown(len(h.binNext)))
 	for off := 0; off < h.blen; off++ {
-		leaves[off] = h.binLeaf[h.bslot(off)]
+		next[off] = h.binNext[h.bslot(off)]
 	}
 	for off := 0; off < h.mlen; off++ {
 		if l := &h.links[h.mslot(off)]; *l >= 0 {
-			*l = int32((int(*l) - h.bhead + len(h.binLeaf)) % len(h.binLeaf))
+			*l = int32((int(*l) - h.bhead + len(h.binNext)) % len(h.binNext))
 		}
 	}
-	h.binLeaf, h.bhead = leaves, 0
+	h.binNext, h.bhead = next, 0
 }
 
 // FirstLeaves returns, per id, the leaf of the id's first bin in the held
@@ -160,6 +181,10 @@ func (h *Horizon) growBins() {
 // of every window binned and not yet released, oldest first. Bins fill in
 // member order and only a window's last bin is short, so member j of a
 // window is in the window's bin j/S.
+//
+// A donor has no earlier occurrence in the ring, so this places it on its
+// own bin's drawn leaf: FirstLeaves clears every held bin's donor, and a
+// pre-placed horizon lends nothing.
 func (h *Horizon) FirstLeaves(held []Extent) []oram.Leaf {
 	first := make([]oram.Leaf, len(h.last))
 	for i := range first {
@@ -169,8 +194,12 @@ func (h *Horizon) FirstLeaves(held []Extent) []oram.Leaf {
 	for _, w := range held {
 		for j := 0; j < w.members; j++ {
 			if id := h.ids[h.mslot(members+j)]; first[id] == oram.NoLeaf {
-				first[id] = h.binLeaf[h.bslot(bins+j/h.s)]
+				first[id] = h.binNext[h.bslot(bins+j/h.s)].Leaf()
 			}
+		}
+		for i := bins; i < bins+w.bins; i++ {
+			b := &h.binNext[h.bslot(i)]
+			*b = b.drawnOnly()
 		}
 		members, bins = members+w.members, bins+w.bins
 	}
@@ -178,12 +207,12 @@ func (h *Horizon) FirstLeaves(held []Extent) []oram.Leaf {
 }
 
 // Release removes the oldest window, whose Extent w is, and returns its
-// Plan: its bins and leaves as binned, and each member's next leaf the leaf
-// of the bin its link points to — its next bin in this window or in any
-// window still held — else NoLeaf. The Plan shares nothing with the
-// horizon.
+// Plan: its bins, leaves and donors as binned, and each member's next-leaf
+// entry the entry of the bin its link points to — its next bin in this
+// window or in any window still held — else NoNext. The Plan shares
+// nothing with the horizon.
 func (h *Horizon) Release(w Extent) *Plan {
-	p := &Plan{s: h.s, bins: make([]Bin, w.bins), nextLeaf: make([]oram.Leaf, w.members)}
+	p := &Plan{s: h.s, bins: make([]Bin, w.bins), nextLeaf: make([]Next, w.members)}
 	blocks := make([]oram.BlockID, w.members)
 	for i := range p.bins {
 		lo, hi := i*h.s, min((i+1)*h.s, w.members)
@@ -191,15 +220,16 @@ func (h *Horizon) Release(w Extent) *Plan {
 			slot := h.mslot(j)
 			id := h.ids[slot]
 			blocks[j] = oram.BlockID(id)
-			p.nextLeaf[j] = oram.NoLeaf
+			p.nextLeaf[j] = NoNext
 			if l := h.links[slot]; l >= 0 {
-				p.nextLeaf[j] = h.binLeaf[l]
+				p.nextLeaf[j] = h.binNext[l]
 			}
 			if h.last[id] == int32(slot) {
 				h.last[id] = -1
 			}
 		}
-		p.bins[i] = Bin{Index: i, Blocks: blocks[lo:hi:hi], Leaf: h.binLeaf[h.bslot(i)]}
+		next := h.binNext[h.bslot(i)]
+		p.bins[i] = Bin{Index: i, Blocks: blocks[lo:hi:hi], Leaf: next.Leaf(), next: next}
 	}
 	if w.members > 0 {
 		h.mhead, h.mlen = h.mslot(w.members), h.mlen-w.members

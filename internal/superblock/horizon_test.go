@@ -9,7 +9,7 @@ import (
 
 // ringBytes is the size of a horizon's member and bin rings' backing arrays
 // (the last table, 4 bytes per id, is not counted).
-func ringBytes(h *Horizon) int { return 4*cap(h.ids) + 4*cap(h.links) + 8*cap(h.binLeaf) }
+func ringBytes(h *Horizon) int { return 4*cap(h.ids) + 4*cap(h.links) + 8*cap(h.binNext) }
 
 // TestHorizonBytesPerAccess is the look-ahead ring's memory target at a full
 // default horizon on train-mem's shape: 131,072 entries over 2 shards (id mod

@@ -24,8 +24,66 @@ type Bin struct {
 	Index int
 	// Blocks are the member block IDs, unique, in first-appearance order.
 	Blocks []oram.BlockID
-	// Leaf is the path assigned to the bin.
+	// Leaf is the path drawn for the bin.
 	Leaf oram.Leaf
+
+	next Next // Leaf, with the bin's donor if it has one
+}
+
+// Donor returns the member whose leaf the bin borrows, if the bin has one:
+// its first member with no earlier occurrence in any window held when it
+// was binned. The bin reads the donor's leaf instead of Leaf when the
+// donor's leaf is lendable at the executor (see Next).
+func (b *Bin) Donor() (oram.BlockID, bool) { return b.next.Donor() }
+
+// Next is a member's next-leaf entry, the leaf it is remapped to when it
+// leaves its bin: NoNext when it has no next bin within the horizon, else
+// its next bin's drawn leaf, carrying the bin's donor if it has one. A
+// donor's entry means "the donor's leaf if it is lendable, else the drawn
+// leaf", resolved from the position map at remap time: a lendable leaf is a
+// uniform draw of the donor's alone that no read has revealed, so one read
+// of it serves the bin. Layout: drawn leaf in bits 0–30, donor id in bits
+// 31–62, bit 63 set when there is a donor. Leaves fit 31 bits (a position
+// map's bound) and ids 32 with the all-ones id spare, so no entry reads as
+// NoNext. An entry without a donor is numerically its leaf.
+type Next uint64
+
+// NoNext is the entry of a member with no next bin within the horizon.
+const NoNext = Next(oram.NoLeaf)
+
+const (
+	nextDonorShift = 31
+	nextLeafMask   = 1<<nextDonorShift - 1
+	nextHasDonor   = 1 << 63
+)
+
+// lendFrom returns the entry of leaf l lent to by donor id.
+func lendFrom(l oram.Leaf, id uint32) Next {
+	return Next(l) | Next(id)<<nextDonorShift | nextHasDonor
+}
+
+// Leaf returns the drawn leaf, or NoLeaf for NoNext.
+func (n Next) Leaf() oram.Leaf {
+	if n == NoNext {
+		return oram.NoLeaf
+	}
+	return oram.Leaf(n & nextLeafMask)
+}
+
+// Donor returns the donor the entry borrows from, if any.
+func (n Next) Donor() (oram.BlockID, bool) {
+	if n == NoNext || n&nextHasDonor == 0 {
+		return 0, false
+	}
+	return oram.BlockID(uint32(n >> nextDonorShift)), true
+}
+
+// drawnOnly returns the entry without its donor.
+func (n Next) drawnOnly() Next {
+	if n == NoNext {
+		return n
+	}
+	return n & nextLeafMask
 }
 
 // PlanConfig configures the preprocessing scan.
@@ -45,10 +103,10 @@ type PlanConfig struct {
 type Plan struct {
 	s    int
 	bins []Bin
-	// nextLeaf holds member j of bin i at [i·S + j]: the leaf of the
-	// member's next bin, or NoLeaf when it has none within the horizon.
+	// nextLeaf holds member j of bin i at [i·S + j]: the entry of the
+	// member's next bin, or NoNext when it has none within the horizon.
 	// Every bin but the last is full, so the layout has no gaps.
-	nextLeaf []oram.Leaf
+	nextLeaf []Next
 
 	firstOnce sync.Once
 	first     map[oram.BlockID]int32 // first bin index per block, built on first use
@@ -59,14 +117,14 @@ type Plan struct {
 // skipping indices already in the open bin) and superblock path generation
 // (one uniform path per bin). The final bin may be short. Each member's next
 // leaf is its next bin in this stream: NewPlan is a Horizon of one window,
-// released. Block IDs must fit 32 bits.
+// released. Block IDs must fit 32 bits, the all-ones id excepted.
 func NewPlan(stream []uint64, cfg PlanConfig) (*Plan, error) {
 	if cfg.Rand == nil {
 		return nil, fmt.Errorf("superblock: Rand is required")
 	}
 	var ids uint64
 	for _, a := range stream {
-		if a >= 1<<32 {
+		if a >= maxIDs {
 			return nil, fmt.Errorf("superblock: id %d does not fit 32 bits", a)
 		}
 		ids = max(ids, a+1)
@@ -157,14 +215,14 @@ func (c *Cursor) PeekBin(offset int) *Bin {
 // Done reports whether all bins were executed.
 func (c *Cursor) Done() bool { return c.next >= c.plan.Len() }
 
-// Advance consumes the current bin and returns, for every member, the leaf
-// the block must be remapped to: the path of its next future bin, or
-// (nextLeaf=NoLeaf) if the block does not appear again within the plan's
+// Advance consumes the current bin and returns, for every member, the entry
+// of the leaf the block must be remapped to: its next future bin's (see
+// Next), or NoNext if the block does not appear again within the plan's
 // horizon — the caller then draws a uniform leaf, preserving §VI
 // obliviousness.
 //
 // nextLeaf is the bin's row of the plan's table: read it, never write it.
-func (c *Cursor) Advance() (bin *Bin, nextLeaf []oram.Leaf, err error) {
+func (c *Cursor) Advance() (bin *Bin, nextLeaf []Next, err error) {
 	if c.next >= c.plan.Len() {
 		return nil, nil, fmt.Errorf("superblock: plan exhausted")
 	}

@@ -95,7 +95,7 @@ func TestPlanWithinBinDedupe(t *testing.T) {
 	if q := binsOfAll(p)[1]; len(q) != 2 || q[0] != 0 || q[1] != 2 {
 		t.Errorf("block 1 in bins %v", q)
 	}
-	if _, next, _ := NewCursor(p).Advance(); next[0] != p.Bin(2).Leaf {
+	if _, next, _ := NewCursor(p).Advance(); next[0].Leaf() != p.Bin(2).Leaf {
 		t.Errorf("block 1's next leaf = %d, want bin 2's %d", next[0], p.Bin(2).Leaf)
 	}
 	if p.FirstLeaf(1) != p.Bin(0).Leaf {
@@ -170,10 +170,10 @@ func TestCursorAdvance(t *testing.T) {
 		t.Fatalf("bin %d, next %v", bin.Index, next)
 	}
 	// Block 5's next path is bin 2's leaf; block 6 leaves the horizon.
-	if next[0] != p.Bin(2).Leaf {
+	if next[0].Leaf() != p.Bin(2).Leaf {
 		t.Errorf("next leaf of 5 = %d, want bin2 leaf %d", next[0], p.Bin(2).Leaf)
 	}
-	if next[1] != oram.NoLeaf {
+	if next[1] != NoNext {
 		t.Errorf("next leaf of 6 = %d, want NoLeaf", next[1])
 	}
 	if _, _, err := c.Advance(); err != nil { // bin 1
@@ -183,7 +183,7 @@ func TestCursorAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next[0] != oram.NoLeaf || next[1] != oram.NoLeaf {
+	if next[0] != NoNext || next[1] != NoNext {
 		t.Errorf("final bin next leaves = %v", next)
 	}
 	if !c.Done() {

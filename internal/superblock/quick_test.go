@@ -76,7 +76,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 				if k+1 < len(q) {
 					want = p.bins[q[k+1]].Leaf
 				}
-				if p.nextLeaf[bi*s+slices.Index(p.bins[bi].Blocks, id)] != want {
+				if p.nextLeaf[bi*s+slices.Index(p.bins[bi].Blocks, id)].Leaf() != want {
 					return false
 				}
 			}
@@ -161,10 +161,10 @@ func TestQuickCursorNextLeafConsistency(t *testing.T) {
 				}
 				pos[id] = k + 1
 				if k+1 < len(q) {
-					if next[i] != p.Bin(q[k+1]).Leaf {
+					if next[i].Leaf() != p.Bin(q[k+1]).Leaf {
 						return false
 					}
-				} else if next[i] != oram.NoLeaf {
+				} else if next[i] != NoNext {
 					return false
 				}
 			}
@@ -189,19 +189,20 @@ func binsOfAll(p *Plan) map[oram.BlockID][]int {
 
 // Release is the reference a Horizon's release is held to: it extends the
 // plan's horizon into the plans that follow it in the stream, nearest first.
-// A member whose next leaf is NoLeaf — its last bin in this plan — gets the
+// A member whose entry is NoNext — its last bin in this plan — gets the
 // leaf of its first bin in the earliest of later that holds it, and keeps
-// NoLeaf only if none does.
+// NoNext only if none does. Donors are not the reference's business: see
+// TestQuickDonorMarks.
 func (p *Plan) Release(later []*Plan) {
 	for i := range p.bins {
 		row := p.nextLeaf[i*p.s:]
 		for j, id := range p.bins[i].Blocks {
-			if row[j] != oram.NoLeaf {
+			if row[j] != NoNext {
 				continue
 			}
 			for _, lp := range later {
 				if leaf := lp.FirstLeaf(id); leaf != oram.NoLeaf {
-					row[j] = leaf
+					row[j] = Next(leaf)
 					break
 				}
 			}
@@ -209,12 +210,15 @@ func (p *Plan) Release(later []*Plan) {
 	}
 }
 
-// nextLeaves reads p's next-leaf table the way a lane does, through a cursor.
+// nextLeaves reads the drawn leaves of p's next-leaf table the way a lane
+// does, through a cursor.
 func nextLeaves(p *Plan) []oram.Leaf {
 	var out []oram.Leaf
 	for cur := NewCursor(p); !cur.Done(); {
 		_, next, _ := cur.Advance()
-		out = append(out, next...)
+		for _, n := range next {
+			out = append(out, n.Leaf())
+		}
 	}
 	return out
 }
@@ -277,7 +281,7 @@ func horizonMatchesRelease(t *testing.T, stream []uint64, ids, window, s, shards
 				wins = append(wins, local)
 			}
 			cfg := func(k int) PlanConfig {
-				return PlanConfig{S: s, Leaves: 1 << 40, Rand: rand.New(rand.NewSource(seedOf(sh, k)))}
+				return PlanConfig{S: s, Leaves: 1 << 31, Rand: rand.New(rand.NewSource(seedOf(sh, k)))}
 			}
 			plans := make([]*Plan, len(wins))
 			for k, local := range wins {
@@ -289,7 +293,7 @@ func horizonMatchesRelease(t *testing.T, stream []uint64, ids, window, s, shards
 			for k, p := range plans {
 				p.Release(plans[k+1 : min(k+1+depth, len(plans))])
 			}
-			h, err := NewHorizon(s, 1<<40, ids/shards+1)
+			h, err := NewHorizon(s, 1<<31, ids/shards+1)
 			if err != nil {
 				return false
 			}
@@ -332,7 +336,7 @@ func horizonMatchesRelease(t *testing.T, stream []uint64, ids, window, s, shards
 // TestQuickReleaseHorizon: over random streams cut into windows and released
 // at Depth 1–3, every member's next leaf is its next bin in its own window,
 // else its first bin in the nearest of the next Depth windows holding it,
-// else NoLeaf — never a bin further on. Leaves are drawn from 2^40 paths so
+// else NoLeaf — never a bin further on. Leaves are drawn from 2^31 paths so
 // a wrong bin cannot match by chance.
 func TestQuickReleaseHorizon(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -347,7 +351,7 @@ func TestQuickReleaseHorizon(t *testing.T) {
 			var plans []*Plan
 			for lo := 0; lo < len(stream); lo += window {
 				p, err := NewPlan(stream[lo:min(lo+window, len(stream))], PlanConfig{
-					S: s, Leaves: 1 << 40, Rand: rand.New(rand.NewSource(seed + int64(lo))),
+					S: s, Leaves: 1 << 31, Rand: rand.New(rand.NewSource(seed + int64(lo))),
 				})
 				if err != nil {
 					return false
@@ -380,7 +384,7 @@ func TestQuickReleaseHorizon(t *testing.T) {
 						return false
 					}
 					for j, id := range bin.Blocks {
-						if next[j] != want(k, bin.Index, id) {
+						if next[j].Leaf() != want(k, bin.Index, id) {
 							t.Logf("depth %d window %d bin %d member %d: next leaf %d, want %d",
 								depth, k, bin.Index, id, next[j], want(k, bin.Index, id))
 							return false
@@ -415,6 +419,88 @@ func TestQuickMetadataBytes(t *testing.T) {
 		return p.MetadataBytes() == int64(8*(p.Len()+members))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickDonorMarks: over random streams cut into windows (the last one
+// short, so its last bin is too) and released with D = 1–6 windows held at
+// S = 1–8, each bin's donor is, by brute force, its first member whose id
+// occurs in no window still held when it was binned and in no earlier bin of
+// its own window — and a bin with no such member has none. Salted runs
+// draw every window's leaves from other seeds; donors do not depend on
+// leaves. Half the runs pre-place at the first release, as a placing
+// planner does: FirstLeaves over the windows held then leaves none of their
+// bins a donor, and the windows binned after it are marked as before.
+func TestQuickDonorMarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	f := func(streamRaw []uint8, winRaw, sRaw, dRaw uint8, salt uint16, place bool) bool {
+		s, depth := 1+int(sRaw%8), 1+int(dRaw%6)
+		window := s + int(winRaw%24)
+		var wins [][]uint64
+		for lo := 0; lo < len(streamRaw); lo += window {
+			var w []uint64
+			for _, v := range streamRaw[lo:min(lo+window, len(streamRaw))] {
+				w = append(w, uint64(v%48))
+			}
+			wins = append(wins, w)
+		}
+		h, err := NewHorizon(s, 1<<10, 48)
+		if err != nil {
+			return false
+		}
+		var (
+			held     []Extent
+			released []*Plan
+			placed   = -1 // windows below this were pre-placed
+		)
+		for k, w := range wins {
+			ext, err := h.Bin(w, rand.New(rand.NewSource(int64(k)+int64(salt)<<20)))
+			if err != nil {
+				return false
+			}
+			held = append(held, ext)
+			for len(held) > depth || (k == len(wins)-1 && len(held) > 0) {
+				if place && placed < 0 {
+					h.FirstLeaves(held)
+					placed = len(released) + len(held)
+				}
+				released = append(released, h.Release(held[0]))
+				held = held[1:]
+			}
+		}
+		for k, p := range released {
+			// Window k was binned with windows max(0, k−D)..k−1 held.
+			before := map[oram.BlockID]bool{}
+			for _, w := range wins[max(0, k-depth):k] {
+				for _, id := range w {
+					before[oram.BlockID(id)] = true
+				}
+			}
+			for i := 0; i < p.Len(); i++ {
+				b := p.Bin(i)
+				want, wantOK := oram.BlockID(0), false
+				for _, id := range b.Blocks {
+					if !before[id] && !wantOK {
+						want, wantOK = id, true
+					}
+				}
+				if k < placed {
+					wantOK = false
+				}
+				got, ok := b.Donor()
+				if ok != wantOK || (ok && got != want) {
+					t.Logf("S=%d D=%d window %d bin %d %v: donor %d (%v), want %d (%v)", s, depth, k, i, b.Blocks, got, ok, want, wantOK)
+					return false
+				}
+				for _, id := range b.Blocks {
+					before[id] = true
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rng}); err != nil {
 		t.Error(err)
 	}
 }

@@ -452,6 +452,10 @@ func (o *ORAM) remoteList() []*remote.Client {
 // seeded with seed. With Shards <= 1 this is exactly the unsharded
 // construction. Remote shards share one multiplexed connection per node:
 // shard idx lives on node idx % N as that node's store idx / N.
+// wrapStore, when a test sets it, wraps every shard's backing store below
+// the treetop: a spy there sees each path read's leaf bucket.
+var wrapStore func(shard int, s oram.Store) oram.Store
+
 func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig) (shard.Sub, error) {
 	opts := o.opts
 	var inner oram.Store
@@ -549,6 +553,9 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 				inner = ps
 			}
 		}
+	}
+	if wrapStore != nil {
+		inner = wrapStore(idx, inner)
 	}
 	// The top half of the levels stays in trusted memory, and so do the
 	// digests Verify checks the rest against (DESIGN.md "Treetop"); the

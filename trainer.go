@@ -263,6 +263,17 @@ func (o *ORAM) Train(ctx context.Context, opts TrainOptions) (*TrainStats, error
 		}()
 	}
 
+	out, err := o.train(ctx, opts, cfg)
+	if err != nil {
+		// Bins planned and never run may hold lent leaves (shard.Engine.Unlend).
+		o.eng.Unlend()
+	}
+	return out, err
+}
+
+// train runs the pipeline once, or under Recovery until it finishes or
+// cannot recover.
+func (o *ORAM) train(ctx context.Context, opts TrainOptions, cfg batch.TrainConfig) (*TrainStats, error) {
 	if opts.Recovery != nil {
 		return o.trainRecover(ctx, opts, cfg)
 	}
@@ -388,6 +399,9 @@ func (o *ORAM) trainRecover(ctx context.Context, opts TrainOptions, cfg batch.Tr
 		}
 	}
 	for {
+		if err := o.rewarm(&cfg, src, basePos); err != nil {
+			return out, err
+		}
 		st, err := batch.Train(ctx, o.eng, src, cfg)
 		out.addTimings(st)
 		meanNum += st.QueueMean * float64(st.Windows)
@@ -476,9 +490,6 @@ func (o *ORAM) trainRecover(ctx context.Context, opts TrainOptions, cfg batch.Tr
 			budget--
 		}
 		out.RepairTime += time.Since(repairStart)
-		if err := src.Rewind(ckPos); err != nil {
-			return out, fmt.Errorf("laoram: recovery rewind: %w", err)
-		}
 		// Resume from the boundary: planning restarts at its absolute
 		// window index (keeping plan seeds identical), the boundary's own
 		// checkpoint is not retaken (epoch parity with an unfaulted run),
@@ -563,9 +574,6 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	if err := o.loadStateShards(bytes.NewReader(lastCk), dead); err != nil {
 		return zero, fmt.Errorf("laoram: per-shard restore: %w", err)
 	}
-	if err := src.Rewind(ckPos); err != nil {
-		return zero, fmt.Errorf("laoram: re-placement rewind: %w", err)
-	}
 
 	// The dead lanes' client access counters were just restored to their
 	// boundary values; their growth over the re-executed complete windows
@@ -596,6 +604,9 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	)
 	cc := cfg
 	cc.StartWindow, cc.SkipStartCheckpoint = ckWin, false
+	if err := o.rewarm(&cc, src, ckPos); err != nil {
+		return zero, err
+	}
 	cc.PrePlace, cc.Payload = false, nil
 	cc.Lanes = dead
 	cc.CheckpointEvery = 1
@@ -650,6 +661,25 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 		return zero, fmt.Errorf("laoram: post-catch-up seek: %w", err)
 	}
 	return replaceResume{base: cur.plus(winW), pos: ckPos + span, win: w + 1, replayed: replayed}, nil
+}
+
+// rewarm positions src for a run resuming at cfg.StartWindow, whose first
+// index is at source offset pos: at the windows before it that the
+// interrupted run's planner held there, which the resumed planner bins as
+// cfg.Warm. Its horizon then marks the donors the interrupted run's did, so
+// the resumed run lends what an unfaulted run lends. Windows are Window
+// long up to the last, and a run's window 0 starts where Train found the
+// source.
+func (o *ORAM) rewarm(cfg *batch.TrainConfig, src RewindSource, pos uint64) error {
+	d, err := cfg.Ahead(o.eng.Entries())
+	if err != nil {
+		return err
+	}
+	cfg.Warm = min(cfg.StartWindow, d)
+	if err := src.Rewind(pos - uint64(cfg.Warm*cfg.Window)); err != nil {
+		return fmt.Errorf("laoram: recovery rewind: %w", err)
+	}
+	return nil
 }
 
 // sleepCtx pauses for d or until ctx fires.

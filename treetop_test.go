@@ -70,8 +70,12 @@ func treetopWorkload(t *testing.T, db *ORAM, entries uint64, blockSize int) {
 // began reaching across windows (the workload's Train spans six: with the
 // cross-window fill disabled the engine still writes that digest), and
 // re-recorded again when PrePlace began loading every block of the held
-// horizon, not window 0's alone, on its first bin's leaf.
-const treetopGolden = "c8d3da9ccc4b9ad0a5412368dc36faa1de9e5a30b6264a2b69e123797ed06634"
+// horizon, not window 0's alone, on its first bin's leaf (c8d3da9c…6634),
+// and again when cold members began lending their leaves to their bins: the
+// workload's horizon of two windows leaves bins with cold members, and
+// each position-map entry now carries its lendable bit (with the bits
+// masked out the checkpoint reads def32988…9dfb).
+const treetopGolden = "ada346bb7d981bed527ed60b56574361236cf046862bc7dde97f7e5f38287922"
 
 // TestTreetopSaveStateGolden: an unsealed two-shard fat-tree instance saves
 // exactly the checkpoint bytes it saved when every level lived in the store,
