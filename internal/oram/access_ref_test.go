@@ -302,7 +302,7 @@ func TestAccessMatchesReference(t *testing.T) {
 // rule. Random geometries (uniform Z of 1–4 and fat trees, one to 14 leaf
 // bits), stashes of 0–3 000 blocks that crowd the written path at every
 // depth (so homed blocks and smaller spilled ids compete for a bucket), some
-// on no path, with and without payloads: the same buckets in the same order
+// on no path, some with ids past 2^16, with and without payloads: the same buckets in the same order
 // (root first) with the same slots, and the same stash left behind, through
 // both transports, over two rounds on the same clients.
 func TestQuickWriteBackPathMatchesPathRule(t *testing.T) {
@@ -341,7 +341,7 @@ func TestQuickWriteBackPathMatchesPathRule(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			target := Leaf(rng.Int63n(nLeaves))
 			for n := rng.Intn(3001 - clients[0].stash.Len()); n > 0; n-- {
-				id := BlockID(rng.Int63n(1 << 16))
+				id := wideID(rng)
 				if clients[0].stash.Contains(id) {
 					continue
 				}

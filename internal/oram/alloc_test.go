@@ -119,16 +119,17 @@ func TestWriteBackPathsAllocs(t *testing.T) {
 		m := &s.c.multi
 		union := batchShapePaths * s.c.Geometry().Levels()
 		if cap(m.refs) > 4*union || cap(m.bufs) > 4*union || cap(m.at) > 4*union ||
-			cap(m.parent) > 4*union || cap(m.head) > 4*union || cap(m.nodes) > 4*peak || cap(m.placed) > 4*peak {
-			t.Errorf("multipath scratch outgrew O(stash + union): refs %d bufs %d at %d parent %d head %d (union <= %d), nodes %d placed %d (stash peak %d)",
-				cap(m.refs), cap(m.bufs), cap(m.at), cap(m.parent), cap(m.head), union, cap(m.nodes), cap(m.placed), peak)
+			cap(m.parent) > 4*union || cap(m.room) > 4*union ||
+			cap(m.nodes) > 4*peak || cap(m.spareNodes) > 4*peak || cap(m.placed) > 4*peak {
+			t.Errorf("multipath scratch outgrew O(stash + union): refs %d bufs %d at %d parent %d room %d (union <= %d), nodes %d+%d placed %d (stash peak %d)",
+				cap(m.refs), cap(m.bufs), cap(m.at), cap(m.parent), cap(m.room), union, cap(m.nodes), cap(m.spareNodes), cap(m.placed), peak)
 		}
 		// Per call: one node per stashed block (not one per level it
-		// climbs), one parent and one list head per union bucket, and a
+		// climbs), one parent and one room count per union bucket, and a
 		// prefix table of at most 8 entries per distinct leaf.
-		if len(m.nodes) > peak || len(m.parent) != len(m.refs) || len(m.head) != len(m.refs) {
-			t.Errorf("last write-back: %d nodes (stash peak %d), %d parents and %d heads for %d union buckets",
-				len(m.nodes), peak, len(m.parent), len(m.head), len(m.refs))
+		if len(m.nodes) > peak || len(m.parent) != len(m.refs) || len(m.room) != len(m.refs) {
+			t.Errorf("last write-back: %d nodes (stash peak %d), %d parents and %d room counts for %d union buckets",
+				len(m.nodes), peak, len(m.parent), len(m.room), len(m.refs))
 		}
 		if len(m.prefix) > 8*len(m.leaves)+1 || cap(m.prefix) > 4*(8*batchShapePaths+1) {
 			t.Errorf("prefix table: %d entries (cap %d) for %d distinct leaves, want <= 8 per leaf + 1",

@@ -113,16 +113,42 @@ const (
 	batchShapeWarmRounds = 1000
 )
 
-// batchShape is a batch-shape client in steady state plus the scratch of
-// its rounds.
-type batchShape struct {
+// The step shape: the per-shard ORAM client of in-memory training (the
+// end-to-end benchmark's train-mem) on the same tree — one step of
+// shard.StepBins(4) = 8 bins, so 8 paths per joint write-back, with about
+// 450 blocks in the stash. Its waiting blocks are blocks of the table no
+// step fetches, and they may share the top stepShapeFork+1 levels with a
+// fetched path: at each step they are homed across the union's top levels,
+// where the look-ahead's waiting blocks sit, and the few that fit circulate
+// through those buckets.
+const (
+	stepShapePaths   = 8
+	stepShapeWaiting = 650
+	stepShapeFork    = 4
+)
+
+// shape is a batch- or step-shape client in steady state plus the scratch
+// of its rounds.
+type shape struct {
 	c      *Client
 	rng    *rand.Rand
+	loaded int64 // fetches draw ids below loaded; waiting blocks have the rest
+	fork   uint  // the leaf bit clear on every fetched path, set on every waiting block's
 	ids    []BlockID
 	leaves []Leaf
 }
 
-func newBatchShape(tb testing.TB, waiting int) *batchShape {
+// fetchLeaf draws a uniform leaf with the fork bit clear.
+func (s *shape) fetchLeaf(r *rand.Rand) Leaf {
+	x := uint64(r.Int63n(int64(s.c.Geometry().Leaves() / 2)))
+	low := x & (1<<s.fork - 1)
+	return Leaf((x-low)<<1 | low)
+}
+
+// newShape loads a client with loaded blocks on fetchable leaves, stashes
+// waiting more (ids from loaded) on leaves that part from every fetched
+// path below level fork, and runs warm rounds of paths fetches.
+func newShape(tb testing.TB, paths int, loaded int64, waiting, fork, warm int) *shape {
 	tb.Helper()
 	g := MustGeometry(GeometryConfig{LeafBits: 16, LeafZ: 4, RootZ: 8, Profile: ProfileLinear})
 	c, err := NewClient(ClientConfig{
@@ -133,42 +159,54 @@ func newBatchShape(tb testing.TB, waiting int) *batchShape {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	half := int64(g.Leaves() / 2)
-	if err := c.Load(batchShapeBlocks, func(BlockID) Leaf { return Leaf(c.Rand().Int63n(half)) }, nil); err != nil {
+	s := &shape{
+		c:      c,
+		rng:    rand.New(rand.NewSource(7)),
+		loaded: loaded,
+		fork:   uint(g.LeafBits() - 1 - fork),
+		ids:    make([]BlockID, paths),
+		leaves: make([]Leaf, paths),
+	}
+	if err := c.Load(uint64(loaded), func(BlockID) Leaf { return s.fetchLeaf(c.Rand()) }, nil); err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < waiting; i++ {
-		if err := c.Stash().Put(BlockID(batchShapeBlocks+i), Leaf(half+c.Rand().Int63n(half)), nil); err != nil {
+		if err := c.Stash().Put(BlockID(loaded)+BlockID(i), s.fetchLeaf(c.Rand())|1<<s.fork, nil); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	s := &batchShape{
-		c:      c,
-		rng:    rand.New(rand.NewSource(7)),
-		ids:    make([]BlockID, batchShapePaths),
-		leaves: make([]Leaf, batchShapePaths),
-	}
-	for i := 0; i < batchShapeWarmRounds; i++ {
+	for i := 0; i < warm; i++ {
 		s.round(tb)
 	}
 	return s
 }
 
-// round is one training batch as the ORAM client sees it (core.LAORAM.Step):
-// fetch the paths of 64 blocks jointly, remap each block uniformly (within
-// the left half), write the paths back jointly.
-func (s *batchShape) round(tb testing.TB) {
+// newBatchShape is the batch shape in steady state: its waiting blocks
+// share only the root with a fetched path.
+func newBatchShape(tb testing.TB, waiting int) *shape {
+	return newShape(tb, batchShapePaths, batchShapeBlocks, waiting, 0, batchShapeWarmRounds)
+}
+
+// newStepShape is the step shape in steady state.
+func newStepShape(tb testing.TB) *shape {
+	return newShape(tb, stepShapePaths, batchShapeBlocks-stepShapeWaiting, stepShapeWaiting, stepShapeFork, batchShapeWarmRounds)
+}
+
+// round is one training batch or step as the ORAM client sees it
+// (core.LAORAM.Step): fetch the paths of its blocks jointly, remap each
+// block uniformly (off the waiting blocks' side of the fork), write the
+// paths back jointly.
+func (s *shape) round(tb testing.TB) {
 	c := s.c
-	half := int64(c.Geometry().Leaves() / 2)
 	for i := range s.ids {
-		s.ids[i] = BlockID(s.rng.Int63n(batchShapeBlocks))
+		s.ids[i] = BlockID(s.rng.Int63n(s.loaded))
 		s.leaves[i] = c.PosMap().Get(s.ids[i])
 	}
 	if err := c.ReadPaths(s.leaves); err != nil {
 		tb.Fatal(err)
 	}
 	for _, id := range s.ids {
-		l := Leaf(s.rng.Int63n(half))
+		l := s.fetchLeaf(s.rng)
 		c.PosMap().Set(id, l)
 		c.Stash().SetLeaf(id, l)
 	}
@@ -196,6 +234,18 @@ func BenchmarkWriteBackPathsBatch(b *testing.B) {
 				s.round(b)
 			}
 		})
+	}
+}
+
+// BenchmarkWriteBackPathsStep is the joint write-back at train-mem's
+// per-step shape: 8 leaves, a union of about a hundred buckets and a stash
+// of about 450 blocks homed across its top levels, most of which stay.
+func BenchmarkWriteBackPathsStep(b *testing.B) {
+	s := newStepShape(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.round(b)
 	}
 }
 

@@ -14,21 +14,24 @@ import (
 // — allocate nothing in steady state. Everything here is O(stash + bucket
 // union).
 type multiScratch struct {
-	refs   []BucketRef // bucket union (read order or write order)
-	placed []bool      // per slab slot: written back by the call in flight
-	at     []int32     // write order: leaf × level → index of that bucket in refs
-	parent []int32     // write order: per union bucket, its parent's index (-1: root)
-	head   []int32     // write order: per union bucket, its first candidate node (-1: none)
-	nodes  []placeNode // one per homed stashed block, linked into its bucket's candidates
-	cand   []int32     // the candidates of the bucket being filled
-	prefix []int32     // per top-bits prefix, the first sorted leaf at or above it
-	leaves []Leaf      // the call's distinct leaves, ascending
-	one    [1]Leaf     // the one-leaf set of a single path (onePath)
-	group  []int32     // pathUnion: per leaf, the first leaf sharing its bucket
-	split  []int32     // pathUnion: per group and branch, its first leaf
-	bufs   [][]Slot    // per-bucket transport buffers, grown on demand
-	arena  [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
-	spare  [][]byte    // rows write-backs got back, to refill the read arena
+	refs       []BucketRef // bucket union (read order or write order)
+	placed     []bool      // per slab slot: written back by the call in flight
+	at         []int32     // write order: leaf × level → index of that bucket in refs
+	parent     []int32     // write order: per union bucket, its parent's index (-1: root), then its skip pointer
+	room       []int32     // write order: per union bucket, its slots still free
+	nodes      []placeNode // one per stashed block homed below the root, in rank order once sorted
+	spareNodes []placeNode // the radix sort's second buffer
+	atRoot     []placeNode // the stashed blocks homed at the root, unsorted
+	arrived    []placeNode // the blocks that climbed to the root while it had room
+	least      []placeNode // the root's pick of atRoot and arrived, in rank order
+	prefix     []int32     // per top-bits prefix, the first sorted leaf at or above it
+	leaves     []Leaf      // the call's distinct leaves, ascending
+	one        [1]Leaf     // the one-leaf set of a single path (onePath)
+	group      []int32     // pathUnion: per leaf, the first leaf sharing its bucket
+	split      []int32     // pathUnion: per group and branch, its first leaf
+	bufs       [][]Slot    // per-bucket transport buffers, grown on demand
+	arena      [][][]byte  // payload backing re-armed into bufs (blockSize > 0)
+	spare      [][]byte    // rows write-backs got back, to refill the read arena
 }
 
 // batchBufs returns n slot buffers with bufs[i] sized to size(i), reusing
@@ -251,24 +254,25 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 //
 // The result depends on the set of leaves alone, not on order or
 // duplicates. Every stashed block is homed in the deepest union bucket on
-// its path, and each bucket, children first, takes the candidates of
-// smallest rank among the blocks homed at or below it that no deeper bucket
-// took. Two or more distinct leaves rank by id: every block goes, in
-// ascending id, into the deepest union bucket on its path that still has
-// room. One distinct leaf ranks by (home level, id), the PathORAM
-// reference's per-level rule: at each level the blocks homed there first,
-// then the spill from below. The two differ only where a bucket overflows,
-// where the path rule lets a homed block beat a smaller spilled id. Slots
-// are filled in rank order; a single path's buckets go to the store root
-// first, a union's deepest level first.
+// its path, and the blocks go in ascending rank, each into the first bucket
+// on its home's way to the root that still has room. Two or more distinct
+// leaves rank by id: every block goes, in ascending id, into the deepest
+// union bucket on its path that still has room. One distinct leaf ranks by
+// (home level, id), the PathORAM reference's per-level rule: at each level
+// the blocks homed there first, then the spill from below. The two differ
+// only where a bucket overflows, where the path rule lets a homed block beat
+// a smaller spilled id. Slots are filled in rank order; a single path's
+// buckets go to the store root first, a union's deepest level first.
 //
-// The sweep homes each block once (a lower-bound table over the leaves' top
-// bits finds its neighbours) and links it into its bucket's candidates.
-// Walking the union deepest level first, a bucket of room z keeps its z
-// smallest candidates and relinks the rest into its parent's list: by
-// induction over the levels, the greedy. Cost: O(1) expected per stashed
-// block, a selection where a bucket overflows and a sort of at most z
-// candidates per bucket.
+// The pass homes each block once (a lower-bound table over the leaves' top
+// bits finds its neighbours), orders the homed blocks by rank in one radix
+// sort, and first-fits them: a bucket's parent link doubles as a skip
+// pointer, compressed past buckets that have filled, so a block that does
+// not fit walks each full bucket of its chain about once per call. Blocks
+// homed at the root compete for the root alone, so they skip the sort: the
+// root takes the smallest ranks among them and the blocks that reach it.
+// Cost: O(1) expected per stashed block plus a radix pass per rank byte in
+// use.
 func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	if len(leaves) == 0 {
 		return nil
@@ -293,7 +297,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	// level-lvl bucket of the path to sorted[p] sits in the union; a
 	// bucket's parent is recorded when the level above is built.
 	levels := g.Levels()
-	buckets, parent, head := m.refs[:0], m.parent[:0], m.head[:0]
+	buckets, parent := m.refs[:0], m.parent[:0]
 	m.at = slices.Grow(m.at[:0], len(sorted)*levels)[:len(sorted)*levels]
 	at := m.at
 	for lvl := levels - 1; lvl >= 0; lvl-- {
@@ -302,7 +306,6 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			if n := len(buckets); n == 0 || buckets[n-1] != b {
 				buckets = append(buckets, b)
 				parent = append(parent, -1)
-				head = append(head, -1)
 			}
 			k := int32(len(buckets) - 1)
 			at[p*levels+lvl] = k
@@ -311,7 +314,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			}
 		}
 	}
-	m.refs, m.parent, m.head = buckets, parent, head
+	m.refs, m.parent = buckets, parent
 
 	// prefix[t] is the first index into sorted whose leaf's top `top` bits
 	// are >= t, at most 8 entries per leaf: a block's lower bound in sorted
@@ -328,10 +331,13 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		prefix[t] = int32(q)
 	}
 
-	// Home every stashed block: one node each, linked into its bucket's
-	// candidates. A block on no path (NoLeaf) has no home and stays.
+	// Home every stashed block: one node each, with its rank and home
+	// bucket. A block on no path (NoLeaf) has no home and stays. The root
+	// is the union's last bucket, and the blocks homed there compete for
+	// it alone: they are set aside unsorted.
 	stash := c.stash
-	nodes := slices.Grow(m.nodes[:0], stash.Len())
+	root := int32(len(buckets) - 1)
+	nodes, atRoot := slices.Grow(m.nodes[:0], stash.Len()), m.atRoot[:0]
 	for slot := range stash.entries {
 		e := &stash.entries[slot]
 		if !g.ValidLeaf(e.leaf) {
@@ -347,53 +353,69 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			}
 		}
 		p, d := deepestShared(g, sorted, lo, e.leaf)
-		h := at[p*levels+d]
 		rank := uint64(e.id)
 		if single {
 			rank |= uint64(d) << homeShift
 		}
-		nodes = append(nodes, placeNode{rank: rank, slot: int32(slot), next: head[h]})
-		head[h] = int32(len(nodes) - 1)
+		n := placeNode{rank: rank, slot: int32(slot), home: at[p*levels+d]}
+		if n.home == root {
+			atRoot = append(atRoot, n)
+		} else {
+			nodes = append(nodes, n)
+		}
 	}
-	m.nodes = nodes
+	nodes, m.spareNodes = orderByRank(nodes, m.spareNodes)
+	m.nodes, m.atRoot = nodes, atRoot
 
-	// Fill children-first: a bucket keeps its z smallest candidates and
-	// passes the rest up. placed marks the slab slots to drop once the write
-	// has gone through.
+	// First fit in rank order: each block takes the first bucket with room
+	// on its home's way to the root; every bucket it walks past is full,
+	// so its skip pointer jumps to where this block stopped. The root only
+	// records the blocks that reach it while it has room. placed marks the
+	// slab slots to drop once the write has gone through.
 	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
+	m.room = slices.Grow(m.room[:0], len(bufs))[:len(bufs)]
+	room := m.room
+	for k, buf := range bufs {
+		room[k] = int32(len(buf))
+	}
 	m.placed = slices.Grow(m.placed[:0], stash.Len())[:stash.Len()]
-	placed := m.placed
-	clear(placed)
-	cand := m.cand
+	clear(m.placed)
+	arrived := m.arrived[:0]
+	for _, n := range nodes {
+		k := n.home
+		for k >= 0 && room[k] == 0 {
+			k = parent[k]
+		}
+		for j := n.home; j != k; {
+			j, parent[j] = parent[j], k
+		}
+		switch {
+		case k == root:
+			arrived = append(arrived, n)
+			room[k]--
+		case k >= 0:
+			buf := bufs[k]
+			m.put(stash, buf, len(buf)-int(room[k]), n)
+			room[k]--
+		}
+	}
+	m.arrived = arrived
+
+	// The root takes the smallest ranks among the blocks homed there and
+	// the blocks that reached it.
+	rootBuf := bufs[root]
+	m.least = leastByRank(arrived, leastByRank(atRoot, m.least[:0], len(rootBuf)), len(rootBuf))
+	for i, n := range m.least {
+		m.put(stash, rootBuf, i, n)
+	}
+	room[root] = int32(len(rootBuf) - len(m.least))
 	moved := 0
 	for k, buf := range bufs {
-		cand = cand[:0]
-		for n := head[k]; n >= 0; n = nodes[n].next {
-			cand = append(cand, n)
-		}
-		if z := len(buf); len(cand) > z {
-			selectLeast(nodes, cand, z)
-			if up := parent[k]; up >= 0 {
-				for _, n := range cand[z:] {
-					nodes[n].next = head[up]
-					head[up] = n
-				}
-			}
-			cand = cand[:z]
-		}
-		sortByRank(nodes, cand)
-		for i, n := range cand {
-			slot := nodes[n].slot
-			e := &stash.entries[slot]
-			buf[i] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
-			placed[slot] = true
-		}
-		for i := len(cand); i < len(buf); i++ {
+		moved += len(buf) - int(room[k])
+		for i := len(buf) - int(room[k]); i < len(buf); i++ {
 			buf[i] = DummySlot()
 		}
-		moved += len(cand)
 	}
-	m.cand = cand
 	if single {
 		// A single path goes root first, the order ReadPaths fetched it in.
 		slices.Reverse(buckets)
@@ -403,17 +425,45 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
 		return fmt.Errorf("oram: WriteBackPaths: %w", err)
 	}
-	c.stash.removeMarked(placed)
+	c.stash.removeMarked(m.placed)
 	m.keepRows(bufs)
 	c.stats.BlocksMoved += uint64(moved)
 	return nil
 }
 
-// placeNode is one stashed block in WriteBackPaths' candidate lists.
+// put writes the block of node n into slot i of buf and marks its slab slot
+// placed.
+func (m *multiScratch) put(st *Stash, buf []Slot, i int, n placeNode) {
+	e := &st.entries[n.slot]
+	buf[i] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
+	m.placed[n.slot] = true
+}
+
+// leastByRank returns the k nodes of smallest rank among nodes and least
+// (at most k, in rank order), in least's backing: one pass over nodes, each
+// compared with the largest kept so far.
+func leastByRank(nodes, least []placeNode, k int) []placeNode {
+	for _, x := range nodes {
+		if len(least) == k && (k == 0 || x.rank >= least[k-1].rank) {
+			continue
+		}
+		if len(least) < k {
+			least = append(least, x)
+		}
+		j := len(least) - 1
+		for ; j > 0 && least[j-1].rank > x.rank; j-- {
+			least[j] = least[j-1]
+		}
+		least[j] = x
+	}
+	return least
+}
+
+// placeNode is one homed stashed block of WriteBackPaths.
 type placeNode struct {
 	rank uint64 // the block's id, under its home level on a single path
 	slot int32  // the block's slab slot
-	next int32  // the next candidate of the same bucket; -1 ends the list
+	home int32  // the union bucket of the deepest level on its path
 }
 
 // homeShift puts a block's home level (≤ 31: LeafBits is capped by the
@@ -437,45 +487,45 @@ func deepestShared(g *Geometry, sorted []Leaf, k int, leaf Leaf) (p, d int) {
 	return p, d
 }
 
-// selectLeast reorders cand so that cand[:k] are the k candidates of
-// smallest rank, in no particular order (Hoare's selection; ranks are
-// distinct).
-func selectLeast(nodes []placeNode, cand []int32, k int) {
-	lo, hi, t := 0, len(cand)-1, k-1
-	for t >= 0 && lo < hi {
-		pivot := nodes[cand[t]].rank
-		i, j := lo, hi
-		for i <= j {
-			for nodes[cand[i]].rank < pivot {
-				i++
-			}
-			for nodes[cand[j]].rank > pivot {
-				j--
-			}
-			if i <= j {
-				cand[i], cand[j] = cand[j], cand[i]
-				i++
-				j--
-			}
-		}
-		if j < t {
-			lo = i
-		}
-		if t < i {
-			hi = j
-		}
-	}
-}
+// radixMin is the fewest nodes orderByRank radix-sorts: below it, where a
+// pass's 256 counters would outweigh the nodes, it sorts by insertion
+// (leastByRank of all of them).
+const radixMin = 64
 
-// sortByRank sorts the few candidates a bucket takes by rank: the slot order.
-func sortByRank(nodes []placeNode, cand []int32) {
-	for i := 1; i < len(cand); i++ {
-		n := cand[i]
-		r := nodes[n].rank
-		j := i
-		for ; j > 0 && nodes[cand[j-1]].rank > r; j-- {
-			cand[j] = cand[j-1]
-		}
-		cand[j] = n
+// orderByRank sorts nodes by rank (ranks are distinct), using spare as the
+// second buffer of an LSD radix sort that runs one pass per byte in which
+// the ranks differ. It returns the sorted nodes and the other buffer, either
+// of which may be the one passed in as nodes.
+func orderByRank(nodes, spare []placeNode) (sorted, rest []placeNode) {
+	n := len(nodes)
+	if n < radixMin {
+		return leastByRank(nodes, spare[:0], n), nodes
 	}
+	or, and := uint64(0), ^uint64(0)
+	for _, x := range nodes {
+		or |= x.rank
+		and &= x.rank
+	}
+	src, dst := nodes, slices.Grow(spare[:0], n)[:n]
+	var count [256]int32
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, x := range src {
+			count[x.rank>>shift&0xff]++
+		}
+		sum := int32(0)
+		for i, c := range count {
+			count[i], sum = sum, sum+c
+		}
+		for _, x := range src {
+			d := x.rank >> shift & 0xff
+			dst[count[d]] = x
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src, dst
 }

@@ -11,7 +11,7 @@ import (
 
 // multipath_ref_test.go keeps the original joint write-back — per union
 // bucket, scan the id-sorted stash for the first Z eligible unplaced blocks —
-// as the reference the linear-time sweep in WriteBackPaths is held to, slot
+// as the reference the ordered pass in WriteBackPaths is held to, slot
 // for slot.
 
 // refWriteBackPaths is that original: O(union buckets × stash) map probes.
@@ -173,6 +173,15 @@ func sameStash(a, b *Stash) error {
 	return nil
 }
 
+// wideID draws a block id below 2^16, or one time in eight below 2^24, so
+// that ids span three radix digits.
+func wideID(rng *rand.Rand) BlockID {
+	if rng.Intn(8) == 0 {
+		return BlockID(rng.Int63n(1 << 24))
+	}
+	return BlockID(rng.Int63n(1 << 16))
+}
+
 // refDistinct is refWriteBackPaths for two or more distinct leaves and
 // refWriteBackPath for one: a joint write-back of a single path takes the
 // path rule (see WriteBackPaths), however often the leaf repeats.
@@ -184,8 +193,9 @@ func refDistinct(c *Client, leaves []Leaf) error {
 }
 
 // TestQuickWriteBackPathsMatchesReference: for random geometries (uniform
-// Z=4 and fat tree, one to 14 leaf bits), stashes of 0–3000 blocks (some on
-// no path, some on exactly a written leaf) and 2–64 leaves — independent,
+// Z=4 and fat tree, one to 14 leaf bits), stashes of 0–3000 blocks or of 0–2
+// radixMin (some on no path, some on exactly a written leaf, some with ids
+// past 2^16) and 2–64 leaves — independent,
 // few distinct with duplicates, all equal, and clustered in one small
 // subtree so that the buckets of its trunk overflow and spill — with and
 // without payloads, the sweep writes exactly the buckets the reference
@@ -256,8 +266,14 @@ func TestQuickWriteBackPathsMatchesReference(t *testing.T) {
 				}
 			}
 
-			for n := rng.Intn(3001 - clients[0].stash.Len()); n > 0; n-- {
-				id := BlockID(rng.Int63n(1 << 16))
+			// Half the cases keep the stash about the size where the rank
+			// sort turns from insertion to radix sort.
+			most := 3000
+			if shapeRaw&4 != 0 {
+				most = 2 * radixMin
+			}
+			for n := rng.Intn(max(0, most-clients[0].stash.Len()) + 1); n > 0; n-- {
+				id := wideID(rng)
 				if clients[0].stash.Contains(id) {
 					continue
 				}
@@ -388,47 +404,6 @@ func TestQuickWriteBackPathsLeafSet(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(42))}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickSelectLeast: selectLeast leaves the k smallest ranks in
-// cand[:k], the same ranks a full sort puts there, and sortByRank orders them.
-func TestQuickSelectLeast(t *testing.T) {
-	f := func(seed int64, nRaw, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + int(nRaw)
-		k := int(kRaw) % (n + 1)
-		nodes := make([]placeNode, n)
-		cand := make([]int32, n)
-		want := make([]uint64, n)
-		for i, id := range rng.Perm(4 * n)[:n] {
-			if rng.Intn(4) == 0 {
-				id = i // runs already in order
-			}
-			nodes[i] = placeNode{rank: uint64(id)}
-			cand[i] = int32(i)
-		}
-		for i := range nodes {
-			if slices.ContainsFunc(nodes[:i], func(p placeNode) bool { return p.rank == nodes[i].rank }) {
-				nodes[i].rank = uint64(4*n + i) // keep ranks distinct
-			}
-			want[i] = nodes[i].rank
-		}
-		slices.Sort(want)
-		selectLeast(nodes, cand, k)
-		sortByRank(nodes, cand[:k])
-		got := make([]uint64, k)
-		for i, c := range cand[:k] {
-			got[i] = nodes[c].rank
-		}
-		if !slices.Equal(got, want[:k]) {
-			t.Logf("n %d k %d: got %v, want %v", n, k, got, want[:k])
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
 	}
 }

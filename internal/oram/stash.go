@@ -274,30 +274,39 @@ func (s *Stash) removeCell(pos int) {
 // removeMarked removes every block whose slab slot is marked, in one pass:
 // the blocks a write-back placed, whose rows it handed out, so their entries
 // are recycled without their buffers, which the rows' new owners now hold.
-// Each marked block's index cell is deleted and the unmarked blocks are
-// compacted to the front by swapping. Survivors may change slots; slab order
-// is not observable (Snapshot sorts ids and WriteBackPaths selects by rank).
+// Each marked block's index cell is deleted and each hole is filled with the
+// last unmarked block above it, so only the survivors that move are
+// re-indexed. Survivors may change slots; slab order is not observable
+// (Snapshot sorts ids and WriteBackPaths orders by rank).
 func (s *Stash) removeMarked(marked []bool) {
-	keep := 0
-	for i := range s.entries {
-		if marked[i] {
-			pos, _ := s.index.find(s.entries[i].id)
-			s.index.delete(pos)
-			s.entries[i].buf = nil
+	n := len(s.entries)
+	for i := 0; i < n; i++ {
+		if !marked[i] {
 			continue
 		}
-		if i != keep {
-			s.entries[keep], s.entries[i] = s.entries[i], s.entries[keep]
-			pos, _ := s.index.find(s.entries[keep].id)
-			s.index.cells[pos].slot = int32(keep + 1)
+		s.dropMarked(i)
+		for n--; n > i && marked[n]; n-- {
+			s.dropMarked(n)
 		}
-		keep++
+		if n > i {
+			s.entries[i], s.entries[n] = s.entries[n], s.entries[i]
+			pos, _ := s.index.find(s.entries[i].id)
+			s.index.cells[pos].slot = int32(i + 1)
+		}
 	}
-	for i := keep; i < len(s.entries); i++ {
+	for i := n; i < len(s.entries); i++ {
 		e := &s.entries[i]
 		e.id, e.leaf, e.payload = DummyID, 0, nil
 	}
-	s.entries = s.entries[:keep]
+	s.entries = s.entries[:n]
+}
+
+// dropMarked deletes the index cell of the block in slab slot i and lets go
+// of the slot's buffer.
+func (s *Stash) dropMarked(i int) {
+	pos, _ := s.index.find(s.entries[i].id)
+	s.index.delete(pos)
+	s.entries[i].buf = nil
 }
 
 // IDs returns the stashed block IDs in unspecified order.

@@ -41,7 +41,8 @@ func (r *refStash) remove(id BlockID) {
 // TestQuickSlabMatchesMapStash drives both implementations with the same
 // random op sequence (put / set-leaf / set-payload / remove / a marked set
 // of slab slots removed at once, with payload buffers deliberately mutated
-// after each call) and compares full contents.
+// after each call) and compares full contents. A marked removal moves at
+// most one survivor per removed block.
 func TestQuickSlabMatchesMapStash(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,13 +89,30 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 				ref.remove(id)
 			case 5: // a write-back's removal: random slab slots at once
 				marked := make([]bool, s.Len())
+				was := make(map[BlockID]int)
+				removed := 0
 				for slot := range marked {
 					if marked[slot] = rng.Intn(3) == 0; marked[slot] {
 						ref.remove(s.entries[slot].id)
+						removed++
+					} else {
+						was[s.entries[slot].id] = slot
 					}
 				}
 				s.removeMarked(marked)
 				checkIndex(t, s)
+				// Only survivors that fill a hole move: at most one per
+				// removed block.
+				moved := 0
+				for id, slot := range was {
+					if s.slot(id) != slot {
+						moved++
+					}
+				}
+				if moved > removed {
+					t.Logf("removeMarked moved %d survivors for %d removed blocks", moved, removed)
+					return false
+				}
 			}
 			// The caller's buffer is scribbled over after every op: if the
 			// stash aliased it instead of copying, contents would drift.
