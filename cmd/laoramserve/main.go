@@ -76,7 +76,6 @@ func main() {
 		shards  = flag.Int("shards", 1, "number of shard stores (match the client's Options.Shards)")
 		workers = flag.Int("workers", 0, "request worker pool size (0 = one per CPU)")
 		sealed  = flag.Bool("sealed", false, "seal payloads at rest (AES-128-GCM, fresh random key per shard store and per start): refuses -checkpoint and -data-dir, and grows no store for a migration")
-		cworker = flag.Int("cryptoworkers", 0, "crypto fan-out width for sealed stores: seal/open of path and batched requests is partitioned across this many workers (0 = one per CPU capped at 8, 1 = serial)")
 		dataDir = flag.String("data-dir", "", "directory for disk-backed shard trees (one bucket arena file per store, internal/diskstore): the tiered storage backend — served trees may exceed RAM; clean arenas are resumed at startup, crashed arenas are restored from -checkpoint or refused")
 		memBud  = flag.Int64("mem-budget", 0, "total in-memory bucket cache across all disk-backed stores, in bytes, split evenly per store (0 = unbounded); requires -data-dir")
 		ckDir   = flag.String("checkpoint", "", "directory for shard tree checkpoints: restore shard-N.ck at startup if present, save on shutdown (and periodically with -checkpoint-interval)")
@@ -123,19 +122,14 @@ func main() {
 	if *sealed && *block <= 0 {
 		log.Fatalf("laoramserve: -sealed requires a payload-bearing store (-block > 0)")
 	}
-	// One bounded crypto pool is shared by every sealed shard store; the
-	// server's request workers already model per-shard concurrency, the
-	// crypto pool parallelises within one request.
+	// One bounded crypto pool, one worker per CPU up to 8, is shared by
+	// every sealed shard store; the server's request workers already model
+	// per-shard concurrency, the crypto pool parallelises within one
+	// request.
 	var pool *crypto.Pool
-	if *sealed {
-		w := *cworker
-		if w == 0 {
-			w = crypto.DefaultWorkers()
-		}
-		if w > 1 {
-			pool = crypto.NewPool(w)
-			defer pool.Close()
-		}
+	if w := crypto.DefaultWorkers(); *sealed && w > 1 {
+		pool = crypto.NewPool(w)
+		defer pool.Close()
 	}
 
 	// Disk-backed stores get an even split of the memory budget; the store

@@ -3,6 +3,7 @@ package laoram
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/oram"
@@ -10,16 +11,19 @@ import (
 
 // TestCryptoWorkersEquivalence pins the crypto fan-out's determinism
 // contract through the public API (runs under -race in CI): under seed 42,
-// every CryptoWorkers width in {2, 4, 8} must be byte-identical to
-// CryptoWorkers=1 — the serial path — in every observable: batch read
-// payloads, engine statistics, session counters, and a full tree snapshot
-// (per-shard position map, stash and every decrypted server slot). The
-// cases are Shards ∈ {1, 4} on 32 B rows, and the train-sealed shape — 4 KB
-// rows fetched 16 bins per round trip — where a bucket union is large
-// enough for every width to actually fan out. Parallel seals draw their
-// nonce sequence numbers from deterministic per-slot reservation, so which
-// worker sealed a bucket can never show.
+// every crypto width in {2, 4, 8} must be byte-identical to width 1 — the
+// serial path — in every observable: batch read payloads, engine
+// statistics, session counters, and a full tree snapshot (per-shard
+// position map, stash and every decrypted server slot). The width is
+// crypto.DefaultWorkers(), so each run sets it through GOMAXPROCS and
+// checks the pool the instance built. The cases are Shards ∈ {1, 4} on
+// 32 B rows, and the train-sealed shape — 4 KB rows fetched 16 bins per
+// round trip — where a bucket union is large enough for every width to
+// actually fan out. Parallel seals draw their nonce sequence numbers from
+// deterministic per-slot reservation, so which worker sealed a bucket can
+// never show.
 func TestCryptoWorkersEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const entries = 1 << 10
 	const seed = 42
 	key := make([]byte, 32)
@@ -46,20 +50,26 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 			}
 			return p
 		}
+		runtime.GOMAXPROCS(workers)
 		db, err := New(Options{
-			Entries:       entries,
-			BlockSize:     sh.blockSize,
-			Encrypt:       true,
-			Key:           key,
-			FatTree:       true,
-			Seed:          seed,
-			Shards:        sh.shards,
-			CryptoWorkers: workers,
+			Entries:   entries,
+			BlockSize: sh.blockSize,
+			Encrypt:   true,
+			Key:       key,
+			FatTree:   true,
+			Seed:      seed,
+			Shards:    sh.shards,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
+		if workers == 1 && db.pool != nil {
+			t.Fatalf("width 1 built a pool of %d workers", db.pool.Workers())
+		}
+		if workers > 1 && (db.pool == nil || db.pool.Workers() != workers) {
+			t.Fatalf("GOMAXPROCS %d did not build a pool of %d workers", workers, workers)
+		}
 		sess := trainOneWindow(t, db, stream, sh.s, sh.batchBins, payload, func(id uint64, row []byte) []byte {
 			row[0] += byte(id) // training update: every bin reseals its paths
 			return row
@@ -103,11 +113,11 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 			for _, workers := range []int{2, 4, 8} {
 				fanned := run(t, sh, stream, workers)
 				if len(serial.reads) != len(fanned.reads) {
-					t.Fatalf("read counts diverged: %d vs %d at CryptoWorkers %d", len(serial.reads), len(fanned.reads), workers)
+					t.Fatalf("read counts diverged: %d vs %d at width %d", len(serial.reads), len(fanned.reads), workers)
 				}
 				for i := range serial.reads {
 					if !bytes.Equal(serial.reads[i], fanned.reads[i]) {
-						t.Fatalf("read %d diverged between CryptoWorkers 1 and %d", i, workers)
+						t.Fatalf("read %d diverged between widths 1 and %d", i, workers)
 					}
 				}
 				if serial.stats != fanned.stats {
@@ -117,7 +127,7 @@ func TestCryptoWorkersEquivalence(t *testing.T) {
 					t.Fatalf("session stats diverged:\n  workers=1: %+v\n  workers=%d: %+v", serial.sess, workers, fanned.sess)
 				}
 				if !bytes.Equal(serial.snap, fanned.snap) {
-					t.Fatalf("tree snapshot (position maps, stashes, decrypted server slots) diverged at CryptoWorkers %d", workers)
+					t.Fatalf("tree snapshot (position maps, stashes, decrypted server slots) diverged at width %d", workers)
 				}
 			}
 		})

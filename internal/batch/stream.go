@@ -21,6 +21,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -167,12 +168,9 @@ type TrainStats struct {
 	// windows (on a cancelled run the planner may have read further
 	// ahead of this).
 	Accesses uint64
-	// Bins / ColdPathReads / LookaheadRemaps / UniformRemaps aggregate
-	// the LAORAM session counters across windows and shard lanes.
-	Bins            uint64
-	ColdPathReads   uint64
-	LookaheadRemaps uint64
-	UniformRemaps   uint64
+	// SessionStats aggregates the LAORAM session counters across windows
+	// and shard lanes.
+	core.SessionStats
 	// PlanTime is the total wall time the planner stage spent scanning
 	// and binning (overlaps TrainTime).
 	PlanTime time.Duration
@@ -216,11 +214,8 @@ type TrainStats struct {
 }
 
 // LaneSession is one shard lane's session counters for a single window —
-// the four LAORAM counters a TrainStats aggregates across lanes and
-// windows.
-type LaneSession struct {
-	Bins, ColdPathReads, LookaheadRemaps, UniformRemaps uint64
-}
+// the counters a TrainStats aggregates across lanes and windows.
+type LaneSession = core.SessionStats
 
 // Train runs the streaming two-stage pipeline over e: plan windows from
 // src on a bounded queue, execute each through a sharded Session. Returns
@@ -273,11 +268,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 		st.FailedAccesses = w.Accesses
 		st.FailedLaneSession = make([]LaneSession, e.Shards())
 		for i := range st.FailedLaneSession {
-			ls := sess.Lane(i).Stats()
-			st.FailedLaneSession[i] = LaneSession{
-				Bins: ls.Bins, ColdPathReads: ls.ColdPathReads,
-				LookaheadRemaps: ls.LookaheadRemaps, UniformRemaps: ls.UniformRemaps,
-			}
+			st.FailedLaneSession[i] = sess.Lane(i).Stats().SessionStats
 		}
 		return fmt.Errorf("batch: window %d: %w", w.Index, err)
 	}
@@ -318,11 +309,7 @@ func Train(ctx context.Context, e *shard.Engine, src shard.Source, cfg TrainConf
 		runStart := time.Now()
 		err = sess.RunContext(ctx, cfg.BatchBins, cfg.Lanes, cfg.NewVisit)
 		st.TrainTime += time.Since(runStart)
-		ss := sess.Stats()
-		st.Bins += ss.Bins
-		st.ColdPathReads += ss.ColdPathReads
-		st.LookaheadRemaps += ss.LookaheadRemaps
-		st.UniformRemaps += ss.UniformRemaps
+		st.SessionStats = st.SessionStats.Add(sess.Stats().SessionStats)
 		if err != nil {
 			return failWindow(w, sess, err)
 		}

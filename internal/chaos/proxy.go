@@ -77,9 +77,6 @@ func NewProxy(target string, seed int64) (*Proxy, error) {
 // Addr returns the proxy's listen address — what the client dials.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the forwarding destination.
-func (p *Proxy) Target() string { return p.target }
-
 // SetLatency installs a per-chunk forwarding delay of latency ± uniform
 // jitter. Zero disables.
 func (p *Proxy) SetLatency(latency, jitter time.Duration) {

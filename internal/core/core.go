@@ -35,6 +35,12 @@ type Visit func(id oram.BlockID, payload []byte) []byte
 // Stats extends the PathORAM counters with LAORAM-specific observability.
 type Stats struct {
 	oram.AccessStats
+	SessionStats
+}
+
+// SessionStats are the LAORAM session counters of §IV: one shard lane's
+// for a window, or their sum over lanes and windows.
+type SessionStats struct {
 	// Bins is the number of superblock bins executed.
 	Bins uint64
 	// ColdPathReads counts the paths a step read beyond one per bin. A
@@ -49,16 +55,33 @@ type Stats struct {
 	UniformRemaps   uint64
 }
 
+// Add returns the counter-wise sum s + o.
+func (s SessionStats) Add(o SessionStats) SessionStats {
+	return SessionStats{
+		Bins:            s.Bins + o.Bins,
+		ColdPathReads:   s.ColdPathReads + o.ColdPathReads,
+		LookaheadRemaps: s.LookaheadRemaps + o.LookaheadRemaps,
+		UniformRemaps:   s.UniformRemaps + o.UniformRemaps,
+	}
+}
+
+// Sub returns the counter-wise difference s - o.
+func (s SessionStats) Sub(o SessionStats) SessionStats {
+	return SessionStats{
+		Bins:            s.Bins - o.Bins,
+		ColdPathReads:   s.ColdPathReads - o.ColdPathReads,
+		LookaheadRemaps: s.LookaheadRemaps - o.LookaheadRemaps,
+		UniformRemaps:   s.UniformRemaps - o.UniformRemaps,
+	}
+}
+
 // LAORAM executes a superblock plan over a PathORAM engine.
 type LAORAM struct {
 	base   *oram.Client
 	plan   *superblock.Plan
 	cursor *superblock.Cursor
 
-	bins            uint64
-	coldPathReads   uint64
-	lookaheadRemaps uint64
-	uniformRemaps   uint64
+	sess SessionStats
 
 	// fetch is the distinct-leaf set of the bin (or batch of bins) in
 	// flight, reused across steps.
@@ -96,22 +119,13 @@ func (l *LAORAM) Plan() *superblock.Plan { return l.plan }
 
 // Stats returns a snapshot of combined statistics.
 func (l *LAORAM) Stats() Stats {
-	return Stats{
-		AccessStats:     l.base.Stats(),
-		Bins:            l.bins,
-		ColdPathReads:   l.coldPathReads,
-		LookaheadRemaps: l.lookaheadRemaps,
-		UniformRemaps:   l.uniformRemaps,
-	}
+	return Stats{AccessStats: l.base.Stats(), SessionStats: l.sess}
 }
 
 // ResetStats zeroes all counters (base and LAORAM-level).
 func (l *LAORAM) ResetStats() {
 	l.base.ResetStats()
-	l.bins = 0
-	l.coldPathReads = 0
-	l.lookaheadRemaps = 0
-	l.uniformRemaps = 0
+	l.sess = SessionStats{}
 }
 
 // Done reports whether the plan has been fully executed.
@@ -174,7 +188,7 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 		}
 	}
 	if bins == 0 {
-		return 0, fmt.Errorf("core: plan exhausted after %d bins", l.bins)
+		return 0, fmt.Errorf("core: plan exhausted after %d bins", l.sess.Bins)
 	}
 	readLeaves := l.fetch.Leaves()
 	if err := l.base.ReadPaths(readLeaves); err != nil {
@@ -183,7 +197,7 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 	st.PathReads += uint64(len(readLeaves))
 	if len(readLeaves) > bins {
 		// Everything beyond one path per bin is cold-start traffic.
-		l.coldPathReads += uint64(len(readLeaves) - bins)
+		l.sess.ColdPathReads += uint64(len(readLeaves) - bins)
 	}
 
 	for i := 0; i < bins; i++ {
@@ -205,7 +219,7 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 				}
 			}
 		}
-		l.bins++
+		l.sess.Bins++
 	}
 
 	if err := l.base.WriteBackPaths(readLeaves); err != nil {
@@ -228,7 +242,7 @@ func (l *LAORAM) remap(id oram.BlockID, next superblock.Next) {
 	if leaf == oram.NoLeaf {
 		leaf = l.base.RandomLeaf()
 		pos.SetDrawn(id, leaf)
-		l.uniformRemaps++
+		l.sess.UniformRemaps++
 	} else {
 		if d, ok := next.Donor(); ok && uint64(d) < pos.Len() {
 			if lent, ok := pos.Lendable(d); ok {
@@ -236,7 +250,7 @@ func (l *LAORAM) remap(id oram.BlockID, next superblock.Next) {
 			}
 		}
 		pos.Set(id, leaf)
-		l.lookaheadRemaps++
+		l.sess.LookaheadRemaps++
 	}
 	l.base.Stash().SetLeaf(id, leaf)
 	l.base.StatsMut().Remaps++

@@ -72,7 +72,7 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 		}
 		st.PathReads++
 		if i > 0 {
-			l.coldPathReads++
+			l.sess.ColdPathReads++
 		}
 	}
 	_, nextLeaves, err := l.cursor.Advance()
@@ -95,7 +95,7 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 	if _, err := l.base.MaybeEvict(); err != nil {
 		return err
 	}
-	l.bins++
+	l.sess.Bins++
 	return nil
 }
 

@@ -6,20 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the derived crypto fan-out width used when a caller
-// passes 0 "workers": one per CPU, capped at 8 — the widest the sealed
-// experiment has been recorded at. Client (laoram.Options.CryptoWorkers)
-// and server (laoramserve -cryptoworkers) share this policy.
-func DefaultWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// DefaultWorkers is the one crypto fan-out width: one per CPU
+// (GOMAXPROCS), capped at 8 — the widest the sealed experiment has been
+// recorded at. The client (laoram.Options.Encrypt) and the server
+// (laoramserve -sealed) both build their pools at this width.
+func DefaultWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 
 // Pool is a bounded worker pool for fanning embarrassingly parallel
 // seal/open work across goroutines: the buckets of a path, a batched

@@ -2,12 +2,25 @@ package crypto
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// TestDefaultWorkers pins the one width policy: one worker per GOMAXPROCS,
+// never fewer than one, never more than eight.
+func TestDefaultWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ procs, want int }{{1, 1}, {3, 3}, {8, 8}, {16, 8}} {
+		runtime.GOMAXPROCS(c.procs)
+		if got := DefaultWorkers(); got != c.want {
+			t.Errorf("GOMAXPROCS %d: DefaultWorkers() = %d, want %d", c.procs, got, c.want)
+		}
+	}
+}
 
 // TestPoolCoversRange: every index in [0, n) is handled exactly once, for
 // widths below, at and above n, in at most Workers() chunks.

@@ -124,10 +124,7 @@ func (s *Session) Stats() core.Stats {
 	for _, la := range s.las {
 		st := la.Stats()
 		out.AccessStats = out.AccessStats.Add(st.AccessStats)
-		out.Bins += st.Bins
-		out.ColdPathReads += st.ColdPathReads
-		out.LookaheadRemaps += st.LookaheadRemaps
-		out.UniformRemaps += st.UniformRemaps
+		out.SessionStats = out.SessionStats.Add(st.SessionStats)
 	}
 	return out
 }

@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/diskstore"
 	"repro/internal/oram"
@@ -74,22 +75,10 @@ type Options struct {
 	// storage (the §III threat model's "content of the memory itself is
 	// considered encrypted"). Ignored with MetadataOnly; rejected with
 	// RemoteAddrs, where nothing on the client would seal (the nodes own
-	// their storage).
+	// their storage). In-memory sealed stores fan seal/open out over
+	// crypto.DefaultWorkers() workers (GOMAXPROCS, capped at 8); the bytes
+	// are the same at any width.
 	Encrypt bool
-	// CryptoWorkers bounds the intra-shard crypto fan-out of sealed
-	// stores: path reads/write-backs, batched bucket unions and
-	// superblock fetches open and seal their buckets across this many
-	// workers, all through the shard's one Sealer (one bounded pool
-	// shared by all shards; a lane hands a chunk to a pool worker only
-	// when one is idle and works through the rest itself). 0 derives the
-	// width from GOMAXPROCS (capped at 8); 1 pins the strictly serial
-	// path. Either way results — tree bytes included — are
-	// byte-identical: parallel seals draw their nonce sequence number
-	// from a deterministic per-slot reservation, not from scheduling
-	// order. Applies to local in-memory encrypted stores (Encrypt without
-	// MetadataOnly or DataDir — disk-backed stores seal serially); ignored
-	// otherwise.
-	CryptoWorkers int
 	// Key is the optional 32-byte sealing key; nil generates a random
 	// one.
 	Key []byte
@@ -181,10 +170,6 @@ type Options struct {
 	// root→leaf paths of subtrees so it can always make progress). 0 means
 	// unbounded — the whole tree may be cached. Requires DataDir.
 	MemBudget int64
-	// DisablePrefetch turns off the look-ahead disk prefetcher (hints from
-	// the planner are dropped), leaving every miss to be demand-fetched —
-	// the ablation knob for measuring prefetch hiding. Requires DataDir.
-	DisablePrefetch bool
 }
 
 func (o Options) evict() (oram.EvictConfig, error) {
@@ -209,17 +194,6 @@ func (o Options) shards() int {
 		return 1
 	}
 	return o.Shards
-}
-
-// cryptoWorkers resolves the crypto fan-out width (>= 1).
-func (o Options) cryptoWorkers() int {
-	if o.CryptoWorkers == 0 {
-		return crypto.DefaultWorkers()
-	}
-	if o.CryptoWorkers < 1 {
-		return 1
-	}
-	return o.CryptoWorkers
 }
 
 // ORAM is an oblivious block store, possibly sharded (Options.Shards).
@@ -297,9 +271,6 @@ func NewContext(ctx context.Context, opts Options) (*ORAM, error) {
 	if opts.Entries == 0 {
 		return nil, fmt.Errorf("laoram: Options.Entries must be > 0")
 	}
-	if opts.CryptoWorkers < 0 {
-		return nil, fmt.Errorf("laoram: Options.CryptoWorkers must be >= 0, got %d", opts.CryptoWorkers)
-	}
 	evict, err := opts.evict()
 	if err != nil {
 		return nil, err
@@ -320,9 +291,6 @@ func NewContext(ctx context.Context, opts Options) (*ORAM, error) {
 		if opts.MemBudget != 0 {
 			return nil, fmt.Errorf("laoram: Options.MemBudget requires Options.DataDir (nothing to tier without a disk arena)")
 		}
-		if opts.DisablePrefetch {
-			return nil, fmt.Errorf("laoram: Options.DisablePrefetch requires Options.DataDir")
-		}
 	} else {
 		if opts.MetadataOnly {
 			return nil, fmt.Errorf("laoram: Options.DataDir is incompatible with MetadataOnly (metadata trees fit in memory)")
@@ -339,7 +307,7 @@ func NewContext(ctx context.Context, opts Options) (*ORAM, error) {
 	// I/O, and serial sealing keeps them byte-identical to the serial
 	// in-memory path), so no pool is built for them.
 	if opts.Encrypt && !opts.MetadataOnly && opts.DataDir == "" {
-		if w := opts.cryptoWorkers(); w > 1 {
+		if w := crypto.DefaultWorkers(); w > 1 {
 			o.pool = crypto.NewPool(w)
 		}
 	}
@@ -453,13 +421,13 @@ func (o *ORAM) remoteList() []*remote.Client {
 // construction. Remote shards share one multiplexed connection per node:
 // shard idx lives on node idx % N as that node's store idx / N.
 // wrapStore, when a test sets it, wraps every shard's backing store below
-// the treetop: a spy there sees each path read's leaf bucket.
+// the treetop: a spy there sees each path read's leaf bucket, and a wrapper
+// without PrefetchPaths gets no look-ahead hints.
 var wrapStore func(shard int, s oram.Store) oram.Store
 
 func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig) (shard.Sub, error) {
 	opts := o.opts
 	var inner oram.Store
-	var prefetch oram.PathPrefetcher
 	payloads := !opts.MetadataOnly // whether inner keeps rows
 	if len(o.remotes) > 0 {
 		nodes := len(o.remotes)
@@ -531,14 +499,13 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 					Geometry:      g,
 					Sealer:        sealer,
 					MemBudget:     budget,
-					Prefetch:      !opts.DisablePrefetch,
+					Prefetch:      true,
 					TreetopLevels: oram.TreetopLevels(g),
 				})
 				if err != nil {
 					return shard.Sub{}, err
 				}
 				o.disks = append(o.disks, ds)
-				prefetch = ds
 				inner = ds
 			} else {
 				ps, err := oram.NewPayloadStore(g, sealer)
@@ -557,6 +524,9 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 	if wrapStore != nil {
 		inner = wrapStore(idx, inner)
 	}
+	// The planner's look-ahead hints go to whatever store can take them:
+	// a disk arena prefetches the paths ahead of their session.
+	prefetch, _ := inner.(oram.PathPrefetcher)
 	// The top half of the levels stays in trusted memory, and so do the
 	// digests Verify checks the rest against (DESIGN.md "Treetop"); the
 	// counters above it tally the logical traffic.
@@ -581,17 +551,6 @@ func (o *ORAM) buildSub(idx int, per uint64, seed int64, evict oram.EvictConfig)
 		return shard.Sub{}, err
 	}
 	return shard.Sub{Client: client, Store: cs, Src: src, Prefetch: prefetch}, nil
-}
-
-// TierBytes reports the memory needed to keep every server bucket of a
-// disk-backed instance resident — the tree size that Options.MemBudget is
-// a fraction of. Zero when the instance is not disk-backed.
-func (o *ORAM) TierBytes() int64 {
-	var total int64
-	for _, ds := range o.disks {
-		total += ds.TreeBytes()
-	}
-	return total
 }
 
 // closeDisks flushes, syncs and closes every shard arena, keeping the
@@ -761,9 +720,4 @@ type Visit func(id uint64, payload []byte) []byte
 
 // SessionStats exposes the LAORAM-level counters of §IV (summed across
 // shard lanes and windows; see TrainStats.Session).
-type SessionStats struct {
-	Bins            uint64
-	ColdPathReads   uint64
-	LookaheadRemaps uint64
-	UniformRemaps   uint64
-}
+type SessionStats = core.SessionStats

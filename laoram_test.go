@@ -32,56 +32,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Entries: 8, RemoteAddrs: []string{"127.0.0.1:1"}}); err == nil {
 		t.Error("dead remote accepted")
 	}
-	if _, err := New(Options{Entries: 8, BlockSize: 16, Encrypt: true, CryptoWorkers: -1}); err == nil {
-		t.Error("negative CryptoWorkers accepted")
-	}
-}
-
-// TestCryptoWorkersOption: the fan-out option composes with every store
-// kind — pooled only on local encrypted payload stores, a harmless no-op
-// elsewhere — and reads round-trip under it.
-func TestCryptoWorkersOption(t *testing.T) {
-	for _, opts := range []Options{
-		{Entries: 128, BlockSize: 16, Encrypt: true, CryptoWorkers: 4, Seed: 3},
-		{Entries: 128, BlockSize: 16, Encrypt: true, CryptoWorkers: 0, Seed: 3}, // GOMAXPROCS-derived
-		{Entries: 128, BlockSize: 16, CryptoWorkers: 4, Seed: 3},                // unencrypted: ignored
-		{Entries: 128, MetadataOnly: true, CryptoWorkers: 4, Seed: 3},           // metadata-only: ignored
-	} {
-		db, err := New(opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if err := db.Load(128, func(id uint64) []byte {
-			if opts.MetadataOnly {
-				return nil
-			}
-			b := make([]byte, 16)
-			b[0] = byte(id)
-			return b
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for id := uint64(0); id < 128; id += 31 {
-			got, err := db.Read(id)
-			if err != nil {
-				t.Fatalf("read %d: %v", id, err)
-			}
-			if !opts.MetadataOnly && got[0] != byte(id) {
-				t.Fatalf("block %d corrupt under %+v", id, opts)
-			}
-		}
-		buf := make([]byte, 16)
-		if !opts.MetadataOnly {
-			got, err := db.ReadInto(5, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[0] != 5 {
-				t.Fatal("ReadInto returned wrong payload")
-			}
-		}
-		db.Close()
-	}
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
@@ -109,6 +59,9 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if st.Accesses != 2 || st.ServerBytes <= 0 || st.PositionBytes <= 0 {
 		t.Errorf("stats wrong: %+v", st)
 	}
+	if got, err := db.ReadInto(5, make([]byte, 32)); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("ReadInto = %v, %v; want the written row", got, err)
+	}
 }
 
 func TestEncryptedStore(t *testing.T) {
@@ -118,6 +71,12 @@ func TestEncryptedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if err := db.Load(64, func(id uint64) []byte { return bytes.Repeat([]byte{byte(id)}, 64) }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := db.ReadInto(5, make([]byte, 64)); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{5}, 64)) {
+		t.Errorf("ReadInto of a loaded row = %v, %v", got, err)
+	}
 	secret := bytes.Repeat([]byte("secret!!"), 8)
 	if err := db.Write(3, secret); err != nil {
 		t.Fatal(err)

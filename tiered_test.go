@@ -10,6 +10,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/diskstore"
+	"repro/internal/oram"
 )
 
 // stressSeeds is how many seeds TestTinyCacheTrainStress runs: 25 in tier-1,
@@ -24,9 +27,9 @@ var stressSeeds = flag.Int("stress-seeds", 25, "seeds for TestTinyCacheTrainStre
 // and off — same batch read payloads, same engine statistics, same session
 // counters, same decrypted tree snapshot. The cache may thrash and the
 // prefetcher may race ahead, but nothing the client can observe moves.
-// CryptoWorkers is pinned to 1 because the disk tier always seals serially;
-// tier telemetry (which IS timing- and residency-dependent) is zeroed
-// before comparison.
+// Tier telemetry (which IS timing- and residency-dependent) is zeroed
+// before comparison. Prefetch is off where wrapStore hides the arena's
+// PrefetchPaths, so the planner's hints find no taker.
 //
 // Training's tier counters, read first, are held to the prefetcher's bars.
 // Off issues nothing and its demand misses (deterministic) stay within 1.2×
@@ -74,19 +77,21 @@ func TestTieredIdentity(t *testing.T) {
 			}
 			return p
 		}
+		if dataDir != "" && !prefetch {
+			wrapStore = func(_ int, s oram.Store) oram.Store { return noPrefetch{Store: s.(*diskstore.Store)} }
+		}
 		db, err := New(Options{
-			Entries:         sh.entries,
-			BlockSize:       sh.blockSize,
-			Encrypt:         true,
-			Key:             key,
-			FatTree:         true,
-			Seed:            seed,
-			Shards:          sh.shards,
-			CryptoWorkers:   1,
-			DataDir:         dataDir,
-			MemBudget:       budget,
-			DisablePrefetch: dataDir != "" && !prefetch,
+			Entries:   sh.entries,
+			BlockSize: sh.blockSize,
+			Encrypt:   true,
+			Key:       key,
+			FatTree:   true,
+			Seed:      seed,
+			Shards:    sh.shards,
+			DataDir:   dataDir,
+			MemBudget: budget,
 		})
+		wrapStore = nil
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +208,16 @@ func TestTieredIdentity(t *testing.T) {
 	}
 }
 
+// noPrefetch is a disk arena without its PrefetchPaths: the struct field
+// shadows the promoted method, so the planner's hints are never sent.
+type noPrefetch struct {
+	*diskstore.Store
+	PrefetchPaths struct{}
+}
+
 // TestTieredOptionValidation pins the Options cross-checks for the tiered
-// storage fields: budgets and prefetch switches are meaningless without a
-// data dir, and a data dir is incompatible with modes that have no payload
-// tree to put on disk.
+// storage fields: a budget is meaningless without a data dir, and a data
+// dir is incompatible with modes that have no payload tree to put on disk.
 func TestTieredOptionValidation(t *testing.T) {
 	base := Options{Entries: 256, BlockSize: 16}
 	cases := []struct {
@@ -216,7 +227,6 @@ func TestTieredOptionValidation(t *testing.T) {
 	}{
 		{"negative budget", func(o *Options) { o.DataDir = t.TempDir(); o.MemBudget = -1 }, "MemBudget must be >= 0"},
 		{"budget without data dir", func(o *Options) { o.MemBudget = 1 << 20 }, "requires Options.DataDir"},
-		{"disable prefetch without data dir", func(o *Options) { o.DisablePrefetch = true }, "requires Options.DataDir"},
 		{"metadata-only on disk", func(o *Options) { o.DataDir = t.TempDir(); o.MetadataOnly = true }, "MetadataOnly"},
 		{"remote with data dir", func(o *Options) { o.DataDir = t.TempDir(); o.RemoteAddrs = []string{"127.0.0.1:1"} }, "laoramserve -data-dir"},
 	}
@@ -230,9 +240,9 @@ func TestTieredOptionValidation(t *testing.T) {
 			}
 		})
 	}
-	// The valid combination works end to end, including DisablePrefetch.
+	// The valid combination works end to end.
 	db, err := New(Options{Entries: 256, BlockSize: 16, Seed: 1,
-		DataDir: t.TempDir(), MemBudget: 1 << 20, DisablePrefetch: true})
+		DataDir: t.TempDir(), MemBudget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +259,7 @@ func TestTieredOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("disk-backed round trip without prefetch failed")
+		t.Fatal("disk-backed round trip failed")
 	}
 }
 

@@ -303,12 +303,7 @@ func (a runAgg) plus(st batch.TrainStats) runAgg {
 	return runAgg{
 		windows:  a.windows + st.Windows,
 		accesses: a.accesses + st.Accesses,
-		session: SessionStats{
-			Bins:            a.session.Bins + st.Bins,
-			ColdPathReads:   a.session.ColdPathReads + st.ColdPathReads,
-			LookaheadRemaps: a.session.LookaheadRemaps + st.LookaheadRemaps,
-			UniformRemaps:   a.session.UniformRemaps + st.UniformRemaps,
-		},
+		session:  a.session.Add(st.SessionStats),
 	}
 }
 
@@ -640,18 +635,11 @@ func (o *ORAM) tryReplace(ctx context.Context, cfg batch.TrainConfig, st batch.T
 	// the partial ones the failed attempt folded in.
 	winW := batch.TrainStats{
 		Windows: 1, Accesses: uint64(st.FailedAccesses),
-		Bins:            cu.Bins - beforeW.Bins,
-		ColdPathReads:   cu.ColdPathReads - beforeW.ColdPathReads,
-		LookaheadRemaps: cu.LookaheadRemaps - beforeW.LookaheadRemaps,
-		UniformRemaps:   cu.UniformRemaps - beforeW.UniformRemaps,
+		SessionStats: cu.SessionStats.Sub(beforeW.SessionStats),
 	}
 	for s, d := range dead {
 		if d {
-			part := st.FailedLaneSession[s]
-			winW.Bins -= part.Bins
-			winW.ColdPathReads -= part.ColdPathReads
-			winW.LookaheadRemaps -= part.LookaheadRemaps
-			winW.UniformRemaps -= part.UniformRemaps
+			winW.SessionStats = winW.SessionStats.Sub(st.FailedLaneSession[s])
 		}
 	}
 
