@@ -206,16 +206,16 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 			return 0, err
 		}
 		for j, id := range bin.Blocks {
-			if !l.base.Stash().Contains(id) {
+			if !l.base.Held(id) {
 				return 0, fmt.Errorf("core: block %d missing after path reads (bin %d)", id, bin.Index)
 			}
 			l.remap(id, nextLeaves[j])
 		}
 		if visit != nil {
 			for _, id := range bin.Blocks {
-				p, _ := l.base.Stash().Payload(id)
+				p, _ := l.base.Payload(id)
 				if np := visit(id, p); np != nil {
-					l.base.Stash().SetPayload(id, np)
+					l.base.SetPayload(id, np)
 				}
 			}
 		}
@@ -232,7 +232,7 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 	return bins, nil
 }
 
-// remap moves stashed member id to the leaf its next-leaf entry names: a
+// remap moves held member id to the leaf its next-leaf entry names: a
 // fresh uniform leaf, lendable, when it has no next bin in the horizon;
 // else its next bin's leaf — the donor's, if the bin has a donor whose leaf
 // is lendable, the drawn one otherwise.
@@ -252,7 +252,7 @@ func (l *LAORAM) remap(id oram.BlockID, next superblock.Next) {
 		pos.Set(id, leaf)
 		l.sess.LookaheadRemaps++
 	}
-	l.base.Stash().SetLeaf(id, leaf)
+	l.base.SetLeaf(id, leaf)
 	l.base.StatsMut().Remaps++
 }
 

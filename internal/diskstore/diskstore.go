@@ -211,10 +211,6 @@ func FileBytes(g *oram.Geometry, sealer oram.Sealer) int64 {
 	return headerLen + CacheBytes(g, sealer) + g.TotalBuckets()*crcLen
 }
 
-// TreeBytes returns this store's whole-tree cache requirement (the value
-// a MemBudget of 0 effectively grants).
-func (st *Store) TreeBytes() int64 { return CacheBytes(st.geom, st.sealer) }
-
 // layoutCheck fingerprints the geometry facts the record layout depends
 // on, guarding an arena against reopening under a different tree shape.
 func layoutCheck(g *oram.Geometry) uint64 {

@@ -114,21 +114,20 @@ const (
 )
 
 // The step shape: the per-shard ORAM client of in-memory training (the
-// end-to-end benchmark's train-mem) on the same tree — one step of
-// shard.StepBins(4) = 8 bins, so 8 paths per joint write-back, with about
-// 450 blocks in the stash. Its waiting blocks are blocks of the table no
-// step fetches, and they may share the top stepShapeFork+1 levels with a
-// fetched path: at each step they are homed across the union's top levels,
-// where the look-ahead's waiting blocks sit, and the few that fit circulate
-// through those buckets.
+// end-to-end benchmark's train-mem) — 2^16 blocks of 128 B on the same tree,
+// over a Treetop on an unsealed PayloadStore. A step reads stepShapePaths
+// paths jointly, remaps the blocks it fetched them for and stepShapeMembers
+// more blocks in trusted memory (a look-ahead step's members, which it sends
+// to later bins' paths), and writes the paths back jointly: in steady state
+// about 420 candidates per write-back, about 250 of them held in the top,
+// and about 60 left in the stash.
 const (
-	stepShapePaths   = 8
-	stepShapeWaiting = 650
-	stepShapeFork    = 4
+	stepShapePaths   = 10
+	stepShapeMembers = 130
 )
 
-// shape is a batch- or step-shape client in steady state plus the scratch
-// of its rounds.
+// shape is a batch-shape client in steady state plus the scratch of its
+// rounds.
 type shape struct {
 	c      *Client
 	rng    *rand.Rand
@@ -187,15 +186,86 @@ func newBatchShape(tb testing.TB, waiting int) *shape {
 	return newShape(tb, batchShapePaths, batchShapeBlocks, waiting, 0, batchShapeWarmRounds)
 }
 
-// newStepShape is the step shape in steady state.
-func newStepShape(tb testing.TB) *shape {
-	return newShape(tb, stepShapePaths, batchShapeBlocks-stepShapeWaiting, stepShapeWaiting, stepShapeFork, batchShapeWarmRounds)
+// stepShape is a step-shape client in steady state plus the scratch of its
+// rounds.
+type stepShape struct {
+	c      *Client
+	rng    *rand.Rand
+	ids    []BlockID
+	leaves []Leaf
 }
 
-// round is one training batch or step as the ORAM client sees it
-// (core.LAORAM.Step): fetch the paths of its blocks jointly, remap each
-// block uniformly (off the waiting blocks' side of the fork), write the
+// newStepShape is the step shape in steady state.
+func newStepShape(tb testing.TB) *stepShape {
+	tb.Helper()
+	g := MustGeometry(GeometryConfig{LeafBits: 16, LeafZ: 4, RootZ: 8, Profile: ProfileLinear, BlockSize: 128})
+	ps, err := NewPayloadStore(g, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tt, err := NewTreetop(ps, true, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := NewClient(ClientConfig{
+		Store:  NewCountingStore(tt, nil),
+		Rand:   rand.New(rand.NewSource(6)),
+		Blocks: batchShapeBlocks,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	row := make([]byte, g.BlockSize())
+	if err := c.Load(batchShapeBlocks, nil, func(BlockID) []byte { return row }); err != nil {
+		tb.Fatal(err)
+	}
+	s := &stepShape{
+		c:      c,
+		rng:    rand.New(rand.NewSource(7)),
+		ids:    make([]BlockID, 0, stepShapePaths+stepShapeMembers),
+		leaves: make([]Leaf, stepShapePaths),
+	}
+	for i := 0; i < batchShapeWarmRounds; i++ {
+		s.round(tb)
+	}
+	return s
+}
+
+// round is one step as the ORAM client sees it (core.LAORAM.Step): fetch
+// the paths of stepShapePaths blocks jointly, remap them and
+// stepShapeMembers blocks drawn from trusted memory uniformly, write the
 // paths back jointly.
+func (s *stepShape) round(tb testing.TB) {
+	c := s.c
+	s.ids = s.ids[:0]
+	for i := range s.leaves {
+		id := BlockID(s.rng.Int63n(batchShapeBlocks))
+		s.ids = append(s.ids, id)
+		s.leaves[i] = c.PosMap().Get(id)
+	}
+	if err := c.ReadPaths(s.leaves); err != nil {
+		tb.Fatal(err)
+	}
+	for range stepShapeMembers {
+		if k := s.rng.Intn(c.stash.Len() + len(c.held)); k < c.stash.Len() {
+			s.ids = append(s.ids, c.stash.entries[k].id)
+		} else {
+			s.ids = append(s.ids, c.held[k-c.stash.Len()].id)
+		}
+	}
+	for _, id := range s.ids {
+		l := c.RandomLeaf()
+		c.PosMap().Set(id, l)
+		c.SetLeaf(id, l)
+	}
+	if err := c.WriteBackPaths(s.leaves); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// round is one training batch as the ORAM client sees it: fetch the paths
+// of its blocks jointly, remap each block uniformly (off the waiting
+// blocks' side of the fork), write the paths back jointly.
 func (s *shape) round(tb testing.TB) {
 	c := s.c
 	for i := range s.ids {
@@ -208,7 +278,7 @@ func (s *shape) round(tb testing.TB) {
 	for _, id := range s.ids {
 		l := s.fetchLeaf(s.rng)
 		c.PosMap().Set(id, l)
-		c.Stash().SetLeaf(id, l)
+		c.SetLeaf(id, l)
 	}
 	if err := c.WriteBackPaths(s.leaves); err != nil {
 		tb.Fatal(err)
@@ -237,9 +307,10 @@ func BenchmarkWriteBackPathsBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBackPathsStep is the joint write-back at train-mem's
-// per-step shape: 8 leaves, a union of about a hundred buckets and a stash
-// of about 450 blocks homed across its top levels, most of which stay.
+// BenchmarkWriteBackPathsStep is one step at train-mem's shape: a joint
+// fetch of 10 leaves and its write-back over the treetop, which places about
+// 420 candidates, about 250 of them held in the top, and leaves about 60 in
+// the stash.
 func BenchmarkWriteBackPathsStep(b *testing.B) {
 	s := newStepShape(b)
 	b.ReportAllocs()

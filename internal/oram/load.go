@@ -60,6 +60,7 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 	if n > c.pos.Len() {
 		return fmt.Errorf("oram: Load of %d blocks exceeds configured %d", n, c.pos.Len())
 	}
+	c.release()
 	g := c.geom
 	maxZ := 0
 	for lvl := 0; lvl < g.Levels(); lvl++ {
@@ -154,13 +155,7 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 		if len(refs) == 0 {
 			return nil
 		}
-		err := c.face.WriteBuckets(refs, bufs)
-		if keptRows(slots, rows) {
-			// The store kept some of rows (a Treetop does; see
-			// Store.WriteBucket): the next union gets rows of its own.
-			rows = make([]byte, 0, cap(rows))
-		}
-		if err != nil {
+		if err := c.face.WriteBuckets(refs, bufs); err != nil {
 			return fmt.Errorf("oram: Load: %w", err)
 		}
 		refs, bufs, slots, rows = refs[:0], bufs[:0], slots[:0], rows[:0]
@@ -202,21 +197,4 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 		}
 	}
 	return flush()
-}
-
-// keptRows reports whether a write handed back other rows in slots than the
-// ones Load carved out of rows, in order, for them: whether the store kept
-// some of rows' bytes.
-func keptRows(slots []Slot, rows []byte) bool {
-	at := 0
-	for _, s := range slots {
-		if len(s.Payload) == 0 {
-			continue
-		}
-		if at >= len(rows) || &s.Payload[0] != &rows[at] {
-			return true
-		}
-		at += len(s.Payload)
-	}
-	return false
 }

@@ -15,7 +15,7 @@ import (
 // union).
 type multiScratch struct {
 	refs       []BucketRef // bucket union (read order or write order)
-	placed     []bool      // per slab slot: written back by the call in flight
+	placed     []bool      // per candidate (see placeNode.slot): written back by the call in flight
 	at         []int32     // write order: leaf × level → index of that bucket in refs
 	parent     []int32     // write order: per union bucket, its parent's index (-1: root), then its skip pointer
 	room       []int32     // write order: per union bucket, its slots still free
@@ -228,6 +228,9 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 		}
 	}
 	refs := c.pathUnion(leaves)
+	if c.top != nil {
+		return c.readInPlace(refs)
+	}
 	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
 	if err := c.face.ReadBuckets(refs, bufs); err != nil {
 		return fmt.Errorf("oram: ReadPaths: %w", err)
@@ -331,29 +334,38 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		prefix[t] = int32(q)
 	}
 
-	// Home every stashed block: one node each, with its rank and home
-	// bucket. A block on no path (NoLeaf) has no home and stays. The root
-	// is the union's last bucket, and the blocks homed there compete for
-	// it alone: they are set aside unsorted.
-	stash := c.stash
+	// Home every candidate — each stashed block, then each block held in
+	// the top — one node each, with its rank and home bucket. A block on no
+	// path (NoLeaf) has no home and stays. The root is the union's last
+	// bucket, and the blocks homed there compete for it alone: they are set
+	// aside unsorted.
+	stash, held := c.stash, c.held
+	stashed := stash.Len()
+	candidates := stashed + len(held)
 	root := int32(len(buckets) - 1)
-	nodes, atRoot := slices.Grow(m.nodes[:0], stash.Len()), m.atRoot[:0]
-	for slot := range stash.entries {
-		e := &stash.entries[slot]
-		if !g.ValidLeaf(e.leaf) {
+	nodes, atRoot := slices.Grow(m.nodes[:0], candidates), m.atRoot[:0]
+	for slot := range candidates {
+		var id BlockID
+		var leaf Leaf
+		if slot < stashed {
+			id, leaf = stash.entries[slot].id, stash.entries[slot].leaf
+		} else {
+			id, leaf = held[slot-stashed].id, held[slot-stashed].leaf
+		}
+		if !g.ValidLeaf(leaf) {
 			continue
 		}
-		t := e.leaf >> shift
+		t := leaf >> shift
 		lo, hi := int(prefix[t]), int(prefix[t+1])
 		for lo < hi { // lower bound within the prefix's leaves
-			if mid := int(uint(lo+hi) >> 1); sorted[mid] < e.leaf {
+			if mid := int(uint(lo+hi) >> 1); sorted[mid] < leaf {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		p, d := deepestShared(g, sorted, lo, e.leaf)
-		rank := uint64(e.id)
+		p, d := deepestShared(g, sorted, lo, leaf)
+		rank := uint64(id)
 		if single {
 			rank |= uint64(d) << homeShift
 		}
@@ -371,14 +383,15 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	// on its home's way to the root; every bucket it walks past is full,
 	// so its skip pointer jumps to where this block stopped. The root only
 	// records the blocks that reach it while it has room. placed marks the
-	// slab slots to drop once the write has gone through.
+	// candidates placed, to drop from the stash once the write has gone
+	// through.
 	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
 	m.room = slices.Grow(m.room[:0], len(bufs))[:len(bufs)]
 	room := m.room
 	for k, buf := range bufs {
 		room[k] = int32(len(buf))
 	}
-	m.placed = slices.Grow(m.placed[:0], stash.Len())[:stash.Len()]
+	m.placed = slices.Grow(m.placed[:0], candidates)[:candidates]
 	clear(m.placed)
 	arrived := m.arrived[:0]
 	for _, n := range nodes {
@@ -395,7 +408,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			room[k]--
 		case k >= 0:
 			buf := bufs[k]
-			m.put(stash, buf, len(buf)-int(room[k]), n)
+			c.put(buf, len(buf)-int(room[k]), n)
 			room[k]--
 		}
 	}
@@ -406,7 +419,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	rootBuf := bufs[root]
 	m.least = leastByRank(arrived, leastByRank(atRoot, m.least[:0], len(rootBuf)), len(rootBuf))
 	for i, n := range m.least {
-		m.put(stash, rootBuf, i, n)
+		c.put(rootBuf, i, n)
 	}
 	room[root] = int32(len(rootBuf) - len(m.least))
 	moved := 0
@@ -422,21 +435,19 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		slices.Reverse(bufs)
 	}
 
-	if err := c.face.WriteBuckets(buckets, bufs); err != nil {
-		return fmt.Errorf("oram: WriteBackPaths: %w", err)
+	if c.top != nil {
+		if err := c.writeBackInPlace(buckets, bufs); err != nil {
+			return err
+		}
+	} else {
+		if err := c.face.WriteBuckets(buckets, bufs); err != nil {
+			return fmt.Errorf("oram: WriteBackPaths: %w", err)
+		}
+		c.stash.removeMarked(m.placed)
+		m.keepRows(bufs)
 	}
-	c.stash.removeMarked(m.placed)
-	m.keepRows(bufs)
 	c.stats.BlocksMoved += uint64(moved)
 	return nil
-}
-
-// put writes the block of node n into slot i of buf and marks its slab slot
-// placed.
-func (m *multiScratch) put(st *Stash, buf []Slot, i int, n placeNode) {
-	e := &st.entries[n.slot]
-	buf[i] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
-	m.placed[n.slot] = true
 }
 
 // leastByRank returns the k nodes of smallest rank among nodes and least
@@ -459,10 +470,10 @@ func leastByRank(nodes, least []placeNode, k int) []placeNode {
 	return least
 }
 
-// placeNode is one homed stashed block of WriteBackPaths.
+// placeNode is one homed candidate of WriteBackPaths.
 type placeNode struct {
 	rank uint64 // the block's id, under its home level on a single path
-	slot int32  // the block's slab slot
+	slot int32  // the block's candidate: its slab slot, or past the stash, held
 	home int32  // the union bucket of the deepest level on its path
 }
 

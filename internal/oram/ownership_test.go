@@ -12,7 +12,7 @@ import (
 )
 
 // TestOneOwnerPerBuffer drives a Client over a Treetop over a sealed
-// PayloadStore — the stack whose top moves rows by handle — through every
+// PayloadStore — the stack whose top the client places into by handle — through every
 // call that moves rows: ReadPaths, WriteBackPaths, WriteBackPath, MaybeEvict,
 // Access, the client's Load and the treetop's Save and Load. After every call
 // no row buffer may be held twice across the stash's entries, the client's
@@ -83,13 +83,13 @@ func TestOneOwnerPerBuffer(t *testing.T) {
 		for _, b := range c.multi.spare {
 			hold(b, "spare row")
 		}
-		top := tt.top.Store.(*rowStore)
-		for i, b := range top.rows {
+		for i, b := range tt.rows {
 			hold(b, "treetop row")
-			if id, _ := top.meta.get(int64(i)); id != DummyID && !bytes.Equal(b, shadow[id]) {
+			if id, _ := tt.top.meta.get(int64(i)); id != DummyID && !bytes.Equal(b, shadow[id]) {
 				t.Fatalf("%s: the treetop holds %x for block %d, was written %x", what, b, id, shadow[id])
 			}
 		}
+
 		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 		for k := 1; k < len(spans); k++ {
 			if spans[k].lo < spans[k-1].hi {
@@ -113,15 +113,20 @@ func TestOneOwnerPerBuffer(t *testing.T) {
 		}
 		return leaves
 	}
-	// touch rewrites and remaps some stashed blocks, as a trainer's visit
-	// and the look-ahead remap do between a fetch and its write-back.
+	// touch rewrites and remaps some blocks in trusted memory, stashed or
+	// held in the top, as a trainer's visit and the look-ahead remap do
+	// between a fetch and its write-back.
 	touch := func() {
-		for _, id := range c.stash.IDs() {
+		ids := c.stash.IDs()
+		for _, e := range c.held {
+			ids = append(ids, e.id)
+		}
+		for _, id := range ids {
 			if rng.Intn(3) == 0 {
-				c.stash.SetPayload(id, newRow(id))
+				c.SetPayload(id, newRow(id))
 				leaf := c.RandomLeaf()
 				c.pos.Set(id, leaf)
-				c.stash.SetLeaf(id, leaf)
+				c.SetLeaf(id, leaf)
 			}
 		}
 	}

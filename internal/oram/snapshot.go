@@ -146,7 +146,8 @@ func (c *Client) LoadState(r io.Reader) error {
 		}
 		c.pos.leaves[i] = uint32(v)
 	}
-	// Rebuild the stash.
+	// Rebuild the stash; nothing read before the restore is held.
+	c.release()
 	c.stash = NewStash()
 	count, err := get()
 	if err != nil {

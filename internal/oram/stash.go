@@ -85,12 +85,22 @@ func (x *stashIndex) find(id BlockID) (pos int, found bool) {
 
 // rebuild re-indexes entries in a fresh table of size cells.
 func (x *stashIndex) rebuild(size int, entries []stashEntry) {
+	x.init(size)
+	for i := range entries {
+		x.put(entries[i].id, i)
+	}
+}
+
+// init empties the table into a fresh one of size cells.
+func (x *stashIndex) init(size int) {
 	x.cells = make([]indexCell, size)
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for i := range entries {
-		pos, _ := x.find(entries[i].id)
-		x.cells[pos] = indexCell{id: entries[i].id, slot: int32(i + 1)}
-	}
+}
+
+// put indexes id, absent, at slot.
+func (x *stashIndex) put(id BlockID, slot int) {
+	pos, _ := x.find(id)
+	x.cells[pos] = indexCell{id: id, slot: int32(slot + 1)}
 }
 
 // delete vacates cell pos, shifting back every later cell of the cluster whose

@@ -35,9 +35,7 @@ type Store interface {
 
 	// WriteBucket overwrites all slots of the bucket (level, node) from
 	// src, which must have length BucketSize(level). A store copies (or
-	// seals) the payloads into its own storage, except that a Treetop may
-	// keep a caller's real rows, handing back rows of its own in their
-	// slots (none on a failed call): the caller owns what src's slots hold.
+	// seals) the payloads into its own storage: the caller keeps src.
 	WriteBucket(level int, node uint64, src []Slot) error
 
 	// ReadSlot and WriteSlot move one slot of a bucket. No product code
@@ -774,17 +772,18 @@ func (cs *CountingStore) ResetCounters() {
 	cs.c = Counters{}
 }
 
-// charge tallies one store call that moved bufs to or from the buckets at
-// refs under a single lock, however many buckets the call moved: a lane
-// charges once per bucket union, and the remote server's workers contend
-// once per frame.
-func (cs *CountingStore) charge(read bool, refs []BucketRef, bufs [][]Slot) {
+// charge tallies one store call that moved the buckets at refs under a
+// single lock, however many buckets the call moved: a lane charges once per
+// bucket union, and the remote server's workers contend once per frame. A
+// bucket moves whole, so the tally depends on the refs alone.
+func (cs *CountingStore) charge(read bool, refs []BucketRef) {
+	g := cs.Geometry()
 	slots := 0
-	for _, b := range bufs {
-		slots += len(b)
+	for _, r := range refs {
+		slots += g.BucketSize(r.Level)
 	}
-	buckets := uint64(len(bufs))
-	bytes := uint64(slots) * uint64(cs.Geometry().BlockSize())
+	buckets := uint64(len(refs))
+	bytes := uint64(slots) * uint64(g.BlockSize())
 	cs.mu.Lock()
 	if read {
 		cs.c.BucketReads += buckets
@@ -806,7 +805,7 @@ func (cs *CountingStore) ReadBucket(level int, node uint64, dst []Slot) error {
 	if err := cs.inner.ReadBucket(level, node, dst); err != nil {
 		return err
 	}
-	cs.charge(true, []BucketRef{{Level: level, Node: node}}, [][]Slot{dst})
+	cs.charge(true, []BucketRef{{Level: level, Node: node}})
 	return nil
 }
 
@@ -815,7 +814,7 @@ func (cs *CountingStore) WriteBucket(level int, node uint64, src []Slot) error {
 	if err := cs.inner.WriteBucket(level, node, src); err != nil {
 		return err
 	}
-	cs.charge(false, []BucketRef{{Level: level, Node: node}}, [][]Slot{src})
+	cs.charge(false, []BucketRef{{Level: level, Node: node}})
 	return nil
 }
 
@@ -827,7 +826,7 @@ func (cs *CountingStore) ReadBuckets(refs []BucketRef, dst [][]Slot) error {
 	if err := cs.inner.ReadBuckets(refs, dst); err != nil {
 		return err
 	}
-	cs.charge(true, refs, dst)
+	cs.charge(true, refs)
 	return nil
 }
 
@@ -836,7 +835,7 @@ func (cs *CountingStore) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 	if err := cs.inner.WriteBuckets(refs, src); err != nil {
 		return err
 	}
-	cs.charge(false, refs, src)
+	cs.charge(false, refs)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 )
 
 // ErrIntegrity is in the chain of every error a verifying Treetop returns for
@@ -13,23 +14,24 @@ import (
 var ErrIntegrity = errors.New("oram: integrity check failed")
 
 // Treetop keeps the top of a tree in trusted memory: levels 0 … t−1, with
-// t = TreetopLevels(g), live in a client-side store, and every deeper bucket
-// is forwarded to the store it wraps. Every path crosses the top, and the fat
-// tree (§V) puts its widest buckets there, so the top half of the levels
-// holds a large share of the real rows a path moves while holding only
-// 2^t − 1 of the tree's buckets. Under the §III threat model the trainer's
-// memory is trusted, so what the wrapped store — the server, the wire, the
-// disk arena — sees of an access is levels ≥ t of the same uniformly random
-// path: the treetop caching of Phantom (Maas et al., CCS 2013).
+// t = TreetopLevels(g), live in client memory — a record per slot, as
+// MetaStore keeps them, and a row per real slot where rows are kept — and
+// every deeper bucket is forwarded to the store it wraps. Every path crosses
+// the top, and the fat tree (§V) puts its widest buckets there. Under the
+// §III threat model the trainer's memory is trusted, so what the wrapped
+// store — the server, the wire, the disk arena — sees of an access is levels
+// ≥ t of the same uniformly random path: the treetop caching of Phantom
+// (Maas et al., CCS 2013).
 //
-// A call moves the same buckets as it would through the wrapped store alone: a
-// union is split by level, each part keeping its order, and the deeper part
-// goes down first, as one union through the wrapped store's resolved Face
-// (one frame on a remote store, which may hold it as its write-back). Every
-// ref is checked before either part moves, so a union that is wrong anywhere
-// changes nothing. Install it under the CountingStore: the counters then still
-// tally the logical path traffic the client asked for, which every figure and
-// count metric is defined over.
+// A client over a Treetop, or a CountingStore over one, places into the top
+// in place (inplace.go). As a Store the Treetop copies rows in and out of the
+// top, and moves the same buckets as the wrapped store alone would: a union
+// is split by level, each part keeping its order, and the deeper part goes
+// down first, as one union through the wrapped store's resolved Face (one
+// frame on a remote store, which may hold it as its write-back). Every ref is
+// checked before either part moves, so a union that is wrong anywhere
+// changes nothing. Install it under the CountingStore: the counters then
+// still tally the logical path traffic the client asked for.
 //
 // Checkpoints keep their format: Save first sinks the top into the wrapped
 // store — one WriteBuckets over every top bucket, a fixed set that depends on
@@ -50,8 +52,14 @@ var ErrIntegrity = errors.New("oram: integrity check failed")
 type Treetop struct {
 	geom  *Geometry
 	t     int  // levels 0 … t−1 live in top
-	top   Face // rowStore or MetaStore over geom.Prefix(t)
+	top   tree // the records and live bounds of geom.Prefix(t)
 	inner Face // the wrapped store, resolved once
+	// rows holds, per top slot, the row of the real block there, nil for a
+	// dummy or where keep is off (the top then keeps records alone, as a
+	// MetaStore does). A client placing in place moves these rows by handle,
+	// so a slot's row is never held by anyone else.
+	rows [][]byte
+	keep bool
 
 	// Under verification: sums holds one digest per bucket below the top, in
 	// heap order from (t, 0); row is how many bytes of a real slot's row are
@@ -81,27 +89,22 @@ var (
 // the square root of the leaf count.
 func TreetopLevels(g *Geometry) int { return g.Levels() / 2 }
 
-// NewTreetop wraps inner. payloads selects the top's store: a rowStore, which
-// moves rows by handle (see Store.WriteBucket), when inner keeps rows, a
-// MetaStore when it simulates them (MetadataOnly, or a remote tree of block
-// size 0), so the top answers exactly as inner would.
+// NewTreetop wraps inner. payloads keeps a row per real top slot, when inner
+// keeps rows; without, the top keeps records alone, as a MetaStore does
+// (MetadataOnly, or a remote tree of block size 0), so the top answers
+// exactly as inner would.
 // Inner is assumed to hold an empty tree, as a fresh store does; one that
 // holds a tree already is brought in with Load. With verify, a bucket inner
 // holds that no empty bucket hashes as fails its first read.
 func NewTreetop(inner Store, payloads, verify bool) (*Treetop, error) {
 	g := inner.Geometry()
 	t := TreetopLevels(g)
-	var top Store
-	if payloads {
-		rs, err := newRowStore(g.Prefix(t))
-		if err != nil {
-			return nil, fmt.Errorf("oram: treetop: %w", err)
-		}
-		top = rs
-	} else {
-		top = NewMetaStore(g.Prefix(t))
+	p := g.Prefix(t)
+	sl, err := newSlab(treeBytes(p))
+	if err != nil {
+		return nil, fmt.Errorf("oram: treetop: %w", err)
 	}
-	tt := &Treetop{geom: g, t: t, top: Resolve(top), inner: Resolve(inner)}
+	tt := &Treetop{geom: g, t: t, top: newTree(p, sl, 0), inner: Resolve(inner), rows: make([][]byte, p.TotalSlots()), keep: payloads}
 	if verify {
 		tt.initSums(payloads)
 	}
@@ -170,27 +173,14 @@ func (tt *Treetop) check(write bool, r BucketRef, b []Slot) error {
 // Geometry implements Store.
 func (tt *Treetop) Geometry() *Geometry { return tt.geom }
 
-// ReadBucket implements Store. An out-of-range level goes to the wrapped
-// store, which refuses it.
+// ReadBucket implements Store.
 func (tt *Treetop) ReadBucket(level int, node uint64, dst []Slot) error {
-	if level >= 0 && level < tt.t {
-		return tt.top.ReadBucket(level, node, dst)
-	}
-	if err := tt.inner.ReadBucket(level, node, dst); err != nil {
-		return err
-	}
-	return tt.check(false, BucketRef{Level: level, Node: node}, dst)
+	return tt.ReadBuckets([]BucketRef{{Level: level, Node: node}}, [][]Slot{dst})
 }
 
 // WriteBucket implements Store.
 func (tt *Treetop) WriteBucket(level int, node uint64, src []Slot) error {
-	if level >= 0 && level < tt.t {
-		return tt.top.WriteBucket(level, node, src)
-	}
-	if err := tt.inner.WriteBucket(level, node, src); err != nil {
-		return err
-	}
-	return tt.check(true, BucketRef{Level: level, Node: node}, src)
+	return tt.WriteBuckets([]BucketRef{{Level: level, Node: node}}, [][]Slot{src})
 }
 
 // ReadSlot implements Store.
@@ -214,39 +204,21 @@ func (tt *Treetop) WriteBuckets(refs []BucketRef, src [][]Slot) error {
 }
 
 // union checks a whole bucket union, then moves its part below the top
-// through the wrapped store and the rest through the top, each in ref order.
-//
-// The client's unions are level-ordered — root first for a fetch and for a
-// path's write-back, leaves first for a joint write-back — so they cross the
-// treetop's edge once and both
-// parts are sub-slices of the call's own; any other union is gathered into
-// scratch. The check is the one pass that finds the crossing.
+// through the wrapped store and the rest through the top, each part gathered
+// into scratch in ref order.
 func (tt *Treetop) union(op string, refs []BucketRef, bufs [][]Slot, write bool) error {
 	if len(refs) != len(bufs) {
 		return fmt.Errorf("oram: %s got %d refs, %d buffers", op, len(refs), len(bufs))
 	}
-	top, cut, runs := 0, 0, 0
 	for i, r := range refs {
 		if !tt.geom.fits(r, len(bufs[i])) {
 			return misfit(tt.geom, op, i, r, len(bufs[i]))
 		}
-		in := r.Level < tt.t
-		if in {
-			top++
+		if write && r.Level < tt.t {
+			if err := tt.rowsFit(op, i, bufs[i]); err != nil {
+				return err
+			}
 		}
-		if i == 0 || in != (refs[i-1].Level < tt.t) {
-			runs, cut = runs+1, i
-		}
-	}
-	switch {
-	case top == 0:
-		return tt.below(write, refs, bufs)
-	case top == len(refs):
-		return move(tt.top, write, refs, bufs)
-	case runs == 2 && refs[0].Level < tt.t:
-		return tt.parts(write, refs[cut:], bufs[cut:], refs[:cut], bufs[:cut])
-	case runs == 2:
-		return tt.parts(write, refs[:cut], bufs[:cut], refs[cut:], bufs[cut:])
 	}
 	tt.topRefs, tt.lowRefs = tt.topRefs[:0], tt.lowRefs[:0]
 	tt.topBufs, tt.lowBufs = tt.topBufs[:0], tt.lowBufs[:0]
@@ -257,18 +229,16 @@ func (tt *Treetop) union(op string, refs []BucketRef, bufs [][]Slot, write bool)
 			tt.lowRefs, tt.lowBufs = append(tt.lowRefs, r), append(tt.lowBufs, bufs[i])
 		}
 	}
-	err := tt.parts(write, tt.lowRefs, tt.lowBufs, tt.topRefs, tt.topBufs)
+	var err error
+	if len(tt.lowRefs) > 0 {
+		err = tt.below(write, tt.lowRefs, tt.lowBufs)
+	}
+	if err == nil {
+		tt.moveTop(write, tt.topRefs, tt.topBufs)
+	}
 	clear(tt.topBufs)
 	clear(tt.lowBufs)
 	return err
-}
-
-// parts moves a checked union's part below the top, then its top part.
-func (tt *Treetop) parts(write bool, lowRefs []BucketRef, lowBufs [][]Slot, topRefs []BucketRef, topBufs [][]Slot) error {
-	if err := tt.below(write, lowRefs, lowBufs); err != nil {
-		return err
-	}
-	return move(tt.top, write, topRefs, topBufs)
 }
 
 // below moves a checked union's part below the top through the wrapped store
@@ -293,6 +263,80 @@ func move(f Face, write bool, refs []BucketRef, bufs [][]Slot) error {
 	return f.ReadBuckets(refs, bufs)
 }
 
+// rowsFit refuses a top bucket b, the union's buffer i, whose real rows the
+// top cannot keep: a kept row is nil (the zero row) or exactly a block.
+func (tt *Treetop) rowsFit(op string, i int, b []Slot) error {
+	if !tt.keep {
+		return nil
+	}
+	bs := tt.geom.BlockSize()
+	for k := range b {
+		if p := b[k].Payload; p != nil && len(p) != bs && !b[k].Dummy() {
+			return fmt.Errorf("oram: %s buffer %d slot %d: payload len %d != block size %d", op, i, k, len(p), bs)
+		}
+	}
+	return nil
+}
+
+// moveTop reads or writes checked top buckets: the records below each live
+// bound as MetaStore keeps them, every real row copied out into the capacity
+// its dst slot arrives with, or into the slot's own row. A dummy's row is
+// never read, so a slot that turns dummy keeps its buffer.
+func (tt *Treetop) moveTop(write bool, refs []BucketRef, bufs [][]Slot) {
+	if write {
+		tt.writeTop(refs, bufs, nil)
+		return
+	}
+	for i, r := range refs {
+		buf := bufs[i]
+		base, n := tt.top.readSpan(r, buf)
+		for k := range buf[:n] {
+			s, j := &buf[k], base+int64(k)
+			s.ID, s.Leaf = tt.top.meta.get(j)
+			p := s.Payload
+			s.Payload = nil
+			if s.ID != DummyID && tt.keep {
+				s.Payload = copyInto(p, tt.rows[j])
+			}
+		}
+	}
+	runtime.KeepAlive(tt)
+}
+
+// writeTop stores top buckets: the records, and each real slot's row copied
+// into the slot's own (a nil row is the zero row), or with spare — a client
+// placing in place — the row itself, spare giving a zero row for a nil one,
+// and a slot that turns dummy letting go of its row.
+func (tt *Treetop) writeTop(refs []BucketRef, src [][]Slot, spare *multiScratch) {
+	bs := tt.geom.BlockSize()
+	for i, r := range refs {
+		buf := src[i]
+		n := liveLen(buf)
+		b, base, w := tt.top.writeSpan(r, n)
+		for k := range buf[:w] {
+			s, j := &buf[k], base+int64(k)
+			tt.top.meta.set(j, s.ID, s.Leaf)
+			switch {
+			case !tt.keep || s.Dummy() && spare != nil:
+				tt.rows[j] = nil
+			case s.Dummy():
+			case spare != nil && s.Payload != nil:
+				tt.rows[j] = s.Payload
+			case spare != nil:
+				tt.rows[j] = spare.spareRow(bs)
+				clear(tt.rows[j])
+			default:
+				if tt.rows[j] == nil {
+					tt.rows[j] = make([]byte, bs)
+				}
+				clear(tt.rows[j][copy(tt.rows[j], s.Payload):])
+			}
+		}
+		tt.top.live[b] = uint8(n)
+	}
+	runtime.KeepAlive(tt)
+}
+
 // Save implements Snapshotter: sink the top into the wrapped store, then
 // forward, so the snapshot holds the whole tree in the wrapped store's format.
 func (tt *Treetop) Save(w io.Writer) error {
@@ -301,9 +345,7 @@ func (tt *Treetop) Save(w io.Writer) error {
 		return err
 	}
 	refs, bufs := tt.topSet()
-	if err := tt.top.ReadBuckets(refs, bufs); err != nil {
-		return err
-	}
+	tt.moveTop(false, refs, bufs)
 	if err := tt.inner.WriteBuckets(refs, bufs); err != nil {
 		return fmt.Errorf("oram: treetop sink: %w", err)
 	}
@@ -324,13 +366,14 @@ func (tt *Treetop) Load(r io.Reader) error {
 	if err := tt.inner.ReadBuckets(refs, bufs); err != nil {
 		return fmt.Errorf("oram: treetop lift: %w", err)
 	}
-	return tt.top.WriteBuckets(refs, bufs)
+	tt.moveTop(true, refs, bufs)
+	return nil
 }
 
 // topSet lists every bucket of the top in heap order, with a buffer each: the
 // one bucket set sink and lift move.
 func (tt *Treetop) topSet() ([]BucketRef, [][]Slot) {
-	slots := make([]Slot, tt.top.Geometry().TotalSlots())
+	slots := make([]Slot, tt.top.geom.TotalSlots())
 	refs := make([]BucketRef, 0, 1<<tt.t-1)
 	bufs := make([][]Slot, 0, 1<<tt.t-1)
 	for lvl := 0; lvl < tt.t; lvl++ {

@@ -171,8 +171,9 @@ func TestTreetopUnionAnyOrder(t *testing.T) {
 
 // TestTreetopAllocFree: splitting a union or a one-path union between the top
 // and the wrapped store allocates nothing in steady state, on its own and under a
-// client's joint fetch and write-back, verifying or not, and the sealed access
-// cycle stays at zero with the top unsealed.
+// client's joint fetch and write-back, verifying or not; a client placing
+// remapped blocks into the top in place allocates nothing; and the sealed
+// access cycle stays at zero with the top unsealed.
 func TestTreetopAllocFree(t *testing.T) {
 	newTreetop := func(sealer Sealer, verify bool) *Treetop {
 		ps, err := NewPayloadStore(payloadAllocGeom, sealer)
@@ -199,6 +200,46 @@ func TestTreetopAllocFree(t *testing.T) {
 			}
 		})
 	}
+	t.Run("in-place", func(t *testing.T) {
+		// Blocks held in the top, a third of them remapped, cross the top's
+		// edge every way and move between top slots by handle.
+		c, _ := payloadAllocClient(t, NewCountingStore(newTreetop(nil, false), nil))
+		if c.top == nil {
+			t.Fatal("the client does not place into the top in place")
+		}
+		rng := rand.New(rand.NewSource(23))
+		leaves := make([]Leaf, 8)
+		held := 0
+		round := func() {
+			for i := range leaves {
+				leaves[i] = Leaf(rng.Int63n(int64(c.Geometry().Leaves())))
+			}
+			if err := c.ReadPaths(leaves); err != nil {
+				t.Fatal(err)
+			}
+			held += len(c.held)
+			for k := 0; k < len(c.held); k += 3 {
+				leaf := c.RandomLeaf()
+				c.pos.Set(c.held[k].id, leaf)
+				c.held[k].leaf = leaf
+			}
+			if err := c.WriteBackPaths(leaves); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.MaybeEvict(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(300, round); allocs > 0 {
+			t.Errorf("placing into the top in place allocates %.2f objects/op in steady state, want 0", allocs)
+		}
+		if held == 0 {
+			t.Error("no round held a block in the top")
+		}
+	})
 	t.Run("sealed-access", func(t *testing.T) {
 		sealer, err := crypto.NewSealer(make([]byte, 32))
 		if err != nil {
@@ -229,9 +270,8 @@ func treetopUnionAllocFree(t *testing.T, tt *Treetop) {
 		path = append(path, BucketRef{Level: lvl, Node: g.NodeAt(leaf, lvl)})
 	}
 	// Real rows and dummies in both calls; every slot's row is re-armed
-	// before a read, as the client's batch buffers are, from what the slot
-	// holds after a write (the top may have kept the row and handed back
-	// one of its own).
+	// before a read, as the client's batch buffers are (a read leaves a
+	// dummy's row nil).
 	arm := func(refs []BucketRef) (bufs [][]Slot, rearm func()) {
 		rows := make([][]byte, 0)
 		for i, r := range refs {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/diskstore"
 	"repro/internal/oram"
 )
@@ -123,9 +124,13 @@ func TestTieredIdentity(t *testing.T) {
 		} else {
 			reads = append(reads, one)
 		}
+		sealer, err := crypto.NewSealer(key)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var tree int64
 		for _, ds := range db.disks {
-			tree += ds.TreeBytes()
+			tree += diskstore.CacheBytes(ds.Geometry(), sealer)
 		}
 		o := outcome{reads: reads, stats: db.Stats(), sess: sess, snap: snapshotTree(t, db), tier: tier}
 		// Tier counters are the disk run's own telemetry — residency and

@@ -316,7 +316,8 @@ func TestTreetopKeepsTopOffTheServer(t *testing.T) {
 // TestTreetopRowsCallerOwned is invariant #8 on an assembled instance whose
 // treetop carries rows (Encrypt): the rows a visit returns and the rows a
 // ReadBatch hands out are the caller's, so mutating them after the call
-// changes nothing stored, although the treetop moves rows by handle.
+// changes nothing stored, although the client moves rows into the treetop
+// by handle.
 func TestTreetopRowsCallerOwned(t *testing.T) {
 	const entries, blockSize = 512, 32
 	db, err := New(Options{Entries: entries, BlockSize: blockSize, Encrypt: true, Seed: 19})
