@@ -441,8 +441,9 @@ func sameDir(a, b string) bool {
 
 // openArena opens (or creates) the disk arena backing store idx under
 // dataDir. A cleanly closed arena resumes as-is. An arena left dirty by a
-// crash mid write-back (diskstore.ErrUnclean), or laid out by a build with
-// another record order (diskstore.ErrLayout), is reset — but only when a
+// crash mid write-back (diskstore.ErrUnclean), laid out by a build with
+// another record order (diskstore.ErrLayout), or whose span table does not
+// hold (diskstore.ErrTable), is reset — but only when a
 // checkpoint exists to restore from; otherwise startup fails loudly rather
 // than serving possibly-torn buckets or dropping a tree it cannot read. The prefetcher stays off on
 // the server: the remote protocol carries no look-ahead hints, the client
@@ -457,7 +458,7 @@ func openArena(dataDir, ckDir string, idx int, g *oram.Geometry, budget int64) (
 	if err == nil {
 		return ds, nil
 	}
-	if !errors.Is(err, diskstore.ErrUnclean) && !errors.Is(err, diskstore.ErrLayout) {
+	if !errors.Is(err, diskstore.ErrUnclean) && !errors.Is(err, diskstore.ErrLayout) && !errors.Is(err, diskstore.ErrTable) {
 		return nil, err
 	}
 	if ckDir == "" {

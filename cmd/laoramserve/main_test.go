@@ -281,47 +281,64 @@ func TestOpenArenaCrashRecovery(t *testing.T) {
 }
 
 // TestOpenArenaOtherLayout: an arena written in another record order
-// (diskstore.ErrLayout — here a cleanly closed one re-labelled LAORDSK1)
-// gets ErrUnclean's policy: refused without a checkpoint to restore from,
-// reset when there is one.
+// (diskstore.ErrLayout — here a cleanly closed one re-labelled LAORDSK1),
+// or one whose span table does not hold (diskstore.ErrTable — its CRC
+// flipped), gets ErrUnclean's policy: refused without a checkpoint to
+// restore from, reset when there is one.
 func TestOpenArenaOtherLayout(t *testing.T) {
 	g := testGeometry(t)
-	dataDir := t.TempDir()
-	ckDir := t.TempDir()
-	ds, err := openArena(dataDir, "", 0, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	markStore(t, ds, 0xC3)
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dataDir, "tree-0.laor"), os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("LAORDSK1"), 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, tc := range []struct {
+		what string
+		off  int64
+		with func(old []byte) []byte
+		want error
+	}{
+		{"old-layout", 0, func([]byte) []byte { return []byte("LAORDSK1") }, diskstore.ErrLayout},
+		{"bad-table", diskstore.FileBytes(g, nil) - 1, func(old []byte) []byte { return []byte{^old[0]} }, diskstore.ErrTable},
+	} {
+		dataDir := t.TempDir()
+		ckDir := t.TempDir()
+		ds, err := openArena(dataDir, "", 0, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		markStore(t, ds, 0xC3)
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(dataDir, "tree-0.laor"), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := make([]byte, 1)
+		if _, err := f.ReadAt(old, tc.off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(tc.with(old), tc.off); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	if _, err := openArena(dataDir, "", 0, g, 0); !errors.Is(err, diskstore.ErrLayout) {
-		t.Fatalf("old-layout arena without checkpoints: got %v, want ErrLayout", err)
-	}
-	if _, err := openArena(dataDir, ckDir, 0, g, 0); !errors.Is(err, diskstore.ErrLayout) {
-		t.Fatalf("old-layout arena without a checkpoint file: got %v, want ErrLayout", err)
-	}
-	srv, stores := testServer(t, 1)
-	markStore(t, stores[0], 0xD4)
-	if err := saveCheckpoints(ckDir, srv, 3); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := openArena(dataDir, ckDir, 0, g, 0)
-	if err != nil {
-		t.Fatalf("old-layout arena with a checkpoint available: %v", err)
-	}
-	defer ds2.Close()
-	if got := readMark(t, ds2, 0); got != 0 {
-		t.Fatalf("reset arena still holds the old tree: mark %#x", got)
+		if _, err := openArena(dataDir, "", 0, g, 0); !errors.Is(err, tc.want) {
+			t.Fatalf("%s arena without checkpoints: got %v, want %v", tc.what, err, tc.want)
+		}
+		if _, err := openArena(dataDir, ckDir, 0, g, 0); !errors.Is(err, tc.want) {
+			t.Fatalf("%s arena without a checkpoint file: got %v, want %v", tc.what, err, tc.want)
+		}
+		srv, stores := testServer(t, 1)
+		markStore(t, stores[0], 0xD4)
+		if err := saveCheckpoints(ckDir, srv, 3); err != nil {
+			t.Fatal(err)
+		}
+		ds2, err := openArena(dataDir, ckDir, 0, g, 0)
+		if err != nil {
+			t.Fatalf("%s arena with a checkpoint available: %v", tc.what, err)
+		}
+		if got := readMark(t, ds2, 0); got != 0 {
+			t.Fatalf("reset %s arena still holds the old tree: mark %#x", tc.what, got)
+		}
+		if err := ds2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package diskstore
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,26 +59,31 @@ func TestCodecShortPayload(t *testing.T) {
 }
 
 // TestRecordStampVerify checks the CRC framing property: a stamped record
-// verifies, and flipping any single byte — body or trailer — makes
-// verification fail with the "torn" error.
+// verifies in its own bucket, and neither in another bucket nor after any
+// single byte — body or trailer — was flipped: each fails with the "torn"
+// error.
 func TestRecordStampVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		z := rng.Intn(6) + 1
 		stride := rng.Intn(48) + 1
+		key := rng.Int63n(1 << 40)
 		rec := make([]byte, recLen(z, stride))
 		rng.Read(rec[:bodyLen(z, stride)])
-		stampRecord(rec)
-		if err := verifyRecord(rec); err != nil {
+		stampRecord(rec, key)
+		if err := verifyRecord(rec, key); err != nil {
 			t.Fatalf("stamped record failed verification: %v", err)
+		}
+		if err := verifyRecord(rec, key+1+rng.Int63n(1<<20)); err == nil || !strings.Contains(err.Error(), "torn") {
+			t.Fatalf("a record of bucket %d verified in another bucket: %v", key, err)
 		}
 		i := rng.Intn(len(rec))
 		rec[i] ^= 1 << uint(rng.Intn(8))
-		if err := verifyRecord(rec); err == nil {
+		if err := verifyRecord(rec, key); err == nil {
 			t.Fatalf("flipped byte %d of %d went undetected", i, len(rec))
 		}
 	}
-	if err := verifyRecord([]byte{1, 2}); err == nil {
+	if err := verifyRecord([]byte{1, 2}, 0); err == nil {
 		t.Fatal("record shorter than its CRC trailer must not verify")
 	}
 }
@@ -114,8 +120,9 @@ func FuzzBucketCodec(f *testing.F) {
 			leaves[k] = ids[k] ^ 0x5555
 			putSlot(body, k, stride, ids[k], leaves[k], next(stride))
 		}
-		stampRecord(rec)
-		if err := verifyRecord(rec); err != nil {
+		key := int64(corrupt)
+		stampRecord(rec, key)
+		if err := verifyRecord(rec, key); err != nil {
 			t.Fatalf("stamped record failed verification: %v", err)
 		}
 		for k := 0; k < z; k++ {
@@ -129,7 +136,7 @@ func FuzzBucketCodec(f *testing.F) {
 		}
 		i := int(corrupt) % len(rec)
 		rec[i] ^= 0x01
-		if err := verifyRecord(rec); err == nil {
+		if err := verifyRecord(rec, key); err == nil {
 			t.Fatalf("single-bit corruption at byte %d went undetected", i)
 		}
 	})

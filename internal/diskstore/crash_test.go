@@ -2,9 +2,13 @@ package diskstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,8 +29,11 @@ func newTestSealer(t *testing.T) oram.Sealer {
 	return s
 }
 
-// recOff is the file offset of bucket (level, node)'s record.
+// recOff is the file offset of bucket (level, node)'s record, by the
+// table as it stands.
 func (st *Store) recOff(level int, node uint64) int64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	at, _ := st.locate(level, node).recOff()
 	return at
 }
@@ -184,9 +191,9 @@ func TestTornRecordFailsLoudly(t *testing.T) {
 	st2.Abandon()
 }
 
-// TestTruncatedArenaRefused: chaos-style truncation at a chosen offset
-// (mid-record) is caught at Open by the size check — fail loudly, never
-// serve short reads.
+// TestTruncatedArenaRefused: chaos-style truncation — mid-record, inside
+// the free slots, inside the span table, one byte short of FileBytes — is
+// caught at Open by the size check: fail loudly, never serve short reads.
 func TestTruncatedArenaRefused(t *testing.T) {
 	g := testGeometry(t, 3, 4, 16)
 	path := filepath.Join(t.TempDir(), "tree.laor")
@@ -194,28 +201,39 @@ func TestTruncatedArenaRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := st.recOff(g.Levels()-1, 3) + 7 // mid-record
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, cut); err != nil {
-		t.Fatal(err)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != FileBytes(g, nil) {
+		t.Fatalf("a fresh arena of %v bytes (%v), FileBytes says %d", fi.Size(), err, FileBytes(g, nil))
 	}
-	_, err = Open(Config{Path: path, Geometry: g})
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("opening a truncated arena: got %v, want a truncation error", err)
+	leaf := &st.tiers[len(st.tiers)-1]
+	for _, cut := range []int64{
+		st.recOff(g.Levels()-1, 3) + 7,   // mid-record
+		leaf.slotOff(len(leaf.slot)) + 5, // in the free slots
+		tableOff(st.tiers) + 3,           // in the table
+		FileBytes(g, nil) - 1,            // the table's CRC
+	} {
+		if err := os.Truncate(path, cut); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(Config{Path: path, Geometry: g})
+		if !errors.Is(err, ErrMismatch) || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("opening an arena truncated at %d: got %v, want a truncation error", cut, err)
+		}
+		// Reset recovers even from truncation.
+		st2, err := Open(Config{Path: path, Geometry: g, Reset: true})
+		if err != nil {
+			t.Fatalf("Reset of a truncated arena: %v", err)
+		}
+		st2.Close()
 	}
-	// Reset recovers even from truncation.
-	st2, err := Open(Config{Path: path, Geometry: g, Reset: true})
-	if err != nil {
-		t.Fatalf("Reset of a truncated arena: %v", err)
-	}
-	st2.Close()
 }
 
 // TestOtherLayoutRefused is the format guard: an arena whose header says
-// its records are in another order — the bucket-ordered LAORDSK1 format, or
-// spans of another height — is refused with ErrLayout from the header
+// its records are in another order — the bucket-ordered LAORDSK1 format,
+// LAORDSK2's spans in place without a table, or spans of another height —
+// is refused with ErrLayout from the header
 // alone (the file below is cut off right behind it: were a record looked
 // for, or the size checked first, the error would be another), and Reset,
 // which a checkpoint restore follows, is the way back.
@@ -223,6 +241,7 @@ func TestOtherLayoutRefused(t *testing.T) {
 	g := testGeometry(t, 5, 4, 16)
 	for name, patch := range map[string]func(hdr []byte){
 		"LAORDSK1":       func(hdr []byte) { hdr[7] = '1' },
+		"LAORDSK2":       func(hdr []byte) { hdr[7] = '2' },
 		"span height 5":  func(hdr []byte) { hdr[63] = 5 },
 		"no span height": func(hdr []byte) { hdr[63] = 0 },
 	} {
@@ -268,8 +287,52 @@ func TestNotAnArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := testGeometry(t, 3, 4, 16)
-	if _, err := Open(Config{Path: path, Geometry: g}); err == nil {
-		t.Fatal("garbage file opened as a bucket arena")
+	if _, err := Open(Config{Path: path, Geometry: g}); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("garbage file opened as a bucket arena: %v", err)
+	}
+}
+
+// TestMisplacedSpanRefused: a valid span image copied onto another span's
+// slot — what a stale table entry, or a slot reused under a read, hands
+// the demand path — is refused as misplaced, not decoded as the other
+// bucket's blocks; the spans around it still serve.
+func TestMisplacedSpanRefused(t *testing.T) {
+	g := testGeometry(t, 7, 4, 16)
+	path := filepath.Join(t.TempDir(), "tree.laor")
+	st, err := Open(Config{Path: path, Geometry: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvl := g.Levels() - 1
+	for node := uint64(0); node < 1<<uint(lvl); node++ {
+		if err := st.WriteBucket(lvl, node, taggedBucket(g, lvl, node, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := &st.tiers[len(st.tiers)-1]
+	const from, to = 3, 9 // leaf-tier span roots
+	src := readFileRange(t, path, st.recOff(tr.lo, from), tr.size)
+	dst := st.recOff(tr.lo, to)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeFileRange(t, path, dst, src)
+	st2, err := Open(Config{Path: path, Geometry: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Abandon()
+	got := make([]oram.Slot, g.BucketSize(lvl))
+	for node := uint64(0); node < 1<<uint(lvl); node++ {
+		err := st2.ReadBucket(lvl, node, got)
+		switch root := node >> uint(lvl-tr.lo); {
+		case root == to && (err == nil || !strings.Contains(err.Error(), "misplaced")):
+			t.Fatalf("bucket (%d,%d) read from span %d's image: %v, %+v", lvl, node, from, err, got)
+		case root != to && err != nil:
+			t.Fatalf("bucket (%d,%d) of an intact span: %v", lvl, node, err)
+		case root != to && !slotsEqual(got, taggedBucket(g, lvl, node, 1)):
+			t.Fatalf("bucket (%d,%d) of an intact span diverged", lvl, node)
+		}
 	}
 }
 
@@ -298,7 +361,7 @@ func TestTamperedRecordIsErrAuth(t *testing.T) {
 
 	rec := readFileRange(t, path, off, n)
 	rec[slotMeta+20] ^= 0x01 // slot 0's ciphertext
-	stampRecord(rec)
+	stampRecord(rec, bucketKey(1, 1))
 	writeFileRange(t, path, off, rec)
 
 	st2, err := Open(Config{Path: path, Geometry: g, Sealer: newTestSealer(t)})
@@ -370,4 +433,90 @@ func TestOldSealedArenaRefused(t *testing.T) {
 	if now.opens != 0 {
 		t.Errorf("%d slots opened from files that were refused", now.opens)
 	}
+}
+
+// FuzzOpenArena opens an arena whose header and span table were mutated:
+// the fuzz bytes are XORed in from an offset into the two (header first,
+// then the table, wrapping), and the table's CRC is optionally re-stamped
+// for the header's epoch so that a mutation reaches the range and sharing
+// checks behind it. The arena was synced after its spans moved, so its
+// table is not the identity and its free slots hold older images. Open must
+// fail with one of the package's errors, or serve: every bucket then reads
+// back CRC-valid or is refused as torn or misplaced. Nothing panics.
+func FuzzOpenArena(f *testing.F) {
+	g := testGeometry(f, 5, 4, 16)
+	path := filepath.Join(f.TempDir(), "tree.laor")
+	st, err := Open(Config{Path: path, Geometry: g, MemBudget: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	bufs := pathBufs(g)
+	for range 64 {
+		leaf := oram.Leaf(rng.Intn(int(g.Leaves())))
+		if err := st.ReadPath(leaf, bufs); err != nil {
+			f.Fatal(err)
+		}
+		for lvl := range bufs {
+			bufs[lvl] = taggedBucket(g, lvl, g.NodeAt(leaf, lvl), byte(rng.Intn(256)))
+		}
+		if err := st.WritePath(leaf, bufs); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	base, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tabAt := tableOff(st.tiers)
+	if identity := slices.Equal(st.tiers[1].slot, []uint32{0, 1, 2, 3}); identity {
+		f.Fatal("the fuzzed arena's leaf tier still has the identity table")
+	}
+
+	f.Add(uint16(16), []byte{1}, false)                     // the clean flag
+	f.Add(uint16(8), []byte{0, 0, 0, 0, 0, 0, 0, 1}, false) // the epoch
+	f.Add(uint16(7), []byte{'3' ^ '2'}, false)              // LAORDSK2
+	f.Add(uint16(headerLen+4), []byte{1}, true)             // a leaf-tier slot, re-stamped
+	f.Add(uint16(headerLen+4), []byte{0, 0, 0, 0x80}, true)
+	f.Fuzz(func(t *testing.T, at uint16, xor []byte, restamp bool) {
+		img := slices.Clone(base)
+		region := headerLen + tableLen(st.tiers)
+		for i, b := range xor {
+			v := (int(at) + i) % region
+			if v >= headerLen {
+				v += int(tabAt) - headerLen
+			}
+			img[v] ^= b
+		}
+		if restamp {
+			entries := img[tabAt : len(img)-crcLen]
+			epoch := binary.BigEndian.Uint64(img[8:16])
+			binary.LittleEndian.PutUint32(img[len(img)-crcLen:], keyed(crc32.ChecksumIEEE(entries), epoch))
+		}
+		p := filepath.Join(t.TempDir(), "tree.laor")
+		if err := os.WriteFile(p, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fuzzed, err := Open(Config{Path: p, Geometry: g})
+		if err != nil {
+			for _, typed := range []error{ErrUnclean, ErrLayout, ErrTable, ErrMismatch} {
+				if errors.Is(err, typed) {
+					return
+				}
+			}
+			t.Fatalf("untyped error: %v", err)
+		}
+		defer fuzzed.Abandon()
+		for lvl := 0; lvl < g.Levels(); lvl++ {
+			dst := make([]oram.Slot, g.BucketSize(lvl))
+			for node := uint64(0); node < 1<<uint(lvl); node++ {
+				if err := fuzzed.ReadBucket(lvl, node, dst); err != nil && !strings.Contains(err.Error(), "torn or misplaced") {
+					t.Fatalf("bucket (%d,%d): %v", lvl, node, err)
+				}
+			}
+		}
+	})
 }

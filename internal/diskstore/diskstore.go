@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math/bits"
@@ -20,9 +21,9 @@ import (
 // Arena file header, 64 bytes, big-endian like laoramserve's LAORCKF1
 // checkpoint discipline:
 //
-//	[ 0: 8) magic "LAORDSK2"
+//	[ 0: 8) magic "LAORDSK3"
 //	[ 8:16) epoch — incremented every time the arena reaches a clean,
-//	        fsynced state (Sync/Close/Load)
+//	        fsynced state (Sync/Close/Load); the span table's CRC covers it
 //	[16:24) clean flag — 1 when every record on disk is consistent and
 //	        fsynced; forced to 0 (and fsynced) before the first record
 //	        write of a cycle, so a crash mid write-back is detectable
@@ -31,7 +32,8 @@ import (
 //	        built for a different tree
 //	[56:64) span height — the records' order in the file (see tier)
 const (
-	fileMagic   = 0x4C414F5244534B32 // "LAORDSK2"
+	fileMagic   = 0x4C414F5244534B33 // "LAORDSK3"
+	fileMagicV2 = 0x4C414F5244534B32 // "LAORDSK2": spans in place, no table
 	fileMagicV1 = 0x4C414F5244534B31 // "LAORDSK1": the same records in bucket order
 	headerLen   = 64
 )
@@ -50,18 +52,30 @@ const snapshotMagicPayload = 0x4C414F52414D5631 + 2
 var ErrUnclean = errors.New("diskstore: arena not cleanly closed — possible torn write-back; restore from a checkpoint or reset")
 
 // ErrLayout reports an arena whose records are in another order than this
-// build reads: a bucket-ordered LAORDSK1 file, or spans of another height.
-// Nothing past the header is read. A checkpoint is layout-independent, so
-// the fix is the one for ErrUnclean.
-var ErrLayout = errors.New("diskstore: arena was laid out by another version (bucket order or another span height) — open with Config.Reset, then restore from a checkpoint")
+// build reads: a bucket-ordered LAORDSK1 file, a LAORDSK2 one with its spans
+// in place, or spans of another height. Nothing past the header is read. A
+// checkpoint is layout-independent, so the fix is the one for ErrUnclean.
+var ErrLayout = errors.New("diskstore: arena was laid out by another version (bucket order, spans in place or another span height) — open with Config.Reset, then restore from a checkpoint")
+
+// ErrMismatch reports a file that is not an arena for the configured tree:
+// not an arena at all, one built for another geometry or payload stride,
+// or one truncated or padded. Nothing of it is served.
+var ErrMismatch = errors.New("diskstore: not an arena for this tree")
+
+// ErrTable reports a cleanly closed arena whose span table does not hold:
+// its CRC fails for the header's epoch, a slot is out of range, or two spans
+// share one. The spans cannot be found, so the fix is the one for
+// ErrUnclean.
+var ErrTable = errors.New("diskstore: span table corrupt — open with Config.Reset, then restore from a checkpoint")
 
 // prefetchQueue bounds the number of outstanding prefetch hint batches;
 // hints beyond it are dropped (prefetch is strictly best-effort).
 const prefetchQueue = 16
 
-// freeSpans bounds a tier's list of recycled span buffers: the demand path
-// and the prefetcher each hold at most one in flight.
-const freeSpans = 4
+// freeSpans bounds a tier's list of recycled span buffers: a flushed
+// batch's, and the one the demand path and the prefetcher each hold in
+// flight.
+const freeSpans = batchSpans + 4
 
 // Config assembles a disk-backed bucket store.
 type Config struct {
@@ -112,8 +126,9 @@ type span struct {
 }
 
 // Store is a disk-backed bucket store: oram.Store / BatchStore /
-// Snapshotter over a fixed-layout arena file, with a bounded
-// span cache written back on eviction and a look-ahead prefetcher.
+// Snapshotter over an arena file of span logs, with a bounded span cache
+// whose evicted dirty spans are appended in batches, and a look-ahead
+// prefetcher.
 //
 // Like the in-memory stores it is driven by a single client goroutine;
 // unlike them it synchronises internally, because its own prefetch
@@ -171,6 +186,10 @@ type Store struct {
 	// around the cache, refs its ref list for ReadPath/WritePath.
 	rec  []byte
 	refs []oram.BucketRef
+	// gather assembles a run of a batch for its one positioned write;
+	// logCalls counts those writes, logSpans the spans they carried.
+	gather             []byte
+	logCalls, logSpans uint64
 
 	pfCh chan []oram.Leaf
 	stop chan struct{}
@@ -205,10 +224,11 @@ func CacheBytes(g *oram.Geometry, sealer oram.Sealer) int64 {
 	return total
 }
 
-// FileBytes returns the arena file size for a tree: header plus every
-// record (body + CRC trailer).
+// FileBytes returns the arena file size for a tree: header, logSlots span
+// slots per span (records with their CRC trailers) and the span table.
 func FileBytes(g *oram.Geometry, sealer oram.Sealer) int64 {
-	return headerLen + CacheBytes(g, sealer) + g.TotalBuckets()*crcLen
+	tiers, _ := newLayout(g, strideFor(g, sealer))
+	return tableOff(tiers) + int64(tableLen(tiers))
 }
 
 // layoutCheck fingerprints the geometry facts the record layout depends
@@ -234,10 +254,11 @@ func bucketKey(level int, node uint64) int64 {
 
 // Open creates or resumes the arena at cfg.Path and, when configured,
 // starts the prefetch worker. Resuming an arena that was not cleanly synced
-// fails with ErrUnclean, one in another record order with ErrLayout; a
-// truncated or mismatched arena fails with a descriptive error. No torn
-// record is ever served: a record's CRC trailer is re-checked the first
-// time it is handed out after its span was read.
+// fails with ErrUnclean, one in another record order with ErrLayout, one
+// whose span table does not hold with ErrTable, and a file that is not an
+// arena for this tree — truncated, or built for another — with
+// ErrMismatch. No torn record is ever served: a record's CRC trailer is
+// re-checked the first time it is handed out after its span was read.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("diskstore: Config.Path is required")
@@ -277,6 +298,13 @@ func Open(cfg Config) (*Store, error) {
 		// never less than two — look-ahead must always fit in cache
 		// alongside the demand working set.
 		st.pfLead = int(max(st.budget/(2*pathBody), 2))
+	}
+	for i := range st.tiers {
+		t := &st.tiers[i]
+		t.batch = batchSpans
+		if st.budget > 0 {
+			t.batch = int(min(max(st.budget/(batchShare*t.body), 1), batchSpans))
+		}
 	}
 	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -325,55 +353,72 @@ func (st *Store) writeHeader(epoch uint64, clean bool) error {
 	return nil
 }
 
-// initArena lays out a fresh arena: every slot a dummy (DummyID is
-// all-ones, so a zeroed file is NOT a valid empty tree — dummies are
-// written explicitly), CRC-stamped, fsynced, then the header is marked
-// clean. When resetting over a readable old header — of either layout —
-// the epoch continues from it.
+// initArena lays out a fresh arena: span r of every tier in slot r, every
+// bucket slot a dummy (DummyID is all-ones, so a zeroed file is NOT a valid
+// empty tree — dummies are written explicitly), CRC-stamped, and the
+// identity table; fsynced, then the header is marked clean. The free slots
+// are left to Truncate: nothing reads a slot before a batch writes it. When
+// resetting over a readable old header — of any layout — the epoch
+// continues from it.
 func (st *Store) initArena(oldSize int64) error {
 	epoch := uint64(0)
 	if oldSize >= headerLen {
 		var hdr [headerLen]byte
 		if _, err := st.f.ReadAt(hdr[:], 0); err == nil {
-			if m := binary.BigEndian.Uint64(hdr[0:8]); m == fileMagic || m == fileMagicV1 {
+			if m := binary.BigEndian.Uint64(hdr[0:8]); m == fileMagic || m == fileMagicV2 || m == fileMagicV1 {
 				epoch = binary.BigEndian.Uint64(hdr[8:16])
 			}
 		}
 	}
-	size := FileBytes(st.geom, st.sealer)
-	if err := st.f.Truncate(size); err != nil {
+	if err := st.f.Truncate(FileBytes(st.geom, st.sealer)); err != nil {
 		return fmt.Errorf("diskstore: size arena: %w", err)
 	}
 	// Header goes down dirty first: a crash mid-init reads as unclean.
 	if err := st.writeHeader(epoch, false); err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(io.NewOffsetWriter(st.f, headerLen), 1<<20)
+	w := bufio.NewWriterSize(nil, 1<<20)
 	for i := range st.tiers {
-		// Every span of a tier starts out as the same bytes.
+		// Every span of a tier starts out as the same bodies; only the
+		// trailers, which cover each record's bucket key, differ.
 		t := &st.tiers[i]
 		img := make([]byte, t.size)
-		for idx := uint(0); idx < t.buckets; idx++ {
+		bodyCRC := make([]uint32, t.buckets)
+		for idx := range t.buckets {
 			off, n := t.at(idx)
-			rec := img[off : off+n]
-			for k := 0; k < (n-crcLen)/(slotMeta+st.stride); k++ {
-				putSlot(rec, k, st.stride, uint64(oram.DummyID), 0, nil)
+			body := img[off : off+n-crcLen]
+			for k := 0; k < len(body)/(slotMeta+st.stride); k++ {
+				putSlot(body, k, st.stride, uint64(oram.DummyID), 0, nil)
 			}
-			stampRecord(rec)
+			bodyCRC[idx] = crc32.ChecksumIEEE(body)
 		}
-		for root := 0; root < 1<<uint(t.lo); root++ {
+		w.Reset(io.NewOffsetWriter(st.f, t.base))
+		for root := range uint64(len(t.slot)) {
+			for idx := range t.buckets {
+				off, n := t.at(idx)
+				binary.LittleEndian.PutUint32(img[off+n-crcLen:], keyed(bodyCRC[idx], uint64(t.keyAt(root, idx))))
+			}
 			if _, err := w.Write(img); err != nil {
 				return fmt.Errorf("diskstore: init arena: %w", err)
 			}
 		}
+		if err := w.Flush(); err != nil {
+			return fmt.Errorf("diskstore: init arena: %w", err)
+		}
 	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("diskstore: init arena: %w", err)
+	epoch++
+	if err := st.writeTable(epoch); err != nil {
+		return err
 	}
+	return st.markClean(epoch)
+}
+
+// markClean fsyncs the arena, then marks the header clean under epoch and
+// fsyncs again: the end of every write cycle.
+func (st *Store) markClean(epoch uint64) error {
 	if err := st.f.Sync(); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	epoch++
 	if err := st.writeHeader(epoch, true); err != nil {
 		return err
 	}
@@ -384,44 +429,96 @@ func (st *Store) initArena(oldSize int64) error {
 	return nil
 }
 
+// writeTable writes every tier's span table, closed by a CRC over the
+// entries and the epoch the arena is about to be marked clean under (no
+// fsync).
+func (st *Store) writeTable(epoch uint64) error {
+	buf := make([]byte, 0, tableLen(st.tiers))
+	for i := range st.tiers {
+		for _, s := range st.tiers[i].slot {
+			buf = binary.LittleEndian.AppendUint32(buf, s)
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, keyed(crc32.ChecksumIEEE(buf), epoch))
+	if _, err := st.f.WriteAt(buf, tableOff(st.tiers)); err != nil {
+		return fmt.Errorf("diskstore: write span table: %w", err)
+	}
+	return nil
+}
+
+// readTable loads and validates the span table of an arena clean under
+// epoch: its CRC holds, every slot is in its tier's range and no two spans
+// share one. Anything else is ErrTable.
+func (st *Store) readTable(epoch uint64) error {
+	buf := make([]byte, tableLen(st.tiers))
+	if _, err := st.f.ReadAt(buf, tableOff(st.tiers)); err != nil {
+		return fmt.Errorf("diskstore: %s: read span table: %w: %w", st.path, ErrTable, err)
+	}
+	entries := buf[:len(buf)-crcLen]
+	if got, want := keyed(crc32.ChecksumIEEE(entries), epoch), binary.LittleEndian.Uint32(buf[len(entries):]); got != want {
+		return fmt.Errorf("diskstore: %s: table crc %#08x, want %#08x for epoch %d: %w", st.path, got, want, epoch, ErrTable)
+	}
+	for i := range st.tiers {
+		t := &st.tiers[i]
+		clear(t.slot)
+		for s := range t.owner {
+			t.owner[s] = freeSlot
+		}
+		for r := range t.slot {
+			s := binary.LittleEndian.Uint32(entries)
+			entries = entries[4:]
+			switch {
+			case int(s) >= len(t.owner):
+				return fmt.Errorf("diskstore: %s: span (%d,%d) in slot %d of %d: %w", st.path, t.lo, r, s, len(t.owner), ErrTable)
+			case t.owner[s] != freeSlot:
+				return fmt.Errorf("diskstore: %s: spans (%d,%d) and (%d,%d) share slot %d: %w", st.path, t.lo, t.owner[s], t.lo, r, s, ErrTable)
+			}
+			t.slot[r], t.owner[s] = s, uint32(r)
+		}
+	}
+	return nil
+}
+
 // resumeArena validates an existing arena's header and size against the
 // configured geometry and adopts its epoch.
 func (st *Store) resumeArena(size int64) error {
 	var hdr [headerLen]byte
 	if _, err := st.f.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("diskstore: %s: short header (%d-byte file): %w", st.path, size, err)
+		return fmt.Errorf("diskstore: %s: short header (%d-byte file): %w: %w", st.path, size, ErrMismatch, err)
 	}
 	switch got := binary.BigEndian.Uint64(hdr[0:8]); got {
 	case fileMagic:
+	case fileMagicV2:
+		return fmt.Errorf("diskstore: %s: LAORDSK2 arena: %w", st.path, ErrLayout)
 	case fileMagicV1:
 		return fmt.Errorf("diskstore: %s: LAORDSK1 arena: %w", st.path, ErrLayout)
 	default:
-		return fmt.Errorf("diskstore: %s: bad magic %#x — not a bucket arena", st.path, got)
+		return fmt.Errorf("diskstore: %s: bad magic %#x: %w", st.path, got, ErrMismatch)
 	}
 	if got := binary.BigEndian.Uint64(hdr[56:64]); got != spanLevels {
 		return fmt.Errorf("diskstore: %s: spans of %d levels, this build reads %d: %w", st.path, got, spanLevels, ErrLayout)
 	}
 	if got := binary.BigEndian.Uint64(hdr[24:32]); got != uint64(st.geom.LeafBits()) {
-		return fmt.Errorf("diskstore: %s: arena has %d leaf bits, geometry needs %d", st.path, got, st.geom.LeafBits())
+		return fmt.Errorf("diskstore: %s: arena has %d leaf bits, geometry needs %d: %w", st.path, got, st.geom.LeafBits(), ErrMismatch)
 	}
 	if got := binary.BigEndian.Uint64(hdr[32:40]); got != uint64(st.stride) {
-		return fmt.Errorf("diskstore: %s: arena stride %d != %d (sealing mismatch?)", st.path, got, st.stride)
+		return fmt.Errorf("diskstore: %s: arena stride %d != %d (sealing mismatch?): %w", st.path, got, st.stride, ErrMismatch)
 	}
 	if got := binary.BigEndian.Uint64(hdr[40:48]); got != uint64(st.geom.TotalSlots()) {
-		return fmt.Errorf("diskstore: %s: arena has %d slots, geometry needs %d", st.path, got, st.geom.TotalSlots())
+		return fmt.Errorf("diskstore: %s: arena has %d slots, geometry needs %d: %w", st.path, got, st.geom.TotalSlots(), ErrMismatch)
 	}
 	if got := binary.BigEndian.Uint64(hdr[48:56]); got != layoutCheck(st.geom) {
-		return fmt.Errorf("diskstore: %s: arena layout fingerprint %#x != %#x (different bucket profile?)", st.path, got, layoutCheck(st.geom))
+		return fmt.Errorf("diskstore: %s: arena layout fingerprint %#x != %#x (different bucket profile?): %w", st.path, got, layoutCheck(st.geom), ErrMismatch)
 	}
 	if want := FileBytes(st.geom, st.sealer); size != want {
-		return fmt.Errorf("diskstore: %s: arena truncated or padded (%d bytes, want %d) — refusing to serve torn buckets", st.path, size, want)
+		return fmt.Errorf("diskstore: %s: arena truncated or padded (%d bytes, want %d) — refusing to serve torn buckets: %w", st.path, size, want, ErrMismatch)
 	}
 	if binary.BigEndian.Uint64(hdr[16:24]) != 1 {
 		return fmt.Errorf("diskstore: %s: %w", st.path, ErrUnclean)
 	}
 	st.epoch = binary.BigEndian.Uint64(hdr[8:16])
 	st.clean = true
-	return nil
+	return st.readTable(st.epoch)
 }
 
 // Geometry implements oram.Store.
@@ -497,10 +594,10 @@ func (sp *span) unlink() {
 	sp.prev, sp.next = nil, nil
 }
 
-// reset empties the tier's cache state.
+// reset empties the tier's cache state and pending batch.
 func (t *tier) reset() {
 	t.lru.prev, t.lru.next = &t.lru, &t.lru
-	t.resident, t.free = 0, nil
+	t.resident, t.free, t.pend = 0, nil, make([]*span, 0, batchSpans)
 }
 
 // take returns an unlisted span of the tier to read root's image into, from
@@ -536,20 +633,27 @@ func (st *Store) demandedLocked(sp *span) {
 	}
 }
 
-// writeOutLocked brings the file up to date with sp — the one write-out
-// routine, called on eviction and by Sync: one positioned write of the
-// whole span (no fsync), or of the one record when exactly one bucket is
-// stale. Which records a write carries is a function of which paths were
-// written, never of block IDs or payloads.
+// stampDirty re-stamps the CRC of every bucket of sp written since its
+// image was last on disk.
+func stampDirty(sp *span) {
+	for m := sp.dirty; m != 0; m &= m - 1 {
+		idx := uint(bits.TrailingZeros16(m))
+		off, n := sp.t.at(idx)
+		stampRecord(sp.buf[off:off+n], sp.t.keyAt(sp.root, idx))
+	}
+}
+
+// writeOutLocked brings a resident span's slot up to date with it, in
+// place — Sync's write-out: one positioned write of the whole span (no
+// fsync), or of the one record when exactly one bucket is stale. Which
+// records a write carries is a function of which paths were written, never
+// of block IDs or payloads.
 func (st *Store) writeOutLocked(sp *span) error {
 	if sp.dirty == 0 {
 		return nil
 	}
-	var off, n int
-	for m := sp.dirty; m != 0; m &= m - 1 {
-		off, n = sp.t.at(uint(bits.TrailingZeros16(m)))
-		stampRecord(sp.buf[off : off+n])
-	}
+	stampDirty(sp)
+	off, n := sp.t.at(uint(bits.TrailingZeros16(sp.dirty)))
 	if bits.OnesCount16(sp.dirty) > 1 {
 		off, n = 0, sp.t.size
 	}
@@ -561,12 +665,89 @@ func (st *Store) writeOutLocked(sp *span) error {
 	return nil
 }
 
+// pending returns the index of the span rooted at root in t's pending
+// batch, or -1.
+func (t *tier) pending(root uint64) int {
+	for i, sp := range t.pend {
+		if sp.root == root {
+			return i
+		}
+	}
+	return -1
+}
+
+// rescueLocked moves span i of t's pending batch back into the cache as
+// its most recently used span, still dirty. Its bytes never stopped
+// counting against the budget.
+func (st *Store) rescueLocked(t *tier, i int) *span {
+	sp := t.pend[i]
+	t.pend = slices.Delete(t.pend, i, i+1)
+	st.cache[sp.key()] = sp
+	t.toFront(sp)
+	t.resident++
+	return sp
+}
+
+// flushLocked appends t's pending batch to the tier's log: in eviction
+// order, the spans take the next free slots from the head on, skipping live
+// ones, and each run of adjacent free slots goes down in one positioned
+// write (no fsync). A span's old slot turns free once its new image is
+// written. Where a batch lands depends only on which spans were evicted in
+// which order, never on block IDs or payloads.
+func (st *Store) flushLocked(t *tier) error {
+	for pend := t.pend; len(pend) > 0; {
+		for t.owner[t.head] != freeSlot {
+			t.advance(1)
+		}
+		n := 1
+		for n < len(pend) && t.head+n < len(t.owner) && t.owner[t.head+n] == freeSlot {
+			n++
+		}
+		run := pend[0].buf
+		if n > 1 {
+			if len(st.gather) < n*t.size {
+				st.gather = make([]byte, len(pend)*t.size)
+			}
+			run = st.gather[:n*t.size]
+			for k, sp := range pend[:n] {
+				copy(run[k*t.size:], sp.buf)
+			}
+		}
+		if _, err := st.f.WriteAt(run, t.slotOff(t.head)); err != nil {
+			st.ioErr = fmt.Errorf("diskstore: append %d spans of tier %d: %w", n, t.lo, err)
+			return st.ioErr
+		}
+		st.logCalls++
+		st.logSpans += uint64(n)
+		for k, sp := range pend[:n] {
+			s := t.head + k
+			t.owner[t.slot[sp.root]] = freeSlot
+			t.slot[sp.root], t.owner[s] = uint32(s), uint32(sp.root)
+			st.used -= t.body
+			t.recycle(sp)
+		}
+		pend = pend[n:]
+		t.advance(n)
+	}
+	clear(t.pend)
+	t.pend = t.pend[:0]
+	return nil
+}
+
+// advance moves the head n slots on, wrapping at the end of the region.
+func (t *tier) advance(n int) {
+	t.travel += n
+	if t.head += n; t.head == len(t.owner) {
+		t.head = 0
+	}
+}
+
 // insertLocked adds a freshly read span to the cache and evicts past the
 // budget, deepest tier first and least recently used within a tier: every
 // ORAM path is uniform over leaves, so a span of a tier that starts at
 // level lo is next needed 2^lo accesses from now in expectation — the
-// static order is the next-use order. Dirty victims are written out first,
-// so eviction never loses data; sp itself is never the victim.
+// static order is the next-use order. A tier's pending batch goes down
+// before an upper tier gives up a span; sp itself is never the victim.
 func (st *Store) insertLocked(sp *span) error {
 	st.cache[sp.key()] = sp
 	sp.t.toFront(sp)
@@ -578,19 +759,40 @@ func (st *Store) insertLocked(sp *span) error {
 		if v == sp {
 			v = v.prev
 		}
-		if v == &t.lru {
+		var err error
+		switch {
+		case v != &t.lru:
+			err = st.evictLocked(v)
+		case len(t.pend) > 0:
+			err = st.flushLocked(t)
+		default:
 			i--
-			continue
 		}
-		if err := st.writeOutLocked(v); err != nil {
+		if err != nil {
 			return err
 		}
-		delete(st.cache, v.key())
-		v.unlink()
-		t.resident--
+	}
+	return nil
+}
+
+// evictLocked takes v out of the cache. A clean span is dropped; a dirty
+// one joins its tier's pending batch, re-stamped, and its bytes count
+// against the budget until the batch goes down — when it is full, or when
+// the tier has nothing else left to give back.
+func (st *Store) evictLocked(v *span) error {
+	t := v.t
+	delete(st.cache, v.key())
+	v.unlink()
+	t.resident--
+	st.demandedLocked(v)
+	if v.dirty == 0 {
 		st.used -= t.body
-		st.demandedLocked(v)
 		t.recycle(v)
+		return nil
+	}
+	stampDirty(v)
+	if t.pend = append(t.pend, v); len(t.pend) >= t.batch {
+		return st.flushLocked(t)
 	}
 	return nil
 }
@@ -615,10 +817,9 @@ func (st *Store) residentLocked(l loc, last **span) *span {
 }
 
 // demandLocked returns the verified body of bucket (level, node), faulting
-// its span in on a miss — the demand path: the miss is counted, the pread
-// is timed as demand stall, and a CRC failure is a hard error (torn records
-// are never decoded). Called with mu held; drops and reacquires it around
-// the disk read.
+// its span in on a miss — the demand path: the miss is counted, and a CRC
+// failure is a hard error (torn records are never decoded). Called with mu
+// held; a fault from disk drops and reacquires it around the read.
 func (st *Store) demandLocked(level int, node uint64, last **span) ([]byte, error) {
 	// A leaf-level lookup pins where the client is in the hinted plan —
 	// the prefetch worker paces its look-ahead window against pfDemand.
@@ -630,39 +831,54 @@ func (st *Store) demandLocked(level int, node uint64, last **span) ([]byte, erro
 	}
 	l := st.locate(level, node)
 	sp := st.residentLocked(l, last)
-	if sp != nil && sp.prefetched {
+	if sp == nil {
+		st.stats.Misses++
+		var err error
+		if sp, err = st.faultLocked(l); err != nil {
+			return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
+		}
+		*last = sp
+	} else if sp.prefetched {
 		if sp.pfPeriod == st.period {
 			st.stats.PrefetchUseful++
 		}
 		st.demandedLocked(sp)
-	} else if sp == nil {
-		st.stats.Misses++
-		sp = l.t.take(l.root)
-		st.mu.Unlock()
-		t0 := time.Now()
-		_, err := st.f.ReadAt(sp.buf, l.t.spanOff(l.root))
-		stall := time.Since(t0)
-		st.mu.Lock()
-		st.stats.DemandStallNs += stall.Nanoseconds()
-		if err != nil {
-			sp.t.recycle(sp)
-			return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
-		}
-		if cur := st.cache[l.key()]; cur != nil {
-			// The prefetcher faulted the span in while we read; its copy is
-			// identical (the client — the only writer — is right here).
-			sp.t.recycle(sp)
-			sp = cur
-		} else if err := st.insertLocked(sp); err != nil {
-			return nil, err
-		}
-		*last = sp
 	}
 	body, err := st.bodyLocked(sp, l.idx, false)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
 	}
 	return body, nil
+}
+
+// faultLocked makes l's span resident: taken back from its tier's pending
+// batch when it is there, else read from its slot with the pread timed as
+// demand stall. Neither resident nor pending, the span stays in its slot
+// until the client — blocked right here — writes it, so the slot cannot
+// move under the read.
+func (st *Store) faultLocked(l loc) (*span, error) {
+	if i := l.t.pending(l.root); i >= 0 {
+		return st.rescueLocked(l.t, i), nil
+	}
+	sp := l.t.take(l.root)
+	at := l.t.spanOff(l.root)
+	st.mu.Unlock()
+	t0 := time.Now()
+	_, err := st.f.ReadAt(sp.buf, at)
+	stall := time.Since(t0)
+	st.mu.Lock()
+	st.stats.DemandStallNs += stall.Nanoseconds()
+	if err != nil {
+		sp.t.recycle(sp)
+		return nil, err
+	}
+	if cur := st.cache[l.key()]; cur != nil {
+		// The prefetcher faulted the span in while we read; its copy is
+		// identical (the client — the only writer — is right here).
+		sp.t.recycle(sp)
+		return cur, nil
+	}
+	return sp, st.insertLocked(sp)
 }
 
 // bodyLocked hands out the body of sp's bucket idx, checking its CRC the
@@ -675,7 +891,7 @@ func (st *Store) bodyLocked(sp *span, idx uint, overwrite bool) ([]byte, error) 
 	if sp.verified&(1<<idx) == 0 {
 		if overwrite {
 			clear(sp.buf[off : off+n-crcLen])
-		} else if err := verifyRecord(sp.buf[off : off+n]); err != nil {
+		} else if err := verifyRecord(sp.buf[off:off+n], sp.t.keyAt(sp.root, idx)); err != nil {
 			return nil, err
 		}
 		sp.verified |= 1 << idx
@@ -739,14 +955,22 @@ func (st *Store) readBucketLocked(level int, node uint64, dst []oram.Slot, last 
 // writeLocked stores src over the whole bucket (level, node). A resident
 // span takes the write in place and turns dirty. A non-resident one is not
 // faulted in for it — the write covers a fraction of the span — but goes
-// around the cache: the one record is rewritten on disk, and an in-flight
-// prefetch of the span is cancelled, as what it reads predates the write.
+// around the cache: into the span's image in the pending batch, re-stamped,
+// or else the one record is rewritten in the span's slot. Either way an
+// in-flight prefetch of the span is cancelled, as what it read predates the
+// write.
 func (st *Store) writeLocked(level int, node uint64, src []oram.Slot, last **span) error {
 	l := st.locate(level, node)
 	if l.key() == st.pfKey {
 		st.pfKey = noPrefetch
 	}
 	sp := st.residentLocked(l, last)
+	pending := sp == nil
+	if pending {
+		if i := l.t.pending(l.root); i >= 0 {
+			sp = l.t.pend[i]
+		}
+	}
 	at, n := l.recOff()
 	body := st.rec[:n-crcLen]
 	if sp != nil {
@@ -759,14 +983,20 @@ func (st *Store) writeLocked(level int, node uint64, src []oram.Slot, last **spa
 			return err
 		}
 	}
-	if sp != nil {
+	switch {
+	case sp == nil:
+		stampRecord(st.rec[:n], bucketKey(level, node))
+		if _, err := st.f.WriteAt(st.rec[:n], at); err != nil {
+			return fmt.Errorf("diskstore: write bucket (%d,%d): %w", level, node, err)
+		}
+	case pending:
+		// A pending span's image stays stamped: the batch writes it whole.
+		sp.dirty |= 1 << l.idx
+		off, _ := l.t.at(l.idx)
+		stampRecord(sp.buf[off:off+n], bucketKey(level, node))
+	default:
 		sp.dirty |= 1 << l.idx
 		st.demandedLocked(sp)
-		return nil
-	}
-	stampRecord(st.rec[:n])
-	if _, err := st.f.WriteAt(st.rec[:n], at); err != nil {
-		return fmt.Errorf("diskstore: write bucket (%d,%d): %w", level, node, err)
 	}
 	return nil
 }
@@ -888,8 +1118,9 @@ func (st *Store) WriteBuckets(refs []oram.BucketRef, src [][]oram.Slot) error {
 // benchmark/spanstore.go.
 func (st *Store) BatchNative() bool { return true }
 
-// Sync writes every dirty span back in offset order, fsyncs the arena and
-// marks the header clean under a fresh epoch — the checkpoint/durability
+// Sync appends every tier's pending batch, writes every dirty resident span
+// back in place in offset order, writes the span table, fsyncs the arena
+// and marks the header clean under a fresh epoch — the checkpoint/durability
 // point.
 func (st *Store) Sync() error {
 	st.mu.Lock()
@@ -898,42 +1129,32 @@ func (st *Store) Sync() error {
 }
 
 func (st *Store) syncLocked() error {
-	if st.ioErr != nil {
+	if st.ioErr != nil || st.clean {
 		return st.ioErr
 	}
 	var dirty []*span
 	for i := range st.tiers {
+		if err := st.flushLocked(&st.tiers[i]); err != nil {
+			return err
+		}
 		for sp := st.tiers[i].lru.next; sp != &st.tiers[i].lru; sp = sp.next {
 			if sp.dirty != 0 {
 				dirty = append(dirty, sp)
 			}
 		}
 	}
-	// Tiers are laid out top-down and spans by root: root-bucket heap order
-	// is file order.
 	slices.SortFunc(dirty, func(a, b *span) int {
-		return cmp.Compare(a.key(), b.key())
+		return cmp.Compare(a.t.spanOff(a.root), b.t.spanOff(b.root))
 	})
 	for _, sp := range dirty {
 		if err := st.writeOutLocked(sp); err != nil {
 			return err
 		}
 	}
-	if st.clean {
-		return nil
-	}
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	st.epoch++
-	if err := st.writeHeader(st.epoch, true); err != nil {
+	if err := st.writeTable(st.epoch + 1); err != nil {
 		return err
 	}
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	st.clean = true
-	return nil
+	return st.markClean(st.epoch + 1)
 }
 
 // stopWorkers makes Close/Abandon idempotent and joins the prefetcher.

@@ -12,7 +12,7 @@ import (
 	"repro/internal/oram"
 )
 
-func testGeometry(t *testing.T, leafBits, z, blockSize int) *oram.Geometry {
+func testGeometry(t testing.TB, leafBits, z, blockSize int) *oram.Geometry {
 	t.Helper()
 	g, err := oram.NewGeometry(oram.GeometryConfig{LeafBits: leafBits, LeafZ: z, BlockSize: blockSize})
 	if err != nil {
@@ -498,17 +498,23 @@ func TestPrefetchSkipsTreetopTiers(t *testing.T) {
 
 // TestPrefetchDropsStaleRead replays, step by step, the interleaving that made
 // tiny-cache training runs fail with "block … missing after path reads": the
-// prefetcher preads a span outside the store's lock, and inside that window
-// the client rewrites a bucket of it on disk — by faulting the span in,
-// writing and having it evicted, or, the span not being resident, by writing
-// the record around the cache. The prefetcher must not then cache what it
-// read — the span before the write.
+// prefetcher reads a span outside the store's lock, and inside that window
+// the client rewrites a bucket of it — by faulting the span in, writing and
+// having it evicted, or, the span not being resident, by writing the record
+// around the cache. The prefetcher must not then cache what it read — the
+// span before the write. A span waiting in the pending batch is read from
+// there, not from the slot it is leaving; and a read of a slot reused by
+// another span inside the window is dropped too, its records refused as
+// misplaced were they ever handed out.
 func TestPrefetchDropsStaleRead(t *testing.T) {
 	g := testGeometry(t, 7, 4, 16)
-	st, _ := openStore(t, g, 1, false) // clamped to two paths of spans: room for three of the 16 leaf-tier spans
+	st, path := openStore(t, g, 1, false) // clamped to two paths of spans: room for three of the 16 leaf-tier spans
 	defer st.Close()
 	const lvl, node = 7, 5
 	l := st.locate(lvl, node)
+	// A batch of one span would go down at once at this budget; at its full
+	// size, as on a larger cache, an evicted dirty span waits in it.
+	l.t.batch = batchSpans
 	bucket := func(tag byte) []oram.Slot {
 		b := make([]oram.Slot, g.BucketSize(lvl))
 		for k := range b {
@@ -518,7 +524,7 @@ func TestPrefetchDropsStaleRead(t *testing.T) {
 	}
 	got := make([]oram.Slot, g.BucketSize(lvl))
 	// evict reads a bucket of every other leaf-tier span, which pushes the
-	// test span out of the cache (and so writes it back).
+	// test span out of the cache (into the pending batch when dirty).
 	evict := func() {
 		t.Helper()
 		for n := uint64(0); n < 1<<lvl; n += 8 {
@@ -564,8 +570,19 @@ func TestPrefetchDropsStaleRead(t *testing.T) {
 	st.prefetchInsert(sp)
 	readsBack(v2)
 
-	// Write around the cache inside the window.
+	// pendingNow reports whether the test span waits in the batch.
+	pendingNow := func() bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return l.t.pending(l.root) >= 0
+	}
+
+	// Write around the cache inside the window: the span waits in the
+	// batch, so the write lands in its image there.
 	evict()
+	if !pendingNow() {
+		t.Fatal("the evicted dirty span is not in the pending batch")
+	}
 	if sp = st.prefetchRead(l); sp == nil {
 		t.Fatal("prefetch read of a non-resident span was skipped")
 	}
@@ -578,8 +595,12 @@ func TestPrefetchDropsStaleRead(t *testing.T) {
 		t.Fatalf("a cancelled prefetch read was still counted as issued (%d)", n)
 	}
 
-	// With nothing written in the window the same two steps do cache it.
+	// With nothing written in the window the same two steps do cache it:
+	// the span itself, taken back from the batch.
 	evict()
+	if !pendingNow() {
+		t.Fatal("the evicted dirty span is not in the pending batch")
+	}
 	if sp = st.prefetchRead(l); sp == nil {
 		t.Fatal("prefetch read of a non-resident span was skipped")
 	}
@@ -587,9 +608,73 @@ func TestPrefetchDropsStaleRead(t *testing.T) {
 	if n := st.TierStats().PrefetchIssued; n != 1 {
 		t.Fatalf("an undisturbed prefetch read issued %d spans, want 1", n)
 	}
+	if pendingNow() {
+		t.Fatal("the prefetched span is still in the pending batch")
+	}
 	readsBack(v3)
 	if ts := st.TierStats(); ts.PrefetchUseful != 1 {
 		t.Fatalf("the demand read of the prefetched span was not counted useful: %+v", ts)
+	}
+
+	// The slot the read started on is reused inside the window: the client
+	// rewrites the span, whose batch puts it in another slot, and other
+	// spans' batches come round to the one it left.
+	tr := l.t
+	appendNow := func(node uint64, tag byte) {
+		t.Helper()
+		if err := st.ReadBucket(lvl, node, got); err != nil {
+			t.Fatal(err)
+		}
+		b := bucket(tag)
+		for k := range b {
+			b[k].Leaf = oram.Leaf(node)
+		}
+		if err := st.WriteBucket(lvl, node, b); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if err := st.evictLocked(st.cache[st.locate(lvl, node).key()]); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.flushLocked(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendNow(node, 4)
+	st.mu.Lock()
+	old := tr.slot[l.root]
+	st.mu.Unlock()
+	if sp = st.prefetchRead(l); sp == nil {
+		t.Fatal("prefetch read of a non-resident span was skipped")
+	}
+	appendNow(node, 5)
+	for n, i := uint64(8), 0; ; n, i = (n+8)%(1<<lvl), i+1 {
+		st.mu.Lock()
+		reused := tr.owner[old] != freeSlot
+		st.mu.Unlock()
+		if reused {
+			break
+		}
+		if i > 8*len(tr.owner) {
+			t.Fatalf("slot %d never reused", old)
+		}
+		if st.locate(lvl, n).root != l.root {
+			appendNow(n, 6)
+		}
+	}
+	// What a pread of the old slot that ended now would have returned.
+	copy(sp.buf, readFileRange(t, path, tr.slotOff(int(old)), tr.size))
+	for idx := uint(0); idx < tr.buckets; idx++ {
+		off, n := tr.at(idx)
+		if err := verifyRecord(sp.buf[off:off+n], tr.keyAt(l.root, idx)); err == nil {
+			t.Fatalf("record %d of the reused slot verifies as the test span's", idx)
+		}
+	}
+	st.prefetchInsert(sp)
+	readsBack(bucket(5))
+	if n := st.TierStats().PrefetchIssued; n != 1 {
+		t.Fatalf("a read of a reused slot was counted as issued (%d)", n)
 	}
 }
 

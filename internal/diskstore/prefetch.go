@@ -101,10 +101,12 @@ func (st *Store) pfGate(i int) (stale, ok bool) {
 // keys are >= 0).
 const noPrefetch = -1
 
-// prefetchRead preads the span at l into a free buffer outside mu, having
-// registered it as the in-flight prefetch. It returns nil when there is
-// nothing to hand to prefetchInsert: the span (or its whole tier) is
-// resident, the store is stopping, or the read failed.
+// prefetchRead reads the span at l into a free buffer, having registered it
+// as the in-flight prefetch: a span waiting in its tier's pending batch is
+// copied from there under mu, any other is pread from its slot outside mu.
+// It returns nil when there is nothing to hand to prefetchInsert: the span
+// (or its whole tier) is resident, the store is stopping, or the read
+// failed.
 func (st *Store) prefetchRead(l loc) *span {
 	st.mu.Lock()
 	if st.closed || l.t.resident == 1<<uint(l.t.lo) || st.cache[l.key()] != nil {
@@ -113,8 +115,14 @@ func (st *Store) prefetchRead(l loc) *span {
 	}
 	st.pfKey = l.key()
 	sp := l.t.take(l.root)
+	if i := l.t.pending(l.root); i >= 0 {
+		copy(sp.buf, l.t.pend[i].buf)
+		st.mu.Unlock()
+		return sp
+	}
+	at := l.t.spanOff(l.root)
 	st.mu.Unlock()
-	if _, err := st.f.ReadAt(sp.buf, l.t.spanOff(l.root)); err != nil {
+	if _, err := st.f.ReadAt(sp.buf, at); err != nil {
 		st.mu.Lock()
 		sp.t.recycle(sp)
 		st.mu.Unlock()
@@ -127,7 +135,9 @@ func (st *Store) prefetchRead(l loc) *span {
 // resident meanwhile or the read was cancelled: the client may have
 // faulted the span in, rewritten a bucket of it and had it evicted again
 // (or rewritten the bucket's record around the cache) — all inside the read
-// window — and sp is then the span as it was before that write.
+// window — and sp is then the span as it was before that write, read
+// perhaps from a slot the span has left since. A span still pending is
+// taken back from the batch instead: sp is a copy of its image.
 func (st *Store) prefetchInsert(sp *span) {
 	key := sp.key()
 	st.mu.Lock()
@@ -138,8 +148,15 @@ func (st *Store) prefetchInsert(sp *span) {
 		sp.t.recycle(sp)
 		return
 	}
+	i := sp.t.pending(sp.root)
+	if i >= 0 {
+		sp.t.recycle(sp)
+		sp = st.rescueLocked(sp.t, i)
+	}
 	sp.prefetched, sp.pfPeriod = true, st.period
 	st.pfBytes += sp.t.body
 	st.stats.PrefetchIssued++
-	st.insertLocked(sp) // a failed write-out of a victim is sticky in ioErr
+	if i < 0 {
+		st.insertLocked(sp) // a failed write-out of a victim is sticky in ioErr
+	}
 }

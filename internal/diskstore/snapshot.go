@@ -15,8 +15,9 @@ import (
 // slot order is bucket order, which both passes walk, locating each record.
 
 // snapshotBody copies bucket (level, node)'s CRC-verified body into rec:
-// from the cached span when resident (the client — the only mutator of
-// body bytes — is blocked inside Save), else from the file.
+// from the cached span when resident, from its image in the pending batch
+// when it waits there (the client — the only mutator of body bytes — is
+// blocked inside Save), else from the span's slot.
 func (st *Store) snapshotBody(level int, node uint64, rec []byte) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -26,14 +27,20 @@ func (st *Store) snapshotBody(level int, node uint64, rec []byte) ([]byte, error
 	l := st.locate(level, node)
 	at, n := l.recOff()
 	rec = rec[:n]
+	sp := st.cache[l.key()]
+	if sp == nil {
+		if i := l.t.pending(l.root); i >= 0 {
+			sp = l.t.pend[i]
+		}
+	}
 	var err error
-	if sp := st.cache[l.key()]; sp != nil {
+	if sp != nil {
 		var body []byte
 		if body, err = st.bodyLocked(sp, l.idx, false); err == nil {
 			copy(rec, body)
 		}
 	} else if _, err = st.f.ReadAt(rec, at); err == nil {
-		err = verifyRecord(rec)
+		err = verifyRecord(rec, bucketKey(level, node))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: bucket (%d,%d): %w", level, node, err)
@@ -90,9 +97,10 @@ func (st *Store) Save(w io.Writer) error {
 
 // Load implements oram.Snapshotter, restoring a PayloadStore-format
 // snapshot by rewriting every record: header goes down dirty first, the
-// cache (including unwritten dirt — all obsolete) is dropped, each level's
-// records go down one (span, level) run — 2^j adjacent records — per
-// positioned write, then the arena is fsynced clean under a new epoch.
+// cache and the pending batches (unwritten dirt — all obsolete) are
+// dropped, every table goes back to the identity, each level's records go
+// down one (span, level) run — 2^j adjacent records — per positioned write,
+// then the table, and the arena is fsynced clean under a new epoch.
 // A crash anywhere inside leaves the dirty header in place, so the next
 // Open refuses the blend.
 func (st *Store) Load(r io.Reader) error {
@@ -145,6 +153,7 @@ func (st *Store) Load(r io.Reader) error {
 	clear(st.cache)
 	for i := range st.tiers {
 		st.tiers[i].reset()
+		st.tiers[i].identity()
 	}
 	st.used = 0
 	st.pfBytes = 0
@@ -157,7 +166,8 @@ func (st *Store) Load(r io.Reader) error {
 		_, n := l.recOff()
 		run := make([]byte, n<<uint(lvl-l.t.lo))
 		for node := uint64(0); node < uint64(1)<<uint(lvl); node += uint64(len(run) / n) {
-			for rec := run; len(rec) > 0; rec = rec[n:] {
+			key := bucketKey(lvl, node)
+			for rec := run; len(rec) > 0; rec, key = rec[n:], key+1 {
 				for k := 0; k < z; k++ {
 					off := k * (slotMeta + st.stride)
 					binary.LittleEndian.PutUint64(rec[off:], ids[slot])
@@ -167,7 +177,7 @@ func (st *Store) Load(r io.Reader) error {
 					}
 					slot++
 				}
-				stampRecord(rec[:n])
+				stampRecord(rec[:n], key)
 			}
 			at, _ := st.locate(lvl, node).recOff()
 			if _, err := st.f.WriteAt(run, at); err != nil {
@@ -175,16 +185,8 @@ func (st *Store) Load(r io.Reader) error {
 			}
 		}
 	}
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	st.epoch++
-	if err := st.writeHeader(st.epoch, true); err != nil {
+	if err := st.writeTable(st.epoch + 1); err != nil {
 		return err
 	}
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	st.clean = true
-	return nil
+	return st.markClean(st.epoch + 1)
 }

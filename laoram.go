@@ -160,7 +160,8 @@ type Options struct {
 	// Existing clean arenas are resumed; an arena from a crashed run fails
 	// construction with diskstore.ErrUnclean inside the error chain, one
 	// written by an older build in another record order with
-	// diskstore.ErrLayout.
+	// diskstore.ErrLayout, one whose span table does not hold with
+	// diskstore.ErrTable.
 	// Incompatible with MetadataOnly (a 16 B/slot tree fits in RAM by
 	// construction) and with RemoteAddrs (the server owns its storage; use
 	// laoramserve -data-dir for a disk-backed serving tier).
