@@ -200,22 +200,23 @@ func (l *LAORAM) Step(k int, visit Visit) (int, error) {
 		l.sess.ColdPathReads += uint64(len(readLeaves) - bins)
 	}
 
+	stash := l.base.Stash()
 	for i := 0; i < bins; i++ {
 		bin, nextLeaves, err := l.cursor.Advance()
 		if err != nil {
 			return 0, err
 		}
 		for j, id := range bin.Blocks {
-			if !l.base.Held(id) {
+			if !stash.Contains(id) {
 				return 0, fmt.Errorf("core: block %d missing after path reads (bin %d)", id, bin.Index)
 			}
 			l.remap(id, nextLeaves[j])
 		}
 		if visit != nil {
 			for _, id := range bin.Blocks {
-				p, _ := l.base.Payload(id)
+				p, _ := stash.Payload(id)
 				if np := visit(id, p); np != nil {
-					l.base.SetPayload(id, np)
+					stash.SetPayload(id, np)
 				}
 			}
 		}
@@ -252,7 +253,7 @@ func (l *LAORAM) remap(id oram.BlockID, next superblock.Next) {
 		pos.Set(id, leaf)
 		l.sess.LookaheadRemaps++
 	}
-	l.base.SetLeaf(id, leaf)
+	l.base.Stash().SetLeaf(id, leaf)
 	l.base.StatsMut().Remaps++
 }
 

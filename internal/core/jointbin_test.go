@@ -83,9 +83,9 @@ func stepBinPerLeaf(l *LAORAM, visit Visit) error {
 		l.remap(id, nextLeaves[i])
 	}
 	for _, id := range bin.Blocks {
-		p, _ := l.base.Payload(id)
+		p, _ := l.base.Stash().Payload(id)
 		if np := visit(id, p); np != nil {
-			l.base.SetPayload(id, np)
+			l.base.Stash().SetPayload(id, np)
 		}
 	}
 	if err := l.base.WriteBackPaths(readLeaves); err != nil {

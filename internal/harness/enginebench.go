@@ -226,7 +226,7 @@ func (s *batchShape) round() error {
 	for _, id := range s.ids {
 		l := oram.Leaf(s.rng.Int63n(half))
 		c.PosMap().Set(id, l)
-		c.SetLeaf(id, l)
+		c.Stash().SetLeaf(id, l)
 	}
 	return c.WriteBackPaths(s.leaves)
 }

@@ -129,22 +129,22 @@ func (c *Client) AccessBatch(op Op, ids []BlockID, data, out [][]byte) error {
 		if kind == batchCreate {
 			continue // created with its payload above
 		}
-		if kind == batchFetch && !c.Held(id) {
+		if kind == batchFetch && !c.stash.Contains(id) {
 			return fmt.Errorf("oram: block %d not found on its assigned path %d (tree corrupt)", id, c.pos.Get(id))
 		}
 		if kind == batchFetch || !c.stashHits {
 			// Remap uniformly before write-back (§II-C step 4).
 			leaf := c.RandomLeaf()
 			c.pos.SetDrawn(id, leaf)
-			c.SetLeaf(id, leaf)
+			c.stash.SetLeaf(id, leaf)
 			c.stats.Remaps++
 		}
 		// Serve from trusted memory, which holds the block now. A read copies
 		// out: the client's live rows must never escape to callers.
 		if op == OpWrite {
-			c.SetPayload(id, data[i])
+			c.stash.SetPayload(id, data[i])
 		} else {
-			p, _ := c.Payload(id)
+			p, _ := c.stash.Payload(id)
 			out[i] = copyInto(out[i], p)
 		}
 	}

@@ -119,7 +119,7 @@ const (
 // paths jointly, remaps the blocks it fetched them for and stepShapeMembers
 // more blocks in trusted memory (a look-ahead step's members, which it sends
 // to later bins' paths), and writes the paths back jointly: in steady state
-// about 420 candidates per write-back, about 250 of them held in the top,
+// about 420 candidates per write-back, about 250 of them adopted from the top,
 // and about 60 left in the stash.
 const (
 	stepShapePaths   = 10
@@ -247,16 +247,12 @@ func (s *stepShape) round(tb testing.TB) {
 		tb.Fatal(err)
 	}
 	for range stepShapeMembers {
-		if k := s.rng.Intn(c.stash.Len() + len(c.held)); k < c.stash.Len() {
-			s.ids = append(s.ids, c.stash.entries[k].id)
-		} else {
-			s.ids = append(s.ids, c.held[k-c.stash.Len()].id)
-		}
+		s.ids = append(s.ids, c.stash.entries[s.rng.Intn(c.stash.Len())].id)
 	}
 	for _, id := range s.ids {
 		l := c.RandomLeaf()
 		c.PosMap().Set(id, l)
-		c.SetLeaf(id, l)
+		c.stash.SetLeaf(id, l)
 	}
 	if err := c.WriteBackPaths(s.leaves); err != nil {
 		tb.Fatal(err)
@@ -278,7 +274,7 @@ func (s *shape) round(tb testing.TB) {
 	for _, id := range s.ids {
 		l := s.fetchLeaf(s.rng)
 		c.PosMap().Set(id, l)
-		c.SetLeaf(id, l)
+		c.stash.SetLeaf(id, l)
 	}
 	if err := c.WriteBackPaths(s.leaves); err != nil {
 		tb.Fatal(err)
@@ -309,8 +305,8 @@ func BenchmarkWriteBackPathsBatch(b *testing.B) {
 
 // BenchmarkWriteBackPathsStep is one step at train-mem's shape: a joint
 // fetch of 10 leaves and its write-back over the treetop, which places about
-// 420 candidates, about 250 of them held in the top, and leaves about 60 in
-// the stash.
+// 420 candidates, about 250 of them adopted from the top, and leaves about 60
+// in the stash.
 func BenchmarkWriteBackPathsStep(b *testing.B) {
 	s := newStepShape(b)
 	b.ReportAllocs()

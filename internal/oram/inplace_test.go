@@ -64,19 +64,6 @@ type identityStack struct {
 	cs  *CountingStore
 }
 
-// heldState is every block the client has in trusted memory — stashed, or
-// held in the top — by id: its leaf and row.
-func (s *identityStack) heldState() map[BlockID]Slot {
-	out := make(map[BlockID]Slot)
-	for _, e := range s.c.stash.entries {
-		out[e.id] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
-	}
-	for _, b := range s.c.held {
-		out[b.id] = Slot{ID: b.id, Leaf: b.leaf, Payload: s.tt.rows[b.at]}
-	}
-	return out
-}
-
 // topIDs lists the real blocks the top holds.
 func (s *identityStack) topIDs() map[BlockID]bool {
 	out := make(map[BlockID]bool)
@@ -88,14 +75,26 @@ func (s *identityStack) topIDs() map[BlockID]bool {
 	return out
 }
 
+// adopted counts the stashed blocks the top holds too: between a read and
+// its write-back, those the read adopted from it.
+func adopted(c *Client) int {
+	top, n := &c.top.top, 0
+	for j := range top.geom.TotalSlots() {
+		if id, _ := top.meta.get(j); id != DummyID && c.stash.Contains(id) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTreetopInPlaceIdentity: a client that places into the top in place
 // leaves what the same client leaves moving the top buckets through the
-// Treetop's Store face. After every call: the same blocks in trusted memory
-// (ids, leaves, rows: the in-place client's stash and held blocks against
-// the other's stash, and the same loose stash once a write-back is done), the
-// same tree once the top is sunk, the same calls below the top and the same
-// counters. It runs single paths and joint unions, visits that remap and
-// rewrite blocks held in the top (a nil row among them), accesses and
+// Treetop's Store face. After every call: the same stash (ids, leaves, rows:
+// between a read and its write-back the in-place client's stash holds the
+// top's blocks by handle, the other's copies of them), the same tree once the
+// top is sunk, the same calls below the top and the same counters. It runs
+// single paths and joint unions, visits that remap and rewrite blocks
+// adopted from the top (a nil row among them), accesses and
 // eviction, on a metadata top, a row-keeping top and a sealed inner store,
 // and requires blocks to have crossed the top's edge every way: top→below,
 // top→stash and stash→top.
@@ -139,35 +138,23 @@ func TestTreetopInPlaceIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (c.top == nil) != hide {
-					t.Fatalf("hide %t: the client places in place: %t", hide, c.top != nil)
+				if (c.top != tt) != hide {
+					t.Fatalf("hide %t: the client places in place: %t", hide, c.top == tt)
 				}
 				return &identityStack{c: c, tt: tt, spy: spy, cs: cs}
 			}
 			in, face := build(false), build(true)
 			rng := rand.New(rand.NewSource(72))
 
-			// check compares the two stacks after a call: what they hold in
-			// trusted memory, their calls below the top since the last check,
-			// their counters and, once the top is sunk, their trees. A visit
-			// rewrites a held block's row where it sits, so the trees are
-			// compared after every call but a visit.
+			// check compares the two stacks after a call: their stashes,
+			// their calls below the top since the last check, their counters
+			// and, once the top is sunk, their trees. A visit rewrites an
+			// adopted block's row where it sits, so the trees are compared
+			// after every call but a visit.
 			check := func(what string) {
 				t.Helper()
-				a, b := in.heldState(), face.heldState()
-				if len(a) != len(b) || len(face.c.held) != 0 {
-					t.Fatalf("%s: %d blocks in trusted memory in place, %d through the face (%d held)", what, len(a), len(b), len(face.c.held))
-				}
-				for id, x := range a {
-					y, ok := b[id]
-					if !ok || x.Leaf != y.Leaf || (x.Payload == nil) != (y.Payload == nil) || !bytes.Equal(x.Payload, y.Payload) {
-						t.Fatalf("%s: block %d is %+v in place, %+v through the face", what, id, x, y)
-					}
-				}
-				if len(in.c.held) == 0 {
-					if err := sameStash(in.c.stash, face.c.stash); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
+				if err := sameStash(in.c.stash, face.c.stash); err != nil {
+					t.Fatalf("%s: %v", what, err)
 				}
 				if in.c.stash.Peak() != face.c.stash.Peak() {
 					t.Fatalf("%s: stash peak %d in place, %d through the face", what, in.c.stash.Peak(), face.c.stash.Peak())
@@ -233,12 +220,9 @@ func TestTreetopInPlaceIdentity(t *testing.T) {
 						leaves[i] = Leaf(rng.Int63n(int64(g.Leaves())))
 					}
 					both("ReadPaths", func(s *identityStack) error { return s.c.ReadPaths(leaves) })
-					// A visit: remap and rewrite some blocks in trusted memory,
-					// held ones among them, the same ones on both stacks.
-					ids := make([]BlockID, 0)
-					for id := range face.heldState() {
-						ids = append(ids, id)
-					}
+					// A visit: remap and rewrite some stashed blocks, adopted
+					// ones among them, the same ones on both stacks.
+					ids := face.c.stash.IDs()
 					slices.Sort(ids)
 					for _, id := range ids {
 						if rng.Intn(2) == 0 {
@@ -251,18 +235,21 @@ func TestTreetopInPlaceIdentity(t *testing.T) {
 						}
 						for _, s := range []*identityStack{in, face} {
 							s.c.pos.Set(id, leaf)
-							if !s.c.SetLeaf(id, leaf) || !s.c.SetPayload(id, p) {
-								t.Fatalf("step %d: block %d is not held", step, id)
+							if !s.c.stash.SetLeaf(id, leaf) || !s.c.stash.SetPayload(id, p) {
+								t.Fatalf("step %d: block %d is not stashed", step, id)
 							}
 						}
 					}
 					check("visit")
+					// A stashed block the top holds too was adopted from it.
 					held, stashed := map[BlockID]bool{}, map[BlockID]bool{}
-					for _, b := range in.c.held {
-						held[b.id] = true
-					}
+					top := in.topIDs()
 					for _, e := range in.c.stash.entries {
-						stashed[e.id] = true
+						if top[e.id] {
+							held[e.id] = true
+						} else {
+							stashed[e.id] = true
+						}
 					}
 					both("WriteBackPaths", func(s *identityStack) error {
 						if len(leaves) == 1 {
@@ -270,7 +257,7 @@ func TestTreetopInPlaceIdentity(t *testing.T) {
 						}
 						return s.c.WriteBackPaths(leaves)
 					})
-					top := in.topIDs()
+					top = in.topIDs()
 					for id := range held {
 						switch {
 						case in.c.stash.Contains(id):

@@ -60,7 +60,6 @@ func (c *Client) Load(n uint64, leafOf func(BlockID) Leaf, payload func(BlockID)
 	if n > c.pos.Len() {
 		return fmt.Errorf("oram: Load of %d blocks exceeds configured %d", n, c.pos.Len())
 	}
-	c.release()
 	g := c.geom
 	maxZ := 0
 	for lvl := 0; lvl < g.Levels(); lvl++ {

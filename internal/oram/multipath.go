@@ -15,7 +15,7 @@ import (
 // union).
 type multiScratch struct {
 	refs       []BucketRef // bucket union (read order or write order)
-	placed     []bool      // per candidate (see placeNode.slot): written back by the call in flight
+	placed     []bool      // per slab slot: written back by the call in flight
 	at         []int32     // write order: leaf × level → index of that bucket in refs
 	parent     []int32     // write order: per union bucket, its parent's index (-1: root), then its skip pointer
 	room       []int32     // write order: per union bucket, its slots still free
@@ -104,27 +104,21 @@ func (m *multiScratch) spareRow(n int) []byte {
 // a multi-block access hands to ReadPaths and, after serving, to
 // WriteBackPaths. The zero value is ready to use; Reset keeps its capacity,
 // so a set owned by a client's scratch allocates nothing in steady state.
+// Add finds a duplicate by scanning the list: the largest set a caller builds
+// is a ReadBatch chunk of 32 keys or a step of abl-batch's 64 bins, and a
+// LAORAM step reads about nine distinct leaves, where a scan beats a hash.
 type LeafSet struct {
 	list []Leaf
-	seen map[Leaf]struct{}
 }
 
 // Reset empties the set.
-func (s *LeafSet) Reset() {
-	s.list = s.list[:0]
-	clear(s.seen)
-}
+func (s *LeafSet) Reset() { s.list = s.list[:0] }
 
 // Add inserts leaf unless it is already present.
 func (s *LeafSet) Add(leaf Leaf) {
-	if _, dup := s.seen[leaf]; dup {
-		return
+	if !slices.Contains(s.list, leaf) {
+		s.list = append(s.list, leaf)
 	}
-	if s.seen == nil {
-		s.seen = make(map[Leaf]struct{}, 8)
-	}
-	s.seen[leaf] = struct{}{}
-	s.list = append(s.list, leaf)
 }
 
 // Leaves returns the distinct leaves in the order they were first added. The
@@ -208,15 +202,16 @@ func (c *Client) onePath(leaf Leaf) []Leaf {
 // ReadPaths fetches the union of buckets across a set of paths in one
 // operation, reading each shared bucket exactly once (paths overlap at
 // least at the root, and batched fetches of nearby leaves share long
-// prefixes). All real blocks land in the stash; dummies are dropped. This is
+// prefixes). All real blocks land in the stash — those of the top buckets by
+// handle, where they sit (inplace.go) — and dummies are dropped. This is
 // the paper's batch-granularity fetch: "The GPU then issues read request to
 // all the paths associated with the embedding entries in the upcoming
 // training batch and caches them locally" (§IV-A), and a single path is the
-// set of one leaf. The union moves in one ReadBuckets call on the store's
-// Face: one pass over a local PayloadStore's arena or one network frame on a
-// remote store, and the bucket loop over the same refs on a bucket-only
-// store. It counts only BlocksMoved: callers decide whether the read was a
-// real access or a dummy.
+// set of one leaf. The union's part below the top moves in one ReadBuckets
+// call on the store's Face: one pass over a local PayloadStore's arena or one
+// network frame on a remote store, and the bucket loop over the same refs on
+// a bucket-only store. It counts only BlocksMoved: callers decide whether the
+// read was a real access or a dummy.
 func (c *Client) ReadPaths(leaves []Leaf) error {
 	if len(leaves) == 0 {
 		return nil
@@ -228,27 +223,35 @@ func (c *Client) ReadPaths(leaves []Leaf) error {
 		}
 	}
 	refs := c.pathUnion(leaves)
-	if c.top != nil {
-		return c.readInPlace(refs)
+	// The union is root first, so its top buckets lead it.
+	cut := 0
+	for cut < len(refs) && refs[cut].Level < c.top.t {
+		cut++
 	}
-	bufs := c.multi.batchBufs(len(refs), g.BlockSize(), func(i int) int { return g.BucketSize(refs[i].Level) })
-	if err := c.face.ReadBuckets(refs, bufs); err != nil {
+	low := refs[cut:]
+	bufs := c.multi.batchBufs(len(low), g.BlockSize(), func(i int) int { return g.BucketSize(low[i].Level) })
+	if err := c.top.below(false, low, bufs); err != nil {
 		return fmt.Errorf("oram: ReadPaths: %w", err)
+	}
+	if c.count != nil {
+		c.count.charge(true, refs)
 	}
 	moved, err := c.ingest(bufs)
 	if err != nil {
 		return err
 	}
-	c.stats.BlocksMoved += uint64(moved)
-	return nil
+	held, err := c.hold(refs[:cut])
+	c.stats.BlocksMoved += uint64(moved + held)
+	return err
 }
 
 // WriteBackPaths writes a set of previously read paths back in one joint
 // operation. Paths overlap (every path shares at least the root bucket), so
 // writing them back one at a time would let a later path's write-back
 // clobber blocks the earlier one just placed in a shared bucket. The joint
-// plan writes every bucket in the union exactly once, in one WriteBuckets
-// call on the store's Face (see ReadPaths).
+// plan writes every bucket in the union exactly once: the part below the top
+// in one WriteBuckets call on the store's Face (see ReadPaths), the top
+// buckets in place.
 //
 // Superblock clients need this whenever a single logical access fetches
 // more than one path: LAORAM bins with cold members (§IV-A) and PrORAM
@@ -334,24 +337,16 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 		prefix[t] = int32(q)
 	}
 
-	// Home every candidate — each stashed block, then each block held in
-	// the top — one node each, with its rank and home bucket. A block on no
-	// path (NoLeaf) has no home and stays. The root is the union's last
-	// bucket, and the blocks homed there compete for it alone: they are set
-	// aside unsorted.
-	stash, held := c.stash, c.held
-	stashed := stash.Len()
-	candidates := stashed + len(held)
+	// Home every stashed block, one node each, with its rank and home
+	// bucket. A block on no path (NoLeaf) has no home and stays. The root is
+	// the union's last bucket, and the blocks homed there compete for it
+	// alone: they are set aside unsorted.
+	entries := c.stash.entries
+	candidates := len(entries)
 	root := int32(len(buckets) - 1)
 	nodes, atRoot := slices.Grow(m.nodes[:0], candidates), m.atRoot[:0]
-	for slot := range candidates {
-		var id BlockID
-		var leaf Leaf
-		if slot < stashed {
-			id, leaf = stash.entries[slot].id, stash.entries[slot].leaf
-		} else {
-			id, leaf = held[slot-stashed].id, held[slot-stashed].leaf
-		}
+	for slot := range entries {
+		id, leaf := entries[slot].id, entries[slot].leaf
 		if !g.ValidLeaf(leaf) {
 			continue
 		}
@@ -383,7 +378,7 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 	// on its home's way to the root; every bucket it walks past is full,
 	// so its skip pointer jumps to where this block stopped. The root only
 	// records the blocks that reach it while it has room. placed marks the
-	// candidates placed, to drop from the stash once the write has gone
+	// slab slots placed, to drop from the stash once the write has gone
 	// through.
 	bufs := m.batchBufs(len(buckets), 0, func(i int) int { return g.BucketSize(buckets[i].Level) })
 	m.room = slices.Grow(m.room[:0], len(bufs))[:len(bufs)]
@@ -429,25 +424,48 @@ func (c *Client) WriteBackPaths(leaves []Leaf) error {
 			buf[i] = DummySlot()
 		}
 	}
-	if single {
-		// A single path goes root first, the order ReadPaths fetched it in.
-		slices.Reverse(buckets)
-		slices.Reverse(bufs)
-	}
 
-	if c.top != nil {
-		if err := c.writeBackInPlace(buckets, bufs); err != nil {
+	// The union is deepest first, so its top buckets trail it. The part
+	// below the top goes down and the whole union is charged; then the
+	// stash drops what was placed, the top buckets take their blocks' rows
+	// by handle, and the rows that went below become spares. A block adopted
+	// from the top sits in one of its buckets — the leaves written back are
+	// those read — so every top slot a placed block left is rewritten, and a
+	// block that stays keeps its row alone.
+	cut := len(buckets)
+	for cut > 0 && buckets[cut-1].Level < c.top.t {
+		cut--
+	}
+	lowRefs, lowBufs, topRefs, topBufs := buckets[:cut], bufs[:cut], buckets[cut:], bufs[cut:]
+	if single {
+		// A single path goes down root first, the order ReadPaths fetched it in.
+		slices.Reverse(lowRefs)
+		slices.Reverse(lowBufs)
+	}
+	for i := range topBufs {
+		if err := c.top.rowsFit("WriteBackPaths", cut+i, topBufs[i]); err != nil {
 			return err
 		}
-	} else {
-		if err := c.face.WriteBuckets(buckets, bufs); err != nil {
-			return fmt.Errorf("oram: WriteBackPaths: %w", err)
-		}
-		c.stash.removeMarked(m.placed)
-		m.keepRows(bufs)
 	}
+	if err := c.top.below(true, lowRefs, lowBufs); err != nil {
+		return fmt.Errorf("oram: WriteBackPaths: %w", err)
+	}
+	if c.count != nil {
+		c.count.charge(false, buckets)
+	}
+	c.stash.removeMarked(m.placed, moved)
+	c.top.writeTop(topRefs, topBufs, m)
+	m.keepRows(lowBufs)
 	c.stats.BlocksMoved += uint64(moved)
 	return nil
+}
+
+// put writes the stashed block of node n into slot i of buf and marks its
+// slab slot placed.
+func (c *Client) put(buf []Slot, i int, n placeNode) {
+	e := &c.stash.entries[n.slot]
+	buf[i] = Slot{ID: e.id, Leaf: e.leaf, Payload: e.payload}
+	c.multi.placed[n.slot] = true
 }
 
 // leastByRank returns the k nodes of smallest rank among nodes and least
@@ -473,7 +491,7 @@ func leastByRank(nodes, least []placeNode, k int) []placeNode {
 // placeNode is one homed candidate of WriteBackPaths.
 type placeNode struct {
 	rank uint64 // the block's id, under its home level on a single path
-	slot int32  // the block's candidate: its slab slot, or past the stash, held
+	slot int32  // the block's slab slot
 	home int32  // the union bucket of the deepest level on its path
 }
 

@@ -110,13 +110,10 @@ type Client struct {
 
 	stashHits bool
 	// top is the Treetop the client places into in place, when its store is
-	// one or counts one, and count that CountingStore; held is what the top
-	// holds of the unions read since the last write-back, found by id
-	// through heldIndex (see inplace.go).
-	top       *Treetop
-	count     *CountingStore
-	held      []heldBlock
-	heldIndex stashIndex
+	// one or counts one, and count that CountingStore; over any other store
+	// top is empty and count nil (see inplace.go).
+	top   *Treetop
+	count *CountingStore
 	// multi holds the client's one set of transfer buffers and the scratch
 	// of the joint operations; see multipath.go.
 	multi multiScratch
@@ -159,7 +156,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		evict:     cfg.Evict,
 		stashHits: cfg.StashHits,
 	}
-	c.top, c.count = treetopOf(cfg.Store)
+	c.top, c.count = treetopOf(cfg.Store, c.face)
 	return c, nil
 }
 

@@ -146,8 +146,7 @@ func (c *Client) LoadState(r io.Reader) error {
 		}
 		c.pos.leaves[i] = uint32(v)
 	}
-	// Rebuild the stash; nothing read before the restore is held.
-	c.release()
+	// Rebuild the stash.
 	c.stash = NewStash()
 	count, err := get()
 	if err != nil {

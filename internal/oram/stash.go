@@ -8,6 +8,9 @@ import (
 // Stash is the client-side buffer for blocks that could not be written back
 // into the tree (§II-E). It lives in trusted client memory (the trainer
 // GPU's HBM in the paper); its accesses are invisible to the adversary.
+// Between a read and its write-back it holds every real block the read met,
+// a treetop's included (inplace.go), so it is where a caller finds a fetched
+// block.
 //
 // Layout: a dense slab — entries[:len] are the stashed blocks, in no
 // particular order, found through a private open-addressed BlockID → slot
@@ -91,9 +94,15 @@ func (x *stashIndex) rebuild(size int, entries []stashEntry) {
 	}
 }
 
-// init empties the table into a fresh one of size cells.
+// init empties the table into one of size cells, in the capacity it has
+// when that suffices.
 func (x *stashIndex) init(size int) {
-	x.cells = make([]indexCell, size)
+	if cap(x.cells) >= size {
+		x.cells = x.cells[:size]
+		clear(x.cells)
+	} else {
+		x.cells = make([]indexCell, size)
+	}
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
@@ -281,15 +290,27 @@ func (s *Stash) removeCell(pos int) {
 	s.entries = s.entries[:last]
 }
 
-// removeMarked removes every block whose slab slot is marked, in one pass:
-// the blocks a write-back placed, whose rows it handed out, so their entries
-// are recycled without their buffers, which the rows' new owners now hold.
-// Each marked block's index cell is deleted and each hole is filled with the
-// last unmarked block above it, so only the survivors that move are
-// re-indexed. Survivors may change slots; slab order is not observable
-// (Snapshot sorts ids and WriteBackPaths orders by rank).
-func (s *Stash) removeMarked(marked []bool) {
+// removeMarked removes every block whose slab slot is marked — removed of
+// them, the blocks a write-back placed, whose rows it handed out — so their
+// entries are recycled without their buffers, which the rows' new owners now
+// hold.
+// Survivors may change slots; slab order is not observable (Snapshot sorts
+// ids and WriteBackPaths orders by rank).
+//
+// When more blocks leave than stay — a write-back over a treetop places most
+// of what its read adopted — the survivors are packed down and the index is
+// rebuilt from them, one insert per survivor instead of a delete per leaving
+// block. Rebuilding clears at least the smallest table, which costs about as
+// much as a few deletes, so a removal that leaves only a few more than stay
+// goes the other way: each leaving block's index cell is deleted and each hole
+// is filled with the last survivor above it, so only the survivors that move
+// are re-indexed.
+func (s *Stash) removeMarked(marked []bool, removed int) {
 	n := len(s.entries)
+	if 2*removed > n+minIndexCells/16 {
+		s.pack(marked)
+		return
+	}
 	for i := 0; i < n; i++ {
 		if !marked[i] {
 			continue
@@ -309,6 +330,35 @@ func (s *Stash) removeMarked(marked []bool) {
 		e.id, e.leaf, e.payload = DummyID, 0, nil
 	}
 	s.entries = s.entries[:n]
+}
+
+// pack removes the marked blocks by packing the survivors down in slab order
+// and indexing them afresh, in a table sized for the stash as it was: the
+// next read refills it about as far, and a table left wide by an earlier peak
+// is not cleared whole on every call.
+func (s *Stash) pack(marked []bool) {
+	size := minIndexCells
+	for size < 2*len(s.entries) {
+		size *= 2
+	}
+	w := 0
+	for i := range s.entries {
+		if marked[i] {
+			s.entries[i].buf = nil
+			continue
+		}
+		s.entries[w], s.entries[i] = s.entries[i], s.entries[w]
+		w++
+	}
+	s.index.init(size)
+	for i := range w {
+		s.index.put(s.entries[i].id, i)
+	}
+	for i := w; i < len(s.entries); i++ {
+		e := &s.entries[i]
+		e.id, e.leaf, e.payload = DummyID, 0, nil
+	}
+	s.entries = s.entries[:w]
 }
 
 // dropMarked deletes the index cell of the block in slab slot i and lets go

@@ -41,9 +41,12 @@ func (r *refStash) remove(id BlockID) {
 // TestQuickSlabMatchesMapStash drives both implementations with the same
 // random op sequence (put / set-leaf / set-payload / remove / a marked set
 // of slab slots removed at once, with payload buffers deliberately mutated
-// after each call) and compares full contents. A marked removal moves at
-// most one survivor per removed block.
+// after each call) and compares full contents. A marked removal takes a third
+// of the stash or most of it, so that it runs both ways — deleting each
+// removed block's cell, and packing the survivors under a rebuilt index —
+// and moves at most one survivor per removed block.
 func TestQuickSlabMatchesMapStash(t *testing.T) {
+	var deleted, packed int
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewStash()
@@ -90,16 +93,26 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 			case 5: // a write-back's removal: random slab slots at once
 				marked := make([]bool, s.Len())
 				was := make(map[BlockID]int)
-				removed := 0
+				removed, most := 0, rng.Intn(2) == 0
 				for slot := range marked {
-					if marked[slot] = rng.Intn(3) == 0; marked[slot] {
+					if most {
+						marked[slot] = rng.Intn(6) > 0
+					} else {
+						marked[slot] = rng.Intn(3) == 0
+					}
+					if marked[slot] {
 						ref.remove(s.entries[slot].id)
 						removed++
 					} else {
 						was[s.entries[slot].id] = slot
 					}
 				}
-				s.removeMarked(marked)
+				if 2*removed > len(marked)+minIndexCells/16 {
+					packed++
+				} else if removed > 0 {
+					deleted++
+				}
+				s.removeMarked(marked, removed)
 				checkIndex(t, s)
 				// Only survivors that fill a hole move: at most one per
 				// removed block.
@@ -139,6 +152,9 @@ func TestQuickSlabMatchesMapStash(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(41))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+	if deleted == 0 || packed == 0 {
+		t.Errorf("marked removals deleted cells %d times and packed %d times; want both > 0", deleted, packed)
 	}
 }
 

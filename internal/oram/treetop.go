@@ -57,7 +57,8 @@ type Treetop struct {
 	// rows holds, per top slot, the row of the real block there, nil for a
 	// dummy or where keep is off (the top then keeps records alone, as a
 	// MetaStore does). A client placing in place moves these rows by handle,
-	// so a slot's row is never held by anyone else.
+	// so a slot's row is held by no one else but, between a read and its
+	// write-back, the stash entry of the block in the slot.
 	rows [][]byte
 	keep bool
 

@@ -201,10 +201,10 @@ func TestTreetopAllocFree(t *testing.T) {
 		})
 	}
 	t.Run("in-place", func(t *testing.T) {
-		// Blocks held in the top, a third of them remapped, cross the top's
-		// edge every way and move between top slots by handle.
+		// Blocks adopted from the top, a third of the stash remapped, cross
+		// the top's edge every way and move between top slots by handle.
 		c, _ := payloadAllocClient(t, NewCountingStore(newTreetop(nil, false), nil))
-		if c.top == nil {
+		if c.top.t == 0 {
 			t.Fatal("the client does not place into the top in place")
 		}
 		rng := rand.New(rand.NewSource(23))
@@ -217,11 +217,11 @@ func TestTreetopAllocFree(t *testing.T) {
 			if err := c.ReadPaths(leaves); err != nil {
 				t.Fatal(err)
 			}
-			held += len(c.held)
-			for k := 0; k < len(c.held); k += 3 {
-				leaf := c.RandomLeaf()
-				c.pos.Set(c.held[k].id, leaf)
-				c.held[k].leaf = leaf
+			held += adopted(c)
+			for k := 0; k < c.stash.Len(); k += 3 {
+				e := &c.stash.entries[k]
+				e.leaf = c.RandomLeaf()
+				c.pos.Set(e.id, e.leaf)
 			}
 			if err := c.WriteBackPaths(leaves); err != nil {
 				t.Fatal(err)
@@ -237,7 +237,7 @@ func TestTreetopAllocFree(t *testing.T) {
 			t.Errorf("placing into the top in place allocates %.2f objects/op in steady state, want 0", allocs)
 		}
 		if held == 0 {
-			t.Error("no round held a block in the top")
+			t.Error("no round adopted a block from the top")
 		}
 	})
 	t.Run("sealed-access", func(t *testing.T) {
