@@ -7,7 +7,8 @@
 // by a context cancelled mid-epoch — the executor stops cleanly at the
 // next superblock-bin boundary), checkpoints client and server state,
 // simulates the crash, restores into fresh objects, finishes the epoch,
-// and verifies the data.
+// and verifies the data. Unlike the other examples it drives the engine
+// below the public API (internal/core, internal/oram, internal/superblock).
 //
 //	go run ./examples/checkpoint
 package main
@@ -17,7 +18,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/oram"
@@ -26,6 +29,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const blocks = 1 << 12
 	const blockSize = 64
 	const accesses = 4096
@@ -39,32 +48,32 @@ func main() {
 	})
 	store, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	client, err := oram.NewClient(oram.ClientConfig{
 		Store: store, Rand: trace.NewRNG(1),
 		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stream := trace.PermutationEpochs(trace.NewRNG(2), blocks, accesses)
 	plan, err := superblock.NewPlan(stream, superblock.PlanConfig{
 		S: S, Leaves: g.Leaves(), Rand: trace.NewRNG(3),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	la, err := core.New(core.Config{Base: client, Plan: plan})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := la.LoadPrePlaced(blocks, func(id oram.BlockID) []byte {
 		b := make([]byte, blockSize)
 		b[0] = byte(id) // identity marker
 		return b
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Train until preempted: bump a counter in every visited row, and
@@ -86,20 +95,20 @@ func main() {
 		return touch(id, payload)
 	})
 	if !errors.Is(err, context.Canceled) {
-		log.Fatalf("expected preemption, got %v", err)
+		return fmt.Errorf("expected preemption, got %v", err)
 	}
 	executed := int(la.Stats().Bins)
-	fmt.Printf("phase 1: preempted after %d of %d bins (clean bin boundary)\n", executed, plan.Len())
+	fmt.Fprintf(w, "phase 1: preempted after %d of %d bins (clean bin boundary)\n", executed, plan.Len())
 
 	// --- Checkpoint ---
 	var clientSnap, storeSnap bytes.Buffer
 	if err := client.SaveState(&clientSnap); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := store.Save(&storeSnap); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("checkpoint: client state %.1f KB, server tree %.1f MB\n",
+	fmt.Fprintf(w, "checkpoint: client state %.1f KB, server tree %.1f MB\n",
 		float64(clientSnap.Len())/1024, float64(storeSnap.Len())/(1<<20))
 
 	// --- Simulated crash: everything in memory is gone ---
@@ -108,20 +117,20 @@ func main() {
 	// --- Phase 2: restore and resume ---
 	store2, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := store2.Load(bytes.NewReader(storeSnap.Bytes())); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	client2, err := oram.NewClient(oram.ClientConfig{
 		Store: store2, Rand: trace.NewRNG(99), // fresh RNG is fine
 		Evict: oram.PaperEvict, StashHits: true, Blocks: blocks,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := client2.LoadState(bytes.NewReader(clientSnap.Bytes())); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Resume with a fresh plan over the REMAINING stream. Blocks were
 	// last remapped toward the old plan's future bins, so the new plan's
@@ -133,16 +142,16 @@ func main() {
 		S: S, Leaves: g.Leaves(), Rand: trace.NewRNG(4),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	la2, err := core.New(core.Config{Base: client2, Plan: plan2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := la2.Run(context.Background(), 1, touch); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("phase 2: trained remaining %d bins after restore (%d cold reads — re-warming look-ahead)\n",
+	fmt.Fprintf(w, "phase 2: trained remaining %d bins after restore (%d cold reads — re-warming look-ahead)\n",
 		plan2.Len(), la2.Stats().ColdPathReads)
 
 	// --- Verify: every stream access contributed exactly one visit ---
@@ -151,18 +160,19 @@ func main() {
 		want[oram.BlockID(a)]++
 	}
 	checked, mismatches := 0, 0
-	for id, w := range want {
+	for id, visits := range want {
 		payload, err := client2.Read(id)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if payload[0] != byte(id) || payload[1] != w {
+		if payload[0] != byte(id) || payload[1] != visits {
 			mismatches++
 		}
 		checked++
 	}
 	if mismatches > 0 {
-		log.Fatalf("%d/%d rows lost updates across the restart", mismatches, checked)
+		return fmt.Errorf("%d/%d rows lost updates across the restart", mismatches, checked)
 	}
-	fmt.Printf("verified %d rows: no updates lost across the crash ✓\n", checked)
+	fmt.Fprintf(w, "verified %d rows: no updates lost across the crash ✓\n", checked)
+	return nil
 }

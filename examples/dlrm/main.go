@@ -15,14 +15,23 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	laoram "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A scaled-down DLRM table: same 128-byte rows as the paper's
 	// largest Kaggle table, fewer of them so the example runs in
 	// seconds. Set rows = 0 for the full 10,131,227-row table
@@ -33,7 +42,7 @@ func main() {
 	const superblock = 4
 	lr := float32(0.05)
 
-	fmt.Printf("DLRM embedding table: %d rows × %d B (insecure size %.1f MB)\n",
+	fmt.Fprintf(w, "DLRM embedding table: %d rows × %d B (insecure size %.1f MB)\n",
 		table.Rows, table.RowBytes(), float64(table.Rows*uint64(table.RowBytes()))/(1<<20))
 
 	// The Kaggle-like trace: mostly uniform random indices with a thin
@@ -42,7 +51,7 @@ func main() {
 		Kind: laoram.TraceKaggle, N: table.Rows, Count: samplesPerEpoch * epochs, Seed: 11,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	db, err := laoram.New(laoram.Options{
@@ -53,19 +62,26 @@ func main() {
 		Seed:      3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer db.Close()
-	fmt.Printf("server tree: %s (%.1f MB)\n", db.Describe(), float64(db.ServerBytes())/(1<<20))
+	fmt.Fprintf(w, "server tree: %s (%.1f MB)\n", db.Describe(), float64(db.ServerBytes())/(1<<20))
 
 	// The dataloader: a goroutine feeding sample indices epoch by epoch,
 	// the way a real input pipeline hands batches to the trainer.
-	// Train consumes it through an IndexSource.
+	// Train consumes it through an IndexSource; the loader stops early
+	// if Train returns before draining it.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	feed := make(chan uint64, 1024)
 	go func() {
 		defer close(feed)
 		for _, id := range stream {
-			feed <- id
+			select {
+			case feed <- id:
+			case <-ctx.Done():
+				return
+			}
 		}
 	}()
 
@@ -83,7 +99,8 @@ func main() {
 	start := time.Now()
 	step := uint64(0)
 	updates := 0
-	ts, err := db.Train(context.Background(), laoram.TrainOptions{
+	var visitErr error
+	ts, err := db.Train(ctx, laoram.TrainOptions{
 		Source:     laoram.FromChannel(feed),
 		Superblock: superblock,
 		PrePlace:   true,
@@ -91,7 +108,8 @@ func main() {
 		Visit: func(id uint64, payload []byte) []byte {
 			row, err := laoram.DecodeRow(payload)
 			if err != nil {
-				log.Fatal(err)
+				visitErr = err
+				return nil
 			}
 			for i := range row {
 				g := (row[i] + 0.01) * float32(1+int(step+id)%3)
@@ -102,35 +120,39 @@ func main() {
 			return laoram.EncodeRow(row)
 		},
 	})
+	if err == nil {
+		err = visitErr
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	wall := time.Since(start)
-	fmt.Printf("preprocessor: %d accesses from the feed → %d bins of %d, scanned in %v\n",
+	fmt.Fprintf(w, "preprocessor: %d accesses from the feed → %d bins of %d, scanned in %v\n",
 		ts.Accesses, ts.Session.Bins, superblock, ts.PlanTime.Round(time.Millisecond))
 
 	st := db.Stats()
-	fmt.Printf("\ntrained %d row-updates in %v wall (%.1f µs/update)\n",
+	fmt.Fprintf(w, "\ntrained %d row-updates in %v wall (%.1f µs/update)\n",
 		updates, wall.Round(time.Millisecond), float64(wall.Microseconds())/float64(updates))
-	fmt.Printf("oblivious traffic: %d path reads, %d path writes, %d dummy reads (%.2f MB)\n",
+	fmt.Fprintf(w, "oblivious traffic: %d path reads, %d path writes, %d dummy reads (%.2f MB)\n",
 		st.PathReads, st.PathWrites, st.DummyReads, float64(st.BytesMoved)/(1<<20))
-	fmt.Printf("accesses per path read: %.2f (PathORAM would be 1.0; S=%d ideal is %d.0)\n",
+	fmt.Fprintf(w, "accesses per path read: %.2f (PathORAM would be 1.0; S=%d ideal is %d.0)\n",
 		float64(st.Accesses)/float64(st.PathReads), superblock, superblock)
-	fmt.Printf("simulated DDR4 time: %.3f s — vs %.3f s for PathORAM at 1 path/access\n",
+	fmt.Fprintf(w, "simulated DDR4 time: %.3f s — vs %.3f s for PathORAM at 1 path/access\n",
 		st.SimTimeSeconds, st.SimTimeSeconds*float64(st.Accesses)/float64(st.PathReads))
 
 	// Spot-check: rows really were updated and decrypt correctly.
 	row, err := db.Read(stream[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	vec, err := laoram.DecodeRow(row)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	init := laoram.InitRow(table, stream[0])
 	if vec[0] == init[0] {
-		log.Fatal("row was never updated?")
+		return errors.New("row was never updated?")
 	}
-	fmt.Printf("row %d element 0: %.5f → %.5f ✓\n", stream[0], init[0], vec[0])
+	fmt.Fprintf(w, "row %d element 0: %.5f → %.5f ✓\n", stream[0], init[0], vec[0])
+	return nil
 }

@@ -10,12 +10,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	laoram "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const entries = 1 << 14 // 16,384 rows
 	const blockSize = 128
 
@@ -26,10 +34,10 @@ func main() {
 		Seed:      1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer db.Close()
-	fmt.Printf("server tree: %s (%.1f MB server storage for %.1f MB of data)\n",
+	fmt.Fprintf(w, "server tree: %s (%.1f MB server storage for %.1f MB of data)\n",
 		db.Describe(),
 		float64(db.ServerBytes())/(1<<20),
 		float64(entries*blockSize)/(1<<20))
@@ -40,22 +48,22 @@ func main() {
 		copy(row, fmt.Sprintf("row-%d", id))
 		return row
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	db.ResetStats()
 
 	// Ad-hoc oblivious accesses: each is a full PathORAM path read+write,
 	// so the server learns nothing about which row we touched.
 	if err := db.Write(42, []byte(pad("hello oblivious world", blockSize))); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	got, err := db.Read(42)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("read back row 42: %q\n", trim(got))
+	fmt.Fprintf(w, "read back row 42: %q\n", trim(got))
 	st := db.Stats()
-	fmt.Printf("2 accesses cost %d path reads + %d path writes (%0.1f KB moved)\n\n",
+	fmt.Fprintf(w, "2 accesses cost %d path reads + %d path writes (%0.1f KB moved)\n\n",
 		st.PathReads, st.PathWrites, float64(st.BytesMoved)/1024)
 
 	// Look-ahead mode: a training loop knows its upcoming accesses, so
@@ -71,13 +79,13 @@ func main() {
 		Kind: laoram.TraceUniform, N: entries, Count: 4096, Seed: 7,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fast, err := laoram.New(laoram.Options{
 		Entries: entries, BlockSize: blockSize, Encrypt: true, Seed: 2,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer fast.Close()
 	touched := 0
@@ -91,16 +99,17 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("trained %d accesses in %d look-ahead window(s): %d superblock bins\n",
+	fmt.Fprintf(w, "trained %d accesses in %d look-ahead window(s): %d superblock bins\n",
 		ts.Accesses, ts.Windows, ts.Session.Bins)
 	fst := fast.Stats()
-	fmt.Printf("LAORAM session: %d accesses served by %d path reads (%.2fx fewer than one-per-access)\n",
+	fmt.Fprintf(w, "LAORAM session: %d accesses served by %d path reads (%.2fx fewer than one-per-access)\n",
 		fst.Accesses, fst.PathReads, float64(fst.Accesses)/float64(fst.PathReads))
 	ss := ts.Session
-	fmt.Printf("bins=%d coldReads=%d lookaheadRemaps=%d uniformRemaps=%d (visited %d rows)\n",
+	fmt.Fprintf(w, "bins=%d coldReads=%d lookaheadRemaps=%d uniformRemaps=%d (visited %d rows)\n",
 		ss.Bins, ss.ColdPathReads, ss.LookaheadRemaps, ss.UniformRemaps, touched)
+	return nil
 }
 
 func pad(s string, n int) string {

@@ -1,7 +1,9 @@
 // Remote: the full client/server deployment of Fig. 5.
 //
 // server_storage runs as a TCP service (in-process here for a self-
-// contained example; run cmd/laoramserve for a real split). The trainer
+// contained example; run cmd/laoramserve for a real split). The node is
+// built from internal/oram and internal/remote, as cmd/laoramserve builds
+// it; the client side uses the public laoram API only. The trainer
 // client connects over the network — the socket is the paper's red line,
 // the insecure channel where the adversary sees every bucket address — and
 // performs oblivious accesses plus a look-ahead training pass against it.
@@ -20,7 +22,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	laoram "repro"
 	"repro/internal/oram"
@@ -28,6 +32,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const entries = 1 << 12
 	const blockSize = 128
 
@@ -40,20 +50,20 @@ func main() {
 		BlockSize: blockSize,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	store, err := oram.NewPayloadStore(g, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	counting := oram.NewCountingStore(store, nil)
 	srv := remote.NewServer(counting, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("server_storage listening on %s — tree %s\n", addr, g)
+	fmt.Fprintf(w, "server_storage listening on %s — tree %s\n", addr, g)
 
 	// --- Client side (the trainer GPU of Fig. 5) ---
 	// The context governs the connection: cancel() would close it and
@@ -66,29 +76,29 @@ func main() {
 		Seed:        9,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer db.Close()
-	fmt.Printf("client connected; server reports tree %q\n", db.Describe())
+	fmt.Fprintf(w, "client connected; server reports tree %q\n", db.Describe())
 
 	if err := db.Load(entries, func(id uint64) []byte {
 		row := make([]byte, blockSize)
 		copy(row, fmt.Sprintf("remote-row-%d", id))
 		return row
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	db.ResetStats()
 
 	// Oblivious accesses over the wire.
 	if err := db.Write(7, padded("updated over tcp", blockSize)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	row, err := db.Read(7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("read row 7 over TCP: %q\n", trimZero(row))
+	fmt.Fprintf(w, "read row 7 over TCP: %q\n", trimZero(row))
 
 	// A streaming look-ahead run against the remote store: windows are
 	// preprocessed client-side while earlier windows execute over the
@@ -97,7 +107,7 @@ func main() {
 		Kind: laoram.TraceKaggle, N: entries, Count: 2048, Seed: 10,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	touched := 0
 	if _, err := db.Train(ctx, laoram.TrainOptions{
@@ -108,15 +118,16 @@ func main() {
 			return nil
 		},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	st := db.Stats()
 	c := counting.Counters()
-	fmt.Printf("\nsession: %d row visits via %d path reads over the network\n", touched, st.PathReads)
-	fmt.Printf("server observed: %d bucket reads, %d bucket writes, %.2f MB on the wire\n",
+	fmt.Fprintf(w, "\nsession: %d row visits via %d path reads over the network\n", touched, st.PathReads)
+	fmt.Fprintf(w, "server observed: %d bucket reads, %d bucket writes, %.2f MB on the wire\n",
 		c.BucketReads, c.BucketWrites, float64(c.BytesRead+c.BytesWritten)/(1<<20))
-	fmt.Println("…and no pattern in them: every address is a uniformly random path.")
+	fmt.Fprintln(w, "…and no pattern in them: every address is a uniformly random path.")
+	return nil
 }
 
 func padded(s string, n int) []byte {

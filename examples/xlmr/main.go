@@ -19,26 +19,34 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	laoram "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Scaled vocabulary (same 4 KB rows); rows=0 gives the paper's full
 	// 262,144-row table.
 	table := laoram.XLMRTable(1 << 14)
 	const tokens = 16384
 	const superblock = 8
 
-	fmt.Printf("XLM-R embedding table: %d rows × %d B\n", table.Rows, table.RowBytes())
+	fmt.Fprintf(w, "XLM-R embedding table: %d rows × %d B\n", table.Rows, table.RowBytes())
 
 	stream, err := laoram.GenerateTrace(laoram.TraceConfig{
 		Kind: laoram.TraceXNLI, N: table.Rows, Count: tokens, Seed: 21,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Baseline: plain PathORAM accesses, one per token. Metadata-only
@@ -49,20 +57,20 @@ func main() {
 		MetadataOnly: true, Seed: 5,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer base.Close()
 	if err := base.Load(table.Rows, nil); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base.ResetStats()
 	for _, tok := range stream {
 		if _, err := base.Read(tok); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	bst := base.Stats()
-	fmt.Printf("\nPathORAM baseline: %d accesses, %d path reads, sim time %.3f s\n",
+	fmt.Fprintf(w, "\nPathORAM baseline: %d accesses, %d path reads, sim time %.3f s\n",
 		bst.Accesses, bst.PathReads, bst.SimTimeSeconds)
 
 	// LAORAM: fat tree + superblocks of 8 (the paper's best XNLI config),
@@ -72,7 +80,7 @@ func main() {
 		MetadataOnly: true, FatTree: true, Seed: 6,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer fast.Close()
 	ts, err := fast.Train(context.Background(), laoram.TrainOptions{
@@ -83,22 +91,23 @@ func main() {
 		PrePlace:   true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fst := fast.Stats()
-	fmt.Printf("LAORAM Fat/S%d:     %d accesses, %d path reads, %d dummy reads, sim time %.3f s\n",
+	fmt.Fprintf(w, "LAORAM Fat/S%d:     %d accesses, %d path reads, %d dummy reads, sim time %.3f s\n",
 		superblock, fst.Accesses, fst.PathReads, fst.DummyReads, fst.SimTimeSeconds)
 
 	if fst.SimTimeSeconds > 0 {
-		fmt.Printf("\nspeedup: %.2fx (paper reports ~5.4x for XLM-R/XNLI at full scale)\n",
+		fmt.Fprintf(w, "\nspeedup: %.2fx (paper reports ~5.4x for XLM-R/XNLI at full scale)\n",
 			bst.SimTimeSeconds/fst.SimTimeSeconds)
 	}
 	ss := ts.Session
-	fmt.Printf("%d windows: lookahead remaps %d, uniform remaps %d, cold path reads %d; planning stalled training %v\n",
+	fmt.Fprintf(w, "%d windows: lookahead remaps %d, uniform remaps %d, cold path reads %d; planning stalled training %v\n",
 		ts.Windows, ss.LookaheadRemaps, ss.UniformRemaps, ss.ColdPathReads, ts.TrainerStalled.Round(time.Millisecond))
 
 	// The Zipf head means many bin members are already in the stash
 	// (hot rows), pushing accesses-per-path-read above S.
-	fmt.Printf("accesses per path read: %.2f (S=%d; stash hits on hot tokens push it higher)\n",
+	fmt.Fprintf(w, "accesses per path read: %.2f (S=%d; stash hits on hot tokens push it higher)\n",
 		float64(fst.Accesses)/float64(fst.PathReads), superblock)
+	return nil
 }
